@@ -7,7 +7,7 @@ FUZZTIME ?= 5s
 BENCH_SCHEMA ?= tmesh-bench/v1
 COMMIT := $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 
-.PHONY: ci build vet test race bench bench-rekey bench-hot bench-mem bench-all soak-short soak-transport soak-metrics soak-scale soak-multigroup soak-slo trace-audit fuzz
+.PHONY: ci build vet test race bench bench-rekey bench-hot bench-mem bench-all bench-harness loc soak-short soak-transport soak-metrics soak-scale soak-multigroup soak-slo trace-audit fuzz
 
 # ci is the full verification gate: static checks, the race detector
 # over the whole tree (the parallel experiment harness in internal/exp
@@ -18,10 +18,11 @@ COMMIT := $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 # flight-recorder theorem audit over a freshly traced soak, the
 # hot-path benchmark gate (the compiled hop filter must stay at
 # 0 allocs/op), the memory-budget gate, the N=100k scale soak, the
-# multi-group tenancy soak (16 groups on one shared pool, 100k-join
-# flash crowd, cross-width replay), and the SLO soak (per-tenant
-# verdict stream schema-checked, exposition format golden-pinned).
-ci: vet race soak-transport fuzz trace-audit bench-hot bench-mem soak-scale soak-multigroup soak-slo
+# multi-group tenancy soak (16 groups on the shared fan-out, 100k-join
+# flash crowd, cross-width replay), the SLO soak (per-tenant verdict
+# stream schema-checked, exposition format golden-pinned), and the
+# bench/ harness's own vet + smoke test.
+ci: vet race soak-transport fuzz trace-audit bench-hot bench-mem soak-scale soak-multigroup soak-slo bench-harness
 
 build:
 	$(GO) build ./...
@@ -115,6 +116,20 @@ bench-mem:
 		< results-bench-mem.txt
 	rm -f results-bench-mem.txt
 
+# bench-harness vets and smoke-tests the repo benchmark in bench/. It is
+# its own module (`replace tmesh => ../`), so `go vet ./...` and
+# `go test ./...` from the root never compile it: without this target a
+# moved signature could break the benchmark silently.
+bench-harness:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# loc prints non-test Go lines per package under internal/ and cmd/,
+# and their total — the number CHANGES.md quotes for net-negative PRs.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		     END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
+
 # bench-all regenerates every committed benchmark baseline with the
 # current schema/commit stamp in one shot.
 bench-all: bench-hot bench-mem
@@ -132,12 +147,12 @@ soak-scale:
 # soak-multigroup is the multi-group tenancy soak (internal/grouphost):
 # 16 groups — a 100k-join flash crowd, a 10k mass join+leave, and 14
 # full-protocol groups (half under Appendix B cluster rekeying) on one
-# shared GT-ITM topology — multiplexed over one shared worker pool with
-# staggered rekey boundaries. Every interval runs the five paper
-# auditors per group, then the whole host replays at pool width 1 and
-# the reports must be byte-identical.
+# shared GT-ITM topology — multiplexed over the process-wide fan-out
+# with staggered rekey boundaries. Every interval runs the five paper
+# auditors per group, then the whole host replays inline (GOMAXPROCS 1)
+# and the reports must be byte-identical.
 soak-multigroup:
-	$(GO) run ./cmd/rekeysim -soak -groups 16 -flash-joins 100000 -mass-churn 10000 -soak-intervals 4 -soak-rekey-parallelism 4
+	$(GO) run ./cmd/rekeysim -soak -groups 16 -flash-joins 100000 -mass-churn 10000 -soak-intervals 4
 
 # soak-slo is the ops-plane gate: a multi-group tenancy soak with the
 # per-tenant SLO engine streaming one "slo" record per group per rekey
@@ -147,7 +162,7 @@ soak-multigroup:
 # exposition golden test pins the /metrics wire format.
 soak-slo:
 	mkdir -p results
-	$(GO) run ./cmd/rekeysim -soak -groups 8 -flash-joins 20000 -mass-churn 2000 -soak-intervals 3 -soak-rekey-parallelism 4 -metrics-out results/soak-slo.jsonl
+	$(GO) run ./cmd/rekeysim -soak -groups 8 -flash-joins 20000 -mass-churn 2000 -soak-intervals 3 -metrics-out results/soak-slo.jsonl
 	$(GO) run ./internal/obs/jsonlcheck results/soak-slo.jsonl
 	$(GO) run ./cmd/rekeystat -jsonl results/soak-slo.jsonl
 	$(GO) test ./internal/obs/expose -run Golden -count=1

@@ -30,6 +30,8 @@ import (
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof/* on the default mux
 	"os"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -42,7 +44,6 @@ import (
 	"tmesh/internal/grouphost"
 	"tmesh/internal/obs"
 	"tmesh/internal/obs/expose"
-	"tmesh/internal/work"
 	"tmesh/internal/workload"
 )
 
@@ -64,11 +65,10 @@ func run(args []string) int {
 		soakIntervals = fs.Int("soak-intervals", 0, "override the soak's rekey interval count")
 		soakMembers   = fs.Int("soak-members", 0, "override the soak's initial group size")
 		soakLoss      = fs.Float64("soak-loss", -1, "override the soak's per-hop loss probability")
-		soakRekeyPar  = fs.Int("soak-rekey-parallelism", 0, "override the soak's key-regeneration worker fan-out; 1 = sequential (rekey messages are byte-identical either way)")
 		soakN         = fs.Int("soak-n", 0, "run the key-management scale soak at this many members instead of the network soak (requires -soak)")
 		soakChurn     = fs.Int("soak-churn", 0, "override the scale soak's per-interval leave/rejoin count (requires -soak-n)")
 
-		soakGroups = fs.Int("groups", 0, "run the multi-group tenancy soak with this many groups sharing one topology, worker pool, and staggered scheduler (requires -soak)")
+		soakGroups = fs.Int("groups", 0, "run the multi-group tenancy soak with this many groups sharing one topology and staggered scheduler (requires -soak)")
 		flashJoins = fs.Int("flash-joins", 0, "override the tenancy soak's flash-crowd size: this many joins land in one rekey interval (requires -groups)")
 		massChurn  = fs.Int("mass-churn", 0, "override the tenancy soak's mass join+leave quota per interval (requires -groups)")
 
@@ -85,64 +85,43 @@ func run(args []string) int {
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: rekeysim [flags] <fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|joincost|ablation|packets|loss|gnp|congestion|all>\n")
-		fmt.Fprintf(fs.Output(), "       rekeysim -soak [-seed N] [-soak-intervals N] [-soak-members N] [-soak-loss P] [-soak-rekey-parallelism N] [-metrics-out FILE] [-trace-out FILE] [-trace-sample K] [-pprof ADDR]\n")
-		fmt.Fprintf(fs.Output(), "       rekeysim -soak -soak-n N [-seed N] [-soak-churn N] [-soak-intervals N] [-soak-rekey-parallelism N]\n")
-		fmt.Fprintf(fs.Output(), "       rekeysim -soak -groups G [-seed N] [-flash-joins N] [-mass-churn N] [-soak-intervals N] [-soak-rekey-parallelism N] [-metrics-out FILE]\n")
+		fmt.Fprintf(fs.Output(), "       rekeysim -soak [-seed N] [-soak-intervals N] [-soak-members N] [-soak-loss P] [-metrics-out FILE] [-trace-out FILE] [-trace-sample K] [-pprof ADDR]\n")
+		fmt.Fprintf(fs.Output(), "       rekeysim -soak -soak-n N [-seed N] [-soak-churn N] [-soak-intervals N]\n")
+		fmt.Fprintf(fs.Output(), "       rekeysim -soak -groups G [-seed N] [-flash-joins N] [-mass-churn N] [-soak-intervals N] [-metrics-out FILE]\n")
 		fmt.Fprintf(fs.Output(), "       rekeysim -daemon [-transport sim|loopback|udp|tcp] [-listen ADDR] [-seed N] [-daemon-members N] [-daemon-intervals N]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	// Soak-only flags fail fast outside -soak instead of being silently
-	// ignored; fs.Visit only sees flags the command line actually set,
-	// so defaults never trip the check.
-	if !*soak {
-		soakOnly := map[string]bool{
-			"soak-intervals":         true,
-			"soak-members":           true,
-			"soak-loss":              true,
-			"soak-rekey-parallelism": true,
-			"soak-n":                 true,
-			"soak-churn":             true,
-			"groups":                 true,
-			"flash-joins":            true,
-			"mass-churn":             true,
-			"metrics-out":            true,
-			"trace-out":              true,
-			"trace-sample":           true,
-		}
-		var misused []string
-		fs.Visit(func(f *flag.Flag) {
-			if soakOnly[f.Name] {
-				misused = append(misused, "-"+f.Name)
-			}
-		})
-		if len(misused) > 0 {
-			fmt.Fprintf(os.Stderr, "rekeysim: %s require(s) -soak (experiments are not soak-wired)\n", strings.Join(misused, ", "))
-			fs.Usage()
-			return 2
-		}
+	if *daemon && *soak {
+		fmt.Fprintln(os.Stderr, "rekeysim: -daemon and -soak are mutually exclusive")
+		return 2
 	}
-	// Daemon-only flags get the same fail-fast treatment.
-	if !*daemon {
-		daemonOnly := map[string]bool{
-			"transport":        true,
-			"listen":           true,
-			"daemon-members":   true,
-			"daemon-intervals": true,
+	m := modeExperiment
+	switch {
+	case *daemon:
+		m = modeDaemon
+	case *soak && *soakGroups > 0:
+		m = modeTenancy
+	case *soak && *soakN > 0:
+		m = modeScale
+	case *soak:
+		m = modeSoak
+	}
+	// Mode-specific flags fail fast outside their modes instead of being
+	// silently ignored; fs.Visit only sees flags the command line
+	// actually set, so defaults never trip the check.
+	var misused []string
+	fs.Visit(func(f *flag.Flag) {
+		if modes, ok := flagModes[f.Name]; ok && !slices.Contains(modes, m) {
+			misused = append(misused, "-"+f.Name)
 		}
-		var misused []string
-		fs.Visit(func(f *flag.Flag) {
-			if daemonOnly[f.Name] {
-				misused = append(misused, "-"+f.Name)
-			}
-		})
-		if len(misused) > 0 {
-			fmt.Fprintf(os.Stderr, "rekeysim: %s require(s) -daemon\n", strings.Join(misused, ", "))
-			fs.Usage()
-			return 2
-		}
+	})
+	if len(misused) > 0 {
+		fmt.Fprintf(os.Stderr, "rekeysim: %s do(es) not apply to %s\n", strings.Join(misused, ", "), modeNames[m])
+		fs.Usage()
+		return 2
 	}
 	if *pprofAddr != "" {
 		if err := startPprof(*pprofAddr); err != nil {
@@ -151,10 +130,6 @@ func run(args []string) int {
 		}
 	}
 	if *daemon {
-		if *soak {
-			fmt.Fprintln(os.Stderr, "rekeysim: -daemon and -soak are mutually exclusive")
-			return 2
-		}
 		if fs.NArg() != 0 {
 			fs.Usage()
 			return 2
@@ -184,68 +159,13 @@ func run(args []string) int {
 			fs.Usage()
 			return 2
 		}
-		if *soakGroups > 0 {
-			if *soakN > 0 {
-				fmt.Fprintln(os.Stderr, "rekeysim: -groups and -soak-n are mutually exclusive (the tenancy soak hosts its own scale groups)")
-				return 2
-			}
-			// The tenancy soak has no fault ladder and no single
-			// network session, so the net-soak instrumentation and the
-			// scale soak's churn knob cannot apply to it.
-			groupsIncompat := map[string]bool{
-				"soak-members": true,
-				"soak-loss":    true,
-				"soak-churn":   true,
-				"trace-out":    true,
-				"trace-sample": true,
-			}
-			var misused []string
-			fs.Visit(func(f *flag.Flag) {
-				if groupsIncompat[f.Name] {
-					misused = append(misused, "-"+f.Name)
-				}
-			})
-			if len(misused) > 0 {
-				fmt.Fprintf(os.Stderr, "rekeysim: %s do(es) not apply to the tenancy soak (-groups)\n", strings.Join(misused, ", "))
-				fs.Usage()
-				return 2
-			}
-			return runMultiGroupSoak(*seed, *soakGroups, *flashJoins, *massChurn, *soakIntervals, *soakRekeyPar, *metricsOut)
+		switch m {
+		case modeTenancy:
+			return runMultiGroupSoak(*seed, *soakGroups, *flashJoins, *massChurn, *soakIntervals, *metricsOut)
+		case modeScale:
+			return runScaleSoak(*seed, *soakN, *soakChurn, *soakIntervals)
 		}
-		if *flashJoins != 0 || *massChurn != 0 {
-			fmt.Fprintln(os.Stderr, "rekeysim: -flash-joins and -mass-churn require -groups (only the tenancy soak runs those workloads)")
-			fs.Usage()
-			return 2
-		}
-		if *soakN > 0 {
-			// The scale soak has no virtual network, so the
-			// network-facing soak flags cannot apply to it.
-			scaleIncompat := map[string]bool{
-				"soak-members": true,
-				"soak-loss":    true,
-				"metrics-out":  true,
-				"trace-out":    true,
-				"trace-sample": true,
-			}
-			var misused []string
-			fs.Visit(func(f *flag.Flag) {
-				if scaleIncompat[f.Name] {
-					misused = append(misused, "-"+f.Name)
-				}
-			})
-			if len(misused) > 0 {
-				fmt.Fprintf(os.Stderr, "rekeysim: %s do(es) not apply to the scale soak (-soak-n)\n", strings.Join(misused, ", "))
-				fs.Usage()
-				return 2
-			}
-			return runScaleSoak(*seed, *soakN, *soakChurn, *soakIntervals, *soakRekeyPar)
-		}
-		if *soakChurn != 0 {
-			fmt.Fprintln(os.Stderr, "rekeysim: -soak-churn requires -soak-n (only the scale soak churns by count)")
-			fs.Usage()
-			return 2
-		}
-		return runSoak(*seed, *soakIntervals, *soakMembers, *soakLoss, *soakRekeyPar, *metricsOut, *traceOut, *traceSample, *pprofAddr != "")
+		return runSoak(*seed, *soakIntervals, *soakMembers, *soakLoss, *metricsOut, *traceOut, *traceSample, *pprofAddr != "")
 	}
 	if fs.NArg() != 1 {
 		fs.Usage()
@@ -260,6 +180,47 @@ func run(args []string) int {
 		return 1
 	}
 	return 0
+}
+
+// mode is what one invocation runs; every mode-specific flag names the
+// modes it applies to in flagModes.
+type mode int
+
+const (
+	modeExperiment mode = iota
+	modeSoak            // -soak: the simulator chaos soak
+	modeScale           // -soak -soak-n: the key-management scale soak
+	modeTenancy         // -soak -groups: the multi-group tenancy soak
+	modeDaemon          // -daemon: the socket daemon soak
+)
+
+var modeNames = [...]string{
+	modeExperiment: "an experiment run (soak flags require -soak, daemon flags -daemon)",
+	modeSoak:       "the chaos soak (-soak; -soak-churn requires -soak-n, -flash-joins and -mass-churn require -groups)",
+	modeScale:      "the scale soak (-soak-n), which has no virtual network",
+	modeTenancy:    "the tenancy soak (-groups), which has no fault ladder, single network session or churn knob",
+	modeDaemon:     "the daemon soak (-daemon)",
+}
+
+// flagModes lists, per mode-specific flag, the modes it has a meaning
+// in. Flags absent from the table (-seed, -pprof, the experiment
+// knobs) are accepted everywhere.
+var flagModes = map[string][]mode{
+	"soak-intervals":   {modeSoak, modeScale, modeTenancy},
+	"soak-members":     {modeSoak},
+	"soak-loss":        {modeSoak},
+	"soak-n":           {modeScale},
+	"soak-churn":       {modeScale},
+	"groups":           {modeTenancy},
+	"flash-joins":      {modeTenancy},
+	"mass-churn":       {modeTenancy},
+	"metrics-out":      {modeSoak, modeTenancy},
+	"trace-out":        {modeSoak},
+	"trace-sample":     {modeSoak},
+	"transport":        {modeDaemon},
+	"listen":           {modeDaemon},
+	"daemon-members":   {modeDaemon},
+	"daemon-intervals": {modeDaemon},
 }
 
 // activeObs holds the registry of the running soak so the expvar
@@ -322,7 +283,7 @@ type metricsEvent struct {
 // and proven-on-sockets versions of the same battery.
 func runDaemon(seed int64, kind, listen string, members, intervals int, withObs bool) int {
 	if kind == "sim" {
-		return runSoak(seed, intervals, members, -1, 0, "", "", 1, withObs)
+		return runSoak(seed, intervals, members, -1, "", "", 1, withObs)
 	}
 	cfg := chaos.DefaultSocketConfig(kind)
 	cfg.Seed = seed
@@ -375,7 +336,7 @@ func printTransportSummary(reg *obs.Registry) {
 // churn loop with no virtual network — and prints its canonical report
 // on stdout. Progress lines (with live heap readings) go to stderr; the
 // exit status reflects the keyring spot checks.
-func runScaleSoak(seed int64, n, churn, intervals, parallelism int) int {
+func runScaleSoak(seed int64, n, churn, intervals int) int {
 	cfg := chaos.DefaultScaleConfig(n)
 	cfg.Seed = seed
 	if churn > 0 {
@@ -383,9 +344,6 @@ func runScaleSoak(seed int64, n, churn, intervals, parallelism int) int {
 	}
 	if intervals > 0 {
 		cfg.Intervals = intervals
-	}
-	if parallelism > 0 {
-		cfg.Parallelism = parallelism
 	}
 	cfg.Out = os.Stderr
 	rep, err := chaos.RunScaleSoak(cfg)
@@ -404,15 +362,15 @@ func runScaleSoak(seed int64, n, churn, intervals, parallelism int) int {
 
 // runMultiGroupSoak drives the multi-group tenancy soak
 // (internal/grouphost): G groups — a flash crowd, a mass join+leave,
-// and full-protocol groups over one shared topology — multiplexed on
-// one worker pool under the staggered scheduler, with the five paper
-// auditors running per group at every interval. After the main run the
-// whole host replays at a different pool width and the reports must be
-// byte-identical; any mismatch, audit violation, or per-tenant SLO page
-// exits non-zero. With metricsOut the main run streams per-group "slo"
+// and full-protocol groups over one shared topology — multiplexed
+// under the staggered scheduler, with the five paper auditors running
+// per group at every interval. After the main run the whole host
+// replays at a different fan-out width (GOMAXPROCS 1) and the reports
+// must be byte-identical; any mismatch, audit violation, or per-tenant
+// SLO page exits non-zero. With metricsOut the main run streams per-group "slo"
 // records (plus a final registry snapshot) to the file; the report is
 // byte-identical either way.
-func runMultiGroupSoak(seed int64, groups, flashJoins, massChurn, intervals, parallelism int, metricsOut string) int {
+func runMultiGroupSoak(seed int64, groups, flashJoins, massChurn, intervals int, metricsOut string) int {
 	if flashJoins <= 0 {
 		flashJoins = 100000
 	}
@@ -423,14 +381,11 @@ func runMultiGroupSoak(seed int64, groups, flashJoins, massChurn, intervals, par
 		intervals = 4
 	}
 	specs := buildTenancy(groups, flashJoins, massChurn, intervals, seed)
-	runAt := func(width int, out *os.File, reg *obs.Registry, sink *obs.Sink) (*grouphost.Report, int) {
-		pool := work.NewPool(width)
-		defer pool.Close()
+	run := func(out *os.File, reg *obs.Registry, sink *obs.Sink) (*grouphost.Report, int) {
 		rep, err := grouphost.Run(grouphost.Config{
 			Groups:  specs,
 			Seed:    seed,
 			Stagger: 7 * time.Second,
-			Pool:    pool,
 			Obs:     reg,
 			Sink:    sink,
 			Out:     out,
@@ -454,29 +409,32 @@ func runMultiGroupSoak(seed int64, groups, flashJoins, massChurn, intervals, par
 		metricsFile = f
 		sink = obs.NewSink(f)
 	}
-	rep, code := runAt(parallelism, os.Stderr, mainObs, sink)
+	rep, code := run(os.Stderr, mainObs, sink)
 	if code != 0 {
 		return code
 	}
-	// Replay at a different width: 1 against the parallel run, wide
-	// against an explicitly sequential one. The replay runs with its own
-	// registry and no sink — the byte-compare below is what proves the
-	// ops plane does not perturb the protocol.
-	replayWidth := 1
-	if parallelism == 1 {
-		replayWidth = 0
+	// Replay at a different width: inline against the parallel run, wide
+	// against one that was already inline (a one-CPU box). Width is
+	// GOMAXPROCS, so that is what the replay varies. The replay runs
+	// with its own registry and no sink — the byte-compare below is what
+	// proves the ops plane does not perturb the protocol.
+	replayProcs := 1
+	if rep.PoolWidth == 1 {
+		replayProcs = 4
 	}
-	fmt.Fprintf(os.Stderr, "replaying at pool width %d to cross-check determinism\n", replayWidth)
-	replay, code := runAt(replayWidth, nil, obs.New(), nil)
+	fmt.Fprintf(os.Stderr, "replaying at GOMAXPROCS %d to cross-check determinism\n", replayProcs)
+	prevProcs := runtime.GOMAXPROCS(replayProcs)
+	replay, code := run(nil, obs.New(), nil)
+	runtime.GOMAXPROCS(prevProcs)
 	if code != 0 {
 		return code
 	}
 	fmt.Print(rep.String())
 	if replay.String() != rep.String() {
-		fmt.Fprintf(os.Stderr, "rekeysim: tenancy replay diverged across pool widths\n--- replay ---\n%s", replay.String())
+		fmt.Fprintf(os.Stderr, "rekeysim: tenancy replay diverged across fan-out widths\n--- replay ---\n%s", replay.String())
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "replay byte-identical across pool widths (%d vs %d workers)\n",
+	fmt.Fprintf(os.Stderr, "replay byte-identical across fan-out widths (%d vs %d wide)\n",
 		rep.PoolWidth, replay.PoolWidth)
 	code = 0
 	if rep.Violations() > 0 {
@@ -551,7 +509,7 @@ func buildTenancy(groups, flashJoins, massChurn, intervals int, seed int64) []gr
 // the soak can gate CI directly. With metricsOut the soak runs
 // instrumented and streams interval records (plus a final registry
 // snapshot) to the file; the report itself is byte-identical either way.
-func runSoak(seed int64, intervals, members int, loss float64, rekeyParallelism int, metricsOut, traceOut string, traceSample int, withObs bool) int {
+func runSoak(seed int64, intervals, members int, loss float64, metricsOut, traceOut string, traceSample int, withObs bool) int {
 	cfg := chaos.DefaultConfig(seed)
 	if intervals > 0 {
 		cfg.Intervals = intervals
@@ -561,9 +519,6 @@ func runSoak(seed int64, intervals, members int, loss float64, rekeyParallelism 
 	}
 	if loss >= 0 {
 		cfg.HopLoss = loss
-	}
-	if rekeyParallelism > 0 {
-		cfg.RekeyParallelism = rekeyParallelism
 	}
 
 	var sink *obs.Sink

@@ -30,7 +30,6 @@ func TestRunArgHandling(t *testing.T) {
 		{"soak-intervals without soak", []string{"-soak-intervals", "3", "fig6"}, 2},
 		{"soak-members without soak", []string{"-soak-members", "40", "fig6"}, 2},
 		{"soak-loss without soak", []string{"-soak-loss", "0.1", "fig6"}, 2},
-		{"soak-rekey-parallelism without soak", []string{"-soak-rekey-parallelism", "2", "fig6"}, 2},
 		{"several soak flags without soak", []string{"-soak-members", "40", "-trace-out", os.DevNull, "fig6"}, 2},
 		{"soak-n without soak", []string{"-soak-n", "1000", "fig6"}, 2},
 		{"soak-churn without soak", []string{"-soak-churn", "10", "fig6"}, 2},
@@ -110,7 +109,7 @@ func TestRunMultiGroupSoakSmoke(t *testing.T) {
 		t.Skip("CLI smoke test")
 	}
 	args := []string{"-soak", "-groups", "4", "-flash-joins", "2000", "-mass-churn", "300",
-		"-soak-intervals", "2", "-soak-rekey-parallelism", "4"}
+		"-soak-intervals", "2"}
 	if got := run(args); got != 0 {
 		t.Errorf("run(%v) = %d, want 0", args, got)
 	}
@@ -217,7 +216,7 @@ func TestRunMultiGroupSoakMetricsOut(t *testing.T) {
 	}
 	out := filepath.Join(t.TempDir(), "tenancy.jsonl")
 	args := []string{"-soak", "-groups", "3", "-flash-joins", "2000", "-mass-churn", "300",
-		"-soak-intervals", "2", "-soak-rekey-parallelism", "4", "-metrics-out", out}
+		"-soak-intervals", "2", "-metrics-out", out}
 	if got := run(args); got != 0 {
 		t.Fatalf("run(%v) = %d, want 0", args, got)
 	}

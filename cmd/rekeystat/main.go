@@ -21,9 +21,9 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
+
+	"tmesh/internal/obs/expose"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
@@ -106,83 +106,10 @@ func renderGroups(w io.Writer, stats []groupStat) {
 
 // --- Prometheus exposition source -----------------------------------
 
-// series is one parsed exposition sample.
-type series struct {
-	name   string
-	labels map[string]string
-	value  float64
-}
-
-// parseExposition reads Prometheus text format (the subset
-// internal/obs/expose emits: no timestamps, no exemplars). Unknown or
-// malformed lines are skipped rather than fatal — a status viewer
-// should degrade, not crash, on a partially written scrape.
-func parseExposition(text string) []series {
-	var out []series
-	for _, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		s, ok := parseSample(line)
-		if ok {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-func parseSample(line string) (series, bool) {
-	s := series{labels: map[string]string{}}
-	rest := line
-	if i := strings.IndexByte(line, '{'); i >= 0 {
-		j := strings.LastIndexByte(line, '}')
-		if j < i {
-			return s, false
-		}
-		s.name = line[:i]
-		if !parseLabels(line[i+1:j], s.labels) {
-			return s, false
-		}
-		rest = strings.TrimSpace(line[j+1:])
-	} else {
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return s, false
-		}
-		s.name, rest = fields[0], fields[1]
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-	if err != nil {
-		return s, false
-	}
-	s.value = v
-	return s, true
-}
-
-func parseLabels(body string, into map[string]string) bool {
-	for body != "" {
-		eq := strings.IndexByte(body, '=')
-		if eq < 0 || len(body) < eq+2 || body[eq+1] != '"' {
-			return false
-		}
-		key := body[:eq]
-		rest := body[eq+2:]
-		end := strings.IndexByte(rest, '"') // expose never escapes quotes in label values
-		if end < 0 {
-			return false
-		}
-		into[key] = rest[:end]
-		body = rest[end+1:]
-		body = strings.TrimPrefix(body, ",")
-	}
-	return true
-}
-
 // statsFromSeries folds exposition samples into per-group rows. The
 // slo_* instruments carry the SLO engine's last-boundary state; the
 // recovery_rung_* counters carry the ladder escalation history.
-func statsFromSeries(all []series) []groupStat {
+func statsFromSeries(all []expose.Sample) []groupStat {
 	byGroup := map[string]*groupStat{}
 	get := func(labels map[string]string) *groupStat {
 		g := labels["group"]
@@ -194,27 +121,27 @@ func statsFromSeries(all []series) []groupStat {
 		return st
 	}
 	for _, s := range all {
-		switch s.name {
+		switch s.Name {
 		case "slo_members":
-			get(s.labels).Members = int64(s.value)
+			get(s.Labels).Members = int64(s.Value)
 		case "slo_latency_p95_us":
-			get(s.labels).P95MS = s.value / 1000
+			get(s.Labels).P95MS = s.Value / 1000
 		case "slo_rekey_cost":
-			get(s.labels).RekeyCost = int64(s.value)
+			get(s.Labels).RekeyCost = int64(s.Value)
 		case "slo_verdict":
-			get(s.labels).Verdict = verdictName(int64(s.value))
+			get(s.Labels).Verdict = verdictName(int64(s.Value))
 		case "slo_verdict_ok":
-			get(s.labels).OK = int64(s.value)
+			get(s.Labels).OK = int64(s.Value)
 		case "slo_verdict_warn":
-			get(s.labels).Warn = int64(s.value)
+			get(s.Labels).Warn = int64(s.Value)
 		case "slo_verdict_page":
-			get(s.labels).Page = int64(s.value)
+			get(s.Labels).Page = int64(s.Value)
 		case "recovery_rung_multicast":
-			get(s.labels).Multicast = int64(s.value)
+			get(s.Labels).Multicast = int64(s.Value)
 		case "recovery_rung_unicast":
-			get(s.labels).Unicast = int64(s.value)
+			get(s.Labels).Unicast = int64(s.Value)
 		case "recovery_rung_resync":
-			get(s.labels).Resync = int64(s.value)
+			get(s.Labels).Resync = int64(s.Value)
 		}
 	}
 	out := make([]groupStat, 0, len(byGroup))
@@ -243,5 +170,5 @@ func statsFromMetricsURL(url string) ([]groupStat, error) {
 	if err != nil {
 		return nil, err
 	}
-	return statsFromSeries(parseExposition(string(body))), nil
+	return statsFromSeries(expose.Parse(string(body))), nil
 }

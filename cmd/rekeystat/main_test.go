@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tmesh/internal/obs/expose"
 )
 
 const sampleExposition = `# TYPE slo_members gauge
@@ -33,16 +35,16 @@ transport_sent_total 123456
 `
 
 func TestParseExposition(t *testing.T) {
-	got := parseExposition(sampleExposition)
+	got := expose.Parse(sampleExposition)
 	if len(got) != 12 {
 		t.Fatalf("parsed %d samples, want 12", len(got))
 	}
 	first := got[0]
-	if first.name != "slo_members" || first.labels["group"] != "flash" || first.value != 2000 {
+	if first.Name != "slo_members" || first.Labels["group"] != "flash" || first.Value != 2000 {
 		t.Errorf("first sample = %+v", first)
 	}
 	last := got[len(got)-1]
-	if last.name != "transport_sent_total" || len(last.labels) != 0 || last.value != 123456 {
+	if last.Name != "transport_sent_total" || len(last.Labels) != 0 || last.Value != 123456 {
 		t.Errorf("unlabelled sample = %+v", last)
 	}
 }
@@ -55,14 +57,14 @@ func TestParseExpositionSkipsGarbage(t *testing.T) {
 		"name 1 2 3",
 		`name{k=v} 1`,
 	} {
-		if got := parseExposition(line); len(got) != 0 {
-			t.Errorf("parseExposition(%q) = %+v, want none", line, got)
+		if got := expose.Parse(line); len(got) != 0 {
+			t.Errorf("expose.Parse(%q) = %+v, want none", line, got)
 		}
 	}
 }
 
 func TestStatsFromSeries(t *testing.T) {
-	stats := statsFromSeries(parseExposition(sampleExposition))
+	stats := statsFromSeries(expose.Parse(sampleExposition))
 	byName := map[string]groupStat{}
 	for _, s := range stats {
 		byName[s.Group] = s

@@ -28,7 +28,6 @@ import (
 	"tmesh/internal/grouphost"
 	"tmesh/internal/ident"
 	"tmesh/internal/vnet"
-	"tmesh/internal/work"
 	"tmesh/internal/workload"
 )
 
@@ -45,8 +44,6 @@ func main() {
 // within one rekey interval, on top of base early subscribers.
 func runKickoff() error {
 	const base, crowd = 500, 20000
-	pool := work.NewPool(0)
-	defer pool.Close()
 	rep, err := grouphost.Run(grouphost.Config{
 		Groups: []grouphost.GroupSpec{{
 			Name:     "kickoff",
@@ -55,7 +52,6 @@ func runKickoff() error {
 			Verify:   256,
 		}},
 		Seed: 11,
-		Pool: pool,
 	})
 	if err != nil {
 		return err

@@ -48,6 +48,7 @@ import (
 	"tmesh/internal/split"
 	"tmesh/internal/tmesh"
 	"tmesh/internal/vnet"
+	"tmesh/internal/work"
 )
 
 // Config parameterises a soak session.
@@ -96,13 +97,6 @@ type Config struct {
 	// k-th interval on top of the scoped per-churn checks (0 disables;
 	// the final sweep always runs).
 	FullSweepEvery int
-
-	// RekeyParallelism bounds the worker fan-out of the key-regeneration
-	// stage (keytree.Regenerate) and of the split-index compilation the
-	// distribution ladder performs per rekey. Values <= 1 run
-	// sequentially; either way the rekey messages and split decisions
-	// are byte-identical, so replay comparisons hold across settings.
-	RekeyParallelism int
 
 	Topology vnet.GTITMConfig
 
@@ -160,10 +154,6 @@ func DefaultConfig(seed int64) Config {
 		// Theorem 2 trace audit has real split decisions to check.
 		Mode:           split.PerEncryption,
 		FullSweepEvery: 5,
-		// Exercise the parallel regeneration path by default so the
-		// race-enabled soak drives it; determinism auditors confirm the
-		// output matches the sequential contract.
-		RekeyParallelism: 4,
 		Topology: vnet.GTITMConfig{
 			TransitDomains:   2,
 			TransitPerDomain: 2,
@@ -177,10 +167,10 @@ func DefaultConfig(seed int64) Config {
 }
 
 // rekeyBatch drives the key tree's staged rekey pipeline (mark, then
-// regenerate with the configured fan-out) — the same engine the core
-// Group and the experiment harness use. label, when non-empty, tags the
+// regenerate) — the same engine the core Group and the experiment
+// harness use. label, when non-empty, tags the
 // stages with pprof {group, stage} labels.
-func rekeyBatch(tree *keytree.Tree, joins, leaves []ident.ID, parallelism int, label string) (*keytree.Message, error) {
+func rekeyBatch(tree *keytree.Tree, joins, leaves []ident.ID, label string) (*keytree.Message, error) {
 	var plan *keytree.BatchPlan
 	var err error
 	obs.WithStage(label, "mark", func() { plan, err = tree.Mark(joins, leaves) })
@@ -188,7 +178,7 @@ func rekeyBatch(tree *keytree.Tree, joins, leaves []ident.ID, parallelism int, l
 		return nil, err
 	}
 	var msg *keytree.Message
-	obs.WithStage(label, "regen", func() { msg, err = tree.Regenerate(plan, parallelism) })
+	obs.WithStage(label, "regen", func() { msg, err = tree.Regenerate(plan, work.Width()) })
 	return msg, err
 }
 
@@ -442,7 +432,7 @@ func New(cfg Config) (*Engine, error) {
 		e.inTree[id.Key()] = true
 	}
 	sort.Slice(initial, func(i, j int) bool { return initial[i].Compare(initial[j]) < 0 })
-	if _, err := rekeyBatch(tree, initial, nil, cfg.RekeyParallelism, profLabel); err != nil {
+	if _, err := rekeyBatch(tree, initial, nil, profLabel); err != nil {
 		return nil, err
 	}
 	if _, err := mirror.process(); err != nil {
@@ -819,7 +809,7 @@ func (e *Engine) doRekey(now time.Duration, stats *IntervalStats, fail func(erro
 	sort.Slice(leaves, func(i, j int) bool { return leaves[i].Compare(leaves[j]) < 0 })
 
 	rekeySpan := e.cfg.Obs.StartSpan("chaos_rekey")
-	msg, err := rekeyBatch(e.tree, joins, leaves, e.cfg.RekeyParallelism, e.profLabel)
+	msg, err := rekeyBatch(e.tree, joins, leaves, e.profLabel)
 	rekeySpan.End()
 	if err != nil {
 		fail(fmt.Errorf("chaos: key tree batch: %w", err))
@@ -859,23 +849,22 @@ func (e *Engine) doRekey(now time.Duration, stats *IntervalStats, fail func(erro
 	var lr *recovery.LadderResult
 	obs.WithStage(e.profLabel, "deliver", func() {
 		lr, err = recovery.DistributeLadder(recovery.LadderConfig{
-			Dir:              e.dir,
-			Sim:              e.sim,
-			StartAt:          now,
-			Mode:             e.cfg.Mode,
-			SplitParallelism: e.cfg.RekeyParallelism,
-			DropHop:          e.dropHop,
-			Alive:            e.mon.Alive,
-			Timeout:          e.cfg.Timeout,
-			RetryBase:        e.cfg.RetryBase,
-			RetryMax:         e.cfg.RetryMax,
-			RetryBudget:      e.cfg.RetryBudget,
-			DropUnicast:      e.dropUnicast,
-			Obs:              e.cfg.Obs,
-			ProfileLabel:     e.profLabel,
-			Trace:            e.curRekeyTrace,
-			Arena:            e.rekeyArena,
-			SplitArena:       e.splitArena,
+			Dir:          e.dir,
+			Sim:          e.sim,
+			StartAt:      now,
+			Mode:         e.cfg.Mode,
+			DropHop:      e.dropHop,
+			Alive:        e.mon.Alive,
+			Timeout:      e.cfg.Timeout,
+			RetryBase:    e.cfg.RetryBase,
+			RetryMax:     e.cfg.RetryMax,
+			RetryBudget:  e.cfg.RetryBudget,
+			DropUnicast:  e.dropUnicast,
+			Obs:          e.cfg.Obs,
+			ProfileLabel: e.profLabel,
+			Trace:        e.curRekeyTrace,
+			Arena:        e.rekeyArena,
+			SplitArena:   e.splitArena,
 		}, msg)
 	})
 	deliverSpan.End()

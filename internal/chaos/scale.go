@@ -23,8 +23,8 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
+	"tmesh/internal/core"
 	"tmesh/internal/ident"
 	"tmesh/internal/keycrypt"
 	"tmesh/internal/keytree"
@@ -48,8 +48,9 @@ type ScaleConfig struct {
 	Churn int
 	// Seed drives every random draw.
 	Seed int64
-	// Parallelism bounds the regenerate/apply worker fan-out (values
-	// < 1 mean 1). The report is identical at any setting.
+	// Parallelism is an upper bound on the regenerate/apply fan-out
+	// width (values < 1 mean 1, i.e. inline). The report is identical
+	// at any setting.
 	Parallelism int
 	// RealCrypto wraps keys with real AES-GCM and maintains a keyring
 	// per member, applying every rekey message end to end. False
@@ -166,7 +167,7 @@ type scaleWorld struct {
 	par       int
 	tree      *keytree.Tree
 	store     *memberstate.Store // nil without RealCrypto
-	ap        *scaleApplier
+	ap        *core.IndexedApplier
 	rng       *rand.Rand
 	active    []ident.ID
 	free      []ident.ID // IDs recycled by earlier leaves, reused LIFO
@@ -223,7 +224,7 @@ func newScaleWorld(cfg ScaleConfig) (*scaleWorld, error) {
 			}
 		}
 	}
-	w.ap = newScaleApplier(cfg.Params, w.store, par)
+	w.ap = core.NewIndexedApplier(cfg.Params, w.store, par, "")
 	return w, nil
 }
 
@@ -275,7 +276,7 @@ func (w *scaleWorld) step() (cost int, updated int64, err error) {
 	if w.store != nil {
 		// Survivors apply the multicast message; joiners get their
 		// path keys by unicast, as at build-up.
-		if updated, err = w.ap.apply(msg, w.active); err != nil {
+		if updated, err = w.ap.Apply(msg, w.active); err != nil {
 			return 0, 0, err
 		}
 		for _, id := range joins {
@@ -352,85 +353,6 @@ func scaleInitKeyring(tree *keytree.Tree, store *memberstate.Store, id ident.ID)
 	}
 	store.PutKeyring(id, kr)
 	return nil
-}
-
-// scaleApplier applies a rekey message to every member by indexing the
-// message's encryptions by their encrypting-key ID once, then handing
-// each member the at-most-depth+1 encryptions on its own path as a
-// small synthetic message. The index map and per-worker scratch are
-// reused across intervals, so steady-state apply allocates nothing
-// proportional to the group.
-type scaleApplier struct {
-	params ident.Params
-	store  *memberstate.Store
-	par    int
-	encIdx map[string]int32
-}
-
-func newScaleApplier(params ident.Params, store *memberstate.Store, par int) *scaleApplier {
-	return &scaleApplier{params: params, store: store, par: par,
-		encIdx: make(map[string]int32, 1024)}
-}
-
-func (a *scaleApplier) apply(msg *keytree.Message, members []ident.ID) (int64, error) {
-	clear(a.encIdx)
-	full := false // fall back to full-message scans on duplicate enc IDs
-	for i, e := range msg.Encryptions {
-		k := e.ID.Key()
-		if _, dup := a.encIdx[k]; dup {
-			full = true
-			break
-		}
-		a.encIdx[k] = int32(i)
-	}
-
-	var total int64
-	var firstErr error
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < a.par; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			mini := keytree.Message{Interval: msg.Interval}
-			scratch := make([]keycrypt.Encryption, 0, a.params.Digits+1)
-			var updated int64
-			var err error
-			for i := w; i < len(members) && err == nil; i += a.par {
-				id := members[i]
-				kr := a.store.Keyring(id)
-				if kr == nil {
-					err = fmt.Errorf("member %v has no keyring", id)
-					break
-				}
-				var n int
-				if full {
-					n, err = kr.Apply(msg)
-				} else {
-					scratch = scratch[:0]
-					for l := 0; l <= a.params.Digits; l++ {
-						if idx, ok := a.encIdx[id.Prefix(l).Key()]; ok {
-							scratch = append(scratch, msg.Encryptions[idx])
-						}
-					}
-					if len(scratch) == 0 {
-						continue
-					}
-					mini.Encryptions = scratch
-					n, err = kr.Apply(&mini)
-				}
-				updated += int64(n)
-			}
-			mu.Lock()
-			total += updated
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	return total, firstErr
 }
 
 // VerifyKeyrings spot-checks up to `sample` member keyrings, spread

@@ -5,12 +5,24 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"tmesh/internal/work"
 )
 
 // socketLeakGuard snapshots the goroutine count and asserts the soak
 // tore every node, pump, and ladder goroutine down.
 func socketLeakGuard(t *testing.T) func() {
 	t.Helper()
+	// The work.Run helpers are process-wide and outlive every World by
+	// design: start them before the snapshot so they do not read as a
+	// leak.
+	work.Run(0, work.Width(), func(_ int, next func() (int, bool)) {
+		for {
+			if _, ok := next(); !ok {
+				return
+			}
+		}
+	})
 	before := runtime.NumGoroutine()
 	return func() {
 		t.Helper()

@@ -30,6 +30,7 @@ import (
 	"tmesh/internal/keycrypt"
 	"tmesh/internal/keytree"
 	"tmesh/internal/overlay"
+	"tmesh/internal/work"
 )
 
 // Manager tracks bottom clusters and drives the leaders-only key tree.
@@ -278,15 +279,9 @@ func (m *Manager) queueLeave(id ident.ID) {
 
 // Process ends the rekey interval: the queued leader churn is applied to
 // the leaders-only key tree and the resulting rekey message returned.
-// It is ProcessParallel with sequential key regeneration.
+// The key-regeneration stage fans out (see keytree.Regenerate); the
+// message is byte-identical at any width.
 func (m *Manager) Process() (*Result, error) {
-	return m.ProcessParallel(1)
-}
-
-// ProcessParallel is Process with the key-regeneration stage fanned out
-// across up to `parallelism` workers (see keytree.Regenerate); the
-// resulting message is byte-identical at any parallelism.
-func (m *Manager) ProcessParallel(parallelism int) (*Result, error) {
 	joins := make([]ident.ID, 0, len(m.pendingJoin))
 	for _, id := range m.pendingJoin {
 		joins = append(joins, id)
@@ -301,7 +296,7 @@ func (m *Manager) ProcessParallel(parallelism int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	msg, err := m.tree.Regenerate(plan, parallelism)
+	msg, err := m.tree.Regenerate(plan, work.Width())
 	if err != nil {
 		return nil, err
 	}

@@ -56,20 +56,6 @@ type Config struct {
 	// SplitMode is the default rekey transport mode; zero defaults to
 	// per-encryption splitting.
 	SplitMode split.Mode
-	// Parallelism bounds the worker count of the pipeline's crypto and
-	// compile stages (key regeneration across level-1 subtrees,
-	// split-index compilation before the multicast, keyring apply
-	// across delivered users). Values <= 1 run sequentially. The rekey
-	// messages, reports, and resulting member state are byte-identical
-	// at any setting.
-	Parallelism int
-	// Pool, when set, supplies the pipeline's worker goroutines from a
-	// shared work.Pool instead of per-group fan-out — the tenancy mode
-	// a grouphost uses so G groups rekeying over one topology draw on
-	// one set of workers. Parallelism is then superseded by the pool's
-	// width; determinism is unchanged (the pool preserves the same
-	// disjoint-write discipline).
-	Pool *work.Pool
 	// Obs is the optional telemetry registry: per-stage spans
 	// (mark/regen/deliver/apply) and pipeline counters land there. Nil
 	// (the default) disables all instrumentation at no cost. Telemetry
@@ -85,9 +71,10 @@ type Config struct {
 }
 
 // Group is one secure multicast group. Drive it from a single goroutine
-// (or the event simulator); with Config.Parallelism > 1 the rekey
-// pipeline fans its crypto stages out internally but returns with all
-// workers joined.
+// (or the event simulator); the rekey pipeline fans its crypto and
+// compile stages out through work.Run internally but returns with all
+// workers joined, and its messages, reports and member state are
+// byte-identical at any width.
 type Group struct {
 	cfg      Config
 	dir      *overlay.Directory
@@ -146,7 +133,7 @@ func NewGroup(cfg Config) (*Group, error) {
 		members:  memberstate.NewStore(),
 	}
 	seed := []byte(fmt.Sprintf("group-seed-%d", cfg.Seed))
-	opts := keytree.Opts{RealCrypto: cfg.RealCrypto, Obs: cfg.Obs, Pool: cfg.Pool, Label: cfg.Label}
+	opts := keytree.Opts{RealCrypto: cfg.RealCrypto, Obs: cfg.Obs, Label: cfg.Label}
 	if cfg.ClusterRekeying {
 		g.clusters, err = cluster.New(cfg.Assign.Params, seed, opts)
 	} else {
@@ -215,19 +202,6 @@ func (g *Group) Leave(id ident.ID) error {
 	return nil
 }
 
-// Parallelism returns the effective worker bound of the pipeline's
-// crypto stages (always >= 1): the shared pool's width when a pool is
-// injected, the configured Parallelism otherwise.
-func (g *Group) Parallelism() int {
-	if g.cfg.Pool != nil {
-		return g.cfg.Pool.Workers()
-	}
-	if g.cfg.Parallelism > 1 {
-		return g.cfg.Parallelism
-	}
-	return 1
-}
-
 // ProcessInterval ends the current rekey interval: the batched joins and
 // leaves are applied to the key tree (pipeline stages mark + regen) and
 // the rekey message generated. With RealCrypto, newly joined users
@@ -241,7 +215,7 @@ func (g *Group) ProcessInterval() (*keytree.Message, error) {
 		var res *cluster.Result
 		var err error
 		obs.WithStage(g.cfg.Label, "regen", func() {
-			res, err = g.clusters.ProcessParallel(g.Parallelism())
+			res, err = g.clusters.Process()
 		})
 		span.End()
 		if err != nil {
@@ -269,7 +243,7 @@ func (g *Group) ProcessInterval() (*keytree.Message, error) {
 	regenSpan := g.cfg.Obs.StartSpan("core_regen")
 	var msg *keytree.Message
 	obs.WithStage(g.cfg.Label, "regen", func() {
-		msg, err = g.tree.Regenerate(plan, g.Parallelism())
+		msg, err = g.tree.Regenerate(plan, work.Width())
 	})
 	regenSpan.End()
 	if err != nil {
@@ -327,8 +301,8 @@ func (g *Group) KeyringRebuilds() int { return g.keyringRebuilds }
 // rekey message is multicast over the T-mesh with the group's splitting
 // mode (each hop a zero-allocation index lookup), then (with
 // RealCrypto) every delivered user's keyring applies exactly the
-// encryptions the splitting scheme handed it, fanned out across the
-// bounded worker pool. Delivered slices are shared between deliveries
+// encryptions the splitting scheme handed it, fanned out across
+// delivered users. Delivered slices are shared between deliveries
 // and treated as read-only throughout. Apply failures are collected and
 // reported together, sorted by user ID (*ApplyError). In cluster mode,
 // leaders then unicast the new group key to their members under
@@ -339,7 +313,7 @@ func (g *Group) DistributeRekey(msg *keytree.Message) (*split.Report, error) {
 	}
 	opts := split.Options{
 		Mode:        g.cfg.SplitMode,
-		Parallelism: g.Parallelism(),
+		Parallelism: work.Width(),
 		Obs:         g.cfg.Obs,
 	}
 	if g.clusters != nil {
@@ -366,7 +340,7 @@ func (g *Group) DistributeRekey(msg *keytree.Message) (*split.Report, error) {
 		return nil, err
 	}
 	if g.cfg.RealCrypto {
-		applier := &storeApplier{store: g.members, parallelism: g.Parallelism(), pool: g.cfg.Pool, obs: g.cfg.Obs, label: g.cfg.Label}
+		applier := &storeApplier{store: g.members, obs: g.cfg.Obs, label: g.cfg.Label}
 		applySpan := g.cfg.Obs.StartSpan("core_apply")
 		err := applier.Apply(msg.Interval, rep.Deliveries)
 		applySpan.End()

@@ -8,7 +8,7 @@ import (
 	"tmesh/internal/obs"
 )
 
-func newObservedGroup(t *testing.T, hosts, parallelism int, clusterMode bool, reg *obs.Registry) *Group {
+func newObservedGroup(t *testing.T, hosts int, clusterMode bool, reg *obs.Registry) *Group {
 	t.Helper()
 	g, err := NewGroup(Config{
 		Net:             testNet(t, hosts),
@@ -18,7 +18,6 @@ func newObservedGroup(t *testing.T, hosts, parallelism int, clusterMode bool, re
 		Seed:            5,
 		RealCrypto:      true,
 		ClusterRekeying: clusterMode,
-		Parallelism:     parallelism,
 		Obs:             reg,
 	})
 	if err != nil {
@@ -39,9 +38,9 @@ func TestPipelineTelemetryEquivalence(t *testing.T) {
 			name = "cluster"
 		}
 		t.Run(name, func(t *testing.T) {
-			plainG := newObservedGroup(t, 40, 4, clusterMode, nil)
+			plainG := newObservedGroup(t, 40, clusterMode, nil)
 			reg := obs.New()
-			obsG := newObservedGroup(t, 40, 4, clusterMode, reg)
+			obsG := newObservedGroup(t, 40, clusterMode, reg)
 			plainMembers, plainMsgs, plainReps := driveWorkload(t, plainG)
 			obsMembers, obsMsgs, obsReps := driveWorkload(t, obsG)
 
@@ -104,13 +103,13 @@ func TestPipelineTelemetryEquivalence(t *testing.T) {
 	}
 }
 
-// TestPipelineTelemetryRace drives the regen and apply worker pools with
-// a shared registry at high parallelism; under -race this checks that
-// concurrent counter and histogram updates from both pools are safe.
+// TestPipelineTelemetryRace drives the regen and apply fan-outs with a
+// shared registry eight wide; under -race this checks that concurrent
+// counter and histogram updates from both stages are safe.
 func TestPipelineTelemetryRace(t *testing.T) {
 	reg := obs.New()
-	g := newObservedGroup(t, 40, 8, false, reg)
-	driveWorkload(t, g)
+	g := newObservedGroup(t, 40, false, reg)
+	driveAt(t, 8, g)
 	snap := reg.Snapshot()
 	if len(snap.Counters) == 0 || len(snap.Histograms) == 0 {
 		t.Fatal("registry stayed empty under the parallel workload")

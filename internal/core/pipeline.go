@@ -11,9 +11,9 @@
 // Group internals. The two crypto-heavy stages parallelize: regen fans
 // out across level-1 ID subtrees (Lemma 3 makes them independent rekey
 // units) inside keytree.Regenerate, and apply fans out across delivered
-// users via the bounded worker pool below. Determinism contract: with a
-// fixed seed, every stage's output is byte-identical at parallelism 1
-// or N.
+// users below — both through work.Run, the process-wide fan-out.
+// Determinism contract: with a fixed seed, every stage's output is
+// byte-identical at any width.
 package core
 
 import (
@@ -21,9 +21,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"tmesh/internal/ident"
+	"tmesh/internal/keycrypt"
 	"tmesh/internal/keytree"
 	"tmesh/internal/memberstate"
 	"tmesh/internal/obs"
@@ -37,8 +37,8 @@ type Marker interface {
 }
 
 // Regenerator is the key-regeneration stage: it turns a batch plan into
-// the interval's rekey message, fanning crypto work out across up to
-// `parallelism` workers.
+// the interval's rekey message, fanning crypto work out at most
+// `parallelism` wide.
 type Regenerator interface {
 	Regenerate(plan *keytree.BatchPlan, parallelism int) (*keytree.Message, error)
 }
@@ -92,37 +92,38 @@ func (e *ApplyError) Unwrap() error {
 }
 
 // storeApplier applies deliveries to keyrings held in a sharded member
-// store, fanning out across users with a bounded worker pool. Users
-// without a keyring (non-leaders in cluster mode, or plain-crypto runs)
-// are skipped.
+// store, fanning out across users through work.Run. Users without a
+// keyring (non-leaders in cluster mode, or plain-crypto runs) are
+// skipped.
 type storeApplier struct {
-	store       *memberstate.Store
-	parallelism int
-	// pool, when set, supplies the fan-out goroutines instead of
-	// per-call spawning (shared-tenancy mode); parallelism is then
-	// superseded by the pool's width.
-	pool *work.Pool
+	store *memberstate.Store
+	// limit is work.Run's upper bound on the fan-out (<= 0: none).
+	limit int
 	// obs, when non-nil, counts applied users and skipped deliveries;
 	// workers update the hoisted counters lock-free.
 	obs *obs.Registry
 	// label, when non-empty, wraps each worker's slot in the pprof
 	// label set {group=label, stage=apply}, so apply-stage CPU on the
-	// shared pool's long-lived workers attributes to the tenant.
+	// shared long-lived helpers attributes to the tenant.
 	label string
 }
 
 // NewApplier returns the pipeline's apply stage over a member store,
 // usable standalone (benchmarks, alternative drivers) exactly as the
-// Group uses it internally.
+// Group uses it internally. parallelism is an upper bound on the
+// fan-out width (values < 1 mean 1, i.e. inline).
 func NewApplier(store *memberstate.Store, parallelism int) Applier {
-	return &storeApplier{store: store, parallelism: parallelism}
+	if parallelism < 1 {
+		parallelism = 1
+	}
+	return &storeApplier{store: store, limit: parallelism}
 }
 
 // Apply implements Applier. Deliveries are first grouped per user in
 // arrival order — so a user that received several split messages applies
 // them in the order the transport delivered them, under exactly one
-// worker — then users fan out across the pool. All failures are
-// collected and reported sorted by user ID (as *ApplyError).
+// worker — then users fan out. All failures are collected and reported
+// sorted by user ID (as *ApplyError).
 func (a *storeApplier) Apply(interval uint64, deliveries []split.Delivery) error {
 	order := make([]ident.ID, 0, len(deliveries))
 	byUser := make(map[string][]split.Delivery, len(deliveries))
@@ -132,14 +133,6 @@ func (a *storeApplier) Apply(interval uint64, deliveries []split.Delivery) error
 			order = append(order, d.To)
 		}
 		byUser[key] = append(byUser[key], d)
-	}
-
-	workers := a.parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(order) {
-		workers = len(order)
 	}
 
 	appliedC := a.obs.Counter("core_apply_users")
@@ -165,42 +158,17 @@ func (a *storeApplier) Apply(interval uint64, deliveries []split.Delivery) error
 		}
 	}
 
-	if a.pool != nil {
-		a.pool.Run(len(order), func(_ int, next func() (int, bool)) {
-			obs.WithStage(a.label, "apply", func() {
-				for {
-					i, ok := next()
-					if !ok {
-						return
-					}
-					applyUser(i)
+	work.Run(a.limit, len(order), func(_ int, next func() (int, bool)) {
+		obs.WithStage(a.label, "apply", func() {
+			for {
+				i, ok := next()
+				if !ok {
+					return
 				}
-			})
+				applyUser(i)
+			}
 		})
-	} else if workers <= 1 {
-		for i := range order {
-			applyUser(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				obs.WithStage(a.label, "apply", func() {
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= len(order) {
-							return
-						}
-						applyUser(i)
-					}
-				})
-			}()
-		}
-		wg.Wait()
-	}
+	})
 
 	var failed []int
 	for i, err := range errs {
@@ -220,4 +188,106 @@ func (a *storeApplier) Apply(interval uint64, deliveries []split.Delivery) error
 		agg.Errs = append(agg.Errs, errs[i])
 	}
 	return agg
+}
+
+// IndexedApplier is the key plane's apply stage: instead of replaying a
+// transport's per-user deliveries it hands every member of a group the
+// rekey message directly. The message's encryptions are indexed by
+// their encrypting-key ID once; each member then applies the at most
+// depth+1 encryptions on its own ID path as a small synthetic message,
+// so apply costs O(members × depth) lookups instead of O(members ×
+// message cost) scans. A message that carries a duplicate encryption ID
+// cannot be indexed and falls back to a full Keyring.Apply per member —
+// the reference behaviour the indexed path is tested against. The index
+// is reused across calls, so steady-state apply allocates nothing
+// proportional to the group. Not safe for concurrent Apply calls.
+type IndexedApplier struct {
+	store  *memberstate.Store
+	depth  int
+	limit  int
+	label  string
+	encIdx map[string]int32
+}
+
+// NewIndexedApplier returns the key plane's apply stage over a member
+// store. limit is work.Run's upper bound on the fan-out (<= 0: none);
+// label, when non-empty, tags the workers with the pprof label set
+// {group=label, stage=apply}.
+func NewIndexedApplier(params ident.Params, store *memberstate.Store, limit int, label string) *IndexedApplier {
+	return &IndexedApplier{store: store, depth: params.Digits, limit: limit, label: label,
+		encIdx: make(map[string]int32, 1024)}
+}
+
+// Apply installs msg into the keyring of every listed member and
+// returns the number of keys installed. Every member is attempted; the
+// error reported is that of the earliest failing member in the list, so
+// it does not depend on worker scheduling.
+func (a *IndexedApplier) Apply(msg *keytree.Message, members []ident.ID) (int64, error) {
+	if len(members) == 0 || msg.Cost() == 0 {
+		return 0, nil
+	}
+	clear(a.encIdx)
+	full := false // fall back to full-message scans on duplicate enc IDs
+	for i, e := range msg.Encryptions {
+		k := e.ID.Key()
+		if _, dup := a.encIdx[k]; dup {
+			full = true
+			break
+		}
+		a.encIdx[k] = int32(i)
+	}
+
+	var (
+		mu      sync.Mutex
+		total   int64
+		failIdx = len(members)
+		failErr error
+	)
+	work.Run(a.limit, len(members), func(_ int, next func() (int, bool)) {
+		obs.WithStage(a.label, "apply", func() {
+			mini := keytree.Message{Interval: msg.Interval}
+			scratch := make([]keycrypt.Encryption, 0, a.depth+1)
+			var updated int64
+			firstIdx, firstErr := len(members), error(nil)
+			for {
+				i, ok := next()
+				if !ok {
+					break
+				}
+				id := members[i]
+				n, err := 0, error(nil)
+				if kr := a.store.Keyring(id); kr == nil {
+					err = fmt.Errorf("no keyring")
+				} else if full {
+					n, err = kr.Apply(msg)
+				} else {
+					scratch = scratch[:0]
+					for l := 0; l <= a.depth; l++ {
+						if idx, ok := a.encIdx[id.Prefix(l).Key()]; ok {
+							scratch = append(scratch, msg.Encryptions[idx])
+						}
+					}
+					if len(scratch) == 0 {
+						continue
+					}
+					mini.Encryptions = scratch
+					n, err = kr.Apply(&mini)
+				}
+				if err != nil {
+					if i < firstIdx {
+						firstIdx, firstErr = i, fmt.Errorf("member %v: %w", id, err)
+					}
+					continue
+				}
+				updated += int64(n)
+			}
+			mu.Lock()
+			total += updated
+			if firstIdx < failIdx {
+				failIdx, failErr = firstIdx, firstErr
+			}
+			mu.Unlock()
+		})
+	})
+	return total, failErr
 }

@@ -16,6 +16,7 @@ import (
 	"tmesh/internal/overlay"
 	"tmesh/internal/split"
 	"tmesh/internal/vnet"
+	"tmesh/internal/work"
 )
 
 // Protocol names the seven rekey transport protocols of Table 2.
@@ -201,22 +202,17 @@ func buildBandwidthWorld(cfg BandwidthConfig) (*bwWorld, error) {
 	for i, r := range baseRecs {
 		baseIDs[i] = r.ID
 	}
-	// The world is built before the per-protocol fan-out, so the rekey
-	// pipeline's regeneration stage can use the run's worker budget
-	// here without oversubscribing (output is byte-identical either
-	// way).
-	regenWorkers := workersFor(cfg.Parallel, cfg.Assign.Params.Base)
 	stagedBatch := func(joins, leaves []ident.ID) (*keytree.Message, error) {
 		plan, err := mtree.Mark(joins, leaves)
 		if err != nil {
 			return nil, err
 		}
-		return mtree.Regenerate(plan, regenWorkers)
+		return mtree.Regenerate(plan, work.Width())
 	}
 	if _, err := stagedBatch(baseIDs, nil); err != nil {
 		return nil, err
 	}
-	if _, err := w.cm.ProcessParallel(regenWorkers); err != nil {
+	if _, err := w.cm.Process(); err != nil {
 		return nil, err
 	}
 
@@ -250,7 +246,7 @@ func buildBandwidthWorld(cfg BandwidthConfig) (*bwWorld, error) {
 	if err != nil {
 		return nil, err
 	}
-	cres, err := w.cm.ProcessParallel(regenWorkers)
+	cres, err := w.cm.Process()
 	if err != nil {
 		return nil, err
 	}

@@ -6,10 +6,12 @@ import (
 	"time"
 
 	"tmesh/internal/assign"
+	"tmesh/internal/eventsim"
 	"tmesh/internal/ident"
 	"tmesh/internal/keytree"
 	"tmesh/internal/overlay"
 	"tmesh/internal/recovery"
+	"tmesh/internal/split"
 	"tmesh/internal/vnet"
 )
 
@@ -107,18 +109,28 @@ func RunLossSweep(cfg AblationConfig, lossRates []float64) ([]LossPoint, error) 
 		if p > 0 {
 			drop = func(from, to vnet.HostID) bool { return lossRng.Float64() < p }
 		}
-		res, err := recovery.Distribute(recovery.Config{
-			Dir:     dir,
-			Timeout: time.Second,
-			DropHop: drop,
+		// Plain limited unicast recovery is the ladder with one
+		// lossless unicast rung, on a simulator of its own.
+		sim := eventsim.New()
+		res, err := recovery.DistributeLadder(recovery.LadderConfig{
+			Dir:         dir,
+			Sim:         sim,
+			Mode:        split.PerEncryption,
+			Timeout:     time.Second,
+			RetryBase:   time.Second,
+			RetryMax:    time.Second,
+			RetryBudget: 1,
+			DropHop:     drop,
 		}, msg)
 		if err != nil {
 			return err
 		}
+		sim.Run()
+		res.Finish()
 		pt := LossPoint{
 			LossRate:    p,
 			ServerUnits: res.ServerUnits,
-			HopsDropped: res.Multicast.Multicast.Dropped,
+			HopsDropped: res.Multicast.Dropped,
 		}
 		if n := dir.Size(); n > 0 {
 			pt.RecoveredFraction = float64(len(res.Recovered)) / float64(n)

@@ -1,10 +1,10 @@
 // Package grouphost multiplexes many secure groups on one host — the
 // production shape of the paper's key server (ROADMAP item 4): a
-// single shared topology, a single shared regen/apply worker pool
-// (internal/work) injected into every group, a single obs registry
-// with per-group namespaces, and a global rekey scheduler that
-// staggers the groups' interval boundaries so their crypto bursts do
-// not land on the same instant.
+// single shared topology, the process-wide regen/apply fan-out
+// (internal/work) every group's pipeline already runs through, a single
+// obs registry with per-group namespaces, and a global rekey scheduler
+// that staggers the groups' interval boundaries so their crypto bursts
+// do not land on the same instant.
 //
 // Groups come in two profiles:
 //
@@ -18,11 +18,10 @@
 //
 // Determinism contract: every group's schedule, rekey messages, and
 // final keyrings are a pure function of (its spec, its seed). The
-// shared pool preserves the repo's disjoint-write discipline and the
-// scheduler processes boundaries one at a time, so the per-group
-// reports are byte-identical at any pool width and any boundary
-// interleaving (OrderSeed) — the multi-group determinism tests pin
-// both.
+// shared fan-out preserves the repo's disjoint-write discipline and
+// the scheduler processes boundaries one at a time, so the per-group
+// reports are byte-identical at any width and any boundary interleaving
+// (OrderSeed) — the multi-group determinism tests pin both.
 package grouphost
 
 import (
@@ -93,9 +92,6 @@ type Config struct {
 	// global processing order, never a group's own timeline, so
 	// per-group output is independent of the stagger.
 	Stagger time.Duration
-	// Pool is the shared regen/apply worker pool injected into every
-	// group. Nil runs a private sequential pool.
-	Pool *work.Pool
 	// OrderSeed deterministically shuffles the processing order of
 	// boundaries that land on the same instant. Per-group reports are
 	// invariant under it (the interleaving determinism test pins this).
@@ -202,7 +198,7 @@ func Run(cfg Config) (*Report, error) {
 		net = top
 	}
 
-	rep := &Report{Seed: cfg.Seed, StaggerNS: int64(cfg.Stagger), PoolWidth: cfg.Pool.Workers()}
+	rep := &Report{Seed: cfg.Seed, StaggerNS: int64(cfg.Stagger), PoolWidth: work.Width()}
 	tenants := make([]tenant, len(cfg.Groups))
 	slos := make([]*slo.Engine, len(cfg.Groups))
 	var agenda []boundary
@@ -217,10 +213,10 @@ func Run(cfg Config) (*Report, error) {
 		var err error
 		switch profileOf(spec) {
 		case NetPlane:
-			t, err = newNetTenant(label, spec, schedules[i], net, vnet.HostID(hostBase), cfg.Seed, cfg.Pool, groupObs)
+			t, err = newNetTenant(label, spec, schedules[i], net, vnet.HostID(hostBase), cfg.Seed, groupObs)
 			hostBase += 1 + schedules[i].Hosts
 		case KeyPlane:
-			t, err = newKeyTenant(label, spec, schedules[i], cfg.Seed, cfg.Pool, groupObs)
+			t, err = newKeyTenant(label, spec, schedules[i], cfg.Seed, groupObs)
 		default:
 			err = fmt.Errorf("unknown profile %d", spec.Profile)
 		}

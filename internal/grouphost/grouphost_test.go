@@ -1,19 +1,19 @@
 package grouphost
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"tmesh/internal/obs"
-	"tmesh/internal/work"
 	"tmesh/internal/workload"
 )
 
 // testGroups is a mixed tenancy: two NetPlane groups (one with cluster
 // rekeying) exercising the full protocol on the shared topology, and
 // two KeyPlane groups (one a flash crowd, one a mass join+leave)
-// exercising the shared pool at scale.
+// exercising the shared fan-out at scale.
 func testGroups(short bool) []GroupSpec {
 	crowd, mass := 3000, 1500
 	if short {
@@ -55,15 +55,16 @@ func testGroups(short bool) []GroupSpec {
 	}
 }
 
+// runHost runs the test tenancy at fan-out width `width`: the width is
+// derived from GOMAXPROCS, so that is what the helper sets (and
+// restores).
 func runHost(t *testing.T, width int, orderSeed int64, stagger time.Duration) *Report {
 	t.Helper()
-	pool := work.NewPool(width)
-	defer pool.Close()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(width))
 	rep, err := Run(Config{
 		Groups:    testGroups(testing.Short()),
 		Seed:      42,
 		Stagger:   stagger,
-		Pool:      pool,
 		OrderSeed: orderSeed,
 		Obs:       obs.New(),
 	})
@@ -74,21 +75,25 @@ func runHost(t *testing.T, width int, orderSeed int64, stagger time.Duration) *R
 }
 
 // TestMultiGroupDeterminism is the tenancy determinism contract: G
-// groups sharing one worker pool produce byte-identical reports (per-
-// group intervals, costs, and final-keyring digests included) at every
-// pool width, under every equal-instant processing order, and at every
-// stagger. Run under -race this also proves the shared pool keeps the
-// disjoint-write discipline across tenants.
+// groups sharing the process-wide fan-out produce byte-identical
+// reports (per-group intervals, costs, and final-keyring digests
+// included) at every width from inline (GOMAXPROCS 1) up, under every
+// equal-instant processing order, and at every stagger. Run under -race
+// this also proves the shared helpers keep the disjoint-write
+// discipline across tenants.
 func TestMultiGroupDeterminism(t *testing.T) {
 	base := runHost(t, 1, 0, 0)
 	want := base.String()
 	if base.Violations() != 0 {
 		t.Fatalf("baseline run has violations:\n%s", want)
 	}
+	if base.PoolWidth != 1 {
+		t.Errorf("inline run reports width %d, want 1", base.PoolWidth)
+	}
 
 	for _, width := range []int{2, 4, 8} {
 		if got := runHost(t, width, 0, 0).String(); got != want {
-			t.Errorf("pool width %d changed the report\nwant:\n%s\ngot:\n%s", width, want, got)
+			t.Errorf("width %d changed the report\nwant:\n%s\ngot:\n%s", width, want, got)
 		}
 	}
 	for _, order := range []int64{1, 99} {
@@ -146,8 +151,6 @@ func TestFlashCrowdInterval(t *testing.T) {
 	if testing.Short() {
 		crowd = 2000
 	}
-	pool := work.NewPool(0)
-	defer pool.Close()
 	rep, err := Run(Config{
 		Groups: []GroupSpec{{
 			Name:     "ppv",
@@ -156,7 +159,6 @@ func TestFlashCrowdInterval(t *testing.T) {
 			Verify:   128,
 		}},
 		Seed: 5,
-		Pool: pool,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -175,28 +177,6 @@ func TestFlashCrowdInterval(t *testing.T) {
 	// dominate the total cost.
 	if g.MaxCost == 0 || int64(g.MaxCost) < g.TotalCost/2 {
 		t.Errorf("flash interval cost %d does not dominate total %d", g.MaxCost, g.TotalCost)
-	}
-}
-
-// TestNilPoolRunsSequential: a host without a shared pool degrades to
-// sequential crypto but produces the same report.
-func TestNilPoolRunsSequential(t *testing.T) {
-	groups := []GroupSpec{{
-		Name:     "solo",
-		Profile:  KeyPlane,
-		Workload: workload.MassJoinLeave(300, 60, 60, 1, 3),
-	}}
-	with := func(pool *work.Pool) string {
-		rep, err := Run(Config{Groups: groups, Seed: 9, Pool: pool})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.String()
-	}
-	pool := work.NewPool(6)
-	defer pool.Close()
-	if seq, par := with(nil), with(pool); seq != par {
-		t.Errorf("nil-pool report differs:\n%s\nvs\n%s", seq, par)
 	}
 }
 

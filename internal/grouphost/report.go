@@ -12,9 +12,9 @@ import (
 type Report struct {
 	Seed      int64
 	StaggerNS int64
-	// PoolWidth is the shared pool's worker count. It is diagnostic
-	// only and deliberately absent from String(): the determinism tests
-	// byte-compare reports across pool widths.
+	// PoolWidth is the fan-out width the run started at (work.Width()).
+	// It is diagnostic only and deliberately absent from String(): the
+	// determinism tests byte-compare reports across widths.
 	PoolWidth int
 	Groups    []GroupReport
 }
@@ -43,7 +43,7 @@ type GroupReport struct {
 	Audits     int
 	// SLOOK/SLOWarn/SLOPage count the per-boundary SLO verdicts. The
 	// engine's inputs are deterministic, so these belong in String()
-	// and must byte-compare across pool widths like everything else.
+	// and must byte-compare across widths like everything else.
 	SLOOK, SLOWarn, SLOPage int
 }
 
@@ -68,7 +68,7 @@ func (r *Report) SLOPages() int {
 
 // String renders the canonical report. It must remain a pure function
 // of the per-group deterministic state: the multi-group determinism
-// tests byte-compare this string across pool widths, order seeds, and
+// tests byte-compare this string across widths, order seeds, and
 // staggers, so PoolWidth and StaggerNS stay out.
 func (r *Report) String() string {
 	var b strings.Builder

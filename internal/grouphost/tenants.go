@@ -9,7 +9,6 @@ import (
 	"tmesh/internal/chaos"
 	"tmesh/internal/core"
 	"tmesh/internal/ident"
-	"tmesh/internal/keycrypt"
 	"tmesh/internal/keytree"
 	"tmesh/internal/memberstate"
 	"tmesh/internal/obs"
@@ -51,7 +50,7 @@ type netTenant struct {
 	lastEpochs map[string]uint64
 }
 
-func newNetTenant(label string, spec GroupSpec, sched *workload.Schedule, net vnet.Network, hostBase vnet.HostID, hostSeed int64, pool *work.Pool, reg *obs.Registry) (tenant, error) {
+func newNetTenant(label string, spec GroupSpec, sched *workload.Schedule, net vnet.Network, hostBase vnet.HostID, hostSeed int64, reg *obs.Registry) (tenant, error) {
 	g, err := core.NewGroup(core.Config{
 		Net:             net,
 		ServerHost:      hostBase,
@@ -60,7 +59,6 @@ func newNetTenant(label string, spec GroupSpec, sched *workload.Schedule, net vn
 		Seed:            groupSeed(hostSeed, label),
 		RealCrypto:      true,
 		ClusterRekeying: spec.ClusterRekeying,
-		Pool:            pool,
 		Obs:             reg,
 		Label:           label,
 	})
@@ -274,7 +272,7 @@ type keyTenant struct {
 	params ident.Params
 	tree   *keytree.Tree
 	store  *memberstate.Store
-	pool   *work.Pool
+	ap     *core.IndexedApplier
 
 	cursor        int
 	pendingJoins  []int        // schedule host indices, arrival order
@@ -287,11 +285,9 @@ type keyTenant struct {
 	lastCost      int
 	lastUpdated   int64
 	lastSurvivors int
-
-	encIdx map[string]int32 // reused apply index
 }
 
-func newKeyTenant(label string, spec GroupSpec, sched *workload.Schedule, hostSeed int64, pool *work.Pool, reg *obs.Registry) (tenant, error) {
+func newKeyTenant(label string, spec GroupSpec, sched *workload.Schedule, hostSeed int64, reg *obs.Registry) (tenant, error) {
 	// Size a base-32 ID space to the schedule's host count: every
 	// schedule host index maps directly to ident.FromInt.
 	params := ident.Params{Digits: 1, Base: 32}
@@ -303,23 +299,22 @@ func newKeyTenant(label string, spec GroupSpec, sched *workload.Schedule, hostSe
 		RealCrypto:   true,
 		Obs:          reg,
 		CapacityHint: sched.Hosts,
-		Pool:         pool,
 		Label:        label,
 	})
 	if err != nil {
 		return nil, err
 	}
+	store := memberstate.NewStoreSized(sched.Hosts)
 	return &keyTenant{
-		label:     label,
-		spec:      spec,
-		sched:     sched,
-		params:    params,
-		tree:      tree,
-		store:     memberstate.NewStoreSized(sched.Hosts),
-		pool:      pool,
+		label:      label,
+		spec:       spec,
+		sched:      sched,
+		params:     params,
+		tree:       tree,
+		store:      store,
+		ap:         core.NewIndexedApplier(params, store, 0, label),
 		pendingSet: make(map[int]bool),
 		activeIdx:  make(map[int]bool, sched.Hosts),
-		encIdx:     make(map[string]int32, 1024),
 	}, nil
 }
 
@@ -361,7 +356,7 @@ func (t *keyTenant) pump(until time.Duration) error {
 }
 
 // flush batches the pending churn through the tree, applies the rekey
-// message to every survivor through the shared pool, and unicasts path
+// message to every survivor through the indexed applier, and unicasts path
 // keys to the joiners — one flash-crowd interval is a single call.
 func (t *keyTenant) flush() (int, error) {
 	joinIdx := t.pendingJoins[:0:0]
@@ -403,14 +398,14 @@ func (t *keyTenant) flush() (int, error) {
 	}
 	var msg *keytree.Message
 	obs.WithStage(t.label, "regen", func() {
-		msg, err = t.tree.Regenerate(plan, 1) // pool in Opts supersedes the arg
+		msg, err = t.tree.Regenerate(plan, work.Width())
 	})
 	if err != nil {
 		return 0, err
 	}
 	var updated int64
 	obs.WithStage(t.label, "apply", func() {
-		updated, err = t.applyAll(msg, survivors)
+		updated, err = t.ap.Apply(msg, survivors)
 	})
 	if err != nil {
 		return 0, err
@@ -468,90 +463,6 @@ func (t *keyTenant) members() ([]ident.ID, error) {
 	}
 	sort.Ints(idx)
 	return t.idsOf(idx)
-}
-
-// applyAll distributes the rekey message to every member: encryptions
-// are indexed by their encrypting-key ID once, then each member applies
-// the at-most-depth+1 entries on its own path, fanned out across the
-// shared pool (same discipline as the chaos scale applier, drawing on
-// the host-wide workers instead of private goroutines).
-func (t *keyTenant) applyAll(msg *keytree.Message, members []ident.ID) (int64, error) {
-	if len(members) == 0 || msg.Cost() == 0 {
-		return 0, nil
-	}
-	clear(t.encIdx)
-	full := false
-	for i, e := range msg.Encryptions {
-		k := e.ID.Key()
-		if _, dup := t.encIdx[k]; dup {
-			full = true
-			break
-		}
-		t.encIdx[k] = int32(i)
-	}
-
-	width := t.pool.Workers()
-	counts := make([]int64, width)
-	errs := make([]error, width)
-	t.pool.Run(len(members), func(slot int, next func() (int, bool)) {
-		// Label the worker goroutine for the duration of this slot's
-		// work, so apply-stage CPU attributes to the tenant even when
-		// it runs on the shared pool's long-lived workers.
-		obs.WithStage(t.label, "apply", func() { t.applySlot(msg, members, full, counts, errs, slot, next) })
-	})
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	for _, err := range errs {
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-// applySlot is one pool worker's share of applyAll.
-func (t *keyTenant) applySlot(msg *keytree.Message, members []ident.ID, full bool, counts []int64, errs []error, slot int, next func() (int, bool)) {
-	mini := keytree.Message{Interval: msg.Interval}
-	scratch := make([]keycrypt.Encryption, 0, t.params.Digits+1)
-	for {
-		i, ok := next()
-		if !ok {
-			return
-		}
-		if errs[slot] != nil {
-			continue // drain after a slot-level failure
-		}
-		id := members[i]
-		kr := t.store.Keyring(id)
-		if kr == nil {
-			errs[slot] = fmt.Errorf("member %v has no keyring", id)
-			continue
-		}
-		var n int
-		var err error
-		if full {
-			n, err = kr.Apply(msg)
-		} else {
-			scratch = scratch[:0]
-			for l := 0; l <= t.params.Digits; l++ {
-				if idx, ok := t.encIdx[id.Prefix(l).Key()]; ok {
-					scratch = append(scratch, msg.Encryptions[idx])
-				}
-			}
-			if len(scratch) == 0 {
-				continue
-			}
-			mini.Encryptions = scratch
-			n, err = kr.Apply(&mini)
-		}
-		if err != nil {
-			errs[slot] = fmt.Errorf("member %v: %w", id, err)
-			continue
-		}
-		counts[slot] += int64(n)
-	}
 }
 
 // audit checks the five invariants on the key plane. The overlay,

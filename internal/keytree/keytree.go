@@ -35,8 +35,6 @@ package keytree
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"tmesh/internal/ident"
@@ -61,15 +59,9 @@ type Opts struct {
 	// expected member count, so large soaks pay for growth once instead
 	// of through repeated reallocation. Zero is fine for small trees.
 	CapacityHint int
-	// Pool, when set, supplies the worker goroutines for Regenerate's
-	// subtree fan-out instead of per-call goroutines — the sharing mode
-	// a grouphost uses so many trees draw on one set of workers. The
-	// parallelism argument to Regenerate is then superseded by the
-	// pool's width. The message stays byte-identical either way.
-	Pool *work.Pool
 	// Label, when non-empty, wraps each Regenerate worker's run in the
 	// pprof label set {group=Label, stage=regen}, so regen CPU — even
-	// on shared long-lived pool workers — attributes to the tenant in
+	// on the shared long-lived helpers — attributes to the tenant in
 	// -pprof profiles. Profiling-only; never influences the message.
 	Label string
 }
@@ -419,9 +411,10 @@ func (t *Tree) Mark(joins, leaves []ident.ID) (*BatchPlan, error) {
 // one-encryption-per-child rule), producing the interval's rekey
 // message.
 //
-// parallelism bounds the worker count of both crypto phases (values < 1
-// mean 1). The work fans out across level-1 ID subtrees — the paper's
-// natural unit of independence: by Lemma 3 an encryption generated in
+// parallelism is an upper bound on the width of both crypto phases
+// (values < 1 mean 1, i.e. inline); the width itself is work.Run's. The
+// work fans out across level-1 ID subtrees — the paper's natural unit
+// of independence: by Lemma 3 an encryption generated in
 // one level-1 subtree is only ever needed by users of that subtree, and
 // no key on one subtree's paths feeds another's wrapping except through
 // the root, which is handled as its own unit after a barrier. The
@@ -481,65 +474,25 @@ func (t *Tree) Regenerate(plan *BatchPlan, parallelism int) (*Message, error) {
 		return err
 	}
 
-	// Each worker gets one keycrypt.Wrapper so AES-GCM wraps inside its
-	// level-1-subtree units batch their fixed allocations; Wrapper
-	// output is byte-identical to the one-shot WrapSeeded, keeping the
-	// message independent of the fan-out.
+	// One work.Run per phase over the level-1-subtree units. Each slot
+	// gets one keycrypt.Wrapper so the AES-GCM wraps inside its units
+	// batch their fixed allocations; Wrapper output is byte-identical to
+	// the one-shot WrapSeeded, keeping the message independent of the
+	// fan-out.
+	errs := make([]error, len(groupOrder))
 	runGroups := func(fn func(indices []int, wr *keycrypt.Wrapper) error) error {
-		if pool := t.opts.Pool; pool != nil {
-			errs := make([]error, len(groupOrder))
-			pool.Run(len(groupOrder), func(_ int, next func() (int, bool)) {
-				obs.WithStage(t.opts.Label, "regen", func() {
-					wr := keycrypt.NewWrapper(t.nonceSeed)
-					for {
-						i, ok := next()
-						if !ok {
-							return
-						}
-						errs[i] = runUnit(fn, t.groupIdx[groupOrder[i]], wr)
+		work.Run(parallelism, len(groupOrder), func(_ int, next func() (int, bool)) {
+			obs.WithStage(t.opts.Label, "regen", func() {
+				wr := keycrypt.NewWrapper(t.nonceSeed)
+				for {
+					i, ok := next()
+					if !ok {
+						return
 					}
-				})
+					errs[i] = runUnit(fn, t.groupIdx[groupOrder[i]], wr)
+				}
 			})
-			for _, err := range errs {
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		workers := parallelism
-		if workers > len(groupOrder) {
-			workers = len(groupOrder)
-		}
-		if workers <= 1 {
-			wr := keycrypt.NewWrapper(t.nonceSeed)
-			for _, g := range groupOrder {
-				if err := runUnit(fn, t.groupIdx[g], wr); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		var next atomic.Int64
-		errs := make([]error, len(groupOrder))
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				obs.WithStage(t.opts.Label, "regen", func() {
-					wr := keycrypt.NewWrapper(t.nonceSeed)
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= len(groupOrder) {
-							return
-						}
-						errs[i] = runUnit(fn, t.groupIdx[groupOrder[i]], wr)
-					}
-				})
-			}()
-		}
-		wg.Wait()
+		})
 		for _, err := range errs {
 			if err != nil {
 				return err

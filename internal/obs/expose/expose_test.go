@@ -2,6 +2,7 @@ package expose
 
 import (
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,18 @@ import (
 // series order, group-label derivation (longest prefix wins), name
 // sanitisation, cumulative buckets, and the synthetic +Inf bucket.
 func TestRenderGolden(t *testing.T) {
+	r := goldenRegistry()
+	var b strings.Builder
+	if err := Render(&b, r.Snapshot(), r.Prefixes()); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != goldenExposition {
+		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, goldenExposition)
+	}
+}
+
+// goldenRegistry is the registry goldenExposition renders.
+func goldenRegistry() *obs.Registry {
 	r := obs.New()
 	r.Counter("split_hops").Add(7)
 	r.Gauge("transport_queue_S/012").Set(3) // '/' must sanitise to '_'
@@ -26,12 +39,10 @@ func TestRenderGolden(t *testing.T) {
 	for _, v := range []int64{5, 5, 50, 5000} {
 		h.Observe(v)
 	}
+	return r
+}
 
-	var b strings.Builder
-	if err := Render(&b, r.Snapshot(), r.Prefixes()); err != nil {
-		t.Fatal(err)
-	}
-	want := `# TYPE core_apply_users counter
+const goldenExposition = `# TYPE core_apply_users counter
 core_apply_users{group="flash"} 42
 core_apply_users{group="mass"} 9
 # TYPE split_hops counter
@@ -47,8 +58,38 @@ rekey_latency_ms_bucket{group="flash",le="+Inf"} 4
 rekey_latency_ms_sum{group="flash"} 5060
 rekey_latency_ms_count{group="flash"} 4
 `
-	if got := b.String(); got != want {
-		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
+
+// TestParseRoundTrip: Parse is Render's inverse on the golden — every
+// family, label and value comes back, in exposition order — and on
+// label values that need escaping.
+func TestParseRoundTrip(t *testing.T) {
+	r := goldenRegistry()
+	var b strings.Builder
+	if err := Render(&b, r.Snapshot(), r.Prefixes()); err != nil {
+		t.Fatal(err)
+	}
+	flash := map[string]string{"group": "flash"}
+	want := []Sample{
+		{"core_apply_users", flash, 42},
+		{"core_apply_users", map[string]string{"group": "mass"}, 9},
+		{"split_hops", map[string]string{}, 7},
+		{"slo_members", flash, 100000},
+		{"transport_queue_S_012", map[string]string{}, 3},
+		{"rekey_latency_ms_bucket", map[string]string{"group": "flash", "le": "10"}, 2},
+		{"rekey_latency_ms_bucket", map[string]string{"group": "flash", "le": "100"}, 3},
+		{"rekey_latency_ms_bucket", map[string]string{"group": "flash", "le": "+Inf"}, 4},
+		{"rekey_latency_ms_sum", flash, 5060},
+		{"rekey_latency_ms_count", flash, 4},
+	}
+	if got := Parse(b.String()); !reflect.DeepEqual(got, want) {
+		t.Errorf("Parse(Render(golden)) =\n%+v\nwant\n%+v", got, want)
+	}
+
+	hostile := "a\"b\\c\nd,e=\"f\""
+	line := "m" + labels(hostile, `le="1"`) + " 5\n"
+	got := Parse(line)
+	if len(got) != 1 || got[0].Labels["group"] != hostile || got[0].Labels["le"] != "1" || got[0].Value != 5 {
+		t.Errorf("Parse(%q) = %+v, want group %q", line, got, hostile)
 	}
 }
 

@@ -1,5 +1,21 @@
-// The degradation ladder extends limited unicast recovery into a
-// three-rung delivery strategy for hostile networks:
+// Package recovery implements limited unicast recovery of rekey
+// messages, the fallback the paper relies on when multicast delivery
+// fails or arrives too late (footnote 1: "the key server needs to send u
+// the new group key via unicast if u cannot finish constructing its
+// neighbor table before the end of the current rekey interval"; the
+// mechanism follows Zhang-Lam-Lee's "group rekeying with limited unicast
+// recovery" [31]).
+//
+// After a rekey multicast, any user that did not receive a copy of the
+// interval's message — because a hop was lost, cutting off its whole
+// delivery subtree — times out and requests recovery from the key
+// server. The server answers each request with a unicast containing
+// exactly the encryptions that user needs (the Lemma 3 selection), so
+// recovery bandwidth is O(D) encryptions per lost user rather than a
+// retransmission of the full message.
+//
+// The degradation ladder extends that into a three-rung delivery
+// strategy for hostile networks:
 //
 //  1. multicast — the normal T-mesh distribution, possibly lossy;
 //  2. unicast recovery — a user whose copy never arrived by the timeout
@@ -41,10 +57,6 @@ type LadderConfig struct {
 	StartAt time.Duration
 	// Mode is the splitting mode of the multicast attempt.
 	Mode split.Mode
-	// SplitParallelism bounds the goroutines compiling the multicast's
-	// split index (values <= 1 compile serially); the index contents —
-	// and hence everything downstream — are identical at any setting.
-	SplitParallelism int
 	// DropHop simulates per-hop loss on the multicast.
 	DropHop func(from, to vnet.HostID) bool
 	// Alive routes the multicast around crashed users and exempts users
@@ -208,7 +220,7 @@ func DistributeLadder(cfg LadderConfig, msg *keytree.Message) (*LadderResult, er
 		ProfileLabel:   cfg.ProfileLabel,
 	}
 	if cfg.Mode == split.PerEncryption {
-		tcfg.SplitHop = split.NewIndexWith(cfg.Dir.Tree(), msg.Encryptions, cfg.SplitParallelism, cfg.SplitArena).Split
+		tcfg.SplitHop = split.NewIndexWith(cfg.Dir.Tree(), msg.Encryptions, cfg.SplitArena).Split
 	}
 	res, err := tmesh.Multicast(tcfg, msg.Encryptions)
 	if err != nil {
@@ -291,7 +303,7 @@ func DistributeLadder(cfg LadderConfig, msg *keytree.Message) (*LadderResult, er
 			if !alive(id) {
 				continue
 			}
-			needed := neededBy(msg, id)
+			needed := NeededBy(msg, id)
 			if len(needed) == 0 {
 				continue // the interval did not touch this user's path
 			}
@@ -312,7 +324,13 @@ func DistributeLadder(cfg LadderConfig, msg *keytree.Message) (*LadderResult, er
 // auditors that have to decide whether a silent user was actually owed
 // anything this interval.
 func NeededBy(msg *keytree.Message, u ident.ID) []keycrypt.Encryption {
-	return neededBy(msg, u)
+	var out []keycrypt.Encryption
+	for _, e := range msg.Encryptions {
+		if e.NeededBy(u) {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // hostOf looks up the current host of a user, reporting whether the

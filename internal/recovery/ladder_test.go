@@ -53,7 +53,7 @@ func TestLadderAllByMulticastWhenLossless(t *testing.T) {
 		t.Errorf("lossless run used recovery: %+v", res)
 	}
 	for _, id := range survivors {
-		if len(neededBy(msg, id)) == 0 {
+		if len(NeededBy(msg, id)) == 0 {
 			continue
 		}
 		if rung, ok := res.RungOf[id.Key()]; !ok || rung != ByMulticast {
@@ -69,7 +69,7 @@ func TestLadderEngagesUnderLoss(t *testing.T) {
 	dir, _, msg, survivors := buildWorld(t, 30, 5)
 	var victim ident.ID
 	for _, id := range survivors {
-		if len(neededBy(msg, id)) > 0 {
+		if len(NeededBy(msg, id)) > 0 {
 			victim = id
 			break
 		}
@@ -106,7 +106,7 @@ func TestLadderEngagesUnderLoss(t *testing.T) {
 	}
 	// Every other surviving member got the key by multicast.
 	for _, id := range survivors {
-		if id.Equal(victim) || len(neededBy(msg, id)) == 0 {
+		if id.Equal(victim) || len(NeededBy(msg, id)) == 0 {
 			continue
 		}
 		if res.RungOf[id.Key()] != ByMulticast {
@@ -121,7 +121,7 @@ func TestLadderFallsBackToResync(t *testing.T) {
 	dir, _, msg, survivors := buildWorld(t, 30, 7)
 	var victim ident.ID
 	for _, id := range survivors {
-		if len(neededBy(msg, id)) > 0 {
+		if len(NeededBy(msg, id)) > 0 {
 			victim = id
 			break
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"tmesh/internal/eventsim"
 	"tmesh/internal/ident"
 	"tmesh/internal/keytree"
 	"tmesh/internal/overlay"
@@ -71,22 +72,38 @@ func buildWorld(t *testing.T, n int, seed int64) (*overlay.Directory, *keytree.T
 	return dir, tree, msg, ids[3:]
 }
 
+// oneRung runs the ladder the way the loss sweep does — private
+// simulator, a single unicast attempt, lossless unicasts — which is the
+// paper's plain limited unicast recovery: everyone the multicast missed
+// is served by exactly one server unicast.
+func oneRung(cfg LadderConfig, msg *keytree.Message) (*LadderResult, error) {
+	cfg.Sim = eventsim.New()
+	cfg.RetryBase, cfg.RetryMax, cfg.RetryBudget = time.Second, time.Second, 1
+	res, err := DistributeLadder(cfg, msg)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Sim.Run()
+	res.Finish()
+	return res, nil
+}
+
 func TestValidation(t *testing.T) {
 	dir, _, msg, _ := buildWorld(t, 10, 1)
-	if _, err := Distribute(Config{Dir: nil, Timeout: time.Second}, msg); err == nil {
+	if _, err := oneRung(LadderConfig{Dir: nil, Timeout: time.Second}, msg); err == nil {
 		t.Error("nil dir should fail")
 	}
-	if _, err := Distribute(Config{Dir: dir, Timeout: time.Second}, nil); err == nil {
+	if _, err := oneRung(LadderConfig{Dir: dir, Timeout: time.Second}, nil); err == nil {
 		t.Error("nil message should fail")
 	}
-	if _, err := Distribute(Config{Dir: dir}, msg); err == nil {
+	if _, err := oneRung(LadderConfig{Dir: dir}, msg); err == nil {
 		t.Error("zero timeout should fail")
 	}
 }
 
 func TestNoLossNoRecovery(t *testing.T) {
-	dir, tree, msg, live := buildWorld(t, 30, 2)
-	res, err := Distribute(Config{Dir: dir, Timeout: time.Second}, msg)
+	dir, _, msg, live := buildWorld(t, 30, 2)
+	res, err := oneRung(LadderConfig{Dir: dir, Mode: split.PerEncryption, Timeout: time.Second}, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +111,8 @@ func TestNoLossNoRecovery(t *testing.T) {
 		t.Errorf("lossless run needed recovery: %+v", res)
 	}
 	// Everyone got their needed encryptions via multicast.
-	want, _ := tree.GroupKey()
-	_ = want
 	for _, id := range live {
-		if res.Multicast.ReceivedPerUser[id.Key()] == 0 {
+		if st := res.Multicast.Users[id.Key()]; st == nil || st.UnitsReceived == 0 {
 			t.Errorf("user %v received nothing", id)
 		}
 	}
@@ -109,30 +124,39 @@ func TestNoLossNoRecovery(t *testing.T) {
 func TestLossyRecoveryCompleteness(t *testing.T) {
 	dir, _, msg, live := buildWorld(t, 40, 3)
 	rng := rand.New(rand.NewSource(99))
-	res, err := Distribute(Config{
+	const timeout = 2 * time.Second
+	res, err := oneRung(LadderConfig{
 		Dir:     dir,
-		Timeout: 2 * time.Second,
+		Mode:    split.PerEncryption,
+		Timeout: timeout,
 		DropHop: func(from, to vnet.HostID) bool { return rng.Float64() < 0.25 },
 	}, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Multicast.Multicast.Dropped == 0 {
+	if res.Multicast.Dropped == 0 {
 		t.Fatal("loss model did not fire; test is vacuous")
 	}
 	if len(res.Recovered) == 0 {
 		t.Fatal("no one needed recovery despite 25% loss")
 	}
+	recovered := map[string]bool{}
+	for _, id := range res.Recovered {
+		recovered[id.Key()] = true
+	}
 	for _, id := range live {
-		needed := 0
-		for _, e := range msg.Encryptions {
-			if e.NeededBy(id) {
-				needed++
-			}
+		if len(NeededBy(msg, id)) == 0 {
+			continue
 		}
-		got := res.Multicast.ReceivedPerUser[id.Key()]
-		if needed > 0 && got == 0 {
-			t.Errorf("user %v ended with nothing (needed %d)", id, needed)
+		rung, keyed := res.RungOf[id.Key()]
+		if !keyed {
+			t.Errorf("user %v ended with nothing", id)
+			continue
+		}
+		st := res.Multicast.Users[id.Key()]
+		cutOff := st == nil || st.Received == 0
+		if cutOff != recovered[id.Key()] || cutOff != (rung == ByUnicast) {
+			t.Errorf("user %v: cut off %v, recovered %v, rung %v", id, cutOff, recovered[id.Key()], rung)
 		}
 	}
 	// Recovery bandwidth is tiny per user: O(D) encryptions, not the
@@ -145,11 +169,14 @@ func TestLossyRecoveryCompleteness(t *testing.T) {
 	if perUser > float64(tp.Digits+1) {
 		t.Errorf("avg %.1f recovery encryptions per user exceeds path length %d", perUser, tp.Digits+1)
 	}
-	if res.ServerMessages != len(res.Recovered) {
-		t.Errorf("messages %d != recovered %d", res.ServerMessages, len(res.Recovered))
+	if res.UnicastAttempts != len(res.Recovered) || len(res.Resynced) != 0 {
+		t.Errorf("%d unicasts, %d resyncs for %d recovered users; want one unicast each",
+			res.UnicastAttempts, len(res.Resynced), len(res.Recovered))
 	}
-	if res.WorstDelay <= 2*time.Second {
-		t.Errorf("worst delay %v should exceed the timeout", res.WorstDelay)
+	for _, id := range res.Recovered {
+		if at := res.DeliveredAt[id.Key()]; at <= timeout {
+			t.Errorf("user %v recovered at %v, inside the %v timeout", id, at, timeout)
+		}
 	}
 }
 
@@ -158,7 +185,7 @@ func TestLossyRecoveryCompleteness(t *testing.T) {
 func TestRecoveryWithNoSplit(t *testing.T) {
 	dir, _, msg, _ := buildWorld(t, 25, 4)
 	calls := 0
-	res, err := Distribute(Config{
+	res, err := oneRung(LadderConfig{
 		Dir:     dir,
 		Mode:    split.NoSplit,
 		Timeout: time.Second,
@@ -171,8 +198,8 @@ func TestRecoveryWithNoSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range res.Recovered {
-		if res.Multicast.ReceivedPerUser[id.Key()] == 0 {
-			t.Errorf("recovered user %v still has nothing", id)
+		if rung, ok := res.RungOf[id.Key()]; !ok || rung != ByUnicast {
+			t.Errorf("recovered user %v still has nothing (rung %v, keyed %v)", id, rung, ok)
 		}
 	}
 }

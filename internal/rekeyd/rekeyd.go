@@ -45,6 +45,7 @@ import (
 	"tmesh/internal/split"
 	"tmesh/internal/transport"
 	"tmesh/internal/wire"
+	"tmesh/internal/work"
 )
 
 // PeerOf maps a member ID to its transport routing key.
@@ -64,8 +65,6 @@ type Config struct {
 	// never comes back — it surfaces as dead-in-flight instead of a
 	// hang.
 	ResyncBudget int
-	// SplitParallelism sizes the compiled-index build fan-out.
-	SplitParallelism int
 	// Obs receives daemon counters (nil-safe).
 	Obs *obs.Registry
 }
@@ -88,9 +87,6 @@ func (c *Config) fill() error {
 	}
 	if c.ResyncBudget < 1 {
 		c.ResyncBudget = 5
-	}
-	if c.SplitParallelism < 1 {
-		c.SplitParallelism = 1
 	}
 	return nil
 }
@@ -531,7 +527,7 @@ func (s *Server) Distribute(msg *keytree.Message, expected []ident.ID) (*Result,
 	// to per-hop re-splitting).
 	var idx *split.Index
 	s.sh.Read(func(dir *overlay.Directory) {
-		idx = split.NewIndex(dir.Tree(), msg.Encryptions, s.cfg.SplitParallelism)
+		idx = split.NewIndex(dir.Tree(), msg.Encryptions, work.Width())
 	})
 	s.sh.PutIndex(msg.Interval, idx)
 
@@ -606,17 +602,16 @@ func (s *Server) Distribute(msg *keytree.Message, expected []ident.ID) (*Result,
 }
 
 // waitAll blocks until every expected member acked or the timeout
-// elapsed.
+// elapsed. One timer covers the whole wait: under go.mod's go 1.22 a
+// per-member time.After would stay live until it fired, i.e. for the
+// full timeout, once per member per interval.
 func (s *Server) waitAll(interval uint64, expected []ident.ID, timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	for _, id := range expected {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return
-		}
 		select {
 		case <-s.ackChan(interval, id.Key()):
-		case <-time.After(remaining):
+		case <-timer.C:
 			return
 		}
 	}

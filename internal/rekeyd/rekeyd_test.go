@@ -9,6 +9,7 @@ import (
 	"tmesh/internal/overlay"
 	"tmesh/internal/recovery"
 	"tmesh/internal/transport"
+	"tmesh/internal/work"
 )
 
 func testConfig(kind string, members int) WorldConfig {
@@ -32,6 +33,16 @@ func testConfig(kind string, members int) WorldConfig {
 // pump, and ladder goroutine must be gone after World.Close.
 func guardGoroutines(t *testing.T) func() {
 	t.Helper()
+	// The work.Run helpers are process-wide and outlive every World by
+	// design: start them before the snapshot so they do not read as a
+	// leak.
+	work.Run(0, work.Width(), func(_ int, next func() (int, bool)) {
+		for {
+			if _, ok := next(); !ok {
+				return
+			}
+		}
+	})
 	before := runtime.NumGoroutine()
 	return func() {
 		t.Helper()

@@ -13,6 +13,7 @@ import (
 	"tmesh/internal/overlay"
 	"tmesh/internal/transport"
 	"tmesh/internal/vnet"
+	"tmesh/internal/work"
 )
 
 // WorldConfig assembles a full daemon world: one key server plus many
@@ -38,8 +39,6 @@ type WorldConfig struct {
 	// HostBudget is the extra host headroom for joins beyond the
 	// initial membership; 0 means 256.
 	HostBudget int
-	// RekeyParallelism sizes Regenerate's fan-out; 0 means 4.
-	RekeyParallelism int
 	// Topology shapes the GT-ITM graph behind the RTT-ordered neighbor
 	// tables. The zero value picks a small soak topology.
 	Topology vnet.GTITMConfig
@@ -69,9 +68,6 @@ func (c *WorldConfig) fill() error {
 	}
 	if c.HostBudget <= 0 {
 		c.HostBudget = 256
-	}
-	if c.RekeyParallelism <= 0 {
-		c.RekeyParallelism = 4
 	}
 	if c.Topology.TotalRouters == 0 {
 		c.Topology = vnet.GTITMConfig{
@@ -424,7 +420,7 @@ func (w *World) Rekey() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	msg, err := w.tree.Regenerate(plan, w.cfg.RekeyParallelism)
+	msg, err := w.tree.Regenerate(plan, work.Width())
 	if err != nil {
 		return nil, err
 	}

@@ -30,10 +30,10 @@ package split
 
 import (
 	"math/bits"
-	"sync"
 
 	"tmesh/internal/ident"
 	"tmesh/internal/keycrypt"
+	"tmesh/internal/work"
 )
 
 // arenaChunk is the granularity, in items, of the bulk allocations that
@@ -88,10 +88,11 @@ func (a *CompileArena[T]) store(w int, wk *walker[T]) {
 }
 
 // compileTable builds the lookup for all nodes of the tree, fanning the
-// per-level-1-subtree walks out over up to `workers` goroutines. The
-// table's contents are a pure function of (tree, items), independent of
-// the worker count and of arena reuse. ar may be nil (allocate fresh).
-func compileTable[T any](tree *ident.Tree, items []T, ids markFunc, workers int, ar *CompileArena[T]) table[T] {
+// per-level-1-subtree walks out through work.Run (limit is its upper
+// bound; <= 0 means none). The table's contents are a pure function of
+// (tree, items), independent of the width and of arena reuse. ar may be
+// nil (allocate fresh).
+func compileTable[T any](tree *ident.Tree, items []T, ids markFunc, limit int, ar *CompileArena[T]) table[T] {
 	if tree == nil || tree.Size() == 0 || len(items) == 0 {
 		// Nothing to compile; lookups fall back to filtering.
 		return table[T]{slices: make(map[string][]T)}
@@ -141,53 +142,49 @@ func compileTable[T any](tree *ident.Tree, items []T, ids markFunc, workers int,
 		})
 	}
 
+	// One unit per level-1 subtree, one walker per slot. Slots are
+	// dense and below the unit count, so the walker slice is sized by
+	// it; how many slots actually ran depends on scheduling, the table's
+	// contents do not.
 	digits := tree.ChildDigits(ident.EmptyPrefix)
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(digits) {
-		workers = len(digits)
-	}
 	rootExact := marks[ident.EmptyPrefix.Key()].exact
-	hint := tree.NodeCount()/workers + 8
-	results := make([]map[string][]T, workers)
-	wks := make([]*walker[T], workers)
-	for w := range wks {
-		if wk := ar.walkerFor(w); wk != nil {
+	width := min(work.Width(), len(digits))
+	if limit > 0 {
+		width = min(width, limit)
+	}
+	hint := tree.NodeCount()/width + 8
+	wks := make([]*walker[T], len(digits))
+	work.Run(limit, len(digits), func(slot int, next func() (int, bool)) {
+		wk := ar.walkerFor(slot)
+		if wk != nil {
 			wk.reset(tree, items, words, marks)
-			wks[w] = wk
+		} else {
+			wk = newWalker(tree, items, words, marks, hint)
+		}
+		wks[slot] = wk
+		// Level-1 nodes inherit the root's exact bits on their path: a
+		// root-ID encryption is a prefix of everything.
+		copyBits(wk.path[1], rootExact)
+		for {
+			i, ok := next()
+			if !ok {
+				return
+			}
+			wk.walk(ident.EmptyPrefix.Child(digits[i]), 1)
+		}
+	})
+	ran := 0
+	for slot, wk := range wks {
+		if wk != nil {
+			ar.store(slot, wk)
+			ran++
 		}
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wk := wks[w]
-			if wk == nil {
-				wk = newWalker(tree, items, words, marks, hint)
-				wks[w] = wk
-			}
-			// Level-1 nodes inherit the root's exact bits on their
-			// path: a root-ID encryption is a prefix of everything.
-			copyBits(wk.path[1], rootExact)
-			for i := w; i < len(digits); i += workers {
-				wk.walk(ident.EmptyPrefix.Child(digits[i]), 1)
-			}
-			results[w] = wk.out
-		}(w)
-	}
-	wg.Wait()
-	if ar != nil {
-		for w, wk := range wks {
-			ar.store(w, wk)
-		}
-	}
-	// The workers' key sets are disjoint (distinct level-1 subtrees), so
-	// a single worker's map can serve as the table directly; merging only
-	// happens for parallel builds.
-	slices := results[0]
-	if workers > 1 {
+	// The slots' key sets are disjoint (distinct level-1 subtrees), so a
+	// lone slot's map serves as the table directly; merging only happens
+	// when the build actually went parallel.
+	slices := wks[0].out
+	if ran > 1 {
 		if ar != nil {
 			if ar.merged == nil {
 				ar.merged = make(map[string][]T, tree.NodeCount()+1)
@@ -197,8 +194,11 @@ func compileTable[T any](tree *ident.Tree, items []T, ids markFunc, workers int,
 		} else {
 			slices = make(map[string][]T, tree.NodeCount()+1)
 		}
-		for _, m := range results {
-			for k, v := range m {
+		for _, wk := range wks {
+			if wk == nil {
+				continue
+			}
+			for k, v := range wk.out {
 				slices[k] = v
 			}
 		}
@@ -381,19 +381,25 @@ type Index struct {
 	table table[keycrypt.Encryption]
 }
 
-// NewIndex compiles the split decisions of the message's encryptions,
-// using up to `workers` goroutines (values < 1 mean 1).
+// NewIndex compiles the split decisions of the message's encryptions.
+// workers is an upper bound on the compile fan-out (values < 1 mean 1,
+// i.e. inline).
 func NewIndex(tree *ident.Tree, encs []keycrypt.Encryption, workers int) *Index {
-	return NewIndexWith(tree, encs, workers, nil)
+	return newIndex(tree, encs, max(workers, 1), nil)
 }
 
 // NewIndexWith is NewIndex compiling through a reusable arena (nil means
-// allocate fresh). Reusing the arena invalidates every Index previously
-// compiled from it — see CompileArena.
-func NewIndexWith(tree *ident.Tree, encs []keycrypt.Encryption, workers int, ar *CompileArena[keycrypt.Encryption]) *Index {
+// allocate fresh), at the full derived width. Reusing the arena
+// invalidates every Index previously compiled from it — see
+// CompileArena.
+func NewIndexWith(tree *ident.Tree, encs []keycrypt.Encryption, ar *CompileArena[keycrypt.Encryption]) *Index {
+	return newIndex(tree, encs, 0, ar)
+}
+
+func newIndex(tree *ident.Tree, encs []keycrypt.Encryption, limit int, ar *CompileArena[keycrypt.Encryption]) *Index {
 	return &Index{table: compileTable(tree, encs, func(i int, mark func(ident.Prefix)) {
 		mark(encs[i].ID)
-	}, workers, ar)}
+	}, limit, ar)}
 }
 
 // Split returns the encryptions relevant to the subtree — byte-identical
@@ -413,21 +419,27 @@ type PacketIndex struct {
 	table table[Packet]
 }
 
-// NewPacketIndex compiles the packet-level split decisions, using up to
-// `workers` goroutines (values < 1 mean 1).
+// NewPacketIndex compiles the packet-level split decisions. workers is
+// an upper bound on the compile fan-out (values < 1 mean 1, i.e.
+// inline).
 func NewPacketIndex(tree *ident.Tree, pkts []Packet, workers int) *PacketIndex {
-	return NewPacketIndexWith(tree, pkts, workers, nil)
+	return newPacketIndex(tree, pkts, max(workers, 1), nil)
 }
 
 // NewPacketIndexWith is NewPacketIndex compiling through a reusable
-// arena (nil means allocate fresh). Reusing the arena invalidates every
-// PacketIndex previously compiled from it — see CompileArena.
-func NewPacketIndexWith(tree *ident.Tree, pkts []Packet, workers int, ar *CompileArena[Packet]) *PacketIndex {
+// arena (nil means allocate fresh), at the full derived width. Reusing
+// the arena invalidates every PacketIndex previously compiled from it —
+// see CompileArena.
+func NewPacketIndexWith(tree *ident.Tree, pkts []Packet, ar *CompileArena[Packet]) *PacketIndex {
+	return newPacketIndex(tree, pkts, 0, ar)
+}
+
+func newPacketIndex(tree *ident.Tree, pkts []Packet, limit int, ar *CompileArena[Packet]) *PacketIndex {
 	return &PacketIndex{table: compileTable(tree, pkts, func(i int, mark func(ident.Prefix)) {
 		for _, e := range pkts[i] {
 			mark(e.ID)
 		}
-	}, workers, ar)}
+	}, limit, ar)}
 }
 
 // Split returns the packets relevant to the subtree — byte-identical to

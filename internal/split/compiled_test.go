@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -118,10 +119,11 @@ func TestCompiledIndexMatchesFilter(t *testing.T) {
 
 // TestCompileArenaReuseMatchesFilter recompiles a long sequence of
 // random worlds through one shared arena — varying tree shape, message
-// size, and parallelism between compiles so slabs, chunks, and maps are
-// recycled at mismatched sizes — and checks each fresh index against the
-// legacy filter at every tree node. Only the most recent index is
-// queried: arena reuse invalidates its predecessors by contract.
+// size, and width (GOMAXPROCS) between compiles so slabs, chunks, and
+// maps are recycled at mismatched sizes — and checks each fresh index
+// against the legacy filter at every tree node. Only the most recent
+// index is queried: arena reuse invalidates its predecessors by
+// contract.
 func TestCompileArenaReuseMatchesFilter(t *testing.T) {
 	params := ident.Params{Digits: 4, Base: 4}
 	rng := rand.New(rand.NewSource(202))
@@ -131,7 +133,9 @@ func TestCompileArenaReuseMatchesFilter(t *testing.T) {
 		encCount := rng.Intn(50)
 		tree, encs := randSplitWorld(t, rng, params, members, encCount)
 		workers := []int{1, 8, 3}[trial%3]
-		ix := NewIndexWith(tree, encs, workers, ar)
+		prev := runtime.GOMAXPROCS(workers)
+		ix := NewIndexWith(tree, encs, ar)
+		runtime.GOMAXPROCS(prev)
 		check := func(q ident.Prefix) {
 			got := ix.Split(encs, q)
 			want := Filter(encs, q)
@@ -153,7 +157,9 @@ func TestCompileArenaReuseMatchesFilter(t *testing.T) {
 		tree, encs := randSplitWorld(t, rng, params, rng.Intn(30)+1, rng.Intn(60))
 		pkts := Packetize(encs, rng.Intn(6)+1)
 		workers := []int{8, 1}[trial%2]
-		ix := NewPacketIndexWith(tree, pkts, workers, par)
+		prev := runtime.GOMAXPROCS(workers)
+		ix := NewPacketIndexWith(tree, pkts, par)
+		runtime.GOMAXPROCS(prev)
 		tree.Walk(func(p ident.Prefix, _ int) bool {
 			if !reflect.DeepEqual(ix.Split(pkts, p), FilterPackets(pkts, p)) {
 				t.Fatalf("packet trial %d workers %d subtree %v: compiled split diverged",

@@ -153,11 +153,11 @@ type Options struct {
 	// transport ever invokes delivery callbacks concurrently; arrival
 	// order itself is fixed by the deterministic simulation.
 	Collect bool
-	// Parallelism bounds the goroutines used to compile the message's
-	// split decisions into the per-subtree lookup index before the
-	// multicast starts (values <= 1 compile serially). The index
-	// contents are a pure function of (message, directory), so the
-	// transported bytes are identical at any parallelism.
+	// Parallelism is an upper bound on the fan-out that compiles the
+	// message's split decisions into the per-subtree lookup index
+	// before the multicast starts (values <= 1 compile inline). The
+	// index contents are a pure function of (message, directory), so
+	// the transported bytes are identical at any setting.
 	Parallelism int
 	// Obs is the optional telemetry registry. When set, the transport
 	// counts split hops, the encryptions each hop forwards (the paper's
