@@ -1,13 +1,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-# Benchmark baselines are stamped with the document schema version and
-# the source revision that produced them, so a committed BENCH_*.json
-# diff is attributable without archaeology.
-BENCH_SCHEMA ?= tmesh-bench/v1
-COMMIT := $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
-
-.PHONY: ci build vet test race bench bench-rekey bench-hot bench-mem bench-all bench-harness loc soak-short soak-transport soak-metrics soak-scale soak-multigroup soak-slo trace-audit fuzz
+.PHONY: ci build vet test race bench bench-harness loc soak-short soak-transport soak-metrics soak-scale soak-multigroup soak-slo trace-audit fuzz
 
 # ci is the full verification gate: static checks, the race detector
 # over the whole tree (the parallel experiment harness in internal/exp
@@ -15,14 +9,15 @@ COMMIT := $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 # bite under -race; the chaos soak acceptance tests run here too), the
 # socket-transport soak (fault ladder over real loopback and UDP
 # endpoints), a short fuzz pass over the wire decoders, the
-# flight-recorder theorem audit over a freshly traced soak, the
-# hot-path benchmark gate (the compiled hop filter must stay at
-# 0 allocs/op), the memory-budget gate, the N=100k scale soak, the
-# multi-group tenancy soak (16 groups on the shared fan-out, 100k-join
-# flash crowd, cross-width replay), the SLO soak (per-tenant verdict
-# stream schema-checked, exposition format golden-pinned), and the
-# bench/ harness's own vet + smoke test.
-ci: vet race soak-transport fuzz trace-audit bench-hot bench-mem soak-scale soak-multigroup soak-slo bench-harness
+# flight-recorder theorem audit over a freshly traced soak, the N=100k
+# scale soak, the multi-group tenancy soak (16 groups on the shared
+# fan-out, 100k-join flash crowd, cross-width replay), the SLO soak
+# (per-tenant verdict stream schema-checked, exposition format
+# golden-pinned), and the bench/ harness's own vet + smoke test. The hot-path gate (the compiled
+# hop filter allocates nothing: split.TestIndexSplitAllocatesNothing) and
+# the memory gate (resident bytes/member of a built world:
+# chaos.TestMemberFootprintBudget) are ordinary tests inside `race`.
+ci: vet race soak-transport fuzz trace-audit soak-scale soak-multigroup soak-slo bench-harness
 
 build:
 	$(GO) build ./...
@@ -87,35 +82,6 @@ fuzz:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
-# bench-hot regenerates the committed hot-path baseline
-# BENCH_hotpath.json: the per-hop split cost before (HopFilterLegacy)
-# and after (HopFilterCompiled) compilation, the one-time index build,
-# and the end-to-end regen/distribute pipeline at N=4096. benchjson
-# fails the target if the compiled hop filter reports any allocations,
-# so the allocation-free steady state is a CI invariant, not a comment.
-bench-hot:
-	$(GO) test -run '^$$' -bench 'HopFilter|SplitIndexBuild' -benchmem -benchtime 1s . > results-bench-hot.txt || (cat results-bench-hot.txt; rm -f results-bench-hot.txt; exit 1)
-	$(GO) test -run '^$$' -bench 'ProcessIntervalPar|DistributeRekey' -benchmem -benchtime 3x . >> results-bench-hot.txt || (cat results-bench-hot.txt; rm -f results-bench-hot.txt; exit 1)
-	$(GO) run ./cmd/benchjson -out BENCH_hotpath.json -schema $(BENCH_SCHEMA) -commit $(COMMIT) -require-zero-allocs BenchmarkHopFilterCompiled < results-bench-hot.txt
-	rm -f results-bench-hot.txt
-
-# bench-mem regenerates the committed memory baseline BENCH_memory.json
-# from the scale-soak benchmarks: the resident bytes/member of a fully
-# built RealCrypto group (MemberFootprint, N=20k) and the steady-state
-# allocation cost of one churn interval at N=100k (ScaleSoakInterval).
-# benchjson fails the target when a build or interval blows its byte or
-# allocation budget, so memory regressions on the million-member path
-# break CI instead of surfacing in production soaks. Budgets carry
-# ~1.5x headroom over the committed numbers.
-bench-mem:
-	$(GO) test -run '^$$' -bench 'MemberFootprint|ScaleSoakInterval' -benchmem -benchtime 1x ./internal/chaos > results-bench-mem.txt || (cat results-bench-mem.txt; rm -f results-bench-mem.txt; exit 1)
-	$(GO) run ./cmd/benchjson -out BENCH_memory.json \
-		-schema $(BENCH_SCHEMA) -commit $(COMMIT) \
-		-require-max-bytes 'BenchmarkMemberFootprint=120000000,BenchmarkScaleSoakInterval=800000000' \
-		-require-max-allocs 'BenchmarkMemberFootprint=700000,BenchmarkScaleSoakInterval=2500000' \
-		< results-bench-mem.txt
-	rm -f results-bench-mem.txt
-
 # bench-harness vets and smoke-tests the repo benchmark in bench/. It is
 # its own module (`replace tmesh => ../`), so `go vet ./...` and
 # `go test ./...` from the root never compile it: without this target a
@@ -129,10 +95,6 @@ loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
 		     END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
-
-# bench-all regenerates every committed benchmark baseline with the
-# current schema/commit stamp in one shot.
-bench-all: bench-hot bench-mem
 
 # soak-scale is the in-memory million-member ladder: a N=100k scale
 # soak (flat keytree + rank-indexed member store + streaming
@@ -166,12 +128,3 @@ soak-slo:
 	$(GO) run ./internal/obs/jsonlcheck results/soak-slo.jsonl
 	$(GO) run ./cmd/rekeystat -jsonl results/soak-slo.jsonl
 	$(GO) test ./internal/obs/expose -run Golden -count=1
-
-# bench-rekey compares the staged rekey pipeline sequential vs parallel
-# at N=4096 members with real AES-GCM: key regeneration across level-1
-# ID subtrees (ProcessInterval) and split delivery + keyring apply
-# (DistributeRekey). Regeneration speedup requires GOMAXPROCS > 1; the
-# distribution pair also gains from the parallel path's per-subtree
-# prefilter table.
-bench-rekey:
-	$(GO) test -run '^$$' -bench 'ProcessInterval|DistributeRekey' -benchtime 3x .

@@ -12,13 +12,11 @@ import (
 	"time"
 
 	"tmesh/internal/assign"
-	"tmesh/internal/core"
 	"tmesh/internal/exp"
 	"tmesh/internal/ident"
 	"tmesh/internal/keycrypt"
 	"tmesh/internal/keytree"
 	"tmesh/internal/lkh"
-	"tmesh/internal/memberstate"
 	"tmesh/internal/nice"
 	"tmesh/internal/overlay"
 	"tmesh/internal/split"
@@ -436,239 +434,6 @@ func BenchmarkNICEJoin256(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-}
-
-// --- Rekey pipeline Seq/Par pairs (N=4096 members, RealCrypto) ---
-//
-// These drive the two crypto-heavy stages of the staged rekey pipeline
-// (internal/core/pipeline.go) at paper scale: key regeneration fanned
-// out across level-1 ID subtrees, and keyring apply fanned out across
-// delivered users. Compare Seq vs Par with
-//
-//	make bench-rekey
-//
-// to see the interval-throughput speedup on a multi-core runner. As
-// with the Fig06/Fig08 pairs above, speedup requires GOMAXPROCS > 1;
-// at GOMAXPROCS = 1 the pairs should time within noise of each other.
-// Byte-identical seq/par output is pinned by the unit tests
-// (keytree.TestRegenerateParallelByteIdentical and
-// core.TestPipelineSeqParEquivalence), so the benchmarks only time.
-
-const (
-	benchPipelineN     = 4096
-	benchPipelineChurn = 64
-)
-
-// benchPipelineIDs draws n distinct IDs deterministically, spread over
-// the whole ID space so every level-1 subtree carries members.
-func benchPipelineIDs(b *testing.B, params ident.Params, n int) []ident.ID {
-	b.Helper()
-	rng := rand.New(rand.NewSource(7))
-	used := make(map[string]bool, n)
-	ids := make([]ident.ID, 0, n)
-	for len(ids) < n {
-		id, err := ident.FromInt(params, rng.Intn(params.Capacity()))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if used[id.Key()] {
-			continue
-		}
-		used[id.Key()] = true
-		ids = append(ids, id)
-	}
-	return ids
-}
-
-// benchProcessInterval measures the key server's interval path — mark
-// plus regenerate — on a 4096-member tree with real AES-GCM wrapping.
-// Each iteration runs one leave interval and one join interval of 64
-// users each (net-zero churn keeps the tree at steady state), which is
-// the ProcessInterval workload minus the overlay transport.
-func benchProcessInterval(b *testing.B, parallelism int) {
-	params := benchAssign().Params
-	ids := benchPipelineIDs(b, params, benchPipelineN)
-	tree, err := keytree.New(params, []byte("bench-pipeline"), keytree.Opts{RealCrypto: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := tree.Batch(ids, nil); err != nil {
-		b.Fatal(err)
-	}
-	churn := ids[:benchPipelineChurn]
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for _, batch := range [2][2][]ident.ID{{nil, churn}, {churn, nil}} {
-			plan, err := tree.Mark(batch[0], batch[1])
-			if err != nil {
-				b.Fatal(err)
-			}
-			msg, err := tree.Regenerate(plan, parallelism)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if msg.Cost() == 0 {
-				b.Fatal("empty rekey message")
-			}
-		}
-	}
-}
-
-func BenchmarkProcessIntervalSeq(b *testing.B) { benchProcessInterval(b, 1) }
-
-func BenchmarkProcessIntervalPar(b *testing.B) {
-	benchProcessInterval(b, runtime.GOMAXPROCS(0))
-}
-
-// benchDistributeWorld builds a 4096-member directory (IDs installed
-// directly, no assignment protocol — that is benchmarked elsewhere), a
-// RealCrypto key tree, and a member store holding every live user's
-// keyring, then produces one leave-interval rekey message to distribute.
-func benchDistributeWorld(b *testing.B) (*overlay.Directory, *keytree.Message, *memberstate.Store) {
-	b.Helper()
-	params := benchAssign().Params
-	ids := benchPipelineIDs(b, params, benchPipelineN)
-	net, err := vnet.NewGTITM(vnet.DefaultGTITMConfig(), benchPipelineN+1, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dir, err := overlay.NewDirectory(params, 4, net, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i, id := range ids {
-		if err := dir.Join(overlay.Record{Host: vnet.HostID(i + 1), ID: id}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	tree, err := keytree.New(params, []byte("bench-pipeline"), keytree.Opts{RealCrypto: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := tree.Batch(ids, nil); err != nil {
-		b.Fatal(err)
-	}
-	leavers := ids[:benchPipelineChurn]
-	for _, id := range leavers {
-		if err := dir.Leave(id); err != nil {
-			b.Fatal(err)
-		}
-	}
-	msg, err := tree.Batch(nil, leavers)
-	if err != nil {
-		b.Fatal(err)
-	}
-	store := memberstate.NewStore()
-	for _, id := range ids[benchPipelineChurn:] {
-		path, err := tree.PathKeys(id)
-		if err != nil {
-			b.Fatal(err)
-		}
-		kr, err := keytree.NewKeyring(params, id, path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		store.PutKeyring(id, kr)
-	}
-	return dir, msg, store
-}
-
-// benchDistributeRekey measures the delivery + apply stages: split
-// multicast of one rekey interval over the 4096-member T-mesh, then
-// every delivered user unwrapping its encryptions into its keyring.
-// Re-applying the same interval is idempotent (same keys, same
-// versions), so iterations are identical work.
-func benchDistributeRekey(b *testing.B, parallelism int) {
-	dir, msg, store := benchDistributeWorld(b)
-	applier := core.NewApplier(store, parallelism)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rep, err := split.Rekey(dir, msg, split.Options{
-			Mode:        split.PerEncryption,
-			Collect:     true,
-			Parallelism: parallelism,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Deliveries) == 0 {
-			b.Fatal("no deliveries collected")
-		}
-		if err := applier.Apply(msg.Interval, rep.Deliveries); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDistributeRekeySeq(b *testing.B) { benchDistributeRekey(b, 1) }
-
-func BenchmarkDistributeRekeyPar(b *testing.B) {
-	benchDistributeRekey(b, runtime.GOMAXPROCS(0))
-}
-
-// benchSink keeps the hop-filter results live so the compiler cannot
-// elide the lookup under test.
-var benchSink int
-
-// benchHopSubtrees collects every proper subtree of the 4096-member
-// bench directory — the set of prefixes a rekey multicast actually
-// splits against hop by hop.
-func benchHopSubtrees(b *testing.B, dir *overlay.Directory) []ident.Prefix {
-	b.Helper()
-	var subtrees []ident.Prefix
-	dir.Tree().Walk(func(p ident.Prefix, _ int) bool {
-		if p.Len() > 0 {
-			subtrees = append(subtrees, p)
-		}
-		return true
-	})
-	if len(subtrees) == 0 {
-		b.Fatal("no subtrees")
-	}
-	return subtrees
-}
-
-// BenchmarkHopFilterLegacy is the pre-compilation per-hop cost: one
-// RelevantTo scan of the full rekey message per forwarding hop.
-func BenchmarkHopFilterLegacy(b *testing.B) {
-	dir, msg, _ := benchDistributeWorld(b)
-	subtrees := benchHopSubtrees(b, dir)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchSink += len(split.Filter(msg.Encryptions, subtrees[i%len(subtrees)]))
-	}
-}
-
-// BenchmarkHopFilterCompiled is the steady-state per-hop cost after the
-// split decisions are compiled once per rekey: a map lookup returning a
-// shared slice. Must report 0 allocs/op — `make bench-hot` fails
-// otherwise.
-func BenchmarkHopFilterCompiled(b *testing.B) {
-	dir, msg, _ := benchDistributeWorld(b)
-	subtrees := benchHopSubtrees(b, dir)
-	ix := split.NewIndex(dir.Tree(), msg.Encryptions, runtime.GOMAXPROCS(0))
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchSink += len(ix.Split(msg.Encryptions, subtrees[i%len(subtrees)]))
-	}
-}
-
-// BenchmarkSplitIndexBuild is the one-time compilation cost the rekey
-// pays up front to make every hop allocation-free.
-func BenchmarkSplitIndexBuild(b *testing.B) {
-	dir, msg, _ := benchDistributeWorld(b)
-	tree := dir.Tree()
-	workers := runtime.GOMAXPROCS(0)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ix := split.NewIndex(tree, msg.Encryptions, workers)
-		benchSink += len(ix.Split(msg.Encryptions, ident.EmptyPrefix))
 	}
 }
 

@@ -32,8 +32,10 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"time"
 
+	"tmesh/internal/cluster"
 	"tmesh/internal/eventsim"
 	"tmesh/internal/failover"
 	"tmesh/internal/ident"
@@ -271,9 +273,11 @@ type Engine struct {
 	dir *overlay.Directory
 	mon *failover.Monitor
 	// tree is the full modified key tree the real rekey messages come
-	// from; mirror tracks bottom clusters for the Appendix B audit.
-	tree   *keytree.Tree
-	mirror *clusterMirror
+	// from; clusters runs the Appendix B heuristic alongside it, fed the
+	// same membership stream, so the cluster invariants can be audited
+	// without routing the actual rekey traffic through the heuristic.
+	tree     *keytree.Tree
+	clusters *cluster.Manager
 
 	// Seed-derived sub-RNGs, one per concern, so adding draws to one
 	// fault class cannot shift every other class's choices.
@@ -294,9 +298,9 @@ type Engine struct {
 
 	// Live results of the current interval.
 	curData     *tmesh.Result
-	dataMembers []memberSnap // alive members at data send
+	dataMembers []ident.ID // alive members at data send
 	curLadder   *recovery.LadderResult
-	rekeyLive   []memberSnap // alive members at rekey send
+	rekeyLive   []ident.ID // alive in-tree members at rekey send
 	lastEpoch   map[string]uint64
 
 	// Per-soak arenas: the data probe and the rekey ladder each keep
@@ -331,17 +335,11 @@ type Engine struct {
 	// keeping the uninstrumented hop path label-free.
 	profLabel string
 
-	auditors []Auditor
-	rep      *Report
-}
-
-type memberSnap struct {
-	id  ident.ID
-	key string
+	rep *Report
 }
 
 // New builds a soak engine: topology, directory with the initial
-// membership, failure monitor, key tree, and cluster mirror.
+// membership, failure monitor, key tree, and cluster manager.
 func New(cfg Config) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -364,7 +362,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	mirror, err := newClusterMirror(cfg.Params, seedBytes(cfg.Seed))
+	clusters, err := cluster.New(cfg.Params, seedBytes(cfg.Seed), keytree.Opts{})
 	if err != nil {
 		return nil, err
 	}
@@ -376,7 +374,7 @@ func New(cfg Config) (*Engine, error) {
 		net:             net,
 		dir:             dir,
 		tree:            tree,
-		mirror:          mirror,
+		clusters:        clusters,
 		memRNG:          rand.New(rand.NewSource(cfg.Seed ^ 0x6d656d)), // "mem"
 		crashRNG:        rand.New(rand.NewSource(cfg.Seed ^ 0x637273)), // "crs"
 		lossRNG:         rand.New(rand.NewSource(cfg.Seed ^ 0x6c6f73)), // "los"
@@ -396,7 +394,7 @@ func New(cfg Config) (*Engine, error) {
 		dataDelay:       metrics.NewStreamingSummary(),
 		keyDelay:        metrics.NewStreamingSummary(),
 		profLabel:       profLabel,
-		rep:             &Report{Seed: cfg.Seed},
+		rep:             &Report{Seed: cfg.Seed, Auditors: AuditorNames()},
 	}
 	e.slo = slo.New(slo.Config{
 		Group: "chaos",
@@ -405,10 +403,6 @@ func New(cfg Config) (*Engine, error) {
 	})
 	if cfg.TraceSink != nil {
 		e.trec = trace.NewRecorder(cfg.Seed, cfg.TraceSink)
-	}
-	e.auditors = defaultAuditors()
-	for _, a := range e.auditors {
-		e.rep.Auditors = append(e.rep.Auditors, a.Name)
 	}
 
 	// Initial membership, host 0 is the key server.
@@ -425,7 +419,7 @@ func New(cfg Config) (*Engine, error) {
 		if err := dir.Join(rec); err != nil {
 			return nil, err
 		}
-		if err := mirror.join(rec); err != nil {
+		if err := clusters.Join(rec); err != nil {
 			return nil, err
 		}
 		initial = append(initial, id)
@@ -435,7 +429,7 @@ func New(cfg Config) (*Engine, error) {
 	if _, err := rekeyBatch(tree, initial, nil, profLabel); err != nil {
 		return nil, err
 	}
-	if _, err := mirror.process(); err != nil {
+	if _, err := clusters.Process(); err != nil {
 		return nil, err
 	}
 
@@ -470,9 +464,10 @@ func (e *Engine) freeID() (ident.ID, error) {
 		if err != nil {
 			return ident.ID{}, err
 		}
-		// The mirror can briefly hold an evicted crasher the engine has
-		// not reaped yet; skip those too so dir and mirror never diverge.
-		if _, taken := e.dir.Record(id); !taken && !e.mirror.has(id.Key()) {
+		// The cluster manager can briefly hold an evicted crasher the
+		// engine has not reaped yet; skip those too so the two never
+		// diverge.
+		if _, taken := e.dir.Record(id); !taken && !e.clusters.Has(id) {
 			return id, nil
 		}
 	}
@@ -677,7 +672,7 @@ func (e *Engine) doJoin(now time.Duration, stats *IntervalStats) {
 	}
 	e.mon.Observe(id)
 	delete(e.killed, id.Key()) // reused ID of an evicted crasher starts fresh
-	if err := e.mirror.join(rec); err == nil {
+	if err := e.clusters.Join(rec); err == nil {
 		e.joinedSince[id.Key()] = rec
 		e.churnSinceAudit[id.Key()] = id
 		stats.Joins++
@@ -695,8 +690,8 @@ func (e *Engine) doLeave(now time.Duration, stats *IntervalStats, fail func(erro
 		fail(fmt.Errorf("chaos: leave %v: %w", id, err))
 		return
 	}
-	if err := e.mirror.leave(id); err != nil {
-		fail(fmt.Errorf("chaos: mirror leave %v: %w", id, err))
+	if err := e.clusters.Leave(id); err != nil {
+		fail(fmt.Errorf("chaos: cluster leave %v: %w", id, err))
 		return
 	}
 	key := id.Key()
@@ -736,8 +731,8 @@ func (e *Engine) pickVictim() (ident.ID, bool, bool) {
 	}
 	if e.crashRNG.Float64() < e.cfg.LeaderKillRate {
 		var leaders []ident.ID
-		for _, p := range e.mirror.prefixes() {
-			if rec, ok := e.mirror.leader(p); ok && e.alive(rec.ID) {
+		for _, p := range e.clusters.Prefixes() {
+			if rec, ok := e.clusters.Leader(p); ok && e.alive(rec.ID) {
 				leaders = append(leaders, rec.ID)
 			}
 		}
@@ -751,15 +746,12 @@ func (e *Engine) pickVictim() (ident.ID, bool, bool) {
 // doDataProbe multicasts a data payload (Theorem 1 probe) and snapshots
 // who was alive to receive it.
 func (e *Engine) doDataProbe(now time.Duration, stats *IntervalStats, fail func(error)) {
-	e.dataMembers = e.dataMembers[:0]
-	for _, id := range e.liveMembers() {
-		e.dataMembers = append(e.dataMembers, memberSnap{id: id, key: id.Key()})
-	}
+	e.dataMembers = e.liveMembers()
 	e.curDataTrace = nil
 	if e.traceInterval(stats.Index) {
 		e.curDataTrace = e.trec.Begin("data", stats.Index, now, "", nil)
-		for _, m := range e.dataMembers {
-			e.curDataTrace.Member(m.id)
+		for _, id := range e.dataMembers {
+			e.curDataTrace.Member(id)
 		}
 	}
 	res, err := tmesh.Multicast(tmesh.Config[int]{
@@ -785,8 +777,8 @@ func (e *Engine) doDataProbe(now time.Duration, stats *IntervalStats, fail func(
 // degradation ladder.
 func (e *Engine) doRekey(now time.Duration, stats *IntervalStats, fail func(error)) {
 	e.reapEvictions(fail)
-	if _, err := e.mirror.process(); err != nil {
-		fail(fmt.Errorf("chaos: mirror process: %w", err))
+	if _, err := e.clusters.Process(); err != nil {
+		fail(fmt.Errorf("chaos: cluster process: %w", err))
 		return
 	}
 
@@ -834,14 +826,14 @@ func (e *Engine) doRekey(now time.Duration, stats *IntervalStats, fail func(erro
 	}
 	for _, id := range e.liveMembers() {
 		if e.inTree[id.Key()] {
-			e.rekeyLive = append(e.rekeyLive, memberSnap{id: id, key: id.Key()})
+			e.rekeyLive = append(e.rekeyLive, id)
 		}
 	}
 	if e.traceInterval(stats.Index) {
 		e.curRekeyTrace = e.trec.Begin("rekey", stats.Index, now,
 			e.cfg.Mode.String(), split.EncIDs(msg.Encryptions))
-		for _, m := range e.rekeyLive {
-			e.curRekeyTrace.Member(m.id)
+		for _, id := range e.rekeyLive {
+			e.curRekeyTrace.Member(id)
 		}
 	}
 	e.rekeyStart = now
@@ -876,7 +868,7 @@ func (e *Engine) doRekey(now time.Duration, stats *IntervalStats, fail func(erro
 }
 
 // reapEvictions notices users the failure machinery has evicted since
-// the last reap: they leave the cluster mirror and queue for the next
+// the last reap: they leave their cluster and queue for the next
 // key-tree batch.
 func (e *Engine) reapEvictions(fail func(error)) {
 	var gone []string
@@ -888,8 +880,8 @@ func (e *Engine) reapEvictions(fail func(error)) {
 	sort.Strings(gone)
 	for _, key := range gone {
 		info := e.crashPending[key]
-		if err := e.mirror.leave(info.id); err != nil {
-			fail(fmt.Errorf("chaos: mirror evict %v: %w", info.id, err))
+		if err := e.clusters.Leave(info.id); err != nil {
+			fail(fmt.Errorf("chaos: cluster evict %v: %w", info.id, err))
 			return
 		}
 		e.evictedUnbatch[key] = info.id
@@ -927,21 +919,21 @@ func (e *Engine) doAudit(now time.Duration, idx int, stats *IntervalStats) {
 	e.reapEvictions(func(error) {})
 	stats.Members = e.dir.Size()
 
-	verdicts := make([]auditVerdict, 0, len(e.auditors))
-	for _, a := range e.auditors {
-		sp := e.cfg.Obs.StartSpan("chaos_audit_" + a.Name)
-		err := a.Check(e, idx, stats)
-		sp.End()
-		v := auditVerdict{Name: a.Name, OK: err == nil}
-		if err != nil {
-			e.cfg.Obs.Counter("chaos_audit_fail_" + a.Name).Inc()
-			v.Violation = err.Error()
-			stats.Violations = append(stats.Violations,
-				fmt.Sprintf("%s: %v", a.Name, err))
-		} else {
-			e.cfg.Obs.Counter("chaos_audit_pass_" + a.Name).Inc()
+	ev := e.evidence(idx, stats)
+	results, counts := Audit(ev, e.cfg.Obs)
+	stats.DataDelivered, stats.DataLost = counts.CopiesDelivered, counts.CopiesLost
+	stats.KeyByMulticast = counts.ByRung[recovery.ByMulticast]
+	stats.KeyByUnicast = counts.ByRung[recovery.ByUnicast]
+	stats.KeyByResync = counts.ByRung[recovery.ByResync]
+	if lr := e.curLadder; lr != nil {
+		stats.UnicastAttempts, stats.Retries, stats.MaxBackoff = lr.UnicastAttempts, lr.Retries, lr.MaxBackoff
+	}
+	verdicts := make([]auditVerdict, len(results))
+	for i, r := range results {
+		verdicts[i] = auditVerdict{Name: r.Name, OK: len(r.Violations) == 0, Violation: strings.Join(r.Violations, "; ")}
+		if !verdicts[i].OK {
+			stats.Violations = append(stats.Violations, r.Line())
 		}
-		verdicts = append(verdicts, v)
 	}
 	auditSpan.End()
 
@@ -953,28 +945,24 @@ func (e *Engine) doAudit(now time.Duration, idx int, stats *IntervalStats) {
 	// each delivery guarantee applies to — the same sets the delivery
 	// and coverage auditors above swept — so the offline trace audit
 	// reaches the same verdicts.
-	faultFree := stats.PartitionDomain < 0 && e.cfg.HopLoss == 0
 	if e.curDataTrace != nil {
 		var surv []ident.ID
-		for _, m := range e.dataMembers {
-			if e.alive(m.id) {
-				surv = append(surv, m.id)
+		for _, id := range e.dataMembers {
+			if e.alive(id) {
+				surv = append(surv, id)
 			}
 		}
-		e.curDataTrace.End(surv, faultFree)
+		e.curDataTrace.End(surv, ev.FaultFree)
 		e.curDataTrace = nil
 	}
-	if e.curRekeyTrace != nil {
-		var surv []ident.ID
-		for _, m := range e.rekeyLive {
-			if !e.alive(m.id) {
-				continue
-			}
-			if _, present := e.dir.Record(m.id); present {
-				surv = append(surv, m.id)
-			}
+	var rekeySurv []ident.ID // surviving members owed the interval's keys
+	for _, id := range e.rekeyLive {
+		if ev.survivor(id) {
+			rekeySurv = append(rekeySurv, id)
 		}
-		e.curRekeyTrace.End(surv, faultFree)
+	}
+	if e.curRekeyTrace != nil {
+		e.curRekeyTrace.End(rekeySurv, ev.FaultFree)
 		e.curRekeyTrace = nil
 	}
 
@@ -983,16 +971,16 @@ func (e *Engine) doAudit(now time.Duration, idx int, stats *IntervalStats) {
 	// order), so the P² marker state — and hence the reported estimates
 	// — replays identically for the same seed.
 	if e.curData != nil {
-		for _, m := range e.dataMembers {
-			if st := e.curData.Users[m.key]; st != nil && st.Received > 0 {
+		for _, id := range e.dataMembers {
+			if st := e.curData.Users[id.Key()]; st != nil && st.Received > 0 {
 				e.dataDelay.Observe(float64(st.Delay) / float64(time.Millisecond))
 			}
 		}
 	}
 	var keyLat []float64
 	if e.curLadder != nil {
-		for _, m := range e.rekeyLive {
-			if at, ok := e.curLadder.DeliveredAt[m.key]; ok {
+		for _, id := range e.rekeyLive {
+			if at, ok := e.curLadder.DeliveredAt[id.Key()]; ok {
 				d := float64(at-e.rekeyStart) / float64(time.Millisecond)
 				e.keyDelay.Observe(d)
 				keyLat = append(keyLat, d)
@@ -1000,9 +988,9 @@ func (e *Engine) doAudit(now time.Duration, idx int, stats *IntervalStats) {
 		}
 	}
 
-	// Close the boundary against the service objectives. Expected is the
-	// set of surviving in-tree members the coverage auditor swept (owed
-	// the interval's key); Delivered are those the ladder reached. All
+	// Close the boundary against the service objectives. Expected is
+	// rekeySurv, the set the coverage auditor swept; Delivered are those
+	// of them the ladder reached. All
 	// inputs are deterministic, so the verdict — and the "slo" record
 	// emitted right after the interval record — replays byte-identically.
 	sb := slo.Boundary{
@@ -1011,18 +999,12 @@ func (e *Engine) doAudit(now time.Duration, idx int, stats *IntervalStats) {
 		Escalations: stats.KeyByUnicast + stats.KeyByResync,
 		RekeyCost:   stats.RekeyCost,
 		LatenciesMS: keyLat,
+		Expected:    len(rekeySurv),
 	}
 	if lr := e.curLadder; lr != nil {
 		sb.DeadInFlight = len(lr.DeadInFlight)
-		for _, m := range e.rekeyLive {
-			if !e.alive(m.id) {
-				continue
-			}
-			if _, present := e.dir.Record(m.id); !present {
-				continue
-			}
-			sb.Expected++
-			if _, got := lr.DeliveredAt[m.key]; got {
+		for _, id := range rekeySurv {
+			if _, got := lr.DeliveredAt[id.Key()]; got {
 				sb.Delivered++
 			}
 		}
@@ -1033,6 +1015,56 @@ func (e *Engine) doAudit(now time.Duration, idx int, stats *IntervalStats) {
 	e.churnSinceAudit = make(map[string]ident.ID)
 	e.curData = nil
 	e.curLadder = nil
+}
+
+// evidence gathers what the interval left behind for the auditors (see
+// Evidence): the directory with the IDs that churned since the last
+// audit — or nil on every FullSweepEvery-th interval, which asks for
+// the full Definition 3 sweep as a safety net for the scoping itself —
+// the data probe's copy counts, the cluster state, and the ladder's
+// outcome. The simulator's crypto is simulated, so there are no keys to
+// compare: coverage rests on the rungs alone.
+func (e *Engine) evidence(idx int, stats *IntervalStats) *Evidence {
+	ev := &Evidence{
+		Dir:           e.dir,
+		Alive:         e.alive,
+		FaultFree:     stats.PartitionDomain < 0 && e.cfg.HopLoss == 0,
+		Clusters:      e.clusters,
+		LastEpoch:     e.lastEpoch,
+		IntervalStart: time.Duration(idx) * e.cfg.IntervalLength,
+	}
+	if e.cfg.FullSweepEvery <= 0 || (idx+1)%e.cfg.FullSweepEvery != 0 {
+		ev.Churned = make([]ident.ID, 0, len(e.churnSinceAudit))
+		for _, id := range e.churnSinceAudit {
+			ev.Churned = append(ev.Churned, id)
+		}
+		sort.Slice(ev.Churned, func(i, j int) bool { return ev.Churned[i].Compare(ev.Churned[j]) < 0 })
+	}
+	if e.curData != nil {
+		for _, id := range e.dataMembers {
+			n := 0
+			if st := e.curData.Users[id.Key()]; st != nil {
+				n = st.Received
+			}
+			ev.Copies = append(ev.Copies, Copy{ID: id, N: n})
+		}
+	}
+	if lr := e.curLadder; lr != nil {
+		lr.Finish()
+		ev.Ladder = &Ladder{
+			Expected: e.rekeyLive,
+			Owed:     func(id ident.ID) bool { return len(recovery.NeededBy(lr.Message, id)) > 0 },
+			RungOf: func(id ident.ID) (recovery.Rung, bool) {
+				rung, ok := lr.RungOf[id.Key()]
+				return rung, ok
+			},
+			Resynced:     lr.Resynced,
+			DeadInFlight: lr.DeadInFlight,
+			MaxBackoff:   lr.MaxBackoff,
+			BackoffCap:   e.cfg.RetryMax,
+		}
+	}
+	return ev
 }
 
 // auditVerdict is one auditor's outcome inside an interval event.

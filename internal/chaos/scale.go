@@ -26,9 +26,7 @@ import (
 
 	"tmesh/internal/core"
 	"tmesh/internal/ident"
-	"tmesh/internal/keycrypt"
 	"tmesh/internal/keytree"
-	"tmesh/internal/memberstate"
 	"tmesh/internal/metrics"
 )
 
@@ -132,13 +130,19 @@ type ScaleReport struct {
 	CostP50, CostP95 float64
 
 	// Violations holds keyring spot-check failures, at most one line
-	// per interval.
+	// per failed auditor per interval.
 	Violations []string
+
+	// KeyringDigest commits to the final keyrings (core.KeyringDigest
+	// over the members in ID order; RealCrypto only) — the same value a
+	// tenancy-host KeyPlane group reports, so the two drivers of the one
+	// key-plane world can be tested against each other. It is not part
+	// of String().
+	KeyringDigest uint64
 
 	// HeapAllocEnd and BytesPerMember are live-heap observability from
 	// the final interval. They are machine- and GC-timing-dependent,
-	// so String() excludes them; BENCH_memory.json carries the pinned
-	// numbers instead.
+	// so String() excludes them.
 	HeapAllocEnd   uint64
 	BytesPerMember float64
 }
@@ -158,16 +162,11 @@ func (r *ScaleReport) String() string {
 	return b.String()
 }
 
-// scaleWorld is the live state of a scale soak: the server tree, the
-// member keyrings, the reusable applier, and the churn bookkeeping. The
-// soak and the memory benchmarks share it so they exercise the same
-// interval loop.
-type scaleWorld struct {
+// scaleSoak is the live state of a scale soak: the key-plane world and
+// the churn bookkeeping that decides who leaves and who (re)joins.
+type scaleSoak struct {
 	cfg       ScaleConfig
-	par       int
-	tree      *keytree.Tree
-	store     *memberstate.Store // nil without RealCrypto
-	ap        *core.IndexedApplier
+	world     *core.KeyPlane
 	rng       *rand.Rand
 	active    []ident.ID
 	free      []ident.ID // IDs recycled by earlier leaves, reused LIFO
@@ -175,64 +174,40 @@ type scaleWorld struct {
 	setupCost int
 }
 
-// newScaleWorld validates the config and runs the build-up: the whole
+// newScaleSoak validates the config and runs the build-up: the whole
 // group joins in one batch — the million-member Mark/Regenerate the
 // flat layout exists for — and (with RealCrypto) every member gets its
 // join-time keyring.
-func newScaleWorld(cfg ScaleConfig) (*scaleWorld, error) {
+func newScaleSoak(cfg ScaleConfig) (*scaleSoak, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	par := cfg.Parallelism
-	if par < 1 {
-		par = 1
-	}
-	tree, err := keytree.New(cfg.Params, seedBytes(cfg.Seed), keytree.Opts{
+	world, err := core.NewKeyPlane(cfg.Params, seedBytes(cfg.Seed), keytree.Opts{
 		RealCrypto:   cfg.RealCrypto,
-		CapacityHint: cfg.N,
-	})
+		CapacityHint: cfg.N + cfg.Churn,
+	}, max(cfg.Parallelism, 1))
 	if err != nil {
 		return nil, err
 	}
-	w := &scaleWorld{
-		cfg: cfg, par: par, tree: tree,
+	w := &scaleSoak{
+		cfg: cfg, world: world,
 		rng:       rand.New(rand.NewSource(cfg.Seed ^ 0x7363616c)), // "scal"
 		active:    make([]ident.ID, cfg.N),
 		nextFresh: cfg.N,
 	}
 	for i := range w.active {
-		id, err := ident.FromInt(cfg.Params, i)
-		if err != nil {
+		if w.active[i], err = ident.FromInt(cfg.Params, i); err != nil {
 			return nil, err
 		}
-		w.active[i] = id
 	}
-	plan, err := tree.Mark(w.active, nil)
-	if err != nil {
-		return nil, err
-	}
-	msg, err := tree.Regenerate(plan, par)
-	if err != nil {
-		return nil, err
-	}
-	w.setupCost = msg.Cost()
-	if cfg.RealCrypto {
-		w.store = memberstate.NewStoreSized(cfg.N + cfg.Churn)
-		for _, id := range w.active {
-			if err := scaleInitKeyring(tree, w.store, id); err != nil {
-				return nil, err
-			}
-		}
-	}
-	w.ap = core.NewIndexedApplier(cfg.Params, w.store, par, "")
-	return w, nil
+	w.setupCost, _, err = world.Rekey(w.active, nil, nil)
+	return w, err
 }
 
 // step runs one churn interval: draw leave victims and replacement
-// joins, batch them through the tree, apply the rekey message to every
-// survivor, and unicast path keys to the joiners. It returns the
-// interval's rekey cost and the number of keys installed.
-func (w *scaleWorld) step() (cost int, updated int64, err error) {
+// joins and rekey the world over them. It returns the interval's rekey
+// cost and the number of keys installed.
+func (w *scaleSoak) step() (cost int, updated int64, err error) {
 	// Draw leave victims by swap-remove, keeping `active` dense.
 	leaves := make([]ident.ID, 0, w.cfg.Churn)
 	for len(leaves) < w.cfg.Churn {
@@ -260,39 +235,17 @@ func (w *scaleWorld) step() (cost int, updated int64, err error) {
 	sort.Slice(leaves, func(i, j int) bool { return leaves[i].Compare(leaves[j]) < 0 })
 	sort.Slice(joins, func(i, j int) bool { return joins[i].Compare(joins[j]) < 0 })
 
-	if w.store != nil {
-		for _, id := range leaves {
-			w.store.Remove(id)
-		}
-	}
-	plan, err := w.tree.Mark(joins, leaves)
-	if err != nil {
+	if cost, updated, err = w.world.Rekey(joins, leaves, w.active); err != nil {
 		return 0, 0, err
-	}
-	msg, err := w.tree.Regenerate(plan, w.par)
-	if err != nil {
-		return 0, 0, err
-	}
-	if w.store != nil {
-		// Survivors apply the multicast message; joiners get their
-		// path keys by unicast, as at build-up.
-		if updated, err = w.ap.Apply(msg, w.active); err != nil {
-			return 0, 0, err
-		}
-		for _, id := range joins {
-			if err := scaleInitKeyring(w.tree, w.store, id); err != nil {
-				return 0, 0, err
-			}
-		}
 	}
 	w.active = append(w.active, joins...)
 	w.free = append(w.free, leaves...)
-	return msg.Cost(), updated, nil
+	return cost, updated, nil
 }
 
 // RunScaleSoak executes one scale soak.
 func RunScaleSoak(cfg ScaleConfig) (*ScaleReport, error) {
-	w, err := newScaleWorld(cfg)
+	w, err := newScaleSoak(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -318,9 +271,12 @@ func RunScaleSoak(cfg ScaleConfig) (*ScaleReport, error) {
 		costQ95.Observe(float64(cost))
 		rep.KeysUpdated += updated
 
-		if w.store != nil && cfg.Verify > 0 {
-			if v := scaleVerify(w.tree, w.store, w.active, cfg.Verify); v != "" {
-				rep.Violations = append(rep.Violations, fmt.Sprintf("interval %d: %s", iv, v))
+		if cfg.RealCrypto && cfg.Verify > 0 {
+			verdicts, _ := Audit(KeyPlaneEvidence(w.world, w.active, cfg.Verify), nil)
+			for _, v := range verdicts {
+				if line := v.Line(); line != "" {
+					rep.Violations = append(rep.Violations, fmt.Sprintf("interval %d: %s", iv, line))
+				}
 			}
 		}
 		if cfg.Out != nil {
@@ -332,76 +288,33 @@ func RunScaleSoak(cfg ScaleConfig) (*ScaleReport, error) {
 	}
 
 	rep.FinalMembers = len(w.active)
-	rep.RankWidth = w.tree.Ranks().Width()
+	rep.RankWidth = w.world.Tree().Ranks().Width()
 	rep.CostP50 = costQ50.Value()
 	rep.CostP95 = costQ95.Value()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	rep.HeapAllocEnd = ms.HeapAlloc
 	rep.BytesPerMember = float64(ms.HeapAlloc) / float64(cfg.N)
+	if cfg.RealCrypto {
+		final := append([]ident.ID(nil), w.active...)
+		sort.Slice(final, func(i, j int) bool { return final[i].Compare(final[j]) < 0 })
+		rep.KeyringDigest = w.world.Digest(final)
+	}
 	return rep, nil
 }
 
-func scaleInitKeyring(tree *keytree.Tree, store *memberstate.Store, id ident.ID) error {
-	path, err := tree.PathKeys(id)
-	if err != nil {
-		return err
-	}
-	kr, err := keytree.NewKeyring(tree.Params(), id, path)
-	if err != nil {
-		return err
-	}
-	store.PutKeyring(id, kr)
-	return nil
-}
-
-// VerifyKeyrings spot-checks up to `sample` member keyrings, spread
-// evenly across the group, against the server tree: every path key must
-// match the tree's current key at that level. It returns an empty
-// string when all sampled keyrings agree — the coverage check shared by
-// the scale soak here and the multi-group soak in internal/grouphost.
-func VerifyKeyrings(tree *keytree.Tree, store *memberstate.Store, members []ident.ID, sample int) string {
-	return scaleVerify(tree, store, members, sample)
-}
-
-// scaleVerify spot-checks up to `sample` member keyrings, spread evenly
-// across the group, against the server tree: every path key must match
-// the tree's current key and version at that level. It returns an empty
-// string when all sampled keyrings agree.
-func scaleVerify(tree *keytree.Tree, store *memberstate.Store, members []ident.ID, sample int) string {
-	if sample > len(members) {
-		sample = len(members)
-	}
-	if sample == 0 {
-		return ""
-	}
-	stride := len(members) / sample
-	if stride < 1 {
-		stride = 1
-	}
-	for i := 0; i < sample; i++ {
-		id := members[i*stride]
-		kr := store.Keyring(id)
-		if kr == nil {
-			return fmt.Sprintf("member %v has no keyring", id)
-		}
-		for l := 0; l <= tree.Params().Digits; l++ {
-			p := id.Prefix(l)
-			var want keycrypt.Key
-			var found bool
-			if l == tree.Params().Digits {
-				want, found = tree.IndividualKey(id)
-			} else {
-				want, _, found = tree.KeyOf(p)
-			}
-			if !found {
-				return fmt.Sprintf("tree has no key at %v on %v's path", p, id)
-			}
-			got, ok := kr.Key(p)
-			if !ok || got != want {
-				return fmt.Sprintf("member %v disagrees with the tree at level %d", id, l)
-			}
+// KeyPlaneEvidence is what a key-plane world leaves for the auditors:
+// the server tree and up to `sample` member keyrings, spread evenly
+// across the listed members, to compare with it key for key. There is
+// no overlay, no multicast, no cluster state and no ladder on this
+// plane, so every other check passes vacuously.
+func KeyPlaneEvidence(w *core.KeyPlane, members []ident.ID, sample int) *Evidence {
+	ev := &Evidence{Tree: w.Tree(), Keyring: w.Keyring}
+	if sample = min(sample, len(members)); sample > 0 {
+		stride := len(members) / sample
+		for i := 0; i < sample; i++ {
+			ev.Keyed = append(ev.Keyed, members[i*stride])
 		}
 	}
-	return ""
+	return ev
 }

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -140,5 +141,33 @@ func TestDefaultScaleConfig(t *testing.T) {
 		if cfg.Params.Capacity() < n {
 			t.Errorf("DefaultScaleConfig(%d): capacity %d too small", n, cfg.Params.Capacity())
 		}
+	}
+}
+
+// TestMemberFootprintBudget is the memory gate of the flat state layout:
+// a fully built RealCrypto world — server key tree, every member's
+// keyring, the reusable applier — must stay under a resident
+// bytes/member budget (GC-settled HeapAlloc delta across the build).
+// 756 B/member is the committed measurement at N=20000; the budget
+// carries ~1.5x headroom, so layout regressions on the million-member
+// path fail here instead of surfacing in a production soak. (The
+// per-interval allocation budget is the repo benchmark's
+// keyplane_100k mem_bytes_per_member / allocs_per_member.)
+func TestMemberFootprintBudget(t *testing.T) {
+	const n, budget = 20000, 1150.0
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	w, err := newScaleSoak(DefaultScaleConfig(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perMember := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+	runtime.KeepAlive(w)
+	t.Logf("resident footprint: %.0f bytes/member", perMember)
+	if perMember > budget {
+		t.Errorf("resident footprint %.0f bytes/member exceeds the %.0f budget", perMember, budget)
 	}
 }

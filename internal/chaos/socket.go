@@ -20,7 +20,10 @@ import (
 	"sync"
 	"time"
 
+	"tmesh/internal/cluster"
 	"tmesh/internal/ident"
+	"tmesh/internal/keycrypt"
+	"tmesh/internal/keytree"
 	"tmesh/internal/obs"
 	"tmesh/internal/overlay"
 	"tmesh/internal/recovery"
@@ -123,14 +126,11 @@ type SocketReport struct {
 	Seed      int64
 	Auditors  []string
 	Intervals []SocketIntervalStats
-
-	FinalViolations []string
 }
 
-// TotalViolations counts invariant failures across all intervals plus
-// the final sweep.
+// TotalViolations counts invariant failures across all intervals.
 func (r *SocketReport) TotalViolations() int {
-	n := len(r.FinalViolations)
+	n := 0
 	for i := range r.Intervals {
 		n += len(r.Intervals[i].Violations)
 	}
@@ -150,195 +150,82 @@ func (r *SocketReport) String() string {
 		}
 	}
 	fmt.Fprintf(&b, "final: violations=%d\n", r.TotalViolations())
-	for _, v := range r.FinalViolations {
-		fmt.Fprintf(&b, "  final violation: %s\n", v)
-	}
 	return b.String()
 }
 
-// socketRun is the live state the socket auditors inspect.
+// socketRun is the live state of a socket soak.
 type socketRun struct {
-	cfg    SocketConfig
-	w      *rekeyd.World
-	mirror *clusterMirror
-	rng    *rand.Rand
+	cfg SocketConfig
+	w   *rekeyd.World
+	// clusters runs the Appendix B heuristic over the driver's churn, so
+	// the cluster invariants are audited here as in the simulator.
+	clusters *cluster.Manager
+	rng      *rand.Rand
 
-	// Interval-scoped: the churn the driver just applied and the
-	// ladder result it produced.
+	// Interval-scoped: the ladder result the driver just produced and
+	// whether the phase injected no fault.
 	res       *rekeyd.Result
-	joined    []ident.ID
-	departed  []ident.ID // leaves + crash evictions
 	faultFree bool
 
 	lastEpoch map[string]uint64
+	// intervalStart is the earliest JoinTime the current interval
+	// admitted — the world stamps joins with a sequence number, so this
+	// is "since the last audit" on the records' own clock.
+	intervalStart time.Duration
 }
 
-// socketAuditor mirrors the simulator's Auditor shape for the world.
-type socketAuditor struct {
-	name  string
-	check func(s *socketRun, idx int, stats *SocketIntervalStats) error
-}
-
-func socketAuditors() []socketAuditor {
-	return []socketAuditor{
-		{name: "k-consistency", check: socketAuditKConsistency},
-		{name: "delivery", check: socketAuditDelivery},
-		{name: "coverage", check: socketAuditCoverage},
-		{name: "cluster", check: socketAuditCluster},
-		{name: "ladder", check: socketAuditLadder},
+// evidence gathers what the interval left behind for the auditors (see
+// Evidence). The group is small, so Definition 3 gets the full sweep
+// every interval (Churned stays nil). Coverage compares real group
+// keys, every member's with the server's: every fault in the schedule
+// heals inside the ladder budget, so there is no surviving-member
+// carve-out. Copy counts are of the rekey message itself; in a faulty
+// interval the ladder's unicasts are legitimate extra copies, so they
+// are only offered in clean ones — where the ladder must have idled.
+func (run *socketRun) evidence(dir *overlay.Directory) *Evidence {
+	w, res := run.w, run.res
+	members := w.Members()
+	ids := make([]ident.ID, len(members))
+	for i, m := range members {
+		ids[i] = m.ID()
 	}
-}
-
-// socketAuditKConsistency runs the full Definition 3 sweep every
-// interval; the socket group is small enough that scoping (the
-// simulator's optimization) buys nothing.
-func socketAuditKConsistency(s *socketRun, idx int, stats *SocketIntervalStats) error {
-	var err error
-	s.w.Shared().Read(func(dir *overlay.Directory) { err = dir.CheckConsistency() })
-	if err != nil {
-		return fmt.Errorf("full sweep: %w", err)
+	backoffCap := run.cfg.Ladder.RetryMax
+	if backoffCap <= 0 {
+		backoffCap = 4 * run.cfg.Ladder.RetryBase
 	}
-	return nil
-}
-
-// socketAuditDelivery checks the Theorem 1 probe over real sockets: in
-// a fault-free interval the multicast tree delivers exactly one copy of
-// the rekey message to every member — the per-hop bitmap split never
-// duplicates and never starves. Faulty intervals are skipped: the
-// ladder's recovery unicasts are legitimate extra copies, so copy
-// counts prove nothing there.
-func socketAuditDelivery(s *socketRun, idx int, stats *SocketIntervalStats) error {
-	if !s.faultFree {
-		return nil
-	}
-	var vs []string
-	for _, m := range s.w.Members() {
-		if n := m.CopiesOf(s.res.Interval); n != 1 {
-			vs = append(vs, fmt.Sprintf("member %v received %d copies in a fault-free interval (Theorem 1: exactly one)", m.ID(), n))
-		}
-	}
-	if rungs := s.res.Rungs(); vs == nil && (rungs[recovery.ByUnicast] > 0 || rungs[recovery.ByResync] > 0) {
-		vs = append(vs, fmt.Sprintf("fault-free interval needed the ladder: %d unicast, %d resync",
-			rungs[recovery.ByUnicast], rungs[recovery.ByResync]))
-	}
-	return joinViolations(vs)
-}
-
-// socketAuditCoverage is Lemma 3 / Theorem 2 with real keyrings: every
-// member still in the group holds the server's group key byte for byte
-// and sits at the tree's interval. Because every fault in the schedule
-// heals inside the ladder budget, there is no surviving-member carve-out.
-func socketAuditCoverage(s *socketRun, idx int, stats *SocketIntervalStats) error {
-	want, ok := s.w.Tree().GroupKey()
-	if !ok {
-		return fmt.Errorf("key tree has no group key")
-	}
-	var vs []string
-	for _, m := range s.w.Members() {
-		got, has := m.GroupKey()
-		if !has || !got.Equal(want) {
-			vs = append(vs, fmt.Sprintf("member %v does not hold the interval's group key", m.ID()))
-			continue
-		}
-		if m.Applied() != s.w.Tree().Interval() {
-			vs = append(vs, fmt.Sprintf("member %v applied interval %d, tree at %d", m.ID(), m.Applied(), s.w.Tree().Interval()))
-		}
-	}
-	return joinViolations(vs)
-}
-
-// socketAuditCluster replays the Appendix B bottom-cluster invariants
-// against a mirror fed by the driver's churn: one live leader per
-// cluster, leader inside its own cluster, no member senior to it,
-// epochs never regress (except a cluster that emptied and re-formed),
-// and mirror membership agrees with the directory both ways.
-func socketAuditCluster(s *socketRun, idx int, stats *SocketIntervalStats) error {
-	if _, err := s.mirror.process(); err != nil {
-		return fmt.Errorf("mirror process: %w", err)
-	}
-	var vs []string
-	seen := make(map[string]bool)
-	for _, p := range s.mirror.prefixes() {
-		pk := p.Key()
-		seen[pk] = true
-		leader, ok := s.mirror.leader(p)
-		if !ok {
-			vs = append(vs, fmt.Sprintf("cluster %s has no leader", pk))
-			continue
-		}
-		if !leader.ID.HasPrefix(p) {
-			vs = append(vs, fmt.Sprintf("cluster %s led by outsider %v", pk, leader.ID))
-		}
-		if _, present := s.w.Member(leader.ID); !present || s.w.IsKilled(leader.ID) {
-			vs = append(vs, fmt.Sprintf("cluster %s leader %v is dead or departed", pk, leader.ID))
-		}
-		for _, m := range s.mirror.membersOf(p) {
-			if m.JoinTime < leader.JoinTime {
-				vs = append(vs, fmt.Sprintf("cluster %s: member %v joined before leader %v", pk, m.ID, leader.ID))
+	ev := &Evidence{
+		Dir:       dir,
+		Alive:     func(id ident.ID) bool { return !w.IsKilled(id) },
+		FaultFree: run.faultFree,
+		Tree:      w.Tree(),
+		Keyed:     ids,
+		GroupKeyOf: func(id ident.ID) (keycrypt.Key, bool) {
+			if m, ok := w.Member(id); ok {
+				return m.GroupKey()
 			}
-			if _, present := s.w.Member(m.ID); !present {
-				vs = append(vs, fmt.Sprintf("cluster %s member %v is not in the group", pk, m.ID))
-			}
-		}
-		if ep, ok := s.mirror.epoch(p); ok {
-			if last, prev := s.lastEpoch[pk]; prev && ep < last && ep != 0 {
-				vs = append(vs, fmt.Sprintf("cluster %s epoch went backwards: %d -> %d", pk, last, ep))
-			}
-			s.lastEpoch[pk] = ep
-		}
+			return keycrypt.Key{}, false
+		},
+		Clusters:      run.clusters,
+		LastEpoch:     run.lastEpoch,
+		IntervalStart: run.intervalStart,
+		Ladder: &Ladder{
+			Expected: ids,
+			RungOf: func(id ident.ID) (recovery.Rung, bool) {
+				rung, ok := res.RungOf[id.Key()]
+				return rung, ok
+			},
+			DeadInFlight: res.DeadInFlight,
+			MaxBackoff:   res.MaxBackoff,
+			BackoffCap:   backoffCap,
+			MustIdle:     run.faultFree,
+		},
 	}
-	for k := range s.lastEpoch {
-		if !seen[k] {
-			delete(s.lastEpoch, k)
-		}
-	}
-	for _, m := range s.w.Members() {
-		if !s.mirror.has(m.ID().Key()) {
-			vs = append(vs, fmt.Sprintf("member %v missing from the cluster mirror", m.ID()))
-		}
-	}
-	return joinViolations(vs)
-}
-
-// socketAuditLadder checks the interval's recovery accounting: the
-// acked set plus the dead-in-flight set is exactly the expected set,
-// reported backoff never exceeds the cap, and — because every injected
-// fault healed inside the budget — nobody was left dead in flight.
-func socketAuditLadder(s *socketRun, idx int, stats *SocketIntervalStats) error {
-	res := s.res
-	rungs := res.Rungs()
-	stats.Expected = res.Expected
-	stats.KeyByMulticast = rungs[recovery.ByMulticast]
-	stats.KeyByUnicast = rungs[recovery.ByUnicast]
-	stats.KeyByResync = rungs[recovery.ByResync]
-	stats.DeadInFlight = len(res.DeadInFlight)
-	stats.UnicastAttempts = res.UnicastAttempts
-	stats.SyncAttempts = res.SyncAttempts
-	stats.MaxBackoff = res.MaxBackoff
-
-	var vs []string
-	if got := len(res.RungOf) + len(res.DeadInFlight); got != res.Expected {
-		vs = append(vs, fmt.Sprintf("ladder accounted for %d of %d expected members", got, res.Expected))
-	}
-	for _, id := range res.DeadInFlight {
-		if !s.w.IsKilled(id) {
-			vs = append(vs, fmt.Sprintf("reachable member %v declared dead in flight", id))
+	if run.faultFree {
+		for _, m := range members {
+			ev.Copies = append(ev.Copies, Copy{ID: m.ID(), N: m.CopiesOf(res.Interval)})
 		}
 	}
-	if len(res.DeadInFlight) > 0 {
-		vs = append(vs, fmt.Sprintf("%d members dead in flight though every fault healed inside the ladder budget", len(res.DeadInFlight)))
-	}
-	if max := s.ladderMax(); res.MaxBackoff > max {
-		vs = append(vs, fmt.Sprintf("reported backoff %v exceeds RetryMax %v", res.MaxBackoff, max))
-	}
-	return joinViolations(vs)
-}
-
-func (s *socketRun) ladderMax() time.Duration {
-	if s.cfg.Ladder.RetryMax > 0 {
-		return s.cfg.Ladder.RetryMax
-	}
-	return 4 * s.cfg.Ladder.RetryBase
+	return ev
 }
 
 // RunSocketSoak drives one soak session over real sockets and returns
@@ -368,56 +255,49 @@ func RunSocketSoak(cfg SocketConfig) (*SocketReport, error) {
 	}
 	defer w.Close()
 
-	mirror, err := newClusterMirror(cfg.Params, seedBytes(cfg.Seed))
+	clusters, err := cluster.New(cfg.Params, seedBytes(cfg.Seed), keytree.Opts{})
 	if err != nil {
 		return nil, err
 	}
 	run := &socketRun{
 		cfg:       cfg,
 		w:         w,
-		mirror:    mirror,
+		clusters:  clusters,
 		rng:       rand.New(rand.NewSource(cfg.Seed ^ 0x736f636b)),
 		lastEpoch: make(map[string]uint64),
 	}
-	// Seed the mirror with the world's initial membership.
-	if err := run.mirrorJoinCurrent(); err != nil {
+	// Seed the cluster state with the world's initial membership.
+	if err := run.clusterJoinCurrent(); err != nil {
 		return nil, err
 	}
 
-	auditors := socketAuditors()
-	rep := &SocketReport{Transport: cfg.Transport, Seed: cfg.Seed}
-	for _, a := range auditors {
-		rep.Auditors = append(rep.Auditors, a.name)
-	}
-
+	rep := &SocketReport{Transport: cfg.Transport, Seed: cfg.Seed, Auditors: AuditorNames()}
 	for idx := 0; idx < cfg.Intervals; idx++ {
 		phase := socketPhases[idx%len(socketPhases)]
 		stats := SocketIntervalStats{Index: idx, Phase: phase}
 		if err := run.interval(phase, &stats); err != nil {
 			return nil, err
 		}
-		for _, a := range auditors {
-			if aerr := a.check(run, idx, &stats); aerr != nil {
-				stats.Violations = append(stats.Violations, fmt.Sprintf("%s: %v", a.name, aerr))
+		var verdicts []Verdict
+		var counts Counts
+		w.Shared().Read(func(dir *overlay.Directory) {
+			verdicts, counts = Audit(run.evidence(dir), nil)
+		})
+		for _, v := range verdicts {
+			if line := v.Line(); line != "" {
+				stats.Violations = append(stats.Violations, line)
 			}
 		}
+		res := run.res
 		stats.Members = w.Size()
+		stats.Expected = res.Expected
+		stats.KeyByMulticast = counts.ByRung[recovery.ByMulticast]
+		stats.KeyByUnicast = counts.ByRung[recovery.ByUnicast]
+		stats.KeyByResync = counts.ByRung[recovery.ByResync]
+		stats.DeadInFlight = len(res.DeadInFlight)
+		stats.UnicastAttempts, stats.SyncAttempts = res.UnicastAttempts, res.SyncAttempts
+		stats.MaxBackoff = res.MaxBackoff
 		rep.Intervals = append(rep.Intervals, stats)
-	}
-
-	// Final sweep: the overlay must be k-consistent and every member
-	// must hold the last group key once the session quiesces.
-	var sweep error
-	w.Shared().Read(func(dir *overlay.Directory) { sweep = dir.CheckConsistency() })
-	if sweep != nil {
-		rep.FinalViolations = append(rep.FinalViolations, fmt.Sprintf("k-consistency: %v", sweep))
-	}
-	if want, ok := w.Tree().GroupKey(); ok {
-		for _, m := range w.Members() {
-			if got, has := m.GroupKey(); !has || !got.Equal(want) {
-				rep.FinalViolations = append(rep.FinalViolations, fmt.Sprintf("coverage: member %v ends the soak without the group key", m.ID()))
-			}
-		}
 	}
 	return rep, nil
 }
@@ -426,17 +306,15 @@ func RunSocketSoak(cfg SocketConfig) (*SocketReport, error) {
 // waits for every fault to heal.
 func (run *socketRun) interval(phase string, stats *SocketIntervalStats) error {
 	w, plan := run.w, run.w.FaultPlan()
-	run.joined, run.departed = nil, nil
 	run.faultFree = phase == "clean"
+	var gone []ident.ID // leaves + crash evictions
 
 	// Churn: one join per interval; from the second interval on, one
 	// leave; the crash phase replaces the leave with a hard crash.
-	if id, err := w.Join(); err == nil {
-		run.joined = append(run.joined, id)
-		stats.Joins++
-	} else {
+	if _, err := w.Join(); err != nil {
 		return fmt.Errorf("chaos: socket join: %w", err)
 	}
+	stats.Joins++
 	members := w.Members()
 	victim := func() ident.ID { return members[run.rng.Intn(len(members))].ID() }
 	switch phase {
@@ -445,7 +323,7 @@ func (run *socketRun) interval(phase string, stats *SocketIntervalStats) error {
 		if err := w.Crash(v); err != nil {
 			return fmt.Errorf("chaos: socket crash: %w", err)
 		}
-		run.departed = append(run.departed, v)
+		gone = append(gone, v)
 		stats.Crashes++
 	default:
 		if stats.Index > 0 {
@@ -453,12 +331,12 @@ func (run *socketRun) interval(phase string, stats *SocketIntervalStats) error {
 			if err := w.Leave(v); err != nil {
 				return fmt.Errorf("chaos: socket leave: %w", err)
 			}
-			run.departed = append(run.departed, v)
+			gone = append(gone, v)
 			stats.Leaves++
 		}
 	}
-	departed := make(map[string]bool, len(run.departed))
-	for _, id := range run.departed {
+	departed := make(map[string]bool, len(gone))
+	for _, id := range gone {
 		departed[id.Key()] = true
 	}
 
@@ -512,26 +390,29 @@ func (run *socketRun) interval(phase string, stats *SocketIntervalStats) error {
 	plan.SetLoss(0)
 	plan.SetDelay(0, 0, 0)
 
-	// Mirror the interval's realized churn.
-	for _, id := range run.departed {
-		if err := run.mirror.leave(id); err != nil {
-			return fmt.Errorf("chaos: socket mirror leave: %w", err)
+	// Replay the interval's realized churn into the cluster state.
+	for _, id := range gone {
+		if err := run.clusters.Leave(id); err != nil {
+			return fmt.Errorf("chaos: socket cluster leave: %w", err)
 		}
 	}
-	if err := run.mirrorJoinCurrent(); err != nil {
+	if err := run.clusterJoinCurrent(); err != nil {
 		return err
+	}
+	if _, err := run.clusters.Process(); err != nil {
+		return fmt.Errorf("chaos: socket cluster process: %w", err)
 	}
 	return nil
 }
 
-// mirrorJoinCurrent feeds the mirror every directory member it does not
-// know yet, with the directory's own records (IDs and join times), in
-// deterministic order.
-func (run *socketRun) mirrorJoinCurrent() error {
+// clusterJoinCurrent feeds the cluster manager every directory member
+// it does not know yet, with the directory's own records (IDs and join
+// times), in deterministic order.
+func (run *socketRun) clusterJoinCurrent() error {
 	var recs []overlay.Record
 	run.w.Shared().Read(func(dir *overlay.Directory) {
 		for _, id := range dir.IDs() {
-			if run.mirror.has(id.Key()) {
+			if run.clusters.Has(id) {
 				continue
 			}
 			if rec, ok := dir.Record(id); ok {
@@ -539,7 +420,7 @@ func (run *socketRun) mirrorJoinCurrent() error {
 			}
 		}
 	})
-	// Feed in join order: the mirror elects the most senior member per
+	// Feed in join order: the manager elects the most senior member per
 	// cluster, so insertion order must reproduce the directory's
 	// JoinTime seniority (IDs only break ties).
 	sort.Slice(recs, func(i, j int) bool {
@@ -548,9 +429,12 @@ func (run *socketRun) mirrorJoinCurrent() error {
 		}
 		return recs[i].ID.Compare(recs[j].ID) < 0
 	})
-	for _, rec := range recs {
-		if err := run.mirror.join(rec); err != nil {
-			return fmt.Errorf("chaos: socket mirror join %v: %w", rec.ID, err)
+	for i, rec := range recs {
+		if i == 0 {
+			run.intervalStart = rec.JoinTime
+		}
+		if err := run.clusters.Join(rec); err != nil {
+			return fmt.Errorf("chaos: socket cluster join %v: %w", rec.ID, err)
 		}
 	}
 	return nil

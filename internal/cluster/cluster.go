@@ -113,6 +113,16 @@ func (m *Manager) IsLeader(id ident.ID) bool {
 	return ok && s.leader.ID.Equal(id)
 }
 
+// Has reports whether the user is a member of some cluster.
+func (m *Manager) Has(id ident.ID) bool {
+	s, ok := m.clusters[m.ClusterOf(id).Key()]
+	if !ok {
+		return false
+	}
+	_, member := s.members[id.Key()]
+	return member
+}
+
 // Members returns the records of a cluster's members in ID order.
 func (m *Manager) Members(p ident.Prefix) []overlay.Record {
 	s, ok := m.clusters[p.Key()]

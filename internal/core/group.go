@@ -222,8 +222,16 @@ func (g *Group) ProcessInterval() (*keytree.Message, error) {
 			return nil, err
 		}
 		if g.cfg.RealCrypto {
-			if err := g.initLeaderKeyrings(res.Joins); err != nil {
-				return nil, err
+			// Leaders that just entered the leaders-only tree get a
+			// keyring built from their server-side path keys. Incumbent
+			// leaders are NOT rebuilt: their keyrings advance by applying
+			// the rekey message the multicast delivers to them, exactly
+			// like users in non-cluster mode, so the per-interval cost is
+			// proportional to leader churn, not to the number of leaders.
+			for _, id := range res.Joins {
+				if err := g.initKeyring(g.clusters.Tree(), id); err != nil {
+					return nil, err
+				}
 			}
 		}
 		return res.Message, nil
@@ -260,11 +268,7 @@ func (g *Group) ProcessInterval() (*keytree.Message, error) {
 }
 
 func (g *Group) initKeyring(tree *keytree.Tree, id ident.ID) error {
-	path, err := tree.PathKeys(id)
-	if err != nil {
-		return err
-	}
-	kr, err := keytree.NewKeyring(g.Params(), id, path)
+	kr, err := tree.JoinKeyring(id)
 	if err != nil {
 		return err
 	}
@@ -272,21 +276,6 @@ func (g *Group) initKeyring(tree *keytree.Tree, id ident.ID) error {
 	g.members.PutKeyring(id, kr)
 	if gk, ok := kr.GroupKey(); ok {
 		g.members.SetGroupKey(id, gk)
-	}
-	return nil
-}
-
-// initLeaderKeyrings (cluster mode) gives leaders that just entered the
-// leaders-only tree a keyring built from their server-side path keys.
-// Incumbent leaders are NOT rebuilt: their keyrings advance by applying
-// the rekey message the multicast delivers to them, exactly like users
-// in non-cluster mode, so the per-interval cost is proportional to
-// leader churn rather than to the number of leaders.
-func (g *Group) initLeaderKeyrings(joined []ident.ID) error {
-	for _, id := range joined {
-		if err := g.initKeyring(g.clusters.Tree(), id); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -1,14 +1,15 @@
 // The rekey pipeline: the interval path of a Group decomposed into four
-// explicit stages, each behind a small interface —
+// explicit stages —
 //
 //	mark    (structural batch: prune leaves, insert joins, plan updates)
 //	regen   (per-subtree key regeneration + encryption wrapping)
 //	deliver (split multicast over the T-mesh)
 //	apply   (per-user keyring updates from the delivered encryptions)
 //
-// The chaos soak, the experiment harness, and the session runner all
-// drive the same engine through these interfaces instead of private
-// Group internals. The two crypto-heavy stages parallelize: regen fans
+// mark and regen are keytree.Tree's Mark and Regenerate, deliver is
+// split.Rekey, and apply is the Applier below; every driver (Group, the
+// chaos soaks, the experiment harness) calls those directly. The two
+// crypto-heavy stages parallelize: regen fans
 // out across level-1 ID subtrees (Lemma 3 makes them independent rekey
 // units) inside keytree.Regenerate, and apply fans out across delivered
 // users below — both through work.Run, the process-wide fan-out.
@@ -30,33 +31,6 @@ import (
 	"tmesh/internal/split"
 	"tmesh/internal/work"
 )
-
-// Marker is the structural stage of a rekey interval.
-type Marker interface {
-	Mark(joins, leaves []ident.ID) (*keytree.BatchPlan, error)
-}
-
-// Regenerator is the key-regeneration stage: it turns a batch plan into
-// the interval's rekey message, fanning crypto work out at most
-// `parallelism` wide.
-type Regenerator interface {
-	Regenerate(plan *keytree.BatchPlan, parallelism int) (*keytree.Message, error)
-}
-
-// Rekeyer is the key server's side of the pipeline — mark + regen.
-// *keytree.Tree implements it.
-type Rekeyer interface {
-	Marker
-	Regenerator
-}
-
-var _ Rekeyer = (*keytree.Tree)(nil)
-
-// Distributor is the delivery stage: it multicasts a rekey message and
-// reports who received which encryptions.
-type Distributor interface {
-	Distribute(msg *keytree.Message) (*split.Report, error)
-}
 
 // Applier is the final stage: it updates member keyrings from the
 // collected deliveries of one interval.
@@ -190,9 +164,9 @@ func (a *storeApplier) Apply(interval uint64, deliveries []split.Delivery) error
 	return agg
 }
 
-// IndexedApplier is the key plane's apply stage: instead of replaying a
-// transport's per-user deliveries it hands every member of a group the
-// rekey message directly. The message's encryptions are indexed by
+// indexedApplier is the key plane's apply stage (see KeyPlane): instead
+// of replaying a transport's per-user deliveries it hands every member
+// of a group the rekey message directly. The message's encryptions are indexed by
 // their encrypting-key ID once; each member then applies the at most
 // depth+1 encryptions on its own ID path as a small synthetic message,
 // so apply costs O(members × depth) lookups instead of O(members ×
@@ -201,7 +175,7 @@ func (a *storeApplier) Apply(interval uint64, deliveries []split.Delivery) error
 // the reference behaviour the indexed path is tested against. The index
 // is reused across calls, so steady-state apply allocates nothing
 // proportional to the group. Not safe for concurrent Apply calls.
-type IndexedApplier struct {
+type indexedApplier struct {
 	store  *memberstate.Store
 	depth  int
 	limit  int
@@ -209,12 +183,12 @@ type IndexedApplier struct {
 	encIdx map[string]int32
 }
 
-// NewIndexedApplier returns the key plane's apply stage over a member
+// newIndexedApplier returns the key plane's apply stage over a member
 // store. limit is work.Run's upper bound on the fan-out (<= 0: none);
 // label, when non-empty, tags the workers with the pprof label set
 // {group=label, stage=apply}.
-func NewIndexedApplier(params ident.Params, store *memberstate.Store, limit int, label string) *IndexedApplier {
-	return &IndexedApplier{store: store, depth: params.Digits, limit: limit, label: label,
+func newIndexedApplier(params ident.Params, store *memberstate.Store, limit int, label string) *indexedApplier {
+	return &indexedApplier{store: store, depth: params.Digits, limit: limit, label: label,
 		encIdx: make(map[string]int32, 1024)}
 }
 
@@ -222,7 +196,7 @@ func NewIndexedApplier(params ident.Params, store *memberstate.Store, limit int,
 // returns the number of keys installed. Every member is attempted; the
 // error reported is that of the earliest failing member in the list, so
 // it does not depend on worker scheduling.
-func (a *IndexedApplier) Apply(msg *keytree.Message, members []ident.ID) (int64, error) {
+func (a *indexedApplier) Apply(msg *keytree.Message, members []ident.ID) (int64, error) {
 	if len(members) == 0 || msg.Cost() == 0 {
 		return 0, nil
 	}

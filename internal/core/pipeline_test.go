@@ -420,7 +420,7 @@ func TestIndexedApplierMatchesFullApply(t *testing.T) {
 		for w, limit := range []int{1, 8} {
 			st := stores[w+1]
 			var got int64
-			atProcs(8, func() { got, err = NewIndexedApplier(params, st, limit, "").Apply(msg, survivors) })
+			atProcs(8, func() { got, err = newIndexedApplier(params, st, limit, "").Apply(msg, survivors) })
 			if err != nil {
 				t.Fatalf("trial %d limit %d: %v", trial, limit, err)
 			}
@@ -481,7 +481,7 @@ func TestIndexedApplierErrorIsDeterministic(t *testing.T) {
 			}
 			store.PutKeyring(id, kr)
 		}
-		atProcs(8, func() { _, err = NewIndexedApplier(params, store, limit, "").Apply(msg, survivors) })
+		atProcs(8, func() { _, err = newIndexedApplier(params, store, limit, "").Apply(msg, survivors) })
 		if err == nil || !strings.HasPrefix(err.Error(), "member "+survivors[7].String()+":") {
 			t.Errorf("limit %d: error = %v, want the earliest keyring-less member %v", limit, err, survivors[7])
 		}

@@ -29,10 +29,9 @@ import (
 	"io"
 	"math/rand"
 	"sort"
-	"strings"
 	"time"
 
-	"tmesh/internal/ident"
+	"tmesh/internal/chaos"
 	"tmesh/internal/obs"
 	"tmesh/internal/obs/slo"
 	"tmesh/internal/vnet"
@@ -104,26 +103,12 @@ type Config struct {
 	// only), so streams from seed-identical runs byte-compare.
 	Sink *obs.Sink
 	// Topology is the shared GT-ITM topology all NetPlane groups'
-	// hosts attach to; zero value selects a default sized like the
-	// chaos soak's.
+	// hosts attach to; the zero value selects the chaos soak's (2x2x2
+	// GT-ITM, 120 routers).
 	Topology vnet.GTITMConfig
 	// Out, when non-nil, receives one progress line per processed
 	// boundary (never part of the deterministic report).
 	Out io.Writer
-}
-
-// DefaultTopology is the shared-topology default: the chaos soak's
-// 2x2x2 GT-ITM with 120 routers.
-func DefaultTopology() vnet.GTITMConfig {
-	return vnet.GTITMConfig{
-		TransitDomains:   2,
-		TransitPerDomain: 2,
-		StubsPerTransit:  2,
-		TotalRouters:     120,
-		TotalLinks:       300,
-		AccessDelayMin:   time.Millisecond,
-		AccessDelayMax:   3 * time.Millisecond,
-	}
 }
 
 // tenant is the scheduler's view of one group: either plane behind the
@@ -139,11 +124,12 @@ type tenant interface {
 	// flush ends the group's current rekey interval and returns its
 	// cost.
 	flush() (cost int, err error)
-	// audit runs the five invariant checks after a flush; violations
-	// are returned as "auditor: detail" strings.
-	audit() []string
+	// evidence gathers what the flush left behind for the five paper
+	// auditors (chaos.Audit); a nil field is a check whose precondition
+	// the profile lacks, which passes vacuously.
+	evidence() *chaos.Evidence
 	// finish closes out the group and fills its report entry.
-	finish(gr *GroupReport) error
+	finish(gr *GroupReport)
 }
 
 // boundary is one scheduled rekey boundary of one group.
@@ -163,7 +149,7 @@ func Run(cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("grouphost: negative stagger %v", cfg.Stagger)
 	}
 	if cfg.Topology == (vnet.GTITMConfig{}) {
-		cfg.Topology = DefaultTopology()
+		cfg.Topology = chaos.DefaultConfig(cfg.Seed).Topology
 	}
 
 	// Generate every schedule first: host counts size the shared
@@ -216,7 +202,8 @@ func Run(cfg Config) (*Report, error) {
 			t, err = newNetTenant(label, spec, schedules[i], net, vnet.HostID(hostBase), cfg.Seed, groupObs)
 			hostBase += 1 + schedules[i].Hosts
 		case KeyPlane:
-			t, err = newKeyTenant(label, spec, schedules[i], cfg.Seed, groupObs)
+			seed := fmt.Sprintf("grouphost-%s-%d", label, groupSeed(cfg.Seed, label))
+			t, err = newKeyTenant(label, spec.Verify, schedules[i], []byte(seed), groupObs)
 		default:
 			err = fmt.Errorf("unknown profile %d", spec.Profile)
 		}
@@ -275,23 +262,22 @@ func Run(cfg Config) (*Report, error) {
 		if cost > gr.MaxCost {
 			gr.MaxCost = cost
 		}
-		vs := t.audit()
-		for _, v := range vs {
-			gr.Violations = append(gr.Violations, fmt.Sprintf("interval %d: %s", gr.Intervals, v))
-		}
-		gr.Audits += len(auditorNames)
-
 		// SLO boundary: a coverage/delivery violation is a member the
 		// service failed to key; other auditors flag structural issues
 		// and stay out of the delivery SLI. Latency samples only exist
 		// where a lossy transport runs (the chaos soak); the simulator
 		// transports here are reliable and synchronous.
+		verdicts, _ := chaos.Audit(t.evidence(), nil)
 		missed := 0
-		for _, v := range vs {
-			if strings.HasPrefix(v, "coverage:") || strings.HasPrefix(v, "delivery:") {
-				missed++
+		for _, v := range verdicts {
+			for _, detail := range v.Violations {
+				gr.Violations = append(gr.Violations, fmt.Sprintf("interval %d: %s: %s", gr.Intervals, v.Name, detail))
+			}
+			if v.Name == "coverage" || v.Name == "delivery" {
+				missed += len(v.Violations)
 			}
 		}
+		gr.Audits += len(verdicts)
 		members := t.size()
 		srec := slos[b.g].Observe(slo.Boundary{
 			Boundary:  gr.Intervals,
@@ -315,9 +301,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	for i, t := range tenants {
-		if err := t.finish(&rep.Groups[i]); err != nil {
-			return nil, fmt.Errorf("grouphost: group %s: %w", t.name(), err)
-		}
+		t.finish(&rep.Groups[i])
 	}
 	return rep, nil
 }
@@ -329,14 +313,6 @@ func profileOf(spec GroupSpec) Profile {
 	return spec.Profile
 }
 
-// auditorNames is the canonical per-group auditor registry — the five
-// paper invariants the chaos soak checks, applied per tenant. A check
-// whose precondition is absent in a profile (no overlay on the key
-// plane, no recovery ladder on the fault-free simulator transport)
-// passes vacuously, mirroring the chaos cluster auditor over zero
-// clusters.
-var auditorNames = []string{"k-consistency", "delivery", "coverage", "cluster", "ladder"}
-
 // groupSeed derives a per-group crypto seed from the host seed and the
 // group label, so tenants never share key material.
 func groupSeed(hostSeed int64, label string) int64 {
@@ -346,9 +322,4 @@ func groupSeed(hostSeed int64, label string) int64 {
 		h *= 1099511628211
 	}
 	return hostSeed ^ h
-}
-
-// idFromIndex maps a workload host index into the key-plane ID space.
-func idFromIndex(params ident.Params, idx int) (ident.ID, error) {
-	return ident.FromInt(params, idx)
 }

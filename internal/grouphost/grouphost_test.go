@@ -1,11 +1,16 @@
 package grouphost
 
 import (
+	"fmt"
+	"math/rand"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"tmesh/internal/chaos"
+	"tmesh/internal/ident"
 	"tmesh/internal/obs"
 	"tmesh/internal/workload"
 )
@@ -120,9 +125,9 @@ func TestAuditorsRunPerGroup(t *testing.T) {
 		if g.Intervals == 0 {
 			t.Errorf("group %s processed no intervals", g.Name)
 		}
-		if g.Audits != g.Intervals*len(auditorNames) {
+		if want := g.Intervals * len(chaos.AuditorNames()); g.Audits != want {
 			t.Errorf("group %s: %d audits over %d intervals, want %d",
-				g.Name, g.Audits, g.Intervals, g.Intervals*len(auditorNames))
+				g.Name, g.Audits, g.Intervals, want)
 		}
 		if len(g.Violations) != 0 {
 			t.Errorf("group %s violations: %v", g.Name, g.Violations)
@@ -199,5 +204,112 @@ func TestConfigValidation(t *testing.T) {
 		Workload: workload.Config{InitialJoins: 10, WarmUp: time.Second, ChurnLeaves: 20, Interval: time.Second},
 	}}}); err == nil {
 		t.Error("over-subscribed leaves did not fail")
+	}
+}
+
+// TestKeyPlaneDriversAgree is the differential test of the one key-plane
+// world's two drivers: the scale soak draws its churn from an RNG, a
+// KeyPlane tenant from a workload.Schedule. Fed the same join/leave
+// batches (the soak's draw, replayed here as a schedule) under the same
+// key-material seed, they must report the same rekey cost for every
+// interval and end on the same keyring digest.
+func TestKeyPlaneDriversAgree(t *testing.T) {
+	cfg := chaos.ScaleConfig{
+		Params: ident.Params{Digits: 2, Base: 32}, N: 900, Intervals: 6, Churn: 60,
+		Seed: 42, Parallelism: 2, RealCrypto: true, Verify: 64,
+	}
+	var progress strings.Builder
+	cfg.Out = &progress
+	rep, err := chaos.RunScaleSoak(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Violations) != 0 {
+		t.Fatalf("scale soak reported violations:\n%s", rep)
+	}
+	wantCost := []int{rep.SetupCost}
+	for _, line := range strings.Split(strings.TrimSpace(progress.String()), "\n") {
+		var iv, of, members, cost int
+		if _, err := fmt.Sscanf(line, "interval %d/%d: members=%d cost=%d", &iv, &of, &members, &cost); err != nil {
+			t.Fatalf("progress line %q: %v", line, err)
+		}
+		wantCost = append(wantCost, cost)
+	}
+
+	// Replay the soak's churn draw (chaos.scaleSoak.step: swap-remove
+	// victims, LIFO-recycled IDs before fresh ones) as one schedule:
+	// boundary k closes at k seconds, host index i is ID FromInt(i).
+	sched := &workload.Schedule{Hosts: cfg.N + cfg.Churn}
+	at := func(k int) time.Duration { return time.Duration(k)*time.Second + time.Millisecond }
+	active := make([]int, cfg.N)
+	for i := range active {
+		active[i] = i
+		sched.Events = append(sched.Events, workload.Event{At: at(0), Kind: workload.Join, Host: i})
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x7363616c))
+	var free []int
+	fresh := cfg.N
+	for k := 1; k <= cfg.Intervals; k++ {
+		var leaves []int
+		for len(leaves) < cfg.Churn {
+			i := rng.Intn(len(active))
+			leaves = append(leaves, active[i])
+			active[i] = active[len(active)-1]
+			active = active[:len(active)-1]
+		}
+		var joins []int
+		for len(joins) < cfg.Churn {
+			if n := len(free); n > 0 {
+				joins, free = append(joins, free[n-1]), free[:n-1]
+			} else {
+				joins = append(joins, fresh)
+				fresh++
+			}
+		}
+		sort.Ints(leaves) // FromInt preserves order: index order is ID order
+		sort.Ints(joins)
+		for _, v := range leaves {
+			sched.Events = append(sched.Events, workload.Event{At: at(k), Kind: workload.Leave, Victim: v})
+		}
+		for _, host := range joins {
+			sched.Events = append(sched.Events, workload.Event{At: at(k), Kind: workload.Join, Host: host})
+		}
+		active = append(active, joins...)
+		free = append(free, leaves...)
+	}
+
+	tn, err := newKeyTenant("diff", 64, sched, []byte(fmt.Sprintf("chaos-%d", cfg.Seed)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tn.params != cfg.Params {
+		t.Fatalf("tenant sized its ID space %+v, soak runs %+v", tn.params, cfg.Params)
+	}
+	for k, want := range wantCost {
+		if err := tn.pump(time.Duration(k+1) * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		got, err := tn.flush()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("interval %d: tenant rekey cost %d, scale soak %d", k, got, want)
+		}
+		if verdicts, _ := chaos.Audit(tn.evidence(), nil); len(verdicts) == 0 {
+			t.Fatal("no verdicts")
+		} else {
+			for _, v := range verdicts {
+				if v.Line() != "" {
+					t.Errorf("interval %d: %s", k, v.Line())
+				}
+			}
+		}
+	}
+	var gr GroupReport
+	tn.finish(&gr)
+	if gr.FinalMembers != rep.FinalMembers || gr.KeyringDigest != rep.KeyringDigest || gr.KeyringDigest == 0 {
+		t.Errorf("tenant ends with %d members, digest %016x; scale soak with %d members, digest %016x",
+			gr.FinalMembers, gr.KeyringDigest, rep.FinalMembers, rep.KeyringDigest)
 	}
 }

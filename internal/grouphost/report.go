@@ -2,10 +2,7 @@ package grouphost
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
-
-	"tmesh/internal/keycrypt"
 )
 
 // Report is the outcome of one grouphost run.
@@ -85,28 +82,3 @@ func (r *Report) String() string {
 	}
 	return b.String()
 }
-
-// digest folds labelled keys into an FNV-64a sum; tenants use it to
-// commit to their final keyrings in a transport-independent way.
-type digest struct {
-	h interface {
-		Write([]byte) (int, error)
-		Sum64() uint64
-	}
-}
-
-func newDigest() *digest { return &digest{h: fnv.New64a()} }
-
-func (d *digest) key(label string, k keycrypt.Key) {
-	d.h.Write([]byte(label))
-	d.h.Write([]byte{'='})
-	d.h.Write(k.Bytes())
-	d.h.Write([]byte{'\n'})
-}
-
-func (d *digest) miss(label string) {
-	d.h.Write([]byte(label))
-	d.h.Write([]byte("=missing\n"))
-}
-
-func (d *digest) sum() uint64 { return d.h.Sum64() }

@@ -10,11 +10,10 @@ import (
 	"tmesh/internal/core"
 	"tmesh/internal/ident"
 	"tmesh/internal/keytree"
-	"tmesh/internal/memberstate"
 	"tmesh/internal/obs"
+	"tmesh/internal/recovery"
 	"tmesh/internal/split"
 	"tmesh/internal/vnet"
-	"tmesh/internal/work"
 	"tmesh/internal/workload"
 )
 
@@ -36,7 +35,6 @@ func netAssign() assign.Config {
 
 type netTenant struct {
 	label    string
-	spec     GroupSpec
 	sched    *workload.Schedule
 	g        *core.Group
 	hostBase vnet.HostID
@@ -48,6 +46,9 @@ type netTenant struct {
 
 	lastRep    *split.Report
 	lastEpochs map[string]uint64
+	// boundary and intervalStart are the current and the previous
+	// boundary's local time: the interval the next audit covers.
+	boundary, intervalStart time.Duration
 }
 
 func newNetTenant(label string, spec GroupSpec, sched *workload.Schedule, net vnet.Network, hostBase vnet.HostID, hostSeed int64, reg *obs.Registry) (tenant, error) {
@@ -67,7 +68,6 @@ func newNetTenant(label string, spec GroupSpec, sched *workload.Schedule, net vn
 	}
 	return &netTenant{
 		label:      label,
-		spec:       spec,
 		sched:      sched,
 		g:          g,
 		hostBase:   hostBase,
@@ -84,6 +84,7 @@ func (t *netTenant) size() int { return t.g.Size() }
 // Schedule host index i lives on shared-topology host
 // hostBase + 1 + i (hostBase is this group's key server).
 func (t *netTenant) pump(until time.Duration) error {
+	t.intervalStart, t.boundary = t.boundary, until
 	for t.cursor < len(t.sched.Events) {
 		ev := t.sched.Events[t.cursor]
 		if ev.At >= until {
@@ -131,110 +132,56 @@ func (t *netTenant) flush() (int, error) {
 	return msg.Cost(), nil
 }
 
-// audit runs the five invariant checks against the live group. The
-// simulator transport is reliable here, so the ladder check verifies
-// the join-unicast chains instead of recovery rungs; everything else
-// maps one-to-one onto the chaos auditors.
-func (t *netTenant) audit() []string {
-	var vs []string
-
-	// k-consistency: Definition 3 must hold over the whole directory
-	// after every batch (the groups are small enough for full sweeps).
-	if err := t.g.Dir().CheckConsistency(); err != nil {
-		vs = append(vs, fmt.Sprintf("k-consistency: %v", err))
+// evidence gathers what the boundary left behind for the auditors (see
+// chaos.Evidence). The groups are small enough for a full Definition 3
+// sweep after every batch; the simulator transport is reliable, so a
+// distribute is fault-free and its hop log carries every copy made. The
+// only delivery chain that can dangle here is the join-time unicast: a
+// member that should keep a keyring (everyone, or the leaders in cluster
+// mode) and has none was never keyed, which is what RungOf reports.
+func (t *netTenant) evidence() *chaos.Evidence {
+	ids := t.memberIDs()
+	tree, holders := t.g.Tree(), ids
+	ev := &chaos.Evidence{
+		Dir:           t.g.Dir(),
+		FaultFree:     true,
+		LastEpoch:     t.lastEpochs,
+		IntervalStart: t.intervalStart,
 	}
-
-	// delivery: Theorems 1 and 2 over the last multicast's delivery
-	// log — every copy went to a current member, no member received a
-	// second copy, and a member forwarding at level l carried only
-	// encryptions relevant to its level-l subtree (forwarders
-	// legitimately hold more than their own path; off-subtree is the
-	// violation).
-	if t.lastRep != nil {
-		digits := t.g.Params().Digits
-		seen := make(map[string]bool)
-		for _, d := range t.lastRep.Deliveries {
-			if _, ok := t.g.Dir().Record(d.To); !ok {
-				vs = append(vs, fmt.Sprintf("delivery: copy to non-member %v", d.To))
-				continue
-			}
-			if seen[d.To.Key()] {
-				vs = append(vs, fmt.Sprintf("delivery: %v received a second copy (Theorem 1: at most one)", d.To))
-			}
-			seen[d.To.Key()] = true
-			level := d.Level
-			if level < 0 {
-				level = 0
-			}
-			if level > digits {
-				level = digits
-			}
-			w := d.To.Prefix(level)
-			for _, enc := range d.Encryptions {
-				if !enc.RelevantTo(w) {
-					vs = append(vs, fmt.Sprintf("delivery: %v forwarding at level %d received encryption for unrelated subtree %v", d.To, d.Level, enc.ID))
-				}
-			}
-		}
-	}
-
-	// coverage: Lemma 3 / Theorem 2 — every current member ends the
-	// interval holding the server's group key (multicast apply, leader
-	// unicast, or join-time path keys; the transport is reliable, so
-	// no ladder rung excuses a miss). In cluster mode the key reaches
-	// non-leaders only on the leader unicasts that follow a multicast,
-	// so on a cost-0 interval (joins absorbed into existing clusters)
-	// the old keys stand and the check waits for the next distribute —
-	// the same early-out the chaos coverage auditor takes when no
-	// churn reached the tree.
-	if t.g.Clusters() == nil || t.lastRep != nil {
-		serverGK, haveGK := t.g.ServerGroupKey()
-		if haveGK {
-			for _, id := range t.memberIDs() {
-				gk, ok := t.g.GroupKeyOf(id)
-				if !ok || !gk.Equal(serverGK) {
-					vs = append(vs, fmt.Sprintf("coverage: member %v does not hold the interval's group key", id))
-				}
-			}
-		} else if t.g.Size() > 0 {
-			vs = append(vs, "coverage: non-empty group has no server group key")
-		}
-	}
-
-	// cluster: Appendix B — unique live leaders with monotone epochs.
-	// Vacuously true outside cluster mode.
 	if m := t.g.Clusters(); m != nil {
-		for _, p := range m.Prefixes() {
-			rec, ok := m.Leader(p)
-			if !ok {
-				vs = append(vs, fmt.Sprintf("cluster: %v has no leader", p))
-				continue
-			}
-			if _, present := t.g.Dir().Record(rec.ID); !present {
-				vs = append(vs, fmt.Sprintf("cluster: leader %v of %v is not a member", rec.ID, p))
-			}
-			if ep, ok := m.Epoch(p); ok {
-				if last, seen := t.lastEpochs[p.Key()]; seen && ep < last {
-					vs = append(vs, fmt.Sprintf("cluster: epoch of %v went backwards (%d -> %d)", p, last, ep))
-				}
-				t.lastEpochs[p.Key()] = ep
+		ev.Clusters = m
+		tree, holders = m.Tree(), nil
+		for _, id := range ids {
+			if m.IsLeader(id) {
+				holders = append(holders, id)
 			}
 		}
 	}
-
-	// ladder: with a reliable transport the only delivery chains are
-	// the join-time unicasts — every member that keeps a keyring
-	// (all members, or the leaders in cluster mode) must actually
-	// have one; a nil keyring is a dangling chain.
-	for _, id := range t.memberIDs() {
-		if m := t.g.Clusters(); m != nil && !m.IsLeader(id) {
-			continue
+	if t.lastRep != nil {
+		ev.Hops = t.lastRep.Deliveries
+		copies := make(map[string]int, len(ids))
+		for _, d := range ev.Hops {
+			copies[d.To.Key()]++
 		}
-		if _, ok := t.g.KeyringOf(id); !ok {
-			vs = append(vs, fmt.Sprintf("ladder: member %v has no keyring", id))
+		for _, id := range ids {
+			ev.Copies = append(ev.Copies, chaos.Copy{ID: id, N: copies[id.Key()]})
 		}
 	}
-	return vs
+	// In cluster mode the group key reaches non-leaders only on the
+	// leader unicasts that follow a multicast, so on a cost-0 interval
+	// (joins absorbed into existing clusters) the old keys stand and
+	// there is nothing to compare until the next distribute.
+	if ev.Clusters == nil || t.lastRep != nil {
+		ev.Tree, ev.Keyed, ev.GroupKeyOf = tree, ids, t.g.GroupKeyOf
+	}
+	ev.Ladder = &chaos.Ladder{
+		Expected: holders,
+		RungOf: func(id ident.ID) (recovery.Rung, bool) {
+			_, ok := t.g.KeyringOf(id)
+			return recovery.ByUnicast, ok
+		},
+	}
+	return ev
 }
 
 // memberIDs returns the current membership in canonical ID order.
@@ -244,22 +191,11 @@ func (t *netTenant) memberIDs() []ident.ID {
 	return ids
 }
 
-func (t *netTenant) finish(gr *GroupReport) error {
+func (t *netTenant) finish(gr *GroupReport) {
 	gr.Joins, gr.Leaves = t.joins, t.leaves
 	gr.FinalMembers = t.g.Size()
-	d := newDigest()
-	if gk, ok := t.g.ServerGroupKey(); ok {
-		d.key("server", gk)
-	}
-	for _, id := range t.memberIDs() {
-		if gk, ok := t.g.GroupKeyOf(id); ok {
-			d.key(id.Key(), gk)
-		} else {
-			d.miss(id.Key())
-		}
-	}
-	gr.KeyringDigest = d.sum()
-	return nil
+	gk, ok := t.g.ServerGroupKey()
+	gr.KeyringDigest = core.KeyringDigest(gk, ok, t.memberIDs(), t.g.GroupKeyOf)
 }
 
 // ---------------------------------------------------------------------
@@ -267,12 +203,10 @@ func (t *netTenant) finish(gr *GroupReport) error {
 
 type keyTenant struct {
 	label  string
-	spec   GroupSpec
 	sched  *workload.Schedule
 	params ident.Params
-	tree   *keytree.Tree
-	store  *memberstate.Store
-	ap     *core.IndexedApplier
+	world  *core.KeyPlane
+	verify int // keyrings sampled per audit
 
 	cursor        int
 	pendingJoins  []int        // schedule host indices, arrival order
@@ -280,39 +214,37 @@ type keyTenant struct {
 	pendingLeaves []int
 	activeIdx     map[int]bool
 	joins, leaves int
-
-	// Per-flush state the auditors consume.
-	lastCost      int
-	lastUpdated   int64
-	lastSurvivors int
+	roster        []ident.ID // membership after the last flush, in ID order
 }
 
-func newKeyTenant(label string, spec GroupSpec, sched *workload.Schedule, hostSeed int64, reg *obs.Registry) (tenant, error) {
+// newKeyTenant builds the key-plane world for one group; seed is the
+// group's key-material seed, verify the keyrings sampled per audit (0
+// defaults to 64).
+func newKeyTenant(label string, verify int, sched *workload.Schedule, seed []byte, reg *obs.Registry) (*keyTenant, error) {
+	if verify <= 0 {
+		verify = 64
+	}
 	// Size a base-32 ID space to the schedule's host count: every
 	// schedule host index maps directly to ident.FromInt.
 	params := ident.Params{Digits: 1, Base: 32}
 	for capacity := 32; capacity < sched.Hosts; capacity *= 32 {
 		params.Digits++
 	}
-	seed := []byte(fmt.Sprintf("grouphost-%s-%d", label, groupSeed(hostSeed, label)))
-	tree, err := keytree.New(params, seed, keytree.Opts{
+	world, err := core.NewKeyPlane(params, seed, keytree.Opts{
 		RealCrypto:   true,
 		Obs:          reg,
 		CapacityHint: sched.Hosts,
 		Label:        label,
-	})
+	}, 0)
 	if err != nil {
 		return nil, err
 	}
-	store := memberstate.NewStoreSized(sched.Hosts)
 	return &keyTenant{
 		label:      label,
-		spec:       spec,
 		sched:      sched,
 		params:     params,
-		tree:       tree,
-		store:      store,
-		ap:         core.NewIndexedApplier(params, store, 0, label),
+		world:      world,
+		verify:     verify,
 		pendingSet: make(map[int]bool),
 		activeIdx:  make(map[int]bool, sched.Hosts),
 	}, nil
@@ -355,9 +287,8 @@ func (t *keyTenant) pump(until time.Duration) error {
 	return nil
 }
 
-// flush batches the pending churn through the tree, applies the rekey
-// message to every survivor through the indexed applier, and unicasts path
-// keys to the joiners — one flash-crowd interval is a single call.
+// flush rekeys the world over the pending churn — one flash-crowd
+// interval is a single call.
 func (t *keyTenant) flush() (int, error) {
 	joinIdx := t.pendingJoins[:0:0]
 	for _, i := range t.pendingJoins {
@@ -379,73 +310,27 @@ func (t *keyTenant) flush() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	for _, id := range leaves {
-		t.store.Remove(id)
-	}
-
-	// Survivors snapshot before the joins land: they apply the
-	// multicast message; joiners get join-time unicasts below.
+	// The survivors are the membership before the joins land (pump
+	// already dropped the leavers).
 	survivors, err := t.members()
 	if err != nil {
 		return 0, err
 	}
-	var plan *keytree.BatchPlan
-	obs.WithStage(t.label, "mark", func() {
-		plan, err = t.tree.Mark(joins, leaves)
-	})
-	if err != nil {
-		return 0, err
-	}
-	var msg *keytree.Message
-	obs.WithStage(t.label, "regen", func() {
-		msg, err = t.tree.Regenerate(plan, work.Width())
-	})
-	if err != nil {
-		return 0, err
-	}
-	var updated int64
-	obs.WithStage(t.label, "apply", func() {
-		updated, err = t.ap.Apply(msg, survivors)
-	})
-	if err != nil {
-		return 0, err
-	}
-	obs.WithStage(t.label, "deliver", func() {
-		err = t.deliverJoins(joins)
-	})
+	cost, _, err := t.world.Rekey(joins, leaves, survivors)
 	if err != nil {
 		return 0, err
 	}
 	for _, i := range joinIdx {
 		t.activeIdx[i] = true
 	}
-	t.lastCost = msg.Cost()
-	t.lastUpdated = updated
-	t.lastSurvivors = len(survivors)
-	return msg.Cost(), nil
-}
-
-// deliverJoins unicasts join-time path keys: the key plane's delivery
-// stage (there is no multicast transport in this profile).
-func (t *keyTenant) deliverJoins(joins []ident.ID) error {
-	for _, id := range joins {
-		path, err := t.tree.PathKeys(id)
-		if err != nil {
-			return err
-		}
-		kr, err := keytree.NewKeyring(t.params, id, path)
-		if err != nil {
-			return err
-		}
-		t.store.PutKeyring(id, kr)
-	}
-	return nil
+	t.roster, err = t.members()
+	return cost, err
 }
 
 func (t *keyTenant) idsOf(indices []int) ([]ident.ID, error) {
 	out := make([]ident.ID, len(indices))
 	for i, idx := range indices {
-		id, err := idFromIndex(t.params, idx)
+		id, err := ident.FromInt(t.params, idx)
 		if err != nil {
 			return nil, fmt.Errorf("schedule host %d: %w", idx, err)
 		}
@@ -465,87 +350,14 @@ func (t *keyTenant) members() ([]ident.ID, error) {
 	return t.idsOf(idx)
 }
 
-// audit checks the five invariants on the key plane. The overlay,
-// cluster heuristic, and recovery ladder do not exist in this profile,
-// so their checks pass vacuously (exactly like the chaos cluster
-// auditor over zero clusters); coverage — every keyring agreeing with
-// the server tree — is the real check at flash-crowd scale.
-func (t *keyTenant) audit() []string {
-	var vs []string
-	members, err := t.members()
-	if err != nil {
-		return []string{fmt.Sprintf("coverage: %v", err)}
-	}
-
-	// delivery: a non-trivial rekey over survivors must have installed
-	// keys (the indexed applier handing every survivor its path
-	// entries); zero installs would mean the multicast reached no one.
-	if t.lastCost > 0 && t.lastSurvivors > 0 && t.lastUpdated == 0 {
-		vs = append(vs, fmt.Sprintf("delivery: rekey of cost %d installed no keys across %d survivors", t.lastCost, t.lastSurvivors))
-	}
-
-	// coverage: sampled keyrings must match the server tree key-for-key
-	// and agree on the group key.
-	sample := t.spec.Verify
-	if sample <= 0 {
-		sample = 64
-	}
-	if v := chaos.VerifyKeyrings(t.tree, t.store, members, sample); v != "" {
-		vs = append(vs, "coverage: "+v)
-	}
-	if serverGK, ok := t.tree.GroupKey(); ok {
-		stride := len(members) / sample
-		if stride < 1 {
-			stride = 1
-		}
-		for i := 0; i < len(members); i += stride {
-			kr := t.store.Keyring(members[i])
-			if kr == nil {
-				continue // reported by the ladder check
-			}
-			gk, ok := kr.GroupKey()
-			if !ok || !gk.Equal(serverGK) {
-				vs = append(vs, fmt.Sprintf("coverage: member %v does not hold the group key", members[i]))
-			}
-		}
-	} else if len(members) > 0 {
-		vs = append(vs, "coverage: non-empty group has no server group key")
-	}
-
-	// ladder: every member's join-time unicast chain completed — a
-	// missing keyring is a dangling chain. (k-consistency and cluster
-	// have no state on this plane and pass vacuously.)
-	for _, id := range members {
-		if t.store.Keyring(id) == nil {
-			vs = append(vs, fmt.Sprintf("ladder: member %v has no keyring", id))
-		}
-	}
-	return vs
+// evidence is the key plane's: sampled keyrings against the server tree
+// (see chaos.KeyPlaneEvidence).
+func (t *keyTenant) evidence() *chaos.Evidence {
+	return chaos.KeyPlaneEvidence(t.world, t.roster, t.verify)
 }
 
-func (t *keyTenant) finish(gr *GroupReport) error {
+func (t *keyTenant) finish(gr *GroupReport) {
 	gr.Joins, gr.Leaves = t.joins, t.leaves
-	members, err := t.members()
-	if err != nil {
-		return err
-	}
-	gr.FinalMembers = len(members)
-	d := newDigest()
-	if gk, ok := t.tree.GroupKey(); ok {
-		d.key("server", gk)
-	}
-	for _, id := range members {
-		kr := t.store.Keyring(id)
-		if kr == nil {
-			d.miss(id.Key())
-			continue
-		}
-		if gk, ok := kr.GroupKey(); ok {
-			d.key(id.Key(), gk)
-		} else {
-			d.miss(id.Key())
-		}
-	}
-	gr.KeyringDigest = d.sum()
-	return nil
+	gr.FinalMembers = len(t.roster)
+	gr.KeyringDigest = t.world.Digest(t.roster)
 }

@@ -258,6 +258,18 @@ func (t *Tree) PathKeys(u ident.ID) ([]PathKey, error) {
 	return out, nil
 }
 
+// JoinKeyring builds the keyring u starts with: its current path keys,
+// as the key server's join-time unicast delivers them. Every driver that
+// plays a member (core.Group, the key plane, rekeyd.World) keys its
+// joiners through this one call.
+func (t *Tree) JoinKeyring(u ident.ID) (*Keyring, error) {
+	path, err := t.PathKeys(u)
+	if err != nil {
+		return nil, err
+	}
+	return NewKeyring(t.params, u, path)
+}
+
 func (t *Tree) deriveKey(label string, version uint64) keycrypt.Key {
 	return keycrypt.DeriveKey(t.seed, fmt.Sprintf("%s/v%d", label, version))
 }

@@ -413,10 +413,14 @@ type Server struct {
 	sh   *Shared
 	tree *keytree.Tree
 
-	ackMu   sync.Mutex
-	acked   map[uint64]map[string]recovery.Rung // interval -> member -> rung at ack
-	rungNow map[uint64]map[string]recovery.Rung // rung currently in flight
-	waiters map[uint64]map[string][]chan struct{}
+	// The ack ledger holds only intervals with a Distribute in flight;
+	// lastInterval is the newest one ever opened (the key tree numbers
+	// intervals from 1, strictly increasing).
+	ackMu        sync.Mutex
+	acked        map[uint64]map[string]recovery.Rung // interval -> member -> rung at ack
+	rungNow      map[uint64]map[string]recovery.Rung // rung currently in flight
+	waiters      map[uint64]map[string][]chan struct{}
+	lastInterval uint64
 
 	acks, unicasts, syncsSent, dead *obs.Counter
 }
@@ -459,7 +463,7 @@ func (s *Server) handle(from transport.PeerID, frame []byte) {
 	ledger, tracked := s.acked[interval]
 	if !tracked {
 		s.ackMu.Unlock()
-		return // an interval Distribute never opened (stale re-ack)
+		return // not an open interval (stale re-ack, or a late one)
 	}
 	if _, dup := ledger[key]; dup {
 		s.ackMu.Unlock()
@@ -532,10 +536,11 @@ func (s *Server) Distribute(msg *keytree.Message, expected []ident.ID) (*Result,
 	s.sh.PutIndex(msg.Interval, idx)
 
 	s.ackMu.Lock()
-	if _, dup := s.acked[msg.Interval]; dup {
+	if msg.Interval <= s.lastInterval {
 		s.ackMu.Unlock()
 		return nil, fmt.Errorf("rekeyd: interval %d already distributed", msg.Interval)
 	}
+	s.lastInterval = msg.Interval
 	s.acked[msg.Interval] = make(map[string]recovery.Rung, len(expected))
 	s.ackMu.Unlock()
 
@@ -586,12 +591,11 @@ func (s *Server) Distribute(msg *keytree.Message, expected []ident.ID) (*Result,
 	}
 	wg.Wait()
 
+	// Close the interval: the result takes the ledger, and acks that
+	// arrive from here on are dropped by handle as untracked.
 	s.ackMu.Lock()
-	res.RungOf = make(map[string]recovery.Rung, len(s.acked[msg.Interval]))
-	for k, r := range s.acked[msg.Interval] {
-		res.RungOf[k] = r
-	}
-	// Release the waiter bookkeeping for this interval.
+	res.RungOf = s.acked[msg.Interval]
+	delete(s.acked, msg.Interval)
 	delete(s.waiters, msg.Interval)
 	delete(s.rungNow, msg.Interval)
 	s.ackMu.Unlock()

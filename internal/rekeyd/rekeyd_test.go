@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tmesh/internal/ident"
+	"tmesh/internal/keytree"
 	"tmesh/internal/overlay"
 	"tmesh/internal/recovery"
 	"tmesh/internal/transport"
@@ -276,5 +277,40 @@ func TestLadderBackoffSchedule(t *testing.T) {
 	}
 	if got := c.backoff(500); got != c.RetryMax {
 		t.Fatalf("backoff(500) = %v, want RetryMax (overflow guard)", got)
+	}
+}
+
+// TestAckLedgerReleased pins the server's per-interval bookkeeping to
+// the intervals actually in flight: after every Distribute returns the
+// ledger, the rung table and the waiter table are empty (they used to
+// keep one N-entry map per interval forever), and re-distributing a
+// closed interval is still refused.
+func TestAckLedgerReleased(t *testing.T) {
+	w, err := NewWorld(testConfig("loopback", 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for i := 0; i < 50; i++ {
+		if _, err := w.Join(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Leave(w.Members()[0].ID()); err != nil {
+			t.Fatal(err)
+		}
+		res, err := w.Rekey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertConverged(t, w, res)
+		w.srv.ackMu.Lock()
+		open := len(w.srv.acked) + len(w.srv.rungNow) + len(w.srv.waiters)
+		w.srv.ackMu.Unlock()
+		if open != 0 {
+			t.Fatalf("interval %d: %d ledger entries still open after Distribute returned", res.Interval, open)
+		}
+		if _, err := w.srv.Distribute(&keytree.Message{Interval: res.Interval}, nil); err == nil {
+			t.Fatalf("interval %d distributed twice without an error", res.Interval)
+		}
 	}
 }

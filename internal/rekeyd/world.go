@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"time"
 
 	"tmesh/internal/ident"
@@ -101,9 +100,6 @@ type World struct {
 	members map[string]*Member
 	addrs   map[string]string // member key -> locator
 
-	killMu sync.Mutex
-	killed map[string]bool // temporarily killed (fault plan)
-
 	pendingJoins  []overlay.Record
 	pendingLeaves []ident.ID
 	pendingEvicts []ident.ID
@@ -141,7 +137,6 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		plan:    transport.NewFaultPlan(cfg.Seed),
 		members: make(map[string]*Member),
 		addrs:   make(map[string]string),
-		killed:  make(map[string]bool),
 		idRNG:   rand.New(rand.NewSource(cfg.Seed ^ 0x696473)), // "ids"
 	}
 	for h := 1; h < totalHosts; h++ {
@@ -295,17 +290,11 @@ func (w *World) Crash(id ident.ID) error {
 // ladder is in flight, is exactly the acceptance scenario.
 func (w *World) Kill(id ident.ID) {
 	w.plan.Kill(PeerOf(id))
-	w.killMu.Lock()
-	w.killed[id.Key()] = true
-	w.killMu.Unlock()
 }
 
 // Restore lifts a Kill. Safe to call concurrently with Rekey, like Kill.
 func (w *World) Restore(id ident.ID) {
 	w.plan.Restore(PeerOf(id))
-	w.killMu.Lock()
-	delete(w.killed, id.Key())
-	w.killMu.Unlock()
 }
 
 // IsKilled reports whether a member is currently dark (killed or
@@ -317,11 +306,7 @@ func (w *World) IsKilled(id ident.ID) bool { return w.plan.Killed(PeerOf(id)) }
 // addMember spins up the node for a directory record: endpoint, path
 // keys from the (already regenerated) tree, full-mesh peer exchange.
 func (w *World) addMember(rec overlay.Record, appliedInterval uint64) error {
-	path, err := w.tree.PathKeys(rec.ID)
-	if err != nil {
-		return err
-	}
-	kr, err := keytree.NewKeyring(w.cfg.Params, rec.ID, path)
+	kr, err := w.tree.JoinKeyring(rec.ID)
 	if err != nil {
 		return err
 	}
@@ -355,9 +340,6 @@ func (w *World) dropMember(id ident.ID) {
 	}
 	delete(w.members, key)
 	delete(w.addrs, key)
-	w.killMu.Lock()
-	delete(w.killed, key)
-	w.killMu.Unlock()
 	// Lift any standing Kill: the peer ID dies with the member, and a
 	// future joiner that happens to draw the same ID must not inherit
 	// the blackout.

@@ -411,3 +411,29 @@ func TestRekeyOptionDefaults(t *testing.T) {
 		}
 	}
 }
+
+// TestIndexSplitAllocatesNothing is the hot-path gate: once a rekey's
+// split decisions are compiled, every forwarding hop is a lookup that
+// returns a shared slice, so Split over any subtree of the member tree
+// — present in the message or not — must not allocate.
+func TestIndexSplitAllocatesNothing(t *testing.T) {
+	params := ident.Params{Digits: 4, Base: 4}
+	tree, encs := randSplitWorld(t, rand.New(rand.NewSource(7)), params, 120, 60)
+	ix := NewIndex(tree, encs, 2)
+	var subtrees []ident.Prefix
+	tree.Walk(func(p ident.Prefix, _ int) bool {
+		subtrees = append(subtrees, p)
+		return true
+	})
+	sink, i := 0, 0
+	allocs := testing.AllocsPerRun(4*len(subtrees), func() {
+		sink += len(ix.Split(encs, subtrees[i%len(subtrees)]))
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("Index.Split allocates %.2f times per hop, want 0", allocs)
+	}
+	if sink == 0 {
+		t.Error("every split came back empty: the index was not exercised")
+	}
+}
