@@ -3,7 +3,8 @@ FUZZTIME ?= 5s
 
 .PHONY: ci build vet test race bench bench-harness loc soak-short soak-transport soak-metrics soak-scale soak-multigroup soak-slo trace-audit fuzz
 
-# ci is the full verification gate: static checks, the race detector
+# ci is the full verification gate: static checks, the line budget
+# (`loc`), the race detector
 # over the whole tree (the parallel experiment harness in internal/exp
 # and the SPT cache in internal/vnet have concurrency tests that only
 # bite under -race; the chaos soak acceptance tests run here too), the
@@ -17,7 +18,7 @@ FUZZTIME ?= 5s
 # hop filter allocates nothing: split.TestIndexSplitAllocatesNothing) and
 # the memory gate (resident bytes/member of a built world:
 # chaos.TestMemberFootprintBudget) are ordinary tests inside `race`.
-ci: vet race soak-transport fuzz trace-audit soak-scale soak-multigroup soak-slo bench-harness
+ci: vet loc race soak-transport fuzz trace-audit soak-scale soak-multigroup soak-slo bench-harness
 
 build:
 	$(GO) build ./...
@@ -90,11 +91,20 @@ bench-harness:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # loc prints non-test Go lines per package under internal/ and cmd/,
-# and their total — the number CHANGES.md quotes for net-negative PRs.
+# and their total — the number CHANGES.md quotes for net-negative PRs —
+# and fails when the tree has outgrown LOC_BUDGET: the ceilings on
+# internal/transport + internal/rekeyd and on the total, in that order,
+# that the last simplicity PR reached. A PR that must grow past one
+# raises it here, in the open, next to its CHANGES.md line.
+LOC_BUDGET ?= 2550 21750
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs wc -l | \
-		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
-		     END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
+		awk -v budget="$(LOC_BUDGET)" \
+		    '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		     END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
+		           printf "%6d total\n", t; s = n["internal/transport"] + n["internal/rekeyd"]; \
+		           split(budget, b, " "); if (s > b[1] || t > b[2]) { \
+		               printf "loc: over LOC_BUDGET: transport+rekeyd %d (budget %d), total %d (budget %d)\n", s, b[1], t, b[2]; exit 1 } }'
 
 # soak-scale is the in-memory million-member ladder: a N=100k scale
 # soak (flat keytree + rank-indexed member store + streaming

@@ -66,69 +66,69 @@ func BenchmarkFig08RekeyLatencyGTITM1024(b *testing.B) {
 
 // --- Sequential-vs-parallel pairs for the run-level fan-out ---
 //
-// Compare with `go test -bench 'Fig0[68].*Runs' -benchtime=1x`. The
-// parallel variants first assert that a reduced-size parallel execution
-// reproduces the sequential series exactly, then time the full
-// configuration. Speedup requires GOMAXPROCS > 1; at GOMAXPROCS = 1 the
-// pairs should time within noise of each other.
+// Compare with `go test -bench 'Fig0[68].*Runs' -benchtime=1x`. Width is
+// GOMAXPROCS (internal/work), so the sequential variants pin it to 1 and
+// the parallel ones to 8 for the timed section. The parallel variants
+// first assert that a reduced-size execution reproduces the sequential
+// series exactly. Speedup requires more than one CPU.
 
-func fig06RunsConfig(parallel int) exp.LatencyConfig {
+func fig06RunsConfig() exp.LatencyConfig {
 	return exp.LatencyConfig{
 		Topology: exp.PlanetLab, Joins: 48, Runs: 100, Points: 10,
-		Assign: benchAssign(), Parallel: parallel,
+		Assign: benchAssign(),
 	}
 }
 
-func fig08RunsConfig(parallel int) exp.LatencyConfig {
+func fig08RunsConfig() exp.LatencyConfig {
 	return exp.LatencyConfig{
 		Topology: exp.GTITM, Joins: 96, Runs: 8, Points: 10,
-		Assign: benchAssign(), Parallel: parallel,
+		Assign: benchAssign(),
 	}
+}
+
+// benchLatencyAt times cfg with the fan-out width pinned to procs.
+func benchLatencyAt(b *testing.B, procs int, cfg exp.LatencyConfig) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	benchLatency(b, cfg)
 }
 
 // assertParallelMatchesSequential verifies the determinism guarantee on
 // a reduced run count before the timed section starts.
 func assertParallelMatchesSequential(b *testing.B, cfg exp.LatencyConfig) {
 	b.Helper()
-	seq := cfg
-	seq.Runs = 8
-	seq.Parallel = 1
-	seq.Seed = 1
-	par := seq
-	par.Parallel = runtime.GOMAXPROCS(0)
-	want, err := exp.RunLatency(seq)
-	if err != nil {
-		b.Fatal(err)
+	cfg.Runs = 8
+	cfg.Seed = 1
+	at := func(procs int) *exp.LatencyResult {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		res, err := exp.RunLatency(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
 	}
-	got, err := exp.RunLatency(par)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !reflect.DeepEqual(want.Series, got.Series) {
+	if !reflect.DeepEqual(at(1).Series, at(8).Series) {
 		b.Fatal("parallel series differ from sequential output")
 	}
 }
 
 func BenchmarkFig06Sequential100Runs(b *testing.B) {
-	benchLatency(b, fig06RunsConfig(1))
+	benchLatencyAt(b, 1, fig06RunsConfig())
 }
 
 func BenchmarkFig06Parallel100Runs(b *testing.B) {
-	cfg := fig06RunsConfig(runtime.GOMAXPROCS(0))
-	assertParallelMatchesSequential(b, cfg)
+	assertParallelMatchesSequential(b, fig06RunsConfig())
 	b.ResetTimer()
-	benchLatency(b, cfg)
+	benchLatencyAt(b, 8, fig06RunsConfig())
 }
 
 func BenchmarkFig08Sequential8Runs(b *testing.B) {
-	benchLatency(b, fig08RunsConfig(1))
+	benchLatencyAt(b, 1, fig08RunsConfig())
 }
 
 func BenchmarkFig08Parallel8Runs(b *testing.B) {
-	cfg := fig08RunsConfig(runtime.GOMAXPROCS(0))
-	assertParallelMatchesSequential(b, cfg)
+	assertParallelMatchesSequential(b, fig08RunsConfig())
 	b.ResetTimer()
-	benchLatency(b, cfg)
+	benchLatencyAt(b, 8, fig08RunsConfig())
 }
 
 func BenchmarkFig09DataLatencyPlanetLab(b *testing.B) {

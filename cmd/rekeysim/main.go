@@ -58,7 +58,6 @@ func run(args []string) int {
 		scale    = fs.Float64("scale", 1, "shrink factor: group sizes and runs are multiplied by this")
 		runs     = fs.Int("runs", 0, "override the per-figure default number of runs")
 		points   = fs.Int("points", 20, "inverse-CDF points per curve")
-		parallel = fs.Int("parallel", 0, "max concurrent simulation runs; 0 = GOMAXPROCS, 1 = sequential (output is identical either way)")
 		progress = fs.Bool("progress", false, "report per-run wall-clock times on stderr as runs complete")
 
 		soak          = fs.Bool("soak", false, "run the deterministic chaos soak (internal/chaos) instead of an experiment")
@@ -125,8 +124,7 @@ func run(args []string) int {
 	}
 	if *pprofAddr != "" {
 		if err := startPprof(*pprofAddr); err != nil {
-			fmt.Fprintln(os.Stderr, "rekeysim:", err)
-			return 1
+			return fail(err, 1)
 		}
 	}
 	if *daemon {
@@ -171,15 +169,17 @@ func run(args []string) int {
 		fs.Usage()
 		return 2
 	}
-	// -parallel applies to every experiment, including the runners that
-	// take no explicit config (threshold sweep, GNP comparison).
-	exp.SetDefaultParallelism(*parallel)
-	r := runner{seed: *seed, scale: *scale, runsOverride: *runs, points: *points, parallel: *parallel, progress: *progress}
+	r := runner{seed: *seed, scale: *scale, runsOverride: *runs, points: *points, progress: *progress}
 	if err := r.dispatch(fs.Arg(0)); err != nil {
-		fmt.Fprintln(os.Stderr, "rekeysim:", err)
-		return 1
+		return fail(err, 1)
 	}
 	return 0
+}
+
+// fail reports a fatal error on stderr and returns the exit code.
+func fail(err error, code int) int {
+	fmt.Fprintln(os.Stderr, "rekeysim:", err)
+	return code
 }
 
 // mode is what one invocation runs; every mode-specific flag names the
@@ -276,6 +276,45 @@ type metricsEvent struct {
 	Snapshot obs.Snapshot `json:"snapshot"`
 }
 
+// sinkFile is one JSONL stream a soak writes (-metrics-out,
+// -trace-out): the file and the sink over it. The zero value is a
+// stream that is off — its nil Sink swallows every Emit.
+type sinkFile struct {
+	what string // names the stream in error messages
+	file *os.File
+	*obs.Sink
+}
+
+// openSink creates path and wraps it; an empty path is the off stream.
+func openSink(what, path string) (sinkFile, error) {
+	if path == "" {
+		return sinkFile{}, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return sinkFile{}, err
+	}
+	return sinkFile{what: what, file: f, Sink: obs.NewSink(f)}, nil
+}
+
+// finish closes the stream and folds its health into the exit code: a
+// record that could not be written, or a close that failed, turns a
+// green soak red rather than silently dropping telemetry.
+func (s sinkFile) finish(code int) int {
+	if s.file == nil {
+		return code
+	}
+	if err := s.Err(); err != nil {
+		fmt.Fprintf(os.Stderr, "rekeysim: %s sink: %v\n", s.what, err)
+		code = 1
+	}
+	if err := s.file.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "rekeysim: %s file: %v\n", s.what, err)
+		code = 1
+	}
+	return code
+}
+
 // runDaemon drives the socket soak: rekeyd nodes exchanging wire
 // frames over real transport endpoints, walking the chaos fault ladder
 // with the five paper-invariant auditors. -transport=sim falls back to
@@ -300,8 +339,7 @@ func runDaemon(seed int64, kind, listen string, members, intervals int, withObs 
 	}
 	rep, err := chaos.RunSocketSoak(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rekeysim:", err)
-		return 1
+		return fail(err, 1)
 	}
 	fmt.Print(rep.String())
 	if withObs {
@@ -348,8 +386,7 @@ func runScaleSoak(seed int64, n, churn, intervals int) int {
 	cfg.Out = os.Stderr
 	rep, err := chaos.RunScaleSoak(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rekeysim:", err)
-		return 2
+		return fail(err, 2)
 	}
 	fmt.Print(rep.String())
 	fmt.Fprintf(os.Stderr, "scale soak heap: %d MB live, %.1f bytes/member\n",
@@ -391,25 +428,17 @@ func runMultiGroupSoak(seed int64, groups, flashJoins, massChurn, intervals int,
 			Out:     out,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "rekeysim:", err)
-			return nil, 2
+			return nil, fail(err, 2)
 		}
 		return rep, 0
 	}
 	mainObs := obs.New()
 	activeObs.Store(mainObs)
-	var sink *obs.Sink
-	var metricsFile *os.File
-	if metricsOut != "" {
-		f, err := os.Create(metricsOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rekeysim:", err)
-			return 2
-		}
-		metricsFile = f
-		sink = obs.NewSink(f)
+	metrics, err := openSink("metrics", metricsOut)
+	if err != nil {
+		return fail(err, 2)
 	}
-	rep, code := run(os.Stderr, mainObs, sink)
+	rep, code := run(os.Stderr, mainObs, metrics.Sink)
 	if code != 0 {
 		return code
 	}
@@ -444,18 +473,8 @@ func runMultiGroupSoak(seed int64, groups, flashJoins, massChurn, intervals int,
 		fmt.Fprintf(os.Stderr, "rekeysim: %d SLO page verdicts across tenants\n", pages)
 		code = 1
 	}
-	if metricsFile != nil {
-		sink.Emit(metricsEvent{Kind: "metrics", Snapshot: mainObs.Snapshot()})
-		if err := sink.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, "rekeysim: metrics sink:", err)
-			code = 1
-		}
-		if err := metricsFile.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "rekeysim: metrics file:", err)
-			code = 1
-		}
-	}
-	return code
+	metrics.Emit(metricsEvent{Kind: "metrics", Snapshot: mainObs.Snapshot()})
+	return metrics.finish(code)
 }
 
 // buildTenancy lays out the soak's G groups: one flash crowd and one
@@ -521,45 +540,27 @@ func runSoak(seed int64, intervals, members int, loss float64, metricsOut, trace
 		cfg.HopLoss = loss
 	}
 
-	var sink *obs.Sink
-	var metricsFile *os.File
 	if metricsOut != "" || withObs {
 		cfg.Obs = obs.New()
 		activeObs.Store(cfg.Obs)
 	}
-	if metricsOut != "" {
-		f, err := os.Create(metricsOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rekeysim:", err)
-			return 2
-		}
-		metricsFile = f
-		sink = obs.NewSink(f)
-		cfg.Sink = sink
+	metrics, err := openSink("metrics", metricsOut)
+	if err != nil {
+		return fail(err, 2)
 	}
-	var traceSink *obs.Sink
-	var traceFile *os.File
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rekeysim:", err)
-			return 2
-		}
-		traceFile = f
-		traceSink = obs.NewSink(f)
-		cfg.TraceSink = traceSink
-		cfg.TraceSample = traceSample
+	trace, err := openSink("trace", traceOut)
+	if err != nil {
+		return fail(err, 2)
 	}
+	cfg.Sink, cfg.TraceSink, cfg.TraceSample = metrics.Sink, trace.Sink, traceSample
 
 	e, err := chaos.New(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rekeysim:", err)
-		return 2
+		return fail(err, 2)
 	}
 	rep, err := e.Run()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rekeysim:", err)
-		return 1
+		return fail(err, 1)
 	}
 	fmt.Print(rep.String())
 
@@ -567,28 +568,8 @@ func runSoak(seed int64, intervals, members int, loss float64, metricsOut, trace
 	if rep.TotalViolations() > 0 {
 		code = 1
 	}
-	if metricsFile != nil {
-		sink.Emit(metricsEvent{Kind: "metrics", Snapshot: cfg.Obs.Snapshot()})
-		if err := sink.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, "rekeysim: metrics sink:", err)
-			code = 1
-		}
-		if err := metricsFile.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "rekeysim: metrics file:", err)
-			code = 1
-		}
-	}
-	if traceFile != nil {
-		if err := traceSink.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, "rekeysim: trace sink:", err)
-			code = 1
-		}
-		if err := traceFile.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "rekeysim: trace file:", err)
-			code = 1
-		}
-	}
-	return code
+	metrics.Emit(metricsEvent{Kind: "metrics", Snapshot: cfg.Obs.Snapshot()})
+	return trace.finish(metrics.finish(code))
 }
 
 type runner struct {
@@ -596,7 +577,6 @@ type runner struct {
 	scale        float64
 	runsOverride int
 	points       int
-	parallel     int
 	progress     bool
 }
 
@@ -683,7 +663,6 @@ func (r runner) dispatch(name string) error {
 
 func (r runner) latency(title string, cfg exp.LatencyConfig) error {
 	fmt.Println("#", title)
-	cfg.Parallel = r.parallel
 	cfg.Progress = r.progressFn(title)
 	res, err := exp.RunLatency(cfg)
 	if err != nil {
@@ -719,7 +698,7 @@ func (r runner) fig12() error {
 	fmt.Printf("# Fig 12: rekey cost vs (J, L), N=%d, modified / original / cluster-heuristic key trees\n", n)
 	cells, err := exp.RunRekeyCost(exp.RekeyCostConfig{
 		N: n, JValues: grid, LValues: grid, Runs: r.runs(20), Seed: r.seed,
-		Parallel: r.parallel, Progress: r.progressFn("fig12"),
+		Progress: r.progressFn("fig12"),
 	})
 	if err != nil {
 		return err
@@ -739,7 +718,7 @@ func (r runner) fig13() error {
 	fmt.Printf("# Fig 13: rekey bandwidth overhead, GT-ITM, N=%d + %d joins + %d leaves in one interval\n", n, churn, churn)
 	reports, err := exp.RunBandwidth(exp.BandwidthConfig{
 		N: n, ChurnJoins: churn, ChurnLeaves: churn, Seed: r.seed,
-		Parallel: r.parallel, Progress: r.progressFn("fig13"),
+		Progress: r.progressFn("fig13"),
 	})
 	if err != nil {
 		return err
@@ -795,7 +774,6 @@ func (r runner) ablation() error {
 	fmt.Printf("# Ablation (Sec 2.6): topology-aware vs scrambled host-to-ID mapping, N=%d, same key tree\n", n)
 	reports, err := exp.RunIDAblation(exp.AblationConfig{
 		N: n, ChurnJoins: churn, ChurnLeaves: churn, Seed: r.seed,
-		Parallel: r.parallel,
 	})
 	if err != nil {
 		return err
@@ -813,7 +791,7 @@ func (r runner) packets() error {
 	n := r.n(512)
 	fmt.Printf("# Ablation (Sec 2.5): encryption-level vs packet-level splitting, N=%d, %d leaves\n", n, n/4)
 	points, err := exp.RunPacketSweep(exp.AblationConfig{
-		N: n, ChurnLeaves: n / 4, Seed: r.seed, Parallel: r.parallel,
+		N: n, ChurnLeaves: n / 4, Seed: r.seed,
 	}, []int{2, 5, 10, 25, 50, 100})
 	if err != nil {
 		return err
@@ -832,7 +810,7 @@ func (r runner) packets() error {
 func (r runner) loss() error {
 	n := r.n(512)
 	fmt.Printf("# Unicast recovery under multicast loss (footnote 1 / [31]), N=%d, %d leaves\n", n, n/8)
-	points, err := exp.RunLossSweep(exp.AblationConfig{N: n, Seed: r.seed, Parallel: r.parallel},
+	points, err := exp.RunLossSweep(exp.AblationConfig{N: n, Seed: r.seed},
 		[]float64{0, 0.01, 0.02, 0.05, 0.10, 0.20})
 	if err != nil {
 		return err
@@ -872,7 +850,6 @@ func (r runner) congestion() error {
 		Frames:               15,
 		FrameSpacing:         250 * time.Millisecond,
 		Seed:                 r.seed,
-		Parallel:             r.parallel,
 	})
 	if err != nil {
 		return err

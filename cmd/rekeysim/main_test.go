@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -126,6 +127,53 @@ func TestRunTinyExperiments(t *testing.T) {
 			t.Errorf("run(%s) = %d, want 0", exp, got)
 		}
 	}
+}
+
+// TestFigureGoldens pins the experiment runners' output: each small
+// figure at -scale 0.1 -seed 1 must reproduce, byte for byte and at
+// either fan-out width, the TSV a build of the commit before the
+// runners joined work.Run printed (testdata/golden-*.tsv).
+func TestFigureGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI smoke test")
+	}
+	for _, fig := range []string{"packets", "loss", "congestion", "ablation", "joincost", "gnp", "fig7", "fig13"} {
+		want, err := os.ReadFile(filepath.Join("testdata", "golden-"+fig+".tsv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{1, 4} {
+			got := captureStdout(t, func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				if code := run([]string{"-scale", "0.1", "-seed", "1", fig}); code != 0 {
+					t.Errorf("run(%s) = %d, want 0", fig, code)
+				}
+			})
+			if got != string(want) {
+				t.Errorf("%s at GOMAXPROCS %d drifted from its golden:\n--- got ---\n%s--- want ---\n%s", fig, procs, got, want)
+			}
+		}
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected to a file and returns
+// what it printed.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stdout := os.Stdout
+	os.Stdout = f
+	defer func() { os.Stdout = stdout }()
+	fn()
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }
 
 // TestRunDaemonSmoke drives the socket daemon soak through the CLI

@@ -90,10 +90,11 @@ type Config struct {
 	PingInterval time.Duration
 	Misses       int
 
-	// Degradation ladder (recovery.LadderConfig).
-	Timeout, RetryBase, RetryMax time.Duration
-	RetryBudget                  int
-	Mode                         split.Mode
+	// Degradation ladder: the schedule (the simulator's resync is the
+	// reliable one-shot, so ResyncBudget stays 0) and the split mode of
+	// the multicast rung.
+	recovery.Policy
+	Mode split.Mode
 
 	// FullSweepEvery runs the O(N·D·B) full consistency sweep every
 	// k-th interval on top of the scoped per-churn checks (0 disables;
@@ -147,24 +148,18 @@ func DefaultConfig(seed int64) Config {
 		SpikeFactor:    3,
 		PingInterval:   2 * time.Second,
 		Misses:         2,
-		Timeout:        1500 * time.Millisecond,
-		RetryBase:      200 * time.Millisecond,
-		RetryMax:       time.Second,
-		RetryBudget:    3,
+		Policy: recovery.Policy{
+			Timeout:     1500 * time.Millisecond,
+			RetryBase:   200 * time.Millisecond,
+			RetryMax:    time.Second,
+			RetryBudget: 3,
+		},
 		// The paper's splitting scheme is the thing under test: run the
 		// ladder's multicast rung with per-encryption splitting so the
 		// Theorem 2 trace audit has real split decisions to check.
 		Mode:           split.PerEncryption,
 		FullSweepEvery: 5,
-		Topology: vnet.GTITMConfig{
-			TransitDomains:   2,
-			TransitPerDomain: 2,
-			StubsPerTransit:  2,
-			TotalRouters:     120,
-			TotalLinks:       300,
-			AccessDelayMin:   time.Millisecond,
-			AccessDelayMax:   3 * time.Millisecond,
-		},
+		Topology:       vnet.SoakGTITMConfig(),
 	}
 }
 
@@ -221,9 +216,10 @@ func (c Config) validate() error {
 		return fmt.Errorf("chaos: IntervalLength %v too short for detection (worst case %v after churn window)",
 			c.IntervalLength, worstDetect)
 	}
-	// The ladder's worst chain (timeout, all backoffs, resync) must fit
-	// between the rekey point and the audit.
-	ladderWorst := c.Timeout + time.Duration(c.RetryBudget)*c.RetryMax + time.Second
+	// The ladder's worst chain must fit between the rekey point and the
+	// audit: every wait of the schedule, plus a second for the delivery
+	// legs (the last unicast's and the resync's round trips).
+	ladderWorst := c.Worst() + time.Second
 	if frac(c.IntervalLength, phaseRekey)+ladderWorst >= c.IntervalLength {
 		return fmt.Errorf("chaos: IntervalLength %v too short for the recovery ladder (worst chain %v)",
 			c.IntervalLength, ladderWorst)
@@ -847,10 +843,7 @@ func (e *Engine) doRekey(now time.Duration, stats *IntervalStats, fail func(erro
 			Mode:         e.cfg.Mode,
 			DropHop:      e.dropHop,
 			Alive:        e.mon.Alive,
-			Timeout:      e.cfg.Timeout,
-			RetryBase:    e.cfg.RetryBase,
-			RetryMax:     e.cfg.RetryMax,
-			RetryBudget:  e.cfg.RetryBudget,
+			Policy:       e.cfg.Policy,
 			DropUnicast:  e.dropUnicast,
 			Obs:          e.cfg.Obs,
 			ProfileLabel: e.profLabel,
@@ -925,8 +918,23 @@ func (e *Engine) doAudit(now time.Duration, idx int, stats *IntervalStats) {
 	stats.KeyByMulticast = counts.ByRung[recovery.ByMulticast]
 	stats.KeyByUnicast = counts.ByRung[recovery.ByUnicast]
 	stats.KeyByResync = counts.ByRung[recovery.ByResync]
+	stats.LadderRung = "none"
+	switch {
+	case stats.KeyByResync > 0:
+		stats.LadderRung = "resync"
+	case stats.KeyByUnicast > 0:
+		stats.LadderRung = "unicast"
+	case stats.KeyByMulticast > 0:
+		stats.LadderRung = "multicast"
+	}
 	if lr := e.curLadder; lr != nil {
 		stats.UnicastAttempts, stats.Retries, stats.MaxBackoff = lr.UnicastAttempts, lr.Retries, lr.MaxBackoff
+		stats.DeadInFlight = len(lr.DeadInFlight)
+		if lr.Multicast != nil {
+			for _, st := range lr.Multicast.Users {
+				stats.ForwardedEncs += st.UnitsForwarded
+			}
+		}
 	}
 	verdicts := make([]auditVerdict, len(results))
 	for i, r := range results {
@@ -937,9 +945,9 @@ func (e *Engine) doAudit(now time.Duration, idx int, stats *IntervalStats) {
 	}
 	auditSpan.End()
 
-	// Emit the interval record while the interval's live state is still
-	// around; the fields are all deterministic (see intervalEvent).
-	e.emitInterval(stats, verdicts)
+	if e.cfg.Sink != nil {
+		e.cfg.Sink.Emit(intervalEvent{Kind: "interval", IntervalStats: *stats, Audits: verdicts})
+	}
 
 	// Close the interval's flight-recorder traces with the survivor set
 	// each delivery guarantee applies to — the same sets the delivery
@@ -1074,80 +1082,10 @@ type auditVerdict struct {
 	Violation string `json:"violation,omitempty"`
 }
 
-// intervalEvent is the JSONL record of one audited interval. Every
-// field is derived from the deterministic simulation (counts, virtual
-// times, audit verdicts) — wall-clock durations stay in the registry,
-// so seed-identical soaks emit byte-identical streams.
+// intervalEvent is the JSONL record of one audited interval: the
+// interval's stats, tagged and followed by the per-auditor verdicts.
 type intervalEvent struct {
-	Kind            string         `json:"kind"` // always "interval"
-	Interval        int            `json:"interval"`
-	Members         int            `json:"members"`
-	Joins           int            `json:"joins"`
-	Leaves          int            `json:"leaves"`
-	Crashes         int            `json:"crashes"`
-	LeaderKills     int            `json:"leader_kills"`
-	Burst           bool           `json:"burst,omitempty"`
-	PartitionDomain int            `json:"partition_domain"`
-	Spike           bool           `json:"spike,omitempty"`
-	RekeyCost       int            `json:"rekey_cost"`
-	DataDelivered   int            `json:"data_delivered"`
-	DataLost        int            `json:"data_lost"`
-	KeyByMulticast  int            `json:"key_by_multicast"`
-	KeyByUnicast    int            `json:"key_by_unicast"`
-	KeyByResync     int            `json:"key_by_resync"`
-	UnicastAttempts int            `json:"unicast_attempts"`
-	Retries         int            `json:"retries"`
-	DeadInFlight    int            `json:"dead_in_flight"`
-	MaxBackoffNS    int64          `json:"max_backoff_ns"`
-	LadderRung      string         `json:"ladder_rung"` // deepest rung reached
-	ForwardedEncs   int            `json:"forwarded_encryptions"`
-	Audits          []auditVerdict `json:"audits"`
-}
-
-// emitInterval writes one interval record to the configured sink. Call
-// it before the per-interval state resets; no-op when Sink is nil.
-func (e *Engine) emitInterval(stats *IntervalStats, verdicts []auditVerdict) {
-	if e.cfg.Sink == nil {
-		return
-	}
-	ev := intervalEvent{
-		Kind:            "interval",
-		Interval:        stats.Index,
-		Members:         stats.Members,
-		Joins:           stats.Joins,
-		Leaves:          stats.Leaves,
-		Crashes:         stats.Crashes,
-		LeaderKills:     stats.LeaderKills,
-		Burst:           stats.Burst,
-		PartitionDomain: stats.PartitionDomain,
-		Spike:           stats.Spike,
-		RekeyCost:       stats.RekeyCost,
-		DataDelivered:   stats.DataDelivered,
-		DataLost:        stats.DataLost,
-		KeyByMulticast:  stats.KeyByMulticast,
-		KeyByUnicast:    stats.KeyByUnicast,
-		KeyByResync:     stats.KeyByResync,
-		UnicastAttempts: stats.UnicastAttempts,
-		Retries:         stats.Retries,
-		MaxBackoffNS:    int64(stats.MaxBackoff),
-		LadderRung:      "none",
-		Audits:          verdicts,
-	}
-	switch {
-	case stats.KeyByResync > 0:
-		ev.LadderRung = "resync"
-	case stats.KeyByUnicast > 0:
-		ev.LadderRung = "unicast"
-	case stats.KeyByMulticast > 0:
-		ev.LadderRung = "multicast"
-	}
-	if lr := e.curLadder; lr != nil {
-		ev.DeadInFlight = len(lr.DeadInFlight)
-		if lr.Multicast != nil {
-			for _, st := range lr.Multicast.Users {
-				ev.ForwardedEncs += st.UnitsForwarded
-			}
-		}
-	}
-	e.cfg.Sink.Emit(ev)
+	Kind string `json:"kind"` // always "interval"
+	IntervalStats
+	Audits []auditVerdict `json:"audits"`
 }

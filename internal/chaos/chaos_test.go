@@ -124,7 +124,9 @@ func TestSoakConfigValidation(t *testing.T) {
 		func(c *Config) { c.K = 0 },
 		func(c *Config) { c.HopLoss = 1 },
 		func(c *Config) { c.IntervalLength = time.Second }, // detection cannot fit
-		func(c *Config) { c.RetryMax = 20 * time.Second },  // ladder cannot fit
+		// The ladder cannot fit. (RetryMax alone at 20 s does fit: three
+		// backoffs from a 200 ms base never reach the cap.)
+		func(c *Config) { c.RetryBase, c.RetryMax = 20*time.Second, 20*time.Second },
 		func(c *Config) { c.SpikeFactor = 0.5 },
 	}
 	for i, mutate := range bad {

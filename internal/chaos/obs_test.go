@@ -3,6 +3,7 @@ package chaos
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
@@ -107,10 +108,10 @@ func TestSoakSinkStreamDeterministic(t *testing.T) {
 			if err := json.Unmarshal([]byte(line), &ev); err != nil {
 				t.Fatalf("line %d: %v", i+1, err)
 			}
-			if ev.Interval <= lastInterval {
-				t.Errorf("line %d: interval %d not strictly after %d", i+1, ev.Interval, lastInterval)
+			if ev.Index <= lastInterval {
+				t.Errorf("line %d: interval %d not strictly after %d", i+1, ev.Index, lastInterval)
 			}
-			lastInterval = ev.Interval
+			lastInterval = ev.Index
 			intervals++
 		case "slo":
 			var ev struct {
@@ -143,5 +144,28 @@ func TestSoakSinkStreamDeterministic(t *testing.T) {
 	}
 	if slos != want {
 		t.Errorf("got %d slo records, want %d", slos, want)
+	}
+}
+
+// TestIntervalRecordGolden pins the -metrics-out interval record byte
+// for byte — field names, order, omitted-when-false flags, nanosecond
+// durations — against the first record of `rekeysim -soak -seed 1
+// -soak-intervals 6 -soak-members 100 -metrics-out` as emitted before
+// IntervalStats carried the JSON tags itself.
+func TestIntervalRecordGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/interval1.golden.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(1)
+	cfg.Intervals = 6
+	cfg.InitialMembers = 100
+	cfg.Obs = obs.New()
+	var buf bytes.Buffer
+	cfg.Sink = obs.NewSink(&buf)
+	runSoak(t, cfg)
+	got, _, _ := strings.Cut(buf.String(), "\n")
+	if got+"\n" != string(want) {
+		t.Errorf("first interval record drifted:\n got %s\nwant %s", got, want)
 	}
 }

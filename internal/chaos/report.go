@@ -8,30 +8,47 @@ import (
 	"tmesh/internal/metrics"
 )
 
-// IntervalStats is the audited record of one rekey interval.
+// IntervalStats is the audited record of one rekey interval, and — in
+// field order, under the JSON names below — the body of the interval's
+// -metrics-out record. Every field is derived from the deterministic
+// simulation (counts, virtual times), so seed-identical soaks emit
+// byte-identical streams; wall-clock durations stay in the registry.
 type IntervalStats struct {
-	Index   int
-	Members int // group size at audit time
+	Index   int `json:"interval"`
+	Members int `json:"members"` // group size at audit time
 
-	Joins, Leaves, Crashes int
-	LeaderKills            int
-	Burst                  bool
-	PartitionDomain        int // isolated transit domain, -1 when none
-	Spike                  bool
+	Joins           int  `json:"joins"`
+	Leaves          int  `json:"leaves"`
+	Crashes         int  `json:"crashes"`
+	LeaderKills     int  `json:"leader_kills"`
+	Burst           bool `json:"burst,omitempty"`
+	PartitionDomain int  `json:"partition_domain"` // isolated transit domain, -1 when none
+	Spike           bool `json:"spike,omitempty"`
 
-	RekeyCost int // encryptions in the interval's rekey message
+	RekeyCost int `json:"rekey_cost"` // encryptions in the interval's rekey message
 
 	// Data multicast (Theorem 1 probe).
-	DataDelivered, DataLost int
+	DataDelivered int `json:"data_delivered"`
+	DataLost      int `json:"data_lost"`
 
-	// Key distribution rungs (degradation ladder).
-	KeyByMulticast, KeyByUnicast, KeyByResync int
-	UnicastAttempts, Retries                  int
-	MaxBackoff                                time.Duration
+	// Key distribution rungs (degradation ladder). LadderRung names the
+	// deepest rung that delivered a key ("none" when nobody was owed
+	// one); ForwardedEncs totals the encryptions members forwarded on
+	// the multicast rung.
+	KeyByMulticast  int           `json:"key_by_multicast"`
+	KeyByUnicast    int           `json:"key_by_unicast"`
+	KeyByResync     int           `json:"key_by_resync"`
+	UnicastAttempts int           `json:"unicast_attempts"`
+	Retries         int           `json:"retries"`
+	DeadInFlight    int           `json:"dead_in_flight"`
+	MaxBackoff      time.Duration `json:"max_backoff_ns"`
+	LadderRung      string        `json:"ladder_rung"`
+	ForwardedEncs   int           `json:"forwarded_encryptions"`
 
 	// Violations lists invariant failures caught by the audit, in
-	// registry order. Empty means the interval is green.
-	Violations []string
+	// registry order. Empty means the interval is green. (The stream
+	// carries them per auditor instead.)
+	Violations []string `json:"-"`
 }
 
 func (s *IntervalStats) line() string {

@@ -37,9 +37,9 @@ import (
 var socketPhases = []string{"clean", "loss", "delay", "partition", "kill", "crash"}
 
 // Heal points, chosen so every fault lifts well inside the recovery
-// ladder's budget (Timeout + Σ backoff + ResyncBudget·RetryMax): the
-// soak asserts convergence, so a fault that outlived the ladder would
-// be a configuration bug, not a finding.
+// ladder's budget (recovery.Policy.Worst): the soak asserts
+// convergence, so a fault that outlived the ladder would be a
+// configuration bug, not a finding.
 const (
 	socketHealAfter = 300 * time.Millisecond
 	socketLossProb  = 0.10
@@ -189,10 +189,6 @@ func (run *socketRun) evidence(dir *overlay.Directory) *Evidence {
 	for i, m := range members {
 		ids[i] = m.ID()
 	}
-	backoffCap := run.cfg.Ladder.RetryMax
-	if backoffCap <= 0 {
-		backoffCap = 4 * run.cfg.Ladder.RetryBase
-	}
 	ev := &Evidence{
 		Dir:       dir,
 		Alive:     func(id ident.ID) bool { return !w.IsKilled(id) },
@@ -216,7 +212,7 @@ func (run *socketRun) evidence(dir *overlay.Directory) *Evidence {
 			},
 			DeadInFlight: res.DeadInFlight,
 			MaxBackoff:   res.MaxBackoff,
-			BackoffCap:   backoffCap,
+			BackoffCap:   w.Server().Policy().RetryMax,
 			MustIdle:     run.faultFree,
 		},
 	}

@@ -2,11 +2,9 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"tmesh/internal/assign"
-	"tmesh/internal/ident"
 	"tmesh/internal/keytree"
 	"tmesh/internal/metrics"
 	"tmesh/internal/overlay"
@@ -39,12 +37,6 @@ type AblationConfig struct {
 	Assign assign.Config
 	K      int
 	Seed   int64
-	// Parallel caps the number of measurement units (policies, packet
-	// sizes, loss rates) evaluated concurrently; 0 uses the package
-	// default. The churned group is read-only during measurement and
-	// output keeps unit order, so results are identical at every
-	// setting.
-	Parallel int
 	// Progress, when non-nil, receives each unit's index and wall-clock
 	// duration as it completes.
 	Progress Progress
@@ -76,87 +68,30 @@ type AblationReport struct {
 // differs, so the link-stress and latency gaps are attributable to the
 // assignment scheme alone.
 func RunIDAblation(cfg AblationConfig) ([]AblationReport, error) {
-	if cfg.N < 2 {
-		return nil, fmt.Errorf("exp: N must be >= 2, got %d", cfg.N)
-	}
-	if cfg.ChurnLeaves > cfg.N {
-		return nil, fmt.Errorf("exp: leaves %d exceed N %d", cfg.ChurnLeaves, cfg.N)
-	}
-	if cfg.Assign.Params == (ident.Params{}) {
-		cfg.Assign = assign.DefaultConfig()
-	}
-	if cfg.K == 0 {
-		cfg.K = 4
-	}
-	net, err := vnet.NewGTITM(vnet.DefaultGTITMConfig(), cfg.N+cfg.ChurnJoins+1, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
 	// Pass 1: topology-aware assignment for all hosts (initial + churn
 	// joiners), recording the host->ID mapping.
-	awareDir, err := overlay.NewDirectory(cfg.Assign.Params, cfg.K, net, 0)
+	g, err := newChurnGroup(cfg.Assign, cfg.K, cfg.Seed, cfg.N, cfg.ChurnJoins, "ablation")
 	if err != nil {
 		return nil, err
-	}
-	assigner, err := assign.New(cfg.Assign, awareDir, rng)
-	if err != nil {
-		return nil, err
-	}
-	total := cfg.N + cfg.ChurnJoins
-	hosts := make([]vnet.HostID, total)
-	ids := make([]ident.ID, total)
-	for i := 0; i < total; i++ {
-		hosts[i] = vnet.HostID(i + 1)
-		id, _, err := assigner.AssignID(hosts[i])
-		if err != nil {
-			return nil, err
-		}
-		ids[i] = id
-		if err := awareDir.Join(overlay.Record{Host: hosts[i], ID: id, JoinTime: time.Duration(i)}); err != nil {
-			return nil, err
-		}
 	}
 
 	// Pass 2: the same IDs scrambled across the same hosts.
-	perm := rng.Perm(total)
-	scrambledDir, err := overlay.NewDirectory(cfg.Assign.Params, cfg.K, net, 0)
+	perm := g.rng.Perm(len(g.ids))
+	scrambledDir, err := overlay.NewDirectory(g.dir.Params(), g.dir.K(), g.net, 0)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < total; i++ {
-		rec := overlay.Record{Host: hosts[i], ID: ids[perm[i]], JoinTime: time.Duration(i)}
+	for i := range g.ids {
+		rec := overlay.Record{Host: vnet.HostID(i + 1), ID: g.ids[perm[i]], JoinTime: time.Duration(i)}
 		if err := scrambledDir.Join(rec); err != nil {
 			return nil, err
 		}
 	}
 
-	// One shared key tree and churn batch: the first N IDs joined
-	// initially, the rest join during the interval, and ChurnLeaves
-	// random initial IDs leave.
-	tree, err := keytree.New(cfg.Assign.Params, []byte("ablation"), keytree.Opts{})
+	// One shared key tree and churn batch for both.
+	msg, err := g.churn(cfg.ChurnLeaves, scrambledDir)
 	if err != nil {
 		return nil, err
-	}
-	if _, err := tree.Batch(ids[:cfg.N], nil); err != nil {
-		return nil, err
-	}
-	leavers := make([]ident.ID, cfg.ChurnLeaves)
-	for i, p := range rng.Perm(cfg.N)[:cfg.ChurnLeaves] {
-		leavers[i] = ids[p]
-	}
-	msg, err := tree.Batch(ids[cfg.N:], leavers)
-	if err != nil {
-		return nil, err
-	}
-	for _, id := range leavers {
-		if err := awareDir.Leave(id); err != nil {
-			return nil, err
-		}
-		if err := scrambledDir.Leave(id); err != nil {
-			return nil, err
-		}
 	}
 
 	// Both directories are fully churned and only read from here on, so
@@ -164,9 +99,9 @@ func RunIDAblation(cfg AblationConfig) ([]AblationReport, error) {
 	policies := []struct {
 		name string
 		dir  *overlay.Directory
-	}{{"topology-aware", awareDir}, {"scrambled", scrambledDir}}
+	}{{"topology-aware", g.dir}, {"scrambled", scrambledDir}}
 	out := make([]AblationReport, len(policies))
-	err = forEachUnit(len(policies), workersFor(cfg.Parallel, len(policies)), cfg.Progress, func(i int) error {
+	err = forEachUnit(len(policies), cfg.Progress, func(i int) error {
 		rep, err := measureIDPolicy(policies[i].name, policies[i].dir, msg)
 		if err != nil {
 			return fmt.Errorf("exp: policy %s: %w", policies[i].name, err)
@@ -230,60 +165,17 @@ type PacketSweepPoint struct {
 // RunPacketSweep compares encryption-level splitting against
 // packet-level splitting at the given packet sizes on one churned group.
 func RunPacketSweep(cfg AblationConfig, packetSizes []int) ([]PacketSweepPoint, error) {
-	if cfg.Assign.Params == (ident.Params{}) {
-		cfg.Assign = assign.DefaultConfig()
-	}
-	if cfg.K == 0 {
-		cfg.K = 4
-	}
-	net, err := vnet.NewGTITM(vnet.DefaultGTITMConfig(), cfg.N+cfg.ChurnJoins+1, cfg.Seed)
+	g, err := newChurnGroup(cfg.Assign, cfg.K, cfg.Seed, cfg.N, cfg.ChurnJoins, "pkt")
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	dir, err := overlay.NewDirectory(cfg.Assign.Params, cfg.K, net, 0)
-	if err != nil {
-		return nil, err
-	}
-	assigner, err := assign.New(cfg.Assign, dir, rng)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := keytree.New(cfg.Assign.Params, []byte("pkt"), keytree.Opts{})
-	if err != nil {
-		return nil, err
-	}
-	var base []ident.ID
-	for i := 0; i < cfg.N; i++ {
-		host := vnet.HostID(i + 1)
-		id, _, err := assigner.AssignID(host)
-		if err != nil {
-			return nil, err
-		}
-		if err := dir.Join(overlay.Record{Host: host, ID: id}); err != nil {
-			return nil, err
-		}
-		base = append(base, id)
-	}
-	if _, err := tree.Batch(base, nil); err != nil {
-		return nil, err
-	}
-	leavers := make([]ident.ID, cfg.ChurnLeaves)
-	for i, p := range rng.Perm(cfg.N)[:cfg.ChurnLeaves] {
-		leavers[i] = base[p]
-	}
-	for _, id := range leavers {
-		if err := dir.Leave(id); err != nil {
-			return nil, err
-		}
-	}
-	msg, err := tree.Batch(nil, leavers)
+	msg, err := g.churn(cfg.ChurnLeaves)
 	if err != nil {
 		return nil, err
 	}
 
 	measure := func(opts split.Options) (PacketSweepPoint, error) {
-		rep, err := split.Rekey(dir, msg, opts)
+		rep, err := split.Rekey(g.dir, msg, opts)
 		if err != nil {
 			return PacketSweepPoint{}, err
 		}
@@ -303,7 +195,7 @@ func RunPacketSweep(cfg AblationConfig, packetSizes []int) ([]PacketSweepPoint, 
 	// Unit 0 is the paper's encryption-level splitting; units 1.. are
 	// the packet sizes. The group is read-only during measurement.
 	out := make([]PacketSweepPoint, 1+len(packetSizes))
-	err = forEachUnit(len(out), workersFor(cfg.Parallel, len(out)), cfg.Progress, func(i int) error {
+	err = forEachUnit(len(out), cfg.Progress, func(i int) error {
 		opts := split.Options{Mode: split.PerEncryption}
 		size := 0
 		if i > 0 {

@@ -60,11 +60,6 @@ type BandwidthConfig struct {
 	Seed int64
 	// Protocols restricts the run; empty = all seven.
 	Protocols []Protocol
-	// Parallel caps the number of protocols measured concurrently; 0
-	// uses the package default. The post-churn world is read-only
-	// during measurement and reports keep presentation order, so the
-	// output is identical at every setting.
-	Parallel int
 	// Progress, when non-nil, receives each protocol's index (in
 	// Protocols order) and wall-clock duration as it completes.
 	Progress Progress
@@ -115,7 +110,7 @@ func RunBandwidth(cfg BandwidthConfig) ([]BandwidthReport, error) {
 	// protocol measurement allocates its own report maps, so protocols
 	// can run concurrently.
 	reports := make([]BandwidthReport, len(protocols))
-	err = forEachUnit(len(protocols), workersFor(cfg.Parallel, len(protocols)), cfg.Progress, func(i int) error {
+	err = forEachUnit(len(protocols), cfg.Progress, func(i int) error {
 		rep, err := w.run(protocols[i])
 		if err != nil {
 			return fmt.Errorf("exp: protocol %s: %w", protocols[i], err)

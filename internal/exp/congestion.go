@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"tmesh/internal/assign"
@@ -15,7 +14,6 @@ import (
 	"tmesh/internal/overlay"
 	"tmesh/internal/split"
 	"tmesh/internal/tmesh"
-	"tmesh/internal/vnet"
 )
 
 // CongestionConfig drives the concurrent rekey+data experiment — the
@@ -41,11 +39,6 @@ type CongestionConfig struct {
 	Assign       assign.Config
 	K            int
 	Seed         int64
-	// Parallel caps the number of scenarios simulated concurrently; 0
-	// uses the package default. Every scenario owns its event simulator
-	// and uplink model and only reads the shared group, so the reports
-	// are identical at every setting.
-	Parallel int
 	// Progress, when non-nil, receives each scenario's index and
 	// wall-clock duration as it completes.
 	Progress Progress
@@ -70,15 +63,6 @@ type CongestionReport struct {
 // frame three times — alone, racing an unsplit rekey burst, and racing a
 // split rekey burst — each on fresh shared uplinks.
 func RunCongestion(cfg CongestionConfig) ([]CongestionReport, error) {
-	if cfg.N < 2 {
-		return nil, fmt.Errorf("exp: N must be >= 2, got %d", cfg.N)
-	}
-	if cfg.Assign.Params == (ident.Params{}) {
-		cfg.Assign = assign.DefaultConfig()
-	}
-	if cfg.K == 0 {
-		cfg.K = 4
-	}
 	if cfg.UplinkBytesPerSecond == 0 {
 		cfg.UplinkBytesPerSecond = 125000
 	}
@@ -97,55 +81,16 @@ func RunCongestion(cfg CongestionConfig) ([]CongestionReport, error) {
 	if cfg.ChurnLeaves == 0 {
 		cfg.ChurnLeaves = cfg.N / 4
 	}
-	if cfg.ChurnLeaves > cfg.N {
-		return nil, fmt.Errorf("exp: leaves %d exceed N %d", cfg.ChurnLeaves, cfg.N)
-	}
 
-	net, err := vnet.NewGTITM(vnet.DefaultGTITMConfig(), cfg.N+1, cfg.Seed)
+	g, err := newChurnGroup(cfg.Assign, cfg.K, cfg.Seed, cfg.N, 0, "congestion")
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	dir, err := overlay.NewDirectory(cfg.Assign.Params, cfg.K, net, 0)
+	msg, err := g.churn(cfg.ChurnLeaves)
 	if err != nil {
 		return nil, err
 	}
-	assigner, err := assign.New(cfg.Assign, dir, rng)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := keytree.New(cfg.Assign.Params, []byte("congestion"), keytree.Opts{})
-	if err != nil {
-		return nil, err
-	}
-	var ids []ident.ID
-	for i := 0; i < cfg.N; i++ {
-		host := vnet.HostID(i + 1)
-		id, _, err := assigner.AssignID(host)
-		if err != nil {
-			return nil, err
-		}
-		if err := dir.Join(overlay.Record{Host: host, ID: id}); err != nil {
-			return nil, err
-		}
-		ids = append(ids, id)
-	}
-	if _, err := tree.Batch(ids, nil); err != nil {
-		return nil, err
-	}
-	leavers := make([]ident.ID, cfg.ChurnLeaves)
-	for i, p := range rng.Perm(cfg.N)[:cfg.ChurnLeaves] {
-		leavers[i] = ids[p]
-	}
-	for _, id := range leavers {
-		if err := dir.Leave(id); err != nil {
-			return nil, err
-		}
-	}
-	msg, err := tree.Batch(nil, leavers)
-	if err != nil {
-		return nil, err
-	}
+	dir, net, rng := g.dir, g.net, g.rng
 	live := dir.IDs()
 	sender := live[rng.Intn(len(live))]
 
@@ -166,7 +111,7 @@ func RunCongestion(cfg CongestionConfig) ([]CongestionReport, error) {
 	// run concurrently.
 	scenarios := []string{"no-rekey", "rekey-unsplit", "rekey-split", "nice-unsplit"}
 	out := make([]CongestionReport, len(scenarios))
-	err = forEachUnit(len(scenarios), workersFor(cfg.Parallel, len(scenarios)), cfg.Progress, func(i int) error {
+	err = forEachUnit(len(scenarios), cfg.Progress, func(i int) error {
 		var (
 			rep *CongestionReport
 			err error

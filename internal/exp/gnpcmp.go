@@ -88,7 +88,7 @@ func RunGNPComparison(joins int, seed int64, cfg assign.Config) ([]GNPReport, er
 		},
 	}
 	out := make([]GNPReport, len(strategies))
-	err = forEachUnit(len(strategies), workersFor(0, len(strategies)), nil, func(i int) error {
+	err = forEachUnit(len(strategies), nil, func(i int) error {
 		rep, err := strategies[i]()
 		if err != nil {
 			return err

@@ -62,12 +62,6 @@ type LatencyConfig struct {
 	// SkipNICE omits the NICE baseline (Fig. 14 plots T-mesh only).
 	SkipNICE bool
 	Seed     int64
-	// Parallel caps the number of runs simulated concurrently: 0 uses
-	// the package default (SetDefaultParallelism / GOMAXPROCS), 1
-	// forces sequential execution. Runs are independent by construction
-	// (per-run seed Seed + run*7919) and merged in run order, so the
-	// result is identical at every setting.
-	Parallel int
 	// Progress, when non-nil, receives each run's index and wall-clock
 	// duration as it completes. Calls are serialised.
 	Progress Progress
@@ -151,8 +145,8 @@ func buildTmeshGroup(cfg LatencyConfig, net vnet.Network, order []vnet.HostID, r
 }
 
 // RunLatency executes one of Figs. 6-11/14. Runs execute concurrently
-// up to Config.Parallel workers; each run derives every random choice
-// from its own seed, and per-run results are merged in run order, so
+// (forEachUnit); each run derives every random choice from its own seed
+// (Seed + run*7919), and per-run results are merged in run order, so
 // the output is identical to a sequential execution.
 func RunLatency(cfg LatencyConfig) (*LatencyResult, error) {
 	cfg.setDefaults()
@@ -162,7 +156,7 @@ func RunLatency(cfg LatencyConfig) (*LatencyResult, error) {
 
 	tmeshRuns := make([]runDists, cfg.Runs)
 	niceRuns := make([]runDists, cfg.Runs)
-	err := forEachUnit(cfg.Runs, workersFor(cfg.Parallel, cfg.Runs), cfg.Progress, func(run int) error {
+	err := forEachUnit(cfg.Runs, cfg.Progress, func(run int) error {
 		tm, nc, err := runLatencyOnce(cfg, run)
 		if err != nil {
 			return err
@@ -373,10 +367,8 @@ func PaperThresholdVariants() []ThresholdVariant {
 }
 
 // RunThresholdSweep executes Fig. 14: T-mesh rekey latency for each
-// threshold variant. Variants execute sequentially, but each variant's
-// runs fan out under the package-wide parallelism default
-// (SetDefaultParallelism), so the sweep scales with -parallel like the
-// other runners.
+// threshold variant. Variants execute sequentially; each variant's runs
+// fan out like any other RunLatency.
 func RunThresholdSweep(joins, runs int, seed int64, variants []ThresholdVariant) (map[string]*LatencyResult, error) {
 	if len(variants) == 0 {
 		variants = PaperThresholdVariants()

@@ -3,6 +3,7 @@ package exp
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,69 +13,59 @@ import (
 	"tmesh/internal/tmesh"
 )
 
+// atProcs runs fn with GOMAXPROCS set to n and restores it: the fan-out
+// width is derived (internal/work), so this is how a test picks one.
+func atProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
 func TestForEachUnitRunsEveryUnit(t *testing.T) {
-	for _, workers := range []int{1, 3, 8, 100} {
-		hits := make([]int32, 17)
-		var progressCalls atomic.Int32
-		err := forEachUnit(len(hits), workers, func(unit int, _ time.Duration) {
-			progressCalls.Add(1)
-		}, func(unit int) error {
-			atomic.AddInt32(&hits[unit], 1)
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i, h := range hits {
-			if h != 1 {
-				t.Errorf("workers=%d: unit %d ran %d times", workers, i, h)
+	for _, procs := range []int{1, 3, 8} {
+		atProcs(procs, func() {
+			hits := make([]int32, 17)
+			var progressCalls atomic.Int32
+			err := forEachUnit(len(hits), func(unit int, _ time.Duration) {
+				progressCalls.Add(1)
+			}, func(unit int) error {
+				atomic.AddInt32(&hits[unit], 1)
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("procs=%d: %v", procs, err)
 			}
-		}
-		if int(progressCalls.Load()) != len(hits) {
-			t.Errorf("workers=%d: progress called %d times, want %d", workers, progressCalls.Load(), len(hits))
-		}
+			for i, h := range hits {
+				if h != 1 {
+					t.Errorf("procs=%d: unit %d ran %d times", procs, i, h)
+				}
+			}
+			if int(progressCalls.Load()) != len(hits) {
+				t.Errorf("procs=%d: progress called %d times, want %d", procs, progressCalls.Load(), len(hits))
+			}
+		})
 	}
-	if err := forEachUnit(0, 4, nil, func(int) error { t.Fatal("fn called for n=0"); return nil }); err != nil {
+	if err := forEachUnit(0, nil, func(int) error { t.Fatal("fn called for n=0"); return nil }); err != nil {
 		t.Error(err)
 	}
 }
 
 func TestForEachUnitReportsLowestError(t *testing.T) {
 	errLow, errHigh := errors.New("low"), errors.New("high")
-	for _, workers := range []int{1, 4} {
-		err := forEachUnit(8, workers, nil, func(unit int) error {
-			switch unit {
-			case 2:
-				return errLow
-			case 6:
-				return errHigh
+	for _, procs := range []int{1, 4} {
+		atProcs(procs, func() {
+			err := forEachUnit(8, nil, func(unit int) error {
+				switch unit {
+				case 2:
+					return errLow
+				case 6:
+					return errHigh
+				}
+				return nil
+			})
+			if !errors.Is(err, errLow) {
+				t.Errorf("procs=%d: err = %v, want the lowest-unit error", procs, err)
 			}
-			return nil
 		})
-		if !errors.Is(err, errLow) {
-			t.Errorf("workers=%d: err = %v, want the lowest-unit error", workers, err)
-		}
-	}
-}
-
-func TestWorkersForBounds(t *testing.T) {
-	SetDefaultParallelism(0)
-	t.Cleanup(func() { SetDefaultParallelism(0) })
-	if w := workersFor(4, 100); w != 4 {
-		t.Errorf("explicit request: %d, want 4", w)
-	}
-	if w := workersFor(16, 3); w != 3 {
-		t.Errorf("capped by units: %d, want 3", w)
-	}
-	if w := workersFor(0, 100); w != DefaultParallelism() {
-		t.Errorf("default: %d, want %d", w, DefaultParallelism())
-	}
-	SetDefaultParallelism(2)
-	if w := workersFor(0, 100); w != 2 {
-		t.Errorf("after SetDefaultParallelism(2): %d, want 2", w)
-	}
-	if w := workersFor(0, 0); w != 1 {
-		t.Errorf("zero units: %d, want 1", w)
 	}
 }
 
@@ -93,15 +84,13 @@ func TestRunLatencyParallelDeterminism(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			seq := tc.cfg
-			seq.Parallel = 1
-			par := tc.cfg
-			par.Parallel = 8
-			want, err := RunLatency(seq)
+			var want, got *LatencyResult
+			var err error
+			atProcs(1, func() { want, err = RunLatency(tc.cfg) })
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := RunLatency(par)
+			atProcs(8, func() { got, err = RunLatency(tc.cfg) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,33 +110,32 @@ func TestRunLatencyParallelDeterminism(t *testing.T) {
 // the runners' outputs are byte-compared across runs and machines.
 func TestRunnersIgnoreWallClock(t *testing.T) {
 	cfg := LatencyConfig{Topology: PlanetLab, Joins: 32, Runs: 4, Points: 8, Assign: smallAssign(), Seed: 9}
-	for _, workers := range []int{1, 8} {
-		plain := cfg
-		plain.Parallel = workers
-		want, err := RunLatency(plain)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		calls := 0
-		probed := cfg
-		probed.Parallel = workers
-		probed.Progress = func(unit int, elapsed time.Duration) {
-			calls++
-			if elapsed < 0 {
-				t.Errorf("unit %d: negative elapsed %v", unit, elapsed)
+	for _, procs := range []int{1, 8} {
+		atProcs(procs, func() {
+			want, err := RunLatency(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		got, err := RunLatency(probed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if calls == 0 {
-			t.Fatalf("workers=%d: progress callback never fired", workers)
-		}
-		if !reflect.DeepEqual(want.Series, got.Series) {
-			t.Errorf("workers=%d: progress callback changed the results", workers)
-		}
+
+			calls := 0
+			probed := cfg
+			probed.Progress = func(unit int, elapsed time.Duration) {
+				calls++
+				if elapsed < 0 {
+					t.Errorf("unit %d: negative elapsed %v", unit, elapsed)
+				}
+			}
+			got, err := RunLatency(probed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if calls == 0 {
+				t.Fatalf("procs=%d: progress callback never fired", procs)
+			}
+			if !reflect.DeepEqual(want.Series, got.Series) {
+				t.Errorf("procs=%d: progress callback changed the results", procs)
+			}
+		})
 	}
 }
 
@@ -160,15 +148,13 @@ func TestRunRekeyCostParallelDeterminism(t *testing.T) {
 		Assign:  smallAssign(),
 		Seed:    41,
 	}
-	seq := cfg
-	seq.Parallel = 1
-	par := cfg
-	par.Parallel = 8
-	want, err := RunRekeyCost(seq)
+	var want, got []RekeyCostCell
+	var err error
+	atProcs(1, func() { want, err = RunRekeyCost(cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunRekeyCost(par)
+	atProcs(8, func() { got, err = RunRekeyCost(cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,15 +174,13 @@ func TestRunBandwidthParallelDeterminism(t *testing.T) {
 		Assign:      smallAssign(),
 		Seed:        43,
 	}
-	seq := cfg
-	seq.Parallel = 1
-	par := cfg
-	par.Parallel = 8
-	want, err := RunBandwidth(seq)
+	var want, got []BandwidthReport
+	var err error
+	atProcs(1, func() { want, err = RunBandwidth(cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunBandwidth(par)
+	atProcs(8, func() { got, err = RunBandwidth(cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}

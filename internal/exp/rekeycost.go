@@ -28,10 +28,6 @@ type RekeyCostConfig struct {
 	// Assign configures the ID space; zero value = paper defaults.
 	Assign assign.Config
 	Seed   int64
-	// Parallel caps the number of runs simulated concurrently; 0 uses
-	// the package default. Per-run sums are merged in run order, so the
-	// averages are identical at every setting.
-	Parallel int
 	// Progress, when non-nil, receives each run's index and wall-clock
 	// duration as it completes.
 	Progress Progress
@@ -72,7 +68,7 @@ func RunRekeyCost(cfg RekeyCostConfig) ([]RekeyCostCell, error) {
 	// in run order afterwards, so the float additions happen in exactly
 	// the sequence a sequential execution would produce.
 	perRun := make([]map[[2]int]*RekeyCostCell, cfg.Runs)
-	err := forEachUnit(cfg.Runs, workersFor(cfg.Parallel, cfg.Runs), cfg.Progress, func(run int) error {
+	err := forEachUnit(cfg.Runs, cfg.Progress, func(run int) error {
 		sums := newCostCells(cfg)
 		seed := cfg.Seed + int64(run)*104729
 		if err := runRekeyCostOnce(cfg, seed, sums); err != nil {

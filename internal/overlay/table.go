@@ -249,6 +249,23 @@ func (t *Table) ForEachNeighbor(fn func(row int, col ident.Digit, n Neighbor)) {
 	}
 }
 
+// Forward is the user half of routine FORWARD (Fig. 2, lines 6-9), the
+// only statement of the walk: a user at forwarding level `level` sends
+// one copy through every non-diagonal (s,j)-entry of rows s in
+// [level, D-1] (diagonal entries are empty by Definition 3). Which
+// neighbor of the entry is primary, and what the copy for its
+// (s+1)-digit subtree carries at forward_level s+1, are the visitor's.
+func (t *Table) Forward(level int, visit func(row int, e *Entry)) {
+	for s := level; s < t.params.Digits; s++ {
+		own := t.owner.ID.Digit(s)
+		for j := range t.rows[s] {
+			if ident.Digit(j) != own {
+				visit(s, &t.rows[s][j])
+			}
+		}
+	}
+}
+
 // ServerTable is the key server's single-row table: B entries, the (0,j)-
 // entry holding the K users with smallest RTT to the server among users
 // whose 0th ID digit is j.
@@ -289,4 +306,12 @@ func (s *ServerTable) Insert(n Neighbor) bool {
 // Remove deletes the user from its entry.
 func (s *ServerTable) Remove(id ident.ID) bool {
 	return s.entries[id.Digit(0)].remove(id)
+}
+
+// Forward is the key server's half of FORWARD (lines 3-5): one
+// level-1 copy through each (0,j)-entry.
+func (s *ServerTable) Forward(visit func(row int, e *Entry)) {
+	for j := range s.entries {
+		visit(0, &s.entries[j])
+	}
 }

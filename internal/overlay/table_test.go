@@ -205,3 +205,45 @@ func TestForEachNeighbor(t *testing.T) {
 		t.Errorf("visited %d neighbors, want 3", seen)
 	}
 }
+
+// TestForwardWalk pins the one statement of routine FORWARD's walk: a
+// user at forwarding level l visits every non-diagonal entry of rows
+// [l, D-1], row-major, and nothing else (level D forwards nothing); the
+// key server visits its B level-0 entries.
+func TestForwardWalk(t *testing.T) {
+	owner := rec(t, 0, 1, 2, 3)
+	table, err := NewTable(tp, 2, owner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for level := 0; level <= tp.Digits; level++ {
+		lastRow, n := level, 0
+		table.Forward(level, func(row int, e *Entry) {
+			n++
+			if row < lastRow || row >= tp.Digits {
+				t.Errorf("level %d: visited row %d after row %d", level, row, lastRow)
+			}
+			lastRow = row
+			if e == table.Entry(row, owner.ID.Digit(row)) {
+				t.Errorf("level %d: visited the diagonal entry of row %d", level, row)
+			}
+		})
+		if want := (tp.Digits - level) * (tp.Base - 1); n != want {
+			t.Errorf("level %d: %d entries visited, want %d", level, n, want)
+		}
+	}
+	st, err := NewServerTable(tp, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := 0
+	st.Forward(func(row int, e *Entry) {
+		if row != 0 || e != st.Entry(ident.Digit(j)) {
+			t.Errorf("server visit %d: row %d, wrong entry", j, row)
+		}
+		j++
+	})
+	if j != tp.Base {
+		t.Errorf("server visited %d entries, want %d", j, tp.Base)
+	}
+}

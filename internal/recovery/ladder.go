@@ -62,16 +62,11 @@ type LadderConfig struct {
 	// Alive routes the multicast around crashed users and exempts users
 	// that crash mid-interval from recovery (nil means everyone).
 	Alive func(ident.ID) bool
-	// Timeout is how long a user waits for the multicast copy before
-	// starting unicast recovery.
-	Timeout time.Duration
-	// RetryBase and RetryMax shape the backoff between unicast attempts:
-	// attempt n+1 follows a failed attempt n by
-	// min(RetryBase << (n-1), RetryMax).
-	RetryBase, RetryMax time.Duration
-	// RetryBudget is the number of unicast attempts a user may spend
-	// before falling back to a full resync (>= 1).
-	RetryBudget int
+	// Policy is the ladder's schedule. The simulator learns that a
+	// unicast is lost when it is sent, so a failed attempt n moves to
+	// Next straight after Backoff(n) (no wait after the last one), and
+	// its resync is the reliable one-shot: ResyncBudget is not consulted.
+	Policy
 	// DropUnicast simulates loss of one recovery unicast exchange
 	// (attempt is 1-based). The resync rung is reliable and has no drop
 	// hook by construction.
@@ -100,28 +95,6 @@ type LadderConfig struct {
 	// compiler's working state across intervals. Reuse invalidates the
 	// previous interval's compiled index — see split.CompileArena.
 	SplitArena *split.CompileArena[keycrypt.Encryption]
-}
-
-// Rung identifies which step of the ladder delivered the key.
-type Rung int
-
-const (
-	ByMulticast Rung = iota
-	ByUnicast
-	ByResync
-)
-
-func (r Rung) String() string {
-	switch r {
-	case ByMulticast:
-		return "multicast"
-	case ByUnicast:
-		return "unicast"
-	case ByResync:
-		return "resync"
-	default:
-		return fmt.Sprintf("rung(%d)", int(r))
-	}
 }
 
 // LadderResult accounts one distribution. It is fully populated only
@@ -174,12 +147,9 @@ func DistributeLadder(cfg LadderConfig, msg *keytree.Message) (*LadderResult, er
 		return nil, fmt.Errorf("recovery: Dir and Sim are required")
 	case msg == nil:
 		return nil, fmt.Errorf("recovery: nil rekey message")
-	case cfg.Timeout <= 0:
-		return nil, fmt.Errorf("recovery: Timeout must be positive, got %v", cfg.Timeout)
-	case cfg.RetryBudget < 1:
-		return nil, fmt.Errorf("recovery: RetryBudget must be >= 1, got %d", cfg.RetryBudget)
-	case cfg.RetryBase <= 0 || cfg.RetryMax < cfg.RetryBase:
-		return nil, fmt.Errorf("recovery: bad backoff range [%v, %v]", cfg.RetryBase, cfg.RetryMax)
+	}
+	if err := cfg.Policy.Validate(); err != nil {
+		return nil, err
 	}
 
 	out := &LadderResult{
@@ -231,26 +201,20 @@ func DistributeLadder(cfg LadderConfig, msg *keytree.Message) (*LadderResult, er
 	net := cfg.Dir.Network()
 	server := cfg.Dir.Server().Host()
 	alive := func(id ident.ID) bool { return cfg.Alive == nil || cfg.Alive(id) }
-	backoff := func(attempt int) time.Duration {
-		d := cfg.RetryBase << (attempt - 1)
-		if d > cfg.RetryMax || d <= 0 { // <= 0 guards shift overflow
-			d = cfg.RetryMax
-		}
-		return d
-	}
 
 	// Per-user recovery chain, attempt numbers 1-based. Each attempt is
 	// a request/response exchange; a drop of either leg loses it whole.
 	// The host lookup is re-done per attempt: a record that vanished
 	// mid-chain (hop racing a crash or leave) drops the user to
-	// DeadInFlight instead of unicasting to a stale host.
+	// DeadInFlight instead of unicasting to a stale host — or, read as
+	// the zero HostID, to the server's own, and counting it delivered.
 	var attempt func(id ident.ID, needed int, n int, at time.Duration)
 	attempt = func(id ident.ID, needed int, n int, at time.Duration) {
 		cfg.Sim.At(at, func(now time.Duration) {
 			if !alive(id) {
 				return // crashed while waiting: no longer a surviving member
 			}
-			host, ok := hostOf(cfg.Dir, id)
+			rec, ok := cfg.Dir.Record(id)
 			if !ok {
 				out.DeadInFlight = append(out.DeadInFlight, id)
 				deadC.Inc()
@@ -262,10 +226,11 @@ func DistributeLadder(cfg LadderConfig, msg *keytree.Message) (*LadderResult, er
 				out.Retries++
 				retriesC.Inc()
 			}
-			rtt := net.OneWay(host, server) + net.OneWay(server, host)
+			rtt := net.OneWay(rec.Host, server) + net.OneWay(server, rec.Host)
 			if cfg.DropUnicast != nil && cfg.DropUnicast(id, n) {
 				cfg.Trace.Unicast(id, n, now, -1, true, needed)
-				if n >= cfg.RetryBudget {
+				next, _ := cfg.Next(Step{ByUnicast, n})
+				if next.Rung == ByResync {
 					// Rung 3: budget exhausted, reliable full resync.
 					cfg.Sim.At(now+rtt, func(done time.Duration) {
 						if !alive(id) {
@@ -278,11 +243,11 @@ func DistributeLadder(cfg LadderConfig, msg *keytree.Message) (*LadderResult, er
 					})
 					return
 				}
-				wait := backoff(n)
+				wait := cfg.Backoff(n)
 				if wait > out.MaxBackoff {
 					out.MaxBackoff = wait
 				}
-				attempt(id, needed, n+1, now+wait)
+				attempt(id, needed, next.Attempt, now+wait)
 				return
 			}
 			out.ServerUnits += needed
@@ -331,17 +296,4 @@ func NeededBy(msg *keytree.Message, u ident.ID) []keycrypt.Encryption {
 		}
 	}
 	return out
-}
-
-// hostOf looks up the current host of a user, reporting whether the
-// directory still has a record for it. The old mustHost variant ignored
-// the miss and returned the zero HostID — which is the server's own
-// host, so a ladder hop racing a crash would silently unicast the key
-// to the server and count it delivered.
-func hostOf(dir *overlay.Directory, id ident.ID) (vnet.HostID, bool) {
-	rec, ok := dir.Record(id)
-	if !ok {
-		return 0, false
-	}
-	return rec.Host, true
 }

@@ -14,8 +14,8 @@ func TestLadderValidation(t *testing.T) {
 	dir, _, msg, _ := buildWorld(t, 10, 1)
 	sim := eventsim.New()
 	base := LadderConfig{
-		Dir: dir, Sim: sim, Timeout: time.Second,
-		RetryBase: 100 * time.Millisecond, RetryMax: time.Second, RetryBudget: 3,
+		Dir: dir, Sim: sim,
+		Policy: Policy{Timeout: time.Second, RetryBase: 100 * time.Millisecond, RetryMax: time.Second, RetryBudget: 3},
 	}
 	bad := []func(c *LadderConfig){
 		func(c *LadderConfig) { c.Dir = nil },
@@ -41,8 +41,8 @@ func TestLadderAllByMulticastWhenLossless(t *testing.T) {
 	dir, _, msg, survivors := buildWorld(t, 30, 3)
 	sim := eventsim.New()
 	res, err := DistributeLadder(LadderConfig{
-		Dir: dir, Sim: sim, Timeout: time.Second,
-		RetryBase: 50 * time.Millisecond, RetryMax: 500 * time.Millisecond, RetryBudget: 3,
+		Dir: dir, Sim: sim,
+		Policy: Policy{Timeout: time.Second, RetryBase: 50 * time.Millisecond, RetryMax: 500 * time.Millisecond, RetryBudget: 3},
 	}, msg)
 	if err != nil {
 		t.Fatal(err)
@@ -77,8 +77,8 @@ func TestLadderEngagesUnderLoss(t *testing.T) {
 	vrec, _ := dir.Record(victim)
 	sim := eventsim.New()
 	res, err := DistributeLadder(LadderConfig{
-		Dir: dir, Sim: sim, Timeout: time.Second,
-		RetryBase: 50 * time.Millisecond, RetryMax: 500 * time.Millisecond, RetryBudget: 4,
+		Dir: dir, Sim: sim,
+		Policy:  Policy{Timeout: time.Second, RetryBase: 50 * time.Millisecond, RetryMax: 500 * time.Millisecond, RetryBudget: 4},
 		DropHop: func(from, to vnet.HostID) bool { return to == vrec.Host },
 		DropUnicast: func(u ident.ID, attempt int) bool {
 			return u.Equal(victim) && attempt <= 2
@@ -129,8 +129,8 @@ func TestLadderFallsBackToResync(t *testing.T) {
 	vrec, _ := dir.Record(victim)
 	sim := eventsim.New()
 	res, err := DistributeLadder(LadderConfig{
-		Dir: dir, Sim: sim, Timeout: time.Second,
-		RetryBase: 50 * time.Millisecond, RetryMax: 200 * time.Millisecond, RetryBudget: 3,
+		Dir: dir, Sim: sim,
+		Policy:      Policy{Timeout: time.Second, RetryBase: 50 * time.Millisecond, RetryMax: 200 * time.Millisecond, RetryBudget: 3},
 		DropHop:     func(from, to vnet.HostID) bool { return to == vrec.Host },
 		DropUnicast: func(u ident.ID, attempt int) bool { return u.Equal(victim) },
 	}, msg)
@@ -171,8 +171,8 @@ func TestLadderDeterministic(t *testing.T) {
 		}
 		sim := eventsim.New()
 		res, err := DistributeLadder(LadderConfig{
-			Dir: dir, Sim: sim, Timeout: time.Second,
-			RetryBase: 50 * time.Millisecond, RetryMax: 500 * time.Millisecond, RetryBudget: 3,
+			Dir: dir, Sim: sim,
+			Policy:      Policy{Timeout: time.Second, RetryBase: 50 * time.Millisecond, RetryMax: 500 * time.Millisecond, RetryBudget: 3},
 			DropHop:     func(from, to vnet.HostID) bool { return drops[to] },
 			DropUnicast: func(u ident.ID, attempt int) bool { return attempt == 1 },
 		}, msg)

@@ -90,10 +90,10 @@ func oneRung(cfg LadderConfig, msg *keytree.Message) (*LadderResult, error) {
 
 func TestValidation(t *testing.T) {
 	dir, _, msg, _ := buildWorld(t, 10, 1)
-	if _, err := oneRung(LadderConfig{Dir: nil, Timeout: time.Second}, msg); err == nil {
+	if _, err := oneRung(LadderConfig{Dir: nil, Policy: Policy{Timeout: time.Second}}, msg); err == nil {
 		t.Error("nil dir should fail")
 	}
-	if _, err := oneRung(LadderConfig{Dir: dir, Timeout: time.Second}, nil); err == nil {
+	if _, err := oneRung(LadderConfig{Dir: dir, Policy: Policy{Timeout: time.Second}}, nil); err == nil {
 		t.Error("nil message should fail")
 	}
 	if _, err := oneRung(LadderConfig{Dir: dir}, msg); err == nil {
@@ -103,7 +103,7 @@ func TestValidation(t *testing.T) {
 
 func TestNoLossNoRecovery(t *testing.T) {
 	dir, _, msg, live := buildWorld(t, 30, 2)
-	res, err := oneRung(LadderConfig{Dir: dir, Mode: split.PerEncryption, Timeout: time.Second}, msg)
+	res, err := oneRung(LadderConfig{Dir: dir, Mode: split.PerEncryption, Policy: Policy{Timeout: time.Second}}, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestLossyRecoveryCompleteness(t *testing.T) {
 	res, err := oneRung(LadderConfig{
 		Dir:     dir,
 		Mode:    split.PerEncryption,
-		Timeout: timeout,
+		Policy:  Policy{Timeout: timeout},
 		DropHop: func(from, to vnet.HostID) bool { return rng.Float64() < 0.25 },
 	}, msg)
 	if err != nil {
@@ -186,9 +186,9 @@ func TestRecoveryWithNoSplit(t *testing.T) {
 	dir, _, msg, _ := buildWorld(t, 25, 4)
 	calls := 0
 	res, err := oneRung(LadderConfig{
-		Dir:     dir,
-		Mode:    split.NoSplit,
-		Timeout: time.Second,
+		Dir:    dir,
+		Mode:   split.NoSplit,
+		Policy: Policy{Timeout: time.Second},
 		DropHop: func(from, to vnet.HostID) bool {
 			calls++
 			return calls%4 == 0 // every 4th hop lost

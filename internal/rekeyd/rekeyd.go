@@ -16,10 +16,10 @@
 //     (TypeAck). Acks are idempotent; duplicates from rungs racing
 //     each other are harmless.
 //  3. After Config.Timeout the server climbs the recovery ladder per
-//     unacked member: RetryBudget unicast attempts (TypeRekey at
-//     forward level D — terminal, never forwarded) spaced by the
-//     min(RetryBase<<(n-1), RetryMax) backoff, then ResyncBudget full
-//     path-key resyncs (TypeSync) spaced by RetryMax. A member still
+//     unacked member, stepping through the same recovery.Policy the
+//     simulator's ladder does: RetryBudget unicast attempts (TypeRekey
+//     at forward level D — terminal, never forwarded), then
+//     ResyncBudget full path-key resyncs (TypeSync). A member still
 //     silent after that is reported dead-in-flight, mirroring
 //     recovery.LadderResult semantics.
 //
@@ -51,62 +51,44 @@ import (
 // PeerOf maps a member ID to its transport routing key.
 func PeerOf(id ident.ID) transport.PeerID { return transport.PeerID(id.Key()) }
 
-// Config tunes the server's delivery ladder.
+// Config tunes the server's delivery ladder. The five ladder fields
+// are recovery.Policy's, kept flat so callers write them directly;
+// unset ones take the daemon defaults.
 type Config struct {
 	Params ident.Params
 	// Timeout is the post-multicast ack wait before the ladder starts.
 	Timeout time.Duration
-	// RetryBase/RetryMax/RetryBudget shape the unicast rung exactly
-	// like recovery.LadderConfig.
+	// RetryBase/RetryMax/RetryBudget shape the unicast rung.
 	RetryBase, RetryMax time.Duration
 	RetryBudget         int
-	// ResyncBudget bounds the resync rung's retransmissions (spaced by
-	// RetryMax); the ladder must terminate even against a peer that
-	// never comes back — it surfaces as dead-in-flight instead of a
-	// hang.
+	// ResyncBudget bounds the resync rung's retransmissions; the ladder
+	// must terminate even against a peer that never comes back — it
+	// surfaces as dead-in-flight instead of a hang.
 	ResyncBudget int
 	// Obs receives daemon counters (nil-safe).
 	Obs *obs.Registry
 }
 
-func (c *Config) fill() error {
-	if err := c.Params.Validate(); err != nil {
-		return err
+// policy returns the ladder schedule with the daemon defaults filled.
+func (c *Config) policy() recovery.Policy {
+	p := recovery.Policy{Timeout: c.Timeout, RetryBase: c.RetryBase, RetryMax: c.RetryMax,
+		RetryBudget: c.RetryBudget, ResyncBudget: c.ResyncBudget}
+	if p.Timeout <= 0 {
+		p.Timeout = 500 * time.Millisecond
 	}
-	if c.Timeout <= 0 {
-		c.Timeout = 500 * time.Millisecond
+	if p.RetryBase <= 0 {
+		p.RetryBase = 100 * time.Millisecond
 	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 100 * time.Millisecond
+	if p.RetryMax < p.RetryBase {
+		p.RetryMax = 4 * p.RetryBase
 	}
-	if c.RetryMax < c.RetryBase {
-		c.RetryMax = 4 * c.RetryBase
+	if p.RetryBudget < 1 {
+		p.RetryBudget = 3
 	}
-	if c.RetryBudget < 1 {
-		c.RetryBudget = 3
+	if p.ResyncBudget < 1 {
+		p.ResyncBudget = 5
 	}
-	if c.ResyncBudget < 1 {
-		c.ResyncBudget = 5
-	}
-	return nil
-}
-
-// backoff is the ladder's unicast spacing: min(RetryBase<<(n-1),
-// RetryMax), guarded against shift overflow like recovery's.
-func (c *Config) backoff(attempt int) time.Duration {
-	if attempt < 1 {
-		attempt = 1
-	}
-	d := c.RetryBase
-	if shift := attempt - 1; shift < 63 {
-		d = c.RetryBase << shift
-	} else {
-		d = c.RetryMax
-	}
-	if d > c.RetryMax || d <= 0 {
-		d = c.RetryMax
-	}
-	return d
+	return p
 }
 
 // Shared is the in-process state nodes read and the driver writes: the
@@ -180,6 +162,47 @@ func (s *Shared) splitFor(interval uint64, encs []keycrypt.Encryption, subtree i
 	return split.Filter(encs, subtree)
 }
 
+// forward sends over tr the FORWARD copies of msg owed by the node
+// `from` at forwarding level `level` (the zero ID is the key server,
+// whose level is 0). The walk is overlay's Forward, the one statement
+// of the rule, run under the directory read lock: each entry's live
+// primary gets the message split to its (row+1)-digit subtree at
+// forward_level row+1, unless REKEY-MESSAGE-SPLIT leaves nothing for
+// that subtree. Splitting, encoding and sending happen outside the
+// lock. It returns the number of copies the transport accepted; one it
+// refused is a lost hop like any other, the ladder's to repair.
+func (s *Shared) forward(tr transport.Transport, msg *keytree.Message, from ident.ID, level int) int {
+	type hop struct {
+		to     ident.ID
+		digits int // of the subtree the copy covers = its forward level
+	}
+	var hops []hop
+	s.Read(func(dir *overlay.Directory) {
+		visit := func(row int, e *overlay.Entry) {
+			if next, ok := e.Primary(s.alive); ok {
+				hops = append(hops, hop{next.ID, row + 1})
+			}
+		}
+		if from.IsZero() {
+			dir.Server().Forward(visit)
+		} else if table, ok := dir.TableOf(from); ok { // else evicted mid-interval
+			table.Forward(level, visit)
+		}
+	})
+	sent := 0
+	for _, h := range hops {
+		encs := s.splitFor(msg.Interval, msg.Encryptions, h.to.Prefix(h.digits))
+		if len(encs) == 0 {
+			continue
+		}
+		buf, err := wire.MarshalRekey(&keytree.Message{Interval: msg.Interval, Encryptions: encs}, h.digits)
+		if err == nil && tr.Send(PeerOf(h.to), buf) == nil {
+			sent++
+		}
+	}
+	return sent
+}
+
 // Member is one user node: a keyring, a transport endpoint, and the
 // FORWARD duty for its rows of the T-mesh.
 type Member struct {
@@ -239,17 +262,13 @@ func (m *Member) handle(from transport.PeerID, frame []byte) {
 	}
 	switch wire.MsgType(frame[0]) {
 	case wire.TypeRekey:
-		msg, level, err := wire.UnmarshalRekey(frame)
-		if err != nil {
-			return
+		if msg, level, err := wire.UnmarshalRekey(frame); err == nil {
+			m.onRekey(msg, level)
 		}
-		m.onRekey(msg, level)
 	case wire.TypeSync:
-		interval, path, err := wire.UnmarshalSync(frame)
-		if err != nil {
-			return
+		if interval, path, err := wire.UnmarshalSync(frame); err == nil {
+			m.onSync(interval, path)
 		}
-		m.onSync(interval, path)
 	}
 }
 
@@ -264,7 +283,7 @@ func (m *Member) CopiesOf(interval uint64) int {
 
 func (m *Member) onRekey(msg *keytree.Message, level int) {
 	if level < m.params.Digits {
-		m.forward(msg, level)
+		m.forwards.Add(int64(m.sh.forward(m.tr, msg, m.id, level)))
 	}
 	m.mu.Lock()
 	m.copies[msg.Interval]++
@@ -273,103 +292,48 @@ func (m *Member) onRekey(msg *keytree.Message, level int) {
 			delete(m.copies, k)
 		}
 	}
-	if msg.Interval <= m.applied {
-		applied := m.applied
-		m.mu.Unlock()
-		// Duplicate (Theorem 1's fault-tolerant redundancy, or a
-		// ladder rung racing a slow ack): re-ack, don't re-apply.
-		m.reacks.Inc()
-		m.ack(applied)
-		return
-	}
-	if _, err := m.kr.Apply(msg); err != nil {
-		// A missing or stale KEK: this keyring skipped an interval
-		// the message assumes. No ack — the server's ladder will
-		// reach the resync rung and rebuild the path.
-		m.mu.Unlock()
-		m.applyErrs.Inc()
-		return
-	}
-	m.applied = msg.Interval
 	m.mu.Unlock()
-	m.applies.Inc()
-	m.ack(msg.Interval)
+	// An apply error is a missing or stale KEK: this keyring skipped an
+	// interval the message assumes. No ack — the server's ladder will
+	// reach the resync rung and rebuild the path.
+	m.install(msg.Interval, m.applies, func() error {
+		_, err := m.kr.Apply(msg)
+		return err
+	})
 }
 
 func (m *Member) onSync(interval uint64, path []keytree.PathKey) {
+	m.install(interval, m.resyncs, func() error {
+		kr, err := keytree.NewKeyring(m.params, m.id, path)
+		if err == nil {
+			m.kr = kr
+		}
+		return err
+	})
+}
+
+// install brings the keyring to interval by running apply under the
+// member lock, and acks. An interval already installed is a duplicate
+// (Theorem 1's fault-tolerant redundancy, or a ladder rung racing a
+// slow ack): re-ack, don't re-apply.
+func (m *Member) install(interval uint64, installed *obs.Counter, apply func() error) {
 	m.mu.Lock()
 	if interval <= m.applied {
-		applied := m.applied
-		m.mu.Unlock()
-		m.reacks.Inc()
-		m.ack(applied)
-		return
-	}
-	kr, err := keytree.NewKeyring(m.params, m.id, path)
-	if err != nil {
+		interval, installed = m.applied, m.reacks
+	} else if err := apply(); err != nil {
 		m.mu.Unlock()
 		m.applyErrs.Inc()
 		return
+	} else {
+		m.applied = interval
 	}
-	m.kr = kr
-	m.applied = interval
 	m.mu.Unlock()
-	m.resyncs.Inc()
+	installed.Inc()
 	m.ack(interval)
 }
 
 func (m *Member) ack(interval uint64) {
 	m.tr.Send(transport.ServerID, wire.MarshalAck(interval, m.id))
-}
-
-// forward implements the member half of FORWARD (Section 3.2): for
-// each row s in [level, D-1] send one level-(s+1) copy to the (s,j)-
-// primary of every non-diagonal column, split to that neighbor's
-// (s+1)-digit subtree.
-func (m *Member) forward(msg *keytree.Message, level int) {
-	type hop struct {
-		to      transport.PeerID
-		subtree ident.Prefix
-		level   int
-	}
-	var hops []hop
-	m.sh.Read(func(dir *overlay.Directory) {
-		table, ok := dir.TableOf(m.id)
-		if !ok {
-			return // evicted mid-interval; nothing to forward from
-		}
-		alive := m.sh.alive
-		for s := level; s < m.params.Digits; s++ {
-			own := m.id.Digit(s)
-			for j := 0; j < m.params.Base; j++ {
-				if ident.Digit(j) == own {
-					continue // diagonal: the owner's own subtree
-				}
-				next, ok := table.Entry(s, ident.Digit(j)).Primary(alive)
-				if !ok {
-					continue
-				}
-				hops = append(hops, hop{
-					to:      PeerOf(next.ID),
-					subtree: next.ID.Prefix(s + 1),
-					level:   s + 1,
-				})
-			}
-		}
-	})
-	for _, h := range hops {
-		encs := m.sh.splitFor(msg.Interval, msg.Encryptions, h.subtree)
-		if len(encs) == 0 {
-			continue // REKEY-MESSAGE-SPLIT: nothing downstream needs it
-		}
-		buf, err := wire.MarshalRekey(&keytree.Message{Interval: msg.Interval, Encryptions: encs}, h.level)
-		if err != nil {
-			continue
-		}
-		if m.tr.Send(h.to, buf) == nil {
-			m.forwards.Inc()
-		}
-	}
 }
 
 // Close releases the member's transport endpoint.
@@ -406,23 +370,45 @@ func (r *Result) Rungs() map[recovery.Rung]int {
 }
 
 // Server is the key-server node: it owns the ack ledger and drives the
-// FORWARD start plus the per-member recovery ladder.
+// FORWARD start plus the recovery ladder.
 type Server struct {
-	cfg  Config
-	tr   transport.Transport
-	sh   *Shared
-	tree *keytree.Tree
+	params ident.Params
+	policy recovery.Policy
+	tr     transport.Transport
+	sh     *Shared
+	tree   *keytree.Tree
 
-	// The ack ledger holds only intervals with a Distribute in flight;
-	// lastInterval is the newest one ever opened (the key tree numbers
-	// intervals from 1, strictly increasing).
-	ackMu        sync.Mutex
-	acked        map[uint64]map[string]recovery.Rung // interval -> member -> rung at ack
-	rungNow      map[uint64]map[string]recovery.Rung // rung currently in flight
-	waiters      map[uint64]map[string][]chan struct{}
+	// open is the ledger of the one Distribute in flight, nil between
+	// intervals; lastInterval is the newest interval ever opened (the
+	// key tree numbers intervals from 1, strictly increasing).
+	mu           sync.Mutex
+	open         *ledger
 	lastInterval uint64
 
 	acks, unicasts, syncsSent, dead *obs.Counter
+}
+
+// ledger is one interval's delivery state: a ladder position per
+// expected member, advanced by Distribute's loop and settled by the ack
+// handler, both under Server.mu, and the Result they fill.
+type ledger struct {
+	res   *Result
+	rows  []ladderRow
+	byKey map[string]*ladderRow
+	// unsettled counts rows neither acked nor dead. The ack that brings
+	// it to zero pokes wake, so Distribute returns on the last ack
+	// rather than at its next deadline.
+	unsettled int
+	wake      chan struct{}
+}
+
+type ladderRow struct {
+	id      ident.ID
+	step    recovery.Step // rung and attempt in flight
+	settled bool          // acked, or dead in flight
+	// deadline is when step will have gone unanswered. Only
+	// Distribute's goroutine touches it.
+	deadline time.Time
 }
 
 // NewServer wraps the server transport endpoint. The tree stays owned
@@ -430,17 +416,15 @@ type Server struct {
 // reads it (PathKeys for resyncs), so the driver must not mutate the
 // tree while a Distribute is in flight.
 func NewServer(cfg Config, tr transport.Transport, sh *Shared, tree *keytree.Tree) (*Server, error) {
-	if err := cfg.fill(); err != nil {
+	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
 	s := &Server{
-		cfg:       cfg,
+		params:    cfg.Params,
+		policy:    cfg.policy(),
 		tr:        tr,
 		sh:        sh,
 		tree:      tree,
-		acked:     make(map[uint64]map[string]recovery.Rung),
-		rungNow:   make(map[uint64]map[string]recovery.Rung),
-		waiters:   make(map[uint64]map[string][]chan struct{}),
 		acks:      cfg.Obs.Counter("rekeyd_server_acks"),
 		unicasts:  cfg.Obs.Counter("rekeyd_server_unicasts"),
 		syncsSent: cfg.Obs.Counter("rekeyd_server_resyncs"),
@@ -450,233 +434,180 @@ func NewServer(cfg Config, tr transport.Transport, sh *Shared, tree *keytree.Tre
 	return s, nil
 }
 
+// Policy returns the ladder schedule in force (defaults filled).
+func (s *Server) Policy() recovery.Policy { return s.policy }
+
+// handle settles the acking member's row. Acks for an interval that is
+// not open (stale re-acks, late ones), from members the interval did
+// not expect, and duplicates from rungs racing each other are dropped.
 func (s *Server) handle(from transport.PeerID, frame []byte) {
 	if len(frame) == 0 || wire.MsgType(frame[0]) != wire.TypeAck {
 		return
 	}
-	interval, id, err := wire.UnmarshalAck(frame, s.cfg.Params)
+	interval, id, err := wire.UnmarshalAck(frame, s.params)
 	if err != nil {
 		return
 	}
 	key := id.Key()
-	s.ackMu.Lock()
-	ledger, tracked := s.acked[interval]
-	if !tracked {
-		s.ackMu.Unlock()
-		return // not an open interval (stale re-ack, or a late one)
+	s.mu.Lock()
+	l := s.open
+	var row *ladderRow
+	if l != nil && l.res.Interval == interval {
+		row = l.byKey[key]
 	}
-	if _, dup := ledger[key]; dup {
-		s.ackMu.Unlock()
+	if row == nil || row.settled {
+		s.mu.Unlock()
 		return
 	}
-	rung := recovery.ByMulticast
-	if r, ok := s.rungNow[interval][key]; ok {
-		rung = r
-	}
-	ledger[key] = rung
-	chans := s.waiters[interval][key]
-	delete(s.waiters[interval], key)
-	s.ackMu.Unlock()
+	row.settled = true
+	l.res.RungOf[key] = row.step.Rung
+	l.unsettled--
+	last := l.unsettled == 0
+	s.mu.Unlock()
 	s.acks.Inc()
-	for _, ch := range chans {
-		close(ch)
+	if last {
+		l.wake <- struct{}{} // cap 1, and only one ack can be the last
 	}
-}
-
-// ackChan returns a channel closed when the member acks the interval
-// (closed immediately if it already has).
-func (s *Server) ackChan(interval uint64, key string) <-chan struct{} {
-	ch := make(chan struct{})
-	s.ackMu.Lock()
-	if _, ok := s.acked[interval][key]; ok {
-		s.ackMu.Unlock()
-		close(ch)
-		return ch
-	}
-	if s.waiters[interval] == nil {
-		s.waiters[interval] = make(map[string][]chan struct{})
-	}
-	s.waiters[interval][key] = append(s.waiters[interval][key], ch)
-	s.ackMu.Unlock()
-	return ch
-}
-
-func (s *Server) hasAcked(interval uint64, key string) bool {
-	s.ackMu.Lock()
-	defer s.ackMu.Unlock()
-	_, ok := s.acked[interval][key]
-	return ok
-}
-
-func (s *Server) setRung(interval uint64, key string, r recovery.Rung) {
-	s.ackMu.Lock()
-	if s.rungNow[interval] == nil {
-		s.rungNow[interval] = make(map[string]recovery.Rung)
-	}
-	s.rungNow[interval][key] = r
-	s.ackMu.Unlock()
 }
 
 // Distribute delivers one interval's rekey message to every member in
-// expected, climbing the ladder for stragglers. It blocks until every
-// member acked or ran its ladder dry, so it always terminates:
-// worst-case per member is Timeout + Σ backoff(RetryBudget) +
-// ResyncBudget·RetryMax.
+// expected, climbing the ladder for stragglers. It returns the moment
+// the last expected member acks, and otherwise once every straggler
+// has run its ladder dry, so it always terminates: the worst case is
+// Policy().Worst().
+//
+// It is one loop on the caller's goroutine: a single timer sits at the
+// earliest row deadline; when it fires, every row whose step has gone
+// unanswered moves to the policy's next step and is sent that rung.
 func (s *Server) Distribute(msg *keytree.Message, expected []ident.ID) (*Result, error) {
 	if msg == nil {
 		return nil, fmt.Errorf("rekeyd: nil rekey message")
 	}
+	res := &Result{Interval: msg.Interval, Expected: len(expected), RungOf: make(map[string]recovery.Rung, len(expected))}
+	l := &ledger{
+		res:       res,
+		rows:      make([]ladderRow, len(expected)),
+		byKey:     make(map[string]*ladderRow, len(expected)),
+		unsettled: len(expected),
+		wake:      make(chan struct{}, 1),
+	}
+	for i, id := range expected {
+		l.rows[i].id = id
+		l.byKey[id.Key()] = &l.rows[i]
+	}
+	s.mu.Lock()
+	if msg.Interval <= s.lastInterval {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("rekeyd: interval %d already distributed", msg.Interval)
+	}
+	s.lastInterval, s.open = msg.Interval, l
+	s.mu.Unlock()
+
 	// Compile the split index once, server-side; every forwarding node
 	// shares it through Shared (monotonicity makes that byte-identical
 	// to per-hop re-splitting).
-	var idx *split.Index
 	s.sh.Read(func(dir *overlay.Directory) {
-		idx = split.NewIndex(dir.Tree(), msg.Encryptions, work.Width())
+		s.sh.PutIndex(msg.Interval, split.NewIndex(dir.Tree(), msg.Encryptions, work.Width()))
 	})
-	s.sh.PutIndex(msg.Interval, idx)
-
-	s.ackMu.Lock()
-	if msg.Interval <= s.lastInterval {
-		s.ackMu.Unlock()
-		return nil, fmt.Errorf("rekeyd: interval %d already distributed", msg.Interval)
-	}
-	s.lastInterval = msg.Interval
-	s.acked[msg.Interval] = make(map[string]recovery.Rung, len(expected))
-	s.ackMu.Unlock()
-
-	// FORWARD start: one level-1 copy per (0,j)-primary, split to the
-	// receiver's level-1 subtree.
-	type hop struct {
-		to      transport.PeerID
-		subtree ident.Prefix
-	}
-	var hops []hop
-	s.sh.Read(func(dir *overlay.Directory) {
-		alive := s.sh.alive
-		for j := 0; j < s.cfg.Params.Base; j++ {
-			next, ok := dir.Server().Entry(ident.Digit(j)).Primary(alive)
-			if !ok {
-				continue
-			}
-			hops = append(hops, hop{to: PeerOf(next.ID), subtree: next.ID.Prefix(1)})
-		}
-	})
-	for _, h := range hops {
-		encs := idx.Split(msg.Encryptions, h.subtree)
-		if len(encs) == 0 {
-			continue
-		}
-		buf, err := wire.MarshalRekey(&keytree.Message{Interval: msg.Interval, Encryptions: encs}, 1)
-		if err != nil {
-			return nil, err
-		}
-		s.tr.Send(h.to, buf)
+	// FORWARD start: one level-1 copy per (0,j)-primary. The multicast
+	// is step zero of every row's ladder, given Timeout from here.
+	s.sh.forward(s.tr, msg, ident.ID{}, 0)
+	unanswered := time.Now().Add(s.policy.Wait(recovery.Step{}))
+	for i := range l.rows {
+		l.rows[i].deadline = unanswered
 	}
 
-	// Wait out the multicast, then ladder the stragglers.
-	res := &Result{Interval: msg.Interval, Expected: len(expected)}
-	s.waitAll(msg.Interval, expected, s.cfg.Timeout)
-
-	var wg sync.WaitGroup
-	var resMu sync.Mutex
-	for _, id := range expected {
-		if s.hasAcked(msg.Interval, id.Key()) {
-			continue
+	for {
+		due, wait, unsettled := s.advance(l)
+		if !unsettled {
+			break
 		}
-		wg.Add(1)
-		go func(id ident.ID) {
-			defer wg.Done()
-			s.ladder(msg, id, res, &resMu)
-		}(id)
+		for _, row := range due {
+			s.sendRung(msg, row, res)
+		}
+		timer := time.NewTimer(wait)
+		select {
+		case <-l.wake:
+		case <-timer.C:
+		}
+		timer.Stop()
 	}
-	wg.Wait()
 
-	// Close the interval: the result takes the ledger, and acks that
-	// arrive from here on are dropped by handle as untracked.
-	s.ackMu.Lock()
-	res.RungOf = s.acked[msg.Interval]
-	delete(s.acked, msg.Interval)
-	delete(s.waiters, msg.Interval)
-	delete(s.rungNow, msg.Interval)
-	s.ackMu.Unlock()
+	// Close the interval: acks that arrive from here on are dropped by
+	// handle as not open.
+	s.mu.Lock()
+	s.open = nil
+	s.mu.Unlock()
 	sort.Slice(res.DeadInFlight, func(i, j int) bool {
 		return res.DeadInFlight[i].Compare(res.DeadInFlight[j]) < 0
 	})
 	return res, nil
 }
 
-// waitAll blocks until every expected member acked or the timeout
-// elapsed. One timer covers the whole wait: under go.mod's go 1.22 a
-// per-member time.After would stay live until it fired, i.e. for the
-// full timeout, once per member per interval.
-func (s *Server) waitAll(interval uint64, expected []ident.ID, timeout time.Duration) {
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	for _, id := range expected {
-		select {
-		case <-s.ackChan(interval, id.Key()):
-		case <-timer.C:
-			return
+// advance moves every unsettled row whose step has gone unanswered to
+// the policy's next step, or reports it dead in flight when the ladder
+// has run dry. It returns the rows now owed a send, the time to the
+// earliest deadline left, and whether any row is still unsettled.
+func (s *Server) advance(l *ledger) (due []*ladderRow, wait time.Duration, unsettled bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	now := time.Now()
+	var earliest time.Time
+	for i := range l.rows {
+		row := &l.rows[i]
+		if row.settled {
+			continue
+		}
+		if !row.deadline.After(now) {
+			next, ok := s.policy.Next(row.step)
+			if !ok {
+				row.settled = true
+				l.unsettled--
+				l.res.DeadInFlight = append(l.res.DeadInFlight, row.id)
+				s.dead.Inc()
+				continue
+			}
+			row.step, row.deadline = next, now.Add(s.policy.Wait(next))
+			due = append(due, row)
+		}
+		if earliest.IsZero() || row.deadline.Before(earliest) {
+			earliest = row.deadline
 		}
 	}
+	return due, earliest.Sub(now), l.unsettled > 0
 }
 
-// ladder climbs unicast → resync for one silent member.
-func (s *Server) ladder(msg *keytree.Message, id ident.ID, res *Result, resMu *sync.Mutex) {
-	key := id.Key()
-	// Unicast rung: the member's own slice at terminal forward level D
-	// (never forwarded further), retried on the capped exponential
-	// schedule.
-	slice := recovery.NeededBy(msg, id)
-	unicast, err := wire.MarshalRekey(&keytree.Message{Interval: msg.Interval, Encryptions: slice}, s.cfg.Params.Digits)
-	if err != nil {
-		unicast = nil
-	}
-	for n := 1; n <= s.cfg.RetryBudget && unicast != nil; n++ {
-		s.setRung(msg.Interval, key, recovery.ByUnicast)
-		s.tr.Send(PeerOf(id), unicast)
+// sendRung transmits the rung a row has just moved to. A rung that
+// cannot be built (the member left the tree under the ladder, which the
+// driver contract rules out) is a rung lost: the chain is waited out
+// and ends dead in flight.
+func (s *Server) sendRung(msg *keytree.Message, row *ladderRow, res *Result) {
+	var buf []byte
+	var err error
+	if row.step.Rung == recovery.ByUnicast {
+		// The member's own slice at terminal forward level D (never
+		// forwarded further).
+		slice := &keytree.Message{Interval: msg.Interval, Encryptions: recovery.NeededBy(msg, row.id)}
+		buf, err = wire.MarshalRekey(slice, s.params.Digits)
 		s.unicasts.Inc()
-		d := s.cfg.backoff(n)
-		resMu.Lock()
 		res.UnicastAttempts++
-		if d > res.MaxBackoff {
+		if d := s.policy.Wait(row.step); d > res.MaxBackoff {
 			res.MaxBackoff = d
 		}
-		resMu.Unlock()
-		select {
-		case <-s.ackChan(msg.Interval, key):
-			return
-		case <-time.After(d):
+	} else {
+		// Resync: rebuild the member's whole path. PathKeys is a tree
+		// read; the driver contract forbids concurrent Mark/Regenerate
+		// during Distribute.
+		var path []keytree.PathKey
+		if path, err = s.tree.PathKeys(row.id); err == nil {
+			buf, err = wire.MarshalSync(msg.Interval, path)
 		}
-	}
-	// Resync rung: rebuild the member's whole path. PathKeys is a
-	// tree read; the driver contract forbids concurrent Mark/
-	// Regenerate during Distribute.
-	for n := 1; n <= s.cfg.ResyncBudget; n++ {
-		path, err := s.tree.PathKeys(id)
-		if err != nil {
-			break // left/evicted under the ladder: dead in flight
-		}
-		buf, err := wire.MarshalSync(msg.Interval, path)
-		if err != nil {
-			break
-		}
-		s.setRung(msg.Interval, key, recovery.ByResync)
-		s.tr.Send(PeerOf(id), buf)
 		s.syncsSent.Inc()
-		resMu.Lock()
 		res.SyncAttempts++
-		resMu.Unlock()
-		select {
-		case <-s.ackChan(msg.Interval, key):
-			return
-		case <-time.After(s.cfg.RetryMax):
-		}
 	}
-	s.dead.Inc()
-	resMu.Lock()
-	res.DeadInFlight = append(res.DeadInFlight, id)
-	resMu.Unlock()
+	if err == nil {
+		s.tr.Send(PeerOf(row.id), buf)
+	}
 }
 
 // Close releases the server's transport endpoint.

@@ -260,31 +260,11 @@ func TestStalledPeerBoundsInterval(t *testing.T) {
 	check()
 }
 
-// TestLadderBackoffSchedule pins the daemon ladder's spacing to the
-// same min(RetryBase<<(n-1), RetryMax) shape the simulator ladder and
-// the transport redial loop use, including the shift-overflow guard —
-// three layers, one schedule, no compounding surprises.
-func TestLadderBackoffSchedule(t *testing.T) {
-	c := Config{Params: ident.Params{Digits: 2, Base: 4}, RetryBase: 50 * time.Millisecond, RetryMax: 400 * time.Millisecond}
-	if err := c.fill(); err != nil {
-		t.Fatal(err)
-	}
-	want := []time.Duration{50, 100, 200, 400, 400}
-	for i, ms := range want {
-		if got := c.backoff(i + 1); got != ms*time.Millisecond {
-			t.Fatalf("backoff(%d) = %v, want %v", i+1, got, ms*time.Millisecond)
-		}
-	}
-	if got := c.backoff(500); got != c.RetryMax {
-		t.Fatalf("backoff(500) = %v, want RetryMax (overflow guard)", got)
-	}
-}
-
 // TestAckLedgerReleased pins the server's per-interval bookkeeping to
-// the intervals actually in flight: after every Distribute returns the
-// ledger, the rung table and the waiter table are empty (they used to
-// keep one N-entry map per interval forever), and re-distributing a
-// closed interval is still refused.
+// the interval actually in flight: after every Distribute returns no
+// ledger is open (it used to keep one N-entry map per interval
+// forever), and re-distributing a closed interval is refused without
+// touching the split index members may still be forwarding with.
 func TestAckLedgerReleased(t *testing.T) {
 	w, err := NewWorld(testConfig("loopback", 8))
 	if err != nil {
@@ -303,14 +283,64 @@ func TestAckLedgerReleased(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertConverged(t, w, res)
-		w.srv.ackMu.Lock()
-		open := len(w.srv.acked) + len(w.srv.rungNow) + len(w.srv.waiters)
-		w.srv.ackMu.Unlock()
-		if open != 0 {
-			t.Fatalf("interval %d: %d ledger entries still open after Distribute returned", res.Interval, open)
+		w.srv.mu.Lock()
+		open := w.srv.open
+		w.srv.mu.Unlock()
+		if open != nil {
+			t.Fatalf("interval %d: ledger still open after Distribute returned", res.Interval)
 		}
+		live := w.sh.Index(res.Interval)
 		if _, err := w.srv.Distribute(&keytree.Message{Interval: res.Interval}, nil); err == nil {
 			t.Fatalf("interval %d distributed twice without an error", res.Interval)
 		}
+		if w.sh.Index(res.Interval) != live {
+			t.Fatalf("interval %d: refused duplicate Distribute replaced the live split index", res.Interval)
+		}
 	}
+}
+
+// TestLadderIsOneLoop holds 32 members silent so every one of them is
+// mid-ladder at once, and requires the server to be driving all 32
+// chains from Distribute's own goroutine: the goroutine count may grow
+// by the test's own helper and little else, not by one per straggler.
+func TestLadderIsOneLoop(t *testing.T) {
+	check := guardGoroutines(t)
+	cfg := testConfig("loopback", 40)
+	cfg.Ladder.Timeout = 50 * time.Millisecond
+	cfg.Ladder.RetryBase, cfg.Ladder.RetryMax = 200*time.Millisecond, 200*time.Millisecond
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	silent := w.Members()[:32]
+	for _, m := range silent {
+		w.Kill(m.ID())
+	}
+	before := runtime.NumGoroutine()
+	done := make(chan *Result, 1)
+	go func() {
+		res, err := w.Rekey()
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	}()
+	// Well past Timeout, inside the first unicast wait: all 32 chains
+	// are on the unicast rung.
+	time.Sleep(150 * time.Millisecond)
+	if grew := runtime.NumGoroutine() - before; grew > 4 {
+		t.Errorf("32 stragglers mid-ladder grew the goroutine count by %d, want a small constant", grew)
+	}
+	for _, m := range silent {
+		w.Restore(m.ID())
+	}
+	res := <-done
+	if res != nil {
+		assertConverged(t, w, res)
+		if rungs := res.Rungs(); rungs[recovery.ByUnicast]+rungs[recovery.ByResync] < len(silent) {
+			t.Errorf("silent members converged without the ladder: %v", rungs)
+		}
+	}
+	w.Close()
+	check()
 }

@@ -3,6 +3,7 @@ package rekeyd
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -69,15 +70,7 @@ func (c *WorldConfig) fill() error {
 		c.HostBudget = 256
 	}
 	if c.Topology.TotalRouters == 0 {
-		c.Topology = vnet.GTITMConfig{
-			TransitDomains:   2,
-			TransitPerDomain: 2,
-			StubsPerTransit:  2,
-			TotalRouters:     120,
-			TotalLinks:       300,
-			AccessDelayMin:   time.Millisecond,
-			AccessDelayMax:   3 * time.Millisecond,
-		}
+		c.Topology = vnet.SoakGTITMConfig()
 	}
 	c.Ladder.Params = c.Params
 	c.Ladder.Obs = c.Obs
@@ -98,15 +91,16 @@ type World struct {
 	plan *transport.FaultPlan
 
 	members map[string]*Member
-	addrs   map[string]string // member key -> locator
 
 	pendingJoins  []overlay.Record
 	pendingLeaves []ident.ID
 	pendingEvicts []ident.ID
 
-	freeHosts []vnet.HostID
-	idRNG     *rand.Rand
-	joinSeq   int64
+	// Hosts 1..lastHost exist in the topology (0 is the server's); the
+	// first nextHost-1 have been handed to joiners.
+	nextHost, lastHost vnet.HostID
+	idRNG              *rand.Rand
+	joinSeq            int64
 }
 
 // NewWorld builds the topology, directory, tree, server, and the
@@ -136,11 +130,10 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		sw:      transport.NewSwitch(),
 		plan:    transport.NewFaultPlan(cfg.Seed),
 		members: make(map[string]*Member),
-		addrs:   make(map[string]string),
 		idRNG:   rand.New(rand.NewSource(cfg.Seed ^ 0x696473)), // "ids"
-	}
-	for h := 1; h < totalHosts; h++ {
-		w.freeHosts = append(w.freeHosts, vnet.HostID(h))
+
+		nextHost: 1,
+		lastHost: vnet.HostID(totalHosts - 1),
 	}
 	w.sh.SetAlive(func(id ident.ID) bool {
 		return !w.plan.Killed(PeerOf(id))
@@ -156,7 +149,6 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		return nil, err
 	}
 	w.srv = srv
-	w.addrs[string(transport.ServerID)] = srvTr.Addr()
 
 	for i := 0; i < cfg.InitialMembers; i++ {
 		if _, err := w.Join(); err != nil {
@@ -229,18 +221,8 @@ func (w *World) freeID() (ident.ID, error) {
 		if err != nil {
 			return ident.ID{}, err
 		}
-		key := id.Key()
-		if _, taken := w.members[key]; taken {
-			continue
-		}
-		pendingTaken := false
-		for _, rec := range w.pendingJoins {
-			if rec.ID.Key() == key {
-				pendingTaken = true
-				break
-			}
-		}
-		if !pendingTaken {
+		_, taken := w.members[id.Key()]
+		if !taken && !slices.ContainsFunc(w.pendingJoins, func(rec overlay.Record) bool { return rec.ID.Equal(id) }) {
 			return id, nil
 		}
 	}
@@ -249,7 +231,7 @@ func (w *World) freeID() (ident.ID, error) {
 
 // Join schedules a new member for the next Rekey and returns its ID.
 func (w *World) Join() (ident.ID, error) {
-	if len(w.freeHosts) == 0 {
+	if w.nextHost > w.lastHost {
 		return ident.ID{}, fmt.Errorf("rekeyd: host budget exhausted")
 	}
 	id, err := w.freeID()
@@ -257,8 +239,8 @@ func (w *World) Join() (ident.ID, error) {
 		return ident.ID{}, err
 	}
 	w.joinSeq++
-	rec := overlay.Record{Host: w.freeHosts[0], ID: id, JoinTime: time.Duration(w.joinSeq)}
-	w.freeHosts = w.freeHosts[1:]
+	rec := overlay.Record{Host: w.nextHost, ID: id, JoinTime: time.Duration(w.joinSeq)}
+	w.nextHost++
 	w.pendingJoins = append(w.pendingJoins, rec)
 	return id, nil
 }
@@ -314,20 +296,18 @@ func (w *World) addMember(rec overlay.Record, appliedInterval uint64) error {
 	if err != nil {
 		return err
 	}
-	key := rec.ID.Key()
 	// Peer exchange: the newcomer learns everyone, everyone learns the
 	// newcomer. (IDs route; these locators are just where they live.)
-	if err := tr.AddPeer(transport.ServerID, w.addrs[string(transport.ServerID)]); err != nil {
+	if err := tr.AddPeer(transport.ServerID, w.srv.tr.Addr()); err != nil {
 		tr.Close()
 		return err
 	}
 	w.srv.tr.AddPeer(PeerOf(rec.ID), tr.Addr())
 	for k, m := range w.members {
-		tr.AddPeer(transport.PeerID(k), w.addrs[k])
+		tr.AddPeer(transport.PeerID(k), m.tr.Addr())
 		m.tr.AddPeer(PeerOf(rec.ID), tr.Addr())
 	}
-	w.addrs[key] = tr.Addr()
-	w.members[key] = NewMember(rec.ID, w.cfg.Params, tr, w.sh, kr, appliedInterval, w.cfg.Obs)
+	w.members[rec.ID.Key()] = NewMember(rec.ID, w.cfg.Params, tr, w.sh, kr, appliedInterval, w.cfg.Obs)
 	return nil
 }
 
@@ -339,7 +319,6 @@ func (w *World) dropMember(id ident.ID) {
 		return
 	}
 	delete(w.members, key)
-	delete(w.addrs, key)
 	// Lift any standing Kill: the peer ID dies with the member, and a
 	// future joiner that happens to draw the same ID must not inherit
 	// the blackout.
@@ -387,10 +366,7 @@ func (w *World) Rekey() (*Result, error) {
 			}
 		}
 	})
-	for _, id := range w.pendingLeaves {
-		w.dropMember(id)
-	}
-	for _, id := range w.pendingEvicts {
+	for _, id := range leaves {
 		w.dropMember(id)
 	}
 	joinRecs := w.pendingJoins

@@ -366,14 +366,11 @@ func (m *machine[P]) validateSender() error {
 
 func (m *machine[P]) start(payload P, now time.Duration) {
 	d := m.cfg.Dir
-	params := d.Params()
 	if m.cfg.SenderIsServer {
-		// FORWARD, lines 3–5: the key server sends a copy with
-		// forward_level = 1 to each (0,j)-primary neighbor.
 		st := d.Server()
-		for j := 0; j < params.Base; j++ {
-			m.sendVia(st.Host(), ident.ID{}, 0, st.Entry(ident.Digit(j)), 0, payload, now, 0)
-		}
+		st.Forward(func(s int, e *overlay.Entry) {
+			m.sendVia(st.Host(), ident.ID{}, 0, e, s, payload, now, 0)
+		})
 		return
 	}
 	table, ok := d.TableOf(m.cfg.SenderID)
@@ -384,22 +381,14 @@ func (m *machine[P]) start(payload P, now time.Duration) {
 	m.forwardRows(table, 0, payload, now, 0)
 }
 
-// forwardRows implements FORWARD lines 6–9 for a user at forwarding level
-// `level`: for every row s in [level, D-1], send a copy with
-// forward_level = s+1 to each (s,j)-primary neighbor. parentSpan is the
-// trace span that delivered the payload to this forwarder (0 at the
-// origin).
+// forwardRows sends a user's FORWARD copies (overlay.Table.Forward is
+// the walk) at forwarding level `level`. parentSpan is the trace span
+// that delivered the payload to this forwarder (0 at the origin).
 func (m *machine[P]) forwardRows(table *overlay.Table, level int, payload P, now time.Duration, parentSpan int64) {
-	params := table.Params()
 	owner := table.Owner()
-	for s := level; s < params.Digits; s++ {
-		for j := 0; j < params.Base; j++ {
-			if ident.Digit(j) == owner.ID.Digit(s) {
-				continue // diagonal entries are empty by Definition 3
-			}
-			m.sendVia(owner.Host, owner.ID, level, table.Entry(s, ident.Digit(j)), s, payload, now, parentSpan)
-		}
-	}
+	table.Forward(level, func(s int, e *overlay.Entry) {
+		m.sendVia(owner.Host, owner.ID, level, e, s, payload, now, parentSpan)
+	})
 }
 
 // sendVia transmits one copy through an (s,j)-entry: it picks the primary

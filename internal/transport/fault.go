@@ -180,12 +180,13 @@ type FaultStats struct {
 }
 
 // Faulty wraps a Transport and applies a FaultPlan's frame-level
-// faults on both the send and receive paths. Dropped frames return a
-// nil Send error — the caller sent into lossy weather, exactly like a
-// real network — but every drop is counted.
+// faults on both the send and receive paths; everything else is the
+// wrapped endpoint's. Dropped frames return a nil Send error — the
+// caller sent into lossy weather, exactly like a real network — but
+// every drop is counted.
 type Faulty struct {
-	inner Transport
-	plan  *FaultPlan
+	Transport
+	plan *FaultPlan
 
 	droppedLoss, droppedPartition, droppedKill, delayed atomic.Uint64
 	obsLoss, obsPartition, obsKill, obsDelayed          *obs.Counter
@@ -199,7 +200,7 @@ type Faulty struct {
 // WithFaults wraps inner so every frame consults plan. reg may be nil.
 func WithFaults(inner Transport, plan *FaultPlan, reg *obs.Registry) *Faulty {
 	return &Faulty{
-		inner:        inner,
+		Transport:    inner,
 		plan:         plan,
 		obsLoss:      reg.Counter("fault_dropped_loss"),
 		obsPartition: reg.Counter("fault_dropped_partition"),
@@ -233,22 +234,10 @@ func (f *Faulty) Stats() FaultStats {
 	}
 }
 
-// ID implements Transport.
-func (f *Faulty) ID() PeerID { return f.inner.ID() }
-
-// Addr implements Transport.
-func (f *Faulty) Addr() string { return f.inner.Addr() }
-
-// AddPeer implements Transport.
-func (f *Faulty) AddPeer(id PeerID, addr string) error { return f.inner.AddPeer(id, addr) }
-
-// RemovePeer implements Transport.
-func (f *Faulty) RemovePeer(id PeerID) { f.inner.RemovePeer(id) }
-
 // Send implements Transport, applying kill/partition/loss/delay on the
 // way out.
 func (f *Faulty) Send(to PeerID, frame []byte) error {
-	v := f.plan.judge(f.inner.ID(), to)
+	v := f.plan.judge(f.ID(), to)
 	if v.drop {
 		f.count(v.why)
 		return nil
@@ -274,17 +263,17 @@ func (f *Faulty) Send(to PeerID, frame []byte) error {
 			case <-time.After(v.delay):
 				// Re-judge on delivery: a partition or kill that
 				// started during the delay still applies.
-				v2 := f.plan.judge(f.inner.ID(), to)
+				v2 := f.plan.judge(f.ID(), to)
 				if v2.drop {
 					f.count(v2.why)
 					return
 				}
-				f.inner.Send(to, frame)
+				f.Transport.Send(to, frame)
 			}
 		}()
 		return nil
 	}
-	return f.inner.Send(to, frame)
+	return f.Transport.Send(to, frame)
 }
 
 // SetHandler implements Transport: the handler is shielded so frames
@@ -292,8 +281,8 @@ func (f *Faulty) Send(to PeerID, frame []byte) error {
 // far side of a cut may not share this plan's view for an instant;
 // double-filtering keeps the cut airtight).
 func (f *Faulty) SetHandler(h Handler) {
-	self := f.inner.ID()
-	f.inner.SetHandler(func(from PeerID, frame []byte) {
+	self := f.ID()
+	f.Transport.SetHandler(func(from PeerID, frame []byte) {
 		v := f.plan.judge(from, self)
 		if v.drop {
 			f.count(v.why)
@@ -302,9 +291,6 @@ func (f *Faulty) SetHandler(h Handler) {
 		h(from, frame)
 	})
 }
-
-// Status implements Transport.
-func (f *Faulty) Status(id PeerID) (Status, bool) { return f.inner.Status(id) }
 
 // Close implements Transport: waits for in-flight delayed frames.
 func (f *Faulty) Close() error {
@@ -317,5 +303,5 @@ func (f *Faulty) Close() error {
 	f.mu.Unlock()
 	close(f.done)
 	f.wg.Wait()
-	return f.inner.Close()
+	return f.Transport.Close()
 }

@@ -18,13 +18,10 @@ import (
 // declared length is checked against the bytes actually present before
 // any allocation sized by it.
 
-// envelopeOverhead is the fixed cost of the sender-ID prefix.
-func envelopeOverhead(id PeerID) int { return 1 + len(id) }
-
 // encodeEnvelope wraps payload with the sender prefix. The sender ID
 // must already satisfy len <= MaxPeerID (enforced by Config.fill).
 func encodeEnvelope(from PeerID, payload []byte) []byte {
-	buf := make([]byte, 0, envelopeOverhead(from)+len(payload))
+	buf := make([]byte, 0, 1+len(from)+len(payload))
 	buf = append(buf, byte(len(from)))
 	buf = append(buf, from...)
 	buf = append(buf, payload...)

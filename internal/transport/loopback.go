@@ -47,23 +47,9 @@ func (s *Switch) lookup(id PeerID) *Loopback {
 // queue, mirroring a full socket buffer) and a single pump goroutine
 // drains the inbox into the handler.
 type Loopback struct {
-	id      PeerID
-	sw      *Switch
-	handler handlerCell
-	ctr     counters
-
-	mu     sync.RWMutex
-	peers  map[PeerID]*peerStats
-	closed bool
-
-	inbox chan loopFrame
-	done  chan struct{}
-	wg    sync.WaitGroup
-}
-
-type loopFrame struct {
-	from    PeerID
-	payload []byte
+	endpoint[struct{}]
+	sw    *Switch
+	inbox chan []byte // envelopes
 }
 
 // NewLoopback attaches a new endpoint to the switch.
@@ -71,14 +57,8 @@ func NewLoopback(sw *Switch, cfg Config) (*Loopback, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	l := &Loopback{
-		id:    cfg.ID,
-		sw:    sw,
-		ctr:   newCounters(cfg.Obs),
-		peers: make(map[PeerID]*peerStats),
-		inbox: make(chan loopFrame, cfg.Queue),
-		done:  make(chan struct{}),
-	}
+	l := &Loopback{sw: sw, inbox: make(chan []byte, cfg.Queue)}
+	l.init(&cfg)
 	if err := sw.attach(l); err != nil {
 		return nil, err
 	}
@@ -93,40 +73,23 @@ func (l *Loopback) pump() {
 		select {
 		case <-l.done:
 			return
-		case f := <-l.inbox:
+		case env := <-l.inbox:
 			l.ctr.queueDepth.Add(-1)
-			sender, payload, err := decodeEnvelope(f.payload)
-			if err != nil {
-				l.ctr.dropped.Inc()
-				continue
-			}
-			h := l.handler.get()
-			if h == nil {
-				l.ctr.dropped.Inc()
-				continue
-			}
-			l.mu.RLock()
-			ps := l.peers[sender]
-			l.mu.RUnlock()
-			if ps != nil {
-				ps.received.Add(1)
-			}
-			l.ctr.received.Inc()
-			h(sender, payload)
+			l.dispatch(env)
 		}
 	}
 }
 
 // deliver enqueues an envelope into this endpoint's inbox; false means
 // the inbox was full or the endpoint closed (the sender accounts it).
-func (l *Loopback) deliver(f loopFrame) bool {
+func (l *Loopback) deliver(env []byte) bool {
 	select {
 	case <-l.done:
 		return false
 	default:
 	}
 	select {
-	case l.inbox <- f:
+	case l.inbox <- env:
 		l.ctr.queueDepth.Add(1)
 		return true
 	default:
@@ -134,118 +97,49 @@ func (l *Loopback) deliver(f loopFrame) bool {
 	}
 }
 
-// ID implements Transport.
-func (l *Loopback) ID() PeerID { return l.id }
-
 // Addr implements Transport: on the switch, the identity is the
 // locator.
 func (l *Loopback) Addr() string { return string(l.id) }
 
-// AddPeer implements Transport. The addr is recorded for Status but
-// routing goes through the switch by ID.
+// AddPeer implements Transport. Routing goes through the switch by ID,
+// so the locator is the ID whatever addr says.
 func (l *Loopback) AddPeer(id PeerID, addr string) error {
-	if len(id) == 0 || len(id) > MaxPeerID {
-		return ErrUnknownPeer
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if _, ok := l.peers[id]; !ok {
-		ps := &peerStats{}
-		ps.state.Store(int32(StateUp))
-		l.ctr.track(ps)
-		l.peers[id] = ps
-	}
-	return nil
-}
-
-// RemovePeer implements Transport.
-func (l *Loopback) RemovePeer(id PeerID) {
-	l.mu.Lock()
-	if ps, ok := l.peers[id]; ok {
-		ps.setState(&l.ctr, StateClosed)
-		l.ctr.untrack(ps)
-		delete(l.peers, id)
-	}
-	l.mu.Unlock()
+	_, err := l.addPeer(id, string(id), StateUp, nil)
+	return err
 }
 
 // Send implements Transport.
 func (l *Loopback) Send(to PeerID, frame []byte) error {
-	if len(frame) > MaxFrame {
-		return ErrFrameTooBig
-	}
-	l.mu.RLock()
-	ps, known := l.peers[to]
-	closed := l.closed
-	l.mu.RUnlock()
-	if closed {
-		return ErrClosed
-	}
-	if !known {
-		return ErrUnknownPeer
+	p, err := l.gate(to, frame)
+	if err != nil {
+		return err
 	}
 	dst := l.sw.lookup(to)
 	if dst == nil {
 		// Registered but not attached (peer killed): the frame is
 		// dropped with accounting, like a datagram to a dead host.
-		ps.dropped.Add(1)
-		l.ctr.dropped.Inc()
-		ps.setState(&l.ctr, StateDown)
+		l.drop(p, nil)
+		l.setState(p, StateDown)
 		return nil
 	}
-	env := encodeEnvelope(l.id, frame)
-	if !dst.deliver(loopFrame{from: l.id, payload: env}) {
-		ps.overflows.Add(1)
-		l.ctr.overflow.Inc()
-		return ErrQueueFull
+	if !dst.deliver(encodeEnvelope(l.id, frame)) {
+		return l.overflow(p)
 	}
-	ps.sent.Add(1)
-	ps.setState(&l.ctr, StateUp)
-	l.ctr.sent.Inc()
+	l.sentTo(p)
+	l.setState(p, StateUp)
 	return nil
-}
-
-// SetHandler implements Transport.
-func (l *Loopback) SetHandler(h Handler) { l.handler.set(h) }
-
-// Status implements Transport.
-func (l *Loopback) Status(id PeerID) (Status, bool) {
-	l.mu.RLock()
-	ps, ok := l.peers[id]
-	l.mu.RUnlock()
-	if !ok {
-		return Status{}, false
-	}
-	return ps.status(string(id)), true
 }
 
 // Close implements Transport: detaches from the switch and stops the
 // pump. Frames still queued in the inbox are dropped with accounting.
 func (l *Loopback) Close() error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+	peers, ok := l.shut()
+	if !ok {
 		return nil
 	}
-	l.closed = true
-	for _, ps := range l.peers {
-		ps.setState(&l.ctr, StateClosed)
-		l.ctr.untrack(ps)
-	}
-	l.mu.Unlock()
 	l.sw.detach(l.id)
-	close(l.done)
 	l.wg.Wait()
-	for {
-		select {
-		case <-l.inbox:
-			l.ctr.dropped.Inc()
-			l.ctr.queueDepth.Add(-1)
-		default:
-			return nil
-		}
-	}
+	drain(&l.endpoint, l.inbox, func([]byte) *peer[struct{}] { return nil })
+	l.retire(peers...)
+	return nil
 }

@@ -47,32 +47,25 @@ func defaultDial(addr string, timeout time.Duration) (netConn, error) {
 // dropped with accounting and the *connection* is retried, keeping
 // transport retries and recovery-ladder retries from compounding.
 type TCP struct {
+	endpoint[*tcpLink]
 	cfg      Config
 	listener net.Listener
-	handler  handlerCell
-	ctr      counters
+	addr     string // the bound listener address, fixed for its life
 	dial     DialFunc
-
-	mu     sync.RWMutex
-	links  map[PeerID]*tcpLink
-	closed bool
 
 	acceptMu sync.Mutex
 	accepted map[net.Conn]struct{}
-
-	done chan struct{}
-	wg   sync.WaitGroup
 }
 
+// tcpLink is the wire's per-peer state: the bounded queue Send fills
+// and the link goroutine that owns the socket and drains it.
 type tcpLink struct {
-	t     *TCP
-	id    PeerID
-	addr  string
-	stats peerStats
 	queue chan []byte // encoded envelopes
 	stop  chan struct{}
 	wg    sync.WaitGroup
 }
+
+type tcpPeer = peer[*tcpLink]
 
 // NewTCP binds a listener on listenAddr and starts the accept loop.
 func NewTCP(listenAddr string, cfg Config) (*TCP, error) {
@@ -86,12 +79,11 @@ func NewTCP(listenAddr string, cfg Config) (*TCP, error) {
 	t := &TCP{
 		cfg:      cfg,
 		listener: ln,
-		ctr:      newCounters(cfg.Obs),
+		addr:     ln.Addr().String(),
 		dial:     cfg.Dial,
-		links:    make(map[PeerID]*tcpLink),
 		accepted: make(map[net.Conn]struct{}),
-		done:     make(chan struct{}),
 	}
+	t.init(&cfg)
 	if t.dial == nil {
 		t.dial = defaultDial
 	}
@@ -105,18 +97,20 @@ func (t *TCP) acceptLoop() {
 	for {
 		conn, err := t.listener.Accept()
 		if err != nil {
-			select {
-			case <-t.done:
-				return
-			default:
-			}
 			if errors.Is(err, net.ErrClosed) {
-				return
+				return // Close closed the listener
 			}
 			continue
 		}
 		t.acceptMu.Lock()
-		t.accepted[conn] = struct{}{}
+		select {
+		case <-t.done:
+			// Close already swept the accepted set: a conn slipping in
+			// behind the sweep would hold Close for a full readIdle.
+			conn.Close()
+		default:
+			t.accepted[conn] = struct{}{}
+		}
 		t.acceptMu.Unlock()
 		t.wg.Add(1)
 		go t.readPump(conn)
@@ -136,90 +130,48 @@ func (t *TCP) readPump(conn net.Conn) {
 	}()
 	hdr := make([]byte, 4)
 	for {
-		conn.SetReadDeadline(time.Now().Add(t.cfg.ReadIdle))
+		conn.SetReadDeadline(time.Now().Add(readIdle))
 		if _, err := io.ReadFull(conn, hdr); err != nil {
 			return
 		}
 		n, err := streamFrameLen(hdr)
 		if err != nil {
-			t.ctr.dropped.Inc()
+			t.drop(nil, nil)
 			return
 		}
 		env := make([]byte, n)
-		conn.SetReadDeadline(time.Now().Add(t.cfg.ReadIdle))
+		conn.SetReadDeadline(time.Now().Add(readIdle))
 		if _, err := io.ReadFull(conn, env); err != nil {
 			return
 		}
-		sender, payload, derr := decodeEnvelope(env)
-		if derr != nil || len(payload) > MaxFrame {
-			t.ctr.dropped.Inc()
+		if !t.dispatch(env) {
 			return
 		}
-		h := t.handler.get()
-		if h == nil {
-			t.ctr.dropped.Inc()
-			continue
-		}
-		t.mu.RLock()
-		l := t.links[sender]
-		t.mu.RUnlock()
-		if l != nil {
-			l.stats.received.Add(1)
-		}
-		t.ctr.received.Inc()
-		h(sender, payload)
 	}
 }
 
-// ID implements Transport.
-func (t *TCP) ID() PeerID { return t.cfg.ID }
-
 // Addr implements Transport: the bound listener address.
-func (t *TCP) Addr() string { return t.listener.Addr().String() }
+func (t *TCP) Addr() string { return t.addr }
 
 // AddPeer implements Transport: registers the peer and starts its link
 // goroutine, which dials eagerly and redials forever with backoff.
 func (t *TCP) AddPeer(id PeerID, addr string) error {
-	if len(id) == 0 || len(id) > MaxPeerID {
-		return ErrUnknownPeer
+	old, err := t.addPeer(id, addr, StateDown, func(p *tcpPeer) *tcpLink {
+		l := &tcpLink{queue: make(chan []byte, t.cfg.Queue), stop: make(chan struct{})}
+		l.wg.Add(1)
+		go t.runLink(id, p, l)
+		return l
+	})
+	if old != nil {
+		t.unlink(old)
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return ErrClosed
-	}
-	if old, ok := t.links[id]; ok {
-		if old.addr == addr {
-			return nil
-		}
-		old.shutdown()
-		delete(t.links, id)
-	}
-	l := &tcpLink{
-		t:     t,
-		id:    id,
-		addr:  addr,
-		queue: make(chan []byte, t.cfg.Queue),
-		stop:  make(chan struct{}),
-	}
-	l.stats.state.Store(int32(StateDown))
-	t.ctr.track(&l.stats)
-	t.links[id] = l
-	l.wg.Add(1)
-	go l.run()
-	return nil
+	return err
 }
 
 // RemovePeer implements Transport.
 func (t *TCP) RemovePeer(id PeerID) {
-	t.mu.Lock()
-	l, ok := t.links[id]
-	if ok {
-		delete(t.links, id)
-	}
-	t.mu.Unlock()
-	if ok {
-		l.shutdown()
+	if p := t.removePeer(id); p != nil {
+		t.unlink(p)
 	}
 }
 
@@ -227,123 +179,79 @@ func (t *TCP) RemovePeer(id PeerID) {
 // queue. The link goroutine owns the socket; a down link still accepts
 // queued frames until the queue fills (they flush on reconnect).
 func (t *TCP) Send(to PeerID, frame []byte) error {
-	if len(frame) > MaxFrame {
-		return ErrFrameTooBig
+	p, err := t.gate(to, frame)
+	if err != nil {
+		return err
 	}
-	t.mu.RLock()
-	l, known := t.links[to]
-	closed := t.closed
-	t.mu.RUnlock()
-	if closed {
-		return ErrClosed
-	}
-	if !known {
-		return ErrUnknownPeer
-	}
-	env := encodeEnvelope(t.cfg.ID, frame)
-	select {
-	case l.queue <- env:
-		t.ctr.queueDepth.Add(1)
-		return nil
-	default:
-		l.stats.overflows.Add(1)
-		t.ctr.overflow.Inc()
-		return ErrQueueFull
-	}
-}
-
-// SetHandler implements Transport.
-func (t *TCP) SetHandler(h Handler) { t.handler.set(h) }
-
-// Status implements Transport.
-func (t *TCP) Status(id PeerID) (Status, bool) {
-	t.mu.RLock()
-	l, ok := t.links[id]
-	t.mu.RUnlock()
-	if !ok {
-		return Status{}, false
-	}
-	return l.stats.status(l.addr), true
+	return enqueue(&t.endpoint, p, p.link.queue, encodeEnvelope(t.id, frame))
 }
 
 // Close implements Transport: stops the accept loop, every read pump,
 // and every link goroutine before returning.
 func (t *TCP) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	peers, ok := t.shut()
+	if !ok {
 		return nil
 	}
-	t.closed = true
-	links := make([]*tcpLink, 0, len(t.links))
-	for _, l := range t.links {
-		links = append(links, l)
-	}
-	t.links = make(map[PeerID]*tcpLink)
-	t.mu.Unlock()
-
-	close(t.done)
 	t.listener.Close()
 	t.acceptMu.Lock()
 	for conn := range t.accepted {
 		conn.Close()
 	}
 	t.acceptMu.Unlock()
-	for _, l := range links {
-		l.shutdown()
+	for _, p := range peers {
+		t.unlink(p)
 	}
 	t.wg.Wait()
 	return nil
 }
 
-// shutdown stops a link goroutine and waits for it; queued frames are
-// dropped with accounting.
-func (l *tcpLink) shutdown() {
-	close(l.stop)
-	l.wg.Wait()
-	for {
-		select {
-		case <-l.queue:
-			l.stats.dropped.Add(1)
-			l.t.ctr.dropped.Inc()
-			l.t.ctr.queueDepth.Add(-1)
-		default:
-			l.stats.setState(&l.t.ctr, StateClosed)
-			l.t.ctr.untrack(&l.stats)
-			return
-		}
-	}
+// unlink stops a forgotten peer's link goroutine and waits for it;
+// queued frames are dropped with accounting.
+func (t *TCP) unlink(p *tcpPeer) {
+	close(p.link.stop)
+	p.link.wg.Wait()
+	drain(&t.endpoint, p.link.queue, func([]byte) *tcpPeer { return p })
+	t.retire(p)
 }
 
-// run is the link goroutine: the dial/redial state machine plus the
-// write loop. It exits only on shutdown.
-func (l *tcpLink) run() {
+// lostConn accounts the frame in flight when a connection died and
+// puts the link back into redial.
+func (t *TCP) lostConn(p *tcpPeer, conn netConn, err error) {
+	t.drop(p, err)
+	conn.Close()
+	p.redials.Add(1)
+	t.ctr.redials.Inc()
+	t.setState(p, StateRedialing)
+}
+
+// runLink is the link goroutine: the dial/redial state machine plus the
+// write loop. It exits only on unlink.
+func (t *TCP) runLink(id PeerID, p *tcpPeer, l *tcpLink) {
 	defer l.wg.Done()
-	cfg := &l.t.cfg
+	cfg := &t.cfg
 	var conn netConn
 	failures := 0
 	for {
 		// Establish (or reestablish) the connection.
 		for conn == nil {
 			if failures == 0 {
-				l.stats.setState(&l.t.ctr, StateDialing)
-			} else {
-				l.stats.setState(&l.t.ctr, StateRedialing)
+				t.setState(p, StateDialing) // later attempts are already Redialing
 			}
-			c, err := l.dialOnce()
+			c, err := t.dialOnce(id, p)
 			if err == nil {
 				conn = c
 				failures = 0
-				l.stats.setState(&l.t.ctr, StateUp)
+				t.setState(p, StateUp)
 				break
 			}
-			l.stats.setErr(err)
+			p.lastErr.Store(err.Error())
 			failures++
 			if failures > 1 {
-				l.stats.redials.Add(1)
-				l.t.ctr.redials.Inc()
+				p.redials.Add(1)
+				t.ctr.redials.Inc()
 			}
-			l.stats.setState(&l.t.ctr, StateRedialing)
+			t.setState(p, StateRedialing)
 			select {
 			case <-l.stop:
 				return
@@ -356,19 +264,12 @@ func (l *tcpLink) run() {
 			conn.Close()
 			return
 		case env := <-l.queue:
-			l.t.ctr.queueDepth.Add(-1)
-			if cfg.Faults != nil && cfg.Faults.resetConn(l.id) {
+			t.ctr.queueDepth.Add(-1)
+			if cfg.Faults != nil && cfg.Faults.resetConn(id) {
 				// Injected connection reset: the frame is lost with
 				// accounting and the link goes back through redial.
-				l.stats.dropped.Add(1)
-				l.t.ctr.dropped.Inc()
-				l.stats.setErr(fmt.Errorf("transport: injected connection reset"))
-				conn.Close()
-				conn = nil
-				failures = 1
-				l.stats.redials.Add(1)
-				l.t.ctr.redials.Inc()
-				l.stats.setState(&l.t.ctr, StateRedialing)
+				t.lostConn(p, conn, fmt.Errorf("transport: injected connection reset"))
+				conn, failures = nil, 1
 				continue
 			}
 			hdr := make([]byte, 4, 4+len(env))
@@ -378,28 +279,19 @@ func (l *tcpLink) run() {
 			if _, err := conn.Write(buf); err != nil {
 				// The frame is gone (partial writes poison the stream
 				// anyway); count it, drop the conn, redial.
-				l.stats.dropped.Add(1)
-				l.t.ctr.dropped.Inc()
-				l.stats.setErr(err)
-				conn.Close()
-				conn = nil
-				failures = 1
-				l.stats.redials.Add(1)
-				l.t.ctr.redials.Inc()
-				l.stats.setState(&l.t.ctr, StateRedialing)
+				t.lostConn(p, conn, err)
+				conn, failures = nil, 1
 				continue
 			}
-			l.stats.sent.Add(1)
-			l.t.ctr.sent.Inc()
+			t.sentTo(p)
 		}
 	}
 }
 
-func (l *tcpLink) dialOnce() (netConn, error) {
-	cfg := &l.t.cfg
-	l.stats.dials.Add(1)
-	if cfg.Faults != nil && cfg.Faults.refuseDial(l.id) {
+func (t *TCP) dialOnce(id PeerID, p *tcpPeer) (netConn, error) {
+	p.dials.Add(1)
+	if t.cfg.Faults != nil && t.cfg.Faults.refuseDial(id) {
 		return nil, ErrDialRefused
 	}
-	return l.t.dial(l.addr, cfg.DialTimeout)
+	return t.dial(p.addr, dialTimeout)
 }

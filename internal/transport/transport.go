@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tmesh/internal/obs"
@@ -68,7 +67,6 @@ var (
 	ErrQueueFull     = errors.New("transport: send queue full")
 	ErrFrameTooBig   = errors.New("transport: frame exceeds MaxFrame")
 	ErrDialRefused   = errors.New("transport: dial refused by fault plan")
-	ErrNoHandler     = errors.New("transport: no handler registered")
 	ErrDuplicatePeer = errors.New("transport: peer already registered")
 )
 
@@ -161,17 +159,12 @@ type Transport interface {
 // Clock abstracts time for the redial/backoff machinery so tests drive
 // it deterministically.
 type Clock interface {
-	Now() time.Time
 	After(d time.Duration) <-chan time.Time
 }
 
 type realClock struct{}
 
-func (realClock) Now() time.Time                         { return time.Now() }
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
-// RealClock returns the wall clock.
-func RealClock() Clock { return realClock{} }
 
 // Backoff is the capped exponential redial schedule with optional
 // jitter: attempt n (1-based) waits min(Base<<(n-1), Max), then ±Jitter
@@ -201,13 +194,11 @@ func (b Backoff) Delay(attempt int) time.Duration {
 	if attempt < 1 {
 		attempt = 1
 	}
-	d := b.Base
+	d := b.Max
 	if shift := attempt - 1; shift < 63 {
 		d = b.Base << shift
-	} else {
-		d = b.Max
 	}
-	if d > b.Max || d <= 0 {
+	if d > b.Max || d <= 0 { // <= 0: the shift overflowed
 		d = b.Max
 	}
 	if b.Jitter > 0 {
@@ -232,14 +223,14 @@ type Config struct {
 	// Queue bounds the send queue (and the loopback inbox); <= 0 means
 	// DefaultQueue.
 	Queue int
-	// Clock drives deadlines and backoff waits; nil means RealClock.
+	// Clock drives the backoff waits; nil means the wall clock.
 	Clock Clock
 	// Backoff is the TCP redial schedule; the zero value means
 	// DefaultBackoff.
 	Backoff Backoff
-	// DialTimeout, WriteTimeout, ReadIdle bound the corresponding
-	// socket operations; <= 0 picks the package defaults.
-	DialTimeout, WriteTimeout, ReadIdle time.Duration
+	// WriteTimeout bounds every socket write; <= 0 picks the package
+	// default. (Dials and idle reads are bounded by fixed deadlines.)
+	WriteTimeout time.Duration
 	// Dial overrides the TCP dial function (tests inject failures).
 	Dial DialFunc
 	// Faults, when non-nil, is consulted by the TCP dialer (dial
@@ -256,9 +247,9 @@ type DialFunc func(addr string, timeout time.Duration) (netConn, error)
 // Defaults.
 const (
 	DefaultQueue        = 256
-	defaultDialTimeout  = 2 * time.Second
+	dialTimeout         = 2 * time.Second
 	defaultWriteTimeout = 2 * time.Second
-	defaultReadIdle     = 30 * time.Second
+	readIdle            = 30 * time.Second
 )
 
 func (c *Config) fill() error {
@@ -272,110 +263,13 @@ func (c *Config) fill() error {
 		c.Queue = DefaultQueue
 	}
 	if c.Clock == nil {
-		c.Clock = RealClock()
+		c.Clock = realClock{}
 	}
 	if c.Backoff.Base <= 0 || c.Backoff.Max < c.Backoff.Base {
 		c.Backoff = DefaultBackoff()
 	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = defaultDialTimeout
-	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = defaultWriteTimeout
 	}
-	if c.ReadIdle <= 0 {
-		c.ReadIdle = defaultReadIdle
-	}
 	return nil
-}
-
-// peerStats is the shared per-peer accounting backing Status.
-type peerStats struct {
-	state                              atomic.Int32
-	sent, received, dropped, overflows atomic.Uint64
-	dials, redials                     atomic.Uint64
-	lastErr                            atomic.Value // string
-}
-
-func (p *peerStats) setErr(err error) {
-	if err != nil {
-		p.lastErr.Store(err.Error())
-	}
-}
-
-// setState moves the peer to s and keeps the per-state population
-// gauges balanced: the old state's gauge decrements, the new one's
-// increments. The peer must have been tracked first; gauges are no-ops
-// without a registry.
-func (p *peerStats) setState(c *counters, s State) {
-	old := State(p.state.Swap(int32(s)))
-	if old == s {
-		return
-	}
-	c.stateG[old].Add(-1)
-	c.stateG[s].Add(1)
-}
-
-func (p *peerStats) status(addr string) Status {
-	st := Status{
-		State:     State(p.state.Load()),
-		Addr:      addr,
-		Sent:      p.sent.Load(),
-		Received:  p.received.Load(),
-		Dropped:   p.dropped.Load(),
-		Overflows: p.overflows.Load(),
-		Dials:     p.dials.Load(),
-		Redials:   p.redials.Load(),
-	}
-	if e, ok := p.lastErr.Load().(string); ok {
-		st.LastErr = e
-	}
-	return st
-}
-
-// counters is the obs instrument set shared by the implementations;
-// nil-safe like everything in internal/obs.
-type counters struct {
-	sent, received, dropped, overflow, redials *obs.Counter
-	// stateG[s] gauges how many registered peers currently sit in link
-	// state s (transport_peers_down/dialing/up/redialing/closed), kept
-	// balanced by track/untrack/setState. queueDepth gauges the frames
-	// currently held in this transport's bounded queues, incremented at
-	// enqueue and decremented when a pump drains (or a close drops) the
-	// frame. Under a Send racing a RemovePeer of the same peer the state
-	// gauges may momentarily drift; they are live ops signals, never
-	// inputs to anything deterministic.
-	stateG     [StateClosed + 1]*obs.Gauge
-	queueDepth *obs.Gauge
-}
-
-func newCounters(reg *obs.Registry) counters {
-	c := counters{
-		sent:       reg.Counter("transport_sent"),
-		received:   reg.Counter("transport_received"),
-		dropped:    reg.Counter("transport_dropped"),
-		overflow:   reg.Counter("transport_overflow"),
-		redials:    reg.Counter("transport_redials"),
-		queueDepth: reg.Gauge("transport_queue_depth"),
-	}
-	for s := StateDown; s <= StateClosed; s++ {
-		c.stateG[s] = reg.Gauge("transport_peers_" + s.String())
-	}
-	return c
-}
-
-// track registers a peer's current state with the population gauges;
-// untrack removes it (call after the final setState).
-func (c *counters) track(p *peerStats)   { c.stateG[State(p.state.Load())].Add(1) }
-func (c *counters) untrack(p *peerStats) { c.stateG[State(p.state.Load())].Add(-1) }
-
-// handlerCell holds the registered handler behind an atomic pointer so
-// read pumps never lock.
-type handlerCell struct{ v atomic.Value }
-
-func (h *handlerCell) set(fn Handler) { h.v.Store(fn) }
-
-func (h *handlerCell) get() Handler {
-	fn, _ := h.v.Load().(Handler)
-	return fn
 }

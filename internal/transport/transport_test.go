@@ -2,11 +2,14 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"tmesh/internal/obs"
 )
 
 // guardGoroutines snapshots the goroutine count and returns a check to
@@ -189,27 +192,148 @@ func TestConformanceRoundtrip(t *testing.T) {
 	}
 }
 
-// TestConformanceSendErrors pins the error contract: unknown peers,
-// oversize frames, sends after Close.
+// sendLedger is everything a Send can leave behind: the peer's Status
+// counters and the endpoint's registry counters and gauges.
+type sendLedger struct {
+	st                       Status
+	sent, dropped, overflows int64
+	queueDepth, peers        int64
+}
+
+func ledgerOf(tr Transport, reg *obs.Registry, to PeerID) sendLedger {
+	l := sendLedger{
+		sent:       reg.Counter("transport_sent").Value(),
+		dropped:    reg.Counter("transport_dropped").Value(),
+		overflows:  reg.Counter("transport_overflow").Value(),
+		queueDepth: gaugeVal(reg, "transport_queue_depth"),
+	}
+	for s := StateDown; s <= StateClosed; s++ {
+		l.peers += gaugeVal(reg, "transport_peers_"+s.String())
+	}
+	l.st, _ = tr.Status(to)
+	l.st.State, l.st.Dials, l.st.Redials, l.st.LastErr = 0, 0, 0, "" // the TCP link dials in the background
+	return l
+}
+
+// wedged builds endpoint A of the given kind with a send path to "B"
+// that accepts at most a queue's worth of frames and then overflows,
+// and a registry that only A reports into.
+func wedged(t *testing.T, kind string) (a Transport, reg *obs.Registry, cleanup func()) {
+	t.Helper()
+	reg = obs.New()
+	switch kind {
+	case "loopback":
+		// B's pump is parked in its handler, so its one-slot inbox fills.
+		sw := NewSwitch()
+		la, err := NewLoopback(sw, Config{ID: "A", Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lb, err := NewLoopback(sw, Config{ID: "B", Queue: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		release := make(chan struct{})
+		lb.SetHandler(func(PeerID, []byte) { <-release })
+		la.AddPeer("B", "B")
+		return la, reg, func() { close(release); lb.Close() }
+	case "udp":
+		// Nothing can park the writer; a one-slot queue and a tight
+		// send loop outrun its one syscall per frame.
+		ua, err := NewUDP("127.0.0.1:0", Config{ID: "A", Queue: 1, Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ub, err := NewUDP("127.0.0.1:0", Config{ID: "B"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ua.AddPeer("B", ub.Addr())
+		return ua, reg, func() { ub.Close() }
+	case "tcp":
+		// The link never comes up, so its queue only fills.
+		clk := &fakeClock{fire: false}
+		dial := func(string, time.Duration) (netConn, error) { return nil, errors.New("always down") }
+		ta, err := NewTCP("127.0.0.1:0", Config{ID: "A", Queue: 1, Obs: reg, Clock: clk, Dial: dial,
+			Backoff: Backoff{Base: time.Millisecond, Max: time.Second}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ta.AddPeer("B", "down:1")
+		waitFor(t, func() bool { return len(clk.recorded()) >= 1 })
+		return ta, reg, func() {}
+	}
+	t.Fatalf("unknown kind %q", kind)
+	return nil, nil, nil
+}
+
+// TestConformanceSendErrors pins the error contract and its accounting,
+// identically on all three wires (it is the endpoint core's): a send to
+// an unknown or removed peer, an oversize frame and a send after Close
+// are refused with their error and leave no trace in any counter or
+// gauge; an overflowing send returns ErrQueueFull, bumps exactly the
+// overflow counters, and every frame that was accepted ends up sent or
+// dropped — never silently gone.
 func TestConformanceSendErrors(t *testing.T) {
 	for _, kind := range kinds {
 		t.Run(kind, func(t *testing.T) {
 			check := guardGoroutines(t)
-			a, b := newPair(t, kind)
+			a, reg, cleanup := wedged(t, kind)
+			a.AddPeer("C", "127.0.0.1:1")
+
+			before := ledgerOf(a, reg, "C")
 			if err := a.Send("stranger", []byte("x")); err != ErrUnknownPeer {
 				t.Fatalf("unknown peer: got %v, want ErrUnknownPeer", err)
 			}
-			if err := a.Send("B", make([]byte, MaxFrame+1)); err != ErrFrameTooBig {
+			if err := a.Send("C", make([]byte, MaxFrame+1)); err != ErrFrameTooBig {
 				t.Fatalf("oversize: got %v, want ErrFrameTooBig", err)
 			}
-			a.RemovePeer("B")
-			if err := a.Send("B", []byte("x")); err != ErrUnknownPeer {
+			if got := ledgerOf(a, reg, "C"); got != before {
+				t.Fatalf("refused sends left a trace:\n before %+v\n after  %+v", before, got)
+			}
+			a.RemovePeer("C")
+			if err := a.Send("C", []byte("x")); err != ErrUnknownPeer {
 				t.Fatalf("removed peer: got %v, want ErrUnknownPeer", err)
 			}
+
+			// Overflow: send until the wedged path has refused three frames.
+			var accepted, refused uint64
+			for tries := 0; refused < 3; tries++ {
+				switch err := a.Send("B", []byte("frame")); err {
+				case nil:
+					accepted++
+				case ErrQueueFull:
+					refused++
+				default:
+					t.Fatalf("send %d: %v", tries, err)
+				}
+				if tries > 1<<20 {
+					t.Fatalf("the wedged path never overflowed (%d accepted)", accepted)
+				}
+			}
+			over := ledgerOf(a, reg, "B")
+			if over.st.Overflows != refused || over.overflows != int64(refused) {
+				t.Fatalf("%d sends refused, Status.Overflows = %d, transport_overflow = %d",
+					refused, over.st.Overflows, over.overflows)
+			}
+
 			a.Close()
-			b.Close()
+			cleanup()
 			if err := a.Send("B", []byte("x")); err != ErrClosed {
 				t.Fatalf("after close: got %v, want ErrClosed", err)
+			}
+			end := ledgerOf(a, reg, "B")
+			if end.queueDepth != 0 || end.peers != 0 {
+				t.Fatalf("gauges not drained by Close: %+v", end)
+			}
+			if end.overflows != int64(refused) {
+				t.Fatalf("a closed endpoint counted an overflow: %+v", end)
+			}
+			// Loopback frames sit in the receiver's inbox (its ledger);
+			// on UDP and TCP every accepted frame is the sender's to
+			// account for.
+			if kind != "loopback" && uint64(end.sent+end.dropped) != accepted {
+				t.Fatalf("%d frames accepted, %d sent + %d dropped", accepted, end.sent, end.dropped)
 			}
 			check()
 		})

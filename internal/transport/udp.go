@@ -1,9 +1,9 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 )
 
@@ -18,28 +18,14 @@ const maxDatagram = 60 * 1024
 // goroutine; there is no connection state to redial, so links report
 // StateUp once registered and datagram loss is the ladder's problem.
 type UDP struct {
-	id      PeerID
-	conn    *net.UDPConn
-	handler handlerCell
-	ctr     counters
-
-	mu     sync.RWMutex
-	peers  map[PeerID]*udpPeer
-	closed bool
-
+	endpoint[*net.UDPAddr]
+	conn  *net.UDPConn
+	addr  string // the bound host:port, fixed for the socket's life
 	sendq chan udpSend
-	done  chan struct{}
-	wg    sync.WaitGroup
-}
-
-type udpPeer struct {
-	stats peerStats
-	addr  *net.UDPAddr
-	str   string
 }
 
 type udpSend struct {
-	peer *udpPeer
+	peer *peer[*net.UDPAddr]
 	env  []byte
 }
 
@@ -57,14 +43,8 @@ func NewUDP(listenAddr string, cfg Config) (*UDP, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen udp %q: %w", listenAddr, err)
 	}
-	u := &UDP{
-		id:    cfg.ID,
-		conn:  conn,
-		ctr:   newCounters(cfg.Obs),
-		peers: make(map[PeerID]*udpPeer),
-		sendq: make(chan udpSend, cfg.Queue),
-		done:  make(chan struct{}),
-	}
+	u := &UDP{conn: conn, addr: conn.LocalAddr().String(), sendq: make(chan udpSend, cfg.Queue)}
+	u.init(&cfg)
 	u.wg.Add(2)
 	go u.readPump()
 	go u.writePump(cfg.WriteTimeout)
@@ -85,37 +65,14 @@ func (u *UDP) readPump() {
 			return
 		default:
 		}
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
-			continue
+		switch {
+		case err != nil: // deadline tick, or a transient socket error
+		case n > maxDatagram:
+			u.drop(nil, nil)
+		default:
+			// The handler owns its frame; buf is reused on the next read.
+			u.dispatch(bytes.Clone(buf[:n]))
 		}
-		if n > maxDatagram {
-			u.ctr.dropped.Inc()
-			continue
-		}
-		sender, payload, derr := decodeEnvelope(buf[:n])
-		if derr != nil {
-			u.ctr.dropped.Inc()
-			continue
-		}
-		h := u.handler.get()
-		if h == nil {
-			u.ctr.dropped.Inc()
-			continue
-		}
-		u.mu.RLock()
-		p := u.peers[sender]
-		u.mu.RUnlock()
-		if p != nil {
-			p.stats.received.Add(1)
-		}
-		u.ctr.received.Inc()
-		// The handler owns its frame; buf is reused on the next read.
-		frame := make([]byte, len(payload))
-		copy(frame, payload)
-		h(sender, frame)
 	}
 }
 
@@ -128,133 +85,55 @@ func (u *UDP) writePump(writeTimeout time.Duration) {
 		case s := <-u.sendq:
 			u.ctr.queueDepth.Add(-1)
 			u.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-			if _, err := u.conn.WriteToUDP(s.env, s.peer.addr); err != nil {
-				s.peer.stats.dropped.Add(1)
-				s.peer.stats.setErr(err)
-				u.ctr.dropped.Inc()
+			if _, err := u.conn.WriteToUDP(s.env, s.peer.link); err != nil {
+				u.drop(s.peer, err)
 				continue
 			}
-			s.peer.stats.sent.Add(1)
-			u.ctr.sent.Inc()
+			u.sentTo(s.peer)
 		}
 	}
 }
 
-// ID implements Transport.
-func (u *UDP) ID() PeerID { return u.id }
-
 // Addr implements Transport: the bound host:port.
-func (u *UDP) Addr() string { return u.conn.LocalAddr().String() }
+func (u *UDP) Addr() string { return u.addr }
 
 // AddPeer implements Transport.
 func (u *UDP) AddPeer(id PeerID, addr string) error {
-	if len(id) == 0 || len(id) > MaxPeerID {
-		return ErrUnknownPeer
-	}
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return fmt.Errorf("transport: resolve peer %q at %q: %w", id, addr, err)
 	}
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if u.closed {
-		return ErrClosed
+	old, err := u.addPeer(id, ua.String(), StateUp, func(*peer[*net.UDPAddr]) *net.UDPAddr { return ua })
+	if old != nil {
+		u.retire(old)
 	}
-	p, ok := u.peers[id]
-	if !ok {
-		p = &udpPeer{}
-		p.stats.state.Store(int32(StateUp))
-		u.ctr.track(&p.stats)
-		u.peers[id] = p
-	} else {
-		p.stats.setState(&u.ctr, StateUp)
-	}
-	p.addr, p.str = ua, ua.String()
-	return nil
-}
-
-// RemovePeer implements Transport.
-func (u *UDP) RemovePeer(id PeerID) {
-	u.mu.Lock()
-	if p, ok := u.peers[id]; ok {
-		p.stats.setState(&u.ctr, StateClosed)
-		u.ctr.untrack(&p.stats)
-		delete(u.peers, id)
-	}
-	u.mu.Unlock()
+	return err
 }
 
 // Send implements Transport.
 func (u *UDP) Send(to PeerID, frame []byte) error {
-	if len(frame) > MaxFrame {
-		return ErrFrameTooBig
-	}
-	u.mu.RLock()
-	p, known := u.peers[to]
-	closed := u.closed
-	u.mu.RUnlock()
-	if closed {
-		return ErrClosed
-	}
-	if !known {
-		return ErrUnknownPeer
+	p, err := u.gate(to, frame)
+	if err != nil {
+		return err
 	}
 	env := encodeEnvelope(u.id, frame)
 	if len(env) > maxDatagram {
-		p.stats.dropped.Add(1)
-		u.ctr.dropped.Inc()
+		u.drop(p, nil)
 		return ErrFrameTooBig
 	}
-	select {
-	case u.sendq <- udpSend{peer: p, env: env}:
-		u.ctr.queueDepth.Add(1)
-		return nil
-	default:
-		p.stats.overflows.Add(1)
-		u.ctr.overflow.Inc()
-		return ErrQueueFull
-	}
-}
-
-// SetHandler implements Transport.
-func (u *UDP) SetHandler(h Handler) { u.handler.set(h) }
-
-// Status implements Transport.
-func (u *UDP) Status(id PeerID) (Status, bool) {
-	u.mu.RLock()
-	p, ok := u.peers[id]
-	u.mu.RUnlock()
-	if !ok {
-		return Status{}, false
-	}
-	return p.stats.status(p.str), true
+	return enqueue(&u.endpoint, p, u.sendq, udpSend{peer: p, env: env})
 }
 
 // Close implements Transport. Queued-but-unwritten frames are dropped
 // with accounting.
 func (u *UDP) Close() error {
-	u.mu.Lock()
-	if u.closed {
-		u.mu.Unlock()
+	peers, ok := u.shut()
+	if !ok {
 		return nil
 	}
-	u.closed = true
-	for _, p := range u.peers {
-		p.stats.setState(&u.ctr, StateClosed)
-		u.ctr.untrack(&p.stats)
-	}
-	u.mu.Unlock()
-	close(u.done)
 	u.conn.Close()
 	u.wg.Wait()
-	for {
-		select {
-		case s := <-u.sendq:
-			s.peer.stats.dropped.Add(1)
-			u.ctr.dropped.Inc()
-			u.ctr.queueDepth.Add(-1)
-		default:
-			return nil
-		}
-	}
+	drain(&u.endpoint, u.sendq, func(s udpSend) *peer[*net.UDPAddr] { return s.peer })
+	u.retire(peers...)
+	return nil
 }

@@ -65,6 +65,21 @@ func DefaultGTITMConfig() GTITMConfig {
 	}
 }
 
+// SoakGTITMConfig is the small topology the soaks run on, in the
+// simulator and over sockets alike: big enough for multi-level RTT
+// structure, small enough to build in milliseconds.
+func SoakGTITMConfig() GTITMConfig {
+	return GTITMConfig{
+		TransitDomains:   2,
+		TransitPerDomain: 2,
+		StubsPerTransit:  2,
+		TotalRouters:     120,
+		TotalLinks:       300,
+		AccessDelayMin:   time.Millisecond,
+		AccessDelayMax:   3 * time.Millisecond,
+	}
+}
+
 func (c GTITMConfig) validate() error {
 	switch {
 	case c.TransitDomains < 1 || c.TransitPerDomain < 1 || c.StubsPerTransit < 1:
