@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: ci build vet test race bench bench-harness loc soak-short soak-transport soak-metrics soak-scale soak-multigroup soak-slo trace-audit fuzz
+.PHONY: ci build vet test race bench bench-harness bench-pairs loc soak-short soak-transport soak-metrics soak-scale soak-multigroup soak-slo trace-audit fuzz
 
 # ci is the full verification gate: static checks, the line budget
 # (`loc`), the race detector
@@ -89,6 +89,15 @@ bench:
 # moved signature could break the benchmark silently.
 bench-harness:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# bench-pairs is how a perf claim is measured: BASE (a git ref) and the
+# checkout run WORKLOAD alternately, PAIRS times, then bench/run.sh
+# --compare judges the two result files. See scripts/bench-pairs.sh.
+BASE ?= HEAD
+WORKLOAD ?= sim_4096
+PAIRS ?= 10
+bench-pairs:
+	bash scripts/bench-pairs.sh $(BASE) $(WORKLOAD) $(PAIRS)
 
 # loc prints non-test Go lines per package under internal/ and cmd/,
 # and their total — the number CHANGES.md quotes for net-negative PRs —

@@ -24,7 +24,7 @@ package failover
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"tmesh/internal/eventsim"
@@ -161,16 +161,8 @@ func (m *Monitor) Kill(failed ident.ID, at time.Duration) error {
 		// and the crash can move the record into tables the original
 		// scan never saw. Owners that are themselves already dead
 		// cannot ping and are skipped.
-		var owners []ident.ID
-		for _, id := range m.cfg.Dir.IDs() {
-			if id.Equal(failed) || m.dead[id.Key()] {
-				continue
-			}
-			if t, ok := m.cfg.Dir.TableOf(id); ok && t.Contains(failed) {
-				owners = append(owners, id)
-			}
-		}
-		sort.Slice(owners, func(i, j int) bool { return owners[i].Compare(owners[j]) < 0 })
+		owners := slices.DeleteFunc(m.cfg.Dir.Holders(failed),
+			func(id ident.ID) bool { return m.dead[id.Key()] })
 
 		serverEvicted := false
 		for _, owner := range owners {

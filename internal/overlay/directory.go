@@ -2,7 +2,7 @@ package overlay
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"tmesh/internal/ident"
 	"tmesh/internal/vnet"
@@ -167,10 +167,12 @@ func (d *Directory) buildTable(rec Record) (*Table, error) {
 		if key == rec.ID.Key() || !d.isAlive(other.ID) {
 			continue
 		}
-		if table.Insert(Neighbor{Record: other, RTT: d.net.RTT(rec.Host, other.Host)}) {
-			d.maintenanceMessages++ // one probe/insert round per accepted neighbor
-		}
+		table.Insert(Neighbor{Record: other, RTT: d.net.RTT(rec.Host, other.Host)})
 	}
+	// One probe/insert round per neighbor kept: counting accepted inserts
+	// instead would charge accept-then-evict pairs that depend on the
+	// order the records map happens to iterate in.
+	d.maintenanceMessages += table.NeighborCount()
 	return table, nil
 }
 
@@ -178,16 +180,39 @@ func (d *Directory) buildTable(rec Record) (*Table, error) {
 // that holds it, and each affected entry is refilled from the remaining
 // membership (the Silk leave protocol's effect).
 func (d *Directory) Leave(id ident.ID) error {
-	return d.remove(id, true)
+	if err := d.drop(id); err != nil {
+		return err
+	}
+	cands := d.subtreesOf(id)
+	for _, t := range d.tables {
+		if row, col, ok := t.Remove(id); ok {
+			d.maintenanceMessages++
+			d.refill(t.Entry(row, col), t.owner.Host, cands(row), nil)
+		}
+	}
+	return nil
 }
 
-// Fail removes a crashed user: same table effects as Leave, reached via
-// failure detection and recovery instead of a polite leave.
-func (d *Directory) Fail(id ident.ID) error {
-	return d.remove(id, false)
+// subtreesOf hands out the refill candidates of one membership event:
+// every owner that shares exactly `row` digits with the departed user
+// refills from the same ID subtree, id.Prefix(row+1), so an event
+// materialises at most D candidate lists, each on first use.
+func (d *Directory) subtreesOf(id ident.ID) func(row int) []Record {
+	rows := make([][]Record, d.params.Digits)
+	return func(row int) []Record {
+		if rows[row] == nil {
+			rows[row] = d.Members(id.Prefix(row + 1))
+		}
+		return rows[row]
+	}
 }
 
-func (d *Directory) remove(id ident.ID, graceful bool) error {
+// Fail removes a crashed user: Leave's table effects, reached via failure
+// detection and recovery (the two differ in detection cost only).
+func (d *Directory) Fail(id ident.ID) error { return d.Leave(id) }
+
+// drop deletes a user from the membership view and the server's table.
+func (d *Directory) drop(id ident.ID) error {
 	if _, ok := d.records[id.Key()]; !ok {
 		return fmt.Errorf("overlay: removing unknown user %v", id)
 	}
@@ -196,113 +221,107 @@ func (d *Directory) remove(id ident.ID, graceful bool) error {
 	if err := d.tree.Remove(id); err != nil {
 		return err
 	}
-
-	for _, t := range d.tables {
-		if row, col, ok := t.Remove(id); ok {
-			d.maintenanceMessages++
-			d.refill(t, row, col, nil)
-		}
-	}
 	if d.server.Remove(id) {
 		d.maintenanceMessages++
 		d.refillServer(id.Digit(0))
 	}
-	_ = graceful // graceful vs. failure differ in detection cost only
 	return nil
 }
 
-// refill tops up a user's (row, col)-entry with the nearest remaining
-// members of the corresponding ID subtree. A non-nil alive predicate
-// excludes candidates that are crashed but not yet evicted: repairing
-// an entry with a dead user the owner will never ping (its failure
-// detectors were enrolled at crash time) would leave the dead record in
-// the table forever.
-func (d *Directory) refill(t *Table, row int, col ident.Digit, alive func(ident.ID) bool) {
-	entry := t.Entry(row, col)
-	if entry.Len() >= d.k {
-		return
-	}
-	owner := t.Owner()
-	subtree := owner.ID.Prefix(row).Child(col)
-	candidates := d.Members(subtree)
-	sort.Slice(candidates, func(i, j int) bool {
-		return d.net.RTT(owner.Host, candidates[i].Host) < d.net.RTT(owner.Host, candidates[j].Host)
-	})
-	for _, c := range candidates {
-		if entry.Len() >= d.k {
-			break
+// refill is the one refill routine: it tops an entry up to K with the
+// nearest candidates as seen from host `from`. Each pass over cands (the
+// entry's ID subtree, in ID order) adopts the candidate with the
+// smallest RTT — ties to the smaller ID — that is live and not already
+// held, and passes repeat while the entry is below K: normally once,
+// one neighbor lost and one adopted, with no sort and no allocation. A
+// refill is a probe round, so held neighbors that answer before the
+// adopted one have their RTT re-measured; on a network whose delays do
+// not change that is a no-op. A non-nil alive predicate excludes, on
+// top of the directory's own oracle, candidates that are crashed but not
+// yet evicted: repairing an entry with a dead user the owner will never
+// ping (its failure detectors were enrolled at crash time) would leave
+// the dead record in the table forever.
+func (d *Directory) refill(e *Entry, from vnet.HostID, cands []Record, alive func(ident.ID) bool) {
+	for e.Len() < d.k {
+		best := Neighbor{RTT: -1}
+		var stale []Neighbor // held, live, nearer than best so far, RTT changed
+		for i := range cands {
+			c := &cands[i]
+			rtt := d.net.RTT(from, c.Host)
+			if (best.RTT >= 0 && rtt >= best.RTT) || (alive != nil && !alive(c.ID)) || !d.isAlive(c.ID) {
+				continue
+			}
+			switch at := e.index(c.ID); {
+			case at < 0:
+				best = Neighbor{Record: *c, RTT: rtt}
+			case e.neighbors[at].RTT != rtt:
+				stale = append(stale, Neighbor{Record: *c, RTT: rtt})
+			}
 		}
-		if (alive != nil && !alive(c.ID)) || !d.isAlive(c.ID) {
-			continue
+		for _, n := range stale {
+			if best.RTT < 0 || n.RTT < best.RTT || (n.RTT == best.RTT && n.ID.Compare(best.ID) < 0) {
+				e.insert(n, d.k)
+				d.maintenanceMessages++
+			}
 		}
-		if t.Insert(Neighbor{Record: c, RTT: d.net.RTT(owner.Host, c.Host)}) {
-			d.maintenanceMessages++
+		if best.RTT < 0 {
+			return
 		}
+		e.insert(best, d.k)
+		d.maintenanceMessages++
 	}
 }
 
+// refillServer tops up the key server's (0,j)-entry with the nearest
+// users whose 0th digit is j.
 func (d *Directory) refillServer(j ident.Digit) {
-	entry := d.server.Entry(j)
-	if entry.Len() >= d.k {
-		return
-	}
-	pfx := ident.EmptyPrefix.Child(j)
-	for _, c := range d.Members(pfx) {
-		if entry.Len() >= d.k {
-			break
-		}
-		if !d.isAlive(c.ID) {
-			continue
-		}
-		if d.server.Insert(Neighbor{Record: c, RTT: d.net.RTT(d.server.Host(), c.Host)}) {
-			d.maintenanceMessages++
-		}
+	if e := d.server.Entry(j); e.Len() < d.k {
+		d.refill(e, d.server.Host(), d.Members(ident.EmptyPrefix.Child(j)), nil)
 	}
 }
 
 // Evict removes a user from the membership view (records, ID tree, and
-// the key server's table) without touching other users' neighbor
+// the key server's table) without removing it from other users' neighbor
 // tables. It is the key server's part of failure recovery: individual
 // owners repair their own tables as they detect the failure (see
-// RepairEntry), while the eviction guarantees repairs never re-learn the
-// dead user.
-func (d *Directory) Evict(id ident.ID) error {
-	if _, ok := d.records[id.Key()]; !ok {
-		return fmt.Errorf("overlay: evicting unknown user %v", id)
-	}
-	delete(d.records, id.Key())
-	delete(d.tables, id.Key())
-	if err := d.tree.Remove(id); err != nil {
-		return err
-	}
-	if d.server.Remove(id) {
-		d.maintenanceMessages++
-		d.refillServer(id.Digit(0))
-	}
-	d.topUpAfterEviction(id)
-	return nil
-}
-
-// topUpAfterEviction refills, for every owner, the single entry whose ID
-// subtree contains the evicted user. While the user was crashed but not
-// yet evicted, the liveness oracle made refills skip it, which can leave
+// RepairEntryLive), while the eviction guarantees repairs never re-learn
+// the dead user.
+//
+// It also tops up, for every owner, the single entry whose ID subtree
+// contained the evicted user. While the user was crashed but not yet
+// evicted, the liveness oracle made refills skip it, which can leave
 // such entries below min{K, m}; once the eviction shrinks the membership
 // (the server's failure notification, Section 3.2) those entries must be
 // topped up or no later event ever repairs them. Entries already at K
 // are no-ops, so the sweep costs O(N) table lookups.
-func (d *Directory) topUpAfterEviction(id ident.ID) {
+func (d *Directory) Evict(id ident.ID) error {
+	if err := d.drop(id); err != nil {
+		return err
+	}
+	cands := d.subtreesOf(id)
 	for _, t := range d.tables {
-		owner := t.Owner()
-		l := 0
-		for l < d.params.Digits && owner.ID.Digit(l) == id.Digit(l) {
-			l++
+		if l := t.owner.ID.CommonPrefixLen(id); l < d.params.Digits {
+			if e := t.Entry(l, id.Digit(l)); e.Len() < d.k {
+				d.refill(e, t.owner.Host, cands(l), nil)
+			}
 		}
-		if l == d.params.Digits {
-			continue // the evicted user's own table (already deleted)
-		}
-		d.refill(t, l, id.Digit(l), nil)
 	}
 	d.refillServer(id.Digit(0))
+	return nil
+}
+
+// Holders returns, in ID order, the users whose tables currently hold
+// the given user: the one "who holds X" scan failure detection and
+// eviction repair share.
+func (d *Directory) Holders(id ident.ID) []ident.ID {
+	var out []ident.ID
+	for _, t := range d.tables {
+		if t.Contains(id) {
+			out = append(out, t.owner.ID)
+		}
+	}
+	slices.SortFunc(out, ident.ID.Compare)
+	return out
 }
 
 // RemoveNeighbor deletes a (possibly dead) neighbor from one owner's
@@ -315,25 +334,22 @@ func (d *Directory) RemoveNeighbor(owner, neighbor ident.ID) (row int, col ident
 	return t.Remove(neighbor)
 }
 
-// RepairEntry refills one entry of an owner's table from the current
-// membership (the "look for appropriate users to replace the failed
-// one" step of Section 3.2). It returns the number of protocol messages
-// charged.
-func (d *Directory) RepairEntry(owner ident.ID, row int, col ident.Digit) int {
-	return d.RepairEntryLive(owner, row, col, nil)
-}
-
-// RepairEntryLive is RepairEntry with a liveness oracle: candidates for
-// which alive returns false are skipped. Failure recovery must use this
-// form — under overlapping failures, a repair running between a second
-// crash and its eviction would otherwise re-learn the dead user into an
-// entry whose owner never monitors it.
+// RepairEntryLive refills one entry of an owner's table from the
+// current membership (the "look for appropriate users to replace the
+// failed one" step of Section 3.2), skipping candidates for which a
+// non-nil alive returns false, and returns the number of protocol
+// messages charged. Failure recovery must pass its liveness view: under
+// overlapping failures, a repair running between a second crash and its
+// eviction would otherwise re-learn the dead user into an entry whose
+// owner never monitors it.
 func (d *Directory) RepairEntryLive(owner ident.ID, row int, col ident.Digit, alive func(ident.ID) bool) int {
 	t, ok := d.tables[owner.Key()]
 	if !ok {
 		return 0
 	}
 	before := d.maintenanceMessages
-	d.refill(t, row, col, alive)
+	if e := t.Entry(row, col); e.Len() < d.k {
+		d.refill(e, t.owner.Host, d.Members(t.owner.ID.Prefix(row).Child(col)), alive)
+	}
 	return d.maintenanceMessages - before
 }

@@ -73,7 +73,7 @@ func TestEvictAndRepairEntry(t *testing.T) {
 			continue
 		}
 		dirty++
-		d.RepairEntry(r.ID, row, col)
+		d.RepairEntryLive(r.ID, row, col, nil)
 	}
 	if dirty == 0 {
 		t.Fatal("no table held the victim; test is vacuous")
@@ -86,8 +86,8 @@ func TestEvictAndRepairEntry(t *testing.T) {
 	if _, _, ok := d.RemoveNeighbor(ghost, victim); ok {
 		t.Error("unknown owner should report false")
 	}
-	// RepairEntry on unknown owner is a no-op.
-	if got := d.RepairEntry(ghost, 0, 1); got != 0 {
-		t.Errorf("RepairEntry(ghost) = %d", got)
+	// RepairEntryLive on unknown owner is a no-op.
+	if got := d.RepairEntryLive(ghost, 0, 1, nil); got != 0 {
+		t.Errorf("RepairEntryLive(ghost) = %d", got)
 	}
 }

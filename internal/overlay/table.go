@@ -23,7 +23,6 @@ package overlay
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"tmesh/internal/ident"
@@ -98,46 +97,57 @@ func (e *Entry) PrimaryEarliest(alive func(ident.ID) bool) (Neighbor, bool) {
 // insert adds a neighbor keeping RTT order and the K cap. It reports
 // whether the entry changed. Duplicate IDs refresh the RTT instead.
 func (e *Entry) insert(n Neighbor, k int) bool {
+	at := e.index(n.ID)
+	switch {
+	case at >= 0: // refresh in place
+		if e.neighbors[at].RTT == n.RTT {
+			return false
+		}
+	case len(e.neighbors) < k:
+		at = len(e.neighbors)
+		e.neighbors = append(e.neighbors, n)
+	case n.RTT < e.neighbors[k-1].RTT:
+		at = k - 1 // displace the worst
+	default:
+		return false
+	}
+	e.neighbors[at] = n
+	e.settle(at)
+	return true
+}
+
+// settle restores RTT order after slot i changed, the entry's one
+// ordering routine: the neighbor is shifted past strictly nearer or
+// strictly farther ones only, so equal RTTs keep arrival order (what a
+// stable sort of the whole entry would yield) with no allocation.
+func (e *Entry) settle(i int) {
+	ns := e.neighbors
+	for ; i > 0 && ns[i].RTT < ns[i-1].RTT; i-- {
+		ns[i], ns[i-1] = ns[i-1], ns[i]
+	}
+	for ; i+1 < len(ns) && ns[i+1].RTT < ns[i].RTT; i++ {
+		ns[i], ns[i+1] = ns[i+1], ns[i]
+	}
+}
+
+// index returns the position of the neighbor with the given ID, or -1.
+func (e *Entry) index(id ident.ID) int {
 	for i := range e.neighbors {
-		if e.neighbors[i].ID.Equal(n.ID) {
-			if e.neighbors[i].RTT == n.RTT {
-				return false
-			}
-			e.neighbors[i] = n
-			e.sort()
-			return true
+		if e.neighbors[i].ID.Equal(id) {
+			return i
 		}
 	}
-	if len(e.neighbors) < k {
-		e.neighbors = append(e.neighbors, n)
-		e.sort()
-		return true
-	}
-	worst := e.neighbors[len(e.neighbors)-1]
-	if n.RTT < worst.RTT {
-		e.neighbors[len(e.neighbors)-1] = n
-		e.sort()
-		return true
-	}
-	return false
+	return -1
 }
 
 // remove drops the neighbor with the given ID, reporting whether it was
 // present.
 func (e *Entry) remove(id ident.ID) bool {
-	for i := range e.neighbors {
-		if e.neighbors[i].ID.Equal(id) {
-			e.neighbors = append(e.neighbors[:i], e.neighbors[i+1:]...)
-			return true
-		}
+	i := e.index(id)
+	if i >= 0 {
+		e.neighbors = append(e.neighbors[:i], e.neighbors[i+1:]...)
 	}
-	return false
-}
-
-func (e *Entry) sort() {
-	sort.SliceStable(e.neighbors, func(i, j int) bool {
-		return e.neighbors[i].RTT < e.neighbors[j].RTT
-	})
+	return i >= 0
 }
 
 // Table is a user's neighbor table: D rows of B entries.
@@ -219,12 +229,7 @@ func (t *Table) Contains(id ident.ID) bool {
 	if l >= t.params.Digits {
 		return false
 	}
-	for _, n := range t.rows[l][id.Digit(l)].neighbors {
-		if n.ID.Equal(id) {
-			return true
-		}
-	}
-	return false
+	return t.rows[l][id.Digit(l)].index(id) >= 0
 }
 
 // NeighborCount returns the total number of neighbors across all entries.

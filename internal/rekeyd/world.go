@@ -359,10 +359,9 @@ func (w *World) Rekey() (*Result, error) {
 			// one that notices); the world plays that detection step
 			// here so the directory is k-consistent again before the
 			// interval's forwarding reads it.
-			for _, owner := range dir.IDs() {
-				if row, col, ok := dir.RemoveNeighbor(owner, id); ok {
-					dir.RepairEntryLive(owner, row, col, w.sh.alive)
-				}
+			for _, owner := range dir.Holders(id) {
+				row, col, _ := dir.RemoveNeighbor(owner, id)
+				dir.RepairEntryLive(owner, row, col, w.sh.alive)
 			}
 		}
 	})

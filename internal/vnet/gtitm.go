@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -111,17 +112,20 @@ type GTITM struct {
 	stubDomain []int           // stub domain index per router, -1 for transit
 
 	// Shortest-path trees are computed lazily per source router and
-	// shared by every concurrent reader. The map is guarded by an
-	// RWMutex (read-locked on the hit path); each entry carries its own
-	// sync.Once so Dijkstra runs outside the map lock, exactly once per
-	// live entry, and distinct sources compute in parallel without
-	// convoying behind one global lock. The cache is bounded by
-	// cfg.SPTCacheCap with FIFO eviction (sptOrder tracks insertion);
+	// shared by every concurrent reader. The hit path is lock-free: spts
+	// is indexed by source router (sized once, on first use) and each
+	// slot is an atomic pointer, so an RTT lookup pays one atomic load
+	// and no mutex. mu serialises only installs and evictions; each
+	// entry carries its own sync.Once so Dijkstra runs outside the lock,
+	// exactly once per live entry, and distinct sources compute in
+	// parallel. The cache is bounded by cfg.SPTCacheCap with FIFO
+	// eviction (sptOrder lists the resident sources, oldest first);
 	// callers holding an evicted entry finish their computation on it
 	// safely — the entry just stops being shared.
-	mu       sync.RWMutex
-	spts     map[int32]*sptEntry // shortest-path trees keyed by source router
-	sptOrder []int32             // insertion order, oldest first
+	sptInit  sync.Once
+	spts     []atomic.Pointer[sptEntry]
+	mu       sync.Mutex
+	sptOrder []int32
 }
 
 var _ Network = (*GTITM)(nil)
@@ -151,7 +155,7 @@ func NewGTITM(cfg GTITMConfig, nHosts int, seed int64) (*GTITM, error) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 
-	g := &GTITM{cfg: cfg, spts: make(map[int32]*sptEntry)}
+	g := &GTITM{cfg: cfg}
 	g.build(rng)
 	g.attach(nHosts, rng)
 	return g, nil
@@ -358,46 +362,30 @@ func (g *GTITM) PathLinksOK(a, b HostID) ([]LinkID, bool) {
 	return path, true
 }
 
-// sptCap resolves the configured cache bound: 0 -> default, < 0 ->
-// unbounded.
-func (g *GTITM) sptCap() int {
-	switch {
-	case g.cfg.SPTCacheCap == 0:
-		return DefaultSPTCacheCap
-	case g.cfg.SPTCacheCap < 0:
-		return 0 // unbounded
-	default:
-		return g.cfg.SPTCacheCap
-	}
-}
-
 // sptFor returns the shortest-path tree rooted at src, computing it at
-// most once per cache residency. The fast path is a read lock on the
-// cache map; a miss installs an empty entry under the write lock —
+// most once per cache residency. The fast path is one atomic load of
+// the source's slot; a miss installs an empty entry under the mutex —
 // evicting the oldest entries beyond the cap — and runs Dijkstra under
-// the entry's own once, outside the map lock. An evicted-while-running
+// the entry's own once, outside the lock. An evicted-while-running
 // entry completes for the callers already holding it; a later request
 // for that source recomputes, which is safe because trees are pure
 // functions of the topology.
 func (g *GTITM) sptFor(src int32) *spt {
-	g.mu.RLock()
-	e := g.spts[src]
-	g.mu.RUnlock()
+	g.sptInit.Do(func() { g.spts = make([]atomic.Pointer[sptEntry], g.nRouters) })
+	e := g.spts[src].Load()
 	if e == nil {
 		g.mu.Lock()
-		if g.spts == nil {
-			g.spts = make(map[int32]*sptEntry)
-		}
-		if e = g.spts[src]; e == nil {
+		if e = g.spts[src].Load(); e == nil {
 			e = &sptEntry{}
-			g.spts[src] = e
+			g.spts[src].Store(e)
 			g.sptOrder = append(g.sptOrder, src)
-			if limit := g.sptCap(); limit > 0 {
-				for len(g.spts) > limit && len(g.sptOrder) > 1 {
-					oldest := g.sptOrder[0]
-					g.sptOrder = g.sptOrder[1:]
-					delete(g.spts, oldest)
-				}
+			limit := g.cfg.SPTCacheCap // 0 -> default, < 0 -> unbounded
+			if limit == 0 {
+				limit = DefaultSPTCacheCap
+			}
+			for limit > 0 && len(g.sptOrder) > limit {
+				g.spts[g.sptOrder[0]].Store(nil)
+				g.sptOrder = g.sptOrder[1:]
 			}
 		}
 		g.mu.Unlock()

@@ -77,9 +77,7 @@ func TestGTITMSPTCacheBounded(t *testing.T) {
 					t.Fatalf("pass %d: GatewayRTT(%d,%d) = %v, want %v", pass, a, b, got, want)
 				}
 			}
-			g.mu.RLock()
-			size, order := len(g.spts), len(g.sptOrder)
-			g.mu.RUnlock()
+			size, order := residentSPTs(g), len(g.sptOrder)
 			if size > cfg.SPTCacheCap {
 				t.Fatalf("cache holds %d trees, cap %d", size, cfg.SPTCacheCap)
 			}
@@ -104,13 +102,64 @@ func TestGTITMSPTCacheBounded(t *testing.T) {
 			distinct[r] = true
 		}
 	}
-	ub.mu.RLock()
-	size := len(ub.spts)
-	ub.mu.RUnlock()
+	size := residentSPTs(ub)
 	// Hosts sharing a gateway with host b==a contribute no tree; every
 	// distinct gateway that ever sourced a lookup must still be cached.
 	if size < len(distinct)-1 {
 		t.Fatalf("unbounded cache holds %d trees for %d distinct gateways", size, len(distinct))
+	}
+}
+
+// residentSPTs counts the occupied slots of the SPT cache.
+func residentSPTs(g *GTITM) int {
+	n := 0
+	for i := range g.spts {
+		if g.spts[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestGTITMSPTCacheEvictingConcurrent reads RTTs from 8 goroutines
+// through a cache far smaller than the router count, so lock-free hits
+// race installs and evictions of the very slots they load (run under
+// -race), and checks every answer against a fresh unbounded instance.
+func TestGTITMSPTCacheEvictingConcurrent(t *testing.T) {
+	cfg := SoakGTITMConfig()
+	cfg.SPTCacheCap = -1
+	ref, err := NewGTITM(cfg, 48, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.SPTCacheCap = 4
+	g, err := NewGTITM(cfg, 48, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumHosts()
+	var mismatches atomic.Int32
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 3*n; i++ {
+				a := HostID((i*7 + w*5) % n)
+				for b := 0; b < n; b++ {
+					if g.RTT(a, HostID(b)) != ref.RTT(a, HostID(b)) {
+						mismatches.Add(1)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if c := mismatches.Load(); c != 0 {
+		t.Fatalf("%d concurrent RTTs disagreed with the unbounded reference", c)
+	}
+	if got := len(g.sptOrder); got > 4 || got != residentSPTs(g) {
+		t.Fatalf("cache holds %d trees (%d order entries), cap 4", residentSPTs(g), got)
 	}
 }
 
