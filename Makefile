@@ -39,7 +39,7 @@ soak-short:
 	$(GO) test -race ./internal/chaos -run Soak
 
 # soak-transport is the race-enabled socket soak: rekeyd nodes over
-# real loopback and UDP transports walk the chaos fault ladder (loss,
+# real loopback, UDP and TCP transports walk the chaos fault ladder (loss,
 # delay spikes, partition, kill/restore, crash) with the five
 # paper-invariant auditors armed, plus the transport-level redial,
 # deadline, and goroutine-leak guards.
@@ -105,7 +105,7 @@ bench-pairs:
 # internal/transport + internal/rekeyd and on the total, in that order,
 # that the last simplicity PR reached. A PR that must grow past one
 # raises it here, in the open, next to its CHANGES.md line.
-LOC_BUDGET ?= 2550 21750
+LOC_BUDGET ?= 2604 21817
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs wc -l | \
 		awk -v budget="$(LOC_BUDGET)" \

@@ -52,7 +52,7 @@ const (
 
 // SocketConfig parameterizes one socket soak session.
 type SocketConfig struct {
-	Transport string // "loopback" or "udp" (tcp works but is slow at full mesh)
+	Transport string // "loopback", "udp" or "tcp"
 	Listen    string // bind address for socket transports; empty = 127.0.0.1:0
 	Seed      int64
 	Params    ident.Params

@@ -41,10 +41,10 @@ func socketLeakGuard(t *testing.T) func() {
 
 // TestSocketSoakGreen is the acceptance gate: one full cycle of the
 // fault ladder — clean, loss, delay, partition, kill/restore, crash —
-// over real loopback and UDP transports, with all five paper-invariant
-// auditors green. This is the `make soak-transport` target.
+// over real loopback, UDP and TCP transports, with all five
+// paper-invariant auditors green. This is the `make soak-transport` target.
 func TestSocketSoakGreen(t *testing.T) {
-	for _, tr := range []string{"loopback", "udp"} {
+	for _, tr := range []string{"loopback", "udp", "tcp"} {
 		t.Run(tr, func(t *testing.T) {
 			check := socketLeakGuard(t)
 			rep, err := RunSocketSoak(DefaultSocketConfig(tr))

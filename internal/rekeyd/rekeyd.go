@@ -93,8 +93,9 @@ func (c *Config) policy() recovery.Policy {
 
 // Shared is the in-process state nodes read and the driver writes: the
 // overlay directory (not concurrency-safe on its own) behind an
-// RWMutex, the liveness oracle the FORWARD primaries consult, and the
-// per-interval compiled split index. The index is derived, read-only
+// RWMutex, the liveness oracle the FORWARD primaries consult, the
+// per-interval compiled split index, and the ID → locator registry
+// forward resolves next hops through. The index is derived, read-only
 // data — split monotonicity makes sharing the server-built index at
 // every forwarding node byte-identical to re-splitting per hop.
 type Shared struct {
@@ -104,11 +105,75 @@ type Shared struct {
 
 	idxMu   sync.RWMutex
 	indexes map[uint64]*split.Index
+
+	locMu sync.Mutex
+	locs  map[transport.PeerID]*locator
+}
+
+// locator is one published member: its endpoint, whose Addr is where
+// the ID lives now, and both directions of "who registered whom through
+// the registry" — heldBy so a withdrawal un-registers the ID at exactly
+// the endpoints that resolved it, holds so it leaves no reference to
+// the departed endpoint behind.
+type locator struct {
+	tr            transport.Transport
+	heldBy, holds map[transport.PeerID]*locator
 }
 
 // NewShared wraps a directory for concurrent node access.
 func NewShared(dir *overlay.Directory) *Shared {
-	return &Shared{dir: dir, indexes: make(map[uint64]*split.Index)}
+	return &Shared{dir: dir, indexes: make(map[uint64]*split.Index), locs: make(map[transport.PeerID]*locator)}
+}
+
+// publish enters a member's endpoint in the registry: from now on a
+// published forwarder registers tr.Addr() the first time it sends the
+// member a copy. publish and withdraw belong to the driver's goroutine;
+// nodes may be forwarding underneath.
+func (s *Shared) publish(tr transport.Transport) {
+	s.locMu.Lock()
+	s.locs[tr.ID()] = &locator{tr: tr, heldBy: map[transport.PeerID]*locator{}, holds: map[transport.PeerID]*locator{}}
+	s.locMu.Unlock()
+}
+
+// withdraw takes a departed member out of the registry and its ID out
+// of every endpoint that resolved it, so no registration of a departed
+// ID outlives the interval it left in: a later member drawing the same
+// ID lives at another locator.
+func (s *Shared) withdraw(id transport.PeerID) {
+	s.locMu.Lock()
+	l := s.locs[id]
+	if l == nil {
+		s.locMu.Unlock()
+		return
+	}
+	delete(s.locs, id)
+	for _, o := range l.holds {
+		delete(o.heldBy, id)
+	}
+	for _, o := range l.heldBy {
+		delete(o.holds, id)
+	}
+	s.locMu.Unlock()
+	for _, o := range l.heldBy { // unlocked: a TCP RemovePeer waits for its link goroutine
+		o.tr.RemovePeer(id)
+	}
+}
+
+// resolve returns the routing key of id, having made sure that tr, if
+// published, holds id's published locator: registered on first use,
+// under the registry lock so a concurrent withdraw either sees the
+// registration or has already won. Unpublished ends are left alone —
+// that caller keeps its own peer tables (the key server registers every
+// member at bring-up) and the Send that follows says what they know.
+func (s *Shared) resolve(tr transport.Transport, id ident.ID) transport.PeerID {
+	to := PeerOf(id)
+	s.locMu.Lock()
+	defer s.locMu.Unlock()
+	me, l := s.locs[tr.ID()], s.locs[to]
+	if me != nil && me.tr == tr && l != nil && me.holds[to] != l && tr.AddPeer(to, l.tr.Addr()) == nil {
+		me.holds[to], l.heldBy[tr.ID()] = l, me
+	}
+	return to
 }
 
 // SetAlive installs the liveness oracle used when picking forwarding
@@ -196,7 +261,7 @@ func (s *Shared) forward(tr transport.Transport, msg *keytree.Message, from iden
 			continue
 		}
 		buf, err := wire.MarshalRekey(&keytree.Message{Interval: msg.Interval, Encryptions: encs}, h.digits)
-		if err == nil && tr.Send(PeerOf(h.to), buf) == nil {
+		if err == nil && tr.Send(s.resolve(tr, h.to), buf) == nil {
 			sent++
 		}
 	}

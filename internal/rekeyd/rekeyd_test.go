@@ -93,12 +93,8 @@ func assertConverged(t *testing.T, w *World, res *Result) {
 func TestWorldConverges(t *testing.T) {
 	for _, kind := range []string{"loopback", "udp", "tcp"} {
 		t.Run(kind, func(t *testing.T) {
-			n := 16
-			if kind == "tcp" {
-				n = 8 // full-mesh eager dialing: keep the link count sane
-			}
 			check := guardGoroutines(t)
-			w, err := NewWorld(testConfig(kind, n))
+			w, err := NewWorld(testConfig(kind, 16))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"time"
 
 	"tmesh/internal/ident"
@@ -201,7 +200,7 @@ func (w *World) Members() []*Member {
 	for _, m := range w.members {
 		out = append(out, m)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id.Compare(out[j].id) < 0 })
+	slices.SortFunc(out, func(a, b *Member) int { return a.id.Compare(b.id) })
 	return out
 }
 
@@ -286,7 +285,9 @@ func (w *World) Restore(id ident.ID) {
 func (w *World) IsKilled(id ident.ID) bool { return w.plan.Killed(PeerOf(id)) }
 
 // addMember spins up the node for a directory record: endpoint, path
-// keys from the (already regenerated) tree, full-mesh peer exchange.
+// keys from the (already regenerated) tree, server ↔ joiner
+// registration, and the joiner's locator published for whoever comes to
+// forward to it. (IDs route; locators are just where they live.)
 func (w *World) addMember(rec overlay.Record, appliedInterval uint64) error {
 	kr, err := w.tree.JoinKeyring(rec.ID)
 	if err != nil {
@@ -296,22 +297,22 @@ func (w *World) addMember(rec overlay.Record, appliedInterval uint64) error {
 	if err != nil {
 		return err
 	}
-	// Peer exchange: the newcomer learns everyone, everyone learns the
-	// newcomer. (IDs route; these locators are just where they live.)
-	if err := tr.AddPeer(transport.ServerID, w.srv.tr.Addr()); err != nil {
+	// Joiner side first: a failure leaves nothing behind at the server.
+	if err = tr.AddPeer(transport.ServerID, w.srv.tr.Addr()); err == nil {
+		err = w.srv.tr.AddPeer(PeerOf(rec.ID), tr.Addr())
+	}
+	if err != nil {
 		tr.Close()
 		return err
 	}
-	w.srv.tr.AddPeer(PeerOf(rec.ID), tr.Addr())
-	for k, m := range w.members {
-		tr.AddPeer(transport.PeerID(k), m.tr.Addr())
-		m.tr.AddPeer(PeerOf(rec.ID), tr.Addr())
-	}
+	w.sh.publish(tr)
 	w.members[rec.ID.Key()] = NewMember(rec.ID, w.cfg.Params, tr, w.sh, kr, appliedInterval, w.cfg.Obs)
 	return nil
 }
 
-// dropMember tears a node down and unregisters it everywhere.
+// dropMember tears a node down, withdraws its locator (which
+// un-registers it wherever a forwarder resolved it) and un-registers it
+// at the server.
 func (w *World) dropMember(id ident.ID) {
 	key := id.Key()
 	m, ok := w.members[key]
@@ -323,11 +324,9 @@ func (w *World) dropMember(id ident.ID) {
 	// future joiner that happens to draw the same ID must not inherit
 	// the blackout.
 	w.plan.Restore(PeerOf(id))
-	m.Close()
+	m.Close() // first: a closed endpoint resolves nothing new
+	w.sh.withdraw(PeerOf(id))
 	w.srv.tr.RemovePeer(PeerOf(id))
-	for _, o := range w.members {
-		o.tr.RemovePeer(PeerOf(id))
-	}
 }
 
 // Rekey integrates the pending churn (joins, leaves, crash evictions),
@@ -371,8 +370,8 @@ func (w *World) Rekey() (*Result, error) {
 	joinRecs := w.pendingJoins
 	w.pendingJoins, w.pendingLeaves, w.pendingEvicts = nil, nil, nil
 
-	sort.Slice(joins, func(i, j int) bool { return joins[i].Compare(joins[j]) < 0 })
-	sort.Slice(leaves, func(i, j int) bool { return leaves[i].Compare(leaves[j]) < 0 })
+	slices.SortFunc(joins, ident.ID.Compare)
+	slices.SortFunc(leaves, ident.ID.Compare)
 	plan, err := w.tree.Mark(joins, leaves)
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"net/netip"
 	"time"
 )
 
@@ -97,10 +98,13 @@ func (u *UDP) writePump(writeTimeout time.Duration) {
 // Addr implements Transport: the bound host:port.
 func (u *UDP) Addr() string { return u.addr }
 
-// AddPeer implements Transport.
+// AddPeer implements Transport. A literal ip:port is parsed in place;
+// only a host name goes through the resolver.
 func (u *UDP) AddPeer(id PeerID, addr string) error {
-	ua, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
+	var ua *net.UDPAddr
+	if ap, err := netip.ParseAddrPort(addr); err == nil {
+		ua = net.UDPAddrFromAddrPort(ap)
+	} else if ua, err = net.ResolveUDPAddr("udp", addr); err != nil {
 		return fmt.Errorf("transport: resolve peer %q at %q: %w", id, addr, err)
 	}
 	old, err := u.addPeer(id, ua.String(), StateUp, func(*peer[*net.UDPAddr]) *net.UDPAddr { return ua })
