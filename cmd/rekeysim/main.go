@@ -72,7 +72,7 @@ func run(args []string) int {
 		massChurn  = fs.Int("mass-churn", 0, "override the tenancy soak's mass join+leave quota per interval (requires -groups)")
 
 		daemon          = fs.Bool("daemon", false, "run the socket daemon soak (internal/rekeyd nodes over internal/transport sockets) instead of an experiment")
-		transportKind   = fs.String("transport", "loopback", "daemon fabric: sim, loopback, udp, or tcp; sim delegates to the simulator soak (requires -daemon)")
+		transportKind   = fs.String("transport", "loopback", "daemon fabric: loopback, udp, or tcp (requires -daemon)")
 		listenAddr      = fs.String("listen", "", "bind address for -transport=udp|tcp, e.g. 127.0.0.1:0 — every node binds its own ephemeral port (requires -daemon)")
 		daemonMembers   = fs.Int("daemon-members", 0, "override the daemon soak's initial group size (requires -daemon)")
 		daemonIntervals = fs.Int("daemon-intervals", 0, "override the daemon soak's interval count (requires -daemon)")
@@ -87,7 +87,7 @@ func run(args []string) int {
 		fmt.Fprintf(fs.Output(), "       rekeysim -soak [-seed N] [-soak-intervals N] [-soak-members N] [-soak-loss P] [-metrics-out FILE] [-trace-out FILE] [-trace-sample K] [-pprof ADDR]\n")
 		fmt.Fprintf(fs.Output(), "       rekeysim -soak -soak-n N [-seed N] [-soak-churn N] [-soak-intervals N]\n")
 		fmt.Fprintf(fs.Output(), "       rekeysim -soak -groups G [-seed N] [-flash-joins N] [-mass-churn N] [-soak-intervals N] [-metrics-out FILE]\n")
-		fmt.Fprintf(fs.Output(), "       rekeysim -daemon [-transport sim|loopback|udp|tcp] [-listen ADDR] [-seed N] [-daemon-members N] [-daemon-intervals N]\n")
+		fmt.Fprintf(fs.Output(), "       rekeysim -daemon [-transport loopback|udp|tcp] [-listen ADDR] [-seed N] [-daemon-members N] [-daemon-intervals N]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -136,9 +136,9 @@ func run(args []string) int {
 		// cannot come up without somewhere to bind, and the in-process
 		// fabrics have nothing to bind.
 		switch *transportKind {
-		case "sim", "loopback":
+		case "loopback":
 			if *listenAddr != "" {
-				fmt.Fprintf(os.Stderr, "rekeysim: -listen is meaningless with -transport=%s (udp and tcp bind sockets)\n", *transportKind)
+				fmt.Fprintf(os.Stderr, "rekeysim: -listen is meaningless with -transport=loopback (udp and tcp bind sockets)\n")
 				return 2
 			}
 		case "udp", "tcp":
@@ -147,7 +147,7 @@ func run(args []string) int {
 				return 2
 			}
 		default:
-			fmt.Fprintf(os.Stderr, "rekeysim: unknown transport %q (want sim, loopback, udp, or tcp)\n", *transportKind)
+			fmt.Fprintf(os.Stderr, "rekeysim: unknown transport %q (want loopback, udp, or tcp)\n", *transportKind)
 			return 2
 		}
 		return runDaemon(*seed, *transportKind, *listenAddr, *daemonMembers, *daemonIntervals, *pprofAddr != "")
@@ -317,13 +317,8 @@ func (s sinkFile) finish(code int) int {
 
 // runDaemon drives the socket soak: rekeyd nodes exchanging wire
 // frames over real transport endpoints, walking the chaos fault ladder
-// with the five paper-invariant auditors. -transport=sim falls back to
-// the in-simulator soak, so one flag switches between the proven-in-sim
-// and proven-on-sockets versions of the same battery.
+// with the five paper-invariant auditors.
 func runDaemon(seed int64, kind, listen string, members, intervals int, withObs bool) int {
-	if kind == "sim" {
-		return runSoak(seed, intervals, members, -1, "", "", 1, withObs)
-	}
 	cfg := chaos.DefaultSocketConfig(kind)
 	cfg.Seed = seed
 	cfg.Listen = listen

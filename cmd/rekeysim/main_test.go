@@ -72,7 +72,9 @@ func TestRunArgHandling(t *testing.T) {
 		{"daemon udp without listen", []string{"-daemon", "-transport", "udp"}, 2},
 		{"daemon tcp without listen", []string{"-daemon", "-transport", "tcp"}, 2},
 		{"daemon listen with loopback", []string{"-daemon", "-listen", "127.0.0.1:0"}, 2},
+		// "sim" was an alias for -soak; it is an unknown transport now.
 		{"daemon listen with sim", []string{"-daemon", "-transport", "sim", "-listen", "127.0.0.1:0"}, 2},
+		{"daemon transport sim", []string{"-daemon", "-transport", "sim"}, 2},
 		{"daemon unknown transport", []string{"-daemon", "-transport", "carrier-pigeon"}, 2},
 	}
 	// Silence usage output during the table run.

@@ -4,6 +4,6 @@
 //
 // The implementation lives under internal/ (one package per subsystem;
 // see DESIGN.md for the inventory), the experiment driver under
-// cmd/rekeysim, runnable examples under examples/, and the per-figure
-// benchmarks in bench_test.go. Start with README.md.
+// cmd/rekeysim, runnable examples under examples/, and the repo
+// benchmark under bench/. Start with README.md.
 package tmesh

@@ -50,7 +50,6 @@ import (
 	"tmesh/internal/split"
 	"tmesh/internal/tmesh"
 	"tmesh/internal/vnet"
-	"tmesh/internal/work"
 )
 
 // Config parameterises a soak session.
@@ -163,22 +162,6 @@ func DefaultConfig(seed int64) Config {
 	}
 }
 
-// rekeyBatch drives the key tree's staged rekey pipeline (mark, then
-// regenerate) — the same engine the core Group and the experiment
-// harness use. label, when non-empty, tags the
-// stages with pprof {group, stage} labels.
-func rekeyBatch(tree *keytree.Tree, joins, leaves []ident.ID, label string) (*keytree.Message, error) {
-	var plan *keytree.BatchPlan
-	var err error
-	obs.WithStage(label, "mark", func() { plan, err = tree.Mark(joins, leaves) })
-	if err != nil {
-		return nil, err
-	}
-	var msg *keytree.Message
-	obs.WithStage(label, "regen", func() { msg, err = tree.Regenerate(plan, work.Width()) })
-	return msg, err
-}
-
 // Interval phase fractions: churn lands in the first 45%, the Theorem 1
 // data probe at 50%, the rekey multicast at 60%, and the audit at the
 // boundary. Network faults hold over the middle stretch so they overlap
@@ -284,12 +267,10 @@ type Engine struct {
 
 	partition *vnet.Partition
 
-	// Since-last-rekey batches.
-	joinedSince     map[string]overlay.Record
-	leftSince       map[string]ident.ID
+	// pending is the key tree's batch since the last rekey: joins,
+	// leaves, and reaped crash evictions.
+	pending         keytree.Pending
 	crashPending    map[string]crashInfo
-	evictedUnbatch  map[string]ident.ID
-	inTree          map[string]bool
 	churnSinceAudit map[string]ident.ID
 
 	// Live results of the current interval.
@@ -377,11 +358,7 @@ func New(cfg Config) (*Engine, error) {
 		faultRNG:        rand.New(rand.NewSource(cfg.Seed ^ 0x666c74)), // "flt"
 		idRNG:           rand.New(rand.NewSource(cfg.Seed ^ 0x696473)), // "ids"
 		killed:          make(map[string]bool),
-		joinedSince:     make(map[string]overlay.Record),
-		leftSince:       make(map[string]ident.ID),
 		crashPending:    make(map[string]crashInfo),
-		evictedUnbatch:  make(map[string]ident.ID),
-		inTree:          make(map[string]bool),
 		churnSinceAudit: make(map[string]ident.ID),
 		lastEpoch:       make(map[string]uint64),
 		dataArena:       tmesh.NewArena(cfg.InitialMembers + 1),
@@ -405,7 +382,6 @@ func New(cfg Config) (*Engine, error) {
 	for h := 1; h < totalHosts; h++ {
 		e.freeHosts = append(e.freeHosts, vnet.HostID(h))
 	}
-	var initial []ident.ID
 	for i := 0; i < cfg.InitialMembers; i++ {
 		id, err := e.freeID()
 		if err != nil {
@@ -418,11 +394,9 @@ func New(cfg Config) (*Engine, error) {
 		if err := clusters.Join(rec); err != nil {
 			return nil, err
 		}
-		initial = append(initial, id)
-		e.inTree[id.Key()] = true
+		e.pending.Join(id)
 	}
-	sort.Slice(initial, func(i, j int) bool { return initial[i].Compare(initial[j]) < 0 })
-	if _, err := rekeyBatch(tree, initial, nil, profLabel); err != nil {
+	if _, _, _, err := tree.Flush(&e.pending, 0); err != nil {
 		return nil, err
 	}
 	if _, err := clusters.Process(); err != nil {
@@ -455,20 +429,13 @@ func (e *Engine) popHost() vnet.HostID {
 
 // freeID draws an unused ID uniformly from the ID space.
 func (e *Engine) freeID() (ident.ID, error) {
-	for tries := 0; tries < 64*e.cfg.Params.Capacity(); tries++ {
-		id, err := ident.FromInt(e.cfg.Params, e.idRNG.Intn(e.cfg.Params.Capacity()))
-		if err != nil {
-			return ident.ID{}, err
-		}
+	return ident.FreeID(e.cfg.Params, e.idRNG, func(id ident.ID) bool {
 		// The cluster manager can briefly hold an evicted crasher the
 		// engine has not reaped yet; skip those too so the two never
 		// diverge.
-		if _, taken := e.dir.Record(id); !taken && !e.clusters.Has(id) {
-			return id, nil
-		}
-	}
-	return ident.ID{}, fmt.Errorf("chaos: ID space exhausted (%d members of %d)",
-		e.dir.Size(), e.cfg.Params.Capacity())
+		_, taken := e.dir.Record(id)
+		return taken || e.clusters.Has(id)
+	})
 }
 
 // dropHop is the per-hop loss model shared by both multicasts: a hop is
@@ -669,7 +636,7 @@ func (e *Engine) doJoin(now time.Duration, stats *IntervalStats) {
 	e.mon.Observe(id)
 	delete(e.killed, id.Key()) // reused ID of an evicted crasher starts fresh
 	if err := e.clusters.Join(rec); err == nil {
-		e.joinedSince[id.Key()] = rec
+		e.pending.Join(id)
 		e.churnSinceAudit[id.Key()] = id
 		stats.Joins++
 	}
@@ -690,12 +657,8 @@ func (e *Engine) doLeave(now time.Duration, stats *IntervalStats, fail func(erro
 		fail(fmt.Errorf("chaos: cluster leave %v: %w", id, err))
 		return
 	}
-	key := id.Key()
-	if e.inTree[key] {
-		e.leftSince[key] = id
-	}
-	delete(e.joinedSince, key)
-	e.churnSinceAudit[key] = id
+	e.pending.Leave(id)
+	e.churnSinceAudit[id.Key()] = id
 	stats.Leaves++
 }
 
@@ -778,40 +741,13 @@ func (e *Engine) doRekey(now time.Duration, stats *IntervalStats, fail func(erro
 		return
 	}
 
-	joins := make([]ident.ID, 0, len(e.joinedSince))
-	for _, rec := range e.joinedSince {
-		if _, present := e.dir.Record(rec.ID); present {
-			joins = append(joins, rec.ID)
-		}
-	}
-	leaves := make([]ident.ID, 0, len(e.leftSince)+len(e.evictedUnbatch))
-	for _, id := range e.leftSince {
-		leaves = append(leaves, id)
-	}
-	for _, id := range e.evictedUnbatch {
-		if e.inTree[id.Key()] {
-			leaves = append(leaves, id)
-		}
-	}
-	sort.Slice(joins, func(i, j int) bool { return joins[i].Compare(joins[j]) < 0 })
-	sort.Slice(leaves, func(i, j int) bool { return leaves[i].Compare(leaves[j]) < 0 })
-
 	rekeySpan := e.cfg.Obs.StartSpan("chaos_rekey")
-	msg, err := rekeyBatch(e.tree, joins, leaves, e.profLabel)
+	msg, _, _, err := e.tree.Flush(&e.pending, 0)
 	rekeySpan.End()
 	if err != nil {
 		fail(fmt.Errorf("chaos: key tree batch: %w", err))
 		return
 	}
-	for _, id := range joins {
-		e.inTree[id.Key()] = true
-	}
-	for _, id := range leaves {
-		delete(e.inTree, id.Key())
-	}
-	e.joinedSince = make(map[string]overlay.Record)
-	e.leftSince = make(map[string]ident.ID)
-	e.evictedUnbatch = make(map[string]ident.ID)
 	stats.RekeyCost = msg.Cost()
 
 	e.curLadder = nil
@@ -821,7 +757,7 @@ func (e *Engine) doRekey(now time.Duration, stats *IntervalStats, fail func(erro
 		return // no churn reached the tree; nothing to distribute
 	}
 	for _, id := range e.liveMembers() {
-		if e.inTree[id.Key()] {
+		if e.tree.Structure().Contains(id) {
 			e.rekeyLive = append(e.rekeyLive, id)
 		}
 	}
@@ -877,7 +813,7 @@ func (e *Engine) reapEvictions(fail func(error)) {
 			fail(fmt.Errorf("chaos: cluster evict %v: %w", info.id, err))
 			return
 		}
-		e.evictedUnbatch[key] = info.id
+		e.pending.Leave(info.id)
 		delete(e.crashPending, key)
 	}
 }

@@ -68,7 +68,11 @@ func keyedWorld(t *testing.T, stale ident.ID) (*core.KeyPlane, []ident.ID) {
 		t.Fatal(err)
 	}
 	all := []ident.ID{evID(t, 0), evID(t, 1), evID(t, 4), evID(t, 9)}
-	if _, _, err := w.Rekey(all, nil, nil); err != nil {
+	var batch keytree.Pending
+	for _, id := range all {
+		batch.Join(id)
+	}
+	if _, _, _, _, err := w.Rekey(&batch, nil); err != nil {
 		t.Fatal(err)
 	}
 	var told []ident.ID
@@ -77,7 +81,8 @@ func keyedWorld(t *testing.T, stale ident.ID) (*core.KeyPlane, []ident.ID) {
 			told = append(told, id)
 		}
 	}
-	if _, _, err := w.Rekey(nil, all[3:], told); err != nil {
+	batch.Leave(all[3])
+	if _, _, _, _, err := w.Rekey(&batch, told); err != nil {
 		t.Fatal(err)
 	}
 	return w, all[:3]

@@ -195,12 +195,14 @@ func newScaleSoak(cfg ScaleConfig) (*scaleSoak, error) {
 		active:    make([]ident.ID, cfg.N),
 		nextFresh: cfg.N,
 	}
+	var batch keytree.Pending
 	for i := range w.active {
 		if w.active[i], err = ident.FromInt(cfg.Params, i); err != nil {
 			return nil, err
 		}
+		batch.Join(w.active[i])
 	}
-	w.setupCost, _, err = world.Rekey(w.active, nil, nil)
+	_, _, w.setupCost, _, err = world.Rekey(&batch, nil)
 	return w, err
 }
 
@@ -209,19 +211,18 @@ func newScaleSoak(cfg ScaleConfig) (*scaleSoak, error) {
 // cost and the number of keys installed.
 func (w *scaleSoak) step() (cost int, updated int64, err error) {
 	// Draw leave victims by swap-remove, keeping `active` dense.
-	leaves := make([]ident.ID, 0, w.cfg.Churn)
-	for len(leaves) < w.cfg.Churn {
+	var batch keytree.Pending
+	for n := 0; n < w.cfg.Churn; n++ {
 		i := w.rng.Intn(len(w.active))
-		leaves = append(leaves, w.active[i])
+		batch.Leave(w.active[i])
 		w.active[i] = w.active[len(w.active)-1]
 		w.active = w.active[:len(w.active)-1]
 	}
 	// Replacement joins: recycled IDs first (epoch-bump rejoins), then
 	// fresh ones.
-	joins := make([]ident.ID, 0, w.cfg.Churn)
-	for len(joins) < w.cfg.Churn {
+	for n := 0; n < w.cfg.Churn; n++ {
 		if n := len(w.free); n > 0 {
-			joins = append(joins, w.free[n-1])
+			batch.Join(w.free[n-1])
 			w.free = w.free[:n-1]
 			continue
 		}
@@ -230,12 +231,11 @@ func (w *scaleSoak) step() (cost int, updated int64, err error) {
 			return 0, 0, fmt.Errorf("chaos: scale: ID space exhausted: %w", ferr)
 		}
 		w.nextFresh++
-		joins = append(joins, id)
+		batch.Join(id)
 	}
-	sort.Slice(leaves, func(i, j int) bool { return leaves[i].Compare(leaves[j]) < 0 })
-	sort.Slice(joins, func(i, j int) bool { return joins[i].Compare(joins[j]) < 0 })
 
-	if cost, updated, err = w.world.Rekey(joins, leaves, w.active); err != nil {
+	joins, leaves, cost, updated, err := w.world.Rekey(&batch, w.active)
+	if err != nil {
 		return 0, 0, err
 	}
 	w.active = append(w.active, joins...)

@@ -30,7 +30,6 @@ import (
 	"tmesh/internal/keycrypt"
 	"tmesh/internal/keytree"
 	"tmesh/internal/overlay"
-	"tmesh/internal/work"
 )
 
 // Manager tracks bottom clusters and drives the leaders-only key tree.
@@ -41,9 +40,7 @@ type Manager struct {
 	tree   *keytree.Tree
 
 	clusters map[string]*state // keyed by level-(D-1) prefix
-
-	pendingJoin  map[string]ident.ID
-	pendingLeave map[string]ident.ID
+	pending  keytree.Pending   // leader churn since the last Process
 
 	pairwiseMessages int
 }
@@ -81,12 +78,10 @@ func New(params ident.Params, seed []byte, opts keytree.Opts) (*Manager, error) 
 		return nil, err
 	}
 	return &Manager{
-		params:       params,
-		seed:         append([]byte(nil), seed...),
-		tree:         tree,
-		clusters:     make(map[string]*state),
-		pendingJoin:  make(map[string]ident.ID),
-		pendingLeave: make(map[string]ident.ID),
+		params:   params,
+		seed:     append([]byte(nil), seed...),
+		tree:     tree,
+		clusters: make(map[string]*state),
 	}, nil
 }
 
@@ -207,7 +202,7 @@ func (m *Manager) Join(rec overlay.Record) error {
 		pairwise: make(map[string]keycrypt.Key),
 	}
 	m.clusters[pfx.Key()] = s
-	m.queueJoin(rec.ID)
+	m.pending.Join(rec.ID)
 	return nil
 }
 
@@ -231,7 +226,7 @@ func (m *Manager) Leave(id ident.ID) error {
 		return nil
 	}
 	// Leader departure.
-	m.queueLeave(id)
+	m.pending.Leave(id)
 	if len(s.members) == 0 {
 		delete(m.clusters, pfx.Key())
 		return nil
@@ -248,7 +243,7 @@ func (m *Manager) Leave(id ident.ID) error {
 		s.pairwise[key] = m.derivePairwise(s, rec.ID)
 		m.pairwiseMessages += 2
 	}
-	m.queueJoin(next.ID)
+	m.pending.Join(next.ID)
 	return nil
 }
 
@@ -272,41 +267,12 @@ func (m *Manager) derivePairwise(s *state, member ident.ID) keycrypt.Key {
 	return keycrypt.DeriveKey(m.seed, label)
 }
 
-func (m *Manager) queueJoin(id ident.ID) {
-	// An ID that left earlier in the interval may be rejoined (the key
-	// tree processes leaves before joins and issues fresh keys), so
-	// both pending entries are kept.
-	m.pendingJoin[id.Key()] = id
-}
-
-func (m *Manager) queueLeave(id ident.ID) {
-	if _, ok := m.pendingJoin[id.Key()]; ok {
-		delete(m.pendingJoin, id.Key())
-		return
-	}
-	m.pendingLeave[id.Key()] = id
-}
-
 // Process ends the rekey interval: the queued leader churn is applied to
 // the leaders-only key tree and the resulting rekey message returned.
 // The key-regeneration stage fans out (see keytree.Regenerate); the
 // message is byte-identical at any width.
 func (m *Manager) Process() (*Result, error) {
-	joins := make([]ident.ID, 0, len(m.pendingJoin))
-	for _, id := range m.pendingJoin {
-		joins = append(joins, id)
-	}
-	leaves := make([]ident.ID, 0, len(m.pendingLeave))
-	for _, id := range m.pendingLeave {
-		leaves = append(leaves, id)
-	}
-	sort.Slice(joins, func(i, j int) bool { return joins[i].Compare(joins[j]) < 0 })
-	sort.Slice(leaves, func(i, j int) bool { return leaves[i].Compare(leaves[j]) < 0 })
-	plan, err := m.tree.Mark(joins, leaves)
-	if err != nil {
-		return nil, err
-	}
-	msg, err := m.tree.Regenerate(plan, work.Width())
+	msg, joins, leaves, err := m.tree.Flush(&m.pending, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -318,17 +284,14 @@ func (m *Manager) Process() (*Result, error) {
 			unicasts += len(s.members) - 1
 		}
 	}
-	res := &Result{
+	return &Result{
 		Message:          msg,
 		LeaderJoins:      len(joins),
 		LeaderLeaves:     len(leaves),
 		Joins:            joins,
 		Leaves:           leaves,
 		PairwiseUnicasts: unicasts,
-	}
-	m.pendingJoin = make(map[string]ident.ID)
-	m.pendingLeave = make(map[string]ident.ID)
-	return res, nil
+	}, nil
 }
 
 // PairwiseMessages returns the cumulative count of intra-cluster

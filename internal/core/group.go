@@ -57,7 +57,7 @@ type Config struct {
 	// per-encryption splitting.
 	SplitMode split.Mode
 	// Obs is the optional telemetry registry: per-stage spans
-	// (mark/regen/deliver/apply) and pipeline counters land there. Nil
+	// (regen/deliver/apply) and pipeline counters land there. Nil
 	// (the default) disables all instrumentation at no cost. Telemetry
 	// never feeds into rekey messages, reports, or member state, so
 	// seed-identical runs are byte-identical with it on or off.
@@ -83,8 +83,7 @@ type Group struct {
 	clusters *cluster.Manager
 	rng      *rand.Rand
 
-	pendingJoins  []ident.ID
-	pendingLeaves []ident.ID
+	pending keytree.Pending // key-tree churn since the last boundary (non-cluster mode)
 
 	// members holds per-user client state (keyring + believed group
 	// key), populated only with RealCrypto; in cluster mode only
@@ -175,15 +174,13 @@ func (g *Group) Join(host vnet.HostID, at time.Duration) (ident.ID, assign.Stats
 			return ident.ID{}, stats, err
 		}
 	} else {
-		g.pendingJoins = append(g.pendingJoins, id)
+		g.pending.Join(id)
 	}
 	return id, stats, nil
 }
 
-// Leave removes a user and queues its key-tree departure. A user whose
-// key-tree join is still pending in the current interval (joined and
-// left between two boundaries) cancels out instead: the batch becomes a
-// no-op for it, rather than a leave the tree would reject as unknown.
+// Leave removes a user and queues its key-tree departure (see
+// keytree.Pending for a leave that meets its own pending join).
 func (g *Group) Leave(id ident.ID) error {
 	if err := g.dir.Leave(id); err != nil {
 		return err
@@ -192,13 +189,7 @@ func (g *Group) Leave(id ident.ID) error {
 	if g.clusters != nil {
 		return g.clusters.Leave(id)
 	}
-	for i, j := range g.pendingJoins {
-		if j.Compare(id) == 0 {
-			g.pendingJoins = append(g.pendingJoins[:i], g.pendingJoins[i+1:]...)
-			return nil
-		}
-	}
-	g.pendingLeaves = append(g.pendingLeaves, id)
+	g.pending.Leave(id)
 	return nil
 }
 
@@ -208,63 +199,38 @@ func (g *Group) Leave(id ident.ID) error {
 // receive their path keys (the server's join-time unicast).
 func (g *Group) ProcessInterval() (*keytree.Message, error) {
 	g.intervals++
-	if g.clusters != nil {
-		// Cluster mode runs mark+regen inside the manager; time the
-		// combined server-side stage as one regen span.
-		span := g.cfg.Obs.StartSpan("core_regen")
-		var res *cluster.Result
-		var err error
-		obs.WithStage(g.cfg.Label, "regen", func() {
-			res, err = g.clusters.Process()
-		})
-		span.End()
-		if err != nil {
-			return nil, err
-		}
-		if g.cfg.RealCrypto {
-			// Leaders that just entered the leaders-only tree get a
-			// keyring built from their server-side path keys. Incumbent
-			// leaders are NOT rebuilt: their keyrings advance by applying
-			// the rekey message the multicast delivers to them, exactly
-			// like users in non-cluster mode, so the per-interval cost is
-			// proportional to leader churn, not to the number of leaders.
-			for _, id := range res.Joins {
-				if err := g.initKeyring(g.clusters.Tree(), id); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return res.Message, nil
-	}
-	joins, leaves := g.pendingJoins, g.pendingLeaves
-	g.pendingJoins, g.pendingLeaves = nil, nil
-	markSpan := g.cfg.Obs.StartSpan("core_mark")
-	var plan *keytree.BatchPlan
-	var err error
-	obs.WithStage(g.cfg.Label, "mark", func() {
-		plan, err = g.tree.Mark(joins, leaves)
-	})
-	markSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	regenSpan := g.cfg.Obs.StartSpan("core_regen")
-	var msg *keytree.Message
-	obs.WithStage(g.cfg.Label, "regen", func() {
-		msg, err = g.tree.Regenerate(plan, work.Width())
-	})
-	regenSpan.End()
+	span := g.cfg.Obs.StartSpan("core_regen") // the server-side stage: mark + regen
+	tree, msg, joins, err := g.flush()
+	span.End()
 	if err != nil {
 		return nil, err
 	}
 	if g.cfg.RealCrypto {
 		for _, id := range joins {
-			if err := g.initKeyring(g.tree, id); err != nil {
+			if err := g.initKeyring(tree, id); err != nil {
 				return nil, err
 			}
 		}
 	}
 	return msg, nil
+}
+
+// flush ends the interval on the tree the mode keys and returns it with
+// the message and the joiners to key. In cluster mode those are only the
+// leaders that just entered the leaders-only tree: incumbent leaders
+// advance by applying the rekey message the multicast delivers to them,
+// exactly like users in non-cluster mode, so the per-interval cost is
+// proportional to leader churn, not to the number of leaders.
+func (g *Group) flush() (*keytree.Tree, *keytree.Message, []ident.ID, error) {
+	if g.clusters != nil {
+		res, err := g.clusters.Process()
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		return g.clusters.Tree(), res.Message, res.Joins, nil
+	}
+	msg, joins, _, err := g.tree.Flush(&g.pending, 0)
+	return g.tree, msg, joins, err
 }
 
 func (g *Group) initKeyring(tree *keytree.Tree, id ident.ID) error {

@@ -329,51 +329,3 @@ func TestKeyringOf(t *testing.T) {
 		t.Error("non-member should have no keyring")
 	}
 }
-
-// TestSameIntervalJoinLeave: a user that joins and leaves between the
-// same two interval boundaries cancels out of the batch (the key tree
-// never sees it) instead of producing a leave the tree rejects; the
-// interval still rekeys cleanly for everyone else.
-func TestSameIntervalJoinLeave(t *testing.T) {
-	g := newGroup(t, 10, false)
-	keep, _, err := g.Join(1, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	transient, _, err := g.Join(2, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Leave(transient); err != nil {
-		t.Fatalf("leave of same-interval joiner: %v", err)
-	}
-	msg, err := g.ProcessInterval()
-	if err != nil {
-		t.Fatalf("interval with cancelled join+leave: %v", err)
-	}
-	if _, err := g.DistributeRekey(msg); err != nil {
-		t.Fatal(err)
-	}
-	if g.Size() != 1 {
-		t.Fatalf("size = %d, want 1", g.Size())
-	}
-	if _, ok := g.KeyringOf(transient); ok {
-		t.Error("cancelled joiner still has a keyring")
-	}
-	checkConverged(t, g, []ident.ID{keep})
-
-	// The cancelled pair must also not poison the next interval: the
-	// same host can rejoin and get keyed normally.
-	again, _, err := g.Join(2, 3*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg, err = g.ProcessInterval()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.DistributeRekey(msg); err != nil {
-		t.Fatal(err)
-	}
-	checkConverged(t, g, []ident.ID{keep, again})
-}

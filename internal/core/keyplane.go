@@ -8,7 +8,6 @@ import (
 	"tmesh/internal/keytree"
 	"tmesh/internal/memberstate"
 	"tmesh/internal/obs"
-	"tmesh/internal/work"
 )
 
 // KeyPlane is the key-management core with no network under it: the
@@ -54,40 +53,29 @@ func (w *KeyPlane) Keyring(id ident.ID) *keytree.Keyring {
 	return w.store.Keyring(id)
 }
 
-// Rekey runs one interval: the batch goes through mark and regen, every
-// survivor (the membership after the leaves, before the joins) applies
-// the rekey message, and every joiner receives its path keys by the
-// join-time unicast. It returns the message's cost and the number of
-// keys installed across the survivors' keyrings. joins and leaves must
-// be in ID order; a survivor without a keyring is an error.
-func (w *KeyPlane) Rekey(joins, leaves, survivors []ident.ID) (cost int, installed int64, err error) {
-	label, limit := w.label, w.limit
-	if limit <= 0 {
-		limit = work.Width()
-	}
-	if w.store != nil {
-		for _, id := range leaves {
-			w.store.Remove(id)
-		}
-	}
-	var plan *keytree.BatchPlan
-	obs.WithStage(label, "mark", func() { plan, err = w.tree.Mark(joins, leaves) })
+// Rekey runs one interval: the pending batch is flushed through the
+// tree, every survivor (the membership after the leaves, before the
+// joins) applies the rekey message, and every joiner receives its path
+// keys by the join-time unicast. It returns the joins and leaves the
+// flush applied, the message's cost and the number of keys installed
+// across the survivors' keyrings. A survivor without a keyring is an
+// error.
+func (w *KeyPlane) Rekey(p *keytree.Pending, survivors []ident.ID) (joins, leaves []ident.ID, cost int, installed int64, err error) {
+	msg, joins, leaves, err := w.tree.Flush(p, w.limit)
 	if err != nil {
-		return 0, 0, err
-	}
-	var msg *keytree.Message
-	obs.WithStage(label, "regen", func() { msg, err = w.tree.Regenerate(plan, limit) })
-	if err != nil {
-		return 0, 0, err
+		return nil, nil, 0, 0, err
 	}
 	if w.store == nil {
-		return msg.Cost(), 0, nil
+		return joins, leaves, msg.Cost(), 0, nil
 	}
-	obs.WithStage(label, "apply", func() { installed, err = w.ap.Apply(msg, survivors) })
+	for _, id := range leaves {
+		w.store.Remove(id)
+	}
+	obs.WithStage(w.label, "apply", func() { installed, err = w.ap.Apply(msg, survivors) })
 	if err != nil {
-		return 0, 0, err
+		return nil, nil, 0, 0, err
 	}
-	obs.WithStage(label, "deliver", func() {
+	obs.WithStage(w.label, "deliver", func() {
 		for _, id := range joins {
 			var kr *keytree.Keyring
 			if kr, err = w.tree.JoinKeyring(id); err != nil {
@@ -96,7 +84,7 @@ func (w *KeyPlane) Rekey(joins, leaves, survivors []ident.ID) (cost int, install
 			w.store.PutKeyring(id, kr)
 		}
 	})
-	return msg.Cost(), installed, err
+	return joins, leaves, msg.Cost(), installed, err
 }
 
 // Digest commits to the final keyrings of the listed members (see

@@ -16,7 +16,6 @@ import (
 	"tmesh/internal/overlay"
 	"tmesh/internal/split"
 	"tmesh/internal/vnet"
-	"tmesh/internal/work"
 )
 
 // Protocol names the seven rekey transport protocols of Table 2.
@@ -197,14 +196,7 @@ func buildBandwidthWorld(cfg BandwidthConfig) (*bwWorld, error) {
 	for i, r := range baseRecs {
 		baseIDs[i] = r.ID
 	}
-	stagedBatch := func(joins, leaves []ident.ID) (*keytree.Message, error) {
-		plan, err := mtree.Mark(joins, leaves)
-		if err != nil {
-			return nil, err
-		}
-		return mtree.Regenerate(plan, work.Width())
-	}
-	if _, err := stagedBatch(baseIDs, nil); err != nil {
+	if _, err := mtree.Batch(baseIDs, nil); err != nil {
 		return nil, err
 	}
 	if _, err := w.cm.Process(); err != nil {
@@ -237,7 +229,7 @@ func buildBandwidthWorld(cfg BandwidthConfig) (*bwWorld, error) {
 			return nil, err
 		}
 	}
-	w.modMsg, err = stagedBatch(joinIDs, leavers)
+	w.modMsg, err = mtree.Batch(joinIDs, leavers)
 	if err != nil {
 		return nil, err
 	}

@@ -221,26 +221,15 @@ func (w *costWorld) costs(j, l int) (mod, orig, clus float64, err error) {
 		joinIDs[i] = r.ID
 	}
 
-	// Modified key tree (Fig. 12 (a)), driven through the staged rekey
-	// pipeline. Regeneration stays sequential here: this code already
-	// runs inside the per-run worker fan-out, so nesting workers would
-	// oversubscribe without changing the (byte-identical) output.
+	// Modified key tree (Fig. 12 (a)).
 	mtree, err := keytree.New(w.cfg.Assign.Params, []byte("cost"), keytree.Opts{})
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	basePlan, err := mtree.Mark(w.baseIDs, nil)
-	if err != nil {
+	if _, err := mtree.Batch(w.baseIDs, nil); err != nil {
 		return 0, 0, 0, err
 	}
-	if _, err := mtree.Regenerate(basePlan, 1); err != nil {
-		return 0, 0, 0, err
-	}
-	churnPlan, err := mtree.Mark(joinIDs, leavers)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	mmsg, err := mtree.Regenerate(churnPlan, 1)
+	mmsg, err := mtree.Batch(joinIDs, leavers)
 	if err != nil {
 		return 0, 0, 0, err
 	}

@@ -209,10 +209,8 @@ type keyTenant struct {
 	verify int // keyrings sampled per audit
 
 	cursor        int
-	pendingJoins  []int        // schedule host indices, arrival order
-	pendingSet    map[int]bool // pendingJoins not cancelled by a same-interval leave
-	pendingLeaves []int
-	activeIdx     map[int]bool
+	pending       keytree.Pending
+	active        map[ident.ID]bool // keyed members not pumped out since
 	joins, leaves int
 	roster        []ident.ID // membership after the last flush, in ID order
 }
@@ -240,19 +238,18 @@ func newKeyTenant(label string, verify int, sched *workload.Schedule, seed []byt
 		return nil, err
 	}
 	return &keyTenant{
-		label:      label,
-		sched:      sched,
-		params:     params,
-		world:      world,
-		verify:     verify,
-		pendingSet: make(map[int]bool),
-		activeIdx:  make(map[int]bool, sched.Hosts),
+		label:  label,
+		sched:  sched,
+		params: params,
+		world:  world,
+		verify: verify,
+		active: make(map[ident.ID]bool, sched.Hosts),
 	}, nil
 }
 
 func (t *keyTenant) name() string { return t.label }
 
-func (t *keyTenant) size() int { return len(t.activeIdx) }
+func (t *keyTenant) size() int { return len(t.active) }
 
 func (t *keyTenant) pump(until time.Duration) error {
 	for t.cursor < len(t.sched.Events) {
@@ -261,25 +258,28 @@ func (t *keyTenant) pump(until time.Duration) error {
 			return nil
 		}
 		t.cursor++
+		// Every schedule host index maps directly to an ID.
+		host := ev.Host
+		if ev.Kind == workload.Leave {
+			host = ev.Victim
+		}
+		id, err := ident.FromInt(t.params, host)
+		if err != nil {
+			return fmt.Errorf("schedule host %d: %w", host, err)
+		}
 		switch ev.Kind {
 		case workload.Join:
-			t.pendingJoins = append(t.pendingJoins, ev.Host)
-			t.pendingSet[ev.Host] = true
+			t.pending.Join(id)
 			t.joins++
 		case workload.Leave:
 			t.leaves++
-			if t.pendingSet[ev.Victim] {
-				// Joined and left between the same two boundaries: the
-				// pair cancels (mirrors core.Group.Leave of a pending
-				// join) and the batch never keys the member.
-				delete(t.pendingSet, ev.Victim)
-				continue
+			if t.pending.Leave(id) {
+				continue // joined and left between two boundaries: never keyed
 			}
-			if !t.activeIdx[ev.Victim] {
-				return fmt.Errorf("leave of absent host %d", ev.Victim)
+			if !t.active[id] {
+				return fmt.Errorf("leave of absent host %d", host)
 			}
-			t.pendingLeaves = append(t.pendingLeaves, ev.Victim)
-			delete(t.activeIdx, ev.Victim)
+			delete(t.active, id)
 		default:
 			return fmt.Errorf("unknown event kind %d", ev.Kind)
 		}
@@ -290,64 +290,27 @@ func (t *keyTenant) pump(until time.Duration) error {
 // flush rekeys the world over the pending churn — one flash-crowd
 // interval is a single call.
 func (t *keyTenant) flush() (int, error) {
-	joinIdx := t.pendingJoins[:0:0]
-	for _, i := range t.pendingJoins {
-		if t.pendingSet[i] {
-			joinIdx = append(joinIdx, i)
-		}
-	}
-	leaveIdx := t.pendingLeaves
-	t.pendingJoins, t.pendingLeaves = nil, nil
-	clear(t.pendingSet)
-	sort.Ints(joinIdx)
-	sort.Ints(leaveIdx)
-
-	joins, err := t.idsOf(joinIdx)
-	if err != nil {
-		return 0, err
-	}
-	leaves, err := t.idsOf(leaveIdx)
-	if err != nil {
-		return 0, err
-	}
 	// The survivors are the membership before the joins land (pump
 	// already dropped the leavers).
-	survivors, err := t.members()
+	joins, _, cost, _, err := t.world.Rekey(&t.pending, t.members())
 	if err != nil {
 		return 0, err
 	}
-	cost, _, err := t.world.Rekey(joins, leaves, survivors)
-	if err != nil {
-		return 0, err
+	for _, id := range joins {
+		t.active[id] = true
 	}
-	for _, i := range joinIdx {
-		t.activeIdx[i] = true
-	}
-	t.roster, err = t.members()
-	return cost, err
+	t.roster = t.members()
+	return cost, nil
 }
 
-func (t *keyTenant) idsOf(indices []int) ([]ident.ID, error) {
-	out := make([]ident.ID, len(indices))
-	for i, idx := range indices {
-		id, err := ident.FromInt(t.params, idx)
-		if err != nil {
-			return nil, fmt.Errorf("schedule host %d: %w", idx, err)
-		}
-		out[i] = id
+// members returns the active membership in ID order.
+func (t *keyTenant) members() []ident.ID {
+	ids := make([]ident.ID, 0, len(t.active))
+	for id := range t.active {
+		ids = append(ids, id)
 	}
-	return out, nil
-}
-
-// members returns the active membership in canonical ID order
-// (FromInt preserves numeric order, so sorting the indices suffices).
-func (t *keyTenant) members() ([]ident.ID, error) {
-	idx := make([]int, 0, len(t.activeIdx))
-	for i := range t.activeIdx {
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
-	return t.idsOf(idx)
+	sort.Slice(ids, func(i, j int) bool { return ids[i].Compare(ids[j]) < 0 })
+	return ids
 }
 
 // evidence is the key plane's: sampled keyrings against the server tree

@@ -15,6 +15,7 @@ package ident
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"strconv"
 	"strings"
 )
@@ -128,6 +129,23 @@ func FromInt(p Params, n int) (ID, error) {
 		return ID{}, fmt.Errorf("ident: value does not fit in %d base-%d digits", p.Digits, p.Base)
 	}
 	return New(p, digits)
+}
+
+// FreeID draws IDs uniformly from the ID space until one is not taken.
+// It is the soak drivers' stand-in for the assignment protocol: two
+// drivers seeding rng alike and churning alike draw the same IDs.
+func FreeID(p Params, rng *rand.Rand, taken func(ID) bool) (ID, error) {
+	capacity := p.Capacity()
+	for tries := 0; tries < 64*capacity; tries++ {
+		id, err := FromInt(p, rng.Intn(capacity))
+		if err != nil {
+			return ID{}, err
+		}
+		if !taken(id) {
+			return id, nil
+		}
+	}
+	return ID{}, fmt.Errorf("ident: no free ID in %d draws from a space of %d", 64*capacity, capacity)
 }
 
 // Parse reads the textual form produced by String: "[d0,d1,...]" with

@@ -43,15 +43,6 @@ type Key struct {
 // provided key.
 var ErrDecrypt = errors.New("keycrypt: decryption failed")
 
-// NewRandomKey draws a fresh key from crypto/rand.
-func NewRandomKey() (Key, error) {
-	var k Key
-	if _, err := io.ReadFull(rand.Reader, k.bytes[:]); err != nil {
-		return Key{}, fmt.Errorf("keycrypt: generating key: %w", err)
-	}
-	return k, nil
-}
-
 // DeriveKey deterministically derives a key from a seed and a label using
 // HMAC-SHA256. Simulations use it so that key material is reproducible
 // under a fixed seed while remaining unique per key-tree node and version.
@@ -133,21 +124,12 @@ func (e Encryption) RelevantTo(w ident.Prefix) bool {
 	return e.ID.Related(w)
 }
 
-// Wrap encrypts newKey under kek, producing an Encryption identified per
-// the paper's scheme. The nonce is drawn from crypto/rand.
-func Wrap(kek Key, kekID ident.Prefix, newKey Key, newKeyID ident.Prefix, version uint64) (Encryption, error) {
-	nonce := make([]byte, nonceSize)
-	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
-		return Encryption{}, fmt.Errorf("keycrypt: nonce: %w", err)
-	}
-	return wrapWithNonce(kek, kekID, newKey, newKeyID, version, nonce)
-}
-
-// WrapSeeded is Wrap with a deterministic nonce derived via HMAC-SHA256
-// from nonceSeed, the encryption's AAD, and a caller-supplied context
-// value. Identical inputs produce byte-identical ciphertexts, which lets
-// seeded simulations reproduce rekey messages exactly regardless of how
-// wrapping work is scheduled across workers.
+// WrapSeeded encrypts newKey under kek, producing an Encryption
+// identified per the paper's scheme. The nonce is deterministic: derived
+// via HMAC-SHA256 from nonceSeed, the encryption's AAD, and a
+// caller-supplied context value. Identical inputs produce byte-identical
+// ciphertexts, which lets seeded simulations reproduce rekey messages
+// exactly regardless of how wrapping work is scheduled across workers.
 //
 // Nonce-safety contract: the caller must ensure that for a fixed kek
 // material the pair (AAD, context) never repeats. The key tree satisfies
@@ -162,7 +144,19 @@ func WrapSeeded(kek Key, kekID ident.Prefix, newKey Key, newKeyID ident.Prefix, 
 	var ctx [8]byte
 	binary.BigEndian.PutUint64(ctx[:], context)
 	mac.Write(ctx[:])
-	return wrapWithNonce(kek, kekID, newKey, newKeyID, version, mac.Sum(nil)[:nonceSize])
+	nonce := mac.Sum(nil)[:nonceSize]
+
+	aead, err := newAEAD(kek)
+	if err != nil {
+		return Encryption{}, err
+	}
+	ct := aead.Seal(append([]byte(nil), nonce...), nonce, newKey.bytes[:], wrapAAD(kekID, newKeyID, version))
+	return Encryption{
+		ID:         kekID,
+		KeyID:      newKeyID,
+		KeyVersion: version,
+		Ciphertext: ct,
+	}, nil
 }
 
 // Wrapper batches WrapSeeded calls, amortising their fixed per-call
@@ -219,20 +213,6 @@ func (w *Wrapper) WrapSeeded(kek Key, kekID ident.Prefix, newKey Key, newKeyID i
 	// arena region in place without ever growing into later wraps.
 	ct := aead.Seal(append(w.arena[off:off:off+wrappedLen], nonce...), nonce, newKey.bytes[:], w.aad)
 	w.arena = w.arena[:off+len(ct)]
-	return Encryption{
-		ID:         kekID,
-		KeyID:      newKeyID,
-		KeyVersion: version,
-		Ciphertext: ct,
-	}, nil
-}
-
-func wrapWithNonce(kek Key, kekID ident.Prefix, newKey Key, newKeyID ident.Prefix, version uint64, nonce []byte) (Encryption, error) {
-	aead, err := newAEAD(kek)
-	if err != nil {
-		return Encryption{}, err
-	}
-	ct := aead.Seal(append([]byte(nil), nonce...), nonce, newKey.bytes[:], wrapAAD(kekID, newKeyID, version))
 	return Encryption{
 		ID:         kekID,
 		KeyID:      newKeyID,

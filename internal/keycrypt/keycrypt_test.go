@@ -12,26 +12,6 @@ import (
 
 var idp = ident.Params{Digits: 4, Base: 8}
 
-func TestNewRandomKeyDistinct(t *testing.T) {
-	a, err := NewRandomKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewRandomKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Equal(b) {
-		t.Error("two random keys should differ")
-	}
-	if a.IsZero() {
-		t.Error("random key should not be zero")
-	}
-	if (Key{}).IsZero() != true {
-		t.Error("zero key should report IsZero")
-	}
-}
-
 func TestDeriveKeyDeterministic(t *testing.T) {
 	seed := []byte("simulation-seed-1")
 	a := DeriveKey(seed, "node:[0,1]/v3")
@@ -46,6 +26,9 @@ func TestDeriveKeyDeterministic(t *testing.T) {
 	}
 	if a.Fingerprint() == c.Fingerprint() {
 		t.Error("fingerprints of distinct keys should differ")
+	}
+	if a.IsZero() || !(Key{}).IsZero() {
+		t.Error("IsZero must hold for the zero key only")
 	}
 }
 
@@ -75,7 +58,7 @@ func TestWrapUnwrap(t *testing.T) {
 	kekID, _ := ident.PrefixOf(idp, []ident.Digit{0, 1})
 	rootID := ident.EmptyPrefix
 
-	e, err := Wrap(kek, kekID, newKey, rootID, 2)
+	e, err := WrapSeeded(kek, kekID, newKey, rootID, 2, []byte("nonce"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +182,7 @@ func TestWrapRoundTripProperty(t *testing.T) {
 	prop := func(seedA, seedB []byte, version uint64) bool {
 		kek := DeriveKey(append([]byte{1}, seedA...), "kek")
 		nk := DeriveKey(append([]byte{2}, seedB...), "new")
-		e, err := Wrap(kek, kekID, nk, keyID, version)
+		e, err := WrapSeeded(kek, kekID, nk, keyID, version, seedA, version)
 		if err != nil {
 			return false
 		}

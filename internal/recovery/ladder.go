@@ -55,7 +55,9 @@ type LadderConfig struct {
 	Sim *eventsim.Simulator
 	// StartAt is the virtual time of the multicast send.
 	StartAt time.Duration
-	// Mode is the splitting mode of the multicast attempt.
+	// Mode is the splitting mode of the multicast attempt: PerEncryption
+	// (also the zero value, as in split.Rekey) or NoSplit. The ladder has
+	// no packet-level rung; PerPacket is refused.
 	Mode split.Mode
 	// DropHop simulates per-hop loss on the multicast.
 	DropHop func(from, to vnet.HostID) bool
@@ -71,9 +73,6 @@ type LadderConfig struct {
 	// (attempt is 1-based). The resync rung is reliable and has no drop
 	// hook by construction.
 	DropUnicast func(user ident.ID, attempt int) bool
-	// OnKey observes every successful key delivery with the rung that
-	// achieved it and the virtual completion time.
-	OnKey func(user ident.ID, rung Rung, at time.Duration)
 	// Obs is the optional telemetry registry: per-rung delivery
 	// counters, retry counts, and dead-in-flight drops land there. The
 	// counts are deterministic; nothing flows back into the result.
@@ -169,9 +168,6 @@ func DistributeLadder(cfg LadderConfig, msg *keytree.Message) (*LadderResult, er
 		out.RungOf[id.Key()] = rung
 		out.DeliveredAt[id.Key()] = at
 		rungC[rung].Inc()
-		if cfg.OnKey != nil {
-			cfg.OnKey(id, rung, at)
-		}
 	}
 
 	// Rung 1: the lossy multicast on the shared simulator.
@@ -189,8 +185,12 @@ func DistributeLadder(cfg LadderConfig, msg *keytree.Message) (*LadderResult, er
 		Arena:          cfg.Arena,
 		ProfileLabel:   cfg.ProfileLabel,
 	}
-	if cfg.Mode == split.PerEncryption {
+	switch cfg.Mode {
+	case 0, split.PerEncryption:
 		tcfg.SplitHop = split.NewIndexWith(cfg.Dir.Tree(), msg.Encryptions, cfg.SplitArena).Split
+	case split.NoSplit:
+	default:
+		return nil, fmt.Errorf("recovery: the ladder does not implement split mode %v", cfg.Mode)
 	}
 	res, err := tmesh.Multicast(tcfg, msg.Encryptions)
 	if err != nil {

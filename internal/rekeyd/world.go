@@ -1,6 +1,7 @@
 package rekeyd
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -12,7 +13,6 @@ import (
 	"tmesh/internal/overlay"
 	"tmesh/internal/transport"
 	"tmesh/internal/vnet"
-	"tmesh/internal/work"
 )
 
 // WorldConfig assembles a full daemon world: one key server plus many
@@ -91,9 +91,10 @@ type World struct {
 
 	members map[string]*Member
 
-	pendingJoins  []overlay.Record
-	pendingLeaves []ident.ID
-	pendingEvicts []ident.ID
+	// joining holds the directory records of the joiners queued in
+	// pending; leaves, crash evictions and cancellation live in pending.
+	joining []overlay.Record
+	pending keytree.Pending
 
 	// Hosts 1..lastHost exist in the topology (0 is the server's); the
 	// first nextHost-1 have been handed to joiners.
@@ -213,19 +214,9 @@ func (w *World) Member(id ident.ID) (*Member, bool) {
 // Size returns the current member count (pending churn excluded).
 func (w *World) Size() int { return len(w.members) }
 
-func (w *World) freeID() (ident.ID, error) {
-	cap := w.cfg.Params.Capacity()
-	for tries := 0; tries < 64*cap; tries++ {
-		id, err := ident.FromInt(w.cfg.Params, w.idRNG.Intn(cap))
-		if err != nil {
-			return ident.ID{}, err
-		}
-		_, taken := w.members[id.Key()]
-		if !taken && !slices.ContainsFunc(w.pendingJoins, func(rec overlay.Record) bool { return rec.ID.Equal(id) }) {
-			return id, nil
-		}
-	}
-	return ident.ID{}, fmt.Errorf("rekeyd: ID space exhausted")
+// joiningAt returns the index of id's queued join record, -1 if none.
+func (w *World) joiningAt(id ident.ID) int {
+	return slices.IndexFunc(w.joining, func(rec overlay.Record) bool { return rec.ID.Equal(id) })
 }
 
 // Join schedules a new member for the next Rekey and returns its ID.
@@ -233,35 +224,47 @@ func (w *World) Join() (ident.ID, error) {
 	if w.nextHost > w.lastHost {
 		return ident.ID{}, fmt.Errorf("rekeyd: host budget exhausted")
 	}
-	id, err := w.freeID()
+	id, err := ident.FreeID(w.cfg.Params, w.idRNG, func(id ident.ID) bool {
+		_, member := w.members[id.Key()]
+		return member || w.joiningAt(id) >= 0
+	})
 	if err != nil {
 		return ident.ID{}, err
 	}
 	w.joinSeq++
-	rec := overlay.Record{Host: w.nextHost, ID: id, JoinTime: time.Duration(w.joinSeq)}
+	w.joining = append(w.joining, overlay.Record{Host: w.nextHost, ID: id, JoinTime: time.Duration(w.joinSeq)})
 	w.nextHost++
-	w.pendingJoins = append(w.pendingJoins, rec)
+	w.pending.Join(id)
 	return id, nil
+}
+
+// depart queues id's departure for the next Rekey. A joiner of this
+// same interval cancels out instead (no node was ever brought up for
+// it), reported as cancelled.
+func (w *World) depart(id ident.ID) (cancelled bool, err error) {
+	if i := w.joiningAt(id); i >= 0 {
+		w.joining = slices.Delete(w.joining, i, i+1)
+	} else if _, ok := w.members[id.Key()]; !ok {
+		return false, fmt.Errorf("rekeyd: %v is not a member", id)
+	}
+	return w.pending.Leave(id), nil
 }
 
 // Leave schedules a graceful departure for the next Rekey.
 func (w *World) Leave(id ident.ID) error {
-	if _, ok := w.members[id.Key()]; !ok {
-		return fmt.Errorf("rekeyd: %v is not a member", id)
-	}
-	w.pendingLeaves = append(w.pendingLeaves, id)
-	return nil
+	_, err := w.depart(id)
+	return err
 }
 
 // Crash kills a member immediately (frames to and from it drop) and
-// schedules its eviction at the next Rekey — the failover path.
+// schedules its eviction at the next Rekey — the failover path: a
+// leaver that is dark at the boundary is evicted, not released.
 func (w *World) Crash(id ident.ID) error {
-	if _, ok := w.members[id.Key()]; !ok {
-		return fmt.Errorf("rekeyd: %v is not a member", id)
+	cancelled, err := w.depart(id)
+	if err == nil && !cancelled {
+		w.plan.Kill(PeerOf(id))
 	}
-	w.plan.Kill(PeerOf(id))
-	w.pendingEvicts = append(w.pendingEvicts, id)
-	return nil
+	return err
 }
 
 // Kill cuts a member's traffic without evicting it — a transient
@@ -334,25 +337,22 @@ func (w *World) dropMember(id ident.ID) {
 // keys (the reliable join unicast), and distributes the interval's
 // message to every member over the transport, ladder included.
 func (w *World) Rekey() (*Result, error) {
-	joins := make([]ident.ID, 0, len(w.pendingJoins))
-	leaves := make([]ident.ID, 0, len(w.pendingLeaves)+len(w.pendingEvicts))
-
+	msg, _, leaves, err := w.tree.Flush(&w.pending, 0)
+	if err != nil {
+		return nil, err
+	}
+	joining := w.joining
+	w.joining = nil
 	w.sh.Write(func(dir *overlay.Directory) {
-		for _, rec := range w.pendingJoins {
-			if err := dir.Join(rec); err == nil {
-				joins = append(joins, rec.ID)
-			}
+		for _, rec := range joining {
+			err = errors.Join(err, dir.Join(rec))
 		}
-		for _, id := range w.pendingLeaves {
-			if err := dir.Leave(id); err == nil {
-				leaves = append(leaves, id)
-			}
-		}
-		for _, id := range w.pendingEvicts {
-			if err := dir.Evict(id); err != nil {
+		for _, id := range leaves {
+			if !w.plan.Killed(PeerOf(id)) {
+				err = errors.Join(err, dir.Leave(id))
 				continue
 			}
-			leaves = append(leaves, id)
+			err = errors.Join(err, dir.Evict(id))
 			// Evict leaves the dead user in surviving owners' neighbor
 			// tables on purpose (each owner's failure detector is the
 			// one that notices); the world plays that detection step
@@ -364,27 +364,17 @@ func (w *World) Rekey() (*Result, error) {
 			}
 		}
 	})
+	if err != nil {
+		return nil, err
+	}
 	for _, id := range leaves {
 		w.dropMember(id)
-	}
-	joinRecs := w.pendingJoins
-	w.pendingJoins, w.pendingLeaves, w.pendingEvicts = nil, nil, nil
-
-	slices.SortFunc(joins, ident.ID.Compare)
-	slices.SortFunc(leaves, ident.ID.Compare)
-	plan, err := w.tree.Mark(joins, leaves)
-	if err != nil {
-		return nil, err
-	}
-	msg, err := w.tree.Regenerate(plan, work.Width())
-	if err != nil {
-		return nil, err
 	}
 
 	// Joiners get interval-i keys out of band; the interval-i message
 	// wraps new keys under old ones they never held, so they start at
 	// appliedInterval = msg.Interval and simply re-ack their copies.
-	for _, rec := range joinRecs {
+	for _, rec := range joining {
 		if err := w.addMember(rec, msg.Interval); err != nil {
 			return nil, err
 		}

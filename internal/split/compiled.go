@@ -423,23 +423,11 @@ type PacketIndex struct {
 // an upper bound on the compile fan-out (values < 1 mean 1, i.e.
 // inline).
 func NewPacketIndex(tree *ident.Tree, pkts []Packet, workers int) *PacketIndex {
-	return newPacketIndex(tree, pkts, max(workers, 1), nil)
-}
-
-// NewPacketIndexWith is NewPacketIndex compiling through a reusable
-// arena (nil means allocate fresh), at the full derived width. Reusing
-// the arena invalidates every PacketIndex previously compiled from it —
-// see CompileArena.
-func NewPacketIndexWith(tree *ident.Tree, pkts []Packet, ar *CompileArena[Packet]) *PacketIndex {
-	return newPacketIndex(tree, pkts, 0, ar)
-}
-
-func newPacketIndex(tree *ident.Tree, pkts []Packet, limit int, ar *CompileArena[Packet]) *PacketIndex {
 	return &PacketIndex{table: compileTable(tree, pkts, func(i int, mark func(ident.Prefix)) {
 		for _, e := range pkts[i] {
 			mark(e.ID)
 		}
-	}, limit, ar)}
+	}, max(workers, 1), nil)}
 }
 
 // Split returns the packets relevant to the subtree — byte-identical to

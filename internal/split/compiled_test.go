@@ -150,24 +150,6 @@ func TestCompileArenaReuseMatchesFilter(t *testing.T) {
 			check(randPrefixOf(t, rng, params))
 		}
 	}
-
-	// Packet-granularity arena, same reuse pattern.
-	par := NewCompileArena[Packet]()
-	for trial := 0; trial < 40; trial++ {
-		tree, encs := randSplitWorld(t, rng, params, rng.Intn(30)+1, rng.Intn(60))
-		pkts := Packetize(encs, rng.Intn(6)+1)
-		workers := []int{8, 1}[trial%2]
-		prev := runtime.GOMAXPROCS(workers)
-		ix := NewPacketIndexWith(tree, pkts, par)
-		runtime.GOMAXPROCS(prev)
-		tree.Walk(func(p ident.Prefix, _ int) bool {
-			if !reflect.DeepEqual(ix.Split(pkts, p), FilterPackets(pkts, p)) {
-				t.Fatalf("packet trial %d workers %d subtree %v: compiled split diverged",
-					trial, workers, p)
-			}
-			return true
-		})
-	}
 }
 
 // TestCompiledPacketIndexMatchesFilterPackets is the packet-granularity

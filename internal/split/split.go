@@ -63,15 +63,7 @@ func (m Mode) String() string {
 // REKEY-MESSAGE-SPLIT selection. The input slice is not modified; the
 // result is nil when nothing is relevant.
 func Filter(encs []keycrypt.Encryption, subtree ident.Prefix) []keycrypt.Encryption {
-	return FilterInto(nil, encs, subtree)
-}
-
-// FilterInto is Filter appending into dst, reusing its capacity — the
-// scratch-buffer form for callers that filter in a loop and can recycle
-// a buffer between iterations (pass dst[:0]). Rekey itself answers hops
-// from a compiled Index instead, but the fallback paths and auditors
-// that re-check split decisions use this to stay off the allocator.
-func FilterInto(dst, encs []keycrypt.Encryption, subtree ident.Prefix) []keycrypt.Encryption {
+	var dst []keycrypt.Encryption
 	for _, e := range encs {
 		if e.RelevantTo(subtree) {
 			dst = append(dst, e)
@@ -110,12 +102,7 @@ func Packetize(encs []keycrypt.Encryption, perPacket int) []Packet {
 // packet-level splitting carries more overhead than encryption-level.
 // The result is nil when nothing is relevant.
 func FilterPackets(pkts []Packet, subtree ident.Prefix) []Packet {
-	return FilterPacketsInto(nil, pkts, subtree)
-}
-
-// FilterPacketsInto is FilterPackets appending into dst, reusing its
-// capacity — the scratch-buffer form (see FilterInto).
-func FilterPacketsInto(dst, pkts []Packet, subtree ident.Prefix) []Packet {
+	var dst []Packet
 	for _, p := range pkts {
 		for _, e := range p {
 			if e.RelevantTo(subtree) {

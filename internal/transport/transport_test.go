@@ -193,11 +193,14 @@ func TestConformanceRoundtrip(t *testing.T) {
 }
 
 // sendLedger is everything a Send can leave behind: the peer's Status
-// counters and the endpoint's registry counters and gauges.
+// counters and the endpoint's registry counters and queue gauge. The
+// per-state peers gauges are not in it: a TCP link goroutine moves its
+// peer Down → Dialing in the background, one gauge at a time, so their
+// sum is only meaningful once the endpoint has settled (see peersOf).
 type sendLedger struct {
 	st                       Status
 	sent, dropped, overflows int64
-	queueDepth, peers        int64
+	queueDepth               int64
 }
 
 func ledgerOf(tr Transport, reg *obs.Registry, to PeerID) sendLedger {
@@ -207,12 +210,17 @@ func ledgerOf(tr Transport, reg *obs.Registry, to PeerID) sendLedger {
 		overflows:  reg.Counter("transport_overflow").Value(),
 		queueDepth: gaugeVal(reg, "transport_queue_depth"),
 	}
-	for s := StateDown; s <= StateClosed; s++ {
-		l.peers += gaugeVal(reg, "transport_peers_"+s.String())
-	}
 	l.st, _ = tr.Status(to)
 	l.st.State, l.st.Dials, l.st.Redials, l.st.LastErr = 0, 0, 0, "" // the TCP link dials in the background
 	return l
+}
+
+// peersOf sums the per-state peers gauges; call it on a closed endpoint.
+func peersOf(reg *obs.Registry) (n int64) {
+	for s := StateDown; s <= StateClosed; s++ {
+		n += gaugeVal(reg, "transport_peers_"+s.String())
+	}
+	return n
 }
 
 // wedged builds endpoint A of the given kind with a send path to "B"
@@ -323,8 +331,8 @@ func TestConformanceSendErrors(t *testing.T) {
 				t.Fatalf("after close: got %v, want ErrClosed", err)
 			}
 			end := ledgerOf(a, reg, "B")
-			if end.queueDepth != 0 || end.peers != 0 {
-				t.Fatalf("gauges not drained by Close: %+v", end)
+			if end.queueDepth != 0 || peersOf(reg) != 0 {
+				t.Fatalf("gauges not drained by Close: %+v, peers %d", end, peersOf(reg))
 			}
 			if end.overflows != int64(refused) {
 				t.Fatalf("a closed endpoint counted an overflow: %+v", end)

@@ -224,7 +224,7 @@ func TestWireSizeRealism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := keycrypt.Wrap(kek, pfx, nk, ident.EmptyPrefix, 1)
+	e, err := keycrypt.WrapSeeded(kek, pfx, nk, ident.EmptyPrefix, 1, []byte("nonce"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
