@@ -37,7 +37,7 @@ func (d *Directory) checkUserEntry(t *Table, i int, j ident.Digit) error {
 			return fmt.Errorf("overlay: %v's (%d,%d)-entry holds %v outside subtree %v",
 				owner.ID, i, j, n.ID, subtree)
 		}
-		if _, ok := d.records[n.ID.Key()]; !ok {
+		if _, ok := d.rankOf(n.ID); !ok {
 			return fmt.Errorf("overlay: %v's (%d,%d)-entry holds departed user %v", owner.ID, i, j, n.ID)
 		}
 	}
@@ -68,6 +68,9 @@ func (d *Directory) checkServerEntry(j ident.Digit) error {
 // CheckConsistencyUnder.
 func (d *Directory) CheckConsistency() error {
 	for _, t := range d.tables {
+		if t == nil {
+			continue
+		}
 		for i := 0; i < d.params.Digits; i++ {
 			for j := 0; j < d.params.Base; j++ {
 				if err := d.checkUserEntry(t, i, ident.Digit(j)); err != nil {
@@ -96,6 +99,9 @@ func (d *Directory) CheckConsistency() error {
 func (d *Directory) CheckConsistencyUnder(p ident.Prefix) error {
 	level := p.Len()
 	for _, t := range d.tables {
+		if t == nil {
+			continue
+		}
 		owner := t.Owner()
 		// l = length of the longest common prefix of the owner's ID and p.
 		l := 0

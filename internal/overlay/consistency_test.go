@@ -70,7 +70,7 @@ func TestEmptyPrefixScopedCheckMatchesFullSweep(t *testing.T) {
 func corruptOneEntry(t *testing.T, d *Directory) ident.ID {
 	t.Helper()
 	for _, owner := range d.IDs() {
-		tab := d.tables[owner.Key()]
+		tab, _ := d.TableOf(owner)
 		for i := 0; i < d.params.Digits; i++ {
 			for j := 0; j < d.params.Base; j++ {
 				entry := tab.Entry(i, ident.Digit(j))

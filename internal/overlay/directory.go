@@ -24,9 +24,12 @@ type Directory struct {
 	net    vnet.Network
 	server *ServerTable
 
-	tree    *ident.Tree
-	records map[string]Record // by ID key
-	tables  map[string]*Table // by ID key
+	tree *ident.Tree
+	// ros resolves every slot of every table, the server's included;
+	// tables is indexed by the same ranks and is nil at the ranks whose
+	// user is not (or no longer) a member.
+	ros    *roster
+	tables []*Table
 
 	// alive, when set, is consulted wherever an entry is (re)filled from
 	// the membership; see SetLivenessOracle.
@@ -42,14 +45,14 @@ func NewDirectory(params ident.Params, k int, net vnet.Network, serverHost vnet.
 	if err != nil {
 		return nil, err
 	}
+	st.ros = newRoster()
 	return &Directory{
-		params:  params,
-		k:       k,
-		net:     net,
-		server:  st,
-		tree:    ident.NewTree(params),
-		records: make(map[string]Record),
-		tables:  make(map[string]*Table),
+		params: params,
+		k:      k,
+		net:    net,
+		server: st,
+		tree:   ident.NewTree(params),
+		ros:    st.ros,
 	}, nil
 }
 
@@ -69,7 +72,7 @@ func (d *Directory) Server() *ServerTable { return d.server }
 func (d *Directory) Tree() *ident.Tree { return d.tree }
 
 // Size returns the number of users currently in the group.
-func (d *Directory) Size() int { return len(d.records) }
+func (d *Directory) Size() int { return d.tree.Size() }
 
 // MaintenanceMessages returns the estimated number of table-maintenance
 // protocol messages exchanged so far.
@@ -89,25 +92,48 @@ func (d *Directory) isAlive(id ident.ID) bool {
 	return d.alive == nil || d.alive(id)
 }
 
+// rankOf is the ID → rank resolution, made once per event: ok is false
+// unless the ID's user is a member (an evicted user may still hold a
+// rank, see roster).
+func (d *Directory) rankOf(id ident.ID) (ident.Rank, bool) {
+	r, ok := d.ros.rankOf(id)
+	return r, ok && int(r) < len(d.tables) && d.tables[r] != nil
+}
+
 // Record returns the record of the user with the given ID.
 func (d *Directory) Record(id ident.ID) (Record, bool) {
-	r, ok := d.records[id.Key()]
-	return r, ok
+	if r, ok := d.rankOf(id); ok {
+		return d.ros.recs[r], true
+	}
+	return Record{}, false
 }
 
 // TableOf returns the neighbor table of the user with the given ID.
 func (d *Directory) TableOf(id ident.ID) (*Table, bool) {
-	t, ok := d.tables[id.Key()]
-	return t, ok
+	if r, ok := d.rankOf(id); ok {
+		return d.tables[r], true
+	}
+	return nil, false
 }
 
 // Members returns the records of all users in the subtree rooted at the
 // prefix, in ID order.
 func (d *Directory) Members(p ident.Prefix) []Record {
+	ranks := d.ranksUnder(p)
+	out := make([]Record, len(ranks))
+	for i, r := range ranks {
+		out[i] = d.ros.recs[r]
+	}
+	return out
+}
+
+// ranksUnder returns the ranks of all users in the subtree rooted at the
+// prefix, in ID order: the candidates of a refill.
+func (d *Directory) ranksUnder(p ident.Prefix) []ident.Rank {
 	ids := d.tree.Members(p)
-	out := make([]Record, len(ids))
+	out := make([]ident.Rank, len(ids))
 	for i, id := range ids {
-		out[i] = d.records[id.Key()]
+		out[i], _ = d.ros.rankOf(id)
 	}
 	return out
 }
@@ -116,80 +142,78 @@ func (d *Directory) Members(p ident.Prefix) []Record {
 func (d *Directory) IDs() []ident.ID { return d.tree.Members(ident.EmptyPrefix) }
 
 // Join admits a user with an already-assigned unique ID: it constructs
-// the user's neighbor table from the current membership and inserts the
-// user's record into every table where it belongs (including the key
-// server's).
+// the user's K-consistent neighbor table from the current membership —
+// each (i,j)-entry receives the K nearest members of the owner's
+// (i,j)-ID subtree; the proximity-aware collection of Section 3.1
+// converges to near-neighbors, we grant it exactly-nearest, which only
+// strengthens the latency results' baseline — and inserts the user's
+// record into every table where it belongs (including the key server's).
+//
+// Both happen in one pass over the tables in rank order, one probe per
+// existing member: vnet.Network promises symmetric RTTs, so the RTT the
+// joiner measures to a member is the one that member files the joiner
+// under, and a join reads one shortest-path tree, the joiner's. Rank
+// order is a function of the event sequence alone, so which of several
+// equally near members an entry keeps is too.
 func (d *Directory) Join(rec Record) error {
-	if _, ok := d.records[rec.ID.Key()]; ok {
+	if _, ok := d.rankOf(rec.ID); ok {
 		return fmt.Errorf("overlay: duplicate join of %v", rec.ID)
+	}
+	table, err := NewTable(d.params, d.k, rec)
+	if err != nil {
+		return err
 	}
 	if err := d.tree.Insert(rec.ID); err != nil {
 		return err
 	}
-	d.records[rec.ID.Key()] = rec
-
-	table, err := d.buildTable(rec)
-	if err != nil {
-		delete(d.records, rec.ID.Key())
-		_ = d.tree.Remove(rec.ID)
-		return err
+	table.ros = d.ros
+	r := d.ros.assign(rec) // the membership's reference
+	for int(r) >= len(d.tables) {
+		d.tables = append(d.tables, nil)
 	}
-	d.tables[rec.ID.Key()] = table
-
-	// Announce the new user to existing members whose tables should hold
-	// it. One notification message per table actually updated.
-	for key, t := range d.tables {
-		if key == rec.ID.Key() {
+	for m, t := range d.tables {
+		if t == nil {
 			continue
 		}
-		owner := t.Owner()
-		if t.Insert(Neighbor{Record: rec, RTT: d.net.RTT(owner.Host, rec.Host)}) {
+		row, col, _ := t.cell(rec.ID)
+		rtt := d.net.RTT(rec.Host, t.owner.Host)
+		if d.isAlive(t.owner.ID) {
+			table.insert(row, t.owner.ID.Digit(row), ident.Rank(m), rtt)
+		}
+		// Announce: one notification message per table actually updated.
+		if t.insert(row, col, r, rtt) {
 			d.maintenanceMessages++
 		}
 	}
-	if d.server.Insert(Neighbor{Record: rec, RTT: d.net.RTT(d.server.Host(), rec.Host)}) {
+	d.tables[r] = table
+	// One probe/insert round per neighbor kept, not per accepted insert:
+	// accept-then-displace pairs are an artefact of the visiting order.
+	d.maintenanceMessages += table.NeighborCount()
+	if d.server.insert(0, rec.ID.Digit(0), r, d.net.RTT(d.server.Host(), rec.Host)) {
 		d.maintenanceMessages++
 	}
 	return nil
-}
-
-// buildTable constructs a K-consistent table for a new user against the
-// current membership: each (i,j)-entry receives the K nearest members of
-// the owner's (i,j)-ID subtree. The proximity-aware collection of
-// Section 3.1 converges to near-neighbors; we grant it exactly-nearest,
-// which only strengthens the latency results' baseline.
-func (d *Directory) buildTable(rec Record) (*Table, error) {
-	table, err := NewTable(d.params, d.k, rec)
-	if err != nil {
-		return nil, err
-	}
-	for key, other := range d.records {
-		if key == rec.ID.Key() || !d.isAlive(other.ID) {
-			continue
-		}
-		table.Insert(Neighbor{Record: other, RTT: d.net.RTT(rec.Host, other.Host)})
-	}
-	// One probe/insert round per neighbor kept: counting accepted inserts
-	// instead would charge accept-then-evict pairs that depend on the
-	// order the records map happens to iterate in.
-	d.maintenanceMessages += table.NeighborCount()
-	return table, nil
 }
 
 // Leave removes a user gracefully: its record is deleted from every table
 // that holds it, and each affected entry is refilled from the remaining
 // membership (the Silk leave protocol's effect).
 func (d *Directory) Leave(id ident.ID) error {
-	if err := d.drop(id); err != nil {
+	r, err := d.drop(id)
+	if err != nil {
 		return err
 	}
 	cands := d.subtreesOf(id)
 	for _, t := range d.tables {
-		if row, col, ok := t.Remove(id); ok {
+		if t == nil {
+			continue
+		}
+		if row, col, _ := t.cell(id); t.remove(row, col, r) {
 			d.maintenanceMessages++
-			d.refill(t.Entry(row, col), t.owner.Host, cands(row), nil)
+			d.refill(&t.grid, row, col, t.owner.Host, cands(row), nil)
 		}
 	}
+	d.ros.unref(r)
 	return nil
 }
 
@@ -197,35 +221,34 @@ func (d *Directory) Leave(id ident.ID) error {
 // every owner that shares exactly `row` digits with the departed user
 // refills from the same ID subtree, id.Prefix(row+1), so an event
 // materialises at most D candidate lists, each on first use.
-func (d *Directory) subtreesOf(id ident.ID) func(row int) []Record {
-	rows := make([][]Record, d.params.Digits)
-	return func(row int) []Record {
+func (d *Directory) subtreesOf(id ident.ID) func(row int) []ident.Rank {
+	rows := make([][]ident.Rank, d.params.Digits)
+	return func(row int) []ident.Rank {
 		if rows[row] == nil {
-			rows[row] = d.Members(id.Prefix(row + 1))
+			rows[row] = d.ranksUnder(id.Prefix(row + 1))
 		}
 		return rows[row]
 	}
 }
 
-// Fail removes a crashed user: Leave's table effects, reached via failure
-// detection and recovery (the two differ in detection cost only).
-func (d *Directory) Fail(id ident.ID) error { return d.Leave(id) }
-
-// drop deletes a user from the membership view and the server's table.
-func (d *Directory) drop(id ident.ID) error {
-	if _, ok := d.records[id.Key()]; !ok {
-		return fmt.Errorf("overlay: removing unknown user %v", id)
+// drop deletes a user from the membership view and the server's table,
+// and its own table with it. The membership's reference on the rank is
+// the caller's to give up once it has visited the other tables.
+func (d *Directory) drop(id ident.ID) (ident.Rank, error) {
+	r, ok := d.rankOf(id)
+	if !ok {
+		return r, fmt.Errorf("overlay: removing unknown user %v", id)
 	}
-	delete(d.records, id.Key())
-	delete(d.tables, id.Key())
 	if err := d.tree.Remove(id); err != nil {
-		return err
+		return r, err
 	}
-	if d.server.Remove(id) {
+	d.tables[r].release()
+	d.tables[r] = nil
+	if d.server.remove(0, id.Digit(0), r) {
 		d.maintenanceMessages++
 		d.refillServer(id.Digit(0))
 	}
-	return nil
+	return r, nil
 }
 
 // refill is the one refill routine: it tops an entry up to K with the
@@ -241,33 +264,34 @@ func (d *Directory) drop(id ident.ID) error {
 // yet evicted: repairing an entry with a dead user the owner will never
 // ping (its failure detectors were enrolled at crash time) would leave
 // the dead record in the table forever.
-func (d *Directory) refill(e *Entry, from vnet.HostID, cands []Record, alive func(ident.ID) bool) {
-	for e.Len() < d.k {
-		best := Neighbor{RTT: -1}
-		var stale []Neighbor // held, live, nearer than best so far, RTT changed
-		for i := range cands {
-			c := &cands[i]
-			rtt := d.net.RTT(from, c.Host)
-			if (best.RTT >= 0 && rtt >= best.RTT) || (alive != nil && !alive(c.ID)) || !d.isAlive(c.ID) {
+func (d *Directory) refill(g *grid, row int, col ident.Digit, from vnet.HostID, cands []ident.Rank, alive func(ident.ID) bool) {
+	for e := g.entry(row, col); e.Len() < d.k; e = g.entry(row, col) {
+		best := emptySlot
+		var stale []slot // held, live, nearer than best so far, RTT changed
+		for _, c := range cands {
+			rec := &d.ros.recs[c]
+			rtt := d.net.RTT(from, rec.Host)
+			if (best.rank != ident.NoRank && rtt >= best.rtt) || (alive != nil && !alive(rec.ID)) || !d.isAlive(rec.ID) {
 				continue
 			}
-			switch at := e.index(c.ID); {
+			switch at := e.index(c); {
 			case at < 0:
-				best = Neighbor{Record: *c, RTT: rtt}
-			case e.neighbors[at].RTT != rtt:
-				stale = append(stale, Neighbor{Record: *c, RTT: rtt})
+				best = slot{rtt: rtt, rank: c}
+			case e.slots[at].rtt != rtt:
+				stale = append(stale, slot{rtt: rtt, rank: c})
 			}
 		}
-		for _, n := range stale {
-			if best.RTT < 0 || n.RTT < best.RTT || (n.RTT == best.RTT && n.ID.Compare(best.ID) < 0) {
-				e.insert(n, d.k)
+		for _, s := range stale {
+			if best.rank == ident.NoRank || s.rtt < best.rtt ||
+				(s.rtt == best.rtt && d.ros.recs[s.rank].ID.Compare(d.ros.recs[best.rank].ID) < 0) {
+				g.insert(row, col, s.rank, s.rtt)
 				d.maintenanceMessages++
 			}
 		}
-		if best.RTT < 0 {
+		if best.rank == ident.NoRank {
 			return
 		}
-		e.insert(best, d.k)
+		g.insert(row, col, best.rank, best.rtt)
 		d.maintenanceMessages++
 	}
 }
@@ -275,8 +299,8 @@ func (d *Directory) refill(e *Entry, from vnet.HostID, cands []Record, alive fun
 // refillServer tops up the key server's (0,j)-entry with the nearest
 // users whose 0th digit is j.
 func (d *Directory) refillServer(j ident.Digit) {
-	if e := d.server.Entry(j); e.Len() < d.k {
-		d.refill(e, d.server.Host(), d.Members(ident.EmptyPrefix.Child(j)), nil)
+	if d.server.Entry(j).Len() < d.k {
+		d.refill(&d.server.grid, 0, j, d.server.Host(), d.ranksUnder(ident.EmptyPrefix.Child(j)), nil)
 	}
 }
 
@@ -295,18 +319,21 @@ func (d *Directory) refillServer(j ident.Digit) {
 // topped up or no later event ever repairs them. Entries already at K
 // are no-ops, so the sweep costs O(N) table lookups.
 func (d *Directory) Evict(id ident.ID) error {
-	if err := d.drop(id); err != nil {
+	r, err := d.drop(id)
+	if err != nil {
 		return err
 	}
 	cands := d.subtreesOf(id)
 	for _, t := range d.tables {
-		if l := t.owner.ID.CommonPrefixLen(id); l < d.params.Digits {
-			if e := t.Entry(l, id.Digit(l)); e.Len() < d.k {
-				d.refill(e, t.owner.Host, cands(l), nil)
-			}
+		if t == nil {
+			continue
+		}
+		if row, col, _ := t.cell(id); t.entry(row, col).Len() < d.k {
+			d.refill(&t.grid, row, col, t.owner.Host, cands(row), nil)
 		}
 	}
 	d.refillServer(id.Digit(0))
+	d.ros.unref(r)
 	return nil
 }
 
@@ -314,9 +341,13 @@ func (d *Directory) Evict(id ident.ID) error {
 // the given user: the one "who holds X" scan failure detection and
 // eviction repair share.
 func (d *Directory) Holders(id ident.ID) []ident.ID {
+	r, ok := d.ros.rankOf(id) // an evicted user keeps its rank while held
+	if !ok {
+		return nil
+	}
 	var out []ident.ID
 	for _, t := range d.tables {
-		if t.Contains(id) {
+		if t != nil && t.holds(id, r) {
 			out = append(out, t.owner.ID)
 		}
 	}
@@ -327,7 +358,7 @@ func (d *Directory) Holders(id ident.ID) []ident.ID {
 // RemoveNeighbor deletes a (possibly dead) neighbor from one owner's
 // table, returning the affected entry coordinates.
 func (d *Directory) RemoveNeighbor(owner, neighbor ident.ID) (row int, col ident.Digit, ok bool) {
-	t, exists := d.tables[owner.Key()]
+	t, exists := d.TableOf(owner)
 	if !exists {
 		return 0, 0, false
 	}
@@ -343,13 +374,13 @@ func (d *Directory) RemoveNeighbor(owner, neighbor ident.ID) (row int, col ident
 // eviction would otherwise re-learn the dead user into an entry whose
 // owner never monitors it.
 func (d *Directory) RepairEntryLive(owner ident.ID, row int, col ident.Digit, alive func(ident.ID) bool) int {
-	t, ok := d.tables[owner.Key()]
+	t, ok := d.TableOf(owner)
 	if !ok {
 		return 0
 	}
 	before := d.maintenanceMessages
-	if e := t.Entry(row, col); e.Len() < d.k {
-		d.refill(e, t.owner.Host, d.Members(t.owner.ID.Prefix(row).Child(col)), alive)
+	if t.entry(row, col).Len() < d.k {
+		d.refill(&t.grid, row, col, t.owner.Host, d.ranksUnder(t.owner.ID.Prefix(row).Child(col)), alive)
 	}
 	return d.maintenanceMessages - before
 }

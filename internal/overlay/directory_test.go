@@ -122,21 +122,6 @@ func TestDirectoryLeaveRefillsEntries(t *testing.T) {
 	}
 }
 
-func TestDirectoryFailEquivalentToLeave(t *testing.T) {
-	d := newDir(t, 3, 40)
-	rng := rand.New(rand.NewSource(9))
-	recs := joinN(t, d, 25, rng)
-	if err := d.Fail(recs[3].ID); err != nil {
-		t.Fatalf("Fail: %v", err)
-	}
-	if err := d.CheckConsistency(); err != nil {
-		t.Fatalf("after failure: %v", err)
-	}
-	if err := d.Fail(recs[3].ID); err == nil {
-		t.Error("failing an absent user should error")
-	}
-}
-
 // Property: K-consistency (Definition 3) holds after an arbitrary random
 // interleaving of joins and leaves, for several K.
 func TestDirectoryRandomChurnKConsistency(t *testing.T) {

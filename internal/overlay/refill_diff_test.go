@@ -19,82 +19,93 @@ import (
 // ordered (RTT, ID): the candidates arrive in ID order and the sort is
 // stable.
 
-// refRefill is the sort-everything refill, for a user table entry or
-// (insert = the server table's) a key-server entry.
-func refRefill(d *Directory, e *Entry, insert func(Neighbor) bool, from vnet.HostID, subtree ident.Prefix, alive func(ident.ID) bool) {
-	if e.Len() >= d.k {
-		return
-	}
+// refRefill is the sort-everything refill of one entry of a user table
+// or of the key server's. It inserts by ID (grid.insertNeighbor), so it
+// shares the slot window with the directory but not the rank-carrying
+// candidate lists.
+func refRefill(d *Directory, g *grid, row int, col ident.Digit, from vnet.HostID, subtree ident.Prefix, alive func(ident.ID) bool) {
 	cands := d.Members(subtree)
 	sort.SliceStable(cands, func(i, j int) bool {
 		return d.net.RTT(from, cands[i].Host) < d.net.RTT(from, cands[j].Host)
 	})
 	for _, c := range cands {
-		if e.Len() >= d.k {
+		if g.entry(row, col).Len() >= d.k {
 			break
 		}
 		if (alive != nil && !alive(c.ID)) || !d.isAlive(c.ID) {
 			continue
 		}
-		if insert(Neighbor{Record: c, RTT: d.net.RTT(from, c.Host)}) {
+		if g.insertNeighbor(row, col, Neighbor{Record: c, RTT: d.net.RTT(from, c.Host)}) {
 			d.maintenanceMessages++
 		}
 	}
 }
 
 func refRefillUser(d *Directory, t *Table, row int, col ident.Digit, alive func(ident.ID) bool) {
-	refRefill(d, t.Entry(row, col), t.Insert, t.owner.Host, t.owner.ID.Prefix(row).Child(col), alive)
+	refRefill(d, &t.grid, row, col, t.owner.Host, t.owner.ID.Prefix(row).Child(col), alive)
 }
 
 func refRefillServer(d *Directory, j ident.Digit) {
-	refRefill(d, d.server.Entry(j), d.server.Insert, d.server.Host(), ident.EmptyPrefix.Child(j), nil)
+	refRefill(d, &d.server.grid, 0, j, d.server.Host(), ident.EmptyPrefix.Child(j), nil)
 }
 
-// refDrop is the bookkeeping Leave, Fail and Evict share.
-func refDrop(d *Directory, id ident.ID) error {
-	if _, ok := d.records[id.Key()]; !ok {
-		return fmt.Errorf("unknown user %v", id)
+// refDrop is the bookkeeping Leave and Evict share; like Directory.drop
+// it leaves the membership's hold on the rank to the caller.
+func refDrop(d *Directory, id ident.ID) (ident.Rank, error) {
+	r, ok := d.rankOf(id)
+	if !ok {
+		return r, fmt.Errorf("unknown user %v", id)
 	}
-	delete(d.records, id.Key())
-	delete(d.tables, id.Key())
 	if err := d.tree.Remove(id); err != nil {
-		return err
+		return r, err
 	}
+	d.tables[r].release()
+	d.tables[r] = nil
 	if d.server.Remove(id) {
 		d.maintenanceMessages++
 		refRefillServer(d, id.Digit(0))
 	}
-	return nil
+	return r, nil
 }
 
 func refLeave(d *Directory, id ident.ID) error {
-	if err := refDrop(d, id); err != nil {
+	r, err := refDrop(d, id)
+	if err != nil {
 		return err
 	}
 	for _, t := range d.tables {
+		if t == nil {
+			continue
+		}
 		if row, col, ok := t.Remove(id); ok {
 			d.maintenanceMessages++
 			refRefillUser(d, t, row, col, nil)
 		}
 	}
+	d.ros.unref(r)
 	return nil
 }
 
 func refEvict(d *Directory, id ident.ID) error {
-	if err := refDrop(d, id); err != nil {
+	r, err := refDrop(d, id)
+	if err != nil {
 		return err
 	}
 	for _, t := range d.tables {
+		if t == nil {
+			continue
+		}
 		if l := t.owner.ID.CommonPrefixLen(id); l < d.params.Digits {
 			refRefillUser(d, t, l, id.Digit(l), nil)
 		}
 	}
 	refRefillServer(d, id.Digit(0))
+	d.ros.unref(r)
 	return nil
 }
 
 func refRepair(d *Directory, owner ident.ID, row int, col ident.Digit, alive func(ident.ID) bool) {
-	if t, ok := d.tables[owner.Key()]; ok {
+	if t, ok := d.TableOf(owner); ok {
 		refRefillUser(d, t, row, col, alive)
 	}
 }
@@ -122,56 +133,64 @@ func (s spikeNet) RTT(a, b vnet.HostID) time.Duration {
 	return s.Network.RTT(a, b) * time.Duration(*s.factor)
 }
 
-func copyTable(t *Table) *Table {
-	c := *t
-	c.rows = make([][]Entry, len(t.rows))
-	for i, row := range t.rows {
-		c.rows[i] = make([]Entry, len(row))
-		for j := range row {
-			c.rows[i][j].neighbors = append([]Neighbor(nil), row[j].neighbors...)
-		}
-	}
-	return &c
-}
-
-// sameTables reports the first difference between two directories'
-// tables (every entry, neighbor by neighbor) and server tables.
+// sameTables reports the first difference between two directories:
+// membership, every table (entry by entry, neighbor by neighbor, record
+// and RTT), the server tables, and the maintenance-message estimate.
 func sameTables(got, want *Directory) error {
-	if len(got.tables) != len(want.tables) {
-		return fmt.Errorf("%d tables, reference has %d", len(got.tables), len(want.tables))
+	if got.Size() != want.Size() {
+		return fmt.Errorf("%d members, reference has %d", got.Size(), want.Size())
 	}
-	sameEntry := func(g, w *Entry) error {
-		if !slices.Equal(g.Neighbors(), w.Neighbors()) {
+	sameEntry := func(g, w Entry) error {
+		same := g.Len() == w.Len()
+		for i := 0; same && i < g.Len(); i++ {
+			same = g.at(i) == w.at(i)
+		}
+		if !same {
 			return fmt.Errorf("%v, reference %v", g.Neighbors(), w.Neighbors())
 		}
 		return nil
 	}
-	for key, wt := range want.tables {
-		gt, ok := got.tables[key]
+	for _, id := range want.IDs() {
+		gt, ok := got.TableOf(id)
 		if !ok {
-			return fmt.Errorf("no table for %v", wt.owner.ID)
+			return fmt.Errorf("no table for %v", id)
 		}
-		for i := range wt.rows {
-			for j := range wt.rows[i] {
-				if err := sameEntry(&gt.rows[i][j], &wt.rows[i][j]); err != nil {
-					return fmt.Errorf("%v (%d,%d): %w", wt.owner.ID, i, j, err)
+		wt, _ := want.TableOf(id)
+		for i := 0; i < want.params.Digits; i++ {
+			for j := 0; j < want.params.Base; j++ {
+				if err := sameEntry(gt.Entry(i, j), wt.Entry(i, j)); err != nil {
+					return fmt.Errorf("%v (%d,%d): %w", id, i, j, err)
 				}
 			}
 		}
 	}
-	for j := range want.server.entries {
-		if err := sameEntry(&got.server.entries[j], &want.server.entries[j]); err != nil {
+	for j := 0; j < want.params.Base; j++ {
+		if err := sameEntry(got.server.Entry(j), want.server.Entry(j)); err != nil {
 			return fmt.Errorf("server (0,%d): %w", j, err)
 		}
+	}
+	if g, w := got.MaintenanceMessages(), want.MaintenanceMessages(); g != w {
+		return fmt.Errorf("%d maintenance messages, reference %d", g, w)
 	}
 	return nil
 }
 
+// ranksAllMembers reports a rank held by anyone but a member: with no
+// evicted user still awaiting its holders' repairs, the rank table must
+// map exactly the membership.
+func ranksAllMembers(d *Directory) error {
+	if n := d.ros.ranks.Len(); n != d.Size() {
+		return fmt.Errorf("%d ranks held for %d members", n, d.Size())
+	}
+	return d.ros.ranks.CheckConsistency()
+}
+
 // TestRefillMatchesSortEverythingReference runs random Join / Leave /
-// Fail / crash-evict-repair scripts, with a liveness oracle that flips
+// crash-evict-repair scripts, with a liveness oracle that flips
 // mid-script, through the Directory and through the reference model, and
-// requires identical tables after every event and K-consistency at
-// every quiescent point (no user crashed but not yet evicted).
+// requires identical tables and message counts after every event, and
+// K-consistency and no rank held by a non-member at every quiescent
+// point (no user crashed but not yet evicted and repaired).
 func TestRefillMatchesSortEverythingReference(t *testing.T) {
 	params := ident.Params{Digits: 3, Base: 6}
 	const hosts, k, events = 400, 3, 500
@@ -216,10 +235,6 @@ func TestRefillMatchesSortEverythingReference(t *testing.T) {
 					if err := want.Join(r); err != nil {
 						t.Fatal(err)
 					}
-					// A joiner's table is built in map order, so under
-					// ties two directories may keep different equals;
-					// that is Join's business, not the refill's.
-					want.tables[id.Key()] = copyTable(got.tables[id.Key()])
 					members = append(members, id)
 				}
 				pick := func() ident.ID {
@@ -235,6 +250,9 @@ func TestRefillMatchesSortEverythingReference(t *testing.T) {
 					}
 					if len(suspected) == 0 {
 						if err := got.CheckConsistency(); err != nil {
+							t.Fatalf("event %d (%s): %v", ev, what, err)
+						}
+						if err := ranksAllMembers(got); err != nil {
 							t.Fatalf("event %d (%s): %v", ev, what, err)
 						}
 					}
@@ -259,17 +277,11 @@ func TestRefillMatchesSortEverythingReference(t *testing.T) {
 					switch p := rng.Float64(); {
 					case p < 0.35 || len(members) < 60:
 						join()
-					case p < 0.55:
+					case p < 0.65:
 						what = "leave"
 						id := pick()
 						if got.Leave(id) != nil || refLeave(want, id) != nil {
 							t.Fatalf("event %d: leave %v failed", ev, id)
-						}
-					case p < 0.65:
-						what = "fail"
-						id := pick()
-						if got.Fail(id) != nil || refLeave(want, id) != nil {
-							t.Fatalf("event %d: fail %v failed", ev, id)
 						}
 					case p < 0.8:
 						what = "crash"
@@ -309,6 +321,148 @@ func TestRefillMatchesSortEverythingReference(t *testing.T) {
 	}
 }
 
+// TestJoinDeterministicUnderTies: on a net where most RTTs tie, which of
+// several equally near members a joiner's entry keeps must be a function
+// of the event script alone (Join visits the tables in rank order), not
+// of map iteration order: two directories fed one script agree table by
+// table and on the message count.
+func TestJoinDeterministicUnderTies(t *testing.T) {
+	params := ident.Params{Digits: 3, Base: 6}
+	const hosts, k = 200, 3
+	net := tieNet{testNet(t, hosts)}
+	build := func() *Directory {
+		d, err := NewDirectory(params, k, net, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(41))
+		var members []ident.ID
+		for step := 0; d.Size() < 150; step++ {
+			if len(members) > 20 && rng.Intn(5) == 0 {
+				i := rng.Intn(len(members))
+				if err := d.Leave(members[i]); err != nil {
+					t.Fatal(err)
+				}
+				members = slices.Delete(members, i, i+1)
+				continue
+			}
+			id, err := ident.FreeID(params, rng, func(id ident.ID) bool { _, ok := d.Record(id); return ok })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Join(Record{Host: vnet.HostID(1 + step%(hosts-1)), ID: id}); err != nil {
+				t.Fatal(err)
+			}
+			members = append(members, id)
+		}
+		return d
+	}
+	first := build()
+	if err := first.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := sameTables(build(), first); err != nil {
+			t.Fatalf("same script, different directory: %v", err)
+		}
+	}
+}
+
+// TestRankLifetime pins the roster's one rule — a rank is released only
+// when its user is neither a member nor named by any slot — on the two
+// paths that stretch it: an evicted user re-admitted (at another host)
+// before its holders repair, and an evicted user whose holders repair
+// one by one.
+func TestRankLifetime(t *testing.T) {
+	d := newDir(t, 2, 60)
+	recs := joinN(t, d, 30, rand.New(rand.NewSource(37)))
+	if err := ranksAllMembers(d); err != nil {
+		t.Fatal(err)
+	}
+	eachSlotNaming := func(id ident.ID, fn func(owner Record, n Neighbor)) {
+		for _, owner := range d.IDs() {
+			tab, _ := d.TableOf(owner)
+			for i := 0; i < tp.Digits; i++ {
+				for j := 0; j < tp.Base; j++ {
+					named := 0
+					for _, n := range tab.Entry(i, j).Neighbors() {
+						if n.ID.Equal(id) {
+							named++
+							fn(tab.Owner(), n)
+						}
+					}
+					if named > 1 {
+						t.Errorf("%v's (%d,%d)-entry names %v %d times", owner, i, j, id, named)
+					}
+				}
+			}
+		}
+	}
+
+	// Evict X, then re-join it elsewhere while its holders still name it.
+	x := recs[7]
+	if err := d.Evict(x.ID); err != nil {
+		t.Fatal(err)
+	}
+	holders := d.Holders(x.ID)
+	if len(holders) == 0 {
+		t.Fatal("nobody holds the evicted user; test is vacuous")
+	}
+	if got := d.ros.ranks.Len(); got != d.Size()+1 {
+		t.Fatalf("%d ranks held with one evicted user still named, want %d", got, d.Size()+1)
+	}
+	moved := Record{Host: 55, ID: x.ID, JoinTime: 9}
+	if err := d.Join(moved); err != nil {
+		t.Fatal(err)
+	}
+	slots := 0
+	eachSlotNaming(x.ID, func(owner Record, n Neighbor) {
+		slots++
+		if n.Record != moved {
+			t.Errorf("%v names %+v, the re-admitted record is %+v", owner.ID, n.Record, moved)
+		}
+		if want := d.net.RTT(owner.Host, moved.Host); n.RTT != want {
+			t.Errorf("%v holds %v at %v, re-measured RTT is %v", owner.ID, x.ID, n.RTT, want)
+		}
+	})
+	if slots < len(holders) {
+		t.Errorf("%d slots name the re-admitted user, %d tables held it before", slots, len(holders))
+	}
+	if err := d.CheckConsistency(); err != nil {
+		t.Error(err)
+	}
+	if err := ranksAllMembers(d); err != nil {
+		t.Error(err)
+	}
+
+	// Evict Y and let its holders repair one at a time: the rank goes
+	// with the last slot, not before.
+	y := recs[11]
+	if err := d.Evict(y.ID); err != nil {
+		t.Fatal(err)
+	}
+	holders = d.Holders(y.ID)
+	if len(holders) < 2 {
+		t.Fatalf("%d holders of the second evicted user, want several", len(holders))
+	}
+	for i, owner := range holders {
+		if got := d.ros.ranks.Len(); got != d.Size()+1 {
+			t.Fatalf("%d ranks held before repair %d of %d, want %d", got, i+1, len(holders), d.Size()+1)
+		}
+		row, col, ok := d.RemoveNeighbor(owner, y.ID)
+		if !ok {
+			t.Fatalf("holder %v does not hold %v", owner, y.ID)
+		}
+		d.RepairEntryLive(owner, row, col, nil)
+	}
+	if err := ranksAllMembers(d); err != nil {
+		t.Error(err)
+	}
+	if err := d.CheckConsistency(); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestMaintenanceMessagesDeterministic: the message estimate must not
 // depend on the order Go happens to iterate the directory's maps in.
 func TestMaintenanceMessagesDeterministic(t *testing.T) {
@@ -331,52 +485,79 @@ func TestMaintenanceMessagesDeterministic(t *testing.T) {
 	}
 }
 
-// TestEntryInsertMatchesStableSort pins the entry order to what a stable
-// sort of the whole entry after every change yields, and the full-entry
-// insert to zero allocations.
+// TestEntryInsertMatchesStableSort is the slot window's model test:
+// random inserts (append, refresh, displace, reject) and removes through
+// a stand-alone table, against a plain []Neighbor kept in the order a
+// stable sort of the whole entry after every change yields. The
+// table's private roster must hold a rank for exactly the IDs the
+// window names; a full-entry insert allocates nothing.
 func TestEntryInsertMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	params := ident.Params{Digits: 2, Base: 8}
+	params := ident.Params{Digits: 2, Base: 16}
+	owner := Record{ID: ident.MustNew(params, []ident.Digit{0, 0})}
+	cand := func(i int) ident.ID { return ident.MustNew(params, []ident.Digit{1, i}) }
 	for k := 1; k <= 5; k++ {
-		var e Entry
+		table, err := NewTable(params, k, owner)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var ref []Neighbor
-		for step := 0; step < 400; step++ {
-			id, _ := ident.FromInt(params, rng.Intn(12))
-			n := Neighbor{Record: Record{ID: id}, RTT: time.Duration(rng.Intn(4))}
-			at := -1
-			for i := range ref {
-				if ref[i].ID.Equal(id) {
-					at = i
+		for step := 0; step < 600; step++ {
+			id := cand(rng.Intn(12))
+			at := slices.IndexFunc(ref, func(n Neighbor) bool { return n.ID.Equal(id) })
+			if rng.Intn(4) == 0 {
+				if _, _, ok := table.Remove(id); ok != (at >= 0) {
+					t.Fatalf("k=%d step %d: Remove(%v) = %v, model holds it: %v", k, step, id, ok, at >= 0)
+				}
+				if at >= 0 {
+					ref = slices.Delete(ref, at, at+1)
+				}
+			} else {
+				n := Neighbor{Record: Record{Host: vnet.HostID(rng.Intn(3)), ID: id}, RTT: time.Duration(rng.Intn(4))}
+				changed := true
+				switch {
+				case at >= 0:
+					changed = ref[at].RTT != n.RTT
+					if changed {
+						ref[at] = n
+					} else {
+						ref[at].Record = n.Record // the roster files the newest record either way
+					}
+				case len(ref) < k:
+					ref = append(ref, n)
+				case n.RTT < ref[k-1].RTT:
+					ref[k-1] = n
+				default:
+					changed = false
+				}
+				sort.SliceStable(ref, func(i, j int) bool { return ref[i].RTT < ref[j].RTT })
+				if got := table.Insert(n); got != changed {
+					t.Fatalf("k=%d step %d: Insert(%v) = %v, model says %v", k, step, n, got, changed)
 				}
 			}
-			switch {
-			case at >= 0:
-				ref[at] = n
-			case len(ref) < k:
-				ref = append(ref, n)
-			case n.RTT < ref[k-1].RTT:
-				ref[k-1] = n
+			if got := table.Entry(0, 1).Neighbors(); !slices.Equal(got, ref) {
+				t.Fatalf("k=%d step %d: entry %v, stable-sort reference %v", k, step, got, ref)
 			}
-			sort.SliceStable(ref, func(i, j int) bool { return ref[i].RTT < ref[j].RTT })
-			e.insert(n, k)
-			if !slices.Equal(e.neighbors, ref) {
-				t.Fatalf("k=%d step %d: entry %v, stable-sort reference %v", k, step, e.neighbors, ref)
+			if table.ros == nil {
+				continue // made by the first insert
+			}
+			if got := table.ros.ranks.Len(); got != len(ref) {
+				t.Fatalf("k=%d step %d: %d ranks held for %d slots", k, step, got, len(ref))
 			}
 		}
 	}
 
-	var full Entry
+	full, _ := NewTable(params, 4, owner)
 	for i := 0; i < 4; i++ {
-		id, _ := ident.FromInt(params, i)
-		full.insert(Neighbor{Record: Record{ID: id}, RTT: time.Duration(10 + i)}, 4)
+		full.Insert(Neighbor{Record: Record{ID: cand(i)}, RTT: time.Duration(10 + i)})
 	}
-	id, _ := ident.FromInt(params, 9)
+	r := full.ros.assign(Record{ID: cand(9)})
 	rtt := time.Duration(9)
 	if allocs := testing.AllocsPerRun(100, func() {
-		full.insert(Neighbor{Record: Record{ID: id}, RTT: rtt}, 4) // displaces, then refreshes
+		full.insert(0, 1, r, rtt) // displaces, then refreshes
 		rtt--
 	}); allocs != 0 {
-		t.Errorf("Entry.insert into a full entry allocates %.0f times, want 0", allocs)
+		t.Errorf("insert into a full entry allocates %.0f times, want 0", allocs)
 	}
 }
 

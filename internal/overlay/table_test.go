@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -207,43 +208,77 @@ func TestForEachNeighbor(t *testing.T) {
 }
 
 // TestForwardWalk pins the one statement of routine FORWARD's walk: a
-// user at forwarding level l visits every non-diagonal entry of rows
-// [l, D-1], row-major, and nothing else (level D forwards nothing); the
-// key server visits its B level-0 entries.
+// user at forwarding level l visits exactly the populated entries of
+// rows [l, D-1], row by row in column order — never the diagonal, never
+// an entry nobody is in, whether its row was never written or was
+// emptied again (level D forwards nothing); the key server visits its
+// populated level-0 entries.
 func TestForwardWalk(t *testing.T) {
+	type cell struct {
+		row int
+		col ident.Digit
+	}
 	owner := rec(t, 0, 1, 2, 3)
 	table, err := NewTable(tp, 2, owner)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Row 1 is never written; (0,3) and (2,2) are written, then emptied.
+	for i, digits := range [][]ident.Digit{{0, 1, 1}, {0, 2, 2}, {2, 0, 0}, {3, 3, 3}, {1, 2, 0}, {1, 2, 1}, {1, 2, 2}} {
+		table.Insert(nb(t, i+1, time.Duration(i+1)*time.Millisecond, digits...))
+	}
+	table.Remove(ident.MustNew(tp, []ident.Digit{3, 3, 3}))
+	table.Remove(ident.MustNew(tp, []ident.Digit{1, 2, 2}))
+	// cellOf names the entry a visit was handed, by where its primary
+	// belongs; the entry must be that cell's, whole.
+	cellOf := func(row int, e Entry, at func(cell) Entry) cell {
+		n, ok := e.Primary(nil)
+		if !ok {
+			t.Fatalf("visited an empty entry of row %d", row)
+		}
+		c := cell{row, n.ID.Digit(row)}
+		if !slices.Equal(e.Neighbors(), at(c).Neighbors()) {
+			t.Errorf("visit of %v handed %v, the entry holds %v", c, e.Neighbors(), at(c).Neighbors())
+		}
+		return c
+	}
+	userEntry := func(c cell) Entry { return table.Entry(c.row, c.col) }
 	for level := 0; level <= tp.Digits; level++ {
-		lastRow, n := level, 0
-		table.Forward(level, func(row int, e *Entry) {
-			n++
-			if row < lastRow || row >= tp.Digits {
-				t.Errorf("level %d: visited row %d after row %d", level, row, lastRow)
+		var want, got []cell
+		for row := level; row < tp.Digits; row++ {
+			for col := 0; col < tp.Base; col++ {
+				if table.Entry(row, col).Len() > 0 {
+					want = append(want, cell{row, col})
+				}
 			}
-			lastRow = row
-			if e == table.Entry(row, owner.ID.Digit(row)) {
-				t.Errorf("level %d: visited the diagonal entry of row %d", level, row)
+		}
+		if populated := []cell{{0, 0}, {0, 2}, {2, 0}, {2, 1}}; level == 0 && !slices.Equal(want, populated) {
+			t.Fatalf("test table's populated entries are %v, meant %v", want, populated)
+		}
+		table.Forward(level, func(row int, e Entry) { got = append(got, cellOf(row, e, userEntry)) })
+		if !slices.Equal(got, want) {
+			t.Errorf("level %d: visited %v, populated entries are %v", level, got, want)
+		}
+		for _, c := range got {
+			if c.col == owner.ID.Digit(c.row) {
+				t.Errorf("level %d: visited the diagonal entry of row %d", level, c.row)
 			}
-		})
-		if want := (tp.Digits - level) * (tp.Base - 1); n != want {
-			t.Errorf("level %d: %d entries visited, want %d", level, n, want)
 		}
 	}
+
 	st, err := NewServerTable(tp, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := 0
-	st.Forward(func(row int, e *Entry) {
-		if row != 0 || e != st.Entry(ident.Digit(j)) {
-			t.Errorf("server visit %d: row %d, wrong entry", j, row)
-		}
-		j++
+	st.Insert(nb(t, 1, time.Millisecond, 0, 1, 1))
+	st.Insert(nb(t, 2, time.Millisecond, 3, 0, 0))
+	st.Insert(nb(t, 3, time.Millisecond, 2, 0, 0))
+	st.Remove(ident.MustNew(tp, []ident.Digit{2, 0, 0}))
+	var got []cell
+	st.Forward(func(row int, e Entry) {
+		got = append(got, cellOf(row, e, func(c cell) Entry { return st.Entry(c.col) }))
 	})
-	if j != tp.Base {
-		t.Errorf("server visited %d entries, want %d", j, tp.Base)
+	if want := []cell{{0, 0}, {0, 3}}; !slices.Equal(got, want) {
+		t.Errorf("server visited %v, want %v", got, want)
 	}
 }

@@ -243,7 +243,7 @@ func (s *Shared) forward(tr transport.Transport, msg *keytree.Message, from iden
 	}
 	var hops []hop
 	s.Read(func(dir *overlay.Directory) {
-		visit := func(row int, e *overlay.Entry) {
+		visit := func(row int, e overlay.Entry) {
 			if next, ok := e.Primary(s.alive); ok {
 				hops = append(hops, hop{next.ID, row + 1})
 			}

@@ -368,7 +368,7 @@ func (m *machine[P]) start(payload P, now time.Duration) {
 	d := m.cfg.Dir
 	if m.cfg.SenderIsServer {
 		st := d.Server()
-		st.Forward(func(s int, e *overlay.Entry) {
+		st.Forward(func(s int, e overlay.Entry) {
 			m.sendVia(st.Host(), ident.ID{}, 0, e, s, payload, now, 0)
 		})
 		return
@@ -386,7 +386,7 @@ func (m *machine[P]) start(payload P, now time.Duration) {
 // that delivered the payload to this forwarder (0 at the origin).
 func (m *machine[P]) forwardRows(table *overlay.Table, level int, payload P, now time.Duration, parentSpan int64) {
 	owner := table.Owner()
-	table.Forward(level, func(s int, e *overlay.Entry) {
+	table.Forward(level, func(s int, e overlay.Entry) {
 		m.sendVia(owner.Host, owner.ID, level, e, s, payload, now, parentSpan)
 	})
 }
@@ -394,7 +394,7 @@ func (m *machine[P]) forwardRows(table *overlay.Table, level int, payload P, now
 // sendVia transmits one copy through an (s,j)-entry: it picks the primary
 // live neighbor, splits the payload for that neighbor's covered subtree
 // (w.ID[0:s], i.e. the first s+1 digits), and schedules the delivery.
-func (m *machine[P]) sendVia(fromHost vnet.HostID, fromID ident.ID, fromLevel int, entry *overlay.Entry, s int, payload P, now time.Duration, parentSpan int64) {
+func (m *machine[P]) sendVia(fromHost vnet.HostID, fromID ident.ID, fromLevel int, entry overlay.Entry, s int, payload P, now time.Duration, parentSpan int64) {
 	var next overlay.Neighbor
 	var ok bool
 	if m.cfg.EarliestPrimaryRow > 0 && s == m.cfg.EarliestPrimaryRow {

@@ -274,3 +274,72 @@ func TestSingleUserGroup(t *testing.T) {
 		t.Errorf("server stress = %d, want 1", res.SenderStress)
 	}
 }
+
+// TestMulticastOverSparseTables: overlay's FORWARD walk hands the session
+// populated entries only, and a session over tables with empty entries
+// and whole empty rows must report what it did when the walk offered
+// every off-diagonal (s,j): the reference below is that exhaustive walk,
+// with sendVia's rules (live primary or, if the entry is populated but
+// all dead, one Lost). The figure and interval-record goldens pin the
+// same equivalence at scale; this pins it where a diff is readable.
+func TestMulticastOverSparseTables(t *testing.T) {
+	dir, recs := buildGroup(t, 1, 14, 3)
+	dead := map[string]bool{recs[4].ID.Key(): true, recs[9].ID.Key(): true}
+	alive := func(id ident.ID) bool { return !dead[id.Key()] }
+	net := dir.Network()
+
+	want := map[string]*UserStats{}
+	lost, senderStress, emptyRows := 0, 0, 0
+	var forward func(from overlay.Record, level int, now time.Duration)
+	via := func(e overlay.Entry, fromHost vnet.HostID, stress *int, s int, now time.Duration) {
+		next, ok := e.Primary(alive)
+		if !ok {
+			if e.Len() > 0 {
+				lost++
+			}
+			return
+		}
+		*stress++
+		at := now + net.OneWay(fromHost, next.Host)
+		want[next.ID.Key()] = &UserStats{Received: 1, Level: s + 1, Delay: at}
+		forward(next.Record, s+1, at)
+	}
+	forward = func(from overlay.Record, level int, now time.Duration) {
+		table, _ := dir.TableOf(from.ID)
+		stress := 0
+		for s := level; s < tp.Digits; s++ {
+			populated := 0
+			for j := 0; j < tp.Base; j++ {
+				if j != from.ID.Digit(s) {
+					populated += table.Entry(s, j).Len()
+					via(table.Entry(s, j), from.Host, &stress, s, now)
+				}
+			}
+			if populated == 0 {
+				emptyRows++
+			}
+		}
+		want[from.ID.Key()].Stress = stress
+	}
+	for j := 0; j < tp.Base; j++ {
+		via(dir.Server().Entry(j), dir.Server().Host(), &senderStress, 0, 0)
+	}
+	if lost == 0 || emptyRows == 0 {
+		t.Fatalf("reference walk met %d all-dead entries and %d empty rows; test is vacuous", lost, emptyRows)
+	}
+
+	res, err := Multicast(Config[int]{Dir: dir, SenderIsServer: true, Alive: alive}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Lost != lost || res.SenderStress != senderStress || len(res.Users) != len(want) {
+		t.Errorf("Lost %d, SenderStress %d, %d users; exhaustive walk: %d, %d, %d",
+			res.Lost, res.SenderStress, len(res.Users), lost, senderStress, len(want))
+	}
+	for key, w := range want {
+		got := res.Users[key]
+		if got == nil || got.Received != w.Received || got.Level != w.Level || got.Delay != w.Delay || got.Stress != w.Stress {
+			t.Errorf("user %v: %+v, exhaustive walk: %+v", ident.IDFromKey(key), got, w)
+		}
+	}
+}
