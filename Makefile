@@ -99,7 +99,7 @@ bench-pairs:
 # internal/transport + internal/rekeyd and on the total, in that order,
 # that the last simplicity PR reached. A PR that must grow past one
 # raises it here, in the open, next to its CHANGES.md line.
-LOC_BUDGET ?= 2594 21693
+LOC_BUDGET ?= 2594 21450
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs wc -l | \
 		awk -v budget="$(LOC_BUDGET)" \
@@ -115,7 +115,7 @@ loc:
 # DEAD_BUDGET — a ratchet like LOC_BUDGET: lower it when a PR deletes
 # some. What is left is mostly the paper's inventory (wire's unsent
 # Query/Record decoders, lkh's closed-form costs) and test-only probes.
-DEAD_BUDGET ?= 38
+DEAD_BUDGET ?= 37
 dead:
 	@$(GO) run ./scripts/dead -budget $(DEAD_BUDGET)
 

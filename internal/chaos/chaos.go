@@ -39,7 +39,6 @@ import (
 	"tmesh/internal/eventsim"
 	"tmesh/internal/failover"
 	"tmesh/internal/ident"
-	"tmesh/internal/keycrypt"
 	"tmesh/internal/keytree"
 	"tmesh/internal/metrics"
 	"tmesh/internal/obs"
@@ -90,10 +89,8 @@ type Config struct {
 	Misses       int
 
 	// Degradation ladder: the schedule (the simulator's resync is the
-	// reliable one-shot, so ResyncBudget stays 0) and the split mode of
-	// the multicast rung.
+	// reliable one-shot, so ResyncBudget stays 0).
 	recovery.Policy
-	Mode split.Mode
 
 	// FullSweepEvery runs the O(N·D·B) full consistency sweep every
 	// k-th interval on top of the scoped per-churn checks (0 disables;
@@ -153,10 +150,6 @@ func DefaultConfig(seed int64) Config {
 			RetryMax:    time.Second,
 			RetryBudget: 3,
 		},
-		// The paper's splitting scheme is the thing under test: run the
-		// ladder's multicast rung with per-encryption splitting so the
-		// Theorem 2 trace audit has real split decisions to check.
-		Mode:           split.PerEncryption,
 		FullSweepEvery: 5,
 		Topology:       vnet.SoakGTITMConfig(),
 	}
@@ -280,15 +273,6 @@ type Engine struct {
 	rekeyLive   []ident.ID // alive in-tree members at rekey send
 	lastEpoch   map[string]uint64
 
-	// Per-soak arenas: the data probe and the rekey ladder each keep
-	// their own transport arena (their results overlap within an
-	// interval), and the split compiler reuses one arena across
-	// intervals. Safe because each interval's results are consumed by
-	// the audit before the next interval's sends reuse the storage.
-	dataArena  *tmesh.Arena
-	rekeyArena *tmesh.Arena
-	splitArena *split.CompileArena[keycrypt.Encryption]
-
 	// Streaming (constant-memory) delivery-delay percentiles over the
 	// whole soak, fed in deterministic member order at each audit so
 	// same-seed runs report identical estimates.
@@ -361,9 +345,6 @@ func New(cfg Config) (*Engine, error) {
 		crashPending:    make(map[string]crashInfo),
 		churnSinceAudit: make(map[string]ident.ID),
 		lastEpoch:       make(map[string]uint64),
-		dataArena:       tmesh.NewArena(cfg.InitialMembers + 1),
-		rekeyArena:      tmesh.NewArena(cfg.InitialMembers + 1),
-		splitArena:      split.NewCompileArena[keycrypt.Encryption](),
 		dataDelay:       metrics.NewStreamingSummary(),
 		keyDelay:        metrics.NewStreamingSummary(),
 		profLabel:       profLabel,
@@ -722,7 +703,6 @@ func (e *Engine) doDataProbe(now time.Duration, stats *IntervalStats, fail func(
 		StartAt:        now,
 		Obs:            e.cfg.Obs,
 		Trace:          e.curDataTrace,
-		Arena:          e.dataArena,
 	}, 1)
 	if err != nil {
 		fail(fmt.Errorf("chaos: data multicast: %w", err))
@@ -763,7 +743,7 @@ func (e *Engine) doRekey(now time.Duration, stats *IntervalStats, fail func(erro
 	}
 	if e.traceInterval(stats.Index) {
 		e.curRekeyTrace = e.trec.Begin("rekey", stats.Index, now,
-			e.cfg.Mode.String(), split.EncIDs(msg.Encryptions))
+			split.PerEncryption.String(), split.EncIDs(msg.Encryptions))
 		for _, id := range e.rekeyLive {
 			e.curRekeyTrace.Member(id)
 		}
@@ -776,7 +756,6 @@ func (e *Engine) doRekey(now time.Duration, stats *IntervalStats, fail func(erro
 			Dir:          e.dir,
 			Sim:          e.sim,
 			StartAt:      now,
-			Mode:         e.cfg.Mode,
 			DropHop:      e.dropHop,
 			Alive:        e.mon.Alive,
 			Policy:       e.cfg.Policy,
@@ -784,8 +763,6 @@ func (e *Engine) doRekey(now time.Duration, stats *IntervalStats, fail func(erro
 			Obs:          e.cfg.Obs,
 			ProfileLabel: e.profLabel,
 			Trace:        e.curRekeyTrace,
-			Arena:        e.rekeyArena,
-			SplitArena:   e.splitArena,
 		}, msg)
 	})
 	deliverSpan.End()

@@ -6,8 +6,8 @@
 // A Group is driven like the real system: users join (the distributed ID
 // assignment runs, the directory admits them), users leave, and at the
 // end of each rekey interval ProcessInterval generates the batch rekey
-// message, which DistributeRekey multicasts with the configured
-// splitting mode; every user's keyring is updated from exactly the
+// message, which DistributeRekey multicasts with per-encryption
+// splitting; every user's keyring is updated from exactly the
 // encryptions the splitting scheme delivered to it. Data transport
 // (group-key encrypted application multicast) runs concurrently over the
 // same neighbor tables.
@@ -53,9 +53,6 @@ type Config struct {
 	// ClusterRekeying enables the Appendix B heuristic: the key tree
 	// holds bottom-cluster leaders only.
 	ClusterRekeying bool
-	// SplitMode is the default rekey transport mode; zero defaults to
-	// per-encryption splitting.
-	SplitMode split.Mode
 	// Obs is the optional telemetry registry: per-stage spans
 	// (regen/deliver/apply) and pipeline counters land there. Nil
 	// (the default) disables all instrumentation at no cost. Telemetry
@@ -110,9 +107,6 @@ func NewGroup(cfg Config) (*Group, error) {
 	}
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("core: K must be >= 1, got %d", cfg.K)
-	}
-	if cfg.SplitMode == 0 {
-		cfg.SplitMode = split.PerEncryption
 	}
 
 	dir, err := overlay.NewDirectory(cfg.Assign.Params, cfg.K, cfg.Net, cfg.ServerHost)
@@ -253,8 +247,8 @@ func (g *Group) KeyringRebuilds() int { return g.keyringRebuilds }
 
 // DistributeRekey runs the pipeline's delivery and apply stages: the
 // message's split decisions are compiled into a per-subtree index, the
-// rekey message is multicast over the T-mesh with the group's splitting
-// mode (each hop a zero-allocation index lookup), then (with
+// rekey message is multicast over the T-mesh split per encryption
+// (each hop a zero-allocation index lookup), then (with
 // RealCrypto) every delivered user's keyring applies exactly the
 // encryptions the splitting scheme handed it, fanned out across
 // delivered users. Delivered slices are shared between deliveries
@@ -267,7 +261,7 @@ func (g *Group) DistributeRekey(msg *keytree.Message) (*split.Report, error) {
 		return nil, errors.New("core: nil rekey message")
 	}
 	opts := split.Options{
-		Mode:        g.cfg.SplitMode,
+		Mode:        split.PerEncryption,
 		Parallelism: work.Width(),
 		Obs:         g.cfg.Obs,
 	}

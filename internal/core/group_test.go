@@ -7,7 +7,6 @@ import (
 
 	"tmesh/internal/assign"
 	"tmesh/internal/ident"
-	"tmesh/internal/split"
 	"tmesh/internal/vnet"
 )
 
@@ -267,41 +266,6 @@ func TestDistributeRekeyValidation(t *testing.T) {
 	if _, err := g.SealForGroup([]byte("x")); err == nil {
 		t.Error("empty group has no group key")
 	}
-}
-
-func TestSplitModeConfig(t *testing.T) {
-	g, err := NewGroup(Config{
-		Net:        testNet(t, 10),
-		Assign:     smallAssign(),
-		Seed:       3,
-		RealCrypto: true,
-		SplitMode:  split.NoSplit,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var members []ident.ID
-	for h := 1; h <= 8; h++ {
-		id, _, err := g.Join(vnet.HostID(h), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		members = append(members, id)
-	}
-	msg, err := g.ProcessInterval()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := g.DistributeRekey(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range members {
-		if rep.ReceivedPerUser[id.Key()] != msg.Cost() {
-			t.Errorf("NoSplit: user %v received %d, want full %d", id, rep.ReceivedPerUser[id.Key()], msg.Cost())
-		}
-	}
-	checkConverged(t, g, members)
 }
 
 func TestKeyringOf(t *testing.T) {

@@ -6,10 +6,15 @@
 //	deliver (split multicast over the T-mesh)
 //	apply   (per-user keyring updates from the delivered encryptions)
 //
-// mark and regen are keytree.Tree's Mark and Regenerate, deliver is
-// split.Rekey, and apply is the Applier below; every driver (Group, the
-// chaos soaks, the experiment harness) calls those directly. The two
-// crypto-heavy stages parallelize: regen fans
+// mark and regen are keytree.Tree's Mark and Regenerate, and no driver
+// calls them directly: every plane queues its joins and leaves in one
+// keytree.Pending and ends the interval with Tree.Flush (the experiment
+// harness's one-shot batches use Tree.Batch). deliver is split.Rekey
+// for a Group and the experiment harness; the chaos soak delivers
+// through recovery.DistributeLadder, whose multicast rung splits the
+// same way. apply is the Applier below for a Group, and indexedApplier
+// (further down) on the key plane. The two crypto-heavy stages
+// parallelize: regen fans
 // out across level-1 ID subtrees (Lemma 3 makes them independent rekey
 // units) inside keytree.Regenerate, and apply fans out across delivered
 // users below — both through work.Run, the process-wide fan-out.

@@ -7,7 +7,6 @@ import (
 
 	"tmesh/internal/eventsim"
 	"tmesh/internal/recovery"
-	"tmesh/internal/split"
 	"tmesh/internal/vnet"
 )
 
@@ -65,7 +64,6 @@ func RunLossSweep(cfg AblationConfig, lossRates []float64) ([]LossPoint, error) 
 		res, err := recovery.DistributeLadder(recovery.LadderConfig{
 			Dir:     g.dir,
 			Sim:     sim,
-			Mode:    split.PerEncryption,
 			Policy:  recovery.Policy{Timeout: time.Second, RetryBase: time.Second, RetryMax: time.Second, RetryBudget: 1},
 			DropHop: drop,
 		}, msg)

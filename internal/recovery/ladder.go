@@ -45,6 +45,7 @@ import (
 	"tmesh/internal/split"
 	"tmesh/internal/tmesh"
 	"tmesh/internal/vnet"
+	"tmesh/internal/work"
 )
 
 // LadderConfig parameterises one rekey distribution over the ladder.
@@ -55,10 +56,6 @@ type LadderConfig struct {
 	Sim *eventsim.Simulator
 	// StartAt is the virtual time of the multicast send.
 	StartAt time.Duration
-	// Mode is the splitting mode of the multicast attempt: PerEncryption
-	// (also the zero value, as in split.Rekey) or NoSplit. The ladder has
-	// no packet-level rung; PerPacket is refused.
-	Mode split.Mode
 	// DropHop simulates per-hop loss on the multicast.
 	DropHop func(from, to vnet.HostID) bool
 	// Alive routes the multicast around crashed users and exempts users
@@ -86,14 +83,6 @@ type LadderConfig struct {
 	// and rungs 2-3 add unicast/resync records, so the
 	// multicast→unicast→resync fallback reads as one causal chain.
 	Trace *trace.Trace
-	// Arena, when non-nil, recycles the rung-1 transport's delivery
-	// records across intervals. Reuse invalidates the previous
-	// LadderResult's Multicast field — see tmesh.Arena.
-	Arena *tmesh.Arena
-	// SplitArena, when non-nil, recycles the PerEncryption split
-	// compiler's working state across intervals. Reuse invalidates the
-	// previous interval's compiled index — see split.CompileArena.
-	SplitArena *split.CompileArena[keycrypt.Encryption]
 }
 
 // LadderResult accounts one distribution. It is fully populated only
@@ -170,8 +159,9 @@ func DistributeLadder(cfg LadderConfig, msg *keytree.Message) (*LadderResult, er
 		rungC[rung].Inc()
 	}
 
-	// Rung 1: the lossy multicast on the shared simulator.
-	tcfg := tmesh.Config[[]keycrypt.Encryption]{
+	// Rung 1: the lossy multicast on the shared simulator, split per
+	// encryption (Fig. 5).
+	res, err := tmesh.Multicast(tmesh.Config[[]keycrypt.Encryption]{
 		Dir:            cfg.Dir,
 		SenderIsServer: true,
 		DropHop:        cfg.DropHop,
@@ -182,17 +172,9 @@ func DistributeLadder(cfg LadderConfig, msg *keytree.Message) (*LadderResult, er
 		Obs:            cfg.Obs,
 		Trace:          cfg.Trace,
 		TraceItems:     split.EncIDs,
-		Arena:          cfg.Arena,
+		SplitHop:       split.NewIndex(cfg.Dir.Tree(), msg.Encryptions, work.Width()).Split,
 		ProfileLabel:   cfg.ProfileLabel,
-	}
-	switch cfg.Mode {
-	case 0, split.PerEncryption:
-		tcfg.SplitHop = split.NewIndexWith(cfg.Dir.Tree(), msg.Encryptions, cfg.SplitArena).Split
-	case split.NoSplit:
-	default:
-		return nil, fmt.Errorf("recovery: the ladder does not implement split mode %v", cfg.Mode)
-	}
-	res, err := tmesh.Multicast(tcfg, msg.Encryptions)
+	}, msg.Encryptions)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 
 	"tmesh/internal/eventsim"
 	"tmesh/internal/ident"
-	"tmesh/internal/split"
 	"tmesh/internal/vnet"
 )
 
@@ -25,7 +24,6 @@ func TestLadderValidation(t *testing.T) {
 		func(c *LadderConfig) { c.RetryBudget = 0 },
 		func(c *LadderConfig) { c.RetryBase = 0 },
 		func(c *LadderConfig) { c.RetryMax = 50 * time.Millisecond },
-		func(c *LadderConfig) { c.Mode = split.PerPacket }, // no packet-level rung
 	}
 	for i, mutate := range bad {
 		c := base
@@ -36,32 +34,6 @@ func TestLadderValidation(t *testing.T) {
 	}
 	if _, err := DistributeLadder(base, nil); err == nil {
 		t.Error("nil message should fail")
-	}
-}
-
-// TestLadderModeZeroIsPerEncryption: the zero Mode means what it means
-// in split.Rekey — per-encryption splitting — not the unsplit message.
-func TestLadderModeZeroIsPerEncryption(t *testing.T) {
-	received := func(mode split.Mode) (units int) {
-		dir, _, msg, _ := buildWorld(t, 30, 3)
-		sim := eventsim.New()
-		res, err := DistributeLadder(LadderConfig{
-			Dir: dir, Sim: sim, Mode: mode,
-			Policy: Policy{Timeout: time.Second, RetryBase: 50 * time.Millisecond, RetryMax: 500 * time.Millisecond, RetryBudget: 3},
-		}, msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim.Run()
-		for _, st := range res.Multicast.Users {
-			units += st.UnitsReceived
-		}
-		return units
-	}
-	zero, perEnc, noSplit := received(0), received(split.PerEncryption), received(split.NoSplit)
-	if zero != perEnc || zero >= noSplit {
-		t.Errorf("units received: zero mode %d, per-encryption %d, no-split %d; want zero == per-encryption < no-split",
-			zero, perEnc, noSplit)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"tmesh/internal/ident"
 	"tmesh/internal/keytree"
 	"tmesh/internal/overlay"
-	"tmesh/internal/split"
 	"tmesh/internal/vnet"
 )
 
@@ -103,7 +102,7 @@ func TestValidation(t *testing.T) {
 
 func TestNoLossNoRecovery(t *testing.T) {
 	dir, _, msg, live := buildWorld(t, 30, 2)
-	res, err := oneRung(LadderConfig{Dir: dir, Mode: split.PerEncryption, Policy: Policy{Timeout: time.Second}}, msg)
+	res, err := oneRung(LadderConfig{Dir: dir, Policy: Policy{Timeout: time.Second}}, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +126,6 @@ func TestLossyRecoveryCompleteness(t *testing.T) {
 	const timeout = 2 * time.Second
 	res, err := oneRung(LadderConfig{
 		Dir:     dir,
-		Mode:    split.PerEncryption,
 		Policy:  Policy{Timeout: timeout},
 		DropHop: func(from, to vnet.HostID) bool { return rng.Float64() < 0.25 },
 	}, msg)
@@ -176,30 +174,6 @@ func TestLossyRecoveryCompleteness(t *testing.T) {
 	for _, id := range res.Recovered {
 		if at := res.DeliveredAt[id.Key()]; at <= timeout {
 			t.Errorf("user %v recovered at %v, inside the %v timeout", id, at, timeout)
-		}
-	}
-}
-
-// TestRecoveryWithNoSplit: recovery also composes with unsplit
-// multicast.
-func TestRecoveryWithNoSplit(t *testing.T) {
-	dir, _, msg, _ := buildWorld(t, 25, 4)
-	calls := 0
-	res, err := oneRung(LadderConfig{
-		Dir:    dir,
-		Mode:   split.NoSplit,
-		Policy: Policy{Timeout: time.Second},
-		DropHop: func(from, to vnet.HostID) bool {
-			calls++
-			return calls%4 == 0 // every 4th hop lost
-		},
-	}, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range res.Recovered {
-		if rung, ok := res.RungOf[id.Key()]; !ok || rung != ByUnicast {
-			t.Errorf("recovered user %v still has nothing (rung %v, keyed %v)", id, rung, ok)
 		}
 	}
 }

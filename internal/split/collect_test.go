@@ -3,33 +3,7 @@ package split
 import (
 	"reflect"
 	"testing"
-
-	"tmesh/internal/ident"
-	"tmesh/internal/keycrypt"
 )
-
-// TestCollectDeliveries verifies that Collect records one delivery per
-// user, matching what OnDeliver observes, in the same arrival order.
-func TestCollectDeliveries(t *testing.T) {
-	w := newWorld(t, 40, 6, 6, 42)
-	var observed []Delivery
-	rep, err := Rekey(w.dir, w.msg, Options{
-		Mode:    PerEncryption,
-		Collect: true,
-		OnDeliver: func(to ident.ID, encs []keycrypt.Encryption, level int) {
-			observed = append(observed, Delivery{To: to, Level: level, Encryptions: encs})
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Deliveries) == 0 {
-		t.Fatal("Collect recorded no deliveries")
-	}
-	if !reflect.DeepEqual(rep.Deliveries, observed) {
-		t.Fatal("collected deliveries diverge from OnDeliver observations")
-	}
-}
 
 // TestPrefilterEquivalence pins the parallel level-1 prefilter to the
 // plain Filter path: identical reports and deliveries with and without

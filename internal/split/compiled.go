@@ -48,51 +48,11 @@ type table[T any] struct {
 // markFunc enumerates the encryption IDs carried by item i.
 type markFunc func(i int, mark func(ident.Prefix))
 
-// CompileArena recycles the working state of successive compilations —
-// the per-worker DFS walkers with their word-set slabs, result maps, and
-// materialisation chunks, plus the shared mark map — so a soak compiling
-// one index per rekey interval sizes this state once instead of once per
-// interval. Building a new index from an arena REUSES the chunks that
-// back the previous index's slices, so it invalidates every index
-// previously compiled from the same arena; keep one arena per family of
-// sequentially compiled indexes. The zero value is not usable; call
-// NewCompileArena. Not safe for concurrent compilations.
-type CompileArena[T any] struct {
-	marks   map[string]nodeBits
-	walkers []*walker[T]
-	merged  map[string][]T // reused merge target for parallel builds
-}
-
-// NewCompileArena creates an empty compile arena.
-func NewCompileArena[T any]() *CompileArena[T] {
-	return &CompileArena[T]{marks: make(map[string]nodeBits, 64)}
-}
-
-// walkerFor returns worker w's recycled walker, or nil on a fresh (or
-// nil) arena slot.
-func (a *CompileArena[T]) walkerFor(w int) *walker[T] {
-	if a == nil || w >= len(a.walkers) {
-		return nil
-	}
-	return a.walkers[w]
-}
-
-func (a *CompileArena[T]) store(w int, wk *walker[T]) {
-	if a == nil {
-		return
-	}
-	for len(a.walkers) <= w {
-		a.walkers = append(a.walkers, nil)
-	}
-	a.walkers[w] = wk
-}
-
 // compileTable builds the lookup for all nodes of the tree, fanning the
 // per-level-1-subtree walks out through work.Run (limit is its upper
 // bound; <= 0 means none). The table's contents are a pure function of
-// (tree, items), independent of the width and of arena reuse. ar may be
-// nil (allocate fresh).
-func compileTable[T any](tree *ident.Tree, items []T, ids markFunc, limit int, ar *CompileArena[T]) table[T] {
+// (tree, items), independent of the width.
+func compileTable[T any](tree *ident.Tree, items []T, ids markFunc, limit int) table[T] {
 	if tree == nil || tree.Size() == 0 || len(items) == 0 {
 		// Nothing to compile; lookups fall back to filtering.
 		return table[T]{slices: make(map[string][]T)}
@@ -101,13 +61,7 @@ func compileTable[T any](tree *ident.Tree, items []T, ids markFunc, limit int, a
 	// One combined entry per marked node keeps the DFS at a single map
 	// lookup per visited node. Word-sets are carved from a shared slab —
 	// there is one per distinct encryption ID.
-	var marks map[string]nodeBits
-	if ar != nil {
-		clear(ar.marks)
-		marks = ar.marks
-	} else {
-		marks = make(map[string]nodeBits, 64)
-	}
+	marks := make(map[string]nodeBits, 64)
 	var bitSlab []uint64
 	setBit := func(key string, i int, hoist bool) {
 		nb := marks[key]
@@ -155,12 +109,7 @@ func compileTable[T any](tree *ident.Tree, items []T, ids markFunc, limit int, a
 	hint := tree.NodeCount()/width + 8
 	wks := make([]*walker[T], len(digits))
 	work.Run(limit, len(digits), func(slot int, next func() (int, bool)) {
-		wk := ar.walkerFor(slot)
-		if wk != nil {
-			wk.reset(tree, items, words, marks)
-		} else {
-			wk = newWalker(tree, items, words, marks, hint)
-		}
+		wk := newWalker(tree, items, words, marks, hint)
 		wks[slot] = wk
 		// Level-1 nodes inherit the root's exact bits on their path: a
 		// root-ID encryption is a prefix of everything.
@@ -174,9 +123,8 @@ func compileTable[T any](tree *ident.Tree, items []T, ids markFunc, limit int, a
 		}
 	})
 	ran := 0
-	for slot, wk := range wks {
+	for _, wk := range wks {
 		if wk != nil {
-			ar.store(slot, wk)
 			ran++
 		}
 	}
@@ -185,15 +133,7 @@ func compileTable[T any](tree *ident.Tree, items []T, ids markFunc, limit int, a
 	// when the build actually went parallel.
 	slices := wks[0].out
 	if ran > 1 {
-		if ar != nil {
-			if ar.merged == nil {
-				ar.merged = make(map[string][]T, tree.NodeCount()+1)
-			}
-			clear(ar.merged)
-			slices = ar.merged
-		} else {
-			slices = make(map[string][]T, tree.NodeCount()+1)
-		}
+		slices = make(map[string][]T, tree.NodeCount()+1)
 		for _, wk := range wks {
 			if wk == nil {
 				continue
@@ -219,57 +159,34 @@ type nodeBits struct {
 }
 
 // walker carries one goroutine's DFS state: per-depth path/sub word-set
-// scratch (reused across the whole walk) and the arena the relevant
+// scratch (reused across the whole walk) and the chunk the relevant
 // slices are carved from.
 type walker[T any] struct {
-	tree   *ident.Tree
-	items  []T
-	words  int
-	marks  map[string]nodeBits
-	slab   []uint64   // backing storage for path/sub/rel, reused across compiles
-	path   [][]uint64 // path[d]: IDs that are strict prefixes of the depth-d node
-	sub    [][]uint64 // sub[d]: scratch for the depth-d subtree union
-	rel    []uint64
-	chunks [][]T // materialisation arenas, rewound (not freed) on reset
-	ci     int   // chunk currently being filled
-	out    map[string][]T
+	tree  *ident.Tree
+	items []T
+	marks map[string]nodeBits
+	path  [][]uint64 // path[d]: IDs that are strict prefixes of the depth-d node
+	sub   [][]uint64 // sub[d]: scratch for the depth-d subtree union
+	rel   []uint64
+	chunk []T // materialisation chunk currently being filled
+	out   map[string][]T
 }
 
 func newWalker[T any](tree *ident.Tree, items []T, words int, marks map[string]nodeBits, hint int) *walker[T] {
-	w := &walker[T]{out: make(map[string][]T, hint)}
-	w.reset(tree, items, words, marks)
-	return w
-}
-
-// reset rebinds a recycled walker to a new compilation, reusing its
-// word-set slab, result map, and materialisation chunks when they are
-// large enough. The slices handed out by the previous compile alias the
-// rewound chunks, so resetting invalidates them.
-func (w *walker[T]) reset(tree *ident.Tree, items []T, words int, marks map[string]nodeBits) {
-	w.tree, w.items, w.words, w.marks = tree, items, words, marks
 	depths := tree.Params().Digits + 1
-	if need := (2*depths + 1) * words; cap(w.slab) < need {
-		w.slab = make([]uint64, need)
-	} else {
-		w.slab = w.slab[:need]
+	w := &walker[T]{
+		tree: tree, items: items, marks: marks,
+		path: make([][]uint64, depths),
+		sub:  make([][]uint64, depths),
+		out:  make(map[string][]T, hint),
 	}
-	if cap(w.path) < depths {
-		w.path = make([][]uint64, depths)
-		w.sub = make([][]uint64, depths)
-	} else {
-		w.path, w.sub = w.path[:depths], w.sub[:depths]
-	}
-	slab := w.slab
+	slab := make([]uint64, (2*depths+1)*words)
 	for d := 0; d < depths; d++ {
 		w.path[d], slab = slab[:words], slab[words:]
 		w.sub[d], slab = slab[:words], slab[words:]
 	}
 	w.rel = slab[:words]
-	clear(w.out)
-	if len(w.chunks) > 0 {
-		w.ci = 0
-		w.chunks[0] = w.chunks[0][:0]
-	}
+	return w
 }
 
 // walk visits the subtree rooted at p (depth == p.Len(), with
@@ -296,7 +213,7 @@ func (w *walker[T]) walk(p ident.Prefix, depth int) {
 }
 
 // materialize carves the items selected by the word-set out of the
-// walker's arena, preserving message order. Empty selections yield nil,
+// walker's chunk, preserving message order. Empty selections yield nil,
 // matching Filter's nil-for-empty convention.
 func (w *walker[T]) materialize(rel []uint64) []T {
 	n := 0
@@ -306,12 +223,11 @@ func (w *walker[T]) materialize(rel []uint64) []T {
 	if n == 0 {
 		return nil
 	}
-	if len(w.chunks) == 0 || cap(w.chunks[w.ci])-len(w.chunks[w.ci]) < n {
-		w.nextChunk(n)
+	if cap(w.chunk)-len(w.chunk) < n {
+		w.chunk = make([]T, 0, max(arenaChunk, n))
 	}
-	cur := w.chunks[w.ci]
-	off := len(cur)
-	sel := cur[off : off : off+n]
+	off := len(w.chunk)
+	sel := w.chunk[off : off : off+n]
 	for wi, word := range rel {
 		base := wi << 6
 		// Relevant items are usually contiguous in message order (keys
@@ -327,30 +243,8 @@ func (w *walker[T]) materialize(rel []uint64) []T {
 			word &^= 1<<uint(start+run) - 1
 		}
 	}
-	w.chunks[w.ci] = cur[:off+n]
+	w.chunk = w.chunk[:off+n]
 	return sel
-}
-
-// nextChunk advances to a chunk with room for n items: the next recycled
-// chunk that is big enough, else a fresh allocation appended to the
-// chunk list.
-func (w *walker[T]) nextChunk(n int) {
-	if len(w.chunks) > 0 {
-		w.ci++
-	}
-	for w.ci < len(w.chunks) {
-		if cap(w.chunks[w.ci]) >= n {
-			w.chunks[w.ci] = w.chunks[w.ci][:0]
-			return
-		}
-		w.ci++
-	}
-	size := arenaChunk
-	if n > size {
-		size = n
-	}
-	w.chunks = append(w.chunks, make([]T, 0, size))
-	w.ci = len(w.chunks) - 1
 }
 
 // copyBits sets dst to src, treating a nil src as all-zero.
@@ -385,21 +279,9 @@ type Index struct {
 // workers is an upper bound on the compile fan-out (values < 1 mean 1,
 // i.e. inline).
 func NewIndex(tree *ident.Tree, encs []keycrypt.Encryption, workers int) *Index {
-	return newIndex(tree, encs, max(workers, 1), nil)
-}
-
-// NewIndexWith is NewIndex compiling through a reusable arena (nil means
-// allocate fresh), at the full derived width. Reusing the arena
-// invalidates every Index previously compiled from it — see
-// CompileArena.
-func NewIndexWith(tree *ident.Tree, encs []keycrypt.Encryption, ar *CompileArena[keycrypt.Encryption]) *Index {
-	return newIndex(tree, encs, 0, ar)
-}
-
-func newIndex(tree *ident.Tree, encs []keycrypt.Encryption, limit int, ar *CompileArena[keycrypt.Encryption]) *Index {
 	return &Index{table: compileTable(tree, encs, func(i int, mark func(ident.Prefix)) {
 		mark(encs[i].ID)
-	}, limit, ar)}
+	}, max(workers, 1))}
 }
 
 // Split returns the encryptions relevant to the subtree — byte-identical
@@ -427,7 +309,7 @@ func NewPacketIndex(tree *ident.Tree, pkts []Packet, workers int) *PacketIndex {
 		for _, e := range pkts[i] {
 			mark(e.ID)
 		}
-	}, max(workers, 1), nil)}
+	}, max(workers, 1))}
 }
 
 // Split returns the packets relevant to the subtree — byte-identical to

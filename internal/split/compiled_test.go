@@ -117,24 +117,21 @@ func TestCompiledIndexMatchesFilter(t *testing.T) {
 	}
 }
 
-// TestCompileArenaReuseMatchesFilter recompiles a long sequence of
-// random worlds through one shared arena — varying tree shape, message
-// size, and width (GOMAXPROCS) between compiles so slabs, chunks, and
-// maps are recycled at mismatched sizes — and checks each fresh index
-// against the legacy filter at every tree node. Only the most recent
-// index is queried: arena reuse invalidates its predecessors by
-// contract.
+// TestCompileArenaReuseMatchesFilter compiles a long sequence of random
+// worlds back to back, varying tree shape, message size, and GOMAXPROCS
+// between compiles, so the parallel build and its merge run at widths 3
+// and 8 whatever the host's core count, and checks each index against
+// the legacy filter at every tree node.
 func TestCompileArenaReuseMatchesFilter(t *testing.T) {
 	params := ident.Params{Digits: 4, Base: 4}
 	rng := rand.New(rand.NewSource(202))
-	ar := NewCompileArena[keycrypt.Encryption]()
 	for trial := 0; trial < 80; trial++ {
 		members := rng.Intn(30) + 1
 		encCount := rng.Intn(50)
 		tree, encs := randSplitWorld(t, rng, params, members, encCount)
 		workers := []int{1, 8, 3}[trial%3]
 		prev := runtime.GOMAXPROCS(workers)
-		ix := NewIndexWith(tree, encs, ar)
+		ix := NewIndex(tree, encs, workers)
 		runtime.GOMAXPROCS(prev)
 		check := func(q ident.Prefix) {
 			got := ix.Split(encs, q)

@@ -123,13 +123,6 @@ type Options struct {
 	// values <= 0 default to 25 (roughly a 1 KB packet of 40-byte
 	// encryptions).
 	PacketSize int
-	// Alive is the optional liveness oracle passed through to T-mesh.
-	Alive func(ident.ID) bool
-	// OnDeliver, when non-nil, observes each user's delivered
-	// encryptions (for correctness verification). The slice may be
-	// shared with other deliveries of the same session (it comes from
-	// the compiled split index) and must be treated as read-only.
-	OnDeliver func(to ident.ID, encs []keycrypt.Encryption, level int)
 	// EarliestPrimaryRow passes through to the transport (footnote 8:
 	// the cluster heuristic prefers earliest-joined primaries at row
 	// D-2 so leaders receive the message at level D-1).
@@ -193,7 +186,8 @@ type Report struct {
 	// across its B first-hop messages.
 	ServerUnits int
 	// Deliveries holds every user delivery in arrival order when
-	// Options.Collect is set; nil otherwise.
+	// Options.Collect is set; nil otherwise. Their Encryptions slices
+	// alias the compiled split index and are read-only.
 	Deliveries []Delivery
 	// Multicast is the underlying session result.
 	Multicast *tmesh.Result
@@ -218,22 +212,17 @@ func Rekey(dir *overlay.Directory, msg *keytree.Message, opts Options) (*Report,
 		opts.PacketSize = 25
 	}
 
-	// Delivery observation: forward to the caller's OnDeliver and/or
-	// append to the mutex-guarded collection buffer.
+	// Delivery observation: Collect appends to the mutex-guarded buffer.
 	var (
 		deliverMu  sync.Mutex
 		deliveries []Delivery
+		observe    func(to ident.ID, encs []keycrypt.Encryption, level int)
 	)
-	observe := opts.OnDeliver
 	if opts.Collect {
-		inner := observe
 		observe = func(to ident.ID, encs []keycrypt.Encryption, level int) {
 			deliverMu.Lock()
 			deliveries = append(deliveries, Delivery{To: to, Level: level, Encryptions: encs})
 			deliverMu.Unlock()
-			if inner != nil {
-				inner(to, encs, level)
-			}
 		}
 	}
 	// Telemetry counters, hoisted once; nil on a nil registry so every
@@ -262,9 +251,9 @@ func Rekey(dir *overlay.Directory, msg *keytree.Message, opts Options) (*Report,
 		cfg := tmesh.Config[[]keycrypt.Encryption]{
 			Dir:                dir,
 			SenderIsServer:     true,
-			Alive:              opts.Alive,
 			EarliestPrimaryRow: opts.EarliestPrimaryRow,
 			SizeOf:             func(encs []keycrypt.Encryption) int { return len(encs) },
+			OnDeliver:          observe,
 			Obs:                opts.Obs,
 			Trace:              opts.Trace,
 			TraceItems:         EncIDs,
@@ -280,9 +269,6 @@ func Rekey(dir *overlay.Directory, msg *keytree.Message, opts Options) (*Report,
 					return out
 				}
 			}
-		}
-		if observe != nil {
-			cfg.OnDeliver = observe
 		}
 		res, err = tmesh.Multicast(cfg, msg.Encryptions)
 	case PerPacket:
@@ -302,7 +288,6 @@ func Rekey(dir *overlay.Directory, msg *keytree.Message, opts Options) (*Report,
 		cfg := tmesh.Config[[]Packet]{
 			Dir:                dir,
 			SenderIsServer:     true,
-			Alive:              opts.Alive,
 			EarliestPrimaryRow: opts.EarliestPrimaryRow,
 			SplitHop:           splitHop,
 			SizeOf: func(pkts []Packet) int {

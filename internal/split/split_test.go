@@ -200,21 +200,19 @@ func TestCorollary1(t *testing.T) {
 	counts := make(map[string]map[string]int) // user -> encID/keyID -> copies
 	encKey := func(e keycrypt.Encryption) string { return e.ID.Key() + "|" + e.KeyID.Key() }
 
-	rep, err := Rekey(w.dir, w.msg, Options{
-		Mode: PerEncryption,
-		OnDeliver: func(to ident.ID, encs []keycrypt.Encryption, level int) {
-			m := counts[to.Key()]
-			if m == nil {
-				m = make(map[string]int)
-				counts[to.Key()] = m
-			}
-			for _, e := range encs {
-				m[encKey(e)]++
-			}
-		},
-	})
+	rep, err := Rekey(w.dir, w.msg, Options{Mode: PerEncryption, Collect: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, d := range rep.Deliveries {
+		m := counts[d.To.Key()]
+		if m == nil {
+			m = make(map[string]int)
+			counts[d.To.Key()] = m
+		}
+		for _, e := range d.Encryptions {
+			m[encKey(e)]++
+		}
 	}
 
 	// Reconstruct downstream sets from upstream pointers.
@@ -341,14 +339,13 @@ func TestSplitDecryptability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make(map[string][]keycrypt.Encryption)
-	if _, err := Rekey(w.dir, msg, Options{
-		Mode: PerEncryption,
-		OnDeliver: func(to ident.ID, encs []keycrypt.Encryption, level int) {
-			got[to.Key()] = append(got[to.Key()], encs...)
-		},
-	}); err != nil {
+	rep, err := Rekey(w.dir, msg, Options{Mode: PerEncryption, Collect: true})
+	if err != nil {
 		t.Fatal(err)
+	}
+	got := make(map[string][]keycrypt.Encryption)
+	for _, d := range rep.Deliveries {
+		got[d.To.Key()] = append(got[d.To.Key()], d.Encryptions...)
 	}
 	wantGroup, ok := tree.GroupKey()
 	if !ok {

@@ -100,54 +100,6 @@ type Config[P any] struct {
 	// shared simulator goroutine attributes to the driving session. The
 	// empty default keeps the hot path free of label plumbing.
 	ProfileLabel string
-	// Arena, when non-nil, recycles the session's delivery records (the
-	// per-user stats slab and the user/link maps) from a previous
-	// session instead of allocating them anew — a soak running thousands
-	// of multicasts sizes this state once instead of once per interval.
-	// Reusing an arena invalidates the Result of the previous session
-	// built from it, so a soak needs one arena per concurrently live
-	// session (e.g. one for data probes, one for rekey ladders).
-	Arena *Arena
-}
-
-// Arena is reusable session-result storage; see Config.Arena. The zero
-// value is not usable; call NewArena.
-type Arena struct {
-	users      map[string]*UserStats
-	stats      []UserStats
-	linkCopies map[vnet.LinkID]int
-	linkUnits  map[vnet.LinkID]int
-}
-
-// NewArena creates an arena pre-sized for sessions of about memberHint
-// receivers.
-func NewArena(memberHint int) *Arena {
-	if memberHint < 0 {
-		memberHint = 0
-	}
-	return &Arena{
-		users:      make(map[string]*UserStats, memberHint+1),
-		stats:      make([]UserStats, 0, memberHint+1),
-		linkCopies: make(map[vnet.LinkID]int),
-		linkUnits:  make(map[vnet.LinkID]int),
-	}
-}
-
-// take prepares the arena for a session of the given group size and
-// returns a Result backed by its storage.
-func (a *Arena) take(size int) (*Result, []UserStats) {
-	clear(a.users)
-	clear(a.linkCopies)
-	clear(a.linkUnits)
-	if cap(a.stats) < size {
-		a.stats = make([]UserStats, 0, size)
-	}
-	a.stats = a.stats[:0]
-	return &Result{
-		Users:      a.users,
-		LinkCopies: a.linkCopies,
-		LinkUnits:  a.linkUnits,
-	}, a.stats
 }
 
 // Uplinks models the shared upstream access-link capacity of every
@@ -194,9 +146,6 @@ func (u *Uplinks) Reserve(h vnet.HostID, units int, now time.Duration) time.Dura
 	u.busy[h] = end
 	return end
 }
-
-// BusyUntil reports when a host's uplink drains (for tests).
-func (u *Uplinks) BusyUntil(h vnet.HostID) time.Duration { return u.busy[h] }
 
 // MessageBytes is the modeled wire size of one message of the given
 // units (0 on a nil model).
@@ -266,36 +215,28 @@ func Multicast[P any](cfg Config[P], payload P) (*Result, error) {
 	if cfg.StartAt < 0 {
 		return nil, fmt.Errorf("tmesh: negative StartAt %v", cfg.StartAt)
 	}
-	// Stats for the whole group come from one slab: a session touches
-	// nearly every member, so per-user allocations are pure overhead.
-	// Entries handed out stay within the slab's fixed capacity (pointer
-	// stability); late joiners beyond it get individual allocations.
-	// With Config.Arena set, the slab and maps are recycled from the
-	// previous session instead of allocated.
-	var res *Result
-	var stats []UserStats
-	if cfg.Arena != nil {
-		res, stats = cfg.Arena.take(cfg.Dir.Size() + 1)
-	} else {
-		res = &Result{
-			Users:      make(map[string]*UserStats, cfg.Dir.Size()+1),
-			LinkCopies: make(map[vnet.LinkID]int),
-			LinkUnits:  make(map[vnet.LinkID]int),
-		}
-		stats = make([]UserStats, 0, cfg.Dir.Size()+1)
+	res := &Result{
+		Users:      make(map[string]*UserStats, cfg.Dir.Size()+1),
+		LinkCopies: make(map[vnet.LinkID]int),
+		LinkUnits:  make(map[vnet.LinkID]int),
 	}
 	shared := cfg.Sim != nil
 	sim := cfg.Sim
 	if sim == nil {
 		sim = eventsim.New()
 	}
-	m := &machine[P]{cfg: cfg, sim: sim, res: res, tr: cfg.Trace}
-	m.stats = stats
-	m.dupC = cfg.Obs.Counter("tmesh_duplicate_deliveries")
+	m := &machine[P]{cfg: cfg, sim: sim, res: res, tr: cfg.Trace,
+		// Stats for the whole group come from one slab: a session touches
+		// nearly every member, so per-user allocations are pure overhead.
+		// Entries handed out stay within the slab's fixed capacity (pointer
+		// stability); late joiners beyond it get individual allocations.
+		stats: make([]UserStats, 0, cfg.Dir.Size()+1),
+		dupC:  cfg.Obs.Counter("tmesh_duplicate_deliveries"),
+	}
 	if err := m.validateSender(); err != nil {
 		return nil, err
 	}
-	sim.At(maxDuration(cfg.StartAt, sim.Now()), func(now time.Duration) {
+	sim.At(max(cfg.StartAt, sim.Now()), func(now time.Duration) {
 		obs.WithStage(cfg.ProfileLabel, "deliver", func() {
 			m.start(payload, now)
 		})
@@ -306,13 +247,6 @@ func Multicast[P any](cfg Config[P], payload P) (*Result, error) {
 	sim.Run()
 	res.Duration = sim.Now()
 	return res, nil
-}
-
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 type machine[P any] struct {
@@ -344,7 +278,7 @@ func (m *machine[P]) userStats(id ident.ID) *UserStats {
 		if len(m.stats) < cap(m.stats) {
 			m.stats = m.stats[:len(m.stats)+1]
 			s = &m.stats[len(m.stats)-1]
-			*s = UserStats{Level: -1} // recycled slab entries hold stale stats
+			s.Level = -1
 		} else {
 			s = &UserStats{Level: -1}
 		}

@@ -45,9 +45,6 @@ func TestUplinkSerialization(t *testing.T) {
 	if end := u.Reserve(1, 1, time.Second); end != time.Second+10*time.Millisecond {
 		t.Errorf("post-idle tx ends at %v", end)
 	}
-	if u.BusyUntil(1) != time.Second+10*time.Millisecond {
-		t.Errorf("BusyUntil = %v", u.BusyUntil(1))
-	}
 }
 
 func TestUplinkHeaderBytes(t *testing.T) {
