@@ -1,6 +1,7 @@
 package tmesh
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -22,22 +23,42 @@ var docFiles = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"}
 // or in the middle of a longer chain.
 var goRef = regexp.MustCompile(`(?:^|[^\w./-])([a-z][a-z0-9]*)((?:\.\w+)+)`)
 
-// TestDocReferencesResolve checks every backticked pkg.Name[.Name] in the
-// prose documents whose pkg is a package under internal/: each
-// capitalised segment must be a name that package declares (func,
-// method, type, field, var or const; test files count, since the docs
-// cite tests). Lower-case segments are ledger metric names
-// (split.hop_ns) or file names (split.go) and are skipped. Deleting code
-// whose name the prose still cites fails here.
+// makeRef matches `make` followed by its targets, up to the first word
+// that is not one (a VAR=value, say).
+var makeRef = regexp.MustCompile(`(?:^|\s)make((?:\s+[a-z][\w-]*)+)`)
+
+// pathRef matches a repo path under one of the source trees.
+var pathRef = regexp.MustCompile(`(?:^|[^\w./-])((?:internal|cmd|scripts|bench|examples)/[\w./-]*)`)
+
+// testRef matches a Go test, benchmark or fuzz target name.
+var testRef = regexp.MustCompile(`\b((?:Test|Benchmark|Fuzz)[A-Z]\w*)`)
+
+// TestDocReferencesResolve checks the backticked references in the prose
+// documents against the tree, so deleting code the prose still cites
+// fails here:
+//   - pkg.Name[.Name] whose pkg is a package under internal/: each
+//     capitalised segment must be a name that package declares (func,
+//     method, type, field, var or const; test files count, since the
+//     docs cite tests). Lower-case segments are ledger metric names
+//     (split.hop_ns) or file names (split.go) and are skipped;
+//   - make <target>...: each target must be one the Makefile defines;
+//   - internal/..., cmd/..., scripts/..., bench/..., examples/...: the
+//     path must exist;
+//   - TestX, BenchmarkX, FuzzX: some _test.go must declare it.
 func TestDocReferencesResolve(t *testing.T) {
 	declared := declaredNames(t)
-	checked := 0
+	targets := makeTargets(t)
+	tests := testNames(t)
+	var goRefs, makeRefs, paths, testRefs int
 	for _, doc := range docFiles {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, ref := range backticked(string(raw)) {
+			bad := func(format string, args ...any) {
+				t.Errorf("%s:%d: `%s`: %s", doc, ref.line, ref.text, fmt.Sprintf(format, args...))
+			}
 			for _, m := range goRef.FindAllStringSubmatch(ref.text, -1) {
 				names, ok := declared[m[1]]
 				if !ok {
@@ -47,19 +68,86 @@ func TestDocReferencesResolve(t *testing.T) {
 					if seg == "" || !unicode.IsUpper(rune(seg[0])) {
 						continue
 					}
-					checked++
+					goRefs++
 					if !names[seg] {
-						t.Errorf("%s:%d: `%s`: package %s declares no %s", doc, ref.line, ref.text, m[1], seg)
+						bad("package %s declares no %s", m[1], seg)
 					}
+				}
+			}
+			for _, m := range makeRef.FindAllStringSubmatch(ref.text, -1) {
+				for _, target := range strings.Fields(m[1]) {
+					makeRefs++
+					if !targets[target] {
+						bad("the Makefile has no target %s", target)
+					}
+				}
+			}
+			for _, m := range pathRef.FindAllStringSubmatch(ref.text, -1) {
+				paths++
+				if _, err := os.Stat(strings.TrimRight(m[1], ".")); err != nil {
+					bad("no such path %s", m[1])
+				}
+			}
+			for _, m := range testRef.FindAllStringSubmatch(ref.text, -1) {
+				testRefs++
+				if !tests[m[1]] {
+					bad("no _test.go declares %s", m[1])
 				}
 			}
 		}
 	}
-	t.Logf("%d references checked", checked)
+	t.Logf("checked %d Go references, %d make targets, %d paths, %d test names", goRefs, makeRefs, paths, testRefs)
 	// A pattern that silently matched nothing would pass vacuously.
-	if checked < 50 {
-		t.Errorf("only %d references checked; the extraction is broken", checked)
+	if goRefs < 50 || makeRefs < 5 || paths < 40 || testRefs < 10 {
+		t.Errorf("too few references checked; the extraction is broken")
 	}
+}
+
+// makeTargets returns the targets the Makefile defines.
+func makeTargets(t *testing.T) map[string]bool {
+	t.Helper()
+	raw, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := make(map[string]bool)
+	for _, m := range regexp.MustCompile(`(?m)^([\w-]+):`).FindAllStringSubmatch(string(raw), -1) {
+		targets[m[1]] = true
+	}
+	return targets
+}
+
+// testNames returns the Test, Benchmark and Fuzz functions declared by
+// the _test.go files anywhere in the tree.
+func testNames(t *testing.T) map[string]bool {
+	t.Helper()
+	fset := token.NewFileSet()
+	names := make(map[string]bool)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && testRef.MatchString(fn.Name.Name) {
+				names[fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
 }
 
 type span struct {

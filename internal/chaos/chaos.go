@@ -51,53 +51,18 @@ import (
 	"tmesh/internal/vnet"
 )
 
-// Config parameterises a soak session.
+// Config parameterises a soak session: its seed, length, starting size
+// and hop loss, plus the optional telemetry outputs. Everything else
+// about the session is the fixed schedule below.
 type Config struct {
-	Params ident.Params
-	K      int
-	Seed   int64
+	Seed int64
 
 	Intervals      int
-	IntervalLength time.Duration
 	InitialMembers int
-
-	// Per-interval churn ceilings; actual counts are drawn uniformly
-	// from [0, ceiling].
-	MaxJoins, MaxLeaves, MaxCrashes int
-	// LeaderKillRate is the probability that a crash targets a current
-	// bottom-cluster leader instead of a uniformly random member.
-	LeaderKillRate float64
-	// BurstRate is the probability that an interval's crashes land as a
-	// correlated burst of BurstSize within a few hundred milliseconds.
-	BurstRate float64
-	BurstSize int
 
 	// HopLoss is the per-hop drop probability applied to multicast hops
 	// and recovery unicasts.
 	HopLoss float64
-	// PartitionRate is the probability that an interval isolates one
-	// transit domain for its middle stretch.
-	PartitionRate float64
-	// SpikeRate and SpikeFactor control delay spikes: with probability
-	// SpikeRate an interval multiplies all host-to-host delays by
-	// SpikeFactor for its middle stretch.
-	SpikeRate   float64
-	SpikeFactor float64
-
-	// Failure detection (failover.Config).
-	PingInterval time.Duration
-	Misses       int
-
-	// Degradation ladder: the schedule (the simulator's resync is the
-	// reliable one-shot, so ResyncBudget stays 0).
-	recovery.Policy
-
-	// FullSweepEvery runs the O(N·D·B) full consistency sweep every
-	// k-th interval on top of the scoped per-churn checks (0 disables;
-	// the final sweep always runs).
-	FullSweepEvery int
-
-	Topology vnet.GTITMConfig
 
 	// Obs is the optional telemetry registry: phase spans (inject,
 	// rekey, deliver, audit), per-auditor pass/fail counters and
@@ -125,35 +90,56 @@ type Config struct {
 // DefaultConfig returns a soak tuned for the acceptance bar: >= 20
 // intervals, >= 10k events, every fault class enabled.
 func DefaultConfig(seed int64) Config {
-	return Config{
-		Params:         ident.Params{Digits: 3, Base: 8},
-		K:              3,
-		Seed:           seed,
-		Intervals:      20,
-		IntervalLength: 20 * time.Second,
-		InitialMembers: 250,
-		MaxJoins:       6,
-		MaxLeaves:      5,
-		MaxCrashes:     3,
-		LeaderKillRate: 0.3,
-		BurstRate:      0.25,
-		BurstSize:      3,
-		HopLoss:        0,
-		PartitionRate:  0.2,
-		SpikeRate:      0.25,
-		SpikeFactor:    3,
-		PingInterval:   2 * time.Second,
-		Misses:         2,
-		Policy: recovery.Policy{
-			Timeout:     1500 * time.Millisecond,
-			RetryBase:   200 * time.Millisecond,
-			RetryMax:    time.Second,
-			RetryBudget: 3,
-		},
-		FullSweepEvery: 5,
-		Topology:       vnet.SoakGTITMConfig(),
-	}
+	return Config{Seed: seed, Intervals: 20, InitialMembers: 250}
 }
+
+// The soak's fixed schedule. TestSoakScheduleFits checks that it leaves
+// room for its own failure machinery: worst-case detection of the last
+// in-window crash completes before the audit, and the ladder's worst
+// chain fits between the rekey point and the audit.
+const (
+	soakK          = 3
+	intervalLength = 20 * time.Second
+
+	// Per-interval churn ceilings; actual counts are drawn uniformly
+	// from [0, ceiling].
+	maxJoins, maxLeaves, maxCrashes = 6, 5, 3
+	// leaderKillRate is the probability that a crash targets a current
+	// bottom-cluster leader instead of a uniformly random member.
+	leaderKillRate = 0.3
+	// burstRate is the probability that an interval's crashes land as a
+	// correlated burst of burstSize, 50 ms apart.
+	burstRate = 0.25
+	burstSize = 3
+	// partitionRate is the probability that an interval isolates one
+	// transit domain for its middle stretch.
+	partitionRate = 0.2
+	// With probability spikeRate an interval multiplies all host-to-host
+	// delays by spikeFactor for its middle stretch.
+	spikeRate   = 0.25
+	spikeFactor = 3
+
+	// Failure detection (failover.Config).
+	pingInterval = 2 * time.Second
+	misses       = 2
+
+	// fullSweepEvery runs the O(N·D·B) full consistency sweep every k-th
+	// interval on top of the scoped per-churn checks (the final sweep
+	// always runs).
+	fullSweepEvery = 5
+)
+
+var (
+	soakParams = ident.Params{Digits: 3, Base: 8}
+	// soakPolicy is the degradation ladder. The simulator's resync is the
+	// reliable one-shot, so the resync budget stays 0.
+	soakPolicy = recovery.Policy{
+		Timeout:     1500 * time.Millisecond,
+		RetryBase:   200 * time.Millisecond,
+		RetryMax:    time.Second,
+		RetryBudget: 3,
+	}
+)
 
 // Interval phase fractions: churn lands in the first 45%, the Theorem 1
 // data probe at 50%, the rekey multicast at 60%, and the audit at the
@@ -172,33 +158,8 @@ func (c Config) validate() error {
 	switch {
 	case c.Intervals < 1 || c.InitialMembers < 2:
 		return fmt.Errorf("chaos: need >= 1 interval and >= 2 initial members")
-	case c.K < 1:
-		return fmt.Errorf("chaos: K must be >= 1")
-	case c.IntervalLength <= 0:
-		return fmt.Errorf("chaos: IntervalLength must be positive")
-	case c.MaxJoins < 0 || c.MaxLeaves < 0 || c.MaxCrashes < 0 || c.BurstSize < 0:
-		return fmt.Errorf("chaos: churn ceilings must be non-negative")
 	case c.HopLoss < 0 || c.HopLoss >= 1:
 		return fmt.Errorf("chaos: HopLoss must be in [0, 1)")
-	case c.SpikeRate > 0 && c.SpikeFactor < 1:
-		return fmt.Errorf("chaos: SpikeFactor must be >= 1")
-	}
-	// Detections of the last in-window crash must complete before the
-	// audit, or the audit would see mid-repair state.
-	worstDetect := failover.WorstCaseDetection(failover.Config{
-		PingInterval: c.PingInterval, Misses: c.Misses,
-	}, 2*c.Topology.AccessDelayMax)
-	if frac(c.IntervalLength, phaseChurnEnd)+worstDetect >= c.IntervalLength {
-		return fmt.Errorf("chaos: IntervalLength %v too short for detection (worst case %v after churn window)",
-			c.IntervalLength, worstDetect)
-	}
-	// The ladder's worst chain must fit between the rekey point and the
-	// audit: every wait of the schedule, plus a second for the delivery
-	// legs (the last unicast's and the resync's round trips).
-	ladderWorst := c.Worst() + time.Second
-	if frac(c.IntervalLength, phaseRekey)+ladderWorst >= c.IntervalLength {
-		return fmt.Errorf("chaos: IntervalLength %v too short for the recovery ladder (worst chain %v)",
-			c.IntervalLength, ladderWorst)
 	}
 	return nil
 }
@@ -305,13 +266,13 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	totalHosts := 1 + cfg.InitialMembers + cfg.Intervals*cfg.MaxJoins
-	top, err := vnet.NewGTITM(cfg.Topology, totalHosts, cfg.Seed)
+	totalHosts := 1 + cfg.InitialMembers + cfg.Intervals*maxJoins
+	top, err := vnet.NewGTITM(vnet.SoakGTITMConfig(), totalHosts, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	net := &chaosNet{Network: top, factor: 1}
-	dir, err := overlay.NewDirectory(cfg.Params, cfg.K, net, 0)
+	dir, err := overlay.NewDirectory(soakParams, soakK, net, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -319,11 +280,11 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Obs != nil {
 		profLabel = "chaos"
 	}
-	tree, err := keytree.New(cfg.Params, seedBytes(cfg.Seed), keytree.Opts{Obs: cfg.Obs, Label: profLabel})
+	tree, err := keytree.New(soakParams, seedBytes(cfg.Seed), keytree.Opts{Obs: cfg.Obs, Label: profLabel})
 	if err != nil {
 		return nil, err
 	}
-	clusters, err := cluster.New(cfg.Params, seedBytes(cfg.Seed), keytree.Opts{})
+	clusters, err := cluster.New(soakParams, seedBytes(cfg.Seed), keytree.Opts{})
 	if err != nil {
 		return nil, err
 	}
@@ -387,8 +348,8 @@ func New(cfg Config) (*Engine, error) {
 	mon, err := failover.New(failover.Config{
 		Dir:          dir,
 		Sim:          e.sim,
-		PingInterval: cfg.PingInterval,
-		Misses:       cfg.Misses,
+		PingInterval: pingInterval,
+		Misses:       misses,
 		Rand:         rand.New(rand.NewSource(cfg.Seed ^ 0x70686173)), // "phas"
 	})
 	if err != nil {
@@ -410,7 +371,7 @@ func (e *Engine) popHost() vnet.HostID {
 
 // freeID draws an unused ID uniformly from the ID space.
 func (e *Engine) freeID() (ident.ID, error) {
-	return ident.FreeID(e.cfg.Params, e.idRNG, func(id ident.ID) bool {
+	return ident.FreeID(soakParams, e.idRNG, func(id ident.ID) bool {
 		// The cluster manager can briefly hold an evicted crasher the
 		// engine has not reaped yet; skip those too so the two never
 		// diverge.
@@ -484,9 +445,8 @@ func (e *Engine) Run() (*Report, error) {
 		}
 	}
 
-	L := e.cfg.IntervalLength
 	for i := 0; i < e.cfg.Intervals; i++ {
-		e.planInterval(i, time.Duration(i)*L, fail)
+		e.planInterval(i, time.Duration(i)*intervalLength, fail)
 	}
 	e.sim.Run()
 	if runErr != nil {
@@ -516,30 +476,28 @@ func (e *Engine) Run() (*Report, error) {
 // order, so plans are independent of execution) and schedules its
 // events. start is the interval's base virtual time.
 func (e *Engine) planInterval(idx int, start time.Duration, fail func(error)) {
-	cfg := e.cfg
-	L := cfg.IntervalLength
-	at := func(f float64) time.Duration { return start + frac(L, f) }
-	churnSpan := frac(L, phaseChurnEnd-phaseChurnStart)
+	at := func(f float64) time.Duration { return start + frac(intervalLength, f) }
+	churnSpan := frac(intervalLength, phaseChurnEnd-phaseChurnStart)
 
 	stats := &IntervalStats{Index: idx + 1, PartitionDomain: -1}
 	e.rep.Intervals = append(e.rep.Intervals, IntervalStats{})
 	slot := len(e.rep.Intervals) - 1
 
 	// Membership plan.
-	nJoins := intn(e.memRNG, cfg.MaxJoins+1)
-	nLeaves := intn(e.memRNG, cfg.MaxLeaves+1)
+	nJoins := e.memRNG.Intn(maxJoins + 1)
+	nLeaves := e.memRNG.Intn(maxLeaves + 1)
 	joinTimes := drawTimes(e.memRNG, nJoins, at(phaseChurnStart), churnSpan)
 	leaveTimes := drawTimes(e.memRNG, nLeaves, at(phaseChurnStart), churnSpan)
 
 	// Crash plan: either independent crashes spread over the window or
 	// one correlated burst inside a single detection window.
-	nCrashes := intn(e.crashRNG, cfg.MaxCrashes+1)
-	burst := cfg.BurstSize > 0 && e.crashRNG.Float64() < cfg.BurstRate
+	nCrashes := e.crashRNG.Intn(maxCrashes + 1)
+	burst := e.crashRNG.Float64() < burstRate
 	var crashTimes []time.Duration
 	if burst {
 		stats.Burst = true
 		t0 := at(phaseChurnStart) + time.Duration(e.crashRNG.Int63n(int64(churnSpan)))
-		for c := 0; c < cfg.BurstSize; c++ {
+		for c := 0; c < burstSize; c++ {
 			crashTimes = append(crashTimes, t0+time.Duration(c)*50*time.Millisecond)
 		}
 	} else {
@@ -548,10 +506,10 @@ func (e *Engine) planInterval(idx int, start time.Duration, fail func(error)) {
 
 	// Network fault plan.
 	partitionDomain := -1
-	if e.faultRNG.Float64() < cfg.PartitionRate {
+	if e.faultRNG.Float64() < partitionRate {
 		partitionDomain = e.faultRNG.Intn(e.top.NumTransitDomains())
 	}
-	spike := cfg.SpikeRate > 0 && e.faultRNG.Float64() < cfg.SpikeRate
+	spike := e.faultRNG.Float64() < spikeRate
 
 	for _, t := range joinTimes {
 		e.sim.At(t, func(now time.Duration) { e.doJoin(now, stats) })
@@ -565,7 +523,7 @@ func (e *Engine) planInterval(idx int, start time.Duration, fail func(error)) {
 
 	if spike {
 		stats.Spike = true
-		e.sim.At(at(phaseFaultStart), func(time.Duration) { e.net.factor = cfg.SpikeFactor })
+		e.sim.At(at(phaseFaultStart), func(time.Duration) { e.net.factor = spikeFactor })
 		e.sim.At(at(phaseFaultEnd), func(time.Duration) { e.net.factor = 1 })
 	}
 	if partitionDomain >= 0 {
@@ -578,18 +536,10 @@ func (e *Engine) planInterval(idx int, start time.Duration, fail func(error)) {
 
 	e.sim.At(at(phaseData), func(now time.Duration) { e.doDataProbe(now, stats, fail) })
 	e.sim.At(at(phaseRekey), func(now time.Duration) { e.doRekey(now, stats, fail) })
-	e.sim.At(start+L, func(now time.Duration) {
+	e.sim.At(start+intervalLength, func(now time.Duration) {
 		e.doAudit(now, idx, stats)
 		e.rep.Intervals[slot] = *stats
 	})
-}
-
-// intn is rand.Intn tolerant of n == 1 bounds built from zero ceilings.
-func intn(rng *rand.Rand, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return rng.Intn(n)
 }
 
 func drawTimes(rng *rand.Rand, n int, start, span time.Duration) []time.Duration {
@@ -669,7 +619,7 @@ func (e *Engine) pickVictim() (ident.ID, bool, bool) {
 	if len(live) <= 2 {
 		return ident.ID{}, false, false
 	}
-	if e.crashRNG.Float64() < e.cfg.LeaderKillRate {
+	if e.crashRNG.Float64() < leaderKillRate {
 		var leaders []ident.ID
 		for _, p := range e.clusters.Prefixes() {
 			if rec, ok := e.clusters.Leader(p); ok && e.alive(rec.ID) {
@@ -758,7 +708,7 @@ func (e *Engine) doRekey(now time.Duration, stats *IntervalStats, fail func(erro
 			StartAt:      now,
 			DropHop:      e.dropHop,
 			Alive:        e.mon.Alive,
-			Policy:       e.cfg.Policy,
+			Policy:       soakPolicy,
 			DropUnicast:  e.dropUnicast,
 			Obs:          e.cfg.Obs,
 			ProfileLabel: e.profLabel,
@@ -800,7 +750,7 @@ func (e *Engine) reapEvictions(fail func(error)) {
 // so nobody else will report them (the key server's own rekey-ack
 // timeout in a real deployment).
 func (e *Engine) reapOrphans(now time.Duration) int {
-	cutoff := now - e.cfg.IntervalLength
+	cutoff := now - intervalLength
 	var orphans []string
 	for key, info := range e.crashPending {
 		if info.at <= cutoff {
@@ -940,7 +890,7 @@ func (e *Engine) doAudit(now time.Duration, idx int, stats *IntervalStats) {
 
 // evidence gathers what the interval left behind for the auditors (see
 // Evidence): the directory with the IDs that churned since the last
-// audit — or nil on every FullSweepEvery-th interval, which asks for
+// audit — or nil on every fullSweepEvery-th interval, which asks for
 // the full Definition 3 sweep as a safety net for the scoping itself —
 // the data probe's copy counts, the cluster state, and the ladder's
 // outcome. The simulator's crypto is simulated, so there are no keys to
@@ -952,9 +902,9 @@ func (e *Engine) evidence(idx int, stats *IntervalStats) *Evidence {
 		FaultFree:     stats.PartitionDomain < 0 && e.cfg.HopLoss == 0,
 		Clusters:      e.clusters,
 		LastEpoch:     e.lastEpoch,
-		IntervalStart: time.Duration(idx) * e.cfg.IntervalLength,
+		IntervalStart: time.Duration(idx) * intervalLength,
 	}
-	if e.cfg.FullSweepEvery <= 0 || (idx+1)%e.cfg.FullSweepEvery != 0 {
+	if (idx+1)%fullSweepEvery != 0 {
 		ev.Churned = make([]ident.ID, 0, len(e.churnSinceAudit))
 		for _, id := range e.churnSinceAudit {
 			ev.Churned = append(ev.Churned, id)
@@ -982,7 +932,7 @@ func (e *Engine) evidence(idx int, stats *IntervalStats) *Evidence {
 			Resynced:     lr.Resynced,
 			DeadInFlight: lr.DeadInFlight,
 			MaxBackoff:   lr.MaxBackoff,
-			BackoffCap:   e.cfg.RetryMax,
+			BackoffCap:   soakPolicy.RetryMax,
 		}
 	}
 	return ev

@@ -3,6 +3,9 @@ package chaos
 import (
 	"testing"
 	"time"
+
+	"tmesh/internal/failover"
+	"tmesh/internal/vnet"
 )
 
 func runSoak(t *testing.T, cfg Config) *Report {
@@ -116,18 +119,11 @@ func TestSoakLossyLadderEngages(t *testing.T) {
 	}
 }
 
-// TestSoakConfigValidation rejects configurations whose windows cannot
-// hold their own failure machinery.
+// TestSoakConfigValidation rejects settings the soak cannot run.
 func TestSoakConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Intervals = 0 },
-		func(c *Config) { c.K = 0 },
 		func(c *Config) { c.HopLoss = 1 },
-		func(c *Config) { c.IntervalLength = time.Second }, // detection cannot fit
-		// The ladder cannot fit. (RetryMax alone at 20 s does fit: three
-		// backoffs from a 200 ms base never reach the cap.)
-		func(c *Config) { c.RetryBase, c.RetryMax = 20*time.Second, 20*time.Second },
-		func(c *Config) { c.SpikeFactor = 0.5 },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig(1)
@@ -135,5 +131,25 @@ func TestSoakConfigValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("case %d: config should have been rejected", i)
 		}
+	}
+}
+
+// TestSoakScheduleFits checks that the fixed schedule leaves room for its
+// own failure machinery, so audits never observe mid-repair state: the
+// worst-case detection of a crash at the end of the churn window
+// completes before the boundary, and the ladder's worst chain (every
+// wait of the policy, plus a second for the delivery legs: the last
+// unicast's and the resync's round trips) fits between the rekey point
+// and the boundary.
+func TestSoakScheduleFits(t *testing.T) {
+	worstDetect := failover.WorstCaseDetection(failover.Config{
+		PingInterval: pingInterval, Misses: misses,
+	}, 2*vnet.SoakGTITMConfig().AccessDelayMax)
+	if end := frac(intervalLength, phaseChurnEnd) + worstDetect; end >= intervalLength {
+		t.Errorf("detection of a crash at the end of the churn window ends at %v, past the %v boundary", end, intervalLength)
+	}
+	ladderWorst := soakPolicy.Worst() + time.Second
+	if end := frac(intervalLength, phaseRekey) + ladderWorst; end >= intervalLength {
+		t.Errorf("the ladder's worst chain ends at %v, past the %v boundary", end, intervalLength)
 	}
 }

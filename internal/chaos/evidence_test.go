@@ -31,7 +31,7 @@ func evID(t *testing.T, v int) ident.ID {
 // breaks Definition 3 there. It returns the deleted neighbor's ID.
 func brokenDir(t *testing.T) (*overlay.Directory, ident.ID) {
 	t.Helper()
-	net, err := vnet.NewGTITM(DefaultConfig(1).Topology, 9, 1)
+	net, err := vnet.NewGTITM(vnet.SoakGTITMConfig(), 9, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,39 +50,36 @@ const (
 	socketPartFrac  = 4 // partition cuts 1/socketPartFrac of members
 )
 
+// The socket soak's group: a small ID space with K = 2, and ladder
+// timing generous enough that a clean interval converges by pure
+// multicast even on a loaded race-detector run.
+const socketK = 2
+
+var (
+	socketParams = ident.Params{Digits: 3, Base: 4}
+	socketLadder = rekeyd.Config{
+		Timeout:      500 * time.Millisecond,
+		RetryBase:    50 * time.Millisecond,
+		RetryMax:     200 * time.Millisecond,
+		RetryBudget:  3,
+		ResyncBudget: 5,
+	}
+)
+
 // SocketConfig parameterizes one socket soak session.
 type SocketConfig struct {
 	Transport string // "loopback", "udp" or "tcp"
 	Listen    string // bind address for socket transports; empty = 127.0.0.1:0
 	Seed      int64
-	Params    ident.Params
-	K         int
 	Members   int // initial group size
 	Intervals int
-	Ladder    rekeyd.Config // zero-valued fields take rekeyd defaults
 	Obs       *obs.Registry
 }
 
 // DefaultSocketConfig returns the configuration the soak-transport CI
-// target runs: a small group, one full cycle of the fault ladder, and
-// ladder timing generous enough that a clean interval converges by pure
-// multicast even on a loaded race-detector run.
+// target runs: a small group and one full cycle of the fault ladder.
 func DefaultSocketConfig(tr string) SocketConfig {
-	return SocketConfig{
-		Transport: tr,
-		Seed:      1,
-		Params:    ident.Params{Digits: 3, Base: 4},
-		K:         2,
-		Members:   16,
-		Intervals: len(socketPhases),
-		Ladder: rekeyd.Config{
-			Timeout:      500 * time.Millisecond,
-			RetryBase:    50 * time.Millisecond,
-			RetryMax:     200 * time.Millisecond,
-			RetryBudget:  3,
-			ResyncBudget: 5,
-		},
-	}
+	return SocketConfig{Transport: tr, Seed: 1, Members: 16, Intervals: len(socketPhases)}
 }
 
 // SocketIntervalStats is the audited record of one socket-soak interval.
@@ -237,13 +234,13 @@ func RunSocketSoak(cfg SocketConfig) (*SocketReport, error) {
 		cfg.Intervals = len(socketPhases)
 	}
 	w, err := rekeyd.NewWorld(rekeyd.WorldConfig{
-		Params:         cfg.Params,
-		K:              cfg.K,
+		Params:         socketParams,
+		K:              socketK,
 		Seed:           cfg.Seed,
 		InitialMembers: cfg.Members,
 		Transport:      cfg.Transport,
 		Listen:         cfg.Listen,
-		Ladder:         cfg.Ladder,
+		Ladder:         socketLadder,
 		Obs:            cfg.Obs,
 	})
 	if err != nil {
@@ -251,7 +248,7 @@ func RunSocketSoak(cfg SocketConfig) (*SocketReport, error) {
 	}
 	defer w.Close()
 
-	clusters, err := cluster.New(cfg.Params, seedBytes(cfg.Seed), keytree.Opts{})
+	clusters, err := cluster.New(socketParams, seedBytes(cfg.Seed), keytree.Opts{})
 	if err != nil {
 		return nil, err
 	}

@@ -67,8 +67,7 @@ func TestSocketSoakGreen(t *testing.T) {
 // rungs engaged when faults were live (a soak whose faulty intervals
 // all converged by pure multicast did not actually inject faults).
 func TestSocketSoakReportShape(t *testing.T) {
-	cfg := DefaultSocketConfig("loopback")
-	rep, err := RunSocketSoak(cfg)
+	rep, err := RunSocketSoak(DefaultSocketConfig("loopback"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +84,8 @@ func TestSocketSoakReportShape(t *testing.T) {
 			t.Fatalf("interval %d expected nobody", s.Index)
 		}
 		ladderWork += s.KeyByUnicast + s.KeyByResync
-		if s.MaxBackoff > cfg.Ladder.RetryMax {
-			t.Fatalf("interval %d reported backoff %v over the %v cap", s.Index, s.MaxBackoff, cfg.Ladder.RetryMax)
+		if s.MaxBackoff > socketLadder.RetryMax {
+			t.Fatalf("interval %d reported backoff %v over the %v cap", s.Index, s.MaxBackoff, socketLadder.RetryMax)
 		}
 	}
 	for _, p := range socketPhases {

@@ -13,15 +13,12 @@ import (
 )
 
 // SessionConfig drives a long-running group through a workload schedule
-// with periodic batch rekeying — the paper's operational model: "the key
-// server processes the join and leave requests during a rekey interval
-// as a batch, and generates a batch rekey message at the end of the
-// rekey interval".
+// with periodic batch rekeying (see Session).
 type SessionConfig struct {
 	// Group is the group to drive; it must be freshly created.
 	Group *Group
-	// Schedule is the join/leave workload. Schedule host indices are
-	// mapped to network hosts as index+1 (host 0 is the key server).
+	// Schedule is the join/leave workload (see Session for the host
+	// mapping).
 	Schedule *workload.Schedule
 	// Interval is the rekey interval length.
 	Interval time.Duration
@@ -30,7 +27,7 @@ type SessionConfig struct {
 	OnInterval func(interval int, msg *keytree.Message, rep *split.Report)
 }
 
-// SessionStats summarises a completed session.
+// SessionStats summarises a session.
 type SessionStats struct {
 	// Intervals is the number of rekey intervals processed.
 	Intervals int
@@ -44,10 +41,91 @@ type SessionStats struct {
 	FinalSize int
 }
 
-// RunSession replays the schedule: membership events are applied in
-// time order, and at every Interval boundary the pending batch is
-// processed and the rekey message distributed. It returns the session
-// statistics.
+// Session replays a workload schedule against a Group — the paper's
+// operational model: "the key server processes the join and leave
+// requests during a rekey interval as a batch, and generates a batch
+// rekey message at the end of the rekey interval". The caller picks the
+// boundaries: Advance applies the events before one, EndInterval closes
+// the batch. Schedule host index i joins at network host ServerHost+1+i,
+// so groups sharing one topology each sit in the block after their key
+// server.
+type Session struct {
+	g     *Group
+	sched *workload.Schedule
+	next  int              // first event not yet applied
+	idOf  map[int]ident.ID // schedule host index -> assigned ID
+	stats SessionStats
+}
+
+// NewSession starts replaying sched against g.
+func NewSession(g *Group, sched *workload.Schedule) *Session {
+	return &Session{g: g, sched: sched, idOf: make(map[int]ident.ID)}
+}
+
+// Advance applies, in time order, every event strictly before until: an
+// event exactly on a boundary belongs to the interval after it.
+func (s *Session) Advance(until time.Duration) error {
+	for ; s.next < len(s.sched.Events) && s.sched.Events[s.next].At < until; s.next++ {
+		ev := s.sched.Events[s.next]
+		switch ev.Kind {
+		case workload.Join:
+			id, _, err := s.g.Join(s.g.cfg.ServerHost+1+vnet.HostID(ev.Host), ev.At)
+			if err != nil {
+				return fmt.Errorf("core: join of schedule host %d: %w", ev.Host, err)
+			}
+			s.idOf[ev.Host] = id
+			s.stats.Joins++
+		case workload.Leave:
+			id, ok := s.idOf[ev.Victim]
+			if !ok {
+				return fmt.Errorf("core: leave of never-joined host %d", ev.Victim)
+			}
+			if err := s.g.Leave(id); err != nil {
+				return fmt.Errorf("core: leave of %v: %w", id, err)
+			}
+			delete(s.idOf, ev.Victim)
+			s.stats.Leaves++
+		default:
+			return fmt.Errorf("core: unknown event kind %d", ev.Kind)
+		}
+	}
+	return nil
+}
+
+// Done reports whether every event of the schedule has been applied.
+func (s *Session) Done() bool { return s.next == len(s.sched.Events) }
+
+// EndInterval closes the current rekey interval: the batch is processed
+// and its message distributed, unless the group is empty or no churn
+// reached the tree (cost 0), in which case the report is nil.
+func (s *Session) EndInterval() (*keytree.Message, *split.Report, error) {
+	s.stats.Intervals++
+	msg, err := s.g.ProcessInterval()
+	if err != nil {
+		return nil, nil, err
+	}
+	s.stats.TotalRekeyCost += msg.Cost()
+	s.stats.PeakRekeyCost = max(s.stats.PeakRekeyCost, msg.Cost())
+	if s.g.Size() == 0 || msg.Cost() == 0 {
+		return msg, nil, nil
+	}
+	rep, err := s.g.DistributeRekey(msg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return msg, rep, nil
+}
+
+// Stats returns the session's totals so far.
+func (s *Session) Stats() SessionStats {
+	st := s.stats
+	st.FinalSize = s.g.Size()
+	return st
+}
+
+// RunSession replays the whole schedule, closing an interval at every
+// multiple of Interval until the last event has been batched, and
+// returns the session statistics.
 func RunSession(cfg SessionConfig) (*SessionStats, error) {
 	if cfg.Group == nil || cfg.Schedule == nil {
 		return nil, errors.New("core: Group and Schedule are required")
@@ -55,67 +133,22 @@ func RunSession(cfg SessionConfig) (*SessionStats, error) {
 	if cfg.Interval <= 0 {
 		return nil, fmt.Errorf("core: Interval must be positive, got %v", cfg.Interval)
 	}
-	g := cfg.Group
-	stats := &SessionStats{}
-	idOf := make(map[int]ident.ID) // schedule host index -> assigned ID
-
-	flush := func() error {
-		stats.Intervals++
-		msg, err := g.ProcessInterval()
+	s := NewSession(cfg.Group, cfg.Schedule)
+	for end := cfg.Interval; ; end += cfg.Interval {
+		if err := s.Advance(end); err != nil {
+			return nil, err
+		}
+		msg, rep, err := s.EndInterval()
 		if err != nil {
-			return err
-		}
-		stats.TotalRekeyCost += msg.Cost()
-		if msg.Cost() > stats.PeakRekeyCost {
-			stats.PeakRekeyCost = msg.Cost()
-		}
-		var rep *split.Report
-		if g.Size() > 0 && msg.Cost() > 0 {
-			rep, err = g.DistributeRekey(msg)
-			if err != nil {
-				return err
-			}
+			return nil, fmt.Errorf("core: interval ending %v: %w", end, err)
 		}
 		if cfg.OnInterval != nil {
-			cfg.OnInterval(stats.Intervals, msg, rep)
+			cfg.OnInterval(s.stats.Intervals, msg, rep)
 		}
-		return nil
-	}
-
-	nextBoundary := cfg.Interval
-	for _, ev := range cfg.Schedule.Events {
-		for ev.At >= nextBoundary {
-			if err := flush(); err != nil {
-				return nil, fmt.Errorf("core: interval ending %v: %w", nextBoundary, err)
-			}
-			nextBoundary += cfg.Interval
-		}
-		switch ev.Kind {
-		case workload.Join:
-			id, _, err := g.Join(vnet.HostID(ev.Host+1), ev.At)
-			if err != nil {
-				return nil, fmt.Errorf("core: join of schedule host %d: %w", ev.Host, err)
-			}
-			idOf[ev.Host] = id
-			stats.Joins++
-		case workload.Leave:
-			id, ok := idOf[ev.Victim]
-			if !ok {
-				return nil, fmt.Errorf("core: leave of never-joined host %d", ev.Victim)
-			}
-			if err := g.Leave(id); err != nil {
-				return nil, fmt.Errorf("core: leave of %v: %w", id, err)
-			}
-			delete(idOf, ev.Victim)
-			stats.Leaves++
-		default:
-			return nil, fmt.Errorf("core: unknown event kind %d", ev.Kind)
+		if s.Done() {
+			break
 		}
 	}
-	// Final interval for the tail of the schedule.
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	stats.FinalSize = g.Size()
-	return stats, nil
+	stats := s.Stats()
+	return &stats, nil
 }

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"tmesh/internal/keytree"
 	"tmesh/internal/split"
+	"tmesh/internal/vnet"
 	"tmesh/internal/workload"
 )
 
@@ -121,5 +123,86 @@ func TestRunSessionClusterMode(t *testing.T) {
 		if got, ok := g.GroupKeyOf(id); !ok || !got.Equal(want) {
 			t.Fatalf("member %v diverged in cluster mode", id)
 		}
+	}
+}
+
+// TestSessionBoundaryEdges pins the boundary rule: an event exactly at
+// k·Interval belongs to interval k+1, and a schedule whose last event
+// sits on a boundary still gets the interval that batches it.
+func TestSessionBoundaryEdges(t *testing.T) {
+	const interval = 10 * time.Second
+	sched := &workload.Schedule{Hosts: 3, Events: []workload.Event{
+		{At: 0, Kind: workload.Join, Host: 0},
+		{At: time.Second, Kind: workload.Join, Host: 1},
+		{At: interval, Kind: workload.Join, Host: 2},
+	}}
+
+	g := newGroup(t, 4, false)
+	s := NewSession(g, sched)
+	if err := s.Advance(interval); err != nil {
+		t.Fatal(err)
+	}
+	if g.Size() != 2 || s.Done() {
+		t.Fatalf("after interval 1: size %d, done %v; the event at the boundary belongs to interval 2", g.Size(), s.Done())
+	}
+	if _, _, err := s.EndInterval(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Advance(2 * interval); err != nil {
+		t.Fatal(err)
+	}
+	if g.Size() != 3 || !s.Done() {
+		t.Fatalf("after interval 2: size %d, done %v", g.Size(), s.Done())
+	}
+
+	g = newGroup(t, 4, false)
+	var costs []int
+	stats, err := RunSession(SessionConfig{
+		Group:    g,
+		Schedule: sched,
+		Interval: interval,
+		OnInterval: func(_ int, msg *keytree.Message, _ *split.Report) {
+			costs = append(costs, msg.Cost())
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Intervals != 2 || len(costs) != 2 || costs[1] == 0 {
+		t.Fatalf("intervals %d, costs %v: the boundary join needs a final interval of its own", stats.Intervals, costs)
+	}
+	for _, id := range g.Dir().IDs() {
+		if _, ok := g.KeyringOf(id); !ok {
+			t.Errorf("member %v was never keyed", id)
+		}
+	}
+}
+
+// TestSessionHostMapping: schedule index i joins at host ServerHost+1+i,
+// so groups sharing one topology each sit in the block after their key
+// server.
+func TestSessionHostMapping(t *testing.T) {
+	const server = 5
+	g, err := NewGroup(Config{
+		Net: testNet(t, 10), ServerHost: server, Assign: smallAssign(), K: 2, Seed: 5, RealCrypto: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := &workload.Schedule{Hosts: 3}
+	for i := 0; i < 3; i++ {
+		sched.Events = append(sched.Events, workload.Event{Kind: workload.Join, Host: i})
+	}
+	if err := NewSession(g, sched).Advance(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	var hosts []vnet.HostID
+	for _, id := range g.Dir().IDs() {
+		rec, _ := g.Dir().Record(id)
+		hosts = append(hosts, rec.Host)
+	}
+	slices.Sort(hosts)
+	if want := []vnet.HostID{server + 1, server + 2, server + 3}; !slices.Equal(hosts, want) {
+		t.Fatalf("schedule hosts 0..2 joined at %v, want %v", hosts, want)
 	}
 }

@@ -102,10 +102,6 @@ type Config struct {
 	// boundary. The records are deterministic (counts and verdicts
 	// only), so streams from seed-identical runs byte-compare.
 	Sink *obs.Sink
-	// Topology is the shared GT-ITM topology all NetPlane groups'
-	// hosts attach to; the zero value selects the chaos soak's (2x2x2
-	// GT-ITM, 120 routers).
-	Topology vnet.GTITMConfig
 	// Out, when non-nil, receives one progress line per processed
 	// boundary (never part of the deterministic report).
 	Out io.Writer
@@ -148,9 +144,6 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Stagger < 0 {
 		return nil, fmt.Errorf("grouphost: negative stagger %v", cfg.Stagger)
 	}
-	if cfg.Topology == (vnet.GTITMConfig{}) {
-		cfg.Topology = chaos.DefaultConfig(cfg.Seed).Topology
-	}
 
 	// Generate every schedule first: host counts size the shared
 	// topology, and a spec error should surface before any crypto runs.
@@ -173,11 +166,12 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 
-	// One shared topology for every NetPlane group; KeyPlane groups
-	// are key-state only and attach nowhere.
+	// One shared topology for every NetPlane group (the soak topology:
+	// 2x2x2 GT-ITM, 120 routers); KeyPlane groups are key-state only and
+	// attach nowhere.
 	var net vnet.Network
 	if netHosts > 0 {
-		top, err := vnet.NewGTITM(cfg.Topology, netHosts, cfg.Seed)
+		top, err := vnet.NewGTITM(vnet.SoakGTITMConfig(), netHosts, cfg.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("grouphost: shared topology: %w", err)
 		}
@@ -217,8 +211,8 @@ func Run(cfg Config) (*Report, error) {
 		slos[i] = slo.New(slo.Config{Group: label, Sink: cfg.Sink, Obs: groupObs})
 
 		// The group's boundaries: enough to cover the schedule tail
-		// (events land strictly before their boundary, as in
-		// core.RunSession).
+		// (events land strictly before their boundary: core.Session's
+		// rule, which the KeyPlane tenant follows too).
 		last := schedules[i].Events[len(schedules[i].Events)-1].At
 		n := int(last/spec.Workload.Interval) + 1
 		offset := time.Duration(i) * cfg.Stagger

@@ -34,15 +34,11 @@ func netAssign() assign.Config {
 }
 
 type netTenant struct {
-	label    string
-	sched    *workload.Schedule
-	g        *core.Group
-	hostBase vnet.HostID
-
-	cursor int
-	idOf   map[int]ident.ID
-	joins  int
-	leaves int
+	label string
+	g     *core.Group
+	// s replays the schedule: index i lives on shared-topology host
+	// hostBase+1+i, hostBase being this group's key server.
+	s *core.Session
 
 	lastRep    *split.Report
 	lastEpochs map[string]uint64
@@ -68,10 +64,8 @@ func newNetTenant(label string, spec GroupSpec, sched *workload.Schedule, net vn
 	}
 	return &netTenant{
 		label:      label,
-		sched:      sched,
 		g:          g,
-		hostBase:   hostBase,
-		idOf:       make(map[int]ident.ID),
+		s:          core.NewSession(g, sched),
 		lastEpochs: make(map[string]uint64),
 	}, nil
 }
@@ -80,55 +74,17 @@ func (t *netTenant) name() string { return t.label }
 
 func (t *netTenant) size() int { return t.g.Size() }
 
-// pump applies schedule events strictly before the local cutoff.
-// Schedule host index i lives on shared-topology host
-// hostBase + 1 + i (hostBase is this group's key server).
 func (t *netTenant) pump(until time.Duration) error {
 	t.intervalStart, t.boundary = t.boundary, until
-	for t.cursor < len(t.sched.Events) {
-		ev := t.sched.Events[t.cursor]
-		if ev.At >= until {
-			return nil
-		}
-		t.cursor++
-		switch ev.Kind {
-		case workload.Join:
-			id, _, err := t.g.Join(t.hostBase+1+vnet.HostID(ev.Host), ev.At)
-			if err != nil {
-				return fmt.Errorf("join of schedule host %d: %w", ev.Host, err)
-			}
-			t.idOf[ev.Host] = id
-			t.joins++
-		case workload.Leave:
-			id, ok := t.idOf[ev.Victim]
-			if !ok {
-				return fmt.Errorf("leave of never-joined host %d", ev.Victim)
-			}
-			if err := t.g.Leave(id); err != nil {
-				return fmt.Errorf("leave of %v: %w", id, err)
-			}
-			delete(t.idOf, ev.Victim)
-			t.leaves++
-		default:
-			return fmt.Errorf("unknown event kind %d", ev.Kind)
-		}
-	}
-	return nil
+	return t.s.Advance(until)
 }
 
 func (t *netTenant) flush() (int, error) {
-	msg, err := t.g.ProcessInterval()
+	msg, rep, err := t.s.EndInterval()
 	if err != nil {
 		return 0, err
 	}
-	t.lastRep = nil
-	if t.g.Size() > 0 && msg.Cost() > 0 {
-		rep, err := t.g.DistributeRekey(msg)
-		if err != nil {
-			return 0, err
-		}
-		t.lastRep = rep
-	}
+	t.lastRep = rep
 	return msg.Cost(), nil
 }
 
@@ -192,8 +148,9 @@ func (t *netTenant) memberIDs() []ident.ID {
 }
 
 func (t *netTenant) finish(gr *GroupReport) {
-	gr.Joins, gr.Leaves = t.joins, t.leaves
-	gr.FinalMembers = t.g.Size()
+	st := t.s.Stats()
+	gr.Joins, gr.Leaves = st.Joins, st.Leaves
+	gr.FinalMembers = st.FinalSize
 	gk, ok := t.g.ServerGroupKey()
 	gr.KeyringDigest = core.KeyringDigest(gk, ok, t.memberIDs(), t.g.GroupKeyOf)
 }

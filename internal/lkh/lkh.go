@@ -136,9 +136,6 @@ func (t *Tree) link(parent, child *node) {
 // Size returns the number of users.
 func (t *Tree) Size() int { return len(t.leaves) }
 
-// Degree returns the tree degree.
-func (t *Tree) Degree() int { return t.degree }
-
 // Users returns the current user handles in ascending order.
 func (t *Tree) Users() []UserHandle {
 	out := make([]UserHandle, 0, len(t.leaves))

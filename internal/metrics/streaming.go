@@ -41,9 +41,6 @@ func NewStreamingQuantile(q float64) *StreamingQuantile {
 	return s
 }
 
-// Quantile returns the target quantile in (0, 1).
-func (s *StreamingQuantile) Quantile() float64 { return s.p }
-
 // Count returns the number of observations so far.
 func (s *StreamingQuantile) Count() int64 { return s.count }
 

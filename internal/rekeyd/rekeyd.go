@@ -539,7 +539,7 @@ func (s *Server) handle(from transport.PeerID, frame []byte) {
 // expected, climbing the ladder for stragglers. It returns the moment
 // the last expected member acks, and otherwise once every straggler
 // has run its ladder dry, so it always terminates: the worst case is
-// Policy().Worst().
+// Policy().Worst(). A cost-0 message changed no key and returns at once.
 //
 // It is one loop on the caller's goroutine: a single timer sits at the
 // earliest row deadline; when it fires, every row whose step has gone
@@ -547,6 +547,16 @@ func (s *Server) handle(from transport.PeerID, frame []byte) {
 func (s *Server) Distribute(msg *keytree.Message, expected []ident.ID) (*Result, error) {
 	if msg == nil {
 		return nil, fmt.Errorf("rekeyd: nil rekey message")
+	}
+	s.mu.Lock()
+	if msg.Interval <= s.lastInterval {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("rekeyd: interval %d already distributed", msg.Interval)
+	}
+	s.lastInterval = msg.Interval
+	s.mu.Unlock()
+	if msg.Cost() == 0 {
+		return &Result{Interval: msg.Interval, RungOf: map[string]recovery.Rung{}}, nil
 	}
 	res := &Result{Interval: msg.Interval, Expected: len(expected), RungOf: make(map[string]recovery.Rung, len(expected))}
 	l := &ledger{
@@ -561,11 +571,7 @@ func (s *Server) Distribute(msg *keytree.Message, expected []ident.ID) (*Result,
 		l.byKey[id.Key()] = &l.rows[i]
 	}
 	s.mu.Lock()
-	if msg.Interval <= s.lastInterval {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("rekeyd: interval %d already distributed", msg.Interval)
-	}
-	s.lastInterval, s.open = msg.Interval, l
+	s.open = l
 	s.mu.Unlock()
 
 	// Compile the split index once, server-side; every forwarding node

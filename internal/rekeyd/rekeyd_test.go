@@ -295,6 +295,55 @@ func TestAckLedgerReleased(t *testing.T) {
 	}
 }
 
+// TestCostZeroIntervalOwesNobody: an interval whose churn never reached
+// the tree — none at all, or a join cancelled by its own leave — has no
+// encryptions, so Distribute returns at once and books nobody on any
+// rung, as the simulator planes skip such an interval. The next interval
+// with churn converges every member as usual.
+func TestCostZeroIntervalOwesNobody(t *testing.T) {
+	cfg := testConfig("loopback", 16)
+	cfg.Ladder.Timeout = 400 * time.Millisecond
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for _, churn := range []string{"none", "join+leave"} {
+		if churn == "join+leave" {
+			id, err := w.Join()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Leave(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		start := time.Now()
+		res, err := w.Rekey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if elapsed := time.Since(start); elapsed >= cfg.Ladder.Timeout {
+			t.Errorf("%s: cost-0 Rekey took %v, a full ladder Timeout", churn, elapsed)
+		}
+		if res.Expected != 0 || len(res.RungOf) != 0 || res.UnicastAttempts+res.SyncAttempts != 0 {
+			t.Errorf("%s: cost-0 interval owed %d members, rungs %v, %d unicasts, %d resyncs",
+				churn, res.Expected, res.Rungs(), res.UnicastAttempts, res.SyncAttempts)
+		}
+	}
+	if _, err := w.Join(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := w.Rekey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertConverged(t, w, res)
+	if rungs := res.Rungs(); rungs[recovery.ByMulticast] != len(w.Members()) {
+		t.Errorf("interval after two skipped ones: rungs %v, want all %d by multicast", rungs, len(w.Members()))
+	}
+}
+
 // TestLadderIsOneLoop holds 32 members silent so every one of them is
 // mid-ladder at once, and requires the server to be driving all 32
 // chains from Distribute's own goroutine: the goroutine count may grow
@@ -311,6 +360,10 @@ func TestLadderIsOneLoop(t *testing.T) {
 	silent := w.Members()[:32]
 	for _, m := range silent {
 		w.Kill(m.ID())
+	}
+	// A leave, so the interval changes keys every member is owed.
+	if err := w.Leave(w.Members()[39].ID()); err != nil {
+		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
 	done := make(chan *Result, 1)

@@ -38,9 +38,6 @@ type WorldConfig struct {
 	// HostBudget is the extra host headroom for joins beyond the
 	// initial membership; 0 means 256.
 	HostBudget int
-	// Topology shapes the GT-ITM graph behind the RTT-ordered neighbor
-	// tables. The zero value picks a small soak topology.
-	Topology vnet.GTITMConfig
 	// Obs receives node and ladder counters (nil-safe).
 	Obs *obs.Registry
 }
@@ -67,9 +64,6 @@ func (c *WorldConfig) fill() error {
 	}
 	if c.HostBudget <= 0 {
 		c.HostBudget = 256
-	}
-	if c.Topology.TotalRouters == 0 {
-		c.Topology = vnet.SoakGTITMConfig()
 	}
 	c.Ladder.Params = c.Params
 	c.Ladder.Obs = c.Obs
@@ -111,7 +105,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		return nil, err
 	}
 	totalHosts := 1 + cfg.InitialMembers + cfg.HostBudget
-	top, err := vnet.NewGTITM(cfg.Topology, totalHosts, cfg.Seed)
+	top, err := vnet.NewGTITM(vnet.SoakGTITMConfig(), totalHosts, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
