@@ -19,8 +19,6 @@ import (
 	"time"
 
 	"tmesh/internal/assign"
-	"tmesh/internal/eventsim"
-	"tmesh/internal/failover"
 	"tmesh/internal/ident"
 	"tmesh/internal/overlay"
 	"tmesh/internal/tmesh"
@@ -76,9 +74,8 @@ func run() error {
 			}
 			alive := func(id ident.ID) bool { return !dead[id.Key()] }
 			res, err := tmesh.Multicast(tmesh.Config[int]{
-				Dir:            dir,
-				SenderIsServer: true,
-				Alive:          alive,
+				Dir:   dir,
+				Alive: alive,
 			}, 1)
 			if err != nil {
 				return err
@@ -99,10 +96,10 @@ func run() error {
 	}
 	fmt.Println("with K=4, dead primaries are bypassed via same-entry fallbacks; K=1 has no fallback")
 
-	// Act two: the Section 3.2 recovery protocol. Owners ping their
-	// neighbors; a crashed user is detected after consecutive missed
-	// pings, the key server is notified, and every affected table entry
-	// is repaired — restoring K-consistency.
+	// Act two: the Section 3.2 recovery protocol. The owners that hold a
+	// crashed user detect it by consecutive missed pings and notify the
+	// key server, which evicts it; each of them then repairs its own
+	// entry from the live membership — restoring K-consistency.
 	dir, err := overlay.NewDirectory(acfg.Params, 4, net, 0)
 	if err != nil {
 		return err
@@ -123,25 +120,20 @@ func run() error {
 		}
 		members = append(members, id)
 	}
-	sim := eventsim.New()
-	monitor, err := failover.New(failover.Config{
-		Dir:          dir,
-		Sim:          sim,
-		PingInterval: 2 * time.Second,
-		Misses:       3,
-		Rand:         rng,
-	})
-	if err != nil {
-		return err
-	}
 	victim := members[23]
-	if err := monitor.Kill(victim, 5*time.Second); err != nil {
+	holders := dir.Holders(victim)
+	if err := dir.Evict(victim); err != nil {
 		return err
 	}
-	sim.Run()
-	rep := monitor.Report()
-	fmt.Printf("crash of %v: detected by %d owners, slowest after %.1f s, %d pings lost, %d repair messages\n",
-		victim, len(rep.Detections), rep.MaxLatency().Seconds(), rep.PingsLost, rep.RepairMessages)
+	before := dir.MaintenanceMessages()
+	for _, owner := range holders {
+		dir.Repair(owner, victim, nil)
+	}
+	fmt.Printf("crash of %v: evicted, %d holders repaired their entries with %d messages\n",
+		victim, len(holders), dir.MaintenanceMessages()-before)
+	if left := dir.Holders(victim); len(left) != 0 {
+		return fmt.Errorf("%d tables still hold the evicted user", len(left))
+	}
 	if err := dir.CheckConsistency(); err != nil {
 		return fmt.Errorf("tables inconsistent after recovery: %w", err)
 	}

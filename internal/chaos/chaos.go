@@ -37,7 +37,6 @@ import (
 
 	"tmesh/internal/cluster"
 	"tmesh/internal/eventsim"
-	"tmesh/internal/failover"
 	"tmesh/internal/ident"
 	"tmesh/internal/keytree"
 	"tmesh/internal/metrics"
@@ -119,7 +118,8 @@ const (
 	spikeRate   = 0.25
 	spikeFactor = 3
 
-	// Failure detection (failover.Config).
+	// Failure detection (the detector): ping period and the unanswered
+	// pings that declare a neighbor dead.
 	pingInterval = 2 * time.Second
 	misses       = 2
 
@@ -191,11 +191,6 @@ func (c *chaosNet) GatewayRTT(a, b vnet.HostID) time.Duration {
 	return c.scale(c.Network.GatewayRTT(a, b))
 }
 
-type crashInfo struct {
-	id ident.ID
-	at time.Duration
-}
-
 // Engine runs one soak session. Build with New, run with Run; an Engine
 // is single-use and not safe for concurrent use.
 type Engine struct {
@@ -204,7 +199,7 @@ type Engine struct {
 	top *vnet.GTITM
 	net *chaosNet
 	dir *overlay.Directory
-	mon *failover.Monitor
+	det *detector
 	// tree is the full modified key tree the real rekey messages come
 	// from; clusters runs the Appendix B heuristic alongside it, fed the
 	// same membership stream, so the cluster invariants can be audited
@@ -217,14 +212,12 @@ type Engine struct {
 	memRNG, crashRNG, lossRNG, faultRNG, idRNG *rand.Rand
 
 	freeHosts []vnet.HostID
-	killed    map[string]bool // engine-side view of scheduled kills
 
 	partition *vnet.Partition
 
 	// pending is the key tree's batch since the last rekey: joins,
 	// leaves, and reaped crash evictions.
 	pending         keytree.Pending
-	crashPending    map[string]crashInfo
 	churnSinceAudit map[string]ident.ID
 
 	// Live results of the current interval.
@@ -261,7 +254,7 @@ type Engine struct {
 }
 
 // New builds a soak engine: topology, directory with the initial
-// membership, failure monitor, key tree, and cluster manager.
+// membership, failure detector, key tree, and cluster manager.
 func New(cfg Config) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -302,8 +295,6 @@ func New(cfg Config) (*Engine, error) {
 		lossRNG:         rand.New(rand.NewSource(cfg.Seed ^ 0x6c6f73)), // "los"
 		faultRNG:        rand.New(rand.NewSource(cfg.Seed ^ 0x666c74)), // "flt"
 		idRNG:           rand.New(rand.NewSource(cfg.Seed ^ 0x696473)), // "ids"
-		killed:          make(map[string]bool),
-		crashPending:    make(map[string]crashInfo),
 		churnSinceAudit: make(map[string]ident.ID),
 		lastEpoch:       make(map[string]uint64),
 		dataDelay:       metrics.NewStreamingSummary(),
@@ -345,17 +336,7 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 
-	mon, err := failover.New(failover.Config{
-		Dir:          dir,
-		Sim:          e.sim,
-		PingInterval: pingInterval,
-		Misses:       misses,
-		Rand:         rand.New(rand.NewSource(cfg.Seed ^ 0x70686173)), // "phas"
-	})
-	if err != nil {
-		return nil, err
-	}
-	e.mon = mon
+	e.det = newDetector(dir, e.sim, rand.New(rand.NewSource(cfg.Seed^0x70686173))) // "phas"
 	return e, nil
 }
 
@@ -403,11 +384,12 @@ func (e *Engine) dropUnicast(u ident.ID, attempt int) bool {
 	return e.cfg.HopLoss > 0 && e.lossRNG.Float64() < e.cfg.HopLoss
 }
 
-// alive reports engine-level liveness: not crashed and not scheduled to
-// crash (a user with a pending kill still responds until the crash
-// fires, but excluding it keeps victim picks and snapshots stable).
+// alive reports engine-level liveness: absent from the crash table (a
+// user with a pending kill still responds until the crash fires, but
+// excluding it keeps victim picks and snapshots stable).
 func (e *Engine) alive(id ident.ID) bool {
-	return e.mon.Alive(id) && !e.killed[id.Key()]
+	_, crashed := e.det.crashes[id.Key()]
+	return !crashed
 }
 
 // traceInterval reports whether the flight recorder samples the given
@@ -564,8 +546,7 @@ func (e *Engine) doJoin(now time.Duration, stats *IntervalStats) {
 	if err := e.dir.Join(rec); err != nil {
 		return
 	}
-	e.mon.Observe(id)
-	delete(e.killed, id.Key()) // reused ID of an evicted crasher starts fresh
+	e.det.observe(id) // a reused ID of an evicted crasher starts fresh
 	if err := e.clusters.Join(rec); err == nil {
 		e.pending.Join(id)
 		e.churnSinceAudit[id.Key()] = id
@@ -599,12 +580,7 @@ func (e *Engine) doCrash(now time.Duration, stats *IntervalStats, fail func(erro
 	if !ok {
 		return
 	}
-	if err := e.mon.Kill(victim, now); err != nil {
-		fail(fmt.Errorf("chaos: kill %v: %w", victim, err))
-		return
-	}
-	e.killed[victim.Key()] = true
-	e.crashPending[victim.Key()] = crashInfo{id: victim, at: now}
+	e.det.kill(victim, now)
 	e.churnSinceAudit[victim.Key()] = victim
 	stats.Crashes++
 	if isLeader {
@@ -645,14 +621,13 @@ func (e *Engine) doDataProbe(now time.Duration, stats *IntervalStats, fail func(
 		}
 	}
 	res, err := tmesh.Multicast(tmesh.Config[int]{
-		Dir:            e.dir,
-		SenderIsServer: true,
-		Alive:          e.mon.Alive,
-		DropHop:        e.dropHop,
-		Sim:            e.sim,
-		StartAt:        now,
-		Obs:            e.cfg.Obs,
-		Trace:          e.curDataTrace,
+		Dir:     e.dir,
+		Alive:   e.det.up,
+		DropHop: e.dropHop,
+		Sim:     e.sim,
+		StartAt: now,
+		Obs:     e.cfg.Obs,
+		Trace:   e.curDataTrace,
 	}, 1)
 	if err != nil {
 		fail(fmt.Errorf("chaos: data multicast: %w", err))
@@ -707,7 +682,7 @@ func (e *Engine) doRekey(now time.Duration, stats *IntervalStats, fail func(erro
 			Sim:          e.sim,
 			StartAt:      now,
 			DropHop:      e.dropHop,
-			Alive:        e.mon.Alive,
+			Alive:        e.det.up,
 			Policy:       soakPolicy,
 			DropUnicast:  e.dropUnicast,
 			Obs:          e.cfg.Obs,
@@ -723,44 +698,47 @@ func (e *Engine) doRekey(now time.Duration, stats *IntervalStats, fail func(erro
 	e.curLadder = lr
 }
 
-// reapEvictions notices users the failure machinery has evicted since
-// the last reap: they leave their cluster and queue for the next
-// key-tree batch.
-func (e *Engine) reapEvictions(fail func(error)) {
-	var gone []string
-	for key, info := range e.crashPending {
-		if _, present := e.dir.Record(info.id); !present {
-			gone = append(gone, key)
+// unreaped returns, in key order, the keys of the crashes the engine
+// has not reaped yet that pass the filter.
+func (e *Engine) unreaped(keep func(*crash) bool) []string {
+	var keys []string
+	for key, c := range e.det.crashes {
+		if !c.reaped && keep(c) {
+			keys = append(keys, key)
 		}
 	}
-	sort.Strings(gone)
+	sort.Strings(keys)
+	return keys
+}
+
+// reapEvictions notices crashed users the detector has evicted since the
+// last reap: they leave their cluster and queue for the next key-tree
+// batch.
+func (e *Engine) reapEvictions(fail func(error)) {
+	gone := e.unreaped(func(c *crash) bool {
+		_, present := e.dir.Record(c.id)
+		return !present
+	})
 	for _, key := range gone {
-		info := e.crashPending[key]
-		if err := e.clusters.Leave(info.id); err != nil {
-			fail(fmt.Errorf("chaos: cluster evict %v: %w", info.id, err))
+		c := e.det.crashes[key]
+		if err := e.clusters.Leave(c.id); err != nil {
+			fail(fmt.Errorf("chaos: cluster evict %v: %w", c.id, err))
 			return
 		}
-		e.pending.Leave(info.id)
-		delete(e.crashPending, key)
+		e.pending.Leave(c.id)
+		c.reaped = true
 	}
 }
 
-// reapOrphans force-evicts dead users whose crash is older than one
-// full interval: every possible detector either fired or died by then,
-// so nobody else will report them (the key server's own rekey-ack
-// timeout in a real deployment).
+// reapOrphans force-evicts the crashed users still in the membership
+// whose crash is older than one full interval: every possible detector
+// either fired or died by then, so nobody else will report them (the key
+// server's own rekey-ack timeout in a real deployment).
 func (e *Engine) reapOrphans(now time.Duration) int {
 	cutoff := now - intervalLength
-	var orphans []string
-	for key, info := range e.crashPending {
-		if info.at <= cutoff {
-			orphans = append(orphans, key)
-		}
-	}
-	sort.Strings(orphans)
 	n := 0
-	for _, key := range orphans {
-		if e.mon.EvictIfDead(e.crashPending[key].id) {
+	for _, key := range e.unreaped(func(c *crash) bool { return c.at <= cutoff }) {
+		if e.dir.Evict(e.det.crashes[key].id) == nil {
 			n++
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"tmesh/internal/failover"
 	"tmesh/internal/vnet"
 )
 
@@ -142,9 +141,10 @@ func TestSoakConfigValidation(t *testing.T) {
 // unicast's and the resync's round trips) fits between the rekey point
 // and the boundary.
 func TestSoakScheduleFits(t *testing.T) {
-	worstDetect := failover.WorstCaseDetection(failover.Config{
-		PingInterval: pingInterval, Misses: misses,
-	}, 2*vnet.SoakGTITMConfig().AccessDelayMax)
+	// A detection lands at most a whole ping interval of phase, then
+	// misses-1 further intervals, then the two-access-RTT timeout after
+	// the crash (detector.detectAt).
+	worstDetect := misses*pingInterval + 2*2*vnet.SoakGTITMConfig().AccessDelayMax
 	if end := frac(intervalLength, phaseChurnEnd) + worstDetect; end >= intervalLength {
 		t.Errorf("detection of a crash at the end of the churn window ends at %v, past the %v boundary", end, intervalLength)
 	}

@@ -48,8 +48,9 @@ func brokenDir(t *testing.T) (*overlay.Directory, ident.ID) {
 		t.Fatalf("directory is inconsistent before it was broken: %v", err)
 	}
 	for _, owner := range dir.IDs() {
+		tab, _ := dir.TableOf(owner)
 		for _, nb := range dir.IDs() {
-			if _, _, ok := dir.RemoveNeighbor(owner, nb); ok {
+			if _, _, ok := tab.Remove(nb); ok {
 				return dir, nb
 			}
 		}

@@ -20,10 +20,9 @@ import (
 type Handler func(now time.Duration)
 
 type event struct {
-	at   time.Duration
-	seq  uint64 // tie-breaker: FIFO among equal timestamps
-	fn   Handler
-	dead bool // cancelled
+	at  time.Duration
+	seq uint64 // tie-breaker: FIFO among equal timestamps
+	fn  Handler
 }
 
 type eventQueue []*event
@@ -50,17 +49,6 @@ func (q *eventQueue) Pop() any {
 	return ev
 }
 
-// Timer is a handle to a scheduled event that can be cancelled.
-type Timer struct{ ev *event }
-
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled timer is a no-op.
-func (t Timer) Cancel() {
-	if t.ev != nil {
-		t.ev.dead = true
-	}
-}
-
 // Simulator is a single-threaded discrete event engine. The zero value is
 // not usable; construct with New.
 type Simulator struct {
@@ -81,8 +69,7 @@ func New() *Simulator {
 // Now returns the current virtual time.
 func (s *Simulator) Now() time.Duration { return s.now }
 
-// Pending returns the number of events still queued (including cancelled
-// events not yet discarded).
+// Pending returns the number of events still queued.
 func (s *Simulator) Pending() int { return len(s.queue) }
 
 // Processed returns the number of events executed so far.
@@ -98,24 +85,13 @@ func (s *Simulator) PastClamps() uint64 { return s.pastClamped }
 // observed before a detection advanced the clock), and a hard panic
 // would make every injector defend itself; the clamp keeps the queue
 // ordered and PastClamps exposes how often it happened.
-func (s *Simulator) At(at time.Duration, fn Handler) Timer {
+func (s *Simulator) At(at time.Duration, fn Handler) {
 	if at < s.now {
 		at = s.now
 		s.pastClamped++
 	}
-	ev := &event{at: at, seq: s.seq, fn: fn}
+	heap.Push(&s.queue, &event{at: at, seq: s.seq, fn: fn})
 	s.seq++
-	heap.Push(&s.queue, ev)
-	return Timer{ev: ev}
-}
-
-// After schedules fn to run after the given delay from the current time.
-// Negative delays are treated as zero.
-func (s *Simulator) After(d time.Duration, fn Handler) Timer {
-	if d < 0 {
-		d = 0
-	}
-	return s.At(s.now+d, fn)
 }
 
 // Run executes events until the queue drains or Stop is called. It
@@ -144,9 +120,6 @@ func (s *Simulator) RunUntil(deadline time.Duration) uint64 {
 			return n
 		}
 		heap.Pop(&s.queue)
-		if next.dead {
-			continue
-		}
 		s.now = next.at
 		s.processed++
 		n++

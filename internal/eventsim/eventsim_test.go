@@ -49,9 +49,9 @@ func TestFIFOAmongEqualTimestamps(t *testing.T) {
 func TestAfterAndNestedScheduling(t *testing.T) {
 	s := New()
 	var hits []time.Duration
-	s.After(10*time.Millisecond, func(now time.Duration) {
+	s.At(10*time.Millisecond, func(now time.Duration) {
 		hits = append(hits, now)
-		s.After(5*time.Millisecond, func(now time.Duration) {
+		s.At(now+5*time.Millisecond, func(now time.Duration) {
 			hits = append(hits, now)
 		})
 	})
@@ -68,7 +68,7 @@ func TestAfterAndNestedScheduling(t *testing.T) {
 func TestNegativeDelayClampsToNow(t *testing.T) {
 	s := New()
 	fired := false
-	s.After(-time.Second, func(now time.Duration) {
+	s.At(-time.Second, func(now time.Duration) {
 		fired = true
 		if now != 0 {
 			t.Errorf("now = %v, want 0", now)
@@ -105,7 +105,7 @@ func TestSchedulingInPastClampsToNow(t *testing.T) {
 func TestPastClampsCounterStaysZeroForFutureEvents(t *testing.T) {
 	s := New()
 	for i := 0; i < 10; i++ {
-		s.After(time.Duration(i)*time.Millisecond, func(time.Duration) {})
+		s.At(time.Duration(i)*time.Millisecond, func(time.Duration) {})
 	}
 	s.Run()
 	if s.PastClamps() != 0 {
@@ -146,19 +146,6 @@ func TestRunUntilAdvancesClockToDeadlineWhenIdle(t *testing.T) {
 	}
 }
 
-func TestTimerCancel(t *testing.T) {
-	s := New()
-	fired := 0
-	timer := s.After(time.Second, func(time.Duration) { fired++ })
-	s.After(2*time.Second, func(time.Duration) { fired++ })
-	timer.Cancel()
-	timer.Cancel() // double-cancel is a no-op
-	s.Run()
-	if fired != 1 {
-		t.Errorf("fired = %d, want 1 (cancelled timer must not run)", fired)
-	}
-}
-
 func TestStop(t *testing.T) {
 	s := New()
 	count := 0
@@ -187,7 +174,7 @@ func TestStop(t *testing.T) {
 func TestProcessedCounter(t *testing.T) {
 	s := New()
 	for i := 0; i < 5; i++ {
-		s.After(time.Duration(i)*time.Millisecond, func(time.Duration) {})
+		s.At(time.Duration(i)*time.Millisecond, func(time.Duration) {})
 	}
 	s.Run()
 	if s.Processed() != 5 {

@@ -131,7 +131,7 @@ func measureIDPolicy(name string, dir *overlay.Directory, msg *keytree.Message) 
 			linkMax = u
 		}
 	}
-	lres, err := tmesh.Multicast(tmesh.Config[int]{Dir: dir, SenderIsServer: true}, 1)
+	lres, err := tmesh.Multicast(tmesh.Config[int]{Dir: dir}, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -206,11 +206,10 @@ func runCongestionScenario(cfg CongestionConfig, dir *overlay.Directory, msg *ke
 	var rekeyRes *tmesh.Result
 	if scenario != "no-rekey" {
 		rcfg := tmesh.Config[[]keycrypt.Encryption]{
-			Dir:            dir,
-			SenderIsServer: true,
-			Sim:            sim,
-			Uplinks:        uplinks,
-			SizeOf:         func(encs []keycrypt.Encryption) int { return len(encs) },
+			Dir:     dir,
+			Sim:     sim,
+			Uplinks: uplinks,
+			SizeOf:  func(encs []keycrypt.Encryption) int { return len(encs) },
 		}
 		if scenario == "rekey-split" {
 			rcfg.SplitHop = split.NewIndex(dir.Tree(), msg.Encryptions, 1).Split

@@ -117,7 +117,7 @@ func measureStrategy(name string, dir *overlay.Directory, joins int,
 		msgs = append(msgs, float64(st.Messages))
 		probes = append(probes, float64(st.Probes))
 	}
-	res, err := tmesh.Multicast(tmesh.Config[int]{Dir: dir, SenderIsServer: true}, 1)
+	res, err := tmesh.Multicast(tmesh.Config[int]{Dir: dir}, 1)
 	if err != nil {
 		return nil, err
 	}

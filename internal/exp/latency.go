@@ -238,18 +238,13 @@ func runLatencyOnce(cfg LatencyConfig, run int) (tm, nc runDists, err error) {
 	if err != nil {
 		return tm, nc, err
 	}
-	var senderID ident.ID
-	senderIsServer := !cfg.DataTransport
+	var senderID ident.ID // zero: the key server sends
 	senderHost := vnet.HostID(0)
 	if cfg.DataTransport {
 		pick := recs[rng.Intn(len(recs))]
 		senderID, senderHost = pick.ID, pick.Host
 	}
-	res, err := tmesh.Multicast(tmesh.Config[int]{
-		Dir:            dir,
-		SenderID:       senderID,
-		SenderIsServer: senderIsServer,
-	}, 1)
+	res, err := tmesh.Multicast(tmesh.Config[int]{Dir: dir, SenderID: senderID}, 1)
 	if err != nil {
 		return tm, nc, err
 	}
@@ -267,13 +262,13 @@ func runLatencyOnce(cfg LatencyConfig, run int) (tm, nc runDists, err error) {
 			}
 		}
 		nres, err := np.Multicast(senderHost, nice.Options{
-			FromServer: senderIsServer,
+			FromServer: !cfg.DataTransport,
 			ServerHost: 0,
 		})
 		if err != nil {
 			return tm, nc, err
 		}
-		nc = collectNICE(nres, order, senderHost, senderIsServer)
+		nc = collectNICE(nres, order, senderHost, !cfg.DataTransport)
 	}
 	return tm, nc, nil
 }

@@ -1,13 +1,11 @@
 // Command jsonlcheck sanity-checks a telemetry JSONL file produced by
-// `rekeysim -soak -metrics-out` or `-trace-out`: every line must be
-// valid JSON, records of kind "interval" must carry strictly increasing
-// interval numbers, records of kind "slo" must carry a group, a known
-// verdict, strictly increasing per-group boundary numbers, and
-// objectives whose good count never exceeds the total, and
-// flight-recorder records (kinds "trace", "member", "hop", "unicast",
-// "resync", "end") must carry their required fields with every hop's
-// parent span recorded earlier in the same trace. Exit status 0 on a
-// clean file, 1 on any violation.
+// `rekeysim -soak -metrics-out`: every line must be valid JSON, records
+// of kind "interval" must carry strictly increasing interval numbers,
+// and records of kind "slo" must carry a group, a known verdict,
+// strictly increasing per-group boundary numbers, and objectives whose
+// good count never exceeds the total. Flight-recorder streams
+// (`-trace-out`) are cmd/traceaudit's to check. Exit status 0 on a clean
+// file, 1 on any violation.
 //
 // Usage: jsonlcheck <file.jsonl>
 package main
@@ -36,18 +34,14 @@ func run(args []string) int {
 	defer f.Close()
 
 	var (
-		lines, intervals, traceRecs, sloRecs int
-		lastInterval                         = 0
-		bad                                  int
+		lines, intervals, sloRecs int
+		lastInterval              = 0
+		bad                       int
 	)
 	complain := func(format string, a ...any) {
 		fmt.Fprintf(os.Stderr, "jsonlcheck: line %d: "+format+"\n", append([]any{lines}, a...)...)
 		bad++
 	}
-	// spansSeen tracks, per trace ID, the hop spans already recorded, so
-	// the parent-before-child ordering of the flight recorder is
-	// checkable in one pass.
-	spansSeen := map[string]map[int64]bool{}
 	// lastBoundary tracks, per SLO group, the last boundary number, so
 	// per-tenant slo streams interleaved by the multi-group host are
 	// still checkable for strict ordering.
@@ -57,16 +51,8 @@ func run(args []string) int {
 	for sc.Scan() {
 		lines++
 		var rec struct {
-			Kind     string `json:"kind"`
-			Interval int    `json:"interval"`
-			Trace    string `json:"trace"`
-			Label    string `json:"label"`
-			User     string `json:"user"`
-			Span     int64  `json:"span"`
-			Parent   int64  `json:"parent"`
-			To       string `json:"to"`
-			Level    int    `json:"level"`
-
+			Kind       string `json:"kind"`
+			Interval   int    `json:"interval"`
 			Group      string `json:"group"`
 			Boundary   int    `json:"boundary"`
 			Verdict    string `json:"verdict"`
@@ -119,61 +105,20 @@ func run(args []string) int {
 					complain("slo objective %q with verdict %q", o.Name, o.Verdict)
 				}
 			}
-		case "trace":
-			traceRecs++
-			if rec.Trace == "" || rec.Label == "" {
-				complain("trace record without trace ID or label")
-			}
-		case "member", "unicast", "resync":
-			traceRecs++
-			if rec.Trace == "" || rec.User == "" {
-				complain("%s record without trace ID or user", rec.Kind)
-			}
-		case "end":
-			traceRecs++
-			if rec.Trace == "" {
-				complain("end record without trace ID")
-			}
-		case "hop":
-			traceRecs++
-			switch {
-			case rec.Trace == "":
-				complain("hop record without trace ID")
-			case rec.Span <= 0:
-				complain("hop record with span %d (spans are positive)", rec.Span)
-			case rec.To == "":
-				complain("hop record without a receiver")
-			case rec.Level < 1:
-				complain("hop record with forwarding level %d", rec.Level)
-			default:
-				seen := spansSeen[rec.Trace]
-				if seen == nil {
-					seen = map[int64]bool{}
-					spansSeen[rec.Trace] = seen
-				}
-				if seen[rec.Span] {
-					complain("hop span %d repeated in trace %s", rec.Span, rec.Trace)
-				}
-				if rec.Parent != 0 && !seen[rec.Parent] {
-					complain("hop span %d references parent %d not yet recorded in trace %s",
-						rec.Span, rec.Parent, rec.Trace)
-				}
-				seen[rec.Span] = true
-			}
 		}
 	}
 	if err := sc.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "jsonlcheck:", err)
 		return 2
 	}
-	if intervals == 0 && traceRecs == 0 && sloRecs == 0 {
-		fmt.Fprintln(os.Stderr, "jsonlcheck: no interval, slo, or trace records found")
+	if intervals == 0 && sloRecs == 0 {
+		fmt.Fprintln(os.Stderr, "jsonlcheck: no interval or slo records found")
 		bad++
 	}
 	if bad > 0 {
 		return 1
 	}
-	fmt.Printf("jsonlcheck: %s ok (%d lines, %d interval records, %d slo records, %d trace records)\n",
-		args[0], lines, intervals, sloRecs, traceRecs)
+	fmt.Printf("jsonlcheck: %s ok (%d lines, %d interval records, %d slo records)\n",
+		args[0], lines, intervals, sloRecs)
 	return 0
 }

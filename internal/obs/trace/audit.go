@@ -129,6 +129,7 @@ type traceState struct {
 	unicast map[string]bool // user -> delivered by rung 2
 	resync  map[string]bool // user -> delivered by rung 3
 	end     *Record
+	schema  []string // records that lack a required field
 }
 
 // AuditRecords groups records by trace ID (in first-seen order), runs
@@ -150,6 +151,9 @@ func AuditRecords(records []Record) ([]*TraceAudit, error) {
 	for i := range records {
 		rec := &records[i]
 		st := stateOf(rec.Trace)
+		if v := missingField(rec); v != "" {
+			st.schema = append(st.schema, v)
+		}
 		switch rec.Kind {
 		case "trace":
 			st.meta = rec
@@ -180,7 +184,7 @@ func AuditRecords(records []Record) ([]*TraceAudit, error) {
 
 func auditTrace(id string, st *traceState, records []Record) (*TraceAudit, error) {
 	a := &TraceAudit{ID: id, Members: len(st.members), Unicasts: len(st.unicast), Resyncs: len(st.resync)}
-	var schema []string
+	schema := st.schema
 	var msgEncs []ident.Prefix
 	if st.meta != nil {
 		a.Label = st.meta.Label
@@ -372,6 +376,28 @@ func auditTrace(id string, st *traceState, records []Record) (*TraceAudit, error
 	}
 	a.Levels = levelStats(st.hops, records)
 	return a, nil
+}
+
+// missingField names the required field a record lacks, or returns ""
+// when it has them all: a trace's label, a member, unicast or resync
+// record's user, a hop's receiver. (An empty trace ID shows up as a trace
+// that no "trace" record opens.)
+func missingField(rec *Record) string {
+	switch rec.Kind {
+	case "trace":
+		if rec.Label == "" {
+			return `"trace" record without a label`
+		}
+	case "member", "unicast", "resync":
+		if rec.User == "" {
+			return fmt.Sprintf("%q record without a user", rec.Kind)
+		}
+	case "hop":
+		if rec.To == "" {
+			return fmt.Sprintf("hop span %d without a receiver", rec.Span)
+		}
+	}
+	return ""
 }
 
 // coversNeeds reports whether the delivered item multiset contains the

@@ -206,6 +206,25 @@ func TestAuditDataTrace(t *testing.T) {
 	wantViolation(t, a, "exactly-one-copy", "[0,0] missed the multicast")
 }
 
+// TestAuditSchemaFields: a record without a field the audit needs to
+// place it is a schema violation, reported under causal-order.
+func TestAuditSchemaFields(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		mutate     func([]Record)
+	}{
+		{"trace label", `"trace" record without a label`, func(r []Record) { r[0].Label = "" }},
+		{"member user", `"member" record without a user`, func(r []Record) { r[1].User = "" }},
+		{"hop receiver", "hop span 4 without a receiver", func(r []Record) { r[8].To = "" }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			recs := baseRecords()
+			tc.mutate(recs)
+			wantViolation(t, auditOne(t, recs), "causal-order", tc.want)
+		})
+	}
+}
+
 func TestParseRecordsSkipsForeignKinds(t *testing.T) {
 	in := strings.Join([]string{
 		`{"kind":"interval","interval":1}`,

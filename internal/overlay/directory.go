@@ -308,7 +308,7 @@ func (d *Directory) refillServer(j ident.Digit) {
 // the key server's table) without removing it from other users' neighbor
 // tables. It is the key server's part of failure recovery: individual
 // owners repair their own tables as they detect the failure (see
-// RepairEntryLive), while the eviction guarantees repairs never re-learn
+// Repair), while the eviction guarantees repairs never re-learn
 // the dead user.
 //
 // It also tops up, for every owner, the single entry whose ID subtree
@@ -355,32 +355,21 @@ func (d *Directory) Holders(id ident.ID) []ident.ID {
 	return out
 }
 
-// RemoveNeighbor deletes a (possibly dead) neighbor from one owner's
-// table, returning the affected entry coordinates.
-func (d *Directory) RemoveNeighbor(owner, neighbor ident.ID) (row int, col ident.Digit, ok bool) {
-	t, exists := d.TableOf(owner)
-	if !exists {
-		return 0, 0, false
-	}
-	return t.Remove(neighbor)
-}
-
-// RepairEntryLive refills one entry of an owner's table from the
-// current membership (the "look for appropriate users to replace the
-// failed one" step of Section 3.2), skipping candidates for which a
-// non-nil alive returns false, and returns the number of protocol
-// messages charged. Failure recovery must pass its liveness view: under
-// overlapping failures, a repair running between a second crash and its
-// eviction would otherwise re-learn the dead user into an entry whose
-// owner never monitors it.
-func (d *Directory) RepairEntryLive(owner ident.ID, row int, col ident.Digit, alive func(ident.ID) bool) int {
+// Repair is one owner's half of failure recovery (Section 3.2): it drops
+// the failed neighbor from the owner's table and refills that entry from
+// the current membership ("look for appropriate users to replace the
+// failed one"), skipping candidates for which a non-nil alive returns
+// false. Failure recovery must pass its liveness view: under overlapping
+// failures, a repair running between a second crash and its eviction
+// would otherwise re-learn the dead user into an entry whose owner never
+// monitors it. An owner that is not a member, or does not hold failed,
+// is left alone.
+func (d *Directory) Repair(owner, failed ident.ID, alive func(ident.ID) bool) {
 	t, ok := d.TableOf(owner)
 	if !ok {
-		return 0
+		return
 	}
-	before := d.maintenanceMessages
-	if t.entry(row, col).Len() < d.k {
+	if row, col, held := t.Remove(failed); held && t.entry(row, col).Len() < d.k {
 		d.refill(&t.grid, row, col, t.owner.Host, d.ranksUnder(t.owner.ID.Prefix(row).Child(col)), alive)
 	}
-	return d.maintenanceMessages - before
 }

@@ -62,32 +62,29 @@ func TestEvictAndRepairEntry(t *testing.T) {
 			t.Error("server table still lists the evicted user")
 		}
 	}
-	// Owners repair individually.
-	dirty := 0
+	// Owners repair individually; an owner that does not hold the victim
+	// is left alone.
+	holders := d.Holders(victim)
+	if len(holders) == 0 {
+		t.Fatal("no table held the victim; test is vacuous")
+	}
 	for _, r := range recs {
 		if r.ID.Equal(victim) {
 			continue
 		}
-		row, col, ok := d.RemoveNeighbor(r.ID, victim)
-		if !ok {
-			continue
-		}
-		dirty++
-		d.RepairEntryLive(r.ID, row, col, nil)
+		d.Repair(r.ID, victim, nil)
 	}
-	if dirty == 0 {
-		t.Fatal("no table held the victim; test is vacuous")
+	if h := d.Holders(victim); len(h) != 0 {
+		t.Errorf("%d tables still hold the victim after every repair", len(h))
 	}
 	if err := d.CheckConsistency(); err != nil {
 		t.Fatalf("after repairs: %v", err)
 	}
-	// RemoveNeighbor on unknown owner reports false.
+	// Repair on an unknown owner is a no-op.
 	ghost := ident.MustNew(tp, []ident.Digit{3, 3, 3})
-	if _, _, ok := d.RemoveNeighbor(ghost, victim); ok {
-		t.Error("unknown owner should report false")
-	}
-	// RepairEntryLive on unknown owner is a no-op.
-	if got := d.RepairEntryLive(ghost, 0, 1, nil); got != 0 {
-		t.Errorf("RepairEntryLive(ghost) = %d", got)
+	before := d.MaintenanceMessages()
+	d.Repair(ghost, victim, nil)
+	if got := d.MaintenanceMessages(); got != before {
+		t.Errorf("Repair(ghost) charged %d messages", got-before)
 	}
 }

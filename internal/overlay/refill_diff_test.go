@@ -104,10 +104,17 @@ func refEvict(d *Directory, id ident.ID) error {
 	return nil
 }
 
-func refRepair(d *Directory, owner ident.ID, row int, col ident.Digit, alive func(ident.ID) bool) {
-	if t, ok := d.TableOf(owner); ok {
+// refRepair drops the failed neighbor from the owner's table and
+// refills its entry, reporting the entry it emptied a slot of.
+func refRepair(d *Directory, owner, failed ident.ID, alive func(ident.ID) bool) (row int, col ident.Digit, ok bool) {
+	t, ok := d.TableOf(owner)
+	if !ok {
+		return 0, 0, false
+	}
+	if row, col, ok = t.Remove(failed); ok {
 		refRefillUser(d, t, row, col, alive)
 	}
+	return row, col, ok
 }
 
 // tieNet is a delay oracle with three distinct RTT values, so most
@@ -300,14 +307,14 @@ func TestRefillMatchesSortEverythingReference(t *testing.T) {
 							crash() // mid-recovery: only suspect knows yet
 						}
 						for _, owner := range got.Holders(id) {
-							row, col, ok := got.RemoveNeighbor(owner, id)
-							wrow, wcol, wok := want.RemoveNeighbor(owner, id)
-							if !ok || row != wrow || col != wcol || ok != wok {
-								t.Fatalf("event %d: RemoveNeighbor(%v, %v) = %d,%d,%v, reference %d,%d,%v",
-									ev, owner, id, row, col, ok, wrow, wcol, wok)
+							tab, _ := got.TableOf(owner)
+							row, col, _ := tab.cell(id)
+							got.Repair(owner, id, suspect)
+							wrow, wcol, wok := refRepair(want, owner, id, suspect)
+							if tab.Contains(id) || !wok || row != wrow || col != wcol {
+								t.Fatalf("event %d: Repair(%v, %v) emptied %d,%d, reference %d,%d,%v",
+									ev, owner, id, row, col, wrow, wcol, wok)
 							}
-							got.RepairEntryLive(owner, row, col, suspect)
-							refRepair(want, owner, row, col, suspect)
 						}
 						delete(dead, id.Key())
 						delete(suspected, id.Key())
@@ -449,11 +456,10 @@ func TestRankLifetime(t *testing.T) {
 		if got := d.ros.ranks.Len(); got != d.Size()+1 {
 			t.Fatalf("%d ranks held before repair %d of %d, want %d", got, i+1, len(holders), d.Size()+1)
 		}
-		row, col, ok := d.RemoveNeighbor(owner, y.ID)
-		if !ok {
+		if tab, _ := d.TableOf(owner); !tab.Contains(y.ID) {
 			t.Fatalf("holder %v does not hold %v", owner, y.ID)
 		}
-		d.RepairEntryLive(owner, row, col, nil)
+		d.Repair(owner, y.ID, nil)
 	}
 	if err := ranksAllMembers(d); err != nil {
 		t.Error(err)

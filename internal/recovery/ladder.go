@@ -162,18 +162,17 @@ func DistributeLadder(cfg LadderConfig, msg *keytree.Message) (*LadderResult, er
 	// Rung 1: the lossy multicast on the shared simulator, split per
 	// encryption (Fig. 5).
 	res, err := tmesh.Multicast(tmesh.Config[[]keycrypt.Encryption]{
-		Dir:            cfg.Dir,
-		SenderIsServer: true,
-		DropHop:        cfg.DropHop,
-		Alive:          cfg.Alive,
-		Sim:            cfg.Sim,
-		StartAt:        cfg.StartAt,
-		SizeOf:         func(encs []keycrypt.Encryption) int { return len(encs) },
-		Obs:            cfg.Obs,
-		Trace:          cfg.Trace,
-		TraceItems:     split.EncIDs,
-		SplitHop:       split.NewIndex(cfg.Dir.Tree(), msg.Encryptions, work.Width()).Split,
-		ProfileLabel:   cfg.ProfileLabel,
+		Dir:          cfg.Dir,
+		DropHop:      cfg.DropHop,
+		Alive:        cfg.Alive,
+		Sim:          cfg.Sim,
+		StartAt:      cfg.StartAt,
+		SizeOf:       func(encs []keycrypt.Encryption) int { return len(encs) },
+		Obs:          cfg.Obs,
+		Trace:        cfg.Trace,
+		TraceItems:   split.EncIDs,
+		SplitHop:     split.NewIndex(cfg.Dir.Tree(), msg.Encryptions, work.Width()).Split,
+		ProfileLabel: cfg.ProfileLabel,
 	}, msg.Encryptions)
 	if err != nil {
 		return nil, err

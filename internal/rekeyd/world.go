@@ -251,7 +251,7 @@ func (w *World) Leave(id ident.ID) error {
 }
 
 // Crash kills a member immediately (frames to and from it drop) and
-// schedules its eviction at the next Rekey — the failover path: a
+// schedules its eviction at the next Rekey — the failure-recovery path: a
 // leaver that is dark at the boundary is evicted, not released.
 func (w *World) Crash(id ident.ID) error {
 	cancelled, err := w.depart(id)
@@ -346,15 +346,15 @@ func (w *World) Rekey() (*Result, error) {
 				err = errors.Join(err, dir.Leave(id))
 				continue
 			}
+			// A crash is an eviction plus one repair per holder: Evict
+			// leaves the dead user in surviving owners' tables on purpose
+			// (each owner's failure detector is the one that notices), so
+			// the world plays that detection step here and the directory
+			// is k-consistent again before the interval's forwarding
+			// reads it.
 			err = errors.Join(err, dir.Evict(id))
-			// Evict leaves the dead user in surviving owners' neighbor
-			// tables on purpose (each owner's failure detector is the
-			// one that notices); the world plays that detection step
-			// here so the directory is k-consistent again before the
-			// interval's forwarding reads it.
 			for _, owner := range dir.Holders(id) {
-				row, col, _ := dir.RemoveNeighbor(owner, id)
-				dir.RepairEntryLive(owner, row, col, w.sh.alive)
+				dir.Repair(owner, id, w.sh.alive)
 			}
 		}
 	})

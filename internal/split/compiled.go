@@ -3,10 +3,10 @@ package split
 // Compiled REKEY-MESSAGE-SPLIT: instead of re-running the RelevantTo
 // string-prefix test on every encryption at every FORWARD hop, the
 // message's split decisions are compiled once per rekey into a lookup
-// table over the directory's ID tree. The compiler marks each item's
-// encryption IDs as bit positions in a []uint64 word-set, then a single
+// table over the directory's ID tree. The compiler marks each
+// encryption's ID as a bit position in a []uint64 word-set, then a single
 // depth-first pass over the tree derives, for every node p, the set of
-// items relevant to the subtree at p:
+// encryptions relevant to the subtree at p:
 //
 //	relevant(p) = path(p) ∪ sub(p)
 //	path(c)     = path(p) ∪ exact(p)          (IDs that are proper
@@ -15,18 +15,18 @@ package split
 //	sub(p)      = exact(p) ∪ hoisted(p) ∪ ⋃ sub(children)
 //	                                          ("w is a prefix of e.ID")
 //
-// exact(p) holds the items whose ID is p itself. hoisted(p) holds items
-// whose ID node is absent from the directory tree (membership can drift
-// from the key tree under churn); since the trie is prefix-closed, only
+// exact(p) holds the encryptions whose ID is p itself. hoisted(p) holds
+// those whose ID node is absent from the directory tree (membership can
+// drift from the key tree under churn); since the trie is prefix-closed, only
 // strict ancestors of an absent ID can be related to it, so its bits
 // attach at the deepest present ancestor and propagate upward only.
 //
 // Each relevant-set is materialised eagerly into chunked arenas, so the
 // per-hop split is a single map lookup returning a shared slice: zero
 // heap allocations in steady state. Results are order-preserving
-// subsequences of the input, byte-identical to Filter/FilterPackets for
-// every tree node, at any compile parallelism. Callers must treat the
-// returned slices as read-only — they are shared across hops.
+// subsequences of the input, byte-identical to Filter for every tree
+// node, at any compile parallelism. Callers must treat the returned
+// slices as read-only — they are shared across hops.
 
 import (
 	"math/bits"
@@ -36,26 +36,19 @@ import (
 	"tmesh/internal/work"
 )
 
-// arenaChunk is the granularity, in items, of the bulk allocations that
-// back the materialised slices.
+// arenaChunk is the granularity, in encryptions, of the bulk
+// allocations that back the materialised slices.
 const arenaChunk = 1024
 
-// table maps an ID-tree node key to the items relevant to its subtree.
-type table[T any] struct {
-	slices map[string][]T
-}
-
-// markFunc enumerates the encryption IDs carried by item i.
-type markFunc func(i int, mark func(ident.Prefix))
-
-// compileTable builds the lookup for all nodes of the tree, fanning the
-// per-level-1-subtree walks out through work.Run (limit is its upper
-// bound; <= 0 means none). The table's contents are a pure function of
-// (tree, items), independent of the width.
-func compileTable[T any](tree *ident.Tree, items []T, ids markFunc, limit int) table[T] {
+// compileTable maps every ID-tree node key to the encryptions relevant to
+// its subtree, fanning the per-level-1-subtree walks out through
+// work.Run (limit is its upper bound; <= 0 means none). The table's
+// contents are a pure function of (tree, items), independent of the
+// width.
+func compileTable(tree *ident.Tree, items []keycrypt.Encryption, limit int) map[string][]keycrypt.Encryption {
 	if tree == nil || tree.Size() == 0 || len(items) == 0 {
 		// Nothing to compile; lookups fall back to filtering.
-		return table[T]{slices: make(map[string][]T)}
+		return make(map[string][]keycrypt.Encryption)
 	}
 	words := (len(items) + 63) / 64
 	// One combined entry per marked node keeps the DFS at a single map
@@ -78,22 +71,20 @@ func compileTable[T any](tree *ident.Tree, items []T, ids markFunc, limit int) t
 		(*sel)[i>>6] |= 1 << (uint(i) & 63)
 		marks[key] = nb
 	}
-	for i := range items {
-		ids(i, func(id ident.Prefix) {
-			key := id.Key()
-			if tree.HasNode(id) {
-				setBit(key, i, false)
-				return
+	for i, e := range items {
+		key := e.ID.Key()
+		if tree.HasNode(e.ID) {
+			setBit(key, i, false)
+			continue
+		}
+		// Absent ID: hoist to the deepest present ancestor (the root
+		// always exists while the tree is non-empty).
+		for l := len(key) - 1; l >= 0; l-- {
+			if tree.HasNode(ident.PrefixFromKey(key[:l])) {
+				setBit(key[:l], i, true)
+				break
 			}
-			// Absent ID: hoist to the deepest present ancestor (the
-			// root always exists while the tree is non-empty).
-			for l := len(key) - 1; l >= 0; l-- {
-				if tree.HasNode(ident.PrefixFromKey(key[:l])) {
-					setBit(key[:l], i, true)
-					return
-				}
-			}
-		})
+		}
 	}
 
 	// One unit per level-1 subtree, one walker per slot. Slots are
@@ -107,7 +98,7 @@ func compileTable[T any](tree *ident.Tree, items []T, ids markFunc, limit int) t
 		width = min(width, limit)
 	}
 	hint := tree.NodeCount()/width + 8
-	wks := make([]*walker[T], len(digits))
+	wks := make([]*walker, len(digits))
 	work.Run(limit, len(digits), func(slot int, next func() (int, bool)) {
 		wk := newWalker(tree, items, words, marks, hint)
 		wks[slot] = wk
@@ -133,7 +124,7 @@ func compileTable[T any](tree *ident.Tree, items []T, ids markFunc, limit int) t
 	// when the build actually went parallel.
 	slices := wks[0].out
 	if ran > 1 {
-		slices = make(map[string][]T, tree.NodeCount()+1)
+		slices = make(map[string][]keycrypt.Encryption, tree.NodeCount()+1)
 		for _, wk := range wks {
 			if wk == nil {
 				continue
@@ -147,7 +138,7 @@ func compileTable[T any](tree *ident.Tree, items []T, ids markFunc, limit int) t
 	// prefix is a prefix of every ID), so the root serves the full
 	// message without a separate materialisation.
 	slices[ident.EmptyPrefix.Key()] = items
-	return table[T]{slices: slices}
+	return slices
 }
 
 // nodeBits holds the marks attached to one tree node: the items whose
@@ -161,24 +152,24 @@ type nodeBits struct {
 // walker carries one goroutine's DFS state: per-depth path/sub word-set
 // scratch (reused across the whole walk) and the chunk the relevant
 // slices are carved from.
-type walker[T any] struct {
+type walker struct {
 	tree  *ident.Tree
-	items []T
+	items []keycrypt.Encryption
 	marks map[string]nodeBits
 	path  [][]uint64 // path[d]: IDs that are strict prefixes of the depth-d node
 	sub   [][]uint64 // sub[d]: scratch for the depth-d subtree union
 	rel   []uint64
-	chunk []T // materialisation chunk currently being filled
-	out   map[string][]T
+	chunk []keycrypt.Encryption // materialisation chunk currently being filled
+	out   map[string][]keycrypt.Encryption
 }
 
-func newWalker[T any](tree *ident.Tree, items []T, words int, marks map[string]nodeBits, hint int) *walker[T] {
+func newWalker(tree *ident.Tree, items []keycrypt.Encryption, words int, marks map[string]nodeBits, hint int) *walker {
 	depths := tree.Params().Digits + 1
-	w := &walker[T]{
+	w := &walker{
 		tree: tree, items: items, marks: marks,
 		path: make([][]uint64, depths),
 		sub:  make([][]uint64, depths),
-		out:  make(map[string][]T, hint),
+		out:  make(map[string][]keycrypt.Encryption, hint),
 	}
 	slab := make([]uint64, (2*depths+1)*words)
 	for d := 0; d < depths; d++ {
@@ -192,7 +183,7 @@ func newWalker[T any](tree *ident.Tree, items []T, words int, marks map[string]n
 // walk visits the subtree rooted at p (depth == p.Len(), with
 // path[depth] already holding p's strict-prefix IDs), materialises p's
 // relevant slice, and leaves the subtree union in sub[depth].
-func (w *walker[T]) walk(p ident.Prefix, depth int) {
+func (w *walker) walk(p ident.Prefix, depth int) {
 	key := p.Key()
 	nb := w.marks[key]
 	sub := w.sub[depth]
@@ -212,10 +203,10 @@ func (w *walker[T]) walk(p ident.Prefix, depth int) {
 	w.out[key] = w.materialize(w.rel)
 }
 
-// materialize carves the items selected by the word-set out of the
+// materialize carves the encryptions selected by the word-set out of the
 // walker's chunk, preserving message order. Empty selections yield nil,
 // matching Filter's nil-for-empty convention.
-func (w *walker[T]) materialize(rel []uint64) []T {
+func (w *walker) materialize(rel []uint64) []keycrypt.Encryption {
 	n := 0
 	for _, word := range rel {
 		n += bits.OnesCount64(word)
@@ -224,7 +215,7 @@ func (w *walker[T]) materialize(rel []uint64) []T {
 		return nil
 	}
 	if cap(w.chunk)-len(w.chunk) < n {
-		w.chunk = make([]T, 0, max(arenaChunk, n))
+		w.chunk = make([]keycrypt.Encryption, 0, max(arenaChunk, n))
 	}
 	off := len(w.chunk)
 	sel := w.chunk[off : off : off+n]
@@ -272,52 +263,21 @@ func orBits(dst, src []uint64) {
 // correct. Split is safe for concurrent use; the returned slices are
 // shared and must be treated as read-only.
 type Index struct {
-	table table[keycrypt.Encryption]
+	slices map[string][]keycrypt.Encryption
 }
 
 // NewIndex compiles the split decisions of the message's encryptions.
 // workers is an upper bound on the compile fan-out (values < 1 mean 1,
 // i.e. inline).
 func NewIndex(tree *ident.Tree, encs []keycrypt.Encryption, workers int) *Index {
-	return &Index{table: compileTable(tree, encs, func(i int, mark func(ident.Prefix)) {
-		mark(encs[i].ID)
-	}, max(workers, 1))}
+	return &Index{slices: compileTable(tree, encs, max(workers, 1))}
 }
 
 // Split returns the encryptions relevant to the subtree — byte-identical
 // to Filter(encs, subtree) for any hop payload of the compiled message.
 func (ix *Index) Split(encs []keycrypt.Encryption, subtree ident.Prefix) []keycrypt.Encryption {
-	if out, ok := ix.table.slices[subtree.Key()]; ok {
+	if out, ok := ix.slices[subtree.Key()]; ok {
 		return out
 	}
 	return Filter(encs, subtree)
-}
-
-// PacketIndex is the packet-granularity analogue of Index: a packet is
-// relevant to a subtree iff any encryption it carries is (the PerPacket
-// rule of Section 2.5), so each packet's bit is marked under every
-// encryption ID it contains.
-type PacketIndex struct {
-	table table[Packet]
-}
-
-// NewPacketIndex compiles the packet-level split decisions. workers is
-// an upper bound on the compile fan-out (values < 1 mean 1, i.e.
-// inline).
-func NewPacketIndex(tree *ident.Tree, pkts []Packet, workers int) *PacketIndex {
-	return &PacketIndex{table: compileTable(tree, pkts, func(i int, mark func(ident.Prefix)) {
-		for _, e := range pkts[i] {
-			mark(e.ID)
-		}
-	}, max(workers, 1))}
-}
-
-// Split returns the packets relevant to the subtree — byte-identical to
-// FilterPackets(pkts, subtree) for any hop payload of the compiled
-// message.
-func (ix *PacketIndex) Split(pkts []Packet, subtree ident.Prefix) []Packet {
-	if out, ok := ix.table.slices[subtree.Key()]; ok {
-		return out
-	}
-	return FilterPackets(pkts, subtree)
 }

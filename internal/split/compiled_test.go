@@ -149,41 +149,6 @@ func TestCompileArenaReuseMatchesFilter(t *testing.T) {
 	}
 }
 
-// TestCompiledPacketIndexMatchesFilterPackets is the packet-granularity
-// analogue of TestCompiledIndexMatchesFilter.
-func TestCompiledPacketIndexMatchesFilterPackets(t *testing.T) {
-	params := ident.Params{Digits: 4, Base: 4}
-	rng := rand.New(rand.NewSource(101))
-	for trial := 0; trial < 120; trial++ {
-		members := rng.Intn(30) + 1
-		encCount := rng.Intn(60)
-		switch trial {
-		case 0:
-			encCount = 0
-		case 1:
-			encCount = 1
-		}
-		tree, encs := randSplitWorld(t, rng, params, members, encCount)
-		pkts := Packetize(encs, rng.Intn(6)+1)
-		for _, workers := range []int{1, 8} {
-			ix := NewPacketIndex(tree, pkts, workers)
-			check := func(q ident.Prefix) {
-				got := ix.Split(pkts, q)
-				want := FilterPackets(pkts, q)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d workers %d subtree %v: compiled kept %d packets, filter %d",
-						trial, workers, q, len(got), len(want))
-				}
-			}
-			tree.Walk(func(p ident.Prefix, _ int) bool { check(p); return true })
-			check(ident.EmptyPrefix)
-			for i := 0; i < 25; i++ {
-				check(randPrefixOf(t, rng, params))
-			}
-		}
-	}
-}
-
 // TestCompiledIndexConcurrentSplit hammers one index from several
 // goroutines under -race: Split is read-only after compilation.
 func TestCompiledIndexConcurrentSplit(t *testing.T) {
@@ -227,18 +192,16 @@ func legacyRekeyReport(t *testing.T, w *world, mode Mode, packetSize int) *Repor
 	switch mode {
 	case PerEncryption:
 		res, err = tmesh.Multicast(tmesh.Config[[]keycrypt.Encryption]{
-			Dir:            w.dir,
-			SenderIsServer: true,
-			SizeOf:         func(encs []keycrypt.Encryption) int { return len(encs) },
-			SplitHop:       Filter,
+			Dir:      w.dir,
+			SizeOf:   func(encs []keycrypt.Encryption) int { return len(encs) },
+			SplitHop: Filter,
 			OnDeliver: func(to ident.ID, encs []keycrypt.Encryption, level int) {
 				deliveries = append(deliveries, Delivery{To: to, Level: level, Encryptions: encs})
 			},
 		}, w.msg.Encryptions)
 	case PerPacket:
 		res, err = tmesh.Multicast(tmesh.Config[[]Packet]{
-			Dir:            w.dir,
-			SenderIsServer: true,
+			Dir: w.dir,
 			SizeOf: func(pkts []Packet) int {
 				n := 0
 				for _, p := range pkts {
@@ -319,12 +282,11 @@ func TestRekeyCompiledTraceByteIdentical(t *testing.T) {
 		rec := trace.NewRecorder(5, obs.NewSink(&buf))
 		tr := rec.Begin("rekey", 1, 0, PerEncryption.String(), EncIDs(w.msg.Encryptions))
 		_, err := tmesh.Multicast(tmesh.Config[[]keycrypt.Encryption]{
-			Dir:            w.dir,
-			SenderIsServer: true,
-			SizeOf:         func(encs []keycrypt.Encryption) int { return len(encs) },
-			SplitHop:       splitHop,
-			Trace:          tr,
-			TraceItems:     EncIDs,
+			Dir:        w.dir,
+			SizeOf:     func(encs []keycrypt.Encryption) int { return len(encs) },
+			SplitHop:   splitHop,
+			Trace:      tr,
+			TraceItems: EncIDs,
 		}, w.msg.Encryptions)
 		if err != nil {
 			t.Fatal(err)

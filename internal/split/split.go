@@ -134,10 +134,10 @@ type Options struct {
 	// order itself is fixed by the deterministic simulation.
 	Collect bool
 	// Parallelism is an upper bound on the fan-out that compiles the
-	// message's split decisions into the per-subtree lookup index
-	// before the multicast starts (values <= 1 compile inline). The
-	// index contents are a pure function of (message, directory), so
-	// the transported bytes are identical at any setting.
+	// message's PerEncryption split decisions into the per-subtree
+	// lookup index before the multicast starts (values <= 1 compile
+	// inline). The index contents are a pure function of (message,
+	// directory), so the transported bytes are identical at any setting.
 	Parallelism int
 	// Obs is the optional telemetry registry. When set, the transport
 	// counts split hops, the encryptions each hop forwards (the paper's
@@ -250,7 +250,6 @@ func Rekey(dir *overlay.Directory, msg *keytree.Message, opts Options) (*Report,
 	case NoSplit, PerEncryption:
 		cfg := tmesh.Config[[]keycrypt.Encryption]{
 			Dir:                dir,
-			SenderIsServer:     true,
 			EarliestPrimaryRow: opts.EarliestPrimaryRow,
 			SizeOf:             func(encs []keycrypt.Encryption) int { return len(encs) },
 			OnDeliver:          observe,
@@ -273,7 +272,7 @@ func Rekey(dir *overlay.Directory, msg *keytree.Message, opts Options) (*Report,
 		res, err = tmesh.Multicast(cfg, msg.Encryptions)
 	case PerPacket:
 		pkts := Packetize(msg.Encryptions, opts.PacketSize)
-		splitHop := NewPacketIndex(dir.Tree(), pkts, opts.Parallelism).Split
+		splitHop := FilterPackets
 		if hopsC != nil {
 			inner := splitHop
 			splitHop = func(pkts []Packet, subtree ident.Prefix) []Packet {
@@ -287,7 +286,6 @@ func Rekey(dir *overlay.Directory, msg *keytree.Message, opts Options) (*Report,
 		}
 		cfg := tmesh.Config[[]Packet]{
 			Dir:                dir,
-			SenderIsServer:     true,
 			EarliestPrimaryRow: opts.EarliestPrimaryRow,
 			SplitHop:           splitHop,
 			SizeOf: func(pkts []Packet) int {

@@ -36,11 +36,9 @@ import (
 type Config[P any] struct {
 	// Dir provides membership, neighbor tables, and the network.
 	Dir *overlay.Directory
-	// SenderID is the sending user's ID; leave zero (and set
-	// SenderIsServer) for rekey transport from the key server.
+	// SenderID is the sending user's ID; the zero ID makes the key
+	// server the source (rekey transport).
 	SenderID ident.ID
-	// SenderIsServer selects the key server as the multicast source.
-	SenderIsServer bool
 	// Alive, when non-nil, reports whether a user is responsive; the
 	// forwarder falls back to the next neighbor in the same entry when
 	// the primary is dead (the paper's fast failure recovery). Nil means
@@ -289,7 +287,7 @@ func (m *machine[P]) userStats(id ident.ID) *UserStats {
 
 // validateSender checks the sender before any event is scheduled.
 func (m *machine[P]) validateSender() error {
-	if m.cfg.SenderIsServer {
+	if m.cfg.SenderID.IsZero() {
 		return nil
 	}
 	if _, ok := m.cfg.Dir.TableOf(m.cfg.SenderID); !ok {
@@ -300,7 +298,7 @@ func (m *machine[P]) validateSender() error {
 
 func (m *machine[P]) start(payload P, now time.Duration) {
 	d := m.cfg.Dir
-	if m.cfg.SenderIsServer {
+	if m.cfg.SenderID.IsZero() {
 		st := d.Server()
 		st.Forward(func(s int, e overlay.Entry) {
 			m.sendVia(st.Host(), ident.ID{}, 0, e, s, payload, now, 0)
@@ -453,7 +451,7 @@ func (m *machine[P]) deliver(id ident.ID, host vnet.HostID, level int, fromID id
 
 // senderHost returns the sending host, or -1 if unknown.
 func (m *machine[P]) senderHost() vnet.HostID {
-	if m.cfg.SenderIsServer {
+	if m.cfg.SenderID.IsZero() {
 		return m.cfg.Dir.Server().Host()
 	}
 	if rec, ok := m.cfg.Dir.Record(m.cfg.SenderID); ok {

@@ -62,7 +62,7 @@ func TestTheorem1ServerMulticast(t *testing.T) {
 	for _, k := range []int{1, 4} {
 		for _, n := range []int{1, 5, 20, 50} {
 			dir, recs := buildGroup(t, k, n, int64(10*n+k))
-			res, err := Multicast(Config[int]{Dir: dir, SenderIsServer: true}, 1)
+			res, err := Multicast(Config[int]{Dir: dir}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +120,7 @@ func TestTheorem1UserMulticast(t *testing.T) {
 // common prefix length with its upstream (structure of FORWARD).
 func TestLemmas1and2PrefixStructure(t *testing.T) {
 	dir, recs := buildGroup(t, 4, 40, 3)
-	res, err := Multicast(Config[int]{Dir: dir, SenderIsServer: true}, 1)
+	res, err := Multicast(Config[int]{Dir: dir}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestFailureRecoveryFallback(t *testing.T) {
 		recs[23].ID.Key(): true,
 	}
 	alive := func(id ident.ID) bool { return !dead[id.Key()] }
-	res, err := Multicast(Config[int]{Dir: dir, SenderIsServer: true, Alive: alive}, 1)
+	res, err := Multicast(Config[int]{Dir: dir, Alive: alive}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +190,7 @@ func TestSplitHopFiltering(t *testing.T) {
 		target.ID.AsPrefix(),
 	}
 	cfg := Config[payload]{
-		Dir:            dir,
-		SenderIsServer: true,
+		Dir: dir,
 		SplitHop: func(p payload, subtree ident.Prefix) payload {
 			var out payload
 			for _, pre := range p {
@@ -238,7 +237,7 @@ func TestMulticastValidation(t *testing.T) {
 
 func TestLinkStressAccounting(t *testing.T) {
 	dir, _ := buildGroup(t, 2, 20, 31)
-	res, err := Multicast(Config[int]{Dir: dir, SenderIsServer: true}, 1)
+	res, err := Multicast(Config[int]{Dir: dir}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +261,7 @@ func TestLinkStressAccounting(t *testing.T) {
 // reaches it directly.
 func TestSingleUserGroup(t *testing.T) {
 	dir, recs := buildGroup(t, 4, 1, 13)
-	res, err := Multicast(Config[int]{Dir: dir, SenderIsServer: true}, 1)
+	res, err := Multicast(Config[int]{Dir: dir}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +327,7 @@ func TestMulticastOverSparseTables(t *testing.T) {
 		t.Fatalf("reference walk met %d all-dead entries and %d empty rows; test is vacuous", lost, emptyRows)
 	}
 
-	res, err := Multicast(Config[int]{Dir: dir, SenderIsServer: true, Alive: alive}, 1)
+	res, err := Multicast(Config[int]{Dir: dir, Alive: alive}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestDuplicateDeliveryCounter(t *testing.T) {
 	dir, recs := buildGroup(t, 4, 8, 99)
 	reg := obs.New()
 	m := &machine[int]{
-		cfg: Config[int]{Dir: dir, SenderIsServer: true, Obs: reg},
+		cfg: Config[int]{Dir: dir, Obs: reg},
 		sim: eventsim.New(),
 		res: &Result{Users: make(map[string]*UserStats)},
 	}
@@ -68,7 +68,7 @@ func TestDuplicateDeliveryCounter(t *testing.T) {
 func TestMulticastNeverCountsDuplicates(t *testing.T) {
 	dir, _ := buildGroup(t, 4, 40, 5)
 	reg := obs.New()
-	if _, err := Multicast(Config[int]{Dir: dir, SenderIsServer: true, Obs: reg}, 1); err != nil {
+	if _, err := Multicast(Config[int]{Dir: dir, Obs: reg}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("tmesh_duplicate_deliveries").Value(); got != 0 {
@@ -87,7 +87,7 @@ func TestTracedMulticast(t *testing.T) {
 	for _, r := range recs {
 		tr.Member(r.ID)
 	}
-	res, err := Multicast(Config[int]{Dir: dir, SenderIsServer: true, Trace: tr}, 1)
+	res, err := Multicast(Config[int]{Dir: dir, Trace: tr}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

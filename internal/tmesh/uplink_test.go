@@ -69,7 +69,7 @@ func TestSharedSimulatorConcurrentSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	big, err := Multicast(Config[int]{
-		Dir: dir, SenderIsServer: true, Sim: sim, Uplinks: up,
+		Dir: dir, Sim: sim, Uplinks: up,
 		SizeOf: func(u int) int { return u },
 	}, 50) // a 5-second transmission per copy
 	if err != nil {
@@ -132,7 +132,7 @@ func TestUncongestedUplinksPreserveTheorem1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Multicast(Config[int]{Dir: dir, SenderIsServer: true, Uplinks: up}, 1)
+	res, err := Multicast(Config[int]{Dir: dir, Uplinks: up}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestUncongestedUplinksPreserveTheorem1(t *testing.T) {
 
 func TestNegativeStartAtRejected(t *testing.T) {
 	dir, _ := buildGroup(t, 1, 3, 95)
-	if _, err := Multicast(Config[int]{Dir: dir, SenderIsServer: true, StartAt: -1}, 1); err == nil {
+	if _, err := Multicast(Config[int]{Dir: dir, StartAt: -1}, 1); err == nil {
 		t.Error("negative StartAt should fail")
 	}
 }
@@ -157,7 +157,6 @@ func TestEarliestPrimaryRow(t *testing.T) {
 	row := tp.Digits - 2
 	res, err := Multicast(Config[int]{
 		Dir:                dir,
-		SenderIsServer:     true,
 		EarliestPrimaryRow: row,
 	}, 1)
 	if err != nil {
