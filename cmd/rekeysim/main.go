@@ -1,29 +1,31 @@
-// Command rekeysim regenerates the paper's evaluation figures.
+// Command rekeysim regenerates the paper's evaluation figures and runs
+// the repo's soaks.
 //
 // Usage:
 //
-//	rekeysim [flags] <experiment>
+//	rekeysim <command> [flags]
 //
-// Experiments: fig6..fig14 (the paper's figures), joincost (Sec. 3.1
-// message-cost analysis), ablation and packets (Sec. 2.5/2.6 design
-// arguments), loss (footnote-1 unicast recovery), gnp (Sec. 5
-// centralized assignment), congestion (concurrent rekey+data on shared
-// uplinks), all
+// The experiment commands are fig6..fig14 (the paper's figures),
+// joincost (Sec. 3.1 message-cost analysis), ablation and packets
+// (Sec. 2.5/2.6 design arguments), loss (footnote-1 unicast recovery),
+// gnp (Sec. 5 centralized assignment), congestion (concurrent
+// rekey+data on shared uplinks) and all. Each prints tab-separated
+// series matching the corresponding figure of "Efficient Group Rekeying
+// Using Application-Layer Multicast" (Zhang, Lam, Liu; ICDCS 2005).
+// -scale shrinks group sizes and run counts proportionally for quick
+// exploration; -scale 1 is the paper's full setting.
 //
-// Each experiment prints tab-separated series matching the corresponding
-// figure of "Efficient Group Rekeying Using Application-Layer Multicast"
-// (Zhang, Lam, Liu; ICDCS 2005). The -scale flag shrinks group sizes and
-// run counts proportionally for quick exploration; -scale 1 is the
-// paper's full setting.
+// The soak commands run an audited session instead and exit non-zero
+// when any invariant is violated: soak (the deterministic chaos soak,
+// internal/chaos), scale (the key-management scale soak), tenancy (the
+// multi-group host, internal/grouphost) and daemon (rekeyd nodes over
+// real sockets).
 //
-// The -soak flag instead runs the deterministic chaos soak
-// (internal/chaos): an N-interval session under fault injection whose
-// per-interval audits check the paper's invariants; the exit status is
-// non-zero when any invariant is violated.
+// Each command parses its own flags; `rekeysim <command> -h` lists
+// them. An unknown command or flag is a usage error (exit 2).
 package main
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
 	"net"
@@ -31,7 +33,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof/* on the default mux
 	"os"
 	"runtime"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -51,74 +52,45 @@ func main() {
 	os.Exit(run(os.Args[1:]))
 }
 
+// A command declares its flags on fs and returns the function that runs
+// it once they are parsed; ops reports whether -pprof serves the ops
+// plane, so a soak knows to run instrumented.
+type command func(fs *flag.FlagSet) func(ops bool) int
+
+// commands maps each command name to its runner; init adds one per
+// experiment.
+var commands = map[string]command{
+	"all":     experimentCommand(experiments...),
+	"soak":    soakCommand,
+	"scale":   scaleCommand,
+	"tenancy": tenancyCommand,
+	"daemon":  daemonCommand,
+}
+
+func init() {
+	for _, e := range experiments {
+		commands[e.name] = experimentCommand(e)
+	}
+}
+
 func run(args []string) int {
-	fs := flag.NewFlagSet("rekeysim", flag.ContinueOnError)
-	var (
-		seed     = fs.Int64("seed", 1, "base random seed")
-		scale    = fs.Float64("scale", 1, "shrink factor: group sizes and runs are multiplied by this")
-		runs     = fs.Int("runs", 0, "override the per-figure default number of runs")
-		points   = fs.Int("points", 20, "inverse-CDF points per curve")
-		progress = fs.Bool("progress", false, "report per-run wall-clock times on stderr as runs complete")
-
-		soak          = fs.Bool("soak", false, "run the deterministic chaos soak (internal/chaos) instead of an experiment")
-		soakIntervals = fs.Int("soak-intervals", 0, "override the soak's rekey interval count")
-		soakMembers   = fs.Int("soak-members", 0, "override the soak's initial group size")
-		soakLoss      = fs.Float64("soak-loss", -1, "override the soak's per-hop loss probability")
-		soakN         = fs.Int("soak-n", 0, "run the key-management scale soak at this many members instead of the network soak (requires -soak)")
-		soakChurn     = fs.Int("soak-churn", 0, "override the scale soak's per-interval leave/rejoin count (requires -soak-n)")
-
-		soakGroups = fs.Int("groups", 0, "run the multi-group tenancy soak with this many groups sharing one topology and staggered scheduler (requires -soak)")
-		flashJoins = fs.Int("flash-joins", 0, "override the tenancy soak's flash-crowd size: this many joins land in one rekey interval (requires -groups)")
-		massChurn  = fs.Int("mass-churn", 0, "override the tenancy soak's mass join+leave quota per interval (requires -groups)")
-
-		daemon          = fs.Bool("daemon", false, "run the socket daemon soak (internal/rekeyd nodes over internal/transport sockets) instead of an experiment")
-		transportKind   = fs.String("transport", "loopback", "daemon fabric: loopback, udp, or tcp (requires -daemon)")
-		listenAddr      = fs.String("listen", "", "bind address for -transport=udp|tcp, e.g. 127.0.0.1:0 — every node binds its own ephemeral port (requires -daemon)")
-		daemonMembers   = fs.Int("daemon-members", 0, "override the daemon soak's initial group size (requires -daemon)")
-		daemonIntervals = fs.Int("daemon-intervals", 0, "override the daemon soak's interval count (requires -daemon)")
-
-		metricsOut  = fs.String("metrics-out", "", "write soak telemetry to this JSONL file: one deterministic record per audited interval plus a final registry snapshot (requires -soak)")
-		traceOut    = fs.String("trace-out", "", "write the soak's flight-recorder trace to this JSONL file: causally-linked per-hop records of sampled intervals' multicasts (requires -soak)")
-		traceSample = fs.Int("trace-sample", 1, "trace every k-th interval (with -trace-out); 1 traces all")
-		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof and expvar (including the live telemetry registry) on this address, e.g. localhost:6060")
-	)
-	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: rekeysim [flags] <fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|joincost|ablation|packets|loss|gnp|congestion|all>\n")
-		fmt.Fprintf(fs.Output(), "       rekeysim -soak [-seed N] [-soak-intervals N] [-soak-members N] [-soak-loss P] [-metrics-out FILE] [-trace-out FILE] [-trace-sample K] [-pprof ADDR]\n")
-		fmt.Fprintf(fs.Output(), "       rekeysim -soak -soak-n N [-seed N] [-soak-churn N] [-soak-intervals N]\n")
-		fmt.Fprintf(fs.Output(), "       rekeysim -soak -groups G [-seed N] [-flash-joins N] [-mass-churn N] [-soak-intervals N] [-metrics-out FILE]\n")
-		fmt.Fprintf(fs.Output(), "       rekeysim -daemon [-transport loopback|udp|tcp] [-listen ADDR] [-seed N] [-daemon-members N] [-daemon-intervals N]\n")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *daemon && *soak {
-		fmt.Fprintln(os.Stderr, "rekeysim: -daemon and -soak are mutually exclusive")
-		return 2
-	}
-	m := modeExperiment
-	switch {
-	case *daemon:
-		m = modeDaemon
-	case *soak && *soakGroups > 0:
-		m = modeTenancy
-	case *soak && *soakN > 0:
-		m = modeScale
-	case *soak:
-		m = modeSoak
-	}
-	// Mode-specific flags fail fast outside their modes instead of being
-	// silently ignored; fs.Visit only sees flags the command line
-	// actually set, so defaults never trip the check.
-	var misused []string
-	fs.Visit(func(f *flag.Flag) {
-		if modes, ok := flagModes[f.Name]; ok && !slices.Contains(modes, m) {
-			misused = append(misused, "-"+f.Name)
+	if len(args) == 0 || commands[args[0]] == nil {
+		fmt.Fprintln(os.Stderr, "usage: rekeysim <command> [flags]   (rekeysim <command> -h lists its flags)")
+		fmt.Fprint(os.Stderr, "experiments:")
+		for _, e := range experiments {
+			fmt.Fprint(os.Stderr, " ", e.name)
 		}
-	})
-	if len(misused) > 0 {
-		fmt.Fprintf(os.Stderr, "rekeysim: %s do(es) not apply to %s\n", strings.Join(misused, ", "), modeNames[m])
+		fmt.Fprintln(os.Stderr, " all\nsoaks: soak scale tenancy daemon")
+		return 2
+	}
+	fs := flag.NewFlagSet("rekeysim "+args[0], flag.ContinueOnError)
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and the ops plane (/metrics, /healthz) on this address, e.g. localhost:6060")
+	exec := commands[args[0]](fs)
+	if err := fs.Parse(args[1:]); err != nil {
+		return 2
+	}
+	if fs.NArg() != 0 {
+		fmt.Fprintf(os.Stderr, "%s: unexpected argument %q\n", fs.Name(), fs.Arg(0))
 		fs.Usage()
 		return 2
 	}
@@ -127,53 +99,7 @@ func run(args []string) int {
 			return fail(err, 1)
 		}
 	}
-	if *daemon {
-		if fs.NArg() != 0 {
-			fs.Usage()
-			return 2
-		}
-		// The locator rules are transport facts, not preferences: sockets
-		// cannot come up without somewhere to bind, and the in-process
-		// fabrics have nothing to bind.
-		switch *transportKind {
-		case "loopback":
-			if *listenAddr != "" {
-				fmt.Fprintf(os.Stderr, "rekeysim: -listen is meaningless with -transport=loopback (udp and tcp bind sockets)\n")
-				return 2
-			}
-		case "udp", "tcp":
-			if *listenAddr == "" {
-				fmt.Fprintf(os.Stderr, "rekeysim: -transport=%s requires -listen (try 127.0.0.1:0)\n", *transportKind)
-				return 2
-			}
-		default:
-			fmt.Fprintf(os.Stderr, "rekeysim: unknown transport %q (want loopback, udp, or tcp)\n", *transportKind)
-			return 2
-		}
-		return runDaemon(*seed, *transportKind, *listenAddr, *daemonMembers, *daemonIntervals, *pprofAddr != "")
-	}
-	if *soak {
-		if fs.NArg() != 0 {
-			fs.Usage()
-			return 2
-		}
-		switch m {
-		case modeTenancy:
-			return runMultiGroupSoak(*seed, *soakGroups, *flashJoins, *massChurn, *soakIntervals, *metricsOut)
-		case modeScale:
-			return runScaleSoak(*seed, *soakN, *soakChurn, *soakIntervals)
-		}
-		return runSoak(*seed, *soakIntervals, *soakMembers, *soakLoss, *metricsOut, *traceOut, *traceSample, *pprofAddr != "")
-	}
-	if fs.NArg() != 1 {
-		fs.Usage()
-		return 2
-	}
-	r := runner{seed: *seed, scale: *scale, runsOverride: *runs, points: *points, progress: *progress}
-	if err := r.dispatch(fs.Arg(0)); err != nil {
-		return fail(err, 1)
-	}
-	return 0
+	return exec(*pprofAddr != "")
 }
 
 // fail reports a fatal error on stderr and returns the exit code.
@@ -182,87 +108,42 @@ func fail(err error, code int) int {
 	return code
 }
 
-// mode is what one invocation runs; every mode-specific flag names the
-// modes it applies to in flagModes.
-type mode int
-
-const (
-	modeExperiment mode = iota
-	modeSoak            // -soak: the simulator chaos soak
-	modeScale           // -soak -soak-n: the key-management scale soak
-	modeTenancy         // -soak -groups: the multi-group tenancy soak
-	modeDaemon          // -daemon: the socket daemon soak
-)
-
-var modeNames = [...]string{
-	modeExperiment: "an experiment run (soak flags require -soak, daemon flags -daemon)",
-	modeSoak:       "the chaos soak (-soak; -soak-churn requires -soak-n, -flash-joins and -mass-churn require -groups)",
-	modeScale:      "the scale soak (-soak-n), which has no virtual network",
-	modeTenancy:    "the tenancy soak (-groups), which has no fault ladder, single network session or churn knob",
-	modeDaemon:     "the daemon soak (-daemon)",
-}
-
-// flagModes lists, per mode-specific flag, the modes it has a meaning
-// in. Flags absent from the table (-seed, -pprof, the experiment
-// knobs) are accepted everywhere.
-var flagModes = map[string][]mode{
-	"soak-intervals":   {modeSoak, modeScale, modeTenancy},
-	"soak-members":     {modeSoak},
-	"soak-loss":        {modeSoak},
-	"soak-n":           {modeScale},
-	"soak-churn":       {modeScale},
-	"groups":           {modeTenancy},
-	"flash-joins":      {modeTenancy},
-	"mass-churn":       {modeTenancy},
-	"metrics-out":      {modeSoak, modeTenancy},
-	"trace-out":        {modeSoak},
-	"trace-sample":     {modeSoak},
-	"transport":        {modeDaemon},
-	"listen":           {modeDaemon},
-	"daemon-members":   {modeDaemon},
-	"daemon-intervals": {modeDaemon},
-}
-
-// activeObs holds the registry of the running soak so the expvar
-// endpoint can snapshot it; nil-safe either way (a nil registry
-// snapshots to the zero value).
+// activeObs holds the registry of the running soak so /metrics can
+// serve it; nil-safe either way (a nil registry snapshots to the zero
+// value).
 var activeObs atomic.Pointer[obs.Registry]
 
-var publishObsOnce sync.Once
+var registerOpsOnce sync.Once
 
-// metricsSource feeds /metrics (and the expvar snapshot) from whichever
-// registry is active *at scrape time*. Every endpoint dereferences
-// activeObs per request — never a captured registry — so a process that
-// runs several soaks in sequence (tests, the tenancy replay) serves each
-// one's live data instead of colliding on the first registry published.
+// metricsSource feeds /metrics from whichever registry is active *at
+// scrape time*. The endpoint dereferences activeObs per request — never
+// a captured registry — so a process that runs several soaks in
+// sequence (tests, the tenancy replay) serves each one's live data
+// instead of colliding on the first registry published.
 func metricsSource() expose.Source {
 	return expose.RegistrySource(func() *obs.Registry { return activeObs.Load() })
 }
 
 // registerOps mounts the ops plane on the default mux exactly once:
-// Prometheus exposition on /metrics, liveness on /healthz, and the raw
-// registry snapshot as expvar "tmesh_obs" (both Publish and Handle panic
-// on re-registration, hence the sync.Once across repeated run() calls).
+// Prometheus exposition on /metrics and liveness on /healthz (Handle
+// panics on re-registration, hence the sync.Once across repeated run()
+// calls).
 func registerOps() {
-	publishObsOnce.Do(func() {
-		expvar.Publish("tmesh_obs", expvar.Func(func() any {
-			return activeObs.Load().Snapshot()
-		}))
+	registerOpsOnce.Do(func() {
 		http.Handle("/metrics", expose.Handler(metricsSource()))
 		http.Handle("/healthz", expose.HealthzHandler())
 	})
 }
 
-// startPprof serves net/http/pprof, expvar, and the ops plane on addr
-// using the default mux. The listener outlives run() — fine for a CLI
-// process.
+// startPprof serves net/http/pprof and the ops plane on addr using the
+// default mux. The listener outlives run() — fine for a CLI process.
 func startPprof(addr string) error {
 	registerOps()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("pprof listener: %w", err)
 	}
-	fmt.Fprintf(os.Stderr, "# ops plane on http://%s/metrics, /healthz, /debug/pprof/, /debug/vars\n", ln.Addr())
+	fmt.Fprintf(os.Stderr, "# ops plane on http://%s/metrics, /healthz, /debug/pprof/\n", ln.Addr())
 	go http.Serve(ln, nil) //nolint:errcheck // best-effort debug endpoint
 	return nil
 }
@@ -315,35 +196,40 @@ func (s sinkFile) finish(code int) int {
 	return code
 }
 
-// runDaemon drives the socket soak: rekeyd nodes exchanging wire
+// daemonCommand drives the socket soak: rekeyd nodes exchanging wire
 // frames over real transport endpoints, walking the chaos fault ladder
 // with the five paper-invariant auditors.
-func runDaemon(seed int64, kind, listen string, members, intervals int, withObs bool) int {
-	cfg := chaos.DefaultSocketConfig(kind)
-	cfg.Seed = seed
-	cfg.Listen = listen
-	if members > 0 {
-		cfg.Members = members
+func daemonCommand(fs *flag.FlagSet) func(ops bool) int {
+	cfg := chaos.DefaultSocketConfig("loopback")
+	fs.Func("transport", "`fabric`: loopback, udp, or tcp (default loopback)", func(s string) error {
+		if s != "loopback" && s != "udp" && s != "tcp" {
+			return fmt.Errorf("unknown transport %q (want loopback, udp, or tcp)", s)
+		}
+		cfg.Transport = s
+		return nil
+	})
+	fs.StringVar(&cfg.Listen, "listen", cfg.Listen, "bind address for udp and tcp; every node binds its own port (default 127.0.0.1:0)")
+	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
+	fs.IntVar(&cfg.Members, "members", cfg.Members, "initial group size")
+	fs.IntVar(&cfg.Intervals, "intervals", cfg.Intervals, "rekey intervals")
+	return func(ops bool) int {
+		if ops {
+			cfg.Obs = obs.New()
+			activeObs.Store(cfg.Obs)
+		}
+		rep, err := chaos.RunSocketSoak(cfg)
+		if err != nil {
+			return fail(err, 1)
+		}
+		fmt.Print(rep.String())
+		if ops {
+			printTransportSummary(cfg.Obs)
+		}
+		if rep.TotalViolations() > 0 {
+			return 1
+		}
+		return 0
 	}
-	if intervals > 0 {
-		cfg.Intervals = intervals
-	}
-	if withObs {
-		cfg.Obs = obs.New()
-		activeObs.Store(cfg.Obs)
-	}
-	rep, err := chaos.RunSocketSoak(cfg)
-	if err != nil {
-		return fail(err, 1)
-	}
-	fmt.Print(rep.String())
-	if withObs {
-		printTransportSummary(cfg.Obs)
-	}
-	if rep.TotalViolations() > 0 {
-		return 1
-	}
-	return 0
 }
 
 // printTransportSummary dumps the transport_* instruments to stderr —
@@ -365,111 +251,113 @@ func printTransportSummary(reg *obs.Registry) {
 	}
 }
 
-// runScaleSoak drives the key-management scale soak — the flat-state
+// scaleCommand drives the key-management scale soak — the flat-state
 // churn loop with no virtual network — and prints its canonical report
 // on stdout. Progress lines (with live heap readings) go to stderr; the
 // exit status reflects the keyring spot checks.
-func runScaleSoak(seed int64, n, churn, intervals int) int {
-	cfg := chaos.DefaultScaleConfig(n)
-	cfg.Seed = seed
-	if churn > 0 {
-		cfg.Churn = churn
+func scaleCommand(fs *flag.FlagSet) func(ops bool) int {
+	def := chaos.DefaultScaleConfig(100000)
+	seed := fs.Int64("seed", def.Seed, "random seed")
+	n := fs.Int("n", def.N, "steady-state group size")
+	churn := fs.Int("churn", 0, "members that leave and rejoin per interval (default 1% of -n)")
+	intervals := fs.Int("intervals", def.Intervals, "churn intervals after the build-up")
+	return func(bool) int {
+		cfg := chaos.DefaultScaleConfig(*n) // the ID space and churn follow n
+		cfg.Seed, cfg.Intervals, cfg.Out = *seed, *intervals, os.Stderr
+		if *churn > 0 {
+			cfg.Churn = *churn
+		}
+		rep, err := chaos.RunScaleSoak(cfg)
+		if err != nil {
+			return fail(err, 2)
+		}
+		fmt.Print(rep.String())
+		fmt.Fprintf(os.Stderr, "scale soak heap: %d MB live, %.1f bytes/member\n",
+			rep.HeapAllocEnd>>20, rep.BytesPerMember)
+		if len(rep.Violations) > 0 {
+			return 1
+		}
+		return 0
 	}
-	if intervals > 0 {
-		cfg.Intervals = intervals
-	}
-	cfg.Out = os.Stderr
-	rep, err := chaos.RunScaleSoak(cfg)
-	if err != nil {
-		return fail(err, 2)
-	}
-	fmt.Print(rep.String())
-	fmt.Fprintf(os.Stderr, "scale soak heap: %d MB live, %.1f bytes/member\n",
-		rep.HeapAllocEnd>>20, rep.BytesPerMember)
-	if len(rep.Violations) > 0 {
-		return 1
-	}
-	return 0
 }
 
-// runMultiGroupSoak drives the multi-group tenancy soak
+// tenancyCommand drives the multi-group tenancy soak
 // (internal/grouphost): G groups — a flash crowd, a mass join+leave,
 // and full-protocol groups over one shared topology — multiplexed
 // under the staggered scheduler, with the five paper auditors running
 // per group at every interval. After the main run the whole host
 // replays at a different fan-out width (GOMAXPROCS 1) and the reports
 // must be byte-identical; any mismatch, audit violation, or per-tenant
-// SLO page exits non-zero. With metricsOut the main run streams per-group "slo"
-// records (plus a final registry snapshot) to the file; the report is
-// byte-identical either way.
-func runMultiGroupSoak(seed int64, groups, flashJoins, massChurn, intervals int, metricsOut string) int {
-	if flashJoins <= 0 {
-		flashJoins = 100000
-	}
-	if massChurn <= 0 {
-		massChurn = 10000
-	}
-	if intervals <= 0 {
-		intervals = 4
-	}
-	specs := buildTenancy(groups, flashJoins, massChurn, intervals, seed)
-	run := func(out *os.File, reg *obs.Registry, sink *obs.Sink) (*grouphost.Report, int) {
-		rep, err := grouphost.Run(grouphost.Config{
-			Groups:  specs,
-			Seed:    seed,
-			Stagger: 7 * time.Second,
-			Obs:     reg,
-			Sink:    sink,
-			Out:     out,
-		})
-		if err != nil {
-			return nil, fail(err, 2)
+// SLO page exits non-zero. With -metrics-out the main run streams
+// per-group "slo" records (plus a final registry snapshot) to the file;
+// the report is byte-identical either way.
+func tenancyCommand(fs *flag.FlagSet) func(ops bool) int {
+	seed := fs.Int64("seed", 1, "base random seed")
+	groups := fs.Int("groups", 16, "groups sharing one topology and the staggered scheduler")
+	flashJoins := fs.Int("flash-joins", 100000, "the flash-crowd group's joins, all in one rekey interval")
+	massChurn := fs.Int("mass-churn", 10000, "the mass group's join+leave quota per interval")
+	intervals := fs.Int("intervals", 4, "churn intervals per group")
+	metricsOut := fs.String("metrics-out", "", "write per-group slo records and a final registry snapshot to this JSONL file")
+	return func(bool) int {
+		specs := buildTenancy(*groups, *flashJoins, *massChurn, *intervals, *seed)
+		run := func(out *os.File, reg *obs.Registry, sink *obs.Sink) (*grouphost.Report, int) {
+			rep, err := grouphost.Run(grouphost.Config{
+				Groups:  specs,
+				Seed:    *seed,
+				Stagger: 7 * time.Second,
+				Obs:     reg,
+				Sink:    sink,
+				Out:     out,
+			})
+			if err != nil {
+				return nil, fail(err, 2)
+			}
+			return rep, 0
 		}
-		return rep, 0
+		mainObs := obs.New()
+		activeObs.Store(mainObs)
+		metrics, err := openSink("metrics", *metricsOut)
+		if err != nil {
+			return fail(err, 2)
+		}
+		rep, code := run(os.Stderr, mainObs, metrics.Sink)
+		if code != 0 {
+			return code
+		}
+		// Replay at a different width: inline against the parallel run, wide
+		// against one that was already inline (a one-CPU box). Width is
+		// GOMAXPROCS, so that is what the replay varies. The replay runs
+		// with its own registry and no sink — the byte-compare below is what
+		// proves the ops plane does not perturb the protocol.
+		replayProcs := 1
+		if rep.PoolWidth == 1 {
+			replayProcs = 4
+		}
+		fmt.Fprintf(os.Stderr, "replaying at GOMAXPROCS %d to cross-check determinism\n", replayProcs)
+		prevProcs := runtime.GOMAXPROCS(replayProcs)
+		replay, code := run(nil, obs.New(), nil)
+		runtime.GOMAXPROCS(prevProcs)
+		if code != 0 {
+			return code
+		}
+		fmt.Print(rep.String())
+		if replay.String() != rep.String() {
+			fmt.Fprintf(os.Stderr, "rekeysim: tenancy replay diverged across fan-out widths\n--- replay ---\n%s", replay.String())
+			return 1
+		}
+		fmt.Fprintf(os.Stderr, "replay byte-identical across fan-out widths (%d vs %d wide)\n",
+			rep.PoolWidth, replay.PoolWidth)
+		code = 0
+		if rep.Violations() > 0 {
+			code = 1
+		}
+		if pages := rep.SLOPages(); pages > 0 {
+			fmt.Fprintf(os.Stderr, "rekeysim: %d SLO page verdicts across tenants\n", pages)
+			code = 1
+		}
+		metrics.Emit(metricsEvent{Kind: "metrics", Snapshot: mainObs.Snapshot()})
+		return metrics.finish(code)
 	}
-	mainObs := obs.New()
-	activeObs.Store(mainObs)
-	metrics, err := openSink("metrics", metricsOut)
-	if err != nil {
-		return fail(err, 2)
-	}
-	rep, code := run(os.Stderr, mainObs, metrics.Sink)
-	if code != 0 {
-		return code
-	}
-	// Replay at a different width: inline against the parallel run, wide
-	// against one that was already inline (a one-CPU box). Width is
-	// GOMAXPROCS, so that is what the replay varies. The replay runs
-	// with its own registry and no sink — the byte-compare below is what
-	// proves the ops plane does not perturb the protocol.
-	replayProcs := 1
-	if rep.PoolWidth == 1 {
-		replayProcs = 4
-	}
-	fmt.Fprintf(os.Stderr, "replaying at GOMAXPROCS %d to cross-check determinism\n", replayProcs)
-	prevProcs := runtime.GOMAXPROCS(replayProcs)
-	replay, code := run(nil, obs.New(), nil)
-	runtime.GOMAXPROCS(prevProcs)
-	if code != 0 {
-		return code
-	}
-	fmt.Print(rep.String())
-	if replay.String() != rep.String() {
-		fmt.Fprintf(os.Stderr, "rekeysim: tenancy replay diverged across fan-out widths\n--- replay ---\n%s", replay.String())
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "replay byte-identical across fan-out widths (%d vs %d wide)\n",
-		rep.PoolWidth, replay.PoolWidth)
-	code = 0
-	if rep.Violations() > 0 {
-		code = 1
-	}
-	if pages := rep.SLOPages(); pages > 0 {
-		fmt.Fprintf(os.Stderr, "rekeysim: %d SLO page verdicts across tenants\n", pages)
-		code = 1
-	}
-	metrics.Emit(metricsEvent{Kind: "metrics", Snapshot: mainObs.Snapshot()})
-	return metrics.finish(code)
 }
 
 // buildTenancy lays out the soak's G groups: one flash crowd and one
@@ -518,53 +406,111 @@ func buildTenancy(groups, flashJoins, massChurn, intervals int, seed int64) []gr
 	return specs
 }
 
-// runSoak drives one simulator chaos soak session and prints its
+// soakCommand drives one simulator chaos soak session and prints its
 // canonical report; the exit status reflects the invariant verdicts, so
-// the soak can gate CI directly. With metricsOut the soak runs
+// the soak can gate CI directly. With -metrics-out the soak runs
 // instrumented and streams interval records (plus a final registry
 // snapshot) to the file; the report itself is byte-identical either way.
-func runSoak(seed int64, intervals, members int, loss float64, metricsOut, traceOut string, traceSample int, withObs bool) int {
-	cfg := chaos.DefaultConfig(seed)
-	if intervals > 0 {
-		cfg.Intervals = intervals
-	}
-	if members > 0 {
-		cfg.InitialMembers = members
-	}
-	if loss >= 0 {
-		cfg.HopLoss = loss
-	}
+func soakCommand(fs *flag.FlagSet) func(ops bool) int {
+	cfg := chaos.DefaultConfig(1)
+	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
+	fs.IntVar(&cfg.Intervals, "intervals", cfg.Intervals, "rekey intervals")
+	fs.IntVar(&cfg.InitialMembers, "members", cfg.InitialMembers, "initial group size")
+	fs.Float64Var(&cfg.HopLoss, "loss", cfg.HopLoss, "per-hop loss probability of multicast hops and recovery unicasts")
+	metricsOut := fs.String("metrics-out", "", "write one deterministic record per audited interval, plus a final registry snapshot, to this JSONL file")
+	traceOut := fs.String("trace-out", "", "write the flight-recorder trace (causally-linked per-hop records of sampled intervals' multicasts) to this JSONL file")
+	fs.IntVar(&cfg.TraceSample, "trace-sample", cfg.TraceSample, "with -trace-out, trace every k-th interval; <= 1 traces all")
+	return func(ops bool) int {
+		if *metricsOut != "" || ops {
+			cfg.Obs = obs.New()
+			activeObs.Store(cfg.Obs)
+		}
+		metrics, err := openSink("metrics", *metricsOut)
+		if err != nil {
+			return fail(err, 2)
+		}
+		trace, err := openSink("trace", *traceOut)
+		if err != nil {
+			return fail(err, 2)
+		}
+		cfg.Sink, cfg.TraceSink = metrics.Sink, trace.Sink
 
-	if metricsOut != "" || withObs {
-		cfg.Obs = obs.New()
-		activeObs.Store(cfg.Obs)
-	}
-	metrics, err := openSink("metrics", metricsOut)
-	if err != nil {
-		return fail(err, 2)
-	}
-	trace, err := openSink("trace", traceOut)
-	if err != nil {
-		return fail(err, 2)
-	}
-	cfg.Sink, cfg.TraceSink, cfg.TraceSample = metrics.Sink, trace.Sink, traceSample
+		e, err := chaos.New(cfg)
+		if err != nil {
+			return fail(err, 2)
+		}
+		rep, err := e.Run()
+		if err != nil {
+			return fail(err, 1)
+		}
+		fmt.Print(rep.String())
 
-	e, err := chaos.New(cfg)
-	if err != nil {
-		return fail(err, 2)
+		code := 0
+		if rep.TotalViolations() > 0 {
+			code = 1
+		}
+		metrics.Emit(metricsEvent{Kind: "metrics", Snapshot: cfg.Obs.Snapshot()})
+		return trace.finish(metrics.finish(code))
 	}
-	rep, err := e.Run()
-	if err != nil {
-		return fail(err, 1)
-	}
-	fmt.Print(rep.String())
+}
 
-	code := 0
-	if rep.TotalViolations() > 0 {
-		code = 1
+// experiments are the paper's figures and the repo's own analyses, in
+// the order `all` runs them.
+var experiments = []experiment{
+	{"fig6", latencyFigure("Fig 6: rekey path latency, PlanetLab, 226 joins", exp.PlanetLab, 226, 100, false)},
+	{"fig7", latencyFigure("Fig 7: rekey path latency, GT-ITM, 256 joins", exp.GTITM, 256, 5, false)},
+	{"fig8", latencyFigure("Fig 8: rekey path latency, GT-ITM, 1024 joins", exp.GTITM, 1024, 3, false)},
+	{"fig9", latencyFigure("Fig 9: data path latency, PlanetLab, 226 joins", exp.PlanetLab, 226, 100, true)},
+	{"fig10", latencyFigure("Fig 10: data path latency, GT-ITM, 256 joins", exp.GTITM, 256, 5, true)},
+	{"fig11", latencyFigure("Fig 11: data path latency, GT-ITM, 1024 joins", exp.GTITM, 1024, 3, true)},
+	{"fig12", runner.fig12},
+	{"fig13", runner.fig13},
+	{"fig14", runner.fig14},
+	{"joincost", runner.joinCost},
+	{"ablation", runner.ablation},
+	{"packets", runner.packets},
+	{"loss", runner.loss},
+	{"gnp", runner.gnp},
+	{"congestion", runner.congestion},
+}
+
+// An experiment prints one figure's series on stdout.
+type experiment struct {
+	name string
+	run  func(runner) error
+}
+
+// experimentCommand runs es in order; more than one (the all command)
+// are separated by blank lines.
+func experimentCommand(es ...experiment) command {
+	return func(fs *flag.FlagSet) func(ops bool) int {
+		r := runner{}
+		fs.Int64Var(&r.seed, "seed", 1, "base random seed")
+		fs.Float64Var(&r.scale, "scale", 1, "shrink factor: group sizes and runs are multiplied by this")
+		fs.IntVar(&r.runsOverride, "runs", 0, "override the per-figure default number of runs")
+		fs.IntVar(&r.points, "points", 20, "inverse-CDF points per curve")
+		fs.BoolVar(&r.progress, "progress", false, "report per-run wall-clock times on stderr as runs complete")
+		return func(bool) int {
+			for _, e := range es {
+				if err := e.run(r); err != nil {
+					return fail(fmt.Errorf("%s: %w", e.name, err), 1)
+				}
+				if len(es) > 1 {
+					fmt.Println()
+				}
+			}
+			return 0
+		}
 	}
-	metrics.Emit(metricsEvent{Kind: "metrics", Snapshot: cfg.Obs.Snapshot()})
-	return trace.finish(metrics.finish(code))
+}
+
+// latencyFigure is one of Figs 6–11: the latency experiment at the
+// paper's group size and run count on topo, rekey or data path.
+func latencyFigure(title string, topo exp.TopologyKind, joins, runs int, data bool) func(runner) error {
+	return func(r runner) error {
+		return r.latency(title, exp.LatencyConfig{Topology: topo, Joins: r.n(joins), Runs: r.runs(runs),
+			Seed: r.seed, DataTransport: data, Points: r.points})
+	}
 }
 
 type runner struct {
@@ -603,57 +549,6 @@ func (r runner) runs(def int) int {
 		v = 1
 	}
 	return v
-}
-
-func (r runner) dispatch(name string) error {
-	switch name {
-	case "fig6":
-		return r.latency("Fig 6: rekey path latency, PlanetLab, 226 joins",
-			exp.LatencyConfig{Topology: exp.PlanetLab, Joins: r.n(226), Runs: r.runs(100), Seed: r.seed, Points: r.points})
-	case "fig7":
-		return r.latency("Fig 7: rekey path latency, GT-ITM, 256 joins",
-			exp.LatencyConfig{Topology: exp.GTITM, Joins: r.n(256), Runs: r.runs(5), Seed: r.seed, Points: r.points})
-	case "fig8":
-		return r.latency("Fig 8: rekey path latency, GT-ITM, 1024 joins",
-			exp.LatencyConfig{Topology: exp.GTITM, Joins: r.n(1024), Runs: r.runs(3), Seed: r.seed, Points: r.points})
-	case "fig9":
-		return r.latency("Fig 9: data path latency, PlanetLab, 226 joins",
-			exp.LatencyConfig{Topology: exp.PlanetLab, Joins: r.n(226), Runs: r.runs(100), Seed: r.seed, DataTransport: true, Points: r.points})
-	case "fig10":
-		return r.latency("Fig 10: data path latency, GT-ITM, 256 joins",
-			exp.LatencyConfig{Topology: exp.GTITM, Joins: r.n(256), Runs: r.runs(5), Seed: r.seed, DataTransport: true, Points: r.points})
-	case "fig11":
-		return r.latency("Fig 11: data path latency, GT-ITM, 1024 joins",
-			exp.LatencyConfig{Topology: exp.GTITM, Joins: r.n(1024), Runs: r.runs(3), Seed: r.seed, DataTransport: true, Points: r.points})
-	case "fig12":
-		return r.fig12()
-	case "fig13":
-		return r.fig13()
-	case "fig14":
-		return r.fig14()
-	case "joincost":
-		return r.joinCost()
-	case "ablation":
-		return r.ablation()
-	case "packets":
-		return r.packets()
-	case "loss":
-		return r.loss()
-	case "gnp":
-		return r.gnp()
-	case "congestion":
-		return r.congestion()
-	case "all":
-		for _, f := range []string{"fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "joincost", "ablation", "packets", "loss", "gnp", "congestion"} {
-			if err := r.dispatch(f); err != nil {
-				return fmt.Errorf("%s: %w", f, err)
-			}
-			fmt.Println()
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown experiment %q", name)
-	}
 }
 
 func (r runner) latency(title string, cfg exp.LatencyConfig) error {

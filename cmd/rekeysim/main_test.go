@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"expvar"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -16,73 +15,67 @@ import (
 )
 
 func TestRunArgHandling(t *testing.T) {
+	// Each command parses its own flag set, so a flag that belongs to
+	// another command is undefined in this one. The row names are those
+	// of the single flag set that came before the commands.
 	tests := []struct {
 		name string
 		args []string
 		want int
 	}{
 		{"no experiment", nil, 2},
-		{"unknown experiment", []string{"fig99"}, 1},
+		{"unknown experiment", []string{"fig99"}, 2},
 		{"two experiments", []string{"fig6", "fig7"}, 2},
-		{"bad flag", []string{"-bogus", "fig6"}, 2},
-		{"metrics-out without soak", []string{"-metrics-out", os.DevNull, "fig6"}, 2},
-		{"trace-out without soak", []string{"-trace-out", os.DevNull, "fig6"}, 2},
-		{"trace-sample without soak", []string{"-trace-sample", "2", "fig6"}, 2},
-		{"soak-intervals without soak", []string{"-soak-intervals", "3", "fig6"}, 2},
-		{"soak-members without soak", []string{"-soak-members", "40", "fig6"}, 2},
-		{"soak-loss without soak", []string{"-soak-loss", "0.1", "fig6"}, 2},
-		{"several soak flags without soak", []string{"-soak-members", "40", "-trace-out", os.DevNull, "fig6"}, 2},
-		{"soak-n without soak", []string{"-soak-n", "1000", "fig6"}, 2},
-		{"soak-churn without soak", []string{"-soak-churn", "10", "fig6"}, 2},
-		// Scale-soak hygiene inside -soak: -soak-churn is meaningless
-		// without -soak-n, and the network-facing flags are meaningless
-		// with it.
-		{"soak-churn without soak-n", []string{"-soak", "-soak-churn", "10"}, 2},
-		{"soak-n with soak-members", []string{"-soak", "-soak-n", "1000", "-soak-members", "40"}, 2},
-		{"soak-n with soak-loss", []string{"-soak", "-soak-n", "1000", "-soak-loss", "0.1"}, 2},
-		{"soak-n with trace-out", []string{"-soak", "-soak-n", "1000", "-trace-out", os.DevNull}, 2},
-		{"soak-n with experiment arg", []string{"-soak", "-soak-n", "1000", "fig6"}, 2},
-		// Tenancy-soak hygiene: -groups and its workload knobs are
-		// soak-only, the knobs additionally require -groups, and the
-		// tenancy soak rejects the scale soak and the net-soak
-		// instrumentation.
-		{"groups without soak", []string{"-groups", "4", "fig6"}, 2},
-		{"flash-joins without soak", []string{"-flash-joins", "1000", "fig6"}, 2},
-		{"mass-churn without soak", []string{"-mass-churn", "100", "fig6"}, 2},
-		{"flash-joins without groups", []string{"-soak", "-flash-joins", "1000"}, 2},
-		{"mass-churn without groups", []string{"-soak", "-mass-churn", "100"}, 2},
-		{"groups with soak-n", []string{"-soak", "-groups", "4", "-soak-n", "1000"}, 2},
-		{"groups with soak-members", []string{"-soak", "-groups", "4", "-soak-members", "40"}, 2},
-		{"groups with soak-loss", []string{"-soak", "-groups", "4", "-soak-loss", "0.1"}, 2},
-		{"groups with soak-churn", []string{"-soak", "-groups", "4", "-soak-churn", "10"}, 2},
-		{"groups with trace-out", []string{"-soak", "-groups", "4", "-trace-out", os.DevNull}, 2},
-		{"groups with experiment arg", []string{"-soak", "-groups", "4", "fig6"}, 2},
-		// Soak-only flags at their default values must not trip the
-		// check when absent from the command line.
-		{"experiment without soak flags ok", []string{"fig99"}, 1},
-		// Daemon flag hygiene: daemon-only flags outside -daemon,
-		// incompatible mode combinations, and locator rules all fail
-		// fast with exit 2 instead of being silently ignored.
-		{"transport without daemon", []string{"-transport", "udp", "fig6"}, 2},
-		{"listen without daemon", []string{"-listen", "127.0.0.1:0", "fig6"}, 2},
-		{"daemon-members without daemon", []string{"-daemon-members", "8", "fig6"}, 2},
-		{"daemon-intervals without daemon", []string{"-daemon-intervals", "2", "fig6"}, 2},
-		{"daemon with soak", []string{"-daemon", "-soak"}, 2},
-		{"daemon with experiment arg", []string{"-daemon", "fig6"}, 2},
-		{"daemon udp without listen", []string{"-daemon", "-transport", "udp"}, 2},
-		{"daemon tcp without listen", []string{"-daemon", "-transport", "tcp"}, 2},
-		{"daemon listen with loopback", []string{"-daemon", "-listen", "127.0.0.1:0"}, 2},
-		// "sim" was an alias for -soak; it is an unknown transport now.
-		{"daemon listen with sim", []string{"-daemon", "-transport", "sim", "-listen", "127.0.0.1:0"}, 2},
-		{"daemon transport sim", []string{"-daemon", "-transport", "sim"}, 2},
-		{"daemon unknown transport", []string{"-daemon", "-transport", "carrier-pigeon"}, 2},
+		{"bad flag", []string{"fig6", "-bogus"}, 2},
+		{"metrics-out without soak", []string{"fig6", "-metrics-out", os.DevNull}, 2},
+		{"trace-out without soak", []string{"fig6", "-trace-out", os.DevNull}, 2},
+		{"trace-sample without soak", []string{"fig6", "-trace-sample", "2"}, 2},
+		{"soak-intervals without soak", []string{"fig6", "-intervals", "3"}, 2},
+		{"soak-members without soak", []string{"fig6", "-members", "40"}, 2},
+		{"soak-loss without soak", []string{"fig6", "-loss", "0.1"}, 2},
+		{"several soak flags without soak", []string{"fig6", "-members", "40", "-trace-out", os.DevNull}, 2},
+		{"soak-n without soak", []string{"fig6", "-n", "1000"}, 2},
+		{"soak-churn without soak", []string{"fig6", "-churn", "10"}, 2},
+		// The scale soak has no virtual network; the chaos soak has no
+		// churn knob.
+		{"soak-churn without soak-n", []string{"soak", "-churn", "10"}, 2},
+		{"soak-n with soak-members", []string{"scale", "-members", "40"}, 2},
+		{"soak-n with soak-loss", []string{"scale", "-loss", "0.1"}, 2},
+		{"soak-n with trace-out", []string{"scale", "-trace-out", os.DevNull}, 2},
+		{"soak-n with experiment arg", []string{"scale", "fig6"}, 2},
+		// The tenancy soak has no fault ladder, single network session
+		// or churn knob.
+		{"groups without soak", []string{"fig6", "-groups", "4"}, 2},
+		{"flash-joins without soak", []string{"fig6", "-flash-joins", "1000"}, 2},
+		{"mass-churn without soak", []string{"fig6", "-mass-churn", "100"}, 2},
+		{"flash-joins without groups", []string{"soak", "-flash-joins", "1000"}, 2},
+		{"mass-churn without groups", []string{"soak", "-mass-churn", "100"}, 2},
+		{"groups with soak-n", []string{"tenancy", "-n", "1000"}, 2},
+		{"groups with soak-members", []string{"tenancy", "-members", "40"}, 2},
+		{"groups with soak-loss", []string{"tenancy", "-loss", "0.1"}, 2},
+		{"groups with soak-churn", []string{"tenancy", "-churn", "10"}, 2},
+		{"groups with trace-out", []string{"tenancy", "-trace-out", os.DevNull}, 2},
+		{"groups with experiment arg", []string{"tenancy", "fig6"}, 2},
+		// Every experiment flag is accepted by an experiment.
+		{"experiment without soak flags ok", []string{"fig14", "-seed", "1", "-scale", "0.02", "-runs", "1", "-points", "4", "-progress"}, 0},
+		{"transport without daemon", []string{"soak", "-transport", "udp"}, 2},
+		{"listen without daemon", []string{"soak", "-listen", "127.0.0.1:0"}, 2},
+		// The mode flags and the soak-/daemon- prefixes are gone.
+		{"daemon-members without daemon", []string{"daemon", "-daemon-members", "8"}, 2},
+		{"daemon-intervals without daemon", []string{"daemon", "-daemon-intervals", "2"}, 2},
+		{"daemon with soak", []string{"daemon", "-soak"}, 2},
+		{"soak flag", []string{"-soak"}, 2},
+		{"soak-loss flag", []string{"soak", "-soak-loss", "0.1"}, 2},
+		{"daemon with experiment arg", []string{"daemon", "fig6"}, 2},
+		// An empty locator binds 127.0.0.1:0, and loopback binds nothing.
+		{"daemon udp without listen", []string{"daemon", "-transport", "udp", "-members", "8", "-intervals", "2"}, 0},
+		{"daemon tcp without listen", []string{"daemon", "-transport", "tcp", "-members", "8", "-intervals", "2"}, 0},
+		{"daemon listen with loopback", []string{"daemon", "-listen", "127.0.0.1:0", "-members", "8", "-intervals", "2"}, 0},
+		// "sim" was an alias for the chaos soak; it is an unknown transport now.
+		{"daemon listen with sim", []string{"daemon", "-transport", "sim", "-listen", "127.0.0.1:0"}, 2},
+		{"daemon transport sim", []string{"daemon", "-transport", "sim"}, 2},
+		{"daemon unknown transport", []string{"daemon", "-transport", "carrier-pigeon"}, 2},
 	}
-	// Silence usage output during the table run.
-	devnull, err := os.Open(os.DevNull)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer devnull.Close()
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			if got := run(tt.args); got != tt.want {
@@ -98,7 +91,7 @@ func TestRunScaleSoakSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke test")
 	}
-	args := []string{"-soak", "-soak-n", "500", "-soak-churn", "20", "-soak-intervals", "4"}
+	args := []string{"scale", "-n", "500", "-churn", "20", "-intervals", "4"}
 	if got := run(args); got != 0 {
 		t.Errorf("run(%v) = %d, want 0", args, got)
 	}
@@ -111,8 +104,7 @@ func TestRunMultiGroupSoakSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke test")
 	}
-	args := []string{"-soak", "-groups", "4", "-flash-joins", "2000", "-mass-churn", "300",
-		"-soak-intervals", "2"}
+	args := []string{"tenancy", "-groups", "4", "-flash-joins", "2000", "-mass-churn", "300", "-intervals", "2"}
 	if got := run(args); got != 0 {
 		t.Errorf("run(%v) = %d, want 0", args, got)
 	}
@@ -125,7 +117,7 @@ func TestRunTinyExperiments(t *testing.T) {
 		t.Skip("CLI smoke test")
 	}
 	for _, exp := range []string{"joincost", "fig14"} {
-		if got := run([]string{"-scale", "0.02", "-points", "4", exp}); got != 0 {
+		if got := run([]string{exp, "-scale", "0.02", "-points", "4"}); got != 0 {
 			t.Errorf("run(%s) = %d, want 0", exp, got)
 		}
 	}
@@ -147,7 +139,7 @@ func TestFigureGoldens(t *testing.T) {
 		for _, procs := range []int{1, 4} {
 			got := captureStdout(t, func() {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				if code := run([]string{"-scale", "0.1", "-seed", "1", fig}); code != 0 {
+				if code := run([]string{fig, "-scale", "0.1", "-seed", "1"}); code != 0 {
 					t.Errorf("run(%s) = %d, want 0", fig, code)
 				}
 			})
@@ -179,19 +171,19 @@ func captureStdout(t *testing.T, fn func()) string {
 }
 
 // TestRunDaemonSmoke drives the socket daemon soak through the CLI
-// path: loopback needs no locator, UDP binds real ephemeral sockets via
+// path: loopback needs no locator, UDP binds real ephemeral sockets at
 // -listen. Two intervals cover the clean and loss rungs of the fault
 // ladder; exit 0 means every auditor stayed green.
 func TestRunDaemonSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke test")
 	}
-	base := []string{"-daemon", "-daemon-members", "8", "-daemon-intervals", "2"}
+	base := []string{"daemon", "-members", "8", "-intervals", "2"}
 	if got := run(base); got != 0 {
-		t.Errorf("run(-daemon loopback) = %d, want 0", got)
+		t.Errorf("run(daemon loopback) = %d, want 0", got)
 	}
 	if got := run(append(base, "-transport", "udp", "-listen", "127.0.0.1:0")); got != 0 {
-		t.Errorf("run(-daemon udp) = %d, want 0", got)
+		t.Errorf("run(daemon udp) = %d, want 0", got)
 	}
 }
 
@@ -203,8 +195,8 @@ func TestRunSoakMetricsOut(t *testing.T) {
 		t.Skip("CLI smoke test")
 	}
 	out := filepath.Join(t.TempDir(), "metrics.jsonl")
-	if got := run([]string{"-soak", "-soak-intervals", "3", "-soak-members", "40", "-metrics-out", out}); got != 0 {
-		t.Fatalf("run(-soak -metrics-out) = %d, want 0", got)
+	if got := run([]string{"soak", "-intervals", "3", "-members", "40", "-metrics-out", out}); got != 0 {
+		t.Fatalf("run(soak -metrics-out) = %d, want 0", got)
 	}
 	data, err := os.ReadFile(out)
 	if err != nil {
@@ -265,8 +257,8 @@ func TestRunMultiGroupSoakMetricsOut(t *testing.T) {
 		t.Skip("CLI smoke test")
 	}
 	out := filepath.Join(t.TempDir(), "tenancy.jsonl")
-	args := []string{"-soak", "-groups", "3", "-flash-joins", "2000", "-mass-churn", "300",
-		"-soak-intervals", "2", "-metrics-out", out}
+	args := []string{"tenancy", "-groups", "3", "-flash-joins", "2000", "-mass-churn", "300",
+		"-intervals", "2", "-metrics-out", out}
 	if got := run(args); got != 0 {
 		t.Fatalf("run(%v) = %d, want 0", args, got)
 	}
@@ -324,8 +316,8 @@ func TestRunSoakTraceOut(t *testing.T) {
 		t.Skip("CLI smoke test")
 	}
 	out := filepath.Join(t.TempDir(), "trace.jsonl")
-	if got := run([]string{"-soak", "-soak-intervals", "3", "-soak-members", "40", "-trace-out", out}); got != 0 {
-		t.Fatalf("run(-soak -trace-out) = %d, want 0", got)
+	if got := run([]string{"soak", "-intervals", "3", "-members", "40", "-trace-out", out}); got != 0 {
+		t.Fatalf("run(soak -trace-out) = %d, want 0", got)
 	}
 	f, err := os.Open(out)
 	if err != nil {
@@ -362,7 +354,7 @@ func TestRunSoakSinkWriteErrorExit(t *testing.T) {
 	} else {
 		f.Close()
 	}
-	base := []string{"-soak", "-soak-intervals", "2", "-soak-members", "40"}
+	base := []string{"soak", "-intervals", "2", "-members", "40"}
 	if got := run(append(base, "-metrics-out", "/dev/full")); got != 1 {
 		t.Errorf("run(-metrics-out /dev/full) = %d, want 1", got)
 	}
@@ -371,8 +363,8 @@ func TestRunSoakSinkWriteErrorExit(t *testing.T) {
 	}
 }
 
-// TestOpsEndpointsTrackActiveRegistry: /metrics and the tmesh_obs
-// expvar must follow activeObs per request. A process that runs several
+// TestOpsEndpointsTrackActiveRegistry: /metrics must follow activeObs
+// per request. A process that runs several
 // instrumented soaks back to back swaps registries; a scrape landing
 // after the swap must see the new instruments, not a captured registry
 // from whenever the handler was registered.
@@ -404,11 +396,6 @@ func TestOpsEndpointsTrackActiveRegistry(t *testing.T) {
 	}
 	if strings.Contains(body, "first_marker") {
 		t.Errorf("second scrape still serves the stale registry:\n%s", body)
-	}
-	if v := expvar.Get("tmesh_obs"); v == nil {
-		t.Error("tmesh_obs expvar not published")
-	} else if s := v.String(); !strings.Contains(s, "second_marker") || strings.Contains(s, "first_marker") {
-		t.Errorf("tmesh_obs expvar stale:\n%s", s)
 	}
 }
 

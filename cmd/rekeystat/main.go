@@ -1,9 +1,10 @@
 // Command rekeystat is the live status view over the rekey ops plane:
-// it polls a /metrics endpoint (rekeysim -soak -pprof, or the rekeyd
-// daemon soak) or reads a telemetry JSONL stream, and renders one line
-// per group — members, last rekey latency, SLO verdict, and the ladder
-// rung counts — so an operator watching a soak sees per-tenant health
-// without grepping raw exposition text.
+// it polls a /metrics endpoint (rekeysim soak -pprof, or the rekeyd
+// daemon soak) or reads a telemetry JSONL stream (rekeysim soak or
+// tenancy -metrics-out), and renders one line per group — members, last
+// rekey latency, SLO verdict, and the ladder rung counts — so an
+// operator watching a soak sees per-tenant health without grepping raw
+// exposition text.
 //
 // Usage:
 //
@@ -11,7 +12,9 @@
 //	rekeystat -jsonl soak.jsonl [-interval SECONDS]
 //
 // With -interval N the view refreshes every N seconds until
-// interrupted; the default prints one snapshot and exits.
+// interrupted; the default prints one snapshot and exits. A JSONL stream
+// is also schema-checked (see statsFromJSONL): a stream that breaks a
+// rule exits 1 with one line per violation on stderr.
 package main
 
 import (

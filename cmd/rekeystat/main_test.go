@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -85,9 +87,9 @@ func TestStatsFromSeries(t *testing.T) {
 
 func TestStatsFromJSONL(t *testing.T) {
 	lines := [][]byte{
-		[]byte(`{"kind":"slo","group":"chaos","boundary":1,"members":96,"rekey_cost":40,"latency_p95_ms":900,"verdict":"ok"}`),
+		[]byte(`{"kind":"slo","group":"chaos","boundary":1,"members":96,"rekey_cost":40,"latency_p95_ms":900,"verdict":"ok",` + objOK + `}`),
 		[]byte(`{"kind":"interval","interval":1,"key_by_multicast":90,"key_by_unicast":5,"key_by_resync":1}`),
-		[]byte(`{"kind":"slo","group":"chaos","boundary":2,"members":101,"rekey_cost":55,"latency_p95_ms":1200,"verdict":"warn"}`),
+		[]byte(`{"kind":"slo","group":"chaos","boundary":2,"members":101,"rekey_cost":55,"latency_p95_ms":1200,"verdict":"warn",` + objOK + `}`),
 		[]byte(`{"kind":"interval","interval":2,"key_by_multicast":95,"key_by_unicast":6,"key_by_resync":0}`),
 		[]byte(`{"kind":"metrics","snapshot":{}}`),
 	}
@@ -123,19 +125,76 @@ func TestRunMetricsEndToEnd(t *testing.T) {
 }
 
 func TestRunJSONLEndToEnd(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "soak.jsonl")
-	stream := `{"kind":"slo","group":"flash","boundary":1,"members":2000,"rekey_cost":10,"latency_p95_ms":800,"verdict":"ok"}
-{"kind":"slo","group":"mass","boundary":1,"members":300,"rekey_cost":9,"latency_p95_ms":700,"verdict":"ok"}
+	stream := `{"kind":"slo","group":"flash","boundary":1,"members":2000,"rekey_cost":10,"latency_p95_ms":800,"verdict":"ok",` + objOK + `}
+{"kind":"slo","group":"mass","boundary":1,"members":300,"rekey_cost":9,"latency_p95_ms":700,"verdict":"ok",` + objOK + `}
 `
-	if err := os.WriteFile(path, []byte(stream), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	var out strings.Builder
-	if code := run([]string{"-jsonl", path}, &out); code != 0 {
+	if code := runJSONL(t, stream, &out); code != 0 {
 		t.Fatalf("run = %d, want 0\n%s", code, out.String())
 	}
 	if !strings.Contains(out.String(), "flash") || !strings.Contains(out.String(), "mass") {
 		t.Errorf("output missing groups:\n%s", out.String())
+	}
+}
+
+// okObjective is a well-formed slo objective; objOK a field holding it.
+const (
+	okObjective = `{"name":"x","good":1,"total":1,"target":0.9,"verdict":"ok"}`
+	objOK       = `"objectives":[` + okObjective + `]`
+)
+
+// runJSONL writes stream to a file and runs rekeystat -jsonl on it.
+func runJSONL(t *testing.T, stream string, out io.Writer) int {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "soak.jsonl")
+	if err := os.WriteFile(path, []byte(stream), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return run([]string{"-jsonl", path}, out)
+}
+
+// TestJSONLStreamRules: -jsonl exits 1 on a stream that breaks a rule of
+// the -metrics-out schema, and renders one that keeps them all.
+func TestJSONLStreamRules(t *testing.T) {
+	slo := func(group string, boundary int, verdict, objectives string) string {
+		rec := fmt.Sprintf(`{"kind":"slo","boundary":%d,"verdict":%q`, boundary, verdict)
+		if group != "" {
+			rec += fmt.Sprintf(`,"group":%q`, group)
+		}
+		if objectives != "" {
+			rec += `,"objectives":[` + objectives + `]`
+		}
+		return rec + "}\n"
+	}
+	const obj = okObjective
+	interval := func(n int) string { return fmt.Sprintf(`{"kind":"interval","interval":%d}`+"\n", n) }
+	for _, tt := range []struct {
+		name, stream string
+		want         int
+	}{
+		{"clean slo stream", slo("flash", 1, "ok", obj) + slo("mass", 1, "ok", obj) + slo("flash", 2, "warn",
+			`{"name":"delivery","good":9,"total":11,"target":0.999,"verdict":"warn"}`), 0},
+		// The host interleaves tenants: b starting at 1 after a reached 3
+		// is legal.
+		{"boundaries per group", slo("a", 3, "ok", obj) + slo("b", 1, "ok", obj), 0},
+		{"increasing intervals", interval(1) + interval(2), 0},
+		{"missing group", slo("", 1, "ok", obj), 1},
+		{"bad verdict", slo("g", 1, "meh", obj), 1},
+		{"no objectives", slo("g", 1, "ok", ""), 1},
+		{"good exceeds total", slo("g", 1, "ok", `{"name":"x","good":2,"total":1,"target":0.9,"verdict":"ok"}`), 1},
+		{"target out of range", slo("g", 1, "ok", `{"name":"x","good":1,"total":1,"target":1.5,"verdict":"ok"}`), 1},
+		{"objective no name", slo("g", 1, "ok", `{"good":1,"total":1,"target":0.9,"verdict":"ok"}`), 1},
+		{"boundary not rising", slo("g", 2, "ok", obj) + slo("g", 2, "ok", obj), 1},
+		{"objective bad verdict", slo("g", 1, "ok", `{"name":"x","good":1,"total":1,"target":0.9,"verdict":"maybe"}`), 1},
+		{"repeated interval", interval(2) + interval(2), 1},
+		{"no interval or slo records", `{"kind":"metrics"}` + "\n", 1},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			var out strings.Builder
+			if got := runJSONL(t, tt.stream, &out); got != tt.want {
+				t.Errorf("exit %d, want %d\n%s", got, tt.want, out.String())
+			}
+		})
 	}
 }
 

@@ -1,5 +1,5 @@
 // Command traceaudit machine-checks a flight-recorder trace produced by
-// `rekeysim -soak -trace-out` (or any internal/obs/trace stream).
+// `rekeysim soak -trace-out` (or any internal/obs/trace stream).
 //
 // Usage:
 //

@@ -149,8 +149,8 @@ func TestSoakSinkStreamDeterministic(t *testing.T) {
 
 // TestIntervalRecordGolden pins the -metrics-out interval record byte
 // for byte — field names, order, omitted-when-false flags, nanosecond
-// durations — against the first record of `rekeysim -soak -seed 1
-// -soak-intervals 6 -soak-members 100 -metrics-out` as emitted before
+// durations — against the first record of `rekeysim soak -seed 1
+// -intervals 6 -members 100 -metrics-out` as emitted before
 // IntervalStats carried the JSON tags itself.
 func TestIntervalRecordGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/interval1.golden.jsonl")

@@ -27,7 +27,6 @@ import (
 	"sort"
 
 	"tmesh/internal/ident"
-	"tmesh/internal/keycrypt"
 	"tmesh/internal/keytree"
 	"tmesh/internal/overlay"
 )
@@ -36,7 +35,6 @@ import (
 // It is not safe for concurrent use.
 type Manager struct {
 	params ident.Params
-	seed   []byte
 	tree   *keytree.Tree
 
 	clusters map[string]*state // keyed by level-(D-1) prefix
@@ -49,9 +47,7 @@ type state struct {
 	prefix  ident.Prefix
 	leader  overlay.Record
 	members map[string]overlay.Record // includes the leader
-	// pairwise maps member ID key to the leader-member pairwise key.
-	pairwise map[string]keycrypt.Key
-	epoch    uint64 // bumped on every leadership change
+	epoch   uint64                    // bumped on every leadership change
 }
 
 // Result summarises one rekey interval under the heuristic.
@@ -79,7 +75,6 @@ func New(params ident.Params, seed []byte, opts keytree.Opts) (*Manager, error) 
 	}
 	return &Manager{
 		params:   params,
-		seed:     append([]byte(nil), seed...),
 		tree:     tree,
 		clusters: make(map[string]*state),
 	}, nil
@@ -155,17 +150,6 @@ func (m *Manager) Prefixes() []ident.Prefix {
 	return out
 }
 
-// PairwiseKey returns the leader-member pairwise key for a non-leader
-// member (leaders have no pairwise key with themselves).
-func (m *Manager) PairwiseKey(member ident.ID) (keycrypt.Key, bool) {
-	s, ok := m.clusters[m.ClusterOf(member).Key()]
-	if !ok {
-		return keycrypt.Key{}, false
-	}
-	k, ok := s.pairwise[member.Key()]
-	return k, ok
-}
-
 // Size returns the total number of users across all clusters.
 func (m *Manager) Size() int {
 	n := 0
@@ -189,17 +173,15 @@ func (m *Manager) Join(rec overlay.Record) error {
 			return fmt.Errorf("cluster: duplicate join of %v", rec.ID)
 		}
 		s.members[rec.ID.Key()] = rec
-		s.pairwise[rec.ID.Key()] = m.derivePairwise(s, rec.ID)
 		// Certificate exchange: join certificate to leader, SSL-style
 		// pairwise establishment — two round trips.
 		m.pairwiseMessages += 4
 		return nil
 	}
 	s = &state{
-		prefix:   pfx,
-		leader:   rec,
-		members:  map[string]overlay.Record{rec.ID.Key(): rec},
-		pairwise: make(map[string]keycrypt.Key),
+		prefix:  pfx,
+		leader:  rec,
+		members: map[string]overlay.Record{rec.ID.Key(): rec},
 	}
 	m.clusters[pfx.Key()] = s
 	m.pending.Join(rec.ID)
@@ -219,7 +201,6 @@ func (m *Manager) Leave(id ident.ID) error {
 		return fmt.Errorf("cluster: leave of unknown user %v", id)
 	}
 	delete(s.members, id.Key())
-	delete(s.pairwise, id.Key())
 
 	if !s.leader.ID.Equal(id) {
 		m.pairwiseMessages += 2 // leaving certificate round trip
@@ -234,15 +215,9 @@ func (m *Manager) Leave(id ident.ID) error {
 	next := earliest(s.members)
 	s.leader = next
 	s.epoch++
-	delete(s.pairwise, next.ID.Key())
-	for key := range s.members {
-		if key == next.ID.Key() {
-			continue
-		}
-		rec := s.members[key]
-		s.pairwise[key] = m.derivePairwise(s, rec.ID)
-		m.pairwiseMessages += 2
-	}
+	// Every remaining member re-establishes its pairwise key with the
+	// new leader: one round trip each.
+	m.pairwiseMessages += 2 * (len(s.members) - 1)
 	m.pending.Join(next.ID)
 	return nil
 }
@@ -260,11 +235,6 @@ func earliest(members map[string]overlay.Record) overlay.Record {
 		}
 	}
 	return best
-}
-
-func (m *Manager) derivePairwise(s *state, member ident.ID) keycrypt.Key {
-	label := fmt.Sprintf("pw:%s:%s:%d", s.leader.ID.Key(), member.Key(), s.epoch)
-	return keycrypt.DeriveKey(m.seed, label)
 }
 
 // Process ends the rekey interval: the queued leader churn is applied to

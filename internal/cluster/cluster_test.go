@@ -75,11 +75,8 @@ func TestNonLeaderJoinAvoidsRekeying(t *testing.T) {
 	if res.LeaderJoins != 0 || res.Message.Cost() != 0 {
 		t.Errorf("non-leader join must not rekey: %+v", res)
 	}
-	if _, ok := m.PairwiseKey(b.ID); !ok {
-		t.Error("non-leader should hold a pairwise key with its leader")
-	}
-	if _, ok := m.PairwiseKey(a.ID); ok {
-		t.Error("leader has no pairwise key with itself")
+	if got := m.PairwiseMessages(); got != 4 {
+		t.Errorf("PairwiseMessages = %d, want 4 (the non-leader's pairwise set-up)", got)
 	}
 	if m.Tree().Size() != 1 {
 		t.Errorf("tree size = %d, want 1", m.Tree().Size())
@@ -133,8 +130,9 @@ func TestLeaderLeaveTransfersLeadership(t *testing.T) {
 	if !m.IsLeader(b.ID) {
 		t.Error("leadership should transfer to the earliest-joined member")
 	}
-	if _, ok := m.PairwiseKey(c.ID); !ok {
-		t.Error("remaining member should re-key pairwise with the new leader")
+	// Two non-leader joins (4 each), then c re-keys pairwise with b (2).
+	if got := m.PairwiseMessages(); got != 10 {
+		t.Errorf("PairwiseMessages = %d, want 10", got)
 	}
 	res, err := m.Process()
 	if err != nil {

@@ -237,9 +237,6 @@ func (p Prefix) Len() int { return len(p.digits) }
 // Digit returns the i-th digit of the prefix.
 func (p Prefix) Digit(i int) Digit { return Digit(p.digits[i]) }
 
-// IsEmpty reports whether this is the null-string prefix "[]".
-func (p Prefix) IsEmpty() bool { return p.digits == "" }
-
 // Child returns the prefix extended with one more digit.
 func (p Prefix) Child(d Digit) Prefix {
 	// Note: string([]byte{...}), not string(byte(...)) — the latter
@@ -255,9 +252,6 @@ func (p Prefix) Parent() Prefix {
 	}
 	return Prefix{digits: p.digits[:len(p.digits)-1]}
 }
-
-// LastDigit returns the final digit of a non-empty prefix.
-func (p Prefix) LastDigit() Digit { return Digit(p.digits[len(p.digits)-1]) }
 
 // HasPrefix reports whether q is a prefix of p. A prefix is a prefix of
 // itself; the empty prefix is a prefix of everything.

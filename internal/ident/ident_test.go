@@ -110,7 +110,7 @@ func TestPrefixOperations(t *testing.T) {
 	p := Params{Digits: 4, Base: 10}
 	id := MustNew(p, []Digit{1, 2, 3, 4})
 
-	if got := id.Prefix(0); !got.IsEmpty() {
+	if got := id.Prefix(0); got != EmptyPrefix {
 		t.Errorf("Prefix(0) = %v, want empty", got)
 	}
 	pre := id.Prefix(2)
@@ -136,8 +136,8 @@ func TestPrefixOperations(t *testing.T) {
 	if EmptyPrefix.Parent() != EmptyPrefix {
 		t.Error("parent of empty prefix is itself")
 	}
-	if pre.Child(7).LastDigit() != 7 {
-		t.Errorf("LastDigit = %d, want 7", pre.Child(7).LastDigit())
+	if pre.Child(7).Digit(2) != 7 {
+		t.Errorf("last digit = %d, want 7", pre.Child(7).Digit(2))
 	}
 	full := id.AsPrefix()
 	back, err := full.FullID(p)
@@ -223,24 +223,8 @@ func TestHighDigitPrefixConsistency(t *testing.T) {
 		if EmptyPrefix.Child(d).Len() != 1 {
 			t.Errorf("Child(%d) has length %d, want 1", d, EmptyPrefix.Child(d).Len())
 		}
-		if EmptyPrefix.Child(d).LastDigit() != d {
-			t.Errorf("LastDigit(%d) = %d", d, EmptyPrefix.Child(d).LastDigit())
+		if EmptyPrefix.Child(d).Digit(0) != d {
+			t.Errorf("Child(%d).Digit(0) = %d", d, EmptyPrefix.Child(d).Digit(0))
 		}
-	}
-}
-
-func TestSubtreeOf(t *testing.T) {
-	p := Params{Digits: 3, Base: 4}
-	u := MustNew(p, []Digit{2, 1, 0})
-	// (0,j)-ID subtree of u is the level-1 subtree [j].
-	if got := SubtreeOf(u, 0, 3).String(); got != "[3]" {
-		t.Errorf("SubtreeOf(u,0,3) = %s, want [3]", got)
-	}
-	// (1,j) shares u's first digit.
-	if got := SubtreeOf(u, 1, 3).String(); got != "[2,3]" {
-		t.Errorf("SubtreeOf(u,1,3) = %s, want [2,3]", got)
-	}
-	if got := SubtreeOf(u, 2, 2).String(); got != "[2,1,2]" {
-		t.Errorf("SubtreeOf(u,2,2) = %s, want [2,1,2]", got)
 	}
 }

@@ -163,14 +163,6 @@ func (t *Tree) walkMembers(p Prefix, out *[]ID) {
 	}
 }
 
-// SubtreeOf returns the root prefix of u's (i,j)-ID subtree per
-// Definition 2: the level-(i+1) subtree whose root is u.ID[0:i-1] extended
-// with digit j. The subtree may be empty (not present in the tree); use
-// SubtreeSize to check.
-func SubtreeOf(u ID, i int, j Digit) Prefix {
-	return u.Prefix(i).Child(j)
-}
-
 // Walk visits every node of the tree in pre-order, calling fn with the
 // node's prefix and its subtree size. Returning false stops the walk.
 func (t *Tree) Walk(fn func(p Prefix, size int) bool) {

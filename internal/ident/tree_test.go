@@ -49,12 +49,12 @@ func TestTreePaperExample(t *testing.T) {
 		t.Errorf("root children = %v, want [0 2]", got)
 	}
 	// u1=[0,0]: members of its (0,2)-ID subtree are u3,u4,u5.
-	members := tree.Members(SubtreeOf(ids[0], 0, 2))
+	members := tree.Members(ids[0].Prefix(0).Child(2))
 	if len(members) != 3 {
 		t.Fatalf("(0,2)-subtree of u1 has %d members, want 3", len(members))
 	}
 	// u3=[2,0]: its (1,1)-ID subtree holds u4=[2,1].
-	members = tree.Members(SubtreeOf(ids[2], 1, 1))
+	members = tree.Members(ids[2].Prefix(1).Child(1))
 	if len(members) != 1 || !members[0].Equal(ids[3]) {
 		t.Errorf("(1,1)-subtree of u3 = %v, want [u4]", members)
 	}

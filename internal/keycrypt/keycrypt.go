@@ -27,10 +27,6 @@ import (
 // KeySize is the size in bytes of every symmetric key in the system.
 const KeySize = 32
 
-// EncryptionOverhead is the per-encryption wire overhead beyond the wrapped
-// key itself: the GCM nonce and tag.
-const EncryptionOverhead = nonceSize + 16
-
 const nonceSize = 12
 
 // Key is a symmetric key. Keys are value types; the zero value is invalid
@@ -61,13 +57,6 @@ func (k Key) IsZero() bool { return k.bytes == [KeySize]byte{} }
 // time.
 func (k Key) Equal(other Key) bool {
 	return hmac.Equal(k.bytes[:], other.bytes[:])
-}
-
-// Fingerprint returns a short non-secret identifier of the key material,
-// usable in logs and tests.
-func (k Key) Fingerprint() uint64 {
-	sum := sha256.Sum256(k.bytes[:])
-	return binary.BigEndian.Uint64(sum[:8])
 }
 
 // Bytes returns a copy of the raw key material.
@@ -103,12 +92,6 @@ type Encryption struct {
 	KeyVersion uint64
 	// Ciphertext is nonce || AES-256-GCM(newKey).
 	Ciphertext []byte
-}
-
-// WireSize returns the size in bytes this encryption occupies on the wire,
-// counting ciphertext plus the two node IDs and the version.
-func (e Encryption) WireSize() int {
-	return len(e.Ciphertext) + e.ID.Len() + e.KeyID.Len() + 8
 }
 
 // NeededBy implements Lemma 3: a user needs the key wrapped in e if and

@@ -24,9 +24,6 @@ func TestDeriveKeyDeterministic(t *testing.T) {
 	if a.Equal(c) || a.Equal(d) {
 		t.Error("different label or seed must derive a different key")
 	}
-	if a.Fingerprint() == c.Fingerprint() {
-		t.Error("fingerprints of distinct keys should differ")
-	}
 	if a.IsZero() || !(Key{}).IsZero() {
 		t.Error("IsZero must hold for the zero key only")
 	}
@@ -175,7 +172,7 @@ func mustPrefix(t *testing.T, digits ...ident.Digit) ident.Prefix {
 }
 
 // Property: wrap/unwrap round-trips for arbitrary key material and the
-// wire size is stable.
+// ciphertext size is stable.
 func TestWrapRoundTripProperty(t *testing.T) {
 	kekID := mustPrefix(t, 3)
 	keyID := ident.EmptyPrefix
@@ -186,7 +183,7 @@ func TestWrapRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if e.WireSize() != len(e.Ciphertext)+kekID.Len()+keyID.Len()+8 {
+		if len(e.Ciphertext) != nonceSize+KeySize+16 { // nonce || key || GCM tag
 			return false
 		}
 		got, err := Unwrap(kek, e)

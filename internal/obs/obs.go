@@ -14,7 +14,7 @@
 //     histograms use fixed bucket bounds chosen at creation.
 //   - Wall-clock values never reach deterministic output. Span
 //     durations land only in registry histograms, which are exported
-//     via Snapshot (expvar, the -metrics-out summary record) — never
+//     via Snapshot (/metrics, the -metrics-out summary record) — never
 //     into soak reports, experiment result files, or any output the
 //     determinism tests byte-compare. Seed-identical runs are
 //     byte-identical with telemetry on or off.
@@ -124,9 +124,6 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 	h.n.Add(1)
 }
-
-// ObserveDuration records a duration sample in nanoseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
 // Count returns the number of samples (0 on a nil receiver).
 func (h *Histogram) Count() int64 {

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestNilRegistryIsNoOp is the off-by-default contract: every operation
@@ -28,7 +27,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	}
 	h := r.Histogram("h", LatencyBuckets)
 	h.Observe(7)
-	h.ObserveDuration(time.Second)
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil histogram accumulated samples")
 	}

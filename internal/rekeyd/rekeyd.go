@@ -1,7 +1,7 @@
 // Package rekeyd runs the paper's rekey protocol over a real
 // transport: one key server plus many member nodes exchanging
 // internal/wire frames through internal/transport instead of eventsim
-// hops. It is the daemon behind `rekeysim -daemon` and the harness the
+// hops. It is the daemon behind `rekeysim daemon` and the harness the
 // chaos fault ladder uses to prove the multicast→unicast→resync
 // degradation ladder outside the simulator.
 //

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"fmt"
 	"testing"
 
 	"tmesh/internal/ident"
@@ -11,6 +12,11 @@ import (
 
 // The decoders must never panic or over-allocate on arbitrary bytes —
 // they parse data received from other group members.
+//
+// Each harness seeds itself with valid, structurally diverse frames, then
+// truncated and bit-flipped variants of the last one, then short frames
+// declaring astronomical element counts, so a short -fuzztime still
+// reaches deep into the decoder instead of rediscovering the framing.
 
 func FuzzUnmarshalRekey(f *testing.F) {
 	msg := &keytree.Message{
@@ -24,6 +30,23 @@ func FuzzUnmarshalRekey(f *testing.F) {
 	}
 	f.Add([]byte{byte(TypeRekey)})
 	f.Add([]byte{byte(TypeRekey), 0, 0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff})
+	var last []byte
+	for _, msg := range seedRekeyMessages() {
+		for _, level := range []int{0, 2, tp.Digits} {
+			b, err := MarshalRekey(msg, level)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(b)
+			last = b
+		}
+	}
+	f.Add(last[:len(last)/2])
+	f.Add(flip(last, len(last)-1))
+	// A 14-byte frame claiming 2^31 encryptions (~2 GiB of declared
+	// payload) must die on the length guard, not in the allocator.
+	f.Add(hugeCount(TypeRekey, 9, 4, 1<<31))
+	f.Add(hugeCount(TypeRekey, 9, 4, 1<<32-1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, level, err := UnmarshalRekey(data)
 		if err != nil {
@@ -40,14 +63,57 @@ func FuzzUnmarshalRekey(f *testing.F) {
 	})
 }
 
+// seedRekeyMessages covers the encryption-shape axes: empty batch, single
+// entry, multi-entry with prefixes of several depths and key versions,
+// and a larger message with realistic ciphertext sizes.
+func seedRekeyMessages() []*keytree.Message {
+	enc := func(target, key ident.Prefix, ver uint64, ct string) keycrypt.Encryption {
+		return keycrypt.Encryption{ID: target, KeyID: key, KeyVersion: ver, Ciphertext: []byte(ct)}
+	}
+	big := &keytree.Message{Interval: 1 << 40}
+	for i := 0; i < 12; i++ {
+		u := fuzzID(i * 7919)
+		big.Encryptions = append(big.Encryptions,
+			enc(u.Prefix(i%tp.Digits), u.Prefix((i+1)%tp.Digits+1), uint64(i),
+				fmt.Sprintf("ciphertext-%02d-0123456789abcdef", i)))
+	}
+	return []*keytree.Message{
+		{Interval: 0},
+		{Interval: 7, Encryptions: []keycrypt.Encryption{
+			enc(ident.EmptyPrefix, ident.EmptyPrefix, 1, "ct"),
+		}},
+		{Interval: 42, Encryptions: []keycrypt.Encryption{
+			enc(fuzzID(5).Prefix(2), fuzzID(5).Prefix(3), 9, "group-key-bytes"),
+			enc(fuzzID(900).Prefix(4), fuzzID(900).Prefix(5), 10, ""),
+		}},
+		big,
+	}
+}
+
 func FuzzUnmarshalQueryReply(f *testing.F) {
-	params := ident.Params{Digits: 5, Base: 256}
-	if seed, err := MarshalQueryReply([]overlay.Record{{Host: 3, ID: mustID(params)}}); err == nil {
+	if seed, err := MarshalQueryReply([]overlay.Record{{Host: 3, ID: fuzzID(12345)}}); err == nil {
 		f.Add(seed)
 	}
 	f.Add([]byte{byte(TypeQueryReply), 0xff, 0xff})
+	var last []byte
+	for _, recs := range [][]overlay.Record{
+		{},
+		{{Host: 1, ID: fuzzID(0)}},
+		{{Host: 3, ID: fuzzID(12345)}, {Host: 65535, ID: fuzzID(1 << 20)}},
+		{{Host: 7, ID: fuzzID(99)}, {Host: 8, ID: fuzzID(100)}, {Host: 9, ID: fuzzID(101)}},
+	} {
+		b, err := MarshalQueryReply(recs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		last = b
+	}
+	f.Add(last[:len(last)-3])
+	f.Add(flip(last, 1))
+	f.Add(hugeCount(TypeQueryReply, 0, 2, 1<<16-1))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := UnmarshalQueryReply(data, params)
+		recs, err := UnmarshalQueryReply(data, tp)
 		if err != nil {
 			return
 		}
@@ -63,6 +129,18 @@ func FuzzUnmarshalQueryReply(f *testing.F) {
 
 func FuzzUnmarshalQuery(f *testing.F) {
 	f.Add(MarshalQuery(Query{Target: ident.EmptyPrefix}))
+	var last []byte
+	for _, p := range []ident.Prefix{
+		ident.EmptyPrefix,
+		fuzzID(12345).Prefix(1),
+		fuzzID(12345).Prefix(3),
+		fuzzID(1 << 30).Prefix(tp.Digits),
+	} {
+		last = MarshalQuery(Query{Target: p})
+		f.Add(last)
+	}
+	f.Add(last[:1])
+	f.Add(flip(last, len(last)-1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, err := UnmarshalQuery(data)
 		if err != nil {
@@ -75,11 +153,17 @@ func FuzzUnmarshalQuery(f *testing.F) {
 }
 
 func FuzzUnmarshalAck(f *testing.F) {
-	params := ident.Params{Digits: 5, Base: 256}
-	f.Add(MarshalAck(7, mustID(params)))
+	f.Add(MarshalAck(7, fuzzID(12345)))
 	f.Add([]byte{byte(TypeAck), 0xff, 0xff, 0xff})
+	var last []byte
+	for i, interval := range []uint64{0, 7, 1 << 40} {
+		last = MarshalAck(interval, fuzzID(i*101))
+		f.Add(last)
+	}
+	f.Add(last[:len(last)/2])
+	f.Add(flip(last, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		interval, id, err := UnmarshalAck(data, params)
+		interval, id, err := UnmarshalAck(data, tp)
 		if err != nil {
 			return
 		}
@@ -90,20 +174,32 @@ func FuzzUnmarshalAck(f *testing.F) {
 }
 
 func FuzzUnmarshalSync(f *testing.F) {
-	raw := make([]byte, keycrypt.KeySize)
-	for i := range raw {
-		raw[i] = byte(i)
-	}
-	key, err := keycrypt.KeyFromBytes(raw)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if seed, err := MarshalSync(9, []keytree.PathKey{{ID: ident.EmptyPrefix, Version: 1, Key: key}}); err == nil {
+	if seed, err := MarshalSync(9, []keytree.PathKey{{ID: ident.EmptyPrefix, Version: 1, Key: fuzzKey(f, 0)}}); err == nil {
 		f.Add(seed)
 	}
 	// A tiny frame declaring the maximum key count: the guard must
 	// reject it before allocating.
 	f.Add([]byte{byte(TypeSync), 0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff})
+	var last []byte
+	for i, path := range [][]keytree.PathKey{
+		{},
+		{{ID: ident.EmptyPrefix, Version: 1, Key: fuzzKey(f, 1)}},
+		{
+			{ID: fuzzID(12345).Prefix(1), Version: 9, Key: fuzzKey(f, 2)},
+			{ID: fuzzID(12345).Prefix(3), Version: 10, Key: fuzzKey(f, 3)},
+			{ID: fuzzID(12345).Prefix(5), Version: 11, Key: fuzzKey(f, 4)},
+		},
+	} {
+		b, err := MarshalSync(uint64(i), path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		last = b
+	}
+	f.Add(last[:len(last)-keycrypt.KeySize/2])
+	f.Add(flip(last, len(last)-1))
+	f.Add(hugeCount(TypeSync, 8, 2, 1<<16-1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		interval, path, err := UnmarshalSync(data)
 		if err != nil {
@@ -119,10 +215,42 @@ func FuzzUnmarshalSync(f *testing.F) {
 	})
 }
 
-func mustID(params ident.Params) ident.ID {
-	id, err := ident.FromInt(params, 12345)
+func fuzzID(n int) ident.ID {
+	id, err := ident.FromInt(tp, n)
 	if err != nil {
 		panic(err)
 	}
 	return id
+}
+
+// fuzzKey is the key whose i-th byte is b+i.
+func fuzzKey(f *testing.F, b byte) keycrypt.Key {
+	raw := make([]byte, keycrypt.KeySize)
+	for i := range raw {
+		raw[i] = b + byte(i)
+	}
+	k, err := keycrypt.KeyFromBytes(raw)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return k
+}
+
+// hugeCount builds a frame of tag, lead zero bytes (whatever precedes
+// the count in that frame type), and a big-endian count field of
+// countWidth bytes declaring count elements with no payload behind it.
+func hugeCount(tag MsgType, lead, countWidth int, count uint64) []byte {
+	b := make([]byte, 1+lead, 1+lead+countWidth)
+	b[0] = byte(tag)
+	for i := countWidth - 1; i >= 0; i-- {
+		b = append(b, byte(count>>(8*i)))
+	}
+	return b
+}
+
+// flip returns a copy of b with the top bit of byte i toggled.
+func flip(b []byte, i int) []byte {
+	out := append([]byte(nil), b...)
+	out[i] ^= 0x80
+	return out
 }

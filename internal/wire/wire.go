@@ -258,16 +258,6 @@ func UnmarshalRekey(buf []byte) (*keytree.Message, int, error) {
 	return msg, int(level), nil
 }
 
-// RekeySize returns the framed size of a rekey message without
-// materialising it.
-func RekeySize(msg *keytree.Message) int {
-	size := 1 + 1 + 8 + 4
-	for _, e := range msg.Encryptions {
-		size += EncryptionSize(e)
-	}
-	return size
-}
-
 // --- User records ---
 
 // MarshalRecord encodes a neighbor-table user record: host, ID, join

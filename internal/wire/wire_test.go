@@ -53,8 +53,8 @@ func TestRekeyRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(buf) != RekeySize(msg) {
-			t.Fatalf("RekeySize %d != actual %d", RekeySize(msg), len(buf))
+		if len(buf) != cap(buf) {
+			t.Fatalf("MarshalRekey sized its buffer %d for %d bytes", cap(buf), len(buf))
 		}
 		got, gotLevel, err := UnmarshalRekey(buf)
 		if err != nil {
@@ -236,7 +236,11 @@ func TestWireSizeRealism(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		msg.Encryptions = append(msg.Encryptions, e)
 	}
-	if total := RekeySize(msg); total < 60_000 || total > 120_000 {
+	buf, err := MarshalRekey(msg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total := len(buf); total < 60_000 || total > 120_000 {
 		t.Errorf("1000-encryption message is %d bytes, expected tens of KB", total)
 	}
 }
