@@ -226,9 +226,22 @@ func daemonCommand(fs *flag.FlagSet) func(ops bool) int {
 			printTransportSummary(cfg.Obs)
 		}
 		if rep.TotalViolations() > 0 {
+			printReproducer(fmt.Sprintf("daemon -transport %s -seed %d -members %d -intervals %d",
+				cfg.Transport, cfg.Seed, cfg.Members, cfg.Intervals), rep.Reproducer())
 			return 1
 		}
 		return 0
+	}
+}
+
+// printReproducer writes to stderr the recorded membership schedule of a
+// soak that found a violation, through the first failing interval, under
+// a comment naming the command that ran it: saved as a .sched file under
+// internal/workload/testdata, the chaos replay tests play it again
+// (EXPERIMENTS.md, "Reproduce a failing soak").
+func printReproducer(command string, sched *workload.Schedule) {
+	if sched != nil {
+		fmt.Fprintf(os.Stderr, "# rekeysim %s\n%s", command, sched)
 	}
 }
 
@@ -447,6 +460,8 @@ func soakCommand(fs *flag.FlagSet) func(ops bool) int {
 
 		code := 0
 		if rep.TotalViolations() > 0 {
+			printReproducer(fmt.Sprintf("soak -seed %d -intervals %d -members %d -loss %g",
+				cfg.Seed, cfg.Intervals, cfg.InitialMembers, cfg.HopLoss), rep.Reproducer())
 			code = 1
 		}
 		metrics.Emit(metricsEvent{Kind: "metrics", Snapshot: cfg.Obs.Snapshot()})

@@ -48,6 +48,7 @@ import (
 	"tmesh/internal/split"
 	"tmesh/internal/tmesh"
 	"tmesh/internal/vnet"
+	"tmesh/internal/workload"
 )
 
 // Config parameterises a soak session: its seed, length, starting size
@@ -211,7 +212,12 @@ type Engine struct {
 	// fault class cannot shift every other class's choices.
 	memRNG, crashRNG, lossRNG, faultRNG, idRNG *rand.Rand
 
-	freeHosts []vnet.HostID
+	// churn walks the membership schedule past its t=0 joins; idOf maps
+	// each current member's schedule host to its ID, and ran records the
+	// events executed, victims resolved, for Report.Schedule.
+	churn *workload.Cursor
+	idOf  map[int]ident.ID
+	ran   []workload.Event
 
 	partition *vnet.Partition
 
@@ -253,13 +259,45 @@ type Engine struct {
 	rep *Report
 }
 
-// New builds a soak engine: topology, directory with the initial
+// New builds a soak engine over the membership schedule it draws from
+// the seed (see generate): topology, directory with the initial
 // membership, failure detector, key tree, and cluster manager.
-func New(cfg Config) (*Engine, error) {
+func New(cfg Config) (*Engine, error) { return newEngine(cfg, nil) }
+
+// newEngine builds an engine that plays sched, or the schedule New draws
+// when sched is nil. A recorded schedule (Report.Schedule) names every
+// victim, so its replay draws none; replayed under the recording run's
+// Config it reproduces that run's report. Schedule host h lives on
+// network host 1+h (host 0 is the key server), and the t=0 joins are the
+// initial membership.
+func newEngine(cfg Config, sched *workload.Schedule) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	totalHosts := 1 + cfg.InitialMembers + cfg.Intervals*maxJoins
+	e := &Engine{
+		cfg:             cfg,
+		sim:             eventsim.New(),
+		memRNG:          rand.New(rand.NewSource(cfg.Seed ^ 0x6d656d)), // "mem"
+		crashRNG:        rand.New(rand.NewSource(cfg.Seed ^ 0x637273)), // "crs"
+		lossRNG:         rand.New(rand.NewSource(cfg.Seed ^ 0x6c6f73)), // "los"
+		faultRNG:        rand.New(rand.NewSource(cfg.Seed ^ 0x666c74)), // "flt"
+		idRNG:           rand.New(rand.NewSource(cfg.Seed ^ 0x696473)), // "ids"
+		idOf:            make(map[int]ident.ID),
+		churnSinceAudit: make(map[string]ident.ID),
+		lastEpoch:       make(map[string]uint64),
+		dataDelay:       metrics.NewStreamingSummary(),
+		keyDelay:        metrics.NewStreamingSummary(),
+		rep:             &Report{Seed: cfg.Seed, Auditors: AuditorNames()},
+	}
+	if sched == nil {
+		sched = e.generate()
+	}
+	initial, churn, err := openSchedule(sched, cfg.Intervals)
+	if err != nil {
+		return nil, err
+	}
+	e.churn = churn
+	totalHosts := max(1+cfg.InitialMembers+cfg.Intervals*maxJoins, 1+sched.Hosts)
 	top, err := vnet.NewGTITM(vnet.SoakGTITMConfig(), totalHosts, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -282,26 +320,7 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 
-	e := &Engine{
-		cfg:             cfg,
-		sim:             eventsim.New(),
-		top:             top,
-		net:             net,
-		dir:             dir,
-		tree:            tree,
-		clusters:        clusters,
-		memRNG:          rand.New(rand.NewSource(cfg.Seed ^ 0x6d656d)), // "mem"
-		crashRNG:        rand.New(rand.NewSource(cfg.Seed ^ 0x637273)), // "crs"
-		lossRNG:         rand.New(rand.NewSource(cfg.Seed ^ 0x6c6f73)), // "los"
-		faultRNG:        rand.New(rand.NewSource(cfg.Seed ^ 0x666c74)), // "flt"
-		idRNG:           rand.New(rand.NewSource(cfg.Seed ^ 0x696473)), // "ids"
-		churnSinceAudit: make(map[string]ident.ID),
-		lastEpoch:       make(map[string]uint64),
-		dataDelay:       metrics.NewStreamingSummary(),
-		keyDelay:        metrics.NewStreamingSummary(),
-		profLabel:       profLabel,
-		rep:             &Report{Seed: cfg.Seed, Auditors: AuditorNames()},
-	}
+	e.top, e.net, e.dir, e.tree, e.clusters, e.profLabel = top, net, dir, tree, clusters, profLabel
 	e.slo = slo.New(slo.Config{
 		Group: "chaos",
 		Sink:  cfg.Sink,
@@ -311,24 +330,12 @@ func New(cfg Config) (*Engine, error) {
 		e.trec = trace.NewRecorder(cfg.Seed, cfg.TraceSink)
 	}
 
-	// Initial membership, host 0 is the key server.
-	for h := 1; h < totalHosts; h++ {
-		e.freeHosts = append(e.freeHosts, vnet.HostID(h))
+	for _, ev := range initial {
+		if err := e.play(ev, 0, &IntervalStats{}); err != nil {
+			return nil, err
+		}
 	}
-	for i := 0; i < cfg.InitialMembers; i++ {
-		id, err := e.freeID()
-		if err != nil {
-			return nil, err
-		}
-		rec := overlay.Record{Host: e.popHost(), ID: id, JoinTime: 0}
-		if err := dir.Join(rec); err != nil {
-			return nil, err
-		}
-		if err := clusters.Join(rec); err != nil {
-			return nil, err
-		}
-		e.pending.Join(id)
-	}
+	clear(e.churnSinceAudit)
 	if _, _, _, err := tree.Flush(&e.pending, 0); err != nil {
 		return nil, err
 	}
@@ -342,12 +349,6 @@ func New(cfg Config) (*Engine, error) {
 
 func seedBytes(seed int64) []byte {
 	return []byte(fmt.Sprintf("chaos-%d", seed))
-}
-
-func (e *Engine) popHost() vnet.HostID {
-	h := e.freeHosts[0]
-	e.freeHosts = e.freeHosts[1:]
-	return h
 }
 
 // freeID draws an unused ID uniformly from the ID space.
@@ -434,6 +435,7 @@ func (e *Engine) Run() (*Report, error) {
 	if runErr != nil {
 		return nil, runErr
 	}
+	e.rep.Schedule = workload.NewSchedule(e.ran)
 
 	// End-of-run checks: the queue must have drained (the drain
 	// invariant) and the full Definition 3 sweep must pass.
@@ -454,36 +456,94 @@ func (e *Engine) Run() (*Report, error) {
 	return e.rep, nil
 }
 
-// planInterval draws the interval's plan from the sub-RNGs (in a fixed
-// order, so plans are independent of execution) and schedules its
-// events. start is the interval's base virtual time.
+// generate draws the soak's membership schedule: InitialMembers joins
+// at t=0, then per interval, at uniform times in the churn window, a
+// uniform number of joins and leaves from memRNG and of crashes from
+// crashRNG — either spread over the window or, with probability
+// burstRate, one correlated burst inside a single detection window. Each
+// stream is drawn in the order the soak has always drawn it. Leave and
+// crash victims stay victimDrawn: the same streams draw them from live
+// state when the event fires.
+func (e *Engine) generate() *workload.Schedule {
+	var events []workload.Event
+	host := 0
+	for ; host < e.cfg.InitialMembers; host++ {
+		events = append(events, workload.Event{Kind: workload.Join, Host: host})
+	}
+	churnSpan := frac(intervalLength, phaseChurnEnd-phaseChurnStart)
+	for i := 0; i < e.cfg.Intervals; i++ {
+		from := time.Duration(i)*intervalLength + frac(intervalLength, phaseChurnStart)
+		nJoins := e.memRNG.Intn(maxJoins + 1)
+		nLeaves := e.memRNG.Intn(maxLeaves + 1)
+		var churn []workload.Event
+		for _, t := range drawTimes(e.memRNG, nJoins, from, churnSpan) {
+			churn = append(churn, workload.Event{Kind: workload.Join, At: t, Host: host})
+			host++
+		}
+		for _, t := range drawTimes(e.memRNG, nLeaves, from, churnSpan) {
+			churn = append(churn, workload.Event{Kind: workload.Leave, At: t, Victim: victimDrawn})
+		}
+
+		nCrashes := e.crashRNG.Intn(maxCrashes + 1)
+		burst := e.crashRNG.Float64() < burstRate
+		var crashTimes []time.Duration
+		if burst {
+			t0 := from + time.Duration(e.crashRNG.Int63n(int64(churnSpan)))
+			for c := 0; c < burstSize; c++ {
+				crashTimes = append(crashTimes, t0+time.Duration(c)*50*time.Millisecond)
+			}
+		} else {
+			crashTimes = drawTimes(e.crashRNG, nCrashes, from, churnSpan)
+		}
+		for _, t := range crashTimes {
+			churn = append(churn, workload.Event{Kind: workload.Crash, At: t, Victim: victimDrawn, Burst: burst})
+		}
+		// Equal instants keep joins before leaves before crashes.
+		sort.SliceStable(churn, func(a, b int) bool { return churn[a].At < churn[b].At })
+		events = append(events, churn...)
+	}
+	return &workload.Schedule{Events: events, Hosts: host}
+}
+
+// victimDrawn marks a generated leave or crash whose victim is drawn
+// from live state when the event fires.
+const victimDrawn = -1
+
+// openSchedule checks that a soak schedule fits in its intervals and
+// opens with joins only at t=0, the initial membership; it returns those
+// and a cursor over the rest.
+func openSchedule(sched *workload.Schedule, intervals int) ([]workload.Event, *workload.Cursor, error) {
+	if n := len(sched.Events); n > 0 && sched.Events[n-1].At >= time.Duration(intervals)*intervalLength {
+		return nil, nil, fmt.Errorf("chaos: schedule runs to %v, past %d intervals", sched.Events[n-1].At, intervals)
+	}
+	cur := sched.Cursor()
+	initial := cur.Next(1)
+	for _, ev := range initial {
+		if ev.Kind != workload.Join {
+			return nil, nil, fmt.Errorf("chaos: the initial membership is joins only, not a %v of host %d", ev.Kind, ev.Subject())
+		}
+	}
+	return initial, cur, nil
+}
+
+// planInterval schedules the interval's membership events and its fault
+// plan, drawn from faultRNG (in a fixed order, so plans are independent
+// of execution). start is the interval's base virtual time.
 func (e *Engine) planInterval(idx int, start time.Duration, fail func(error)) {
 	at := func(f float64) time.Duration { return start + frac(intervalLength, f) }
-	churnSpan := frac(intervalLength, phaseChurnEnd-phaseChurnStart)
 
 	stats := &IntervalStats{Index: idx + 1, PartitionDomain: -1}
 	e.rep.Intervals = append(e.rep.Intervals, IntervalStats{})
 	slot := len(e.rep.Intervals) - 1
 
-	// Membership plan.
-	nJoins := e.memRNG.Intn(maxJoins + 1)
-	nLeaves := e.memRNG.Intn(maxLeaves + 1)
-	joinTimes := drawTimes(e.memRNG, nJoins, at(phaseChurnStart), churnSpan)
-	leaveTimes := drawTimes(e.memRNG, nLeaves, at(phaseChurnStart), churnSpan)
-
-	// Crash plan: either independent crashes spread over the window or
-	// one correlated burst inside a single detection window.
-	nCrashes := e.crashRNG.Intn(maxCrashes + 1)
-	burst := e.crashRNG.Float64() < burstRate
-	var crashTimes []time.Duration
-	if burst {
-		stats.Burst = true
-		t0 := at(phaseChurnStart) + time.Duration(e.crashRNG.Int63n(int64(churnSpan)))
-		for c := 0; c < burstSize; c++ {
-			crashTimes = append(crashTimes, t0+time.Duration(c)*50*time.Millisecond)
-		}
-	} else {
-		crashTimes = drawTimes(e.crashRNG, nCrashes, at(phaseChurnStart), churnSpan)
+	for _, ev := range e.churn.Next(start + intervalLength) {
+		stats.Burst = stats.Burst || ev.Burst
+		e.sim.At(ev.At, func(now time.Duration) {
+			defer e.cfg.Obs.StartSpan("chaos_inject").End()
+			if err := e.play(ev, now, stats); err != nil {
+				fail(err)
+			}
+		})
 	}
 
 	// Network fault plan.
@@ -492,16 +552,6 @@ func (e *Engine) planInterval(idx int, start time.Duration, fail func(error)) {
 		partitionDomain = e.faultRNG.Intn(e.top.NumTransitDomains())
 	}
 	spike := e.faultRNG.Float64() < spikeRate
-
-	for _, t := range joinTimes {
-		e.sim.At(t, func(now time.Duration) { e.doJoin(now, stats) })
-	}
-	for _, t := range leaveTimes {
-		e.sim.At(t, func(now time.Duration) { e.doLeave(now, stats, fail) })
-	}
-	for _, t := range crashTimes {
-		e.sim.At(t, func(now time.Duration) { e.doCrash(now, stats, fail) })
-	}
 
 	if spike {
 		stats.Spike = true
@@ -533,68 +583,95 @@ func drawTimes(rng *rand.Rand, n int, start, span time.Duration) []time.Duration
 	return out
 }
 
-func (e *Engine) doJoin(now time.Duration, stats *IntervalStats) {
-	defer e.cfg.Obs.StartSpan("chaos_inject").End()
-	if len(e.freeHosts) == 0 {
-		return // host pool exhausted; skip silently, counts stay honest
-	}
-	id, err := e.freeID()
-	if err != nil {
-		return // ID space exhausted
-	}
-	rec := overlay.Record{Host: e.popHost(), ID: id, JoinTime: now}
-	if err := e.dir.Join(rec); err != nil {
-		return
-	}
-	e.det.observe(id) // a reused ID of an evicted crasher starts fresh
-	if err := e.clusters.Join(rec); err == nil {
+// play executes one membership event at now, counts it in stats and
+// records it, its victim resolved to a schedule host. A joiner gets a
+// fresh ID on network host 1+Host; a victim is the recorded host's
+// member or, when victimDrawn, a draw from the live members — memRNG's
+// for a leave, pickVictim's for a crash. A join when the ID space is
+// exhausted, and a drawn departure that would break the quorum, are
+// skipped and not recorded.
+func (e *Engine) play(ev workload.Event, now time.Duration, stats *IntervalStats) error {
+	ev.At = now
+	var id ident.ID
+	switch ev.Kind {
+	case workload.Join:
+		if _, dup := e.idOf[ev.Host]; dup {
+			return fmt.Errorf("chaos: join of schedule host %d, already a member", ev.Host)
+		}
+		var err error
+		if id, err = e.freeID(); err != nil {
+			return nil // ID space exhausted; skip, counts stay honest
+		}
+		rec := overlay.Record{Host: vnet.HostID(1 + ev.Host), ID: id, JoinTime: now}
+		if err := e.dir.Join(rec); err != nil {
+			return err
+		}
+		if err := e.clusters.Join(rec); err != nil {
+			return err
+		}
+		// A reused ID of an evicted crasher starts fresh. The initial
+		// members join before the detector exists; it enrols them itself.
+		if e.det != nil {
+			e.det.observe(id)
+		}
 		e.pending.Join(id)
-		e.churnSinceAudit[id.Key()] = id
+		e.idOf[ev.Host] = id
 		stats.Joins++
+	case workload.Leave, workload.Crash:
+		if ev.Victim == victimDrawn {
+			live := e.liveMembers()
+			if len(live) <= 2 {
+				return nil // keep a quorum so rekeying stays meaningful
+			}
+			drawn := live[0]
+			if ev.Kind == workload.Leave {
+				drawn = live[e.memRNG.Intn(len(live))]
+			} else {
+				drawn, ev.Leader = e.pickVictim(live)
+			}
+			rec, _ := e.dir.Record(drawn)
+			ev.Victim = int(rec.Host) - 1
+		}
+		var ok bool
+		if id, ok = e.idOf[ev.Victim]; !ok {
+			return fmt.Errorf("chaos: %v of schedule host %d, not a member", ev.Kind, ev.Victim)
+		}
+		delete(e.idOf, ev.Victim)
+		if ev.Kind == workload.Crash {
+			e.det.kill(id, now)
+			stats.Crashes++
+			if ev.Leader {
+				stats.LeaderKills++
+			}
+			break
+		}
+		if err := e.dir.Leave(id); err != nil {
+			return fmt.Errorf("chaos: leave %v: %w", id, err)
+		}
+		if err := e.clusters.Leave(id); err != nil {
+			return fmt.Errorf("chaos: cluster leave %v: %w", id, err)
+		}
+		e.queueLeave(id)
+		stats.Leaves++
+	default:
+		return fmt.Errorf("chaos: event of unknown kind %v", ev.Kind)
 	}
-}
-
-func (e *Engine) doLeave(now time.Duration, stats *IntervalStats, fail func(error)) {
-	defer e.cfg.Obs.StartSpan("chaos_inject").End()
-	live := e.liveMembers()
-	if len(live) <= 2 {
-		return // keep a quorum so rekeying stays meaningful
-	}
-	id := live[e.memRNG.Intn(len(live))]
-	if err := e.dir.Leave(id); err != nil {
-		fail(fmt.Errorf("chaos: leave %v: %w", id, err))
-		return
-	}
-	if err := e.clusters.Leave(id); err != nil {
-		fail(fmt.Errorf("chaos: cluster leave %v: %w", id, err))
-		return
-	}
-	e.pending.Leave(id)
 	e.churnSinceAudit[id.Key()] = id
-	stats.Leaves++
+	e.ran = append(e.ran, ev)
+	return nil
 }
 
-func (e *Engine) doCrash(now time.Duration, stats *IntervalStats, fail func(error)) {
-	defer e.cfg.Obs.StartSpan("chaos_inject").End()
-	victim, isLeader, ok := e.pickVictim()
-	if !ok {
-		return
-	}
-	e.det.kill(victim, now)
-	e.churnSinceAudit[victim.Key()] = victim
-	stats.Crashes++
-	if isLeader {
-		stats.LeaderKills++
+// queueLeave queues a departure into the key-tree batch; a joiner of
+// the same interval cancels out instead, counted in chaos_join_cancelled.
+func (e *Engine) queueLeave(id ident.ID) {
+	if e.pending.Leave(id) {
+		e.cfg.Obs.Counter("chaos_join_cancelled").Inc()
 	}
 }
 
-// pickVictim selects a crash victim: with LeaderKillRate probability a
+// pickVictim draws a crash victim: with leaderKillRate probability a
 // current cluster leader, otherwise a uniformly random live member.
-func (e *Engine) pickVictim() (ident.ID, bool, bool) {
-	live := e.liveMembers()
-	if len(live) <= 2 {
-		return ident.ID{}, false, false
-	}
+func (e *Engine) pickVictim(live []ident.ID) (ident.ID, bool) {
 	if e.crashRNG.Float64() < leaderKillRate {
 		var leaders []ident.ID
 		for _, p := range e.clusters.Prefixes() {
@@ -603,10 +680,10 @@ func (e *Engine) pickVictim() (ident.ID, bool, bool) {
 			}
 		}
 		if len(leaders) > 0 {
-			return leaders[e.crashRNG.Intn(len(leaders))], true, true
+			return leaders[e.crashRNG.Intn(len(leaders))], true
 		}
 	}
-	return live[e.crashRNG.Intn(len(live))], false, true
+	return live[e.crashRNG.Intn(len(live))], false
 }
 
 // doDataProbe multicasts a data payload (Theorem 1 probe) and snapshots
@@ -725,7 +802,7 @@ func (e *Engine) reapEvictions(fail func(error)) {
 			fail(fmt.Errorf("chaos: cluster evict %v: %w", c.id, err))
 			return
 		}
-		e.pending.Leave(c.id)
+		e.queueLeave(c.id)
 		c.reaped = true
 	}
 }

@@ -25,7 +25,7 @@ func runSoak(t *testing.T, cfg Config) *Report {
 func TestSoakDefaultConfigGreen(t *testing.T) {
 	rep := runSoak(t, DefaultConfig(1))
 	if n := rep.TotalViolations(); n != 0 {
-		t.Fatalf("%d invariant violations:\n%s", n, rep.String())
+		t.Fatalf("%d invariant violations:\n%s\nreproducer:\n%s", n, rep, rep.Reproducer())
 	}
 	if len(rep.Intervals) < 20 {
 		t.Errorf("ran %d intervals, want >= 20", len(rep.Intervals))
@@ -94,7 +94,7 @@ func TestSoakLossyLadderEngages(t *testing.T) {
 	cfg.HopLoss = 0.2
 	rep := runSoak(t, cfg)
 	if n := rep.TotalViolations(); n != 0 {
-		t.Fatalf("%d invariant violations under loss:\n%s", n, rep.String())
+		t.Fatalf("%d invariant violations under loss:\n%s\nreproducer:\n%s", n, rep, rep.Reproducer())
 	}
 	var unicast, resync, retries int
 	var maxBackoff time.Duration

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tmesh/internal/metrics"
+	"tmesh/internal/workload"
 )
 
 // IntervalStats is the audited record of one rekey interval, and — in
@@ -106,6 +107,32 @@ type Report struct {
 
 	// FinalViolations holds failures of the end-of-run full sweep.
 	FinalViolations []string
+
+	// Schedule is the membership the run executed, every victim resolved
+	// to its host: replayed under the same Config it reproduces the
+	// report.
+	Schedule *workload.Schedule
+}
+
+// Reproducer returns the recorded schedule through the first interval
+// with a violation (all of it when only the final sweep failed), nil
+// for a green run.
+func (r *Report) Reproducer() *workload.Schedule {
+	for i := range r.Intervals {
+		if len(r.Intervals[i].Violations) > 0 {
+			return firstIntervals(r.Schedule, i+1)
+		}
+	}
+	if len(r.FinalViolations) > 0 {
+		return r.Schedule
+	}
+	return nil
+}
+
+// firstIntervals returns the events of a schedule's first n soak
+// intervals.
+func firstIntervals(s *workload.Schedule, n int) *workload.Schedule {
+	return workload.NewSchedule(s.Cursor().Next(time.Duration(n) * intervalLength))
 }
 
 // TotalViolations counts invariant failures across all intervals plus

@@ -5,30 +5,32 @@
 // through internal/transport sockets, with faults injected by the
 // transport-level FaultPlan instead of the virtual network.
 //
-// The schedule walks a fault ladder each interval — clean, loss, delay
+// The soak walks a fault ladder each interval — clean, loss, delay
 // spikes, partition, kill/restore, crash — and every fault heals inside
 // the recovery ladder's budget, so the soak's standard of proof is
 // total convergence: a surviving member that ends an interval without
-// the group key is a violation, whatever the fault phase was.
+// the group key is a violation, whatever the fault phase was. Its
+// membership is a workload.Schedule on the chaos soak's interval grid
+// (socketSchedule), batched by a workload.Cursor and recorded with every
+// victim resolved, so a run replays from its own recording.
 package chaos
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
-	"tmesh/internal/cluster"
 	"tmesh/internal/ident"
 	"tmesh/internal/keycrypt"
-	"tmesh/internal/keytree"
 	"tmesh/internal/obs"
 	"tmesh/internal/overlay"
 	"tmesh/internal/recovery"
 	"tmesh/internal/rekeyd"
 	"tmesh/internal/transport"
+	"tmesh/internal/workload"
 )
 
 // socketPhases is the per-interval fault ladder, cycled in order. The
@@ -123,6 +125,22 @@ type SocketReport struct {
 	Seed      int64
 	Auditors  []string
 	Intervals []SocketIntervalStats
+	// Schedule is the membership the run executed, every victim resolved
+	// to its host.
+	Schedule *workload.Schedule
+
+	final []ident.ID // the members at the end, in ID order
+}
+
+// Reproducer returns the recorded schedule through the first interval
+// with a violation, nil for a green run.
+func (r *SocketReport) Reproducer() *workload.Schedule {
+	for i := range r.Intervals {
+		if len(r.Intervals[i].Violations) > 0 {
+			return firstIntervals(r.Schedule, i+1)
+		}
+	}
+	return nil
 }
 
 // TotalViolations counts invariant failures across all intervals.
@@ -150,25 +168,45 @@ func (r *SocketReport) String() string {
 	return b.String()
 }
 
+// socketSchedule is the soak's membership: members joins at t=0, then
+// in every interval one join at the start of the churn window and, from
+// the second interval on, one departure at the same instant — a crash in
+// the crash phase, a leave otherwise — whose victim is drawn when it
+// fires.
+func socketSchedule(members, intervals int) *workload.Schedule {
+	var events []workload.Event
+	for h := 0; h < members; h++ {
+		events = append(events, workload.Event{Kind: workload.Join, Host: h})
+	}
+	for idx := 0; idx < intervals; idx++ {
+		at := time.Duration(idx)*intervalLength + frac(intervalLength, phaseChurnStart)
+		events = append(events, workload.Event{Kind: workload.Join, At: at, Host: members + idx})
+		switch {
+		case socketPhases[idx%len(socketPhases)] == "crash":
+			events = append(events, workload.Event{Kind: workload.Crash, At: at, Victim: victimDrawn})
+		case idx > 0:
+			events = append(events, workload.Event{Kind: workload.Leave, At: at, Victim: victimDrawn})
+		}
+	}
+	return workload.NewSchedule(events)
+}
+
 // socketRun is the live state of a socket soak.
 type socketRun struct {
-	cfg SocketConfig
-	w   *rekeyd.World
-	// clusters runs the Appendix B heuristic over the driver's churn, so
-	// the cluster invariants are audited here as in the simulator.
-	clusters *cluster.Manager
-	rng      *rand.Rand
+	w *rekeyd.World
+	// victimRNG draws the departures socketSchedule leaves open, killRNG
+	// the kill phase's victims: separate streams, so a replay that draws
+	// no victims kills the same members.
+	victimRNG, killRNG *rand.Rand
+	// idOf maps each current member's schedule host to its ID; ran
+	// records the events executed, victims resolved.
+	idOf map[int]ident.ID
+	ran  []workload.Event
 
 	// Interval-scoped: the ladder result the driver just produced and
 	// whether the phase injected no fault.
 	res       *rekeyd.Result
 	faultFree bool
-
-	lastEpoch map[string]uint64
-	// intervalStart is the earliest JoinTime the current interval
-	// admitted — the world stamps joins with a sequence number, so this
-	// is "since the last audit" on the records' own clock.
-	intervalStart time.Duration
 }
 
 // evidence gathers what the interval left behind for the auditors (see
@@ -178,7 +216,9 @@ type socketRun struct {
 // heals inside the ladder budget, so there is no surviving-member
 // carve-out. Copy counts are of the rekey message itself; in a faulty
 // interval the ladder's unicasts are legitimate extra copies, so they
-// are only offered in clean ones — where the ladder must have idled.
+// are only offered in clean ones — where the ladder must have idled. A
+// cost-0 interval sent nothing and owes nobody. rekeyd runs no Appendix
+// B clustering, so there is no cluster state to audit.
 func (run *socketRun) evidence(dir *overlay.Directory) *Evidence {
 	w, res := run.w, run.res
 	members := w.Members()
@@ -198,20 +238,20 @@ func (run *socketRun) evidence(dir *overlay.Directory) *Evidence {
 			}
 			return keycrypt.Key{}, false
 		},
-		Clusters:      run.clusters,
-		LastEpoch:     run.lastEpoch,
-		IntervalStart: run.intervalStart,
-		Ladder: &Ladder{
-			Expected: ids,
-			RungOf: func(id ident.ID) (recovery.Rung, bool) {
-				rung, ok := res.RungOf[id.Key()]
-				return rung, ok
-			},
-			DeadInFlight: res.DeadInFlight,
-			MaxBackoff:   res.MaxBackoff,
-			BackoffCap:   w.Server().Policy().RetryMax,
-			MustIdle:     run.faultFree,
+	}
+	if res.Expected == 0 {
+		return ev
+	}
+	ev.Ladder = &Ladder{
+		Expected: ids,
+		RungOf: func(id ident.ID) (recovery.Rung, bool) {
+			rung, ok := res.RungOf[id.Key()]
+			return rung, ok
 		},
+		DeadInFlight: res.DeadInFlight,
+		MaxBackoff:   res.MaxBackoff,
+		BackoffCap:   w.Server().Policy().RetryMax,
+		MustIdle:     run.faultFree,
 	}
 	if run.faultFree {
 		for _, m := range members {
@@ -227,17 +267,29 @@ func (run *socketRun) evidence(dir *overlay.Directory) *Evidence {
 // reported as violations, never as errors, so one bad interval cannot
 // hide later ones.
 func RunSocketSoak(cfg SocketConfig) (*SocketReport, error) {
+	if cfg.Intervals <= 0 {
+		cfg.Intervals = len(socketPhases)
+	}
+	return runSocketSoak(cfg, socketSchedule(cfg.Members, cfg.Intervals))
+}
+
+// runSocketSoak plays sched over cfg.Intervals intervals: its t=0 joins
+// are the world's initial membership (cfg.Members is not read), and a
+// recorded schedule (SocketReport.Schedule) replays without drawing a
+// victim.
+func runSocketSoak(cfg SocketConfig, sched *workload.Schedule) (*SocketReport, error) {
 	if cfg.Transport == "" {
 		cfg.Transport = "loopback"
 	}
-	if cfg.Intervals <= 0 {
-		cfg.Intervals = len(socketPhases)
+	initial, cur, err := openSchedule(sched, cfg.Intervals)
+	if err != nil {
+		return nil, err
 	}
 	w, err := rekeyd.NewWorld(rekeyd.WorldConfig{
 		Params:         socketParams,
 		K:              socketK,
 		Seed:           cfg.Seed,
-		InitialMembers: cfg.Members,
+		InitialMembers: len(initial),
 		Transport:      cfg.Transport,
 		Listen:         cfg.Listen,
 		Ladder:         socketLadder,
@@ -248,27 +300,27 @@ func RunSocketSoak(cfg SocketConfig) (*SocketReport, error) {
 	}
 	defer w.Close()
 
-	clusters, err := cluster.New(socketParams, seedBytes(cfg.Seed), keytree.Opts{})
-	if err != nil {
-		return nil, err
-	}
 	run := &socketRun{
-		cfg:       cfg,
 		w:         w,
-		clusters:  clusters,
-		rng:       rand.New(rand.NewSource(cfg.Seed ^ 0x736f636b)),
-		lastEpoch: make(map[string]uint64),
+		victimRNG: rand.New(rand.NewSource(cfg.Seed ^ 0x736f636b)), // "sock"
+		killRNG:   rand.New(rand.NewSource(cfg.Seed ^ 0x6b696c6c)), // "kill"
+		idOf:      make(map[int]ident.ID),
+		ran:       slices.Clone(initial),
 	}
-	// Seed the cluster state with the world's initial membership.
-	if err := run.clusterJoinCurrent(); err != nil {
-		return nil, err
-	}
+	// The world admitted the initial joiners in order, the i-th on
+	// network host i+1.
+	w.Shared().Read(func(dir *overlay.Directory) {
+		for _, m := range w.Members() {
+			rec, _ := dir.Record(m.ID())
+			run.idOf[initial[rec.Host-1].Host] = m.ID()
+		}
+	})
 
 	rep := &SocketReport{Transport: cfg.Transport, Seed: cfg.Seed, Auditors: AuditorNames()}
 	for idx := 0; idx < cfg.Intervals; idx++ {
 		phase := socketPhases[idx%len(socketPhases)]
 		stats := SocketIntervalStats{Index: idx, Phase: phase}
-		if err := run.interval(phase, &stats); err != nil {
+		if err := run.interval(cur.Next(time.Duration(idx+1)*intervalLength), phase, &stats); err != nil {
 			return nil, err
 		}
 		var verdicts []Verdict
@@ -292,46 +344,24 @@ func RunSocketSoak(cfg SocketConfig) (*SocketReport, error) {
 		stats.MaxBackoff = res.MaxBackoff
 		rep.Intervals = append(rep.Intervals, stats)
 	}
+	rep.Schedule = workload.NewSchedule(run.ran)
+	for _, m := range w.Members() {
+		rep.final = append(rep.final, m.ID())
+	}
 	return rep, nil
 }
 
-// interval applies one phase's churn and faults, runs the rekey, and
-// waits for every fault to heal.
-func (run *socketRun) interval(phase string, stats *SocketIntervalStats) error {
+// interval applies one interval's churn and its phase's faults, runs the
+// rekey, and waits for every fault to heal.
+func (run *socketRun) interval(churn []workload.Event, phase string, stats *SocketIntervalStats) error {
 	w, plan := run.w, run.w.FaultPlan()
 	run.faultFree = phase == "clean"
-	var gone []ident.ID // leaves + crash evictions
-
-	// Churn: one join per interval; from the second interval on, one
-	// leave; the crash phase replaces the leave with a hard crash.
-	if _, err := w.Join(); err != nil {
-		return fmt.Errorf("chaos: socket join: %w", err)
-	}
-	stats.Joins++
-	members := w.Members()
-	victim := func() ident.ID { return members[run.rng.Intn(len(members))].ID() }
-	switch phase {
-	case "crash":
-		v := victim()
-		if err := w.Crash(v); err != nil {
-			return fmt.Errorf("chaos: socket crash: %w", err)
-		}
-		gone = append(gone, v)
-		stats.Crashes++
-	default:
-		if stats.Index > 0 {
-			v := victim()
-			if err := w.Leave(v); err != nil {
-				return fmt.Errorf("chaos: socket leave: %w", err)
-			}
-			gone = append(gone, v)
-			stats.Leaves++
+	for _, ev := range churn {
+		if err := run.apply(ev, stats); err != nil {
+			return err
 		}
 	}
-	departed := make(map[string]bool, len(gone))
-	for _, id := range gone {
-		departed[id.Key()] = true
-	}
+	members := w.Members() // this interval's leavers and crashers included
 
 	// Faults, healed mid-ladder by the timer goroutine.
 	var heal sync.WaitGroup
@@ -351,7 +381,7 @@ func (run *socketRun) interval(phase string, stats *SocketIntervalStats) error {
 	case "partition":
 		var side []transport.PeerID
 		for i, m := range members {
-			if i%socketPartFrac == 0 && !departed[m.ID().Key()] {
+			if _, current := run.hostOf(m.ID()); current && i%socketPartFrac == 0 {
 				side = append(side, rekeyd.PeerOf(m.ID()))
 			}
 		}
@@ -359,12 +389,12 @@ func (run *socketRun) interval(phase string, stats *SocketIntervalStats) error {
 		healAt(plan.HealPartition)
 	case "kill":
 		killed := 0
-		for _, i := range run.rng.Perm(len(members)) {
+		for _, i := range run.killRNG.Perm(len(members)) {
 			if killed == socketKillCount {
 				break
 			}
 			id := members[i].ID()
-			if departed[id.Key()] {
+			if _, current := run.hostOf(id); !current {
 				continue
 			}
 			w.Kill(id)
@@ -382,53 +412,65 @@ func (run *socketRun) interval(phase string, stats *SocketIntervalStats) error {
 	heal.Wait()
 	plan.SetLoss(0)
 	plan.SetDelay(0, 0, 0)
-
-	// Replay the interval's realized churn into the cluster state.
-	for _, id := range gone {
-		if err := run.clusters.Leave(id); err != nil {
-			return fmt.Errorf("chaos: socket cluster leave: %w", err)
-		}
-	}
-	if err := run.clusterJoinCurrent(); err != nil {
-		return err
-	}
-	if _, err := run.clusters.Process(); err != nil {
-		return fmt.Errorf("chaos: socket cluster process: %w", err)
-	}
 	return nil
 }
 
-// clusterJoinCurrent feeds the cluster manager every directory member
-// it does not know yet, with the directory's own records (IDs and join
-// times), in deterministic order.
-func (run *socketRun) clusterJoinCurrent() error {
-	var recs []overlay.Record
-	run.w.Shared().Read(func(dir *overlay.Directory) {
-		for _, id := range dir.IDs() {
-			if run.clusters.Has(id) {
-				continue
+// apply plays one membership event on the world and records it. A
+// drawn victim is a member node that has not departed this interval.
+func (run *socketRun) apply(ev workload.Event, stats *SocketIntervalStats) error {
+	w := run.w
+	if ev.Kind == workload.Join {
+		if _, dup := run.idOf[ev.Host]; dup {
+			return fmt.Errorf("chaos: socket join of schedule host %d, already a member", ev.Host)
+		}
+		id, err := w.Join()
+		if err != nil {
+			return fmt.Errorf("chaos: socket join: %w", err)
+		}
+		run.idOf[ev.Host] = id
+		stats.Joins++
+		run.ran = append(run.ran, ev)
+		return nil
+	}
+	if ev.Victim == victimDrawn {
+		var live []int
+		for _, m := range w.Members() {
+			if h, current := run.hostOf(m.ID()); current {
+				live = append(live, h)
 			}
-			if rec, ok := dir.Record(id); ok {
-				recs = append(recs, rec)
-			}
 		}
-	})
-	// Feed in join order: the manager elects the most senior member per
-	// cluster, so insertion order must reproduce the directory's
-	// JoinTime seniority (IDs only break ties).
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].JoinTime != recs[j].JoinTime {
-			return recs[i].JoinTime < recs[j].JoinTime
+		ev.Victim = live[run.victimRNG.Intn(len(live))]
+	}
+	id, ok := run.idOf[ev.Victim]
+	if !ok {
+		return fmt.Errorf("chaos: socket %v of schedule host %d, not a member", ev.Kind, ev.Victim)
+	}
+	switch ev.Kind {
+	case workload.Leave:
+		if err := w.Leave(id); err != nil {
+			return fmt.Errorf("chaos: socket leave: %w", err)
 		}
-		return recs[i].ID.Compare(recs[j].ID) < 0
-	})
-	for i, rec := range recs {
-		if i == 0 {
-			run.intervalStart = rec.JoinTime
+		stats.Leaves++
+	case workload.Crash:
+		if err := w.Crash(id); err != nil {
+			return fmt.Errorf("chaos: socket crash: %w", err)
 		}
-		if err := run.clusters.Join(rec); err != nil {
-			return fmt.Errorf("chaos: socket cluster join %v: %w", rec.ID, err)
+		stats.Crashes++
+	default:
+		return fmt.Errorf("chaos: socket event of unknown kind %v", ev.Kind)
+	}
+	delete(run.idOf, ev.Victim)
+	run.ran = append(run.ran, ev)
+	return nil
+}
+
+// hostOf returns the schedule host of a member; false means it departed
+// (its node lives until the boundary).
+func (run *socketRun) hostOf(id ident.ID) (int, bool) {
+	for h, v := range run.idOf {
+		if v.Equal(id) {
+			return h, true
 		}
 	}
-	return nil
+	return 0, false
 }

@@ -1,12 +1,16 @@
 package chaos
 
 import (
+	"flag"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"tmesh/internal/ident"
 	"tmesh/internal/work"
+	"tmesh/internal/workload"
 )
 
 // socketLeakGuard snapshots the goroutine count and asserts the soak
@@ -98,5 +102,99 @@ func TestSocketSoakReportShape(t *testing.T) {
 	}
 	if !strings.Contains(rep.String(), "phase=kill") {
 		t.Fatalf("report does not render phases:\n%s", rep.String())
+	}
+}
+
+// TestSocketSoakReplaysItsSchedule: replayed over loopback from its own
+// recorded schedule, the socket soak executes the same joins, leaves,
+// crashes and kills in every interval, records the same schedule and
+// ends with the same member IDs. (Rung counts follow real timing, so the
+// reports need not match byte for byte.)
+func TestSocketSoakReplaysItsSchedule(t *testing.T) {
+	cfg := DefaultSocketConfig("loopback")
+	rep, err := RunSocketSoak(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := rep.Schedule.String()
+	sched, err := workload.ParseSchedule(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := runSocketSoak(cfg, sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.TotalViolations()+replayed.TotalViolations() != 0 {
+		t.Fatalf("violations:\n%s\n%s", rep, replayed)
+	}
+	for i, s := range rep.Intervals {
+		r := replayed.Intervals[i]
+		if s.Joins != r.Joins || s.Leaves != r.Leaves || s.Crashes != r.Crashes || s.Kills != r.Kills || s.Members != r.Members {
+			t.Errorf("interval %d: run %s\nreplay %s", i, s.line(), r.line())
+		}
+	}
+	if replayed.Schedule.String() != text {
+		t.Errorf("the replay recorded a different schedule:\n%s---\n%s", text, replayed.Schedule)
+	}
+	if !slices.EqualFunc(rep.final, replayed.final, ident.ID.Equal) || len(rep.final) == 0 {
+		t.Errorf("final members %v, replay %v", rep.final, replayed.final)
+	}
+}
+
+// socketCornerCases checks, per committed schedule, that its corner case
+// happened on the socket plane.
+var socketCornerCases = map[string]func(t *testing.T, rep *SocketReport){
+	"mass-join-leave.sched": func(t *testing.T, rep *SocketReport) {
+		if s := rep.Intervals[1]; s.Joins != 8 || s.Leaves != 8 || s.Members != 16 {
+			t.Errorf("mass interval: %s", s.line())
+		}
+	},
+	"join-leave-same-interval.sched": func(t *testing.T, rep *SocketReport) {
+		if s := rep.Intervals[1]; s.Joins != 2 || s.Leaves != 1 || s.Members != 9 {
+			t.Errorf("the cancelled joiner came up: %s", s.line())
+		}
+	},
+	"pending-joiner-crash.sched": func(t *testing.T, rep *SocketReport) {
+		if s := rep.Intervals[1]; s.Joins != 1 || s.Crashes != 1 || s.Members != 8 || s.DeadInFlight != 0 {
+			t.Errorf("the crashed joiner came up or went dark: %s", s.line())
+		}
+	},
+	"rejoin.sched": func(t *testing.T, rep *SocketReport) {
+		if a, b := rep.Intervals[1], rep.Intervals[2]; a.Members != 7 || b.Joins != 1 || b.Members != 8 {
+			t.Errorf("host 3 did not leave and come back:\n%s\n%s", a.line(), b.line())
+		}
+	},
+}
+
+// TestSocketSoakReplaysSchedules replays every plane-neutral schedule
+// under internal/workload/testdata, and every reproducer a failing
+// `rekeysim daemon` printed and someone saved there, over loopback.
+func TestSocketSoakReplaysSchedules(t *testing.T) {
+	for _, f := range scheduleFiles(t) {
+		if !f.runs("daemon") {
+			continue
+		}
+		t.Run(f.name, func(t *testing.T) {
+			cfg := SocketConfig{Transport: "loopback", Seed: 1, Intervals: intervalsOf(f.sched)}
+			fs := flag.NewFlagSet("daemon", flag.ContinueOnError)
+			fs.StringVar(&cfg.Transport, "transport", cfg.Transport, "")
+			fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "")
+			fs.IntVar(&cfg.Members, "members", 0, "")
+			fs.IntVar(&cfg.Intervals, "intervals", cfg.Intervals, "")
+			f.flags(t, fs)
+			rep, err := runSocketSoak(cfg, f.sched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.TotalViolations() != 0 {
+				t.Fatalf("replay of %s found violations:\n%s", f.name, rep)
+			}
+			if check := socketCornerCases[f.name]; check != nil {
+				check(t, rep)
+			} else if f.command == nil {
+				t.Errorf("%s: no corner-case check", f.name)
+			}
+		})
 	}
 }

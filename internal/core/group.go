@@ -240,11 +240,6 @@ func (g *Group) initKeyring(tree *keytree.Tree, id ident.ID) error {
 	return nil
 }
 
-// KeyringRebuilds returns how many times the server has built a full
-// keyring from path keys (join-time unicasts). Incremental maintenance
-// means this grows with membership churn, not with interval count.
-func (g *Group) KeyringRebuilds() int { return g.keyringRebuilds }
-
 // DistributeRekey runs the pipeline's delivery and apply stages: the
 // message's split decisions are compiled into a per-subtree index, the
 // rekey message is multicast over the T-mesh split per encryption

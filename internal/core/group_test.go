@@ -293,3 +293,8 @@ func TestKeyringOf(t *testing.T) {
 		t.Error("non-member should have no keyring")
 	}
 }
+
+// KeyringRebuilds returns how many times the server has built a full
+// keyring from path keys (join-time unicasts). Incremental maintenance
+// means this grows with membership churn, not with interval count.
+func (g *Group) KeyringRebuilds() int { return g.keyringRebuilds }

@@ -41,59 +41,58 @@ type SessionStats struct {
 	FinalSize int
 }
 
-// Session replays a workload schedule against a Group — the paper's
+// Session plays workload schedule events against a Group — the paper's
 // operational model: "the key server processes the join and leave
 // requests during a rekey interval as a batch, and generates a batch
-// rekey message at the end of the rekey interval". The caller picks the
-// boundaries: Advance applies the events before one, EndInterval closes
-// the batch. Schedule host index i joins at network host ServerHost+1+i,
-// so groups sharing one topology each sit in the block after their key
-// server.
+// rekey message at the end of the rekey interval". The caller batches
+// the schedule (a workload.Cursor): Apply plays each event of an
+// interval, EndInterval closes the batch. Schedule host index i joins at
+// network host ServerHost+1+i, so groups sharing one topology each sit
+// in the block after their key server.
 type Session struct {
 	g     *Group
-	sched *workload.Schedule
-	next  int              // first event not yet applied
-	idOf  map[int]ident.ID // schedule host index -> assigned ID
+	idOf  map[int]ident.ID // current member's schedule host index -> assigned ID
 	stats SessionStats
 }
 
-// NewSession starts replaying sched against g.
-func NewSession(g *Group, sched *workload.Schedule) *Session {
-	return &Session{g: g, sched: sched, idOf: make(map[int]ident.ID)}
+// NewSession starts a session over g.
+func NewSession(g *Group) *Session {
+	return &Session{g: g, idOf: make(map[int]ident.ID)}
 }
 
-// Advance applies, in time order, every event strictly before until: an
-// event exactly on a boundary belongs to the interval after it.
-func (s *Session) Advance(until time.Duration) error {
-	for ; s.next < len(s.sched.Events) && s.sched.Events[s.next].At < until; s.next++ {
-		ev := s.sched.Events[s.next]
-		switch ev.Kind {
-		case workload.Join:
-			id, _, err := s.g.Join(s.g.cfg.ServerHost+1+vnet.HostID(ev.Host), ev.At)
-			if err != nil {
-				return fmt.Errorf("core: join of schedule host %d: %w", ev.Host, err)
-			}
-			s.idOf[ev.Host] = id
-			s.stats.Joins++
-		case workload.Leave:
-			id, ok := s.idOf[ev.Victim]
-			if !ok {
-				return fmt.Errorf("core: leave of never-joined host %d", ev.Victim)
-			}
-			if err := s.g.Leave(id); err != nil {
-				return fmt.Errorf("core: leave of %v: %w", id, err)
-			}
-			delete(s.idOf, ev.Victim)
-			s.stats.Leaves++
-		default:
-			return fmt.Errorf("core: unknown event kind %d", ev.Kind)
+// Apply plays one event. A join of a host that is a member is an error;
+// a join of a host that departed earlier is a rejoin under a fresh ID. A
+// crash is an error too: a Group has no failure model (the chaos soak
+// is the simulated plane that has one).
+func (s *Session) Apply(ev workload.Event) error {
+	switch ev.Kind {
+	case workload.Join:
+		if _, dup := s.idOf[ev.Host]; dup {
+			return fmt.Errorf("core: join of schedule host %d, already a member", ev.Host)
 		}
+		id, _, err := s.g.Join(s.g.cfg.ServerHost+1+vnet.HostID(ev.Host), ev.At)
+		if err != nil {
+			return fmt.Errorf("core: join of schedule host %d: %w", ev.Host, err)
+		}
+		s.idOf[ev.Host] = id
+		s.stats.Joins++
+	case workload.Leave:
+		id, ok := s.idOf[ev.Victim]
+		if !ok {
+			return fmt.Errorf("core: leave of non-member host %d", ev.Victim)
+		}
+		if err := s.g.Leave(id); err != nil {
+			return fmt.Errorf("core: leave of %v: %w", id, err)
+		}
+		delete(s.idOf, ev.Victim)
+		s.stats.Leaves++
+	case workload.Crash:
+		return fmt.Errorf("core: crash of schedule host %d: a Group has no failure model", ev.Victim)
+	default:
+		return fmt.Errorf("core: unknown event kind %d", ev.Kind)
 	}
 	return nil
 }
-
-// Done reports whether every event of the schedule has been applied.
-func (s *Session) Done() bool { return s.next == len(s.sched.Events) }
 
 // EndInterval closes the current rekey interval: the batch is processed
 // and its message distributed, unless the group is empty or no churn
@@ -133,10 +132,13 @@ func RunSession(cfg SessionConfig) (*SessionStats, error) {
 	if cfg.Interval <= 0 {
 		return nil, fmt.Errorf("core: Interval must be positive, got %v", cfg.Interval)
 	}
-	s := NewSession(cfg.Group, cfg.Schedule)
+	s := NewSession(cfg.Group)
+	cur := cfg.Schedule.Cursor()
 	for end := cfg.Interval; ; end += cfg.Interval {
-		if err := s.Advance(end); err != nil {
-			return nil, err
+		for _, ev := range cur.Next(end) {
+			if err := s.Apply(ev); err != nil {
+				return nil, err
+			}
 		}
 		msg, rep, err := s.EndInterval()
 		if err != nil {
@@ -145,7 +147,7 @@ func RunSession(cfg SessionConfig) (*SessionStats, error) {
 		if cfg.OnInterval != nil {
 			cfg.OnInterval(s.stats.Intervals, msg, rep)
 		}
-		if s.Done() {
+		if cur.Done() {
 			break
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -138,21 +139,25 @@ func TestSessionBoundaryEdges(t *testing.T) {
 	}}
 
 	g := newGroup(t, 4, false)
-	s := NewSession(g, sched)
-	if err := s.Advance(interval); err != nil {
-		t.Fatal(err)
+	s, cur := NewSession(g), sched.Cursor()
+	apply := func(until time.Duration) {
+		t.Helper()
+		for _, ev := range cur.Next(until) {
+			if err := s.Apply(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if g.Size() != 2 || s.Done() {
-		t.Fatalf("after interval 1: size %d, done %v; the event at the boundary belongs to interval 2", g.Size(), s.Done())
+	apply(interval)
+	if g.Size() != 2 || cur.Done() {
+		t.Fatalf("after interval 1: size %d, done %v; the event at the boundary belongs to interval 2", g.Size(), cur.Done())
 	}
 	if _, _, err := s.EndInterval(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Advance(2 * interval); err != nil {
-		t.Fatal(err)
-	}
-	if g.Size() != 3 || !s.Done() {
-		t.Fatalf("after interval 2: size %d, done %v", g.Size(), s.Done())
+	apply(2 * interval)
+	if g.Size() != 3 || !cur.Done() {
+		t.Fatalf("after interval 2: size %d, done %v", g.Size(), cur.Done())
 	}
 
 	g = newGroup(t, 4, false)
@@ -178,6 +183,51 @@ func TestSessionBoundaryEdges(t *testing.T) {
 	}
 }
 
+// TestSessionMembershipErrors: a join of a host that is a member is
+// rejected by name (it used to overwrite the host's ID, leaving the
+// first member in the group where no later event could name it), a
+// departed host may join again, and a crash is rejected because a Group
+// has no failure model.
+func TestSessionMembershipErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		events []workload.Event
+		err    string // "" means the events apply
+	}{
+		{"duplicate join", []workload.Event{
+			{Kind: workload.Join, Host: 0},
+			{Kind: workload.Join, At: time.Second, Host: 1},
+			{Kind: workload.Join, At: 2 * time.Second, Host: 0},
+		}, "schedule host 0, already a member"},
+		{"rejoin of departed host", []workload.Event{
+			{Kind: workload.Join, Host: 0},
+			{Kind: workload.Join, At: time.Second, Host: 1},
+			{Kind: workload.Leave, At: 2 * time.Second, Victim: 0},
+			{Kind: workload.Join, At: 3 * time.Second, Host: 0},
+		}, ""},
+		{"crash", []workload.Event{
+			{Kind: workload.Join, Host: 0},
+			{Kind: workload.Crash, At: time.Second, Victim: 0},
+		}, "no failure model"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSession(newGroup(t, 4, false))
+			var err error
+			for _, ev := range tc.events {
+				if err = s.Apply(ev); err != nil {
+					break
+				}
+			}
+			switch {
+			case tc.err == "" && err != nil:
+				t.Fatal(err)
+			case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
+				t.Fatalf("err = %v, want one containing %q", err, tc.err)
+			}
+		})
+	}
+}
+
 // TestSessionHostMapping: schedule index i joins at host ServerHost+1+i,
 // so groups sharing one topology each sit in the block after their key
 // server.
@@ -189,12 +239,11 @@ func TestSessionHostMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := &workload.Schedule{Hosts: 3}
+	s := NewSession(g)
 	for i := 0; i < 3; i++ {
-		sched.Events = append(sched.Events, workload.Event{Kind: workload.Join, Host: i})
-	}
-	if err := NewSession(g, sched).Advance(time.Second); err != nil {
-		t.Fatal(err)
+		if err := s.Apply(workload.Event{Kind: workload.Join, Host: i}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var hosts []vnet.HostID
 	for _, id := range g.Dir().IDs() {

@@ -90,14 +90,9 @@ var batchPlanes = []struct {
 		}).seat()
 	}},
 	{"tenant", func(t *testing.T) *batchPlane {
-		sched := &workload.Schedule{Hosts: 8}
-		tn, err := newKeyTenant("batch", 8, sched, []byte("batch"), nil)
+		tn, err := newKeyTenant("batch", 8, 8, []byte("batch"), nil)
 		must(t, err)
-		event := func(ev workload.Event) {
-			ev.At = time.Duration(len(sched.Events))
-			sched.Events = append(sched.Events, ev)
-			must(t, tn.pump(ev.At+1))
-		}
+		event := func(ev workload.Event) { must(t, tn.apply(ev)) }
 		slotOf := make(map[ident.ID]int)
 		return (&batchPlane{
 			tree: tn.world.Tree(),
@@ -108,7 +103,7 @@ var batchPlanes = []struct {
 				return id
 			},
 			leave: func(id ident.ID) { event(workload.Event{Kind: workload.Leave, Victim: slotOf[id]}) },
-			flush: func() { _, err := tn.flush(); must(t, err) },
+			flush: func() { _, err := tn.flush(0); must(t, err) },
 			keyed: func(id ident.ID) bool { return tn.world.Keyring(id) != nil },
 		}).seat()
 	}},

@@ -112,14 +112,13 @@ type Config struct {
 type tenant interface {
 	// name returns the group's report label.
 	name() string
-	// pump applies schedule events with At strictly before the local
-	// cutoff.
-	pump(until time.Duration) error
+	// apply plays one schedule event.
+	apply(ev workload.Event) error
 	// size returns the current membership count.
 	size() int
-	// flush ends the group's current rekey interval and returns its
-	// cost.
-	flush() (cost int, err error)
+	// flush ends the group's current rekey interval at the local
+	// boundary and returns its cost.
+	flush(boundary time.Duration) (cost int, err error)
 	// evidence gathers what the flush left behind for the five paper
 	// auditors (chaos.Audit); a nil field is a check whose precondition
 	// the profile lacks, which passes vacuously.
@@ -193,11 +192,11 @@ func Run(cfg Config) (*Report, error) {
 		var err error
 		switch profileOf(spec) {
 		case NetPlane:
-			t, err = newNetTenant(label, spec, schedules[i], net, vnet.HostID(hostBase), cfg.Seed, groupObs)
+			t, err = newNetTenant(label, spec, net, vnet.HostID(hostBase), cfg.Seed, groupObs)
 			hostBase += 1 + schedules[i].Hosts
 		case KeyPlane:
 			seed := fmt.Sprintf("grouphost-%s-%d", label, groupSeed(cfg.Seed, label))
-			t, err = newKeyTenant(label, spec.Verify, schedules[i], []byte(seed), groupObs)
+			t, err = newKeyTenant(label, spec.Verify, schedules[i].Hosts, []byte(seed), groupObs)
 		default:
 			err = fmt.Errorf("unknown profile %d", spec.Profile)
 		}
@@ -211,8 +210,8 @@ func Run(cfg Config) (*Report, error) {
 		slos[i] = slo.New(slo.Config{Group: label, Sink: cfg.Sink, Obs: groupObs})
 
 		// The group's boundaries: enough to cover the schedule tail
-		// (events land strictly before their boundary: core.Session's
-		// rule, which the KeyPlane tenant follows too).
+		// (events land strictly before their boundary: the
+		// workload.Cursor rule).
 		last := schedules[i].Events[len(schedules[i].Events)-1].At
 		n := int(last/spec.Workload.Interval) + 1
 		offset := time.Duration(i) * cfg.Stagger
@@ -241,13 +240,19 @@ func Run(cfg Config) (*Report, error) {
 		return agenda[i].prio < agenda[j].prio
 	})
 
+	cursors := make([]*workload.Cursor, len(schedules))
+	for i, s := range schedules {
+		cursors[i] = s.Cursor()
+	}
 	for _, b := range agenda {
 		t := tenants[b.g]
 		gr := &rep.Groups[b.g]
-		if err := t.pump(b.local); err != nil {
-			return nil, fmt.Errorf("grouphost: group %s: %w", t.name(), err)
+		for _, ev := range cursors[b.g].Next(b.local) {
+			if err := t.apply(ev); err != nil {
+				return nil, fmt.Errorf("grouphost: group %s: %w", t.name(), err)
+			}
 		}
-		cost, err := t.flush()
+		cost, err := t.flush(b.local)
 		if err != nil {
 			return nil, fmt.Errorf("grouphost: group %s interval %d: %w", t.name(), gr.Intervals+1, err)
 		}

@@ -278,18 +278,22 @@ func TestKeyPlaneDriversAgree(t *testing.T) {
 		free = append(free, leaves...)
 	}
 
-	tn, err := newKeyTenant("diff", 64, sched, []byte(fmt.Sprintf("chaos-%d", cfg.Seed)), nil)
+	tn, err := newKeyTenant("diff", 64, sched.Hosts, []byte(fmt.Sprintf("chaos-%d", cfg.Seed)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tn.params != cfg.Params {
 		t.Fatalf("tenant sized its ID space %+v, soak runs %+v", tn.params, cfg.Params)
 	}
+	cur := sched.Cursor()
 	for k, want := range wantCost {
-		if err := tn.pump(time.Duration(k+1) * time.Second); err != nil {
-			t.Fatal(err)
+		boundary := time.Duration(k+1) * time.Second
+		for _, ev := range cur.Next(boundary) {
+			if err := tn.apply(ev); err != nil {
+				t.Fatal(err)
+			}
 		}
-		got, err := tn.flush()
+		got, err := tn.flush(boundary)
 		if err != nil {
 			t.Fatal(err)
 		}

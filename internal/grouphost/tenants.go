@@ -36,7 +36,7 @@ func netAssign() assign.Config {
 type netTenant struct {
 	label string
 	g     *core.Group
-	// s replays the schedule: index i lives on shared-topology host
+	// s plays the schedule: index i lives on shared-topology host
 	// hostBase+1+i, hostBase being this group's key server.
 	s *core.Session
 
@@ -47,7 +47,7 @@ type netTenant struct {
 	boundary, intervalStart time.Duration
 }
 
-func newNetTenant(label string, spec GroupSpec, sched *workload.Schedule, net vnet.Network, hostBase vnet.HostID, hostSeed int64, reg *obs.Registry) (tenant, error) {
+func newNetTenant(label string, spec GroupSpec, net vnet.Network, hostBase vnet.HostID, hostSeed int64, reg *obs.Registry) (tenant, error) {
 	g, err := core.NewGroup(core.Config{
 		Net:             net,
 		ServerHost:      hostBase,
@@ -65,7 +65,7 @@ func newNetTenant(label string, spec GroupSpec, sched *workload.Schedule, net vn
 	return &netTenant{
 		label:      label,
 		g:          g,
-		s:          core.NewSession(g, sched),
+		s:          core.NewSession(g),
 		lastEpochs: make(map[string]uint64),
 	}, nil
 }
@@ -74,12 +74,10 @@ func (t *netTenant) name() string { return t.label }
 
 func (t *netTenant) size() int { return t.g.Size() }
 
-func (t *netTenant) pump(until time.Duration) error {
-	t.intervalStart, t.boundary = t.boundary, until
-	return t.s.Advance(until)
-}
+func (t *netTenant) apply(ev workload.Event) error { return t.s.Apply(ev) }
 
-func (t *netTenant) flush() (int, error) {
+func (t *netTenant) flush(boundary time.Duration) (int, error) {
+	t.intervalStart, t.boundary = t.boundary, boundary
 	msg, rep, err := t.s.EndInterval()
 	if err != nil {
 		return 0, err
@@ -160,47 +158,46 @@ func (t *netTenant) finish(gr *GroupReport) {
 
 type keyTenant struct {
 	label  string
-	sched  *workload.Schedule
 	params ident.Params
 	world  *core.KeyPlane
 	verify int // keyrings sampled per audit
 
-	cursor        int
 	pending       keytree.Pending
-	active        map[ident.ID]bool // keyed members not pumped out since
+	joining       map[ident.ID]bool // joins in pending
+	active        map[ident.ID]bool // keyed members that have not departed since
 	joins, leaves int
 	roster        []ident.ID // membership after the last flush, in ID order
 }
 
-// newKeyTenant builds the key-plane world for one group; seed is the
-// group's key-material seed, verify the keyrings sampled per audit (0
-// defaults to 64).
-func newKeyTenant(label string, verify int, sched *workload.Schedule, seed []byte, reg *obs.Registry) (*keyTenant, error) {
+// newKeyTenant builds the key-plane world for a group of up to hosts
+// schedule hosts; seed is the group's key-material seed, verify the
+// keyrings sampled per audit (0 defaults to 64).
+func newKeyTenant(label string, verify, hosts int, seed []byte, reg *obs.Registry) (*keyTenant, error) {
 	if verify <= 0 {
 		verify = 64
 	}
 	// Size a base-32 ID space to the schedule's host count: every
 	// schedule host index maps directly to ident.FromInt.
 	params := ident.Params{Digits: 1, Base: 32}
-	for capacity := 32; capacity < sched.Hosts; capacity *= 32 {
+	for capacity := 32; capacity < hosts; capacity *= 32 {
 		params.Digits++
 	}
 	world, err := core.NewKeyPlane(params, seed, keytree.Opts{
 		RealCrypto:   true,
 		Obs:          reg,
-		CapacityHint: sched.Hosts,
+		CapacityHint: hosts,
 		Label:        label,
 	}, 0)
 	if err != nil {
 		return nil, err
 	}
 	return &keyTenant{
-		label:  label,
-		sched:  sched,
-		params: params,
-		world:  world,
-		verify: verify,
-		active: make(map[ident.ID]bool, sched.Hosts),
+		label:   label,
+		params:  params,
+		world:   world,
+		verify:  verify,
+		joining: make(map[ident.ID]bool),
+		active:  make(map[ident.ID]bool, hosts),
 	}, nil
 }
 
@@ -208,46 +205,43 @@ func (t *keyTenant) name() string { return t.label }
 
 func (t *keyTenant) size() int { return len(t.active) }
 
-func (t *keyTenant) pump(until time.Duration) error {
-	for t.cursor < len(t.sched.Events) {
-		ev := t.sched.Events[t.cursor]
-		if ev.At >= until {
-			return nil
+// apply queues one event into the interval's batch. Every schedule host
+// index maps directly to an ID, so a rejoin reuses its ID under a fresh
+// key epoch; a crash is a leave in the tree.
+func (t *keyTenant) apply(ev workload.Event) error {
+	host := ev.Subject()
+	id, err := ident.FromInt(t.params, host)
+	if err != nil {
+		return fmt.Errorf("schedule host %d: %w", host, err)
+	}
+	switch ev.Kind {
+	case workload.Join:
+		if t.active[id] || t.joining[id] {
+			return fmt.Errorf("join of schedule host %d, already a member", host)
 		}
-		t.cursor++
-		// Every schedule host index maps directly to an ID.
-		host := ev.Host
-		if ev.Kind == workload.Leave {
-			host = ev.Victim
+		t.pending.Join(id)
+		t.joining[id] = true
+		t.joins++
+	case workload.Leave, workload.Crash:
+		t.leaves++
+		if t.pending.Leave(id) {
+			delete(t.joining, id)
+			return nil // joined and left between two boundaries: never keyed
 		}
-		id, err := ident.FromInt(t.params, host)
-		if err != nil {
-			return fmt.Errorf("schedule host %d: %w", host, err)
+		if !t.active[id] {
+			return fmt.Errorf("leave of absent host %d", host)
 		}
-		switch ev.Kind {
-		case workload.Join:
-			t.pending.Join(id)
-			t.joins++
-		case workload.Leave:
-			t.leaves++
-			if t.pending.Leave(id) {
-				continue // joined and left between two boundaries: never keyed
-			}
-			if !t.active[id] {
-				return fmt.Errorf("leave of absent host %d", host)
-			}
-			delete(t.active, id)
-		default:
-			return fmt.Errorf("unknown event kind %d", ev.Kind)
-		}
+		delete(t.active, id)
+	default:
+		return fmt.Errorf("unknown event kind %d", ev.Kind)
 	}
 	return nil
 }
 
 // flush rekeys the world over the pending churn — one flash-crowd
 // interval is a single call.
-func (t *keyTenant) flush() (int, error) {
-	// The survivors are the membership before the joins land (pump
+func (t *keyTenant) flush(time.Duration) (int, error) {
+	// The survivors are the membership before the joins land (apply
 	// already dropped the leavers).
 	joins, _, cost, _, err := t.world.Rekey(&t.pending, t.members())
 	if err != nil {
@@ -256,6 +250,7 @@ func (t *keyTenant) flush() (int, error) {
 	for _, id := range joins {
 		t.active[id] = true
 	}
+	clear(t.joining)
 	t.roster = t.members()
 	return cost, nil
 }

@@ -107,16 +107,6 @@ func (rt *RankTable) RankOfKey(key string) (Rank, bool) {
 	return r, true
 }
 
-// IDOf returns the ID holding the rank; ok is false for free or
-// never-assigned ranks.
-func (rt *RankTable) IDOf(r Rank) (ID, bool) {
-	if int(r) >= len(rt.ids) {
-		return ID{}, false
-	}
-	id := rt.ids[r]
-	return id, !id.IsZero()
-}
-
 // Each calls fn for every (ID, rank) pair in rank order. Mutating the
 // table during iteration is not allowed.
 func (rt *RankTable) Each(fn func(id ID, r Rank)) {

@@ -162,19 +162,6 @@ func (t *Tree) PathNodeIDs(u UserHandle) ([]int, error) {
 	return out, nil
 }
 
-// Depth returns the user's depth (number of edges from root to u-node).
-func (t *Tree) Depth(u UserHandle) (int, error) {
-	leaf, ok := t.leaves[u]
-	if !ok {
-		return 0, fmt.Errorf("lkh: unknown user %d", u)
-	}
-	d := 0
-	for n := leaf; n.parent != nil; n = n.parent {
-		d++
-	}
-	return d, nil
-}
-
 // Batch processes one rekey interval with the [32] algorithm: nJoins new
 // users and the given leavers. Joining u-nodes first take the positions
 // of departed u-nodes; extra joiners go to the shallowest k-node with
@@ -413,39 +400,4 @@ func (t *Tree) Check() error {
 		return fmt.Errorf("lkh: tree has %d u-nodes, index has %d", count, len(t.leaves))
 	}
 	return nil
-}
-
-// MaxDepth returns the depth of the deepest u-node.
-func (t *Tree) MaxDepth() int {
-	max := 0
-	for u := range t.leaves {
-		if d, err := t.Depth(u); err == nil && d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// SingleLeaveCostFull returns the analytic rekey cost of one departure
-// from a full balanced tree of the given degree and height: the leaf's
-// parent re-keys under its remaining degree-1 children, and each of the
-// height-1 ancestors under all degree children — degree*height - 1.
-//
-// Degree 2 is special: the leaf's parent is left with a single child,
-// which the tree compacts by promotion, so only the height-1 ancestors
-// re-key — 2*(height-1) — except at height 1 where the parent is the
-// root (never compacted) and the cost is 1.
-func SingleLeaveCostFull(degree, height int) int {
-	if degree == 2 && height > 1 {
-		return 2 * (height - 1)
-	}
-	return degree*height - 1
-}
-
-// SingleJoinCostFull returns the analytic rekey cost of one join into a
-// full balanced tree: the join splits a leaf into a fresh k-node with 2
-// children, and every ancestor (height of them) re-keys under degree
-// children — 2 + degree*height.
-func SingleJoinCostFull(degree, height int) int {
-	return 2 + degree*height
 }

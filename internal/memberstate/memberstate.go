@@ -18,7 +18,6 @@
 package memberstate
 
 import (
-	"sort"
 	"sync"
 
 	"tmesh/internal/ident"
@@ -127,17 +126,4 @@ func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.ranks.Len()
-}
-
-// Keys returns the ID keys of all users with state, sorted, so callers
-// can iterate deterministically regardless of rank assignment order.
-func (s *Store) Keys() []string {
-	s.mu.RLock()
-	out := make([]string, 0, s.ranks.Len())
-	s.ranks.Each(func(id ident.ID, _ ident.Rank) {
-		out = append(out, id.Key())
-	})
-	s.mu.RUnlock()
-	sort.Strings(out)
-	return out
 }

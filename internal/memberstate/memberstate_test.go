@@ -128,3 +128,16 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// Keys returns the ID keys of all users with state, sorted, so callers
+// can iterate deterministically regardless of rank assignment order.
+func (s *Store) Keys() []string {
+	s.mu.RLock()
+	out := make([]string, 0, s.ranks.Len())
+	s.ranks.Each(func(id ident.ID, _ ident.Rank) {
+		out = append(out, id.Key())
+	})
+	s.mu.RUnlock()
+	sort.Strings(out)
+	return out
+}

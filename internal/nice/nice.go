@@ -82,22 +82,6 @@ func New(net vnet.Network, k int) (*Protocol, error) {
 // Size returns the number of members.
 func (p *Protocol) Size() int { return len(p.members) }
 
-// Root returns the hierarchy root (the top cluster's leader).
-func (p *Protocol) Root() (vnet.HostID, bool) {
-	if p.top == nil {
-		return 0, false
-	}
-	return p.top.leader, true
-}
-
-// Layers returns the number of layers (top cluster layer + 1).
-func (p *Protocol) Layers() int {
-	if p.top == nil {
-		return 0
-	}
-	return p.top.layer + 1
-}
-
 func (p *Protocol) maxSize() int { return 3*p.k - 1 }
 
 // Join adds a host, descending from the top layer to find the closest

@@ -294,3 +294,19 @@ func TestSingleMemberGroup(t *testing.T) {
 		t.Error("group should be empty")
 	}
 }
+
+// Root returns the hierarchy root (the top cluster's leader).
+func (p *Protocol) Root() (vnet.HostID, bool) {
+	if p.top == nil {
+		return 0, false
+	}
+	return p.top.leader, true
+}
+
+// Layers returns the number of layers (top cluster layer + 1).
+func (p *Protocol) Layers() int {
+	if p.top == nil {
+		return 0
+	}
+	return p.top.layer + 1
+}

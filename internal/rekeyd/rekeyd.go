@@ -314,13 +314,6 @@ func (m *Member) GroupKey() (keycrypt.Key, bool) {
 	return m.kr.GroupKey()
 }
 
-// Applied returns the newest interval whose keys are installed.
-func (m *Member) Applied() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.applied
-}
-
 func (m *Member) handle(from transport.PeerID, frame []byte) {
 	if len(frame) == 0 {
 		return
@@ -421,9 +414,6 @@ type Result struct {
 	// reached.
 	MaxBackoff time.Duration
 }
-
-// Acked reports whether every expected member acked.
-func (r *Result) Acked() bool { return len(r.RungOf) == r.Expected }
 
 // Rungs tallies acks per rung.
 func (r *Result) Rungs() map[recovery.Rung]int {

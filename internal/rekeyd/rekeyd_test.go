@@ -393,3 +393,13 @@ func TestLadderIsOneLoop(t *testing.T) {
 	w.Close()
 	check()
 }
+
+// Applied returns the newest interval whose keys are installed.
+func (m *Member) Applied() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.applied
+}
+
+// Acked reports whether every expected member acked.
+func (r *Result) Acked() bool { return len(r.RungOf) == r.Expected }

@@ -296,9 +296,6 @@ func (g *GTITM) NumLinks() int { return g.nLinks }
 // AccessRTT implements Network.
 func (g *GTITM) AccessRTT(h HostID) time.Duration { return g.hostAccess[h] }
 
-// GatewayRouter returns the router the host attaches to.
-func (g *GTITM) GatewayRouter(h HostID) int { return int(g.hostRouter[h]) }
-
 // NumTransitDomains returns the number of top-level transit domains.
 func (g *GTITM) NumTransitDomains() int { return g.cfg.TransitDomains }
 

@@ -268,3 +268,6 @@ func TestContinentName(t *testing.T) {
 		t.Error("continent names wrong")
 	}
 }
+
+// GatewayRouter returns the router the host attaches to.
+func (g *GTITM) GatewayRouter(h HostID) int { return int(g.hostRouter[h]) }

@@ -7,34 +7,73 @@
 // leaves in one rekey interval of 512 seconds") — plus the tenancy
 // scenarios the paper never tested: flash-crowd joins (pay-per-view)
 // and the CKCS-style simultaneous mass join+leave interval.
+//
+// A Schedule is every driver's membership input: core.Session and the
+// tenancy host replay Generate's output, and the chaos and socket soaks
+// generate their own, record the events they executed and replay a
+// recording. A Cursor batches a schedule into rekey intervals, and the
+// text form (String, ParseSchedule) carries a schedule between runs;
+// testdata holds the committed corner cases.
 package workload
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 )
 
-// EventKind distinguishes joins from leaves.
+// EventKind distinguishes joins, leaves and crashes.
 type EventKind int
 
 const (
-	// Join is a user arrival.
+	// Join is a user arrival. A Join of a host that departed earlier is a
+	// rejoin: planes that derive the ID from the host reuse it under a
+	// fresh key epoch, planes that assign IDs assign afresh.
 	Join EventKind = iota + 1
-	// Leave is a departure of a previously joined user.
+	// Leave is a graceful departure of a current member.
 	Leave
+	// Crash is a member going silent without leaving: planes with a
+	// failure model detect and evict it, the key plane treats it as a
+	// leave, and core.Session rejects it.
+	Crash
 )
 
-// Event is one membership change. Joins carry a fresh Host index; leaves
-// name the index of the joining event whose user departs.
+var kindNames = [...]string{Join: "join", Leave: "leave", Crash: "crash"}
+
+func (k EventKind) String() string {
+	if k > 0 && int(k) < len(kindNames) {
+		return kindNames[k]
+	}
+	return fmt.Sprintf("kind(%d)", int(k))
+}
+
+// Event is one membership change, naming its user by schedule host
+// index.
 type Event struct {
 	Kind EventKind
 	At   time.Duration
-	// Host is the host index of the joining user (unique per join).
+	// Host, for joins, is the joining host.
 	Host int
-	// Victim, for leaves, is the Host of the departing user.
+	// Victim, for leaves and crashes, is the Host of the departing user.
 	Victim int
+	// Burst and Leader record which fault draw produced a crash — one of
+	// a correlated burst, aimed at a cluster leader — so that a replay
+	// reports what the recorded run did. Planes without bursts or
+	// clusters ignore them.
+	Burst, Leader bool
+}
+
+// Subject returns the host the event is about: the joiner or the
+// departing victim.
+func (e Event) Subject() int {
+	if e.Kind == Join {
+		return e.Host
+	}
+	return e.Victim
 }
 
 // Schedule is a time-ordered sequence of events.
@@ -42,6 +81,119 @@ type Schedule struct {
 	Events []Event
 	// Hosts is the total number of distinct hosts referenced.
 	Hosts int
+}
+
+// NewSchedule wraps time-ordered events, sizing Hosts to one past the
+// largest host they name.
+func NewSchedule(events []Event) *Schedule {
+	s := &Schedule{Events: events}
+	for _, ev := range events {
+		s.Hosts = max(s.Hosts, ev.Subject()+1)
+	}
+	return s
+}
+
+// Cursor walks a schedule boundary by boundary (see Next).
+type Cursor struct {
+	s    *Schedule
+	next int // first event not yet returned
+}
+
+// Cursor returns a cursor before the schedule's first event.
+func (s *Schedule) Cursor() *Cursor { return &Cursor{s: s} }
+
+// Next returns, in order, the events not returned yet that lie strictly
+// before boundary: an event exactly on a boundary belongs to the
+// interval after it. Every driver that batches a schedule into rekey
+// intervals walks it through this one rule.
+func (c *Cursor) Next(boundary time.Duration) []Event {
+	rest := c.s.Events[c.next:]
+	n := sort.Search(len(rest), func(i int) bool { return rest[i].At >= boundary })
+	c.next += n
+	return rest[:n:n]
+}
+
+// Done reports whether every event has been returned.
+func (c *Cursor) Done() bool { return c.next == len(c.s.Events) }
+
+// maxHost bounds the host indexes a schedule text may name.
+const maxHost = 1 << 24
+
+// String renders the schedule one event per line, as
+// "<at> <kind> <host>" with a crash's "burst" and "leader" marks
+// appended; ParseSchedule reads it back. Victims must be resolved.
+func (s *Schedule) String() string {
+	var b strings.Builder
+	for _, ev := range s.Events {
+		fmt.Fprintf(&b, "%v %v %d", ev.At, ev.Kind, ev.Subject())
+		if ev.Burst {
+			b.WriteString(" burst")
+		}
+		if ev.Leader {
+			b.WriteString(" leader")
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// ParseSchedule reads the text form String writes. Blank lines and
+// lines starting with '#' are skipped; times are Go durations and must
+// not decrease.
+func ParseSchedule(text string) (*Schedule, error) {
+	var events []Event
+	for n, line := range strings.Split(text, "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 || strings.HasPrefix(f[0], "#") {
+			continue
+		}
+		ev, err := parseEvent(f)
+		if err == nil && len(events) > 0 && ev.At < events[len(events)-1].At {
+			err = fmt.Errorf("time %v before the previous event's", ev.At)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("workload: line %d: %w", n+1, err)
+		}
+		events = append(events, ev)
+	}
+	return NewSchedule(events), nil
+}
+
+func parseEvent(f []string) (Event, error) {
+	var ev Event
+	if len(f) < 3 {
+		return ev, fmt.Errorf("want <at> <kind> <host>, got %q", strings.Join(f, " "))
+	}
+	at, err := time.ParseDuration(f[0])
+	if err != nil || at < 0 {
+		return ev, fmt.Errorf("bad time %q", f[0])
+	}
+	ev.At = at
+	kind := slices.Index(kindNames[:], f[1])
+	if kind <= 0 {
+		return ev, fmt.Errorf("unknown event kind %q", f[1])
+	}
+	ev.Kind = EventKind(kind)
+	host, err := strconv.Atoi(f[2])
+	if err != nil || host < 0 || host >= maxHost {
+		return ev, fmt.Errorf("bad host %q", f[2])
+	}
+	if ev.Kind == Join {
+		ev.Host = host
+	} else {
+		ev.Victim = host
+	}
+	for _, mark := range f[3:] {
+		switch {
+		case ev.Kind == Crash && mark == "burst" && !ev.Burst:
+			ev.Burst = true
+		case ev.Kind == Crash && mark == "leader" && !ev.Leader:
+			ev.Leader = true
+		default:
+			return ev, fmt.Errorf("unexpected %q after %s %d", mark, f[1], host)
+		}
+	}
+	return ev, nil
 }
 
 // Config describes a schedule.

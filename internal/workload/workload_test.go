@@ -149,12 +149,12 @@ func TestGenerateGolden(t *testing.T) {
 		t.Errorf("hosts = %d, want 60", s.Hosts)
 	}
 	wantHead := []Event{
-		{Join, 4158162025, 26, 0},
-		{Join, 7038740542, 14, 0},
-		{Join, 17108524046, 33, 0},
-		{Join, 32764859219, 38, 0},
-		{Join, 57378252013, 20, 0},
-		{Join, 57461764184, 9, 0},
+		{Kind: Join, At: 4158162025, Host: 26},
+		{Kind: Join, At: 7038740542, Host: 14},
+		{Kind: Join, At: 17108524046, Host: 33},
+		{Kind: Join, At: 32764859219, Host: 38},
+		{Kind: Join, At: 57378252013, Host: 20},
+		{Kind: Join, At: 57461764184, Host: 9},
 	}
 	for i, want := range wantHead {
 		if s.Events[i] != want {

@@ -7,7 +7,10 @@
 // The match is by name only (go/parser, no type checking): a method
 // reached only through an interface of another package's (String,
 // Error) counts as dead, and one live Foo keeps every Foo alive. That
-// is coarse, and enough for a budget that may only go down.
+// is coarse, and enough for a budget that may only go down. Methods of
+// unexported types are skipped: nothing outside their package can name
+// them, so an exported one is there for an interface (container/heap's
+// Less).
 package main
 
 import (
@@ -50,7 +53,7 @@ func main() {
 				return nil
 			}
 			for _, d := range file.Decls {
-				if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.IsExported() {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.IsExported() && !onUnexportedType(fn) {
 					pos := fset.Position(fn.Pos())
 					decls = append(decls, decl{fn.Name.Name, fmt.Sprintf("%s:%d", pos.Filename, pos.Line)})
 				}
@@ -81,4 +84,23 @@ func main() {
 	if len(dead) > *budget {
 		os.Exit(1)
 	}
+}
+
+// onUnexportedType reports whether fn is a method of an unexported type.
+func onUnexportedType(fn *ast.FuncDecl) bool {
+	if fn.Recv == nil || len(fn.Recv.List) == 0 {
+		return false
+	}
+	typ := fn.Recv.List[0].Type
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	if generic, ok := typ.(*ast.IndexExpr); ok {
+		typ = generic.X
+	}
+	if generic, ok := typ.(*ast.IndexListExpr); ok {
+		typ = generic.X
+	}
+	id, ok := typ.(*ast.Ident)
+	return ok && !id.IsExported()
 }
