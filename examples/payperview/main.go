@@ -72,7 +72,6 @@ func run() error {
 			Net:             mustNet(),
 			ServerHost:      0,
 			Seed:            11,
-			RealCrypto:      true,
 			ClusterRekeying: clustered,
 			Assign: assign.Config{
 				Params:        ident.Params{Digits: 3, Base: 64},

@@ -38,7 +38,6 @@ func run() error {
 		Net:        net,
 		ServerHost: 0,
 		Seed:       42,
-		RealCrypto: true,
 		Assign: assign.Config{
 			// A compact ID space for a small demo group; the paper's
 			// default is D=5, B=256.

@@ -39,7 +39,6 @@ func run() error {
 		Net:        net,
 		ServerHost: 0,
 		Seed:       7,
-		RealCrypto: true,
 		Assign: assign.Config{
 			Params:        ident.Params{Digits: 4, Base: 64},
 			Thresholds:    []time.Duration{150e6, 30e6, 9e6},

@@ -202,9 +202,10 @@ type Engine struct {
 	dir *overlay.Directory
 	det *detector
 	// tree is the full modified key tree the real rekey messages come
-	// from; clusters runs the Appendix B heuristic alongside it, fed the
-	// same membership stream, so the cluster invariants can be audited
-	// without routing the actual rekey traffic through the heuristic.
+	// from, AES-GCM wraps included; clusters runs the Appendix B
+	// heuristic alongside it, fed the same membership stream, so the
+	// cluster invariants can be audited without routing the actual rekey
+	// traffic through the heuristic (its own tree only counts).
 	tree     *keytree.Tree
 	clusters *cluster.Manager
 
@@ -311,7 +312,7 @@ func newEngine(cfg Config, sched *workload.Schedule) (*Engine, error) {
 	if cfg.Obs != nil {
 		profLabel = "chaos"
 	}
-	tree, err := keytree.New(soakParams, seedBytes(cfg.Seed), keytree.Opts{Obs: cfg.Obs, Label: profLabel})
+	tree, err := keytree.New(soakParams, seedBytes(cfg.Seed), keytree.Opts{RealCrypto: true, Obs: cfg.Obs, Label: profLabel})
 	if err != nil {
 		return nil, err
 	}
@@ -948,8 +949,8 @@ func (e *Engine) doAudit(now time.Duration, idx int, stats *IntervalStats) {
 // audit — or nil on every fullSweepEvery-th interval, which asks for
 // the full Definition 3 sweep as a safety net for the scoping itself —
 // the data probe's copy counts, the cluster state, and the ladder's
-// outcome. The simulator's crypto is simulated, so there are no keys to
-// compare: coverage rests on the rungs alone.
+// outcome. The rekey messages carry real wraps, but the simulator keeps
+// no member keyrings, so coverage rests on the rungs alone.
 func (e *Engine) evidence(idx int, stats *IntervalStats) *Evidence {
 	ev := &Evidence{
 		Dir:           e.dir,
@@ -979,7 +980,6 @@ func (e *Engine) evidence(idx int, stats *IntervalStats) *Evidence {
 		lr.Finish()
 		ev.Ladder = &Ladder{
 			Expected: e.rekeyLive,
-			Owed:     func(id ident.ID) bool { return len(recovery.NeededBy(lr.Message, id)) > 0 },
 			RungOf: func(id ident.ID) (recovery.Rung, bool) {
 				rung, ok := lr.RungOf[id.Key()]
 				return rung, ok

@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"tmesh/internal/ident"
+	"tmesh/internal/keycrypt"
 	"tmesh/internal/vnet"
 )
 
@@ -116,6 +118,53 @@ func TestSoakLossyLadderEngages(t *testing.T) {
 	if resync == 0 {
 		t.Error("no full resync under 20% hop loss; the third rung never engaged")
 	}
+}
+
+// TestSoakRekeyMessagesAreRealWraps: the soak distributes the key
+// server's real messages. Just before each audit, while the tree still
+// holds the interval's keys, every encryption of the interval's message
+// carries a ciphertext that opens under the key the tree holds for its
+// ID, to the key the tree holds for its KeyID at the stated version.
+func TestSoakRekeyMessagesAreRealWraps(t *testing.T) {
+	cfg := DefaultConfig(3)
+	cfg.Intervals = 6
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for i := 1; i <= cfg.Intervals; i++ {
+		e.sim.At(time.Duration(i)*intervalLength-time.Millisecond, func(time.Duration) {
+			if e.curLadder == nil {
+				return // a cost-0 interval distributes nothing
+			}
+			for _, enc := range e.curLadder.Message.Encryptions {
+				var kek keycrypt.Key
+				var ok bool
+				if enc.ID.Len() == soakParams.Digits {
+					kek, ok = e.tree.IndividualKey(ident.IDFromKey(enc.ID.Key()))
+				} else {
+					kek, _, ok = e.tree.KeyOf(enc.ID)
+				}
+				want, version, found := e.tree.KeyOf(enc.KeyID)
+				if !ok || !found || version != enc.KeyVersion {
+					t.Fatalf("encryption %v→%v v%d names keys the tree does not hold", enc.ID, enc.KeyID, enc.KeyVersion)
+				}
+				if got, err := keycrypt.Unwrap(kek, enc); len(enc.Ciphertext) == 0 || err != nil || !got.Equal(want) {
+					t.Fatalf("encryption %v→%v (%d ciphertext bytes) does not unwrap to the tree's key: %v",
+						enc.ID, enc.KeyID, len(enc.Ciphertext), err)
+				}
+				checked++
+			}
+		})
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Fatal("no rekey message was checked")
+	}
+	t.Logf("checked %d encryptions", checked)
 }
 
 // TestSoakConfigValidation rejects settings the soak cannot run.

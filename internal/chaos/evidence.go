@@ -19,7 +19,7 @@ import (
 // soak, and the tenancy host's two profiles — differ only in how they
 // fill it; the five paper invariants below are written once against it.
 // A nil field means the plane has no such state (no overlay on the key
-// plane, no real keys in the simulator, no recovery ladder on a
+// plane, no member keyrings in the simulator, no recovery ladder on a
 // reliable transport) and every check that needs it passes vacuously.
 type Evidence struct {
 	// Dir is the overlay directory: Definition 3 is checked over it, and
@@ -88,10 +88,9 @@ type Clusters interface {
 // Ladder is how one interval's keys reached the members.
 type Ladder struct {
 	// Expected lists the members the server owed the interval's keys
-	// when it sent them, in ID order. Owed narrows that to members the
-	// rekey message carried something for (nil: all of them).
+	// when it sent them, in ID order. A cost > 0 message re-keys the root
+	// under every level-1 child, so it carries something for each of them.
 	Expected []ident.ID
-	Owed     func(ident.ID) bool
 	// RungOf reports the rung that keyed a member, false if none did.
 	RungOf func(ident.ID) (recovery.Rung, bool)
 	// Resynced and DeadInFlight are the members the ladder booked as
@@ -262,9 +261,7 @@ func checkCoverage(ev *Evidence, c *Counts) []string {
 			}
 			rung, ok := l.RungOf(id)
 			if !ok {
-				if l.Owed == nil || l.Owed(id) {
-					vs = append(vs, fmt.Sprintf("surviving member %v never got its key slice", id))
-				}
+				vs = append(vs, fmt.Sprintf("surviving member %v never got its key slice", id))
 				continue
 			}
 			if rung >= 0 && int(rung) < len(c.ByRung) {
@@ -402,7 +399,7 @@ func checkLadder(ev *Evidence, c *Counts) []string {
 		if !ev.survivor(id) || dead[id.Key()] {
 			continue
 		}
-		if _, ok := l.RungOf(id); !ok && (l.Owed == nil || l.Owed(id)) {
+		if _, ok := l.RungOf(id); !ok {
 			vs = append(vs, fmt.Sprintf("member %v was owed keys but no rung delivered them", id))
 		}
 	}

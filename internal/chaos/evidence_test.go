@@ -64,7 +64,7 @@ func brokenDir(t *testing.T) (*overlay.Directory, ident.ID) {
 // holds the previous group key.
 func keyedWorld(t *testing.T, stale ident.ID) (*core.KeyPlane, []ident.ID) {
 	t.Helper()
-	w, err := core.NewKeyPlane(evParams, []byte("evidence"), keytree.Opts{RealCrypto: true}, 1)
+	w, err := core.NewKeyPlane(evParams, []byte("evidence"), keytree.Opts{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,9 +197,9 @@ func TestAuditorsCanFail(t *testing.T) {
 		{name: "straggler with no rung", ev: &Evidence{Ladder: &Ladder{Expected: []ident.ID{a, b},
 			RungOf: rungs(map[string]recovery.Rung{a.Key(): recovery.ByMulticast})}},
 			fails: map[string]string{"coverage": "never got its key slice", "ladder": "no rung delivered"}},
-		{name: "straggler owed nothing", ev: &Evidence{Ladder: &Ladder{Expected: []ident.ID{a, b},
-			Owed:   func(id ident.ID) bool { return id.Equal(a) },
-			RungOf: rungs(map[string]recovery.Rung{a.Key(): recovery.ByMulticast})}}},
+		{name: "straggler that crashed", ev: &Evidence{Alive: func(id ident.ID) bool { return !id.Equal(b) },
+			Ladder: &Ladder{Expected: []ident.ID{a, b},
+				RungOf: rungs(map[string]recovery.Rung{a.Key(): recovery.ByMulticast})}}},
 		{name: "reachable member declared dead", ev: &Evidence{Ladder: &Ladder{Expected: []ident.ID{a, b},
 			DeadInFlight: []ident.ID{b},
 			RungOf:       rungs(map[string]recovery.Rung{a.Key(): recovery.ByUnicast})}},

@@ -50,13 +50,9 @@ type ScaleConfig struct {
 	// width (values < 1 mean 1, i.e. inline). The report is identical
 	// at any setting.
 	Parallelism int
-	// RealCrypto wraps keys with real AES-GCM and maintains a keyring
-	// per member, applying every rekey message end to end. False
-	// exercises the server-side tree only.
-	RealCrypto bool
 	// Verify spot-checks this many member keyrings against the server
-	// tree each interval (0 disables; capped at the group size;
-	// RealCrypto only). Mismatches land in the report as violations.
+	// tree each interval (0 disables; capped at the group size).
+	// Mismatches land in the report as violations.
 	Verify int
 	// Out, when non-nil, receives one progress line per interval
 	// (including live heap readings, which deliberately stay out of
@@ -66,7 +62,7 @@ type ScaleConfig struct {
 
 // DefaultScaleConfig returns a scale soak sized for n members: base-32
 // IDs with just enough digits to hold n plus churn headroom, 1% churn
-// per interval, real crypto, and keyring spot checks.
+// per interval, and keyring spot checks.
 func DefaultScaleConfig(n int) ScaleConfig {
 	churn := n / 100
 	if churn < 1 {
@@ -83,7 +79,6 @@ func DefaultScaleConfig(n int) ScaleConfig {
 		Churn:       churn,
 		Seed:        1,
 		Parallelism: runtime.GOMAXPROCS(0),
-		RealCrypto:  true,
 		Verify:      256,
 	}
 }
@@ -112,7 +107,6 @@ type ScaleReport struct {
 	Seed                int64
 	Params              ident.Params
 	N, Intervals, Churn int
-	RealCrypto          bool
 
 	FinalMembers int
 	// RankWidth is the final dense-rank width of the key tree — the
@@ -134,10 +128,10 @@ type ScaleReport struct {
 	Violations []string
 
 	// KeyringDigest commits to the final keyrings (core.KeyringDigest
-	// over the members in ID order; RealCrypto only) — the same value a
-	// tenancy-host KeyPlane group reports, so the two drivers of the one
-	// key-plane world can be tested against each other. It is not part
-	// of String().
+	// over the members in ID order) — the same value a tenancy-host
+	// KeyPlane group reports, so the two drivers of the one key-plane
+	// world can be tested against each other. It is not part of
+	// String().
 	KeyringDigest uint64
 
 	// HeapAllocEnd and BytesPerMember are live-heap observability from
@@ -150,8 +144,8 @@ type ScaleReport struct {
 // String renders the canonical (deterministic) scale soak report.
 func (r *ScaleReport) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "scale soak seed=%d params=%dx%d n=%d intervals=%d churn=%d realcrypto=%v\n",
-		r.Seed, r.Params.Digits, r.Params.Base, r.N, r.Intervals, r.Churn, r.RealCrypto)
+	fmt.Fprintf(&b, "scale soak seed=%d params=%dx%d n=%d intervals=%d churn=%d\n",
+		r.Seed, r.Params.Digits, r.Params.Base, r.N, r.Intervals, r.Churn)
 	fmt.Fprintf(&b, "cost: setup=%d total=%d max=%d p50=%.1f p95=%.1f keys_updated=%d\n",
 		r.SetupCost, r.TotalCost, r.MaxCost, r.CostP50, r.CostP95, r.KeysUpdated)
 	fmt.Fprintf(&b, "final: members=%d rank_width=%d violations=%d\n",
@@ -176,14 +170,12 @@ type scaleSoak struct {
 
 // newScaleSoak validates the config and runs the build-up: the whole
 // group joins in one batch — the million-member Mark/Regenerate the
-// flat layout exists for — and (with RealCrypto) every member gets its
-// join-time keyring.
+// flat layout exists for — and every member gets its join-time keyring.
 func newScaleSoak(cfg ScaleConfig) (*scaleSoak, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	world, err := core.NewKeyPlane(cfg.Params, seedBytes(cfg.Seed), keytree.Opts{
-		RealCrypto:   cfg.RealCrypto,
 		CapacityHint: cfg.N + cfg.Churn,
 	}, max(cfg.Parallelism, 1))
 	if err != nil {
@@ -252,8 +244,7 @@ func RunScaleSoak(cfg ScaleConfig) (*ScaleReport, error) {
 	rep := &ScaleReport{
 		Seed: cfg.Seed, Params: cfg.Params,
 		N: cfg.N, Intervals: cfg.Intervals, Churn: cfg.Churn,
-		RealCrypto: cfg.RealCrypto,
-		SetupCost:  w.setupCost,
+		SetupCost: w.setupCost,
 	}
 	costQ50 := metrics.NewStreamingQuantile(0.5)
 	costQ95 := metrics.NewStreamingQuantile(0.95)
@@ -271,7 +262,7 @@ func RunScaleSoak(cfg ScaleConfig) (*ScaleReport, error) {
 		costQ95.Observe(float64(cost))
 		rep.KeysUpdated += updated
 
-		if cfg.RealCrypto && cfg.Verify > 0 {
+		if cfg.Verify > 0 {
 			verdicts, _ := Audit(KeyPlaneEvidence(w.world, w.active, cfg.Verify), nil)
 			for _, v := range verdicts {
 				if line := v.Line(); line != "" {
@@ -295,11 +286,9 @@ func RunScaleSoak(cfg ScaleConfig) (*ScaleReport, error) {
 	runtime.ReadMemStats(&ms)
 	rep.HeapAllocEnd = ms.HeapAlloc
 	rep.BytesPerMember = float64(ms.HeapAlloc) / float64(cfg.N)
-	if cfg.RealCrypto {
-		final := append([]ident.ID(nil), w.active...)
-		sort.Slice(final, func(i, j int) bool { return final[i].Compare(final[j]) < 0 })
-		rep.KeyringDigest = w.world.Digest(final)
-	}
+	final := append([]ident.ID(nil), w.active...)
+	sort.Slice(final, func(i, j int) bool { return final[i].Compare(final[j]) < 0 })
+	rep.KeyringDigest = w.world.Digest(final)
 	return rep, nil
 }
 

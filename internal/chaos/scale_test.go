@@ -20,7 +20,6 @@ func testScaleConfig() ScaleConfig {
 		Churn:       60,
 		Seed:        42,
 		Parallelism: 4,
-		RealCrypto:  true,
 		Verify:      1 << 30, // capped at the group size: check everyone
 	}
 }
@@ -78,31 +77,6 @@ func TestScaleSoakReplayByteIdentical(t *testing.T) {
 	}
 }
 
-// TestScaleSoakSimulatedCrypto covers the server-side-only mode: no
-// keyrings, no apply, but the tree still churns deterministically.
-func TestScaleSoakSimulatedCrypto(t *testing.T) {
-	cfg := testScaleConfig()
-	cfg.RealCrypto = false
-	cfg.Verify = 0
-	a, err := RunScaleSoak(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunScaleSoak(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatalf("simulated-crypto soaks diverged:\n%s\nvs\n%s", a, b)
-	}
-	if a.KeysUpdated != 0 {
-		t.Errorf("simulated crypto applied %d keys; apply should be skipped", a.KeysUpdated)
-	}
-	if a.TotalCost == 0 {
-		t.Error("simulated crypto produced no rekey cost")
-	}
-}
-
 // TestScaleConfigValidate pins the config error cases.
 func TestScaleConfigValidate(t *testing.T) {
 	cases := []struct {
@@ -145,7 +119,7 @@ func TestDefaultScaleConfig(t *testing.T) {
 }
 
 // TestMemberFootprintBudget is the memory gate of the flat state layout:
-// a fully built RealCrypto world — server key tree, every member's
+// a fully built world — server key tree, every member's
 // keyring, the reusable applier — must stay under a resident
 // bytes/member budget (GC-settled HeapAlloc delta across the build).
 // 756 B/member is the committed measurement at N=20000; the budget

@@ -48,8 +48,6 @@ type Config struct {
 	K int
 	// Seed drives all randomness (ID assignment choices, key material).
 	Seed int64
-	// RealCrypto enables AES-GCM key wrapping and per-user keyrings.
-	RealCrypto bool
 	// ClusterRekeying enables the Appendix B heuristic: the key tree
 	// holds bottom-cluster leaders only.
 	ClusterRekeying bool
@@ -83,8 +81,7 @@ type Group struct {
 	pending keytree.Pending // key-tree churn since the last boundary (non-cluster mode)
 
 	// members holds per-user client state (keyring + believed group
-	// key), populated only with RealCrypto; in cluster mode only
-	// leaders keep full keyrings.
+	// key); in cluster mode only leaders keep full keyrings.
 	members *memberstate.Store
 
 	intervals       int
@@ -126,7 +123,7 @@ func NewGroup(cfg Config) (*Group, error) {
 		members:  memberstate.NewStore(),
 	}
 	seed := []byte(fmt.Sprintf("group-seed-%d", cfg.Seed))
-	opts := keytree.Opts{RealCrypto: cfg.RealCrypto, Obs: cfg.Obs, Label: cfg.Label}
+	opts := keytree.Opts{RealCrypto: true, Obs: cfg.Obs, Label: cfg.Label}
 	if cfg.ClusterRekeying {
 		g.clusters, err = cluster.New(cfg.Assign.Params, seed, opts)
 	} else {
@@ -189,8 +186,8 @@ func (g *Group) Leave(id ident.ID) error {
 
 // ProcessInterval ends the current rekey interval: the batched joins and
 // leaves are applied to the key tree (pipeline stages mark + regen) and
-// the rekey message generated. With RealCrypto, newly joined users
-// receive their path keys (the server's join-time unicast).
+// the rekey message generated. Newly joined users receive their path
+// keys (the server's join-time unicast).
 func (g *Group) ProcessInterval() (*keytree.Message, error) {
 	g.intervals++
 	span := g.cfg.Obs.StartSpan("core_regen") // the server-side stage: mark + regen
@@ -199,11 +196,9 @@ func (g *Group) ProcessInterval() (*keytree.Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	if g.cfg.RealCrypto {
-		for _, id := range joins {
-			if err := g.initKeyring(tree, id); err != nil {
-				return nil, err
-			}
+	for _, id := range joins {
+		if err := g.initKeyring(tree, id); err != nil {
+			return nil, err
 		}
 	}
 	return msg, nil
@@ -243,35 +238,32 @@ func (g *Group) initKeyring(tree *keytree.Tree, id ident.ID) error {
 // DistributeRekey runs the pipeline's delivery and apply stages: the
 // message's split decisions are compiled into a per-subtree index, the
 // rekey message is multicast over the T-mesh split per encryption
-// (each hop a zero-allocation index lookup), then (with
-// RealCrypto) every delivered user's keyring applies exactly the
-// encryptions the splitting scheme handed it, fanned out across
-// delivered users. Delivered slices are shared between deliveries
-// and treated as read-only throughout. Apply failures are collected and
-// reported together, sorted by user ID (*ApplyError). In cluster mode,
-// leaders then unicast the new group key to their members under
-// pairwise keys.
+// (each hop a zero-allocation index lookup), then every delivered
+// user's keyring applies exactly the encryptions the splitting scheme
+// handed it, fanned out across delivered users. Delivered slices are
+// shared between deliveries and treated as read-only throughout. Apply
+// failures are collected and reported together, sorted by user ID
+// (*ApplyError). In cluster mode, leaders then unicast the new group
+// key to their members under pairwise keys.
 func (g *Group) DistributeRekey(msg *keytree.Message) (*split.Report, error) {
 	if msg == nil {
 		return nil, errors.New("core: nil rekey message")
 	}
+	// Deliveries are collected rather than applied in-line: the
+	// transport's callback runs on the simulator's critical path, and
+	// applying there would also mean mutating member state from whatever
+	// goroutine the transport runs on. Collection is cheap; apply then
+	// fans out below.
 	opts := split.Options{
 		Mode:        split.PerEncryption,
 		Parallelism: work.Width(),
+		Collect:     true,
 		Obs:         g.cfg.Obs,
 	}
 	if g.clusters != nil {
 		// Footnote 8: route rekey hops of the bottom row to the
 		// earliest-joined neighbors, i.e. the cluster leaders.
 		opts.EarliestPrimaryRow = g.Params().Digits - 2
-	}
-	if g.cfg.RealCrypto {
-		// Deliveries are collected rather than applied in-line: the
-		// transport's callback runs on the simulator's critical path,
-		// and applying there would also mean mutating member state from
-		// whatever goroutine the transport runs on. Collection is
-		// cheap; apply then fans out below.
-		opts.Collect = true
 	}
 	deliverSpan := g.cfg.Obs.StartSpan("core_deliver")
 	var rep *split.Report
@@ -283,16 +275,14 @@ func (g *Group) DistributeRekey(msg *keytree.Message) (*split.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if g.cfg.RealCrypto {
-		applier := &storeApplier{store: g.members, obs: g.cfg.Obs, label: g.cfg.Label}
-		applySpan := g.cfg.Obs.StartSpan("core_apply")
-		err := applier.Apply(msg.Interval, rep.Deliveries)
-		applySpan.End()
-		if err != nil {
-			return nil, err
-		}
+	applier := &storeApplier{store: g.members, obs: g.cfg.Obs, label: g.cfg.Label}
+	applySpan := g.cfg.Obs.StartSpan("core_apply")
+	err = applier.Apply(msg.Interval, rep.Deliveries)
+	applySpan.End()
+	if err != nil {
+		return nil, err
 	}
-	if g.cfg.RealCrypto && g.clusters != nil {
+	if g.clusters != nil {
 		g.distributeViaLeaders()
 	}
 	return rep, nil
@@ -312,8 +302,7 @@ func (g *Group) distributeViaLeaders() {
 	}
 }
 
-// GroupKeyOf returns the group key a user currently holds (RealCrypto
-// only).
+// GroupKeyOf returns the group key a user currently holds.
 func (g *Group) GroupKeyOf(id ident.ID) (keycrypt.Key, bool) {
 	return g.members.GroupKey(id)
 }
@@ -326,8 +315,7 @@ func (g *Group) ServerGroupKey() (keycrypt.Key, bool) {
 	return g.tree.GroupKey()
 }
 
-// KeyringOf returns a user's keyring (RealCrypto only; in cluster mode
-// leaders only).
+// KeyringOf returns a user's keyring (in cluster mode, leaders only).
 func (g *Group) KeyringOf(id ident.ID) (*keytree.Keyring, bool) {
 	kr := g.members.Keyring(id)
 	return kr, kr != nil
@@ -354,7 +342,7 @@ func (g *Group) MulticastData(sender ident.ID, units int) (*tmesh.Result, error)
 }
 
 // SealForGroup encrypts application data with the server's current group
-// key (RealCrypto only).
+// key.
 func (g *Group) SealForGroup(plaintext []byte) ([]byte, error) {
 	gk, ok := g.ServerGroupKey()
 	if !ok {
@@ -364,7 +352,7 @@ func (g *Group) SealForGroup(plaintext []byte) ([]byte, error) {
 }
 
 // OpenAsUser decrypts application data with the group key held by a
-// specific user (RealCrypto only).
+// specific user.
 func (g *Group) OpenAsUser(id ident.ID, sealed []byte) ([]byte, error) {
 	gk, ok := g.GroupKeyOf(id)
 	if !ok {

@@ -45,7 +45,6 @@ func newGroup(t *testing.T, hosts int, clusterMode bool) *Group {
 		Assign:          smallAssign(),
 		K:               2,
 		Seed:            5,
-		RealCrypto:      true,
 		ClusterRekeying: clusterMode,
 	})
 	if err != nil {

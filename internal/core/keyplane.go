@@ -19,39 +19,34 @@ import (
 // decides who joins, who leaves and who survives, then calls Rekey.
 type KeyPlane struct {
 	tree  *keytree.Tree
-	store *memberstate.Store // nil without RealCrypto: server-side tree only
+	store *memberstate.Store
 	ap    *indexedApplier
 	limit int
 	label string // pprof {group=label} tag of the stages; "" = unlabelled
 }
 
-// NewKeyPlane builds an empty key plane. opts are the tree's; its
-// CapacityHint also sizes the keyring store, and without RealCrypto no
-// keyrings are kept. limit is an upper bound on the regen and apply
-// fan-out (<= 0: none).
+// NewKeyPlane builds an empty key plane. opts are the tree's, with real
+// crypto always on: its members install keys. Its CapacityHint also
+// sizes the keyring store. limit is an upper bound on the regen and
+// apply fan-out (<= 0: none).
 func NewKeyPlane(params ident.Params, seed []byte, opts keytree.Opts, limit int) (*KeyPlane, error) {
+	opts.RealCrypto = true
 	tree, err := keytree.New(params, seed, opts)
 	if err != nil {
 		return nil, err
 	}
-	w := &KeyPlane{tree: tree, limit: limit, label: opts.Label}
-	if opts.RealCrypto {
-		w.store = memberstate.NewStoreSized(opts.CapacityHint)
-		w.ap = newIndexedApplier(params, w.store, limit, opts.Label)
-	}
-	return w, nil
+	store := memberstate.NewStoreSized(opts.CapacityHint)
+	return &KeyPlane{
+		tree: tree, store: store, limit: limit, label: opts.Label,
+		ap: newIndexedApplier(params, store, limit, opts.Label),
+	}, nil
 }
 
 // Tree exposes the server's key tree (read-only use).
 func (w *KeyPlane) Tree() *keytree.Tree { return w.tree }
 
 // Keyring returns a member's keyring, nil if it has none.
-func (w *KeyPlane) Keyring(id ident.ID) *keytree.Keyring {
-	if w.store == nil {
-		return nil
-	}
-	return w.store.Keyring(id)
-}
+func (w *KeyPlane) Keyring(id ident.ID) *keytree.Keyring { return w.store.Keyring(id) }
 
 // Rekey runs one interval: the pending batch is flushed through the
 // tree, every survivor (the membership after the leaves, before the
@@ -64,9 +59,6 @@ func (w *KeyPlane) Rekey(p *keytree.Pending, survivors []ident.ID) (joins, leave
 	msg, joins, leaves, err := w.tree.Flush(p, w.limit)
 	if err != nil {
 		return nil, nil, 0, 0, err
-	}
-	if w.store == nil {
-		return joins, leaves, msg.Cost(), 0, nil
 	}
 	for _, id := range leaves {
 		w.store.Remove(id)

@@ -16,7 +16,6 @@ func newObservedGroup(t *testing.T, hosts int, clusterMode bool, reg *obs.Regist
 		Assign:          smallAssign(),
 		K:               2,
 		Seed:            5,
-		RealCrypto:      true,
 		ClusterRekeying: clusterMode,
 		Obs:             reg,
 	})

@@ -33,7 +33,6 @@ func newCryptoGroup(t *testing.T, hosts int, clusterMode bool) *Group {
 		Assign:          smallAssign(),
 		K:               2,
 		Seed:            5,
-		RealCrypto:      true,
 		ClusterRekeying: clusterMode,
 	})
 	if err != nil {

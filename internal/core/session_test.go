@@ -234,7 +234,7 @@ func TestSessionMembershipErrors(t *testing.T) {
 func TestSessionHostMapping(t *testing.T) {
 	const server = 5
 	g, err := NewGroup(Config{
-		Net: testNet(t, 10), ServerHost: server, Assign: smallAssign(), K: 2, Seed: 5, RealCrypto: true,
+		Net: testNet(t, 10), ServerHost: server, Assign: smallAssign(), K: 2, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)

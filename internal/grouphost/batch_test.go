@@ -70,7 +70,7 @@ var batchPlanes = []struct {
 	{"group", func(t *testing.T) *batchPlane {
 		net, err := vnet.NewGTITM(vnet.SoakGTITMConfig(), 8, 3)
 		must(t, err)
-		g, err := core.NewGroup(core.Config{Net: net, Assign: netAssign(), K: 2, Seed: 5, RealCrypto: true})
+		g, err := core.NewGroup(core.Config{Net: net, Assign: netAssign(), K: 2, Seed: 5})
 		must(t, err)
 		return (&batchPlane{
 			tree: g.Tree(),

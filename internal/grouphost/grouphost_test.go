@@ -216,7 +216,7 @@ func TestConfigValidation(t *testing.T) {
 func TestKeyPlaneDriversAgree(t *testing.T) {
 	cfg := chaos.ScaleConfig{
 		Params: ident.Params{Digits: 2, Base: 32}, N: 900, Intervals: 6, Churn: 60,
-		Seed: 42, Parallelism: 2, RealCrypto: true, Verify: 64,
+		Seed: 42, Parallelism: 2, Verify: 64,
 	}
 	var progress strings.Builder
 	cfg.Out = &progress

@@ -54,7 +54,6 @@ func newNetTenant(label string, spec GroupSpec, net vnet.Network, hostBase vnet.
 		Assign:          netAssign(),
 		K:               2,
 		Seed:            groupSeed(hostSeed, label),
-		RealCrypto:      true,
 		ClusterRekeying: spec.ClusterRekeying,
 		Obs:             reg,
 		Label:           label,
@@ -183,7 +182,6 @@ func newKeyTenant(label string, verify, hosts int, seed []byte, reg *obs.Registr
 		params.Digits++
 	}
 	world, err := core.NewKeyPlane(params, seed, keytree.Opts{
-		RealCrypto:   true,
 		Obs:          reg,
 		CapacityHint: hosts,
 		Label:        label,

@@ -46,9 +46,12 @@ import (
 // Opts configures a Tree.
 type Opts struct {
 	// RealCrypto enables actual AES-GCM key wrapping. When false,
-	// encryptions carry correct IDs but empty ciphertexts — sufficient
-	// (and much faster) for the rekey-cost and bandwidth experiments
-	// that only count encryptions.
+	// encryptions carry correct IDs but empty ciphertexts, which is
+	// enough for planes that only count encryptions and hold no member
+	// keyrings: internal/exp's rekey-cost, bandwidth and churn runners
+	// (real wraps would slow Fig. 12 and change none of its numbers) and
+	// the chaos soak's Appendix B cluster shadow. Every plane whose
+	// members install keys sets it, and so does bench/.
 	RealCrypto bool
 	// Obs is the optional telemetry registry. When set, Regenerate
 	// times each level-1 subtree work unit of its fan-out; durations
@@ -268,6 +271,35 @@ func (t *Tree) JoinKeyring(u ident.ID) (*Keyring, error) {
 		return nil, err
 	}
 	return NewKeyring(t.params, u, path)
+}
+
+// Resync builds the recovery form of the join-time unicast: u's k-node
+// path keys, group key included, each wrapped under u's individual key,
+// as a message of the current interval. Only u can open it, so it may
+// cross any wire, and u installs it through Keyring.Apply like any
+// other copy; at any other member it installs nothing.
+//
+// The seeded nonces stay safe (see keycrypt.WrapSeeded): the KEK is an
+// individual key, of which there is one per member epoch; the AAD binds
+// (u, key ID, version) and the context is the interval, within which a
+// (key ID, version) names exactly one key. So a repeated (KEK, AAD,
+// context) wraps the same key again, which is the same ciphertext —
+// including the interval's own wrap of u's parent under u.
+func (t *Tree) Resync(u ident.ID) (*Message, error) {
+	path, err := t.PathKeys(u)
+	if err != nil {
+		return nil, err
+	}
+	kek := path[0] // the individual key; the k-node keys follow, deepest first
+	encs := make([]keycrypt.Encryption, 0, len(path)-1)
+	for _, pk := range path[1:] {
+		enc, err := keycrypt.WrapSeeded(kek.Key, kek.ID, pk.Key, pk.ID, pk.Version, t.nonceSeed, t.interval)
+		if err != nil {
+			return nil, fmt.Errorf("keytree: wrapping key %v: %w", pk.ID, err)
+		}
+		encs = append(encs, enc)
+	}
+	return &Message{Interval: t.interval, Encryptions: encs}, nil
 }
 
 func (t *Tree) deriveKey(label string, version uint64) keycrypt.Key {

@@ -385,6 +385,70 @@ func TestLeaveAndRejoinSameBatch(t *testing.T) {
 	}
 }
 
+// TestResyncRestoresOnlyItsMember: Resync(u) brings u's keyring, two
+// intervals stale, level for level to the tree's path; a keyring as
+// stale at another member installs nothing from it. The wrap of u's
+// parent is byte-identical to the interval's own when the interval
+// re-keyed that parent, which is the nonce contract's repeat case.
+func TestResyncRestoresOnlyItsMember(t *testing.T) {
+	tr := newTree(t, tp, true)
+	members := ids(t, tp, 0, 1, 4, 6, 8)
+	u, other := members[0], members[2]
+	if _, err := tr.Batch(members, nil); err != nil {
+		t.Fatal(err)
+	}
+	kr, err := tr.JoinKeyring(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherKr, err := tr.JoinKeyring(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last *Message
+	for _, leave := range []ident.ID{members[4], members[1]} { // the second re-keys u's parent
+		if last, err = tr.Batch(nil, []ident.ID{leave}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	msg, err := tr.Resync(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg.Interval != tr.Interval() || msg.Cost() != tp.Digits {
+		t.Fatalf("resync of interval %d with %d encryptions, want %d with %d", msg.Interval, msg.Cost(), tr.Interval(), tp.Digits)
+	}
+	if n, err := otherKr.Apply(msg); n != 0 || err != nil {
+		t.Fatalf("another member installed %d keys from u's resync (%v)", n, err)
+	}
+	if n, err := kr.Apply(msg); n != tp.Digits || err != nil {
+		t.Fatalf("u installed %d of %d keys from its resync: %v", n, tp.Digits, err)
+	}
+	path, err := tr.PathKeys(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pk := range path {
+		if got, ok := kr.Key(pk.ID); !ok || !got.Equal(pk.Key) {
+			t.Fatalf("resynced keyring disagrees with the tree at %v", pk.ID)
+		}
+	}
+	var own, again *keycrypt.Encryption
+	for i, e := range last.Encryptions {
+		if e.ID == u.AsPrefix() {
+			own = &last.Encryptions[i]
+		}
+	}
+	for i, e := range msg.Encryptions {
+		if e.KeyID == u.Prefix(tp.Digits-1) {
+			again = &msg.Encryptions[i]
+		}
+	}
+	if own == nil || again == nil || string(own.Ciphertext) != string(again.Ciphertext) {
+		t.Fatal("the resync wraps u's parent differently from the interval's own wrap")
+	}
+}
+
 // TestKeyringValidation covers keyring construction errors.
 func TestKeyringValidation(t *testing.T) {
 	params := ident.Params{Digits: 2, Base: 3}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tmesh/internal/ident"
+	"tmesh/internal/keycrypt"
 )
 
 // TestFlushMatchesHandSortedBatch is the differential for Pending and
@@ -73,6 +74,75 @@ func TestFlushMatchesHandSortedBatch(t *testing.T) {
 		}
 		if err := got.CheckStructure(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestCostfulBatchOwesEveryMember pins the premise two rules rest on:
+// a batch with cost > 0 re-keys the root under every level-1 child, so
+// every member of the tree after it needs at least one of its
+// encryptions (Lemma 3), and every surviving keyring's Apply of it
+// installs at least one key. The chaos ladder therefore owes every
+// expected member, and the daemon may refuse to install a frame that
+// installed no key. Random Flush batches, same-interval leave and
+// rejoin of one ID included.
+func TestCostfulBatchOwesEveryMember(t *testing.T) {
+	params := ident.Params{Digits: 3, Base: 3}
+	all := make([]ident.ID, params.Capacity())
+	for i := range all {
+		all[i] = ids(t, params, i)[0]
+	}
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr := newTree(t, params, true)
+		rings := map[ident.ID]*Keyring{}
+		for batch := 0; batch < 8; batch++ {
+			var p Pending
+			touched := map[ident.ID]bool{}
+			for op := 1 + rng.Intn(6); op > 0; op-- {
+				id := all[rng.Intn(len(all))]
+				if touched[id] {
+					continue
+				}
+				touched[id] = true
+				switch member := tr.Structure().Contains(id); {
+				case member && rng.Intn(3) == 0: // leave and rejoin in one interval
+					p.Leave(id)
+					p.Join(id)
+				case member:
+					p.Leave(id)
+				default:
+					p.Join(id)
+				}
+			}
+			msg, joins, leaves, err := tr.Flush(&p, 1)
+			if err != nil {
+				t.Fatalf("seed %d batch %d: %v", seed, batch, err)
+			}
+			for _, id := range leaves {
+				delete(rings, id)
+			}
+			if msg.Cost() == 0 {
+				if tr.Size() > 0 {
+					t.Fatalf("seed %d batch %d: %d joins and %d leaves cost nothing", seed, batch, len(joins), len(leaves))
+				}
+				continue
+			}
+			for id, kr := range rings {
+				if n, err := kr.Apply(msg); err != nil || n == 0 {
+					t.Fatalf("seed %d batch %d: survivor %v installed %d keys (%v)", seed, batch, id, n, err)
+				}
+			}
+			for _, id := range joins {
+				if rings[id], err = tr.JoinKeyring(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for id := range rings {
+				if !slices.ContainsFunc(msg.Encryptions, func(e keycrypt.Encryption) bool { return e.NeededBy(id) }) {
+					t.Fatalf("seed %d batch %d: member %v needs none of %d encryptions", seed, batch, id, msg.Cost())
+				}
+			}
 		}
 	}
 }

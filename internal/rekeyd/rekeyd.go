@@ -19,9 +19,14 @@
 //     unacked member, stepping through the same recovery.Policy the
 //     simulator's ladder does: RetryBudget unicast attempts (TypeRekey
 //     at forward level D — terminal, never forwarded), then
-//     ResyncBudget full path-key resyncs (TypeSync). A member still
-//     silent after that is reported dead-in-flight, mirroring
-//     recovery.LadderResult semantics.
+//     ResyncBudget resyncs: the member's whole path wrapped under its
+//     individual key (keytree.Tree.Resync), also a terminal TypeRekey.
+//     A member still silent after that is reported dead-in-flight,
+//     mirroring recovery.LadderResult semantics.
+//
+// Every key a member installs arrives as an AES-GCM wrap and goes
+// through one Member.install → keytree.Keyring.Apply; no key crosses
+// the transport in the clear.
 //
 // Nodes share one process (the daemon runs "many in-process user
 // nodes over real loopback sockets"), so the overlay Directory and the
@@ -218,15 +223,6 @@ func (s *Shared) Index(interval uint64) *split.Index {
 	return s.indexes[interval]
 }
 
-// splitFor filters encs to a subtree through the compiled index when
-// one exists, falling back to the legacy linear filter.
-func (s *Shared) splitFor(interval uint64, encs []keycrypt.Encryption, subtree ident.Prefix) []keycrypt.Encryption {
-	if idx := s.Index(interval); idx != nil {
-		return idx.Split(encs, subtree)
-	}
-	return split.Filter(encs, subtree)
-}
-
 // forward sends over tr the FORWARD copies of msg owed by the node
 // `from` at forwarding level `level` (the zero ID is the key server,
 // whose level is 0). The walk is overlay's Forward, the one statement
@@ -236,7 +232,16 @@ func (s *Shared) splitFor(interval uint64, encs []keycrypt.Encryption, subtree i
 // that subtree. Splitting, encoding and sending happen outside the
 // lock. It returns the number of copies the transport accepted; one it
 // refused is a lost hop like any other, the ladder's to repair.
+//
+// A message of an interval without a compiled index goes nowhere: the
+// server never opened that interval, or it is at least three intervals
+// stale (Distribute(k) returns before k+1 starts, and PutIndex keeps the
+// last three), so the frame is forged or long dead.
 func (s *Shared) forward(tr transport.Transport, msg *keytree.Message, from ident.ID, level int) int {
+	idx := s.Index(msg.Interval)
+	if idx == nil {
+		return 0
+	}
 	type hop struct {
 		to     ident.ID
 		digits int // of the subtree the copy covers = its forward level
@@ -256,7 +261,7 @@ func (s *Shared) forward(tr transport.Transport, msg *keytree.Message, from iden
 	})
 	sent := 0
 	for _, h := range hops {
-		encs := s.splitFor(msg.Interval, msg.Encryptions, h.to.Prefix(h.digits))
+		encs := idx.Split(msg.Encryptions, h.to.Prefix(h.digits))
 		if len(encs) == 0 {
 			continue
 		}
@@ -281,7 +286,7 @@ type Member struct {
 	applied uint64
 	copies  map[uint64]int // rekey copies received, per interval
 
-	applies, forwards, reacks, applyErrs, resyncs *obs.Counter
+	applies, forwards, reacks, applyErrs *obs.Counter
 }
 
 // NewMember wraps a transport endpoint as a member node holding the
@@ -298,7 +303,6 @@ func NewMember(id ident.ID, params ident.Params, tr transport.Transport, sh *Sha
 		forwards:  reg.Counter("rekeyd_member_forwards"),
 		reacks:    reg.Counter("rekeyd_member_reacks"),
 		applyErrs: reg.Counter("rekeyd_member_apply_errors"),
-		resyncs:   reg.Counter("rekeyd_member_resyncs"),
 	}
 	tr.SetHandler(m.handle)
 	return m
@@ -315,18 +319,11 @@ func (m *Member) GroupKey() (keycrypt.Key, bool) {
 }
 
 func (m *Member) handle(from transport.PeerID, frame []byte) {
-	if len(frame) == 0 {
+	if len(frame) == 0 || wire.MsgType(frame[0]) != wire.TypeRekey {
 		return
 	}
-	switch wire.MsgType(frame[0]) {
-	case wire.TypeRekey:
-		if msg, level, err := wire.UnmarshalRekey(frame); err == nil {
-			m.onRekey(msg, level)
-		}
-	case wire.TypeSync:
-		if interval, path, err := wire.UnmarshalSync(frame); err == nil {
-			m.onSync(interval, path)
-		}
+	if msg, level, err := wire.UnmarshalRekey(frame); err == nil {
+		m.onRekey(msg, level)
 	}
 }
 
@@ -351,34 +348,26 @@ func (m *Member) onRekey(msg *keytree.Message, level int) {
 		}
 	}
 	m.mu.Unlock()
-	// An apply error is a missing or stale KEK: this keyring skipped an
-	// interval the message assumes. No ack — the server's ladder will
-	// reach the resync rung and rebuild the path.
-	m.install(msg.Interval, m.applies, func() error {
-		_, err := m.kr.Apply(msg)
-		return err
-	})
+	m.install(msg)
 }
 
-func (m *Member) onSync(interval uint64, path []keytree.PathKey) {
-	m.install(interval, m.resyncs, func() error {
-		kr, err := keytree.NewKeyring(m.params, m.id, path)
-		if err == nil {
-			m.kr = kr
-		}
-		return err
-	})
-}
-
-// install brings the keyring to interval by running apply under the
-// member lock, and acks. An interval already installed is a duplicate
-// (Theorem 1's fault-tolerant redundancy, or a ladder rung racing a
-// slow ack): re-ack, don't re-apply.
-func (m *Member) install(interval uint64, installed *obs.Counter, apply func() error) {
+// install brings the keyring to msg's interval and acks; a multicast
+// copy, a unicast and a resync all arrive here. An interval already
+// installed is a duplicate (Theorem 1's fault-tolerant redundancy, or a
+// ladder rung racing a slow ack): re-ack, don't re-apply. Otherwise the
+// interval is installed only when Keyring.Apply installed at least one
+// key. Every legitimate copy, unicast or resync of a cost > 0 interval
+// carries one (the root is re-keyed under every level-1 child), so a
+// frame holding nothing this member can open moves it nowhere. An apply
+// error is a missing or stale KEK: this keyring skipped an interval the
+// message assumes. Neither acks; the server's ladder reaches the resync
+// rung.
+func (m *Member) install(msg *keytree.Message) {
 	m.mu.Lock()
+	interval, installed := msg.Interval, m.applies
 	if interval <= m.applied {
 		interval, installed = m.applied, m.reacks
-	} else if err := apply(); err != nil {
+	} else if n, err := m.kr.Apply(msg); err != nil || n == 0 {
 		m.mu.Unlock()
 		m.applyErrs.Inc()
 		return
@@ -467,9 +456,9 @@ type ladderRow struct {
 }
 
 // NewServer wraps the server transport endpoint. The tree stays owned
-// by the driver (Mark/Regenerate between intervals); Distribute only
-// reads it (PathKeys for resyncs), so the driver must not mutate the
-// tree while a Distribute is in flight.
+// by the driver (Flush between intervals); Distribute only reads it
+// (Resync), so the driver must not mutate the tree while a Distribute
+// is in flight.
 func NewServer(cfg Config, tr transport.Transport, sh *Shared, tree *keytree.Tree) (*Server, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
@@ -643,28 +632,29 @@ func (s *Server) advance(l *ledger) (due []*ladderRow, wait time.Duration, unset
 // driver contract rules out) is a rung lost: the chain is waited out
 // and ends dead in flight.
 func (s *Server) sendRung(msg *keytree.Message, row *ladderRow, res *Result) {
-	var buf []byte
+	var slice *keytree.Message
 	var err error
 	if row.step.Rung == recovery.ByUnicast {
-		// The member's own slice at terminal forward level D (never
-		// forwarded further).
-		slice := &keytree.Message{Interval: msg.Interval, Encryptions: recovery.NeededBy(msg, row.id)}
-		buf, err = wire.MarshalRekey(slice, s.params.Digits)
+		// The member's own Lemma 3 slice.
+		slice = &keytree.Message{Interval: msg.Interval, Encryptions: recovery.NeededBy(msg, row.id)}
 		s.unicasts.Inc()
 		res.UnicastAttempts++
 		if d := s.policy.Wait(row.step); d > res.MaxBackoff {
 			res.MaxBackoff = d
 		}
 	} else {
-		// Resync: rebuild the member's whole path. PathKeys is a tree
-		// read; the driver contract forbids concurrent Mark/Regenerate
-		// during Distribute.
-		var path []keytree.PathKey
-		if path, err = s.tree.PathKeys(row.id); err == nil {
-			buf, err = wire.MarshalSync(msg.Interval, path)
-		}
+		// Resync: the member's whole path, wrapped under its individual
+		// key. A tree read; the driver contract forbids a concurrent
+		// Flush during Distribute.
+		slice, err = s.tree.Resync(row.id)
 		s.syncsSent.Inc()
 		res.SyncAttempts++
+	}
+	// Either rung is a rekey frame at terminal forward level D, never
+	// forwarded further.
+	var buf []byte
+	if err == nil {
+		buf, err = wire.MarshalRekey(slice, s.params.Digits)
 	}
 	if err == nil {
 		s.tr.Send(PeerOf(row.id), buf)

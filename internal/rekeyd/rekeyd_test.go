@@ -1,15 +1,20 @@
 package rekeyd
 
 import (
+	"bytes"
+	"math"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"tmesh/internal/ident"
+	"tmesh/internal/keycrypt"
 	"tmesh/internal/keytree"
 	"tmesh/internal/overlay"
 	"tmesh/internal/recovery"
 	"tmesh/internal/transport"
+	"tmesh/internal/wire"
 	"tmesh/internal/work"
 )
 
@@ -403,3 +408,244 @@ func (m *Member) Applied() uint64 {
 
 // Acked reports whether every expected member acked.
 func (r *Result) Acked() bool { return len(r.RungOf) == r.Expected }
+
+// sentFrames records every frame the tapped endpoints send, before the
+// fault plan sees it.
+type sentFrames struct {
+	mu     sync.Mutex
+	frames [][]byte
+}
+
+func (r *sentFrames) all() [][]byte {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.frames
+}
+
+type tap struct {
+	transport.Transport
+	rec *sentFrames
+}
+
+func (t tap) Send(to transport.PeerID, frame []byte) error {
+	t.rec.mu.Lock()
+	t.rec.frames = append(t.rec.frames, append([]byte(nil), frame...))
+	t.rec.mu.Unlock()
+	return t.Transport.Send(to, frame)
+}
+
+// tapSends routes the server's and every current member's sends through
+// one recorder. Call it between intervals.
+func tapSends(w *World) *sentFrames {
+	rec := &sentFrames{}
+	w.srv.tr = tap{w.srv.tr, rec}
+	w.sh.locMu.Lock()
+	defer w.sh.locMu.Unlock()
+	for _, m := range w.members {
+		m.tr = tap{m.tr, rec}
+		// resolve recognises a forwarder by its published endpoint.
+		w.sh.locs[m.tr.ID()].tr = m.tr
+	}
+	return rec
+}
+
+// TestNoKeyBytesOnTheWire kills a member for longer than the multicast
+// timeout and the unicast rung, so the ladder reaches the resync rung,
+// and restores it there. Every frame any node sent is recorded: none may
+// contain the bytes of any key a member holds, individual keys
+// included. A resync is the member's path wrapped under its individual
+// key, not the path itself.
+func TestNoKeyBytesOnTheWire(t *testing.T) {
+	check := guardGoroutines(t)
+	w, err := NewWorld(testConfig("loopback", 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := tapSends(w)
+	victim := w.Members()[4].ID()
+	w.Kill(victim)
+	if err := w.Leave(w.Members()[11].ID()); err != nil {
+		t.Fatal(err)
+	}
+	// Timeout plus three unicasts is 150+50+100+200 ms; the five resyncs
+	// follow 200 ms apart.
+	restored := make(chan struct{})
+	go func() {
+		time.Sleep(650 * time.Millisecond)
+		w.Restore(victim)
+		close(restored)
+	}()
+	res, err := w.Rekey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-restored
+	assertConverged(t, w, res)
+	if res.SyncAttempts == 0 || res.RungOf[victim.Key()] != recovery.ByResync {
+		t.Fatalf("victim %v keyed by rung %v after %d resyncs, want the resync rung", victim, res.RungOf[victim.Key()], res.SyncAttempts)
+	}
+	frames := rec.all()
+	for _, m := range w.Members() {
+		path, err := w.Tree().PathKeys(m.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pk := range path {
+			for _, f := range frames {
+				if bytes.Contains(f, pk.Key.Bytes()) {
+					t.Fatalf("a frame carries %v's key at %v in the clear", m.ID(), pk.ID)
+				}
+			}
+		}
+	}
+	w.Close()
+	check()
+}
+
+// TestResyncRestoresOnlyItsMember: a member kept dark for two intervals
+// is restored by one resync frame, installed through the same path as
+// any copy, and acks; the same frame handed to another member that
+// missed the same intervals installs nothing and draws no ack.
+func TestResyncRestoresOnlyItsMember(t *testing.T) {
+	cfg := testConfig("loopback", 16)
+	cfg.Ladder = Config{Timeout: 100 * time.Millisecond, RetryBase: 20 * time.Millisecond, RetryMax: 20 * time.Millisecond,
+		RetryBudget: 1, ResyncBudget: 1}
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	a, b := w.Members()[2], w.Members()[9]
+	w.Kill(a.ID())
+	w.Kill(b.ID())
+	for i := 0; i < 2; i++ {
+		if _, err := w.Join(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Rekey(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Restore(a.ID())
+	w.Restore(b.ID())
+	tree := w.Tree()
+	if tree.Interval()-a.Applied() < 2 || tree.Interval()-b.Applied() < 2 {
+		t.Fatalf("dark members at intervals %d and %d, tree at %d", a.Applied(), b.Applied(), tree.Interval())
+	}
+	// Only a's and b's acks matter, and each sends at most one here.
+	acks := make(chan ident.ID, 2)
+	w.srv.tr.SetHandler(func(_ transport.PeerID, frame []byte) {
+		if _, id, err := wire.UnmarshalAck(frame, cfg.Params); err == nil && (id.Equal(a.ID()) || id.Equal(b.ID())) {
+			acks <- id
+		}
+	})
+	msg, err := tree.Resync(a.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := wire.MarshalRekey(msg, cfg.Params.Digits)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stale := b.Applied()
+	b.handle(transport.ServerID, frame)
+	want, _ := tree.GroupKey()
+	if got, _ := b.GroupKey(); b.Applied() != stale || got.Equal(want) {
+		t.Fatalf("another member's resync moved %v from interval %d to %d", b.ID(), stale, b.Applied())
+	}
+	a.handle(transport.ServerID, frame)
+	if a.Applied() != tree.Interval() {
+		t.Fatalf("resync left %v at interval %d, tree at %d", a.ID(), a.Applied(), tree.Interval())
+	}
+	path, err := tree.PathKeys(a.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pk := range path {
+		if got, ok := a.kr.Key(pk.ID); !ok || !got.Equal(pk.Key) {
+			t.Fatalf("resynced %v disagrees with the tree at %v", a.ID(), pk.ID)
+		}
+	}
+	// a acks; b does not, even a while after a has.
+	deadline := time.After(5 * time.Second)
+	var quiet <-chan time.Time
+	for {
+		select {
+		case id := <-acks:
+			if id.Equal(b.ID()) {
+				t.Fatalf("%v acked a resync that was not its own", b.ID())
+			}
+			if id.Equal(a.ID()) && quiet == nil {
+				quiet = time.After(100 * time.Millisecond)
+			}
+		case <-quiet:
+			return
+		case <-deadline:
+			t.Fatalf("resynced %v never acked", a.ID())
+		}
+	}
+}
+
+// TestEmptyRekeyFrameMovesNobody: a rekey frame holding nothing a member
+// can open installs nothing, whatever interval it names, so a peer
+// cannot push a member to interval 2^64-1 and have it ignore every
+// later rekey. A replayed real frame with a rewritten interval still
+// installs: closing that needs authenticated frames, not this rule.
+func TestEmptyRekeyFrameMovesNobody(t *testing.T) {
+	cfg := testConfig("loopback", 8)
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	victim := w.Members()[3]
+	for _, level := range []int{1, cfg.Params.Digits} {
+		frame, err := wire.MarshalRekey(&keytree.Message{Interval: math.MaxUint64}, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		victim.handle(PeerOf(w.Members()[0].ID()), frame)
+	}
+	if got := victim.Applied(); got != w.Tree().Interval() {
+		t.Fatalf("an empty frame moved %v to interval %d", victim.ID(), got)
+	}
+	if _, err := w.Join(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := w.Rekey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertConverged(t, w, res)
+}
+
+// TestFrameOfUnknownIntervalIsNotForwarded: a rekey frame for an
+// interval the server never opened has no compiled split index, and no
+// member forwards it, however many subtrees it claims to carry keys
+// for.
+func TestFrameOfUnknownIntervalIsNotForwarded(t *testing.T) {
+	w, err := NewWorld(testConfig("loopback", 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	rec := tapSends(w)
+	forged := &keytree.Message{Interval: w.Tree().Interval() + 1}
+	for _, m := range w.Members() {
+		forged.Encryptions = append(forged.Encryptions, keycrypt.Encryption{
+			ID: m.ID().Prefix(1), KeyID: ident.EmptyPrefix, KeyVersion: 1, Ciphertext: []byte("forged"),
+		})
+	}
+	frame, err := wire.MarshalRekey(forged, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := w.Members()
+	for i, m := range members {
+		m.handle(PeerOf(members[(i+1)%len(members)].ID()), frame)
+	}
+	if n := len(rec.all()); n != 0 {
+		t.Fatalf("members sent %d frames for an interval the server never opened", n)
+	}
+}

@@ -1,33 +1,22 @@
-// Daemon frames: the two messages the socket rekey daemon adds on top
-// of the simulator's wire set. TypeAck closes the delivery loop (a
-// member confirms it installed the interval's group key) and TypeSync
-// is the ladder's last rung outside the simulator — a full path-key
-// snapshot that rebuilds a member's keyring from scratch, exactly the
-// join-time unicast of Section 2.3 reused for recovery.
-//
-// Both decoders follow the package's hostile-input rule: every
-// declared count is checked against the minimum bytes it implies
-// before any allocation sized by it.
+// Daemon frames: the one message the socket rekey daemon adds on top
+// of the simulator's wire set. TypeAck closes the delivery loop: a
+// member confirms it installed the interval's group key. The ladder's
+// rungs need no frame of their own: a unicast and a resync are both
+// TypeRekey frames at the terminal forward level, the resync carrying
+// the member's path wrapped under its individual key
+// (keytree.Tree.Resync), so no key ever crosses the wire in the clear.
 package wire
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"tmesh/internal/ident"
-	"tmesh/internal/keycrypt"
-	"tmesh/internal/keytree"
 )
 
-// Daemon message types, continuing the MsgType space.
-const (
-	// TypeAck frames a member's delivery acknowledgement for one
-	// rekey interval.
-	TypeAck MsgType = iota + 5 // = 5
-	// TypeSync frames a full path-key resync from the key server.
-	TypeSync // = 6
-)
+// TypeAck frames a member's delivery acknowledgement for one rekey
+// interval, continuing the MsgType space.
+const TypeAck MsgType = 5
 
 // MarshalAck frames an interval acknowledgement: tag, interval, the
 // acknowledging member's ID.
@@ -60,76 +49,4 @@ func UnmarshalAck(buf []byte, params ident.Params) (uint64, ident.ID, error) {
 		return 0, ident.ID{}, fmt.Errorf("wire: %d trailing bytes after ack", r.rest())
 	}
 	return interval, id, nil
-}
-
-// syncKeyMinSize is the smallest encoded path key: empty prefix (1
-// byte of length), 8-byte version, KeySize bytes of key material.
-const syncKeyMinSize = 1 + 8 + keycrypt.KeySize
-
-// MarshalSync frames a full path-key resync: tag, interval, key count,
-// then each key as prefix + version + raw key bytes. (The daemon sends
-// this over a unicast stream to exactly one member — the key material
-// is the member's own path, the same bytes the join-time unicast
-// carries.)
-func MarshalSync(interval uint64, path []keytree.PathKey) ([]byte, error) {
-	if len(path) > 1<<16-1 {
-		return nil, errors.New("wire: too many path keys in sync")
-	}
-	dst := make([]byte, 0, 1+8+2+len(path)*(syncKeyMinSize+8))
-	dst = append(dst, byte(TypeSync))
-	dst = binary.BigEndian.AppendUint64(dst, interval)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(path)))
-	for _, pk := range path {
-		dst = AppendPrefix(dst, pk.ID)
-		dst = binary.BigEndian.AppendUint64(dst, pk.Version)
-		dst = append(dst, pk.Key.Bytes()...)
-	}
-	return dst, nil
-}
-
-// UnmarshalSync decodes a path-key resync.
-func UnmarshalSync(buf []byte) (uint64, []keytree.PathKey, error) {
-	r := &reader{buf: buf}
-	tag, err := r.u8("type")
-	if err != nil {
-		return 0, nil, err
-	}
-	if MsgType(tag) != TypeSync {
-		return 0, nil, fmt.Errorf("wire: expected sync tag, got %d", tag)
-	}
-	interval, err := r.u64("sync.interval")
-	if err != nil {
-		return 0, nil, err
-	}
-	count, err := r.u16("sync.count")
-	if err != nil {
-		return 0, nil, err
-	}
-	// Each path key needs at least syncKeyMinSize bytes: a count the
-	// buffer cannot hold is rejected before the slice is allocated.
-	if int64(count)*syncKeyMinSize > int64(r.rest()) {
-		return 0, nil, fmt.Errorf("%w: %d path keys in %d bytes", ErrTruncated, count, r.rest())
-	}
-	path := make([]keytree.PathKey, 0, count)
-	for i := 0; i < int(count); i++ {
-		var pk keytree.PathKey
-		if pk.ID, err = readPrefix(r, "sync.key.id"); err != nil {
-			return 0, nil, fmt.Errorf("wire: path key %d: %w", i, err)
-		}
-		if pk.Version, err = r.u64("sync.key.version"); err != nil {
-			return 0, nil, fmt.Errorf("wire: path key %d: %w", i, err)
-		}
-		kb, err := r.need(keycrypt.KeySize, "sync.key.material")
-		if err != nil {
-			return 0, nil, fmt.Errorf("wire: path key %d: %w", i, err)
-		}
-		if pk.Key, err = keycrypt.KeyFromBytes(kb); err != nil {
-			return 0, nil, fmt.Errorf("wire: path key %d: %w", i, err)
-		}
-		path = append(path, pk)
-	}
-	if r.rest() != 0 {
-		return 0, nil, fmt.Errorf("wire: %d trailing bytes after sync", r.rest())
-	}
-	return interval, path, nil
 }

@@ -5,24 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-
-	"tmesh/internal/ident"
-	"tmesh/internal/keycrypt"
-	"tmesh/internal/keytree"
 )
-
-func testKey(t *testing.T, b byte) keycrypt.Key {
-	t.Helper()
-	raw := make([]byte, keycrypt.KeySize)
-	for i := range raw {
-		raw[i] = b + byte(i)
-	}
-	k, err := keycrypt.KeyFromBytes(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return k
-}
 
 func TestAckRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -52,39 +35,9 @@ func TestAckRejectsDamage(t *testing.T) {
 		t.Fatal("trailing byte decoded")
 	}
 	bad := append([]byte{}, good...)
-	bad[0] = byte(TypeSync)
+	bad[0] = byte(TypeRekey)
 	if _, _, err := UnmarshalAck(bad, tp); err == nil {
 		t.Fatal("wrong tag decoded")
-	}
-}
-
-func TestSyncRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, n := range []int{0, 1, 3, 6} {
-		path := make([]keytree.PathKey, 0, n)
-		for i := 0; i < n; i++ {
-			path = append(path, keytree.PathKey{
-				ID:      randomPrefix(rng),
-				Version: rng.Uint64(),
-				Key:     testKey(t, byte(i)),
-			})
-		}
-		buf, err := MarshalSync(99, path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		interval, got, err := UnmarshalSync(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if interval != 99 || len(got) != n {
-			t.Fatalf("round trip: interval %d, %d keys; want 99, %d", interval, len(got), n)
-		}
-		for i := range got {
-			if got[i].ID.Key() != path[i].ID.Key() || got[i].Version != path[i].Version || !got[i].Key.Equal(path[i].Key) {
-				t.Fatalf("path key %d did not survive the round trip", i)
-			}
-		}
 	}
 }
 
@@ -110,14 +63,6 @@ func TestHostileLengths(t *testing.T) {
 		t.Fatalf("reply with 65535 declared records: got %v, want ErrTruncated", err)
 	}
 
-	// Sync: max u16 path keys declared, zero bytes of key material.
-	sync := []byte{byte(TypeSync)}
-	sync = binary.BigEndian.AppendUint64(sync, 7)
-	sync = binary.BigEndian.AppendUint16(sync, 1<<16-1)
-	if _, _, err := UnmarshalSync(sync); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("sync with 65535 declared keys: got %v, want ErrTruncated", err)
-	}
-
 	// Ciphertext length lying about the remaining buffer.
 	enc := []byte{byte(TypeRekey), 0}           // tag, forward level
 	enc = binary.BigEndian.AppendUint64(enc, 1) // interval
@@ -128,31 +73,5 @@ func TestHostileLengths(t *testing.T) {
 	enc = append(enc, 0xab) // 1 byte where 65535 were declared
 	if _, _, err := UnmarshalRekey(enc); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("encryption with lying ctLen: got %v, want ErrTruncated", err)
-	}
-}
-
-// TestSyncRejectsDamage walks every truncation of a healthy sync frame
-// and a few semantic corruptions.
-func TestSyncRejectsDamage(t *testing.T) {
-	path := []keytree.PathKey{
-		{ID: ident.EmptyPrefix, Version: 1, Key: testKey(t, 1)},
-		{ID: randomPrefix(rand.New(rand.NewSource(5))), Version: 2, Key: testKey(t, 2)},
-	}
-	good, err := MarshalSync(3, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(good); i++ {
-		if _, _, err := UnmarshalSync(good[:i]); err == nil {
-			t.Fatalf("truncation to %d bytes decoded", i)
-		}
-	}
-	if _, _, err := UnmarshalSync(append(append([]byte{}, good...), 0)); err == nil {
-		t.Fatal("trailing byte decoded")
-	}
-	bad := append([]byte{}, good...)
-	bad[0] = byte(TypeAck)
-	if _, _, err := UnmarshalSync(bad); err == nil {
-		t.Fatal("wrong tag decoded")
 	}
 }

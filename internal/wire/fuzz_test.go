@@ -173,67 +173,12 @@ func FuzzUnmarshalAck(f *testing.F) {
 	})
 }
 
-func FuzzUnmarshalSync(f *testing.F) {
-	if seed, err := MarshalSync(9, []keytree.PathKey{{ID: ident.EmptyPrefix, Version: 1, Key: fuzzKey(f, 0)}}); err == nil {
-		f.Add(seed)
-	}
-	// A tiny frame declaring the maximum key count: the guard must
-	// reject it before allocating.
-	f.Add([]byte{byte(TypeSync), 0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff})
-	var last []byte
-	for i, path := range [][]keytree.PathKey{
-		{},
-		{{ID: ident.EmptyPrefix, Version: 1, Key: fuzzKey(f, 1)}},
-		{
-			{ID: fuzzID(12345).Prefix(1), Version: 9, Key: fuzzKey(f, 2)},
-			{ID: fuzzID(12345).Prefix(3), Version: 10, Key: fuzzKey(f, 3)},
-			{ID: fuzzID(12345).Prefix(5), Version: 11, Key: fuzzKey(f, 4)},
-		},
-	} {
-		b, err := MarshalSync(uint64(i), path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b)
-		last = b
-	}
-	f.Add(last[:len(last)-keycrypt.KeySize/2])
-	f.Add(flip(last, len(last)-1))
-	f.Add(hugeCount(TypeSync, 8, 2, 1<<16-1))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		interval, path, err := UnmarshalSync(data)
-		if err != nil {
-			return
-		}
-		back, err := MarshalSync(interval, path)
-		if err != nil {
-			t.Fatalf("re-marshal failed: %v", err)
-		}
-		if string(back) != string(data) {
-			t.Fatal("decode/encode not canonical")
-		}
-	})
-}
-
 func fuzzID(n int) ident.ID {
 	id, err := ident.FromInt(tp, n)
 	if err != nil {
 		panic(err)
 	}
 	return id
-}
-
-// fuzzKey is the key whose i-th byte is b+i.
-func fuzzKey(f *testing.F, b byte) keycrypt.Key {
-	raw := make([]byte, keycrypt.KeySize)
-	for i := range raw {
-		raw[i] = b + byte(i)
-	}
-	k, err := keycrypt.KeyFromBytes(raw)
-	if err != nil {
-		f.Fatal(err)
-	}
-	return k
 }
 
 // hugeCount builds a frame of tag, lead zero bytes (whatever precedes
