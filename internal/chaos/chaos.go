@@ -9,9 +9,8 @@
 // After every rekey interval an auditor registry checks the paper's
 // claims against the live state:
 //
-//   - k-consistency — Definition 3 holds for every table entry a churned
-//     ID can affect (overlay.CheckConsistencyUnder), with a periodic and
-//     final full sweep;
+//   - k-consistency — Definition 3 holds for every table entry, the
+//     whole sweep at every interval and once more at the end;
 //   - delivery — the interval's data multicast delivered at most one
 //     copy per user (Theorem 1), exactly one in fault-free intervals;
 //   - coverage — every surviving member that was in the group at rekey
@@ -123,11 +122,6 @@ const (
 	// pings that declare a neighbor dead.
 	pingInterval = 2 * time.Second
 	misses       = 2
-
-	// fullSweepEvery runs the O(N·D·B) full consistency sweep every k-th
-	// interval on top of the scoped per-churn checks (the final sweep
-	// always runs).
-	fullSweepEvery = 5
 )
 
 var (
@@ -224,8 +218,7 @@ type Engine struct {
 
 	// pending is the key tree's batch since the last rekey: joins,
 	// leaves, and reaped crash evictions.
-	pending         keytree.Pending
-	churnSinceAudit map[string]ident.ID
+	pending keytree.Pending
 
 	// Live results of the current interval.
 	curData     *tmesh.Result
@@ -239,6 +232,7 @@ type Engine struct {
 	// same-seed runs report identical estimates.
 	dataDelay  *metrics.StreamingSummary
 	keyDelay   *metrics.StreamingSummary
+	dataStart  time.Duration // virtual send time of the current data probe
 	rekeyStart time.Duration // virtual send time of the current rekey
 
 	// Flight recorder (nil when Config.TraceSink is nil) and the open
@@ -283,12 +277,11 @@ func newEngine(cfg Config, sched *workload.Schedule) (*Engine, error) {
 		lossRNG:         rand.New(rand.NewSource(cfg.Seed ^ 0x6c6f73)), // "los"
 		faultRNG:        rand.New(rand.NewSource(cfg.Seed ^ 0x666c74)), // "flt"
 		idRNG:           rand.New(rand.NewSource(cfg.Seed ^ 0x696473)), // "ids"
-		idOf:            make(map[int]ident.ID),
-		churnSinceAudit: make(map[string]ident.ID),
-		lastEpoch:       make(map[string]uint64),
-		dataDelay:       metrics.NewStreamingSummary(),
-		keyDelay:        metrics.NewStreamingSummary(),
-		rep:             &Report{Seed: cfg.Seed, Auditors: AuditorNames()},
+		idOf:      make(map[int]ident.ID),
+		lastEpoch: make(map[string]uint64),
+		dataDelay: metrics.NewStreamingSummary(),
+		keyDelay:  metrics.NewStreamingSummary(),
+		rep:       &Report{Seed: cfg.Seed, Auditors: AuditorNames()},
 	}
 	if sched == nil {
 		sched = e.generate()
@@ -312,11 +305,11 @@ func newEngine(cfg Config, sched *workload.Schedule) (*Engine, error) {
 	if cfg.Obs != nil {
 		profLabel = "chaos"
 	}
-	tree, err := keytree.New(soakParams, seedBytes(cfg.Seed), keytree.Opts{RealCrypto: true, Obs: cfg.Obs, Label: profLabel})
+	tree, err := keytree.New(soakParams, keytree.SeedOf(cfg.Seed), keytree.Opts{RealCrypto: true, Obs: cfg.Obs, Label: profLabel})
 	if err != nil {
 		return nil, err
 	}
-	clusters, err := cluster.New(soakParams, seedBytes(cfg.Seed), keytree.Opts{})
+	clusters, err := cluster.New(soakParams, keytree.SeedOf(cfg.Seed), keytree.Opts{})
 	if err != nil {
 		return nil, err
 	}
@@ -336,7 +329,6 @@ func newEngine(cfg Config, sched *workload.Schedule) (*Engine, error) {
 			return nil, err
 		}
 	}
-	clear(e.churnSinceAudit)
 	if _, _, _, err := tree.Flush(&e.pending, 0); err != nil {
 		return nil, err
 	}
@@ -346,10 +338,6 @@ func newEngine(cfg Config, sched *workload.Schedule) (*Engine, error) {
 
 	e.det = newDetector(dir, e.sim, rand.New(rand.NewSource(cfg.Seed^0x70686173))) // "phas"
 	return e, nil
-}
-
-func seedBytes(seed int64) []byte {
-	return []byte(fmt.Sprintf("chaos-%d", seed))
 }
 
 // freeID draws an unused ID uniformly from the ID space.
@@ -657,7 +645,6 @@ func (e *Engine) play(ev workload.Event, now time.Duration, stats *IntervalStats
 	default:
 		return fmt.Errorf("chaos: event of unknown kind %v", ev.Kind)
 	}
-	e.churnSinceAudit[id.Key()] = id
 	e.ran = append(e.ran, ev)
 	return nil
 }
@@ -691,6 +678,7 @@ func (e *Engine) pickVictim(live []ident.ID) (ident.ID, bool) {
 // who was alive to receive it.
 func (e *Engine) doDataProbe(now time.Duration, stats *IntervalStats, fail func(error)) {
 	e.dataMembers = e.liveMembers()
+	e.dataStart = now
 	e.curDataTrace = nil
 	if e.traceInterval(stats.Index) {
 		e.curDataTrace = e.trec.Begin("data", stats.Index, now, "", nil)
@@ -833,19 +821,7 @@ func (e *Engine) doAudit(now time.Duration, idx int, stats *IntervalStats) {
 
 	ev := e.evidence(idx, stats)
 	results, counts := Audit(ev, e.cfg.Obs)
-	stats.DataDelivered, stats.DataLost = counts.CopiesDelivered, counts.CopiesLost
-	stats.KeyByMulticast = counts.ByRung[recovery.ByMulticast]
-	stats.KeyByUnicast = counts.ByRung[recovery.ByUnicast]
-	stats.KeyByResync = counts.ByRung[recovery.ByResync]
-	stats.LadderRung = "none"
-	switch {
-	case stats.KeyByResync > 0:
-		stats.LadderRung = "resync"
-	case stats.KeyByUnicast > 0:
-		stats.LadderRung = "unicast"
-	case stats.KeyByMulticast > 0:
-		stats.LadderRung = "multicast"
-	}
+	stats.tally(results, counts)
 	if lr := e.curLadder; lr != nil {
 		stats.UnicastAttempts, stats.Retries, stats.MaxBackoff = lr.UnicastAttempts, lr.Retries, lr.MaxBackoff
 		stats.DeadInFlight = len(lr.DeadInFlight)
@@ -858,9 +834,6 @@ func (e *Engine) doAudit(now time.Duration, idx int, stats *IntervalStats) {
 	verdicts := make([]auditVerdict, len(results))
 	for i, r := range results {
 		verdicts[i] = auditVerdict{Name: r.Name, OK: len(r.Violations) == 0, Violation: strings.Join(r.Violations, "; ")}
-		if !verdicts[i].OK {
-			stats.Violations = append(stats.Violations, r.Line())
-		}
 	}
 	auditSpan.End()
 
@@ -900,7 +873,7 @@ func (e *Engine) doAudit(now time.Duration, idx int, stats *IntervalStats) {
 	if e.curData != nil {
 		for _, id := range e.dataMembers {
 			if st := e.curData.Users[id.Key()]; st != nil && st.Received > 0 {
-				e.dataDelay.Observe(float64(st.Delay) / float64(time.Millisecond))
+				e.dataDelay.Observe(float64(st.Delay-e.dataStart) / float64(time.Millisecond))
 			}
 		}
 	}
@@ -939,17 +912,13 @@ func (e *Engine) doAudit(now time.Duration, idx int, stats *IntervalStats) {
 	e.slo.Observe(sb)
 
 	// Reset per-interval state the auditors consumed.
-	e.churnSinceAudit = make(map[string]ident.ID)
 	e.curData = nil
 	e.curLadder = nil
 }
 
 // evidence gathers what the interval left behind for the auditors (see
-// Evidence): the directory with the IDs that churned since the last
-// audit — or nil on every fullSweepEvery-th interval, which asks for
-// the full Definition 3 sweep as a safety net for the scoping itself —
-// the data probe's copy counts, the cluster state, and the ladder's
-// outcome. The rekey messages carry real wraps, but the simulator keeps
+// Evidence): the directory, the data probe's copy counts, the cluster
+// state, and the ladder's outcome. The rekey messages carry real wraps, but the simulator keeps
 // no member keyrings, so coverage rests on the rungs alone.
 func (e *Engine) evidence(idx int, stats *IntervalStats) *Evidence {
 	ev := &Evidence{
@@ -959,13 +928,6 @@ func (e *Engine) evidence(idx int, stats *IntervalStats) *Evidence {
 		Clusters:      e.clusters,
 		LastEpoch:     e.lastEpoch,
 		IntervalStart: time.Duration(idx) * intervalLength,
-	}
-	if (idx+1)%fullSweepEvery != 0 {
-		ev.Churned = make([]ident.ID, 0, len(e.churnSinceAudit))
-		for _, id := range e.churnSinceAudit {
-			ev.Churned = append(ev.Churned, id)
-		}
-		sort.Slice(ev.Churned, func(i, j int) bool { return ev.Churned[i].Compare(ev.Churned[j]) < 0 })
 	}
 	if e.curData != nil {
 		for _, id := range e.dataMembers {

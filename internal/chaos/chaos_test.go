@@ -6,6 +6,7 @@ import (
 
 	"tmesh/internal/ident"
 	"tmesh/internal/keycrypt"
+	"tmesh/internal/metrics"
 	"tmesh/internal/vnet"
 )
 
@@ -60,6 +61,18 @@ func TestSoakDefaultConfigGreen(t *testing.T) {
 	}
 	if bursts == 0 || partitions == 0 || spikes == 0 {
 		t.Errorf("fault classes unexercised: bursts=%d partitions=%d spikes=%d", bursts, partitions, spikes)
+	}
+}
+
+// TestSoakDelaysAreDelays: the data and key percentiles measure each
+// copy from its own send, so nothing in them reaches one interval — an
+// absolute virtual arrival time would grow with the run.
+func TestSoakDelaysAreDelays(t *testing.T) {
+	rep := runSoak(t, smallConfig(1))
+	for what, s := range map[string]metrics.Summary{"data": rep.DataDelayMS, "key": rep.KeyDelayMS} {
+		if s.N == 0 || s.Max <= 0 || s.Max >= float64(intervalLength/time.Millisecond) {
+			t.Errorf("%s delay n=%d max=%.3f ms, want 0 < max < one %v interval", what, s.N, s.Max, intervalLength)
+		}
 	}
 }
 

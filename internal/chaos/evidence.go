@@ -26,10 +26,6 @@ type Evidence struct {
 	// "still a member" everywhere below means "has a record in it".
 	// Without a directory every ID counts as present.
 	Dir *overlay.Directory
-	// Churned scopes the Definition 3 sweep to the table entries a
-	// membership change at these IDs can affect. Nil — as opposed to
-	// empty — asks for the full O(N·D·B) sweep.
-	Churned []ident.ID
 	// Alive is the plane's liveness oracle; nil means nobody is down.
 	Alive func(ident.ID) bool
 
@@ -191,26 +187,15 @@ func (ev *Evidence) present(id ident.ID) bool {
 // survivor reports whether id is still a live member at the audit.
 func (ev *Evidence) survivor(id ident.ID) bool { return ev.alive(id) && ev.present(id) }
 
-// checkKConsistency is Definition 3: around every churned ID, over the
-// entries such a change can affect, or over the whole directory.
+// checkKConsistency is Definition 3, swept over the whole directory.
 func checkKConsistency(ev *Evidence, _ *Counts) []string {
 	if ev.Dir == nil {
 		return nil
 	}
-	if ev.Churned == nil {
-		if err := ev.Dir.CheckConsistency(); err != nil {
-			return []string{fmt.Sprintf("full sweep: %v", err)}
-		}
-		return nil
+	if err := ev.Dir.CheckConsistency(); err != nil {
+		return []string{fmt.Sprintf("full sweep: %v", err)}
 	}
-	var vs []string
-	digits := ev.Dir.Params().Digits
-	for _, id := range ev.Churned {
-		if err := ev.Dir.CheckConsistencyUnder(id.Prefix(digits)); err != nil {
-			vs = append(vs, fmt.Sprintf("churn at %v: %v", id, err))
-		}
-	}
-	return vs
+	return nil
 }
 
 // checkDelivery is Theorem 1 — no member ever receives a second copy of

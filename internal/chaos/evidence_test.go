@@ -26,10 +26,8 @@ func evID(t *testing.T, v int) ident.ID {
 	return id
 }
 
-// brokenDir builds a small 2-consistent directory and then deletes one
-// neighbor from one owner's table without repairing the entry, which
-// breaks Definition 3 there. It returns the deleted neighbor's ID.
-func brokenDir(t *testing.T) (*overlay.Directory, ident.ID) {
+// evDir builds a small 2-consistent directory.
+func evDir(t *testing.T) *overlay.Directory {
 	t.Helper()
 	net, err := vnet.NewGTITM(vnet.SoakGTITMConfig(), 9, 1)
 	if err != nil {
@@ -47,16 +45,24 @@ func brokenDir(t *testing.T) (*overlay.Directory, ident.ID) {
 	if err := dir.CheckConsistency(); err != nil {
 		t.Fatalf("directory is inconsistent before it was broken: %v", err)
 	}
+	return dir
+}
+
+// brokenDir deletes one neighbor from one owner's table of an evDir
+// without repairing the entry, which breaks Definition 3 there.
+func brokenDir(t *testing.T) *overlay.Directory {
+	t.Helper()
+	dir := evDir(t)
 	for _, owner := range dir.IDs() {
 		tab, _ := dir.TableOf(owner)
 		for _, nb := range dir.IDs() {
 			if _, _, ok := tab.Remove(nb); ok {
-				return dir, nb
+				return dir
 			}
 		}
 	}
 	t.Fatal("no table holds any neighbor")
-	return nil, ident.ID{}
+	return nil
 }
 
 // keyedWorld builds a four-member key plane and then rekeys one member
@@ -126,7 +132,7 @@ func TestAuditorsCanFail(t *testing.T) {
 	rec := func(id ident.ID, at time.Duration) overlay.Record {
 		return overlay.Record{ID: id, JoinTime: at}
 	}
-	broken, removed := brokenDir(t)
+	broken := brokenDir(t)
 	staleWorld, staleMembers := keyedWorld(t, b)
 	freshWorld, freshMembers := keyedWorld(t, ident.ID{})
 	staleKey := keycrypt.DeriveKey([]byte("evidence"), "stale")
@@ -140,11 +146,9 @@ func TestAuditorsCanFail(t *testing.T) {
 	}{
 		{name: "no evidence at all", ev: &Evidence{}},
 
-		{name: "broken table, full sweep", ev: &Evidence{Dir: broken},
+		{name: "broken table", ev: &Evidence{Dir: broken},
 			fails: map[string]string{"k-consistency": "full sweep"}},
-		{name: "broken table, scoped sweep", ev: &Evidence{Dir: broken, Churned: []ident.ID{removed}},
-			fails: map[string]string{"k-consistency": "churn at"}},
-		{name: "no churn, nothing swept", ev: &Evidence{Dir: broken, Churned: []ident.ID{}}},
+		{name: "consistent tables", ev: &Evidence{Dir: evDir(t)}},
 
 		{name: "second copy", ev: &Evidence{Copies: []Copy{{a, 1}, {b, 2}}},
 			fails: map[string]string{"delivery": "received 2 copies"}},
@@ -190,7 +194,7 @@ func TestAuditorsCanFail(t *testing.T) {
 		{name: "cluster re-formed this interval", ev: &Evidence{IntervalStart: 10,
 			Clusters:  fakeClusters{prefix: inA, leader: &overlay.Record{ID: a, JoinTime: 12}},
 			LastEpoch: map[string]uint64{inA.Key(): 3}}},
-		{name: "leader departed", ev: &Evidence{Dir: broken, Churned: []ident.ID{},
+		{name: "leader departed", ev: &Evidence{Dir: evDir(t),
 			Clusters: fakeClusters{prefix: evID(t, 15).Prefix(1), leader: &overlay.Record{ID: evID(t, 15)}}},
 			fails: map[string]string{"cluster": "dead or departed"}},
 

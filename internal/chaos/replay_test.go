@@ -107,21 +107,34 @@ func TestSoakReplaysRecordedSchedule(t *testing.T) {
 	}
 }
 
-// soakCornerCases checks, per committed schedule, that its corner case
-// happened on the chaos engine.
-var soakCornerCases = map[string]func(t *testing.T, e *Engine, rep *Report, reg *obs.Registry){
-	"mass-join-leave.sched": func(t *testing.T, _ *Engine, rep *Report, _ *obs.Registry) {
+// cornerCases checks, per committed schedule, that its corner case
+// happened: on the report both wires print and, given the simulator's
+// engine (nil on the socket wire), in its state.
+var cornerCases = map[string]func(t *testing.T, rep *Report, e *Engine){
+	"mass-join-leave.sched": func(t *testing.T, rep *Report, _ *Engine) {
 		if s := rep.Intervals[1]; s.Joins != 8 || s.Leaves != 8 || s.Members != 16 {
-			t.Errorf("mass interval: %d joins, %d leaves, %d members; want 8, 8, 16", s.Joins, s.Leaves, s.Members)
+			t.Errorf("mass interval: %s", s.line())
 		}
 	},
-	"join-leave-same-interval.sched": func(t *testing.T, _ *Engine, _ *Report, reg *obs.Registry) {
-		if n := reg.Counter("chaos_join_cancelled").Value(); n != 1 {
+	"join-leave-same-interval.sched": func(t *testing.T, rep *Report, e *Engine) {
+		if s := rep.Intervals[1]; s.Joins != 2 || s.Leaves != 1 || s.Members != 9 {
+			t.Errorf("the cancelled joiner came up: %s", s.line())
+		}
+		if e == nil {
+			return
+		}
+		if n := e.cfg.Obs.Counter("chaos_join_cancelled").Value(); n != 1 {
 			t.Errorf("%d joins cancelled, want 1", n)
 		}
 	},
-	"pending-joiner-crash.sched": func(t *testing.T, e *Engine, _ *Report, reg *obs.Registry) {
-		if n := reg.Counter("chaos_join_cancelled").Value(); n != 1 {
+	"pending-joiner-crash.sched": func(t *testing.T, rep *Report, e *Engine) {
+		if s := rep.Intervals[1]; s.Joins != 1 || s.Crashes != 1 || s.Members != 8 || s.DeadInFlight != 0 {
+			t.Errorf("the crashed joiner came up or went dark: %s", s.line())
+		}
+		if e == nil {
+			return
+		}
+		if n := e.cfg.Obs.Counter("chaos_join_cancelled").Value(); n != 1 {
 			t.Errorf("%d joins cancelled, want the crashed joiner's", n)
 		}
 		if len(e.det.crashes) != 1 {
@@ -134,7 +147,13 @@ var soakCornerCases = map[string]func(t *testing.T, e *Engine, rep *Report, reg 
 			}
 		}
 	},
-	"rejoin.sched": func(t *testing.T, e *Engine, _ *Report, _ *obs.Registry) {
+	"rejoin.sched": func(t *testing.T, rep *Report, e *Engine) {
+		if a, b := rep.Intervals[1], rep.Intervals[2]; a.Members != 7 || b.Joins != 1 || b.Members != 8 {
+			t.Errorf("host 3 did not leave and come back:\n%s\n%s", a.line(), b.line())
+		}
+		if e == nil {
+			return
+		}
 		id, ok := e.idOf[3]
 		rec, present := e.dir.Record(id)
 		if !ok || !present || rec.JoinTime != 42*time.Second {
@@ -165,8 +184,8 @@ func TestSoakReplaysSchedules(t *testing.T) {
 			if rep.TotalViolations() != 0 {
 				t.Fatalf("replay of %s found violations:\n%s", f.name, rep)
 			}
-			if check := soakCornerCases[f.name]; check != nil {
-				check(t, e, rep, cfg.Obs)
+			if check := cornerCases[f.name]; check != nil {
+				check(t, rep, e)
 			} else if f.command == nil {
 				t.Errorf("%s: no corner-case check", f.name)
 			}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tmesh/internal/metrics"
+	"tmesh/internal/recovery"
 	"tmesh/internal/workload"
 )
 
@@ -15,20 +16,23 @@ import (
 // simulation (counts, virtual times), so seed-identical soaks emit
 // byte-identical streams; wall-clock durations stay in the registry.
 type IntervalStats struct {
-	Index   int `json:"interval"`
-	Members int `json:"members"` // group size at audit time
+	Index   int    `json:"interval"`
+	Phase   string `json:"phase,omitempty"` // the socket wire's fault phase
+	Members int    `json:"members"`         // group size at audit time
 
 	Joins           int  `json:"joins"`
 	Leaves          int  `json:"leaves"`
 	Crashes         int  `json:"crashes"`
 	LeaderKills     int  `json:"leader_kills"`
+	Kills           int  `json:"kills,omitempty"` // members the socket wire cut off, not evicted
 	Burst           bool `json:"burst,omitempty"`
 	PartitionDomain int  `json:"partition_domain"` // isolated transit domain, -1 when none
 	Spike           bool `json:"spike,omitempty"`
 
 	RekeyCost int `json:"rekey_cost"` // encryptions in the interval's rekey message
 
-	// Data multicast (Theorem 1 probe).
+	// Theorem 1 copy counts: of the simulator's data probe, of the socket
+	// wire's rekey message in its clean phase.
 	DataDelivered int `json:"data_delivered"`
 	DataLost      int `json:"data_lost"`
 
@@ -40,6 +44,7 @@ type IntervalStats struct {
 	KeyByUnicast    int           `json:"key_by_unicast"`
 	KeyByResync     int           `json:"key_by_resync"`
 	UnicastAttempts int           `json:"unicast_attempts"`
+	ResyncSends     int           `json:"resync_sends,omitempty"` // the socket wire's budgeted resyncs
 	Retries         int           `json:"retries"`
 	DeadInFlight    int           `json:"dead_in_flight"`
 	MaxBackoff      time.Duration `json:"max_backoff_ns"`
@@ -52,10 +57,41 @@ type IntervalStats struct {
 	Violations []string `json:"-"`
 }
 
+// tally copies an audit's outcome into the record: the copy and rung
+// counts, the deepest rung that delivered a key, and the failed
+// verdicts.
+func (s *IntervalStats) tally(verdicts []Verdict, c Counts) {
+	s.DataDelivered, s.DataLost = c.CopiesDelivered, c.CopiesLost
+	s.KeyByMulticast = c.ByRung[recovery.ByMulticast]
+	s.KeyByUnicast = c.ByRung[recovery.ByUnicast]
+	s.KeyByResync = c.ByRung[recovery.ByResync]
+	s.LadderRung = "none"
+	switch {
+	case s.KeyByResync > 0:
+		s.LadderRung = "resync"
+	case s.KeyByUnicast > 0:
+		s.LadderRung = "unicast"
+	case s.KeyByMulticast > 0:
+		s.LadderRung = "multicast"
+	}
+	for _, v := range verdicts {
+		if line := v.Line(); line != "" {
+			s.Violations = append(s.Violations, line)
+		}
+	}
+}
+
 func (s *IntervalStats) line() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "interval %02d: members=%d join=%d leave=%d crash=%d leaderkill=%d",
-		s.Index, s.Members, s.Joins, s.Leaves, s.Crashes, s.LeaderKills)
+	fmt.Fprintf(&b, "interval %02d:", s.Index)
+	if s.Phase != "" {
+		fmt.Fprintf(&b, " phase=%s", s.Phase)
+	}
+	fmt.Fprintf(&b, " members=%d join=%d leave=%d crash=%d leaderkill=%d",
+		s.Members, s.Joins, s.Leaves, s.Crashes, s.LeaderKills)
+	if s.Kills > 0 {
+		fmt.Fprintf(&b, " kill=%d", s.Kills)
+	}
 	if s.Burst {
 		b.WriteString(" burst")
 	}
@@ -65,10 +101,13 @@ func (s *IntervalStats) line() string {
 	if s.Spike {
 		b.WriteString(" spike")
 	}
-	fmt.Fprintf(&b, " | rekey=%d data=%d/%d key=%d/%d/%d attempts=%d retries=%d backoff=%v",
+	fmt.Fprintf(&b, " | rekey=%d data=%d/%d key=%d/%d/%d attempts=%d",
 		s.RekeyCost, s.DataDelivered, s.DataDelivered+s.DataLost,
-		s.KeyByMulticast, s.KeyByUnicast, s.KeyByResync,
-		s.UnicastAttempts, s.Retries, s.MaxBackoff)
+		s.KeyByMulticast, s.KeyByUnicast, s.KeyByResync, s.UnicastAttempts)
+	if s.ResyncSends > 0 {
+		fmt.Fprintf(&b, " resyncs=%d", s.ResyncSends)
+	}
+	fmt.Fprintf(&b, " retries=%d backoff=%v", s.Retries, s.MaxBackoff)
 	if len(s.Violations) == 0 {
 		b.WriteString(" | OK")
 	} else {
@@ -77,11 +116,16 @@ func (s *IntervalStats) line() string {
 	return b.String()
 }
 
-// Report is the outcome of one soak session. Two runs with the same
-// configuration produce byte-identical String() output; tests assert
-// this, so nothing time-of-day- or map-order-dependent may leak in.
+// Report is the outcome of one soak session, on either wire. Two
+// simulator runs with the same configuration produce byte-identical
+// String() output; tests assert this, so nothing time-of-day- or
+// map-order-dependent may leak in. The socket wire's rung counts follow
+// real scheduler timing, and the summary lines it does not measure read
+// zero.
 type Report struct {
-	Seed      int64
+	Seed int64
+	// Transport names the socket wire's fabric; empty on the simulator.
+	Transport string
 	Intervals []IntervalStats
 
 	// Auditors maps registry order to auditor names (not a map, to keep
@@ -148,8 +192,12 @@ func (r *Report) TotalViolations() int {
 // String renders the canonical soak report.
 func (r *Report) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "chaos soak seed=%d intervals=%d auditors=%s\n",
+	fmt.Fprintf(&b, "chaos soak seed=%d intervals=%d auditors=%s",
 		r.Seed, len(r.Intervals), strings.Join(r.Auditors, ","))
+	if r.Transport != "" {
+		fmt.Fprintf(&b, " transport=%s", r.Transport)
+	}
+	b.WriteByte('\n')
 	for i := range r.Intervals {
 		b.WriteString(r.Intervals[i].line())
 		b.WriteByte('\n')

@@ -68,12 +68,8 @@ func DefaultScaleConfig(n int) ScaleConfig {
 	if churn < 1 {
 		churn = 1
 	}
-	params := ident.Params{Digits: 1, Base: 32}
-	for cap := 32; cap < n+churn; cap *= 32 {
-		params.Digits++
-	}
 	return ScaleConfig{
-		Params:      params,
+		Params:      ident.Base32For(n + churn),
 		N:           n,
 		Intervals:   8,
 		Churn:       churn,
@@ -175,7 +171,7 @@ func newScaleSoak(cfg ScaleConfig) (*scaleSoak, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	world, err := core.NewKeyPlane(cfg.Params, seedBytes(cfg.Seed), keytree.Opts{
+	world, err := core.NewKeyPlane(cfg.Params, keytree.SeedOf(cfg.Seed), keytree.Opts{
 		CapacityHint: cfg.N + cfg.Churn,
 	}, max(cfg.Parallelism, 1))
 	if err != nil {

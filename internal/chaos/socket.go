@@ -1,9 +1,12 @@
-// Socket soak: the fault ladder proven outside the simulator. The
+// Socket soak: the simulator soak run over a different wire. The
 // event-driven engine in chaos.go exercises the paper's invariants over
 // simulated time; this file drives the same five-auditor battery over a
 // rekeyd.World — real goroutine-per-node members exchanging wire frames
 // through internal/transport sockets, with faults injected by the
-// transport-level FaultPlan instead of the virtual network.
+// transport-level FaultPlan instead of the virtual network. The world is
+// the simulator's (soakParams, soakK, keytree.SeedOf), every interval
+// ends with the whole Definition 3 sweep, and the report is the
+// simulator's Report.
 //
 // The soak walks a fault ladder each interval — clean, loss, delay
 // spikes, partition, kill/restore, crash — and every fault heals inside
@@ -19,7 +22,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -52,21 +54,16 @@ const (
 	socketPartFrac  = 4 // partition cuts 1/socketPartFrac of members
 )
 
-// The socket soak's group: a small ID space with K = 2, and ladder
-// timing generous enough that a clean interval converges by pure
-// multicast even on a loaded race-detector run.
-const socketK = 2
-
-var (
-	socketParams = ident.Params{Digits: 3, Base: 4}
-	socketLadder = rekeyd.Config{
-		Timeout:      500 * time.Millisecond,
-		RetryBase:    50 * time.Millisecond,
-		RetryMax:     200 * time.Millisecond,
-		RetryBudget:  3,
-		ResyncBudget: 5,
-	}
-)
+// socketLadder is the socket wire's recovery ladder: timing generous
+// enough that a clean interval converges by pure multicast even on a
+// loaded race-detector run, and a budgeted resync rung.
+var socketLadder = rekeyd.Config{
+	Timeout:      500 * time.Millisecond,
+	RetryBase:    50 * time.Millisecond,
+	RetryMax:     200 * time.Millisecond,
+	RetryBudget:  3,
+	ResyncBudget: 5,
+}
 
 // SocketConfig parameterizes one socket soak session.
 type SocketConfig struct {
@@ -82,90 +79,6 @@ type SocketConfig struct {
 // target runs: a small group and one full cycle of the fault ladder.
 func DefaultSocketConfig(tr string) SocketConfig {
 	return SocketConfig{Transport: tr, Seed: 1, Members: 16, Intervals: len(socketPhases)}
-}
-
-// SocketIntervalStats is the audited record of one socket-soak interval.
-type SocketIntervalStats struct {
-	Index   int
-	Phase   string
-	Members int // group size after the interval's churn
-
-	Joins, Leaves, Crashes, Kills int
-
-	Expected                                  int
-	KeyByMulticast, KeyByUnicast, KeyByResync int
-	DeadInFlight                              int
-	UnicastAttempts, SyncAttempts             int
-	MaxBackoff                                time.Duration
-
-	Violations []string
-}
-
-func (s *SocketIntervalStats) line() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "interval %02d: phase=%-9s members=%d join=%d leave=%d crash=%d kill=%d",
-		s.Index, s.Phase, s.Members, s.Joins, s.Leaves, s.Crashes, s.Kills)
-	fmt.Fprintf(&b, " | key=%d/%d/%d dead=%d attempts=%d/%d backoff=%v",
-		s.KeyByMulticast, s.KeyByUnicast, s.KeyByResync,
-		s.DeadInFlight, s.UnicastAttempts, s.SyncAttempts, s.MaxBackoff)
-	if len(s.Violations) == 0 {
-		b.WriteString(" | OK")
-	} else {
-		fmt.Fprintf(&b, " | VIOLATIONS=%d", len(s.Violations))
-	}
-	return b.String()
-}
-
-// SocketReport is the outcome of one socket soak. Unlike the simulator
-// report it is not byte-reproducible — rung attribution depends on real
-// scheduler timing — so tests assert TotalViolations, not the exact
-// rendering.
-type SocketReport struct {
-	Transport string
-	Seed      int64
-	Auditors  []string
-	Intervals []SocketIntervalStats
-	// Schedule is the membership the run executed, every victim resolved
-	// to its host.
-	Schedule *workload.Schedule
-
-	final []ident.ID // the members at the end, in ID order
-}
-
-// Reproducer returns the recorded schedule through the first interval
-// with a violation, nil for a green run.
-func (r *SocketReport) Reproducer() *workload.Schedule {
-	for i := range r.Intervals {
-		if len(r.Intervals[i].Violations) > 0 {
-			return firstIntervals(r.Schedule, i+1)
-		}
-	}
-	return nil
-}
-
-// TotalViolations counts invariant failures across all intervals.
-func (r *SocketReport) TotalViolations() int {
-	n := 0
-	for i := range r.Intervals {
-		n += len(r.Intervals[i].Violations)
-	}
-	return n
-}
-
-// String renders the soak report.
-func (r *SocketReport) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "socket soak transport=%s seed=%d intervals=%d auditors=%s\n",
-		r.Transport, r.Seed, len(r.Intervals), strings.Join(r.Auditors, ","))
-	for i := range r.Intervals {
-		b.WriteString(r.Intervals[i].line())
-		b.WriteByte('\n')
-		for _, v := range r.Intervals[i].Violations {
-			fmt.Fprintf(&b, "  violation: %s\n", v)
-		}
-	}
-	fmt.Fprintf(&b, "final: violations=%d\n", r.TotalViolations())
-	return b.String()
 }
 
 // socketSchedule is the soak's membership: members joins at t=0, then
@@ -193,7 +106,9 @@ func socketSchedule(members, intervals int) *workload.Schedule {
 
 // socketRun is the live state of a socket soak.
 type socketRun struct {
-	w *rekeyd.World
+	cfg SocketConfig
+	w   *rekeyd.World
+	cur *workload.Cursor
 	// victimRNG draws the departures socketSchedule leaves open, killRNG
 	// the kill phase's victims: separate streams, so a replay that draws
 	// no victims kills the same members.
@@ -210,15 +125,14 @@ type socketRun struct {
 }
 
 // evidence gathers what the interval left behind for the auditors (see
-// Evidence). The group is small, so Definition 3 gets the full sweep
-// every interval (Churned stays nil). Coverage compares real group
-// keys, every member's with the server's: every fault in the schedule
-// heals inside the ladder budget, so there is no surviving-member
-// carve-out. Copy counts are of the rekey message itself; in a faulty
-// interval the ladder's unicasts are legitimate extra copies, so they
-// are only offered in clean ones — where the ladder must have idled. A
-// cost-0 interval sent nothing and owes nobody. rekeyd runs no Appendix
-// B clustering, so there is no cluster state to audit.
+// Evidence). Coverage compares real group keys, every member's with the
+// server's: every fault in the schedule heals inside the ladder budget,
+// so there is no surviving-member carve-out. Copy counts are of the
+// rekey message itself; in a faulty interval the ladder's unicasts are
+// legitimate extra copies, so they are only offered in clean ones —
+// where the ladder must have idled. A cost-0 interval sent nothing and
+// owes nobody. rekeyd runs no Appendix B clustering, so there is no
+// cluster state to audit.
 func (run *socketRun) evidence(dir *overlay.Directory) *Evidence {
 	w, res := run.w, run.res
 	members := w.Members()
@@ -266,18 +180,24 @@ func (run *socketRun) evidence(dir *overlay.Directory) *Evidence {
 // (world construction, churn bookkeeping); invariant failures are
 // reported as violations, never as errors, so one bad interval cannot
 // hide later ones.
-func RunSocketSoak(cfg SocketConfig) (*SocketReport, error) {
+func RunSocketSoak(cfg SocketConfig) (*Report, error) {
 	if cfg.Intervals <= 0 {
 		cfg.Intervals = len(socketPhases)
 	}
-	return runSocketSoak(cfg, socketSchedule(cfg.Members, cfg.Intervals))
+	run, err := newSocketRun(cfg, socketSchedule(cfg.Members, cfg.Intervals))
+	if err != nil {
+		return nil, err
+	}
+	defer run.w.Close()
+	return run.play()
 }
 
-// runSocketSoak plays sched over cfg.Intervals intervals: its t=0 joins
-// are the world's initial membership (cfg.Members is not read), and a
-// recorded schedule (SocketReport.Schedule) replays without drawing a
-// victim.
-func runSocketSoak(cfg SocketConfig, sched *workload.Schedule) (*SocketReport, error) {
+// newSocketRun builds the world that plays sched over cfg.Intervals
+// intervals: the simulator soak's ID space, K and tree seed, with
+// sched's t=0 joins as the initial membership (cfg.Members is not read).
+// A recorded schedule (Report.Schedule) replays without drawing a
+// victim. The caller closes the world.
+func newSocketRun(cfg SocketConfig, sched *workload.Schedule) (*socketRun, error) {
 	if cfg.Transport == "" {
 		cfg.Transport = "loopback"
 	}
@@ -286,8 +206,8 @@ func runSocketSoak(cfg SocketConfig, sched *workload.Schedule) (*SocketReport, e
 		return nil, err
 	}
 	w, err := rekeyd.NewWorld(rekeyd.WorldConfig{
-		Params:         socketParams,
-		K:              socketK,
+		Params:         soakParams,
+		K:              soakK,
 		Seed:           cfg.Seed,
 		InitialMembers: len(initial),
 		Transport:      cfg.Transport,
@@ -298,10 +218,10 @@ func runSocketSoak(cfg SocketConfig, sched *workload.Schedule) (*SocketReport, e
 	if err != nil {
 		return nil, err
 	}
-	defer w.Close()
-
 	run := &socketRun{
+		cfg:       cfg,
 		w:         w,
+		cur:       cur,
 		victimRNG: rand.New(rand.NewSource(cfg.Seed ^ 0x736f636b)), // "sock"
 		killRNG:   rand.New(rand.NewSource(cfg.Seed ^ 0x6b696c6c)), // "kill"
 		idOf:      make(map[int]ident.ID),
@@ -315,47 +235,40 @@ func runSocketSoak(cfg SocketConfig, sched *workload.Schedule) (*SocketReport, e
 			run.idOf[initial[rec.Host-1].Host] = m.ID()
 		}
 	})
+	return run, nil
+}
 
-	rep := &SocketReport{Transport: cfg.Transport, Seed: cfg.Seed, Auditors: AuditorNames()}
-	for idx := 0; idx < cfg.Intervals; idx++ {
-		phase := socketPhases[idx%len(socketPhases)]
-		stats := SocketIntervalStats{Index: idx, Phase: phase}
-		if err := run.interval(cur.Next(time.Duration(idx+1)*intervalLength), phase, &stats); err != nil {
+// play runs every interval, audits it with the whole Definition 3 sweep
+// like the simulator, and reports in the simulator's grammar.
+func (run *socketRun) play() (*Report, error) {
+	w := run.w
+	rep := &Report{Seed: run.cfg.Seed, Transport: run.cfg.Transport, Auditors: AuditorNames()}
+	for idx := 0; idx < run.cfg.Intervals; idx++ {
+		stats := IntervalStats{Index: idx + 1, Phase: socketPhases[idx%len(socketPhases)], PartitionDomain: -1}
+		if err := run.interval(run.cur.Next(time.Duration(idx+1)*intervalLength), &stats); err != nil {
 			return nil, err
 		}
-		var verdicts []Verdict
-		var counts Counts
 		w.Shared().Read(func(dir *overlay.Directory) {
-			verdicts, counts = Audit(run.evidence(dir), nil)
+			stats.tally(Audit(run.evidence(dir), nil))
 		})
-		for _, v := range verdicts {
-			if line := v.Line(); line != "" {
-				stats.Violations = append(stats.Violations, line)
-			}
-		}
 		res := run.res
 		stats.Members = w.Size()
-		stats.Expected = res.Expected
-		stats.KeyByMulticast = counts.ByRung[recovery.ByMulticast]
-		stats.KeyByUnicast = counts.ByRung[recovery.ByUnicast]
-		stats.KeyByResync = counts.ByRung[recovery.ByResync]
+		stats.RekeyCost = res.Cost
+		stats.UnicastAttempts, stats.ResyncSends = res.UnicastAttempts, res.SyncAttempts
 		stats.DeadInFlight = len(res.DeadInFlight)
-		stats.UnicastAttempts, stats.SyncAttempts = res.UnicastAttempts, res.SyncAttempts
 		stats.MaxBackoff = res.MaxBackoff
 		rep.Intervals = append(rep.Intervals, stats)
 	}
 	rep.Schedule = workload.NewSchedule(run.ran)
-	for _, m := range w.Members() {
-		rep.final = append(rep.final, m.ID())
-	}
+	rep.FinalMembers = w.Size()
 	return rep, nil
 }
 
 // interval applies one interval's churn and its phase's faults, runs the
 // rekey, and waits for every fault to heal.
-func (run *socketRun) interval(churn []workload.Event, phase string, stats *SocketIntervalStats) error {
+func (run *socketRun) interval(churn []workload.Event, stats *IntervalStats) error {
 	w, plan := run.w, run.w.FaultPlan()
-	run.faultFree = phase == "clean"
+	run.faultFree = stats.Phase == "clean"
 	for _, ev := range churn {
 		if err := run.apply(ev, stats); err != nil {
 			return err
@@ -373,7 +286,7 @@ func (run *socketRun) interval(churn []workload.Event, phase string, stats *Sock
 			f()
 		}()
 	}
-	switch phase {
+	switch stats.Phase {
 	case "loss":
 		plan.SetLoss(socketLossProb)
 	case "delay":
@@ -417,7 +330,7 @@ func (run *socketRun) interval(churn []workload.Event, phase string, stats *Sock
 
 // apply plays one membership event on the world and records it. A
 // drawn victim is a member node that has not departed this interval.
-func (run *socketRun) apply(ev workload.Event, stats *SocketIntervalStats) error {
+func (run *socketRun) apply(ev workload.Event, stats *IntervalStats) error {
 	w := run.w
 	if ev.Kind == workload.Join {
 		if _, dup := run.idOf[ev.Host]; dup {

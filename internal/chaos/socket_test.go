@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"tmesh/internal/ident"
+	"tmesh/internal/rekeyd"
 	"tmesh/internal/work"
 	"tmesh/internal/workload"
 )
@@ -66,10 +67,35 @@ func TestSocketSoakGreen(t *testing.T) {
 	}
 }
 
-// TestSocketSoakReportShape pins the report's structure: the auditor
-// registry in canonical order, every phase visited, and the ladder
-// rungs engaged when faults were live (a soak whose faulty intervals
-// all converged by pure multicast did not actually inject faults).
+// replaySocketSoak plays a schedule over the socket wire; the world
+// stays up for inspection until the test ends.
+func replaySocketSoak(t *testing.T, cfg SocketConfig, sched *workload.Schedule) (*rekeyd.World, *Report) {
+	t.Helper()
+	run, err := newSocketRun(cfg, sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { run.w.Close() })
+	rep, err := run.play()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run.w, rep
+}
+
+func memberIDs(w *rekeyd.World) []ident.ID {
+	var ids []ident.ID
+	for _, m := range w.Members() {
+		ids = append(ids, m.ID())
+	}
+	return ids
+}
+
+// TestSocketSoakReportShape pins the report's structure: the
+// simulator's header with the transport named, the auditor registry in
+// canonical order, every phase visited, and the ladder rungs engaged
+// when faults were live (a soak whose faulty intervals all converged by
+// pure multicast did not actually inject faults).
 func TestSocketSoakReportShape(t *testing.T) {
 	rep, err := RunSocketSoak(DefaultSocketConfig("loopback"))
 	if err != nil {
@@ -84,8 +110,8 @@ func TestSocketSoakReportShape(t *testing.T) {
 	for i := range rep.Intervals {
 		s := &rep.Intervals[i]
 		phases[s.Phase] = true
-		if s.Expected == 0 {
-			t.Fatalf("interval %d expected nobody", s.Index)
+		if s.Index != i+1 || s.RekeyCost == 0 || s.KeyByMulticast+s.KeyByUnicast+s.KeyByResync == 0 {
+			t.Fatalf("interval %d keyed nobody: %s", i+1, s.line())
 		}
 		ladderWork += s.KeyByUnicast + s.KeyByResync
 		if s.MaxBackoff > socketLadder.RetryMax {
@@ -100,8 +126,12 @@ func TestSocketSoakReportShape(t *testing.T) {
 	if ladderWork == 0 {
 		t.Fatal("no interval engaged the recovery ladder; the fault phases injected nothing")
 	}
-	if !strings.Contains(rep.String(), "phase=kill") {
-		t.Fatalf("report does not render phases:\n%s", rep.String())
+	out := rep.String()
+	for _, want := range []string{"chaos soak seed=1 intervals=6 auditors=" + wantAuditors + " transport=loopback\n",
+		"interval 01: phase=clean members=", " phase=kill ", " kill=2 ", "\nfinal: members=17 "} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("report lacks %q:\n%s", want, out)
+		}
 	}
 }
 
@@ -112,59 +142,28 @@ func TestSocketSoakReportShape(t *testing.T) {
 // reports need not match byte for byte.)
 func TestSocketSoakReplaysItsSchedule(t *testing.T) {
 	cfg := DefaultSocketConfig("loopback")
-	rep, err := RunSocketSoak(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, rep := replaySocketSoak(t, cfg, socketSchedule(cfg.Members, cfg.Intervals))
 	text := rep.Schedule.String()
 	sched, err := workload.ParseSchedule(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := runSocketSoak(cfg, sched)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rw, replayed := replaySocketSoak(t, cfg, sched)
 	if rep.TotalViolations()+replayed.TotalViolations() != 0 {
 		t.Fatalf("violations:\n%s\n%s", rep, replayed)
 	}
 	for i, s := range rep.Intervals {
 		r := replayed.Intervals[i]
 		if s.Joins != r.Joins || s.Leaves != r.Leaves || s.Crashes != r.Crashes || s.Kills != r.Kills || s.Members != r.Members {
-			t.Errorf("interval %d: run %s\nreplay %s", i, s.line(), r.line())
+			t.Errorf("interval %d: run %s\nreplay %s", s.Index, s.line(), r.line())
 		}
 	}
 	if replayed.Schedule.String() != text {
 		t.Errorf("the replay recorded a different schedule:\n%s---\n%s", text, replayed.Schedule)
 	}
-	if !slices.EqualFunc(rep.final, replayed.final, ident.ID.Equal) || len(rep.final) == 0 {
-		t.Errorf("final members %v, replay %v", rep.final, replayed.final)
+	if final := memberIDs(w); !slices.EqualFunc(final, memberIDs(rw), ident.ID.Equal) || len(final) == 0 {
+		t.Errorf("final members %v, replay %v", final, memberIDs(rw))
 	}
-}
-
-// socketCornerCases checks, per committed schedule, that its corner case
-// happened on the socket plane.
-var socketCornerCases = map[string]func(t *testing.T, rep *SocketReport){
-	"mass-join-leave.sched": func(t *testing.T, rep *SocketReport) {
-		if s := rep.Intervals[1]; s.Joins != 8 || s.Leaves != 8 || s.Members != 16 {
-			t.Errorf("mass interval: %s", s.line())
-		}
-	},
-	"join-leave-same-interval.sched": func(t *testing.T, rep *SocketReport) {
-		if s := rep.Intervals[1]; s.Joins != 2 || s.Leaves != 1 || s.Members != 9 {
-			t.Errorf("the cancelled joiner came up: %s", s.line())
-		}
-	},
-	"pending-joiner-crash.sched": func(t *testing.T, rep *SocketReport) {
-		if s := rep.Intervals[1]; s.Joins != 1 || s.Crashes != 1 || s.Members != 8 || s.DeadInFlight != 0 {
-			t.Errorf("the crashed joiner came up or went dark: %s", s.line())
-		}
-	},
-	"rejoin.sched": func(t *testing.T, rep *SocketReport) {
-		if a, b := rep.Intervals[1], rep.Intervals[2]; a.Members != 7 || b.Joins != 1 || b.Members != 8 {
-			t.Errorf("host 3 did not leave and come back:\n%s\n%s", a.line(), b.line())
-		}
-	},
 }
 
 // TestSocketSoakReplaysSchedules replays every plane-neutral schedule
@@ -183,17 +182,48 @@ func TestSocketSoakReplaysSchedules(t *testing.T) {
 			fs.IntVar(&cfg.Members, "members", 0, "")
 			fs.IntVar(&cfg.Intervals, "intervals", cfg.Intervals, "")
 			f.flags(t, fs)
-			rep, err := runSocketSoak(cfg, f.sched)
-			if err != nil {
-				t.Fatal(err)
-			}
+			_, rep := replaySocketSoak(t, cfg, f.sched)
 			if rep.TotalViolations() != 0 {
 				t.Fatalf("replay of %s found violations:\n%s", f.name, rep)
 			}
-			if check := socketCornerCases[f.name]; check != nil {
-				check(t, rep)
+			if check := cornerCases[f.name]; check != nil {
+				check(t, rep, nil)
 			} else if f.command == nil {
 				t.Errorf("%s: no corner-case check", f.name)
+			}
+		})
+	}
+}
+
+// TestSocketSoakBuildsTheSimulatorTree: one seed and one committed
+// schedule build one key tree whichever wire carries the rekeying. The
+// simulator soak and the loopback socket soak agree on every interval's
+// member count and rekey cost, on the final members and on the final
+// server group key.
+func TestSocketSoakBuildsTheSimulatorTree(t *testing.T) {
+	for _, f := range scheduleFiles(t) {
+		if f.command != nil {
+			continue // a reproducer belongs to the wire that printed it
+		}
+		t.Run(f.name, func(t *testing.T) {
+			intervals := intervalsOf(f.sched)
+			e, sim := replaySoak(t, Config{Seed: 1, Intervals: intervals, InitialMembers: len(f.sched.Cursor().Next(1))}, f.sched)
+			w, sock := replaySocketSoak(t, SocketConfig{Transport: "loopback", Seed: 1, Intervals: intervals}, f.sched)
+			if len(sim.Intervals) != len(sock.Intervals) {
+				t.Fatalf("%d simulator intervals, %d socket intervals", len(sim.Intervals), len(sock.Intervals))
+			}
+			for i, a := range sim.Intervals {
+				if b := sock.Intervals[i]; a.Members != b.Members || a.RekeyCost != b.RekeyCost {
+					t.Errorf("interval %d:\nsimulator %s\nsocket    %s", a.Index, a.line(), b.line())
+				}
+			}
+			if simIDs, sockIDs := e.dir.IDs(), memberIDs(w); !slices.EqualFunc(simIDs, sockIDs, ident.ID.Equal) {
+				t.Errorf("final members: simulator %v, socket %v", simIDs, sockIDs)
+			}
+			simKey, ok := e.tree.GroupKey()
+			sockKey, sockOK := w.Tree().GroupKey()
+			if !ok || !sockOK || !simKey.Equal(sockKey) {
+				t.Errorf("final group keys differ (simulator has one: %v, socket: %v)", ok, sockOK)
 			}
 		})
 	}

@@ -11,6 +11,7 @@ import (
 
 	"tmesh/internal/chaos"
 	"tmesh/internal/ident"
+	"tmesh/internal/keytree"
 	"tmesh/internal/obs"
 	"tmesh/internal/workload"
 )
@@ -278,7 +279,7 @@ func TestKeyPlaneDriversAgree(t *testing.T) {
 		free = append(free, leaves...)
 	}
 
-	tn, err := newKeyTenant("diff", 64, sched.Hosts, []byte(fmt.Sprintf("chaos-%d", cfg.Seed)), nil)
+	tn, err := newKeyTenant("diff", 64, sched.Hosts, keytree.SeedOf(cfg.Seed), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,10 +177,7 @@ func newKeyTenant(label string, verify, hosts int, seed []byte, reg *obs.Registr
 	}
 	// Size a base-32 ID space to the schedule's host count: every
 	// schedule host index maps directly to ident.FromInt.
-	params := ident.Params{Digits: 1, Base: 32}
-	for capacity := 32; capacity < hosts; capacity *= 32 {
-		params.Digits++
-	}
+	params := ident.Base32For(hosts)
 	world, err := core.NewKeyPlane(params, seed, keytree.Opts{
 		Obs:          reg,
 		CapacityHint: hosts,

@@ -38,6 +38,15 @@ type Params struct {
 // D = 5 and B = 256.
 var DefaultParams = Params{Digits: 5, Base: 256}
 
+// Base32For returns the smallest base-32 ID space that holds n IDs.
+func Base32For(n int) Params {
+	p := Params{Digits: 1, Base: 32}
+	for capacity := 32; capacity < n; capacity *= 32 {
+		p.Digits++
+	}
+	return p
+}
+
 // Validate reports whether the parameters describe a usable ID space.
 func (p Params) Validate() error {
 	if p.Digits < 1 {

@@ -120,6 +120,11 @@ type Message struct {
 // message.
 func (m *Message) Cost() int { return len(m.Encryptions) }
 
+// SeedOf is the key-material seed of a tree built for a run under an
+// integer seed. The simulator soak, the scale soak and the daemon world
+// all derive it here, so one seed builds one tree on every wire.
+func SeedOf(seed int64) []byte { return []byte(fmt.Sprintf("tmesh-%d", seed)) }
+
 // New creates an empty modified key tree. The seed makes derived key
 // material reproducible per simulation run.
 func New(params ident.Params, seed []byte, opts Opts) (*Tree, error) {

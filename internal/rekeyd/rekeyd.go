@@ -390,6 +390,8 @@ func (m *Member) Close() error { return m.tr.Close() }
 // recovery.LadderResult.
 type Result struct {
 	Interval uint64
+	// Cost is the message's rekey cost, its encryption count.
+	Cost int
 	// Expected is the number of members the server waited on.
 	Expected int
 	// RungOf records, per member key, the highest ladder rung in
@@ -537,7 +539,7 @@ func (s *Server) Distribute(msg *keytree.Message, expected []ident.ID) (*Result,
 	if msg.Cost() == 0 {
 		return &Result{Interval: msg.Interval, RungOf: map[string]recovery.Rung{}}, nil
 	}
-	res := &Result{Interval: msg.Interval, Expected: len(expected), RungOf: make(map[string]recovery.Rung, len(expected))}
+	res := &Result{Interval: msg.Interval, Cost: msg.Cost(), Expected: len(expected), RungOf: make(map[string]recovery.Rung, len(expected))}
 	l := &ledger{
 		res:       res,
 		rows:      make([]ladderRow, len(expected)),

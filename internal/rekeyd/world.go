@@ -113,7 +113,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	tree, err := keytree.New(cfg.Params, []byte(fmt.Sprintf("rekeyd-%d", cfg.Seed)), keytree.Opts{RealCrypto: true, Obs: cfg.Obs})
+	tree, err := keytree.New(cfg.Params, keytree.SeedOf(cfg.Seed), keytree.Opts{RealCrypto: true, Obs: cfg.Obs})
 	if err != nil {
 		return nil, err
 	}

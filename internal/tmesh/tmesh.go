@@ -161,9 +161,11 @@ type UserStats struct {
 	Received int
 	// Level is the forwarding level of the first copy received.
 	Level int
-	// Delay is the application-layer delay of the first copy.
+	// Delay is the arrival time of the first copy on the session's
+	// clock; its application-layer delay is Delay − Config.StartAt.
 	Delay time.Duration
-	// RDP is Delay divided by the one-way unicast delay from the sender.
+	// RDP is that delay divided by the one-way unicast delay from the
+	// sender.
 	RDP float64
 	// Stress is the number of messages this user forwarded.
 	Stress int
