@@ -56,10 +56,11 @@ soak-short:
 # real loopback, UDP and TCP transports walk the chaos fault ladder (loss,
 # delay spikes, partition, kill/restore, crash) with the five
 # paper-invariant auditors armed, plus the transport-level redial,
-# deadline, and goroutine-leak guards. The SocketSoak tests include the
-# soak's replay of its own recorded schedule and of the committed ones,
-# and the replay of each committed schedule on both wires, which must
-# build one key tree.
+# deadline, loss-rate and goroutine-leak guards and the daemon's ladder
+# bookkeeping (retries, expired backoff, dead in flight). The SocketSoak
+# tests include the soak's replay of its own recorded schedule and of
+# the committed ones, and the replay of each committed schedule on both
+# wires, which must build one key tree.
 soak-transport:
 	$(GO) test -race -count=1 ./internal/transport
 	$(GO) test -race -count=1 ./internal/chaos -run SocketSoak
@@ -120,7 +121,7 @@ bench-pairs:
 # internal/transport + internal/rekeyd and on the total, in that order,
 # that the last simplicity PR reached. A PR that must grow past one
 # raises it here, in the open, next to its CHANGES.md line.
-LOC_BUDGET ?= 2576 20658
+LOC_BUDGET ?= 2570 20655
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs wc -l | \
 		awk -v budget="$(LOC_BUDGET)" \

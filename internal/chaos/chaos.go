@@ -222,7 +222,8 @@ type Engine struct {
 
 	// Live results of the current interval.
 	curData     *tmesh.Result
-	dataMembers []ident.ID // alive members at data send
+	dataMembers []ident.ID       // alive members at data send
+	curMsg      *keytree.Message // the rekey message the ladder carries
 	curLadder   *recovery.LadderResult
 	rekeyLive   []ident.ID // alive in-tree members at rekey send
 	lastEpoch   map[string]uint64
@@ -270,13 +271,13 @@ func newEngine(cfg Config, sched *workload.Schedule) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		cfg:             cfg,
-		sim:             eventsim.New(),
-		memRNG:          rand.New(rand.NewSource(cfg.Seed ^ 0x6d656d)), // "mem"
-		crashRNG:        rand.New(rand.NewSource(cfg.Seed ^ 0x637273)), // "crs"
-		lossRNG:         rand.New(rand.NewSource(cfg.Seed ^ 0x6c6f73)), // "los"
-		faultRNG:        rand.New(rand.NewSource(cfg.Seed ^ 0x666c74)), // "flt"
-		idRNG:           rand.New(rand.NewSource(cfg.Seed ^ 0x696473)), // "ids"
+		cfg:       cfg,
+		sim:       eventsim.New(),
+		memRNG:    rand.New(rand.NewSource(cfg.Seed ^ 0x6d656d)), // "mem"
+		crashRNG:  rand.New(rand.NewSource(cfg.Seed ^ 0x637273)), // "crs"
+		lossRNG:   rand.New(rand.NewSource(cfg.Seed ^ 0x6c6f73)), // "los"
+		faultRNG:  rand.New(rand.NewSource(cfg.Seed ^ 0x666c74)), // "flt"
+		idRNG:     rand.New(rand.NewSource(cfg.Seed ^ 0x696473)), // "ids"
 		idOf:      make(map[int]ident.ID),
 		lastEpoch: make(map[string]uint64),
 		dataDelay: metrics.NewStreamingSummary(),
@@ -721,7 +722,7 @@ func (e *Engine) doRekey(now time.Duration, stats *IntervalStats, fail func(erro
 	}
 	stats.RekeyCost = msg.Cost()
 
-	e.curLadder = nil
+	e.curMsg, e.curLadder = nil, nil
 	e.curRekeyTrace = nil
 	e.rekeyLive = e.rekeyLive[:0]
 	if msg.Cost() == 0 {
@@ -761,7 +762,7 @@ func (e *Engine) doRekey(now time.Duration, stats *IntervalStats, fail func(erro
 		fail(fmt.Errorf("chaos: rekey distribution: %w", err))
 		return
 	}
-	e.curLadder = lr
+	e.curMsg, e.curLadder = msg, lr
 }
 
 // unreaped returns, in key order, the keys of the crashes the engine
@@ -820,15 +821,10 @@ func (e *Engine) doAudit(now time.Duration, idx int, stats *IntervalStats) {
 	stats.Members = e.dir.Size()
 
 	ev := e.evidence(idx, stats)
-	results, counts := Audit(ev, e.cfg.Obs)
-	stats.tally(results, counts)
-	if lr := e.curLadder; lr != nil {
-		stats.UnicastAttempts, stats.Retries, stats.MaxBackoff = lr.UnicastAttempts, lr.Retries, lr.MaxBackoff
-		stats.DeadInFlight = len(lr.DeadInFlight)
-		if lr.Multicast != nil {
-			for _, st := range lr.Multicast.Users {
-				stats.ForwardedEncs += st.UnitsForwarded
-			}
+	results := stats.audit(ev, e.cfg.Obs)
+	if lr := e.curLadder; lr != nil && lr.Multicast != nil {
+		for _, st := range lr.Multicast.Users {
+			stats.ForwardedEncs += st.UnitsForwarded
 		}
 	}
 	verdicts := make([]auditVerdict, len(results))
@@ -890,30 +886,23 @@ func (e *Engine) doAudit(now time.Duration, idx int, stats *IntervalStats) {
 
 	// Close the boundary against the service objectives. Expected is
 	// rekeySurv, the set the coverage auditor swept; Delivered are those
-	// of them the ladder reached. All
+	// of them the ladder reached, as coverage tallied them. All
 	// inputs are deterministic, so the verdict — and the "slo" record
 	// emitted right after the interval record — replays byte-identically.
-	sb := slo.Boundary{
-		Boundary:    stats.Index,
-		Members:     stats.Members,
-		Escalations: stats.KeyByUnicast + stats.KeyByResync,
-		RekeyCost:   stats.RekeyCost,
-		LatenciesMS: keyLat,
-		Expected:    len(rekeySurv),
-	}
-	if lr := e.curLadder; lr != nil {
-		sb.DeadInFlight = len(lr.DeadInFlight)
-		for _, id := range rekeySurv {
-			if _, got := lr.DeliveredAt[id.Key()]; got {
-				sb.Delivered++
-			}
-		}
-	}
-	e.slo.Observe(sb)
+	e.slo.Observe(slo.Boundary{
+		Boundary:     stats.Index,
+		Members:      stats.Members,
+		Escalations:  stats.KeyByUnicast + stats.KeyByResync,
+		RekeyCost:    stats.RekeyCost,
+		LatenciesMS:  keyLat,
+		Expected:     len(rekeySurv),
+		Delivered:    stats.KeyByMulticast + stats.KeyByUnicast + stats.KeyByResync,
+		DeadInFlight: stats.DeadInFlight,
+	})
 
 	// Reset per-interval state the auditors consumed.
 	e.curData = nil
-	e.curLadder = nil
+	e.curMsg, e.curLadder = nil, nil
 }
 
 // evidence gathers what the interval left behind for the auditors (see
@@ -940,17 +929,7 @@ func (e *Engine) evidence(idx int, stats *IntervalStats) *Evidence {
 	}
 	if lr := e.curLadder; lr != nil {
 		lr.Finish()
-		ev.Ladder = &Ladder{
-			Expected: e.rekeyLive,
-			RungOf: func(id ident.ID) (recovery.Rung, bool) {
-				rung, ok := lr.RungOf[id.Key()]
-				return rung, ok
-			},
-			Resynced:     lr.Resynced,
-			DeadInFlight: lr.DeadInFlight,
-			MaxBackoff:   lr.MaxBackoff,
-			BackoffCap:   soakPolicy.RetryMax,
-		}
+		ev.Ladder, ev.Owed = &lr.Outcome, e.rekeyLive
 	}
 	return ev
 }

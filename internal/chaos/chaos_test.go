@@ -1,12 +1,15 @@
 package chaos
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"tmesh/internal/ident"
 	"tmesh/internal/keycrypt"
 	"tmesh/internal/metrics"
+	"tmesh/internal/recovery"
 	"tmesh/internal/vnet"
 )
 
@@ -135,9 +138,9 @@ func TestSoakLossyLadderEngages(t *testing.T) {
 
 // TestSoakRekeyMessagesAreRealWraps: the soak distributes the key
 // server's real messages. Just before each audit, while the tree still
-// holds the interval's keys, every encryption of the interval's message
-// carries a ciphertext that opens under the key the tree holds for its
-// ID, to the key the tree holds for its KeyID at the stated version.
+// holds the interval's keys, every encryption of the message the ladder
+// carried opens under the key the tree holds for its ID, to the key the
+// tree holds for its KeyID at the stated version.
 func TestSoakRekeyMessagesAreRealWraps(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.Intervals = 6
@@ -148,10 +151,11 @@ func TestSoakRekeyMessagesAreRealWraps(t *testing.T) {
 	checked := 0
 	for i := 1; i <= cfg.Intervals; i++ {
 		e.sim.At(time.Duration(i)*intervalLength-time.Millisecond, func(time.Duration) {
-			if e.curLadder == nil {
+			msg := e.curMsg
+			if msg == nil {
 				return // a cost-0 interval distributes nothing
 			}
-			for _, enc := range e.curLadder.Message.Encryptions {
+			for _, enc := range msg.Encryptions {
 				var kek keycrypt.Key
 				var ok bool
 				if enc.ID.Len() == soakParams.Digits {
@@ -178,6 +182,54 @@ func TestSoakRekeyMessagesAreRealWraps(t *testing.T) {
 		t.Fatal("no rekey message was checked")
 	}
 	t.Logf("checked %d encryptions", checked)
+}
+
+// TestSoakCoverageCatchesASkippedMember: the members the coverage and
+// ladder auditors hold the ladder to come from the engine, not from the
+// ladder's own booking. Just before an audit the test erases one
+// multicast-keyed survivor from everything the ladder booked, as if its
+// sweep had never picked the member up; both auditors must name it.
+func TestSoakCoverageCatchesASkippedMember(t *testing.T) {
+	cfg := DefaultConfig(1)
+	cfg.Intervals = 3
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var victim ident.ID
+	skipped := -1
+	for i := 1; i <= cfg.Intervals; i++ {
+		e.sim.At(time.Duration(i)*intervalLength-time.Millisecond, func(time.Duration) {
+			lr := e.curLadder
+			if skipped >= 0 || lr == nil {
+				return
+			}
+			for _, id := range e.rekeyLive {
+				if rung, ok := lr.RungOf[id.Key()]; ok && rung == recovery.ByMulticast && e.alive(id) {
+					delete(lr.RungOf, id.Key())
+					delete(lr.DeliveredAt, id.Key())
+					victim, skipped = id, i-1
+					return
+				}
+			}
+		})
+	}
+	rep, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skipped < 0 {
+		t.Fatal("no interval distributed a rekey to skip a member of")
+	}
+	got := strings.Join(rep.Intervals[skipped].Violations, "\n")
+	for _, want := range []string{
+		fmt.Sprintf("surviving member %v never got its key slice", victim),
+		fmt.Sprintf("member %v was owed keys but no rung delivered them", victim),
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("interval %d violations %q lack %q", skipped+1, got, want)
+		}
+	}
 }
 
 // TestSoakConfigValidation rejects settings the soak cannot run.

@@ -61,8 +61,22 @@ type Evidence struct {
 	LastEpoch     map[string]uint64
 	IntervalStart time.Duration
 
-	// Ladder is the outcome of the interval's key distribution.
-	Ladder *Ladder
+	// Ladder is the outcome of the interval's key distribution, as the
+	// plane's ladder driver booked it, and Owed the members the server
+	// owed the interval's keys when it sent them, in ID order, as the
+	// plane's own membership has them — not as the ladder booked them.
+	// A cost > 0 message re-keys the root under every level-1 child, so
+	// it owes every member in the tree.
+	Ladder *recovery.Outcome
+	Owed   []ident.ID
+	// MustIdle marks an interval the multicast alone had to cover: no
+	// fault was injected and the ack timeout is generous. The socket
+	// plane needs it because its copy counts are of the rekey message
+	// itself, so a member the multicast starved shows one copy like
+	// everybody else — the unicast that rescued it. The simulator never
+	// sets it: crashes and delay spikes push members onto the ladder in
+	// intervals it still counts as fault-free.
+	MustIdle bool
 }
 
 // Copy is one member's copy count of an interval's multicast.
@@ -79,30 +93,6 @@ type Clusters interface {
 	Members(ident.Prefix) []overlay.Record
 	Epoch(ident.Prefix) (uint64, bool)
 	Has(ident.ID) bool
-}
-
-// Ladder is how one interval's keys reached the members.
-type Ladder struct {
-	// Expected lists the members the server owed the interval's keys
-	// when it sent them, in ID order. A cost > 0 message re-keys the root
-	// under every level-1 child, so it carries something for each of them.
-	Expected []ident.ID
-	// RungOf reports the rung that keyed a member, false if none did.
-	RungOf func(ident.ID) (recovery.Rung, bool)
-	// Resynced and DeadInFlight are the members the ladder booked as
-	// fallen through to the resync rung and as given up on.
-	Resynced, DeadInFlight []ident.ID
-	// MaxBackoff is the longest retry spacing reported, BackoffCap the
-	// configured ceiling (0: unknown).
-	MaxBackoff, BackoffCap time.Duration
-	// MustIdle marks an interval the multicast alone had to cover: no
-	// fault was injected and the ack timeout is generous. The socket
-	// plane needs it because its copy counts are of the rekey message
-	// itself, so a member the multicast starved shows one copy like
-	// everybody else — the unicast that rescued it. The simulator never
-	// sets it: crashes and delay spikes push members onto the ladder in
-	// intervals it still counts as fault-free.
-	MustIdle bool
 }
 
 // Counts is what the checks tally while they sweep the evidence.
@@ -240,11 +230,11 @@ func checkDelivery(ev *Evidence, c *Counts) []string {
 func checkCoverage(ev *Evidence, c *Counts) []string {
 	var vs []string
 	if l := ev.Ladder; l != nil {
-		for _, id := range l.Expected {
+		for _, id := range ev.Owed {
 			if !ev.survivor(id) {
 				continue // crashed or left after the send
 			}
-			rung, ok := l.RungOf(id)
+			rung, ok := l.RungOf[id.Key()]
 			if !ok {
 				vs = append(vs, fmt.Sprintf("surviving member %v never got its key slice", id))
 				continue
@@ -380,23 +370,23 @@ func checkLadder(ev *Evidence, c *Counts) []string {
 			vs = append(vs, fmt.Sprintf("reachable member %v declared dead in flight", id))
 		}
 	}
-	for _, id := range l.Expected {
+	for _, id := range ev.Owed {
 		if !ev.survivor(id) || dead[id.Key()] {
 			continue
 		}
-		if _, ok := l.RungOf(id); !ok {
+		if _, ok := l.RungOf[id.Key()]; !ok {
 			vs = append(vs, fmt.Sprintf("member %v was owed keys but no rung delivered them", id))
 		}
 	}
 	for _, id := range l.Resynced {
-		if rung, ok := l.RungOf(id); !ok || rung != recovery.ByResync {
+		if rung, ok := l.RungOf[id.Key()]; !ok || rung != recovery.ByResync {
 			vs = append(vs, fmt.Sprintf("member %v booked as resynced without the resync rung", id))
 		}
 	}
 	if l.BackoffCap > 0 && l.MaxBackoff > l.BackoffCap {
 		vs = append(vs, fmt.Sprintf("reported backoff %v exceeds the cap %v", l.MaxBackoff, l.BackoffCap))
 	}
-	if u, r := c.ByRung[recovery.ByUnicast], c.ByRung[recovery.ByResync]; l.MustIdle && u+r > 0 {
+	if u, r := c.ByRung[recovery.ByUnicast], c.ByRung[recovery.ByResync]; ev.MustIdle && u+r > 0 {
 		vs = append(vs, fmt.Sprintf("fault-free interval needed the ladder: %d unicast, %d resync", u, r))
 	}
 	return vs

@@ -115,13 +115,6 @@ func (f fakeClusters) Members(ident.Prefix) []overlay.Record { return f.members 
 func (f fakeClusters) Epoch(ident.Prefix) (uint64, bool)     { return f.epoch, true }
 func (f fakeClusters) Has(ident.ID) bool                     { return true }
 
-func rungs(m map[string]recovery.Rung) func(ident.ID) (recovery.Rung, bool) {
-	return func(id ident.ID) (recovery.Rung, bool) {
-		r, ok := m[id.Key()]
-		return r, ok
-	}
-}
-
 // TestAuditorsCanFail hands every auditor evidence that violates its
 // invariant and requires the violation to be reported under that
 // auditor's name — and evidence that does not, which must pass. Stub
@@ -198,29 +191,29 @@ func TestAuditorsCanFail(t *testing.T) {
 			Clusters: fakeClusters{prefix: evID(t, 15).Prefix(1), leader: &overlay.Record{ID: evID(t, 15)}}},
 			fails: map[string]string{"cluster": "dead or departed"}},
 
-		{name: "straggler with no rung", ev: &Evidence{Ladder: &Ladder{Expected: []ident.ID{a, b},
-			RungOf: rungs(map[string]recovery.Rung{a.Key(): recovery.ByMulticast})}},
+		{name: "straggler with no rung", ev: &Evidence{Owed: []ident.ID{a, b},
+			Ladder: &recovery.Outcome{RungOf: map[string]recovery.Rung{a.Key(): recovery.ByMulticast}}},
 			fails: map[string]string{"coverage": "never got its key slice", "ladder": "no rung delivered"}},
 		{name: "straggler that crashed", ev: &Evidence{Alive: func(id ident.ID) bool { return !id.Equal(b) },
-			Ladder: &Ladder{Expected: []ident.ID{a, b},
-				RungOf: rungs(map[string]recovery.Rung{a.Key(): recovery.ByMulticast})}}},
-		{name: "reachable member declared dead", ev: &Evidence{Ladder: &Ladder{Expected: []ident.ID{a, b},
-			DeadInFlight: []ident.ID{b},
-			RungOf:       rungs(map[string]recovery.Rung{a.Key(): recovery.ByUnicast})}},
+			Owed:   []ident.ID{a, b},
+			Ladder: &recovery.Outcome{RungOf: map[string]recovery.Rung{a.Key(): recovery.ByMulticast}}}},
+		{name: "reachable member declared dead", ev: &Evidence{Owed: []ident.ID{a, b},
+			Ladder: &recovery.Outcome{DeadInFlight: []ident.ID{b},
+				RungOf: map[string]recovery.Rung{a.Key(): recovery.ByUnicast}}},
 			fails: map[string]string{"coverage": "never got its key slice", "ladder": "declared dead in flight"}},
 		{name: "unreachable member declared dead", ev: &Evidence{
 			Alive: func(id ident.ID) bool { return !id.Equal(b) },
-			Ladder: &Ladder{Expected: []ident.ID{a, b}, DeadInFlight: []ident.ID{b},
-				RungOf: rungs(map[string]recovery.Rung{a.Key(): recovery.ByUnicast})}}},
-		{name: "resynced without the rung", ev: &Evidence{Ladder: &Ladder{Expected: []ident.ID{a},
-			Resynced: []ident.ID{a},
-			RungOf:   rungs(map[string]recovery.Rung{a.Key(): recovery.ByUnicast})}},
+			Owed:  []ident.ID{a, b},
+			Ladder: &recovery.Outcome{DeadInFlight: []ident.ID{b},
+				RungOf: map[string]recovery.Rung{a.Key(): recovery.ByUnicast}}}},
+		{name: "resynced without the rung", ev: &Evidence{Owed: []ident.ID{a},
+			Ladder: &recovery.Outcome{Resynced: []ident.ID{a},
+				RungOf: map[string]recovery.Rung{a.Key(): recovery.ByUnicast}}},
 			fails: map[string]string{"ladder": "without the resync rung"}},
-		{name: "backoff over the cap", ev: &Evidence{Ladder: &Ladder{MaxBackoff: 2 * time.Second, BackoffCap: time.Second,
-			RungOf: rungs(nil)}},
+		{name: "backoff over the cap", ev: &Evidence{Ladder: &recovery.Outcome{MaxBackoff: 2 * time.Second, BackoffCap: time.Second}},
 			fails: map[string]string{"ladder": "exceeds the cap"}},
-		{name: "clean interval needed the ladder", ev: &Evidence{Ladder: &Ladder{Expected: []ident.ID{a, b}, MustIdle: true,
-			RungOf: rungs(map[string]recovery.Rung{a.Key(): recovery.ByMulticast, b.Key(): recovery.ByUnicast})}},
+		{name: "clean interval needed the ladder", ev: &Evidence{MustIdle: true, Owed: []ident.ID{a, b},
+			Ladder: &recovery.Outcome{RungOf: map[string]recovery.Rung{a.Key(): recovery.ByMulticast, b.Key(): recovery.ByUnicast}}},
 			fails: map[string]string{"ladder": "needed the ladder: 1 unicast"}},
 	}
 	for _, tc := range cases {
@@ -258,8 +251,8 @@ func TestAuditCounts(t *testing.T) {
 	_, counts := Audit(&Evidence{
 		Copies: []Copy{{a, 1}, {b, 0}, {c, 1}},
 		Alive:  func(id ident.ID) bool { return !id.Equal(c) },
-		Ladder: &Ladder{Expected: []ident.ID{a, b, c}, RungOf: rungs(map[string]recovery.Rung{
-			a.Key(): recovery.ByMulticast, b.Key(): recovery.ByResync, c.Key(): recovery.ByUnicast})},
+		Owed:   []ident.ID{a, b, c}, Ladder: &recovery.Outcome{RungOf: map[string]recovery.Rung{
+			a.Key(): recovery.ByMulticast, b.Key(): recovery.ByResync, c.Key(): recovery.ByUnicast}},
 	}, nil)
 	want := Counts{CopiesDelivered: 2, CopiesLost: 1}
 	want.ByRung[recovery.ByMulticast], want.ByRung[recovery.ByResync] = 1, 1 // c crashed: not tallied

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tmesh/internal/metrics"
+	"tmesh/internal/obs"
 	"tmesh/internal/recovery"
 	"tmesh/internal/workload"
 )
@@ -57,10 +58,13 @@ type IntervalStats struct {
 	Violations []string `json:"-"`
 }
 
-// tally copies an audit's outcome into the record: the copy and rung
-// counts, the deepest rung that delivered a key, and the failed
-// verdicts.
-func (s *IntervalStats) tally(verdicts []Verdict, c Counts) {
+// audit runs the auditors over the interval's evidence and copies their
+// outcome into the record: the copy and rung tallies, the deepest rung
+// that delivered a key, the failed verdicts, and the ladder's own
+// counts as its driver booked them. Both wires close an interval here.
+// reg (nil-safe) times the checks.
+func (s *IntervalStats) audit(ev *Evidence, reg *obs.Registry) []Verdict {
+	verdicts, c := Audit(ev, reg)
 	s.DataDelivered, s.DataLost = c.CopiesDelivered, c.CopiesLost
 	s.KeyByMulticast = c.ByRung[recovery.ByMulticast]
 	s.KeyByUnicast = c.ByRung[recovery.ByUnicast]
@@ -74,11 +78,16 @@ func (s *IntervalStats) tally(verdicts []Verdict, c Counts) {
 	case s.KeyByMulticast > 0:
 		s.LadderRung = "multicast"
 	}
+	if l := ev.Ladder; l != nil {
+		s.UnicastAttempts, s.Retries, s.MaxBackoff = l.UnicastAttempts, l.Retries, l.MaxBackoff
+		s.DeadInFlight = len(l.DeadInFlight)
+	}
 	for _, v := range verdicts {
 		if line := v.Line(); line != "" {
 			s.Violations = append(s.Violations, line)
 		}
 	}
+	return verdicts
 }
 
 func (s *IntervalStats) line() string {

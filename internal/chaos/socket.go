@@ -29,7 +29,6 @@ import (
 	"tmesh/internal/keycrypt"
 	"tmesh/internal/obs"
 	"tmesh/internal/overlay"
-	"tmesh/internal/recovery"
 	"tmesh/internal/rekeyd"
 	"tmesh/internal/transport"
 	"tmesh/internal/workload"
@@ -156,17 +155,7 @@ func (run *socketRun) evidence(dir *overlay.Directory) *Evidence {
 	if res.Expected == 0 {
 		return ev
 	}
-	ev.Ladder = &Ladder{
-		Expected: ids,
-		RungOf: func(id ident.ID) (recovery.Rung, bool) {
-			rung, ok := res.RungOf[id.Key()]
-			return rung, ok
-		},
-		DeadInFlight: res.DeadInFlight,
-		MaxBackoff:   res.MaxBackoff,
-		BackoffCap:   w.Server().Policy().RetryMax,
-		MustIdle:     run.faultFree,
-	}
+	ev.Ladder, ev.Owed, ev.MustIdle = &res.Outcome, ids, run.faultFree
 	if run.faultFree {
 		for _, m := range members {
 			ev.Copies = append(ev.Copies, Copy{ID: m.ID(), N: m.CopiesOf(res.Interval)})
@@ -249,14 +238,10 @@ func (run *socketRun) play() (*Report, error) {
 			return nil, err
 		}
 		w.Shared().Read(func(dir *overlay.Directory) {
-			stats.tally(Audit(run.evidence(dir), nil))
+			stats.audit(run.evidence(dir), nil)
 		})
-		res := run.res
 		stats.Members = w.Size()
-		stats.RekeyCost = res.Cost
-		stats.UnicastAttempts, stats.ResyncSends = res.UnicastAttempts, res.SyncAttempts
-		stats.DeadInFlight = len(res.DeadInFlight)
-		stats.MaxBackoff = res.MaxBackoff
+		stats.RekeyCost, stats.ResyncSends = run.res.Cost, run.res.SyncAttempts
 		rep.Intervals = append(rep.Intervals, stats)
 	}
 	rep.Schedule = workload.NewSchedule(run.ran)

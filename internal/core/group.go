@@ -243,8 +243,8 @@ func (g *Group) initKeyring(tree *keytree.Tree, id ident.ID) error {
 // handed it, fanned out across delivered users. Delivered slices are
 // shared between deliveries and treated as read-only throughout. Apply
 // failures are collected and reported together, sorted by user ID
-// (*ApplyError). In cluster mode, leaders then unicast the new group
-// key to their members under pairwise keys.
+// (*ApplyError). In cluster mode, the Appendix B last hop follows:
+// every member is handed the server's group key (distributeViaLeaders).
 func (g *Group) DistributeRekey(msg *keytree.Message) (*split.Report, error) {
 	if msg == nil {
 		return nil, errors.New("core: nil rekey message")
@@ -288,9 +288,10 @@ func (g *Group) DistributeRekey(msg *keytree.Message) (*split.Report, error) {
 	return rep, nil
 }
 
-// distributeViaLeaders models the Appendix B last hop: every leader
-// unicasts the new group key to its cluster members under their pairwise
-// keys.
+// distributeViaLeaders models the Appendix B last hop, in which every
+// leader unicasts the new group key to its cluster members: the hop is
+// counted (cluster.Result.PairwiseUnicasts), not wrapped, so the
+// server's group key is copied into every member's store.
 func (g *Group) distributeViaLeaders() {
 	tree := g.clusters.Tree()
 	gk, ok := tree.GroupKey()

@@ -12,11 +12,12 @@
 // harness's one-shot batches use Tree.Batch). deliver is split.Rekey
 // for a Group and the experiment harness; the chaos soak delivers
 // through recovery.DistributeLadder, whose multicast rung splits the
-// same way. apply is the Applier below for a Group, and indexedApplier
-// (further down) on the key plane. The two crypto-heavy stages
-// parallelize: regen fans
-// out across level-1 ID subtrees (Lemma 3 makes them independent rekey
-// units) inside keytree.Regenerate, and apply fans out across delivered
+// same way and whose recovery.Outcome (the socket daemon fills the same
+// record) says which rung keyed each member. apply is the Applier below
+// for a Group, and indexedApplier (further down) on the key plane. The
+// two crypto-heavy stages parallelize: regen fans out across level-1
+// ID subtrees (Lemma 3 makes them independent rekey units) inside
+// keytree.Regenerate, and apply fans out across delivered
 // users below — both through work.Run, the process-wide fan-out.
 // Determinism contract: with a fixed seed, every stage's output is
 // byte-identical at any width.

@@ -13,6 +13,7 @@ import (
 	"tmesh/internal/ident"
 	"tmesh/internal/keytree"
 	"tmesh/internal/obs"
+	"tmesh/internal/vnet"
 	"tmesh/internal/workload"
 )
 
@@ -145,6 +146,53 @@ func TestAuditorsRunPerGroup(t *testing.T) {
 	}
 	if !strings.Contains(rep.String(), "flash[key]") {
 		t.Errorf("report missing flash group line:\n%s", rep.String())
+	}
+}
+
+// TestNetTenantLadderRecord: the NetPlane tenant's ladder record
+// settles each member that holds a keyring, so a member whose keyring
+// is gone fails both the coverage and the ladder check.
+func TestNetTenantLadderRecord(t *testing.T) {
+	const members = 6
+	net, err := vnet.NewGTITM(vnet.SoakGTITMConfig(), 1+members, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn, err := newNetTenant("ladder", GroupSpec{}, net, 0, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for h := 0; h < members; h++ {
+		if err := tn.apply(workload.Event{Kind: workload.Join, Host: h}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tn.flush(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	nt := tn.(*netTenant)
+	audit := func() map[string]string {
+		verdicts, _ := chaos.Audit(nt.evidence(), nil)
+		failed := make(map[string]string)
+		for _, v := range verdicts {
+			if line := v.Line(); line != "" {
+				failed[v.Name] = line
+			}
+		}
+		return failed
+	}
+	if failed := audit(); len(failed) != 0 {
+		t.Fatalf("healthy group failed: %v", failed)
+	}
+	nt.g.Members().Remove(nt.memberIDs()[2])
+	failed := audit()
+	for name, want := range map[string]string{"coverage": "never got its key slice", "ladder": "no rung delivered"} {
+		if !strings.Contains(failed[name], want) {
+			t.Errorf("auditor %s reported %q, want a violation mentioning %q", name, failed[name], want)
+		}
+	}
+	if len(failed) != 2 {
+		t.Errorf("failed auditors %v, want coverage and ladder only", failed)
 	}
 }
 

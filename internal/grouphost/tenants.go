@@ -91,7 +91,8 @@ func (t *netTenant) flush(boundary time.Duration) (int, error) {
 // distribute is fault-free and its hop log carries every copy made. The
 // only delivery chain that can dangle here is the join-time unicast: a
 // member that should keep a keyring (everyone, or the leaders in cluster
-// mode) and has none was never keyed, which is what RungOf reports.
+// mode) and has none was never keyed, so the ladder record settles each
+// holder of a keyring on the unicast rung and leaves the others open.
 func (t *netTenant) evidence() *chaos.Evidence {
 	ids := t.memberIDs()
 	tree, holders := t.g.Tree(), ids
@@ -127,12 +128,11 @@ func (t *netTenant) evidence() *chaos.Evidence {
 	if ev.Clusters == nil || t.lastRep != nil {
 		ev.Tree, ev.Keyed, ev.GroupKeyOf = tree, ids, t.g.GroupKeyOf
 	}
-	ev.Ladder = &chaos.Ladder{
-		Expected: holders,
-		RungOf: func(id ident.ID) (recovery.Rung, bool) {
-			_, ok := t.g.KeyringOf(id)
-			return recovery.ByUnicast, ok
-		},
+	ev.Ladder, ev.Owed = &recovery.Outcome{}, holders
+	for _, id := range holders {
+		if _, ok := t.g.KeyringOf(id); ok {
+			ev.Ladder.Settle(id, recovery.ByUnicast, 0)
+		}
 	}
 	return ev
 }

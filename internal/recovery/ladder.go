@@ -32,7 +32,6 @@ package recovery
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"tmesh/internal/eventsim"
@@ -85,45 +84,18 @@ type LadderConfig struct {
 	Trace *trace.Trace
 }
 
-// LadderResult accounts one distribution. It is fully populated only
-// after the shared simulator has drained past the last scheduled event.
+// LadderResult accounts one distribution: the shared Outcome plus what
+// only the simulator has. It is fully populated only after the shared
+// simulator has drained past the last scheduled event. The resync rung
+// is the reliable one-shot, so it adds to no attempt count.
 type LadderResult struct {
-	// Message is the rekey message the ladder distributed.
-	Message *keytree.Message
+	Outcome
 	// Multicast is the rung-1 transport result.
 	Multicast *tmesh.Result
-	// RungOf records, per user key, the rung that delivered the key.
-	// Users that needed nothing this interval are absent.
-	RungOf map[string]Rung
-	// DeliveredAt records the virtual completion time per user key.
-	DeliveredAt map[string]time.Duration
-	// Recovered lists users that needed rung >= 2, in ID order (valid
-	// after Finish).
+	// Recovered lists users that needed rung >= 2, in ID order.
 	Recovered []ident.ID
-	// Resynced lists users that fell through to rung 3, in ID order.
-	Resynced []ident.ID
-	// DeadInFlight lists users whose directory record disappeared while
-	// a recovery chain was in flight (a ladder hop racing a crash or
-	// leave), in ID order. Their chains stop cleanly instead of
-	// unicasting to a stale or zero host.
-	DeadInFlight []ident.ID
-	// UnicastAttempts counts recovery unicast exchanges, lost or not.
-	UnicastAttempts int
-	// Retries counts attempts beyond each user's first (each one was
-	// preceded by a backoff wait).
-	Retries int
-	// MaxBackoff is the longest single backoff actually waited.
-	MaxBackoff time.Duration
 	// ServerUnits counts encryptions the server sent on rungs 2-3.
 	ServerUnits int
-}
-
-// Finish sorts the order-dependent slices; call it after the simulator
-// has drained.
-func (r *LadderResult) Finish() {
-	sort.Slice(r.Recovered, func(i, j int) bool { return r.Recovered[i].Compare(r.Recovered[j]) < 0 })
-	sort.Slice(r.Resynced, func(i, j int) bool { return r.Resynced[i].Compare(r.Resynced[j]) < 0 })
-	sort.Slice(r.DeadInFlight, func(i, j int) bool { return r.DeadInFlight[i].Compare(r.DeadInFlight[j]) < 0 })
 }
 
 // DistributeLadder schedules one rekey distribution over the ladder on
@@ -140,11 +112,7 @@ func DistributeLadder(cfg LadderConfig, msg *keytree.Message) (*LadderResult, er
 		return nil, err
 	}
 
-	out := &LadderResult{
-		Message:     msg,
-		RungOf:      make(map[string]Rung),
-		DeliveredAt: make(map[string]time.Duration),
-	}
+	out := &LadderResult{Outcome: Outcome{BackoffCap: cfg.RetryMax}}
 	rungC := [...]*obs.Counter{
 		ByMulticast: cfg.Obs.Counter("recovery_rung_multicast"),
 		ByUnicast:   cfg.Obs.Counter("recovery_rung_unicast"),
@@ -154,8 +122,7 @@ func DistributeLadder(cfg LadderConfig, msg *keytree.Message) (*LadderResult, er
 	retriesC := cfg.Obs.Counter("recovery_retries")
 	deadC := cfg.Obs.Counter("recovery_dead_in_flight")
 	deliver := func(id ident.ID, rung Rung, at time.Duration) {
-		out.RungOf[id.Key()] = rung
-		out.DeliveredAt[id.Key()] = at
+		out.Settle(id, rung, at)
 		rungC[rung].Inc()
 	}
 
@@ -184,7 +151,8 @@ func DistributeLadder(cfg LadderConfig, msg *keytree.Message) (*LadderResult, er
 	alive := func(id ident.ID) bool { return cfg.Alive == nil || cfg.Alive(id) }
 
 	// Per-user recovery chain, attempt numbers 1-based. Each attempt is
-	// a request/response exchange; a drop of either leg loses it whole.
+	// a request/response exchange; a drop of either leg loses it whole,
+	// and attempt n > 1 follows the expired wait Backoff(n-1).
 	// The host lookup is re-done per attempt: a record that vanished
 	// mid-chain (hop racing a crash or leave) drops the user to
 	// DeadInFlight instead of unicasting to a stale host — or, read as
@@ -192,19 +160,21 @@ func DistributeLadder(cfg LadderConfig, msg *keytree.Message) (*LadderResult, er
 	var attempt func(id ident.ID, needed int, n int, at time.Duration)
 	attempt = func(id ident.ID, needed int, n int, at time.Duration) {
 		cfg.Sim.At(at, func(now time.Duration) {
+			if n > 1 {
+				out.Expired(cfg.Backoff(n - 1))
+			}
 			if !alive(id) {
 				return // crashed while waiting: no longer a surviving member
 			}
 			rec, ok := cfg.Dir.Record(id)
 			if !ok {
-				out.DeadInFlight = append(out.DeadInFlight, id)
+				out.Dead(id)
 				deadC.Inc()
 				return
 			}
-			out.UnicastAttempts++
+			out.Sent(n)
 			attemptsC.Inc()
 			if n > 1 {
-				out.Retries++
 				retriesC.Inc()
 			}
 			rtt := net.OneWay(rec.Host, server) + net.OneWay(server, rec.Host)
@@ -217,18 +187,13 @@ func DistributeLadder(cfg LadderConfig, msg *keytree.Message) (*LadderResult, er
 						if !alive(id) {
 							return
 						}
-						out.Resynced = append(out.Resynced, id)
 						out.ServerUnits += needed
 						deliver(id, ByResync, done)
 						cfg.Trace.Resync(id, now, done, needed)
 					})
 					return
 				}
-				wait := cfg.Backoff(n)
-				if wait > out.MaxBackoff {
-					out.MaxBackoff = wait
-				}
-				attempt(id, needed, next.Attempt, now+wait)
+				attempt(id, needed, next.Attempt, now+cfg.Backoff(n))
 				return
 			}
 			out.ServerUnits += needed

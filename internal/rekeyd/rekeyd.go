@@ -21,8 +21,9 @@
 //     at forward level D — terminal, never forwarded), then
 //     ResyncBudget resyncs: the member's whole path wrapped under its
 //     individual key (keytree.Tree.Resync), also a terminal TypeRekey.
-//     A member still silent after that is reported dead-in-flight,
-//     mirroring recovery.LadderResult semantics.
+//     A member still silent after that is reported dead-in-flight.
+//     The server books all of it in the recovery.Outcome the
+//     simulator's ladder fills.
 //
 // Every key a member installs arrives as an AES-GCM wrap and goes
 // through one Member.install → keytree.Keyring.Apply; no key crosses
@@ -37,7 +38,6 @@ package rekeyd
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -386,33 +386,18 @@ func (m *Member) ack(interval uint64) {
 // Close releases the member's transport endpoint.
 func (m *Member) Close() error { return m.tr.Close() }
 
-// Result is one interval's delivery outcome, the socket analogue of
-// recovery.LadderResult.
+// Result is one interval's delivery outcome on the socket: the shared
+// recovery.Outcome plus what only the daemon has.
 type Result struct {
+	recovery.Outcome
 	Interval uint64
 	// Cost is the message's rekey cost, its encryption count.
 	Cost int
 	// Expected is the number of members the server waited on.
 	Expected int
-	// RungOf records, per member key, the highest ladder rung in
-	// flight when its ack arrived.
-	RungOf map[string]recovery.Rung
-	// DeadInFlight lists members whose ladder ran dry unacked.
-	DeadInFlight []ident.ID
-	// UnicastAttempts and SyncAttempts count ladder sends.
-	UnicastAttempts, SyncAttempts int
-	// MaxBackoff is the longest unicast spacing any member's chain
-	// reached.
-	MaxBackoff time.Duration
-}
-
-// Rungs tallies acks per rung.
-func (r *Result) Rungs() map[recovery.Rung]int {
-	out := make(map[recovery.Rung]int, 3)
-	for _, rung := range r.RungOf {
-		out[rung]++
-	}
-	return out
+	// SyncAttempts counts resync sends: the daemon's resync channel is
+	// budgeted, the simulator's is a reliable one-shot.
+	SyncAttempts int
 }
 
 // Server is the key-server node: it owns the ack ledger and drives the
@@ -436,7 +421,7 @@ type Server struct {
 
 // ledger is one interval's delivery state: a ladder position per
 // expected member, advanced by Distribute's loop and settled by the ack
-// handler, both under Server.mu, and the Result they fill.
+// handler, both under Server.mu, and the Result they book into.
 type ledger struct {
 	res   *Result
 	rows  []ladderRow
@@ -506,7 +491,7 @@ func (s *Server) handle(from transport.PeerID, frame []byte) {
 		return
 	}
 	row.settled = true
-	l.res.RungOf[key] = row.step.Rung
+	l.res.Settle(row.id, row.step.Rung, 0)
 	l.unsettled--
 	last := l.unsettled == 0
 	s.mu.Unlock()
@@ -537,9 +522,10 @@ func (s *Server) Distribute(msg *keytree.Message, expected []ident.ID) (*Result,
 	s.lastInterval = msg.Interval
 	s.mu.Unlock()
 	if msg.Cost() == 0 {
-		return &Result{Interval: msg.Interval, RungOf: map[string]recovery.Rung{}}, nil
+		return &Result{Interval: msg.Interval}, nil
 	}
-	res := &Result{Interval: msg.Interval, Cost: msg.Cost(), Expected: len(expected), RungOf: make(map[string]recovery.Rung, len(expected))}
+	res := &Result{Interval: msg.Interval, Cost: msg.Cost(), Expected: len(expected),
+		Outcome: recovery.Outcome{BackoffCap: s.policy.RetryMax}}
 	l := &ledger{
 		res:       res,
 		rows:      make([]ladderRow, len(expected)),
@@ -575,7 +561,7 @@ func (s *Server) Distribute(msg *keytree.Message, expected []ident.ID) (*Result,
 			break
 		}
 		for _, row := range due {
-			s.sendRung(msg, row, res)
+			s.sendRung(msg, row)
 		}
 		timer := time.NewTimer(wait)
 		select {
@@ -590,16 +576,15 @@ func (s *Server) Distribute(msg *keytree.Message, expected []ident.ID) (*Result,
 	s.mu.Lock()
 	s.open = nil
 	s.mu.Unlock()
-	sort.Slice(res.DeadInFlight, func(i, j int) bool {
-		return res.DeadInFlight[i].Compare(res.DeadInFlight[j]) < 0
-	})
+	res.Finish()
 	return res, nil
 }
 
 // advance moves every unsettled row whose step has gone unanswered to
 // the policy's next step, or reports it dead in flight when the ladder
-// has run dry. It returns the rows now owed a send, the time to the
-// earliest deadline left, and whether any row is still unsettled.
+// has run dry, booking the expired wait and the send it now owes. It
+// returns the rows owed a send, the time to the earliest deadline
+// left, and whether any row is still unsettled.
 func (s *Server) advance(l *ledger) (due []*ladderRow, wait time.Duration, unsettled bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -611,13 +596,23 @@ func (s *Server) advance(l *ledger) (due []*ladderRow, wait time.Duration, unset
 			continue
 		}
 		if !row.deadline.After(now) {
+			if row.step.Rung == recovery.ByUnicast {
+				l.res.Expired(s.policy.Wait(row.step))
+			}
 			next, ok := s.policy.Next(row.step)
 			if !ok {
 				row.settled = true
 				l.unsettled--
-				l.res.DeadInFlight = append(l.res.DeadInFlight, row.id)
+				l.res.Dead(row.id)
 				s.dead.Inc()
 				continue
+			}
+			if next.Rung == recovery.ByUnicast {
+				l.res.Sent(next.Attempt)
+				s.unicasts.Inc()
+			} else {
+				l.res.SyncAttempts++
+				s.syncsSent.Inc()
 			}
 			row.step, row.deadline = next, now.Add(s.policy.Wait(next))
 			due = append(due, row)
@@ -633,24 +628,17 @@ func (s *Server) advance(l *ledger) (due []*ladderRow, wait time.Duration, unset
 // cannot be built (the member left the tree under the ladder, which the
 // driver contract rules out) is a rung lost: the chain is waited out
 // and ends dead in flight.
-func (s *Server) sendRung(msg *keytree.Message, row *ladderRow, res *Result) {
+func (s *Server) sendRung(msg *keytree.Message, row *ladderRow) {
 	var slice *keytree.Message
 	var err error
 	if row.step.Rung == recovery.ByUnicast {
 		// The member's own Lemma 3 slice.
 		slice = &keytree.Message{Interval: msg.Interval, Encryptions: recovery.NeededBy(msg, row.id)}
-		s.unicasts.Inc()
-		res.UnicastAttempts++
-		if d := s.policy.Wait(row.step); d > res.MaxBackoff {
-			res.MaxBackoff = d
-		}
 	} else {
 		// Resync: the member's whole path, wrapped under its individual
 		// key. A tree read; the driver contract forbids a concurrent
 		// Flush during Distribute.
 		slice, err = s.tree.Resync(row.id)
-		s.syncsSent.Inc()
-		res.SyncAttempts++
 	}
 	// Either rung is a rekey frame at terminal forward level D, never
 	// forwarded further.

@@ -261,6 +261,51 @@ func TestStalledPeerBoundsInterval(t *testing.T) {
 	check()
 }
 
+// TestLadderOutcomeCountsRetries: a member killed for the whole ladder
+// is sent every unicast attempt of the budget, all but the first of
+// them retries; every unicast wait expires, so the reported backoff is
+// the longest of them; and the member ends dead in flight.
+func TestLadderOutcomeCountsRetries(t *testing.T) {
+	check := guardGoroutines(t)
+	cfg := testConfig("loopback", 8)
+	// A generous multicast wait keeps the live members off the ladder
+	// even on a loaded race-detector run; one resync keeps it short.
+	cfg.Ladder.Timeout, cfg.Ladder.ResyncBudget = 500*time.Millisecond, 1
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := w.Members()[2].ID()
+	w.Kill(victim)
+	if _, err := w.Join(); err != nil { // a cost-0 interval owes nobody
+		t.Fatal(err)
+	}
+	res, err := w.Rekey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := w.Server().Policy()
+	var longest time.Duration
+	for n := 1; n <= p.RetryBudget; n++ {
+		longest = max(longest, p.Backoff(n))
+	}
+	if res.UnicastAttempts != p.RetryBudget || res.Retries != p.RetryBudget-1 {
+		t.Errorf("UnicastAttempts = %d, Retries = %d; want %d and %d",
+			res.UnicastAttempts, res.Retries, p.RetryBudget, p.RetryBudget-1)
+	}
+	if res.MaxBackoff != longest {
+		t.Errorf("MaxBackoff = %v, want the longest expired wait %v", res.MaxBackoff, longest)
+	}
+	if len(res.DeadInFlight) != 1 || !res.DeadInFlight[0].Equal(victim) {
+		t.Errorf("DeadInFlight = %v, want exactly the killed %v", res.DeadInFlight, victim)
+	}
+	if len(res.RungOf) != res.Expected-1 {
+		t.Errorf("%d of %d members settled, want all but the killed one", len(res.RungOf), res.Expected)
+	}
+	w.Close()
+	check()
+}
+
 // TestAckLedgerReleased pins the server's per-interval bookkeeping to
 // the interval actually in flight: after every Distribute returns no
 // ledger is open (it used to keep one N-entry map per interval

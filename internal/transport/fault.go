@@ -148,14 +148,20 @@ type frameFault struct {
 	delay time.Duration
 }
 
-func (f *FaultPlan) judge(from, to PeerID) frameFault {
+// judge decides a frame's fate. Kill and partition hold for a frame's
+// whole life; the loss coin and the delay are drawn only when draw is
+// set, which the sender does once per frame: the receive side and a
+// delayed frame's delivery re-check the cut and draw nothing.
+func (f *FaultPlan) judge(from, to PeerID, draw bool) frameFault {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.killed[from] || f.killed[to] {
+	switch {
+	case f.killed[from] || f.killed[to]:
 		return frameFault{drop: true, why: "kill"}
-	}
-	if f.split && f.side[from] != f.side[to] {
+	case f.split && f.side[from] != f.side[to]:
 		return frameFault{drop: true, why: "partition"}
+	case !draw:
+		return frameFault{}
 	}
 	if f.loss > 0 && f.rng.Float64() < f.loss {
 		return frameFault{drop: true, why: "loss"}
@@ -237,7 +243,7 @@ func (f *Faulty) Stats() FaultStats {
 // Send implements Transport, applying kill/partition/loss/delay on the
 // way out.
 func (f *Faulty) Send(to PeerID, frame []byte) error {
-	v := f.plan.judge(f.ID(), to)
+	v := f.plan.judge(f.ID(), to, true)
 	if v.drop {
 		f.count(v.why)
 		return nil
@@ -261,9 +267,9 @@ func (f *Faulty) Send(to PeerID, frame []byte) error {
 				f.droppedKill.Add(1)
 				f.obsKill.Inc()
 			case <-time.After(v.delay):
-				// Re-judge on delivery: a partition or kill that
-				// started during the delay still applies.
-				v2 := f.plan.judge(f.ID(), to)
+				// A partition or kill that started during the delay
+				// still applies.
+				v2 := f.plan.judge(f.ID(), to, false)
 				if v2.drop {
 					f.count(v2.why)
 					return
@@ -283,7 +289,7 @@ func (f *Faulty) Send(to PeerID, frame []byte) error {
 func (f *Faulty) SetHandler(h Handler) {
 	self := f.ID()
 	f.Transport.SetHandler(func(from PeerID, frame []byte) {
-		v := f.plan.judge(from, self)
+		v := f.plan.judge(from, self, false)
 		if v.drop {
 			f.count(v.why)
 			return

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -155,6 +156,38 @@ func TestFaultDelayDelivers(t *testing.T) {
 	check()
 }
 
+// TestFaultLossDrawnOnce: SetLoss(p) loses a share p of frames. The
+// loss coin is drawn once per frame, at the sender; the receiving
+// shield only enforces kills and partitions, so a frame is never
+// judged lossy twice (which would lose 1-(1-p)^2 of them).
+func TestFaultLossDrawnOnce(t *testing.T) {
+	check := guardGoroutines(t)
+	plan := NewFaultPlan(42)
+	a, b := faultyPair(t, plan)
+	var delivered atomic.Int64
+	b.SetHandler(func(PeerID, []byte) { delivered.Add(1) })
+
+	const frames, batch = 4000, 100 // batches stay inside the send queue
+	plan.SetLoss(0.5)
+	accounted := func() int64 {
+		return delivered.Load() + int64(a.Stats().DroppedLoss+b.Stats().DroppedLoss)
+	}
+	for sent := int64(batch); sent <= frames; sent += batch {
+		for i := 0; i < batch; i++ {
+			if err := a.Send("B", []byte("coin")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFor(t, func() bool { return accounted() == sent })
+	}
+	if share := float64(delivered.Load()) / frames; share < 0.45 || share > 0.55 {
+		t.Fatalf("SetLoss(0.5) delivered %d of %d frames (%.3f), want 0.5±0.05", delivered.Load(), frames, share)
+	}
+	a.Close()
+	b.Close()
+	check()
+}
+
 // TestFaultPlanDeterministic: same seed, same single-threaded
 // decision sequence.
 func TestFaultPlanDeterministic(t *testing.T) {
@@ -163,7 +196,7 @@ func TestFaultPlanDeterministic(t *testing.T) {
 		plan.SetLoss(0.5)
 		s := ""
 		for i := 0; i < 64; i++ {
-			v := plan.judge("A", "B")
+			v := plan.judge("A", "B", true)
 			if v.drop {
 				s += "d"
 			} else {
