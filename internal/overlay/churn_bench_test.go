@@ -118,9 +118,12 @@ func BenchmarkDirectoryChurn(b *testing.B) {
 
 // TestDirectoryFootprint is the overlay's memory gate, in the style of
 // chaos.TestMemberFootprintBudget: live heap per member of a bare
-// directory (tables, roster, ID tree; no key plane). A row block is
-// allocated on its first insert; a layout that went dense (D×B×K slots
-// per member) would read 16 KB at {4,64} and 80 KB at DefaultParams.
+// directory (tables, roster, row-0 column store, ID tree; no key
+// plane). Row 0 is B×K slots of the column store, which grows by exact
+// 64-rank chunks (both sizes here fill their last one), and a deeper
+// row block is allocated on its first insert; a layout that went dense
+// (D×B×K slots per member) would read 16 KB at {4,64} and 80 KB at
+// DefaultParams.
 func TestDirectoryFootprint(t *testing.T) {
 	for _, tc := range []struct {
 		params ident.Params

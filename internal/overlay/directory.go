@@ -26,9 +26,11 @@ type Directory struct {
 
 	tree *ident.Tree
 	// ros resolves every slot of every table, the server's included;
-	// tables is indexed by the same ranks and is nil at the ranks whose
-	// user is not (or no longer) a member.
+	// cols holds the members' row 0 and tables the rest, both indexed
+	// by the same ranks; tables is nil at the ranks whose user is not
+	// (or no longer) a member.
 	ros    *roster
+	cols   *columns
 	tables []*Table
 
 	// alive, when set, is consulted wherever an entry is (re)filled from
@@ -53,6 +55,7 @@ func NewDirectory(params ident.Params, k int, net vnet.Network, serverHost vnet.
 		server: st,
 		tree:   ident.NewTree(params),
 		ros:    st.ros,
+		cols:   &columns{k: k, base: params.Base, shift: chunkShift},
 	}, nil
 }
 
@@ -128,13 +131,17 @@ func (d *Directory) Members(p ident.Prefix) []Record {
 }
 
 // ranksUnder returns the ranks of all users in the subtree rooted at the
-// prefix, in ID order: the candidates of a refill.
+// prefix, in ID order: the candidates of a refill. Like the column scans
+// it passes over the ranks, reading an ID only where the top digit
+// matches.
 func (d *Directory) ranksUnder(p ident.Prefix) []ident.Rank {
-	ids := d.tree.Members(p)
-	out := make([]ident.Rank, len(ids))
-	for i, id := range ids {
-		out[i], _ = d.ros.rankOf(id)
+	out := []ident.Rank{} // non-nil even when empty: subtreesOf caches it
+	for m, t := range d.tables {
+		if t != nil && (p.Len() == 0 || ident.Digit(d.ros.top[m]) == p.Digit(0)) && d.ros.recs[m].ID.HasPrefix(p) {
+			out = append(out, ident.Rank(m))
+		}
 	}
+	slices.SortFunc(out, func(a, b ident.Rank) int { return d.ros.recs[a].ID.Compare(d.ros.recs[b].ID) })
 	return out
 }
 
@@ -149,38 +156,51 @@ func (d *Directory) IDs() []ident.ID { return d.tree.Members(ident.EmptyPrefix) 
 // strengthens the latency results' baseline — and inserts the user's
 // record into every table where it belongs (including the key server's).
 //
-// Both happen in one pass over the tables in rank order, one probe per
-// existing member: vnet.Network promises symmetric RTTs, so the RTT the
-// joiner measures to a member is the one that member files the joiner
-// under, and a join reads one shortest-path tree, the joiner's. Rank
-// order is a function of the event sequence alone, so which of several
-// equally near members an entry keeps is too.
+// Both happen in one pass over the members in rank order, one probe
+// per existing member: vnet.Network promises symmetric RTTs, so the RTT
+// the joiner measures to a member is the one that member files the
+// joiner under, and a join reads one shortest-path tree, the joiner's.
+// Rank order is a function of the event sequence alone, so which of
+// several equally near members an entry keeps is too. A member whose
+// top digit differs files the joiner in row 0, read from the column
+// store by rank: only the members sharing the joiner's top digit
+// (about N/B) have their table loaded.
 func (d *Directory) Join(rec Record) error {
 	if _, ok := d.rankOf(rec.ID); ok {
 		return fmt.Errorf("overlay: duplicate join of %v", rec.ID)
 	}
-	table, err := NewTable(d.params, d.k, rec)
-	if err != nil {
-		return err
-	}
 	if err := d.tree.Insert(rec.ID); err != nil {
 		return err
 	}
-	table.ros = d.ros
 	r := d.ros.assign(rec) // the membership's reference
 	for int(r) >= len(d.tables) {
 		d.tables = append(d.tables, nil)
 	}
+	d.cols.grow(len(d.tables))
+	table := newTable(d.params, rec, d.ros, d.cols, r)
+	x0 := rec.ID.Digit(0)
 	for m, t := range d.tables {
 		if t == nil {
 			continue
 		}
-		row, col, _ := t.cell(rec.ID)
-		rtt := d.net.RTT(rec.Host, t.owner.Host)
-		if d.isAlive(t.owner.ID) {
-			table.insert(row, t.owner.ID.Digit(row), ident.Rank(m), rtt)
+		owner := &d.ros.recs[m]
+		rtt := d.net.RTT(rec.Host, owner.Host)
+		// Each files the other; the announce costs one notification
+		// message per table actually updated. Row 0 (top digits differ)
+		// is the column store's, so m's table is not loaded.
+		if top := ident.Digit(d.ros.top[m]); top != x0 {
+			if d.isAlive(owner.ID) {
+				d.cols.entry(d.ros, r, top).put(ident.Rank(m), rtt)
+			}
+			if d.cols.entry(d.ros, ident.Rank(m), x0).put(r, rtt) {
+				d.maintenanceMessages++
+			}
+			continue
 		}
-		// Announce: one notification message per table actually updated.
+		row, col, _ := t.cell(rec.ID)
+		if d.isAlive(owner.ID) {
+			table.insert(row, owner.ID.Digit(row), ident.Rank(m), rtt)
+		}
 		if t.insert(row, col, r, rtt) {
 			d.maintenanceMessages++
 		}
@@ -204,17 +224,31 @@ func (d *Directory) Leave(id ident.ID) error {
 		return err
 	}
 	cands := d.subtreesOf(id)
-	for _, t := range d.tables {
+	for m, t := range d.tables {
 		if t == nil {
 			continue
 		}
-		if row, col, _ := t.cell(id); t.remove(row, col, r) {
+		if row, col, e := d.filed(m, id); e.drop(r) {
 			d.maintenanceMessages++
 			d.refill(&t.grid, row, col, t.owner.Host, cands(row), nil)
 		}
 	}
 	d.ros.unref(r)
 	return nil
+}
+
+// filed returns the entry of member m's table that id belongs in: its
+// (0, id[0])-entry from the column store when their top digits differ,
+// else a deeper entry of m's table. m's own ID gets a zero Entry.
+func (d *Directory) filed(m int, id ident.ID) (row int, col ident.Digit, e Entry) {
+	if col = id.Digit(0); ident.Digit(d.ros.top[m]) != col {
+		return 0, col, d.cols.entry(d.ros, ident.Rank(m), col)
+	}
+	t := d.tables[m]
+	if row, col, ok := t.cell(id); ok {
+		return row, col, t.entry(row, col)
+	}
+	return 0, 0, Entry{}
 }
 
 // subtreesOf hands out the refill candidates of one membership event:
@@ -244,7 +278,7 @@ func (d *Directory) drop(id ident.ID) (ident.Rank, error) {
 	}
 	d.tables[r].release()
 	d.tables[r] = nil
-	if d.server.remove(0, id.Digit(0), r) {
+	if d.server.entry(0, id.Digit(0)).drop(r) {
 		d.maintenanceMessages++
 		d.refillServer(id.Digit(0))
 	}
@@ -317,18 +351,19 @@ func (d *Directory) refillServer(j ident.Digit) {
 // such entries below min{K, m}; once the eviction shrinks the membership
 // (the server's failure notification, Section 3.2) those entries must be
 // topped up or no later event ever repairs them. Entries already at K
-// are no-ops, so the sweep costs O(N) table lookups.
+// are no-ops, so the sweep reads one column of the row-0 store and the
+// tables of the members sharing the user's top digit.
 func (d *Directory) Evict(id ident.ID) error {
 	r, err := d.drop(id)
 	if err != nil {
 		return err
 	}
 	cands := d.subtreesOf(id)
-	for _, t := range d.tables {
+	for m, t := range d.tables {
 		if t == nil {
 			continue
 		}
-		if row, col, _ := t.cell(id); t.entry(row, col).Len() < d.k {
+		if row, col, e := d.filed(m, id); e.Len() < d.k {
 			d.refill(&t.grid, row, col, t.owner.Host, cands(row), nil)
 		}
 	}
@@ -339,16 +374,19 @@ func (d *Directory) Evict(id ident.ID) error {
 
 // Holders returns, in ID order, the users whose tables currently hold
 // the given user: the one "who holds X" scan failure detection and
-// eviction repair share.
+// eviction repair share. Like Join it reads row 0 from the column store.
 func (d *Directory) Holders(id ident.ID) []ident.ID {
 	r, ok := d.ros.rankOf(id) // an evicted user keeps its rank while held
 	if !ok {
 		return nil
 	}
 	var out []ident.ID
-	for _, t := range d.tables {
-		if t != nil && t.holds(id, r) {
-			out = append(out, t.owner.ID)
+	for m, t := range d.tables {
+		if t == nil {
+			continue
+		}
+		if _, _, e := d.filed(m, id); e.index(r) >= 0 {
+			out = append(out, d.ros.recs[m].ID)
 		}
 	}
 	slices.SortFunc(out, ident.ID.Compare)

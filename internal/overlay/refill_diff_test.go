@@ -14,10 +14,50 @@ import (
 
 // This file keeps the refill the directory used before the one-pass
 // selector — materialise the subtree, sort all of it by RTT, insert in
-// order until the entry is full — as a reference model, and drives it
-// and the real Directory through the same random event scripts. Ties are
+// order until the entry is full — and the join that visits every table
+// before the row-0 column scan as a reference model, and drives it and
+// the real Directory through the same random event scripts. Ties are
 // ordered (RTT, ID): the candidates arrive in ID order and the sort is
 // stable.
+
+// refJoin is the table walk Join replaced: every member's table, in
+// rank order, resolves where it files the joiner (Table.cell) and
+// inserts it there, whichever row that is, and the joiner files the
+// member back. It shares the slot storage with the directory, not the
+// column scan.
+func refJoin(d *Directory, rec Record) error {
+	if _, ok := d.rankOf(rec.ID); ok {
+		return fmt.Errorf("duplicate join of %v", rec.ID)
+	}
+	if err := d.tree.Insert(rec.ID); err != nil {
+		return err
+	}
+	r := d.ros.assign(rec)
+	for int(r) >= len(d.tables) {
+		d.tables = append(d.tables, nil)
+	}
+	d.cols.grow(len(d.tables))
+	table := newTable(d.params, rec, d.ros, d.cols, r)
+	for m, t := range d.tables {
+		if t == nil {
+			continue
+		}
+		row, col, _ := t.cell(rec.ID)
+		rtt := d.net.RTT(rec.Host, t.owner.Host)
+		if d.isAlive(t.owner.ID) {
+			table.insert(row, t.owner.ID.Digit(row), ident.Rank(m), rtt)
+		}
+		if t.insert(row, col, r, rtt) {
+			d.maintenanceMessages++
+		}
+	}
+	d.tables[r] = table
+	d.maintenanceMessages += table.NeighborCount()
+	if d.server.insert(0, rec.ID.Digit(0), r, d.net.RTT(d.server.Host(), rec.Host)) {
+		d.maintenanceMessages++
+	}
+	return nil
+}
 
 // refRefill is the sort-everything refill of one entry of a user table
 // or of the key server's. It inserts by ID (grid.insertNeighbor), so it
@@ -197,7 +237,9 @@ func ranksAllMembers(d *Directory) error {
 // mid-script, through the Directory and through the reference model, and
 // requires identical tables and message counts after every event, and
 // K-consistency and no rank held by a non-member at every quiescent
-// point (no user crashed but not yet evicted and repaired).
+// point (no user crashed but not yet evicted and repaired). Some
+// evictions re-admit the evicted ID at a new host before its holders
+// repair, so the join refreshes slots that still name its rank.
 func TestRefillMatchesSortEverythingReference(t *testing.T) {
 	params := ident.Params{Digits: 3, Base: 6}
 	const hosts, k, events = 400, 3, 500
@@ -229,20 +271,22 @@ func TestRefillMatchesSortEverythingReference(t *testing.T) {
 
 				var members []ident.ID
 				nextHost := 1
-				join := func() {
-					id, _ := ident.FromInt(params, rng.Intn(params.Capacity()))
-					if _, ok := got.Record(id); ok {
-						return
-					}
+				admit := func(id ident.ID) {
 					r := Record{Host: vnet.HostID(nextHost%(hosts-1) + 1), ID: id}
 					nextHost++
 					if err := got.Join(r); err != nil {
 						t.Fatal(err)
 					}
-					if err := want.Join(r); err != nil {
+					if err := refJoin(want, r); err != nil {
 						t.Fatal(err)
 					}
 					members = append(members, id)
+				}
+				join := func() {
+					id, _ := ident.FromInt(params, rng.Intn(params.Capacity()))
+					if _, ok := got.Record(id); !ok {
+						admit(id)
+					}
 				}
 				pick := func() ident.ID {
 					i := rng.Intn(len(members))
@@ -303,21 +347,34 @@ func TestRefillMatchesSortEverythingReference(t *testing.T) {
 							t.Fatalf("event %d: evict %v failed", ev, id)
 						}
 						check(ev, "evict")
+						holders := got.Holders(id)
+						rejoin := rng.Intn(3) == 0
+						if rejoin {
+							// The ID is re-admitted at a new host while its
+							// holders still name its rank.
+							what = "evict+rejoin+repair"
+							delete(dead, id.Key())
+							delete(suspected, id.Key())
+							admit(id)
+							check(ev, "rejoin")
+						}
 						if rng.Intn(2) == 0 {
 							crash() // mid-recovery: only suspect knows yet
 						}
-						for _, owner := range got.Holders(id) {
+						for _, owner := range holders {
 							tab, _ := got.TableOf(owner)
 							row, col, _ := tab.cell(id)
 							got.Repair(owner, id, suspect)
 							wrow, wcol, wok := refRepair(want, owner, id, suspect)
-							if tab.Contains(id) || !wok || row != wrow || col != wcol {
+							if (!rejoin && tab.Contains(id)) || !wok || row != wrow || col != wcol {
 								t.Fatalf("event %d: Repair(%v, %v) emptied %d,%d, reference %d,%d,%v",
 									ev, owner, id, row, col, wrow, wcol, wok)
 							}
 						}
-						delete(dead, id.Key())
-						delete(suspected, id.Key())
+						if !rejoin { // a rejoined ID may have crashed again
+							delete(dead, id.Key())
+							delete(suspected, id.Key())
+						}
 					default:
 						join()
 					}

@@ -18,7 +18,9 @@
 // "The join and leave protocols of T-mesh are based on the Silk protocols,
 // but simplified to improve simulation efficiency." The Directory applies
 // the state changes a correct Silk run would produce, while counting the
-// protocol messages it would cost.
+// protocol messages it would cost. Each event passes over every member
+// once, so the members' row 0 is stored column by column (see columns):
+// the row-0 entries one event touches form one contiguous run.
 package overlay
 
 import (
@@ -58,22 +60,34 @@ type slot struct {
 
 var emptySlot = slot{rank: ident.NoRank}
 
+// empty marks every slot of s unused and returns s.
+func empty(s []slot) []slot {
+	for i := range s {
+		s[i] = emptySlot
+	}
+	return s
+}
+
 // roster is the rank-indexed record store every slot resolves through:
 // one per Directory, shared by its tables, or private to a stand-alone
 // table, which makes one on its first insert.
 //
 // A rank is released only when its user is neither a member nor named
 // by any slot. refs counts exactly that: one per slot naming the rank
-// (kept by grid.insert, remove and release) plus one while the user is
+// (kept by Entry.put, drop and grid.release) plus one while the user is
 // a member. Evict leaves stale slots behind on purpose, so the evicted
 // user's rank outlives its membership; an ID re-admitted before its
 // holders repair gets the same rank back (the RankTable still maps it)
 // and assign files the new Record under it, so the stale slots resolve
 // to the new record and the join's announce pass refreshes their RTT.
+//
+// top is each rank's 0th ID digit, fixed while the rank lives, so the
+// directory's column scans need not load IDs.
 type roster struct {
 	ranks *ident.RankTable
 	recs  []Record
 	refs  []int32
+	top   []byte
 }
 
 func newRoster() *roster { return &roster{ranks: ident.NewRankTable(0)} }
@@ -85,8 +99,10 @@ func (ro *roster) assign(rec Record) ident.Rank {
 	if int(r) == len(ro.recs) {
 		ro.recs = append(ro.recs, Record{})
 		ro.refs = append(ro.refs, 0)
+		ro.top = append(ro.top, 0)
 	}
 	ro.recs[r] = rec
+	ro.top[r] = byte(rec.ID.Digit(0))
 	ro.refs[r]++
 	return r
 }
@@ -108,9 +124,10 @@ func (ro *roster) unref(r ident.Rank) {
 
 // Entry is a read view of one (i,j) cell of a neighbor table: at most K
 // neighbors in increasing RTT order. It is a small value (the roster
-// plus the entry's K-slot window, unused slots NoRank at the tail; an
-// entry of a row nobody was ever inserted into has no window) and
-// follows the table's later changes.
+// plus the entry's K-slot window, unused slots NoRank at the tail; a
+// row-0 window lies in a column store, and an entry of a deeper row
+// nobody was ever inserted into has no window) and follows the table's
+// later changes: no window ever moves.
 type Entry struct {
 	ros   *roster
 	slots []slot
@@ -196,52 +213,29 @@ func settle(ns []slot, i int) {
 	}
 }
 
-// grid is the slot storage of a table: rows of B entries of K
-// contiguous slots. A row is one B×K block allocated on its first
-// insert: few rows of a table are ever populated (about two of D at the
-// group sizes the paper simulates), and a dense D×B×K block would be
-// 80 KB per member at DefaultParams.
-type grid struct {
-	ros  *roster
-	k    int
-	base int
-	rows [][]slot
-}
-
-func (g *grid) entry(row int, col ident.Digit) Entry {
-	e := Entry{ros: g.ros}
-	if blk := g.rows[row]; blk != nil {
-		e.slots = blk[col*g.k : (col+1)*g.k]
-	}
-	return e
-}
-
-// insert places rank r, rtt away, into the (row,col)-entry keeping RTT
-// order and the K cap: a rank already held has its RTT refreshed, a
-// full entry yields its farthest slot to a strictly nearer rank only.
-// It reports whether the entry changed.
-func (g *grid) insert(row int, col ident.Digit, r ident.Rank, rtt time.Duration) bool {
-	if g.rows[row] == nil {
-		blk := make([]slot, g.base*g.k)
-		for i := range blk {
-			blk[i] = emptySlot
+// put places rank r, rtt away, into the entry keeping RTT order and the
+// K cap (the window's length): a rank already held has its RTT
+// refreshed, a full entry yields its farthest slot to a strictly nearer
+// rank only. It reports whether the entry changed.
+func (e Entry) put(r ident.Rank, rtt time.Duration) bool {
+	at, n := -1, 0 // index(r) and Len() in one pass: held slots are a prefix
+	for ; n < len(e.slots) && e.slots[n].rank != ident.NoRank; n++ {
+		if e.slots[n].rank == r {
+			at = n
 		}
-		g.rows[row] = blk
 	}
-	e := g.entry(row, col)
-	at, n := e.index(r), e.Len()
 	switch {
 	case at >= 0: // refresh in place
 		if e.slots[at].rtt == rtt {
 			return false
 		}
-	case n < g.k:
+	case n < len(e.slots):
 		at, n = n, n+1
-		g.ros.refs[r]++
+		e.ros.refs[r]++
 	case rtt < e.slots[n-1].rtt:
 		at = n - 1 // displace the worst
-		g.ros.refs[r]++
-		g.ros.unref(e.slots[at].rank)
+		e.ros.refs[r]++
+		e.ros.unref(e.slots[at].rank)
 	default:
 		return false
 	}
@@ -250,18 +244,82 @@ func (g *grid) insert(row int, col ident.Digit, r ident.Rank, rtt time.Duration)
 	return true
 }
 
-// remove drops rank r from the (row,col)-entry, reporting whether it was
-// present.
-func (g *grid) remove(row int, col ident.Digit, r ident.Rank) bool {
-	e := g.entry(row, col)
+// drop removes rank r from the entry, reporting whether it was present.
+func (e Entry) drop(r ident.Rank) bool {
 	i := e.index(r)
 	if i < 0 {
 		return false
 	}
 	copy(e.slots[i:], e.slots[i+1:])
 	e.slots[len(e.slots)-1] = emptySlot
-	g.ros.unref(r)
+	e.ros.unref(r)
 	return true
+}
+
+// columns stores row 0 of a set of tables column by column: for each
+// column c, the K slots of every rank's (0,c)-entry sit back to back.
+// Every table whose owner differs from a membership event's user in
+// the top digit files it in one column, so Join, Leave, Evict and
+// Holders read that column as one contiguous run instead of N tables.
+// Chunks of 1<<shift ranks are allocated for all B columns at once and
+// never moved, so the store grows exactly and an Entry into it stays
+// valid. A directory's tables share one store, indexed by their ranks;
+// the key server's table and a stand-alone table own a one-rank store.
+type columns struct {
+	k, base int
+	shift   uint
+	chunks  [][]slot
+}
+
+// chunkShift sizes a directory's chunks: 64 ranks, so one column of a
+// chunk is a 4 KB run at K = 4.
+const chunkShift = 6
+
+// grow makes room for ranks [0, n).
+func (c *columns) grow(n int) {
+	for len(c.chunks)<<c.shift < n {
+		c.chunks = append(c.chunks, empty(make([]slot, c.base*c.k<<c.shift)))
+	}
+}
+
+// entry returns rank r's (0,col)-entry.
+func (c *columns) entry(ros *roster, r ident.Rank, col ident.Digit) Entry {
+	at := (col<<c.shift + int(r&(1<<c.shift-1))) * c.k
+	return Entry{ros: ros, slots: c.chunks[r>>c.shift][at : at+c.k]}
+}
+
+// grid is the slot storage of a table: row 0 in a column store at the
+// table's rank, every deeper row one B×K block of K contiguous slots per
+// entry, allocated on its first insert. Few deeper rows of a table are
+// ever populated (about one of D-1 at the group sizes the paper
+// simulates), and a dense D×B×K block would be 80 KB per member at
+// DefaultParams.
+type grid struct {
+	ros  *roster
+	cols *columns
+	rank ident.Rank
+	rows [][]slot // one header per row; rows[0] stays nil, row 0 is cols'
+}
+
+func (g *grid) entry(row int, col ident.Digit) Entry {
+	if row == 0 {
+		return g.cols.entry(g.ros, g.rank, col)
+	}
+	e := Entry{ros: g.ros}
+	if blk := g.rows[row]; blk != nil {
+		e.slots = blk[col*g.cols.k : (col+1)*g.cols.k]
+	}
+	return e
+}
+
+// insert places rank r, rtt away, into the (row,col)-entry (see
+// Entry.put), allocating a deeper row on its first insert. It reports
+// whether the entry changed.
+func (g *grid) insert(row int, col ident.Digit, r ident.Rank, rtt time.Duration) bool {
+	if row > 0 && g.rows[row] == nil {
+		g.rows[row] = empty(make([]slot, g.cols.base*g.cols.k))
+	}
+	return g.entry(row, col).put(r, rtt)
 }
 
 // insertNeighbor and removeID are the ID-keyed forms: they resolve the
@@ -278,20 +336,27 @@ func (g *grid) insertNeighbor(row int, col ident.Digit, n Neighbor) bool {
 
 func (g *grid) removeID(row int, col ident.Digit, id ident.ID) bool {
 	r, ok := g.ros.rankOf(id)
-	return ok && g.remove(row, col, r)
+	return ok && g.entry(row, col).drop(r)
 }
 
-// release empties the grid, giving up every slot's hold on its rank.
+// release empties the grid, giving up every slot's hold on its rank, so
+// that the row-0 windows are empty for the rank's next owner.
 func (g *grid) release() {
 	g.forEach(func(_ int, _ ident.Digit, s slot) { g.ros.unref(s.rank) })
+	for col := range g.cols.base {
+		empty(g.entry(0, col).slots)
+	}
 	clear(g.rows)
 }
 
+// forEach visits every neighbor row by row, in column and RTT order.
 func (g *grid) forEach(fn func(row int, col ident.Digit, s slot)) {
-	for i, blk := range g.rows {
-		for at, s := range blk {
-			if s.rank != ident.NoRank {
-				fn(i, at/g.k, s)
+	for row := range g.rows {
+		for col := range g.cols.base {
+			for _, s := range g.entry(row, col).slots {
+				if s.rank != ident.NoRank {
+					fn(row, col, s)
+				}
 			}
 		}
 	}
@@ -299,44 +364,35 @@ func (g *grid) forEach(fn func(row int, col ident.Digit, s slot)) {
 
 // forward visits the populated entries of one row in column order.
 func (g *grid) forward(row int, visit func(row int, e Entry)) {
-	for blk := g.rows[row]; len(blk) > 0; blk = blk[g.k:] {
-		if blk[0].rank != ident.NoRank {
-			visit(row, Entry{ros: g.ros, slots: blk[:g.k]})
+	if row > 0 && g.rows[row] == nil {
+		return
+	}
+	for col := range g.cols.base {
+		if e := g.entry(row, col); e.slots[0].rank != ident.NoRank {
+			visit(row, e)
 		}
 	}
 }
 
 // Table is a user's neighbor table: D rows of B entries.
 type Table struct {
-	params ident.Params
-	owner  Record
+	owner Record
 	grid
 }
 
-// NewTable creates an empty stand-alone table for the owner. K must be
-// >= 1; the paper recommends K > 1 for resilience and uses K = 4.
-func NewTable(params ident.Params, k int, owner Record) (*Table, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("overlay: K must be >= 1, got %d", k)
-	}
-	if owner.ID.Len() != params.Digits {
-		return nil, fmt.Errorf("overlay: owner ID %v has %d digits, want %d", owner.ID, owner.ID.Len(), params.Digits)
-	}
-	return &Table{params: params, owner: owner,
-		grid: grid{k: k, base: params.Base, rows: make([][]slot, params.Digits)}}, nil
+// newTable makes the owner's table with row 0 at rank r of cols.
+func newTable(params ident.Params, owner Record, ros *roster, cols *columns, r ident.Rank) *Table {
+	return &Table{owner: owner, grid: grid{ros: ros, cols: cols, rank: r, rows: make([][]slot, params.Digits)}}
 }
 
 // Owner returns the table owner's record.
 func (t *Table) Owner() Record { return t.owner }
 
 // K returns the table's neighbor cap per entry.
-func (t *Table) K() int { return t.k }
+func (t *Table) K() int { return t.cols.k }
 
 // Params returns the ID-space parameters.
-func (t *Table) Params() ident.Params { return t.params }
+func (t *Table) Params() ident.Params { return ident.Params{Digits: len(t.rows), Base: t.cols.base} }
 
 // Entry returns the (i,j)-entry.
 func (t *Table) Entry(i int, j ident.Digit) Entry { return t.entry(i, j) }
@@ -347,7 +403,7 @@ func (t *Table) Entry(i int, j ident.Digit) Entry { return t.entry(i, j) }
 // Definition 3).
 func (t *Table) cell(id ident.ID) (row int, col ident.Digit, ok bool) {
 	l := t.owner.ID.CommonPrefixLen(id)
-	if l >= t.params.Digits {
+	if l >= len(t.rows) {
 		return 0, 0, false
 	}
 	return l, id.Digit(l), true
@@ -371,13 +427,9 @@ func (t *Table) Remove(id ident.ID) (row int, col ident.Digit, ok bool) {
 
 // Contains reports whether the neighbor with the given ID is present.
 func (t *Table) Contains(id ident.ID) bool {
-	r, ok := t.ros.rankOf(id)
-	return ok && t.holds(id, r)
-}
-
-func (t *Table) holds(id ident.ID, r ident.Rank) bool {
+	r, held := t.ros.rankOf(id)
 	row, col, ok := t.cell(id)
-	return ok && t.entry(row, col).index(r) >= 0
+	return held && ok && t.entry(row, col).index(r) >= 0
 }
 
 // NeighborCount returns the total number of neighbors across all entries.
@@ -403,7 +455,7 @@ func (t *Table) ForEachNeighbor(fn func(row int, col ident.Digit, n Neighbor)) {
 // neighbor of the entry is primary, and what the copy for its
 // (s+1)-digit subtree carries at forward_level s+1, are the visitor's.
 func (t *Table) Forward(level int, visit func(row int, e Entry)) {
-	for s := level; s < t.params.Digits; s++ {
+	for s := level; s < len(t.rows); s++ {
 		t.forward(s, visit)
 	}
 }
@@ -424,8 +476,9 @@ func NewServerTable(params ident.Params, k int, host vnet.HostID) (*ServerTable,
 	if k < 1 {
 		return nil, fmt.Errorf("overlay: K must be >= 1, got %d", k)
 	}
-	return &ServerTable{host: host,
-		grid: grid{k: k, base: params.Base, rows: make([][]slot, 1)}}, nil
+	cols := &columns{k: k, base: params.Base} // one rank
+	cols.grow(1)
+	return &ServerTable{host: host, grid: grid{cols: cols, rows: make([][]slot, 1)}}, nil
 }
 
 // Host returns the key server's host.

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -10,6 +11,20 @@ import (
 )
 
 var tp = ident.Params{Digits: 3, Base: 4}
+
+// NewTable creates an empty stand-alone table for the owner, checked
+// like the key server's: its roster is made on its first insert and its
+// row 0 is a private one-rank store.
+func NewTable(params ident.Params, k int, owner Record) (*Table, error) {
+	st, err := NewServerTable(params, k, 0)
+	if err != nil {
+		return nil, err
+	}
+	if owner.ID.Len() != params.Digits {
+		return nil, fmt.Errorf("owner ID %v has %d digits, want %d", owner.ID, owner.ID.Len(), params.Digits)
+	}
+	return newTable(params, owner, nil, st.cols, 0), nil
+}
 
 func rec(t *testing.T, host int, digits ...ident.Digit) Record {
 	t.Helper()

@@ -4,13 +4,18 @@
 # runs interleaved in time. Unpacks <base ref> under .bench_build/base,
 # runs bench/run.sh there and in the checkout alternately (swapping
 # which goes first each pair, seeds 1 and 2), then prints the harness's
-# verdict and each side's median [q1, q3] per end-to-end metric.
+# verdict and each side's median [q1, q3] per end-to-end metric. Given
+# a metric regex, it then makes one traced run (--trace 1, seed 1) per
+# side and prints "metric base head change%" for the per-layer metrics
+# the regex matches: the layer a claim says it moved.
 #
-#	make bench-pairs BASE=HEAD~1 WORKLOAD=sim_4096 PAIRS=10
+#	make bench-pairs BASE=HEAD~1 WORKLOAD=sim_4096 PAIRS=10 LAYERS='^overlay\.'
 set -euo pipefail
-base="${1:?usage: bench-pairs.sh <base git ref> <workload> [pairs]}"
-workload="${2:?usage: bench-pairs.sh <base git ref> <workload> [pairs]}"
+usage="usage: bench-pairs.sh <base git ref> <workload> [pairs] [layer metric regex]"
+base="${1:?$usage}"
+workload="${2:?$usage}"
 pairs="${3:-10}"
+layers="${4:-}"
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 basedir="$root/.bench_build/base"
 out="$root/.bench_build/pairs-$workload"
@@ -48,3 +53,20 @@ for m in setup_s interval_ms_p50 interval_ms_p90 members_per_s mem_bytes_per_mem
 				      printf "%-22s %-4s median %.6g [q1 %.6g, q3 %.6g] n=%d\n", m, side, med, a[int((NR + 3) / 4)], a[int((3 * NR + 1) / 4)], NR }'
 	done
 done
+
+[ -n "$layers" ] || exit 0
+for side in base head; do
+	dir="$root"
+	[ "$side" = base ] && dir="$basedir"
+	(cd "$dir" && bash bench/run.sh --workload "$workload" --seed 1 --trace 1 --out "$out/$side-traced.jsonl") >/dev/null
+	echo "traced: $side done" >&2
+done
+layer_values() { # side: "metric value" per matching metric of its traced run
+	grep -o '"[^"]*":{"value":[^,}]*' "$out/$1-traced.jsonl" | sed 's/^"\([^"]*\)":{"value":/\1 /' |
+		re="$layers" awk '$1 ~ ENVIRON["re"]'
+}
+printf "%-34s %12s %12s %8s\n" metric base head change
+awk 'NR == FNR { base[$1] = $2; next }
+	$1 in base { b = base[$1]
+	             printf "%-34s %12.6g %12.6g %8s\n", $1, b, $2, b == 0 ? "n/a" : sprintf("%+.1f%%", 100 * ($2 - b) / b) }' \
+	<(layer_values base) <(layer_values head)
