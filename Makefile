@@ -108,15 +108,17 @@ bench-harness:
 
 # bench-pairs is how a perf claim is measured: BASE (a git ref) and the
 # checkout run WORKLOAD alternately, PAIRS times, then bench/run.sh
-# --compare judges the two result files. LAYERS, a metric regex such as
-# '^overlay\.', adds one traced run per side and prints the matching
-# per-layer metrics side by side. See scripts/bench-pairs.sh.
+# --compare judges the two result files. WORKLOAD may be a
+# space-separated list: each workload gets its own pairs and its own
+# verdict block. LAYERS, a metric regex such as '^overlay\.', adds one
+# traced run per side and prints the matching per-layer metrics side by
+# side. See scripts/bench-pairs.sh.
 BASE ?= HEAD
 WORKLOAD ?= sim_4096
 PAIRS ?= 10
 LAYERS ?=
 bench-pairs:
-	bash scripts/bench-pairs.sh $(BASE) $(WORKLOAD) $(PAIRS) '$(LAYERS)'
+	bash scripts/bench-pairs.sh $(BASE) '$(WORKLOAD)' $(PAIRS) '$(LAYERS)'
 
 # loc prints non-test Go lines per package under internal/ and cmd/,
 # and their total — the number CHANGES.md quotes for net-negative PRs —
@@ -124,7 +126,7 @@ bench-pairs:
 # internal/transport + internal/rekeyd and on the total, in that order,
 # that the last simplicity PR reached. A PR that must grow past one
 # raises it here, in the open, next to its CHANGES.md line.
-LOC_BUDGET ?= 2570 20746
+LOC_BUDGET ?= 2570 20803
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs wc -l | \
 		awk -v budget="$(LOC_BUDGET)" \

@@ -18,7 +18,10 @@
 // two crypto-heavy stages parallelize: regen fans out across level-1
 // ID subtrees (Lemma 3 makes them independent rekey units) inside
 // keytree.Regenerate, and apply fans out across delivered
-// users below — both through work.Run, the process-wide fan-out.
+// users below — both through work.Run, the process-wide fan-out. Each
+// apply worker unwraps through its own keycrypt.Unwrapper for the one
+// call, so a KEK its members share is expanded once per worker while
+// every member still opens its own encryptions.
 // Determinism contract: with a fixed seed, every stage's output is
 // byte-identical at any width.
 package core
@@ -74,7 +77,8 @@ func (e *ApplyError) Unwrap() error {
 // storeApplier applies deliveries to keyrings held in a sharded member
 // store, fanning out across users through work.Run. Users without a
 // keyring (non-leaders in cluster mode, or plain-crypto runs) are
-// skipped.
+// skipped. Each worker's keyrings unwrap through one
+// keycrypt.Unwrapper, dropped when Apply returns.
 type storeApplier struct {
 	store *memberstate.Store
 	// limit is work.Run's upper bound on the fan-out (<= 0: none).
@@ -118,7 +122,7 @@ func (a *storeApplier) Apply(interval uint64, deliveries []split.Delivery) error
 	appliedC := a.obs.Counter("core_apply_users")
 	skippedC := a.obs.Counter("core_apply_skipped_users")
 	errs := make([]error, len(order))
-	applyUser := func(i int) {
+	applyUser := func(i int, unw *keycrypt.Unwrapper) {
 		id := order[i]
 		kr := a.store.Keyring(id)
 		if kr == nil {
@@ -128,7 +132,7 @@ func (a *storeApplier) Apply(interval uint64, deliveries []split.Delivery) error
 		appliedC.Inc()
 		for _, d := range byUser[id.Key()] {
 			sub := &keytree.Message{Interval: interval, Encryptions: d.Encryptions}
-			if _, err := kr.Apply(sub); err != nil {
+			if _, err := kr.ApplyWith(unw, sub); err != nil {
 				errs[i] = err
 				return
 			}
@@ -140,12 +144,13 @@ func (a *storeApplier) Apply(interval uint64, deliveries []split.Delivery) error
 
 	work.Run(a.limit, len(order), func(_ int, next func() (int, bool)) {
 		obs.WithStage(a.label, "apply", func() {
+			unw := keycrypt.NewUnwrapper()
 			for {
 				i, ok := next()
 				if !ok {
 					return
 				}
-				applyUser(i)
+				applyUser(i, unw)
 			}
 		})
 	})
@@ -178,8 +183,10 @@ func (a *storeApplier) Apply(interval uint64, deliveries []split.Delivery) error
 // so apply costs O(members × depth) lookups instead of O(members ×
 // message cost) scans. A message that carries a duplicate encryption ID
 // cannot be indexed and falls back to a full Keyring.Apply per member —
-// the reference behaviour the indexed path is tested against. The index
-// is reused across calls, so steady-state apply allocates nothing
+// the reference behaviour the indexed path is tested against. Both
+// branches unwrap through one keycrypt.Unwrapper per worker and call,
+// keyed by KEK material, so a wrong KEK still fails. The index is
+// reused across calls, so steady-state apply allocates nothing
 // proportional to the group. Not safe for concurrent Apply calls.
 type indexedApplier struct {
 	store  *memberstate.Store
@@ -227,6 +234,7 @@ func (a *indexedApplier) Apply(msg *keytree.Message, members []ident.ID) (int64,
 		obs.WithStage(a.label, "apply", func() {
 			mini := keytree.Message{Interval: msg.Interval}
 			scratch := make([]keycrypt.Encryption, 0, a.depth+1)
+			unw := keycrypt.NewUnwrapper()
 			var updated int64
 			firstIdx, firstErr := len(members), error(nil)
 			for {
@@ -239,7 +247,7 @@ func (a *indexedApplier) Apply(msg *keytree.Message, members []ident.ID) (int64,
 				if kr := a.store.Keyring(id); kr == nil {
 					err = fmt.Errorf("no keyring")
 				} else if full {
-					n, err = kr.Apply(msg)
+					n, err = kr.ApplyWith(unw, msg)
 				} else {
 					scratch = scratch[:0]
 					for l := 0; l <= a.depth; l++ {
@@ -251,7 +259,7 @@ func (a *indexedApplier) Apply(msg *keytree.Message, members []ident.ID) (int64,
 						continue
 					}
 					mini.Encryptions = scratch
-					n, err = kr.Apply(&mini)
+					n, err = kr.ApplyWith(unw, &mini)
 				}
 				if err != nil {
 					if i < firstIdx {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"tmesh/internal/ident"
+	"tmesh/internal/keycrypt"
 	"tmesh/internal/keytree"
 	"tmesh/internal/memberstate"
 	"tmesh/internal/split"
@@ -433,6 +434,92 @@ func TestIndexedApplierMatchesFullApply(t *testing.T) {
 					if !a.Equal(b) {
 						t.Fatalf("trial %d limit %d: member %v level %d key differs from the reference", trial, limit, id, l)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestAppliersFailAWrongKEKAfterACacheHit: an apply worker's Unwrapper
+// keeps the cipher state of every KEK it has used, but a member whose
+// level-1 key is wrong must still fail its unwrap after a sibling under
+// the same level-1 subtree, earlier in the list and on the same worker,
+// has cached the right one. Every other member installs exactly what
+// the reference Keyring.Apply installs.
+func TestAppliersFailAWrongKEKAfterACacheHit(t *testing.T) {
+	params := ident.Params{Digits: 3, Base: 4}
+	tree, err := keytree.New(params, []byte("wrong-kek"), keytree.Opts{RealCrypto: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []ident.ID
+	for _, v := range []int{0, 5, 1, 2, 9, 16, 32, 33} { // [0,0,0], [0,1,1], [0,0,1], ...
+		id, err := ident.FromInt(params, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if _, err := tree.Batch(ids, nil); err != nil {
+		t.Fatal(err)
+	}
+	victim := ids[1]
+	newStore := func() *memberstate.Store {
+		st := memberstate.NewStore()
+		for _, id := range ids {
+			path, err := tree.PathKeys(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id == victim {
+				for i := range path {
+					if path[i].ID.Len() == 1 {
+						path[i].Key = keycrypt.DeriveKey([]byte("stale"), "level-1")
+					}
+				}
+			}
+			kr, err := keytree.NewKeyring(params, id, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.PutKeyring(id, kr)
+		}
+		return st
+	}
+	ref, indexed, stored := newStore(), newStore(), newStore()
+	// [1,0,0] leaves: the group key is wrapped under [0]'s unchanged key,
+	// which ids[0] opens (and caches) just before the victim tries.
+	msg, err := tree.Batch(nil, []ident.ID{ids[5]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	survivors := append(append([]ident.ID(nil), ids[:5]...), ids[6:]...)
+	var deliveries []split.Delivery
+	for _, id := range survivors {
+		if id != victim {
+			if _, err := ref.Keyring(id).Apply(msg); err != nil {
+				t.Fatalf("reference apply for %v: %v", id, err)
+			}
+		}
+		deliveries = append(deliveries, split.Delivery{To: id, Encryptions: msg.Encryptions})
+	}
+
+	_, err = newIndexedApplier(params, indexed, 1, "").Apply(msg, survivors)
+	if !errors.Is(err, keycrypt.ErrDecrypt) || !strings.HasPrefix(err.Error(), "member "+victim.String()+":") {
+		t.Errorf("indexedApplier: err = %v, want %v failing with ErrDecrypt", err, victim)
+	}
+	err = (&storeApplier{store: stored, limit: 1}).Apply(msg.Interval, deliveries)
+	var agg *ApplyError
+	if !errors.As(err, &agg) || len(agg.Users) != 1 || agg.Users[0] != victim || !errors.Is(err, keycrypt.ErrDecrypt) {
+		t.Errorf("storeApplier: err = %v, want only %v failing with ErrDecrypt", err, victim)
+	}
+	for _, st := range []*memberstate.Store{indexed, stored} {
+		for _, id := range survivors {
+			for l := 0; id != victim && l <= params.Digits; l++ {
+				a, _ := ref.Keyring(id).Key(id.Prefix(l))
+				b, _ := st.Keyring(id).Key(id.Prefix(l))
+				if !a.Equal(b) {
+					t.Fatalf("member %v level %d key differs from the reference", id, l)
 				}
 			}
 		}

@@ -6,7 +6,9 @@
 // The paper treats encryptions as opaque fixed-size units and measures
 // rekey cost in number of encryptions; this package makes them real
 // (AES-256-GCM) so that examples and tests can verify end-to-end that each
-// user can decrypt exactly the keys it is entitled to.
+// user can decrypt exactly the keys it is entitled to. Wrapper and
+// Unwrapper are the batch forms a worker reuses across one interval's
+// wraps and unwraps; their outputs equal the one-shot functions'.
 package keycrypt
 
 import (
@@ -20,6 +22,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"slices"
 
 	"tmesh/internal/ident"
 )
@@ -123,7 +126,8 @@ func (e Encryption) RelevantTo(w ident.Prefix) bool {
 func WrapSeeded(kek Key, kekID ident.Prefix, newKey Key, newKeyID ident.Prefix, version uint64, nonceSeed []byte, context uint64) (Encryption, error) {
 	mac := hmac.New(sha256.New, nonceSeed)
 	mac.Write([]byte("nonce/"))
-	mac.Write(wrapAAD(kekID, newKeyID, version))
+	aad := appendWrapAAD(nil, kekID, newKeyID, version)
+	mac.Write(aad)
 	var ctx [8]byte
 	binary.BigEndian.PutUint64(ctx[:], context)
 	mac.Write(ctx[:])
@@ -133,7 +137,7 @@ func WrapSeeded(kek Key, kekID ident.Prefix, newKey Key, newKeyID ident.Prefix, 
 	if err != nil {
 		return Encryption{}, err
 	}
-	ct := aead.Seal(append([]byte(nil), nonce...), nonce, newKey.bytes[:], wrapAAD(kekID, newKeyID, version))
+	ct := aead.Seal(append([]byte(nil), nonce...), nonce, newKey.bytes[:], aad)
 	return Encryption{
 		ID:         kekID,
 		KeyID:      newKeyID,
@@ -208,18 +212,53 @@ func (w *Wrapper) WrapSeeded(kek Key, kekID ident.Prefix, newKey Key, newKeyID i
 // wrapped key. It fails with ErrDecrypt if kek is not the key identified by
 // e.ID or the ciphertext was tampered with.
 func Unwrap(kek Key, e Encryption) (Key, error) {
-	aead, err := newAEAD(kek)
-	if err != nil {
-		return Key{}, err
+	return (*Unwrapper)(nil).Unwrap(kek, e)
+}
+
+// Unwrapper is Wrapper's twin on the apply side: it batches one worker's
+// Unwrap calls, reusing the AAD scratch and the plaintext buffer, and
+// keeps the AES-GCM state built from each KEK it has seen, keyed by that
+// KEK's material. Every call still runs its own Open, tag check and
+// decryption; only the cipher setup a KEK always yields is shared, so a
+// wrong or stale KEK misses and fails exactly as the one-shot Unwrap. A
+// nil *Unwrapper is the one-shot path. Not safe for concurrent use;
+// give each worker its own, for one batch.
+type Unwrapper struct {
+	aeads map[Key]cipher.AEAD
+	aad   []byte
+	pt    []byte
+}
+
+// NewUnwrapper returns an empty Unwrapper.
+func NewUnwrapper() *Unwrapper {
+	return &Unwrapper{aeads: make(map[Key]cipher.AEAD)}
+}
+
+// Unwrap is the batch form of the package-level Unwrap; its results and
+// errors are the same.
+func (u *Unwrapper) Unwrap(kek Key, e Encryption) (Key, error) {
+	if u == nil {
+		u = &Unwrapper{}
+	}
+	aead, ok := u.aeads[kek]
+	if !ok {
+		var err error
+		if aead, err = newAEAD(kek); err != nil {
+			return Key{}, err
+		}
+		if u.aeads != nil {
+			u.aeads[kek] = aead
+		}
 	}
 	if len(e.Ciphertext) < nonceSize {
 		return Key{}, fmt.Errorf("%w: ciphertext too short", ErrDecrypt)
 	}
-	nonce, ct := e.Ciphertext[:nonceSize], e.Ciphertext[nonceSize:]
-	pt, err := aead.Open(nil, nonce, ct, wrapAAD(e.ID, e.KeyID, e.KeyVersion))
+	u.aad = appendWrapAAD(u.aad[:0], e.ID, e.KeyID, e.KeyVersion)
+	pt, err := aead.Open(u.pt[:0], e.Ciphertext[:nonceSize], e.Ciphertext[nonceSize:], u.aad)
 	if err != nil {
 		return Key{}, fmt.Errorf("%w: %v", ErrDecrypt, err)
 	}
+	u.pt = pt
 	return KeyFromBytes(pt)
 }
 
@@ -265,13 +304,10 @@ func newAEAD(k Key) (cipher.AEAD, error) {
 	return aead, nil
 }
 
-// wrapAAD binds an encryption to its advertised IDs and version so that a
-// relabelled encryption fails authentication.
-func wrapAAD(kekID, newKeyID ident.Prefix, version uint64) []byte {
-	return appendWrapAAD(make([]byte, 0, kekID.Len()+newKeyID.Len()+10), kekID, newKeyID, version)
-}
-
+// appendWrapAAD binds an encryption to its advertised IDs and version so
+// that a relabelled encryption fails authentication.
 func appendWrapAAD(dst []byte, kekID, newKeyID ident.Prefix, version uint64) []byte {
+	dst = slices.Grow(dst, kekID.Len()+newKeyID.Len()+10)
 	dst = append(dst, byte(kekID.Len()))
 	dst = append(dst, kekID.Key()...)
 	dst = append(dst, byte(newKeyID.Len()))

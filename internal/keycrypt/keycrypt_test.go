@@ -225,3 +225,72 @@ func TestWrapperMatchesWrapSeeded(t *testing.T) {
 		}
 	}
 }
+
+// TestUnwrapperMatchesUnwrap: the batch Unwrapper, nil or live, returns
+// what the one-shot Unwrap returns over random wraps; a cached KEK's
+// cipher state never opens a tampered, relabelled or foreign
+// encryption; and an unwrap under a cached KEK allocates nothing.
+func TestUnwrapperMatchesUnwrap(t *testing.T) {
+	u := NewUnwrapper()
+	var nilU *Unwrapper
+	keks := make([]Key, 5) // few KEKs, so most live unwraps hit the cache
+	for i := range keks {
+		keks[i] = DeriveKey([]byte{byte(i)}, "kek")
+	}
+	prop := func(i uint8, seed []byte, version uint64) bool {
+		kek := keks[int(i)%len(keks)]
+		nk := DeriveKey(seed, "new")
+		kekID := mustPrefix(t, ident.Digit(i%4), ident.Digit(i%3))
+		keyID := mustPrefix(t, ident.Digit(i%4))
+		e, err := WrapSeeded(kek, kekID, nk, keyID, version, seed, version)
+		if err != nil {
+			return false
+		}
+		want, werr := Unwrap(kek, e)
+		got, gerr := u.Unwrap(kek, e)
+		once, oerr := nilU.Unwrap(kek, e)
+		return werr == nil && gerr == nil && oerr == nil && got.Equal(want) && once.Equal(want) && want.Equal(nk)
+	}
+	for i := range keks { // every KEK cached before the negative cases
+		if !prop(uint8(i), []byte("warm"), 1) {
+			t.Fatalf("KEK %d: Unwrapper differs from Unwrap", i)
+		}
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+
+	kek := keks[0]
+	e, err := WrapSeeded(kek, mustPrefix(t, 1, 2), DeriveKey(nil, "new"), mustPrefix(t, 1), 3, []byte("n"), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered := e
+	tampered.Ciphertext = append([]byte(nil), e.Ciphertext...)
+	tampered.Ciphertext[nonceSize] ^= 1
+	relabel := func(f func(*Encryption)) Encryption { x := e; f(&x); return x }
+	for name, bad := range map[string]Encryption{
+		"tampered":    tampered,
+		"relabel ID":  relabel(func(x *Encryption) { x.ID = mustPrefix(t, 7, 7) }),
+		"relabel Key": relabel(func(x *Encryption) { x.KeyID = mustPrefix(t, 7) }),
+		"relabel ver": relabel(func(x *Encryption) { x.KeyVersion++ }),
+	} {
+		if _, err := u.Unwrap(kek, bad); !errors.Is(err, ErrDecrypt) {
+			t.Errorf("%s: err = %v, want ErrDecrypt", name, err)
+		}
+	}
+	for _, wrong := range keks[1:] {
+		if _, err := u.Unwrap(wrong, e); !errors.Is(err, ErrDecrypt) {
+			t.Errorf("wrong cached KEK: err = %v, want ErrDecrypt", err)
+		}
+	}
+
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := u.Unwrap(kek, e); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Unwrapper.Unwrap under a cached KEK allocates %.2f times, want 0", allocs)
+	}
+}

@@ -74,8 +74,16 @@ func (kr *Keyring) Needs(e keycrypt.Encryption) bool { return e.NeededBy(kr.id) 
 // splitting scheme): it unwraps, deepest-first, every encryption the user
 // needs and installs the new keys. It returns the number of keys
 // updated. Encryptions the user does not need are ignored, so Apply
-// works identically with or without upstream splitting.
-func (kr *Keyring) Apply(msg *Message) (int, error) {
+// works identically with or without upstream splitting. An encryption
+// whose wrapped key is not strictly above its encrypting key on the
+// path is rejected: every honest wrap seals a key under a deeper one.
+func (kr *Keyring) Apply(msg *Message) (int, error) { return kr.ApplyWith(nil, msg) }
+
+// ApplyWith is Apply unwrapping through u, one apply worker's batch
+// state (nil: one-shot unwraps). Only k-node KEKs go through u: the
+// individual key is this member's alone, so caching its cipher state
+// would only grow the worker's map.
+func (kr *Keyring) ApplyWith(u *keycrypt.Unwrapper, msg *Message) (int, error) {
 	needed := kr.scratch[:0]
 	for _, e := range msg.Encryptions {
 		if kr.Needs(e) {
@@ -97,13 +105,18 @@ func (kr *Keyring) Apply(msg *Message) (int, error) {
 	for _, e := range needed {
 		// Needs guarantees e.ID is on the owner's path, so the KEK is
 		// always held; the wrapped key's ID must be on the path too or
-		// installing it would clobber an unrelated level.
-		if !e.KeyID.IsPrefixOfID(kr.id) || e.KeyID.Len() >= len(kr.levels) {
-			err = fmt.Errorf("keytree: %v received key %v outside its path", kr.id, e.KeyID)
+		// installing it would clobber an unrelated level, and strictly
+		// above e.ID, or a holder of a shallower key could overwrite a
+		// deeper one it does not hold.
+		if !e.KeyID.IsPrefixOfID(kr.id) || e.KeyID.Len() >= e.ID.Len() {
+			err = fmt.Errorf("keytree: %v received key %v outside its path above %v", kr.id, e.KeyID, e.ID)
 			break
 		}
-		kek := kr.levels[e.ID.Len()]
-		newKey, uerr := keycrypt.Unwrap(kek.Key, e)
+		kek, eu := kr.levels[e.ID.Len()], u
+		if e.ID.Len() == len(kr.levels)-1 {
+			eu = nil
+		}
+		newKey, uerr := eu.Unwrap(kek.Key, e)
 		if uerr != nil {
 			err = fmt.Errorf("keytree: %v unwrapping %v: %w", kr.id, e.KeyID, uerr)
 			break

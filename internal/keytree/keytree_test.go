@@ -473,6 +473,63 @@ func TestKeyringValidation(t *testing.T) {
 	}
 }
 
+// TestKeyringRejectsWrapUnderShallowerKey: a member that holds a key on
+// the victim's path seals a key for one of the victim's levels under
+// it. An honest wrap always seals a key under a deeper one, so every
+// forgery that wraps a key under a shallower or equal KEK is refused,
+// one under a KEK the victim does not hold is ignored, and the victim's
+// keys are unchanged either way.
+func TestKeyringRejectsWrapUnderShallowerKey(t *testing.T) {
+	params := ident.Params{Digits: 3, Base: 3}
+	tr := newTree(t, params, true)
+	members := ids(t, params, 0, 1, 9) // victim [0,0,0], its sibling [0,0,1], [1,0,0]
+	victim, sibling := members[0], members[1]
+	if _, err := tr.Batch(members, nil); err != nil {
+		t.Fatal(err)
+	}
+	kr, err := tr.JoinKeyring(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attacker, err := tr.JoinKeyring(sibling)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := tr.PathKeys(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := keycrypt.DeriveKey([]byte("attacker"), "forged")
+	for _, c := range []struct {
+		name       string
+		kek, keyID ident.Prefix
+	}{
+		{"shallower KEK", victim.Prefix(0), victim.Prefix(1)},
+		{"root self-wrap", victim.Prefix(0), victim.Prefix(0)},
+		{"level-1 self-wrap", victim.Prefix(1), victim.Prefix(1)},
+		{"shared parent over the individual key", victim.Prefix(2), victim.AsPrefix()},
+		{"sibling's individual key", sibling.AsPrefix(), victim.Prefix(2)},
+	} {
+		kek, ok := attacker.Key(c.kek)
+		if !ok {
+			t.Fatalf("%s: the attacker does not hold %v", c.name, c.kek)
+		}
+		e, err := keycrypt.WrapSeeded(kek, c.kek, forged, c.keyID, 99, []byte("n"), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := kr.Apply(&Message{Interval: tr.Interval(), Encryptions: []keycrypt.Encryption{e}})
+		if n != 0 || (err == nil) == kr.Needs(e) {
+			t.Errorf("%s: installed=%d err=%v, want nothing installed and an error iff the victim holds the KEK", c.name, n, err)
+		}
+		for _, pk := range before {
+			if got, _ := kr.Key(pk.ID); !got.Equal(pk.Key) {
+				t.Fatalf("%s: the victim's key at %v changed", c.name, pk.ID)
+			}
+		}
+	}
+}
+
 // TestStructureMatchesIDTreeProperty: after random batches, the key tree
 // structure is exactly the ID tree of the member set.
 func TestStructureMatchesIDTreeProperty(t *testing.T) {
