@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"tmesh/internal/chaos"
 	"tmesh/internal/obs"
 	"tmesh/internal/obs/expose"
 	"tmesh/internal/obs/trace"
@@ -310,7 +311,8 @@ func TestRunMultiGroupSoakMetricsOut(t *testing.T) {
 }
 
 // TestRunSoakTraceOut drives a tiny soak with the flight recorder on
-// and audits the resulting trace file end to end.
+// and audits the resulting trace file end to end: its own checks, then
+// the chaos auditors through chaos.TraceEvidence.
 func TestRunSoakTraceOut(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke test")
@@ -328,16 +330,25 @@ func TestRunSoakTraceOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	audits, err := trace.AuditRecords(records)
-	if err != nil {
-		t.Fatal(err)
+	groups := trace.Groups(records)
+	if len(groups) != 6 { // a data and a rekey trace per interval
+		t.Fatalf("trace file holds %d traces, want 6", len(groups))
 	}
-	if len(audits) != 6 { // a data and a rekey trace per interval
-		t.Fatalf("trace file holds %d traces, want 6", len(audits))
-	}
-	for _, a := range audits {
-		if !a.OK() {
-			t.Errorf("trace %s: %d audit violations", a.ID, a.TotalViolations())
+	for _, g := range groups {
+		for _, c := range g.Audit().Checks {
+			for _, v := range c.Violations {
+				t.Errorf("trace %s %s: %s", g.ID, c.Name, v)
+			}
+		}
+		ev, err := chaos.TraceEvidence(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verdicts, _ := chaos.Audit(ev, nil)
+		for _, v := range verdicts {
+			if line := v.Line(); line != "" {
+				t.Errorf("trace %s: %s", g.ID, line)
+			}
 		}
 	}
 }

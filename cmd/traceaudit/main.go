@@ -5,68 +5,83 @@
 //
 //	traceaudit <trace.jsonl>
 //
-// For every trace in the stream it reconstructs the delivery tree from
-// the hop records and verifies the paper's path theorems: causal stream
-// order, forwarding-level monotonicity, Theorem 1 (exactly one copy per
-// member), Theorem 2 (an encryption crosses a hop iff some downstream
-// user needs it, by the ID-prefix test), and Lemma 3 slice coverage
-// across the degradation ladder. It prints a '#'-comment summary per
-// trace plus a per-forwarding-level TSV (hop counts and sim-time
-// latency distributions, the Fig. 6/8-style series). Exit status: 0
-// all checks green, 1 any violation, 2 usage or I/O trouble.
+// For every trace in the stream it checks the records against
+// themselves (schema, causal stream order, forwarding-level
+// monotonicity), then builds the chaos auditors' evidence from them
+// (chaos.TraceEvidence) and runs chaos.Audit, the same Theorem 1,
+// Theorem 2 and Lemma 3 checks every soak plane runs. An auditor the
+// trace gives nothing to read prints n/a. It prints a '#'-comment
+// summary per trace plus a per-forwarding-level TSV (hop counts and
+// sim-time latency distributions, the Fig. 6/8-style series). Exit
+// status: 0 all checks green, 1 any violation, 2 usage, I/O or bad IDs.
 package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
+	"tmesh/internal/chaos"
 	"tmesh/internal/obs/trace"
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, out *os.File) int {
+func run(args []string, out, errOut io.Writer) int {
 	if len(args) != 1 {
-		fmt.Fprintln(os.Stderr, "usage: traceaudit <trace.jsonl>")
+		fmt.Fprintln(errOut, "usage: traceaudit <trace.jsonl>")
 		return 2
 	}
 	f, err := os.Open(args[0])
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "traceaudit:", err)
+		fmt.Fprintln(errOut, "traceaudit:", err)
 		return 2
 	}
 	defer f.Close()
 	records, err := trace.ParseRecords(f)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "traceaudit:", err)
+		fmt.Fprintln(errOut, "traceaudit:", err)
 		return 2
 	}
 	if len(records) == 0 {
-		fmt.Fprintln(os.Stderr, "traceaudit: no trace records in", args[0])
+		fmt.Fprintln(errOut, "traceaudit: no trace records in", args[0])
 		return 2
 	}
-	audits, err := trace.AuditRecords(records)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "traceaudit:", err)
-		return 2
+	groups := trace.Groups(records)
+	evs := make([]*chaos.Evidence, len(groups))
+	for i, g := range groups {
+		if evs[i], err = chaos.TraceEvidence(g); err != nil {
+			fmt.Fprintln(errOut, "traceaudit:", err)
+			return 2
+		}
 	}
 
 	violations := 0
 	fmt.Fprintln(out, "trace\tlevel\thops\tdropped\tunits\tlatency_ms_mean\tlatency_ms_p95\tlatency_ms_max")
-	for _, a := range audits {
+	for i, g := range groups {
+		a := g.Audit()
 		fmt.Fprintf(out, "# %s interval=%d mode=%s members=%d survivors=%d hops=%d dropped=%d duplicates=%d unicasts=%d resyncs=%d\n",
 			a.ID, a.Interval, a.Mode, a.Members, a.Survivors, a.Hops, a.DroppedHops, a.Duplicates, a.Unicasts, a.Resyncs)
+		// The trace's own checks first, then the theorems.
+		var rows []chaos.Verdict
 		for _, c := range a.Checks {
-			if len(c.Violations) == 0 {
-				fmt.Fprintf(out, "#   %-20s ok\n", c.Name)
-				continue
-			}
-			violations += len(c.Violations)
-			fmt.Fprintf(out, "#   %-20s FAIL (%d)\n", c.Name, len(c.Violations))
-			for _, v := range c.Violations {
-				fmt.Fprintf(out, "#     - %s\n", v)
+			rows = append(rows, chaos.Verdict{Name: c.Name, Violations: c.Violations})
+		}
+		verdicts, _ := chaos.Audit(evs[i], nil)
+		for _, v := range append(rows, verdicts...) {
+			switch {
+			case len(v.Violations) > 0:
+				violations += len(v.Violations)
+				fmt.Fprintf(out, "#   %-20s FAIL (%d)\n", v.Name, len(v.Violations))
+				for _, line := range v.Violations {
+					fmt.Fprintf(out, "#     - %s\n", line)
+				}
+			case v.NA:
+				fmt.Fprintf(out, "#   %-20s n/a\n", v.Name)
+			default:
+				fmt.Fprintf(out, "#   %-20s ok\n", v.Name)
 			}
 		}
 		for _, ls := range a.Levels {
@@ -76,9 +91,9 @@ func run(args []string, out *os.File) int {
 		}
 	}
 	if violations > 0 {
-		fmt.Fprintf(os.Stderr, "traceaudit: %d violation(s) across %d trace(s)\n", violations, len(audits))
+		fmt.Fprintf(errOut, "traceaudit: %d violation(s) across %d trace(s)\n", violations, len(groups))
 		return 1
 	}
-	fmt.Fprintf(out, "# %d trace(s), all checks green\n", len(audits))
+	fmt.Fprintf(out, "# %d trace(s), all checks green\n", len(groups))
 	return 0
 }

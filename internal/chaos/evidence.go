@@ -41,6 +41,11 @@ type Evidence struct {
 	// every copy must go to a member and carry only encryptions relevant
 	// to the subtree its receiver forwards for (Theorem 2).
 	Hops []split.Delivery
+	// Message is the rekey message where the plane splits per encryption
+	// (only its IDs are read). Set, it makes the hop check Theorem 2 both
+	// ways: a hop carries exactly the message's encryptions related to
+	// its receiver's subtree, and no hop goes to a subtree needing none.
+	Message []keycrypt.Encryption
 
 	// Tree is the key server's tree and Keyed the members — all of them,
 	// or the key plane's sample — whose keys are compared with it:
@@ -106,10 +111,12 @@ type Counts struct {
 }
 
 // Verdict is one auditor's outcome; no violations means the invariant
-// held.
+// held. NA marks an auditor the evidence gave nothing to read, whose
+// pass is therefore vacuous.
 type Verdict struct {
 	Name       string
 	Violations []string
+	NA         bool
 }
 
 // Line renders a failed verdict as "name: violation; violation" and a
@@ -127,12 +134,13 @@ func (v Verdict) Line() string {
 var auditors = []struct {
 	name  string
 	check func(*Evidence, *Counts) []string
+	reads func(*Evidence) bool // the evidence holds something check reads
 }{
-	{"k-consistency", checkKConsistency},
-	{"delivery", checkDelivery},
-	{"coverage", checkCoverage},
-	{"cluster", checkCluster},
-	{"ladder", checkLadder},
+	{"k-consistency", checkKConsistency, func(ev *Evidence) bool { return ev.Dir != nil }},
+	{"delivery", checkDelivery, func(ev *Evidence) bool { return ev.Copies != nil || ev.Hops != nil }},
+	{"coverage", checkCoverage, func(ev *Evidence) bool { return ev.Ladder != nil || ev.Tree != nil }},
+	{"cluster", checkCluster, func(ev *Evidence) bool { return ev.Clusters != nil }},
+	{"ladder", checkLadder, func(ev *Evidence) bool { return ev.Ladder != nil }},
 }
 
 // AuditorNames returns the registry's names in order.
@@ -159,7 +167,7 @@ func Audit(ev *Evidence, reg *obs.Registry) ([]Verdict, Counts) {
 		} else {
 			reg.Counter("chaos_audit_pass_" + a.name).Inc()
 		}
-		out[i] = Verdict{Name: a.name, Violations: vs}
+		out[i] = Verdict{Name: a.name, Violations: vs, NA: !a.reads(ev)}
 	}
 	return out, c
 }
@@ -190,7 +198,8 @@ func checkKConsistency(ev *Evidence, _ *Counts) []string {
 
 // checkDelivery is Theorem 1 — no member ever receives a second copy of
 // the multicast, and in a fault-free interval every live member receives
-// one — plus, over a hop log, Theorem 2's forwarding rule.
+// one — plus, over a hop log, Theorem 2's forwarding rule, decided by the
+// ID-prefix test alone (never by the split code under audit).
 func checkDelivery(ev *Evidence, c *Counts) []string {
 	var vs []string
 	for _, cp := range ev.Copies {
@@ -206,6 +215,7 @@ func checkDelivery(ev *Evidence, c *Counts) []string {
 			vs = append(vs, fmt.Sprintf("member %v missed the multicast in a fault-free interval", cp.ID))
 		}
 	}
+	carried := make(map[ident.Prefix]int)
 	for _, h := range ev.Hops {
 		if !ev.present(h.To) {
 			vs = append(vs, fmt.Sprintf("copy to non-member %v", h.To))
@@ -215,10 +225,28 @@ func checkDelivery(ev *Evidence, c *Counts) []string {
 		// its own path; encryptions for another level-l subtree are the
 		// violation.
 		w := h.To.Prefix(min(max(h.Level, 0), h.To.Len()))
+		clear(carried)
 		for _, enc := range h.Encryptions {
+			carried[enc.ID]++
 			if !enc.RelevantTo(w) {
 				vs = append(vs, fmt.Sprintf("%v forwarding at level %d received encryption for unrelated subtree %v", h.To, h.Level, enc.ID))
 			}
+		}
+		want := 0
+		for _, enc := range ev.Message {
+			if enc.RelevantTo(w) {
+				want++
+				if carried[enc.ID] == 0 {
+					vs = append(vs, fmt.Sprintf("%v forwarding at level %d lacks encryption %v that subtree %v needs", h.To, h.Level, enc.ID, w))
+				}
+			}
+		}
+		switch {
+		case ev.Message == nil: // no message to hold the hop to
+		case want == 0:
+			vs = append(vs, fmt.Sprintf("copy to %v at level %d, but no encryption of the message is for subtree %v (Theorem 2)", h.To, h.Level, w))
+		case len(h.Encryptions) != want:
+			vs = append(vs, fmt.Sprintf("%v forwarding at level %d received %d encryptions, the message has %d for subtree %v", h.To, h.Level, len(h.Encryptions), want, w))
 		}
 	}
 	return vs

@@ -153,6 +153,17 @@ func TestAuditorsCanFail(t *testing.T) {
 		{name: "hop carries another subtree's encryption", ev: &Evidence{Hops: []split.Delivery{
 			{To: a, Level: 1, Encryptions: []keycrypt.Encryption{{ID: inA}, {ID: c.Prefix(1)}}}}},
 			fails: map[string]string{"delivery": "unrelated subtree"}},
+		{name: "hop carries exactly its subtree's encryptions", ev: &Evidence{
+			Message: []keycrypt.Encryption{{ID: ident.EmptyPrefix}, {ID: inA}, {ID: c.Prefix(1)}},
+			Hops:    []split.Delivery{{To: a, Level: 1, Encryptions: []keycrypt.Encryption{{ID: ident.EmptyPrefix}, {ID: inA}}}}}},
+		{name: "hop lacks a needed encryption", ev: &Evidence{
+			Message: []keycrypt.Encryption{{ID: ident.EmptyPrefix}, {ID: inA}},
+			Hops:    []split.Delivery{{To: a, Level: 1, Encryptions: []keycrypt.Encryption{{ID: inA}}}}},
+			fails: map[string]string{"delivery": "lacks encryption [] that subtree"}},
+		{name: "hop to a subtree that needs none", ev: &Evidence{
+			Message: []keycrypt.Encryption{{ID: inA}},
+			Hops:    []split.Delivery{{To: c, Level: 1}}},
+			fails: map[string]string{"delivery": "no encryption of the message is for subtree"}},
 
 		{name: "stale group key", ev: &Evidence{Tree: freshWorld.Tree(), Keyed: freshMembers,
 			GroupKeyOf: func(id ident.ID) (keycrypt.Key, bool) {

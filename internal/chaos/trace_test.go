@@ -6,12 +6,14 @@ import (
 
 	"tmesh/internal/obs"
 	"tmesh/internal/obs/trace"
+	"tmesh/internal/recovery"
 )
 
 // TestSoakTracingDoesNotPerturbReport: the flight recorder must read the
 // simulation without steering it — same seed, same report, byte for
-// byte, tracing on or off — and every recorded trace must pass the
-// offline theorem audit even under 15% hop loss.
+// byte, tracing on or off — and every recorded trace must pass its own
+// audit and the auditors, through TraceEvidence, even under 15% hop
+// loss.
 func TestSoakTracingDoesNotPerturbReport(t *testing.T) {
 	plain := runSoak(t, smallConfig(31))
 
@@ -32,26 +34,45 @@ func TestSoakTracingDoesNotPerturbReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	audits, err := trace.AuditRecords(records)
-	if err != nil {
-		t.Fatal(err)
-	}
+	groups := trace.Groups(records)
 	// Every interval opens a data and a rekey trace.
-	if want := 2 * cfg.Intervals; len(audits) != want {
-		t.Fatalf("recorded %d traces, want %d", len(audits), want)
+	if want := 2 * cfg.Intervals; len(groups) != want {
+		t.Fatalf("recorded %d traces, want %d", len(groups), want)
 	}
-	var rekeyHops, drops, recoveries int
-	for _, a := range audits {
-		if !a.OK() {
-			for _, c := range a.Checks {
-				for _, v := range c.Violations {
-					t.Errorf("%s %s: %s", a.ID, c.Name, v)
-				}
+	var rekeyHops, drops, recoveries, offMulticast, lostCopies int
+	for _, g := range groups {
+		a := g.Audit()
+		for _, c := range a.Checks {
+			for _, v := range c.Violations {
+				t.Errorf("%s %s: %s", a.ID, c.Name, v)
+			}
+		}
+		ev, err := TraceEvidence(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verdicts, _ := Audit(ev, nil)
+		for _, v := range verdicts {
+			if line := v.Line(); line != "" {
+				t.Errorf("%s %s", a.ID, line)
+			}
+		}
+		for _, cp := range ev.Copies {
+			if cp.N == 0 {
+				lostCopies++
 			}
 		}
 		if a.Label == "rekey" {
 			rekeyHops += a.Hops
 			recoveries += a.Unicasts + a.Resyncs
+			// Guard the adapter against leaving the theorem evidence nil.
+			if len(ev.Hops) == 0 || ev.Message == nil || ev.Ladder == nil {
+				t.Errorf("%s: evidence has %d hops, message set %v, ladder set %v",
+					a.ID, len(ev.Hops), ev.Message != nil, ev.Ladder != nil)
+			} else {
+				rungs := ev.Ladder.Rungs()
+				offMulticast += rungs[recovery.ByUnicast] + rungs[recovery.ByResync]
+			}
 		}
 		drops += a.DroppedHops
 	}
@@ -66,6 +87,12 @@ func TestSoakTracingDoesNotPerturbReport(t *testing.T) {
 	}
 	if recoveries == 0 {
 		t.Error("no ladder recoveries recorded despite 15% hop loss")
+	}
+	if offMulticast == 0 {
+		t.Error("the evidence settled nobody beyond the multicast rung despite 15% hop loss")
+	}
+	if lostCopies == 0 {
+		t.Error("the evidence counts no member without a copy despite 15% hop loss")
 	}
 }
 
@@ -93,11 +120,7 @@ func TestSoakTraceStreamDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		audits, err := trace.AuditRecords(records)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(audits)
+		return len(trace.Groups(records))
 	}
 	full, sampled := countTraces(a), countTraces(emit(2))
 	// Sampling every 2nd interval records intervals 1, 3, 5 of 6.

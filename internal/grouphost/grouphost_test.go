@@ -153,24 +153,7 @@ func TestAuditorsRunPerGroup(t *testing.T) {
 // settles each member that holds a keyring, so a member whose keyring
 // is gone fails both the coverage and the ladder check.
 func TestNetTenantLadderRecord(t *testing.T) {
-	const members = 6
-	net, err := vnet.NewGTITM(vnet.SoakGTITMConfig(), 1+members, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn, err := newNetTenant("ladder", GroupSpec{}, net, 0, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for h := 0; h < members; h++ {
-		if err := tn.apply(workload.Event{Kind: workload.Join, Host: h}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := tn.flush(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	nt := tn.(*netTenant)
+	nt := keyedNetTenant(t, 6)
 	audit := func() map[string]string {
 		verdicts, _ := chaos.Audit(nt.evidence(), nil)
 		failed := make(map[string]string)
@@ -193,6 +176,48 @@ func TestNetTenantLadderRecord(t *testing.T) {
 	}
 	if len(failed) != 2 {
 		t.Errorf("failed auditors %v, want coverage and ladder only", failed)
+	}
+}
+
+// keyedNetTenant joins members to a fresh NetPlane tenant and runs the
+// interval that keys them.
+func keyedNetTenant(t *testing.T, members int) *netTenant {
+	t.Helper()
+	net, err := vnet.NewGTITM(vnet.SoakGTITMConfig(), 1+members, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn, err := newNetTenant("ladder", GroupSpec{}, net, 0, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for h := 0; h < members; h++ {
+		if err := tn.apply(workload.Event{Kind: workload.Join, Host: h}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tn.flush(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	return tn.(*netTenant)
+}
+
+// TestNetTenantHopsCheckedAgainstMessage: the NetPlane tenant hands the
+// auditors the message it split, so a hop short of one encryption its
+// subtree needs fails delivery.
+func TestNetTenantHopsCheckedAgainstMessage(t *testing.T) {
+	nt := keyedNetTenant(t, 6)
+	ev := nt.evidence()
+	if len(ev.Hops) == 0 || len(ev.Message) == 0 {
+		t.Fatalf("evidence has %d hops and %d message encryptions", len(ev.Hops), len(ev.Message))
+	}
+	d := &nt.lastRep.Deliveries[0]
+	d.Encryptions = d.Encryptions[1:] // a fresh slice header: shared slices stay intact
+	verdicts, _ := chaos.Audit(nt.evidence(), nil)
+	for _, v := range verdicts {
+		if want := v.Name == "delivery"; want != strings.Contains(v.Line(), "lacks encryption") {
+			t.Errorf("auditor %s reported %q", v.Name, v.Line())
+		}
 	}
 }
 

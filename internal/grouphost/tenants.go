@@ -40,6 +40,7 @@ type netTenant struct {
 	// hostBase+1+i, hostBase being this group's key server.
 	s *core.Session
 
+	lastMsg    *keytree.Message
 	lastRep    *split.Report
 	lastEpochs map[string]uint64
 	// boundary and intervalStart are the current and the previous
@@ -81,14 +82,15 @@ func (t *netTenant) flush(boundary time.Duration) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	t.lastRep = rep
+	t.lastMsg, t.lastRep = msg, rep
 	return msg.Cost(), nil
 }
 
 // evidence gathers what the boundary left behind for the auditors (see
 // chaos.Evidence). The groups are small enough for a full Definition 3
 // sweep after every batch; the simulator transport is reliable, so a
-// distribute is fault-free and its hop log carries every copy made. The
+// distribute is fault-free and its hop log carries every copy made,
+// split per encryption, so the log is checked against the message. The
 // only delivery chain that can dangle here is the join-time unicast: a
 // member that should keep a keyring (everyone, or the leaders in cluster
 // mode) and has none was never keyed, so the ladder record settles each
@@ -113,6 +115,7 @@ func (t *netTenant) evidence() *chaos.Evidence {
 	}
 	if t.lastRep != nil {
 		ev.Hops = t.lastRep.Deliveries
+		ev.Message = t.lastMsg.Encryptions
 		copies := make(map[string]int, len(ids))
 		for _, d := range ev.Hops {
 			copies[d.To.Key()]++

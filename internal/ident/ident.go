@@ -157,27 +157,28 @@ func FreeID(p Params, rng *rand.Rand, taken func(ID) bool) (ID, error) {
 	return ID{}, fmt.Errorf("ident: no free ID in %d draws from a space of %d", 64*capacity, capacity)
 }
 
-// Parse reads the textual form produced by String: "[d0,d1,...]" with
-// decimal digits.
-func Parse(p Params, s string) (ID, error) {
+// ParsePrefix reads the "[d0,d1,...]" notation of Prefix.String back,
+// with every digit in 0–255 and no Params to check against; "[]" is the
+// empty prefix.
+func ParsePrefix(s string) (Prefix, error) {
 	s = strings.TrimSpace(s)
 	if len(s) < 2 || s[0] != '[' || s[len(s)-1] != ']' {
-		return ID{}, fmt.Errorf("ident: malformed ID %q", s)
+		return Prefix{}, fmt.Errorf("ident: malformed ID %q", s)
 	}
 	body := s[1 : len(s)-1]
 	if body == "" {
-		return ID{}, fmt.Errorf("ident: ID %q has no digits", s)
+		return EmptyPrefix, nil
 	}
 	parts := strings.Split(body, ",")
-	digits := make([]Digit, 0, len(parts))
+	digits := make([]byte, 0, len(parts))
 	for _, part := range parts {
 		d, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return ID{}, fmt.Errorf("ident: malformed ID %q: %w", s, err)
+		if err != nil || d < 0 || d > 255 {
+			return Prefix{}, fmt.Errorf("ident: malformed digit %q in %q", part, s)
 		}
-		digits = append(digits, d)
+		digits = append(digits, byte(d))
 	}
-	return New(p, digits)
+	return Prefix{digits: string(digits)}, nil
 }
 
 // Len returns D, the number of digits.

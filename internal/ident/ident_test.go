@@ -92,16 +92,23 @@ func TestFromIntRoundTrip(t *testing.T) {
 func TestParseRoundTrip(t *testing.T) {
 	p := Params{Digits: 4, Base: 256}
 	id := MustNew(p, []Digit{0, 255, 17, 3})
-	got, err := Parse(p, id.String())
-	if err != nil {
-		t.Fatalf("Parse(%q): %v", id.String(), err)
+	for _, pre := range []Prefix{EmptyPrefix, id.Prefix(1), id.Prefix(3), id.AsPrefix()} {
+		got, err := ParsePrefix(pre.String())
+		if err != nil {
+			t.Fatalf("ParsePrefix(%q): %v", pre.String(), err)
+		}
+		if got != pre {
+			t.Errorf("ParsePrefix(%q) = %v, want %v", pre.String(), got, pre)
+		}
 	}
-	if !got.Equal(id) {
-		t.Errorf("Parse(String()) = %v, want %v", got, id)
+	if got, err := ParsePrefix(" [ 1, 2 ] "); err != nil || got != MustNew(p, []Digit{1, 2, 0, 0}).Prefix(2) {
+		t.Errorf("ParsePrefix with spaces = %v, %v", got, err)
 	}
-	for _, bad := range []string{"", "[]", "0,1,2,3", "[0,1,2]", "[0,1,2,x]", "[0,1,2,300]"} {
-		if _, err := Parse(p, bad); err == nil {
-			t.Errorf("Parse(%q) should fail", bad)
+	// The bad inputs of both former readers: missing brackets, a
+	// non-integer digit, a digit outside 0–255, an empty digit.
+	for _, bad := range []string{"", "[", "]", "0,1", "[0,1", "0,1]", "[x]", "[0,1.5]", "[256]", "[-1]", "[0,,1]", "[,]"} {
+		if _, err := ParsePrefix(bad); err == nil {
+			t.Errorf("ParsePrefix(%q) should fail", bad)
 		}
 	}
 }

@@ -1,8 +1,3 @@
-// The trace analyzer: reconstructs the delivery tree of each recorded
-// multicast from its hop records and machine-checks the paper's path
-// theorems against it. Where the chaos soak's auditors check live
-// engine state, this audit works entirely from the JSONL flight-record,
-// so a failed soak can be diagnosed offline, hop by hop.
 package trace
 
 import (
@@ -10,18 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
-	"strconv"
-	"strings"
-
-	"tmesh/internal/ident"
+	"slices"
 )
 
-// Check is one theorem-level verdict of a trace audit.
+// Check is one verdict of a trace's self-audit.
 type Check struct {
-	// Name identifies the check: "causal-order", "level-monotonicity",
-	// "exactly-one-copy" (Theorem 1), "forward-minimality" (Theorem 2),
-	// or "coverage" (Lemma 3).
+	// Name identifies the check: "causal-order" (schema, unique spans,
+	// parents first) or "level-monotonicity" (levels and sim-times rise
+	// along every span, and no split grows the message).
 	Name string
 	// Violations lists every failure; empty means the check passed.
 	Violations []string
@@ -40,7 +31,7 @@ type LevelStats struct {
 	LatencyMeanNS, LatencyP95NS, LatencyMaxNS int64
 }
 
-// TraceAudit is the audited reconstruction of one trace.
+// TraceAudit is the self-audit and summary of one trace.
 type TraceAudit struct {
 	ID       string
 	Label    string
@@ -51,26 +42,17 @@ type TraceAudit struct {
 	Survivors   int
 	Hops        int
 	DroppedHops int
-	Duplicates  int
-	Unicasts    int
-	Resyncs     int
+	// Duplicates counts delivered hops beyond each receiver's first.
+	Duplicates int
+	// Unicasts and Resyncs count the users a delivered unicast or a
+	// resync reached.
+	Unicasts int
+	Resyncs  int
 
 	// Checks holds the verdicts in canonical order.
 	Checks []Check
 	// Levels holds per-forwarding-level distributions, ascending.
 	Levels []LevelStats
-}
-
-// OK reports whether every check passed.
-func (a *TraceAudit) OK() bool { return a.TotalViolations() == 0 }
-
-// TotalViolations counts failures across all checks.
-func (a *TraceAudit) TotalViolations() int {
-	n := 0
-	for _, c := range a.Checks {
-		n += len(c.Violations)
-	}
-	return n
 }
 
 // ParseRecords reads a JSONL trace stream, keeping every record whose
@@ -98,151 +80,113 @@ func ParseRecords(r io.Reader) ([]Record, error) {
 	return out, nil
 }
 
-// parsePrefix reads the "[d0,d1,...]" notation back into an ident
-// prefix ("[]" yields the empty prefix, which is also how the key
-// server appears as a hop origin).
-func parsePrefix(s string) (ident.Prefix, error) {
-	if len(s) < 2 || s[0] != '[' || s[len(s)-1] != ']' {
-		return ident.Prefix{}, fmt.Errorf("trace: malformed ID %q", s)
-	}
-	body := s[1 : len(s)-1]
-	if body == "" {
-		return ident.EmptyPrefix, nil
-	}
-	parts := strings.Split(body, ",")
-	key := make([]byte, 0, len(parts))
-	for _, p := range parts {
-		d, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || d < 0 || d > 255 {
-			return ident.Prefix{}, fmt.Errorf("trace: malformed digit in %q", s)
-		}
-		key = append(key, byte(d))
-	}
-	return ident.PrefixFromKey(string(key)), nil
+// Group is one trace's records, by kind, each kind in stream order. The
+// pointers are into the slice Groups was given.
+type Group struct {
+	ID string
+	// Open is the "trace" record and End the "end" record; nil when the
+	// stream has none.
+	Open, End *Record
+	// Members lists the users of the "member" records.
+	Members []string
+	// Hops holds every hop record, dropped or not; Unicasts the
+	// delivered unicast records; Resyncs the resync records.
+	Hops, Unicasts, Resyncs []*Record
+
+	schema []string // what malformed reports about the records
 }
 
-// traceState is the grouped raw material of one trace.
-type traceState struct {
-	meta    *Record
-	members []string        // user IDs in record order
-	hops    []int           // indices into the record slice
-	unicast map[string]bool // user -> delivered by rung 2
-	resync  map[string]bool // user -> delivered by rung 3
-	end     *Record
-	schema  []string // records that lack a required field
-}
-
-// AuditRecords groups records by trace ID (in first-seen order), runs
-// every check on each trace, and returns the audits. It fails only on
-// structurally unusable input (an unparsable ID); check violations are
-// reported in the audits, not as errors.
-func AuditRecords(records []Record) ([]*TraceAudit, error) {
-	order := []string{}
-	states := map[string]*traceState{}
-	stateOf := func(id string) *traceState {
-		st, ok := states[id]
-		if !ok {
-			st = &traceState{unicast: map[string]bool{}, resync: map[string]bool{}}
-			states[id] = st
-			order = append(order, id)
-		}
-		return st
-	}
+// Groups splits records by trace ID, in first-seen order.
+func Groups(records []Record) []*Group {
+	var out []*Group
+	byID := map[string]*Group{}
 	for i := range records {
 		rec := &records[i]
-		st := stateOf(rec.Trace)
-		if v := missingField(rec); v != "" {
-			st.schema = append(st.schema, v)
+		g, ok := byID[rec.Trace]
+		if !ok {
+			g = &Group{ID: rec.Trace}
+			byID[rec.Trace] = g
+			out = append(out, g)
+		}
+		if v := malformed(rec); v != "" {
+			g.schema = append(g.schema, v)
 		}
 		switch rec.Kind {
 		case "trace":
-			st.meta = rec
+			g.Open = rec
 		case "member":
-			st.members = append(st.members, rec.User)
+			g.Members = append(g.Members, rec.User)
 		case "hop":
-			st.hops = append(st.hops, i)
+			g.Hops = append(g.Hops, rec)
 		case "unicast":
 			if !rec.Dropped && rec.RecvNS >= 0 {
-				st.unicast[rec.User] = true
+				g.Unicasts = append(g.Unicasts, rec)
 			}
 		case "resync":
-			st.resync[rec.User] = true
+			g.Resyncs = append(g.Resyncs, rec)
 		case "end":
-			st.end = rec
+			g.End = rec
 		}
 	}
-	var out []*TraceAudit
-	for _, id := range order {
-		a, err := auditTrace(id, states[id], records)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, a)
-	}
-	return out, nil
+	return out
 }
 
-func auditTrace(id string, st *traceState, records []Record) (*TraceAudit, error) {
-	a := &TraceAudit{ID: id, Members: len(st.members), Unicasts: len(st.unicast), Resyncs: len(st.resync)}
-	schema := st.schema
-	var msgEncs []ident.Prefix
-	if st.meta != nil {
-		a.Label = st.meta.Label
-		a.Interval = st.meta.Interval
-		a.Mode = st.meta.Mode
-		for _, s := range st.meta.MsgEncs {
-			p, err := parsePrefix(s)
-			if err != nil {
-				return nil, err
-			}
-			msgEncs = append(msgEncs, p)
-		}
+// Survivors returns the users the delivery guarantees apply to: the end
+// record's, or every member when no end record closes the trace (a
+// standalone session without an auditing driver).
+func (g *Group) Survivors() []string {
+	if g.End != nil {
+		return g.End.Survivors
+	}
+	return g.Members
+}
+
+// Audit checks the trace's records against each other and summarizes
+// them.
+func (g *Group) Audit() *TraceAudit {
+	a := &TraceAudit{ID: g.ID, Members: len(g.Members), Survivors: len(g.Survivors()), Hops: len(g.Hops),
+		Unicasts: distinctUsers(g.Unicasts), Resyncs: distinctUsers(g.Resyncs)}
+	causal := append([]string(nil), g.schema...)
+	if g.Open != nil {
+		a.Label, a.Interval, a.Mode = g.Open.Label, g.Open.Interval, g.Open.Mode
 	} else {
-		schema = append(schema, "no \"trace\" record opens this trace")
+		causal = append(causal, "no \"trace\" record opens this trace")
 	}
+	var mono []string
 
-	// Survivor set: the closing record when present, else every member
-	// (standalone sessions without an auditing driver). Fault-freedom
-	// defaults to "no hop was dropped".
-	survivors := st.members
-	faultFree := true
-	if st.end != nil {
-		survivors = st.end.Survivors
-		faultFree = st.end.FaultFree
-	}
-	a.Survivors = len(survivors)
-
-	var causal, mono, exact, minimal, coverage []string
-	causal = append(causal, schema...)
-
-	// Index hops by span; verify span uniqueness and stream order.
-	spanAt := map[int64]int{} // span -> record index
-	for _, ri := range st.hops {
-		h := &records[ri]
-		a.Hops++
+	// Index hops by span; verify span uniqueness.
+	spanAt := map[int64]int{} // span -> index into g.Hops, which keep stream order
+	copies := map[string]int{}
+	for i, h := range g.Hops {
 		if h.Dropped {
 			a.DroppedHops++
-			faultFree = st.end != nil && st.end.FaultFree // a dropped hop means losses were live
+		} else {
+			copies[h.To]++
+			if copies[h.To] > 1 {
+				a.Duplicates++
+			}
 		}
 		if h.Span <= 0 {
 			causal = append(causal, fmt.Sprintf("hop to %s has span %d (spans are dense from 1)", h.To, h.Span))
 			continue
 		}
 		if prev, dup := spanAt[h.Span]; dup {
-			causal = append(causal, fmt.Sprintf("span %d reused (records %d and %d)", h.Span, prev, ri))
+			causal = append(causal, fmt.Sprintf("span %d reused (hops %d and %d)", h.Span, prev+1, i+1))
 			continue
 		}
-		spanAt[h.Span] = ri
+		spanAt[h.Span] = i
 	}
 
 	// Causal order + level monotonicity, hop by hop.
-	for _, ri := range st.hops {
-		h := &records[ri]
+	for i, h := range g.Hops {
 		if h.Level < 1 {
 			mono = append(mono, fmt.Sprintf("span %d: forwarding level %d < 1", h.Span, h.Level))
 		}
 		if !h.Dropped && h.RecvNS < h.SentNS {
 			mono = append(mono, fmt.Sprintf("span %d: received at %dns before sent at %dns", h.Span, h.RecvNS, h.SentNS))
+		}
+		if h.EncsIn < h.Encs {
+			mono = append(mono, fmt.Sprintf("span %d grew the message across the split (%d -> %d)", h.Span, h.EncsIn, h.Encs))
 		}
 		if h.Parent == 0 {
 			continue
@@ -252,10 +196,10 @@ func auditTrace(id string, st *traceState, records []Record) (*TraceAudit, error
 			causal = append(causal, fmt.Sprintf("span %d: parent span %d never recorded", h.Span, h.Parent))
 			continue
 		}
-		if pi > ri {
-			causal = append(causal, fmt.Sprintf("span %d at record %d precedes its parent span %d at record %d", h.Span, ri, h.Parent, pi))
+		if pi > i {
+			causal = append(causal, fmt.Sprintf("span %d precedes its parent span %d in the stream", h.Span, h.Parent))
 		}
-		p := &records[pi]
+		p := g.Hops[pi]
 		if p.Dropped {
 			causal = append(causal, fmt.Sprintf("span %d forwarded by %s, but parent span %d was dropped", h.Span, h.From, h.Parent))
 		}
@@ -270,119 +214,19 @@ func auditTrace(id string, st *traceState, records []Record) (*TraceAudit, error
 		}
 	}
 
-	// Theorem 1: at most one delivered copy per user, always; exactly
-	// one for every (needing) survivor in a fault-free interval.
-	delivered := map[string]int{}
-	items := map[string][]string{} // user -> delivered encryption IDs
-	for _, ri := range st.hops {
-		h := &records[ri]
-		if h.Dropped {
-			continue
-		}
-		delivered[h.To]++
-		items[h.To] = append(items[h.To], h.Items...)
-	}
-	users := make([]string, 0, len(delivered))
-	for u := range delivered {
-		users = append(users, u)
-	}
-	sort.Strings(users)
-	for _, u := range users {
-		if n := delivered[u]; n > 1 {
-			a.Duplicates += n - 1
-			exact = append(exact, fmt.Sprintf("user %s received %d copies (Theorem 1: at most one)", u, n))
-		}
-	}
-	needsOf := func(user string) ([]ident.Prefix, error) {
-		u, err := parsePrefix(user)
-		if err != nil {
-			return nil, err
-		}
-		var out []ident.Prefix
-		for _, e := range msgEncs {
-			if u.HasPrefix(e) { // Lemma 3: e.ID is a prefix of u.ID
-				out = append(out, e)
-			}
-		}
-		return out, nil
-	}
-	for _, user := range survivors {
-		needs, err := needsOf(user)
-		if err != nil {
-			return nil, err
-		}
-		gotCopy := delivered[user] > 0
-		recovered := st.unicast[user] || st.resync[user]
-		switch {
-		case msgEncs == nil:
-			// Data trace: no splitting, every survivor is owed a copy.
-			if faultFree && !gotCopy {
-				exact = append(exact, fmt.Sprintf("survivor %s missed the multicast in a fault-free interval", user))
-			}
-		case len(needs) > 0:
-			// Rekey trace: the ladder owes every needing survivor a
-			// delivery by some rung, faults or not.
-			if !gotCopy && !recovered {
-				coverage = append(coverage, fmt.Sprintf("survivor %s needed %d encryptions but no rung delivered", user, len(needs)))
-			}
-			if faultFree && !gotCopy {
-				exact = append(exact, fmt.Sprintf("needing survivor %s missed the multicast in a fault-free interval", user))
-			}
-			// Lemma 3: the delivered copy must contain the user's slice.
-			if gotCopy && len(items[user]) > 0 && !coversNeeds(items[user], needs) {
-				coverage = append(coverage, fmt.Sprintf("survivor %s's delivered copy lacks part of its Lemma 3 slice", user))
-			}
-		}
-	}
-
-	// Theorem 2: with per-encryption splitting, a hop carries exactly
-	// the encryptions prefix-related to its covered subtree — and a hop
-	// toward a subtree that needs nothing must not exist at all.
-	if st.meta != nil && st.meta.Mode == "per-encryption" && msgEncs != nil {
-		for _, ri := range st.hops {
-			h := &records[ri]
-			subtree, err := parsePrefix(h.Subtree)
-			if err != nil {
-				return nil, err
-			}
-			var want []string
-			for i, e := range msgEncs {
-				if e.Related(subtree) {
-					want = append(want, st.meta.MsgEncs[i])
-				}
-			}
-			if len(want) == 0 {
-				minimal = append(minimal, fmt.Sprintf("span %d forwarded to subtree %s, which no downstream user needs (Theorem 2)", h.Span, h.Subtree))
-				continue
-			}
-			if h.Encs != len(want) {
-				minimal = append(minimal, fmt.Sprintf("span %d to subtree %s carries %d encryptions, REKEY-MESSAGE-SPLIT selects %d", h.Span, h.Subtree, h.Encs, len(want)))
-			}
-			if len(h.Items) > 0 && !equalStrings(h.Items, want) {
-				minimal = append(minimal, fmt.Sprintf("span %d to subtree %s carries the wrong encryption set", h.Span, h.Subtree))
-			}
-			if h.EncsIn < h.Encs {
-				minimal = append(minimal, fmt.Sprintf("span %d grew the message across the split (%d -> %d)", h.Span, h.EncsIn, h.Encs))
-			}
-		}
-	}
-
 	a.Checks = []Check{
 		{Name: "causal-order", Violations: causal},
 		{Name: "level-monotonicity", Violations: mono},
-		{Name: "exactly-one-copy", Violations: exact},
-		{Name: "forward-minimality", Violations: minimal},
-		{Name: "coverage", Violations: coverage},
 	}
-	a.Levels = levelStats(st.hops, records)
-	return a, nil
+	a.Levels = levelStats(g.Hops)
+	return a
 }
 
-// missingField names the required field a record lacks, or returns ""
-// when it has them all: a trace's label, a member, unicast or resync
-// record's user, a hop's receiver. (An empty trace ID shows up as a trace
-// that no "trace" record opens.)
-func missingField(rec *Record) string {
+// malformed names what a record lacks, or returns "" when it is whole:
+// a trace's label, a member, unicast or resync record's user, a hop's
+// receiver, and a hop's item list that disagrees with its count. (An
+// empty trace ID shows up as a trace that no "trace" record opens.)
+func malformed(rec *Record) string {
 	switch rec.Kind {
 	case "trace":
 		if rec.Label == "" {
@@ -396,46 +240,27 @@ func missingField(rec *Record) string {
 		if rec.To == "" {
 			return fmt.Sprintf("hop span %d without a receiver", rec.Span)
 		}
+		if len(rec.Items) > 0 && len(rec.Items) != rec.Encs {
+			return fmt.Sprintf("hop span %d lists %d items but counts %d", rec.Span, len(rec.Items), rec.Encs)
+		}
 	}
 	return ""
 }
 
-// coversNeeds reports whether the delivered item multiset contains the
-// needed encryption multiset.
-func coversNeeds(items []string, needs []ident.Prefix) bool {
-	have := map[string]int{}
-	for _, it := range items {
-		have[it]++
+func distinctUsers(recs []*Record) int {
+	seen := map[string]bool{}
+	for _, r := range recs {
+		seen[r.User] = true
 	}
-	for _, n := range needs {
-		k := n.String()
-		if have[k] == 0 {
-			return false
-		}
-		have[k]--
-	}
-	return true
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return len(seen)
 }
 
 // levelStats folds the hop records into per-forwarding-level
 // distributions, ascending by level.
-func levelStats(hops []int, records []Record) []LevelStats {
+func levelStats(hops []*Record) []LevelStats {
 	byLevel := map[int]*LevelStats{}
 	lats := map[int][]int64{}
-	for _, ri := range hops {
-		h := &records[ri]
+	for _, h := range hops {
 		ls, ok := byLevel[h.Level]
 		if !ok {
 			ls = &LevelStats{Level: h.Level}
@@ -449,16 +274,10 @@ func levelStats(hops []int, records []Record) []LevelStats {
 		ls.Units += h.Encs
 		lats[h.Level] = append(lats[h.Level], h.RecvNS-h.SentNS)
 	}
-	levels := make([]int, 0, len(byLevel))
-	for l := range byLevel {
-		levels = append(levels, l)
-	}
-	sort.Ints(levels)
-	out := make([]LevelStats, 0, len(levels))
-	for _, l := range levels {
-		ls := byLevel[l]
+	out := make([]LevelStats, 0, len(byLevel))
+	for l, ls := range byLevel {
 		if samples := lats[l]; len(samples) > 0 {
-			sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+			slices.Sort(samples)
 			var sum int64
 			for _, v := range samples {
 				sum += v
@@ -469,5 +288,6 @@ func levelStats(hops []int, records []Record) []LevelStats {
 		}
 		out = append(out, *ls)
 	}
+	slices.SortFunc(out, func(a, b LevelStats) int { return a.Level - b.Level })
 	return out
 }

@@ -38,27 +38,18 @@ func baseRecords() []Record {
 
 func auditOne(t *testing.T, recs []Record) *TraceAudit {
 	t.Helper()
-	audits, err := AuditRecords(recs)
-	if err != nil {
-		t.Fatal(err)
+	groups := Groups(recs)
+	if len(groups) != 1 {
+		t.Fatalf("%d traces, want 1", len(groups))
 	}
-	if len(audits) != 1 {
-		t.Fatalf("%d audits, want 1", len(audits))
-	}
-	return audits[0]
+	return groups[0].Audit()
 }
 
 func wantViolation(t *testing.T, a *TraceAudit, check, substr string) {
 	t.Helper()
 	for _, c := range a.Checks {
 		if c.Name != check {
-			if len(c.Violations) > 0 && check != c.Name {
-				continue // other checks may legitimately co-fire
-			}
-			continue
-		}
-		if len(c.Violations) == 0 {
-			t.Fatalf("check %s passed, want a violation mentioning %q", check, substr)
+			continue // other checks may legitimately co-fire
 		}
 		for _, v := range c.Violations {
 			if strings.Contains(v, substr) {
@@ -67,12 +58,15 @@ func wantViolation(t *testing.T, a *TraceAudit, check, substr string) {
 		}
 		t.Fatalf("check %s violations %v lack %q", check, c.Violations, substr)
 	}
+	t.Fatalf("no check named %s", check)
 }
 
 func TestAuditAllGreen(t *testing.T) {
 	a := auditOne(t, baseRecords())
-	if !a.OK() {
-		t.Fatalf("clean trace failed: %+v", a.Checks)
+	for _, c := range a.Checks {
+		if len(c.Violations) > 0 {
+			t.Fatalf("clean trace failed: %+v", a.Checks)
+		}
 	}
 	if a.Members != 4 || a.Survivors != 4 || a.Hops != 4 || a.DroppedHops != 0 || a.Duplicates != 0 {
 		t.Errorf("counts wrong: %+v", a)
@@ -116,98 +110,35 @@ func TestAuditLevelMonotonicity(t *testing.T) {
 	recs = baseRecords()
 	recs[7].SentNS = 5 // forwarded before the forwarder received it
 	wantViolation(t, auditOne(t, recs), "level-monotonicity", "before its forwarder received")
+
+	recs = baseRecords()
+	recs[6].EncsIn = 0 // the split handed on more than it was given
+	wantViolation(t, auditOne(t, recs), "level-monotonicity", "grew the message across the split (0 -> 1)")
 }
 
-func TestAuditExactlyOneCopy(t *testing.T) {
+// TestAuditSummaryCounts pins the counts traceaudit prints per trace:
+// extra delivered copies, dropped hops, and the users a delivered
+// unicast or a resync reached (a dropped unicast reaches nobody).
+func TestAuditSummaryCounts(t *testing.T) {
 	recs := baseRecords()
-	dup := recs[8] // second copy to [1,1]
-	dup.Span = 5
-	dup.Parent = 1
-	dup.From = "[0,0]"
-	dup.SentNS, dup.RecvNS = 21, 40
-	recs = append(recs, dup)
+	dup := recs[8] // a second copy to [1,1]
+	dup.Span, dup.Parent, dup.From = 5, 1, "[0,0]"
+	recs[7].Dropped, recs[7].RecvNS = true, -1
+	recs = append(recs, dup,
+		Record{Kind: "unicast", Trace: "rekey-test", User: "[0,1]", Attempt: 1, SentNS: 100, RecvNS: -1, Dropped: true},
+		Record{Kind: "unicast", Trace: "rekey-test", User: "[0,1]", Attempt: 2, SentNS: 150, RecvNS: 170},
+		Record{Kind: "unicast", Trace: "rekey-test", User: "[0,1]", Attempt: 3, SentNS: 180, RecvNS: 190},
+		Record{Kind: "resync", Trace: "rekey-test", User: "[1,0]", SentNS: 200, RecvNS: 230})
 	a := auditOne(t, recs)
-	wantViolation(t, a, "exactly-one-copy", "received 2 copies")
-	if a.Duplicates != 1 {
-		t.Errorf("Duplicates = %d, want 1", a.Duplicates)
+	if a.Hops != 5 || a.DroppedHops != 1 || a.Duplicates != 1 || a.Unicasts != 1 || a.Resyncs != 1 {
+		t.Errorf("hops=%d dropped=%d duplicates=%d unicasts=%d resyncs=%d, want 5/1/1/1/1",
+			a.Hops, a.DroppedHops, a.Duplicates, a.Unicasts, a.Resyncs)
 	}
-
-	// A needing survivor that never got a copy in a fault-free run.
-	recs = baseRecords()
-	recs = recs[:8] // drop the hop to [1,1] and the end record
-	recs = append(recs, Record{Kind: "end", Trace: "rekey-test",
-		Survivors: []string{"[0,0]", "[0,1]", "[1,0]", "[1,1]"}, FaultFree: true})
-	a = auditOne(t, recs)
-	wantViolation(t, a, "exactly-one-copy", "[1,1] missed the multicast")
-	wantViolation(t, a, "coverage", "[1,1] needed 1 encryptions")
-}
-
-func TestAuditForwardMinimality(t *testing.T) {
-	recs := baseRecords()
-	recs[6].Encs = 3
-	recs[6].Items = []string{"[]", "[0]", "[0,1]"} // over-forwarding into subtree [1]
-	wantViolation(t, auditOne(t, recs), "forward-minimality", "REKEY-MESSAGE-SPLIT selects 1")
-
-	recs = baseRecords()
-	recs[6].Items = []string{"[0]"} // right count, wrong encryption
-	wantViolation(t, auditOne(t, recs), "forward-minimality", "wrong encryption set")
-
-	// A hop toward a subtree nobody needs. The group key [] relates to
-	// every subtree, so shrink the message to subtree-[0] keys only:
-	// span 2's hop into subtree [1] is then pure waste.
-	recs = baseRecords()
-	recs[0].MsgEncs = []string{"[0]", "[0,1]"}
-	wantViolation(t, auditOne(t, recs), "forward-minimality", "no downstream user needs")
-}
-
-func TestAuditCoverageViaLadder(t *testing.T) {
-	// [1,1]'s multicast copy is dropped, but a unicast rung saves it:
-	// coverage must pass, exactly-one-copy must pass (faults were live).
-	recs := baseRecords()
-	recs[8].Dropped = true
-	recs[8].RecvNS = -1
-	recs[9].FaultFree = false
-	recs = append(recs, Record{Kind: "unicast", Trace: "rekey-test",
-		User: "[1,1]", Attempt: 1, Units: 1, SentNS: 100, RecvNS: 120})
-	a := auditOne(t, recs)
-	if !a.OK() {
-		t.Fatalf("ladder-recovered trace failed: %+v", a.Checks)
-	}
-	if a.DroppedHops != 1 || a.Unicasts != 1 {
-		t.Errorf("DroppedHops=%d Unicasts=%d, want 1/1", a.DroppedHops, a.Unicasts)
-	}
-
-	// Same drop with no recovery rung: coverage fails.
-	recs = baseRecords()
-	recs[8].Dropped = true
-	recs[8].RecvNS = -1
-	recs[9].FaultFree = false
-	wantViolation(t, auditOne(t, recs), "coverage", "no rung delivered")
-}
-
-func TestAuditDataTrace(t *testing.T) {
-	// A data trace (no MsgEncs): every survivor is owed a copy when
-	// fault-free.
-	const id = "data-test"
-	recs := []Record{
-		{Kind: "trace", Trace: id, Label: "data", Seq: 1, Interval: 2, SentNS: 5},
-		{Kind: "member", Trace: id, User: "[0,0]"},
-		{Kind: "member", Trace: id, User: "[1,0]"},
-		{Kind: "hop", Trace: id, Span: 1, From: "[0,0]", FromLevel: 0, To: "[1,0]",
-			Level: 1, Subtree: "[1]", EncsIn: 1, Encs: 1, SentNS: 5, RecvNS: 9},
-		{Kind: "end", Trace: id, Survivors: []string{"[0,0]", "[1,0]"}, FaultFree: true},
-	}
-	a := auditOne(t, recs)
-	// [0,0] is the sender: senders receive nothing, so a data audit only
-	// flags non-senders... the sender appears as a hop origin.
-	if n := a.TotalViolations(); n != 1 {
-		t.Fatalf("want exactly the sender's missing-copy violation, got %+v", a.Checks)
-	}
-	wantViolation(t, a, "exactly-one-copy", "[0,0] missed the multicast")
 }
 
 // TestAuditSchemaFields: a record without a field the audit needs to
-// place it is a schema violation, reported under causal-order.
+// place it, or a hop whose items disagree with its count, is a schema
+// violation, reported under causal-order.
 func TestAuditSchemaFields(t *testing.T) {
 	for _, tc := range []struct {
 		name, want string
@@ -216,6 +147,7 @@ func TestAuditSchemaFields(t *testing.T) {
 		{"trace label", `"trace" record without a label`, func(r []Record) { r[0].Label = "" }},
 		{"member user", `"member" record without a user`, func(r []Record) { r[1].User = "" }},
 		{"hop receiver", "hop span 4 without a receiver", func(r []Record) { r[8].To = "" }},
+		{"hop item count", "hop span 2 lists 1 items but counts 3", func(r []Record) { r[6].Encs = 3 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			recs := baseRecords()

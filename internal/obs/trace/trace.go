@@ -8,11 +8,10 @@
 // encryption counts before/after REKEY-MESSAGE-SPLIT, sim-time send and
 // receive, byte size — plus membership records, degradation-ladder rung
 // records (unicast recovery, full resync), and a closing record naming
-// the surviving members. The audit side (audit.go) reconstructs the
-// delivery tree from these records and checks Theorem 1 (exactly one
-// copy per member), Theorem 2 / Lemma 3 (an encryption travels a hop
-// iff some downstream user needs it, decided by the ID-prefix test),
-// forwarding-level monotonicity, and causal stream order.
+// the surviving members. The audit side (audit.go) groups the records
+// by trace and checks only the trace itself: schema, causal stream
+// order, forwarding-level monotonicity. The theorems are checked by
+// package chaos's auditors, which take their evidence from a Group.
 //
 // Design rules, inherited from package obs and enforced by tests:
 //

@@ -1,32 +1,37 @@
-package split
+package split_test
 
 import (
 	"bytes"
 	"fmt"
 	"testing"
 
+	"tmesh/internal/chaos"
 	"tmesh/internal/obs"
 	"tmesh/internal/obs/trace"
+	"tmesh/internal/split"
 )
 
 // TestTraceMatchesDeliveries is the flight-recorder ground-truth
 // property: across seeds and prefilter parallelism, the delivery set
 // reconstructed from non-dropped hop records must equal the transport's
 // own Report.Deliveries — same users, same forwarding levels, same
-// encryption slices — and the full theorem audit must come back green.
+// encryption slices — and the trace's own audit and the chaos auditors
+// (Theorems 1 and 2 through chaos.TraceEvidence) must come back green.
+// It is an external test so that it can import chaos, which imports
+// split.
 func TestTraceMatchesDeliveries(t *testing.T) {
 	for _, seed := range []int64{1, 2, 7} {
 		for _, par := range []int{1, 8} {
 			t.Run(fmt.Sprintf("seed=%d,par=%d", seed, par), func(t *testing.T) {
-				w := newWorld(t, 40, 6, 6, seed)
+				dir, msg, live := split.NewWorld(t, 40, 6, 6, seed)
 				var buf bytes.Buffer
 				rec := trace.NewRecorder(seed, obs.NewSink(&buf))
-				tr := rec.Begin("rekey", 1, 0, PerEncryption.String(), EncIDs(w.msg.Encryptions))
-				for _, id := range w.live {
+				tr := rec.Begin("rekey", 1, 0, split.PerEncryption.String(), split.EncIDs(msg.Encryptions))
+				for _, id := range live {
 					tr.Member(id)
 				}
-				rep, err := Rekey(w.dir, w.msg, Options{
-					Mode:        PerEncryption,
+				rep, err := split.Rekey(dir, msg, split.Options{
+					Mode:        split.PerEncryption,
 					Collect:     true,
 					Parallelism: par,
 					Trace:       tr,
@@ -34,7 +39,7 @@ func TestTraceMatchesDeliveries(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tr.End(w.live, true)
+				tr.End(live, true)
 				if err := rec.Err(); err != nil {
 					t.Fatal(err)
 				}
@@ -69,7 +74,7 @@ func TestTraceMatchesDeliveries(t *testing.T) {
 					if got.level != d.Level {
 						t.Errorf("user %s: trace level %d, report level %d", d.To, got.level, d.Level)
 					}
-					want := EncIDs(d.Encryptions)
+					want := split.EncIDs(d.Encryptions)
 					if len(got.items) != len(want) {
 						t.Fatalf("user %s: trace items %v, report %v", d.To, got.items, want)
 					}
@@ -80,24 +85,31 @@ func TestTraceMatchesDeliveries(t *testing.T) {
 					}
 				}
 
-				audits, err := trace.AuditRecords(records)
-				if err != nil {
-					t.Fatal(err)
+				groups := trace.Groups(records)
+				if len(groups) != 1 {
+					t.Fatalf("%d traces, want 1", len(groups))
 				}
-				if len(audits) != 1 {
-					t.Fatalf("%d audits, want 1", len(audits))
-				}
-				a := audits[0]
+				a := groups[0].Audit()
 				if a.Hops == 0 {
 					t.Fatal("vacuous trace: no hops recorded")
 				}
-				if !a.OK() {
-					for _, c := range a.Checks {
-						for _, v := range c.Violations {
-							t.Errorf("%s: %s", c.Name, v)
-						}
+				ev, err := chaos.TraceEvidence(groups[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ev.Message == nil {
+					t.Fatal("per-encryption trace left the evidence's message unset")
+				}
+				verdicts, _ := chaos.Audit(ev, nil)
+				for _, c := range a.Checks {
+					for _, v := range c.Violations {
+						t.Errorf("%s: %s", c.Name, v)
 					}
-					t.Fatal("live per-encryption trace failed its theorem audit")
+				}
+				for _, v := range verdicts {
+					if line := v.Line(); line != "" {
+						t.Error(line)
+					}
 				}
 			})
 		}
