@@ -125,27 +125,40 @@ func TestRunTinyExperiments(t *testing.T) {
 }
 
 // TestFigureGoldens pins the experiment runners' output: each small
-// figure at -scale 0.1 -seed 1 must reproduce, byte for byte and at
-// either fan-out width, the TSV a build of the commit before the
-// runners joined work.Run printed (testdata/golden-*.tsv).
+// figure at its argument list must reproduce, byte for byte and at
+// either fan-out width, the TSV its golden holds
+// (testdata/golden-<figure>.tsv). The first eight goldens come from the
+// commit before the runners joined work.Run; fig6, fig9, fig12 and
+// fig14 from the commit before the T-mesh runners shared one world
+// builder.
 func TestFigureGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke test")
 	}
-	for _, fig := range []string{"packets", "loss", "congestion", "ablation", "joincost", "gnp", "fig7", "fig13"} {
-		want, err := os.ReadFile(filepath.Join("testdata", "golden-"+fig+".tsv"))
+	small := []string{"-scale", "0.1", "-seed", "1"}
+	figures := []struct {
+		name string
+		args []string
+	}{
+		{"packets", small}, {"loss", small}, {"congestion", small}, {"ablation", small},
+		{"joincost", small}, {"gnp", small}, {"fig6", small}, {"fig7", small},
+		{"fig9", small}, {"fig12", []string{"-scale", "0.1", "-seed", "1", "-runs", "1"}},
+		{"fig13", small}, {"fig14", small},
+	}
+	for _, fig := range figures {
+		want, err := os.ReadFile(filepath.Join("testdata", "golden-"+fig.name+".tsv"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, procs := range []int{1, 4} {
 			got := captureStdout(t, func() {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				if code := run([]string{fig, "-scale", "0.1", "-seed", "1"}); code != 0 {
-					t.Errorf("run(%s) = %d, want 0", fig, code)
+				if code := run(append([]string{fig.name}, fig.args...)); code != 0 {
+					t.Errorf("run(%s %v) = %d, want 0", fig.name, fig.args, code)
 				}
 			})
 			if got != string(want) {
-				t.Errorf("%s at GOMAXPROCS %d drifted from its golden:\n--- got ---\n%s--- want ---\n%s", fig, procs, got, want)
+				t.Errorf("%s at GOMAXPROCS %d drifted from its golden:\n--- got ---\n%s--- want ---\n%s", fig.name, procs, got, want)
 			}
 		}
 	}
