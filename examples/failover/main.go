@@ -56,14 +56,11 @@ func run() error {
 		}
 		var members []ident.ID
 		for h := 1; h <= users; h++ {
-			id, _, err := assigner.AssignID(vnet.HostID(h))
+			rec, _, err := assigner.Join(vnet.HostID(h), 0)
 			if err != nil {
 				return err
 			}
-			if err := dir.Join(overlay.Record{Host: vnet.HostID(h), ID: id}); err != nil {
-				return err
-			}
-			members = append(members, id)
+			members = append(members, rec.ID)
 		}
 
 		fmt.Printf("K=%d:\n", k)
@@ -111,14 +108,11 @@ func run() error {
 	}
 	var members []ident.ID
 	for h := 1; h <= users; h++ {
-		id, _, err := assigner.AssignID(vnet.HostID(h))
+		rec, _, err := assigner.Join(vnet.HostID(h), 0)
 		if err != nil {
 			return err
 		}
-		if err := dir.Join(overlay.Record{Host: vnet.HostID(h), ID: id}); err != nil {
-			return err
-		}
-		members = append(members, id)
+		members = append(members, rec.ID)
 	}
 	victim := members[23]
 	holders := dir.Holders(victim)

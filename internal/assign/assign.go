@@ -168,10 +168,24 @@ func New(cfg Config, dir *overlay.Directory, rng *rand.Rand) (*Assigner, error) 
 	return &Assigner{cfg: cfg, dir: dir, rng: rng}, nil
 }
 
-// AssignID runs the full protocol for a joining host and returns its new
-// unique ID. The caller is responsible for then joining the directory
-// and key tree with the result.
-func (a *Assigner) AssignID(host vnet.HostID) (ident.ID, Stats, error) {
+// Join runs the full protocol for a joining host and admits it: the
+// record carrying the host, its new unique ID and the JoinTime at enters
+// the directory the assigner holds. On error the directory is unchanged.
+// Entering the key tree is left to the caller.
+func (a *Assigner) Join(host vnet.HostID, at time.Duration) (overlay.Record, Stats, error) {
+	id, st, err := a.assignID(host)
+	if err != nil {
+		return overlay.Record{}, st, err
+	}
+	rec := overlay.Record{Host: host, ID: id, JoinTime: at}
+	if err := a.dir.Join(rec); err != nil {
+		return overlay.Record{}, st, err
+	}
+	return rec, st, nil
+}
+
+// assignID runs the protocol and returns the joiner's new unique ID.
+func (a *Assigner) assignID(host vnet.HostID) (ident.ID, Stats, error) {
 	var st Stats
 	params := a.cfg.Params
 

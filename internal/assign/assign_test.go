@@ -3,6 +3,7 @@ package assign
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -72,17 +73,14 @@ func newWorld(t *testing.T, pos []float64) (*Assigner, *overlay.Directory) {
 	return a, dir
 }
 
-// joinHost assigns an ID for the host and admits it to the directory.
-func joinHost(t *testing.T, a *Assigner, dir *overlay.Directory, host int) (ident.ID, Stats) {
+// joinHost admits the host through Join.
+func joinHost(t *testing.T, a *Assigner, host int) (ident.ID, Stats) {
 	t.Helper()
-	id, st, err := a.AssignID(vnet.HostID(host))
+	rec, st, err := a.Join(vnet.HostID(host), 0)
 	if err != nil {
-		t.Fatalf("AssignID(host %d): %v", host, err)
+		t.Fatalf("Join(host %d): %v", host, err)
 	}
-	if err := dir.Join(overlay.Record{Host: vnet.HostID(host), ID: id}); err != nil {
-		t.Fatalf("Join(host %d, %v): %v", host, id, err)
-	}
-	return id, st
+	return rec.ID, st
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -124,8 +122,8 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestFirstJoinGetsAllZeros(t *testing.T) {
-	a, dir := newWorld(t, []float64{0, 1})
-	id, st := joinHost(t, a, dir, 1)
+	a, _ := newWorld(t, []float64{0, 1})
+	id, st := joinHost(t, a, 1)
 	want := ident.MustNew(ap, []ident.Digit{0, 0, 0})
 	if !id.Equal(want) {
 		t.Errorf("first join ID = %v, want %v", id, want)
@@ -135,16 +133,42 @@ func TestFirstJoinGetsAllZeros(t *testing.T) {
 	}
 }
 
+// TestJoinAdmitsTheRecord: Join enters the directory the record it
+// returns, which carries the given host, the assigned ID and the given
+// JoinTime.
+func TestJoinAdmitsTheRecord(t *testing.T) {
+	a, dir := newWorld(t, []float64{0, 1, 2})
+	for _, j := range []struct {
+		host vnet.HostID
+		at   time.Duration
+	}{{1, 5 * time.Second}, {2, 2 * time.Second}} {
+		host, at := j.host, j.at
+		rec, _, err := a.Join(host, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Host != host || rec.JoinTime != at {
+			t.Errorf("Join(%d, %v) returned host %d, JoinTime %v", host, at, rec.Host, rec.JoinTime)
+		}
+		if got, ok := dir.Record(rec.ID); !ok || got != rec {
+			t.Errorf("directory holds %+v (present %v) for %v, want %+v", got, ok, rec.ID, rec)
+		}
+	}
+	if dir.Size() != 2 {
+		t.Errorf("directory size %d after two joins, want 2", dir.Size())
+	}
+}
+
 // TestProximityClustering: two tight clusters 100 ms apart (under R_1 =
 // 150 ms, over R_2 = 10 ms). All users must share digit 0; cluster
 // membership must be readable off digit 1.
 func TestProximityClustering(t *testing.T) {
 	// Host 0: key server. Hosts 1-5 at ~0 ms; hosts 6-10 at ~100 ms.
 	pos := []float64{0, 0, 0.5, 1, 1.5, 2, 100, 100.5, 101, 101.5, 102}
-	a, dir := newWorld(t, pos)
+	a, _ := newWorld(t, pos)
 	idOf := make(map[int]ident.ID)
 	for h := 1; h <= 10; h++ {
-		idOf[h], _ = joinHost(t, a, dir, h)
+		idOf[h], _ = joinHost(t, a, h)
 	}
 	for h := 2; h <= 10; h++ {
 		if idOf[h].Digit(0) != idOf[1].Digit(0) {
@@ -182,10 +206,10 @@ func TestRemoteUserFailsThreshold(t *testing.T) {
 	a, dir := newWorld(t, pos)
 	var groupDigit ident.Digit
 	for h := 1; h <= 3; h++ {
-		id, _ := joinHost(t, a, dir, h)
+		id, _ := joinHost(t, a, h)
 		groupDigit = id.Digit(0)
 	}
-	id, st := joinHost(t, a, dir, 4)
+	id, st := joinHost(t, a, 4)
 	if id.Digit(0) == groupDigit {
 		t.Errorf("remote host shares level-0 digit %d with the near group", id.Digit(0))
 	}
@@ -209,7 +233,7 @@ func TestUniquenessUnderChurn(t *testing.T) {
 	a, dir := newWorld(t, pos)
 	seen := make(map[string]bool)
 	for h := 1; h <= n; h++ {
-		id, _ := joinHost(t, a, dir, h)
+		id, _ := joinHost(t, a, h)
 		if seen[id.Key()] {
 			t.Fatalf("duplicate ID %v for host %d", id, h)
 		}
@@ -241,16 +265,17 @@ func TestGroupFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	for h := 1; h <= 4; h++ {
-		id, _, err := a.AssignID(vnet.HostID(h))
-		if err != nil {
+		if _, _, err := a.Join(vnet.HostID(h), 0); err != nil {
 			t.Fatalf("join %d: %v", h, err)
 		}
-		if err := dir.Join(overlay.Record{Host: vnet.HostID(h), ID: id}); err != nil {
-			t.Fatal(err)
-		}
 	}
-	if _, _, err := a.AssignID(5); !errors.Is(err, ErrGroupFull) {
+	size, ids := dir.Size(), dir.IDs()
+	if _, _, err := a.Join(5, 0); !errors.Is(err, ErrGroupFull) {
 		t.Errorf("5th join err = %v, want ErrGroupFull", err)
+	}
+	// A refused join admits nobody.
+	if dir.Size() != size || !reflect.DeepEqual(dir.IDs(), ids) {
+		t.Errorf("refused join changed the directory: size %d -> %d, IDs %v -> %v", size, dir.Size(), ids, dir.IDs())
 	}
 }
 
@@ -262,10 +287,10 @@ func TestJoinCostSublinear(t *testing.T) {
 	for i := range pos {
 		pos[i] = float64(i) * 0.01
 	}
-	a, dir := newWorld(t, pos)
+	a, _ := newWorld(t, pos)
 	var last Stats
 	for h := 1; h <= n; h++ {
-		_, last = joinHost(t, a, dir, h)
+		_, last = joinHost(t, a, h)
 	}
 	if last.Messages == 0 || last.Queries == 0 {
 		t.Fatalf("join cost not recorded: %+v", last)
@@ -300,14 +325,11 @@ func TestPlanetLabContinentSeparation(t *testing.T) {
 	}
 	idOf := make(map[int]ident.ID)
 	for h := 1; h < 80; h++ {
-		id, _, err := a.AssignID(vnet.HostID(h))
+		rec, _, err := a.Join(vnet.HostID(h), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dir.Join(overlay.Record{Host: vnet.HostID(h), ID: id}); err != nil {
-			t.Fatal(err)
-		}
-		idOf[h] = id
+		idOf[h] = rec.ID
 	}
 	var sameSite, crossCont, nSame, nCross float64
 	for i := 1; i < 80; i++ {

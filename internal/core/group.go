@@ -152,12 +152,8 @@ func (g *Group) Params() ident.Params { return g.cfg.Assign.Params }
 // current rekey interval. The at time stamps the record's JoinTime (used
 // by the cluster heuristic's leader election).
 func (g *Group) Join(host vnet.HostID, at time.Duration) (ident.ID, assign.Stats, error) {
-	id, stats, err := g.assigner.AssignID(host)
+	rec, stats, err := g.assigner.Join(host, at)
 	if err != nil {
-		return ident.ID{}, stats, err
-	}
-	rec := overlay.Record{Host: host, ID: id, JoinTime: at}
-	if err := g.dir.Join(rec); err != nil {
 		return ident.ID{}, stats, err
 	}
 	if g.clusters != nil {
@@ -165,9 +161,9 @@ func (g *Group) Join(host vnet.HostID, at time.Duration) (ident.ID, assign.Stats
 			return ident.ID{}, stats, err
 		}
 	} else {
-		g.pending.Join(id)
+		g.pending.Join(rec.ID)
 	}
-	return id, stats, nil
+	return rec.ID, stats, nil
 }
 
 // Leave removes a user and queues its key-tree departure (see

@@ -10,7 +10,6 @@ import (
 	"tmesh/internal/overlay"
 	"tmesh/internal/split"
 	"tmesh/internal/tmesh"
-	"tmesh/internal/vnet"
 )
 
 // Section 2.6 argues that the efficiency of rekey message splitting
@@ -68,28 +67,7 @@ type AblationReport struct {
 // differs, so the link-stress and latency gaps are attributable to the
 // assignment scheme alone.
 func RunIDAblation(cfg AblationConfig) ([]AblationReport, error) {
-	// Pass 1: topology-aware assignment for all hosts (initial + churn
-	// joiners), recording the host->ID mapping.
-	g, err := newChurnGroup(cfg.Assign, cfg.K, cfg.Seed, cfg.N, cfg.ChurnJoins, "ablation")
-	if err != nil {
-		return nil, err
-	}
-
-	// Pass 2: the same IDs scrambled across the same hosts.
-	perm := g.rng.Perm(len(g.ids))
-	scrambledDir, err := overlay.NewDirectory(g.dir.Params(), g.dir.K(), g.net, 0)
-	if err != nil {
-		return nil, err
-	}
-	for i := range g.ids {
-		rec := overlay.Record{Host: vnet.HostID(i + 1), ID: g.ids[perm[i]], JoinTime: time.Duration(i)}
-		if err := scrambledDir.Join(rec); err != nil {
-			return nil, err
-		}
-	}
-
-	// One shared key tree and churn batch for both.
-	msg, err := g.churn(cfg.ChurnLeaves, scrambledDir)
+	w, scrambledDir, msg, err := idAblationWorlds(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +77,7 @@ func RunIDAblation(cfg AblationConfig) ([]AblationReport, error) {
 	policies := []struct {
 		name string
 		dir  *overlay.Directory
-	}{{"topology-aware", g.dir}, {"scrambled", scrambledDir}}
+	}{{"topology-aware", w.dir}, {"scrambled", scrambledDir}}
 	out := make([]AblationReport, len(policies))
 	err = forEachUnit(len(policies), cfg.Progress, func(i int) error {
 		rep, err := measureIDPolicy(policies[i].name, policies[i].dir, msg)
@@ -113,6 +91,39 @@ func RunIDAblation(cfg AblationConfig) ([]AblationReport, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// idAblationWorlds builds both groups of the ID ablation and churns
+// them with one rekey message: the churn world, then a copy with the
+// same IDs scrambled across the same hosts.
+func idAblationWorlds(cfg AblationConfig) (*world, *overlay.Directory, *keytree.Message, error) {
+	// Pass 1: topology-aware assignment for all hosts (initial + churn
+	// joiners), recording the host->ID mapping.
+	w, err := newChurnWorld(cfg.Assign, cfg.K, cfg.Seed, cfg.N, cfg.ChurnJoins)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+
+	// Pass 2: the same IDs scrambled across the same hosts. This copy
+	// keeps its own directory: its IDs do not come from Section 3.1.
+	perm := w.rng.Perm(len(w.recs))
+	scrambledDir, err := overlay.NewDirectory(w.dir.Params(), w.dir.K(), w.net, 0)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	for i, rec := range w.recs {
+		rec.ID = w.recs[perm[i]].ID
+		if err := scrambledDir.Join(rec); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+
+	// One shared key tree and churn batch for both.
+	msg, err := w.churn(cfg.N, cfg.ChurnLeaves, "ablation", scrambledDir)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return w, scrambledDir, msg, nil
 }
 
 func measureIDPolicy(name string, dir *overlay.Directory, msg *keytree.Message) (*AblationReport, error) {
@@ -165,17 +176,17 @@ type PacketSweepPoint struct {
 // RunPacketSweep compares encryption-level splitting against
 // packet-level splitting at the given packet sizes on one churned group.
 func RunPacketSweep(cfg AblationConfig, packetSizes []int) ([]PacketSweepPoint, error) {
-	g, err := newChurnGroup(cfg.Assign, cfg.K, cfg.Seed, cfg.N, cfg.ChurnJoins, "pkt")
+	w, err := newChurnWorld(cfg.Assign, cfg.K, cfg.Seed, cfg.N, cfg.ChurnJoins)
 	if err != nil {
 		return nil, err
 	}
-	msg, err := g.churn(cfg.ChurnLeaves)
+	msg, err := w.churn(cfg.N, cfg.ChurnLeaves, "pkt")
 	if err != nil {
 		return nil, err
 	}
 
 	measure := func(opts split.Options) (PacketSweepPoint, error) {
-		rep, err := split.Rekey(g.dir, msg, opts)
+		rep, err := split.Rekey(w.dir, msg, opts)
 		if err != nil {
 			return PacketSweepPoint{}, err
 		}

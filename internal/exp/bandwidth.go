@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"tmesh/internal/assign"
 	"tmesh/internal/cluster"
@@ -90,12 +89,6 @@ func RunBandwidth(cfg BandwidthConfig) ([]BandwidthReport, error) {
 	if cfg.ChurnLeaves > cfg.N {
 		return nil, fmt.Errorf("exp: churn leaves %d exceed N %d", cfg.ChurnLeaves, cfg.N)
 	}
-	if cfg.Assign.Params == (ident.Params{}) {
-		cfg.Assign = assign.DefaultConfig()
-	}
-	if cfg.K == 0 {
-		cfg.K = 4
-	}
 	protocols := cfg.Protocols
 	if len(protocols) == 0 {
 		protocols = AllProtocols()
@@ -125,18 +118,16 @@ func RunBandwidth(cfg BandwidthConfig) ([]BandwidthReport, error) {
 
 // bwWorld holds the post-churn state shared by all protocol runs.
 type bwWorld struct {
-	cfg BandwidthConfig
-	net *vnet.GTITM
-
-	// T-mesh side (protocols P1, P1', P3, P3').
-	dir     *overlay.Directory
+	// T-mesh side (protocols P1, P1', P3, P3'), whose network the
+	// NICE side shares.
+	*world
 	liveIDs []ident.ID
 	modMsg  *keytree.Message // modified key tree rekey message
 	cm      *cluster.Manager
 	clusMsg *keytree.Message // leaders-only rekey message
 
 	// NICE / IP multicast side (P0, P0', Pip): same hosts, original
-	// key tree.
+	// key tree. It keeps its own code: neither places users by ID.
 	np       *nice.Protocol
 	origMsg  *lkh.Message
 	origTree *lkh.Tree
@@ -151,51 +142,40 @@ func buildBandwidthWorld(cfg BandwidthConfig) (*bwWorld, error) {
 	if err != nil {
 		return nil, err
 	}
-	dir, err := overlay.NewDirectory(cfg.Assign.Params, cfg.K, net, 0)
+	tw, err := newWorld(net, rng, cfg.Assign, cfg.K)
 	if err != nil {
 		return nil, err
 	}
-	assigner, err := assign.New(cfg.Assign, dir, rng)
-	if err != nil {
-		return nil, err
-	}
-	w := &bwWorld{cfg: cfg, net: net, dir: dir}
+	w := &bwWorld{world: tw}
 
-	// --- T-mesh world: initial joins, then one churn interval.
-	mtree, err := keytree.New(cfg.Assign.Params, []byte("bw"), keytree.Opts{})
+	// --- T-mesh world: initial joins, then one churn interval. The
+	// cluster manager admits every member the directory does.
+	params := w.dir.Params()
+	mtree, err := keytree.New(params, []byte("bw"), keytree.Opts{})
 	if err != nil {
 		return nil, err
 	}
-	w.cm, err = cluster.New(cfg.Assign.Params, []byte("bw"), keytree.Opts{})
+	w.cm, err = cluster.New(params, []byte("bw"), keytree.Opts{})
 	if err != nil {
 		return nil, err
 	}
-	var baseRecs []overlay.Record
-	join := func(host vnet.HostID, at time.Duration) (overlay.Record, error) {
-		id, _, err := assigner.AssignID(host)
-		if err != nil {
-			return overlay.Record{}, err
-		}
-		rec := overlay.Record{Host: host, ID: id, JoinTime: at}
-		if err := dir.Join(rec); err != nil {
-			return overlay.Record{}, err
-		}
-		if err := w.cm.Join(rec); err != nil {
-			return overlay.Record{}, err
-		}
-		return rec, nil
-	}
-	for i := 0; i < cfg.N; i++ {
-		rec, err := join(vnet.HostID(i+1), time.Duration(i)*time.Second)
-		if err != nil {
+	grow := func(n int) ([]overlay.Record, error) {
+		if err := w.grow(n); err != nil {
 			return nil, err
 		}
-		baseRecs = append(baseRecs, rec)
+		recs := w.recs[len(w.recs)-n:]
+		for _, rec := range recs {
+			if err := w.cm.Join(rec); err != nil {
+				return nil, err
+			}
+		}
+		return recs, nil
 	}
-	baseIDs := make([]ident.ID, len(baseRecs))
-	for i, r := range baseRecs {
-		baseIDs[i] = r.ID
+	baseRecs, err := grow(cfg.N)
+	if err != nil {
+		return nil, err
 	}
+	baseIDs := idsOf(baseRecs)
 	if _, err := mtree.Batch(baseIDs, nil); err != nil {
 		return nil, err
 	}
@@ -211,25 +191,19 @@ func buildBandwidthWorld(cfg BandwidthConfig) (*bwWorld, error) {
 		leavers[i] = baseIDs[p]
 		leaverSet[p] = true
 	}
-	var joinIDs []ident.ID
-	var joinRecs []overlay.Record
-	for i := 0; i < cfg.ChurnJoins; i++ {
-		rec, err := join(vnet.HostID(cfg.N+1+i), time.Duration(100000+i)*time.Second)
-		if err != nil {
-			return nil, err
-		}
-		joinIDs = append(joinIDs, rec.ID)
-		joinRecs = append(joinRecs, rec)
+	joinRecs, err := grow(cfg.ChurnJoins)
+	if err != nil {
+		return nil, err
 	}
 	for _, id := range leavers {
-		if err := dir.Leave(id); err != nil {
+		if err := w.dir.Leave(id); err != nil {
 			return nil, err
 		}
 		if err := w.cm.Leave(id); err != nil {
 			return nil, err
 		}
 	}
-	w.modMsg, err = mtree.Batch(joinIDs, leavers)
+	w.modMsg, err = mtree.Batch(idsOf(joinRecs), leavers)
 	if err != nil {
 		return nil, err
 	}

@@ -82,19 +82,20 @@ func RunCongestion(cfg CongestionConfig) ([]CongestionReport, error) {
 		cfg.ChurnLeaves = cfg.N / 4
 	}
 
-	g, err := newChurnGroup(cfg.Assign, cfg.K, cfg.Seed, cfg.N, 0, "congestion")
+	w, err := newChurnWorld(cfg.Assign, cfg.K, cfg.Seed, cfg.N, 0)
 	if err != nil {
 		return nil, err
 	}
-	msg, err := g.churn(cfg.ChurnLeaves)
+	msg, err := w.churn(cfg.N, cfg.ChurnLeaves, "congestion")
 	if err != nil {
 		return nil, err
 	}
-	dir, net, rng := g.dir, g.net, g.rng
+	dir, net, rng := w.dir, w.net, w.rng
 	live := dir.IDs()
 	sender := live[rng.Intn(len(live))]
 
-	// A NICE overlay over the same live hosts for the baseline scenario.
+	// A NICE overlay over the same live hosts for the baseline scenario
+	// (its own code: NICE places users by host, not by ID).
 	np, err := nice.New(net, nice.DefaultK)
 	if err != nil {
 		return nil, err

@@ -7,7 +7,6 @@ import (
 
 	"tmesh/internal/assign"
 	"tmesh/internal/gnp"
-	"tmesh/internal/ident"
 	"tmesh/internal/metrics"
 	"tmesh/internal/overlay"
 	"tmesh/internal/tmesh"
@@ -36,14 +35,7 @@ func RunGNPComparison(joins int, seed int64, cfg assign.Config) ([]GNPReport, er
 	if joins < 2 {
 		return nil, fmt.Errorf("exp: need at least 2 joins, got %d", joins)
 	}
-	if cfg.Params == (ident.Params{}) {
-		cfg = assign.DefaultConfig()
-	}
-	netCfg := vnet.DefaultPlanetLabConfig()
-	if joins+1 > netCfg.Hosts {
-		netCfg.Hosts = joins + 1
-	}
-	net, err := vnet.NewPlanetLab(netCfg, seed)
+	net, err := buildNetwork(PlanetLab, joins+1, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -51,45 +43,20 @@ func RunGNPComparison(joins int, seed int64, cfg assign.Config) ([]GNPReport, er
 	// Both strategies build their own directory and RNG over the shared
 	// (immutable) delay matrix, so they run concurrently under the
 	// package-wide parallelism default.
-	strategies := []func() (*GNPReport, error){
-		// Strategy 1: the distributed protocol.
-		func() (*GNPReport, error) {
-			rng := rand.New(rand.NewSource(seed))
-			dir, err := overlay.NewDirectory(cfg.Params, 4, net, 0)
-			if err != nil {
-				return nil, err
-			}
-			assigner, err := assign.New(cfg, dir, rng)
-			if err != nil {
-				return nil, err
-			}
-			return measureStrategy("distributed", dir, joins, func(host vnet.HostID) (ident.ID, assign.Stats, error) {
-				return assigner.AssignID(host)
-			})
-		},
-		// Strategy 2: GNP centralized computing at the key server.
-		func() (*GNPReport, error) {
-			rng := rand.New(rand.NewSource(seed))
-			space, err := gnp.NewSpace(net, gnp.Config{Seed: seed})
-			if err != nil {
-				return nil, err
-			}
-			central, err := gnp.NewCentralizedAssigner(cfg, space, rng)
-			if err != nil {
-				return nil, err
-			}
-			dir, err := overlay.NewDirectory(cfg.Params, 4, net, 0)
-			if err != nil {
-				return nil, err
-			}
-			return measureStrategy("gnp-centralized", dir, joins, func(host vnet.HostID) (ident.ID, assign.Stats, error) {
-				return central.AssignID(host)
-			})
-		},
+	strategies := []struct {
+		name  string
+		build func(vnet.Network, int, int64, assign.Config) (*overlay.Directory, []assign.Stats, error)
+	}{
+		{"distributed", distributedWorld},
+		{"gnp-centralized", centralizedWorld},
 	}
 	out := make([]GNPReport, len(strategies))
 	err = forEachUnit(len(strategies), nil, func(i int) error {
-		rep, err := strategies[i]()
+		dir, stats, err := strategies[i].build(net, joins, seed, cfg)
+		if err != nil {
+			return err
+		}
+		rep, err := measureStrategy(strategies[i].name, dir, stats)
 		if err != nil {
 			return err
 		}
@@ -102,18 +69,61 @@ func RunGNPComparison(joins int, seed int64, cfg assign.Config) ([]GNPReport, er
 	return out, nil
 }
 
-func measureStrategy(name string, dir *overlay.Directory, joins int,
-	assignID func(vnet.HostID) (ident.ID, assign.Stats, error)) (*GNPReport, error) {
-	var msgs, probes []float64
+// distributedWorld admits hosts 1..joins through the Section 3.1
+// protocol and returns the directory and every join's cost.
+func distributedWorld(net vnet.Network, joins int, seed int64, cfg assign.Config) (*overlay.Directory, []assign.Stats, error) {
+	w, err := newWorld(net, rand.New(rand.NewSource(seed)), cfg, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	stats := make([]assign.Stats, joins)
+	for h := 1; h <= joins; h++ {
+		if _, stats[h-1], err = w.join(vnet.HostID(h)); err != nil {
+			return nil, nil, err
+		}
+	}
+	return w.dir, stats, nil
+}
+
+// centralizedWorld admits hosts 1..joins with the GNP-based centralized
+// assigner and returns its directory and every join's cost. It builds
+// its own directory because its IDs come from GNP coordinates, not from
+// Section 3.1; nothing here reads JoinTime, so it stamps none.
+func centralizedWorld(net vnet.Network, joins int, seed int64, cfg assign.Config) (*overlay.Directory, []assign.Stats, error) {
+	cfg, k := paperConfig(cfg, 0)
+	rng := rand.New(rand.NewSource(seed))
+	space, err := gnp.NewSpace(net, gnp.Config{Seed: seed})
+	if err != nil {
+		return nil, nil, err
+	}
+	central, err := gnp.NewCentralizedAssigner(cfg, space, rng)
+	if err != nil {
+		return nil, nil, err
+	}
+	dir, err := overlay.NewDirectory(cfg.Params, k, net, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	stats := make([]assign.Stats, joins)
 	for h := 1; h <= joins; h++ {
 		host := vnet.HostID(h)
-		id, st, err := assignID(host)
+		id, st, err := central.AssignID(host)
 		if err != nil {
-			return nil, fmt.Errorf("assigning host %d: %w", h, err)
+			return nil, nil, fmt.Errorf("exp: assigning host %d: %w", h, err)
 		}
-		if err := dir.Join(overlay.Record{Host: host, ID: id, JoinTime: time.Duration(h)}); err != nil {
-			return nil, err
+		if err := dir.Join(overlay.Record{Host: host, ID: id}); err != nil {
+			return nil, nil, err
 		}
+		stats[h-1] = st
+	}
+	return dir, stats, nil
+}
+
+// measureStrategy reports one strategy's join costs and a rekey
+// multicast over the directory it built.
+func measureStrategy(name string, dir *overlay.Directory, stats []assign.Stats) (*GNPReport, error) {
+	var msgs, probes []float64
+	for _, st := range stats {
 		msgs = append(msgs, float64(st.Messages))
 		probes = append(probes, float64(st.Probes))
 	}

@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"tmesh/internal/assign"
-	"tmesh/internal/ident"
 	"tmesh/internal/metrics"
-	"tmesh/internal/overlay"
 	"tmesh/internal/vnet"
 )
 
@@ -44,73 +42,55 @@ type JoinCostPoint struct {
 // RunJoinCost grows one group through the requested sizes, sampling the
 // join cost at each.
 func RunJoinCost(cfg JoinCostConfig) ([]JoinCostPoint, error) {
+	points, _, err := joinCost(cfg)
+	return points, err
+}
+
+// joinCost is RunJoinCost, also returning the grown world.
+func joinCost(cfg JoinCostConfig) ([]JoinCostPoint, *world, error) {
 	if len(cfg.GroupSizes) == 0 {
-		return nil, fmt.Errorf("exp: no group sizes")
+		return nil, nil, fmt.Errorf("exp: no group sizes")
 	}
 	if cfg.Samples == 0 {
 		cfg.Samples = 8
 	}
-	if cfg.Assign.Params == (ident.Params{}) {
-		cfg.Assign = assign.DefaultConfig()
-	}
 	maxN := 0
 	for i, n := range cfg.GroupSizes {
 		if i > 0 && n <= cfg.GroupSizes[i-1] {
-			return nil, fmt.Errorf("exp: group sizes must be increasing")
+			return nil, nil, fmt.Errorf("exp: group sizes must be increasing")
 		}
 		if n > maxN {
 			maxN = n
 		}
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	net, err := vnet.NewGTITM(vnet.DefaultGTITMConfig(), maxN+cfg.Samples+1, cfg.Seed)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	dir, err := overlay.NewDirectory(cfg.Assign.Params, 4, net, 0)
+	w, err := newWorld(net, rand.New(rand.NewSource(cfg.Seed)), cfg.Assign, 0)
 	if err != nil {
-		return nil, err
-	}
-	assigner, err := assign.New(cfg.Assign, dir, rng)
-	if err != nil {
-		return nil, err
-	}
-
-	nextHost := 1
-	joinOne := func() (assign.Stats, ident.ID, error) {
-		host := vnet.HostID(nextHost)
-		nextHost++
-		id, st, err := assigner.AssignID(host)
-		if err != nil {
-			return st, id, err
-		}
-		err = dir.Join(overlay.Record{Host: host, ID: id, JoinTime: time.Duration(nextHost) * time.Second})
-		return st, id, err
+		return nil, nil, err
 	}
 
 	var points []JoinCostPoint
 	for _, n := range cfg.GroupSizes {
-		for dir.Size() < n {
-			if _, _, err := joinOne(); err != nil {
-				return nil, err
-			}
+		if err := w.grow(n - w.dir.Size()); err != nil {
+			return nil, nil, err
 		}
 		// Sample: join, measure, leave again (so the group stays at N).
 		var msgs, queries, probes, lats []float64
 		for s := 0; s < cfg.Samples; s++ {
-			host := vnet.HostID(nextHost)
-			st, id, err := joinOne()
+			rec, st, err := w.join(vnet.HostID(len(w.recs) + 1))
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			msgs = append(msgs, float64(st.Messages))
 			queries = append(queries, float64(st.Queries))
 			probes = append(probes, float64(st.Probes))
-			lats = append(lats, float64(JoinLatency(net, host, st.Trace))/float64(time.Millisecond))
-			if err := dir.Leave(id); err != nil {
-				return nil, err
+			lats = append(lats, float64(JoinLatency(net, rec.Host, st.Trace))/float64(time.Millisecond))
+			if err := w.undo(1); err != nil {
+				return nil, nil, err
 			}
-			nextHost--
 		}
 		points = append(points, JoinCostPoint{
 			N:         n,
@@ -120,7 +100,7 @@ func RunJoinCost(cfg JoinCostConfig) ([]JoinCostPoint, error) {
 			LatencyMS: metrics.Summarize(metrics.NewDistribution(lats)),
 		})
 	}
-	return points, nil
+	return points, w, nil
 }
 
 // JoinLatency replays a protocol trace against the network: server

@@ -85,12 +85,6 @@ type LatencyResult struct {
 }
 
 func (c *LatencyConfig) setDefaults() {
-	if c.Assign.Params == (ident.Params{}) {
-		c.Assign = assign.DefaultConfig()
-	}
-	if c.K == 0 {
-		c.K = 4
-	}
 	if c.Runs == 0 {
 		c.Runs = 1
 	}
@@ -117,31 +111,32 @@ func buildNetwork(kind TopologyKind, hosts int, seed int64) (vnet.Network, error
 	}
 }
 
-// buildTmeshGroup assigns IDs and joins all users (concurrent joins in
-// the paper; the outcome depends on join order, which we draw from the
-// run's RNG just as a set of random join times would).
-func buildTmeshGroup(cfg LatencyConfig, net vnet.Network, order []vnet.HostID, rng *rand.Rand) (*overlay.Directory, []overlay.Record, error) {
-	dir, err := overlay.NewDirectory(cfg.Assign.Params, cfg.K, net, 0)
+// latencyWorld builds one run's T-mesh world from its run-derived seed:
+// users occupy hosts 1..Joins (host 0 is the key server) and join in a
+// random order per run ("for each run we changed user joining times").
+// It returns the world and that join order.
+func latencyWorld(cfg LatencyConfig, run int) (*world, []vnet.HostID, error) {
+	seed := cfg.Seed + int64(run)*7919
+	rng := rand.New(rand.NewSource(seed))
+	net, err := buildNetwork(cfg.Topology, cfg.Joins+1, seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	assigner, err := assign.New(cfg.Assign, dir, rng)
+	order := make([]vnet.HostID, cfg.Joins)
+	for i := range order {
+		order[i] = vnet.HostID(i + 1)
+	}
+	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	w, err := newWorld(net, rng, cfg.Assign, cfg.K)
 	if err != nil {
 		return nil, nil, err
 	}
-	recs := make([]overlay.Record, 0, len(order))
-	for i, host := range order {
-		id, _, err := assigner.AssignID(host)
-		if err != nil {
-			return nil, nil, fmt.Errorf("exp: assigning host %d: %w", host, err)
-		}
-		rec := overlay.Record{Host: host, ID: id, JoinTime: time.Duration(i) * time.Second}
-		if err := dir.Join(rec); err != nil {
+	for _, host := range order {
+		if _, _, err := w.join(host); err != nil {
 			return nil, nil, err
 		}
-		recs = append(recs, rec)
 	}
-	return dir, recs, nil
+	return w, order, nil
 }
 
 // RunLatency executes one of Figs. 6-11/14. Runs execute concurrently
@@ -219,43 +214,29 @@ func RunLatency(cfg LatencyConfig) (*LatencyResult, error) {
 // distributions. It shares no mutable state with other runs, which is
 // what makes RunLatency's fan-out safe.
 func runLatencyOnce(cfg LatencyConfig, run int) (tm, nc runDists, err error) {
-	seed := cfg.Seed + int64(run)*7919
-	rng := rand.New(rand.NewSource(seed))
-	net, err := buildNetwork(cfg.Topology, cfg.Joins+1, seed)
-	if err != nil {
-		return tm, nc, err
-	}
-	// Host 0 is the key server; users occupy hosts 1..Joins in a
-	// random join order per run ("for each run we changed user
-	// joining times").
-	order := make([]vnet.HostID, cfg.Joins)
-	for i := range order {
-		order[i] = vnet.HostID(i + 1)
-	}
-	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-
-	dir, recs, err := buildTmeshGroup(cfg, net, order, rng)
+	w, order, err := latencyWorld(cfg, run)
 	if err != nil {
 		return tm, nc, err
 	}
 	var senderID ident.ID // zero: the key server sends
 	senderHost := vnet.HostID(0)
 	if cfg.DataTransport {
-		pick := recs[rng.Intn(len(recs))]
+		pick := w.recs[w.rng.Intn(len(w.recs))]
 		senderID, senderHost = pick.ID, pick.Host
 	}
-	res, err := tmesh.Multicast(tmesh.Config[int]{Dir: dir, SenderID: senderID}, 1)
+	res, err := tmesh.Multicast(tmesh.Config[int]{Dir: w.dir, SenderID: senderID}, 1)
 	if err != nil {
 		return tm, nc, err
 	}
-	tm = collectTmesh(res, recs, senderID, cfg.DataTransport)
+	tm = collectTmesh(res, w.recs, senderID, cfg.DataTransport)
 
 	if !cfg.SkipNICE {
-		np, err := nice.New(net, nice.DefaultK)
+		np, err := nice.New(w.net, nice.DefaultK)
 		if err != nil {
 			return tm, nc, err
 		}
-		// Same join order, sequential joins as in the paper.
+		// Same join order, sequential joins as in the paper. NICE
+		// keeps its own code: it places users by host, not by ID.
 		for _, h := range order {
 			if err := np.Join(h); err != nil {
 				return tm, nc, err
@@ -344,6 +325,23 @@ type ThresholdVariant struct {
 	Thresholds []time.Duration
 }
 
+// latencyConfig is the variant's T-mesh-only PlanetLab latency run.
+func (v ThresholdVariant) latencyConfig(joins, runs int, seed int64) LatencyConfig {
+	return LatencyConfig{
+		Topology: PlanetLab,
+		Joins:    joins,
+		Runs:     runs,
+		Seed:     seed,
+		SkipNICE: true,
+		Assign: assign.Config{
+			Params:        ident.Params{Digits: v.Digits, Base: v.Base},
+			Thresholds:    v.Thresholds,
+			Percentile:    90,
+			CollectTarget: 10,
+		},
+	}
+}
+
 // PaperThresholdVariants returns the Fig. 14 parameter sets.
 func PaperThresholdVariants() []ThresholdVariant {
 	ms := func(vs ...int) []time.Duration {
@@ -370,20 +368,7 @@ func RunThresholdSweep(joins, runs int, seed int64, variants []ThresholdVariant)
 	}
 	out := make(map[string]*LatencyResult, len(variants))
 	for _, v := range variants {
-		cfg := LatencyConfig{
-			Topology: PlanetLab,
-			Joins:    joins,
-			Runs:     runs,
-			Seed:     seed,
-			SkipNICE: true,
-			Assign: assign.Config{
-				Params:        ident.Params{Digits: v.Digits, Base: v.Base},
-				Thresholds:    v.Thresholds,
-				Percentile:    90,
-				CollectTarget: 10,
-			},
-		}
-		res, err := RunLatency(cfg)
+		res, err := RunLatency(v.latencyConfig(joins, runs, seed))
 		if err != nil {
 			return nil, fmt.Errorf("exp: variant %q: %w", v.Name, err)
 		}

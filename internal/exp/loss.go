@@ -35,7 +35,7 @@ func RunLossSweep(cfg AblationConfig, lossRates []float64) ([]LossPoint, error) 
 			return nil, fmt.Errorf("exp: loss rate %v out of [0, 1)", p)
 		}
 	}
-	g, err := newChurnGroup(cfg.Assign, cfg.K, cfg.Seed, cfg.N, 0, "loss")
+	w, err := newChurnWorld(cfg.Assign, cfg.K, cfg.Seed, cfg.N, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -43,7 +43,7 @@ func RunLossSweep(cfg AblationConfig, lossRates []float64) ([]LossPoint, error) 
 	if nLeave == 0 {
 		nLeave = cfg.N / 8
 	}
-	msg, err := g.churn(nLeave)
+	msg, err := w.churn(cfg.N, nLeave, "loss")
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +62,7 @@ func RunLossSweep(cfg AblationConfig, lossRates []float64) ([]LossPoint, error) 
 		// lossless unicast rung, on a simulator of its own.
 		sim := eventsim.New()
 		res, err := recovery.DistributeLadder(recovery.LadderConfig{
-			Dir:     g.dir,
+			Dir:     w.dir,
 			Sim:     sim,
 			Policy:  recovery.Policy{Timeout: time.Second, RetryBase: time.Second, RetryMax: time.Second, RetryBudget: 1},
 			DropHop: drop,
@@ -77,7 +77,7 @@ func RunLossSweep(cfg AblationConfig, lossRates []float64) ([]LossPoint, error) 
 			ServerUnits: res.ServerUnits,
 			HopsDropped: res.Multicast.Dropped,
 		}
-		if n := g.dir.Size(); n > 0 {
+		if n := w.dir.Size(); n > 0 {
 			pt.RecoveredFraction = float64(len(res.Recovered)) / float64(n)
 		}
 		if len(res.Recovered) > 0 {

@@ -3,14 +3,12 @@ package exp
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"tmesh/internal/assign"
 	"tmesh/internal/cluster"
 	"tmesh/internal/ident"
 	"tmesh/internal/keytree"
 	"tmesh/internal/lkh"
-	"tmesh/internal/overlay"
 	"tmesh/internal/vnet"
 )
 
@@ -52,9 +50,6 @@ func RunRekeyCost(cfg RekeyCostConfig) ([]RekeyCostCell, error) {
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("exp: N must be >= 1, got %d", cfg.N)
 	}
-	if cfg.Assign.Params == (ident.Params{}) {
-		cfg.Assign = assign.DefaultConfig()
-	}
 	if cfg.Runs == 0 {
 		cfg.Runs = 1
 	}
@@ -71,7 +66,7 @@ func RunRekeyCost(cfg RekeyCostConfig) ([]RekeyCostCell, error) {
 	err := forEachUnit(cfg.Runs, cfg.Progress, func(run int) error {
 		sums := newCostCells(cfg)
 		seed := cfg.Seed + int64(run)*104729
-		if err := runRekeyCostOnce(cfg, seed, sums); err != nil {
+		if _, err := runRekeyCostOnce(cfg, seed, sums); err != nil {
 			return err
 		}
 		perRun[run] = sums
@@ -111,19 +106,10 @@ func newCostCells(cfg RekeyCostConfig) map[[2]int]*RekeyCostCell {
 	return sums
 }
 
-// world is the base group state shared by all grid cells of one run.
-type costWorld struct {
-	cfg      RekeyCostConfig
-	net      vnet.Network
-	dir      *overlay.Directory
-	assigner *assign.Assigner
-	baseIDs  []ident.ID
-	baseRecs []overlay.Record
-	rng      *rand.Rand
-	nextHost int
-}
-
-func runRekeyCostOnce(cfg RekeyCostConfig, seed int64, sums map[[2]int]*RekeyCostCell) error {
+// runRekeyCostOnce adds one run's cost of every grid cell to sums and
+// returns the run's world: the N initial members, every cell's joiners
+// rolled back out.
+func runRekeyCostOnce(cfg RekeyCostConfig, seed int64, sums map[[2]int]*RekeyCostCell) (*world, error) {
 	rng := rand.New(rand.NewSource(seed))
 	maxJ := 0
 	for _, j := range cfg.JValues {
@@ -133,33 +119,23 @@ func runRekeyCostOnce(cfg RekeyCostConfig, seed int64, sums map[[2]int]*RekeyCos
 	}
 	net, err := vnet.NewGTITM(vnet.DefaultGTITMConfig(), cfg.N+maxJ+1, seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	dir, err := overlay.NewDirectory(cfg.Assign.Params, 4, net, 0)
+	w, err := newWorld(net, rng, cfg.Assign, 0)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	assigner, err := assign.New(cfg.Assign, dir, rng)
-	if err != nil {
-		return err
-	}
-	w := &costWorld{cfg: cfg, net: net, dir: dir, assigner: assigner, rng: rng, nextHost: 1}
 	// Initial N joins ("1024 users join the group each at a random
 	// time"; only the resulting ID assignment matters for cost).
-	for i := 0; i < cfg.N; i++ {
-		rec, err := w.joinOne(time.Duration(i) * time.Second)
-		if err != nil {
-			return err
-		}
-		w.baseIDs = append(w.baseIDs, rec.ID)
-		w.baseRecs = append(w.baseRecs, rec)
+	if err := w.grow(cfg.N); err != nil {
+		return nil, err
 	}
-
+	baseIDs := idsOf(w.recs)
 	for _, j := range cfg.JValues {
 		for _, l := range cfg.LValues {
-			mod, orig, clus, err := w.costs(j, l)
+			mod, orig, clus, err := costs(w, baseIDs, j, l)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			c := sums[[2]int{j, l}]
 			c.Modified += mod
@@ -167,75 +143,50 @@ func runRekeyCostOnce(cfg RekeyCostConfig, seed int64, sums map[[2]int]*RekeyCos
 			c.Clustered += clus
 		}
 	}
-	return nil
-}
-
-// joinOne runs ID assignment for a fresh host and admits it.
-func (w *costWorld) joinOne(at time.Duration) (overlay.Record, error) {
-	host := vnet.HostID(w.nextHost)
-	w.nextHost++
-	id, _, err := w.assigner.AssignID(host)
-	if err != nil {
-		return overlay.Record{}, err
-	}
-	rec := overlay.Record{Host: host, ID: id, JoinTime: at}
-	if err := w.dir.Join(rec); err != nil {
-		return overlay.Record{}, err
-	}
-	return rec, nil
+	return w, nil
 }
 
 // costs measures one grid cell: J joins + L leaves processed in one
-// interval, against fresh copies of all three key-tree variants. Joiner
-// IDs are assigned against the live directory and rolled back afterwards
-// so cells stay independent.
-func (w *costWorld) costs(j, l int) (mod, orig, clus float64, err error) {
+// interval, against fresh copies of all three key-tree variants built
+// over the world's initial members baseIDs. Joiner IDs are assigned
+// against the live directory and rolled back afterwards so cells stay
+// independent.
+func costs(w *world, baseIDs []ident.ID, j, l int) (mod, orig, clus float64, err error) {
+	n := len(baseIDs)
+	baseRecs := w.recs[:n]
 	// The centralized controller of Section 4.2: pick L distinct
 	// leavers and assign J joiner IDs.
-	perm := w.rng.Perm(len(w.baseIDs))[:l]
+	perm := w.rng.Perm(n)[:l]
 	leavers := make([]ident.ID, l)
-	leaverRecs := make([]overlay.Record, l)
 	for i, p := range perm {
-		leavers[i] = w.baseIDs[p]
-		leaverRecs[i] = w.baseRecs[p]
+		leavers[i] = baseIDs[p]
 	}
-	joiners := make([]overlay.Record, 0, j)
-	for i := 0; i < j; i++ {
-		rec, err := w.joinOne(time.Duration(10000+i) * time.Second)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		joiners = append(joiners, rec)
+	if err := w.grow(j); err != nil {
+		return 0, 0, 0, err
 	}
+	joiners := w.recs[n:]
 	defer func() {
-		// Roll the joiners back out of the directory.
-		for _, rec := range joiners {
-			if e := w.dir.Leave(rec.ID); e != nil && err == nil {
-				err = e
-			}
+		if e := w.undo(j); e != nil && err == nil {
+			err = e
 		}
-		w.nextHost -= len(joiners)
 	}()
-	joinIDs := make([]ident.ID, len(joiners))
-	for i, r := range joiners {
-		joinIDs[i] = r.ID
-	}
+	params := w.dir.Params()
 
 	// Modified key tree (Fig. 12 (a)).
-	mtree, err := keytree.New(w.cfg.Assign.Params, []byte("cost"), keytree.Opts{})
+	mtree, err := keytree.New(params, []byte("cost"), keytree.Opts{})
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if _, err := mtree.Batch(w.baseIDs, nil); err != nil {
+	if _, err := mtree.Batch(baseIDs, nil); err != nil {
 		return 0, 0, 0, err
 	}
-	mmsg, err := mtree.Batch(joinIDs, leavers)
+	mmsg, err := mtree.Batch(idsOf(joiners), leavers)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 
 	// Original key tree: full and balanced after the initial joins.
-	otree, users, err := lkh.NewFullBalanced(4, w.cfg.N)
+	otree, users, err := lkh.NewFullBalanced(4, n)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -249,11 +200,11 @@ func (w *costWorld) costs(j, l int) (mod, orig, clus float64, err error) {
 	}
 
 	// Modified tree + cluster rekeying heuristic (Fig. 12 (c)).
-	cm, err := cluster.New(w.cfg.Assign.Params, []byte("cost"), keytree.Opts{})
+	cm, err := cluster.New(params, []byte("cost"), keytree.Opts{})
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	for _, rec := range w.baseRecs {
+	for _, rec := range baseRecs {
 		if err := cm.Join(rec); err != nil {
 			return 0, 0, 0, err
 		}
@@ -266,8 +217,8 @@ func (w *costWorld) costs(j, l int) (mod, orig, clus float64, err error) {
 			return 0, 0, 0, err
 		}
 	}
-	for _, rec := range leaverRecs {
-		if err := cm.Leave(rec.ID); err != nil {
+	for _, id := range leavers {
+		if err := cm.Leave(id); err != nil {
 			return 0, 0, 0, err
 		}
 	}

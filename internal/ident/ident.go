@@ -73,7 +73,7 @@ func (p Params) Capacity() int {
 }
 
 // ID is a complete user ID: exactly D digits of base B. The zero value is
-// not a valid ID; construct IDs with New, Parse, or FromInt.
+// not a valid ID; construct IDs with New or FromInt.
 //
 // An ID is immutable after construction; all methods treat the receiver as
 // read-only.

@@ -48,8 +48,9 @@ type Opts struct {
 	// RealCrypto enables actual AES-GCM key wrapping. When false,
 	// encryptions carry correct IDs but empty ciphertexts, which is
 	// enough for planes that only count encryptions and hold no member
-	// keyrings: internal/exp's rekey-cost, bandwidth and churn runners
-	// (real wraps would slow Fig. 12 and change none of its numbers) and
+	// keyrings: internal/exp's rekey-cost and bandwidth runners and its
+	// churn world (real wraps would slow Fig. 12 and change none of its
+	// numbers) and
 	// the chaos soak's Appendix B cluster shadow. Every plane whose
 	// members install keys sets it, and so does bench/.
 	RealCrypto bool
