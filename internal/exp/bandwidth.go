@@ -159,7 +159,7 @@ func buildBandwidthWorld(cfg BandwidthConfig) (*bwWorld, error) {
 	if err != nil {
 		return nil, err
 	}
-	grow := func(n int) ([]overlay.Record, error) {
+	admit := func(n int) ([]overlay.Record, error) {
 		if err := w.grow(n); err != nil {
 			return nil, err
 		}
@@ -171,7 +171,7 @@ func buildBandwidthWorld(cfg BandwidthConfig) (*bwWorld, error) {
 		}
 		return recs, nil
 	}
-	baseRecs, err := grow(cfg.N)
+	baseRecs, err := admit(cfg.N)
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +191,7 @@ func buildBandwidthWorld(cfg BandwidthConfig) (*bwWorld, error) {
 		leavers[i] = baseIDs[p]
 		leaverSet[p] = true
 	}
-	joinRecs, err := grow(cfg.ChurnJoins)
+	joinRecs, err := admit(cfg.ChurnJoins)
 	if err != nil {
 		return nil, err
 	}
