@@ -121,27 +121,46 @@ func TestDefaultScaleConfig(t *testing.T) {
 // TestMemberFootprintBudget is the memory gate of the flat state layout:
 // a fully built world — server key tree, every member's
 // keyring, the reusable applier — must stay under a resident
-// bytes/member budget (GC-settled HeapAlloc delta across the build).
-// 756 B/member is the committed measurement at N=20000; the budget
-// carries ~1.5x headroom, so layout regressions on the million-member
-// path fail here instead of surfacing in a production soak. (The
-// per-interval allocation budget is the repo benchmark's
-// keyplane_100k mem_bytes_per_member / allocs_per_member.)
+// bytes/member budget (GC-settled HeapAlloc delta across the build),
+// both right after build-up and in steady state, after two churn
+// intervals have run every member's apply. At N=20000 the committed
+// measurements are 659 B/member built and 681 in steady state; the
+// budget carries ~1.25x headroom, so layout regressions on the
+// million-member path fail here instead of surfacing in a production
+// soak. Only the steady-state reading sees state an apply leaves on
+// every keyring: a scratch slice kept per ring reads 880. (The
+// per-interval allocation budget is the repo benchmark's keyplane_100k
+// mem_bytes_per_member / allocs_per_member.)
 func TestMemberFootprintBudget(t *testing.T) {
-	const n, budget = 20000, 1150.0
-	var before, after runtime.MemStats
+	const n, budget = 20000, 850.0
+	var before runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
+	perMember := func() float64 {
+		var after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+	}
 	w, err := newScaleSoak(DefaultScaleConfig(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	perMember := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+	built := perMember()
+	for i := 0; i < 2; i++ {
+		if _, _, err := w.step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	steady := perMember()
 	runtime.KeepAlive(w)
-	t.Logf("resident footprint: %.0f bytes/member", perMember)
-	if perMember > budget {
-		t.Errorf("resident footprint %.0f bytes/member exceeds the %.0f budget", perMember, budget)
+	for _, m := range []struct {
+		when string
+		got  float64
+	}{{"built", built}, {"steady state", steady}} {
+		t.Logf("resident footprint, %s: %.0f bytes/member", m.when, m.got)
+		if m.got > budget {
+			t.Errorf("resident footprint, %s: %.0f bytes/member exceeds the %.0f budget", m.when, m.got, budget)
+		}
 	}
 }

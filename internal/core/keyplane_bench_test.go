@@ -14,9 +14,15 @@ import (
 // N=20 000 members in base-32 IDs, 1 % churn (200 leaves and 200
 // joins), one op one KeyPlane.Rekey at GOMAXPROCS width. us/member and
 // allocs/member divide the whole interval (flush, apply, join keyrings)
-// by the survivors that applied it.
+// by the survivors that applied it. B/member is the world's resident
+// heap after the loop (GC-settled HeapAlloc, less the reading before
+// the world was built) over N: the member state the intervals leave
+// behind.
 func BenchmarkKeyPlaneRekey(b *testing.B) {
 	const n, churn = 20000, 200
+	var empty, before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&empty)
 	params := ident.Base32For(n + churn)
 	w, err := NewKeyPlane(params, keytree.SeedOf(1), keytree.Opts{CapacityHint: n + churn}, runtime.GOMAXPROCS(0))
 	if err != nil {
@@ -36,7 +42,6 @@ func BenchmarkKeyPlaneRekey(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	var free []ident.ID
 	var members int64
-	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
@@ -71,7 +76,10 @@ func BenchmarkKeyPlaneRekey(b *testing.B) {
 	}
 	elapsed := time.Since(start)
 	b.StopTimer()
+	runtime.GC()
 	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(w)
 	b.ReportMetric(float64(elapsed.Microseconds())/float64(members), "us/member")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(members), "allocs/member")
+	b.ReportMetric((float64(after.HeapAlloc)-float64(empty.HeapAlloc))/n, "B/member")
 }

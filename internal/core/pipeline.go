@@ -249,8 +249,9 @@ func (a *indexedApplier) Apply(msg *keytree.Message, members []ident.ID) (int64,
 				} else if full {
 					n, err = kr.ApplyWith(unw, msg)
 				} else {
+					// Deepest first: ApplyWith's sort then moves nothing.
 					scratch = scratch[:0]
-					for l := 0; l <= a.depth; l++ {
+					for l := a.depth; l >= 0; l-- {
 						if idx, ok := a.encIdx[id.Prefix(l).Key()]; ok {
 							scratch = append(scratch, msg.Encryptions[idx])
 						}

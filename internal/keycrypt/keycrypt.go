@@ -8,7 +8,8 @@
 // (AES-256-GCM) so that examples and tests can verify end-to-end that each
 // user can decrypt exactly the keys it is entitled to. Wrapper and
 // Unwrapper are the batch forms a worker reuses across one interval's
-// wraps and unwraps; their outputs equal the one-shot functions'.
+// wraps and unwraps; their outputs equal the one-shot functions', and
+// each allocates at most the one AES-GCM state its KEK needs.
 package keycrypt
 
 import (
@@ -157,6 +158,10 @@ type Wrapper struct {
 	aad   []byte
 	sum   []byte
 	arena []byte
+	// The context word and new key, copied here: a stack value passed
+	// to the HMAC's or the AEAD's interface call escapes once per wrap.
+	ctx [8]byte
+	key [KeySize]byte
 }
 
 // wrappedLen is the exact ciphertext size of one wrapped key:
@@ -182,9 +187,8 @@ func (w *Wrapper) WrapSeeded(kek Key, kekID ident.Prefix, newKey Key, newKeyID i
 	w.mac.Reset()
 	w.mac.Write(nonceLabel)
 	w.mac.Write(w.aad)
-	var ctx [8]byte
-	binary.BigEndian.PutUint64(ctx[:], context)
-	w.mac.Write(ctx[:])
+	binary.BigEndian.PutUint64(w.ctx[:], context)
+	w.mac.Write(w.ctx[:])
 	w.sum = w.mac.Sum(w.sum[:0])
 	nonce := w.sum[:nonceSize]
 
@@ -198,7 +202,8 @@ func (w *Wrapper) WrapSeeded(kek Key, kekID ident.Prefix, newKey Key, newKeyID i
 	off := len(w.arena)
 	// Three-index slice: capacity capped at wrappedLen so Seal fills the
 	// arena region in place without ever growing into later wraps.
-	ct := aead.Seal(append(w.arena[off:off:off+wrappedLen], nonce...), nonce, newKey.bytes[:], w.aad)
+	w.key = newKey.bytes
+	ct := aead.Seal(append(w.arena[off:off:off+wrappedLen], nonce...), nonce, w.key[:], w.aad)
 	w.arena = w.arena[:off+len(ct)]
 	return Encryption{
 		ID:         kekID,
@@ -220,7 +225,8 @@ func Unwrap(kek Key, e Encryption) (Key, error) {
 // keeps the AES-GCM state built from each KEK it has seen, keyed by that
 // KEK's material. Every call still runs its own Open, tag check and
 // decryption; only the cipher setup a KEK always yields is shared, so a
-// wrong or stale KEK misses and fails exactly as the one-shot Unwrap. A
+// wrong or stale KEK misses and fails exactly as the one-shot Unwrap.
+// UnwrapOnce, for a KEK no other member holds, keeps no cipher state. A
 // nil *Unwrapper is the one-shot path. Not safe for concurrent use;
 // give each worker its own, for one batch.
 type Unwrapper struct {
@@ -236,17 +242,25 @@ func NewUnwrapper() *Unwrapper {
 
 // Unwrap is the batch form of the package-level Unwrap; its results and
 // errors are the same.
-func (u *Unwrapper) Unwrap(kek Key, e Encryption) (Key, error) {
+func (u *Unwrapper) Unwrap(kek Key, e Encryption) (Key, error) { return u.unwrap(kek, e, true) }
+
+// UnwrapOnce is Unwrap for a KEK no other member holds: the AES-GCM
+// state is built, used once and dropped; only the scratch is reused.
+func (u *Unwrapper) UnwrapOnce(kek Key, e Encryption) (Key, error) { return u.unwrap(kek, e, false) }
+
+// unwrap is every unwrap's Open and tag check; keep caches kek's
+// AES-GCM state in u.
+func (u *Unwrapper) unwrap(kek Key, e Encryption, keep bool) (Key, error) {
 	if u == nil {
 		u = &Unwrapper{}
 	}
-	aead, ok := u.aeads[kek]
-	if !ok {
+	aead := u.aeads[kek]
+	if aead == nil {
 		var err error
 		if aead, err = newAEAD(kek); err != nil {
 			return Key{}, err
 		}
-		if u.aeads != nil {
+		if keep && u.aeads != nil {
 			u.aeads[kek] = aead
 		}
 	}

@@ -294,3 +294,50 @@ func TestUnwrapperMatchesUnwrap(t *testing.T) {
 		t.Errorf("Unwrapper.Unwrap under a cached KEK allocates %.2f times, want 0", allocs)
 	}
 }
+
+// TestBatchFormsAllocateOneAEAD pins the heap cost of a batch wrap and
+// of an individual-key unwrap to the one AES-GCM state their KEK
+// needs, counted from an AEAD built here: the HMAC input, the new key,
+// the AAD, the plaintext and the ciphertext all land in Wrapper- or
+// Unwrapper-owned memory.
+func TestBatchFormsAllocateOneAEAD(t *testing.T) {
+	kek, nk := DeriveKey([]byte("k"), "kek"), DeriveKey([]byte("k"), "new")
+	kekID, keyID := mustPrefix(t, 1, 2), mustPrefix(t, 1)
+	aead := testing.AllocsPerRun(100, func() {
+		if _, err := newAEAD(kek); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if aead == 0 {
+		t.Fatal("building an AEAD allocates nothing; the pins below would be vacuous")
+	}
+	w := NewWrapper([]byte("seed"))
+	var e Encryption
+	context := uint64(0)
+	wraps := testing.AllocsPerRun(100, func() {
+		context++
+		var err error
+		if e, err = w.WrapSeeded(kek, kekID, nk, keyID, 1, context); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if wraps != aead {
+		t.Errorf("Wrapper.WrapSeeded allocates %.0f times per wrap, want %.0f (one AEAD)", wraps, aead)
+	}
+
+	u := NewUnwrapper()
+	unwraps := testing.AllocsPerRun(100, func() {
+		if got, err := u.UnwrapOnce(kek, e); err != nil || !got.Equal(nk) {
+			t.Fatalf("UnwrapOnce = %v, %v; want the wrapped key", got, err)
+		}
+	})
+	if unwraps != aead {
+		t.Errorf("Unwrapper.UnwrapOnce allocates %.0f times per unwrap, want %.0f (one AEAD)", unwraps, aead)
+	}
+	if _, err := u.UnwrapOnce(DeriveKey(nil, "wrong"), e); !errors.Is(err, ErrDecrypt) {
+		t.Errorf("UnwrapOnce under a wrong KEK: err = %v, want ErrDecrypt", err)
+	}
+	if len(u.aeads) != 0 {
+		t.Errorf("UnwrapOnce kept %d AES-GCM states, want none", len(u.aeads))
+	}
+}

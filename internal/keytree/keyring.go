@@ -17,27 +17,29 @@ import (
 // — so the ring stores them in a flat slice indexed by level rather than
 // a map keyed by prefix string: constant size per member, no per-key map
 // overhead, which is what lets a million keyrings sit in RAM at once.
+// Level l's prefix is id.Prefix(l), so it is not stored: the slice holds
+// no pointers for the collector to scan, and Apply adds nothing to it.
 type Keyring struct {
 	id     ident.ID
-	params ident.Params
-	levels []PathKey // levels[l] = current key for id[:l]; levels[D] = individual key
+	levels []ringKey // levels[l] = current key for id.Prefix(l); levels[D] = individual key
+}
 
-	// scratch backs Apply's needed-encryption collection so steady-state
-	// rekey application allocates nothing per interval. Cleared after
-	// use so the ring never pins a message's ciphertext buffers.
-	scratch []keycrypt.Encryption
+// ringKey is one held key and its version.
+type ringKey struct {
+	key     keycrypt.Key
+	version uint64
 }
 
 // NewKeyring initialises a user's keyring from the path-keys message the
 // key server unicasts at join time.
 func NewKeyring(params ident.Params, u ident.ID, path []PathKey) (*Keyring, error) {
-	kr := &Keyring{id: u, params: params, levels: make([]PathKey, params.Digits+1)}
+	kr := &Keyring{id: u, levels: make([]ringKey, params.Digits+1)}
 	seen := make([]bool, params.Digits+1)
 	for _, pk := range path {
 		if !pk.ID.IsPrefixOfID(u) {
 			return nil, fmt.Errorf("keytree: path key %v is not on %v's path", pk.ID, u)
 		}
-		kr.levels[pk.ID.Len()] = pk
+		kr.levels[pk.ID.Len()] = ringKey{key: pk.Key, version: pk.Version}
 		seen[pk.ID.Len()] = true
 	}
 	for l := 0; l <= params.Digits; l++ {
@@ -56,7 +58,7 @@ func (kr *Keyring) GroupKey() (keycrypt.Key, bool) {
 	if len(kr.levels) == 0 {
 		return keycrypt.Key{}, false
 	}
-	return kr.levels[0].Key, true
+	return kr.levels[0].key, true
 }
 
 // Key returns the current key held for a path prefix.
@@ -64,7 +66,7 @@ func (kr *Keyring) Key(p ident.Prefix) (keycrypt.Key, bool) {
 	if !p.IsPrefixOfID(kr.id) || p.Len() >= len(kr.levels) {
 		return keycrypt.Key{}, false
 	}
-	return kr.levels[p.Len()].Key, true
+	return kr.levels[p.Len()].key, true
 }
 
 // Needs implements Lemma 3 for this user.
@@ -80,14 +82,15 @@ func (kr *Keyring) Needs(e keycrypt.Encryption) bool { return e.NeededBy(kr.id) 
 func (kr *Keyring) Apply(msg *Message) (int, error) { return kr.ApplyWith(nil, msg) }
 
 // ApplyWith is Apply unwrapping through u, one apply worker's batch
-// state (nil: one-shot unwraps). Only k-node KEKs go through u: the
-// individual key is this member's alone, so caching its cipher state
-// would only grow the worker's map.
+// state (nil: one-shot unwraps). Only k-node KEKs are cached in u: the
+// individual key is this member's alone, so its unwrap goes through
+// UnwrapOnce, which reuses u's scratch but not its cipher state.
 func (kr *Keyring) ApplyWith(u *keycrypt.Unwrapper, msg *Message) (int, error) {
-	needed := kr.scratch[:0]
-	for _, e := range msg.Encryptions {
+	var buf [8]int32 // indices, not copies, keep the frame small; at most D+1
+	needed := buf[:0]
+	for i, e := range msg.Encryptions {
 		if kr.Needs(e) {
-			needed = append(needed, e)
+			needed = append(needed, int32(i))
 		}
 	}
 	// Deepest encrypting key first: each unwrap may need the key
@@ -96,35 +99,32 @@ func (kr *Keyring) ApplyWith(u *keycrypt.Unwrapper, msg *Message) (int, error) {
 	// unlike it — allocates nothing, keeping the per-interval apply
 	// path flat at soak scale.
 	for i := 1; i < len(needed); i++ {
-		for j := i; j > 0 && needed[j-1].ID.Len() < needed[j].ID.Len(); j-- {
+		for j := i; j > 0 && msg.Encryptions[needed[j-1]].ID.Len() < msg.Encryptions[needed[j]].ID.Len(); j-- {
 			needed[j-1], needed[j] = needed[j], needed[j-1]
 		}
 	}
-	updated := 0
-	var err error
-	for _, e := range needed {
+	for n, i := range needed {
+		e := &msg.Encryptions[i]
 		// Needs guarantees e.ID is on the owner's path, so the KEK is
 		// always held; the wrapped key's ID must be on the path too or
 		// installing it would clobber an unrelated level, and strictly
 		// above e.ID, or a holder of a shallower key could overwrite a
 		// deeper one it does not hold.
 		if !e.KeyID.IsPrefixOfID(kr.id) || e.KeyID.Len() >= e.ID.Len() {
-			err = fmt.Errorf("keytree: %v received key %v outside its path above %v", kr.id, e.KeyID, e.ID)
-			break
+			return n, fmt.Errorf("keytree: %v received key %v outside its path above %v", kr.id, e.KeyID, e.ID)
 		}
-		kek, eu := kr.levels[e.ID.Len()], u
+		kek := kr.levels[e.ID.Len()].key
+		var newKey keycrypt.Key
+		var err error
 		if e.ID.Len() == len(kr.levels)-1 {
-			eu = nil
+			newKey, err = u.UnwrapOnce(kek, *e)
+		} else {
+			newKey, err = u.Unwrap(kek, *e)
 		}
-		newKey, uerr := eu.Unwrap(kek.Key, e)
-		if uerr != nil {
-			err = fmt.Errorf("keytree: %v unwrapping %v: %w", kr.id, e.KeyID, uerr)
-			break
+		if err != nil {
+			return n, fmt.Errorf("keytree: %v unwrapping %v: %w", kr.id, e.KeyID, err)
 		}
-		kr.levels[e.KeyID.Len()] = PathKey{ID: e.KeyID, Key: newKey, Version: e.KeyVersion}
-		updated++
+		kr.levels[e.KeyID.Len()] = ringKey{key: newKey, version: e.KeyVersion}
 	}
-	clear(needed)
-	kr.scratch = needed[:0]
-	return updated, err
+	return len(needed), nil
 }

@@ -1,6 +1,8 @@
 package keytree
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"math/rand"
 	"testing"
 
@@ -470,6 +472,74 @@ func TestKeyringValidation(t *testing.T) {
 	}
 	if _, err := tr.PathKeys(other); err == nil {
 		t.Error("PathKeys of a non-member should fail")
+	}
+}
+
+// TestApplyWithAllocatesOnlyTheIndividualKeysAEAD pins a member's
+// apply to the garbage its one-time KEK needs: on a keyring's first
+// apply, a message that rekeys the whole path under the member's
+// individual key allocates one AEAD (counted from one built here), and
+// once every KEK is in the worker's Unwrapper an apply allocates
+// nothing. Counting first applies also counts any state an apply
+// would hang on the keyring.
+func TestApplyWithAllocatesOnlyTheIndividualKeysAEAD(t *testing.T) {
+	params := ident.Params{Digits: 3, Base: 4}
+	u := ids(t, params, 27)[0]
+	path := make([]PathKey, params.Digits+1)
+	for l := range path {
+		path[l] = PathKey{ID: u.Prefix(l), Key: keycrypt.DeriveKey([]byte{byte(l)}, "old"), Version: 1}
+	}
+	// Shallowest first, so ApplyWith's sort has work to do.
+	msg := &Message{Encryptions: make([]keycrypt.Encryption, params.Digits)}
+	want := make([]keycrypt.Key, params.Digits)
+	kek := path[params.Digits].Key
+	for l := params.Digits - 1; l >= 0; l-- {
+		want[l] = keycrypt.DeriveKey([]byte{byte(l)}, "new")
+		e, err := keycrypt.WrapSeeded(kek, u.Prefix(l+1), want[l], u.Prefix(l), 2, []byte("n"), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg.Encryptions[l], kek = e, want[l]
+	}
+	kOnly := &Message{Encryptions: msg.Encryptions[:params.Digits-1]}
+
+	raw := path[params.Digits].Key.Bytes()
+	aead := testing.AllocsPerRun(100, func() {
+		block, err := aes.NewCipher(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cipher.NewGCM(block); err != nil {
+			t.Fatal(err)
+		}
+	})
+	rings := make([]*Keyring, 101) // AllocsPerRun's warm-up plus 100 runs
+	for i := range rings {
+		var err error
+		if rings[i], err = NewKeyring(params, u, path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unw := keycrypt.NewUnwrapper()
+	apply := func(m *Message, wantN int) func() {
+		i := 0
+		return func() {
+			if n, err := rings[i].ApplyWith(unw, m); n != wantN || err != nil {
+				t.Fatalf("ring %d: ApplyWith = %d, %v; want %d keys", i, n, err, wantN)
+			}
+			i++
+		}
+	}
+	if got := testing.AllocsPerRun(len(rings)-1, apply(msg, params.Digits)); got != aead {
+		t.Errorf("a keyring's first apply allocates %.0f times, want %.0f (one AEAD, for the individual key)", got, aead)
+	}
+	if got := testing.AllocsPerRun(len(rings)-1, apply(kOnly, params.Digits-1)); got != 0 {
+		t.Errorf("an apply under cached KEKs allocates %.0f times, want 0", got)
+	}
+	for l, k := range want {
+		if got, _ := rings[len(rings)-1].Key(u.Prefix(l)); !got.Equal(k) {
+			t.Errorf("level %d: the keyring holds the wrong key", l)
+		}
 	}
 }
 
