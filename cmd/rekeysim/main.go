@@ -391,14 +391,12 @@ func buildTenancy(groups, flashJoins, massChurn, intervals int, seed int64) []gr
 		Name:     "flash",
 		Profile:  grouphost.KeyPlane,
 		Workload: workload.FlashCrowd(base, flashJoins, seed+1),
-		Verify:   256,
 	})
 	if groups > 1 {
 		specs = append(specs, grouphost.GroupSpec{
 			Name:     "mass",
 			Profile:  grouphost.KeyPlane,
 			Workload: workload.MassJoinLeave(massChurn*intervals, massChurn, massChurn, intervals, seed+2),
-			Verify:   256,
 		})
 	}
 	for i := len(specs); i < groups; i++ {

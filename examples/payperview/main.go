@@ -49,7 +49,6 @@ func runKickoff() error {
 			Name:     "kickoff",
 			Profile:  grouphost.KeyPlane,
 			Workload: workload.FlashCrowd(base, crowd, 4711),
-			Verify:   256,
 		}},
 		Seed: 11,
 	})

@@ -247,10 +247,6 @@ type Engine struct {
 	// the report's verdict totals are byte-identical with the ops plane
 	// on or off; the sink and gauges inside are nil-safe.
 	slo *slo.Engine
-	// profLabel tags pipeline stages with pprof {group, stage} labels
-	// when the ops plane is armed (Config.Obs non-nil); empty otherwise,
-	// keeping the uninstrumented hop path label-free.
-	profLabel string
 
 	rep *Report
 }
@@ -302,11 +298,7 @@ func newEngine(cfg Config, sched *workload.Schedule) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	profLabel := ""
-	if cfg.Obs != nil {
-		profLabel = "chaos"
-	}
-	tree, err := keytree.New(soakParams, keytree.SeedOf(cfg.Seed), keytree.Opts{RealCrypto: true, Obs: cfg.Obs, Label: profLabel})
+	tree, err := keytree.New(soakParams, keytree.SeedOf(cfg.Seed), keytree.Opts{RealCrypto: true, Obs: cfg.Obs})
 	if err != nil {
 		return nil, err
 	}
@@ -315,7 +307,7 @@ func newEngine(cfg Config, sched *workload.Schedule) (*Engine, error) {
 		return nil, err
 	}
 
-	e.top, e.net, e.dir, e.tree, e.clusters, e.profLabel = top, net, dir, tree, clusters, profLabel
+	e.top, e.net, e.dir, e.tree, e.clusters = top, net, dir, tree, clusters
 	e.slo = slo.New(slo.Config{
 		Group: "chaos",
 		Sink:  cfg.Sink,
@@ -743,18 +735,17 @@ func (e *Engine) doRekey(now time.Duration, stats *IntervalStats, fail func(erro
 	e.rekeyStart = now
 	deliverSpan := e.cfg.Obs.StartSpan("chaos_deliver")
 	var lr *recovery.LadderResult
-	obs.WithStage(e.profLabel, "deliver", func() {
+	obs.WithStage(e.cfg.Obs, "deliver", func() {
 		lr, err = recovery.DistributeLadder(recovery.LadderConfig{
-			Dir:          e.dir,
-			Sim:          e.sim,
-			StartAt:      now,
-			DropHop:      e.dropHop,
-			Alive:        e.det.up,
-			Policy:       soakPolicy,
-			DropUnicast:  e.dropUnicast,
-			Obs:          e.cfg.Obs,
-			ProfileLabel: e.profLabel,
-			Trace:        e.curRekeyTrace,
+			Dir:         e.dir,
+			Sim:         e.sim,
+			StartAt:     now,
+			DropHop:     e.dropHop,
+			Alive:       e.det.up,
+			Policy:      soakPolicy,
+			DropUnicast: e.dropUnicast,
+			Obs:         e.cfg.Obs,
+			Trace:       e.curRekeyTrace,
 		}, msg)
 	})
 	deliverSpan.End()

@@ -55,14 +55,9 @@ type Config struct {
 	// (regen/deliver/apply) and pipeline counters land there. Nil
 	// (the default) disables all instrumentation at no cost. Telemetry
 	// never feeds into rekey messages, reports, or member state, so
-	// seed-identical runs are byte-identical with it on or off.
+	// seed-identical runs are byte-identical with it on or off. It also
+	// tags the pipeline stages with pprof labels (obs.WithStage).
 	Obs *obs.Registry
-	// Label, when non-empty, tags the pipeline stages with pprof labels
-	// {group=Label, stage=mark|regen|deliver|apply}, so CPU profiles of
-	// a multi-tenant host decompose by group and stage. Empty (the
-	// default) leaves the hot path unlabelled at zero cost. Labels are
-	// profiling-only and never influence output.
-	Label string
 }
 
 // Group is one secure multicast group. Drive it from a single goroutine
@@ -123,7 +118,7 @@ func NewGroup(cfg Config) (*Group, error) {
 		members:  memberstate.NewStore(),
 	}
 	seed := []byte(fmt.Sprintf("group-seed-%d", cfg.Seed))
-	opts := keytree.Opts{RealCrypto: true, Obs: cfg.Obs, Label: cfg.Label}
+	opts := keytree.Opts{RealCrypto: true, Obs: cfg.Obs}
 	if cfg.ClusterRekeying {
 		g.clusters, err = cluster.New(cfg.Assign.Params, seed, opts)
 	} else {
@@ -264,14 +259,14 @@ func (g *Group) DistributeRekey(msg *keytree.Message) (*split.Report, error) {
 	deliverSpan := g.cfg.Obs.StartSpan("core_deliver")
 	var rep *split.Report
 	var err error
-	obs.WithStage(g.cfg.Label, "deliver", func() {
+	obs.WithStage(g.cfg.Obs, "deliver", func() {
 		rep, err = split.Rekey(g.dir, msg, opts)
 	})
 	deliverSpan.End()
 	if err != nil {
 		return nil, err
 	}
-	applier := &storeApplier{store: g.members, obs: g.cfg.Obs, label: g.cfg.Label}
+	applier := &storeApplier{store: g.members, obs: g.cfg.Obs}
 	applySpan := g.cfg.Obs.StartSpan("core_apply")
 	err = applier.Apply(msg.Interval, rep.Deliveries)
 	applySpan.End()

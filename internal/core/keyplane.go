@@ -22,7 +22,7 @@ type KeyPlane struct {
 	store *memberstate.Store
 	ap    *indexedApplier
 	limit int
-	label string // pprof {group=label} tag of the stages; "" = unlabelled
+	obs   *obs.Registry // pprof stage labels; nil = unlabelled
 }
 
 // NewKeyPlane builds an empty key plane. opts are the tree's, with real
@@ -37,8 +37,8 @@ func NewKeyPlane(params ident.Params, seed []byte, opts keytree.Opts, limit int)
 	}
 	store := memberstate.NewStoreSized(opts.CapacityHint)
 	return &KeyPlane{
-		tree: tree, store: store, limit: limit, label: opts.Label,
-		ap: newIndexedApplier(params, store, limit, opts.Label),
+		tree: tree, store: store, limit: limit, obs: opts.Obs,
+		ap: newIndexedApplier(params, store, limit, opts.Obs),
 	}, nil
 }
 
@@ -63,11 +63,11 @@ func (w *KeyPlane) Rekey(p *keytree.Pending, survivors []ident.ID) (joins, leave
 	for _, id := range leaves {
 		w.store.Remove(id)
 	}
-	obs.WithStage(w.label, "apply", func() { installed, err = w.ap.Apply(msg, survivors) })
+	obs.WithStage(w.obs, "apply", func() { installed, err = w.ap.Apply(msg, survivors) })
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
-	obs.WithStage(w.label, "deliver", func() {
+	obs.WithStage(w.obs, "deliver", func() {
 		for _, id := range joins {
 			var kr *keytree.Keyring
 			if kr, err = w.tree.JoinKeyring(id); err != nil {

@@ -83,13 +83,11 @@ type storeApplier struct {
 	store *memberstate.Store
 	// limit is work.Run's upper bound on the fan-out (<= 0: none).
 	limit int
-	// obs, when non-nil, counts applied users and skipped deliveries;
-	// workers update the hoisted counters lock-free.
+	// obs, when non-nil, counts applied users and skipped deliveries
+	// (workers update the hoisted counters lock-free) and labels each
+	// worker's slot with its pprof stage labels, so apply-stage CPU on
+	// the shared long-lived helpers attributes to the tenant.
 	obs *obs.Registry
-	// label, when non-empty, wraps each worker's slot in the pprof
-	// label set {group=label, stage=apply}, so apply-stage CPU on the
-	// shared long-lived helpers attributes to the tenant.
-	label string
 }
 
 // NewApplier returns the pipeline's apply stage over a member store,
@@ -143,7 +141,7 @@ func (a *storeApplier) Apply(interval uint64, deliveries []split.Delivery) error
 	}
 
 	work.Run(a.limit, len(order), func(_ int, next func() (int, bool)) {
-		obs.WithStage(a.label, "apply", func() {
+		obs.WithStage(a.obs, "apply", func() {
 			unw := keycrypt.NewUnwrapper()
 			for {
 				i, ok := next()
@@ -192,16 +190,15 @@ type indexedApplier struct {
 	store  *memberstate.Store
 	depth  int
 	limit  int
-	label  string
+	obs    *obs.Registry // pprof stage labels of the workers
 	encIdx map[string]int32
 }
 
 // newIndexedApplier returns the key plane's apply stage over a member
 // store. limit is work.Run's upper bound on the fan-out (<= 0: none);
-// label, when non-empty, tags the workers with the pprof label set
-// {group=label, stage=apply}.
-func newIndexedApplier(params ident.Params, store *memberstate.Store, limit int, label string) *indexedApplier {
-	return &indexedApplier{store: store, depth: params.Digits, limit: limit, label: label,
+// reg, when non-nil, tags the workers with its pprof stage labels.
+func newIndexedApplier(params ident.Params, store *memberstate.Store, limit int, reg *obs.Registry) *indexedApplier {
+	return &indexedApplier{store: store, depth: params.Digits, limit: limit, obs: reg,
 		encIdx: make(map[string]int32, 1024)}
 }
 
@@ -231,7 +228,7 @@ func (a *indexedApplier) Apply(msg *keytree.Message, members []ident.ID) (int64,
 		failErr error
 	)
 	work.Run(a.limit, len(members), func(_ int, next func() (int, bool)) {
-		obs.WithStage(a.label, "apply", func() {
+		obs.WithStage(a.obs, "apply", func() {
 			mini := keytree.Message{Interval: msg.Interval}
 			scratch := make([]keycrypt.Encryption, 0, a.depth+1)
 			unw := keycrypt.NewUnwrapper()

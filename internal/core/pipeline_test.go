@@ -420,7 +420,7 @@ func TestIndexedApplierMatchesFullApply(t *testing.T) {
 		for w, limit := range []int{1, 8} {
 			st := stores[w+1]
 			var got int64
-			atProcs(8, func() { got, err = newIndexedApplier(params, st, limit, "").Apply(msg, survivors) })
+			atProcs(8, func() { got, err = newIndexedApplier(params, st, limit, nil).Apply(msg, survivors) })
 			if err != nil {
 				t.Fatalf("trial %d limit %d: %v", trial, limit, err)
 			}
@@ -504,7 +504,7 @@ func TestAppliersFailAWrongKEKAfterACacheHit(t *testing.T) {
 		deliveries = append(deliveries, split.Delivery{To: id, Encryptions: msg.Encryptions})
 	}
 
-	_, err = newIndexedApplier(params, indexed, 1, "").Apply(msg, survivors)
+	_, err = newIndexedApplier(params, indexed, 1, nil).Apply(msg, survivors)
 	if !errors.Is(err, keycrypt.ErrDecrypt) || !strings.HasPrefix(err.Error(), "member "+victim.String()+":") {
 		t.Errorf("indexedApplier: err = %v, want %v failing with ErrDecrypt", err, victim)
 	}
@@ -567,7 +567,7 @@ func TestIndexedApplierErrorIsDeterministic(t *testing.T) {
 			}
 			store.PutKeyring(id, kr)
 		}
-		atProcs(8, func() { _, err = newIndexedApplier(params, store, limit, "").Apply(msg, survivors) })
+		atProcs(8, func() { _, err = newIndexedApplier(params, store, limit, nil).Apply(msg, survivors) })
 		if err == nil || !strings.HasPrefix(err.Error(), "member "+survivors[7].String()+":") {
 			t.Errorf("limit %d: error = %v, want the earliest keyring-less member %v", limit, err, survivors[7])
 		}

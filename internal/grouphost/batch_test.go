@@ -90,7 +90,7 @@ var batchPlanes = []struct {
 		}).seat()
 	}},
 	{"tenant", func(t *testing.T) *batchPlane {
-		tn, err := newKeyTenant("batch", 8, 8, []byte("batch"), nil)
+		tn, err := newKeyTenant("batch", 8, []byte("batch"), nil)
 		must(t, err)
 		event := func(ev workload.Event) { must(t, tn.apply(ev)) }
 		slotOf := make(map[ident.ID]int)

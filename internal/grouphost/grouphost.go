@@ -25,9 +25,11 @@
 package grouphost
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -61,10 +63,12 @@ func (p Profile) String() string {
 	}
 }
 
-// GroupSpec describes one tenant group.
+// GroupSpec describes one tenant group. A KeyPlane group's audits
+// spot-check up to 256 member keyrings against its server tree.
 type GroupSpec struct {
-	// Name labels the group in the report and its obs namespace;
-	// empty defaults to "g<index>".
+	// Name labels the group in the report and its obs namespace (so its
+	// /metrics and pprof group); empty defaults to "g<index>". Names must
+	// be distinct: a group's key material is seeded from its name.
 	Name string
 	// Profile selects the materialisation; zero means NetPlane.
 	Profile Profile
@@ -74,9 +78,6 @@ type GroupSpec struct {
 	Workload workload.Config
 	// ClusterRekeying enables the Appendix B heuristic (NetPlane only).
 	ClusterRekeying bool
-	// Verify spot-checks this many member keyrings against the
-	// server tree at each audit (KeyPlane; 0 defaults to 64).
-	Verify int
 }
 
 // Config assembles a Host.
@@ -147,8 +148,14 @@ func Run(cfg Config) (*Report, error) {
 	// Generate every schedule first: host counts size the shared
 	// topology, and a spec error should surface before any crypto runs.
 	schedules := make([]*workload.Schedule, len(cfg.Groups))
+	labels := make([]string, len(cfg.Groups))
 	netHosts := 0
 	for i, spec := range cfg.Groups {
+		labels[i] = cmp.Or(spec.Name, fmt.Sprintf("g%d", i))
+		// Same name, same key-material seed: the groups would share keys.
+		if slices.Contains(labels[:i], labels[i]) {
+			return nil, fmt.Errorf("grouphost: group %d: duplicate group name %q", i, labels[i])
+		}
 		if spec.Workload.Interval <= 0 {
 			return nil, fmt.Errorf("grouphost: group %d: workload interval must be positive", i)
 		}
@@ -183,10 +190,7 @@ func Run(cfg Config) (*Report, error) {
 	var agenda []boundary
 	hostBase := 0
 	for i, spec := range cfg.Groups {
-		label := spec.Name
-		if label == "" {
-			label = fmt.Sprintf("g%d", i)
-		}
+		label := labels[i]
 		groupObs := cfg.Obs.Namespace(label + "_")
 		var t tenant
 		var err error
@@ -196,7 +200,7 @@ func Run(cfg Config) (*Report, error) {
 			hostBase += 1 + schedules[i].Hosts
 		case KeyPlane:
 			seed := fmt.Sprintf("grouphost-%s-%d", label, groupSeed(cfg.Seed, label))
-			t, err = newKeyTenant(label, spec.Verify, schedules[i].Hosts, []byte(seed), groupObs)
+			t, err = newKeyTenant(label, schedules[i].Hosts, []byte(seed), groupObs)
 		default:
 			err = fmt.Errorf("unknown profile %d", spec.Profile)
 		}

@@ -51,13 +51,11 @@ func testGroups(short bool) []GroupSpec {
 			Name:     "flash",
 			Profile:  KeyPlane,
 			Workload: workload.FlashCrowd(100, crowd, 13),
-			Verify:   32,
 		},
 		{
 			Name:     "mass",
 			Profile:  KeyPlane,
 			Workload: workload.MassJoinLeave(mass, mass/3, mass/3, 2, 17),
-			Verify:   32,
 		},
 	}
 }
@@ -235,7 +233,6 @@ func TestFlashCrowdInterval(t *testing.T) {
 			Name:     "ppv",
 			Profile:  KeyPlane,
 			Workload: workload.FlashCrowd(base, crowd, 23),
-			Verify:   128,
 		}},
 		Seed: 5,
 	})
@@ -278,6 +275,16 @@ func TestConfigValidation(t *testing.T) {
 		Workload: workload.Config{InitialJoins: 10, WarmUp: time.Second, ChurnLeaves: 20, Interval: time.Second},
 	}}}); err == nil {
 		t.Error("over-subscribed leaves did not fail")
+	}
+	// Equal names after "g<i>" defaulting would give two groups one
+	// key-material seed, one obs namespace and one SLO group.
+	for name, groups := range map[string][]GroupSpec{
+		"two named x":         {{Name: "x", Workload: workload.Paper13(1)}, {Name: "x", Workload: workload.Paper13(2)}},
+		"g1 beside unnamed 1": {{Name: "g1", Workload: workload.Paper13(1)}, {Workload: workload.Paper13(2)}},
+	} {
+		if _, err := Run(Config{Groups: groups}); err == nil || !strings.Contains(err.Error(), "duplicate group name") {
+			t.Errorf("%s: err = %v, want a duplicate group name error", name, err)
+		}
 	}
 }
 
@@ -352,7 +359,7 @@ func TestKeyPlaneDriversAgree(t *testing.T) {
 		free = append(free, leaves...)
 	}
 
-	tn, err := newKeyTenant("diff", 64, sched.Hosts, keytree.SeedOf(cfg.Seed), nil)
+	tn, err := newKeyTenant("diff", sched.Hosts, keytree.SeedOf(cfg.Seed), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

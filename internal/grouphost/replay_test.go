@@ -85,7 +85,7 @@ func TestTenantsReplayCommittedSchedules(t *testing.T) {
 	schedules := committedSchedules(t)
 	for name, s := range schedules {
 		t.Run("key/"+name, func(t *testing.T) {
-			tn, err := newKeyTenant("replay", s.Hosts, s.Hosts, []byte("replay"), nil)
+			tn, err := newKeyTenant("replay", s.Hosts, []byte("replay"), nil)
 			must(t, err)
 			idOf := func(host int) ident.ID { return slotID(t, tn.params, host) }
 			inTree := func(host int) bool { return tn.world.Tree().Structure().Contains(idOf(host)) }
@@ -196,7 +196,7 @@ func TestKeyTenantMembershipErrors(t *testing.T) {
 		{"rejoin of departed host", []workload.Event{join(0), join(1), {}, {Kind: workload.Leave, Victim: 0}, join(0)}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tn, err := newKeyTenant("dup", 8, 8, []byte("dup"), nil)
+			tn, err := newKeyTenant("dup", 8, []byte("dup"), nil)
 			must(t, err)
 			for _, ev := range tc.events {
 				if ev.Kind == 0 {

@@ -57,7 +57,6 @@ func newNetTenant(label string, spec GroupSpec, net vnet.Network, hostBase vnet.
 		Seed:            groupSeed(hostSeed, label),
 		ClusterRekeying: spec.ClusterRekeying,
 		Obs:             reg,
-		Label:           label,
 	})
 	if err != nil {
 		return nil, err
@@ -162,7 +161,6 @@ type keyTenant struct {
 	label  string
 	params ident.Params
 	world  *core.KeyPlane
-	verify int // keyrings sampled per audit
 
 	pending       keytree.Pending
 	joining       map[ident.ID]bool // joins in pending
@@ -171,20 +169,19 @@ type keyTenant struct {
 	roster        []ident.ID // membership after the last flush, in ID order
 }
 
+// auditSample is how many member keyrings a KeyPlane audit spot-checks
+// against the server tree (all of them in a smaller group).
+const auditSample = 256
+
 // newKeyTenant builds the key-plane world for a group of up to hosts
-// schedule hosts; seed is the group's key-material seed, verify the
-// keyrings sampled per audit (0 defaults to 64).
-func newKeyTenant(label string, verify, hosts int, seed []byte, reg *obs.Registry) (*keyTenant, error) {
-	if verify <= 0 {
-		verify = 64
-	}
+// schedule hosts; seed is the group's key-material seed.
+func newKeyTenant(label string, hosts int, seed []byte, reg *obs.Registry) (*keyTenant, error) {
 	// Size a base-32 ID space to the schedule's host count: every
 	// schedule host index maps directly to ident.FromInt.
 	params := ident.Base32For(hosts)
 	world, err := core.NewKeyPlane(params, seed, keytree.Opts{
 		Obs:          reg,
 		CapacityHint: hosts,
-		Label:        label,
 	}, 0)
 	if err != nil {
 		return nil, err
@@ -193,7 +190,6 @@ func newKeyTenant(label string, verify, hosts int, seed []byte, reg *obs.Registr
 		label:   label,
 		params:  params,
 		world:   world,
-		verify:  verify,
 		joining: make(map[ident.ID]bool),
 		active:  make(map[ident.ID]bool, hosts),
 	}, nil
@@ -266,7 +262,7 @@ func (t *keyTenant) members() []ident.ID {
 // evidence is the key plane's: sampled keyrings against the server tree
 // (see chaos.KeyPlaneEvidence).
 func (t *keyTenant) evidence() *chaos.Evidence {
-	return chaos.KeyPlaneEvidence(t.world, t.roster, t.verify)
+	return chaos.KeyPlaneEvidence(t.world, t.roster, auditSample)
 }
 
 func (t *keyTenant) finish(gr *GroupReport) {

@@ -55,19 +55,15 @@ type Opts struct {
 	// members install keys sets it, and so does bench/.
 	RealCrypto bool
 	// Obs is the optional telemetry registry. When set, Regenerate
-	// times each level-1 subtree work unit of its fan-out; durations
-	// land only in the registry, never in the rekey message, so output
-	// stays byte-identical with telemetry on or off.
+	// times each level-1 subtree work unit of its fan-out and the stages
+	// run under its pprof labels (obs.WithStage); neither reaches the
+	// rekey message, so output stays byte-identical with telemetry on or
+	// off.
 	Obs *obs.Registry
 	// CapacityHint pre-sizes the node slabs and rank table for an
 	// expected member count, so large soaks pay for growth once instead
 	// of through repeated reallocation. Zero is fine for small trees.
 	CapacityHint int
-	// Label, when non-empty, wraps each Regenerate worker's run in the
-	// pprof label set {group=Label, stage=regen}, so regen CPU — even
-	// on the shared long-lived helpers — attributes to the tenant in
-	// -pprof profiles. Profiling-only; never influences the message.
-	Label string
 }
 
 type node struct {
@@ -532,7 +528,7 @@ func (t *Tree) Regenerate(plan *BatchPlan, parallelism int) (*Message, error) {
 	errs := make([]error, len(groupOrder))
 	runGroups := func(fn func(indices []int, wr *keycrypt.Wrapper) error) error {
 		work.Run(parallelism, len(groupOrder), func(_ int, next func() (int, bool)) {
-			obs.WithStage(t.opts.Label, "regen", func() {
+			obs.WithStage(t.opts.Obs, "regen", func() {
 				wr := keycrypt.NewWrapper(t.nonceSeed)
 				for {
 					i, ok := next()

@@ -51,9 +51,9 @@ func (p *Pending) Leave(id ident.ID) (cancelled bool) {
 }
 
 // Flush ends the rekey interval: it empties p, applies its joins and
-// leaves in ID order through Mark and Regenerate (under the tree's own
-// Opts.Label stage labels), and returns the interval's rekey message
-// with the join and leave lists it applied. A member leaves once however
+// leaves in ID order through Mark and Regenerate (under the stage labels
+// of the tree's Opts.Obs), and returns the interval's rekey message with
+// the join and leave lists it applied. A member leaves once however
 // often it was asked to (a graceful leave, then a crash before the
 // boundary); a repeated join is the caller's bug and Mark rejects it.
 // limit bounds the regeneration fan-out; <= 0 means work.Width(). p is
@@ -69,10 +69,10 @@ func (t *Tree) Flush(p *Pending, limit int) (msg *Message, joins, leaves []ident
 		limit = work.Width()
 	}
 	var plan *BatchPlan
-	obs.WithStage(t.opts.Label, "mark", func() { plan, err = t.Mark(joins, leaves) })
+	obs.WithStage(t.opts.Obs, "mark", func() { plan, err = t.Mark(joins, leaves) })
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	obs.WithStage(t.opts.Label, "regen", func() { msg, err = t.Regenerate(plan, limit) })
+	obs.WithStage(t.opts.Obs, "regen", func() { msg, err = t.Regenerate(plan, limit) })
 	return msg, joins, leaves, err
 }

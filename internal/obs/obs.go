@@ -8,7 +8,8 @@
 //   - Off by default, nil-safe everywhere. A nil *Registry (and every
 //     instrument it hands out) is a no-op: no allocation, no lock, and —
 //     critically — no wall-clock read. Instrumented code paths need no
-//     `if obs != nil` guards.
+//     `if obs != nil` guards. The same nil turns off WithStage's pprof
+//     labels, which otherwise follow the registry's namespace.
 //   - Allocation-light on the hot path. Instruments are looked up once
 //     (one mutex acquisition) and then updated with plain atomics;
 //     histograms use fixed bucket bounds chosen at creation.

@@ -3,23 +3,25 @@ package obs
 import (
 	"context"
 	"runtime/pprof"
+	"strings"
 )
 
-// WithStage runs f under the pprof label set {group=<group>,
-// stage=<stage>}, so a CPU profile captured via -pprof during a soak
-// decomposes by tenant and by pipeline stage (mark / regen / deliver /
-// apply). pprof.Do restores the goroutine's previous labels on return,
-// so nesting and calling from long-lived pool workers are both safe —
-// a stage body submitted to a shared worker pool can wrap itself and
-// the worker comes back unlabelled.
-//
-// An empty group is the off-switch, mirroring the nil Registry: f runs
+// WithStage runs f under pprof labels, so a CPU profile captured via
+// -pprof during a soak decomposes by tenant and by pipeline stage (mark
+// / regen / deliver / apply). A namespaced reg labels {group=<its prefix
+// without the trailing "_">, stage} — the group /metrics renders — and
+// the root registry {stage} alone. pprof.Do restores the goroutine's
+// previous labels on return, so nesting and calling from long-lived
+// pool workers are both safe. A nil reg is the off-switch: f runs
 // directly, with no context or label-map allocation on the hot path.
-func WithStage(group, stage string, f func()) {
-	if group == "" {
+func WithStage(reg *Registry, stage string, f func()) {
+	if reg == nil {
 		f()
 		return
 	}
-	pprof.Do(context.Background(), pprof.Labels("group", group, "stage", stage),
-		func(context.Context) { f() })
+	labels := pprof.Labels("stage", stage)
+	if group := strings.TrimSuffix(reg.prefix, "_"); group != "" {
+		labels = pprof.Labels("group", group, "stage", stage)
+	}
+	pprof.Do(context.Background(), labels, func(context.Context) { f() })
 }

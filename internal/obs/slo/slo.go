@@ -15,10 +15,11 @@
 //
 // The burn-rate scheme is the standard multi-window one: an objective
 // with target t has an error budget 1-t; burn = observed error rate
-// divided by budget. A page needs the fast window burning at PageBurn
+// divided by budget. A page needs the fast window burning at pageBurn
 // or more while the slow window confirms (burn >= 1), so one bad
 // boundary right after startup warns rather than pages, and a slow leak
-// that never spikes still eventually pages.
+// that never spikes still eventually pages. The queue objective has no
+// producer yet: no plane fills Boundary.QueueSends.
 package slo
 
 import (
@@ -48,21 +49,20 @@ func (v Verdict) String() string {
 	}
 }
 
+// The burn-rate windows, in rekey boundaries (the fast one detects
+// spikes, the slow one confirms them); the fast-window burn rate that
+// pages when the slow window confirms; and the per-member key-delivery
+// latency objective, in sim-time milliseconds from rekey start.
+const (
+	fastWindow, slowWindow = 5, 20
+	pageBurn               = 2
+	latencyBudgetMS        = 5000
+)
+
 // Config parameterises one tenant's engine.
 type Config struct {
 	// Group labels the records and live instruments (the tenant name).
 	Group string
-	// FastWindow and SlowWindow are the burn-rate windows, in rekey
-	// boundaries (defaults 5 and 20). The fast window detects spikes,
-	// the slow window confirms them.
-	FastWindow, SlowWindow int
-	// PageBurn is the fast-window burn rate that pages when the slow
-	// window confirms (default 2: spending error budget at twice the
-	// sustainable rate).
-	PageBurn float64
-	// LatencyBudgetMS is the per-member key-delivery latency objective,
-	// in sim-time milliseconds from rekey start (default 5000).
-	LatencyBudgetMS float64
 	// Sink, when non-nil, receives one "slo" JSONL record per boundary.
 	Sink *obs.Sink
 	// Obs, when non-nil, carries live gauges/counters for /metrics
@@ -200,27 +200,15 @@ type Engine struct {
 	verdictC                        [3]*obs.Counter
 }
 
-// New builds an engine; zero Config fields take the documented defaults.
+// New builds an engine.
 func New(cfg Config) *Engine {
-	if cfg.FastWindow <= 0 {
-		cfg.FastWindow = 5
-	}
-	if cfg.SlowWindow < cfg.FastWindow {
-		cfg.SlowWindow = max(cfg.FastWindow, 20)
-	}
-	if cfg.PageBurn <= 0 {
-		cfg.PageBurn = 2
-	}
-	if cfg.LatencyBudgetMS <= 0 {
-		cfg.LatencyBudgetMS = 5000
-	}
 	e := &Engine{
 		cfg: cfg,
 		p50: metrics.NewStreamingQuantile(0.50),
 		p95: metrics.NewStreamingQuantile(0.95),
 	}
 	for range objectives {
-		e.windows = append(e.windows, newWindow(cfg.SlowWindow))
+		e.windows = append(e.windows, newWindow(slowWindow))
 	}
 	// Live instruments (nil-safe no-ops when cfg.Obs is nil).
 	e.verdictG = cfg.Obs.Gauge("slo_verdict")
@@ -242,7 +230,7 @@ func (e *Engine) Observe(b Boundary) Record {
 	for _, l := range b.LatenciesMS {
 		e.p50.Observe(l)
 		e.p95.Observe(l)
-		if l <= e.cfg.LatencyBudgetMS {
+		if l <= latencyBudgetMS {
 			withinBudget++
 		}
 	}
@@ -268,11 +256,11 @@ func (e *Engine) Observe(b Boundary) Record {
 		w := e.windows[i]
 		w.push(good, total)
 		budget := 1 - o.target
-		burnFast := w.errRate(e.cfg.FastWindow) / budget
-		burnSlow := w.errRate(e.cfg.SlowWindow) / budget
+		burnFast := w.errRate(fastWindow) / budget
+		burnSlow := w.errRate(slowWindow) / budget
 		v := OK
 		switch {
-		case burnFast >= e.cfg.PageBurn && burnSlow >= 1:
+		case burnFast >= pageBurn && burnSlow >= 1:
 			v = Page
 		case burnFast >= 1:
 			v = Warn

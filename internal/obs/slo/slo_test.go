@@ -3,6 +3,7 @@ package slo
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"tmesh/internal/obs"
@@ -52,16 +53,21 @@ func TestDeliveryFailurePages(t *testing.T) {
 }
 
 // TestSlowWindowGating: once the slow window holds enough healthy
-// history, a single moderately-bad boundary warns (fast burn >= 1)
-// without paging (slow window doesn't confirm).
+// history, a short burst of moderately-bad boundaries warns (fast burn
+// >= 1) without paging (slow window doesn't confirm).
 func TestSlowWindowGating(t *testing.T) {
-	e := New(Config{Group: "g", FastWindow: 1, SlowWindow: 100})
-	for i := 1; i <= 99; i++ {
+	e := New(Config{Group: "g"})
+	for i := 1; i <= 18; i++ {
 		e.Observe(healthy(i))
 	}
-	b := healthy(100)
-	b.Escalations = 30 // ladder err 0.30 vs budget 0.25: burnFast 1.2
-	rec := e.Observe(b)
+	// Two boundaries at ladder err 0.80 vs budget 0.25: the fast window
+	// (5) burns 160/500/0.25 = 1.28, the slow one (20) 160/2000/0.25 = 0.32.
+	var rec Record
+	for i := 19; i <= 20; i++ {
+		b := healthy(i)
+		b.Escalations = 80
+		rec = e.Observe(b)
+	}
 	ladder := rec.Objectives[2]
 	if ladder.Name != "ladder" {
 		t.Fatalf("objective order changed: %+v", rec.Objectives)
@@ -70,14 +76,17 @@ func TestSlowWindowGating(t *testing.T) {
 		t.Errorf("ladder = %s overall = %s, want warn/warn (burnFast=%.2f burnSlow=%.2f)",
 			ladder.Verdict, rec.Verdict, ladder.BurnFast, ladder.BurnSlow)
 	}
+	if math.Abs(ladder.BurnFast-1.28) > 1e-9 || math.Abs(ladder.BurnSlow-0.32) > 1e-9 {
+		t.Errorf("burnFast=%v burnSlow=%v, want 1.28 and 0.32", ladder.BurnFast, ladder.BurnSlow)
+	}
 }
 
 // TestLatencyBudget: latencies above the budget burn the latency
 // objective; within budget they don't.
 func TestLatencyBudget(t *testing.T) {
-	e := New(Config{Group: "g", LatencyBudgetMS: 10})
+	e := New(Config{Group: "g"})
 	b := healthy(1)
-	b.LatenciesMS = []float64{1, 2, 50, 60, 70} // 3 of 5 over budget
+	b.LatenciesMS = []float64{1, 2, 5001, 6000, 7000} // 3 of 5 over the 5000 ms budget
 	rec := e.Observe(b)
 	lat := rec.Objectives[1]
 	if lat.Name != "latency" || lat.Good != 2 || lat.Total != 5 {

@@ -71,12 +71,10 @@ type LadderConfig struct {
 	DropUnicast func(user ident.ID, attempt int) bool
 	// Obs is the optional telemetry registry: per-rung delivery
 	// counters, retry counts, and dead-in-flight drops land there. The
-	// counts are deterministic; nothing flows back into the result.
+	// counts are deterministic; nothing flows back into the result. The
+	// rung-1 transport gets it too, so the hop callbacks that later run
+	// on the shared simulator carry its pprof stage labels.
 	Obs *obs.Registry
-	// ProfileLabel, when non-empty, is forwarded to the rung-1 transport
-	// so the hop callbacks that later run on the shared simulator carry
-	// the pprof label set {group=ProfileLabel, stage=deliver}.
-	ProfileLabel string
 	// Trace, when non-nil, is the flight-recorder trace the whole
 	// ladder joins: the rung-1 multicast emits its hop records into it,
 	// and rungs 2-3 add unicast/resync records, so the
@@ -129,17 +127,16 @@ func DistributeLadder(cfg LadderConfig, msg *keytree.Message) (*LadderResult, er
 	// Rung 1: the lossy multicast on the shared simulator, split per
 	// encryption (Fig. 5).
 	res, err := tmesh.Multicast(tmesh.Config[[]keycrypt.Encryption]{
-		Dir:          cfg.Dir,
-		DropHop:      cfg.DropHop,
-		Alive:        cfg.Alive,
-		Sim:          cfg.Sim,
-		StartAt:      cfg.StartAt,
-		SizeOf:       func(encs []keycrypt.Encryption) int { return len(encs) },
-		Obs:          cfg.Obs,
-		Trace:        cfg.Trace,
-		TraceItems:   split.EncIDs,
-		SplitHop:     split.NewIndex(cfg.Dir.Tree(), msg.Encryptions, work.Width()).Split,
-		ProfileLabel: cfg.ProfileLabel,
+		Dir:        cfg.Dir,
+		DropHop:    cfg.DropHop,
+		Alive:      cfg.Alive,
+		Sim:        cfg.Sim,
+		StartAt:    cfg.StartAt,
+		SizeOf:     func(encs []keycrypt.Encryption) int { return len(encs) },
+		Obs:        cfg.Obs,
+		Trace:      cfg.Trace,
+		TraceItems: split.EncIDs,
+		SplitHop:   split.NewIndex(cfg.Dir.Tree(), msg.Encryptions, work.Width()).Split,
 	}, msg.Encryptions)
 	if err != nil {
 		return nil, err

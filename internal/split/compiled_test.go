@@ -304,9 +304,9 @@ func TestRekeyCompiledTraceByteIdentical(t *testing.T) {
 }
 
 // TestRekeyOptionDefaults pins the zero-value defaulting of
-// split.Options on every Rekey path: Mode 0 is PerEncryption (plain,
-// parallel-compile, and traced paths alike), and PacketSize <= 0 is 25
-// in PerPacket mode.
+// split.Options on every Rekey path: Mode 0 is PerEncryption (plain and
+// parallel-compile paths alike), and PacketSize <= 0 is 25 in PerPacket
+// mode.
 func TestRekeyOptionDefaults(t *testing.T) {
 	w := newWorld(t, 30, 4, 4, 17)
 	reportKey := func(rep *Report) [2]any {
@@ -316,12 +316,9 @@ func TestRekeyOptionDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var traceBuf bytes.Buffer
-	tr := trace.NewRecorder(3, obs.NewSink(&traceBuf)).Begin("rekey", 1, 0, "", nil)
 	for name, opts := range map[string]Options{
 		"zero mode":          {},
 		"zero mode parallel": {Parallelism: 8},
-		"zero mode traced":   {Trace: tr},
 	} {
 		got, err := Rekey(w.dir, w.msg, opts)
 		if err != nil {
@@ -331,10 +328,6 @@ func TestRekeyOptionDefaults(t *testing.T) {
 			t.Errorf("%s: report differs from explicit PerEncryption", name)
 		}
 	}
-	if traceBuf.Len() == 0 {
-		t.Error("traced path recorded nothing")
-	}
-
 	wantPkt, err := Rekey(w.dir, w.msg, Options{Mode: PerPacket, PacketSize: 25})
 	if err != nil {
 		t.Fatal(err)

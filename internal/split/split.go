@@ -25,7 +25,6 @@ import (
 	"tmesh/internal/keycrypt"
 	"tmesh/internal/keytree"
 	"tmesh/internal/obs"
-	"tmesh/internal/obs/trace"
 	"tmesh/internal/overlay"
 	"tmesh/internal/tmesh"
 	"tmesh/internal/vnet"
@@ -145,10 +144,6 @@ type Options struct {
 	// deliveries. The counts are themselves deterministic, and nothing
 	// from the registry feeds back into the report.
 	Obs *obs.Registry
-	// Trace, when non-nil, records every FORWARD hop of this session
-	// into the flight recorder, with per-hop encryption IDs so the
-	// trace audit can re-check each REKEY-MESSAGE-SPLIT decision.
-	Trace *trace.Trace
 }
 
 // EncIDs lists the encryption IDs of a message slice in order — the
@@ -204,7 +199,7 @@ func Rekey(dir *overlay.Directory, msg *keytree.Message, opts Options) (*Report,
 		return nil, fmt.Errorf("split: message is required")
 	}
 	// Zero-value defaulting happens once, up front, so every downstream
-	// path (compiled, traced, packetised) sees the same resolved options.
+	// path (compiled, packetised) sees the same resolved options.
 	if opts.Mode == 0 {
 		opts.Mode = PerEncryption
 	}
@@ -254,8 +249,6 @@ func Rekey(dir *overlay.Directory, msg *keytree.Message, opts Options) (*Report,
 			SizeOf:             func(encs []keycrypt.Encryption) int { return len(encs) },
 			OnDeliver:          observe,
 			Obs:                opts.Obs,
-			Trace:              opts.Trace,
-			TraceItems:         EncIDs,
 		}
 		if opts.Mode == PerEncryption {
 			cfg.SplitHop = NewIndex(dir.Tree(), msg.Encryptions, opts.Parallelism).Split
@@ -295,15 +288,7 @@ func Rekey(dir *overlay.Directory, msg *keytree.Message, opts Options) (*Report,
 				}
 				return n
 			},
-			Obs:   opts.Obs,
-			Trace: opts.Trace,
-			TraceItems: func(pkts []Packet) []string {
-				var out []string
-				for _, p := range pkts {
-					out = append(out, EncIDs(p)...)
-				}
-				return out
-			},
+			Obs: opts.Obs,
 		}
 		if observe != nil {
 			cfg.OnDeliver = func(to ident.ID, pkts []Packet, level int) {

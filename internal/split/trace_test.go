@@ -6,19 +6,23 @@ import (
 	"testing"
 
 	"tmesh/internal/chaos"
+	"tmesh/internal/ident"
+	"tmesh/internal/keycrypt"
 	"tmesh/internal/obs"
 	"tmesh/internal/obs/trace"
 	"tmesh/internal/split"
+	"tmesh/internal/tmesh"
 )
 
 // TestTraceMatchesDeliveries is the flight-recorder ground-truth
-// property: across seeds and prefilter parallelism, the delivery set
-// reconstructed from non-dropped hop records must equal the transport's
-// own Report.Deliveries — same users, same forwarding levels, same
-// encryption slices — and the trace's own audit and the chaos auditors
-// (Theorems 1 and 2 through chaos.TraceEvidence) must come back green.
-// It is an external test so that it can import chaos, which imports
-// split.
+// property of the traced rekey multicast — the rung-1 configuration of
+// recovery.DistributeLadder, which is what the chaos soak traces: across
+// seeds and prefilter parallelism, the delivery set reconstructed from
+// non-dropped hop records must equal the transport's own deliveries —
+// same users, same forwarding levels, same encryption slices — and the
+// trace's own audit and the chaos auditors (Theorems 1 and 2 through
+// chaos.TraceEvidence) must come back green. It is an external test so
+// that it can import chaos, which imports split.
 func TestTraceMatchesDeliveries(t *testing.T) {
 	for _, seed := range []int64{1, 2, 7} {
 		for _, par := range []int{1, 8} {
@@ -30,12 +34,17 @@ func TestTraceMatchesDeliveries(t *testing.T) {
 				for _, id := range live {
 					tr.Member(id)
 				}
-				rep, err := split.Rekey(dir, msg, split.Options{
-					Mode:        split.PerEncryption,
-					Collect:     true,
-					Parallelism: par,
-					Trace:       tr,
-				})
+				var deliveries []split.Delivery
+				_, err := tmesh.Multicast(tmesh.Config[[]keycrypt.Encryption]{
+					Dir:      dir,
+					SizeOf:   func(encs []keycrypt.Encryption) int { return len(encs) },
+					SplitHop: split.NewIndex(dir.Tree(), msg.Encryptions, par).Split,
+					OnDeliver: func(to ident.ID, encs []keycrypt.Encryption, level int) {
+						deliveries = append(deliveries, split.Delivery{To: to, Level: level, Encryptions: encs})
+					},
+					Trace:      tr,
+					TraceItems: split.EncIDs,
+				}, msg.Encryptions)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -62,11 +71,11 @@ func TestTraceMatchesDeliveries(t *testing.T) {
 					}
 					fromTrace[r.To] = arrival{level: r.Level, items: r.Items}
 				}
-				if len(fromTrace) != len(rep.Deliveries) {
+				if len(fromTrace) != len(deliveries) {
 					t.Fatalf("trace reconstructs %d deliveries, transport reports %d",
-						len(fromTrace), len(rep.Deliveries))
+						len(fromTrace), len(deliveries))
 				}
-				for _, d := range rep.Deliveries {
+				for _, d := range deliveries {
 					got, ok := fromTrace[d.To.String()]
 					if !ok {
 						t.Fatalf("trace has no hop delivering to %s", d.To)

@@ -90,14 +90,13 @@ type Config[P any] struct {
 	// Trace is non-nil.
 	TraceItems func(P) []string
 	// Obs, when non-nil, receives session counters (currently
-	// tmesh_duplicate_deliveries, the Theorem 1 alarm). Nil-safe.
+	// tmesh_duplicate_deliveries, the Theorem 1 alarm). Nil-safe. On a
+	// shared simulator it also wraps every scheduled hop callback (the
+	// send start and each delivery) in its pprof stage labels with
+	// stage=deliver, so hop-path CPU burned on the simulator's goroutine
+	// attributes to the driving session; a private simulator runs under
+	// the caller's labels.
 	Obs *obs.Registry
-	// ProfileLabel, when non-empty, wraps every scheduled hop callback
-	// (the send start and each delivery) in the pprof label set
-	// {group=ProfileLabel, stage=deliver}, so hop-path CPU burned on a
-	// shared simulator goroutine attributes to the driving session. The
-	// empty default keeps the hot path free of label plumbing.
-	ProfileLabel string
 }
 
 // Uplinks models the shared upstream access-link capacity of every
@@ -221,11 +220,11 @@ func Multicast[P any](cfg Config[P], payload P) (*Result, error) {
 		LinkUnits:  make(map[vnet.LinkID]int),
 	}
 	shared := cfg.Sim != nil
-	sim := cfg.Sim
-	if sim == nil {
-		sim = eventsim.New()
+	sim, prof := cfg.Sim, cfg.Obs
+	if !shared {
+		sim, prof = eventsim.New(), nil
 	}
-	m := &machine[P]{cfg: cfg, sim: sim, res: res, tr: cfg.Trace,
+	m := &machine[P]{cfg: cfg, sim: sim, res: res, tr: cfg.Trace, prof: prof,
 		// Stats for the whole group come from one slab: a session touches
 		// nearly every member, so per-user allocations are pure overhead.
 		// Entries handed out stay within the slab's fixed capacity (pointer
@@ -237,7 +236,7 @@ func Multicast[P any](cfg Config[P], payload P) (*Result, error) {
 		return nil, err
 	}
 	sim.At(max(cfg.StartAt, sim.Now()), func(now time.Duration) {
-		obs.WithStage(cfg.ProfileLabel, "deliver", func() {
+		obs.WithStage(prof, "deliver", func() {
 			m.start(payload, now)
 		})
 	})
@@ -254,6 +253,7 @@ type machine[P any] struct {
 	sim   *eventsim.Simulator
 	res   *Result
 	tr    *trace.Trace
+	prof  *obs.Registry // hop callbacks' pprof labels; nil off a shared simulator
 	dupC  *obs.Counter
 	stats []UserStats // slab backing res.Users entries; never regrown
 }
@@ -384,7 +384,7 @@ func (m *machine[P]) sendVia(fromHost vnet.HostID, fromID ident.ID, fromLevel in
 		span = m.tr.Hop(m.hopRecord(parentSpan, fromID, fromLevel, toID, level, subtree, payload, hopPayload, units, depart, arrive, false))
 	}
 	m.sim.At(arrive, func(at time.Duration) {
-		obs.WithStage(m.cfg.ProfileLabel, "deliver", func() {
+		obs.WithStage(m.prof, "deliver", func() {
 			m.deliver(toID, toHost, level, fromID, fromLevel, hopPayload, at, span)
 		})
 	})
