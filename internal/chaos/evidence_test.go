@@ -65,34 +65,48 @@ func brokenDir(t *testing.T) *overlay.Directory {
 	return nil
 }
 
-// keyedWorld builds a four-member key plane and then rekeys one member
-// out without telling member `stale`, whose keyring therefore still
-// holds the previous group key.
-func keyedWorld(t *testing.T, stale ident.ID) (*core.KeyPlane, []ident.ID) {
+// keyedWorld builds a four-member key plane, snapshots member stale's
+// keyring (a copy built from the tree's path keys) and then rekeys one
+// member out. The evidence samples the three that stay and reads the
+// snapshot, which still holds the previous group key, in place of
+// stale's live keyring. A zero stale leaves every keyring live.
+func keyedWorld(t *testing.T, stale ident.ID) *Evidence {
 	t.Helper()
 	w, err := core.NewKeyPlane(evParams, []byte("evidence"), keytree.Opts{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	all := []ident.ID{evID(t, 0), evID(t, 1), evID(t, 4), evID(t, 9)}
-	var batch keytree.Pending
 	for _, id := range all {
-		batch.Join(id)
+		w.Join(id)
 	}
-	if _, _, _, _, err := w.Rekey(&batch, nil); err != nil {
+	if _, _, _, _, err := w.Rekey(); err != nil {
 		t.Fatal(err)
 	}
-	var told []ident.ID
-	for _, id := range all[:3] {
-		if !id.Equal(stale) {
-			told = append(told, id)
+	var snapshot *keytree.Keyring
+	if !stale.IsZero() {
+		path, err := w.Tree().PathKeys(stale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snapshot, err = keytree.NewKeyring(evParams, stale, path); err != nil {
+			t.Fatal(err)
 		}
 	}
-	batch.Leave(all[3])
-	if _, _, _, _, err := w.Rekey(&batch, told); err != nil {
+	w.Leave(all[3])
+	if _, _, _, _, err := w.Rekey(); err != nil {
 		t.Fatal(err)
 	}
-	return w, all[:3]
+	ev := KeyPlaneEvidence(w, all[:3], 8)
+	if snapshot != nil {
+		ev.Keyring = func(id ident.ID) *keytree.Keyring {
+			if id.Equal(stale) {
+				return snapshot
+			}
+			return w.Keyring(id)
+		}
+	}
+	return ev
 }
 
 // fakeClusters is a hand-built cluster state; the real Manager cannot
@@ -126,8 +140,7 @@ func TestAuditorsCanFail(t *testing.T) {
 		return overlay.Record{ID: id, JoinTime: at}
 	}
 	broken := brokenDir(t)
-	staleWorld, staleMembers := keyedWorld(t, b)
-	freshWorld, freshMembers := keyedWorld(t, ident.ID{})
+	stale, fresh := keyedWorld(t, b), keyedWorld(t, ident.ID{})
 	staleKey := keycrypt.DeriveKey([]byte("evidence"), "stale")
 
 	cases := []struct {
@@ -165,17 +178,17 @@ func TestAuditorsCanFail(t *testing.T) {
 			Hops:    []split.Delivery{{To: c, Level: 1}}},
 			fails: map[string]string{"delivery": "no encryption of the message is for subtree"}},
 
-		{name: "stale group key", ev: &Evidence{Tree: freshWorld.Tree(), Keyed: freshMembers,
+		{name: "stale group key", ev: &Evidence{Tree: fresh.Tree, Keyed: fresh.Keyed,
 			GroupKeyOf: func(id ident.ID) (keycrypt.Key, bool) {
 				if id.Equal(b) {
 					return staleKey, true
 				}
-				return freshWorld.Tree().GroupKey()
+				return fresh.Tree.GroupKey()
 			}},
 			fails: map[string]string{"coverage": "does not hold the interval's group key"}},
-		{name: "stale keyring", ev: KeyPlaneEvidence(staleWorld, staleMembers, 8),
+		{name: "stale keyring", ev: stale,
 			fails: map[string]string{"coverage": "disagrees with the tree at level 0"}},
-		{name: "fresh keyrings", ev: KeyPlaneEvidence(freshWorld, freshMembers, 8)},
+		{name: "fresh keyrings", ev: fresh},
 		{name: "members but no server key", ev: &Evidence{Tree: mustTree(t), Keyed: []ident.ID{a},
 			GroupKeyOf: func(ident.ID) (keycrypt.Key, bool) { return staleKey, true }},
 			fails: map[string]string{"coverage": "no server group key"}},

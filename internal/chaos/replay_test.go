@@ -192,3 +192,51 @@ func TestSoakReplaysSchedules(t *testing.T) {
 		})
 	}
 }
+
+// TestReportReproducer pins what a failing soak prints as its
+// reproducer: the recorded schedule through the boundary of the first
+// interval with a violation, the whole schedule when only the final
+// sweep failed, and nothing for a green run. Replayed under the same
+// Config, the reproducer plays that run's first intervals again, line
+// for line.
+func TestReportReproducer(t *testing.T) {
+	cfg := Config{Seed: 5, Intervals: 6, InitialMembers: 60, HopLoss: 0.1}
+	rep := runSoak(t, cfg)
+	if rep.TotalViolations() != 0 {
+		t.Fatalf("the soak under test is not green:\n%s", rep)
+	}
+	if r := rep.Reproducer(); r != nil {
+		t.Fatalf("a green run has a reproducer of %d events", len(r.Events))
+	}
+
+	const k = 4
+	var lines []string // as run, before any violation is planted
+	for i := 0; i < k; i++ {
+		lines = append(lines, rep.Intervals[i].line())
+	}
+	rep.Intervals[k-1].Violations = []string{"coverage: planted"}
+	rep.Intervals[k].Violations = []string{"coverage: planted later"}
+	repro := rep.Reproducer()
+	want := rep.Schedule.Cursor().Next(time.Duration(k) * intervalLength)
+	if repro == nil || repro.String() != workload.NewSchedule(want).String() {
+		t.Fatalf("reproducer is not the schedule through boundary %d:\n%v", k, repro)
+	}
+	if len(want) == 0 || len(want) == len(rep.Schedule.Events) {
+		t.Fatalf("boundary %d keeps %d of %d events: the cut is not exercised", k, len(want), len(rep.Schedule.Events))
+	}
+	cfg.Intervals = k
+	_, replayed := replaySoak(t, cfg, repro)
+	for i := 0; i < k; i++ {
+		if got, want := replayed.Intervals[i].line(), lines[i]; got != want {
+			t.Errorf("interval %d: replay %q, run %q", i+1, got, want)
+		}
+	}
+
+	for i := range rep.Intervals {
+		rep.Intervals[i].Violations = nil
+	}
+	rep.FinalViolations = []string{"coverage: planted at the final sweep"}
+	if r := rep.Reproducer(); r == nil || r.String() != rep.Schedule.String() {
+		t.Errorf("final-sweep reproducer is not the whole schedule:\n%v", r)
+	}
+}

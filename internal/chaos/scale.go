@@ -21,7 +21,6 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
-	"sort"
 	"strings"
 
 	"tmesh/internal/core"
@@ -152,13 +151,14 @@ func (r *ScaleReport) String() string {
 	return b.String()
 }
 
-// scaleSoak is the live state of a scale soak: the key-plane world and
-// the churn bookkeeping that decides who leaves and who (re)joins.
+// scaleSoak is the live state of a scale soak: the key-plane world,
+// which holds the membership, and the churn draw that decides who
+// leaves and who (re)joins.
 type scaleSoak struct {
 	cfg       ScaleConfig
 	world     *core.KeyPlane
 	rng       *rand.Rand
-	active    []ident.ID
+	active    []ident.ID // the members, in victim-draw order
 	free      []ident.ID // IDs recycled by earlier leaves, reused LIFO
 	nextFresh int        // first never-used ID
 	setupCost int
@@ -183,14 +183,13 @@ func newScaleSoak(cfg ScaleConfig) (*scaleSoak, error) {
 		active:    make([]ident.ID, cfg.N),
 		nextFresh: cfg.N,
 	}
-	var batch keytree.Pending
 	for i := range w.active {
 		if w.active[i], err = ident.FromInt(cfg.Params, i); err != nil {
 			return nil, err
 		}
-		batch.Join(w.active[i])
+		world.Join(w.active[i])
 	}
-	_, _, w.setupCost, _, err = world.Rekey(&batch, nil)
+	_, _, w.setupCost, _, err = world.Rekey()
 	return w, err
 }
 
@@ -199,10 +198,9 @@ func newScaleSoak(cfg ScaleConfig) (*scaleSoak, error) {
 // cost and the number of keys installed.
 func (w *scaleSoak) step() (cost int, updated int64, err error) {
 	// Draw leave victims by swap-remove, keeping `active` dense.
-	var batch keytree.Pending
 	for n := 0; n < w.cfg.Churn; n++ {
 		i := w.rng.Intn(len(w.active))
-		batch.Leave(w.active[i])
+		w.world.Leave(w.active[i])
 		w.active[i] = w.active[len(w.active)-1]
 		w.active = w.active[:len(w.active)-1]
 	}
@@ -210,7 +208,7 @@ func (w *scaleSoak) step() (cost int, updated int64, err error) {
 	// fresh ones.
 	for n := 0; n < w.cfg.Churn; n++ {
 		if n := len(w.free); n > 0 {
-			batch.Join(w.free[n-1])
+			w.world.Join(w.free[n-1])
 			w.free = w.free[:n-1]
 			continue
 		}
@@ -219,10 +217,10 @@ func (w *scaleSoak) step() (cost int, updated int64, err error) {
 			return 0, 0, fmt.Errorf("chaos: scale: ID space exhausted: %w", ferr)
 		}
 		w.nextFresh++
-		batch.Join(id)
+		w.world.Join(id)
 	}
 
-	joins, leaves, cost, updated, err := w.world.Rekey(&batch, w.active)
+	joins, leaves, cost, updated, err := w.world.Rekey()
 	if err != nil {
 		return 0, 0, err
 	}
@@ -282,9 +280,7 @@ func RunScaleSoak(cfg ScaleConfig) (*ScaleReport, error) {
 	runtime.ReadMemStats(&ms)
 	rep.HeapAllocEnd = ms.HeapAlloc
 	rep.BytesPerMember = float64(ms.HeapAlloc) / float64(cfg.N)
-	final := append([]ident.ID(nil), w.active...)
-	sort.Slice(final, func(i, j int) bool { return final[i].Compare(final[j]) < 0 })
-	rep.KeyringDigest = w.world.Digest(final)
+	rep.KeyringDigest = w.world.Digest()
 	return rep, nil
 }
 

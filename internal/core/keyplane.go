@@ -6,28 +6,29 @@ import (
 	"tmesh/internal/ident"
 	"tmesh/internal/keycrypt"
 	"tmesh/internal/keytree"
-	"tmesh/internal/memberstate"
 	"tmesh/internal/obs"
 )
 
 // KeyPlane is the key-management core with no network under it: the
-// server's key tree, one keyring per member, and the indexed applier
+// server's key tree, one keyring per member at the member's rank in
+// that tree (the plane keeps no second index), and the indexed applier
 // that hands every survivor its slice of a rekey message — the flat
 // state that holds a million members. It is the one world behind both
 // key-only soaks: chaos.RunScaleSoak draws its churn from an RNG, the
 // tenancy host's KeyPlane profile from a workload.Schedule; each only
-// decides who joins, who leaves and who survives, then calls Rekey.
+// says who joins and who leaves, then calls Rekey.
 type KeyPlane struct {
-	tree  *keytree.Tree
-	store *memberstate.Store
-	ap    *indexedApplier
-	limit int
-	obs   *obs.Registry // pprof stage labels; nil = unlabelled
+	tree     *keytree.Tree
+	pending  keytree.Pending
+	keyrings []*keytree.Keyring // by tree rank, as wide as the rank table; nil = not keyed
+	encIdx   map[string]int32   // apply's index of the message, reused across intervals
+	limit    int
+	obs      *obs.Registry // pprof stage labels; nil = unlabelled
 }
 
 // NewKeyPlane builds an empty key plane. opts are the tree's, with real
 // crypto always on: its members install keys. Its CapacityHint also
-// sizes the keyring store. limit is an upper bound on the regen and
+// sizes the keyring slice. limit is an upper bound on the regen and
 // apply fan-out (<= 0: none).
 func NewKeyPlane(params ident.Params, seed []byte, opts keytree.Opts, limit int) (*KeyPlane, error) {
 	opts.RealCrypto = true
@@ -35,10 +36,9 @@ func NewKeyPlane(params ident.Params, seed []byte, opts keytree.Opts, limit int)
 	if err != nil {
 		return nil, err
 	}
-	store := memberstate.NewStoreSized(opts.CapacityHint)
 	return &KeyPlane{
-		tree: tree, store: store, limit: limit, obs: opts.Obs,
-		ap: newIndexedApplier(params, store, limit, opts.Obs),
+		tree: tree, limit: limit, obs: opts.Obs, encIdx: make(map[string]int32, 1024),
+		keyrings: make([]*keytree.Keyring, 0, max(opts.CapacityHint, 0)),
 	}, nil
 }
 
@@ -46,44 +46,61 @@ func NewKeyPlane(params ident.Params, seed []byte, opts keytree.Opts, limit int)
 func (w *KeyPlane) Tree() *keytree.Tree { return w.tree }
 
 // Keyring returns a member's keyring, nil if it has none.
-func (w *KeyPlane) Keyring(id ident.ID) *keytree.Keyring { return w.store.Keyring(id) }
+func (w *KeyPlane) Keyring(id ident.ID) *keytree.Keyring {
+	if r, ok := w.tree.Ranks().RankOf(id); ok {
+		return w.keyrings[r]
+	}
+	return nil
+}
 
-// Rekey runs one interval: the pending batch is flushed through the
-// tree, every survivor (the membership after the leaves, before the
-// joins) applies the rekey message, and every joiner receives its path
-// keys by the join-time unicast. It returns the joins and leaves the
-// flush applied, the message's cost and the number of keys installed
-// across the survivors' keyrings. A survivor without a keyring is an
-// error.
-func (w *KeyPlane) Rekey(p *keytree.Pending, survivors []ident.ID) (joins, leaves []ident.ID, cost int, installed int64, err error) {
-	msg, joins, leaves, err := w.tree.Flush(p, w.limit)
+// Join queues a join for the next Rekey.
+func (w *KeyPlane) Join(id ident.ID) { w.pending.Join(id) }
+
+// Leave queues a leave for the next Rekey and drops the leaver's
+// keyring at once, before the boundary removes it from the tree.
+func (w *KeyPlane) Leave(id ident.ID) {
+	w.pending.Leave(id)
+	if r, ok := w.tree.Ranks().RankOf(id); ok {
+		w.keyrings[r] = nil
+	}
+}
+
+// Rekey runs one interval: the queued joins and leaves are flushed
+// through the tree, every survivor (each ranked member that did not
+// just join) applies the rekey message, and every joiner receives its
+// path keys by the join-time unicast. It returns the joins and leaves
+// the flush applied, the message's cost and the number of keys
+// installed across the survivors' keyrings. A survivor without a
+// keyring is an error.
+func (w *KeyPlane) Rekey() (joins, leaves []ident.ID, cost int, installed int64, err error) {
+	msg, joins, leaves, err := w.tree.Flush(&w.pending, w.limit)
+	if grow := w.tree.Ranks().Width() - len(w.keyrings); grow > 0 {
+		w.keyrings = append(w.keyrings, make([]*keytree.Keyring, grow)...)
+	}
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
-	for _, id := range leaves {
-		w.store.Remove(id)
-	}
-	obs.WithStage(w.obs, "apply", func() { installed, err = w.ap.Apply(msg, survivors) })
+	survivors := w.tree.Size() - len(joins)
+	obs.WithStage(w.obs, "apply", func() { installed, err = w.apply(msg, survivors) })
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
 	obs.WithStage(w.obs, "deliver", func() {
 		for _, id := range joins {
-			var kr *keytree.Keyring
-			if kr, err = w.tree.JoinKeyring(id); err != nil {
+			r, _ := w.tree.Ranks().RankOf(id)
+			if w.keyrings[r], err = w.tree.JoinKeyring(id); err != nil {
 				return
 			}
-			w.store.PutKeyring(id, kr)
 		}
 	})
 	return joins, leaves, msg.Cost(), installed, err
 }
 
-// Digest commits to the final keyrings of the listed members (see
-// KeyringDigest).
-func (w *KeyPlane) Digest(members []ident.ID) uint64 {
+// Digest commits to the final keyrings of every member, in ID order
+// (see KeyringDigest).
+func (w *KeyPlane) Digest() uint64 {
 	gk, ok := w.tree.GroupKey()
-	return KeyringDigest(gk, ok, members, func(id ident.ID) (keycrypt.Key, bool) {
+	return KeyringDigest(gk, ok, w.tree.Structure().Members(ident.EmptyPrefix), func(id ident.ID) (keycrypt.Key, bool) {
 		if kr := w.Keyring(id); kr != nil {
 			return kr.GroupKey()
 		}

@@ -29,14 +29,13 @@ func BenchmarkKeyPlaneRekey(b *testing.B) {
 		b.Fatal(err)
 	}
 	active := make([]ident.ID, n)
-	var p keytree.Pending
 	for i := range active {
 		if active[i], err = ident.FromInt(params, i); err != nil {
 			b.Fatal(err)
 		}
-		p.Join(active[i])
+		w.Join(active[i])
 	}
-	if _, _, _, _, err := w.Rekey(&p, nil); err != nil {
+	if _, _, _, _, err := w.Rekey(); err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
@@ -47,16 +46,15 @@ func BenchmarkKeyPlaneRekey(b *testing.B) {
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		var p keytree.Pending
 		for j := 0; j < churn; j++ {
 			k := rng.Intn(len(active))
-			p.Leave(active[k])
+			w.Leave(active[k])
 			active[k] = active[len(active)-1]
 			active = active[:len(active)-1]
 		}
 		for j := 0; j < churn; j++ {
 			if len(free) > 0 {
-				p.Join(free[len(free)-1])
+				w.Join(free[len(free)-1])
 				free = free[:len(free)-1]
 				continue
 			}
@@ -64,9 +62,9 @@ func BenchmarkKeyPlaneRekey(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			p.Join(id)
+			w.Join(id)
 		}
-		joins, leaves, _, _, err := w.Rekey(&p, active)
+		joins, leaves, _, _, err := w.Rekey()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -14,7 +14,7 @@
 // through recovery.DistributeLadder, whose multicast rung splits the
 // same way and whose recovery.Outcome (the socket daemon fills the same
 // record) says which rung keyed each member. apply is the Applier below
-// for a Group, and indexedApplier (further down) on the key plane. The
+// for a Group, and KeyPlane.apply (further down) on the key plane. The
 // two crypto-heavy stages parallelize: regen fans out across level-1
 // ID subtrees (Lemma 3 makes them independent rekey units) inside
 // keytree.Regenerate, and apply fans out across delivered
@@ -173,9 +173,9 @@ func (a *storeApplier) Apply(interval uint64, deliveries []split.Delivery) error
 	return agg
 }
 
-// indexedApplier is the key plane's apply stage (see KeyPlane): instead
-// of replaying a transport's per-user deliveries it hands every member
-// of a group the rekey message directly. The message's encryptions are indexed by
+// apply is the key plane's apply stage (see KeyPlane): instead of
+// replaying a transport's per-user deliveries it hands every keyed
+// member the rekey message directly. The message's encryptions are indexed by
 // their encrypting-key ID once; each member then applies the at most
 // depth+1 encryptions on its own ID path as a small synthetic message,
 // so apply costs O(members × depth) lookups instead of O(members ×
@@ -185,71 +185,63 @@ func (a *storeApplier) Apply(interval uint64, deliveries []split.Delivery) error
 // branches unwrap through one keycrypt.Unwrapper per worker and call,
 // keyed by KEK material, so a wrong KEK still fails. The index is
 // reused across calls, so steady-state apply allocates nothing
-// proportional to the group. Not safe for concurrent Apply calls.
-type indexedApplier struct {
-	store  *memberstate.Store
-	depth  int
-	limit  int
-	obs    *obs.Registry // pprof stage labels of the workers
-	encIdx map[string]int32
-}
-
-// newIndexedApplier returns the key plane's apply stage over a member
-// store. limit is work.Run's upper bound on the fan-out (<= 0: none);
-// reg, when non-nil, tags the workers with its pprof stage labels.
-func newIndexedApplier(params ident.Params, store *memberstate.Store, limit int, reg *obs.Registry) *indexedApplier {
-	return &indexedApplier{store: store, depth: params.Digits, limit: limit, obs: reg,
-		encIdx: make(map[string]int32, 1024)}
-}
-
-// Apply installs msg into the keyring of every listed member and
-// returns the number of keys installed. Every member is attempted; the
-// error reported is that of the earliest failing member in the list, so
-// it does not depend on worker scheduling.
-func (a *indexedApplier) Apply(msg *keytree.Message, members []ident.ID) (int64, error) {
-	if len(members) == 0 || msg.Cost() == 0 {
+// proportional to the group.
+//
+// With survivors > 0, every filled slot of w.keyrings is attempted and
+// apply returns the number of keys installed. Applying to any number of
+// keyrings but survivors is an error; otherwise the error reported is
+// that of the failing keyring at the lowest rank, so it does not depend
+// on worker scheduling.
+func (w *KeyPlane) apply(msg *keytree.Message, survivors int) (int64, error) {
+	if msg.Cost() == 0 || survivors == 0 {
 		return 0, nil
 	}
-	clear(a.encIdx)
+	clear(w.encIdx)
 	full := false // fall back to full-message scans on duplicate enc IDs
 	for i, e := range msg.Encryptions {
 		k := e.ID.Key()
-		if _, dup := a.encIdx[k]; dup {
+		if _, dup := w.encIdx[k]; dup {
 			full = true
 			break
 		}
-		a.encIdx[k] = int32(i)
+		w.encIdx[k] = int32(i)
 	}
 
+	depth := w.tree.Params().Digits
 	var (
 		mu      sync.Mutex
 		total   int64
-		failIdx = len(members)
+		applied int
+		failIdx = len(w.keyrings)
 		failErr error
 	)
-	work.Run(a.limit, len(members), func(_ int, next func() (int, bool)) {
-		obs.WithStage(a.obs, "apply", func() {
+	work.Run(w.limit, len(w.keyrings), func(_ int, next func() (int, bool)) {
+		obs.WithStage(w.obs, "apply", func() {
 			mini := keytree.Message{Interval: msg.Interval}
-			scratch := make([]keycrypt.Encryption, 0, a.depth+1)
+			scratch := make([]keycrypt.Encryption, 0, depth+1)
 			unw := keycrypt.NewUnwrapper()
 			var updated int64
-			firstIdx, firstErr := len(members), error(nil)
+			rings := 0
+			firstIdx, firstErr := len(w.keyrings), error(nil)
 			for {
 				i, ok := next()
 				if !ok {
 					break
 				}
-				id := members[i]
+				kr := w.keyrings[i]
+				if kr == nil {
+					continue
+				}
+				rings++
 				n, err := 0, error(nil)
-				if kr := a.store.Keyring(id); kr == nil {
-					err = fmt.Errorf("no keyring")
-				} else if full {
+				if full {
 					n, err = kr.ApplyWith(unw, msg)
 				} else {
 					// Deepest first: ApplyWith's sort then moves nothing.
+					id := kr.ID()
 					scratch = scratch[:0]
-					for l := a.depth; l >= 0; l-- {
-						if idx, ok := a.encIdx[id.Prefix(l).Key()]; ok {
+					for l := depth; l >= 0; l-- {
+						if idx, ok := w.encIdx[id.Prefix(l).Key()]; ok {
 							scratch = append(scratch, msg.Encryptions[idx])
 						}
 					}
@@ -261,7 +253,7 @@ func (a *indexedApplier) Apply(msg *keytree.Message, members []ident.ID) (int64,
 				}
 				if err != nil {
 					if i < firstIdx {
-						firstIdx, firstErr = i, fmt.Errorf("member %v: %w", id, err)
+						firstIdx, firstErr = i, fmt.Errorf("member %v: %w", kr.ID(), err)
 					}
 					continue
 				}
@@ -269,11 +261,15 @@ func (a *indexedApplier) Apply(msg *keytree.Message, members []ident.ID) (int64,
 			}
 			mu.Lock()
 			total += updated
+			applied += rings
 			if firstIdx < failIdx {
 				failIdx, failErr = firstIdx, firstErr
 			}
 			mu.Unlock()
 		})
 	})
+	if failErr == nil && applied != survivors {
+		failErr = fmt.Errorf("applied to %d keyrings, the tree has %d survivors", applied, survivors)
+	}
 	return total, failErr
 }

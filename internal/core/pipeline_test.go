@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -355,6 +356,13 @@ func TestSharedPoolEquivalence(t *testing.T) {
 	}
 }
 
+// indexedApply runs the key plane's apply stage over hand-built
+// keyrings, slot i standing for rank i of the tree.
+func indexedApply(tree *keytree.Tree, rings []*keytree.Keyring, limit int, msg *keytree.Message, survivors int) (int64, error) {
+	w := &KeyPlane{tree: tree, keyrings: rings, encIdx: make(map[string]int32), limit: limit}
+	return w.apply(msg, survivors)
+}
+
 // TestIndexedApplierMatchesFullApply pins the key plane's shared
 // applier to its reference: on random trees and random churn, handing
 // every survivor its indexed path slice must install exactly the keys a
@@ -382,23 +390,26 @@ func TestIndexedApplierMatchesFullApply(t *testing.T) {
 		if _, err := tree.Batch(members, nil); err != nil {
 			t.Fatal(err)
 		}
-		// Three identically keyed stores: the reference and one per width.
-		stores := []*memberstate.Store{memberstate.NewStore(), memberstate.NewStore(), memberstate.NewStore()}
-		for _, id := range members {
+		// Three identically keyed member slices: the reference and one
+		// per width. A leaver's slot is empty, as on the key plane.
+		leaveAt := rng.Intn(len(members)/3 + 1)
+		leavers, survivors := members[:leaveAt], members[leaveAt:]
+		var rings [3][]*keytree.Keyring
+		for i, id := range members {
 			path, err := tree.PathKeys(id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, st := range stores {
-				kr, err := keytree.NewKeyring(params, id, path)
-				if err != nil {
-					t.Fatal(err)
+			for k := range rings {
+				var kr *keytree.Keyring
+				if i >= leaveAt {
+					if kr, err = keytree.NewKeyring(params, id, path); err != nil {
+						t.Fatal(err)
+					}
 				}
-				st.PutKeyring(id, kr)
+				rings[k] = append(rings[k], kr)
 			}
 		}
-		leaveAt := rng.Intn(len(members)/3 + 1)
-		leavers, survivors := members[:leaveAt], members[leaveAt:]
 		msg, err := tree.Batch(joiners, leavers)
 		if err != nil {
 			t.Fatal(err)
@@ -410,27 +421,30 @@ func TestIndexedApplierMatchesFullApply(t *testing.T) {
 		}
 
 		var want int64
-		for _, id := range survivors {
-			n, err := stores[0].Keyring(id).Apply(msg)
+		for _, kr := range rings[0][leaveAt:] {
+			n, err := kr.Apply(msg)
 			if err != nil {
-				t.Fatalf("trial %d: reference apply for %v: %v", trial, id, err)
+				t.Fatalf("trial %d: reference apply for %v: %v", trial, kr.ID(), err)
 			}
 			want += int64(n)
 		}
 		for w, limit := range []int{1, 8} {
-			st := stores[w+1]
-			var got int64
-			atProcs(8, func() { got, err = newIndexedApplier(params, st, limit, nil).Apply(msg, survivors) })
+			got, ref := rings[w+1], rings[0]
+			var installed int64
+			atProcs(8, func() {
+				installed, err = indexedApply(tree, got, limit, msg, len(survivors))
+			})
 			if err != nil {
 				t.Fatalf("trial %d limit %d: %v", trial, limit, err)
 			}
-			if got != want {
-				t.Errorf("trial %d limit %d: installed %d keys, reference %d", trial, limit, got, want)
+			if installed != want {
+				t.Errorf("trial %d limit %d: installed %d keys, reference %d", trial, limit, installed, want)
 			}
-			for _, id := range survivors {
+			for i := leaveAt; i < len(members); i++ {
+				id := members[i]
 				for l := 0; l <= params.Digits; l++ {
-					a, _ := stores[0].Keyring(id).Key(id.Prefix(l))
-					b, _ := st.Keyring(id).Key(id.Prefix(l))
+					a, _ := ref[i].Key(id.Prefix(l))
+					b, _ := got[i].Key(id.Prefix(l))
 					if !a.Equal(b) {
 						t.Fatalf("trial %d limit %d: member %v level %d key differs from the reference", trial, limit, id, l)
 					}
@@ -504,9 +518,15 @@ func TestAppliersFailAWrongKEKAfterACacheHit(t *testing.T) {
 		deliveries = append(deliveries, split.Delivery{To: id, Encryptions: msg.Encryptions})
 	}
 
-	_, err = newIndexedApplier(params, indexed, 1, nil).Apply(msg, survivors)
+	rings := make([]*keytree.Keyring, len(ids)) // ids[5]'s slot stays empty: it left
+	for i, id := range ids {
+		if i != 5 {
+			rings[i] = indexed.Keyring(id)
+		}
+	}
+	_, err = indexedApply(tree, rings, 1, msg, len(survivors))
 	if !errors.Is(err, keycrypt.ErrDecrypt) || !strings.HasPrefix(err.Error(), "member "+victim.String()+":") {
-		t.Errorf("indexedApplier: err = %v, want %v failing with ErrDecrypt", err, victim)
+		t.Errorf("key plane apply: err = %v, want %v failing with ErrDecrypt", err, victim)
 	}
 	err = (&storeApplier{store: stored, limit: 1}).Apply(msg.Interval, deliveries)
 	var agg *ApplyError
@@ -526,9 +546,10 @@ func TestAppliersFailAWrongKEKAfterACacheHit(t *testing.T) {
 	}
 }
 
-// TestIndexedApplierErrorIsDeterministic: every member is attempted and
-// the error names the earliest failing member of the list, at any
-// width.
+// TestIndexedApplierErrorIsDeterministic: every keyring is attempted
+// and the error names the failing member at the lowest slot, at any
+// width; with no keyring failing, a survivor whose keyring is gone
+// (fewer keyrings than survivors) is the error.
 func TestIndexedApplierErrorIsDeterministic(t *testing.T) {
 	params := ident.Params{Digits: 2, Base: 8}
 	tree, err := keytree.New(params, []byte("idx-err"), keytree.Opts{RealCrypto: true})
@@ -546,30 +567,47 @@ func TestIndexedApplierErrorIsDeterministic(t *testing.T) {
 	if _, err := tree.Batch(ids, nil); err != nil {
 		t.Fatal(err)
 	}
+	// rings keys every survivor with its path before the rekey; the
+	// listed members hold a wrong level-1 key, so the new group key's
+	// wrap under it does not open.
+	survivors := ids[1:]
+	paths := make([][]keytree.PathKey, len(survivors))
+	for i, id := range survivors {
+		if paths[i], err = tree.PathKeys(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rings := func(wrong ...int) []*keytree.Keyring {
+		out := make([]*keytree.Keyring, len(survivors))
+		for i, id := range survivors {
+			path := slices.Clone(paths[i])
+			for j := range path {
+				if path[j].ID.Len() == 1 && slices.Contains(wrong, i) {
+					path[j].Key = keycrypt.DeriveKey([]byte("stale"), "level-1")
+				}
+			}
+			var err error
+			if out[i], err = keytree.NewKeyring(params, id, path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
 	msg, err := tree.Batch(nil, ids[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	survivors := ids[1:]
 	for _, limit := range []int{1, 8} {
-		store := memberstate.NewStore()
-		for i, id := range survivors {
-			if i == 7 || i == 30 {
-				continue // two members without a keyring
-			}
-			path, err := tree.PathKeys(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			kr, err := keytree.NewKeyring(params, id, path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			store.PutKeyring(id, kr)
+		failing := rings(30, 7)
+		atProcs(8, func() { _, err = indexedApply(tree, failing, limit, msg, len(survivors)) })
+		if !errors.Is(err, keycrypt.ErrDecrypt) || !strings.HasPrefix(err.Error(), "member "+survivors[7].String()+":") {
+			t.Errorf("limit %d: error = %v, want the lowest failing member %v", limit, err, survivors[7])
 		}
-		atProcs(8, func() { _, err = newIndexedApplier(params, store, limit, nil).Apply(msg, survivors) })
-		if err == nil || !strings.HasPrefix(err.Error(), "member "+survivors[7].String()+":") {
-			t.Errorf("limit %d: error = %v, want the earliest keyring-less member %v", limit, err, survivors[7])
+		gone := rings()
+		gone[7], gone[30] = nil, nil
+		atProcs(8, func() { _, err = indexedApply(tree, gone, limit, msg, len(survivors)) })
+		if want := "applied to 37 keyrings, the tree has 39 survivors"; err == nil || err.Error() != want {
+			t.Errorf("limit %d: error = %v, want %q", limit, err, want)
 		}
 	}
 }

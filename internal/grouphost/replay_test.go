@@ -89,6 +89,7 @@ func TestTenantsReplayCommittedSchedules(t *testing.T) {
 			must(t, err)
 			idOf := func(host int) ident.ID { return slotID(t, tn.params, host) }
 			inTree := func(host int) bool { return tn.world.Tree().Structure().Contains(idOf(host)) }
+			roster := func() []ident.ID { return tn.world.Tree().Structure().Members(ident.EmptyPrefix) }
 			epoch := func(host int) uint64 {
 				path, err := tn.world.Tree().PathKeys(idOf(host))
 				must(t, err)
@@ -108,11 +109,11 @@ func TestTenantsReplayCommittedSchedules(t *testing.T) {
 								out++
 							}
 						}
-						if in != 8 || out != 8 || len(tn.roster) != 16 {
-							t.Errorf("mass boundary: %d in, %d out, %d members; want 8, 8, 16", in, out, len(tn.roster))
+						if in != 8 || out != 8 || len(roster()) != 16 {
+							t.Errorf("mass boundary: %d in, %d out, %d members; want 8, 8, 16", in, out, len(roster()))
 						}
 					}
-					before = tn.roster
+					before = roster()
 				}
 			case "join-leave-same-interval.sched", "pending-joiner-crash.sched":
 				observe = func(k int) {
@@ -183,17 +184,22 @@ func TestTenantsReplayCommittedSchedules(t *testing.T) {
 
 // TestKeyTenantMembershipErrors is core.TestSessionMembershipErrors for
 // the KeyPlane tenant: a join of a host that is a member, pending or
-// keyed, is rejected by name, and a departed host may join again.
+// keyed, is rejected by name, and a departed host may join again. Past
+// the next boundary the rejoiner holds the tree's keys (the coverage
+// auditor passes, though it took the rank of a host that left beside
+// it) and the host that left for good holds no keyring.
 func TestKeyTenantMembershipErrors(t *testing.T) {
 	join := func(h int) workload.Event { return workload.Event{Kind: workload.Join, Host: h} }
+	leave := func(h int) workload.Event { return workload.Event{Kind: workload.Leave, Victim: h} }
 	for _, tc := range []struct {
 		name   string
 		events []workload.Event // a zero event is a boundary
 		err    string
+		gone   []int // hosts that must hold no keyring at the end
 	}{
-		{"duplicate pending join", []workload.Event{join(0), join(1), join(0)}, "schedule host 0, already a member"},
-		{"duplicate keyed join", []workload.Event{join(0), join(1), {}, join(0)}, "schedule host 0, already a member"},
-		{"rejoin of departed host", []workload.Event{join(0), join(1), {}, {Kind: workload.Leave, Victim: 0}, join(0)}, ""},
+		{"duplicate pending join", []workload.Event{join(0), join(1), join(0)}, "schedule host 0, already a member", nil},
+		{"duplicate keyed join", []workload.Event{join(0), join(1), {}, join(0)}, "schedule host 0, already a member", nil},
+		{"rejoin of departed host", []workload.Event{join(0), join(1), join(2), {}, leave(0), leave(1), join(0), {}}, "", []int{1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tn, err := newKeyTenant("dup", 8, []byte("dup"), nil)
@@ -213,6 +219,23 @@ func TestKeyTenantMembershipErrors(t *testing.T) {
 				t.Fatal(err)
 			case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
 				t.Fatalf("err = %v, want one containing %q", err, tc.err)
+			}
+			if tc.err != "" {
+				return
+			}
+			verdicts, _ := chaos.Audit(tn.evidence(), nil)
+			for _, v := range verdicts {
+				if line := v.Line(); line != "" {
+					t.Error(line)
+				}
+			}
+			for _, h := range tc.gone {
+				if tn.world.Keyring(slotID(t, tn.params, h)) != nil {
+					t.Errorf("departed host %d still has a keyring", h)
+				}
+			}
+			if tn.size() != 2 {
+				t.Errorf("%d members, want 2", tn.size())
 			}
 		})
 	}

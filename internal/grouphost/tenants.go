@@ -160,13 +160,10 @@ func (t *netTenant) finish(gr *GroupReport) {
 type keyTenant struct {
 	label  string
 	params ident.Params
-	world  *core.KeyPlane
+	world  *core.KeyPlane // the membership: its tree ranks every keyed member
 
-	pending       keytree.Pending
-	joining       map[ident.ID]bool // joins in pending
-	active        map[ident.ID]bool // keyed members that have not departed since
+	joining       map[ident.ID]bool // joins queued this interval, emptied by flush
 	joins, leaves int
-	roster        []ident.ID // membership after the last flush, in ID order
 }
 
 // auditSample is how many member keyrings a KeyPlane audit spot-checks
@@ -191,17 +188,18 @@ func newKeyTenant(label string, hosts int, seed []byte, reg *obs.Registry) (*key
 		params:  params,
 		world:   world,
 		joining: make(map[ident.ID]bool),
-		active:  make(map[ident.ID]bool, hosts),
 	}, nil
 }
 
 func (t *keyTenant) name() string { return t.label }
 
-func (t *keyTenant) size() int { return len(t.active) }
+func (t *keyTenant) size() int { return t.world.Tree().Size() }
 
 // apply queues one event into the interval's batch. Every schedule host
 // index maps directly to an ID, so a rejoin reuses its ID under a fresh
-// key epoch; a crash is a leave in the tree.
+// key epoch; a crash is a leave in the tree. A member is a host with a
+// keyring: a leave drops it at once, so a departed host may join again
+// before the boundary.
 func (t *keyTenant) apply(ev workload.Event) error {
 	host := ev.Subject()
 	id, err := ident.FromInt(t.params, host)
@@ -210,63 +208,42 @@ func (t *keyTenant) apply(ev workload.Event) error {
 	}
 	switch ev.Kind {
 	case workload.Join:
-		if t.active[id] || t.joining[id] {
+		if t.joining[id] || t.world.Keyring(id) != nil {
 			return fmt.Errorf("join of schedule host %d, already a member", host)
 		}
-		t.pending.Join(id)
+		t.world.Join(id)
 		t.joining[id] = true
 		t.joins++
 	case workload.Leave, workload.Crash:
 		t.leaves++
-		if t.pending.Leave(id) {
-			delete(t.joining, id)
-			return nil // joined and left between two boundaries: never keyed
-		}
-		if !t.active[id] {
+		if t.joining[id] {
+			delete(t.joining, id) // joined and left between two boundaries: never keyed
+		} else if t.world.Keyring(id) == nil {
 			return fmt.Errorf("leave of absent host %d", host)
 		}
-		delete(t.active, id)
+		t.world.Leave(id)
 	default:
 		return fmt.Errorf("unknown event kind %d", ev.Kind)
 	}
 	return nil
 }
 
-// flush rekeys the world over the pending churn — one flash-crowd
+// flush rekeys the world over the queued churn — one flash-crowd
 // interval is a single call.
 func (t *keyTenant) flush(time.Duration) (int, error) {
-	// The survivors are the membership before the joins land (apply
-	// already dropped the leavers).
-	joins, _, cost, _, err := t.world.Rekey(&t.pending, t.members())
-	if err != nil {
-		return 0, err
-	}
-	for _, id := range joins {
-		t.active[id] = true
-	}
 	clear(t.joining)
-	t.roster = t.members()
-	return cost, nil
-}
-
-// members returns the active membership in ID order.
-func (t *keyTenant) members() []ident.ID {
-	ids := make([]ident.ID, 0, len(t.active))
-	for id := range t.active {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Compare(ids[j]) < 0 })
-	return ids
+	_, _, cost, _, err := t.world.Rekey()
+	return cost, err
 }
 
 // evidence is the key plane's: sampled keyrings against the server tree
-// (see chaos.KeyPlaneEvidence).
+// (see chaos.KeyPlaneEvidence), spread over the membership in ID order.
 func (t *keyTenant) evidence() *chaos.Evidence {
-	return chaos.KeyPlaneEvidence(t.world, t.roster, auditSample)
+	return chaos.KeyPlaneEvidence(t.world, t.world.Tree().Structure().Members(ident.EmptyPrefix), auditSample)
 }
 
 func (t *keyTenant) finish(gr *GroupReport) {
 	gr.Joins, gr.Leaves = t.joins, t.leaves
-	gr.FinalMembers = len(t.roster)
-	gr.KeyringDigest = t.world.Digest(t.roster)
+	gr.FinalMembers = t.world.Tree().Size()
+	gr.KeyringDigest = t.world.Digest()
 }

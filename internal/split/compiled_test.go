@@ -346,6 +346,29 @@ func TestRekeyOptionDefaults(t *testing.T) {
 	}
 }
 
+// TestPerPacketTelemetryMatchesPerEncryption: one-encryption packets
+// split exactly as encryptions do, so PerPacket with PacketSize 1 must
+// count the same split hops and forwarded encryptions as PerEncryption
+// on one world and message, and a nonzero number of each.
+func TestPerPacketTelemetryMatchesPerEncryption(t *testing.T) {
+	w := newWorld(t, 40, 6, 6, 29)
+	counts := func(opts Options) [2]int64 {
+		opts.Obs = obs.New()
+		if _, err := Rekey(w.dir, w.msg, opts); err != nil {
+			t.Fatal(err)
+		}
+		return [2]int64{opts.Obs.Counter("split_hops").Value(), opts.Obs.Counter("split_hop_forwarded_encryptions").Value()}
+	}
+	want := counts(Options{Mode: PerEncryption})
+	if want[0] == 0 || want[1] == 0 {
+		t.Fatalf("PerEncryption counted %d hops and %d forwarded encryptions", want[0], want[1])
+	}
+	if got := counts(Options{Mode: PerPacket, PacketSize: 1}); got != want {
+		t.Errorf("PerPacket, 1 per packet: %d hops, %d forwarded encryptions; PerEncryption: %d, %d",
+			got[0], got[1], want[0], want[1])
+	}
+}
+
 // TestIndexSplitAllocatesNothing is the hot-path gate: once a rekey's
 // split decisions are compiled, every forwarding hop is a lookup that
 // returns a shared slice, so Split over any subtree of the member tree
