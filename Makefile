@@ -140,7 +140,7 @@ bench-pairs:
 # internal/transport + internal/rekeyd and on the total, in that order,
 # that the last simplicity PR reached. A PR that must grow past one
 # raises it here, in the open, next to its CHANGES.md line.
-LOC_BUDGET ?= 2570 20722
+LOC_BUDGET ?= 2570 20812
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs wc -l | \
 		awk -v budget="$(LOC_BUDGET)" \

@@ -6,9 +6,10 @@ package chaos
 // simulation stop being the point at a million members; the flat state
 // layout is). Each interval leaves and rejoins a slice of the group,
 // batches the churn through Mark/Regenerate, and applies the rekey
-// message to every surviving member's keyring through a per-interval
-// encryption index, so the apply side costs O(members × depth) lookups
-// instead of O(members × message cost) scans.
+// message to every surviving member's keyring in one pass over a slab,
+// each finding its encryptions through the key tree's parent links, so
+// the apply side costs O(members × depth) array hops instead of
+// O(members × message cost) scans.
 //
 // Everything observed into the report is a pure function of the config
 // (virtual structure, counts, streaming percentiles fed in member
@@ -122,11 +123,10 @@ type ScaleReport struct {
 	// per failed auditor per interval.
 	Violations []string
 
-	// KeyringDigest commits to the final keyrings (core.KeyringDigest
-	// over the members in ID order) — the same value a tenancy-host
-	// KeyPlane group reports, so the two drivers of the one key-plane
-	// world can be tested against each other. It is not part of
-	// String().
+	// KeyringDigest commits to the final group keys, the server's and
+	// each member's in ID order (core.KeyringDigest) — the same value a
+	// tenancy-host KeyPlane group reports, so the two soaks over the one
+	// key-plane world can be tested against each other. Not in String().
 	KeyringDigest uint64
 
 	// HeapAllocEnd and BytesPerMember are live-heap observability from

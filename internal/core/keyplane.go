@@ -10,25 +10,24 @@ import (
 )
 
 // KeyPlane is the key-management core with no network under it: the
-// server's key tree, one keyring per member at the member's rank in
-// that tree (the plane keeps no second index), and the indexed applier
-// that hands every survivor its slice of a rekey message — the flat
+// server's key tree, its members' keyrings in one slab indexed by the
+// tree's ranks (the plane keeps no second index), and the applier that
+// hands every survivor its path slice of a rekey message — the flat
 // state that holds a million members. It is the one world behind both
 // key-only soaks: chaos.RunScaleSoak draws its churn from an RNG, the
 // tenancy host's KeyPlane profile from a workload.Schedule; each only
 // says who joins and who leaves, then calls Rekey.
 type KeyPlane struct {
-	tree     *keytree.Tree
-	pending  keytree.Pending
-	keyrings []*keytree.Keyring // by tree rank, as wide as the rank table; nil = not keyed
-	encIdx   map[string]int32   // apply's index of the message, reused across intervals
-	limit    int
-	obs      *obs.Registry // pprof stage labels; nil = unlabelled
+	tree    *keytree.Tree
+	pending keytree.Pending
+	rings   keytree.Keyrings // by tree rank, as wide as the rank table
+	limit   int
+	obs     *obs.Registry // pprof stage labels; nil = unlabelled
 }
 
 // NewKeyPlane builds an empty key plane. opts are the tree's, with real
 // crypto always on: its members install keys. Its CapacityHint also
-// sizes the keyring slice. limit is an upper bound on the regen and
+// sizes the keyring slab. limit is an upper bound on the regen and
 // apply fan-out (<= 0: none).
 func NewKeyPlane(params ident.Params, seed []byte, opts keytree.Opts, limit int) (*KeyPlane, error) {
 	opts.RealCrypto = true
@@ -36,19 +35,17 @@ func NewKeyPlane(params ident.Params, seed []byte, opts keytree.Opts, limit int)
 	if err != nil {
 		return nil, err
 	}
-	return &KeyPlane{
-		tree: tree, limit: limit, obs: opts.Obs, encIdx: make(map[string]int32, 1024),
-		keyrings: make([]*keytree.Keyring, 0, max(opts.CapacityHint, 0)),
-	}, nil
+	return &KeyPlane{tree: tree, rings: keytree.NewKeyrings(tree), limit: limit, obs: opts.Obs}, nil
 }
 
 // Tree exposes the server's key tree (read-only use).
 func (w *KeyPlane) Tree() *keytree.Tree { return w.tree }
 
-// Keyring returns a member's keyring, nil if it has none.
+// Keyring returns a view of a member's keyring slot until the next
+// Rekey, nil if it has none.
 func (w *KeyPlane) Keyring(id ident.ID) *keytree.Keyring {
-	if r, ok := w.tree.Ranks().RankOf(id); ok {
-		return w.keyrings[r]
+	if r, ok := w.tree.Ranks().RankOf(id); ok && w.rings.Keyed(r) {
+		return w.rings.Keyring(r)
 	}
 	return nil
 }
@@ -56,12 +53,12 @@ func (w *KeyPlane) Keyring(id ident.ID) *keytree.Keyring {
 // Join queues a join for the next Rekey.
 func (w *KeyPlane) Join(id ident.ID) { w.pending.Join(id) }
 
-// Leave queues a leave for the next Rekey and drops the leaver's
+// Leave queues a leave for the next Rekey and wipes the leaver's
 // keyring at once, before the boundary removes it from the tree.
 func (w *KeyPlane) Leave(id ident.ID) {
 	w.pending.Leave(id)
 	if r, ok := w.tree.Ranks().RankOf(id); ok {
-		w.keyrings[r] = nil
+		w.rings.Leave(r)
 	}
 }
 
@@ -73,31 +70,35 @@ func (w *KeyPlane) Leave(id ident.ID) {
 // installed across the survivors' keyrings. A survivor without a
 // keyring is an error.
 func (w *KeyPlane) Rekey() (joins, leaves []ident.ID, cost int, installed int64, err error) {
-	msg, joins, leaves, err := w.tree.Flush(&w.pending, w.limit)
-	if grow := w.tree.Ranks().Width() - len(w.keyrings); grow > 0 {
-		w.keyrings = append(w.keyrings, make([]*keytree.Keyring, grow)...)
-	}
+	msg, joins, leaves, installed, err := w.rekey()
 	if err != nil {
 		return nil, nil, 0, 0, err
+	}
+	return joins, leaves, msg.Cost(), installed, nil
+}
+
+// rekey is Rekey returning the interval's message.
+func (w *KeyPlane) rekey() (msg *keytree.Message, joins, leaves []ident.ID, installed int64, err error) {
+	msg, joins, leaves, err = w.tree.Flush(&w.pending, w.limit)
+	if err != nil {
+		return nil, nil, nil, 0, err
 	}
 	survivors := w.tree.Size() - len(joins)
 	obs.WithStage(w.obs, "apply", func() { installed, err = w.apply(msg, survivors) })
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, nil, nil, 0, err
 	}
 	obs.WithStage(w.obs, "deliver", func() {
 		for _, id := range joins {
 			r, _ := w.tree.Ranks().RankOf(id)
-			if w.keyrings[r], err = w.tree.JoinKeyring(id); err != nil {
-				return
-			}
+			w.rings.Join(r)
 		}
 	})
-	return joins, leaves, msg.Cost(), installed, err
+	return msg, joins, leaves, installed, nil
 }
 
-// Digest commits to the final keyrings of every member, in ID order
-// (see KeyringDigest).
+// Digest commits to the server's and every member's group key, in ID
+// order (see KeyringDigest).
 func (w *KeyPlane) Digest() uint64 {
 	gk, ok := w.tree.GroupKey()
 	return KeyringDigest(gk, ok, w.tree.Structure().Members(ident.EmptyPrefix), func(id ident.ID) (keycrypt.Key, bool) {
@@ -111,7 +112,8 @@ func (w *KeyPlane) Digest() uint64 {
 // KeyringDigest folds the server's group key and every listed member's
 // group key (or its absence) into one FNV-64a value: runs — or two
 // drivers of one world — that end with equal digests ended with equal
-// keyrings, whatever transport carried the keys there.
+// group keys (keys below them do not enter it), whatever transport
+// carried the keys there.
 func KeyringDigest(server keycrypt.Key, haveServer bool, members []ident.ID, groupKeyOf func(ident.ID) (keycrypt.Key, bool)) uint64 {
 	h := fnv.New64a()
 	put := func(label string, k keycrypt.Key) {

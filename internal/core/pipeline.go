@@ -17,8 +17,8 @@
 // for a Group, and KeyPlane.apply (further down) on the key plane. The
 // two crypto-heavy stages parallelize: regen fans out across level-1
 // ID subtrees (Lemma 3 makes them independent rekey units) inside
-// keytree.Regenerate, and apply fans out across delivered
-// users below — both through work.Run, the process-wide fan-out. Each
+// keytree.Regenerate, and apply fans out across delivered users (key
+// plane: blocks of keyring slots) — both through work.Run. Each
 // apply worker unwraps through its own keycrypt.Unwrapper for the one
 // call, so a KEK its members share is expanded once per worker while
 // every member still opens its own encryptions.
@@ -173,97 +173,67 @@ func (a *storeApplier) Apply(interval uint64, deliveries []split.Delivery) error
 	return agg
 }
 
+const applyBlock = 256 // ranks a key-plane apply worker claims per cursor step
+
 // apply is the key plane's apply stage (see KeyPlane): instead of
 // replaying a transport's per-user deliveries it hands every keyed
-// member the rekey message directly. The message's encryptions are indexed by
-// their encrypting-key ID once; each member then applies the at most
-// depth+1 encryptions on its own ID path as a small synthetic message,
-// so apply costs O(members × depth) lookups instead of O(members ×
-// message cost) scans. A message that carries a duplicate encryption ID
-// cannot be indexed and falls back to a full Keyring.Apply per member —
-// the reference behaviour the indexed path is tested against. Both
-// branches unwrap through one keycrypt.Unwrapper per worker and call,
-// keyed by KEK material, so a wrong KEK still fails. The index is
-// reused across calls, so steady-state apply allocates nothing
-// proportional to the group.
+// member the rekey message directly, in one pass over the keyring slab.
+// Workers claim ranks in blocks of applyBlock, and each member unwraps
+// the encryptions keytree.Tree.PathWraps names for its rank — the at
+// most D on its own ID path, found through the tree's parent links — so
+// apply costs O(members × depth) array hops, with no lookup and no copy
+// per member. Each worker unwraps through one keycrypt.Unwrapper for
+// the call, keyed by KEK material, so a wrong KEK still fails.
 //
-// With survivors > 0, every filled slot of w.keyrings is attempted and
-// apply returns the number of keys installed. Applying to any number of
-// keyrings but survivors is an error; otherwise the error reported is
-// that of the failing keyring at the lowest rank, so it does not depend
-// on worker scheduling.
+// With survivors > 0, every keyed slot is attempted and apply returns
+// the number of keys installed. Applying to any number of keyrings but
+// survivors is an error; otherwise the error reported is that of the
+// failing keyring at the lowest rank, so it does not depend on worker
+// scheduling.
 func (w *KeyPlane) apply(msg *keytree.Message, survivors int) (int64, error) {
 	if msg.Cost() == 0 || survivors == 0 {
 		return 0, nil
 	}
-	clear(w.encIdx)
-	full := false // fall back to full-message scans on duplicate enc IDs
-	for i, e := range msg.Encryptions {
-		k := e.ID.Key()
-		if _, dup := w.encIdx[k]; dup {
-			full = true
-			break
-		}
-		w.encIdx[k] = int32(i)
-	}
-
-	depth := w.tree.Params().Digits
+	width := w.tree.Ranks().Width()
 	var (
-		mu      sync.Mutex
-		total   int64
-		applied int
-		failIdx = len(w.keyrings)
-		failErr error
+		mu       sync.Mutex
+		total    int64
+		applied  int
+		failRank = width
+		failErr  error
 	)
-	work.Run(w.limit, len(w.keyrings), func(_ int, next func() (int, bool)) {
+	work.Run(w.limit, (width+applyBlock-1)/applyBlock, func(_ int, next func() (int, bool)) {
 		obs.WithStage(w.obs, "apply", func() {
-			mini := keytree.Message{Interval: msg.Interval}
-			scratch := make([]keycrypt.Encryption, 0, depth+1)
 			unw := keycrypt.NewUnwrapper()
 			var updated int64
 			rings := 0
-			firstIdx, firstErr := len(w.keyrings), error(nil)
+			firstRank, firstErr := width, error(nil)
 			for {
-				i, ok := next()
+				b, ok := next()
 				if !ok {
 					break
 				}
-				kr := w.keyrings[i]
-				if kr == nil {
-					continue
-				}
-				rings++
-				n, err := 0, error(nil)
-				if full {
-					n, err = kr.ApplyWith(unw, msg)
-				} else {
-					// Deepest first: ApplyWith's sort then moves nothing.
-					id := kr.ID()
-					scratch = scratch[:0]
-					for l := depth; l >= 0; l-- {
-						if idx, ok := w.encIdx[id.Prefix(l).Key()]; ok {
-							scratch = append(scratch, msg.Encryptions[idx])
-						}
-					}
-					if len(scratch) == 0 {
+				for r := b * applyBlock; r < min((b+1)*applyBlock, width); r++ {
+					if !w.rings.Keyed(ident.Rank(r)) {
 						continue
 					}
-					mini.Encryptions = scratch
-					n, err = kr.ApplyWith(unw, &mini)
-				}
-				if err != nil {
-					if i < firstIdx {
-						firstIdx, firstErr = i, fmt.Errorf("member %v: %w", kr.ID(), err)
+					rings++
+					n, err := w.rings.Apply(unw, msg, ident.Rank(r))
+					if err != nil {
+						if r < firstRank {
+							id, _ := w.tree.Ranks().IDOf(ident.Rank(r))
+							firstRank, firstErr = r, fmt.Errorf("member %v: %w", id, err)
+						}
+						continue
 					}
-					continue
+					updated += int64(n)
 				}
-				updated += int64(n)
 			}
 			mu.Lock()
 			total += updated
 			applied += rings
-			if firstIdx < failIdx {
-				failIdx, failErr = firstIdx, firstErr
+			if firstRank < failRank {
+				failRank, failErr = firstRank, firstErr
 			}
 			mu.Unlock()
 		})

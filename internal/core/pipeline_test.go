@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -356,19 +355,37 @@ func TestSharedPoolEquivalence(t *testing.T) {
 	}
 }
 
-// indexedApply runs the key plane's apply stage over hand-built
-// keyrings, slot i standing for rank i of the tree.
-func indexedApply(tree *keytree.Tree, rings []*keytree.Keyring, limit int, msg *keytree.Message, survivors int) (int64, error) {
-	w := &KeyPlane{tree: tree, keyrings: rings, encIdx: make(map[string]int32), limit: limit}
-	return w.apply(msg, survivors)
+// indexedPlane is a key plane over tree whose keyed members hold their
+// current path keys at their ranks; every other slot is empty.
+func indexedPlane(tree *keytree.Tree, limit int, keyed []ident.ID) *KeyPlane {
+	w := &KeyPlane{tree: tree, rings: keytree.NewKeyrings(tree), limit: limit}
+	for _, id := range keyed {
+		r, _ := tree.Ranks().RankOf(id)
+		w.rings.Join(r)
+	}
+	return w
+}
+
+// plant makes kr hold k at level l the way a member installs any key:
+// unwrapped from a wrap under its own individual key.
+func plant(t *testing.T, kr *keytree.Keyring, l int, k keycrypt.Key) {
+	t.Helper()
+	id := kr.ID()
+	ik, _ := kr.Key(id.AsPrefix())
+	e, err := keycrypt.WrapSeeded(ik, id.AsPrefix(), k, id.Prefix(l), 1, []byte("plant"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := kr.Apply(&keytree.Message{Encryptions: []keycrypt.Encryption{e}}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestIndexedApplierMatchesFullApply pins the key plane's shared
 // applier to its reference: on random trees and random churn, handing
-// every survivor its indexed path slice must install exactly the keys a
-// full per-member Keyring.Apply of the whole message installs — inline
-// and eight wide (run under -race), and also when duplicate encryption
-// IDs force the applier's own full-message fallback.
+// every survivor its path slice must install exactly the keys a full
+// per-member Keyring.Apply of the whole message installs — inline and
+// eight wide (run under -race).
 func TestIndexedApplierMatchesFullApply(t *testing.T) {
 	params := ident.Params{Digits: 3, Base: 6}
 	rng := rand.New(rand.NewSource(77))
@@ -390,63 +407,54 @@ func TestIndexedApplierMatchesFullApply(t *testing.T) {
 		if _, err := tree.Batch(members, nil); err != nil {
 			t.Fatal(err)
 		}
-		// Three identically keyed member slices: the reference and one
-		// per width. A leaver's slot is empty, as on the key plane.
+		// The reference keyrings and one plane per width, identically
+		// keyed. A leaver's slot is empty, as on the key plane.
 		leaveAt := rng.Intn(len(members)/3 + 1)
 		leavers, survivors := members[:leaveAt], members[leaveAt:]
-		var rings [3][]*keytree.Keyring
-		for i, id := range members {
+		ref := make([]*keytree.Keyring, len(survivors))
+		for i, id := range survivors {
 			path, err := tree.PathKeys(id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for k := range rings {
-				var kr *keytree.Keyring
-				if i >= leaveAt {
-					if kr, err = keytree.NewKeyring(params, id, path); err != nil {
-						t.Fatal(err)
-					}
-				}
-				rings[k] = append(rings[k], kr)
+			if ref[i], err = keytree.NewKeyring(params, id, path); err != nil {
+				t.Fatal(err)
 			}
+		}
+		limits := []int{1, 8}
+		planes := make([]*KeyPlane, len(limits))
+		for k, limit := range limits {
+			planes[k] = indexedPlane(tree, limit, survivors)
 		}
 		msg, err := tree.Batch(joiners, leavers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if trial%3 == 0 && msg.Cost() > 0 { // duplicate enc IDs: the full fallback
-			for i := 0; i < 1+rng.Intn(3); i++ {
-				msg.Encryptions = append(msg.Encryptions, msg.Encryptions[rng.Intn(msg.Cost())])
-			}
-		}
 
 		var want int64
-		for _, kr := range rings[0][leaveAt:] {
+		for _, kr := range ref {
 			n, err := kr.Apply(msg)
 			if err != nil {
 				t.Fatalf("trial %d: reference apply for %v: %v", trial, kr.ID(), err)
 			}
 			want += int64(n)
 		}
-		for w, limit := range []int{1, 8} {
-			got, ref := rings[w+1], rings[0]
+		for k, w := range planes {
 			var installed int64
-			atProcs(8, func() {
-				installed, err = indexedApply(tree, got, limit, msg, len(survivors))
-			})
+			atProcs(8, func() { installed, err = w.apply(msg, len(survivors)) })
 			if err != nil {
-				t.Fatalf("trial %d limit %d: %v", trial, limit, err)
+				t.Fatalf("trial %d limit %d: %v", trial, limits[k], err)
 			}
 			if installed != want {
-				t.Errorf("trial %d limit %d: installed %d keys, reference %d", trial, limit, installed, want)
+				t.Errorf("trial %d limit %d: installed %d keys, reference %d", trial, limits[k], installed, want)
 			}
-			for i := leaveAt; i < len(members); i++ {
-				id := members[i]
+			for i, id := range survivors {
+				got := w.Keyring(id)
 				for l := 0; l <= params.Digits; l++ {
 					a, _ := ref[i].Key(id.Prefix(l))
-					b, _ := got[i].Key(id.Prefix(l))
+					b, _ := got.Key(id.Prefix(l))
 					if !a.Equal(b) {
-						t.Fatalf("trial %d limit %d: member %v level %d key differs from the reference", trial, limit, id, l)
+						t.Fatalf("trial %d limit %d: member %v level %d key differs from the reference", trial, limits[k], id, l)
 					}
 				}
 			}
@@ -478,6 +486,7 @@ func TestAppliersFailAWrongKEKAfterACacheHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := ids[1]
+	stale := keycrypt.DeriveKey([]byte("stale"), "level-1")
 	newStore := func() *memberstate.Store {
 		st := memberstate.NewStore()
 		for _, id := range ids {
@@ -488,7 +497,7 @@ func TestAppliersFailAWrongKEKAfterACacheHit(t *testing.T) {
 			if id == victim {
 				for i := range path {
 					if path[i].ID.Len() == 1 {
-						path[i].Key = keycrypt.DeriveKey([]byte("stale"), "level-1")
+						path[i].Key = stale
 					}
 				}
 			}
@@ -500,14 +509,17 @@ func TestAppliersFailAWrongKEKAfterACacheHit(t *testing.T) {
 		}
 		return st
 	}
-	ref, indexed, stored := newStore(), newStore(), newStore()
+	ref, stored := newStore(), newStore()
+	// ids[5]'s slot stays empty: it leaves.
+	survivors := append(append([]ident.ID(nil), ids[:5]...), ids[6:]...)
+	indexed := indexedPlane(tree, 1, survivors)
+	plant(t, indexed.Keyring(victim), 1, stale)
 	// [1,0,0] leaves: the group key is wrapped under [0]'s unchanged key,
 	// which ids[0] opens (and caches) just before the victim tries.
 	msg, err := tree.Batch(nil, []ident.ID{ids[5]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	survivors := append(append([]ident.ID(nil), ids[:5]...), ids[6:]...)
 	var deliveries []split.Delivery
 	for _, id := range survivors {
 		if id != victim {
@@ -518,13 +530,7 @@ func TestAppliersFailAWrongKEKAfterACacheHit(t *testing.T) {
 		deliveries = append(deliveries, split.Delivery{To: id, Encryptions: msg.Encryptions})
 	}
 
-	rings := make([]*keytree.Keyring, len(ids)) // ids[5]'s slot stays empty: it left
-	for i, id := range ids {
-		if i != 5 {
-			rings[i] = indexed.Keyring(id)
-		}
-	}
-	_, err = indexedApply(tree, rings, 1, msg, len(survivors))
+	_, err = indexed.apply(msg, len(survivors))
 	if !errors.Is(err, keycrypt.ErrDecrypt) || !strings.HasPrefix(err.Error(), "member "+victim.String()+":") {
 		t.Errorf("key plane apply: err = %v, want %v failing with ErrDecrypt", err, victim)
 	}
@@ -533,11 +539,11 @@ func TestAppliersFailAWrongKEKAfterACacheHit(t *testing.T) {
 	if !errors.As(err, &agg) || len(agg.Users) != 1 || agg.Users[0] != victim || !errors.Is(err, keycrypt.ErrDecrypt) {
 		t.Errorf("storeApplier: err = %v, want only %v failing with ErrDecrypt", err, victim)
 	}
-	for _, st := range []*memberstate.Store{indexed, stored} {
+	for _, keyringOf := range []func(ident.ID) *keytree.Keyring{indexed.Keyring, stored.Keyring} {
 		for _, id := range survivors {
 			for l := 0; id != victim && l <= params.Digits; l++ {
 				a, _ := ref.Keyring(id).Key(id.Prefix(l))
-				b, _ := st.Keyring(id).Key(id.Prefix(l))
+				b, _ := keyringOf(id).Key(id.Prefix(l))
 				if !a.Equal(b) {
 					t.Fatalf("member %v level %d key differs from the reference", id, l)
 				}
@@ -567,45 +573,36 @@ func TestIndexedApplierErrorIsDeterministic(t *testing.T) {
 	if _, err := tree.Batch(ids, nil); err != nil {
 		t.Fatal(err)
 	}
-	// rings keys every survivor with its path before the rekey; the
-	// listed members hold a wrong level-1 key, so the new group key's
-	// wrap under it does not open.
+	// Per width, one plane keys every survivor with its path before the
+	// rekey, and two of them with a wrong level-1 key, so the new group
+	// key's wrap under it does not open; in another, two survivors have
+	// no keyring.
 	survivors := ids[1:]
-	paths := make([][]keytree.PathKey, len(survivors))
-	for i, id := range survivors {
-		if paths[i], err = tree.PathKeys(id); err != nil {
-			t.Fatal(err)
+	limits := []int{1, 8}
+	var failing, gone []*KeyPlane
+	for _, limit := range limits {
+		w := indexedPlane(tree, limit, survivors)
+		for _, i := range []int{30, 7} {
+			plant(t, w.Keyring(survivors[i]), 1, keycrypt.DeriveKey([]byte("stale"), "level-1"))
 		}
-	}
-	rings := func(wrong ...int) []*keytree.Keyring {
-		out := make([]*keytree.Keyring, len(survivors))
-		for i, id := range survivors {
-			path := slices.Clone(paths[i])
-			for j := range path {
-				if path[j].ID.Len() == 1 && slices.Contains(wrong, i) {
-					path[j].Key = keycrypt.DeriveKey([]byte("stale"), "level-1")
-				}
-			}
-			var err error
-			if out[i], err = keytree.NewKeyring(params, id, path); err != nil {
-				t.Fatal(err)
-			}
+		failing = append(failing, w)
+		w = indexedPlane(tree, limit, survivors)
+		for _, i := range []int{30, 7} {
+			r, _ := tree.Ranks().RankOf(survivors[i])
+			w.rings.Leave(r)
 		}
-		return out
+		gone = append(gone, w)
 	}
 	msg, err := tree.Batch(nil, ids[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, limit := range []int{1, 8} {
-		failing := rings(30, 7)
-		atProcs(8, func() { _, err = indexedApply(tree, failing, limit, msg, len(survivors)) })
+	for k, limit := range limits {
+		atProcs(8, func() { _, err = failing[k].apply(msg, len(survivors)) })
 		if !errors.Is(err, keycrypt.ErrDecrypt) || !strings.HasPrefix(err.Error(), "member "+survivors[7].String()+":") {
 			t.Errorf("limit %d: error = %v, want the lowest failing member %v", limit, err, survivors[7])
 		}
-		gone := rings()
-		gone[7], gone[30] = nil, nil
-		atProcs(8, func() { _, err = indexedApply(tree, gone, limit, msg, len(survivors)) })
+		atProcs(8, func() { _, err = gone[k].apply(msg, len(survivors)) })
 		if want := "applied to 37 keyrings, the tree has 39 survivors"; err == nil || err.Error() != want {
 			t.Errorf("limit %d: error = %v, want %q", limit, err, want)
 		}

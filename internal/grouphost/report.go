@@ -32,7 +32,7 @@ type GroupReport struct {
 	FinalMembers int
 	// KeyringDigest folds the final membership and every member's group
 	// key (plus the server's) into one value, so comparing reports
-	// compares final keyrings.
+	// compares final group keys, not whole keyrings.
 	KeyringDigest uint64
 	// Audits counts invariant checks run (five per interval);
 	// Violations holds every failure as "interval N: auditor: detail".

@@ -97,6 +97,16 @@ func (rt *RankTable) RankOf(id ID) (Rank, bool) {
 	return r, true
 }
 
+// IDOf returns the ID holding the rank; ok is false for free or
+// never-assigned ranks.
+func (rt *RankTable) IDOf(r Rank) (ID, bool) {
+	if int(r) >= len(rt.ids) {
+		return ID{}, false
+	}
+	id := rt.ids[r]
+	return id, !id.IsZero()
+}
+
 // RankOfKey is RankOf for callers that already hold the ID's digit key
 // (e.g. a full-length Prefix), avoiding an ID conversion.
 func (rt *RankTable) RankOfKey(key string) (Rank, bool) {

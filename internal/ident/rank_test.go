@@ -129,13 +129,3 @@ func TestRankTableChurnProperty(t *testing.T) {
 		t.Fatalf("width %d looks unbounded for %d members", rt.Width(), len(members))
 	}
 }
-
-// IDOf returns the ID holding the rank; ok is false for free or
-// never-assigned ranks.
-func (rt *RankTable) IDOf(r Rank) (ID, bool) {
-	if int(r) >= len(rt.ids) {
-		return ID{}, false
-	}
-	id := rt.ids[r]
-	return id, !id.IsZero()
-}

@@ -103,20 +103,33 @@ func (kr *Keyring) ApplyWith(u *keycrypt.Unwrapper, msg *Message) (int, error) {
 			needed[j-1], needed[j] = needed[j], needed[j-1]
 		}
 	}
-	for n, i := range needed {
-		e := &msg.Encryptions[i]
-		// Needs guarantees e.ID is on the owner's path, so the KEK is
-		// always held; the wrapped key's ID must be on the path too or
-		// installing it would clobber an unrelated level, and strictly
-		// above e.ID, or a holder of a shallower key could overwrite a
-		// deeper one it does not hold.
-		if !e.KeyID.IsPrefixOfID(kr.id) || e.KeyID.Len() >= e.ID.Len() {
+	return kr.unwrap(u, msg.Encryptions, needed)
+}
+
+// unwrap installs encs[i] for each i of idx, in order: the one
+// check-and-unwrap loop of every apply. Each encryption must be under a
+// key on the owner's path, no shallower than the one before it (an
+// unwrap may need the key the previous one installed), and must wrap a
+// key on the path strictly above its KEK, or installing it would
+// clobber an unrelated level, or let a holder of a shallower key
+// overwrite a deeper one it does not hold.
+func (kr *Keyring) unwrap(u *keycrypt.Unwrapper, encs []keycrypt.Encryption, idx []int32) (int, error) {
+	prev := len(kr.levels)
+	for n, i := range idx {
+		e := &encs[i]
+		switch {
+		case !e.ID.IsPrefixOfID(kr.id):
+			return n, fmt.Errorf("keytree: %v received an encryption under %v, off its path", kr.id, e.ID)
+		case e.ID.Len() > prev:
+			return n, fmt.Errorf("keytree: %v received an encryption under %v after a deeper one", kr.id, e.ID)
+		case !e.KeyID.IsPrefixOfID(kr.id) || e.KeyID.Len() >= e.ID.Len():
 			return n, fmt.Errorf("keytree: %v received key %v outside its path above %v", kr.id, e.KeyID, e.ID)
 		}
-		kek := kr.levels[e.ID.Len()].key
+		prev = e.ID.Len()
+		kek := kr.levels[prev].key
 		var newKey keycrypt.Key
 		var err error
-		if e.ID.Len() == len(kr.levels)-1 {
+		if prev == len(kr.levels)-1 {
 			newKey, err = u.UnwrapOnce(kek, *e)
 		} else {
 			newKey, err = u.Unwrap(kek, *e)
@@ -126,5 +139,59 @@ func (kr *Keyring) ApplyWith(u *keycrypt.Unwrapper, msg *Message) (int, error) {
 		}
 		kr.levels[e.KeyID.Len()] = ringKey{key: newKey, version: e.KeyVersion}
 	}
-	return len(needed), nil
+	return len(idx), nil
+}
+
+// Keyrings holds one tree's members' keyrings in one pointer-free slab:
+// rank r's slot is the D+1 {key, version} entries of its Keyring. An
+// all-zero slot holds none (every key the tree hands out has version
+// >= 1).
+type Keyrings struct {
+	tree *Tree
+	slab []ringKey
+}
+
+// NewKeyrings returns an empty slab for t's members, sized for its
+// Opts.CapacityHint.
+func NewKeyrings(t *Tree) Keyrings {
+	return Keyrings{tree: t, slab: make([]ringKey, 0, max(t.opts.CapacityHint, 0)*(t.params.Digits+1))}
+}
+
+// slot is rank r's D+1 entries.
+func (ks *Keyrings) slot(r ident.Rank) []ringKey {
+	w := ks.tree.params.Digits + 1
+	return ks.slab[int(r)*w : (int(r)+1)*w : (int(r)+1)*w]
+}
+
+// Keyed reports whether rank r's slot holds a keyring.
+func (ks *Keyrings) Keyed(r ident.Rank) bool {
+	i := (int(r)+1)*(ks.tree.params.Digits+1) - 1
+	return i < len(ks.slab) && ks.slab[i].version != 0
+}
+
+// Keyring returns rank r's slot as its member's keyring: a view that
+// reads and applies in place, until the next Join grows the slab.
+func (ks *Keyrings) Keyring(r ident.Rank) *Keyring {
+	id, _ := ks.tree.ranks.IDOf(r)
+	return &Keyring{id: id, levels: ks.slot(r)}
+}
+
+// Join fills rank r's slot with its member's path keys, as the key
+// server's join-time unicast delivers them, growing the slab to hold it.
+func (ks *Keyrings) Join(r ident.Rank) {
+	if n := (int(r) + 1) * (ks.tree.params.Digits + 1); n > len(ks.slab) {
+		ks.slab = append(ks.slab, make([]ringKey, n-len(ks.slab))...)
+	}
+	ks.tree.pathInto(r, ks.slot(r))
+}
+
+// Leave wipes rank r's slot.
+func (ks *Keyrings) Leave(r ident.Rank) { clear(ks.slot(r)) }
+
+// Apply applies msg, the message of the tree's last Regenerate, to rank
+// r's keyring through u, unwrapping the encryptions Tree.PathWraps
+// names, and returns the number of keys installed.
+func (ks *Keyrings) Apply(u *keycrypt.Unwrapper, msg *Message, r ident.Rank) (int, error) {
+	var buf [8]int32
+	return ks.Keyring(r).unwrap(u, msg.Encryptions, ks.tree.PathWraps(r, buf[:0]))
 }

@@ -26,10 +26,13 @@
 // members join and leave); k-nodes sit in a slab addressed through a
 // string-keyed slot index with a free list, so slots — like ranks — are
 // reused under churn and the slab stops growing once membership reaches
-// its high-water mark. Ranks and slots are implementation detail: key
-// derivation, message layout, and every protocol-visible output depend
-// only on IDs, versions, and intervals, so same-seed runs are
-// byte-identical to the map-backed representation.
+// its high-water mark. Parent links make a member's path keys and its
+// slice of the last rekey message (Tree.PathWraps) D array hops from
+// its rank, and Keyrings holds keyrings in one slab by the same ranks.
+// Ranks and slots are implementation detail: key derivation, message
+// layout, and every protocol-visible output depend only on IDs,
+// versions, and intervals, so same-seed runs are byte-identical to the
+// map-backed representation.
 package keytree
 
 import (
@@ -69,6 +72,9 @@ type Opts struct {
 type node struct {
 	key     keycrypt.Key
 	version uint64
+	parent  int32  // the parent k-node's slot (the root's own), set when Mark creates the node
+	wrap    int32  // the index of the encryption under this key in the message of
+	wrapAt  uint64 // this interval, as Regenerate wraps it
 }
 
 // Tree is the key server's modified key tree. It is not safe for
@@ -265,14 +271,42 @@ func (t *Tree) PathKeys(u ident.ID) ([]PathKey, error) {
 
 // JoinKeyring builds the keyring u starts with: its current path keys,
 // as the key server's join-time unicast delivers them. Every driver that
-// plays a member (core.Group, the key plane, rekeyd.World) keys its
-// joiners through this one call.
+// plays a member keys its joiners with these keys: core.Group and
+// rekeyd.World through this call, the key plane through Keyrings.Join.
 func (t *Tree) JoinKeyring(u ident.ID) (*Keyring, error) {
 	path, err := t.PathKeys(u)
 	if err != nil {
 		return nil, err
 	}
 	return NewKeyring(t.params, u, path)
+}
+
+// pathInto copies rank r's path keys into levels, as a Keyring holds
+// them, up the parent links.
+func (t *Tree) pathInto(r ident.Rank, levels []ringKey) {
+	n := &t.useg[r]
+	for l := t.params.Digits; l >= 0; l-- {
+		levels[l] = ringKey{key: n.key, version: n.version}
+		n = &t.kseg[n.parent]
+	}
+}
+
+// PathWraps appends to dst the indices, in the message of the last
+// Regenerate, of the encryptions rank r needs: by Lemma 3, those under
+// the keys on its u-node-to-root path. They come deepest first, found
+// by D hops up the parent links. A free rank needs none.
+func (t *Tree) PathWraps(r ident.Rank, dst []int32) []int32 {
+	if int(r) >= len(t.useg) || t.useg[r].version == 0 {
+		return dst
+	}
+	n := &t.useg[r]
+	for l := t.params.Digits; l > 0; l-- {
+		if n.wrapAt == t.interval {
+			dst = append(dst, n.wrap)
+		}
+		n = &t.kseg[n.parent]
+	}
+	return dst
 }
 
 // Resync builds the recovery form of the join-time unicast: u's k-node
@@ -403,19 +437,8 @@ func (t *Tree) Mark(joins, leaves []ident.ID) (*BatchPlan, error) {
 		if err := t.structure.Insert(u); err != nil {
 			return nil, err
 		}
-		epoch := t.epochs[u.Key()] + 1
-		t.epochs[u.Key()] = epoch
-		r := t.ranks.Assign(u)
-		for len(t.useg) < t.ranks.Width() {
-			t.useg = append(t.useg, node{})
-		}
-		t.useg[r] = node{
-			key:     t.deriveKey("u:"+u.Key(), epoch),
-			version: epoch,
-		}
 	}
-	// Drop k-nodes pruned from the structure; create k-nodes that the
-	// structure now has but the key tree does not.
+	// Drop k-nodes pruned from the structure.
 	for key, slot := range t.kindex {
 		if !t.structure.HasNode(ident.PrefixFromKey(key)) {
 			t.freeKnode(key, slot)
@@ -425,10 +448,6 @@ func (t *Tree) Mark(joins, leaves []ident.ID) (*BatchPlan, error) {
 	for key, p := range updated {
 		if !t.structure.HasNode(p) {
 			delete(updated, key)
-			continue
-		}
-		if _, ok := t.kindex[key]; !ok {
-			t.allocKnode(key) // key material assigned by Regenerate
 		}
 	}
 
@@ -444,9 +463,30 @@ func (t *Tree) Mark(joins, leaves []ident.ID) (*BatchPlan, error) {
 		}
 		return ordered[i].Key() < ordered[j].Key()
 	})
+	// Create the missing k-nodes shallowest first, so a parent has its
+	// slot before its children; then the joiners' u-nodes under them.
 	slots := make([]int32, len(ordered))
-	for i, p := range ordered {
-		slots[i] = t.kindex[p.Key()]
+	for i := len(ordered) - 1; i >= 0; i-- {
+		p := ordered[i]
+		slot, ok := t.kindex[p.Key()]
+		if !ok {
+			slot = t.allocKnode(p.Key())
+			t.kseg[slot].parent = t.kindex[p.Parent().Key()]
+		}
+		slots[i] = slot
+	}
+	for _, u := range joins {
+		epoch := t.epochs[u.Key()] + 1
+		t.epochs[u.Key()] = epoch
+		r := t.ranks.Assign(u)
+		for len(t.useg) < t.ranks.Width() {
+			t.useg = append(t.useg, node{})
+		}
+		t.useg[r] = node{
+			key:     t.deriveKey("u:"+u.Key(), epoch),
+			version: epoch,
+			parent:  t.kindex[u.Prefix(t.params.Digits-1).Key()],
+		}
 	}
 	return &BatchPlan{Interval: t.interval, Updated: ordered, slots: slots}, nil
 }
@@ -593,18 +633,19 @@ func (t *Tree) Regenerate(plan *BatchPlan, parallelism int) (*Message, error) {
 					return
 				}
 				child := p.Child(d)
-				var childKey keycrypt.Key
+				var cn *node
 				if child.Len() == t.params.Digits {
-					childKey = t.unode(child.Key()).key
+					cn = t.unode(child.Key())
 				} else {
-					childKey = t.knode(child.Key()).key
+					cn = t.knode(child.Key())
 				}
-				enc, err := t.wrap(wr, childKey, child, parent.key, p, parent.version)
+				enc, err := t.wrap(wr, cn.key, child, parent.key, p, parent.version)
 				if err != nil {
 					wErr = err
 					return
 				}
 				out[j] = enc
+				cn.wrap, cn.wrapAt = int32(offsets[i]+j), t.interval
 				j++
 			})
 			if wErr != nil {

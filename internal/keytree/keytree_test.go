@@ -3,7 +3,10 @@ package keytree
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"maps"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"tmesh/internal/ident"
@@ -645,5 +648,134 @@ func TestStructureMatchesIDTreeProperty(t *testing.T) {
 				t.Fatalf("round %d: encryption names dead node %v", round, e.KeyID)
 			}
 		}
+	}
+}
+
+// TestPathWrapsMatchLemma3: on random trees and batches — build-up,
+// churn, IDs that leave and come back (also within one batch), k-nodes
+// pruned and created again — the index of every ranked member names
+// exactly the message's encryptions the member needs by Lemma 3,
+// deepest first, and a free rank's names none.
+func TestPathWrapsMatchLemma3(t *testing.T) {
+	for _, params := range []ident.Params{{Digits: 3, Base: 6}, {Digits: 4, Base: 4}} {
+		tr := newTree(t, params, false)
+		rng := rand.New(rand.NewSource(int64(params.Base)))
+		live := make(map[int]bool)
+		pruned := make(map[string]bool) // k-nodes pruned so far
+		reborn := 0                     // k-nodes created again after a prune
+		for round := 0; round < 40; round++ {
+			var js, ls []ident.ID
+			leaveP := 0.1
+			if round%8 == 7 {
+				leaveP = 0.8 // empties whole subtrees
+			}
+			leftNow := make(map[int]bool)
+			for v := 0; v < params.Capacity(); v++ {
+				if live[v] && rng.Float64() < leaveP {
+					ls = append(ls, ids(t, params, v)...)
+					leftNow[v] = true
+					if rng.Intn(8) == 0 { // rejoins in the same batch
+						js = append(js, ids(t, params, v)...)
+					} else {
+						delete(live, v)
+					}
+				}
+			}
+			nJoin := rng.Intn(12)
+			if round == 0 {
+				nJoin = params.Capacity() / 2
+			}
+			for n := 0; n < nJoin; n++ {
+				if v := rng.Intn(params.Capacity()); !live[v] && !leftNow[v] {
+					live[v] = true
+					js = append(js, ids(t, params, v)...)
+				}
+			}
+			before := maps.Clone(tr.kindex)
+			msg, err := tr.Batch(js, ls)
+			if err != nil {
+				t.Fatalf("%v round %d: %v", params, round, err)
+			}
+			for key := range before {
+				if _, ok := tr.kindex[key]; !ok {
+					pruned[key] = true
+				}
+			}
+			for key := range tr.kindex {
+				if _, ok := before[key]; !ok && pruned[key] {
+					reborn++
+				}
+			}
+			for r := ident.Rank(0); int(r) <= tr.Ranks().Width(); r++ {
+				got := tr.PathWraps(r, nil)
+				id, ok := tr.Ranks().IDOf(r)
+				var want []int32
+				for i, e := range msg.Encryptions {
+					if ok && e.NeededBy(id) {
+						want = append(want, int32(i))
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%v round %d rank %d (%v, held %v): index %v, want %v", params, round, r, id, ok, got, want)
+				}
+				for k := 1; k < len(got); k++ {
+					if msg.Encryptions[got[k]].ID.Len() >= msg.Encryptions[got[k-1]].ID.Len() {
+						t.Fatalf("%v round %d rank %d: index %v is not deepest first", params, round, r, got)
+					}
+				}
+			}
+		}
+		if reborn == 0 {
+			t.Errorf("%v: no k-node was pruned and created again", params)
+		}
+	}
+}
+
+// TestUnwrapRefusesOffPathAndOutOfOrder: the check-and-unwrap loop
+// every apply runs stops at an encryption under a key off the owner's
+// path, and at one under a deeper key than the encryption before it;
+// the index's own order installs the member's whole slice.
+func TestUnwrapRefusesOffPathAndOutOfOrder(t *testing.T) {
+	params := ident.Params{Digits: 3, Base: 3}
+	tr := newTree(t, params, true)
+	members := ids(t, params, 0, 1, 9, 18) // [0,0,0] [0,0,1] [1,0,0] [2,0,0]
+	if _, err := tr.Batch(members, nil); err != nil {
+		t.Fatal(err)
+	}
+	ks := NewKeyrings(tr)
+	for r := range members {
+		ks.Join(ident.Rank(r))
+	}
+	// [0,0,1] leaves: [0,0], [0] and the root are rekeyed.
+	msg, err := tr.Batch(nil, members[1:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := tr.PathWraps(0, nil)
+	if len(path) != 3 {
+		t.Fatalf("member %v needs %d encryptions, want 3", members[0], len(path))
+	}
+	off := slices.IndexFunc(msg.Encryptions, func(e keycrypt.Encryption) bool { return !e.NeededBy(members[0]) })
+	for _, c := range []struct {
+		idx   []int32
+		wantN int
+		want  string
+	}{
+		{[]int32{int32(off)}, 0, "off its path"},
+		{[]int32{path[0], path[1], path[0]}, 2, "after a deeper one"},
+	} {
+		kr := ks.Keyring(0)
+		before := slices.Clone(kr.levels)
+		if n, err := kr.unwrap(nil, msg.Encryptions, c.idx); n != c.wantN || err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("indices %v: unwrap = %d, %v; want %d keys and an error saying %q", c.idx, n, err, c.wantN, c.want)
+		}
+		copy(kr.levels, before)
+	}
+	if n, err := ks.Apply(nil, msg, 0); n != 3 || err != nil {
+		t.Fatalf("Apply = %d, %v; want 3 keys", n, err)
+	}
+	want, _ := tr.GroupKey()
+	if got, _ := ks.Keyring(0).GroupKey(); !got.Equal(want) {
+		t.Error("the member does not hold the new group key")
 	}
 }
