@@ -20,9 +20,9 @@ import (
 	"strings"
 )
 
-// Digit is one position of a user ID. The paper uses base B = 256, so a
-// single byte per digit is always sufficient; the type is widened to allow
-// intermediate arithmetic without casts.
+// Digit is one position of a user ID. Params.Validate caps B at the
+// paper's 256, so a single byte per digit is always sufficient; the type
+// is widened to allow intermediate arithmetic without casts.
 type Digit = int
 
 // Params fixes the shape of the ID space for one group: IDs have exactly
@@ -30,7 +30,8 @@ type Digit = int
 type Params struct {
 	// Digits is D, the number of digits in a user ID. Must be >= 1.
 	Digits int
-	// Base is B, the base of each digit. Must be >= 2.
+	// Base is B, the base of each digit. Must be in [2, 256]: an ID
+	// stores one byte per digit.
 	Base int
 }
 
@@ -52,8 +53,8 @@ func (p Params) Validate() error {
 	if p.Digits < 1 {
 		return fmt.Errorf("ident: Digits must be >= 1, got %d", p.Digits)
 	}
-	if p.Base < 2 {
-		return fmt.Errorf("ident: Base must be >= 2, got %d", p.Base)
+	if p.Base < 2 || p.Base > 256 {
+		return fmt.Errorf("ident: Base must be in [2, 256], got %d", p.Base)
 	}
 	return nil
 }
@@ -95,21 +96,14 @@ var EmptyPrefix = Prefix{}
 // ErrBadDigit is returned when a digit is outside [0, Base).
 var ErrBadDigit = errors.New("ident: digit out of range")
 
-// New builds an ID from the given digits. It returns an error unless
-// len(digits) == p.Digits and every digit is in [0, p.Base).
+// New builds an ID from the given digits. It returns an error unless p
+// is valid, len(digits) == p.Digits and every digit is in [0, p.Base).
 func New(p Params, digits []Digit) (ID, error) {
 	if len(digits) != p.Digits {
 		return ID{}, fmt.Errorf("ident: ID needs exactly %d digits, got %d", p.Digits, len(digits))
 	}
-	var b strings.Builder
-	b.Grow(len(digits))
-	for i, d := range digits {
-		if d < 0 || d >= p.Base {
-			return ID{}, fmt.Errorf("%w: digit %d is %d, base %d", ErrBadDigit, i, d, p.Base)
-		}
-		b.WriteByte(byte(d))
-	}
-	return ID{digits: b.String()}, nil
+	pfx, err := PrefixOf(p, digits)
+	return ID(pfx), err
 }
 
 // MustNew is New but panics on error. It is intended for tests and for
@@ -124,8 +118,12 @@ func MustNew(p Params, digits []Digit) ID {
 
 // FromInt builds the ID whose digits are the base-B representation of n,
 // most significant digit first. It errors if n is negative or does not fit
-// in D digits. It is a convenient way to enumerate distinct IDs in tests.
+// in D digits, or if p is not valid. It is a convenient way to enumerate
+// distinct IDs in tests.
 func FromInt(p Params, n int) (ID, error) {
+	if err := p.Validate(); err != nil {
+		return ID{}, err
+	}
 	if n < 0 {
 		return ID{}, fmt.Errorf("ident: FromInt needs n >= 0, got %d", n)
 	}
@@ -187,15 +185,6 @@ func (id ID) Len() int { return len(id.digits) }
 // Digit returns the i-th digit (0-based, counted from the left, as in the
 // paper's u.ID[i]).
 func (id ID) Digit(i int) Digit { return Digit(id.digits[i]) }
-
-// Digits returns a fresh slice of all digits.
-func (id ID) Digits() []Digit {
-	out := make([]Digit, len(id.digits))
-	for i := range id.digits {
-		out[i] = Digit(id.digits[i])
-	}
-	return out
-}
 
 // Prefix returns the prefix of the first l digits, the paper's
 // u.ID[0 : l-1]. l = 0 yields the empty prefix; l = D yields the whole ID
@@ -293,9 +282,13 @@ func PrefixFromKey(k string) Prefix { return Prefix{digits: k} }
 // IDFromKey reconstructs an ID from the value returned by ID.Key.
 func IDFromKey(k string) ID { return ID{digits: k} }
 
-// PrefixOf builds a prefix directly from digits; it errors if any digit is
-// out of range or if there are more than p.Digits of them.
+// PrefixOf builds a prefix directly from digits; it errors if p is not
+// valid, if any digit is out of range or if there are more than p.Digits
+// of them.
 func PrefixOf(p Params, digits []Digit) (Prefix, error) {
+	if err := p.Validate(); err != nil {
+		return Prefix{}, err
+	}
 	if len(digits) > p.Digits {
 		return Prefix{}, fmt.Errorf("ident: prefix of %d digits exceeds D=%d", len(digits), p.Digits)
 	}

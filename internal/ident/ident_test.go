@@ -17,6 +17,8 @@ func TestParamsValidate(t *testing.T) {
 		{"zero digits", Params{Digits: 0, Base: 2}, true},
 		{"negative digits", Params{Digits: -1, Base: 2}, true},
 		{"base one", Params{Digits: 3, Base: 1}, true},
+		{"base 256", Params{Digits: 2, Base: 256}, false},
+		{"base 257", Params{Digits: 2, Base: 257}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -59,6 +61,15 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(p, []Digit{0, 1, -1}); err == nil {
 		t.Error("New with negative digit should fail")
 	}
+	// A base above 256 would alias digits d and d-256 in the one byte
+	// an ID keeps per digit, so New refuses the space itself.
+	wide := Params{Digits: 2, Base: 300}
+	if id, err := New(wide, []Digit{1, 280}); err == nil {
+		t.Errorf("New in a base-300 space = %v, want an error", id)
+	}
+	if _, err := New(Params{Digits: 0, Base: 2}, nil); err == nil {
+		t.Error("New with zero digits should fail")
+	}
 	id, err := New(p, []Digit{3, 2, 1})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -86,6 +97,11 @@ func TestFromIntRoundTrip(t *testing.T) {
 	}
 	if _, err := FromInt(p, -1); err == nil {
 		t.Error("FromInt(-1) should fail")
+	}
+	for _, bad := range []Params{{Digits: 2, Base: 300}, {Digits: 2, Base: 0}, {Digits: 0, Base: 4}} {
+		if id, err := FromInt(bad, 280); err == nil {
+			t.Errorf("FromInt(%+v, 280) = %v, want an error", bad, id)
+		}
 	}
 }
 

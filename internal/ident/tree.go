@@ -2,7 +2,7 @@ package ident
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 )
 
 // Tree is the ID tree of Definition 1: the trie of all current user IDs
@@ -12,25 +12,53 @@ import (
 // modified key tree must match its structure exactly and because tests
 // verify the structural lemmas against it.
 //
+// Only internal nodes (levels 0..D-1) are stored: a map from prefix to
+// slot and a pointer-free slab by slot, each node holding its subtree
+// size and its children's digits, so a user ID is one bit in its parent.
+// A pruned node's slot is reused LIFO; the key tree files its k-nodes by
+// slot (Slot, Width).
+//
 // Tree is not safe for concurrent mutation; the simulator drives it from a
-// single event loop.
+// single event loop. Reads mutate nothing.
 type Tree struct {
 	params Params
-	// nodes maps a present prefix key to the number of user IDs below it.
-	// The empty prefix is present whenever the tree is non-empty.
-	nodes map[string]int
-	// children maps a present prefix key to the set of child digits that
-	// exist at the next level.
-	children map[string]map[Digit]struct{}
+	slots  map[string]int32 // internal prefix key -> slot; "" while non-empty
+	nodes  []treeNode       // by slot; a free slot is zero
+	free   []int32          // pruned slots
+}
+
+type treeNode struct {
+	size     int      // user IDs below the node
+	children digitSet // digits of the existing children
+}
+
+// digitSet is a set of digits; Params.Validate keeps them below 256.
+type digitSet [4]uint64
+
+func (s *digitSet) add(d Digit)     { s[d>>6] |= 1 << (d & 63) }
+func (s *digitSet) remove(d Digit)  { s[d>>6] &^= 1 << (d & 63) }
+func (s digitSet) has(d Digit) bool { return s[d>>6]&(1<<(d&63)) != 0 }
+
+func (s digitSet) count() int {
+	return bits.OnesCount64(s[0]) + bits.OnesCount64(s[1]) + bits.OnesCount64(s[2]) + bits.OnesCount64(s[3])
+}
+
+// each calls fn for every digit in increasing order until fn returns
+// false; it reports whether it ran to the end.
+func (s digitSet) each(fn func(Digit) bool) bool {
+	for w, word := range s {
+		for ; word != 0; word &= word - 1 {
+			if !fn(w<<6 | bits.TrailingZeros64(word)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // NewTree returns an empty ID tree over the given ID space.
 func NewTree(params Params) *Tree {
-	return &Tree{
-		params:   params,
-		nodes:    make(map[string]int),
-		children: make(map[string]map[Digit]struct{}),
-	}
+	return &Tree{params: params, slots: make(map[string]int32)}
 }
 
 // BuildTree constructs the ID tree of a set of user IDs.
@@ -48,11 +76,20 @@ func BuildTree(params Params, ids []ID) (*Tree, error) {
 func (t *Tree) Params() Params { return t.params }
 
 // Size returns the number of user IDs (leaves) in the tree.
-func (t *Tree) Size() int { return t.nodes[""] }
+func (t *Tree) Size() int { return t.node("").size }
+
+// node returns the internal node at the prefix key, or the zero node.
+func (t *Tree) node(key string) treeNode {
+	if s, ok := t.slots[key]; ok {
+		return t.nodes[s]
+	}
+	return treeNode{}
+}
 
 // Contains reports whether the exact user ID is present.
 func (t *Tree) Contains(id ID) bool {
-	return t.nodes[id.Key()] > 0 && id.Len() == t.params.Digits
+	d := id.Len() - 1
+	return d+1 == t.params.Digits && t.node(id.digits[:d]).children.has(id.Digit(d))
 }
 
 // Insert adds a user ID, creating any missing prefix nodes (the paper's
@@ -66,17 +103,19 @@ func (t *Tree) Insert(id ID) error {
 		return fmt.Errorf("ident: duplicate ID %v", id)
 	}
 	key := id.Key()
-	for l := 0; l <= len(key); l++ {
-		t.nodes[key[:l]]++
-	}
-	for l := 1; l <= len(key); l++ {
-		parent := key[:l-1]
-		set := t.children[parent]
-		if set == nil {
-			set = make(map[Digit]struct{})
-			t.children[parent] = set
+	for l := 0; l < len(key); l++ {
+		s, ok := t.slots[key[:l]]
+		if !ok {
+			if n := len(t.free); n > 0 {
+				s, t.free = t.free[n-1], t.free[:n-1]
+			} else {
+				s = int32(len(t.nodes))
+				t.nodes = append(t.nodes, treeNode{})
+			}
+			t.slots[key[:l]] = s
 		}
-		set[Digit(key[l-1])] = struct{}{}
+		t.nodes[s].size++
+		t.nodes[s].children.add(Digit(key[l]))
 	}
 	return nil
 }
@@ -88,103 +127,98 @@ func (t *Tree) Remove(id ID) error {
 		return fmt.Errorf("ident: removing absent ID %v", id)
 	}
 	key := id.Key()
-	for l := len(key); l >= 0; l-- {
-		pfx := key[:l]
-		t.nodes[pfx]--
-		if t.nodes[pfx] == 0 {
-			delete(t.nodes, pfx)
-			delete(t.children, pfx)
-			if l > 0 {
-				parent := key[:l-1]
-				if set := t.children[parent]; set != nil {
-					delete(set, Digit(key[l-1]))
-				}
-			}
+	pruned := true // the node below level l is gone; the user ID always is
+	for l := len(key) - 1; l >= 0; l-- {
+		s := t.slots[key[:l]]
+		n := &t.nodes[s]
+		n.size--
+		if pruned {
+			n.children.remove(Digit(key[l]))
+		}
+		if pruned = n.size == 0; pruned {
+			delete(t.slots, key[:l])
+			t.free = append(t.free, s)
 		}
 	}
 	return nil
 }
 
 // HasNode reports whether the prefix exists as a node of the ID tree.
-func (t *Tree) HasNode(p Prefix) bool { return t.nodes[p.Key()] > 0 }
+func (t *Tree) HasNode(p Prefix) bool { return t.SubtreeSize(p) > 0 }
 
 // SubtreeSize returns the number of user IDs in the ID subtree rooted at
 // the prefix (0 if the node does not exist).
-func (t *Tree) SubtreeSize(p Prefix) int { return t.nodes[p.Key()] }
+func (t *Tree) SubtreeSize(p Prefix) int {
+	if p.Len() == t.params.Digits && t.Contains(ID(p)) {
+		return 1
+	}
+	return t.node(p.digits).size
+}
+
+// Slot returns the slab slot of the internal node at the prefix; ok is
+// false for a user ID or an absent node. A node keeps its slot while it
+// exists.
+func (t *Tree) Slot(p Prefix) (int, bool) {
+	s, ok := t.slots[p.digits]
+	return int(s), ok
+}
+
+// Width returns the size a slot-indexed slice must have to be indexable
+// by every slot. Like RankTable.Width it never shrinks.
+func (t *Tree) Width() int { return len(t.nodes) }
 
 // ChildDigits returns the digits of the existing children of the prefix
 // node, in increasing order.
 func (t *Tree) ChildDigits(p Prefix) []Digit {
-	set := t.children[p.Key()]
-	out := make([]Digit, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	sort.Ints(out)
+	set := t.node(p.digits).children
+	out := make([]Digit, 0, set.count())
+	set.each(func(d Digit) bool { out = append(out, d); return true })
 	return out
 }
 
 // ChildCount returns the number of existing children of the prefix node
 // (0 if the node does not exist) without allocating.
-func (t *Tree) ChildCount(p Prefix) int { return len(t.children[p.Key()]) }
+func (t *Tree) ChildCount(p Prefix) int { return t.node(p.digits).children.count() }
 
 // EachChildDigit calls fn for every existing child digit of the prefix
-// node in increasing order. Unlike ChildDigits it neither allocates nor
-// sorts (it probes the child set digit by digit), so per-node tree
-// walks can run allocation-free.
+// node in increasing order, without allocating.
 func (t *Tree) EachChildDigit(p Prefix, fn func(Digit)) {
-	set := t.children[p.Key()]
-	for d := 0; d < t.params.Base; d++ {
-		if _, ok := set[d]; ok {
-			fn(d)
-		}
-	}
+	t.node(p.digits).children.each(func(d Digit) bool { fn(d); return true })
 }
 
 // Members returns all user IDs in the subtree rooted at the prefix, in
 // increasing ID order. Members(EmptyPrefix) lists the whole group.
 func (t *Tree) Members(p Prefix) []ID {
 	var out []ID
-	t.walkMembers(p, &out)
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	if t.HasNode(p) {
+		t.walk(p, func(q Prefix, _ int) bool {
+			if q.Len() == t.params.Digits {
+				out = append(out, ID(q))
+			}
+			return true
+		})
+	}
 	return out
-}
-
-func (t *Tree) walkMembers(p Prefix, out *[]ID) {
-	if t.nodes[p.Key()] == 0 {
-		return
-	}
-	if p.Len() == t.params.Digits {
-		*out = append(*out, ID{digits: p.digits})
-		return
-	}
-	for d := range t.children[p.Key()] {
-		t.walkMembers(p.Child(d), out)
-	}
 }
 
 // Walk visits every node of the tree in pre-order, calling fn with the
 // node's prefix and its subtree size. Returning false stops the walk.
 func (t *Tree) Walk(fn func(p Prefix, size int) bool) {
-	var rec func(p Prefix) bool
-	rec = func(p Prefix) bool {
-		size := t.nodes[p.Key()]
-		if size == 0 {
-			return true
-		}
-		if !fn(p, size) {
-			return false
-		}
-		for _, d := range t.ChildDigits(p) {
-			if !rec(p.Child(d)) {
-				return false
-			}
-		}
-		return true
+	if t.Size() > 0 {
+		t.walk(EmptyPrefix, fn)
 	}
-	rec(EmptyPrefix)
+}
+
+// walk is Walk from the existing node p; it reports whether fn let it
+// finish.
+func (t *Tree) walk(p Prefix, fn func(p Prefix, size int) bool) bool {
+	if p.Len() == t.params.Digits {
+		return fn(p, 1)
+	}
+	n := t.node(p.digits)
+	return fn(p, n.size) && n.children.each(func(d Digit) bool { return t.walk(p.Child(d), fn) })
 }
 
 // NodeCount returns the total number of nodes (prefixes, including the
 // root and the leaves) currently in the tree.
-func (t *Tree) NodeCount() int { return len(t.nodes) }
+func (t *Tree) NodeCount() int { return len(t.slots) + t.Size() }

@@ -23,10 +23,11 @@
 // Storage layout: the hot node state lives in flat slabs, not per-node
 // heap objects. U-nodes sit in a slice indexed by the member's dense
 // ident.Rank (the tree owns the RankTable and assigns/releases ranks as
-// members join and leave); k-nodes sit in a slab addressed through a
-// string-keyed slot index with a free list, so slots — like ranks — are
-// reused under churn and the slab stops growing once membership reaches
-// its high-water mark. Parent links make a member's path keys and its
+// members join and leave); k-nodes sit in a slab indexed by the slot the
+// ID tree gives the same internal node (ident.Tree.Slot), so the key
+// tree keeps no prefix index of its own. Slots, like ranks, are reused
+// under churn, and both slabs stop growing once membership reaches its
+// high-water mark. Parent links make a member's path keys and its
 // slice of the last rekey message (Tree.PathWraps) D array hops from
 // its rank, and Keyrings holds keyrings in one slab by the same ranks.
 // Ranks and slots are implementation detail: key derivation, message
@@ -90,9 +91,7 @@ type Tree struct {
 	structure *ident.Tree      // ID tree of current members
 	ranks     *ident.RankTable // member ID <-> dense u-node rank
 	useg      []node           // u-nodes, indexed by rank (len == ranks.Width())
-	kindex    map[string]int32 // prefix key -> k-node slot (levels 0..D-1)
-	kseg      []node           // k-node slab
-	kfree     []int32          // free k-node slots, reused LIFO
+	kseg      []node           // k-nodes, indexed by ID-tree slot (len == structure.Width()); a free slot is zero
 	epochs    map[string]uint64
 	interval  uint64
 
@@ -139,16 +138,15 @@ func New(params ident.Params, seed []byte, opts Opts) (*Tree, error) {
 		hint = 0
 	}
 	return &Tree{
-		params:    params,
-		seed:      append([]byte(nil), seed...),
-		nonceSeed: keycrypt.DeriveKey(seed, "nonce-seed").Bytes(),
-		opts:      opts,
-		structure: ident.NewTree(params),
-		ranks:     ident.NewRankTable(hint),
-		useg:      make([]node, 0, hint),
-		kindex:    make(map[string]int32, hint),
-		kseg:      make([]node, 0, hint),
-		epochs:    make(map[string]uint64),
+		params:         params,
+		seed:           append([]byte(nil), seed...),
+		nonceSeed:      keycrypt.DeriveKey(seed, "nonce-seed").Bytes(),
+		opts:           opts,
+		structure:      ident.NewTree(params),
+		ranks:          ident.NewRankTable(hint),
+		useg:           make([]node, 0, hint),
+		epochs:         make(map[string]uint64),
+		updatedScratch: make(map[string]ident.Prefix),
 	}, nil
 }
 
@@ -174,49 +172,30 @@ func (t *Tree) Ranks() *ident.RankTable { return t.ranks }
 
 // unode returns the u-node for the full-length prefix key, or nil.
 func (t *Tree) unode(key string) *node {
-	r, ok := t.ranks.RankOfKey(key)
-	if !ok {
-		return nil
+	if r, ok := t.ranks.RankOfKey(key); ok {
+		return &t.useg[r]
 	}
-	return &t.useg[r]
+	return nil
 }
 
-// knode returns the k-node slot for the prefix key, or nil.
-func (t *Tree) knode(key string) *node {
-	slot, ok := t.kindex[key]
-	if !ok {
-		return nil
+// knode returns the k-node at the prefix, or nil.
+func (t *Tree) knode(p ident.Prefix) *node {
+	if slot, ok := t.structure.Slot(p); ok {
+		return &t.kseg[slot]
 	}
-	return &t.kseg[slot]
+	return nil
 }
 
-// allocKnode returns a zeroed slot for the prefix key, reusing a freed
-// slot when one exists. Only Mark calls it, so the slab never grows
-// while Regenerate's workers hold pointers into it.
-func (t *Tree) allocKnode(key string) int32 {
-	var slot int32
-	if n := len(t.kfree); n > 0 {
-		slot = t.kfree[n-1]
-		t.kfree = t.kfree[:n-1]
-	} else {
-		slot = int32(len(t.kseg))
-		t.kseg = append(t.kseg, node{})
-	}
-	t.kseg[slot] = node{}
-	t.kindex[key] = slot
-	return slot
-}
-
-func (t *Tree) freeKnode(key string, slot int32) {
-	delete(t.kindex, key)
-	t.kseg[slot] = node{}
-	t.kfree = append(t.kfree, slot)
+// kslot returns the slot of the existing k-node at the prefix.
+func (t *Tree) kslot(p ident.Prefix) int32 {
+	slot, _ := t.structure.Slot(p)
+	return int32(slot)
 }
 
 // GroupKey returns the current group key; ok is false while the group is
 // empty.
 func (t *Tree) GroupKey() (keycrypt.Key, bool) {
-	n := t.knode(ident.EmptyPrefix.Key())
+	n := t.knode(ident.EmptyPrefix)
 	if n == nil {
 		return keycrypt.Key{}, false
 	}
@@ -225,7 +204,7 @@ func (t *Tree) GroupKey() (keycrypt.Key, bool) {
 
 // KeyOf returns the key and version of the k-node at the prefix.
 func (t *Tree) KeyOf(p ident.Prefix) (keycrypt.Key, uint64, bool) {
-	n := t.knode(p.Key())
+	n := t.knode(p)
 	if n == nil {
 		return keycrypt.Key{}, 0, false
 	}
@@ -260,7 +239,7 @@ func (t *Tree) PathKeys(u ident.ID) ([]PathKey, error) {
 	out := []PathKey{{ID: u.AsPrefix(), Key: un.key, Version: un.version}}
 	for l := t.params.Digits - 1; l >= 0; l-- {
 		p := u.Prefix(l)
-		kn := t.knode(p.Key())
+		kn := t.knode(p)
 		if kn == nil {
 			return nil, fmt.Errorf("keytree: missing k-node %v on path of %v", p, u)
 		}
@@ -383,9 +362,8 @@ func (t *Tree) Mark(joins, leaves []ident.ID) (*BatchPlan, error) {
 	t.interval++
 
 	// Validate the batch up front so the tree never ends half-updated.
-	// Leaves are processed before joins, so an ID freed by a leave may
-	// be reassigned to a joiner within the same interval (the joiner
-	// gets a fresh epoch, hence fresh keys).
+	// An ID may leave and join in one batch: the joiner gets a fresh
+	// epoch, hence fresh keys.
 	leaving := make(map[string]bool, len(leaves))
 	for _, l := range leaves {
 		if !t.structure.Contains(l) {
@@ -409,11 +387,8 @@ func (t *Tree) Mark(joins, leaves []ident.ID) (*BatchPlan, error) {
 
 	// updated marks k-node prefixes whose keys must change: every
 	// k-node on the path from a changed u-node to the root.
-	if t.updatedScratch == nil {
-		t.updatedScratch = make(map[string]ident.Prefix)
-	}
-	clear(t.updatedScratch)
 	updated := t.updatedScratch
+	clear(updated)
 	markPath := func(u ident.ID) {
 		for l := 0; l < t.params.Digits; l++ {
 			p := u.Prefix(l)
@@ -421,33 +396,41 @@ func (t *Tree) Mark(joins, leaves []ident.ID) (*BatchPlan, error) {
 		}
 	}
 
-	// Structural phase: remove departed u-nodes (pruning empty
-	// k-nodes), then add joined u-nodes (creating missing k-nodes).
+	// Structural phase. Departed u-nodes go first, so a joiner may take
+	// a leaver's rank. The joiners enter the ID tree before the leavers
+	// leave it, and an ID that leaves and rejoins stays in it: a k-node
+	// is pruned only if its subtree is empty once the whole batch is in,
+	// and a subtree that empties and refills in one batch keeps its
+	// k-node, key and version.
 	for _, u := range leaves {
 		markPath(u)
-		if err := t.structure.Remove(u); err != nil {
-			return nil, err
-		}
 		if r, ok := t.ranks.Release(u); ok {
 			t.useg[r] = node{}
 		}
 	}
 	for _, u := range joins {
 		markPath(u)
+		if leaving[u.Key()] {
+			continue
+		}
 		if err := t.structure.Insert(u); err != nil {
 			return nil, err
 		}
 	}
-	// Drop k-nodes pruned from the structure.
-	for key, slot := range t.kindex {
-		if !t.structure.HasNode(ident.PrefixFromKey(key)) {
-			t.freeKnode(key, slot)
-			delete(updated, key)
+	t.kseg = append(t.kseg, make([]node, t.structure.Width()-len(t.kseg))...)
+	// Remove the leavers. The k-nodes whose only member leaves are
+	// pruned: zeroed, so a node created later in the freed slot starts
+	// fresh.
+	for _, u := range leaves {
+		if joining[u.Key()] {
+			continue
 		}
-	}
-	for key, p := range updated {
-		if !t.structure.HasNode(p) {
-			delete(updated, key)
+		for l := t.params.Digits - 1; l >= 0 && t.structure.SubtreeSize(u.Prefix(l)) == 1; l-- {
+			delete(updated, u.Prefix(l).Key())
+			t.kseg[t.kslot(u.Prefix(l))] = node{}
+		}
+		if err := t.structure.Remove(u); err != nil {
+			return nil, err
 		}
 	}
 
@@ -463,17 +446,13 @@ func (t *Tree) Mark(joins, leaves []ident.ID) (*BatchPlan, error) {
 		}
 		return ordered[i].Key() < ordered[j].Key()
 	})
-	// Create the missing k-nodes shallowest first, so a parent has its
-	// slot before its children; then the joiners' u-nodes under them.
+	// Link the updated k-nodes to their parents (a new one needs it; a
+	// parent's slot never changes while the child lives), then the
+	// joiners' u-nodes under them.
 	slots := make([]int32, len(ordered))
-	for i := len(ordered) - 1; i >= 0; i-- {
-		p := ordered[i]
-		slot, ok := t.kindex[p.Key()]
-		if !ok {
-			slot = t.allocKnode(p.Key())
-			t.kseg[slot].parent = t.kindex[p.Parent().Key()]
-		}
-		slots[i] = slot
+	for i, p := range ordered {
+		slots[i] = t.kslot(p)
+		t.kseg[slots[i]].parent = t.kslot(p.Parent())
 	}
 	for _, u := range joins {
 		epoch := t.epochs[u.Key()] + 1
@@ -485,7 +464,7 @@ func (t *Tree) Mark(joins, leaves []ident.ID) (*BatchPlan, error) {
 		t.useg[r] = node{
 			key:     t.deriveKey("u:"+u.Key(), epoch),
 			version: epoch,
-			parent:  t.kindex[u.Prefix(t.params.Digits-1).Key()],
+			parent:  t.kslot(u.Prefix(t.params.Digits - 1)),
 		}
 	}
 	return &BatchPlan{Interval: t.interval, Updated: ordered, slots: slots}, nil
@@ -637,7 +616,7 @@ func (t *Tree) Regenerate(plan *BatchPlan, parallelism int) (*Message, error) {
 				if child.Len() == t.params.Digits {
 					cn = t.unode(child.Key())
 				} else {
-					cn = t.knode(child.Key())
+					cn = t.knode(child)
 				}
 				enc, err := t.wrap(wr, cn.key, child, parent.key, p, parent.version)
 				if err != nil {
@@ -672,31 +651,22 @@ func (t *Tree) wrap(wr *keycrypt.Wrapper, kek keycrypt.Key, kekID ident.Prefix, 
 }
 
 // CheckStructure verifies that the key tree's nodes are exactly the ID
-// tree's nodes: one k-node per internal node, one u-node per leaf. It
-// returns the first violation, or nil.
+// tree's nodes: a keyed k-node at every internal node's slot, and one
+// u-node per leaf and no other. It returns the first violation, or nil.
 func (t *Tree) CheckStructure() error {
-	wantK := 0
 	var err error
 	t.structure.Walk(func(p ident.Prefix, size int) bool {
 		if p.Len() == t.params.Digits {
 			if _, ok := t.ranks.RankOfKey(p.Key()); !ok {
 				err = fmt.Errorf("keytree: missing u-node %v", p)
-				return false
 			}
-			return true
-		}
-		wantK++
-		if _, ok := t.kindex[p.Key()]; !ok {
+		} else if t.knode(p).version == 0 {
 			err = fmt.Errorf("keytree: missing k-node %v", p)
-			return false
 		}
-		return true
+		return err == nil
 	})
 	if err != nil {
 		return err
-	}
-	if len(t.kindex) != wantK {
-		return fmt.Errorf("keytree: %d k-nodes for %d internal ID-tree nodes", len(t.kindex), wantK)
 	}
 	if t.ranks.Len() != t.structure.Size() {
 		return fmt.Errorf("keytree: %d u-nodes for %d users", t.ranks.Len(), t.structure.Size())

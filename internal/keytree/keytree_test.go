@@ -3,7 +3,6 @@ package keytree
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"maps"
 	"math/rand"
 	"slices"
 	"strings"
@@ -35,53 +34,6 @@ func ids(t *testing.T, params ident.Params, vals ...int) []ident.ID {
 		out[i] = id
 	}
 	return out
-}
-
-// TestPaperFig4Example reproduces Section 2.4's example: five users with
-// IDs [0,0],[0,1],[2,0],[2,1],[2,2]; u5=[2,2] leaves; the server updates
-// the group key and k-node [2], generating exactly four encryptions.
-func TestPaperFig4Example(t *testing.T) {
-	tr := newTree(t, tp, true)
-	members := ids(t, tp, 0, 1, 6, 7, 8) // [0,0],[0,1],[2,0],[2,1],[2,2]
-	if _, err := tr.Batch(members, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.CheckStructure(); err != nil {
-		t.Fatal(err)
-	}
-	u5 := members[4]
-	msg, err := tr.Batch(nil, []ident.ID{u5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg.Cost() != 4 {
-		t.Fatalf("rekey cost = %d, want 4 ({k1-4}k12, {k1-4}k34, {k34}k3, {k34}k4)", msg.Cost())
-	}
-	// Two encryptions under the root's children [0] and [2]; two under
-	// [2]'s children [2,0] and [2,1].
-	byID := map[string]int{}
-	for _, e := range msg.Encryptions {
-		byID[e.ID.String()]++
-	}
-	for _, want := range []string{"[0]", "[2]", "[2,0]", "[2,1]"} {
-		if byID[want] != 1 {
-			t.Errorf("encryption under %s appears %d times, want 1", want, byID[want])
-		}
-	}
-	// u2=[0,1] needs exactly one: the new group key under k-node [0].
-	u2 := members[1]
-	needed := 0
-	for _, e := range msg.Encryptions {
-		if e.NeededBy(u2) {
-			needed++
-			if e.ID.String() != "[0]" {
-				t.Errorf("u2 needs encryption under %v, want [0]", e.ID)
-			}
-		}
-	}
-	if needed != 1 {
-		t.Errorf("u2 needs %d encryptions, want 1", needed)
-	}
 }
 
 func TestBatchValidation(t *testing.T) {
@@ -691,18 +643,18 @@ func TestPathWrapsMatchLemma3(t *testing.T) {
 					js = append(js, ids(t, params, v)...)
 				}
 			}
-			before := maps.Clone(tr.kindex)
+			before := knodes(tr)
 			msg, err := tr.Batch(js, ls)
 			if err != nil {
 				t.Fatalf("%v round %d: %v", params, round, err)
 			}
-			for key := range before {
-				if _, ok := tr.kindex[key]; !ok {
-					pruned[key] = true
+			for _, p := range before {
+				if !tr.Structure().HasNode(p) {
+					pruned[p.Key()] = true
 				}
 			}
-			for key := range tr.kindex {
-				if _, ok := before[key]; !ok && pruned[key] {
+			for _, p := range knodes(tr) {
+				if !slices.Contains(before, p) && pruned[p.Key()] {
 					reborn++
 				}
 			}
@@ -729,6 +681,76 @@ func TestPathWrapsMatchLemma3(t *testing.T) {
 			t.Errorf("%v: no k-node was pruned and created again", params)
 		}
 	}
+}
+
+// TestKnodeLifetimes: a k-node lives as long as its ID subtree is
+// non-empty at batch boundaries. A subtree that empties and refills
+// within one batch — its only member leaves as a joiner enters it, or
+// leaves and rejoins — keeps its k-node, so the key's version goes on
+// from where it was; a subtree emptied in one batch and entered in a
+// later one gets a fresh k-node at version 1, whichever slot it lands in.
+func TestKnodeLifetimes(t *testing.T) {
+	u := func(n int) []ident.ID { return ids(t, tp, n) }
+	k1 := u(3)[0].Prefix(1) // [1], whose only member is [1,0]
+	type batch struct{ joins, leaves []ident.ID }
+	build := batch{joins: ids(t, tp, 0, 3)}
+	for _, c := range []struct {
+		name    string
+		batches []batch
+		want    uint64       // [1]'s version after the last batch
+		takenBy ident.Prefix // a node that takes [1]'s slot meanwhile
+	}{
+		{"replaced in one batch", []batch{build, {u(4), u(3)}}, 2, ident.EmptyPrefix},
+		{"rejoins in one batch", []batch{build, {u(3), u(3)}, {u(4), nil}}, 3, ident.EmptyPrefix},
+		{"created again later", []batch{build, {nil, u(3)}, {u(4), nil}}, 1, ident.EmptyPrefix},
+		{"created again after its slot was taken", []batch{build, {nil, u(3)}, {u(6), nil}, {u(4), nil}}, 1, u(6)[0].Prefix(1)},
+	} {
+		tr := newTree(t, tp, false)
+		var msg *Message
+		var slot int
+		for i, b := range c.batches {
+			var err error
+			if msg, err = tr.Batch(b.joins, b.leaves); err != nil {
+				t.Fatalf("%s: batch %d: %v", c.name, i, err)
+			}
+			if i == 0 {
+				slot, _ = tr.Structure().Slot(k1)
+			}
+			if err := tr.CheckStructure(); err != nil {
+				t.Fatalf("%s: batch %d: %v", c.name, i, err)
+			}
+		}
+		key, version, ok := tr.KeyOf(k1)
+		if !ok || version != c.want {
+			t.Errorf("%s: k-node %v at version %d (%v), want %d", c.name, k1, version, ok, c.want)
+		}
+		if want := tr.deriveKey("k:"+k1.Key(), c.want+tr.Interval()<<32); !key.Equal(want) {
+			t.Errorf("%s: k-node %v does not hold the key of version %d", c.name, k1, c.want)
+		}
+		for _, e := range msg.Encryptions {
+			if e.KeyID == k1 && e.KeyVersion != c.want {
+				t.Errorf("%s: encryption %v wraps %v at version %d, want %d", c.name, e.ID, k1, e.KeyVersion, c.want)
+			}
+		}
+		if c.takenBy.Len() > 0 {
+			if s, _ := tr.Structure().Slot(c.takenBy); s != slot {
+				t.Errorf("%s: %v holds slot %d, not [1]'s old slot %d", c.name, c.takenBy, s, slot)
+			}
+		}
+	}
+}
+
+// knodes lists the prefixes of tr's k-nodes: the ID tree's internal
+// nodes.
+func knodes(tr *Tree) []ident.Prefix {
+	var out []ident.Prefix
+	tr.Structure().Walk(func(p ident.Prefix, _ int) bool {
+		if p.Len() < tr.Params().Digits {
+			out = append(out, p)
+		}
+		return true
+	})
+	return out
 }
 
 // TestUnwrapRefusesOffPathAndOutOfOrder: the check-and-unwrap loop
