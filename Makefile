@@ -143,8 +143,12 @@ bench-pairs:
 # and fails when the tree has outgrown LOC_BUDGET: the ceilings on
 # internal/transport + internal/rekeyd and on the total, in that order,
 # that the last simplicity PR reached. A PR that must grow past one
-# raises it here, in the open, next to its CHANGES.md line.
-LOC_BUDGET ?= 2570 20809
+# raises it here, in the open, next to its CHANGES.md line. The total
+# went 20809 -> 20865 (+56) when the simulator's event queue became a
+# hand-written value heap (no container/heap, no pointer per event) and
+# a rekey session's hops moved into a per-session slab with a reused
+# path buffer, so that a simulated hop allocates nothing.
+LOC_BUDGET ?= 2570 20865
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs wc -l | \
 		awk -v budget="$(LOC_BUDGET)" \

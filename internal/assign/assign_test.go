@@ -43,9 +43,11 @@ func (s *stubNet) RTT(a, b vnet.HostID) time.Duration {
 	return s.GatewayRTT(a, b) + 2*time.Millisecond
 }
 
-func (s *stubNet) OneWay(a, b vnet.HostID) time.Duration    { return s.RTT(a, b) / 2 }
-func (s *stubNet) NumLinks() int                            { return 0 }
-func (s *stubNet) PathLinks(a, b vnet.HostID) []vnet.LinkID { return nil }
+func (s *stubNet) OneWay(a, b vnet.HostID) time.Duration { return s.RTT(a, b) / 2 }
+func (s *stubNet) NumLinks() int                         { return 0 }
+func (s *stubNet) AppendPathLinks(dst []vnet.LinkID, a, b vnet.HostID) []vnet.LinkID {
+	return dst
+}
 
 var ap = ident.Params{Digits: 3, Base: 8}
 

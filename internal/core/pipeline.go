@@ -107,31 +107,39 @@ func NewApplier(store *memberstate.Store, parallelism int) Applier {
 // worker — then users fan out. All failures are collected and reported
 // sorted by user ID (as *ApplyError).
 func (a *storeApplier) Apply(interval uint64, deliveries []split.Delivery) error {
-	order := make([]ident.ID, 0, len(deliveries))
-	byUser := make(map[string][]split.Delivery, len(deliveries))
-	for _, d := range deliveries {
-		key := d.To.Key()
-		if _, seen := byUser[key]; !seen {
-			order = append(order, d.To)
+	// No per-user slices: users holds each user's first and last
+	// delivery, and following chains a delivery to its user's next one.
+	type chain struct{ first, last int }
+	index := make(map[string]int, len(deliveries))
+	users := make([]chain, 0, len(deliveries))
+	following := make([]int, len(deliveries))
+	for i, d := range deliveries {
+		following[i] = -1
+		if u, seen := index[d.To.Key()]; seen {
+			following[users[u].last] = i
+			users[u].last = i
+			continue
 		}
-		byUser[key] = append(byUser[key], d)
+		index[d.To.Key()] = len(users)
+		users = append(users, chain{i, i})
 	}
+	idOf := func(u int) ident.ID { return deliveries[users[u].first].To }
 
 	appliedC := a.obs.Counter("core_apply_users")
 	skippedC := a.obs.Counter("core_apply_skipped_users")
-	errs := make([]error, len(order))
-	applyUser := func(i int, unw *keycrypt.Unwrapper) {
-		id := order[i]
+	errs := make([]error, len(users))
+	applyUser := func(u int, unw *keycrypt.Unwrapper) {
+		id := idOf(u)
 		kr := a.store.Keyring(id)
 		if kr == nil {
 			skippedC.Inc()
 			return
 		}
 		appliedC.Inc()
-		for _, d := range byUser[id.Key()] {
-			sub := &keytree.Message{Interval: interval, Encryptions: d.Encryptions}
+		for i := users[u].first; i >= 0; i = following[i] {
+			sub := &keytree.Message{Interval: interval, Encryptions: deliveries[i].Encryptions}
 			if _, err := kr.ApplyWith(unw, sub); err != nil {
-				errs[i] = err
+				errs[u] = err
 				return
 			}
 		}
@@ -140,7 +148,7 @@ func (a *storeApplier) Apply(interval uint64, deliveries []split.Delivery) error
 		}
 	}
 
-	work.Run(a.limit, len(order), func(_ int, next func() (int, bool)) {
+	work.Run(a.limit, len(users), func(_ int, next func() (int, bool)) {
 		obs.WithStage(a.obs, "apply", func() {
 			unw := keycrypt.NewUnwrapper()
 			for {
@@ -163,11 +171,11 @@ func (a *storeApplier) Apply(interval uint64, deliveries []split.Delivery) error
 		return nil
 	}
 	sort.Slice(failed, func(x, y int) bool {
-		return order[failed[x]].Key() < order[failed[y]].Key()
+		return idOf(failed[x]).Key() < idOf(failed[y]).Key()
 	})
 	agg := &ApplyError{}
 	for _, i := range failed {
-		agg.Users = append(agg.Users, order[i])
+		agg.Users = append(agg.Users, idOf(i))
 		agg.Errs = append(agg.Errs, errs[i])
 	}
 	return agg

@@ -5,54 +5,40 @@
 //
 // The engine maintains a virtual clock and a priority queue of events.
 // Handlers run sequentially in timestamp order, so simulated protocol code
-// needs no synchronisation. Ties are broken by scheduling order, making
-// runs fully deterministic under a fixed workload seed.
+// needs no synchronisation. Ties are broken by scheduling order: events
+// pop in the total order (time, scheduling sequence), so runs are fully
+// deterministic under a fixed workload seed. The clock only advances: an
+// event requested before Now runs at Now, and RunUntil never moves the
+// clock back to an earlier deadline.
+//
+// The queue is a binary heap of events held by value: once it has grown,
+// At and AtArg allocate nothing beyond the caller's handler.
 package eventsim
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // Handler is the code executed when an event fires. It runs with the
 // simulator clock set to the event's timestamp and may schedule further
 // events.
 type Handler func(now time.Duration)
 
+// event is one queued callback: fn, or argFn called with arg.
 type event struct {
-	at  time.Duration
-	seq uint64 // tie-breaker: FIFO among equal timestamps
-	fn  Handler
+	at    time.Duration
+	seq   uint64 // tie-breaker: FIFO among equal timestamps
+	fn    Handler
+	argFn func(now time.Duration, arg int)
+	arg   int
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+func (e *event) before(o *event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
 
 // Simulator is a single-threaded discrete event engine. The zero value is
 // not usable; construct with New.
 type Simulator struct {
-	queue       eventQueue
+	queue       []event // binary min-heap under event.before
 	now         time.Duration
 	seq         uint64
 	processed   uint64
@@ -86,12 +72,48 @@ func (s *Simulator) PastClamps() uint64 { return s.pastClamped }
 // would make every injector defend itself; the clamp keeps the queue
 // ordered and PastClamps exposes how often it happened.
 func (s *Simulator) At(at time.Duration, fn Handler) {
-	if at < s.now {
-		at = s.now
+	s.push(event{at: at, fn: fn})
+}
+
+// AtArg is At for a handler that takes an integer argument: fn(now, arg)
+// runs at the given time. One fn shared across events, with arg naming
+// the caller's record, schedules without building a closure per event.
+func (s *Simulator) AtArg(at time.Duration, fn func(now time.Duration, arg int), arg int) {
+	s.push(event{at: at, argFn: fn, arg: arg})
+}
+
+// push clamps ev to the clock, stamps its sequence and sifts it up.
+func (s *Simulator) push(ev event) {
+	if ev.at < s.now {
+		ev.at = s.now
 		s.pastClamped++
 	}
-	heap.Push(&s.queue, &event{at: at, seq: s.seq, fn: fn})
+	ev.seq = s.seq
 	s.seq++
+	s.queue = append(s.queue, ev)
+	q := s.queue
+	for i, p := len(q)-1, (len(q)-2)/2; i > 0 && q[i].before(&q[p]); i, p = p, (p-1)/2 {
+		q[i], q[p] = q[p], q[i]
+	}
+}
+
+// pop removes the earliest event; the last one sifts down from the root.
+func (s *Simulator) pop() event {
+	q := s.queue
+	top, n := q[0], len(q)-1
+	q[0], q[n] = q[n], event{} // the zeroed tail drops its handler
+	q = q[:n]
+	for i, c := 0, 1; c < n; i, c = c, 2*c+1 {
+		if c+1 < n && q[c+1].before(&q[c]) {
+			c++
+		}
+		if !q[c].before(&q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+	}
+	s.queue = q
+	return top
 }
 
 // Run executes events until the queue drains or Stop is called. It
@@ -102,8 +124,9 @@ func (s *Simulator) Run() uint64 {
 
 // RunUntil executes events with timestamps <= deadline (all events if
 // deadline is negative) until the queue drains or Stop is called. The
-// clock is left at the last executed event, or advanced to the deadline if
-// the deadline is reached with events still pending.
+// clock is left at the last executed event or, if the deadline is
+// reached with events still pending, at max(Now, deadline): a deadline
+// already in the past runs nothing and leaves the clock where it is.
 func (s *Simulator) RunUntil(deadline time.Duration) uint64 {
 	if s.running {
 		panic("eventsim: RunUntil called re-entrantly")
@@ -114,16 +137,19 @@ func (s *Simulator) RunUntil(deadline time.Duration) uint64 {
 
 	var n uint64
 	for len(s.queue) > 0 && !s.stopped {
-		next := s.queue[0]
-		if deadline >= 0 && next.at > deadline {
-			s.now = deadline
+		if deadline >= 0 && s.queue[0].at > deadline {
+			s.now = max(s.now, deadline)
 			return n
 		}
-		heap.Pop(&s.queue)
+		next := s.pop()
 		s.now = next.at
 		s.processed++
 		n++
-		next.fn(s.now)
+		if next.fn != nil {
+			next.fn(s.now)
+		} else {
+			next.argFn(s.now, next.arg)
+		}
 	}
 	return n
 }

@@ -181,3 +181,112 @@ func TestProcessedCounter(t *testing.T) {
 		t.Errorf("Processed = %d, want 5", s.Processed())
 	}
 }
+
+// TestRunUntilNeverRewindsTheClock: a deadline below Now with an event
+// pending past it leaves the clock where it is, so a later At is
+// neither clamped against nor ordered by a rewound clock.
+func TestRunUntilNeverRewindsTheClock(t *testing.T) {
+	s := New()
+	s.At(10*time.Millisecond, func(time.Duration) {})
+	s.At(50*time.Millisecond, func(time.Duration) {})
+	s.RunUntil(20 * time.Millisecond)
+	if n := s.RunUntil(5 * time.Millisecond); n != 0 {
+		t.Errorf("RunUntil(5ms) processed %d events, want 0", n)
+	}
+	if s.Now() != 20*time.Millisecond {
+		t.Errorf("Now = %v after a past deadline, want 20ms", s.Now())
+	}
+	var at time.Duration
+	s.At(0, func(now time.Duration) { at = now })
+	s.Run()
+	if at != 20*time.Millisecond || s.PastClamps() != 1 {
+		t.Errorf("past event ran at %v with %d clamps, want 20ms and 1", at, s.PastClamps())
+	}
+}
+
+// TestHeapMatchesStableSort drives the hand-written heap through random
+// timestamps with heavy ties, interleaved At and AtArg, handlers that
+// schedule further events (some in the past, hence clamped) and Stop
+// mid-run. The execution order must equal a stable sort of every event,
+// in scheduling order, by its clamped time.
+func TestHeapMatchesStableSort(t *testing.T) {
+	type sched struct {
+		at  time.Duration
+		idx int
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := New()
+		var scheduled []sched
+		var ran []int
+		var schedule func(at time.Duration)
+		fire := func(now time.Duration, idx int) {
+			if now != scheduled[idx].at {
+				t.Fatalf("seed %d: event %d ran at %v, want %v", seed, idx, now, scheduled[idx].at)
+			}
+			ran = append(ran, idx)
+			if rng.Intn(3) == 0 {
+				schedule(now + time.Duration(rng.Intn(5)-2)*time.Millisecond)
+			}
+			if len(ran)%97 == 0 {
+				s.Stop()
+			}
+		}
+		schedule = func(at time.Duration) {
+			idx := len(scheduled)
+			scheduled = append(scheduled, sched{at: max(at, s.Now()), idx: idx})
+			if rng.Intn(2) == 0 {
+				s.AtArg(at, fire, idx)
+			} else {
+				s.At(at, func(now time.Duration) { fire(now, idx) })
+			}
+		}
+		for i := 0; i < 300; i++ {
+			schedule(time.Duration(rng.Intn(20)) * time.Millisecond)
+		}
+		runs := 0
+		for s.Pending() > 0 {
+			s.Run()
+			runs++
+		}
+
+		want := append([]sched(nil), scheduled...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+		if len(ran) != len(want) {
+			t.Fatalf("seed %d: ran %d events, scheduled %d", seed, len(ran), len(want))
+		}
+		for i, w := range want {
+			if ran[i] != w.idx {
+				t.Fatalf("seed %d: position %d ran event %d, want %d", seed, i, ran[i], w.idx)
+			}
+		}
+		if runs < 2 || s.PastClamps() == 0 {
+			t.Errorf("seed %d: %d runs and %d clamps; the test did not exercise Stop and the clamp", seed, runs, s.PastClamps())
+		}
+	}
+}
+
+// TestQueueAllocatesNothingPerEvent: once the heap has grown, scheduling
+// with At (a prebuilt handler) or AtArg and running the queue dry
+// allocates nothing.
+func TestQueueAllocatesNothingPerEvent(t *testing.T) {
+	s := New()
+	sink := 0
+	h := func(time.Duration) { sink++ }
+	fn := func(_ time.Duration, arg int) { sink += arg }
+	round := func() {
+		for i := 0; i < 64; i++ {
+			at := s.Now() + time.Duration(i*7%13)*time.Millisecond
+			s.AtArg(at, fn, i)
+			s.At(at, h)
+		}
+		s.Run()
+	}
+	round()
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+		t.Errorf("128 events per round allocate %.1f times, want 0", allocs)
+	}
+	if sink == 0 {
+		t.Error("no handler ran")
+	}
+}

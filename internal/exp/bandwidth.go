@@ -350,6 +350,7 @@ func (w *bwWorld) addClusterUnicasts(recv, fwd *[]float64, linkUnits map[vnet.Li
 	for i, id := range w.liveIDs {
 		idx[id.Key()] = i
 	}
+	var path []vnet.LinkID
 	for i, id := range w.liveIDs {
 		pfx := w.cm.ClusterOf(id)
 		leader, ok := w.cm.Leader(pfx)
@@ -364,7 +365,8 @@ func (w *bwWorld) addClusterUnicasts(recv, fwd *[]float64, linkUnits map[vnet.Li
 			if j, ok := idx[memberRec.ID.Key()]; ok {
 				(*recv)[j]++
 			}
-			for _, l := range w.net.PathLinks(leader.Host, memberRec.Host) {
+			path = w.net.AppendPathLinks(path[:0], leader.Host, memberRec.Host)
+			for _, l := range path {
 				linkUnits[l]++
 			}
 		}

@@ -17,7 +17,9 @@ func (l latNet) OneWay(a, b vnet.HostID) time.Duration     { return l.rtt / 2 }
 func (l latNet) AccessRTT(vnet.HostID) time.Duration       { return 0 }
 func (l latNet) GatewayRTT(a, b vnet.HostID) time.Duration { return l.rtt }
 func (l latNet) NumLinks() int                             { return 0 }
-func (l latNet) PathLinks(a, b vnet.HostID) []vnet.LinkID  { return nil }
+func (l latNet) AppendPathLinks(dst []vnet.LinkID, a, b vnet.HostID) []vnet.LinkID {
+	return dst
+}
 
 func TestJoinLatencyReplay(t *testing.T) {
 	net := latNet{rtt: 10 * time.Millisecond}

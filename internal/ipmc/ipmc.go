@@ -50,6 +50,7 @@ func Multicast(net vnet.Network, source vnet.HostID, receivers []vnet.HostID, un
 		LinkUnits:        make(map[vnet.LinkID]int),
 		UnitsPerReceiver: units,
 	}
+	var path []vnet.LinkID
 	for _, r := range receivers {
 		if r == source {
 			continue
@@ -62,7 +63,8 @@ func Multicast(net vnet.Network, source vnet.HostID, receivers []vnet.HostID, un
 		// The union of per-receiver shortest paths from one source is
 		// the source-rooted tree: each link appears once regardless of
 		// how many receivers sit behind it.
-		for _, l := range net.PathLinks(source, r) {
+		path = net.AppendPathLinks(path[:0], source, r)
+		for _, l := range path {
 			if res.LinkCopies[l] == 0 {
 				res.LinkCopies[l] = 1
 				res.LinkUnits[l] = units

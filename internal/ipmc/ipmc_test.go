@@ -58,7 +58,7 @@ func TestMulticastTreeProperties(t *testing.T) {
 	// The tree has at least as many links as the longest single path.
 	longest := 0
 	for _, r := range receivers {
-		if n := len(net.PathLinks(0, r)); n > longest {
+		if n := len(net.AppendPathLinks(nil, 0, r)); n > longest {
 			longest = n
 		}
 	}

@@ -106,6 +106,7 @@ func (p *Protocol) Multicast(sender vnet.HostID, opts Options) (*Result, error) 
 	for h := range p.members {
 		res.Members[h] = &Stats{}
 	}
+	var path []vnet.LinkID // link buffer, reused by every hop of the walk
 	unicastFrom := source
 	start := opts.StartAt
 	if opts.FromServer {
@@ -126,7 +127,8 @@ func (p *Protocol) Multicast(sender vnet.HostID, opts Options) (*Result, error) 
 		} else {
 			st.RDP = 1
 		}
-		for _, l := range p.net.PathLinks(opts.ServerHost, source) {
+		path = p.net.AppendPathLinks(path, opts.ServerHost, source)
+		for _, l := range path {
 			res.LinkCopies[l]++
 			res.LinkUnits[l] += opts.Units
 		}
@@ -134,7 +136,7 @@ func (p *Protocol) Multicast(sender vnet.HostID, opts Options) (*Result, error) 
 			res.Duration = start
 		}
 	}
-	p.walk(root, start, unicastFrom, opts, res)
+	p.walk(root, start, unicastFrom, opts, res, path)
 	return res, nil
 }
 
@@ -180,7 +182,7 @@ func fillDownstream(n *deliveryNode) []vnet.HostID {
 	return n.downstream
 }
 
-func (p *Protocol) walk(n *deliveryNode, at time.Duration, rdpSource vnet.HostID, opts Options, res *Result) {
+func (p *Protocol) walk(n *deliveryNode, at time.Duration, rdpSource vnet.HostID, opts Options, res *Result, path []vnet.LinkID) {
 	for _, child := range n.children {
 		units := opts.Units
 		if opts.UnitsFor != nil {
@@ -214,11 +216,12 @@ func (p *Protocol) walk(n *deliveryNode, at time.Duration, rdpSource vnet.HostID
 		if arrive > res.Duration {
 			res.Duration = arrive
 		}
-		for _, l := range p.net.PathLinks(n.host, child.host) {
+		path = p.net.AppendPathLinks(path[:0], n.host, child.host)
+		for _, l := range path {
 			res.LinkCopies[l]++
 			res.LinkUnits[l] += units
 		}
-		p.walk(child, arrive, rdpSource, opts, res)
+		p.walk(child, arrive, rdpSource, opts, res, path)
 	}
 	// The session source is a member only in data transport; its stress
 	// is recorded via res.Members; for FromServer the root's own sends

@@ -394,3 +394,41 @@ func TestIndexSplitAllocatesNothing(t *testing.T) {
 		t.Error("every split came back empty: the index was not exercised")
 	}
 }
+
+// TestRekeyHopPathAllocatesNothing is the session-level hop-path gate: a
+// rekey session allocates per session (the split index, result maps,
+// slabs), but not per hop. Two GT-ITM worlds of different size give two
+// (hops, allocations) points with the index compile taken out; the slope
+// between them is the cost of one more hop, and it must stay near zero.
+func TestRekeyHopPathAllocatesNothing(t *testing.T) {
+	params := ident.Params{Digits: 4, Base: 8}
+	point := func(n int) (hops, allocs float64) {
+		w := newWorldIn(t, params, n, n/10, n/10, 11)
+		opts := Options{Mode: PerEncryption}
+		rep, err := Rekey(w.dir, w.msg, opts) // also warms the SPT cache
+		if err != nil {
+			t.Fatal(err)
+		}
+		hops = float64(rep.Multicast.SenderStress)
+		for _, u := range rep.Multicast.Users {
+			hops += float64(u.Stress)
+		}
+		session := testing.AllocsPerRun(3, func() {
+			if _, err := Rekey(w.dir, w.msg, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		compile := testing.AllocsPerRun(3, func() { NewIndex(w.dir.Tree(), w.msg.Encryptions, 0) })
+		return hops, session - compile
+	}
+	h1, a1 := point(150)
+	h2, a2 := point(900)
+	if h2-h1 < 500 {
+		t.Fatalf("hops %v -> %v: the worlds are too close in size to measure a slope", h1, h2)
+	}
+	perHop := (a2 - a1) / (h2 - h1)
+	t.Logf("%v allocs over %v hops, %v over %v: %.4f per hop", a1, h1, a2, h2, perHop)
+	if perHop >= 0.1 {
+		t.Errorf("a rekey session allocates %.3f times per hop, want < 0.1", perHop)
+	}
+}

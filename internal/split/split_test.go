@@ -119,6 +119,12 @@ type world struct {
 
 func newWorld(t *testing.T, n, j, l int, seed int64) *world {
 	t.Helper()
+	return newWorldIn(t, tp, n, j, l, seed)
+}
+
+// newWorldIn is newWorld over an ID space of the given shape.
+func newWorldIn(t *testing.T, tp ident.Params, n, j, l int, seed int64) *world {
+	t.Helper()
 	cfg := vnet.GTITMConfig{
 		TransitDomains:   2,
 		TransitPerDomain: 2,

@@ -224,16 +224,23 @@ func Multicast[P any](cfg Config[P], payload P) (*Result, error) {
 	if !shared {
 		sim, prof = eventsim.New(), nil
 	}
-	m := &machine[P]{cfg: cfg, sim: sim, res: res, tr: cfg.Trace, prof: prof,
+	m := &machine[P]{cfg: cfg, sim: sim, res: res, tr: cfg.Trace,
 		// Stats for the whole group come from one slab: a session touches
 		// nearly every member, so per-user allocations are pure overhead.
 		// Entries handed out stay within the slab's fixed capacity (pointer
 		// stability); late joiners beyond it get individual allocations.
 		stats: make([]UserStats, 0, cfg.Dir.Size()+1),
+		hops:  make([]hop[P], 0, cfg.Dir.Size()), // about one copy per member
 		dupC:  cfg.Obs.Counter("tmesh_duplicate_deliveries"),
 	}
 	if err := m.validateSender(); err != nil {
 		return nil, err
+	}
+	m.deliverFn = m.deliver
+	if prof != nil {
+		m.deliverFn = func(at time.Duration, i int) {
+			obs.WithStage(prof, "deliver", func() { m.deliver(at, i) })
+		}
 	}
 	sim.At(max(cfg.StartAt, sim.Now()), func(now time.Duration) {
 		obs.WithStage(prof, "deliver", func() {
@@ -249,13 +256,24 @@ func Multicast[P any](cfg Config[P], payload P) (*Result, error) {
 }
 
 type machine[P any] struct {
-	cfg   Config[P]
-	sim   *eventsim.Simulator
-	res   *Result
-	tr    *trace.Trace
-	prof  *obs.Registry // hop callbacks' pprof labels; nil off a shared simulator
-	dupC  *obs.Counter
-	stats []UserStats // slab backing res.Users entries; never regrown
+	cfg       Config[P]
+	sim       *eventsim.Simulator
+	res       *Result
+	tr        *trace.Trace
+	dupC      *obs.Counter
+	stats     []UserStats                    // slab backing res.Users entries; never regrown
+	hops      []hop[P]                       // every scheduled delivery, by event arg
+	deliverFn func(now time.Duration, i int) // the session's one hop handler
+	path      []vnet.LinkID                  // link buffer reused by every hop's lookup
+}
+
+// hop is one copy in flight: what deliver needs when it arrives.
+type hop[P any] struct {
+	toID, fromID     ident.ID
+	toHost           vnet.HostID
+	level, fromLevel int
+	payload          P
+	span             int64
 }
 
 func (m *machine[P]) sizeOf(p P) int {
@@ -360,7 +378,8 @@ func (m *machine[P]) sendVia(fromHost vnet.HostID, fromID ident.ID, fromLevel in
 	}
 
 	net := m.cfg.Dir.Network()
-	for _, link := range net.PathLinks(fromHost, next.Host) {
+	m.path = net.AppendPathLinks(m.path[:0], fromHost, next.Host)
+	for _, link := range m.path {
 		m.res.LinkCopies[link]++
 		m.res.LinkUnits[link] += units
 	}
@@ -383,11 +402,9 @@ func (m *machine[P]) sendVia(fromHost vnet.HostID, fromID ident.ID, fromLevel in
 	if m.tr != nil {
 		span = m.tr.Hop(m.hopRecord(parentSpan, fromID, fromLevel, toID, level, subtree, payload, hopPayload, units, depart, arrive, false))
 	}
-	m.sim.At(arrive, func(at time.Duration) {
-		obs.WithStage(m.prof, "deliver", func() {
-			m.deliver(toID, toHost, level, fromID, fromLevel, hopPayload, at, span)
-		})
-	})
+	m.hops = append(m.hops, hop[P]{toID: toID, fromID: fromID, toHost: toHost,
+		level: level, fromLevel: fromLevel, payload: hopPayload, span: span})
+	m.sim.AtArg(arrive, m.deliverFn, len(m.hops)-1)
 }
 
 // hopRecord assembles one flight-recorder hop. Only called with tracing
@@ -413,7 +430,11 @@ func (m *machine[P]) hopRecord(parentSpan int64, fromID ident.ID, fromLevel int,
 	return h
 }
 
-func (m *machine[P]) deliver(id ident.ID, host vnet.HostID, level int, fromID ident.ID, fromLevel int, payload P, now time.Duration, span int64) {
+// deliver receives the i-th scheduled hop. It copies the record out:
+// forwarding appends to the slab, which may move it.
+func (m *machine[P]) deliver(now time.Duration, i int) {
+	h := m.hops[i]
+	id, level, payload := h.toID, h.level, h.payload
 	st := m.userStats(id)
 	st.Received++
 	st.UnitsReceived += m.sizeOf(payload)
@@ -431,11 +452,11 @@ func (m *machine[P]) deliver(id ident.ID, host vnet.HostID, level int, fromID id
 	if now > m.res.Duration {
 		m.res.Duration = now
 	}
-	st.UpstreamID = fromID
-	st.UpstreamLevel = fromLevel
+	st.UpstreamID = h.fromID
+	st.UpstreamLevel = h.fromLevel
 	if sender := m.senderHost(); sender >= 0 {
 		appDelay := st.Delay - m.cfg.StartAt
-		if uni := m.cfg.Dir.Network().OneWay(sender, host); uni > 0 {
+		if uni := m.cfg.Dir.Network().OneWay(sender, h.toHost); uni > 0 {
 			st.RDP = float64(appDelay) / float64(uni)
 		} else {
 			st.RDP = 1
@@ -448,7 +469,7 @@ func (m *machine[P]) deliver(id ident.ID, host vnet.HostID, level int, fromID id
 	if !ok {
 		return // receiver left between send and delivery
 	}
-	m.forwardRows(table, level, payload, now, span)
+	m.forwardRows(table, level, payload, now, h.span)
 }
 
 // senderHost returns the sending host, or -1 if unknown.

@@ -22,12 +22,13 @@ func TestDuplicateDeliveryCounter(t *testing.T) {
 	// Level D stops FORWARD (line 2), so deliver exercises only the
 	// bookkeeping under test.
 	d := dir.Params().Digits
-	m.deliver(recs[0].ID, recs[0].Host, d, recs[1].ID, d-1, 1, 0, 0)
+	m.hops = []hop[int]{{toID: recs[0].ID, toHost: recs[0].Host, level: d, fromID: recs[1].ID, fromLevel: d - 1, payload: 1}}
+	m.deliver(0, 0)
 	if got := reg.Counter("tmesh_duplicate_deliveries").Value(); got != 0 {
 		t.Fatalf("counter = %d after first copy, want 0", got)
 	}
-	m.deliver(recs[0].ID, recs[0].Host, d, recs[1].ID, d-1, 1, 0, 0)
-	m.deliver(recs[0].ID, recs[0].Host, d, recs[1].ID, d-1, 1, 0, 0)
+	m.deliver(0, 0)
+	m.deliver(0, 0)
 	if got := reg.Counter("tmesh_duplicate_deliveries").Value(); got != 2 {
 		t.Fatalf("counter = %d after two duplicates, want 2", got)
 	}

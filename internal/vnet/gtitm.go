@@ -331,32 +331,24 @@ func (g *GTITM) GatewayRTT(a, b HostID) time.Duration {
 	return g.sptFor(ra).dist[rb]
 }
 
-// PathLinks implements Network: the router-level shortest path between
-// the two hosts' gateways. A disconnected gateway pair (impossible in
-// generated topologies, which are connected by construction, but
-// reachable through hand-built graphs) yields nil, the interface's
-// "no modelled route" value; use PathLinksOK to tell the two apart.
-func (g *GTITM) PathLinks(a, b HostID) []LinkID {
-	path, _ := g.PathLinksOK(a, b)
-	return path
-}
-
-// PathLinksOK is PathLinks with an explicit reachability report: ok is
-// false when b's gateway router cannot be reached from a's.
-func (g *GTITM) PathLinksOK(a, b HostID) ([]LinkID, bool) {
+// AppendPathLinks implements Network: the router-level shortest path
+// between the two hosts' gateways, appended from b's gateway back to
+// a's. A disconnected gateway pair (impossible in generated topologies,
+// which are connected by construction, but reachable through hand-built
+// graphs) appends nothing, like a shared gateway.
+func (g *GTITM) AppendPathLinks(dst []LinkID, a, b HostID) []LinkID {
 	ra, rb := g.hostRouter[a], g.hostRouter[b]
 	if ra == rb {
-		return nil, true
+		return dst
 	}
 	t := g.sptFor(ra)
 	if t.prevNode[rb] == -1 {
-		return nil, false
+		return dst
 	}
-	var path []LinkID
 	for at := rb; at != ra; at = t.prevNode[at] {
-		path = append(path, LinkID(t.prevLink[at]))
+		dst = append(dst, LinkID(t.prevLink[at]))
 	}
-	return path, true
+	return dst
 }
 
 // sptFor returns the shortest-path tree rooted at src, computing it at

@@ -8,8 +8,9 @@ import (
 )
 
 // TestGTITMPathLinksDisconnected hand-builds a partitioned router graph:
-// generated topologies are connected by construction, but PathLinks must
-// not walk off the SPT (prevNode == -1) when fed a disconnected pair.
+// generated topologies are connected by construction, but
+// AppendPathLinks must not walk off the SPT (prevNode == -1) when fed a
+// disconnected pair; it appends nothing, as for a shared gateway.
 func TestGTITMPathLinksDisconnected(t *testing.T) {
 	// Two components — routers {0,1} and {2,3} — with one host each.
 	g := &GTITM{nRouters: 4, adj: make([][]halfEdge, 4)}
@@ -18,18 +19,18 @@ func TestGTITMPathLinksDisconnected(t *testing.T) {
 	g.hostRouter = []int32{0, 1, 2, 3}
 	g.hostAccess = make([]time.Duration, 4)
 
-	if path, ok := g.PathLinksOK(0, 1); !ok || len(path) != 1 {
-		t.Errorf("connected pair (0,1): path %v, ok %v; want one link, true", path, ok)
+	if path := g.AppendPathLinks(nil, 0, 1); len(path) != 1 {
+		t.Errorf("connected pair (0,1): path %v, want one link", path)
 	}
-	if path, ok := g.PathLinksOK(2, 3); !ok || len(path) != 1 {
-		t.Errorf("connected pair (2,3): path %v, ok %v; want one link, true", path, ok)
+	if path := g.AppendPathLinks(nil, 2, 3); len(path) != 1 {
+		t.Errorf("connected pair (2,3): path %v, want one link", path)
 	}
 	for _, pair := range [][2]HostID{{0, 2}, {2, 0}, {1, 3}, {3, 0}} {
-		if path, ok := g.PathLinksOK(pair[0], pair[1]); ok || path != nil {
-			t.Errorf("disconnected pair %v: path %v, ok %v; want nil, false", pair, path, ok)
+		if path := g.AppendPathLinks(nil, pair[0], pair[1]); path != nil {
+			t.Errorf("disconnected pair %v: path %v, want nothing appended", pair, path)
 		}
-		if path := g.PathLinks(pair[0], pair[1]); path != nil {
-			t.Errorf("PathLinks%v = %v, want nil for disconnected pair", pair, path)
+		if g.GatewayRTT(pair[0], pair[1]) != infDur {
+			t.Errorf("disconnected pair %v: gateway RTT %v, want unreachable", pair, g.GatewayRTT(pair[0], pair[1]))
 		}
 	}
 
@@ -37,8 +38,8 @@ func TestGTITMPathLinksDisconnected(t *testing.T) {
 	same := &GTITM{nRouters: 1, adj: make([][]halfEdge, 1)}
 	same.hostRouter = []int32{0, 0}
 	same.hostAccess = make([]time.Duration, 2)
-	if path, ok := same.PathLinksOK(0, 1); !ok || path != nil {
-		t.Errorf("same-gateway pair: path %v, ok %v; want nil, true", path, ok)
+	if path := same.AppendPathLinks(nil, 0, 1); path != nil || same.GatewayRTT(0, 1) != 0 {
+		t.Errorf("same-gateway pair: path %v, RTT %v; want nothing, 0", path, same.GatewayRTT(0, 1))
 	}
 }
 
@@ -183,6 +184,7 @@ func TestGTITMSPTCacheConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var path []LinkID // one buffer per goroutine
 			// Stagger the starting source so goroutines race on
 			// different cache entries, not just the first one.
 			for i := 0; i < 2*n; i++ {
@@ -192,10 +194,7 @@ func TestGTITMSPTCacheConcurrent(t *testing.T) {
 					if g.GatewayRTT(a, hb) != want[int(a)*n+b] {
 						mismatches.Add(1)
 					}
-					path, ok := g.PathLinksOK(a, hb)
-					if !ok {
-						mismatches.Add(1)
-					}
+					path = g.AppendPathLinks(path[:0], a, hb)
 					if g.GatewayRouter(a) != g.GatewayRouter(hb) && len(path) == 0 {
 						mismatches.Add(1)
 					}

@@ -51,7 +51,8 @@ var planetLabContinents = []continent{
 }
 
 // PlanetLab is a synthetic host-to-host RTT matrix with no modelled router
-// graph. It implements Network; PathLinks returns nil and NumLinks zero.
+// graph. It implements Network; AppendPathLinks appends nothing and
+// NumLinks is zero.
 type PlanetLab struct {
 	rtt       [][]time.Duration
 	access    []time.Duration
@@ -157,8 +158,9 @@ func (p *PlanetLab) GatewayRTT(a, b HostID) time.Duration {
 // NumLinks implements Network. PlanetLab is a pure delay matrix.
 func (p *PlanetLab) NumLinks() int { return 0 }
 
-// PathLinks implements Network; the PlanetLab matrix has no router graph.
-func (p *PlanetLab) PathLinks(a, b HostID) []LinkID { return nil }
+// AppendPathLinks implements Network; the PlanetLab matrix has no router
+// graph, so it appends nothing.
+func (p *PlanetLab) AppendPathLinks(dst []LinkID, a, b HostID) []LinkID { return dst }
 
 // Continent returns the continent index of a host (for tests and
 // diagnostics).

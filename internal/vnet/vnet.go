@@ -47,12 +47,12 @@ type Network interface {
 	// NumLinks returns the number of physical links, or zero when the
 	// network is a pure delay matrix with no modelled router graph.
 	NumLinks() int
-	// PathLinks returns the link-level route between two hosts' gateway
-	// routers (excluding the access links), or nil when links are not
-	// modelled or no route exists. The caller must not mutate the
-	// returned slice. Implementations must be safe for concurrent use:
-	// the experiment harness issues path lookups from parallel runs.
-	PathLinks(a, b HostID) []LinkID
+	// AppendPathLinks appends the link-level route between two hosts'
+	// gateway routers (excluding the access links) to dst, which the
+	// caller owns, and returns it; it appends nothing when links are not
+	// modelled or no route exists. Implementations must be safe for
+	// concurrent use: the experiment harness runs sessions in parallel.
+	AppendPathLinks(dst []LinkID, a, b HostID) []LinkID
 }
 
 // clampRTT makes gateway RTT estimates safe: subtracting access-link RTTs

@@ -95,12 +95,20 @@ func TestGTITMTriangleInequality(t *testing.T) {
 
 func TestGTITMPathLinks(t *testing.T) {
 	g := testGTITM(t, 16)
+	// One buffer serves every lookup; its first element belongs to the
+	// caller and must survive each append.
+	const mark = LinkID(-7)
+	buf := []LinkID{mark}
 	for a := 0; a < 16; a++ {
 		for b := 0; b < 16; b++ {
 			ha, hb := HostID(a), HostID(b)
-			path := g.PathLinks(ha, hb)
+			buf = g.AppendPathLinks(buf[:1], ha, hb)
+			if buf[0] != mark {
+				t.Fatalf("AppendPathLinks(%d,%d) overwrote the caller's prefix", a, b)
+			}
+			path := buf[1:]
 			if g.GatewayRouter(ha) == g.GatewayRouter(hb) {
-				if path != nil {
+				if len(path) != 0 {
 					t.Fatalf("same-gateway hosts should have empty path")
 				}
 				continue
@@ -114,7 +122,7 @@ func TestGTITMPathLinks(t *testing.T) {
 				}
 			}
 			// Forward and reverse paths have equal length (same SPT cost).
-			rev := g.PathLinks(hb, ha)
+			rev := g.AppendPathLinks(nil, hb, ha)
 			if len(rev) != len(path) {
 				// Equal-cost multipath can differ in hops; lengths in
 				// links may differ only if costs tie. Verify cost match.
@@ -186,8 +194,8 @@ func TestPlanetLabShape(t *testing.T) {
 	if p.NumLinks() != 0 {
 		t.Errorf("PlanetLab models no links, got %d", p.NumLinks())
 	}
-	if p.PathLinks(0, 1) != nil {
-		t.Error("PathLinks should be nil for a delay matrix")
+	if path := p.AppendPathLinks(nil, 0, 1); path != nil {
+		t.Errorf("a delay matrix appended path %v, want nothing", path)
 	}
 	counts := make(map[int]int)
 	for h := 0; h < p.NumHosts(); h++ {
