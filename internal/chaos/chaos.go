@@ -298,7 +298,7 @@ func newEngine(cfg Config, sched *workload.Schedule) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	tree, err := keytree.New(soakParams, keytree.SeedOf(cfg.Seed), keytree.Opts{RealCrypto: true, Obs: cfg.Obs})
+	tree, err := keytree.New(soakParams, keytree.SeedOf(cfg.Seed), keytree.Opts{Obs: cfg.Obs})
 	if err != nil {
 		return nil, err
 	}

@@ -30,7 +30,6 @@ import (
 	"tmesh/internal/split"
 	"tmesh/internal/tmesh"
 	"tmesh/internal/vnet"
-	"tmesh/internal/work"
 )
 
 // Config assembles a Group.
@@ -118,7 +117,7 @@ func NewGroup(cfg Config) (*Group, error) {
 		members:  memberstate.NewStore(),
 	}
 	seed := []byte(fmt.Sprintf("group-seed-%d", cfg.Seed))
-	opts := keytree.Opts{RealCrypto: true, Obs: cfg.Obs}
+	opts := keytree.Opts{Obs: cfg.Obs}
 	if cfg.ClusterRekeying {
 		g.clusters, err = cluster.New(cfg.Assign.Params, seed, opts)
 	} else {
@@ -227,12 +226,12 @@ func (g *Group) initKeyring(tree *keytree.Tree, id ident.ID) error {
 }
 
 // DistributeRekey runs the pipeline's delivery and apply stages: the
-// message's split decisions are compiled into a per-subtree index, the
 // rekey message is multicast over the T-mesh split per encryption
-// (each hop a zero-allocation index lookup), then every delivered
-// user's keyring applies exactly the encryptions the splitting scheme
-// handed it, fanned out across delivered users. Delivered slices are
-// shared between deliveries and treated as read-only throughout. Apply
+// (each hop's share cut from the payload it received by
+// split.AppendShare), then every delivered user's keyring applies
+// exactly the encryptions the splitting scheme handed it, fanned out
+// across delivered users. Delivered slices alias the session's share
+// arena and are treated as read-only throughout. Apply
 // failures are collected and reported together, sorted by user ID
 // (*ApplyError). In cluster mode, the Appendix B last hop follows:
 // every member is handed the server's group key (distributeViaLeaders).
@@ -246,10 +245,9 @@ func (g *Group) DistributeRekey(msg *keytree.Message) (*split.Report, error) {
 	// goroutine the transport runs on. Collection is cheap; apply then
 	// fans out below.
 	opts := split.Options{
-		Mode:        split.PerEncryption,
-		Parallelism: work.Width(),
-		Collect:     true,
-		Obs:         g.cfg.Obs,
+		Mode:    split.PerEncryption,
+		Collect: true,
+		Obs:     g.cfg.Obs,
 	}
 	if g.clusters != nil {
 		// Footnote 8: route rekey hops of the bottom row to the

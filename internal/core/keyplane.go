@@ -25,12 +25,10 @@ type KeyPlane struct {
 	obs     *obs.Registry // pprof stage labels; nil = unlabelled
 }
 
-// NewKeyPlane builds an empty key plane. opts are the tree's, with real
-// crypto always on: its members install keys. Its CapacityHint also
-// sizes the keyring slab. limit is an upper bound on the regen and
-// apply fan-out (<= 0: none).
+// NewKeyPlane builds an empty key plane. opts are the tree's; its
+// CapacityHint also sizes the keyring slab. limit is an upper bound on
+// the regen and apply fan-out (<= 0: none).
 func NewKeyPlane(params ident.Params, seed []byte, opts keytree.Opts, limit int) (*KeyPlane, error) {
-	opts.RealCrypto = true
 	tree, err := keytree.New(params, seed, opts)
 	if err != nil {
 		return nil, err

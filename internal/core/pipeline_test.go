@@ -256,7 +256,7 @@ func TestIncrementalLeaderKeyrings(t *testing.T) {
 // failing user, sorted by user ID, rather than an arbitrary map pick.
 func TestApplyErrorAggregation(t *testing.T) {
 	params := ident.Params{Digits: 3, Base: 16}
-	tree, err := keytree.New(params, []byte("apply-err"), keytree.Opts{RealCrypto: true})
+	tree, err := keytree.New(params, []byte("apply-err"), keytree.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestIndexedApplierMatchesFullApply(t *testing.T) {
 	params := ident.Params{Digits: 3, Base: 6}
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 24; trial++ {
-		tree, err := keytree.New(params, []byte{byte(trial)}, keytree.Opts{RealCrypto: true})
+		tree, err := keytree.New(params, []byte{byte(trial)}, keytree.Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -470,7 +470,7 @@ func TestIndexedApplierMatchesFullApply(t *testing.T) {
 // the reference Keyring.Apply installs.
 func TestAppliersFailAWrongKEKAfterACacheHit(t *testing.T) {
 	params := ident.Params{Digits: 3, Base: 4}
-	tree, err := keytree.New(params, []byte("wrong-kek"), keytree.Opts{RealCrypto: true})
+	tree, err := keytree.New(params, []byte("wrong-kek"), keytree.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +558,7 @@ func TestAppliersFailAWrongKEKAfterACacheHit(t *testing.T) {
 // (fewer keyrings than survivors) is the error.
 func TestIndexedApplierErrorIsDeterministic(t *testing.T) {
 	params := ident.Params{Digits: 2, Base: 8}
-	tree, err := keytree.New(params, []byte("idx-err"), keytree.Opts{RealCrypto: true})
+	tree, err := keytree.New(params, []byte("idx-err"), keytree.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

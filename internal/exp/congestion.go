@@ -213,7 +213,7 @@ func runCongestionScenario(cfg CongestionConfig, dir *overlay.Directory, msg *ke
 			SizeOf:  func(encs []keycrypt.Encryption) int { return len(encs) },
 		}
 		if scenario == "rekey-split" {
-			rcfg.SplitHop = split.NewIndex(dir.Tree(), msg.Encryptions, 1).Split
+			rcfg.SplitHop = split.HopSplitter()
 		}
 		rekeyRes, err = tmesh.Multicast(rcfg, msg.Encryptions)
 		if err != nil {

@@ -57,7 +57,7 @@ var batchPlanes = []struct {
 	open func(t *testing.T) *batchPlane
 }{
 	{"pending", func(t *testing.T) *batchPlane {
-		tree, err := keytree.New(batchParams, []byte("batch"), keytree.Opts{RealCrypto: true})
+		tree, err := keytree.New(batchParams, []byte("batch"), keytree.Opts{})
 		must(t, err)
 		var p keytree.Pending
 		return (&batchPlane{
@@ -110,7 +110,7 @@ var batchPlanes = []struct {
 	{"cluster", func(t *testing.T) *batchPlane {
 		// One slot per bottom cluster, so every user leads its own and
 		// every join and leave reaches the leaders-only tree.
-		m, err := cluster.New(batchParams, []byte("batch"), keytree.Opts{RealCrypto: true})
+		m, err := cluster.New(batchParams, []byte("batch"), keytree.Opts{})
 		must(t, err)
 		joined := 0
 		return (&batchPlane{

@@ -122,8 +122,6 @@ func (t *modelTree) Walk(fn func(p Prefix, size int) bool) {
 	rec(EmptyPrefix)
 }
 
-func (t *modelTree) NodeCount() int { return len(t.nodes) }
-
 // walkOf lists a walk's (prefix, size) visits.
 func walkOf(walk func(func(Prefix, int) bool)) []string {
 	var out []string
@@ -142,9 +140,6 @@ func compareWithModel(t testing.TB, tree *Tree, model *modelTree, touched []ID) 
 	t.Helper()
 	if got, want := tree.Size(), model.Size(); got != want {
 		t.Fatalf("Size = %d, model %d", got, want)
-	}
-	if got, want := tree.NodeCount(), model.NodeCount(); got != want {
-		t.Fatalf("NodeCount = %d, model %d", got, want)
 	}
 	if got, want := walkOf(tree.Walk), walkOf(model.Walk); !slices.Equal(got, want) {
 		t.Fatalf("Walk = %v, model %v", got, want)

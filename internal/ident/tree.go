@@ -218,7 +218,3 @@ func (t *Tree) walk(p Prefix, fn func(p Prefix, size int) bool) bool {
 	n := t.node(p.digits)
 	return fn(p, n.size) && n.children.each(func(d Digit) bool { return t.walk(p.Child(d), fn) })
 }
-
-// NodeCount returns the total number of nodes (prefixes, including the
-// root and the leaves) currently in the tree.
-func (t *Tree) NodeCount() int { return len(t.slots) + t.Size() }

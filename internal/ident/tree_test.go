@@ -117,9 +117,6 @@ func TestTreeWalk(t *testing.T) {
 	if leafCount != 5 {
 		t.Errorf("walk visited %d leaves, want 5", leafCount)
 	}
-	if count != tree.NodeCount() {
-		t.Errorf("NodeCount = %d, walk saw %d", tree.NodeCount(), count)
-	}
 	// Early termination.
 	visits := 0
 	tree.Walk(func(Prefix, int) bool {

@@ -17,7 +17,7 @@ import (
 // prefix of its own.
 func Example_paperFig4() {
 	params := ident.Params{Digits: 2, Base: 3}
-	tree, err := keytree.New(params, []byte("fig4"), keytree.Opts{RealCrypto: true})
+	tree, err := keytree.New(params, []byte("fig4"), keytree.Opts{})
 	if err != nil {
 		panic(err)
 	}

@@ -49,14 +49,9 @@ import (
 
 // Opts configures a Tree.
 type Opts struct {
-	// RealCrypto enables actual AES-GCM key wrapping. When false,
-	// encryptions carry correct IDs but empty ciphertexts, which is
-	// enough for planes that only count encryptions and hold no member
-	// keyrings: internal/exp's rekey-cost and bandwidth runners and its
-	// churn world (real wraps would slow Fig. 12 and change none of its
-	// numbers) and
-	// the chaos soak's Appendix B cluster shadow. Every plane whose
-	// members install keys sets it, and so does bench/.
+	// RealCrypto is read by nothing: every tree wraps with AES-GCM.
+	// bench/daemon.go, bench/keyplane.go and bench/sim.go still set it,
+	// and it goes when they stop.
 	RealCrypto bool
 	// Obs is the optional telemetry registry. When set, Regenerate
 	// times each level-1 subtree work unit of its fan-out and the stages
@@ -113,8 +108,11 @@ type Tree struct {
 type Message struct {
 	// Interval is the rekey interval sequence number.
 	Interval uint64
-	// Encryptions are ordered deepest-first so a receiver can unwrap
-	// its path bottom-up in a single pass.
+	// Encryptions are laid out in blocks by ID length, deepest first,
+	// so a receiver unwraps its path bottom-up in a single pass; within
+	// a block IDs strictly increase (by Key), each ID once. The split
+	// relies on it (split.AppendShare), and any share of a message
+	// keeps it.
 	Encryptions []keycrypt.Encryption
 }
 
@@ -640,9 +638,6 @@ func (t *Tree) Regenerate(plan *BatchPlan, parallelism int) (*Message, error) {
 }
 
 func (t *Tree) wrap(wr *keycrypt.Wrapper, kek keycrypt.Key, kekID ident.Prefix, newKey keycrypt.Key, keyID ident.Prefix, version uint64) (keycrypt.Encryption, error) {
-	if !t.opts.RealCrypto {
-		return keycrypt.Encryption{ID: kekID, KeyID: keyID, KeyVersion: version}, nil
-	}
 	enc, err := wr.WrapSeeded(kek, kekID, newKey, keyID, version, t.interval)
 	if err != nil {
 		return keycrypt.Encryption{}, fmt.Errorf("keytree: wrapping key %v: %w", keyID, err)

@@ -14,9 +14,9 @@ import (
 
 var tp = ident.Params{Digits: 2, Base: 3}
 
-func newTree(t *testing.T, params ident.Params, real bool) *Tree {
+func newTree(t *testing.T, params ident.Params) *Tree {
 	t.Helper()
-	tr, err := New(params, []byte("test-seed"), Opts{RealCrypto: real})
+	tr, err := New(params, []byte("test-seed"), Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func ids(t *testing.T, params ident.Params, vals ...int) []ident.ID {
 }
 
 func TestBatchValidation(t *testing.T) {
-	tr := newTree(t, tp, false)
+	tr := newTree(t, tp)
 	m := ids(t, tp, 0, 1, 2)
 	if _, err := tr.Batch(m, nil); err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestBatchValidation(t *testing.T) {
 }
 
 func TestGroupKeyLifecycle(t *testing.T) {
-	tr := newTree(t, tp, true)
+	tr := newTree(t, tp)
 	if _, ok := tr.GroupKey(); ok {
 		t.Error("empty tree should have no group key")
 	}
@@ -101,7 +101,7 @@ func TestGroupKeyLifecycle(t *testing.T) {
 // only the rekey messages (real crypto).
 func TestEndToEndRekeying(t *testing.T) {
 	params := ident.Params{Digits: 3, Base: 4}
-	tr := newTree(t, params, true)
+	tr := newTree(t, params)
 	rng := rand.New(rand.NewSource(4))
 
 	rings := make(map[string]*Keyring)
@@ -210,7 +210,7 @@ func TestEndToEndRekeying(t *testing.T) {
 // message to obtain it.
 func TestForwardSecrecy(t *testing.T) {
 	params := ident.Params{Digits: 2, Base: 4}
-	tr := newTree(t, params, true)
+	tr := newTree(t, params)
 	members := ids(t, params, 0, 1, 5, 6)
 	if _, err := tr.Batch(members, nil); err != nil {
 		t.Fatal(err)
@@ -257,7 +257,7 @@ func TestForwardSecrecy(t *testing.T) {
 // the pre-join group key.
 func TestBackwardSecrecy(t *testing.T) {
 	params := ident.Params{Digits: 2, Base: 4}
-	tr := newTree(t, params, true)
+	tr := newTree(t, params)
 	if _, err := tr.Batch(ids(t, params, 0, 5), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestBackwardSecrecy(t *testing.T) {
 // TestRejoinGetsFreshKeys: a user that leaves and rejoins with the same
 // ID receives a different individual key (epoch bump).
 func TestRejoinGetsFreshKeys(t *testing.T) {
-	tr := newTree(t, tp, true)
+	tr := newTree(t, tp)
 	u := ids(t, tp, 4)[0]
 	if _, err := tr.Batch([]ident.ID{u}, nil); err != nil {
 		t.Fatal(err)
@@ -315,7 +315,7 @@ func TestRejoinGetsFreshKeys(t *testing.T) {
 // TestLeaveAndRejoinSameBatch: an ID freed by a leave can be reassigned
 // to a new user within the same interval; the new holder gets fresh keys.
 func TestLeaveAndRejoinSameBatch(t *testing.T) {
-	tr := newTree(t, tp, true)
+	tr := newTree(t, tp)
 	u := ids(t, tp, 4)[0]
 	other := ids(t, tp, 7)[0]
 	if _, err := tr.Batch([]ident.ID{u, other}, nil); err != nil {
@@ -348,7 +348,7 @@ func TestLeaveAndRejoinSameBatch(t *testing.T) {
 // parent is byte-identical to the interval's own when the interval
 // re-keyed that parent, which is the nonce contract's repeat case.
 func TestResyncRestoresOnlyItsMember(t *testing.T) {
-	tr := newTree(t, tp, true)
+	tr := newTree(t, tp)
 	members := ids(t, tp, 0, 1, 4, 6, 8)
 	u, other := members[0], members[2]
 	if _, err := tr.Batch(members, nil); err != nil {
@@ -409,7 +409,7 @@ func TestResyncRestoresOnlyItsMember(t *testing.T) {
 // TestKeyringValidation covers keyring construction errors.
 func TestKeyringValidation(t *testing.T) {
 	params := ident.Params{Digits: 2, Base: 3}
-	tr := newTree(t, params, true)
+	tr := newTree(t, params)
 	u := ids(t, params, 4)[0]
 	if _, err := tr.Batch([]ident.ID{u}, nil); err != nil {
 		t.Fatal(err)
@@ -506,7 +506,7 @@ func TestApplyWithAllocatesOnlyTheIndividualKeysAEAD(t *testing.T) {
 // keys are unchanged either way.
 func TestKeyringRejectsWrapUnderShallowerKey(t *testing.T) {
 	params := ident.Params{Digits: 3, Base: 3}
-	tr := newTree(t, params, true)
+	tr := newTree(t, params)
 	members := ids(t, params, 0, 1, 9) // victim [0,0,0], its sibling [0,0,1], [1,0,0]
 	victim, sibling := members[0], members[1]
 	if _, err := tr.Batch(members, nil); err != nil {
@@ -559,7 +559,7 @@ func TestKeyringRejectsWrapUnderShallowerKey(t *testing.T) {
 // structure is exactly the ID tree of the member set.
 func TestStructureMatchesIDTreeProperty(t *testing.T) {
 	params := ident.Params{Digits: 3, Base: 3}
-	tr := newTree(t, params, false)
+	tr := newTree(t, params)
 	rng := rand.New(rand.NewSource(77))
 	live := make(map[int]bool)
 	for round := 0; round < 30; round++ {
@@ -610,7 +610,7 @@ func TestStructureMatchesIDTreeProperty(t *testing.T) {
 // deepest first, and a free rank's names none.
 func TestPathWrapsMatchLemma3(t *testing.T) {
 	for _, params := range []ident.Params{{Digits: 3, Base: 6}, {Digits: 4, Base: 4}} {
-		tr := newTree(t, params, false)
+		tr := newTree(t, params)
 		rng := rand.New(rand.NewSource(int64(params.Base)))
 		live := make(map[int]bool)
 		pruned := make(map[string]bool) // k-nodes pruned so far
@@ -705,7 +705,7 @@ func TestKnodeLifetimes(t *testing.T) {
 		{"created again later", []batch{build, {nil, u(3)}, {u(4), nil}}, 1, ident.EmptyPrefix},
 		{"created again after its slot was taken", []batch{build, {nil, u(3)}, {u(6), nil}, {u(4), nil}}, 1, u(6)[0].Prefix(1)},
 	} {
-		tr := newTree(t, tp, false)
+		tr := newTree(t, tp)
 		var msg *Message
 		var slot int
 		for i, b := range c.batches {
@@ -759,7 +759,7 @@ func knodes(tr *Tree) []ident.Prefix {
 // the index's own order installs the member's whole slice.
 func TestUnwrapRefusesOffPathAndOutOfOrder(t *testing.T) {
 	params := ident.Params{Digits: 3, Base: 3}
-	tr := newTree(t, params, true)
+	tr := newTree(t, params)
 	members := ids(t, params, 0, 1, 9, 18) // [0,0,0] [0,0,1] [1,0,0] [2,0,0]
 	if _, err := tr.Batch(members, nil); err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ func TestFlushMatchesHandSortedBatch(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		got, twin := newTree(t, params, true), newTree(t, params, true)
+		got, twin := newTree(t, params), newTree(t, params)
 		var p Pending
 		for interval := 0; interval < 12; interval++ {
 			joining, left := map[ident.ID]bool{}, map[ident.ID]bool{}
@@ -94,7 +94,7 @@ func TestCostfulBatchOwesEveryMember(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tr := newTree(t, params, true)
+		tr := newTree(t, params)
 		rings := map[ident.ID]*Keyring{}
 		for batch := 0; batch < 8; batch++ {
 			var p Pending
@@ -150,7 +150,7 @@ func TestCostfulBatchOwesEveryMember(t *testing.T) {
 // TestFlushClearsRejectedBatch: a batch the tree refuses is dropped, not
 // retried into the next interval.
 func TestFlushClearsRejectedBatch(t *testing.T) {
-	tr := newTree(t, tp, false)
+	tr := newTree(t, tp)
 	var p Pending
 	p.Leave(ids(t, tp, 4)[0]) // never joined
 	if _, _, _, err := tr.Flush(&p, 0); err == nil {

@@ -21,17 +21,17 @@ func stagedIDs(t *testing.T, params ident.Params, n int) []ident.ID {
 }
 
 // TestRegenerateParallelByteIdentical is the keytree half of the
-// pipeline determinism contract: with RealCrypto, Mark+Regenerate must
-// produce byte-identical messages at parallelism 1 and N, across
-// multiple churn intervals.
+// pipeline determinism contract: Mark+Regenerate must produce
+// byte-identical messages at parallelism 1 and N, across multiple churn
+// intervals.
 func TestRegenerateParallelByteIdentical(t *testing.T) {
 	params := ident.Params{Digits: 3, Base: 8}
 	seed := []byte("staged-det")
-	seq, err := New(params, seed, Opts{RealCrypto: true})
+	seq, err := New(params, seed, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := New(params, seed, Opts{RealCrypto: true})
+	par, err := New(params, seed, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +92,8 @@ func TestRegenerateParallelByteIdentical(t *testing.T) {
 // a sequential Regenerate.
 func TestBatchEqualsStagedPipeline(t *testing.T) {
 	params := ident.Params{Digits: 3, Base: 8}
-	a, _ := New(params, []byte("s"), Opts{RealCrypto: true})
-	b, _ := New(params, []byte("s"), Opts{RealCrypto: true})
+	a, _ := New(params, []byte("s"), Opts{})
+	b, _ := New(params, []byte("s"), Opts{})
 	ids := stagedIDs(t, params, 20)
 	am, err := a.Batch(ids, nil)
 	if err != nil {

@@ -42,7 +42,7 @@ func TestStoreBasics(t *testing.T) {
 		t.Fatal("group key round trip failed")
 	}
 
-	tree, err := keytree.New(testParams, []byte("seed"), keytree.Opts{RealCrypto: true})
+	tree, err := keytree.New(testParams, []byte("seed"), keytree.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

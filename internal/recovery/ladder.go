@@ -44,7 +44,6 @@ import (
 	"tmesh/internal/split"
 	"tmesh/internal/tmesh"
 	"tmesh/internal/vnet"
-	"tmesh/internal/work"
 )
 
 // LadderConfig parameterises one rekey distribution over the ladder.
@@ -136,7 +135,7 @@ func DistributeLadder(cfg LadderConfig, msg *keytree.Message) (*LadderResult, er
 		Obs:        cfg.Obs,
 		Trace:      cfg.Trace,
 		TraceItems: split.EncIDs,
-		SplitHop:   split.NewIndex(cfg.Dir.Tree(), msg.Encryptions, work.Width()).Split,
+		SplitHop:   split.HopSplitter(),
 	}, msg.Encryptions)
 	if err != nil {
 		return nil, err

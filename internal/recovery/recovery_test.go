@@ -33,7 +33,7 @@ func buildWorld(t *testing.T, n int, seed int64) (*overlay.Directory, *keytree.T
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := keytree.New(tp, []byte("recovery"), keytree.Opts{RealCrypto: true})
+	tree, err := keytree.New(tp, []byte("recovery"), keytree.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -214,7 +214,7 @@ func newMeshedWorld(t *testing.T, params ident.Params) *meshedWorld {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := keytree.New(params, []byte("meshed"), keytree.Opts{RealCrypto: true})
+	tree, err := keytree.New(params, []byte("meshed"), keytree.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

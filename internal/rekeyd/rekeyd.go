@@ -10,8 +10,8 @@
 //  1. The server FORWARDs the batch rekey message over the T-mesh:
 //     level-1 copies to its (0,j)-primary neighbors, each split to the
 //     receiver's level-1 subtree (TypeRekey frames). Members forward
-//     for rows [level, D-1], splitting with the shared compiled index,
-//     and apply their own slice.
+//     for rows [level, D-1], splitting the copy they received (the
+//     share split.AppendShare cuts for each subtree), and apply it.
 //  2. Every member that installs the interval's group key acks
 //     (TypeAck). Acks are idempotent; duplicates from rungs racing
 //     each other are harmless.
@@ -31,7 +31,7 @@
 //
 // Nodes share one process (the daemon runs "many in-process user
 // nodes over real loopback sockets"), so the overlay Directory and the
-// per-interval split index are shared read-only state under Shared;
+// window of intervals the server opened are shared state under Shared;
 // everything that crosses nodes as *protocol* crosses the transport
 // as bytes.
 package rekeyd
@@ -50,7 +50,6 @@ import (
 	"tmesh/internal/split"
 	"tmesh/internal/transport"
 	"tmesh/internal/wire"
-	"tmesh/internal/work"
 )
 
 // PeerOf maps a member ID to its transport routing key.
@@ -99,17 +98,15 @@ func (c *Config) policy() recovery.Policy {
 // Shared is the in-process state nodes read and the driver writes: the
 // overlay directory (not concurrency-safe on its own) behind an
 // RWMutex, the liveness oracle the FORWARD primaries consult, the
-// per-interval compiled split index, and the ID → locator registry
-// forward resolves next hops through. The index is derived, read-only
-// data — split monotonicity makes sharing the server-built index at
-// every forwarding node byte-identical to re-splitting per hop.
+// window of intervals the server opened, and the ID → locator registry
+// forward resolves next hops through.
 type Shared struct {
 	mu    sync.RWMutex
 	dir   *overlay.Directory
 	alive func(ident.ID) bool
 
-	idxMu   sync.RWMutex
-	indexes map[uint64]*split.Index
+	openMu sync.RWMutex
+	opened map[uint64]bool // the last three intervals the server opened
 
 	locMu sync.Mutex
 	locs  map[transport.PeerID]*locator
@@ -127,7 +124,7 @@ type locator struct {
 
 // NewShared wraps a directory for concurrent node access.
 func NewShared(dir *overlay.Directory) *Shared {
-	return &Shared{dir: dir, indexes: make(map[uint64]*split.Index), locs: make(map[transport.PeerID]*locator)}
+	return &Shared{dir: dir, opened: make(map[uint64]bool), locs: make(map[transport.PeerID]*locator)}
 }
 
 // publish enters a member's endpoint in the registry: from now on a
@@ -203,43 +200,43 @@ func (s *Shared) Write(f func(dir *overlay.Directory)) {
 	f(s.dir)
 }
 
-// PutIndex registers the compiled split index for an interval and
-// drops indexes more than two intervals old.
-func (s *Shared) PutIndex(interval uint64, idx *split.Index) {
-	s.idxMu.Lock()
-	s.indexes[interval] = idx
-	for k := range s.indexes {
+// openInterval enters an interval in the window and drops the
+// intervals more than two older.
+func (s *Shared) openInterval(interval uint64) {
+	s.openMu.Lock()
+	s.opened[interval] = true
+	for k := range s.opened {
 		if k+2 < interval {
-			delete(s.indexes, k)
+			delete(s.opened, k)
 		}
 	}
-	s.idxMu.Unlock()
+	s.openMu.Unlock()
 }
 
-// Index returns the interval's compiled index, nil if unknown.
-func (s *Shared) Index(interval uint64) *split.Index {
-	s.idxMu.RLock()
-	defer s.idxMu.RUnlock()
-	return s.indexes[interval]
+// isOpen reports whether the interval is in the window.
+func (s *Shared) isOpen(interval uint64) bool {
+	s.openMu.RLock()
+	defer s.openMu.RUnlock()
+	return s.opened[interval]
 }
 
 // forward sends over tr the FORWARD copies of msg owed by the node
 // `from` at forwarding level `level` (the zero ID is the key server,
 // whose level is 0). The walk is overlay's Forward, the one statement
 // of the rule, run under the directory read lock: each entry's live
-// primary gets the message split to its (row+1)-digit subtree at
-// forward_level row+1, unless REKEY-MESSAGE-SPLIT leaves nothing for
-// that subtree. Splitting, encoding and sending happen outside the
-// lock. It returns the number of copies the transport accepted; one it
-// refused is a lost hop like any other, the ladder's to repair.
+// primary gets msg split to its (row+1)-digit subtree at forward_level
+// row+1, unless REKEY-MESSAGE-SPLIT leaves nothing for that subtree.
+// msg is what this node received, so a member forwards nothing it was
+// not sent. Splitting, encoding and sending happen outside the lock. It
+// returns the number of copies the transport accepted; one it refused
+// is a lost hop like any other, the ladder's to repair.
 //
-// A message of an interval without a compiled index goes nowhere: the
-// server never opened that interval, or it is at least three intervals
-// stale (Distribute(k) returns before k+1 starts, and PutIndex keeps the
+// A message of an interval outside the window goes nowhere: the server
+// never opened that interval, or it is at least three intervals stale
+// (Distribute(k) returns before k+1 starts, and the window keeps the
 // last three), so the frame is forged or long dead.
 func (s *Shared) forward(tr transport.Transport, msg *keytree.Message, from ident.ID, level int) int {
-	idx := s.Index(msg.Interval)
-	if idx == nil {
+	if !s.isOpen(msg.Interval) {
 		return 0
 	}
 	type hop struct {
@@ -260,12 +257,13 @@ func (s *Shared) forward(tr transport.Transport, msg *keytree.Message, from iden
 		}
 	})
 	sent := 0
+	var share []keycrypt.Encryption // reused: each copy is encoded before the next split
 	for _, h := range hops {
-		encs := idx.Split(msg.Encryptions, h.to.Prefix(h.digits))
-		if len(encs) == 0 {
+		share = split.AppendShare(share[:0], msg.Encryptions, h.to.Prefix(h.digits))
+		if len(share) == 0 {
 			continue
 		}
-		buf, err := wire.MarshalRekey(&keytree.Message{Interval: msg.Interval, Encryptions: encs}, h.digits)
+		buf, err := wire.MarshalRekey(&keytree.Message{Interval: msg.Interval, Encryptions: share}, h.digits)
 		if err == nil && tr.Send(s.resolve(tr, h.to), buf) == nil {
 			sent++
 		}
@@ -541,12 +539,7 @@ func (s *Server) Distribute(msg *keytree.Message, expected []ident.ID) (*Result,
 	s.open = l
 	s.mu.Unlock()
 
-	// Compile the split index once, server-side; every forwarding node
-	// shares it through Shared (monotonicity makes that byte-identical
-	// to per-hop re-splitting).
-	s.sh.Read(func(dir *overlay.Directory) {
-		s.sh.PutIndex(msg.Interval, split.NewIndex(dir.Tree(), msg.Encryptions, work.Width()))
-	})
+	s.sh.openInterval(msg.Interval)
 	// FORWARD start: one level-1 copy per (0,j)-primary. The multicast
 	// is step zero of every row's ladder, given Timeout from here.
 	s.sh.forward(s.tr, msg, ident.ID{}, 0)

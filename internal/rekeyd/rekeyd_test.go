@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -309,8 +310,9 @@ func TestLadderOutcomeCountsRetries(t *testing.T) {
 // TestAckLedgerReleased pins the server's per-interval bookkeeping to
 // the interval actually in flight: after every Distribute returns no
 // ledger is open (it used to keep one N-entry map per interval
-// forever), and re-distributing a closed interval is refused without
-// touching the split index members may still be forwarding with.
+// forever), the window of intervals members forward holds the last
+// three, and re-distributing a closed interval — the last one, or one
+// the window already dropped — is refused without touching the window.
 func TestAckLedgerReleased(t *testing.T) {
 	w, err := NewWorld(testConfig("loopback", 8))
 	if err != nil {
@@ -335,14 +337,31 @@ func TestAckLedgerReleased(t *testing.T) {
 		if open != nil {
 			t.Fatalf("interval %d: ledger still open after Distribute returned", res.Interval)
 		}
-		live := w.sh.Index(res.Interval)
-		if _, err := w.srv.Distribute(&keytree.Message{Interval: res.Interval}, nil); err == nil {
-			t.Fatalf("interval %d distributed twice without an error", res.Interval)
+		live := openWindow(w.sh)
+		if n := len(live); n == 0 || n > 3 || live[n-1] != res.Interval || live[0]+2 < res.Interval {
+			t.Fatalf("interval %d: window %v, want the last three intervals", res.Interval, live)
 		}
-		if w.sh.Index(res.Interval) != live {
-			t.Fatalf("interval %d: refused duplicate Distribute replaced the live split index", res.Interval)
+		for _, k := range []uint64{res.Interval, res.Interval - min(res.Interval, 3)} {
+			if _, err := w.srv.Distribute(&keytree.Message{Interval: k}, nil); err == nil {
+				t.Fatalf("interval %d redistributed without an error", k)
+			}
+		}
+		if got := openWindow(w.sh); !slices.Equal(got, live) {
+			t.Fatalf("interval %d: refused duplicate Distribute moved the window %v to %v", res.Interval, live, got)
 		}
 	}
+}
+
+// openWindow lists the intervals open in sh, ascending.
+func openWindow(sh *Shared) []uint64 {
+	sh.openMu.RLock()
+	defer sh.openMu.RUnlock()
+	var out []uint64
+	for k := range sh.opened {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // TestCostZeroIntervalOwesNobody: an interval whose churn never reached
@@ -461,6 +480,12 @@ type sentFrames struct {
 	frames [][]byte
 }
 
+func (r *sentFrames) add(frame []byte) {
+	r.mu.Lock()
+	r.frames = append(r.frames, append([]byte(nil), frame...))
+	r.mu.Unlock()
+}
+
 func (r *sentFrames) all() [][]byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -473,9 +498,7 @@ type tap struct {
 }
 
 func (t tap) Send(to transport.PeerID, frame []byte) error {
-	t.rec.mu.Lock()
-	t.rec.frames = append(t.rec.frames, append([]byte(nil), frame...))
-	t.rec.mu.Unlock()
+	t.rec.add(frame)
 	return t.Transport.Send(to, frame)
 }
 
@@ -663,6 +686,71 @@ func TestEmptyRekeyFrameMovesNobody(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertConverged(t, w, res)
+}
+
+// sink records every frame sent through it and delivers none.
+type sink struct {
+	transport.Transport
+	rec *sentFrames
+}
+
+func (s sink) Send(_ transport.PeerID, frame []byte) error {
+	s.rec.add(frame)
+	return nil
+}
+
+// TestMemberForwardsOnlyWhatItReceived: a member splits the frame it
+// received, not the server's message. With interval k open on the
+// full message, a member handed that message minus one encryption a
+// downstream subtree needs forwards copies, and the removed encryption
+// is in none of them.
+func TestMemberForwardsOnlyWhatItReceived(t *testing.T) {
+	w, err := NewWorld(testConfig("loopback", 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.Leave(w.Members()[0].ID()); err != nil {
+		t.Fatal(err)
+	}
+	full, _, _, err := w.tree.Flush(&w.pending, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.sh.openInterval(full.Interval)
+	decode := func(rec *sentFrames) []keycrypt.Encryption {
+		var out []keycrypt.Encryption
+		for _, frame := range rec.all() {
+			msg, _, err := wire.UnmarshalRekey(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, msg.Encryptions...)
+		}
+		return out
+	}
+	for _, m := range w.Members()[1:] {
+		rec := &sentFrames{}
+		if w.sh.forward(sink{m.tr, rec}, full, m.ID(), 1) == 0 {
+			continue
+		}
+		gone := decode(rec)[0]
+		held := &keytree.Message{Interval: full.Interval}
+		for _, e := range full.Encryptions {
+			if e.ID != gone.ID || e.KeyID != gone.KeyID {
+				held.Encryptions = append(held.Encryptions, e)
+			}
+		}
+		rec = &sentFrames{}
+		w.sh.forward(sink{m.tr, rec}, held, m.ID(), 1)
+		for _, e := range decode(rec) {
+			if e.ID == gone.ID && e.KeyID == gone.KeyID {
+				t.Fatalf("member %v forwarded %v under %v, which it never received", m.ID(), e.KeyID, e.ID)
+			}
+		}
+		return
+	}
+	t.Fatal("no member forwarded a copy of the full message")
 }
 
 // TestFrameOfUnknownIntervalIsNotForwarded: a rekey frame for an

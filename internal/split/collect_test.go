@@ -2,30 +2,33 @@ package split
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 )
 
-// TestPrefilterEquivalence pins the parallel level-1 prefilter to the
-// plain Filter path: identical reports and deliveries with and without
-// Options.Parallelism.
+// TestPrefilterEquivalence: the split has no fan-out, so a session's
+// report and deliveries are the same at GOMAXPROCS 1 and 8, and
+// Options.Parallelism, which nothing reads, changes neither.
 func TestPrefilterEquivalence(t *testing.T) {
-	base := newWorld(t, 40, 6, 6, 42)
-	pref := newWorld(t, 40, 6, 6, 42)
-
-	baseRep, err := Rekey(base.dir, base.msg, Options{Mode: PerEncryption, Collect: true})
-	if err != nil {
-		t.Fatal(err)
+	w := newWorld(t, 40, 6, 6, 42)
+	run := func(width, par int) *Report {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(width))
+		rep, err := Rekey(w.dir, w.msg, Options{Mode: PerEncryption, Collect: true, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
 	}
-	prefRep, err := Rekey(pref.dir, pref.msg, Options{Mode: PerEncryption, Collect: true, Parallelism: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(baseRep.ReceivedPerUser, prefRep.ReceivedPerUser) ||
-		!reflect.DeepEqual(baseRep.ForwardedPerUser, prefRep.ForwardedPerUser) ||
-		baseRep.ServerUnits != prefRep.ServerUnits {
-		t.Fatal("prefilter changed the bandwidth report")
-	}
-	if !reflect.DeepEqual(baseRep.Deliveries, prefRep.Deliveries) {
-		t.Fatal("prefilter changed the delivery log")
+	base := run(1, 0)
+	for _, par := range []int{0, 8} {
+		rep := run(8, par)
+		if !reflect.DeepEqual(base.ReceivedPerUser, rep.ReceivedPerUser) ||
+			!reflect.DeepEqual(base.ForwardedPerUser, rep.ForwardedPerUser) ||
+			base.ServerUnits != rep.ServerUnits {
+			t.Fatalf("Parallelism %d at GOMAXPROCS 8 changed the bandwidth report", par)
+		}
+		if !reflect.DeepEqual(base.Deliveries, rep.Deliveries) {
+			t.Fatalf("Parallelism %d at GOMAXPROCS 8 changed the delivery log", par)
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"tmesh/internal/keycrypt"
 )
 
-// TestFilterQuick: Filter keeps exactly the encryptions whose ID is
+// TestFilterQuick: the reference filter keeps exactly the encryptions whose ID is
 // prefix-related to the subtree (brute-force comparison), and filtering
 // is idempotent and monotone under subtree refinement.
 func TestFilterQuick(t *testing.T) {
@@ -33,7 +33,7 @@ func TestFilterQuick(t *testing.T) {
 			encs = append(encs, keycrypt.Encryption{ID: randPrefix()})
 		}
 		subtree := randPrefix()
-		got := Filter(encs, subtree)
+		got := filter(encs, subtree)
 		// Brute force membership check.
 		want := 0
 		for _, e := range encs {
@@ -45,14 +45,14 @@ func TestFilterQuick(t *testing.T) {
 			return false
 		}
 		// Idempotence: filtering the result again changes nothing.
-		if len(Filter(got, subtree)) != len(got) {
+		if len(filter(got, subtree)) != len(got) {
 			return false
 		}
 		// Refinement: a child subtree's filter result is a subset of
 		// its parent's.
 		if subtree.Len() < params.Digits {
 			child := subtree.Child(ident.Digit(rng.Intn(params.Base)))
-			childGot := Filter(encs, child)
+			childGot := filter(encs, child)
 			if len(childGot) > len(got) {
 				return false
 			}
@@ -131,7 +131,7 @@ func TestFilterPacketsSuperset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		encLevel := Filter(encs, subtree)
+		encLevel := filter(encs, subtree)
 		pktLevel := FilterPackets(Packetize(encs, rng.Intn(6)+1), subtree)
 		inPkts := make(map[uint64]bool)
 		total := 0

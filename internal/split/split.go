@@ -19,6 +19,7 @@ package split
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"tmesh/internal/ident"
@@ -58,17 +59,81 @@ func (m Mode) String() string {
 	}
 }
 
-// Filter returns the encryptions relevant to the given ID subtree: the
-// REKEY-MESSAGE-SPLIT selection. The input slice is not modified; the
-// result is nil when nothing is relevant.
-func Filter(encs []keycrypt.Encryption, subtree ident.Prefix) []keycrypt.Encryption {
-	var dst []keycrypt.Encryption
-	for _, e := range encs {
-		if e.RelevantTo(subtree) {
-			dst = append(dst, e)
+// AppendShare appends to dst the encryptions of payload relevant to the
+// ID subtree — REKEY-MESSAGE-SPLIT's selection, Theorem 2's test — and
+// returns the extended slice, as append does.
+//
+// payload is read in the layout every keytree.Message has: blocks of
+// strictly decreasing ID length, each strictly increasing by ID. There
+// a subtree w's share is at most one contiguous run per block: the IDs
+// under w in a block at least as deep as w, the single ID w.Prefix(L)
+// in a shallower block L. One binary search per block finds the run,
+// and the share keeps the layout, so the next hop splits it the same
+// way. Out of layout the result is still an in-order subsequence of
+// payload and every element is relevant; it may miss some.
+func AppendShare(dst, payload []keycrypt.Encryption, subtree ident.Prefix) []keycrypt.Encryption {
+	if len(payload) == 0 {
+		return dst
+	}
+	w := subtree.Key()
+	lo := 0
+	for l := payload[0].ID.Len(); l >= 0 && lo < len(payload); l-- {
+		want := w[:min(l, len(w))]
+		// The first element at or past (l, want): deeper blocks come
+		// first, and each block ascends by ID.
+		i, hi := lo, len(payload)
+		for i < hi {
+			mid := int(uint(i+hi) >> 1)
+			if k := payload[mid].ID.Key(); len(k) < l || len(k) == l && k >= want {
+				hi = mid
+			} else {
+				i = mid + 1
+			}
 		}
+		j := i
+		for j < len(payload) {
+			if k := payload[j].ID.Key(); len(k) != l || !strings.HasPrefix(k, want) {
+				break
+			}
+			j++
+		}
+		dst = append(dst, payload[i:j]...)
+		lo = j
 	}
 	return dst
+}
+
+// arenaChunk is the granularity, in encryptions, of the chunks a
+// session's shares are carved from.
+const arenaChunk = 1024
+
+// HopSplitter returns a tmesh SplitHop for one multicast session: each
+// hop's share is appended into a chunked arena the session owns, so a
+// hop allocates only when a chunk runs out. The shares alias the arena
+// and are read-only. A splitter serves one session; its hops run one at
+// a time on the session's simulator.
+func HopSplitter() func(payload []keycrypt.Encryption, subtree ident.Prefix) []keycrypt.Encryption {
+	var chunk []keycrypt.Encryption
+	return func(payload []keycrypt.Encryption, subtree ident.Prefix) []keycrypt.Encryption {
+		if cap(chunk)-len(chunk) < len(payload) {
+			chunk = make([]keycrypt.Encryption, 0, max(arenaChunk, len(payload)))
+		}
+		share := AppendShare(chunk[len(chunk):], payload, subtree)
+		chunk = chunk[:len(chunk)+len(share)]
+		return share[:len(share):len(share)]
+	}
+}
+
+// Index holds nothing: Split is AppendShare into a fresh slice.
+// bench/sim.go builds one per interval; the type goes when it stops.
+type Index struct{}
+
+// NewIndex returns an Index. tree, encs and workers are ignored.
+func NewIndex(tree *ident.Tree, encs []keycrypt.Encryption, workers int) *Index { return &Index{} }
+
+// Split returns the share of encs for the subtree.
+func (*Index) Split(encs []keycrypt.Encryption, subtree ident.Prefix) []keycrypt.Encryption {
+	return AppendShare(nil, encs, subtree)
 }
 
 // Packet is a group of encryptions transported as one unit in PerPacket
@@ -132,11 +197,8 @@ type Options struct {
 	// transport ever invokes delivery callbacks concurrently; arrival
 	// order itself is fixed by the deterministic simulation.
 	Collect bool
-	// Parallelism is an upper bound on the fan-out that compiles the
-	// message's PerEncryption split decisions into the per-subtree
-	// lookup index before the multicast starts (values <= 1 compile
-	// inline). The index contents are a pure function of (message,
-	// directory), so the transported bytes are identical at any setting.
+	// Parallelism is read by nothing: the split has no fan-out. It stays
+	// while bench/sim.go sets it.
 	Parallelism int
 	// Obs is the optional telemetry registry. When set, the transport
 	// counts split hops, the encryptions each hop forwards (the paper's
@@ -157,8 +219,8 @@ func EncIDs(encs []keycrypt.Encryption) []string {
 }
 
 // Delivery records one user's receipt of rekey encryptions. The
-// Encryptions slice may be shared between deliveries (hops covering the
-// same subtree serve the same compiled slice); treat it as read-only.
+// Encryptions slice is the hop's share, carved from the session's
+// arena; treat it as read-only.
 type Delivery struct {
 	To          ident.ID
 	Level       int
@@ -182,7 +244,7 @@ type Report struct {
 	ServerUnits int
 	// Deliveries holds every user delivery in arrival order when
 	// Options.Collect is set; nil otherwise. Their Encryptions slices
-	// alias the compiled split index and are read-only.
+	// alias the session's share arena and are read-only.
 	Deliveries []Delivery
 	// Multicast is the underlying session result.
 	Multicast *tmesh.Result
@@ -199,7 +261,7 @@ func Rekey(dir *overlay.Directory, msg *keytree.Message, opts Options) (*Report,
 		return nil, fmt.Errorf("split: message is required")
 	}
 	// Zero-value defaulting happens once, up front, so every downstream
-	// path (compiled, packetised) sees the same resolved options.
+	// path (per encryption, packetised) sees the same resolved options.
 	if opts.Mode == 0 {
 		opts.Mode = PerEncryption
 	}
@@ -251,7 +313,7 @@ func Rekey(dir *overlay.Directory, msg *keytree.Message, opts Options) (*Report,
 			Obs:                opts.Obs,
 		}
 		if opts.Mode == PerEncryption {
-			cfg.SplitHop = NewIndex(dir.Tree(), msg.Encryptions, opts.Parallelism).Split
+			cfg.SplitHop = HopSplitter()
 			if hopsC != nil {
 				inner := cfg.SplitHop
 				cfg.SplitHop = func(encs []keycrypt.Encryption, subtree ident.Prefix) []keycrypt.Encryption {

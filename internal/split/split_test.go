@@ -23,6 +23,9 @@ func mustPrefix(t *testing.T, digits ...ident.Digit) ident.Prefix {
 	return p
 }
 
+// TestFilter pins the split on a hand-made message: the reference
+// filter on it as given, and AppendShare on it sorted into the layout,
+// keep the same encryptions.
 func TestFilter(t *testing.T) {
 	encs := []keycrypt.Encryption{
 		{ID: ident.EmptyPrefix},      // relevant to everyone
@@ -31,24 +34,24 @@ func TestFilter(t *testing.T) {
 		{ID: mustPrefix(t, 3)},       // subtree [3]
 		{ID: mustPrefix(t, 1, 2, 0)}, // individual key [1,2,0]
 	}
-	got := Filter(encs, mustPrefix(t, 1))
-	if len(got) != 4 {
-		t.Errorf("Filter([1]) kept %d, want 4 (all but [3])", len(got))
+	for _, c := range []struct {
+		subtree ident.Prefix
+		want    int
+	}{
+		{mustPrefix(t, 1), 4},    // all but [3]
+		{mustPrefix(t, 1, 2), 4}, // all but [3]
+		{mustPrefix(t, 2), 1},    // the root encryption
+		{mustPrefix(t, 1, 0), 2}, // [] and [1]
+	} {
+		if got := filter(encs, c.subtree); len(got) != c.want {
+			t.Errorf("filter(%v) kept %d, want %d", c.subtree, len(got), c.want)
+		}
+		if got := AppendShare(nil, layout(encs), c.subtree); len(got) != c.want {
+			t.Errorf("AppendShare(%v) kept %d, want %d", c.subtree, len(got), c.want)
+		}
 	}
-	got = Filter(encs, mustPrefix(t, 1, 2))
-	if len(got) != 4 {
-		t.Errorf("Filter([1,2]) kept %d, want 4", len(got))
-	}
-	got = Filter(encs, mustPrefix(t, 2))
-	if len(got) != 1 {
-		t.Errorf("Filter([2]) kept %d, want 1 (the root encryption)", len(got))
-	}
-	got = Filter(encs, mustPrefix(t, 1, 0))
-	if len(got) != 2 {
-		t.Errorf("Filter([1,0]) kept %d, want 2 ([] and [1])", len(got))
-	}
-	if Filter(nil, mustPrefix(t, 1)) != nil {
-		t.Error("Filter(nil) should be nil")
+	if filter(nil, mustPrefix(t, 1)) != nil || AppendShare(nil, nil, mustPrefix(t, 1)) != nil {
+		t.Error("splitting nothing should give nil")
 	}
 }
 
@@ -142,7 +145,7 @@ func newWorldIn(t *testing.T, tp ident.Params, n, j, l int, seed int64) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := keytree.New(tp, []byte("split-test"), keytree.Opts{RealCrypto: true})
+	tree, err := keytree.New(tp, []byte("split-test"), keytree.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +318,7 @@ func TestSplitDecryptability(t *testing.T) {
 	// current users, capture everyone's keyring, then churn once more
 	// and deliver that batch's message with splitting.
 	rings := make(map[string]*keytree.Keyring)
-	tree, err := keytree.New(tp, []byte("split-decrypt"), keytree.Opts{RealCrypto: true})
+	tree, err := keytree.New(tp, []byte("split-decrypt"), keytree.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

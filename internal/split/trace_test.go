@@ -3,6 +3,7 @@ package split_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"tmesh/internal/chaos"
@@ -17,7 +18,7 @@ import (
 // TestTraceMatchesDeliveries is the flight-recorder ground-truth
 // property of the traced rekey multicast — the rung-1 configuration of
 // recovery.DistributeLadder, which is what the chaos soak traces: across
-// seeds and prefilter parallelism, the delivery set reconstructed from
+// seeds and GOMAXPROCS widths, the delivery set reconstructed from
 // non-dropped hop records must equal the transport's own deliveries —
 // same users, same forwarding levels, same encryption slices — and the
 // trace's own audit and the chaos auditors (Theorems 1 and 2 through
@@ -27,6 +28,7 @@ func TestTraceMatchesDeliveries(t *testing.T) {
 	for _, seed := range []int64{1, 2, 7} {
 		for _, par := range []int{1, 8} {
 			t.Run(fmt.Sprintf("seed=%d,par=%d", seed, par), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
 				dir, msg, live := split.NewWorld(t, 40, 6, 6, seed)
 				var buf bytes.Buffer
 				rec := trace.NewRecorder(seed, obs.NewSink(&buf))
@@ -38,7 +40,7 @@ func TestTraceMatchesDeliveries(t *testing.T) {
 				_, err := tmesh.Multicast(tmesh.Config[[]keycrypt.Encryption]{
 					Dir:      dir,
 					SizeOf:   func(encs []keycrypt.Encryption) int { return len(encs) },
-					SplitHop: split.NewIndex(dir.Tree(), msg.Encryptions, par).Split,
+					SplitHop: split.HopSplitter(),
 					OnDeliver: func(to ident.ID, encs []keycrypt.Encryption, level int) {
 						deliveries = append(deliveries, split.Delivery{To: to, Level: level, Encryptions: encs})
 					},
