@@ -6,7 +6,7 @@ FUZZTIME ?= 5s
 # ci is the full verification gate: static checks, the line budget
 # (`loc`) and the dead-export budget (`dead`), the race detector
 # over the whole tree (the parallel experiment harness in internal/exp
-# and the SPT cache in internal/vnet have concurrency tests that only
+# and the GT-ITM tables in internal/vnet have concurrency tests that only
 # bite under -race; the chaos soak acceptance tests run here too), the
 # socket-transport soak (fault ladder over real loopback and UDP
 # endpoints), a short fuzz pass over the wire decoders and the ID tree, the
@@ -148,7 +148,7 @@ bench-pairs:
 # internal/transport + internal/rekeyd and on the total, in that order,
 # that the last simplicity PR reached. A PR that must grow past one
 # raises it here, in the open, next to its CHANGES.md line.
-LOC_BUDGET ?= 2563 20623
+LOC_BUDGET ?= 2563 20622
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs wc -l | \
 		awk -v budget="$(LOC_BUDGET)" \

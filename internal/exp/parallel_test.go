@@ -72,7 +72,7 @@ func TestForEachUnitReportsLowestError(t *testing.T) {
 // TestRunLatencyParallelDeterminism is the tentpole guarantee: the
 // parallel harness produces byte-identical results to the sequential
 // path, on both topologies and for both sender modes. Under -race this
-// also exercises the GT-ITM SPT cache from concurrent runs.
+// also exercises concurrent readers of the GT-ITM tables.
 func TestRunLatencyParallelDeterminism(t *testing.T) {
 	cases := []struct {
 		name string
@@ -165,7 +165,7 @@ func TestRunRekeyCostParallelDeterminism(t *testing.T) {
 
 // TestRunBandwidthParallelDeterminism fans the seven protocols out over
 // one shared post-churn world; under -race it doubles as a concurrent
-// read check on the directory, NICE overlay, and SPT cache.
+// read check on the directory, NICE overlay, and GT-ITM tables.
 func TestRunBandwidthParallelDeterminism(t *testing.T) {
 	cfg := BandwidthConfig{
 		N:           48,

@@ -15,7 +15,6 @@ var churnTopology = vnet.GTITMConfig{
 	TransitDomains: 4, TransitPerDomain: 4, StubsPerTransit: 3,
 	TotalRouters: 600, TotalLinks: 1600,
 	AccessDelayMin: 500 * time.Microsecond, AccessDelayMax: 5 * time.Millisecond,
-	SPTCacheCap: -1,
 }
 
 // churnWorld is a directory of n members with random IDs on distinct
@@ -30,17 +29,14 @@ type churnWorld struct {
 
 const churnSpare = 16 // hosts beyond n, so a leave-then-join interval never runs dry
 
-// churnNet builds the topology for n members with every shortest-path
-// tree already computed, so that a heap reading taken afterwards sees
-// the directory alone.
-func churnNet(tb testing.TB, n int) vnet.Network {
+// churnNet builds the topology for n members on cfg. Its tables are
+// complete once built, so a heap reading taken afterwards sees the
+// directory alone.
+func churnNet(tb testing.TB, cfg vnet.GTITMConfig, n int) vnet.Network {
 	tb.Helper()
-	net, err := vnet.NewGTITM(churnTopology, n+1+churnSpare, 1)
+	net, err := vnet.NewGTITM(cfg, n+1+churnSpare, 1)
 	if err != nil {
 		tb.Fatal(err)
-	}
-	for h := 0; h < net.NumHosts(); h++ {
-		net.RTT(vnet.HostID(h), 0)
 	}
 	return net
 }
@@ -86,34 +82,45 @@ func (w *churnWorld) leave(tb testing.TB) {
 }
 
 // BenchmarkDirectoryChurn is the bench harness's sim_4096 overlay work
-// without the harness: 4096 members, Params{4,64}, K=4, its topology;
-// one op is an interval's 16 leaves then 16 joins. join_us and leave_us
-// are the per-event means the traced ledger calls overlay.join_us and
-// overlay.leave_us.
+// without the harness: 4096 members, Params{4,64}, K=4; one op is an
+// interval's 16 leaves then 16 joins. join_us and leave_us are the
+// per-event means the traced ledger calls overlay.join_us and
+// overlay.leave_us. It runs on the harness's topology and on the
+// paper's 5000-router one.
 func BenchmarkDirectoryChurn(b *testing.B) {
-	net := churnNet(b, 4096)
-	start := time.Now()
-	w := newChurnWorld(b, net, ident.Params{Digits: 4, Base: 64}, 4, 4096)
-	b.Logf("set-up: 4096 joins in %v", time.Since(start).Round(time.Millisecond))
-	const churn = 16
-	var joins, leaves time.Duration
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		for j := 0; j < churn; j++ {
-			w.leave(b)
-		}
-		t1 := time.Now()
-		for j := 0; j < churn; j++ {
-			w.join(b)
-		}
-		leaves += t1.Sub(t0)
-		joins += time.Since(t1)
+	for _, tc := range []struct {
+		name string
+		cfg  vnet.GTITMConfig
+	}{
+		{"sim_4096", churnTopology},
+		{"gtitm5000", vnet.DefaultGTITMConfig()},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			start := time.Now()
+			net := churnNet(b, tc.cfg, 4096)
+			w := newChurnWorld(b, net, ident.Params{Digits: 4, Base: 64}, 4, 4096)
+			b.Logf("set-up: topology and 4096 joins in %v", time.Since(start).Round(time.Millisecond))
+			const churn = 16
+			var joins, leaves time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				for j := 0; j < churn; j++ {
+					w.leave(b)
+				}
+				t1 := time.Now()
+				for j := 0; j < churn; j++ {
+					w.join(b)
+				}
+				leaves += t1.Sub(t0)
+				joins += time.Since(t1)
+			}
+			events := float64(b.N * churn)
+			b.ReportMetric(float64(joins.Microseconds())/events, "join_us")
+			b.ReportMetric(float64(leaves.Microseconds())/events, "leave_us")
+		})
 	}
-	events := float64(b.N * churn)
-	b.ReportMetric(float64(joins.Microseconds())/events, "join_us")
-	b.ReportMetric(float64(leaves.Microseconds())/events, "leave_us")
 }
 
 // TestDirectoryFootprint is the overlay's memory gate, in the style of
@@ -133,7 +140,7 @@ func TestDirectoryFootprint(t *testing.T) {
 		{ident.Params{Digits: 4, Base: 64}, 4096, 13 << 10},
 		{ident.DefaultParams, 1024, 40 << 10},
 	} {
-		net := churnNet(t, tc.n)
+		net := churnNet(t, churnTopology, tc.n)
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)

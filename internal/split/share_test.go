@@ -496,7 +496,7 @@ func TestRekeyHopPathAllocatesNothing(t *testing.T) {
 	point := func(n int) (hops, allocs float64) {
 		w := newWorldIn(t, params, n, n/10, n/10, 11)
 		opts := Options{Mode: PerEncryption}
-		rep, err := Rekey(w.dir, w.msg, opts) // also warms the SPT cache
+		rep, err := Rekey(w.dir, w.msg, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,10 @@
 package vnet
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
+	"slices"
+	"sort"
 	"time"
 )
 
@@ -36,22 +35,10 @@ type GTITMConfig struct {
 	// AccessDelay bounds the per-host access-link RTT (host to its
 	// gateway stub router), drawn uniformly from [Min, Max].
 	AccessDelayMin, AccessDelayMax time.Duration
-	// SPTCacheCap bounds the number of per-source shortest-path trees
-	// held in memory at once: 0 means DefaultSPTCacheCap, a negative
-	// value means unbounded (the pre-cap behavior), and a positive value
-	// is an explicit cap. Each tree costs O(routers), so an unbounded
-	// cache quietly materialises all-pairs state as every host sources a
-	// multicast at least once; the cap evicts the oldest tree and lets a
-	// later request recompute it — results are pure functions of the
-	// topology, so eviction never changes an answer.
+	// SPTCacheCap is ignored: the topology caches nothing per source.
+	// It goes once the bench harness stops setting it.
 	SPTCacheCap int
 }
-
-// DefaultSPTCacheCap bounds the SPT cache when GTITMConfig.SPTCacheCap
-// is zero. At the paper's 5000-router topology a tree is ~80 KB, so the
-// default caps cache memory near 80 MB while still covering every
-// concurrently active multicast source.
-const DefaultSPTCacheCap = 1024
 
 // DefaultGTITMConfig is the paper's topology: 5000 routers, 13000 links.
 func DefaultGTITMConfig() GTITMConfig {
@@ -82,11 +69,12 @@ func SoakGTITMConfig() GTITMConfig {
 }
 
 func (c GTITMConfig) validate() error {
+	nTransit := c.TransitDomains * c.TransitPerDomain
 	switch {
 	case c.TransitDomains < 1 || c.TransitPerDomain < 1 || c.StubsPerTransit < 1:
 		return fmt.Errorf("vnet: domain counts must be positive: %+v", c)
-	case c.TotalRouters <= c.TransitDomains*c.TransitPerDomain:
-		return fmt.Errorf("vnet: TotalRouters %d leaves no stub routers", c.TotalRouters)
+	case c.TotalRouters-nTransit < nTransit*c.StubsPerTransit:
+		return fmt.Errorf("vnet: TotalRouters %d leaves a stub domain without routers", c.TotalRouters)
 	case c.AccessDelayMin < 0 || c.AccessDelayMax < c.AccessDelayMin:
 		return fmt.Errorf("vnet: bad access delay range [%v, %v]", c.AccessDelayMin, c.AccessDelayMax)
 	}
@@ -101,47 +89,50 @@ type halfEdge struct {
 
 // GTITM is a generated transit-stub router topology with hosts attached to
 // uniformly random stub routers. It implements Network.
+//
+// Each stub domain reaches the transit core over exactly one link, so a
+// shortest path between two stubs is in-stub to the first one's gateway,
+// its uplink, a transit-core path, and the second one's uplink and
+// in-stub path. NewGTITM tabulates those parts once: all-pairs paths
+// within each stub and within the core, and each host's RTT up to its
+// transit router. A GTITM is then immutable and safe for concurrent readers.
 type GTITM struct {
-	cfg      GTITMConfig
-	nRouters int
-	adj      [][]halfEdge
-	nLinks   int
+	cfg    GTITMConfig
+	adj    [][]halfEdge
+	nLinks int
 
-	hostRouter []int32         // gateway router per host
-	hostAccess []time.Duration // access-link RTT per host
-	stubDomain []int           // stub domain index per router, -1 for transit
-
-	// Shortest-path trees are computed lazily per source router and
-	// shared by every concurrent reader. The hit path is lock-free: spts
-	// is indexed by source router (sized once, on first use) and each
-	// slot is an atomic pointer, so an RTT lookup pays one atomic load
-	// and no mutex. mu serialises only installs and evictions; each
-	// entry carries its own sync.Once so Dijkstra runs outside the lock,
-	// exactly once per live entry, and distinct sources compute in
-	// parallel. The cache is bounded by cfg.SPTCacheCap with FIFO
-	// eviction (sptOrder lists the resident sources, oldest first);
-	// callers holding an evicted entry finish their computation on it
-	// safely — the entry just stops being shared.
-	sptInit  sync.Once
-	spts     []atomic.Pointer[sptEntry]
-	mu       sync.Mutex
-	sptOrder []int32
+	core  block  // the transit routers [0, nT)
+	stubs []stub // stub domain s: routers [stubs[s].lo, stubs[s].lo+stubs[s].n)
+	hosts []host
 }
 
 var _ Network = (*GTITM)(nil)
 
-type spt struct {
-	dist     []time.Duration // RTT from source router to each router
-	prevLink []int32         // incoming link on the shortest path, -1 at source
-	prevNode []int32
+// block is the all-pairs shortest-path table of the routers [lo, lo+n),
+// over the links between them alone. Entry i*n+j describes the path from
+// router lo+i to router lo+j: its length, and the block-local router and
+// the link just before lo+j on it (-1 when i == j).
+type block struct {
+	lo, n int32
+	dist  []time.Duration
+	prev  []step
 }
 
-// sptEntry is one cache slot: once guards the single Dijkstra run that
-// fills t, so callers racing on the same source block only on each
-// other, not on the whole cache.
-type sptEntry struct {
-	once sync.Once
-	t    *spt
+type step struct{ node, link int32 }
+
+// stub is one stub domain's table plus its single link to the core.
+type stub struct {
+	block
+	gateway int32 // the stub router the uplink leaves from
+	transit int32 // the transit router it reaches
+	uplink  int32
+	upCost  time.Duration
+}
+
+type host struct {
+	router, stub, transit int32
+	access                time.Duration // access-link RTT
+	up                    time.Duration // RTT to the transit router: access + router→gateway + uplink
 }
 
 // NewGTITM generates a topology with cfg and attaches nHosts hosts, all
@@ -156,8 +147,11 @@ func NewGTITM(cfg GTITMConfig, nHosts int, seed int64) (*GTITM, error) {
 	rng := rand.New(rand.NewSource(seed))
 
 	g := &GTITM{cfg: cfg}
-	g.build(rng)
-	g.attach(nHosts, rng)
+	bounds := g.build(rng)
+	if err := g.index(bounds); err != nil {
+		return nil, err
+	}
+	g.attach(nHosts, bounds, rng)
 	return g, nil
 }
 
@@ -174,14 +168,16 @@ func (g *GTITM) addLink(a, b int, cost time.Duration) {
 	g.adj[b] = append(g.adj[b], halfEdge{to: int32(a), link: id, cost: cost})
 }
 
-func (g *GTITM) build(rng *rand.Rand) {
+// build generates the router graph and returns the stub domains' bounds:
+// stub s is routers [bounds[s], bounds[s+1]), and bounds[0] is the
+// transit router count.
+func (g *GTITM) build(rng *rand.Rand) []int32 {
 	cfg := g.cfg
 	nTransit := cfg.TransitDomains * cfg.TransitPerDomain
 	nStubDomains := nTransit * cfg.StubsPerTransit
 	nStubRouters := cfg.TotalRouters - nTransit
 
-	g.nRouters = cfg.TotalRouters
-	g.adj = make([][]halfEdge, g.nRouters)
+	g.adj = make([][]halfEdge, cfg.TotalRouters)
 
 	// Routers 0..nTransit-1 are transit; the rest are stub routers.
 	// Transit domain d owns routers d*TransitPerDomain .. +TransitPerDomain-1.
@@ -219,82 +215,107 @@ func (g *GTITM) build(rng *rand.Rand) {
 
 	// Stub domains: split the stub routers as evenly as possible across
 	// nStubDomains domains.
-	stubStart := nTransit
-	next := stubStart
+	bounds := make([]int32, nStubDomains+1)
+	bounds[0] = int32(nTransit)
+	domainOf := make([]int32, cfg.TotalRouters) // stub domain per stub router
 	for s := 0; s < nStubDomains; s++ {
 		size := nStubRouters / nStubDomains
 		if s < nStubRouters%nStubDomains {
 			size++
 		}
-		routers := make([]int, size)
-		for i := range routers {
-			routers[i] = next
-			next++
+		lo := int(bounds[s])
+		bounds[s+1] = int32(lo + size)
+		for i := 0; i < size; i++ {
+			domainOf[lo+i] = int32(s)
 		}
 		// Connected intra-stub graph: random spanning tree, delays
 		// U(0.1, 1) ms. Extra densification links come after all stubs
 		// are placed, so stub sizes do not bias their spread.
 		for i := 1; i < size; i++ {
-			g.addLink(routers[i], routers[rng.Intn(i)], uniformDelay(rng, 0.1, 1))
+			g.addLink(lo+i, lo+rng.Intn(i), uniformDelay(rng, 0.1, 1))
 		}
 		// Stub-transit link from a random stub router to the owning
 		// transit router, delay U(2, 3) ms.
 		transit := s / cfg.StubsPerTransit
-		g.addLink(routers[rng.Intn(size)], transit, uniformDelay(rng, 2, 3))
+		g.addLink(lo+rng.Intn(size), transit, uniformDelay(rng, 2, 3))
 	}
 
 	// Densify stubs with extra random intra-stub links to approach the
 	// configured total link count.
-	domainOf := make([]int, g.nRouters) // stub domain index, -1 for transit
-	for r := 0; r < nTransit; r++ {
-		domainOf[r] = -1
-	}
-	next = stubStart
-	for s := 0; s < nStubDomains; s++ {
-		size := nStubRouters / nStubDomains
-		if s < nStubRouters%nStubDomains {
-			size++
-		}
-		for i := 0; i < size; i++ {
-			domainOf[next] = s
-			next++
-		}
-	}
 	for g.nLinks < g.cfg.TotalLinks {
-		a := stubStart + rng.Intn(nStubRouters)
-		b := stubStart + rng.Intn(nStubRouters)
+		a := nTransit + rng.Intn(nStubRouters)
+		b := nTransit + rng.Intn(nStubRouters)
 		if a == b || domainOf[a] != domainOf[b] {
 			continue
 		}
 		g.addLink(a, b, uniformDelay(rng, 0.1, 1))
 	}
-	g.stubDomain = domainOf // kept for TransitDomainOf
+	return bounds
 }
 
-func (g *GTITM) attach(nHosts int, rng *rand.Rand) {
-	nTransit := g.cfg.TransitDomains * g.cfg.TransitPerDomain
-	g.hostRouter = make([]int32, nHosts)
-	g.hostAccess = make([]time.Duration, nHosts)
+// index fills the shortest-path tables, first checking the structure
+// they rely on: each stub domain is connected and has exactly one link
+// out of it, which reaches a transit router, and the transit core is
+// connected over transit-transit links.
+func (g *GTITM) index(bounds []int32) error {
+	nTransit := bounds[0]
+	if !g.core.fill(g.adj, 0, nTransit) {
+		return fmt.Errorf("vnet: transit core is disconnected")
+	}
+	g.stubs = make([]stub, len(bounds)-1)
+	for s := range g.stubs {
+		st := &g.stubs[s]
+		lo, hi := bounds[s], bounds[s+1]
+		uplinks := 0
+		for r := lo; r < hi; r++ {
+			for _, e := range g.adj[r] {
+				if e.to >= lo && e.to < hi {
+					continue
+				}
+				if uplinks++; e.to >= nTransit {
+					return fmt.Errorf("vnet: stub %d links to router %d, outside the transit core", s, e.to)
+				}
+				st.gateway, st.transit, st.uplink, st.upCost = r, e.to, e.link, e.cost
+			}
+		}
+		if uplinks != 1 {
+			return fmt.Errorf("vnet: stub %d has %d uplinks, want 1", s, uplinks)
+		}
+		if !st.fill(g.adj, lo, hi) {
+			return fmt.Errorf("vnet: stub %d is disconnected", s)
+		}
+	}
+	return nil
+}
+
+func (g *GTITM) attach(nHosts int, bounds []int32, rng *rand.Rand) {
+	nTransit := int(bounds[0])
+	g.hosts = make([]host, nHosts)
 	span := g.cfg.AccessDelayMax - g.cfg.AccessDelayMin
-	for h := 0; h < nHosts; h++ {
+	for i := range g.hosts {
+		h := &g.hosts[i]
 		// "Each member is attached to a randomly selected router."
 		// Attach to stub routers, as members are edge hosts.
-		g.hostRouter[h] = int32(nTransit + rng.Intn(g.nRouters-nTransit))
-		g.hostAccess[h] = g.cfg.AccessDelayMin + time.Duration(rng.Int63n(int64(span)+1))
+		h.router = int32(nTransit + rng.Intn(len(g.adj)-nTransit))
+		h.access = g.cfg.AccessDelayMin + time.Duration(rng.Int63n(int64(span)+1))
+		s := sort.Search(len(g.stubs), func(s int) bool { return bounds[s+1] > h.router })
+		st := &g.stubs[s]
+		h.stub, h.transit = int32(s), st.transit
+		h.up = h.access + st.at(h.router, st.gateway) + st.upCost
 	}
 }
 
 // NumHosts implements Network.
-func (g *GTITM) NumHosts() int { return len(g.hostRouter) }
+func (g *GTITM) NumHosts() int { return len(g.hosts) }
 
 // NumRouters returns the number of routers in the topology.
-func (g *GTITM) NumRouters() int { return g.nRouters }
+func (g *GTITM) NumRouters() int { return len(g.adj) }
 
 // NumLinks implements Network.
 func (g *GTITM) NumLinks() int { return g.nLinks }
 
 // AccessRTT implements Network.
-func (g *GTITM) AccessRTT(h HostID) time.Duration { return g.hostAccess[h] }
+func (g *GTITM) AccessRTT(h HostID) time.Duration { return g.hosts[h].access }
 
 // NumTransitDomains returns the number of top-level transit domains.
 func (g *GTITM) NumTransitDomains() int { return g.cfg.TransitDomains }
@@ -304,11 +325,7 @@ func (g *GTITM) NumTransitDomains() int { return g.cfg.TransitDomains }
 // each stub domain hangs off one transit router, and each transit
 // router belongs to one transit domain.
 func (g *GTITM) TransitDomainOf(h HostID) int {
-	r := int(g.hostRouter[h])
-	if s := g.stubDomain[r]; s >= 0 {
-		r = s / g.cfg.StubsPerTransit // owning transit router
-	}
-	return r / g.cfg.TransitPerDomain
+	return int(g.hosts[h].transit) / g.cfg.TransitPerDomain
 }
 
 // RTT implements Network.
@@ -316,7 +333,11 @@ func (g *GTITM) RTT(a, b HostID) time.Duration {
 	if a == b {
 		return 0
 	}
-	return g.hostAccess[a] + g.GatewayRTT(a, b) + g.hostAccess[b]
+	ha, hb := &g.hosts[a], &g.hosts[b]
+	if ha.stub == hb.stub {
+		return ha.access + g.stubs[ha.stub].at(ha.router, hb.router) + hb.access
+	}
+	return ha.up + g.core.at(ha.transit, hb.transit) + hb.up
 }
 
 // OneWay implements Network.
@@ -324,107 +345,83 @@ func (g *GTITM) OneWay(a, b HostID) time.Duration { return g.RTT(a, b) / 2 }
 
 // GatewayRTT implements Network.
 func (g *GTITM) GatewayRTT(a, b HostID) time.Duration {
-	ra, rb := g.hostRouter[a], g.hostRouter[b]
-	if ra == rb {
-		return 0
+	ha, hb := &g.hosts[a], &g.hosts[b]
+	if ha.stub == hb.stub {
+		return g.stubs[ha.stub].at(ha.router, hb.router)
 	}
-	return g.sptFor(ra).dist[rb]
+	return ha.up - ha.access + g.core.at(ha.transit, hb.transit) + hb.up - hb.access
 }
 
 // AppendPathLinks implements Network: the router-level shortest path
 // between the two hosts' gateways, appended from b's gateway back to
-// a's. A disconnected gateway pair (impossible in generated topologies,
-// which are connected by construction, but reachable through hand-built
-// graphs) appends nothing, like a shared gateway.
+// a's. Hosts sharing a gateway append nothing.
 func (g *GTITM) AppendPathLinks(dst []LinkID, a, b HostID) []LinkID {
-	ra, rb := g.hostRouter[a], g.hostRouter[b]
-	if ra == rb {
-		return dst
+	ha, hb := &g.hosts[a], &g.hosts[b]
+	if ha.stub == hb.stub {
+		return g.stubs[ha.stub].appendPath(dst, ha.router, hb.router)
 	}
-	t := g.sptFor(ra)
-	if t.prevNode[rb] == -1 {
-		return dst
-	}
-	for at := rb; at != ra; at = t.prevNode[at] {
-		dst = append(dst, LinkID(t.prevLink[at]))
+	sa, sb := &g.stubs[ha.stub], &g.stubs[hb.stub]
+	dst = sb.appendPath(dst, sb.gateway, hb.router)
+	dst = append(dst, LinkID(sb.uplink))
+	dst = g.core.appendPath(dst, ha.transit, hb.transit)
+	dst = append(dst, LinkID(sa.uplink))
+	return sa.appendPath(dst, ha.router, sa.gateway)
+}
+
+// at returns the shortest-path length between routers from and to.
+func (b *block) at(from, to int32) time.Duration {
+	return b.dist[(from-b.lo)*b.n+to-b.lo]
+}
+
+// appendPath appends the links of the shortest path from router from to
+// router to, walked from to back to from.
+func (b *block) appendPath(dst []LinkID, from, to int32) []LinkID {
+	row, i, j := (from-b.lo)*b.n, to-b.lo, from-b.lo
+	for i != j {
+		p := b.prev[row+i]
+		dst = append(dst, LinkID(p.link))
+		i = p.node
 	}
 	return dst
 }
 
-// sptFor returns the shortest-path tree rooted at src, computing it at
-// most once per cache residency. The fast path is one atomic load of
-// the source's slot; a miss installs an empty entry under the mutex —
-// evicting the oldest entries beyond the cap — and runs Dijkstra under
-// the entry's own once, outside the lock. An evicted-while-running
-// entry completes for the callers already holding it; a later request
-// for that source recomputes, which is safe because trees are pure
-// functions of the topology.
-func (g *GTITM) sptFor(src int32) *spt {
-	g.sptInit.Do(func() { g.spts = make([]atomic.Pointer[sptEntry], g.nRouters) })
-	e := g.spts[src].Load()
-	if e == nil {
-		g.mu.Lock()
-		if e = g.spts[src].Load(); e == nil {
-			e = &sptEntry{}
-			g.spts[src].Store(e)
-			g.sptOrder = append(g.sptOrder, src)
-			limit := g.cfg.SPTCacheCap // 0 -> default, < 0 -> unbounded
-			if limit == 0 {
-				limit = DefaultSPTCacheCap
-			}
-			for limit > 0 && len(g.sptOrder) > limit {
-				g.spts[g.sptOrder[0]].Store(nil)
-				g.sptOrder = g.sptOrder[1:]
-			}
-		}
-		g.mu.Unlock()
-	}
-	e.once.Do(func() { e.t = g.dijkstra(src) })
-	return e.t
-}
-
-type pqItem struct {
-	node int32
-	dist time.Duration
-}
-
-type pq []pqItem
-
-func (q pq) Len() int           { return len(q) }
-func (q pq) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x any)        { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() any          { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
-
 const infDur = time.Duration(1<<63 - 1)
 
-func (g *GTITM) dijkstra(src int32) *spt {
-	t := &spt{
-		dist:     make([]time.Duration, g.nRouters),
-		prevLink: make([]int32, g.nRouters),
-		prevNode: make([]int32, g.nRouters),
-	}
-	for i := range t.dist {
-		t.dist[i] = infDur
-		t.prevLink[i] = -1
-		t.prevNode[i] = -1
-	}
-	t.dist[src] = 0
-	q := pq{{node: src}}
-	for len(q) > 0 {
-		it := heap.Pop(&q).(pqItem)
-		if it.dist > t.dist[it.node] {
-			continue
+// fill sets b to the all-pairs table of routers [lo, hi), running
+// Dijkstra from each over the links that stay inside the range; blocks
+// are a stub domain or the transit core, tens of routers, so each run
+// scans for its next router instead of keeping a heap. It reports
+// whether every router reaches every other.
+func (b *block) fill(adj [][]halfEdge, lo, hi int32) bool {
+	n := hi - lo
+	*b = block{lo: lo, n: n, dist: make([]time.Duration, n*n), prev: make([]step, n*n)}
+	done := make([]bool, n)
+	for src := int32(0); src < n; src++ {
+		dist, prev := b.dist[src*n:(src+1)*n], b.prev[src*n:(src+1)*n]
+		for i := range dist {
+			dist[i], prev[i], done[i] = infDur, step{-1, -1}, false
 		}
-		for _, e := range g.adj[it.node] {
-			nd := it.dist + e.cost
-			if nd < t.dist[e.to] {
-				t.dist[e.to] = nd
-				t.prevLink[e.to] = e.link
-				t.prevNode[e.to] = it.node
-				heap.Push(&q, pqItem{node: e.to, dist: nd})
+		dist[src] = 0
+		for {
+			u := int32(-1)
+			for v, d := range dist {
+				if !done[v] && d < infDur && (u < 0 || d < dist[u]) {
+					u = int32(v)
+				}
+			}
+			if u < 0 {
+				break
+			}
+			done[u] = true
+			for _, e := range adj[lo+u] {
+				if v := e.to - lo; v >= 0 && v < n && dist[u]+e.cost < dist[v] {
+					dist[v], prev[v] = dist[u]+e.cost, step{u, e.link}
+				}
 			}
 		}
+		if slices.Contains(dist, infDur) {
+			return false
+		}
 	}
-	return t
+	return true
 }

@@ -15,7 +15,9 @@
 // access-link RTTs (the paper's h(u, gateway), used by the ID assignment
 // protocol to estimate gateway-to-gateway RTTs), and — for the router
 // topology — the underlying link-level paths needed to measure link
-// stress (Fig. 13 (c)).
+// stress (Fig. 13 (c)). A GTITM reads RTTs and paths from tables built
+// with it, per stub domain and for the transit core; it is immutable
+// and safe for concurrent readers.
 package vnet
 
 import "time"

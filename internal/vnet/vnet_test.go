@@ -43,6 +43,11 @@ func TestGTITMConfigValidation(t *testing.T) {
 	if _, err := NewGTITM(bad3, 4, 1); err == nil {
 		t.Error("inverted access delay range should fail")
 	}
+	bad4 := DefaultGTITMConfig()
+	bad4.TotalRouters = 40 + 119 // one router short of one per stub domain
+	if _, err := NewGTITM(bad4, 4, 1); err == nil {
+		t.Error("a stub domain without routers should fail")
+	}
 	if _, err := NewGTITM(DefaultGTITMConfig(), 0, 1); err == nil {
 		t.Error("zero hosts should fail")
 	}
@@ -278,4 +283,4 @@ func TestContinentName(t *testing.T) {
 }
 
 // GatewayRouter returns the router the host attaches to.
-func (g *GTITM) GatewayRouter(h HostID) int { return int(g.hostRouter[h]) }
+func (g *GTITM) GatewayRouter(h HostID) int { return int(g.hosts[h].router) }
