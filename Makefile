@@ -148,7 +148,7 @@ bench-pairs:
 # internal/transport + internal/rekeyd and on the total, in that order,
 # that the last simplicity PR reached. A PR that must grow past one
 # raises it here, in the open, next to its CHANGES.md line.
-LOC_BUDGET ?= 2563 20622
+LOC_BUDGET ?= 2563 20388
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs wc -l | \
 		awk -v budget="$(LOC_BUDGET)" \
@@ -170,8 +170,8 @@ dead:
 	@$(GO) run ./scripts/dead -budget $(DEAD_BUDGET)
 
 # soak-scale is the in-memory million-member ladder: a N=100k scale
-# soak (flat keytree + rank-indexed member store + streaming
-# percentiles, 1% churn per interval, every keyring spot-checked) runs
+# soak (flat keytree + rank-indexed member store, 1% churn per
+# interval, every keyring spot-checked) runs
 # in CI; the full N=1,000,000 soak is the manual acceptance run:
 #
 #	$(GO) run ./cmd/rekeysim scale -n 1000000

@@ -228,11 +228,10 @@ type Engine struct {
 	rekeyLive   []ident.ID // alive in-tree members at rekey send
 	lastEpoch   map[string]uint64
 
-	// Streaming (constant-memory) delivery-delay percentiles over the
-	// whole soak, fed in deterministic member order at each audit so
-	// same-seed runs report identical estimates.
-	dataDelay  *metrics.StreamingSummary
-	keyDelay   *metrics.StreamingSummary
+	// Every delivery delay of the soak, in milliseconds: the report's
+	// percentiles are exact over them.
+	dataDelay  []float64
+	keyDelay   []float64
 	dataStart  time.Duration // virtual send time of the current data probe
 	rekeyStart time.Duration // virtual send time of the current rekey
 
@@ -276,8 +275,6 @@ func newEngine(cfg Config, sched *workload.Schedule) (*Engine, error) {
 		idRNG:     rand.New(rand.NewSource(cfg.Seed ^ 0x696473)), // "ids"
 		idOf:      make(map[int]ident.ID),
 		lastEpoch: make(map[string]uint64),
-		dataDelay: metrics.NewStreamingSummary(),
-		keyDelay:  metrics.NewStreamingSummary(),
 		rep:       &Report{Seed: cfg.Seed, Auditors: AuditorNames()},
 	}
 	if sched == nil {
@@ -432,8 +429,8 @@ func (e *Engine) Run() (*Report, error) {
 	e.rep.TotalEvents = e.sim.Processed()
 	e.rep.PastClamps = e.sim.PastClamps()
 	e.rep.FinalMembers = e.dir.Size()
-	e.rep.DataDelayMS = e.dataDelay.Summary()
-	e.rep.KeyDelayMS = e.keyDelay.Summary()
+	e.rep.DataDelayMS = metrics.Summarize(metrics.NewDistribution(e.dataDelay))
+	e.rep.KeyDelayMS = metrics.Summarize(metrics.NewDistribution(e.keyDelay))
 	e.rep.SLOOK, e.rep.SLOWarn, e.rep.SLOPage = e.slo.Totals()
 	return e.rep, nil
 }
@@ -853,14 +850,11 @@ func (e *Engine) doAudit(now time.Duration, idx int, stats *IntervalStats) {
 		e.curRekeyTrace = nil
 	}
 
-	// Fold the interval's delivery delays into the soak-wide streaming
-	// percentiles. Member order is deterministic (snapshots are in ID
-	// order), so the P² marker state — and hence the reported estimates
-	// — replays identically for the same seed.
+	// Keep the interval's delivery delays for the soak-wide percentiles.
 	if e.curData != nil {
 		for _, id := range e.dataMembers {
 			if st := e.curData.Users[id.Key()]; st != nil && st.Received > 0 {
-				e.dataDelay.Observe(float64(st.Delay-e.dataStart) / float64(time.Millisecond))
+				e.dataDelay = append(e.dataDelay, float64(st.Delay-e.dataStart)/float64(time.Millisecond))
 			}
 		}
 	}
@@ -868,12 +862,11 @@ func (e *Engine) doAudit(now time.Duration, idx int, stats *IntervalStats) {
 	if e.curLadder != nil {
 		for _, id := range e.rekeyLive {
 			if at, ok := e.curLadder.DeliveredAt[id.Key()]; ok {
-				d := float64(at-e.rekeyStart) / float64(time.Millisecond)
-				e.keyDelay.Observe(d)
-				keyLat = append(keyLat, d)
+				keyLat = append(keyLat, float64(at-e.rekeyStart)/float64(time.Millisecond))
 			}
 		}
 	}
+	e.keyDelay = append(e.keyDelay, keyLat...)
 
 	// Close the boundary against the service objectives. Expected is
 	// rekeySurv, the set the coverage auditor swept; Delivered are those

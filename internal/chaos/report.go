@@ -146,9 +146,8 @@ type Report struct {
 	FinalMembers  int
 	OrphanEvicted int // dead users reaped by the interval-boundary backstop
 
-	// Soak-wide delivery-delay percentiles (milliseconds), estimated by
-	// the constant-memory streaming summaries rather than by retaining
-	// every sample: DataDelayMS covers data-probe copies, KeyDelayMS
+	// Soak-wide delivery-delay percentiles (milliseconds), nearest-rank
+	// over every sample: DataDelayMS covers data-probe copies, KeyDelayMS
 	// covers key deliveries across all ladder rungs.
 	DataDelayMS metrics.Summary
 	KeyDelayMS  metrics.Summary

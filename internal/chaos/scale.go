@@ -12,10 +12,10 @@ package chaos
 // O(members × message cost) scans.
 //
 // Everything observed into the report is a pure function of the config
-// (virtual structure, counts, streaming percentiles fed in member
-// order), so two runs with the same config produce byte-identical
-// String() output — the replay test pins this, which is what makes a
-// million-member soak diffable across commits.
+// (virtual structure, counts, percentiles of the interval costs), so
+// two runs with the same config produce byte-identical String() output
+// — the replay test pins this, which is what makes a million-member
+// soak diffable across commits.
 
 import (
 	"fmt"
@@ -115,8 +115,8 @@ type ScaleReport struct {
 	MaxCost     int
 	KeysUpdated int64 // keys installed across all member keyrings
 
-	// CostP50/CostP95 are streaming (P²) percentiles of the
-	// per-interval rekey cost.
+	// CostP50/CostP95 are nearest-rank percentiles of the per-interval
+	// rekey cost.
 	CostP50, CostP95 float64
 
 	// Violations holds keyring spot-check failures, at most one line
@@ -240,8 +240,7 @@ func RunScaleSoak(cfg ScaleConfig) (*ScaleReport, error) {
 		N: cfg.N, Intervals: cfg.Intervals, Churn: cfg.Churn,
 		SetupCost: w.setupCost,
 	}
-	costQ50 := metrics.NewStreamingQuantile(0.5)
-	costQ95 := metrics.NewStreamingQuantile(0.95)
+	costs := make([]float64, 0, cfg.Intervals)
 
 	for iv := 1; iv <= cfg.Intervals; iv++ {
 		cost, updated, err := w.step()
@@ -252,8 +251,7 @@ func RunScaleSoak(cfg ScaleConfig) (*ScaleReport, error) {
 		if cost > rep.MaxCost {
 			rep.MaxCost = cost
 		}
-		costQ50.Observe(float64(cost))
-		costQ95.Observe(float64(cost))
+		costs = append(costs, float64(cost))
 		rep.KeysUpdated += updated
 
 		if cfg.Verify > 0 {
@@ -274,8 +272,8 @@ func RunScaleSoak(cfg ScaleConfig) (*ScaleReport, error) {
 
 	rep.FinalMembers = len(w.active)
 	rep.RankWidth = w.world.Tree().Ranks().Width()
-	rep.CostP50 = costQ50.Value()
-	rep.CostP95 = costQ95.Value()
+	d := metrics.NewDistribution(costs)
+	rep.CostP50, rep.CostP95 = d.Percentile(50), d.Percentile(95)
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	rep.HeapAllocEnd = ms.HeapAlloc

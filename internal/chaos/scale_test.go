@@ -1,7 +1,10 @@
 package chaos
 
 import (
+	"math"
 	"runtime"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -58,7 +61,7 @@ func TestScaleSoakReplayByteIdentical(t *testing.T) {
 		t.Errorf("soak did no work: total cost %d, keys updated %d", a.TotalCost, a.KeysUpdated)
 	}
 	if a.CostP50 <= 0 || a.CostP95 < a.CostP50 {
-		t.Errorf("implausible streaming cost percentiles: p50=%v p95=%v", a.CostP50, a.CostP95)
+		t.Errorf("implausible cost percentiles: p50=%v p95=%v", a.CostP50, a.CostP95)
 	}
 
 	// A different seed must visibly change the report (the RNG is wired
@@ -74,6 +77,40 @@ func TestScaleSoakReplayByteIdentical(t *testing.T) {
 	}
 	if len(c.Violations) != 0 {
 		t.Fatalf("seed 43 soak reported violations:\n%s", c)
+	}
+}
+
+// TestScaleSoakPercentilesAreNearestRank: the report's cost percentiles
+// are the nearest-rank p50 and p95 of the per-interval costs the soak
+// printed, not estimates of them.
+func TestScaleSoakPercentilesAreNearestRank(t *testing.T) {
+	cfg := DefaultScaleConfig(500)
+	var out strings.Builder
+	cfg.Out = &out
+	rep, err := RunScaleSoak(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var costs []float64
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		for _, f := range strings.Fields(line) {
+			if v, ok := strings.CutPrefix(f, "cost="); ok {
+				c, err := strconv.Atoi(v)
+				if err != nil {
+					t.Fatalf("progress line %q: %v", line, err)
+				}
+				costs = append(costs, float64(c))
+			}
+		}
+	}
+	if len(costs) != cfg.Intervals {
+		t.Fatalf("read %d costs from %d intervals:\n%s", len(costs), cfg.Intervals, out.String())
+	}
+	sort.Float64s(costs)
+	rank := func(p float64) float64 { return costs[int(math.Ceil(p/100*float64(len(costs))))-1] }
+	if rep.CostP50 != rank(50) || rep.CostP95 != rank(95) {
+		t.Errorf("cost p50=%v p95=%v, want nearest-rank %v and %v of %v",
+			rep.CostP50, rep.CostP95, rank(50), rank(95), costs)
 	}
 }
 

@@ -25,6 +25,23 @@ func NewDistribution(samples []float64) *Distribution {
 	return &Distribution{samples: cp}
 }
 
+// Add merges samples into the distribution: a series that grows batch
+// by batch stays sorted at a cost linear in its length per batch.
+func (d *Distribution) Add(samples ...float64) {
+	add := NewDistribution(samples).samples
+	i, j := len(d.samples)-1, len(add)-1
+	d.samples = append(d.samples, add...)
+	for k := len(d.samples) - 1; j >= 0; k-- {
+		if i >= 0 && d.samples[i] > add[j] {
+			d.samples[k] = d.samples[i]
+			i--
+		} else {
+			d.samples[k] = add[j]
+			j--
+		}
+	}
+}
+
 // Len returns the number of samples.
 func (d *Distribution) Len() int { return len(d.samples) }
 

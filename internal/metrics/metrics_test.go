@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -51,6 +52,29 @@ func TestSortedIsACopy(t *testing.T) {
 	}
 	if fresh := d.Sorted(); !sortedAscending(fresh) || fresh[0] != 1 {
 		t.Errorf("Sorted after caller mutation = %v", fresh)
+	}
+}
+
+// TestAddMatchesNewDistribution: a distribution grown batch by batch
+// holds exactly the samples NewDistribution sorts from all of them,
+// including empty batches and ties.
+func TestAddMatchesNewDistribution(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var d Distribution
+	var all []float64
+	for batch := 0; batch < 40; batch++ {
+		add := make([]float64, rng.Intn(12))
+		for i := range add {
+			add[i] = float64(rng.Intn(30))
+		}
+		d.Add(add...)
+		all = append(all, add...)
+		if got, want := d.Sorted(), NewDistribution(all).Sorted(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("batch %d: Add holds %v, want %v", batch, got, want)
+		}
+	}
+	if d.Len() != len(all) || d.Percentile(95) != NewDistribution(all).Percentile(95) {
+		t.Errorf("Len %d p95 %v, want %d and %v", d.Len(), d.Percentile(95), len(all), NewDistribution(all).Percentile(95))
 	}
 }
 

@@ -1,15 +1,14 @@
 // Package slo is a deterministic, sim-time streaming SLI/SLO engine for
 // the rekey service: each rekey boundary feeds one Boundary of service
 // indicators (delivery success, sim-time key latencies, ladder
-// escalations, dead-in-flight chains, transport queue saturation) and
-// gets back one Record with per-objective multi-window burn rates and an
-// ok/warn/page verdict.
+// escalations, dead-in-flight chains) and gets back one Record with
+// per-objective multi-window burn rates and an ok/warn/page verdict.
 //
 // Determinism is the design constraint, inherited from the PR 4
 // telemetry discipline: every input is a count or a virtual-clock
 // latency, every evaluation is pure arithmetic over ring-buffered
-// windows, and the latency quantiles are P² streaming estimators fed in
-// a deterministic order. Two seed-identical soaks — at any worker-pool
+// windows, and the latency quantiles are nearest-rank over every
+// latency fed so far. Two seed-identical soaks — at any worker-pool
 // width, with the ops plane on or off — produce byte-identical SLO
 // records, so soak replays can assert verdicts, not just eyeball them.
 //
@@ -18,8 +17,7 @@
 // divided by budget. A page needs the fast window burning at pageBurn
 // or more while the slow window confirms (burn >= 1), so one bad
 // boundary right after startup warns rather than pages, and a slow leak
-// that never spikes still eventually pages. The queue objective has no
-// producer yet: no plane fills Boundary.QueueSends.
+// that never spikes still eventually pages.
 package slo
 
 import (
@@ -88,9 +86,6 @@ type Boundary struct {
 	// DeadInFlight counts recovery chains that died mid-flight (member
 	// crashed or left while its ladder chain was running).
 	DeadInFlight int
-	// QueueSends and QueueOverflows count transport enqueue attempts
-	// and bounded-queue drops since the previous boundary.
-	QueueSends, QueueOverflows int64
 	// LatenciesMS are the per-member key-delivery latencies in sim-time
 	// milliseconds, in a deterministic (member-ID) order.
 	LatenciesMS []float64
@@ -146,9 +141,6 @@ var objectives = []objective{
 	{"dead_in_flight", 0.99, func(b Boundary) (int64, int64) {
 		return int64(b.Expected), int64(b.Expected + b.DeadInFlight)
 	}},
-	{"queue", 0.99, func(b Boundary) (int64, int64) {
-		return b.QueueSends - b.QueueOverflows, b.QueueSends
-	}},
 }
 
 // window is a ring buffer of per-boundary (good, total) event counts.
@@ -192,9 +184,8 @@ func (w *window) errRate(k int) float64 {
 type Engine struct {
 	cfg     Config
 	windows []*window
-	p50     *metrics.StreamingQuantile
-	p95     *metrics.StreamingQuantile
-	totals  [3]int // verdict counts by Verdict
+	lat     metrics.Distribution // every latency fed so far
+	totals  [3]int               // verdict counts by Verdict
 
 	verdictG, membersG, p95G, costG *obs.Gauge
 	verdictC                        [3]*obs.Counter
@@ -202,11 +193,7 @@ type Engine struct {
 
 // New builds an engine.
 func New(cfg Config) *Engine {
-	e := &Engine{
-		cfg: cfg,
-		p50: metrics.NewStreamingQuantile(0.50),
-		p95: metrics.NewStreamingQuantile(0.95),
-	}
+	e := &Engine{cfg: cfg}
 	for range objectives {
 		e.windows = append(e.windows, newWindow(slowWindow))
 	}
@@ -221,19 +208,18 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// Observe folds one boundary into the windows and quantiles, evaluates
+// Observe folds one boundary into the windows and latencies, evaluates
 // every objective, updates the live instruments, emits the JSONL record
 // when a sink is configured, and returns the record. Not safe for
 // concurrent use; each tenant owns its engine.
 func (e *Engine) Observe(b Boundary) Record {
 	withinBudget := int64(0)
 	for _, l := range b.LatenciesMS {
-		e.p50.Observe(l)
-		e.p95.Observe(l)
 		if l <= latencyBudgetMS {
 			withinBudget++
 		}
 	}
+	e.lat.Add(b.LatenciesMS...)
 
 	rec := Record{
 		Kind:         "slo",
@@ -241,8 +227,8 @@ func (e *Engine) Observe(b Boundary) Record {
 		Boundary:     b.Boundary,
 		Members:      b.Members,
 		RekeyCost:    b.RekeyCost,
-		LatencyP50MS: e.p50.Value(),
-		LatencyP95MS: e.p95.Value(),
+		LatencyP50MS: e.lat.Percentile(50),
+		LatencyP95MS: e.lat.Percentile(95),
 	}
 	worst := OK
 	for i, o := range objectives {

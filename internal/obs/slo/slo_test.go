@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"sort"
 	"testing"
 
 	"tmesh/internal/obs"
@@ -12,8 +13,7 @@ import (
 func healthy(n int) Boundary {
 	return Boundary{
 		Boundary: n, Members: 100, Expected: 100, Delivered: 100,
-		QueueSends: 500, LatenciesMS: []float64{1, 2, 3, 40, 120},
-		RekeyCost: 37,
+		LatenciesMS: []float64{1, 2, 3, 40, 120}, RekeyCost: 37,
 	}
 }
 
@@ -97,17 +97,34 @@ func TestLatencyBudget(t *testing.T) {
 	}
 }
 
-// TestQuantilesAndInstruments: the record carries streaming quantiles
-// and the live instruments land in the registry under the namespace.
+// nearestRank is the p-th percentile of xs by the nearest-rank rule.
+func nearestRank(xs []float64, p float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return s[max(int(math.Ceil(p/100*float64(len(s))))-1, 0)]
+}
+
+// TestQuantilesAndInstruments: every record carries the exact
+// nearest-rank p50/p95 of all latencies fed so far, and the live
+// instruments land in the registry under the namespace.
 func TestQuantilesAndInstruments(t *testing.T) {
 	r := obs.New()
 	e := New(Config{Group: "flash", Obs: r.Namespace("flash_")})
-	var rec Record
+	var fed []float64
 	for i := 1; i <= 10; i++ {
-		rec = e.Observe(healthy(i))
+		b := healthy(i)
+		for j := range b.LatenciesMS {
+			b.LatenciesMS[j] += float64(i * i * (j + 3) % 97)
+		}
+		fed = append(fed, b.LatenciesMS...)
+		rec := e.Observe(b)
+		if p50, p95 := nearestRank(fed, 50), nearestRank(fed, 95); rec.LatencyP50MS != p50 || rec.LatencyP95MS != p95 {
+			t.Errorf("boundary %d: p50=%v p95=%v, want nearest-rank %v and %v over %d latencies",
+				i, rec.LatencyP50MS, rec.LatencyP95MS, p50, p95, len(fed))
+		}
 	}
-	if rec.LatencyP50MS <= 0 || rec.LatencyP95MS < rec.LatencyP50MS {
-		t.Errorf("quantiles p50=%.1f p95=%.1f look wrong", rec.LatencyP50MS, rec.LatencyP95MS)
+	if got := r.Gauge("flash_slo_latency_p95_us").Value(); got != int64(nearestRank(fed, 95)*1000) {
+		t.Errorf("flash_slo_latency_p95_us = %d, want %d", got, int64(nearestRank(fed, 95)*1000))
 	}
 	if got := r.Gauge("flash_slo_members").Value(); got != 100 {
 		t.Errorf("flash_slo_members = %d, want 100", got)

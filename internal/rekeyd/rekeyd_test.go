@@ -754,9 +754,9 @@ func TestMemberForwardsOnlyWhatItReceived(t *testing.T) {
 }
 
 // TestFrameOfUnknownIntervalIsNotForwarded: a rekey frame for an
-// interval the server never opened has no compiled split index, and no
-// member forwards it, however many subtrees it claims to carry keys
-// for.
+// interval the server never opened is not in Shared's opened-interval
+// window, and no member forwards it, however many subtrees it claims to
+// carry keys for.
 func TestFrameOfUnknownIntervalIsNotForwarded(t *testing.T) {
 	w, err := NewWorld(testConfig("loopback", 16))
 	if err != nil {

@@ -20,7 +20,6 @@ package split
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"tmesh/internal/ident"
 	"tmesh/internal/keycrypt"
@@ -192,19 +191,17 @@ type Options struct {
 	// D-2 so leaders receive the message at level D-1).
 	EarliestPrimaryRow int
 	// Collect, when true, records every delivery (user, level, and the
-	// encryptions it received) in Report.Deliveries, in arrival order.
-	// The collection is mutex-guarded, so it is safe even if the
-	// transport ever invokes delivery callbacks concurrently; arrival
-	// order itself is fixed by the deterministic simulation.
+	// encryptions it received) in Report.Deliveries, in arrival order,
+	// which the deterministic simulation fixes.
 	Collect bool
 	// Parallelism is read by nothing: the split has no fan-out. It stays
 	// while bench/sim.go sets it.
 	Parallelism int
-	// Obs is the optional telemetry registry. When set, the transport
-	// counts split hops, the encryptions each hop forwards (the paper's
-	// Fig. 7 "encryption stress" as a live metric), and per-user
-	// deliveries. The counts are themselves deterministic, and nothing
-	// from the registry feeds back into the report.
+	// Obs is the optional telemetry registry. When set, Rekey adds the
+	// session's copies sent (split_hops), the encryptions they carried
+	// (the paper's Fig. 7 "encryption stress" as a live metric), and the
+	// per-user deliveries, read from the finished session. Nothing from
+	// the registry feeds back into the report.
 	Obs *obs.Registry
 }
 
@@ -269,35 +266,11 @@ func Rekey(dir *overlay.Directory, msg *keytree.Message, opts Options) (*Report,
 		opts.PacketSize = 25
 	}
 
-	// Delivery observation: Collect appends to the mutex-guarded buffer.
-	var (
-		deliverMu  sync.Mutex
-		deliveries []Delivery
-		observe    func(to ident.ID, encs []keycrypt.Encryption, level int)
-	)
+	var deliveries []Delivery
+	var observe func(to ident.ID, encs []keycrypt.Encryption, level int)
 	if opts.Collect {
 		observe = func(to ident.ID, encs []keycrypt.Encryption, level int) {
-			deliverMu.Lock()
 			deliveries = append(deliveries, Delivery{To: to, Level: level, Encryptions: encs})
-			deliverMu.Unlock()
-		}
-	}
-	// Telemetry counters, hoisted once; nil on a nil registry so every
-	// update below is a no-op. Delivery counts ride the observe chain,
-	// hop counts wrap the SplitHop filters below.
-	var hopsC, hopEncsC *obs.Counter
-	if opts.Obs != nil {
-		hopsC = opts.Obs.Counter("split_hops")
-		hopEncsC = opts.Obs.Counter("split_hop_forwarded_encryptions")
-		deliveriesC := opts.Obs.Counter("split_deliveries")
-		deliveredC := opts.Obs.Counter("split_delivered_encryptions")
-		inner := observe
-		observe = func(to ident.ID, encs []keycrypt.Encryption, level int) {
-			deliveriesC.Inc()
-			deliveredC.Add(int64(len(encs)))
-			if inner != nil {
-				inner(to, encs, level)
-			}
 		}
 	}
 
@@ -314,35 +287,13 @@ func Rekey(dir *overlay.Directory, msg *keytree.Message, opts Options) (*Report,
 		}
 		if opts.Mode == PerEncryption {
 			cfg.SplitHop = HopSplitter()
-			if hopsC != nil {
-				inner := cfg.SplitHop
-				cfg.SplitHop = func(encs []keycrypt.Encryption, subtree ident.Prefix) []keycrypt.Encryption {
-					out := inner(encs, subtree)
-					hopsC.Inc()
-					hopEncsC.Add(int64(len(out)))
-					return out
-				}
-			}
 		}
 		res, err = tmesh.Multicast(cfg, msg.Encryptions)
 	case PerPacket:
-		pkts := Packetize(msg.Encryptions, opts.PacketSize)
-		splitHop := FilterPackets
-		if hopsC != nil {
-			inner := splitHop
-			splitHop = func(pkts []Packet, subtree ident.Prefix) []Packet {
-				out := inner(pkts, subtree)
-				hopsC.Inc()
-				for _, p := range out {
-					hopEncsC.Add(int64(len(p)))
-				}
-				return out
-			}
-		}
 		cfg := tmesh.Config[[]Packet]{
 			Dir:                dir,
 			EarliestPrimaryRow: opts.EarliestPrimaryRow,
-			SplitHop:           splitHop,
+			SplitHop:           FilterPackets,
 			SizeOf: func(pkts []Packet) int {
 				n := 0
 				for _, p := range pkts {
@@ -361,7 +312,7 @@ func Rekey(dir *overlay.Directory, msg *keytree.Message, opts Options) (*Report,
 				observe(to, flat, level)
 			}
 		}
-		res, err = tmesh.Multicast(cfg, pkts)
+		res, err = tmesh.Multicast(cfg, Packetize(msg.Encryptions, opts.PacketSize))
 	default:
 		return nil, fmt.Errorf("split: unknown mode %v", opts.Mode)
 	}
@@ -376,17 +327,23 @@ func Rekey(dir *overlay.Directory, msg *keytree.Message, opts Options) (*Report,
 		Deliveries:       deliveries,
 		Multicast:        res,
 	}
+	hops, received, units := res.SenderStress, 0, 0
 	for key, st := range res.Users {
 		rep.ReceivedPerUser[key] = st.UnitsReceived
 		rep.ForwardedPerUser[key] = st.UnitsForwarded
-	}
-	// The server's emitted units: sum the first-hop units. These equal
-	// the units received at level 1 plus nothing else, so recover them
-	// from level-1 receivers.
-	for _, st := range res.Users {
+		hops += st.Stress
+		received += st.Received
+		units += st.UnitsReceived
+		// The server's emitted units are the units received at level 1.
 		if st.Level == 1 {
 			rep.ServerUnits += st.UnitsReceived
 		}
 	}
+	// Every copy sent is delivered (the session has no loss model), so
+	// the forwarded and the delivered encryptions are one sum.
+	opts.Obs.Counter("split_hops").Add(int64(hops))
+	opts.Obs.Counter("split_hop_forwarded_encryptions").Add(int64(units))
+	opts.Obs.Counter("split_deliveries").Add(int64(received))
+	opts.Obs.Counter("split_delivered_encryptions").Add(int64(units))
 	return rep, nil
 }
