@@ -164,6 +164,33 @@ func TestFigureGoldens(t *testing.T) {
 	}
 }
 
+// TestSoakGoldens pins the stdout of two soaks at small sizes: the
+// chaos soak at seed 1 and a four-group tenancy run (two key-plane
+// groups, a flash crowd and a mass join+leave, beside two net-plane
+// groups). Each must reproduce testdata/golden-<name>.txt byte for byte.
+func TestSoakGoldens(t *testing.T) {
+	for _, s := range []struct {
+		name string
+		args []string
+	}{
+		{"soak", []string{"soak", "-seed", "1"}},
+		{"tenancy", []string{"tenancy", "-groups", "4", "-flash-joins", "2000", "-mass-churn", "200", "-intervals", "3", "-seed", "1"}},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", "golden-"+s.name+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := captureStdout(t, func() {
+			if code := run(s.args); code != 0 {
+				t.Errorf("run(%v) = %d, want 0", s.args, code)
+			}
+		})
+		if got != string(want) {
+			t.Errorf("%s drifted from its golden:\n--- got ---\n%s--- want ---\n%s", s.name, got, want)
+		}
+	}
+}
+
 // captureStdout runs fn with os.Stdout redirected to a file and returns
 // what it printed.
 func captureStdout(t *testing.T, fn func()) string {

@@ -1,7 +1,10 @@
 package chaos
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
@@ -111,6 +114,38 @@ func TestScaleSoakPercentilesAreNearestRank(t *testing.T) {
 	if rep.CostP50 != rank(50) || rep.CostP95 != rank(95) {
 		t.Errorf("cost p50=%v p95=%v, want nearest-rank %v and %v of %v",
 			rep.CostP50, rep.CostP95, rank(50), rank(95), costs)
+	}
+}
+
+// TestScaleSoakGolden pins a scale soak at N=2000, 6 intervals and 20
+// churn: its report and the members and cost of each progress line must
+// match testdata/scale-2000.golden byte for byte. The churn draw (who
+// leaves, which IDs rejoin, in what order the survivors are kept) fixes
+// every cost, so a change to the draw or to the key plane shows here.
+func TestScaleSoakGolden(t *testing.T) {
+	cfg := DefaultScaleConfig(2000)
+	cfg.Intervals, cfg.Churn = 6, 20
+	var out strings.Builder
+	cfg.Out = &out
+	rep, err := RunScaleSoak(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	got.WriteString(rep.String())
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		var iv, of, members, cost int
+		if _, err := fmt.Sscanf(line, "interval %d/%d: members=%d cost=%d", &iv, &of, &members, &cost); err != nil {
+			t.Fatalf("progress line %q: %v", line, err)
+		}
+		fmt.Fprintf(&got, "interval %d/%d: members=%d cost=%d\n", iv, of, members, cost)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "scale-2000.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("scale soak drifted from its golden:\n--- got ---\n%s--- want ---\n%s", got.String(), want)
 	}
 }
 
