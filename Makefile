@@ -170,14 +170,18 @@ dead:
 	@$(GO) run ./scripts/dead -budget $(DEAD_BUDGET)
 
 # soak-scale is the in-memory million-member ladder: a N=100k scale
-# soak (flat keytree + rank-indexed member store, 1% churn per
-# interval, every keyring spot-checked) runs
-# in CI; the full N=1,000,000 soak is the manual acceptance run:
+# soak (the key plane alone: key tree and member keyrings, 1% churn per
+# interval, 256 keyrings spot-checked against the tree at every
+# boundary) runs in CI, and its report must be the one
+# cmd/rekeysim/testdata/soak-stdout.md5 holds; the full N=1,000,000 soak
+# is the manual acceptance run:
 #
 #	$(GO) run ./cmd/rekeysim scale -n 1000000
 #
 soak-scale:
-	$(GO) run ./cmd/rekeysim scale -n 100000 -intervals 6
+	mkdir -p results/soaks
+	$(GO) run ./cmd/rekeysim scale -n 100000 -intervals 6 > results/soaks/scale
+	cd results/soaks && grep ' scale$$' ../../cmd/rekeysim/testdata/soak-stdout.md5 | md5sum -c
 
 # soak-multigroup is the multi-group tenancy soak (internal/grouphost):
 # 16 groups — a 100k-join flash crowd, a 10k mass join+leave, and 14
@@ -185,9 +189,12 @@ soak-scale:
 # shared GT-ITM topology — multiplexed over the process-wide fan-out
 # with staggered rekey boundaries. Every interval runs the five paper
 # auditors per group, then the whole host replays inline (GOMAXPROCS 1)
-# and the reports must be byte-identical.
+# and the reports must be byte-identical. The report must also be the
+# one cmd/rekeysim/testdata/soak-stdout.md5 holds.
 soak-multigroup:
-	$(GO) run ./cmd/rekeysim tenancy -groups 16 -flash-joins 100000 -mass-churn 10000 -intervals 4
+	mkdir -p results/soaks
+	$(GO) run ./cmd/rekeysim tenancy -groups 16 -flash-joins 100000 -mass-churn 10000 -intervals 4 > results/soaks/multigroup
+	cd results/soaks && grep ' multigroup$$' ../../cmd/rekeysim/testdata/soak-stdout.md5 | md5sum -c
 
 # soak-slo is the ops-plane gate: a multi-group tenancy soak with the
 # per-tenant SLO engine streaming one "slo" record per group per rekey
