@@ -25,6 +25,10 @@
 // Rekey messages travel the degradation ladder
 // (recovery.DistributeLadder): multicast, then per-user unicast recovery
 // with capped exponential backoff, then a reliable full resync.
+//
+// The other soaks step a Plane through Step, one interval at a time
+// (apply its events, flush, Audit): the scale soak's KeyTenant, the
+// socket soak's daemon world and the tenancy host's groups.
 package chaos
 
 import (
@@ -809,7 +813,8 @@ func (e *Engine) doAudit(now time.Duration, idx int, stats *IntervalStats) {
 	stats.Members = e.dir.Size()
 
 	ev := e.evidence(idx, stats)
-	results := stats.audit(ev, e.cfg.Obs)
+	results, counts := Audit(ev, e.cfg.Obs)
+	stats.record(ev, results, counts)
 	if lr := e.curLadder; lr != nil && lr.Multicast != nil {
 		for _, st := range lr.Multicast.Users {
 			stats.ForwardedEncs += st.UnitsForwarded

@@ -12,11 +12,12 @@ import (
 	"tmesh/internal/overlay"
 	"tmesh/internal/recovery"
 	"tmesh/internal/split"
+	"tmesh/internal/workload"
 )
 
 // Evidence is everything one rekey interval leaves behind for the
-// auditors. The four soak planes — the simulator Engine, the socket
-// soak, and the tenancy host's two profiles — differ only in how they
+// auditors. The simulator Engine and every Plane (the key plane, the
+// socket soak, the tenancy host's net plane) differ only in how they
 // fill it; the five paper invariants below are written once against it.
 // A nil field means the plane has no such state (no overlay on the key
 // plane, no member keyrings in the simulator, no recovery ladder on a
@@ -170,6 +171,54 @@ func Audit(ev *Evidence, reg *obs.Registry) ([]Verdict, Counts) {
 		out[i] = Verdict{Name: a.name, Violations: vs, NA: !a.reads(ev)}
 	}
 	return out, c
+}
+
+// Plane is one group's membership and keys as a soak steps them through
+// the paper's Section 2.4 batch: an interval's joins and leaves arrive
+// one event at a time, the boundary rekeys over the whole batch, and
+// what the boundary left behind goes to the auditors. The scale soak's
+// KeyTenant, the socket soak's daemon world and the tenancy host's
+// groups are Planes, and Step is the one loop that plays an interval on
+// any of them.
+type Plane interface {
+	// Apply queues one schedule event into the interval's batch.
+	Apply(ev workload.Event) error
+	// Flush closes the interval at the plane-local boundary and returns
+	// the cost of its rekey message.
+	Flush(boundary time.Duration) (cost int, err error)
+	// Evidence gathers what the flush left behind for the auditors; a
+	// nil field is a check whose precondition the plane lacks, which
+	// passes vacuously.
+	Evidence() *Evidence
+	// Size returns the current membership count.
+	Size() int
+}
+
+// Stepped is one interval as Step closed it: the rekey cost, the
+// evidence the plane left, and the auditors' verdicts and tallies.
+type Stepped struct {
+	Cost     int
+	Evidence *Evidence
+	Verdicts []Verdict
+	Counts   Counts
+}
+
+// Step plays one interval on p: it applies events in order, flushes at
+// boundary, and audits the evidence the flush left. A plane error stops
+// the interval; a violation does not, it is in the verdicts.
+func Step(p Plane, events []workload.Event, boundary time.Duration) (Stepped, error) {
+	for _, ev := range events {
+		if err := p.Apply(ev); err != nil {
+			return Stepped{}, err
+		}
+	}
+	cost, err := p.Flush(boundary)
+	if err != nil {
+		return Stepped{}, err
+	}
+	st := Stepped{Cost: cost, Evidence: p.Evidence()}
+	st.Verdicts, st.Counts = Audit(st.Evidence, nil)
+	return st, nil
 }
 
 func (ev *Evidence) alive(id ident.ID) bool { return ev.Alive == nil || ev.Alive(id) }

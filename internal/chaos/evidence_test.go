@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"tmesh/internal/core"
 	"tmesh/internal/ident"
 	"tmesh/internal/keycrypt"
 	"tmesh/internal/keytree"
@@ -13,6 +12,7 @@ import (
 	"tmesh/internal/recovery"
 	"tmesh/internal/split"
 	"tmesh/internal/vnet"
+	"tmesh/internal/workload"
 )
 
 var evParams = ident.Params{Digits: 2, Base: 4}
@@ -65,24 +65,26 @@ func brokenDir(t *testing.T) *overlay.Directory {
 	return nil
 }
 
-// keyedWorld builds a four-member key plane, snapshots member stale's
+// keyedWorld builds a four-member key tenant, snapshots member stale's
 // keyring (a copy built from the tree's path keys) and then rekeys one
 // member out. The evidence samples the three that stay and reads the
 // snapshot, which still holds the previous group key, in place of
 // stale's live keyring. A zero stale leaves every keyring live.
 func keyedWorld(t *testing.T, stale ident.ID) *Evidence {
 	t.Helper()
-	w, err := core.NewKeyPlane(evParams, []byte("evidence"), keytree.Opts{}, 1)
+	tn, err := NewKeyTenant(evParams, []byte("evidence"), keytree.Opts{}, 1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := []ident.ID{evID(t, 0), evID(t, 1), evID(t, 4), evID(t, 9)}
-	for _, id := range all {
-		w.Join(id)
+	hosts := []int{0, 1, 4, 9}
+	var joins []workload.Event
+	for _, h := range hosts {
+		joins = append(joins, workload.Event{Kind: workload.Join, Host: h})
 	}
-	if _, _, _, _, err := w.Rekey(); err != nil {
+	if _, err := Step(tn, joins, 0); err != nil {
 		t.Fatal(err)
 	}
+	w := tn.World()
 	var snapshot *keytree.Keyring
 	if !stale.IsZero() {
 		path, err := w.Tree().PathKeys(stale)
@@ -93,11 +95,13 @@ func keyedWorld(t *testing.T, stale ident.ID) *Evidence {
 			t.Fatal(err)
 		}
 	}
-	w.Leave(all[3])
-	if _, _, _, _, err := w.Rekey(); err != nil {
+	if _, err := Step(tn, []workload.Event{{Kind: workload.Leave, Victim: hosts[3]}}, 0); err != nil {
 		t.Fatal(err)
 	}
-	ev := KeyPlaneEvidence(w, all[:3], 8)
+	ev := tn.Evidence()
+	if len(ev.Keyed) != 3 {
+		t.Fatalf("evidence samples %v, want the three members", ev.Keyed)
+	}
 	if snapshot != nil {
 		ev.Keyring = func(id ident.ID) *keytree.Keyring {
 			if id.Equal(stale) {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"tmesh/internal/metrics"
-	"tmesh/internal/obs"
 	"tmesh/internal/recovery"
 	"tmesh/internal/workload"
 )
@@ -58,13 +57,11 @@ type IntervalStats struct {
 	Violations []string `json:"-"`
 }
 
-// audit runs the auditors over the interval's evidence and copies their
-// outcome into the record: the copy and rung tallies, the deepest rung
-// that delivered a key, the failed verdicts, and the ladder's own
-// counts as its driver booked them. Both wires close an interval here.
-// reg (nil-safe) times the checks.
-func (s *IntervalStats) audit(ev *Evidence, reg *obs.Registry) []Verdict {
-	verdicts, c := Audit(ev, reg)
+// record copies the auditors' outcome over the interval's evidence into
+// the record: the copy and rung tallies, the deepest rung that delivered
+// a key, the failed verdicts, and the ladder's own counts as its driver
+// booked them. Both wires close an interval here.
+func (s *IntervalStats) record(ev *Evidence, verdicts []Verdict, c Counts) {
 	s.DataDelivered, s.DataLost = c.CopiesDelivered, c.CopiesLost
 	s.KeyByMulticast = c.ByRung[recovery.ByMulticast]
 	s.KeyByUnicast = c.ByRung[recovery.ByUnicast]
@@ -87,7 +84,6 @@ func (s *IntervalStats) audit(ev *Evidence, reg *obs.Registry) []Verdict {
 			s.Violations = append(s.Violations, line)
 		}
 	}
-	return verdicts
 }
 
 func (s *IntervalStats) line() string {

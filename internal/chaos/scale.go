@@ -1,33 +1,26 @@
 package chaos
 
-// Scale soak: a churn loop over the key-management core alone — key
-// tree, rank tables, member keyrings — at membership sizes the full
-// network soak cannot reach (the virtual topology and per-hop event
-// simulation stop being the point at a million members; the flat state
-// layout is). Each interval leaves and rejoins a slice of the group,
-// batches the churn through Mark/Regenerate, and applies the rekey
-// message to every surviving member's keyring in one pass over a slab,
-// each finding its encryptions through the key tree's parent links, so
-// the apply side costs O(members × depth) array hops instead of
-// O(members × message cost) scans.
-//
-// Everything observed into the report is a pure function of the config
-// (virtual structure, counts, percentiles of the interval costs), so
-// two runs with the same config produce byte-identical String() output
-// — the replay test pins this, which is what makes a million-member
-// soak diffable across commits.
+// Scale soak: the key plane alone (key tree, rank table, member
+// keyrings) at memberships the network soak cannot reach. A KeyTenant
+// takes the build-up as one batch, then the soak's churn draw one
+// interval at a time through Step. The report is a pure function of the
+// config, so same-config runs render byte-identically, which is what
+// makes a million-member soak diffable across commits.
 
 import (
 	"fmt"
 	"io"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
+	"time"
 
 	"tmesh/internal/core"
 	"tmesh/internal/ident"
 	"tmesh/internal/keytree"
 	"tmesh/internal/metrics"
+	"tmesh/internal/workload"
 )
 
 // ScaleConfig parameterises one scale soak.
@@ -151,149 +144,204 @@ func (r *ScaleReport) String() string {
 	return b.String()
 }
 
-// scaleSoak is the live state of a scale soak: the key-plane world,
-// which holds the membership, and the churn draw that decides who
-// leaves and who (re)joins.
-type scaleSoak struct {
-	cfg       ScaleConfig
-	world     *core.KeyPlane
-	rng       *rand.Rand
-	active    []ident.ID // the members, in victim-draw order
-	free      []ident.ID // IDs recycled by earlier leaves, reused LIFO
-	nextFresh int        // first never-used ID
-	setupCost int
+// KeyTenant is the key plane as a Plane: a core.KeyPlane whose members
+// are schedule hosts, host h holding ID ident.FromInt(h), so a rejoin
+// reuses its ID under a fresh key epoch and a crash is a leave in the
+// tree. The scale soak streams its churn draw into one; the tenancy
+// host's KeyPlane groups replay a workload.Schedule into theirs.
+type KeyTenant struct {
+	// Joins and Leaves count the events applied (a crash is a leave);
+	// Installed is the number of keys the last Flush installed across
+	// the survivors' keyrings.
+	Joins, Leaves int
+	Installed     int64
+
+	world  *core.KeyPlane // the membership: its tree ranks every keyed member
+	sample int            // keyrings each Evidence spot-checks
+	// joining holds the joins queued since the last boundary. Flush
+	// drops it instead of clearing it: a cleared map keeps the buckets of
+	// its largest batch, and a build-up's batch is the whole group.
+	joining map[ident.ID]bool
 }
 
-// newScaleSoak validates the config and runs the build-up: the whole
-// group joins in one batch — the million-member Mark/Regenerate the
-// flat layout exists for — and every member gets its join-time keyring.
-func newScaleSoak(cfg ScaleConfig) (*scaleSoak, error) {
+// NewKeyTenant builds an empty key plane over params: seed is the key
+// material's, opts the tree's (its CapacityHint also sizes the keyring
+// slab), limit the regen and apply fan-out bound (<= 0: none), and
+// sample how many member keyrings each Evidence spot-checks against the
+// server tree.
+func NewKeyTenant(params ident.Params, seed []byte, opts keytree.Opts, limit, sample int) (*KeyTenant, error) {
+	world, err := core.NewKeyPlane(params, seed, opts, limit)
+	if err != nil {
+		return nil, err
+	}
+	return &KeyTenant{world: world, sample: sample}, nil
+}
+
+// World exposes the key plane (read-only use).
+func (t *KeyTenant) World() *core.KeyPlane { return t.world }
+
+// Size returns the number of keyed members.
+func (t *KeyTenant) Size() int { return t.world.Tree().Size() }
+
+// Apply queues one event into the interval's batch. A member is a host
+// with a keyring: a leave drops it at once, so a departed host may join
+// again before the boundary.
+func (t *KeyTenant) Apply(ev workload.Event) error {
+	host := ev.Subject()
+	id, err := ident.FromInt(t.world.Tree().Params(), host)
+	if err != nil {
+		return fmt.Errorf("schedule host %d: %w", host, err)
+	}
+	switch ev.Kind {
+	case workload.Join:
+		if t.joining[id] || t.world.Keyring(id) != nil {
+			return fmt.Errorf("join of schedule host %d, already a member", host)
+		}
+		if t.joining == nil {
+			t.joining = make(map[ident.ID]bool)
+		}
+		t.world.Join(id)
+		t.joining[id] = true
+		t.Joins++
+	case workload.Leave, workload.Crash:
+		t.Leaves++
+		if t.joining[id] {
+			delete(t.joining, id) // joined and left between two boundaries: never keyed
+		} else if t.world.Keyring(id) == nil {
+			return fmt.Errorf("leave of absent host %d", host)
+		}
+		t.world.Leave(id)
+	default:
+		return fmt.Errorf("unknown event kind %d", ev.Kind)
+	}
+	return nil
+}
+
+// Flush rekeys the world over the queued churn: a flash-crowd interval
+// or a whole build-up is a single call.
+func (t *KeyTenant) Flush(time.Duration) (cost int, err error) {
+	t.joining = nil
+	_, _, cost, t.Installed, err = t.world.Rekey()
+	return cost, err
+}
+
+// Evidence is the key plane's: the server tree and up to sample member
+// keyrings, picked by a stride over the tree's ranks, to compare with it
+// key for key. There is no overlay, no multicast, no cluster state and
+// no ladder on this plane, so every other check passes vacuously.
+func (t *KeyTenant) Evidence() *Evidence {
+	tree := t.world.Tree()
+	ev := &Evidence{Tree: tree, Keyring: t.world.Keyring}
+	ranks := tree.Ranks()
+	if n := min(t.sample, ranks.Len()); n > 0 {
+		stride := ranks.Len() / n
+		for r := 0; r < ranks.Width() && len(ev.Keyed) < n; r++ {
+			if id, ok := ranks.IDOf(ident.Rank(r)); ok {
+				ev.Keyed = append(ev.Keyed, id)
+				r += stride - 1
+			}
+		}
+	}
+	return ev
+}
+
+// RunScaleSoak executes one scale soak: a KeyTenant takes the build-up
+// as one batch of N joins, then the churn one interval at a time. The
+// draw is the soak's own. Each interval, Churn victims leave, drawn by
+// swap-remove from the members in draw order, and as many hosts join,
+// taking the hosts earlier leaves freed (the last freed first) before
+// fresh ones. After the boundary the joiners rejoin the draw order and
+// the leavers the freed hosts, each in ID order.
+func RunScaleSoak(cfg ScaleConfig) (*ScaleReport, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	world, err := core.NewKeyPlane(cfg.Params, keytree.SeedOf(cfg.Seed), keytree.Opts{
+	t, err := NewKeyTenant(cfg.Params, keytree.SeedOf(cfg.Seed), keytree.Opts{
 		CapacityHint: cfg.N + cfg.Churn,
-	}, max(cfg.Parallelism, 1))
-	if err != nil {
-		return nil, err
-	}
-	w := &scaleSoak{
-		cfg: cfg, world: world,
-		rng:       rand.New(rand.NewSource(cfg.Seed ^ 0x7363616c)), // "scal"
-		active:    make([]ident.ID, cfg.N),
-		nextFresh: cfg.N,
-	}
-	for i := range w.active {
-		if w.active[i], err = ident.FromInt(cfg.Params, i); err != nil {
-			return nil, err
-		}
-		world.Join(w.active[i])
-	}
-	_, _, w.setupCost, _, err = world.Rekey()
-	return w, err
-}
-
-// step runs one churn interval: draw leave victims and replacement
-// joins and rekey the world over them. It returns the interval's rekey
-// cost and the number of keys installed.
-func (w *scaleSoak) step() (cost int, updated int64, err error) {
-	// Draw leave victims by swap-remove, keeping `active` dense.
-	for n := 0; n < w.cfg.Churn; n++ {
-		i := w.rng.Intn(len(w.active))
-		w.world.Leave(w.active[i])
-		w.active[i] = w.active[len(w.active)-1]
-		w.active = w.active[:len(w.active)-1]
-	}
-	// Replacement joins: recycled IDs first (epoch-bump rejoins), then
-	// fresh ones.
-	for n := 0; n < w.cfg.Churn; n++ {
-		if n := len(w.free); n > 0 {
-			w.world.Join(w.free[n-1])
-			w.free = w.free[:n-1]
-			continue
-		}
-		id, ferr := ident.FromInt(w.cfg.Params, w.nextFresh)
-		if ferr != nil {
-			return 0, 0, fmt.Errorf("chaos: scale: ID space exhausted: %w", ferr)
-		}
-		w.nextFresh++
-		w.world.Join(id)
-	}
-
-	joins, leaves, cost, updated, err := w.world.Rekey()
-	if err != nil {
-		return 0, 0, err
-	}
-	w.active = append(w.active, joins...)
-	w.free = append(w.free, leaves...)
-	return cost, updated, nil
-}
-
-// RunScaleSoak executes one scale soak.
-func RunScaleSoak(cfg ScaleConfig) (*ScaleReport, error) {
-	w, err := newScaleSoak(cfg)
+	}, max(cfg.Parallelism, 1), cfg.Verify)
 	if err != nil {
 		return nil, err
 	}
 	rep := &ScaleReport{
 		Seed: cfg.Seed, Params: cfg.Params,
 		N: cfg.N, Intervals: cfg.Intervals, Churn: cfg.Churn,
-		SetupCost: w.setupCost,
 	}
-	costs := make([]float64, 0, cfg.Intervals)
+	record := func(iv int, st Stepped) {
+		for _, v := range st.Verdicts {
+			if line := v.Line(); line != "" {
+				rep.Violations = append(rep.Violations, fmt.Sprintf("interval %d: %s", iv, line))
+			}
+		}
+	}
 
+	// Host h is ID FromInt(Params, h), so host order is ID order.
+	active := make([]int, cfg.N) // the members' hosts, in victim-draw order
+	build := make([]workload.Event, cfg.N)
+	for h := range active {
+		active[h] = h
+		build[h] = workload.Event{Kind: workload.Join, Host: h}
+	}
+	st, err := Step(t, build, 0)
+	if err != nil {
+		return nil, fmt.Errorf("chaos: scale: build-up: %w", err)
+	}
+	rep.SetupCost = st.Cost
+	record(0, st)
+
+	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x7363616c)) // "scal"
+	var free, leaves, joins []int                          // free: hosts earlier leaves freed, reused LIFO
+	fresh := cfg.N                                         // first never-used host
+	events := make([]workload.Event, 0, 2*cfg.Churn)
+	costs := make([]float64, 0, cfg.Intervals)
 	for iv := 1; iv <= cfg.Intervals; iv++ {
-		cost, updated, err := w.step()
+		events, leaves, joins = events[:0], leaves[:0], joins[:0]
+		for len(leaves) < cfg.Churn {
+			i := rng.Intn(len(active))
+			leaves = append(leaves, active[i])
+			events = append(events, workload.Event{Kind: workload.Leave, Victim: active[i]})
+			active[i] = active[len(active)-1]
+			active = active[:len(active)-1]
+		}
+		for len(joins) < cfg.Churn {
+			h := fresh
+			if n := len(free); n > 0 {
+				h, free = free[n-1], free[:n-1]
+			} else {
+				fresh++
+			}
+			joins = append(joins, h)
+			events = append(events, workload.Event{Kind: workload.Join, Host: h})
+		}
+		st, err := Step(t, events, time.Duration(iv))
 		if err != nil {
 			return nil, fmt.Errorf("chaos: scale: interval %d: %w", iv, err)
 		}
-		rep.TotalCost += int64(cost)
-		if cost > rep.MaxCost {
-			rep.MaxCost = cost
-		}
-		costs = append(costs, float64(cost))
-		rep.KeysUpdated += updated
+		slices.Sort(joins)
+		slices.Sort(leaves)
+		active = append(active, joins...)
+		free = append(free, leaves...)
 
-		if cfg.Verify > 0 {
-			verdicts, _ := Audit(KeyPlaneEvidence(w.world, w.active, cfg.Verify), nil)
-			for _, v := range verdicts {
-				if line := v.Line(); line != "" {
-					rep.Violations = append(rep.Violations, fmt.Sprintf("interval %d: %s", iv, line))
-				}
-			}
-		}
+		rep.TotalCost += int64(st.Cost)
+		rep.MaxCost = max(rep.MaxCost, st.Cost)
+		costs = append(costs, float64(st.Cost))
+		rep.KeysUpdated += t.Installed
+		record(iv, st)
 		if cfg.Out != nil {
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
 			fmt.Fprintf(cfg.Out, "interval %d/%d: members=%d cost=%d applied=%d heap=%dMB\n",
-				iv, cfg.Intervals, len(w.active), cost, updated, ms.HeapAlloc>>20)
+				iv, cfg.Intervals, t.Size(), st.Cost, t.Installed, ms.HeapAlloc>>20)
 		}
 	}
 
-	rep.FinalMembers = len(w.active)
-	rep.RankWidth = w.world.Tree().Ranks().Width()
+	rep.FinalMembers = t.Size()
+	rep.RankWidth = t.world.Tree().Ranks().Width()
 	d := metrics.NewDistribution(costs)
 	rep.CostP50, rep.CostP95 = d.Percentile(50), d.Percentile(95)
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	rep.HeapAllocEnd = ms.HeapAlloc
 	rep.BytesPerMember = float64(ms.HeapAlloc) / float64(cfg.N)
-	rep.KeyringDigest = w.world.Digest()
+	rep.KeyringDigest = t.world.Digest()
 	return rep, nil
-}
-
-// KeyPlaneEvidence is what a key-plane world leaves for the auditors:
-// the server tree and up to `sample` member keyrings, spread evenly
-// across the listed members, to compare with it key for key. There is
-// no overlay, no multicast, no cluster state and no ladder on this
-// plane, so every other check passes vacuously.
-func KeyPlaneEvidence(w *core.KeyPlane, members []ident.ID, sample int) *Evidence {
-	ev := &Evidence{Tree: w.Tree(), Keyring: w.Keyring}
-	if sample = min(sample, len(members)); sample > 0 {
-		stride := len(members) / sample
-		for i := 0; i < sample; i++ {
-			ev.Keyed = append(ev.Keyed, members[i*stride])
-		}
-	}
-	return ev
 }

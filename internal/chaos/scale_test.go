@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	"tmesh/internal/ident"
+	"tmesh/internal/keytree"
+	"tmesh/internal/workload"
 )
 
 // testScaleConfig is a small but fully exercised scale soak: base-16
@@ -191,7 +193,7 @@ func TestDefaultScaleConfig(t *testing.T) {
 }
 
 // TestMemberFootprintBudget is the memory gate of the flat state layout:
-// a fully built world — server key tree, every member's
+// a fully built key tenant — server key tree, every member's
 // keyring, the reusable applier — must stay under a resident
 // bytes/member budget (GC-settled HeapAlloc delta across the build),
 // both right after build-up and in steady state, after two churn
@@ -218,18 +220,40 @@ func TestMemberFootprintBudget(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
 	}
-	w, err := newScaleSoak(DefaultScaleConfig(n))
+	cfg := DefaultScaleConfig(n)
+	tn, err := NewKeyTenant(cfg.Params, keytree.SeedOf(cfg.Seed), keytree.Opts{CapacityHint: n + cfg.Churn}, cfg.Parallelism, cfg.Verify)
 	if err != nil {
 		t.Fatal(err)
 	}
-	built := perMember()
-	for i := 0; i < 2; i++ {
-		if _, _, err := w.step(); err != nil {
+	step := func(events []workload.Event) {
+		if _, err := Step(tn, events, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
+	build := make([]workload.Event, n)
+	for h := range build {
+		build[h] = workload.Event{Kind: workload.Join, Host: h}
+	}
+	step(build)
+	build = nil
+	built := perMember()
+	// Interval 0 replaces hosts 0..Churn-1 with fresh ones; interval 1
+	// replaces the next Churn hosts with the ones interval 0 freed, which
+	// rejoin under a fresh key epoch.
+	for k := 0; k < 2; k++ {
+		var churn []workload.Event
+		for i := 0; i < cfg.Churn; i++ {
+			join := n + i
+			if k == 1 {
+				join = i
+			}
+			churn = append(churn, workload.Event{Kind: workload.Leave, Victim: k*cfg.Churn + i},
+				workload.Event{Kind: workload.Join, Host: join})
+		}
+		step(churn)
+	}
 	steady := perMember()
-	runtime.KeepAlive(w)
+	runtime.KeepAlive(tn)
 	for _, m := range []struct {
 		when string
 		got  float64

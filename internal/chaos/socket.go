@@ -103,7 +103,10 @@ func socketSchedule(members, intervals int) *workload.Schedule {
 	return workload.NewSchedule(events)
 }
 
-// socketRun is the live state of a socket soak.
+// socketRun is the live state of a socket soak, and the Plane its
+// intervals are stepped on: Apply plays the churn, Flush injects the
+// phase's faults, rekeys and waits for the heal, and Evidence hands the
+// result to the audit.
 type socketRun struct {
 	cfg SocketConfig
 	w   *rekeyd.World
@@ -112,28 +115,31 @@ type socketRun struct {
 	// the kill phase's victims: separate streams, so a replay that draws
 	// no victims kills the same members.
 	victimRNG, killRNG *rand.Rand
-	// idOf maps each current member's schedule host to its ID; ran
-	// records the events executed, victims resolved.
-	idOf map[int]ident.ID
-	ran  []workload.Event
+	// idOf maps each current member's schedule host to its ID and hostOf
+	// back; ran records the events executed, victims resolved.
+	idOf   map[int]ident.ID
+	hostOf map[ident.ID]int
+	ran    []workload.Event
 
-	// Interval-scoped: the ladder result the driver just produced and
-	// whether the phase injected no fault.
-	res       *rekeyd.Result
-	faultFree bool
+	// Interval-scoped: the record being filled and the ladder result
+	// the driver just produced.
+	stats IntervalStats
+	res   *rekeyd.Result
 }
 
-// evidence gathers what the interval left behind for the auditors (see
-// Evidence). Coverage compares real group keys, every member's with the
+// Evidence gathers what the interval left behind for the auditors. Coverage compares real group keys, every member's with the
 // server's: every fault in the schedule heals inside the ladder budget,
 // so there is no surviving-member carve-out. Copy counts are of the
 // rekey message itself; in a faulty interval the ladder's unicasts are
 // legitimate extra copies, so they are only offered in clean ones —
 // where the ladder must have idled. A cost-0 interval sent nothing and
 // owes nobody. rekeyd runs no Appendix B clustering, so there is no
-// cluster state to audit.
-func (run *socketRun) evidence(dir *overlay.Directory) *Evidence {
-	w, res := run.w, run.res
+// cluster state to audit. The directory changes only inside
+// World.Rekey, which Flush calls, so the audit reads it unlocked.
+func (run *socketRun) Evidence() *Evidence {
+	w, res, faultFree := run.w, run.res, run.stats.Phase == "clean"
+	var dir *overlay.Directory
+	w.Shared().Read(func(d *overlay.Directory) { dir = d })
 	members := w.Members()
 	ids := make([]ident.ID, len(members))
 	for i, m := range members {
@@ -142,7 +148,7 @@ func (run *socketRun) evidence(dir *overlay.Directory) *Evidence {
 	ev := &Evidence{
 		Dir:       dir,
 		Alive:     func(id ident.ID) bool { return !w.IsKilled(id) },
-		FaultFree: run.faultFree,
+		FaultFree: faultFree,
 		Tree:      w.Tree(),
 		Keyed:     ids,
 		GroupKeyOf: func(id ident.ID) (keycrypt.Key, bool) {
@@ -155,8 +161,8 @@ func (run *socketRun) evidence(dir *overlay.Directory) *Evidence {
 	if res.Expected == 0 {
 		return ev
 	}
-	ev.Ladder, ev.Owed, ev.MustIdle = &res.Outcome, ids, run.faultFree
-	if run.faultFree {
+	ev.Ladder, ev.Owed, ev.MustIdle = &res.Outcome, ids, faultFree
+	if faultFree {
 		for _, m := range members {
 			ev.Copies = append(ev.Copies, Copy{ID: m.ID(), N: m.CopiesOf(res.Interval)})
 		}
@@ -214,6 +220,7 @@ func newSocketRun(cfg SocketConfig, sched *workload.Schedule) (*socketRun, error
 		victimRNG: rand.New(rand.NewSource(cfg.Seed ^ 0x736f636b)), // "sock"
 		killRNG:   rand.New(rand.NewSource(cfg.Seed ^ 0x6b696c6c)), // "kill"
 		idOf:      make(map[int]ident.ID),
+		hostOf:    make(map[ident.ID]int),
 		ran:       slices.Clone(initial),
 	}
 	// The world admitted the initial joiners in order, the i-th on
@@ -221,44 +228,43 @@ func newSocketRun(cfg SocketConfig, sched *workload.Schedule) (*socketRun, error
 	w.Shared().Read(func(dir *overlay.Directory) {
 		for _, m := range w.Members() {
 			rec, _ := dir.Record(m.ID())
-			run.idOf[initial[rec.Host-1].Host] = m.ID()
+			h := initial[rec.Host-1].Host
+			run.idOf[h], run.hostOf[m.ID()] = m.ID(), h
 		}
 	})
 	return run, nil
 }
 
-// play runs every interval, audits it with the whole Definition 3 sweep
-// like the simulator, and reports in the simulator's grammar.
+// play steps every interval and reports in the simulator's grammar:
+// churn, the phase's faults, the rekey and the heal, then the audit,
+// with the whole Definition 3 sweep like the simulator's.
 func (run *socketRun) play() (*Report, error) {
 	w := run.w
 	rep := &Report{Seed: run.cfg.Seed, Transport: run.cfg.Transport, Auditors: AuditorNames()}
 	for idx := 0; idx < run.cfg.Intervals; idx++ {
-		stats := IntervalStats{Index: idx + 1, Phase: socketPhases[idx%len(socketPhases)], PartitionDomain: -1}
-		if err := run.interval(run.cur.Next(time.Duration(idx+1)*intervalLength), &stats); err != nil {
+		run.stats = IntervalStats{Index: idx + 1, Phase: socketPhases[idx%len(socketPhases)], PartitionDomain: -1}
+		boundary := time.Duration(idx+1) * intervalLength
+		st, err := Step(run, run.cur.Next(boundary), boundary)
+		if err != nil {
 			return nil, err
 		}
-		w.Shared().Read(func(dir *overlay.Directory) {
-			stats.audit(run.evidence(dir), nil)
-		})
-		stats.Members = w.Size()
-		stats.RekeyCost, stats.ResyncSends = run.res.Cost, run.res.SyncAttempts
-		rep.Intervals = append(rep.Intervals, stats)
+		run.stats.record(st.Evidence, st.Verdicts, st.Counts)
+		run.stats.Members = w.Size()
+		run.stats.RekeyCost, run.stats.ResyncSends = st.Cost, run.res.SyncAttempts
+		rep.Intervals = append(rep.Intervals, run.stats)
 	}
 	rep.Schedule = workload.NewSchedule(run.ran)
 	rep.FinalMembers = w.Size()
 	return rep, nil
 }
 
-// interval applies one interval's churn and its phase's faults, runs the
+// Size returns the number of member nodes.
+func (run *socketRun) Size() int { return run.w.Size() }
+
+// Flush closes the interval: it injects the phase's faults, runs the
 // rekey, and waits for every fault to heal.
-func (run *socketRun) interval(churn []workload.Event, stats *IntervalStats) error {
+func (run *socketRun) Flush(time.Duration) (int, error) {
 	w, plan := run.w, run.w.FaultPlan()
-	run.faultFree = stats.Phase == "clean"
-	for _, ev := range churn {
-		if err := run.apply(ev, stats); err != nil {
-			return err
-		}
-	}
 	members := w.Members() // this interval's leavers and crashers included
 
 	// Faults, healed mid-ladder by the timer goroutine.
@@ -271,7 +277,7 @@ func (run *socketRun) interval(churn []workload.Event, stats *IntervalStats) err
 			f()
 		}()
 	}
-	switch stats.Phase {
+	switch run.stats.Phase {
 	case "loss":
 		plan.SetLoss(socketLossProb)
 	case "delay":
@@ -279,7 +285,7 @@ func (run *socketRun) interval(churn []workload.Event, stats *IntervalStats) err
 	case "partition":
 		var side []transport.PeerID
 		for i, m := range members {
-			if _, current := run.hostOf(m.ID()); current && i%socketPartFrac == 0 {
+			if _, current := run.hostOf[m.ID()]; current && i%socketPartFrac == 0 {
 				side = append(side, rekeyd.PeerOf(m.ID()))
 			}
 		}
@@ -292,31 +298,31 @@ func (run *socketRun) interval(churn []workload.Event, stats *IntervalStats) err
 				break
 			}
 			id := members[i].ID()
-			if _, current := run.hostOf(id); !current {
+			if _, current := run.hostOf[id]; !current {
 				continue
 			}
 			w.Kill(id)
 			killed++
-			stats.Kills++
+			run.stats.Kills++
 			healAt(func() { w.Restore(id) })
 		}
 	}
 
 	res, err := w.Rekey()
 	if err != nil {
-		return fmt.Errorf("chaos: socket rekey: %w", err)
+		return 0, fmt.Errorf("chaos: socket rekey: %w", err)
 	}
 	run.res = res
 	heal.Wait()
 	plan.SetLoss(0)
 	plan.SetDelay(0, 0, 0)
-	return nil
+	return res.Cost, nil
 }
 
-// apply plays one membership event on the world and records it. A
+// Apply plays one membership event on the world and records it. A
 // drawn victim is a member node that has not departed this interval.
-func (run *socketRun) apply(ev workload.Event, stats *IntervalStats) error {
-	w := run.w
+func (run *socketRun) Apply(ev workload.Event) error {
+	w, stats := run.w, &run.stats
 	if ev.Kind == workload.Join {
 		if _, dup := run.idOf[ev.Host]; dup {
 			return fmt.Errorf("chaos: socket join of schedule host %d, already a member", ev.Host)
@@ -325,7 +331,7 @@ func (run *socketRun) apply(ev workload.Event, stats *IntervalStats) error {
 		if err != nil {
 			return fmt.Errorf("chaos: socket join: %w", err)
 		}
-		run.idOf[ev.Host] = id
+		run.idOf[ev.Host], run.hostOf[id] = id, ev.Host
 		stats.Joins++
 		run.ran = append(run.ran, ev)
 		return nil
@@ -333,7 +339,7 @@ func (run *socketRun) apply(ev workload.Event, stats *IntervalStats) error {
 	if ev.Victim == victimDrawn {
 		var live []int
 		for _, m := range w.Members() {
-			if h, current := run.hostOf(m.ID()); current {
+			if h, current := run.hostOf[m.ID()]; current {
 				live = append(live, h)
 			}
 		}
@@ -358,17 +364,7 @@ func (run *socketRun) apply(ev workload.Event, stats *IntervalStats) error {
 		return fmt.Errorf("chaos: socket event of unknown kind %v", ev.Kind)
 	}
 	delete(run.idOf, ev.Victim)
+	delete(run.hostOf, id)
 	run.ran = append(run.ran, ev)
 	return nil
-}
-
-// hostOf returns the schedule host of a member; false means it departed
-// (its node lives until the boundary).
-func (run *socketRun) hostOf(id ident.ID) (int, bool) {
-	for h, v := range run.idOf {
-		if v.Equal(id) {
-			return h, true
-		}
-	}
-	return 0, false
 }

@@ -13,10 +13,11 @@ import (
 // server's key tree, its members' keyrings in one slab indexed by the
 // tree's ranks (the plane keeps no second index), and the applier that
 // hands every survivor its path slice of a rekey message — the flat
-// state that holds a million members. It is the one world behind both
-// key-only soaks: chaos.RunScaleSoak draws its churn from an RNG, the
-// tenancy host's KeyPlane profile from a workload.Schedule; each only
-// says who joins and who leaves, then calls Rekey.
+// state that holds a million members. Its one driver is
+// chaos.KeyTenant, which both key-only soaks step: the scale soak
+// streams its churn draw into one, and the tenancy host's KeyPlane
+// groups replay a workload.Schedule. A driver only says who joins and
+// who leaves, then calls Rekey.
 type KeyPlane struct {
 	tree    *keytree.Tree
 	pending keytree.Pending

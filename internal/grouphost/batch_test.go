@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"tmesh/internal/chaos"
 	"tmesh/internal/cluster"
 	"tmesh/internal/core"
 	"tmesh/internal/ident"
@@ -90,21 +91,30 @@ var batchPlanes = []struct {
 		}).seat()
 	}},
 	{"tenant", func(t *testing.T) *batchPlane {
-		tn, err := newKeyTenant("batch", 8, []byte("batch"), nil)
+		tn, err := newKeyTenant(8, []byte("batch"), nil)
 		must(t, err)
-		event := func(ev workload.Event) { must(t, tn.apply(ev)) }
+		w := tn.World()
+		event := func(ev workload.Event) { must(t, tn.Apply(ev)) }
 		slotOf := make(map[ident.ID]int)
 		return (&batchPlane{
-			tree: tn.world.Tree(),
+			tree: w.Tree(),
 			join: func(slot int) ident.ID {
-				id := slotID(t, tn.params, slot)
+				id := slotID(t, w.Tree().Params(), slot)
 				slotOf[id] = slot
 				event(workload.Event{Kind: workload.Join, Host: slot})
 				return id
 			},
 			leave: func(id ident.ID) { event(workload.Event{Kind: workload.Leave, Victim: slotOf[id]}) },
-			flush: func() { _, err := tn.flush(0); must(t, err) },
-			keyed: func(id ident.ID) bool { return tn.world.Keyring(id) != nil },
+			flush: func() {
+				st, err := chaos.Step(tn, nil, 0)
+				must(t, err)
+				for _, v := range st.Verdicts {
+					if line := v.Line(); line != "" {
+						t.Error(line)
+					}
+				}
+			},
+			keyed: func(id ident.ID) bool { return w.Keyring(id) != nil },
 		}).seat()
 	}},
 	{"cluster", func(t *testing.T) *batchPlane {

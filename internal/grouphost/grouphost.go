@@ -12,9 +12,12 @@
 //     distributed ID assignment, neighbor tables, T-mesh multicast
 //     delivery of the split rekey message. The real protocol, bounded
 //     to memberships the O(N) overlay join can sustain.
-//   - KeyPlane — key tree + member keyrings only, the flat layout the
-//     scale soak uses, for the workloads the overlay cannot reach:
+//   - KeyPlane — key tree + member keyrings only: the scale soak's
+//     chaos.KeyTenant, for the workloads the overlay cannot reach:
 //     a ≥100k flash-crowd interval or a CKCS-style mass join+leave.
+//
+// Both are chaos.Planes and every boundary is one chaos.Step; the host
+// adds the naming, the staggered schedule, the SLO engine and the report.
 //
 // Determinism contract: every group's schedule, rekey messages, and
 // final keyrings are a pure function of (its spec, its seed). The
@@ -108,23 +111,10 @@ type Config struct {
 	Out io.Writer
 }
 
-// tenant is the scheduler's view of one group: either plane behind the
-// same stepping interface.
+// tenant is one group as the scheduler holds it: either plane, stepped
+// by chaos.Step, and how it fills the group's report entry.
 type tenant interface {
-	// name returns the group's report label.
-	name() string
-	// apply plays one schedule event.
-	apply(ev workload.Event) error
-	// size returns the current membership count.
-	size() int
-	// flush ends the group's current rekey interval at the local
-	// boundary and returns its cost.
-	flush(boundary time.Duration) (cost int, err error)
-	// evidence gathers what the flush left behind for the five paper
-	// auditors (chaos.Audit); a nil field is a check whose precondition
-	// the profile lacks, which passes vacuously.
-	evidence() *chaos.Evidence
-	// finish closes out the group and fills its report entry.
+	chaos.Plane
 	finish(gr *GroupReport)
 }
 
@@ -186,6 +176,7 @@ func Run(cfg Config) (*Report, error) {
 
 	rep := &Report{Seed: cfg.Seed, StaggerNS: int64(cfg.Stagger), PoolWidth: work.Width()}
 	tenants := make([]tenant, len(cfg.Groups))
+	cursors := make([]*workload.Cursor, len(cfg.Groups))
 	slos := make([]*slo.Engine, len(cfg.Groups))
 	var agenda []boundary
 	hostBase := 0
@@ -200,14 +191,14 @@ func Run(cfg Config) (*Report, error) {
 			hostBase += 1 + schedules[i].Hosts
 		case KeyPlane:
 			seed := fmt.Sprintf("grouphost-%s-%d", label, groupSeed(cfg.Seed, label))
-			t, err = newKeyTenant(label, schedules[i].Hosts, []byte(seed), groupObs)
+			t, err = newKeyTenant(schedules[i].Hosts, []byte(seed), groupObs)
 		default:
 			err = fmt.Errorf("unknown profile %d", spec.Profile)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("grouphost: group %s: %w", label, err)
 		}
-		tenants[i] = t
+		tenants[i], cursors[i] = t, schedules[i].Cursor()
 		// The SLO engine always runs: its inputs (membership counts,
 		// audit verdicts, rekey costs) are deterministic, so verdicts
 		// stay in the report whether or not the ops plane is on.
@@ -244,35 +235,22 @@ func Run(cfg Config) (*Report, error) {
 		return agenda[i].prio < agenda[j].prio
 	})
 
-	cursors := make([]*workload.Cursor, len(schedules))
-	for i, s := range schedules {
-		cursors[i] = s.Cursor()
-	}
 	for _, b := range agenda {
-		t := tenants[b.g]
-		gr := &rep.Groups[b.g]
-		for _, ev := range cursors[b.g].Next(b.local) {
-			if err := t.apply(ev); err != nil {
-				return nil, fmt.Errorf("grouphost: group %s: %w", t.name(), err)
-			}
-		}
-		cost, err := t.flush(b.local)
+		t, gr := tenants[b.g], &rep.Groups[b.g]
+		st, err := chaos.Step(t, cursors[b.g].Next(b.local), b.local)
 		if err != nil {
-			return nil, fmt.Errorf("grouphost: group %s interval %d: %w", t.name(), gr.Intervals+1, err)
+			return nil, fmt.Errorf("grouphost: group %s interval %d: %w", gr.Name, gr.Intervals+1, err)
 		}
 		gr.Intervals++
-		gr.TotalCost += int64(cost)
-		if cost > gr.MaxCost {
-			gr.MaxCost = cost
-		}
+		gr.TotalCost += int64(st.Cost)
+		gr.MaxCost = max(gr.MaxCost, st.Cost)
 		// SLO boundary: a coverage/delivery violation is a member the
 		// service failed to key; other auditors flag structural issues
 		// and stay out of the delivery SLI. Latency samples only exist
 		// where a lossy transport runs (the chaos soak); the simulator
 		// transports here are reliable and synchronous.
-		verdicts, _ := chaos.Audit(t.evidence(), nil)
 		missed := 0
-		for _, v := range verdicts {
+		for _, v := range st.Verdicts {
 			for _, detail := range v.Violations {
 				gr.Violations = append(gr.Violations, fmt.Sprintf("interval %d: %s: %s", gr.Intervals, v.Name, detail))
 			}
@@ -280,14 +258,14 @@ func Run(cfg Config) (*Report, error) {
 				missed += len(v.Violations)
 			}
 		}
-		gr.Audits += len(verdicts)
-		members := t.size()
+		gr.Audits += len(st.Verdicts)
+		members := t.Size()
 		srec := slos[b.g].Observe(slo.Boundary{
 			Boundary:  gr.Intervals,
 			Members:   members,
 			Expected:  members,
 			Delivered: max(members-missed, 0),
-			RekeyCost: cost,
+			RekeyCost: st.Cost,
 		})
 		switch srec.Verdict {
 		case "page":
@@ -299,7 +277,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 		if cfg.Out != nil {
 			fmt.Fprintf(cfg.Out, "t=%v %s interval %d: cost=%d violations=%d slo=%s\n",
-				b.at, t.name(), gr.Intervals, cost, len(gr.Violations), srec.Verdict)
+				b.at, gr.Name, gr.Intervals, st.Cost, len(gr.Violations), srec.Verdict)
 		}
 	}
 

@@ -153,7 +153,7 @@ func TestAuditorsRunPerGroup(t *testing.T) {
 func TestNetTenantLadderRecord(t *testing.T) {
 	nt := keyedNetTenant(t, 6)
 	audit := func() map[string]string {
-		verdicts, _ := chaos.Audit(nt.evidence(), nil)
+		verdicts, _ := chaos.Audit(nt.Evidence(), nil)
 		failed := make(map[string]string)
 		for _, v := range verdicts {
 			if line := v.Line(); line != "" {
@@ -190,11 +190,11 @@ func keyedNetTenant(t *testing.T, members int) *netTenant {
 		t.Fatal(err)
 	}
 	for h := 0; h < members; h++ {
-		if err := tn.apply(workload.Event{Kind: workload.Join, Host: h}); err != nil {
+		if err := tn.Apply(workload.Event{Kind: workload.Join, Host: h}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := tn.flush(time.Second); err != nil {
+	if _, err := tn.Flush(time.Second); err != nil {
 		t.Fatal(err)
 	}
 	return tn.(*netTenant)
@@ -205,13 +205,13 @@ func keyedNetTenant(t *testing.T, members int) *netTenant {
 // subtree needs fails delivery.
 func TestNetTenantHopsCheckedAgainstMessage(t *testing.T) {
 	nt := keyedNetTenant(t, 6)
-	ev := nt.evidence()
+	ev := nt.Evidence()
 	if len(ev.Hops) == 0 || len(ev.Message) == 0 {
 		t.Fatalf("evidence has %d hops and %d message encryptions", len(ev.Hops), len(ev.Message))
 	}
 	d := &nt.lastRep.Deliveries[0]
 	d.Encryptions = d.Encryptions[1:] // a fresh slice header: shared slices stay intact
-	verdicts, _ := chaos.Audit(nt.evidence(), nil)
+	verdicts, _ := chaos.Audit(nt.Evidence(), nil)
 	for _, v := range verdicts {
 		if want := v.Name == "delivery"; want != strings.Contains(v.Line(), "lacks encryption") {
 			t.Errorf("auditor %s reported %q", v.Name, v.Line())
@@ -288,12 +288,13 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestKeyPlaneDriversAgree is the differential test of the one key-plane
-// world's two drivers: the scale soak draws its churn from an RNG, a
-// KeyPlane tenant from a workload.Schedule. Fed the same join/leave
-// batches (the soak's draw, replayed here as a schedule) under the same
-// key-material seed, they must report the same rekey cost for every
-// interval and end on the same keyring digest.
+// TestKeyPlaneDriversAgree checks the scale soak's streamed churn draw
+// against a reference written out by hand. The soak streams its draw
+// into a chaos.KeyTenant one interval at a time; here the same draw is
+// written out as one workload.Schedule and stepped through chaos.Step on
+// a tenancy host's KeyPlane tenant under the same key-material seed.
+// The two must report the same rekey cost for every interval and end on
+// the same keyring digest.
 func TestKeyPlaneDriversAgree(t *testing.T) {
 	cfg := chaos.ScaleConfig{
 		Params: ident.Params{Digits: 2, Base: 32}, N: 900, Intervals: 6, Churn: 60,
@@ -317,7 +318,7 @@ func TestKeyPlaneDriversAgree(t *testing.T) {
 		wantCost = append(wantCost, cost)
 	}
 
-	// Replay the soak's churn draw (chaos.scaleSoak.step: swap-remove
+	// Replay the soak's churn draw (chaos.RunScaleSoak: swap-remove
 	// victims, LIFO-recycled IDs before fresh ones) as one schedule:
 	// boundary k closes at k seconds, host index i is ID FromInt(i).
 	sched := &workload.Schedule{Hosts: cfg.N + cfg.Churn}
@@ -359,35 +360,29 @@ func TestKeyPlaneDriversAgree(t *testing.T) {
 		free = append(free, leaves...)
 	}
 
-	tn, err := newKeyTenant("diff", sched.Hosts, keytree.SeedOf(cfg.Seed), nil)
+	tn, err := newKeyTenant(sched.Hosts, keytree.SeedOf(cfg.Seed), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tn.params != cfg.Params {
-		t.Fatalf("tenant sized its ID space %+v, soak runs %+v", tn.params, cfg.Params)
+	if params := tn.World().Tree().Params(); params != cfg.Params {
+		t.Fatalf("tenant sized its ID space %+v, soak runs %+v", params, cfg.Params)
 	}
 	cur := sched.Cursor()
 	for k, want := range wantCost {
 		boundary := time.Duration(k+1) * time.Second
-		for _, ev := range cur.Next(boundary) {
-			if err := tn.apply(ev); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got, err := tn.flush(boundary)
+		st, err := chaos.Step(tn, cur.Next(boundary), boundary)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Errorf("interval %d: tenant rekey cost %d, scale soak %d", k, got, want)
+		if st.Cost != want {
+			t.Errorf("interval %d: tenant rekey cost %d, scale soak %d", k, st.Cost, want)
 		}
-		if verdicts, _ := chaos.Audit(tn.evidence(), nil); len(verdicts) == 0 {
+		if len(st.Verdicts) == 0 {
 			t.Fatal("no verdicts")
-		} else {
-			for _, v := range verdicts {
-				if v.Line() != "" {
-					t.Errorf("interval %d: %s", k, v.Line())
-				}
+		}
+		for _, v := range st.Verdicts {
+			if v.Line() != "" {
+				t.Errorf("interval %d: %s", k, v.Line())
 			}
 		}
 	}

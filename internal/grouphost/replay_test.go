@@ -45,11 +45,11 @@ func committedSchedules(t *testing.T) map[string]*workload.Schedule {
 	return out
 }
 
-// replayOnTenant drives a tenant the way the soaks batch a schedule:
-// the t=0 joins first, then one boundary per soak interval, auditing
-// after every flush and calling observe with the boundary's index. It
-// returns the first error a tenant raised.
-func replayOnTenant(t *testing.T, tn tenant, s *workload.Schedule, observe func(k int)) error {
+// replayOnTenant steps a tenant the way the soaks batch a schedule: the
+// t=0 joins first, then one boundary per soak interval, each through
+// chaos.Step, calling observe with the boundary's index after its
+// audit. It returns the first error a tenant raised.
+func replayOnTenant(t *testing.T, tn chaos.Plane, s *workload.Schedule, observe func(k int)) error {
 	t.Helper()
 	boundaries := []time.Duration{1}
 	for k := time.Duration(1); k <= s.Events[len(s.Events)-1].At/soakInterval+1; k++ {
@@ -57,16 +57,11 @@ func replayOnTenant(t *testing.T, tn tenant, s *workload.Schedule, observe func(
 	}
 	cur := s.Cursor()
 	for k, b := range boundaries {
-		for _, ev := range cur.Next(b) {
-			if err := tn.apply(ev); err != nil {
-				return err
-			}
-		}
-		if _, err := tn.flush(b); err != nil {
+		st, err := chaos.Step(tn, cur.Next(b), b)
+		if err != nil {
 			return err
 		}
-		verdicts, _ := chaos.Audit(tn.evidence(), nil)
-		for _, v := range verdicts {
+		for _, v := range st.Verdicts {
 			if v.Line() != "" {
 				t.Errorf("boundary %d: %s", k, v.Line())
 			}
@@ -85,13 +80,14 @@ func TestTenantsReplayCommittedSchedules(t *testing.T) {
 	schedules := committedSchedules(t)
 	for name, s := range schedules {
 		t.Run("key/"+name, func(t *testing.T) {
-			tn, err := newKeyTenant("replay", s.Hosts, []byte("replay"), nil)
+			tn, err := newKeyTenant(s.Hosts, []byte("replay"), nil)
 			must(t, err)
-			idOf := func(host int) ident.ID { return slotID(t, tn.params, host) }
-			inTree := func(host int) bool { return tn.world.Tree().Structure().Contains(idOf(host)) }
-			roster := func() []ident.ID { return tn.world.Tree().Structure().Members(ident.EmptyPrefix) }
+			w := tn.World()
+			idOf := func(host int) ident.ID { return slotID(t, w.Tree().Params(), host) }
+			inTree := func(host int) bool { return w.Tree().Structure().Contains(idOf(host)) }
+			roster := func() []ident.ID { return w.Tree().Structure().Members(ident.EmptyPrefix) }
 			epoch := func(host int) uint64 {
-				path, err := tn.world.Tree().PathKeys(idOf(host))
+				path, err := w.Tree().PathKeys(idOf(host))
 				must(t, err)
 				return path[0].Version
 			}
@@ -117,7 +113,7 @@ func TestTenantsReplayCommittedSchedules(t *testing.T) {
 				}
 			case "join-leave-same-interval.sched", "pending-joiner-crash.sched":
 				observe = func(k int) {
-					if inTree(8) || tn.world.Keyring(idOf(8)) != nil {
+					if inTree(8) || w.Keyring(idOf(8)) != nil {
 						t.Errorf("boundary %d: the cancelled joiner entered the tree", k)
 					}
 				}
@@ -202,13 +198,13 @@ func TestKeyTenantMembershipErrors(t *testing.T) {
 		{"rejoin of departed host", []workload.Event{join(0), join(1), join(2), {}, leave(0), leave(1), join(0), {}}, "", []int{1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tn, err := newKeyTenant("dup", 8, []byte("dup"), nil)
+			tn, err := newKeyTenant(8, []byte("dup"), nil)
 			must(t, err)
 			for _, ev := range tc.events {
 				if ev.Kind == 0 {
-					_, err = tn.flush(0)
+					_, err = tn.Flush(0)
 				} else {
-					err = tn.apply(ev)
+					err = tn.Apply(ev)
 				}
 				if err != nil {
 					break
@@ -223,19 +219,19 @@ func TestKeyTenantMembershipErrors(t *testing.T) {
 			if tc.err != "" {
 				return
 			}
-			verdicts, _ := chaos.Audit(tn.evidence(), nil)
+			verdicts, _ := chaos.Audit(tn.Evidence(), nil)
 			for _, v := range verdicts {
 				if line := v.Line(); line != "" {
 					t.Error(line)
 				}
 			}
 			for _, h := range tc.gone {
-				if tn.world.Keyring(slotID(t, tn.params, h)) != nil {
+				if tn.World().Keyring(slotID(t, tn.World().Tree().Params(), h)) != nil {
 					t.Errorf("departed host %d still has a keyring", h)
 				}
 			}
-			if tn.size() != 2 {
-				t.Errorf("%d members, want 2", tn.size())
+			if tn.Size() != 2 {
+				t.Errorf("%d members, want 2", tn.Size())
 			}
 		})
 	}

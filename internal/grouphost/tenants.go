@@ -1,7 +1,6 @@
 package grouphost
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -34,8 +33,7 @@ func netAssign() assign.Config {
 }
 
 type netTenant struct {
-	label string
-	g     *core.Group
+	g *core.Group
 	// s plays the schedule: index i lives on shared-topology host
 	// hostBase+1+i, hostBase being this group's key server.
 	s *core.Session
@@ -62,20 +60,17 @@ func newNetTenant(label string, spec GroupSpec, net vnet.Network, hostBase vnet.
 		return nil, err
 	}
 	return &netTenant{
-		label:      label,
 		g:          g,
 		s:          core.NewSession(g),
 		lastEpochs: make(map[string]uint64),
 	}, nil
 }
 
-func (t *netTenant) name() string { return t.label }
+func (t *netTenant) Size() int { return t.g.Size() }
 
-func (t *netTenant) size() int { return t.g.Size() }
+func (t *netTenant) Apply(ev workload.Event) error { return t.s.Apply(ev) }
 
-func (t *netTenant) apply(ev workload.Event) error { return t.s.Apply(ev) }
-
-func (t *netTenant) flush(boundary time.Duration) (int, error) {
+func (t *netTenant) Flush(boundary time.Duration) (int, error) {
 	t.intervalStart, t.boundary = t.boundary, boundary
 	msg, rep, err := t.s.EndInterval()
 	if err != nil {
@@ -85,7 +80,7 @@ func (t *netTenant) flush(boundary time.Duration) (int, error) {
 	return msg.Cost(), nil
 }
 
-// evidence gathers what the boundary left behind for the auditors (see
+// Evidence gathers what the boundary left behind for the auditors (see
 // chaos.Evidence). The groups are small enough for a full Definition 3
 // sweep after every batch; the simulator transport is reliable, so a
 // distribute is fault-free and its hop log carries every copy made,
@@ -94,7 +89,7 @@ func (t *netTenant) flush(boundary time.Duration) (int, error) {
 // member that should keep a keyring (everyone, or the leaders in cluster
 // mode) and has none was never keyed, so the ladder record settles each
 // holder of a keyring on the unicast rung and leaves the others open.
-func (t *netTenant) evidence() *chaos.Evidence {
+func (t *netTenant) Evidence() *chaos.Evidence {
 	ids := t.memberIDs()
 	tree, holders := t.g.Tree(), ids
 	ev := &chaos.Evidence{
@@ -157,93 +152,21 @@ func (t *netTenant) finish(gr *GroupReport) {
 // ---------------------------------------------------------------------
 // KeyPlane: key tree + member keyrings, the flash-crowd profile.
 
-type keyTenant struct {
-	label  string
-	params ident.Params
-	world  *core.KeyPlane // the membership: its tree ranks every keyed member
+// keyTenant is a KeyPlane group: the scale soak's chaos.KeyTenant.
+type keyTenant struct{ *chaos.KeyTenant }
 
-	joining       map[ident.ID]bool // joins queued this interval, emptied by flush
-	joins, leaves int
+// newKeyTenant builds the key plane for a group of up to hosts schedule
+// hosts over a base-32 ID space sized to them, so every schedule host
+// index maps directly to ident.FromInt; seed is the group's key-material
+// seed. Each audit spot-checks 256 keyrings (all of them in a smaller
+// group).
+func newKeyTenant(hosts int, seed []byte, reg *obs.Registry) (keyTenant, error) {
+	t, err := chaos.NewKeyTenant(ident.Base32For(hosts), seed, keytree.Opts{Obs: reg, CapacityHint: hosts}, 0, 256)
+	return keyTenant{t}, err
 }
 
-// auditSample is how many member keyrings a KeyPlane audit spot-checks
-// against the server tree (all of them in a smaller group).
-const auditSample = 256
-
-// newKeyTenant builds the key-plane world for a group of up to hosts
-// schedule hosts; seed is the group's key-material seed.
-func newKeyTenant(label string, hosts int, seed []byte, reg *obs.Registry) (*keyTenant, error) {
-	// Size a base-32 ID space to the schedule's host count: every
-	// schedule host index maps directly to ident.FromInt.
-	params := ident.Base32For(hosts)
-	world, err := core.NewKeyPlane(params, seed, keytree.Opts{
-		Obs:          reg,
-		CapacityHint: hosts,
-	}, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &keyTenant{
-		label:   label,
-		params:  params,
-		world:   world,
-		joining: make(map[ident.ID]bool),
-	}, nil
-}
-
-func (t *keyTenant) name() string { return t.label }
-
-func (t *keyTenant) size() int { return t.world.Tree().Size() }
-
-// apply queues one event into the interval's batch. Every schedule host
-// index maps directly to an ID, so a rejoin reuses its ID under a fresh
-// key epoch; a crash is a leave in the tree. A member is a host with a
-// keyring: a leave drops it at once, so a departed host may join again
-// before the boundary.
-func (t *keyTenant) apply(ev workload.Event) error {
-	host := ev.Subject()
-	id, err := ident.FromInt(t.params, host)
-	if err != nil {
-		return fmt.Errorf("schedule host %d: %w", host, err)
-	}
-	switch ev.Kind {
-	case workload.Join:
-		if t.joining[id] || t.world.Keyring(id) != nil {
-			return fmt.Errorf("join of schedule host %d, already a member", host)
-		}
-		t.world.Join(id)
-		t.joining[id] = true
-		t.joins++
-	case workload.Leave, workload.Crash:
-		t.leaves++
-		if t.joining[id] {
-			delete(t.joining, id) // joined and left between two boundaries: never keyed
-		} else if t.world.Keyring(id) == nil {
-			return fmt.Errorf("leave of absent host %d", host)
-		}
-		t.world.Leave(id)
-	default:
-		return fmt.Errorf("unknown event kind %d", ev.Kind)
-	}
-	return nil
-}
-
-// flush rekeys the world over the queued churn — one flash-crowd
-// interval is a single call.
-func (t *keyTenant) flush(time.Duration) (int, error) {
-	clear(t.joining)
-	_, _, cost, _, err := t.world.Rekey()
-	return cost, err
-}
-
-// evidence is the key plane's: sampled keyrings against the server tree
-// (see chaos.KeyPlaneEvidence), spread over the membership in ID order.
-func (t *keyTenant) evidence() *chaos.Evidence {
-	return chaos.KeyPlaneEvidence(t.world, t.world.Tree().Structure().Members(ident.EmptyPrefix), auditSample)
-}
-
-func (t *keyTenant) finish(gr *GroupReport) {
-	gr.Joins, gr.Leaves = t.joins, t.leaves
-	gr.FinalMembers = t.world.Tree().Size()
-	gr.KeyringDigest = t.world.Digest()
+func (t keyTenant) finish(gr *GroupReport) {
+	gr.Joins, gr.Leaves = t.Joins, t.Leaves
+	gr.FinalMembers = t.Size()
+	gr.KeyringDigest = t.World().Digest()
 }
