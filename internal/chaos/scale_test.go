@@ -198,7 +198,8 @@ func TestDefaultScaleConfig(t *testing.T) {
 // bytes/member budget (GC-settled HeapAlloc delta across the build),
 // both right after build-up and in steady state, after two churn
 // intervals have run every member's apply. At N=20000 the committed
-// measurements are 355 B/member built and in steady state, with the
+// measurements are 337 B/member built and in steady state (355 when the
+// gate also counted the scale soak's list of member IDs), with the
 // keyrings in one slab and the ID tree holding internal nodes only (a
 // user ID is a bit in its parent's digit set; with an entry per user ID
 // in two maps and a k-node index beside them it was 535); the budget

@@ -127,15 +127,15 @@ type socketRun struct {
 	res   *rekeyd.Result
 }
 
-// Evidence gathers what the interval left behind for the auditors. Coverage compares real group keys, every member's with the
-// server's: every fault in the schedule heals inside the ladder budget,
-// so there is no surviving-member carve-out. Copy counts are of the
-// rekey message itself; in a faulty interval the ladder's unicasts are
-// legitimate extra copies, so they are only offered in clean ones —
-// where the ladder must have idled. A cost-0 interval sent nothing and
-// owes nobody. rekeyd runs no Appendix B clustering, so there is no
-// cluster state to audit. The directory changes only inside
-// World.Rekey, which Flush calls, so the audit reads it unlocked.
+// Evidence gathers what the interval left behind for the auditors.
+// Coverage compares real group keys, every member's with the server's:
+// every fault in the schedule heals inside the ladder budget, so there
+// is no surviving-member carve-out. Copy counts are of the rekey message
+// itself; in a faulty interval the ladder's unicasts are legitimate
+// extra copies, so they are only offered in clean ones, where the ladder
+// must have idled. A cost-0 interval sent nothing and owes nobody.
+// rekeyd runs no Appendix B clustering, so there is no cluster state to
+// audit. Only World.Rekey (in Flush) writes the directory: read unlocked.
 func (run *socketRun) Evidence() *Evidence {
 	w, res, faultFree := run.w, run.res, run.stats.Phase == "clean"
 	var dir *overlay.Directory
