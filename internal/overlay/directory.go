@@ -184,7 +184,7 @@ func (d *Directory) Join(rec Record) error {
 			continue
 		}
 		owner := &d.ros.recs[m]
-		rtt := d.net.RTT(rec.Host, owner.Host)
+		rtt := nanos(d.net.RTT(rec.Host, owner.Host))
 		// Each files the other; the announce costs one notification
 		// message per table actually updated. Row 0 (top digits differ)
 		// is the column store's, so m's table is not loaded.
@@ -209,7 +209,7 @@ func (d *Directory) Join(rec Record) error {
 	// One probe/insert round per neighbor kept, not per accepted insert:
 	// accept-then-displace pairs are an artefact of the visiting order.
 	d.maintenanceMessages += table.NeighborCount()
-	if d.server.insert(0, rec.ID.Digit(0), r, d.net.RTT(d.server.Host(), rec.Host)) {
+	if d.server.insert(0, rec.ID.Digit(0), r, nanos(d.net.RTT(d.server.Host(), rec.Host))) {
 		d.maintenanceMessages++
 	}
 	return nil
@@ -304,7 +304,7 @@ func (d *Directory) refill(g *grid, row int, col ident.Digit, from vnet.HostID, 
 		var stale []slot // held, live, nearer than best so far, RTT changed
 		for _, c := range cands {
 			rec := &d.ros.recs[c]
-			rtt := d.net.RTT(from, rec.Host)
+			rtt := nanos(d.net.RTT(from, rec.Host))
 			if (best.rank != ident.NoRank && rtt >= best.rtt) || (alive != nil && !alive(rec.ID)) || !d.isAlive(rec.ID) {
 				continue
 			}

@@ -43,7 +43,7 @@ func refJoin(d *Directory, rec Record) error {
 			continue
 		}
 		row, col, _ := t.cell(rec.ID)
-		rtt := d.net.RTT(rec.Host, t.owner.Host)
+		rtt := nanos(d.net.RTT(rec.Host, t.owner.Host))
 		if d.isAlive(t.owner.ID) {
 			table.insert(row, t.owner.ID.Digit(row), ident.Rank(m), rtt)
 		}
@@ -53,7 +53,7 @@ func refJoin(d *Directory, rec Record) error {
 	}
 	d.tables[r] = table
 	d.maintenanceMessages += table.NeighborCount()
-	if d.server.insert(0, rec.ID.Digit(0), r, d.net.RTT(d.server.Host(), rec.Host)) {
+	if d.server.insert(0, rec.ID.Digit(0), r, nanos(d.net.RTT(d.server.Host(), rec.Host))) {
 		d.maintenanceMessages++
 	}
 	return nil
@@ -610,14 +610,16 @@ func TestEntryInsertMatchesStableSort(t *testing.T) {
 		}
 	}
 
+	// AllocsPerRun calls the insert 101 times, lowering the RTT each
+	// time: it starts nearer than the full entry's worst and stays >= 0.
 	full, _ := NewTable(params, 4, owner)
 	for i := 0; i < 4; i++ {
-		full.Insert(Neighbor{Record: Record{ID: cand(i)}, RTT: time.Duration(10 + i)})
+		full.Insert(Neighbor{Record: Record{ID: cand(i)}, RTT: time.Duration(110 + i)})
 	}
 	r := full.ros.assign(Record{ID: cand(9)})
-	rtt := time.Duration(9)
+	rtt := time.Duration(109)
 	if allocs := testing.AllocsPerRun(100, func() {
-		full.insert(0, 1, r, rtt) // displaces, then refreshes
+		full.insert(0, 1, r, nanos(rtt)) // displaces, then refreshes
 		rtt--
 	}); allocs != 0 {
 		t.Errorf("insert into a full entry allocates %.0f times, want 0", allocs)

@@ -25,6 +25,7 @@ package overlay
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"tmesh/internal/ident"
@@ -49,13 +50,23 @@ type Neighbor struct {
 	RTT time.Duration
 }
 
-// slot is a neighbor as an entry stores it: the owner-measured RTT and
-// the neighbor's rank, 16 bytes, so an entry of the paper's K = 4 is one
-// cache line and finding, placing or dropping a neighbor compares
-// integers. Host, ID and join time are the roster's, by rank.
+// slot is a neighbor as an entry stores it: the owner-measured RTT in
+// nanoseconds and the neighbor's rank, 8 bytes, so finding, placing or
+// dropping a neighbor compares integers. Host, ID and join time are the
+// roster's, by rank.
 type slot struct {
-	rtt  time.Duration
+	rtt  uint32
 	rank ident.Rank
+}
+
+// nanos is the one conversion that stores an RTT in a slot. An RTT
+// outside [0, 2³² ns), about 4.29 s, is a fault of the network model and
+// panics with its value: clamping it would reorder the entry silently.
+func nanos(rtt time.Duration) uint32 {
+	if rtt < 0 || rtt > math.MaxUint32 {
+		panic(fmt.Sprintf("overlay: RTT %v does not fit a slot's uint32 nanoseconds", rtt))
+	}
+	return uint32(rtt)
 }
 
 var emptySlot = slot{rank: ident.NoRank}
@@ -143,7 +154,7 @@ func (e Entry) Len() int {
 }
 
 func (e Entry) at(i int) Neighbor {
-	return Neighbor{Record: e.ros.recs[e.slots[i].rank], RTT: e.slots[i].rtt}
+	return Neighbor{Record: e.ros.recs[e.slots[i].rank], RTT: time.Duration(e.slots[i].rtt)}
 }
 
 // Neighbors returns a copy of the neighbors in increasing RTT order.
@@ -217,7 +228,7 @@ func settle(ns []slot, i int) {
 // K cap (the window's length): a rank already held has its RTT
 // refreshed, a full entry yields its farthest slot to a strictly nearer
 // rank only. It reports whether the entry changed.
-func (e Entry) put(r ident.Rank, rtt time.Duration) bool {
+func (e Entry) put(r ident.Rank, rtt uint32) bool {
 	at, n := -1, 0 // index(r) and Len() in one pass: held slots are a prefix
 	for ; n < len(e.slots) && e.slots[n].rank != ident.NoRank; n++ {
 		if e.slots[n].rank == r {
@@ -315,7 +326,7 @@ func (g *grid) entry(row int, col ident.Digit) Entry {
 // insert places rank r, rtt away, into the (row,col)-entry (see
 // Entry.put), allocating a deeper row on its first insert. It reports
 // whether the entry changed.
-func (g *grid) insert(row int, col ident.Digit, r ident.Rank, rtt time.Duration) bool {
+func (g *grid) insert(row int, col ident.Digit, r ident.Rank, rtt uint32) bool {
 	if row > 0 && g.rows[row] == nil {
 		g.rows[row] = empty(make([]slot, g.cols.base*g.cols.k))
 	}
@@ -329,7 +340,7 @@ func (g *grid) insertNeighbor(row int, col ident.Digit, n Neighbor) bool {
 		g.ros = newRoster()
 	}
 	r := g.ros.assign(n.Record)
-	changed := g.insert(row, col, r, n.RTT)
+	changed := g.insert(row, col, r, nanos(n.RTT))
 	g.ros.unref(r) // the slot, if the entry took the rank, holds its own
 	return changed
 }
@@ -442,7 +453,7 @@ func (t *Table) NeighborCount() int {
 // ForEachNeighbor visits every neighbor in the table.
 func (t *Table) ForEachNeighbor(fn func(row int, col ident.Digit, n Neighbor)) {
 	t.forEach(func(row int, col ident.Digit, s slot) {
-		fn(row, col, Neighbor{Record: t.ros.recs[s.rank], RTT: s.rtt})
+		fn(row, col, Neighbor{Record: t.ros.recs[s.rank], RTT: time.Duration(s.rtt)})
 	})
 }
 
