@@ -126,32 +126,47 @@ func BenchmarkDirectoryChurn(b *testing.B) {
 // TestDirectoryFootprint is the overlay's memory gate, in the style of
 // chaos.TestMemberFootprintBudget: live heap per member of a bare
 // directory (tables, roster, row-0 column store, ID tree; no key
-// plane). Row 0 is B×K slots of the column store, which grows by exact
-// 64-rank chunks (both sizes here fill their last one), and a deeper
-// row block is allocated on its first insert; a layout that went dense
-// (D×B×K slots per member) would read 16 KB at {4,64} and 80 KB at
-// DefaultParams.
+// plane), read after the build and again after ten of
+// BenchmarkDirectoryChurn's intervals (16 leaves, then 16 joins), so
+// that windows churn empties and rows' spare capacity count. Row 0 is
+// B×K 8-byte slots of the column store, which grows by exact 64-rank
+// chunks (both sizes here fill their last one); a deeper row stores
+// only its populated windows.
 func TestDirectoryFootprint(t *testing.T) {
 	for _, tc := range []struct {
 		params ident.Params
 		n      int
 		budget uint64 // bytes per member
 	}{
-		{ident.Params{Digits: 4, Base: 64}, 4096, 13 << 10},
-		{ident.DefaultParams, 1024, 40 << 10},
+		// The readings plus about 12 %: 3 931 and 9 094 after churn.
+		{ident.Params{Digits: 4, Base: 64}, 4096, 4400},
+		{ident.DefaultParams, 1024, 10 << 10},
 	} {
 		net := churnNet(t, churnTopology, tc.n)
-		var before, after runtime.MemStats
+		var before runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		w := newChurnWorld(t, net, tc.params, 4, tc.n)
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		per := (after.HeapAlloc - before.HeapAlloc) / uint64(tc.n)
-		t.Logf("%+v N=%d: %d B/member", tc.params, tc.n, per)
-		if per > tc.budget {
-			t.Errorf("%+v N=%d: %d B/member of directory heap, budget %d", tc.params, tc.n, per, tc.budget)
+		read := func(when string) {
+			var after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			per := (after.HeapAlloc - before.HeapAlloc) / uint64(tc.n)
+			t.Logf("%+v N=%d %s: %d B/member", tc.params, tc.n, when, per)
+			if per > tc.budget {
+				t.Errorf("%+v N=%d %s: %d B/member of directory heap, budget %d", tc.params, tc.n, when, per, tc.budget)
+			}
 		}
+		w := newChurnWorld(t, net, tc.params, 4, tc.n)
+		read("built")
+		for range 10 {
+			for range 16 {
+				w.leave(t)
+			}
+			for range 16 {
+				w.join(t)
+			}
+		}
+		read("churned")
 		runtime.KeepAlive(w)
 	}
 }

@@ -32,6 +32,9 @@ type Directory struct {
 	ros    *roster
 	cols   *columns
 	tables []*Table
+	// joined collects a joiner's deeper-row neighbours while Join scans
+	// the members, so that Table.fill allocates each row once.
+	joined []slot
 
 	// alive, when set, is consulted wherever an entry is (re)filled from
 	// the membership; see SetLivenessOracle.
@@ -164,7 +167,8 @@ func (d *Directory) IDs() []ident.ID { return d.tree.Members(ident.EmptyPrefix) 
 // several equally near members an entry keeps is too. A member whose
 // top digit differs files the joiner in row 0, read from the column
 // store by rank: only the members sharing the joiner's top digit
-// (about N/B) have their table loaded.
+// (about N/B) have their table loaded, and the joiner files those in its
+// deeper rows once the pass is over (Table.fill), in the same order.
 func (d *Directory) Join(rec Record) error {
 	if _, ok := d.rankOf(rec.ID); ok {
 		return fmt.Errorf("overlay: duplicate join of %v", rec.ID)
@@ -197,14 +201,15 @@ func (d *Directory) Join(rec Record) error {
 			}
 			continue
 		}
-		row, col, _ := t.cell(rec.ID)
 		if d.isAlive(owner.ID) {
-			table.insert(row, owner.ID.Digit(row), ident.Rank(m), rtt)
+			d.joined = append(d.joined, slot{rtt: rtt, rank: ident.Rank(m)})
 		}
-		if t.insert(row, col, r, rtt) {
+		if row, col, _ := t.cell(rec.ID); t.insert(row, col, r, rtt) {
 			d.maintenanceMessages++
 		}
 	}
+	table.fill(d.joined)
+	d.joined = d.joined[:0]
 	d.tables[r] = table
 	// One probe/insert round per neighbor kept, not per accepted insert:
 	// accept-then-displace pairs are an artefact of the visiting order.
@@ -297,7 +302,8 @@ func (d *Directory) drop(id ident.ID) (ident.Rank, error) {
 // top of the directory's own oracle, candidates that are crashed but not
 // yet evicted: repairing an entry with a dead user the owner will never
 // ping (its failure detectors were enrolled at crash time) would leave
-// the dead record in the table forever.
+// the dead record in the table forever. The entry is read again after
+// every round of inserts, which may have moved its window.
 func (d *Directory) refill(g *grid, row int, col ident.Digit, from vnet.HostID, cands []ident.Rank, alive func(ident.ID) bool) {
 	for e := g.entry(row, col); e.Len() < d.k; e = g.entry(row, col) {
 		best := emptySlot

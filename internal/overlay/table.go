@@ -26,6 +26,8 @@ package overlay
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"time"
 
 	"tmesh/internal/ident"
@@ -134,11 +136,11 @@ func (ro *roster) unref(r ident.Rank) {
 }
 
 // Entry is a read view of one (i,j) cell of a neighbor table: at most K
-// neighbors in increasing RTT order. It is a small value (the roster
-// plus the entry's K-slot window, unused slots NoRank at the tail; a
-// row-0 window lies in a column store, and an entry of a deeper row
-// nobody was ever inserted into has no window) and follows the table's
-// later changes: no window ever moves.
+// neighbors in increasing RTT order. It is a small value, the roster
+// plus the entry's K-slot window (unused slots NoRank at the tail; a
+// deeper column nobody was filed in has no window and is empty), valid
+// until the next insert into the same table: opening a window in a
+// deeper row moves the windows after it (see grid).
 type Entry struct {
 	ros   *roster
 	slots []slot
@@ -273,8 +275,7 @@ func (e Entry) drop(r ident.Rank) bool {
 // the top digit files it in one column, so Join, Leave, Evict and
 // Holders read that column as one contiguous run instead of N tables.
 // Chunks of 1<<shift ranks are allocated for all B columns at once and
-// never moved, so the store grows exactly and an Entry into it stays
-// valid. A directory's tables share one store, indexed by their ranks;
+// never moved, so the store grows exactly. A directory's tables share one store, indexed by their ranks;
 // the key server's table and a stand-alone table own a one-rank store.
 type columns struct {
 	k, base int
@@ -283,7 +284,7 @@ type columns struct {
 }
 
 // chunkShift sizes a directory's chunks: 64 ranks, so one column of a
-// chunk is a 4 KB run at K = 4.
+// chunk is a 2 KB run at K = 4.
 const chunkShift = 6
 
 // grow makes room for ranks [0, n).
@@ -300,16 +301,37 @@ func (c *columns) entry(ros *roster, r ident.Rank, col ident.Digit) Entry {
 }
 
 // grid is the slot storage of a table: row 0 in a column store at the
-// table's rank, every deeper row one B×K block of K contiguous slots per
-// entry, allocated on its first insert. Few deeper rows of a table are
-// ever populated (about one of D-1 at the group sizes the paper
-// simulates), and a dense D×B×K block would be 80 KB per member at
-// DefaultParams.
+// table's rank, and every deeper row one []slot that stores only the
+// entries it populates. Its first B/64 slots are a bitmap of the
+// populated columns (a slot is one 64-bit word), then come those
+// columns' K-slot windows in column order: column c's window is the
+// popcount of the bitmap below c. Few deeper entries are ever populated
+// (row 1 about N/B² members per subtree, the rows below far fewer), so
+// a row costs what it holds, and a full row the dense B×K block plus
+// one bitmap.
 type grid struct {
 	ros  *roster
 	cols *columns
 	rank ident.Rank
-	rows [][]slot // one header per row; rows[0] stays nil, row 0 is cols'
+	rows [][]slot // rows[0] stays nil, row 0 is cols'
+}
+
+// words is the length of a deeper row's bitmap: B/64 slots, rounded up.
+func (g *grid) words() int { return (g.cols.base + 63) >> 6 }
+
+func (s slot) word() uint64      { return uint64(s.rtt)<<32 | uint64(s.rank) }
+func wordSlot(w uint64) slot     { return slot{rtt: uint32(w >> 32), rank: ident.Rank(w)} }
+func bit(col ident.Digit) uint64 { return 1 << (col & 63) }
+
+// window returns the offset of col's window in a deeper row and
+// whether col has one; without one, it is where the window would go.
+func (g *grid) window(blk []slot, col ident.Digit) (int, bool) {
+	at := 0
+	for _, s := range blk[:col>>6] {
+		at += bits.OnesCount64(s.word())
+	}
+	w := blk[col>>6].word()
+	return g.words() + (at+bits.OnesCount64(w&(bit(col)-1)))*g.cols.k, w&bit(col) != 0
 }
 
 func (g *grid) entry(row int, col ident.Digit) Entry {
@@ -318,19 +340,49 @@ func (g *grid) entry(row int, col ident.Digit) Entry {
 	}
 	e := Entry{ros: g.ros}
 	if blk := g.rows[row]; blk != nil {
-		e.slots = blk[col*g.cols.k : (col+1)*g.cols.k]
+		if at, ok := g.window(blk, col); ok {
+			e.slots = blk[at : at+g.cols.k]
+		}
 	}
 	return e
 }
 
-// insert places rank r, rtt away, into the (row,col)-entry (see
-// Entry.put), allocating a deeper row on its first insert. It reports
-// whether the entry changed.
-func (g *grid) insert(row int, col ident.Digit, r ident.Rank, rtt uint32) bool {
-	if row > 0 && g.rows[row] == nil {
-		g.rows[row] = empty(make([]slot, g.cols.base*g.cols.k))
+// alloc returns an empty row with room for n slots, in one allocation
+// rounded up to the allocator's size class: the spare capacity takes
+// later windows without a copy.
+func alloc(n int) []slot { return slices.Grow([]slot(nil), n) }
+
+// open returns the (row,col)-entry of a deeper row, giving col a window
+// in column order if it has none. The row then grows by one window: in
+// place while its capacity lasts, else into a new array of its size
+// class, never by doubling.
+func (g *grid) open(row int, col ident.Digit) Entry {
+	blk, k := g.rows[row], g.cols.k
+	if blk == nil {
+		blk = alloc(g.words() + k)[:g.words()]
 	}
-	return g.entry(row, col).put(r, rtt)
+	at, ok := g.window(blk, col)
+	if !ok {
+		if len(blk)+k > cap(blk) {
+			blk = append(alloc(len(blk)+k), blk...)
+		}
+		blk = blk[:len(blk)+k]
+		copy(blk[at+k:], blk[at:])
+		empty(blk[at : at+k])
+		blk[col>>6] = wordSlot(blk[col>>6].word() | bit(col))
+		g.rows[row] = blk
+	}
+	return Entry{ros: g.ros, slots: blk[at : at+k]}
+}
+
+// insert places rank r, rtt away, into the (row,col)-entry (see
+// Entry.put), opening a deeper row's window first. It reports whether
+// the entry changed.
+func (g *grid) insert(row int, col ident.Digit, r ident.Rank, rtt uint32) bool {
+	if row == 0 {
+		return g.entry(0, col).put(r, rtt)
+	}
+	return g.open(row, col).put(r, rtt)
 }
 
 // insertNeighbor and removeID are the ID-keyed forms: they resolve the
@@ -373,14 +425,21 @@ func (g *grid) forEach(fn func(row int, col ident.Digit, s slot)) {
 	}
 }
 
-// forward visits the populated entries of one row in column order.
+// forward visits the populated entries of one row in column order: a
+// deeper row's windows in bitmap order, skipping those churn emptied.
 func (g *grid) forward(row int, visit func(row int, e Entry)) {
-	if row > 0 && g.rows[row] == nil {
+	if row == 0 {
+		for col := range g.cols.base {
+			if e := g.entry(0, col); e.slots[0].rank != ident.NoRank {
+				visit(0, e)
+			}
+		}
 		return
 	}
-	for col := range g.cols.base {
-		if e := g.entry(row, col); e.slots[0].rank != ident.NoRank {
-			visit(row, e)
+	blk, k := g.rows[row], g.cols.k
+	for at := g.words(); at < len(blk); at += k {
+		if blk[at].rank != ident.NoRank {
+			visit(row, Entry{ros: g.ros, slots: blk[at : at+k]})
 		}
 	}
 }
@@ -394,6 +453,35 @@ type Table struct {
 // newTable makes the owner's table with row 0 at rank r of cols.
 func newTable(params ident.Params, owner Record, ros *roster, cols *columns, r ident.Rank) *Table {
 	return &Table{owner: owner, grid: grid{ros: ros, cols: cols, rank: r, rows: make([][]slot, params.Digits)}}
+}
+
+// fill files a joiner's deeper-row neighbours, ns in arrival order, each
+// row allocated once at its final size: one window per column ns
+// populate in it.
+func (t *Table) fill(ns []slot) {
+	k, nw := t.cols.k, t.words()
+	for row := 1; row < len(t.rows); row++ {
+		var bm [256 / 64]uint64 // Params.Validate caps B at 256
+		n := 0
+		for _, s := range ns {
+			if l, col, _ := t.cell(t.ros.recs[s.rank].ID); l == row && bm[col>>6]&bit(col) == 0 {
+				bm[col>>6] |= bit(col)
+				n++
+			}
+		}
+		if n > 0 {
+			blk := alloc(nw + n*k)[:nw+n*k]
+			for w := range nw {
+				blk[w] = wordSlot(bm[w])
+			}
+			empty(blk[nw:])
+			t.rows[row] = blk
+		}
+	}
+	for _, s := range ns {
+		row, col, _ := t.cell(t.ros.recs[s.rank].ID)
+		t.insert(row, col, s.rank, s.rtt)
+	}
 }
 
 // Owner returns the table owner's record.

@@ -2,6 +2,8 @@ package overlay
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -295,5 +297,125 @@ func TestForwardWalk(t *testing.T) {
 	})
 	if want := []cell{{0, 0}, {0, 3}}; !slices.Equal(got, want) {
 		t.Errorf("server visited %v, want %v", got, want)
+	}
+}
+
+// TestSparseRowsMatchDenseModel drives a table's deeper rows and a dense
+// B×K model of them through the same random inserts and removes, with
+// B = 130 so a row's bitmap spans three words: every entry, and what
+// Forward visits, must match the model, and no row may hold more than
+// its size class beyond the windows it stores (growing by doubling
+// would).
+func TestSparseRowsMatchDenseModel(t *testing.T) {
+	params := ident.Params{Digits: 3, Base: 130}
+	rng := rand.New(rand.NewSource(7))
+	owner := Record{ID: ident.MustNew(params, []ident.Digit{5, 5, 5})}
+	for _, k := range []int{1, 3} {
+		table, err := NewTable(params, k, owner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		table.ros = newRoster()
+		model := make([][]slot, params.Digits)
+		for row := 1; row < params.Digits; row++ {
+			model[row] = empty(make([]slot, params.Base*k))
+		}
+		modelEntry := func(row int, col ident.Digit) Entry {
+			return Entry{ros: table.ros, slots: model[row][col*k : (col+1)*k]}
+		}
+		for step := 0; step < 3000; step++ {
+			row := 1 + rng.Intn(params.Digits-1)
+			digits := []ident.Digit{5, 5, 5}
+			for d := row; d < params.Digits; d++ {
+				digits[d] = rng.Intn(params.Base)
+			}
+			digits[row] = (5 + 1 + rng.Intn(params.Base-1)) % params.Base // off the diagonal
+			n := Neighbor{Record: Record{ID: ident.MustNew(params, digits)}, RTT: time.Duration(rng.Intn(50))}
+			col := digits[row]
+			if rng.Intn(3) == 0 {
+				_, _, got := table.Remove(n.ID)
+				r, held := table.ros.rankOf(n.ID)
+				if want := held && modelEntry(row, col).drop(r); got != want {
+					t.Fatalf("k=%d step %d: Remove(%v) = %v, model %v", k, step, n.ID, got, want)
+				}
+				continue
+			}
+			r := table.ros.assign(n.Record)
+			want := modelEntry(row, col).put(r, nanos(n.RTT))
+			if got := table.Insert(n); got != want {
+				t.Fatalf("k=%d step %d: Insert(%v) = %v, model %v", k, step, n, got, want)
+			}
+			table.ros.unref(r)
+		}
+		var visited, populated [][]Neighbor
+		table.Forward(1, func(_ int, e Entry) { visited = append(visited, e.Neighbors()) })
+		for row := 1; row < params.Digits; row++ {
+			for col := range params.Base {
+				want := modelEntry(row, col).Neighbors()
+				if got := table.Entry(row, col).Neighbors(); !slices.Equal(got, want) {
+					t.Fatalf("k=%d: (%d,%d)-entry %v, model %v", k, row, col, got, want)
+				}
+				if len(want) > 0 {
+					populated = append(populated, want)
+				}
+			}
+			if blk := table.rows[row]; cap(blk) > len(blk)*5/4+2 {
+				t.Errorf("k=%d: row %d stores %d slots in an array of %d", k, row, len(blk), cap(blk))
+			}
+		}
+		if !slices.EqualFunc(visited, populated, slices.Equal) {
+			t.Errorf("k=%d: Forward visited %d entries, %d populated, or out of order", k, len(visited), len(populated))
+		}
+	}
+}
+
+// slotSpike is chaos.spikeFactor, the largest factor a soak scales
+// every RTT by (the chaos package imports this one).
+const slotSpike = 3
+
+// TestSlotsHoldEveryCommittedRTT: a slot stores an RTT as uint32
+// nanoseconds, so every host pair of every committed topology, spiked,
+// must stay below 2³² ns (4.29 s), and an RTT outside the range must
+// panic where it is stored, not be clamped.
+func TestSlotsHoldEveryCommittedRTT(t *testing.T) {
+	nets := map[string]func() (vnet.Network, error){
+		"gtitm-paper": func() (vnet.Network, error) { return vnet.NewGTITM(vnet.DefaultGTITMConfig(), 4113, 1) },
+		"gtitm-soak":  func() (vnet.Network, error) { return vnet.NewGTITM(vnet.SoakGTITMConfig(), 1000, 1) },
+		"gtitm-churn": func() (vnet.Network, error) { return vnet.NewGTITM(churnTopology, 4096+1+churnSpare, 1) },
+		"planetlab":   func() (vnet.Network, error) { return vnet.NewPlanetLab(vnet.DefaultPlanetLabConfig(), 1) },
+	}
+	for name, build := range nets {
+		net, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var worst time.Duration
+		for a := range net.NumHosts() {
+			for b := a + 1; b < net.NumHosts(); b++ {
+				worst = max(worst, net.RTT(vnet.HostID(a), vnet.HostID(b)))
+			}
+		}
+		t.Logf("%s: largest RTT %v, spiked %v", name, worst, worst*slotSpike)
+		if worst*slotSpike > math.MaxUint32 {
+			t.Errorf("%s: largest RTT %v × %d does not fit a slot", name, worst, slotSpike)
+		}
+	}
+
+	owner := rec(t, 0, 1, 2, 3)
+	for _, rtt := range []time.Duration{-1, math.MaxUint32 + 1} {
+		table, _ := NewTable(tp, 2, owner)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("inserting an RTT of %v did not panic", rtt)
+				}
+			}()
+			table.Insert(nb(t, 1, rtt, 0, 1, 1))
+		}()
+	}
+	table, _ := NewTable(tp, 2, owner)
+	table.Insert(nb(t, 1, math.MaxUint32, 0, 1, 1))
+	if got := table.Entry(0, 0).Neighbors()[0].RTT; got != math.MaxUint32 {
+		t.Errorf("an RTT of 2³²-1 ns reads back as %v", got)
 	}
 }
