@@ -285,8 +285,6 @@ func scaleCommand(fs *flag.FlagSet) func(ops bool) int {
 			return fail(err, 2)
 		}
 		fmt.Print(rep.String())
-		fmt.Fprintf(os.Stderr, "scale soak heap: %d MB live, %.1f bytes/member\n",
-			rep.HeapAllocEnd>>20, rep.BytesPerMember)
 		if len(rep.Violations) > 0 {
 			return 1
 		}

@@ -121,12 +121,6 @@ type ScaleReport struct {
 	// tenancy-host KeyPlane group reports, so the two soaks over the one
 	// key-plane world can be tested against each other. Not in String().
 	KeyringDigest uint64
-
-	// HeapAllocEnd and BytesPerMember are live-heap observability from
-	// the final interval. They are machine- and GC-timing-dependent,
-	// so String() excludes them.
-	HeapAllocEnd   uint64
-	BytesPerMember float64
 }
 
 // String renders the canonical (deterministic) scale soak report.
@@ -338,10 +332,6 @@ func RunScaleSoak(cfg ScaleConfig) (*ScaleReport, error) {
 	rep.RankWidth = t.world.Tree().Ranks().Width()
 	d := metrics.NewDistribution(costs)
 	rep.CostP50, rep.CostP95 = d.Percentile(50), d.Percentile(95)
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	rep.HeapAllocEnd = ms.HeapAlloc
-	rep.BytesPerMember = float64(ms.HeapAlloc) / float64(cfg.N)
 	rep.KeyringDigest = t.world.Digest()
 	return rep, nil
 }

@@ -275,8 +275,9 @@ func (e Entry) drop(r ident.Rank) bool {
 // the top digit files it in one column, so Join, Leave, Evict and
 // Holders read that column as one contiguous run instead of N tables.
 // Chunks of 1<<shift ranks are allocated for all B columns at once and
-// never moved, so the store grows exactly. A directory's tables share one store, indexed by their ranks;
-// the key server's table and a stand-alone table own a one-rank store.
+// never moved, so the store grows exactly. A directory's tables share
+// one store, indexed by their ranks; the key server's table and a
+// stand-alone table own a one-rank store.
 type columns struct {
 	k, base int
 	shift   uint
@@ -455,11 +456,10 @@ func newTable(params ident.Params, owner Record, ros *roster, cols *columns, r i
 	return &Table{owner: owner, grid: grid{ros: ros, cols: cols, rank: r, rows: make([][]slot, params.Digits)}}
 }
 
-// fill files a joiner's deeper-row neighbours, ns in arrival order, each
-// row allocated once at its final size: one window per column ns
-// populate in it.
+// fill files a joiner's deeper-row neighbours, ns in arrival order,
+// into rows allocated once at their final size: one window per column
+// ns populate in the row, so no open has to grow one.
 func (t *Table) fill(ns []slot) {
-	k, nw := t.cols.k, t.words()
 	for row := 1; row < len(t.rows); row++ {
 		var bm [256 / 64]uint64 // Params.Validate caps B at 256
 		n := 0
@@ -470,12 +470,7 @@ func (t *Table) fill(ns []slot) {
 			}
 		}
 		if n > 0 {
-			blk := alloc(nw + n*k)[:nw+n*k]
-			for w := range nw {
-				blk[w] = wordSlot(bm[w])
-			}
-			empty(blk[nw:])
-			t.rows[row] = blk
+			t.rows[row] = alloc(t.words() + n*t.cols.k)[:t.words()]
 		}
 	}
 	for _, s := range ns {
