@@ -148,7 +148,10 @@ bench-pairs:
 # internal/transport + internal/rekeyd and on the total, in that order,
 # that the last simplicity PR reached. A PR that must grow past one
 # raises it here, in the open, next to its CHANGES.md line.
-LOC_BUDGET ?= 2563 20384
+# DESIGN_BUDGET is the same ratchet on DESIGN.md's bytes: it only goes
+# down, so prose leaves with the path it describes.
+LOC_BUDGET ?= 2563 20472
+DESIGN_BUDGET ?= 77033
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs wc -l | \
 		awk -v budget="$(LOC_BUDGET)" \
@@ -157,6 +160,9 @@ loc:
 		           printf "%6d total\n", t; s = n["internal/transport"] + n["internal/rekeyd"]; \
 		           split(budget, b, " "); if (s > b[1] || t > b[2]) { \
 		               printf "loc: over LOC_BUDGET: transport+rekeyd %d (budget %d), total %d (budget %d)\n", s, b[1], t, b[2]; exit 1 } }'
+	@wc -c < DESIGN.md | awk -v budget="$(DESIGN_BUDGET)" \
+		'{ printf "%6d DESIGN.md bytes (budget %d)\n", $$1, budget; \
+		   if ($$1 > budget) { print "loc: DESIGN.md over DESIGN_BUDGET"; exit 1 } }'
 
 # dead lists the exported funcs and methods under internal/ that no
 # non-test file under internal/, cmd/, examples/ or bench/ mentions by
