@@ -99,11 +99,12 @@ trace-audit:
 # same: FuzzParseSchedule, seeded with the committed schedules. So does
 # the ID tree: FuzzTreeMatchesModel decodes bytes into an ID space and
 # insert/remove sequence and checks every query against the map-backed
-# reference model in internal/ident's tests. And the hop split, which a
-# daemon member runs on whatever a peer sent it: FuzzAppendShare decodes
-# bytes into a payload of mixed-length IDs in any order and checks the
-# share against the reference filter. `go test -fuzz` takes one harness
-# at a time, hence the seven invocations.
+# reference model in internal/ident's tests, and FuzzWordMatchesModel
+# checks the one-word ID's operations against the string ID it replaced.
+# And the hop split, which a daemon member runs on whatever a peer sent
+# it: FuzzAppendShare decodes bytes into a payload of mixed-length IDs in
+# any order and checks the share against the reference filter. `go test
+# -fuzz` takes one harness at a time, hence the eight invocations.
 fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzUnmarshalRekey$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzUnmarshalQueryReply$$' -fuzztime $(FUZZTIME)
@@ -111,6 +112,7 @@ fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzUnmarshalAck$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/workload -run '^$$' -fuzz '^FuzzParseSchedule$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ident -run '^$$' -fuzz '^FuzzTreeMatchesModel$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ident -run '^$$' -fuzz '^FuzzWordMatchesModel$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/split -run '^$$' -fuzz '^FuzzAppendShare$$' -fuzztime $(FUZZTIME)
 
 # bench-harness vets and smoke-tests the repo benchmark in bench/. It is
@@ -150,8 +152,8 @@ bench-pairs:
 # raises it here, in the open, next to its CHANGES.md line.
 # DESIGN_BUDGET is the same ratchet on DESIGN.md's bytes: it only goes
 # down, so prose leaves with the path it describes.
-LOC_BUDGET ?= 2563 20472
-DESIGN_BUDGET ?= 77033
+LOC_BUDGET ?= 2562 20532
+DESIGN_BUDGET ?= 76976
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs wc -l | \
 		awk -v budget="$(LOC_BUDGET)" \

@@ -115,7 +115,7 @@ func TestFailsUnderDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := ident.IDFromKey(to.Key()).Prefix(h.Level)
+	w := to.Prefix(h.Level)
 	added := ""
 	for _, s := range msg {
 		if e, err := ident.ParsePrefix(s); err == nil && !e.Related(w) {

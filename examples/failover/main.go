@@ -65,11 +65,11 @@ func run() error {
 
 		fmt.Printf("K=%d:\n", k)
 		for _, failures := range []int{0, 4, 8, 16} {
-			dead := make(map[string]bool, failures)
+			dead := make(map[ident.ID]bool, failures)
 			for len(dead) < failures {
-				dead[members[rng.Intn(len(members))].Key()] = true
+				dead[members[rng.Intn(len(members))]] = true
 			}
-			alive := func(id ident.ID) bool { return !dead[id.Key()] }
+			alive := func(id ident.ID) bool { return !dead[id] }
 			res, err := tmesh.Multicast(tmesh.Config[int]{
 				Dir:   dir,
 				Alive: alive,
@@ -79,11 +79,11 @@ func run() error {
 			}
 			delivered, liveCount := 0, 0
 			for _, id := range members {
-				if dead[id.Key()] {
+				if dead[id] {
 					continue
 				}
 				liveCount++
-				if st := res.Users[id.Key()]; st != nil && st.Received >= 1 {
+				if st := res.Users[id]; st != nil && st.Received >= 1 {
 					delivered++
 				}
 			}

@@ -239,11 +239,11 @@ func (a *Assigner) collect(host vnet.HostID, determined []ident.Digit, known []o
 	}
 
 	buckets := make(map[ident.Digit][]overlay.Record)
-	collected := make(map[string]bool)
-	queried := make(map[string]bool)
+	collected := make(map[ident.ID]bool)
+	queried := make(map[ident.ID]bool)
 
 	add := func(r overlay.Record) {
-		if collected[r.ID.Key()] || !r.ID.HasPrefix(prefix) {
+		if collected[r.ID] || !r.ID.HasPrefix(prefix) {
 			return
 		}
 		// A bucket keeps at most P records; overflow is dropped, which
@@ -252,7 +252,7 @@ func (a *Assigner) collect(host vnet.HostID, determined []ident.Digit, known []o
 		if len(buckets[d]) >= a.cfg.CollectTarget {
 			return
 		}
-		collected[r.ID.Key()] = true
+		collected[r.ID] = true
 		buckets[d] = append(buckets[d], r)
 	}
 	for _, r := range known {
@@ -285,7 +285,7 @@ func (a *Assigner) collect(host vnet.HostID, determined []ident.Digit, known []o
 				continue
 			}
 			for _, r := range b {
-				if !queried[r.ID.Key()] {
+				if !queried[r.ID] {
 					target, found = r, true
 					break
 				}
@@ -297,7 +297,7 @@ func (a *Assigner) collect(host vnet.HostID, determined []ident.Digit, known []o
 		if !found {
 			break
 		}
-		queried[target.ID.Key()] = true
+		queried[target.ID] = true
 		st.Queries++
 		st.Messages += 2
 		st.Trace = append(st.Trace, Exchange{Kind: ExchangeQuery, Peer: target.Host, Level: i})

@@ -192,12 +192,12 @@ func TestProximityClustering(t *testing.T) {
 		t.Error("clusters A and B (100 ms apart > R_2) must have different digit 1")
 	}
 	// All IDs unique.
-	seen := make(map[string]bool)
+	seen := make(map[ident.ID]bool)
 	for _, id := range idOf {
-		if seen[id.Key()] {
+		if seen[id] {
 			t.Fatalf("duplicate ID %v", id)
 		}
-		seen[id.Key()] = true
+		seen[id] = true
 	}
 }
 
@@ -233,13 +233,13 @@ func TestUniquenessUnderChurn(t *testing.T) {
 		pos[i] = float64(i%7) * 0.1 // everyone within a millisecond
 	}
 	a, dir := newWorld(t, pos)
-	seen := make(map[string]bool)
+	seen := make(map[ident.ID]bool)
 	for h := 1; h <= n; h++ {
 		id, _ := joinHost(t, a, h)
-		if seen[id.Key()] {
+		if seen[id] {
 			t.Fatalf("duplicate ID %v for host %d", id, h)
 		}
-		seen[id.Key()] = true
+		seen[id] = true
 	}
 	if err := dir.CheckConsistency(); err != nil {
 		t.Fatal(err)

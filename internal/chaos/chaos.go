@@ -34,6 +34,7 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -230,7 +231,7 @@ type Engine struct {
 	curMsg      *keytree.Message // the rekey message the ladder carries
 	curLadder   *recovery.LadderResult
 	rekeyLive   []ident.ID // alive in-tree members at rekey send
-	lastEpoch   map[string]uint64
+	lastEpoch   map[ident.Prefix]uint64
 
 	// Every delivery delay of the soak, in milliseconds: the report's
 	// percentiles are exact over them.
@@ -278,7 +279,7 @@ func newEngine(cfg Config, sched *workload.Schedule) (*Engine, error) {
 		faultRNG:  rand.New(rand.NewSource(cfg.Seed ^ 0x666c74)), // "flt"
 		idRNG:     rand.New(rand.NewSource(cfg.Seed ^ 0x696473)), // "ids"
 		idOf:      make(map[int]ident.ID),
-		lastEpoch: make(map[string]uint64),
+		lastEpoch: make(map[ident.Prefix]uint64),
 		rep:       &Report{Seed: cfg.Seed, Auditors: AuditorNames()},
 	}
 	if sched == nil {
@@ -372,7 +373,7 @@ func (e *Engine) dropUnicast(u ident.ID, attempt int) bool {
 // user with a pending kill still responds until the crash fires, but
 // excluding it keeps victim picks and snapshots stable).
 func (e *Engine) alive(id ident.ID) bool {
-	_, crashed := e.det.crashes[id.Key()]
+	_, crashed := e.det.crashes[id]
 	return !crashed
 }
 
@@ -757,17 +758,17 @@ func (e *Engine) doRekey(now time.Duration, stats *IntervalStats, fail func(erro
 	e.curMsg, e.curLadder = msg, lr
 }
 
-// unreaped returns, in key order, the keys of the crashes the engine
-// has not reaped yet that pass the filter.
-func (e *Engine) unreaped(keep func(*crash) bool) []string {
-	var keys []string
-	for key, c := range e.det.crashes {
+// unreaped returns, in ID order, the IDs of the crashes the engine has
+// not reaped yet that pass the filter.
+func (e *Engine) unreaped(keep func(*crash) bool) []ident.ID {
+	var ids []ident.ID
+	for id, c := range e.det.crashes {
 		if !c.reaped && keep(c) {
-			keys = append(keys, key)
+			ids = append(ids, id)
 		}
 	}
-	sort.Strings(keys)
-	return keys
+	slices.SortFunc(ids, ident.ID.Compare)
+	return ids
 }
 
 // reapEvictions notices crashed users the detector has evicted since the
@@ -858,7 +859,7 @@ func (e *Engine) doAudit(now time.Duration, idx int, stats *IntervalStats) {
 	// Keep the interval's delivery delays for the soak-wide percentiles.
 	if e.curData != nil {
 		for _, id := range e.dataMembers {
-			if st := e.curData.Users[id.Key()]; st != nil && st.Received > 0 {
+			if st := e.curData.Users[id]; st != nil && st.Received > 0 {
 				e.dataDelay = append(e.dataDelay, float64(st.Delay-e.dataStart)/float64(time.Millisecond))
 			}
 		}
@@ -866,7 +867,7 @@ func (e *Engine) doAudit(now time.Duration, idx int, stats *IntervalStats) {
 	var keyLat []float64
 	if e.curLadder != nil {
 		for _, id := range e.rekeyLive {
-			if at, ok := e.curLadder.DeliveredAt[id.Key()]; ok {
+			if at, ok := e.curLadder.DeliveredAt[id]; ok {
 				keyLat = append(keyLat, float64(at-e.rekeyStart)/float64(time.Millisecond))
 			}
 		}
@@ -910,7 +911,7 @@ func (e *Engine) evidence(idx int, stats *IntervalStats) *Evidence {
 	if e.curData != nil {
 		for _, id := range e.dataMembers {
 			n := 0
-			if st := e.curData.Users[id.Key()]; st != nil {
+			if st := e.curData.Users[id]; st != nil {
 				n = st.Received
 			}
 			ev.Copies = append(ev.Copies, Copy{ID: id, N: n})

@@ -159,7 +159,7 @@ func TestSoakRekeyMessagesAreRealWraps(t *testing.T) {
 				var kek keycrypt.Key
 				var ok bool
 				if enc.ID.Len() == soakParams.Digits {
-					kek, ok = e.tree.IndividualKey(ident.IDFromKey(enc.ID.Key()))
+					kek, ok = e.tree.IndividualKey(ident.ID(enc.ID))
 				} else {
 					kek, _, ok = e.tree.KeyOf(enc.ID)
 				}
@@ -205,9 +205,9 @@ func TestSoakCoverageCatchesASkippedMember(t *testing.T) {
 				return
 			}
 			for _, id := range e.rekeyLive {
-				if rung, ok := lr.RungOf[id.Key()]; ok && rung == recovery.ByMulticast && e.alive(id) {
-					delete(lr.RungOf, id.Key())
-					delete(lr.DeliveredAt, id.Key())
+				if rung, ok := lr.RungOf[id]; ok && rung == recovery.ByMulticast && e.alive(id) {
+					delete(lr.RungOf, id)
+					delete(lr.DeliveredAt, id)
 					victim, skipped = id, i-1
 					return
 				}

@@ -44,10 +44,10 @@ type detector struct {
 	sim *eventsim.Simulator
 	rng *rand.Rand // draws the ping phases
 	// phase holds each owner's ping phase in [0, pingInterval).
-	phase map[string]time.Duration
+	phase map[ident.ID]time.Duration
 	// crashes is the crash table the engine shares: every kill, by ID,
 	// until a joiner reuses the ID.
-	crashes map[string]*crash
+	crashes map[ident.ID]*crash
 }
 
 // newDetector enrols the directory's current members and makes every
@@ -57,8 +57,8 @@ func newDetector(dir *overlay.Directory, sim *eventsim.Simulator, rng *rand.Rand
 		dir:     dir,
 		sim:     sim,
 		rng:     rng,
-		phase:   make(map[string]time.Duration),
-		crashes: make(map[string]*crash),
+		phase:   make(map[ident.ID]time.Duration),
+		crashes: make(map[ident.ID]*crash),
 	}
 	for _, id := range dir.IDs() {
 		d.observe(id)
@@ -73,16 +73,16 @@ func newDetector(dir *overlay.Directory, sim *eventsim.Simulator, rng *rand.Rand
 // observe enrols a member: it draws the ID's ping phase (once: a reused
 // ID keeps its phase) and clears a previous holder's crash.
 func (d *detector) observe(id ident.ID) {
-	if _, ok := d.phase[id.Key()]; !ok {
-		d.phase[id.Key()] = time.Duration(d.rng.Int63n(int64(pingInterval)))
+	if _, ok := d.phase[id]; !ok {
+		d.phase[id] = time.Duration(d.rng.Int63n(int64(pingInterval)))
 	}
-	delete(d.crashes, id.Key())
+	delete(d.crashes, id)
 }
 
 // up reports whether a user still answers: it never crashed, or its
 // crash has not fired yet.
 func (d *detector) up(id ident.ID) bool {
-	c, ok := d.crashes[id.Key()]
+	c, ok := d.crashes[id]
 	return !ok || !c.down
 }
 
@@ -90,7 +90,7 @@ func (d *detector) up(id ident.ID) bool {
 // schedules a detection by every live owner that holds it.
 func (d *detector) kill(failed ident.ID, at time.Duration) {
 	c := &crash{id: failed, at: at}
-	d.crashes[failed.Key()] = c
+	d.crashes[failed] = c
 	d.sim.At(at, func(crashAt time.Duration) {
 		c.down = true
 		// The holders at the crash, not at the kill: under overlapping
@@ -123,7 +123,7 @@ func (d *detector) kill(failed ident.ID, at time.Duration) {
 // of two access RTTs.
 func (d *detector) detectAt(owner ident.ID, crashAt time.Duration) time.Duration {
 	rec, _ := d.dir.Record(owner)
-	return nextTick(crashAt, d.phase[owner.Key()], pingInterval) +
+	return nextTick(crashAt, d.phase[owner], pingInterval) +
 		(misses-1)*pingInterval + 2*d.dir.Network().AccessRTT(rec.Host)
 }
 

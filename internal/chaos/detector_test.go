@@ -108,7 +108,7 @@ func TestMulticastDuringRecovery(t *testing.T) {
 		if r.ID.Equal(failed) {
 			continue
 		}
-		st := res.Users[r.ID.Key()]
+		st := res.Users[r.ID]
 		if st == nil || st.Received != 1 {
 			t.Errorf("user %v received %+v during recovery window", r.ID, st)
 		}
@@ -217,10 +217,10 @@ func spareVictims(t *testing.T, dir *overlay.Directory, recs []overlay.Record) (
 }
 
 // holdersSet lists the owners whose tables currently hold the user.
-func holdersSet(dir *overlay.Directory, id ident.ID) map[string]bool {
-	out := make(map[string]bool)
+func holdersSet(dir *overlay.Directory, id ident.ID) map[ident.ID]bool {
+	out := make(map[ident.ID]bool)
 	for _, owner := range dir.Holders(id) {
-		out[owner.Key()] = true
+		out[owner] = true
 	}
 	return out
 }
@@ -284,7 +284,7 @@ func TestCrashDuringInFlightRepair(t *testing.T) {
 	}
 	for key := range holdersSet(d.dir, v2) {
 		if !before[key] {
-			t.Errorf("repair adopted dead user %v into %v's table", v2, ident.IDFromKey(key))
+			t.Errorf("repair adopted dead user %v into %v's table", v2, key)
 		}
 	}
 

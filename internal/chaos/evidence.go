@@ -64,7 +64,7 @@ type Evidence struct {
 	// the clock the records' JoinTime uses: an epoch may restart at 0
 	// only under a leader that joined since.
 	Clusters      Clusters
-	LastEpoch     map[string]uint64
+	LastEpoch     map[ident.Prefix]uint64
 	IntervalStart time.Duration
 
 	// Ladder is the outcome of the interval's key distribution, as the
@@ -311,7 +311,7 @@ func checkCoverage(ev *Evidence, c *Counts) []string {
 			if !ev.survivor(id) {
 				continue // crashed or left after the send
 			}
-			rung, ok := l.RungOf[id.Key()]
+			rung, ok := l.RungOf[id]
 			if !ok {
 				vs = append(vs, fmt.Sprintf("surviving member %v never got its key slice", id))
 				continue
@@ -382,10 +382,9 @@ func checkCluster(ev *Evidence, _ *Counts) []string {
 		return nil
 	}
 	var vs []string
-	seen := make(map[string]bool)
+	seen := make(map[ident.Prefix]bool)
 	for _, p := range m.Prefixes() {
-		pk := p.Key()
-		seen[pk] = true
+		seen[p] = true
 		leader, ok := m.Leader(p)
 		if !ok {
 			vs = append(vs, fmt.Sprintf("cluster %v has no leader", p))
@@ -408,10 +407,10 @@ func checkCluster(ev *Evidence, _ *Counts) []string {
 		if ep, ok := m.Epoch(p); ok && ev.LastEpoch != nil {
 			// A cluster that emptied and re-formed since the last audit
 			// legitimately restarts at epoch 0 under a brand-new leader.
-			if last, prev := ev.LastEpoch[pk]; prev && ep < last && !(ep == 0 && leader.JoinTime >= ev.IntervalStart) {
+			if last, prev := ev.LastEpoch[p]; prev && ep < last && !(ep == 0 && leader.JoinTime >= ev.IntervalStart) {
 				vs = append(vs, fmt.Sprintf("cluster %v epoch went backwards: %d -> %d", p, last, ep))
 			}
-			ev.LastEpoch[pk] = ep
+			ev.LastEpoch[p] = ep
 		}
 	}
 	for k := range ev.LastEpoch {
@@ -440,23 +439,23 @@ func checkLadder(ev *Evidence, c *Counts) []string {
 		return nil
 	}
 	var vs []string
-	dead := make(map[string]bool, len(l.DeadInFlight))
+	dead := make(map[ident.ID]bool, len(l.DeadInFlight))
 	for _, id := range l.DeadInFlight {
-		dead[id.Key()] = true
+		dead[id] = true
 		if ev.survivor(id) {
 			vs = append(vs, fmt.Sprintf("reachable member %v declared dead in flight", id))
 		}
 	}
 	for _, id := range ev.Owed {
-		if !ev.survivor(id) || dead[id.Key()] {
+		if !ev.survivor(id) || dead[id] {
 			continue
 		}
-		if _, ok := l.RungOf[id.Key()]; !ok {
+		if _, ok := l.RungOf[id]; !ok {
 			vs = append(vs, fmt.Sprintf("member %v was owed keys but no rung delivered them", id))
 		}
 	}
 	for _, id := range l.Resynced {
-		if rung, ok := l.RungOf[id.Key()]; !ok || rung != recovery.ByResync {
+		if rung, ok := l.RungOf[id]; !ok || rung != recovery.ByResync {
 			vs = append(vs, fmt.Sprintf("member %v booked as resynced without the resync rung", id))
 		}
 	}

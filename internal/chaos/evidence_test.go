@@ -206,42 +206,42 @@ func TestAuditorsCanFail(t *testing.T) {
 			fails: map[string]string{"cluster": "joined before leader"}},
 		{name: "epoch backwards", ev: &Evidence{
 			Clusters:  fakeClusters{prefix: inA, leader: &overlay.Record{ID: a, JoinTime: 5}, epoch: 1},
-			LastEpoch: map[string]uint64{inA.Key(): 3}},
+			LastEpoch: map[ident.Prefix]uint64{inA: 3}},
 			fails: map[string]string{"cluster": "epoch went backwards: 3 -> 1"}},
 		{name: "epoch restarts under an old leader", ev: &Evidence{IntervalStart: 10,
 			Clusters:  fakeClusters{prefix: inA, leader: &overlay.Record{ID: a, JoinTime: 5}},
-			LastEpoch: map[string]uint64{inA.Key(): 3}},
+			LastEpoch: map[ident.Prefix]uint64{inA: 3}},
 			fails: map[string]string{"cluster": "epoch went backwards: 3 -> 0"}},
 		{name: "cluster re-formed this interval", ev: &Evidence{IntervalStart: 10,
 			Clusters:  fakeClusters{prefix: inA, leader: &overlay.Record{ID: a, JoinTime: 12}},
-			LastEpoch: map[string]uint64{inA.Key(): 3}}},
+			LastEpoch: map[ident.Prefix]uint64{inA: 3}}},
 		{name: "leader departed", ev: &Evidence{Dir: evDir(t),
 			Clusters: fakeClusters{prefix: evID(t, 15).Prefix(1), leader: &overlay.Record{ID: evID(t, 15)}}},
 			fails: map[string]string{"cluster": "dead or departed"}},
 
 		{name: "straggler with no rung", ev: &Evidence{Owed: []ident.ID{a, b},
-			Ladder: &recovery.Outcome{RungOf: map[string]recovery.Rung{a.Key(): recovery.ByMulticast}}},
+			Ladder: &recovery.Outcome{RungOf: map[ident.ID]recovery.Rung{a: recovery.ByMulticast}}},
 			fails: map[string]string{"coverage": "never got its key slice", "ladder": "no rung delivered"}},
 		{name: "straggler that crashed", ev: &Evidence{Alive: func(id ident.ID) bool { return !id.Equal(b) },
 			Owed:   []ident.ID{a, b},
-			Ladder: &recovery.Outcome{RungOf: map[string]recovery.Rung{a.Key(): recovery.ByMulticast}}}},
+			Ladder: &recovery.Outcome{RungOf: map[ident.ID]recovery.Rung{a: recovery.ByMulticast}}}},
 		{name: "reachable member declared dead", ev: &Evidence{Owed: []ident.ID{a, b},
 			Ladder: &recovery.Outcome{DeadInFlight: []ident.ID{b},
-				RungOf: map[string]recovery.Rung{a.Key(): recovery.ByUnicast}}},
+				RungOf: map[ident.ID]recovery.Rung{a: recovery.ByUnicast}}},
 			fails: map[string]string{"coverage": "never got its key slice", "ladder": "declared dead in flight"}},
 		{name: "unreachable member declared dead", ev: &Evidence{
 			Alive: func(id ident.ID) bool { return !id.Equal(b) },
 			Owed:  []ident.ID{a, b},
 			Ladder: &recovery.Outcome{DeadInFlight: []ident.ID{b},
-				RungOf: map[string]recovery.Rung{a.Key(): recovery.ByUnicast}}}},
+				RungOf: map[ident.ID]recovery.Rung{a: recovery.ByUnicast}}}},
 		{name: "resynced without the rung", ev: &Evidence{Owed: []ident.ID{a},
 			Ladder: &recovery.Outcome{Resynced: []ident.ID{a},
-				RungOf: map[string]recovery.Rung{a.Key(): recovery.ByUnicast}}},
+				RungOf: map[ident.ID]recovery.Rung{a: recovery.ByUnicast}}},
 			fails: map[string]string{"ladder": "without the resync rung"}},
 		{name: "backoff over the cap", ev: &Evidence{Ladder: &recovery.Outcome{MaxBackoff: 2 * time.Second, BackoffCap: time.Second}},
 			fails: map[string]string{"ladder": "exceeds the cap"}},
 		{name: "clean interval needed the ladder", ev: &Evidence{MustIdle: true, Owed: []ident.ID{a, b},
-			Ladder: &recovery.Outcome{RungOf: map[string]recovery.Rung{a.Key(): recovery.ByMulticast, b.Key(): recovery.ByUnicast}}},
+			Ladder: &recovery.Outcome{RungOf: map[ident.ID]recovery.Rung{a: recovery.ByMulticast, b: recovery.ByUnicast}}},
 			fails: map[string]string{"ladder": "needed the ladder: 1 unicast"}},
 	}
 	for _, tc := range cases {
@@ -279,8 +279,8 @@ func TestAuditCounts(t *testing.T) {
 	_, counts := Audit(&Evidence{
 		Copies: []Copy{{a, 1}, {b, 0}, {c, 1}},
 		Alive:  func(id ident.ID) bool { return !id.Equal(c) },
-		Owed:   []ident.ID{a, b, c}, Ladder: &recovery.Outcome{RungOf: map[string]recovery.Rung{
-			a.Key(): recovery.ByMulticast, b.Key(): recovery.ByResync, c.Key(): recovery.ByUnicast}},
+		Owed:   []ident.ID{a, b, c}, Ladder: &recovery.Outcome{RungOf: map[ident.ID]recovery.Rung{
+			a: recovery.ByMulticast, b: recovery.ByResync, c: recovery.ByUnicast}},
 	}, nil)
 	want := Counts{CopiesDelivered: 2, CopiesLost: 1}
 	want.ByRung[recovery.ByMulticast], want.ByRung[recovery.ByResync] = 1, 1 // c crashed: not tallied

@@ -198,12 +198,13 @@ func TestDefaultScaleConfig(t *testing.T) {
 // bytes/member budget (GC-settled HeapAlloc delta across the build),
 // both right after build-up and in steady state, after two churn
 // intervals have run every member's apply. At N=20000 the committed
-// measurements are 337 B/member built and in steady state (355 when the
-// gate also counted the scale soak's list of member IDs), with the
-// keyrings in one slab and the ID tree holding internal nodes only (a
-// user ID is a bit in its parent's digit set; with an entry per user ID
-// in two maps and a k-node index beside them it was 535); the budget
-// is the steady-state reading × 1.25,
+// measurements are 291 B/member built and in steady state, with IDs one
+// machine word each (337 when they were digit strings and the rank and
+// epoch maps string-keyed; 355 when the gate also counted the scale
+// soak's list of member IDs), the keyrings in one slab and the ID tree
+// holding internal nodes only (a user ID is a bit in its parent's digit
+// set; with an entry per user ID in two maps and a k-node index beside
+// them it was 535); the budget is the steady-state reading × 1.25,
 // so layout regressions on the million-member path fail here instead
 // of surfacing in a production soak. Only the steady-state reading
 // sees state an apply leaves on every keyring: a scratch slice kept
@@ -211,7 +212,7 @@ func TestDefaultScaleConfig(t *testing.T) {
 // per-interval allocation budget is the repo benchmark's keyplane_100k
 // mem_bytes_per_member / allocs_per_member.)
 func TestMemberFootprintBudget(t *testing.T) {
-	const n, budget = 20000, 444.0
+	const n, budget = 20000, 364.0
 	var before runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

@@ -32,7 +32,7 @@ func TraceEvidence(g *trace.Group) (*Evidence, error) {
 	}
 	parseID := func(s string) (ident.ID, bool) {
 		p, ok := parse(s)
-		return ident.IDFromKey(p.Key()), ok
+		return ident.ID(p), ok
 	}
 	encs := func(ids []string) []keycrypt.Encryption {
 		out := []keycrypt.Encryption{} // never nil: an empty message still sets Message
@@ -59,7 +59,7 @@ func TraceEvidence(g *trace.Group) (*Evidence, error) {
 		ev.Message = msg
 	}
 	var ladder recovery.Outcome
-	copies := make(map[string]int)
+	copies := make(map[ident.ID]int)
 	for _, h := range g.Hops {
 		to, ok := parseID(h.To)
 		if !ok {
@@ -74,18 +74,18 @@ func TraceEvidence(g *trace.Group) (*Evidence, error) {
 			ev.FaultFree = ev.FaultFree && g.End != nil // without an end record, a drop is a fault
 			continue
 		}
-		copies[to.Key()]++
+		copies[to]++
 		ladder.Settle(to, recovery.ByMulticast, time.Duration(h.RecvNS))
 	}
 
-	survivors := make(map[string]bool)
-	ev.Alive = func(id ident.ID) bool { return survivors[id.Key()] }
+	survivors := make(map[ident.ID]bool)
+	ev.Alive = func(id ident.ID) bool { return survivors[id] }
 	for _, s := range g.Survivors() {
 		id, ok := parseID(s)
-		survivors[id.Key()] = ok
+		survivors[id] = ok
 		if ok && (!rekey || slices.ContainsFunc(msg, func(e keycrypt.Encryption) bool { return e.NeededBy(id) })) {
-			ev.Copies = append(ev.Copies, Copy{ID: id, N: copies[id.Key()]})
-			delete(copies, id.Key())
+			ev.Copies = append(ev.Copies, Copy{ID: id, N: copies[id]})
+			delete(copies, id)
 			if rekey {
 				ev.Owed = append(ev.Owed, id)
 			}
@@ -93,9 +93,9 @@ func TraceEvidence(g *trace.Group) (*Evidence, error) {
 	}
 	// Every other receiver too, so a second copy counts wherever it lands.
 	for _, d := range ev.Hops {
-		if n := copies[d.To.Key()]; n > 0 {
+		if n := copies[d.To]; n > 0 {
 			ev.Copies = append(ev.Copies, Copy{ID: d.To, N: n})
-			delete(copies, d.To.Key())
+			delete(copies, d.To)
 		}
 	}
 

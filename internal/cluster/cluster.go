@@ -37,8 +37,8 @@ type Manager struct {
 	params ident.Params
 	tree   *keytree.Tree
 
-	clusters map[string]*state // keyed by level-(D-1) prefix
-	pending  keytree.Pending   // leader churn since the last Process
+	clusters map[ident.Prefix]*state // keyed by level-(D-1) prefix
+	pending  keytree.Pending         // leader churn since the last Process
 
 	pairwiseMessages int
 }
@@ -46,8 +46,8 @@ type Manager struct {
 type state struct {
 	prefix  ident.Prefix
 	leader  overlay.Record
-	members map[string]overlay.Record // includes the leader
-	epoch   uint64                    // bumped on every leadership change
+	members map[ident.ID]overlay.Record // includes the leader
+	epoch   uint64                      // bumped on every leadership change
 }
 
 // Result summarises one rekey interval under the heuristic.
@@ -76,7 +76,7 @@ func New(params ident.Params, seed []byte, opts keytree.Opts) (*Manager, error) 
 	return &Manager{
 		params:   params,
 		tree:     tree,
-		clusters: make(map[string]*state),
+		clusters: make(map[ident.Prefix]*state),
 	}, nil
 }
 
@@ -90,7 +90,7 @@ func (m *Manager) ClusterOf(id ident.ID) ident.Prefix {
 
 // Leader returns the leader record of the cluster at the prefix.
 func (m *Manager) Leader(p ident.Prefix) (overlay.Record, bool) {
-	s, ok := m.clusters[p.Key()]
+	s, ok := m.clusters[p]
 	if !ok {
 		return overlay.Record{}, false
 	}
@@ -99,23 +99,23 @@ func (m *Manager) Leader(p ident.Prefix) (overlay.Record, bool) {
 
 // IsLeader reports whether the user currently leads its cluster.
 func (m *Manager) IsLeader(id ident.ID) bool {
-	s, ok := m.clusters[m.ClusterOf(id).Key()]
+	s, ok := m.clusters[m.ClusterOf(id)]
 	return ok && s.leader.ID.Equal(id)
 }
 
 // Has reports whether the user is a member of some cluster.
 func (m *Manager) Has(id ident.ID) bool {
-	s, ok := m.clusters[m.ClusterOf(id).Key()]
+	s, ok := m.clusters[m.ClusterOf(id)]
 	if !ok {
 		return false
 	}
-	_, member := s.members[id.Key()]
+	_, member := s.members[id]
 	return member
 }
 
 // Members returns the records of a cluster's members in ID order.
 func (m *Manager) Members(p ident.Prefix) []overlay.Record {
-	s, ok := m.clusters[p.Key()]
+	s, ok := m.clusters[p]
 	if !ok {
 		return nil
 	}
@@ -132,7 +132,7 @@ func (m *Manager) Members(p ident.Prefix) []overlay.Record {
 // Auditors use it to assert leadership changes are monotone and occur
 // only when the previous leader departed.
 func (m *Manager) Epoch(p ident.Prefix) (uint64, bool) {
-	s, ok := m.clusters[p.Key()]
+	s, ok := m.clusters[p]
 	if !ok {
 		return 0, false
 	}
@@ -146,7 +146,7 @@ func (m *Manager) Prefixes() []ident.Prefix {
 	for _, s := range m.clusters {
 		out = append(out, s.prefix)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }
 
@@ -167,12 +167,12 @@ func (m *Manager) Clusters() int { return len(m.clusters) }
 // later members only establish a pairwise key with their leader.
 func (m *Manager) Join(rec overlay.Record) error {
 	pfx := m.ClusterOf(rec.ID)
-	s, ok := m.clusters[pfx.Key()]
+	s, ok := m.clusters[pfx]
 	if ok {
-		if _, dup := s.members[rec.ID.Key()]; dup {
+		if _, dup := s.members[rec.ID]; dup {
 			return fmt.Errorf("cluster: duplicate join of %v", rec.ID)
 		}
-		s.members[rec.ID.Key()] = rec
+		s.members[rec.ID] = rec
 		// Certificate exchange: join certificate to leader, SSL-style
 		// pairwise establishment — two round trips.
 		m.pairwiseMessages += 4
@@ -181,9 +181,9 @@ func (m *Manager) Join(rec overlay.Record) error {
 	s = &state{
 		prefix:  pfx,
 		leader:  rec,
-		members: map[string]overlay.Record{rec.ID.Key(): rec},
+		members: map[ident.ID]overlay.Record{rec.ID: rec},
 	}
-	m.clusters[pfx.Key()] = s
+	m.clusters[pfx] = s
 	m.pending.Join(rec.ID)
 	return nil
 }
@@ -193,14 +193,14 @@ func (m *Manager) Join(rec overlay.Record) error {
 // remaining member and the group rekeys.
 func (m *Manager) Leave(id ident.ID) error {
 	pfx := m.ClusterOf(id)
-	s, ok := m.clusters[pfx.Key()]
+	s, ok := m.clusters[pfx]
 	if !ok {
 		return fmt.Errorf("cluster: leave of unknown user %v", id)
 	}
-	if _, member := s.members[id.Key()]; !member {
+	if _, member := s.members[id]; !member {
 		return fmt.Errorf("cluster: leave of unknown user %v", id)
 	}
-	delete(s.members, id.Key())
+	delete(s.members, id)
 
 	if !s.leader.ID.Equal(id) {
 		m.pairwiseMessages += 2 // leaving certificate round trip
@@ -209,7 +209,7 @@ func (m *Manager) Leave(id ident.ID) error {
 	// Leader departure.
 	m.pending.Leave(id)
 	if len(s.members) == 0 {
-		delete(m.clusters, pfx.Key())
+		delete(m.clusters, pfx)
 		return nil
 	}
 	next := earliest(s.members)
@@ -224,7 +224,7 @@ func (m *Manager) Leave(id ident.ID) error {
 
 // earliest returns the member with the smallest JoinTime (ties broken by
 // ID order for determinism).
-func earliest(members map[string]overlay.Record) overlay.Record {
+func earliest(members map[ident.ID]overlay.Record) overlay.Record {
 	var best overlay.Record
 	first := true
 	for _, r := range members {

@@ -235,16 +235,16 @@ func TestHeuristicReducesCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	var all []overlay.Record
 	var allIDs []ident.ID
-	used := make(map[string]bool)
+	used := make(map[ident.ID]bool)
 	for len(all) < 40 {
 		id, err := ident.FromInt(tp, rng.Intn(tp.Capacity()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if used[id.Key()] {
+		if used[id] {
 			continue
 		}
-		used[id.Key()] = true
+		used[id] = true
 		r := overlay.Record{Host: vnet.HostID(len(all) + 1), ID: id, JoinTime: time.Duration(len(all))}
 		all = append(all, r)
 		allIDs = append(allIDs, id)

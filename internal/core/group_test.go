@@ -246,7 +246,7 @@ func TestMulticastData(t *testing.T) {
 		if id.Equal(members[3]) {
 			continue
 		}
-		st := res.Users[id.Key()]
+		st := res.Users[id]
 		if st == nil || st.Received != 1 {
 			t.Fatalf("user %v received %+v", id, st)
 		}

@@ -115,20 +115,21 @@ func (w *KeyPlane) Digest() uint64 {
 // carried the keys there.
 func KeyringDigest(server keycrypt.Key, haveServer bool, members []ident.ID, groupKeyOf func(ident.ID) (keycrypt.Key, bool)) uint64 {
 	h := fnv.New64a()
-	put := func(label string, k keycrypt.Key) {
-		h.Write([]byte(label))
+	var digits [ident.MaxDigits]byte
+	put := func(label []byte, k keycrypt.Key) {
+		h.Write(label)
 		h.Write([]byte{'='})
 		h.Write(k.Bytes())
 		h.Write([]byte{'\n'})
 	}
 	if haveServer {
-		put("server", server)
+		put([]byte("server"), server)
 	}
 	for _, id := range members {
 		if gk, ok := groupKeyOf(id); ok {
-			put(id.Key(), gk)
+			put(id.AppendDigits(digits[:0]), gk)
 		} else {
-			h.Write([]byte(id.Key()))
+			h.Write(id.AppendDigits(digits[:0]))
 			h.Write([]byte("=missing\n"))
 		}
 	}

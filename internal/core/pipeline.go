@@ -110,17 +110,17 @@ func (a *storeApplier) Apply(interval uint64, deliveries []split.Delivery) error
 	// No per-user slices: users holds each user's first and last
 	// delivery, and following chains a delivery to its user's next one.
 	type chain struct{ first, last int }
-	index := make(map[string]int, len(deliveries))
+	index := make(map[ident.ID]int, len(deliveries))
 	users := make([]chain, 0, len(deliveries))
 	following := make([]int, len(deliveries))
 	for i, d := range deliveries {
 		following[i] = -1
-		if u, seen := index[d.To.Key()]; seen {
+		if u, seen := index[d.To]; seen {
 			following[users[u].last] = i
 			users[u].last = i
 			continue
 		}
-		index[d.To.Key()] = len(users)
+		index[d.To] = len(users)
 		users = append(users, chain{i, i})
 	}
 	idOf := func(u int) ident.ID { return deliveries[users[u].first].To }
@@ -171,7 +171,7 @@ func (a *storeApplier) Apply(interval uint64, deliveries []split.Delivery) error
 		return nil
 	}
 	sort.Slice(failed, func(x, y int) bool {
-		return idOf(failed[x]).Key() < idOf(failed[y]).Key()
+		return idOf(failed[x]).Compare(idOf(failed[y])) < 0
 	})
 	agg := &ApplyError{}
 	for _, i := range failed {

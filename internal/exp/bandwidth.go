@@ -329,8 +329,8 @@ func (w *bwWorld) runTmesh(p Protocol) (*BandwidthReport, error) {
 	recv := make([]float64, 0, len(w.liveIDs))
 	fwd := make([]float64, 0, len(w.liveIDs))
 	for _, id := range w.liveIDs {
-		recv = append(recv, float64(rep.ReceivedPerUser[id.Key()]))
-		fwd = append(fwd, float64(rep.ForwardedPerUser[id.Key()]))
+		recv = append(recv, float64(rep.ReceivedPerUser[id]))
+		fwd = append(fwd, float64(rep.ForwardedPerUser[id]))
 	}
 	if p == P3 || p == P3S {
 		// Appendix B last hop: each leader unicasts the new group key
@@ -346,9 +346,9 @@ func (w *bwWorld) runTmesh(p Protocol) (*BandwidthReport, error) {
 // addClusterUnicasts accounts the leader-to-member pairwise unicasts of
 // the cluster heuristic in the same units (encryptions).
 func (w *bwWorld) addClusterUnicasts(recv, fwd *[]float64, linkUnits map[vnet.LinkID]int) {
-	idx := make(map[string]int, len(w.liveIDs))
+	idx := make(map[ident.ID]int, len(w.liveIDs))
 	for i, id := range w.liveIDs {
-		idx[id.Key()] = i
+		idx[id] = i
 	}
 	var path []vnet.LinkID
 	for i, id := range w.liveIDs {
@@ -362,7 +362,7 @@ func (w *bwWorld) addClusterUnicasts(recv, fwd *[]float64, linkUnits map[vnet.Li
 				continue
 			}
 			(*fwd)[i]++
-			if j, ok := idx[memberRec.ID.Key()]; ok {
+			if j, ok := idx[memberRec.ID]; ok {
 				(*recv)[j]++
 			}
 			path = w.net.AppendPathLinks(path[:0], leader.Host, memberRec.Host)

@@ -244,12 +244,12 @@ func runCongestionScenario(cfg CongestionConfig, dir *overlay.Directory, msg *ke
 	for f, res := range frames {
 		start := time.Millisecond + time.Duration(f)*cfg.FrameSpacing
 		var frameDelays []float64
-		for key, st := range res.Users {
-			if key == sender.Key() {
+		for id, st := range res.Users {
+			if id == sender {
 				continue
 			}
 			if st.Received == 0 {
-				return nil, fmt.Errorf("data frame %d lost at %v", f, ident.IDFromKey(key))
+				return nil, fmt.Errorf("data frame %d lost at %v", f, id)
 			}
 			d := float64(st.Delay-start) / float64(time.Millisecond)
 			frameDelays = append(frameDelays, d)

@@ -275,7 +275,7 @@ func poolDelay(runs []runDists) *metrics.Distribution {
 func collectTmesh(res *tmesh.Result, recs []overlay.Record, senderID ident.ID, senderIsUser bool) runDists {
 	var stress, delay, rdp []float64
 	for _, rec := range recs {
-		st := res.Users[rec.ID.Key()]
+		st := res.Users[rec.ID]
 		if st == nil {
 			st = &tmesh.UserStats{}
 		}

@@ -216,10 +216,10 @@ func TestCollectTmeshSenderPadding(t *testing.T) {
 	// The sender (middle position) holds the all-zero ID, which the old
 	// zero-value sentinel could not distinguish from "no sender".
 	recs := []overlay.Record{mkRec(5), mkRec(0), mkRec(9)}
-	res := &tmesh.Result{Users: map[string]*tmesh.UserStats{
-		recs[0].ID.Key(): {Delay: 10 * time.Millisecond, RDP: 1.5, Stress: 1},
-		recs[1].ID.Key(): {Stress: 2}, // the sender: forwards, never receives
-		recs[2].ID.Key(): {Delay: 20 * time.Millisecond, RDP: 2.5},
+	res := &tmesh.Result{Users: map[ident.ID]*tmesh.UserStats{
+		recs[0].ID: {Delay: 10 * time.Millisecond, RDP: 1.5, Stress: 1},
+		recs[1].ID: {Stress: 2}, // the sender: forwards, never receives
+		recs[2].ID: {Delay: 20 * time.Millisecond, RDP: 2.5},
 	}}
 
 	d := collectTmesh(res, recs, recs[1].ID, true)
@@ -234,10 +234,10 @@ func TestCollectTmeshSenderPadding(t *testing.T) {
 	}
 
 	// Server transport: every user has a delivery sample, no padding.
-	resSrv := &tmesh.Result{Users: map[string]*tmesh.UserStats{
-		recs[0].ID.Key(): {Delay: 10 * time.Millisecond, RDP: 1.5},
-		recs[1].ID.Key(): {Delay: 15 * time.Millisecond, RDP: 2.0},
-		recs[2].ID.Key(): {Delay: 20 * time.Millisecond, RDP: 2.5},
+	resSrv := &tmesh.Result{Users: map[ident.ID]*tmesh.UserStats{
+		recs[0].ID: {Delay: 10 * time.Millisecond, RDP: 1.5},
+		recs[1].ID: {Delay: 15 * time.Millisecond, RDP: 2.0},
+		recs[2].ID: {Delay: 20 * time.Millisecond, RDP: 2.5},
 	}}
 	srv := collectTmesh(resSrv, recs, ident.ID{}, false)
 	if n := len(srv.delay.Sorted()); n != len(recs) {

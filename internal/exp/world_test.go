@@ -6,6 +6,7 @@ import (
 
 	"tmesh/internal/assign"
 	"tmesh/internal/chaos"
+	"tmesh/internal/ident"
 	"tmesh/internal/keytree"
 	"tmesh/internal/overlay"
 	"tmesh/internal/split"
@@ -37,12 +38,12 @@ func deliveryEvidence(t *testing.T, dir *overlay.Directory, msg *keytree.Message
 		t.Fatal(err)
 	}
 	ev := &chaos.Evidence{Dir: dir, Hops: rep.Deliveries, Message: msg.Encryptions, FaultFree: true}
-	copies := make(map[string]int)
+	copies := make(map[ident.ID]int)
 	for _, d := range rep.Deliveries {
-		copies[d.To.Key()]++
+		copies[d.To]++
 	}
 	for _, id := range dir.IDs() {
-		ev.Copies = append(ev.Copies, chaos.Copy{ID: id, N: copies[id.Key()]})
+		ev.Copies = append(ev.Copies, chaos.Copy{ID: id, N: copies[id]})
 	}
 	return ev
 }

@@ -22,7 +22,7 @@ type CentralizedAssigner struct {
 	cfg    assign.Config
 	space  *Space
 	tree   *ident.Tree
-	coords map[string]Coords
+	coords map[ident.ID]Coords
 	rng    *rand.Rand
 }
 
@@ -41,7 +41,7 @@ func NewCentralizedAssigner(cfg assign.Config, space *Space, rng *rand.Rand) (*C
 		cfg:    cfg,
 		space:  space,
 		tree:   ident.NewTree(cfg.Params),
-		coords: make(map[string]Coords),
+		coords: make(map[ident.ID]Coords),
 		rng:    rng,
 	}, nil
 }
@@ -100,7 +100,7 @@ func (a *CentralizedAssigner) bestChild(pos Coords, prefix ident.Prefix) (ident.
 		}
 		rtts := make([]time.Duration, 0, len(members))
 		for _, m := range members {
-			c, ok := a.coords[m.Key()]
+			c, ok := a.coords[m]
 			if !ok {
 				continue
 			}
@@ -129,16 +129,16 @@ func (a *CentralizedAssigner) register(id ident.ID, pos Coords) error {
 	if err := a.tree.Insert(id); err != nil {
 		return err
 	}
-	a.coords[id.Key()] = pos
+	a.coords[id] = pos
 	return nil
 }
 
 // Forget removes a departed member from the server's coordinate store.
 func (a *CentralizedAssigner) Forget(id ident.ID) error {
-	if _, ok := a.coords[id.Key()]; !ok {
+	if _, ok := a.coords[id]; !ok {
 		return fmt.Errorf("gnp: unknown member %v", id)
 	}
-	delete(a.coords, id.Key())
+	delete(a.coords, id)
 	return a.tree.Remove(id)
 }
 

@@ -159,16 +159,16 @@ func TestCentralizedAssignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	idOf := make(map[int]ident.ID)
-	seen := make(map[string]bool)
+	seen := make(map[ident.ID]bool)
 	for h := 1; h < 90; h++ {
 		id, st, err := a.AssignID(vnet.HostID(h))
 		if err != nil {
 			t.Fatalf("host %d: %v", h, err)
 		}
-		if seen[id.Key()] {
+		if seen[id] {
 			t.Fatalf("duplicate ID %v", id)
 		}
-		seen[id.Key()] = true
+		seen[id] = true
 		idOf[h] = id
 		// Constant cost regardless of group size.
 		if st.Probes != space.ProbeCount() {

@@ -40,7 +40,7 @@ type netTenant struct {
 
 	lastMsg    *keytree.Message
 	lastRep    *split.Report
-	lastEpochs map[string]uint64
+	lastEpochs map[ident.Prefix]uint64
 	// boundary and intervalStart are the current and the previous
 	// boundary's local time: the interval the next audit covers.
 	boundary, intervalStart time.Duration
@@ -62,7 +62,7 @@ func newNetTenant(label string, spec GroupSpec, net vnet.Network, hostBase vnet.
 	return &netTenant{
 		g:          g,
 		s:          core.NewSession(g),
-		lastEpochs: make(map[string]uint64),
+		lastEpochs: make(map[ident.Prefix]uint64),
 	}, nil
 }
 
@@ -110,12 +110,12 @@ func (t *netTenant) Evidence() *chaos.Evidence {
 	if t.lastRep != nil {
 		ev.Hops = t.lastRep.Deliveries
 		ev.Message = t.lastMsg.Encryptions
-		copies := make(map[string]int, len(ids))
+		copies := make(map[ident.ID]int, len(ids))
 		for _, d := range ev.Hops {
-			copies[d.To.Key()]++
+			copies[d.To]++
 		}
 		for _, id := range ids {
-			ev.Copies = append(ev.Copies, chaos.Copy{ID: id, N: copies[id.Key()]})
+			ev.Copies = append(ev.Copies, chaos.Copy{ID: id, N: copies[id]})
 		}
 	}
 	// In cluster mode the group key reaches non-leaders only on the

@@ -19,6 +19,9 @@ func TestParamsValidate(t *testing.T) {
 		{"base one", Params{Digits: 3, Base: 1}, true},
 		{"base 256", Params{Digits: 2, Base: 256}, false},
 		{"base 257", Params{Digits: 2, Base: 257}, true},
+		{"seven digits", Params{Digits: 7, Base: 256}, false},
+		{"eight digits", Params{Digits: 8, Base: 2}, true},
+		{"64 digits", Params{Digits: 64, Base: 256}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -37,16 +40,13 @@ func TestParamsCapacity(t *testing.T) {
 		{Params{Digits: 1, Base: 2}, 2},
 		{Params{Digits: 3, Base: 4}, 64},
 		{Params{Digits: 2, Base: 256}, 65536},
+		// The largest space a word holds: every ID of it is distinct.
+		{Params{Digits: MaxDigits, Base: 256}, 1 << 56},
 	}
 	for _, tt := range tests {
 		if got := tt.p.Capacity(); got != tt.want {
 			t.Errorf("Capacity(%+v) = %d, want %d", tt.p, got, tt.want)
 		}
-	}
-	// Overflow saturates instead of wrapping.
-	huge := Params{Digits: 64, Base: 256}
-	if got := huge.Capacity(); got <= 0 {
-		t.Errorf("Capacity overflow should saturate positive, got %d", got)
 	}
 }
 

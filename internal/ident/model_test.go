@@ -90,7 +90,7 @@ func (t *modelTree) Members(p Prefix) []ID {
 			return
 		}
 		if p.Len() == t.params.Digits {
-			out = append(out, ID{digits: p.digits})
+			out = append(out, ID(p))
 			return
 		}
 		for d := range t.children[p.Key()] {

@@ -5,7 +5,7 @@ import "fmt"
 // Rank is a dense per-member index: the group's current members are
 // assigned ranks 0..n-1 (with holes only where churn outpaces reuse), so
 // hot per-member state can live in flat, preallocated slices indexed by
-// rank instead of string-keyed heap maps. A member keeps its rank for as
+// rank instead of ID-keyed heap maps. A member keeps its rank for as
 // long as it stays in the group; the rank returns to a free list when the
 // member leaves and is reused by a later joiner.
 //
@@ -29,7 +29,7 @@ const NoRank = Rank(^uint32(0))
 // pipeline's shape: membership changes happen in the single-threaded mark
 // stage; the parallel stages only read.
 type RankTable struct {
-	byID map[string]Rank
+	byID map[ID]Rank
 	ids  []ID   // rank -> ID; zero ID for free slots
 	free []Rank // released ranks, reused LIFO
 }
@@ -41,7 +41,7 @@ func NewRankTable(capacityHint int) *RankTable {
 		capacityHint = 0
 	}
 	return &RankTable{
-		byID: make(map[string]Rank, capacityHint),
+		byID: make(map[ID]Rank, capacityHint),
 		ids:  make([]ID, 0, capacityHint),
 	}
 }
@@ -59,7 +59,7 @@ func (rt *RankTable) Width() int { return len(rt.ids) }
 // exists and extending the dense range otherwise. Assigning an ID that
 // already holds a rank returns its current rank unchanged.
 func (rt *RankTable) Assign(id ID) Rank {
-	if r, ok := rt.byID[id.Key()]; ok {
+	if r, ok := rt.byID[id]; ok {
 		return r
 	}
 	var r Rank
@@ -71,18 +71,18 @@ func (rt *RankTable) Assign(id ID) Rank {
 		rt.ids = append(rt.ids, ID{})
 	}
 	rt.ids[r] = id
-	rt.byID[id.Key()] = r
+	rt.byID[id] = r
 	return r
 }
 
 // Release returns the ID's rank to the free list. ok is false if the ID
 // held no rank.
 func (rt *RankTable) Release(id ID) (Rank, bool) {
-	r, ok := rt.byID[id.Key()]
+	r, ok := rt.byID[id]
 	if !ok {
 		return NoRank, false
 	}
-	delete(rt.byID, id.Key())
+	delete(rt.byID, id)
 	rt.ids[r] = ID{}
 	rt.free = append(rt.free, r)
 	return r, true
@@ -90,7 +90,7 @@ func (rt *RankTable) Release(id ID) (Rank, bool) {
 
 // RankOf returns the ID's current rank.
 func (rt *RankTable) RankOf(id ID) (Rank, bool) {
-	r, ok := rt.byID[id.Key()]
+	r, ok := rt.byID[id]
 	if !ok {
 		return NoRank, false
 	}
@@ -105,16 +105,6 @@ func (rt *RankTable) IDOf(r Rank) (ID, bool) {
 	}
 	id := rt.ids[r]
 	return id, !id.IsZero()
-}
-
-// RankOfKey is RankOf for callers that already hold the ID's digit key
-// (e.g. a full-length Prefix), avoiding an ID conversion.
-func (rt *RankTable) RankOfKey(key string) (Rank, bool) {
-	r, ok := rt.byID[key]
-	if !ok {
-		return NoRank, false
-	}
-	return r, true
 }
 
 // Each calls fn for every (ID, rank) pair in rank order. Mutating the
@@ -138,7 +128,7 @@ func (rt *RankTable) CheckConsistency() error {
 			continue
 		}
 		occupied++
-		r, ok := rt.byID[id.Key()]
+		r, ok := rt.byID[id]
 		if !ok {
 			return fmt.Errorf("ident: rank %d holds %v but the ID is unmapped", i, id)
 		}

@@ -22,7 +22,7 @@ import (
 // single event loop. Reads mutate nothing.
 type Tree struct {
 	params Params
-	slots  map[string]int32 // internal prefix key -> slot; "" while non-empty
+	slots  map[Prefix]int32 // internal prefix -> slot; the root while non-empty
 	nodes  []treeNode       // by slot; a free slot is zero
 	free   []int32          // pruned slots
 }
@@ -58,7 +58,7 @@ func (s digitSet) each(fn func(Digit) bool) bool {
 
 // NewTree returns an empty ID tree over the given ID space.
 func NewTree(params Params) *Tree {
-	return &Tree{params: params, slots: make(map[string]int32)}
+	return &Tree{params: params, slots: make(map[Prefix]int32)}
 }
 
 // BuildTree constructs the ID tree of a set of user IDs.
@@ -76,11 +76,11 @@ func BuildTree(params Params, ids []ID) (*Tree, error) {
 func (t *Tree) Params() Params { return t.params }
 
 // Size returns the number of user IDs (leaves) in the tree.
-func (t *Tree) Size() int { return t.node("").size }
+func (t *Tree) Size() int { return t.node(EmptyPrefix).size }
 
-// node returns the internal node at the prefix key, or the zero node.
-func (t *Tree) node(key string) treeNode {
-	if s, ok := t.slots[key]; ok {
+// node returns the internal node at the prefix, or the zero node.
+func (t *Tree) node(p Prefix) treeNode {
+	if s, ok := t.slots[p]; ok {
 		return t.nodes[s]
 	}
 	return treeNode{}
@@ -89,7 +89,7 @@ func (t *Tree) node(key string) treeNode {
 // Contains reports whether the exact user ID is present.
 func (t *Tree) Contains(id ID) bool {
 	d := id.Len() - 1
-	return d+1 == t.params.Digits && t.node(id.digits[:d]).children.has(id.Digit(d))
+	return d+1 == t.params.Digits && t.node(id.Prefix(d)).children.has(id.Digit(d))
 }
 
 // Insert adds a user ID, creating any missing prefix nodes (the paper's
@@ -102,9 +102,9 @@ func (t *Tree) Insert(id ID) error {
 	if t.Contains(id) {
 		return fmt.Errorf("ident: duplicate ID %v", id)
 	}
-	key := id.Key()
-	for l := 0; l < len(key); l++ {
-		s, ok := t.slots[key[:l]]
+	for l := 0; l < id.Len(); l++ {
+		p := id.Prefix(l)
+		s, ok := t.slots[p]
 		if !ok {
 			if n := len(t.free); n > 0 {
 				s, t.free = t.free[n-1], t.free[:n-1]
@@ -112,10 +112,10 @@ func (t *Tree) Insert(id ID) error {
 				s = int32(len(t.nodes))
 				t.nodes = append(t.nodes, treeNode{})
 			}
-			t.slots[key[:l]] = s
+			t.slots[p] = s
 		}
 		t.nodes[s].size++
-		t.nodes[s].children.add(Digit(key[l]))
+		t.nodes[s].children.add(id.Digit(l))
 	}
 	return nil
 }
@@ -126,17 +126,17 @@ func (t *Tree) Remove(id ID) error {
 	if !t.Contains(id) {
 		return fmt.Errorf("ident: removing absent ID %v", id)
 	}
-	key := id.Key()
 	pruned := true // the node below level l is gone; the user ID always is
-	for l := len(key) - 1; l >= 0; l-- {
-		s := t.slots[key[:l]]
+	for l := id.Len() - 1; l >= 0; l-- {
+		p := id.Prefix(l)
+		s := t.slots[p]
 		n := &t.nodes[s]
 		n.size--
 		if pruned {
-			n.children.remove(Digit(key[l]))
+			n.children.remove(id.Digit(l))
 		}
 		if pruned = n.size == 0; pruned {
-			delete(t.slots, key[:l])
+			delete(t.slots, p)
 			t.free = append(t.free, s)
 		}
 	}
@@ -152,14 +152,14 @@ func (t *Tree) SubtreeSize(p Prefix) int {
 	if p.Len() == t.params.Digits && t.Contains(ID(p)) {
 		return 1
 	}
-	return t.node(p.digits).size
+	return t.node(p).size
 }
 
 // Slot returns the slab slot of the internal node at the prefix; ok is
 // false for a user ID or an absent node. A node keeps its slot while it
 // exists.
 func (t *Tree) Slot(p Prefix) (int, bool) {
-	s, ok := t.slots[p.digits]
+	s, ok := t.slots[p]
 	return int(s), ok
 }
 
@@ -170,7 +170,7 @@ func (t *Tree) Width() int { return len(t.nodes) }
 // ChildDigits returns the digits of the existing children of the prefix
 // node, in increasing order.
 func (t *Tree) ChildDigits(p Prefix) []Digit {
-	set := t.node(p.digits).children
+	set := t.node(p).children
 	out := make([]Digit, 0, set.count())
 	set.each(func(d Digit) bool { out = append(out, d); return true })
 	return out
@@ -178,12 +178,12 @@ func (t *Tree) ChildDigits(p Prefix) []Digit {
 
 // ChildCount returns the number of existing children of the prefix node
 // (0 if the node does not exist) without allocating.
-func (t *Tree) ChildCount(p Prefix) int { return t.node(p.digits).children.count() }
+func (t *Tree) ChildCount(p Prefix) int { return t.node(p).children.count() }
 
 // EachChildDigit calls fn for every existing child digit of the prefix
 // node in increasing order, without allocating.
 func (t *Tree) EachChildDigit(p Prefix, fn func(Digit)) {
-	t.node(p.digits).children.each(func(d Digit) bool { fn(d); return true })
+	t.node(p).children.each(func(d Digit) bool { fn(d); return true })
 }
 
 // Members returns all user IDs in the subtree rooted at the prefix, in
@@ -215,6 +215,6 @@ func (t *Tree) walk(p Prefix, fn func(p Prefix, size int) bool) bool {
 	if p.Len() == t.params.Digits {
 		return fn(p, 1)
 	}
-	n := t.node(p.digits)
+	n := t.node(p)
 	return fn(p, n.size) && n.children.each(func(d Digit) bool { return t.walk(p.Child(d), fn) })
 }

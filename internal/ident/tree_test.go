@@ -159,21 +159,21 @@ func TestTreeRandomizedConsistency(t *testing.T) {
 		t.Fatalf("Size = %d, want %d", tree.Size(), len(live))
 	}
 	// Brute-force count per prefix.
-	counts := make(map[string]int)
+	counts := make(map[Prefix]int)
 	for _, id := range live {
 		for l := 0; l <= p.Digits; l++ {
-			counts[id.Prefix(l).Key()]++
+			counts[id.Prefix(l)]++
 		}
 	}
 	tree.Walk(func(pfx Prefix, size int) bool {
-		if counts[pfx.Key()] != size {
-			t.Errorf("subtree %v size %d, brute force %d", pfx, size, counts[pfx.Key()])
+		if counts[pfx] != size {
+			t.Errorf("subtree %v size %d, brute force %d", pfx, size, counts[pfx])
 		}
 		return true
 	})
-	for key, want := range counts {
-		if got := tree.SubtreeSize(PrefixFromKey(key)); got != want {
-			t.Errorf("SubtreeSize(%v) = %d, want %d", PrefixFromKey(key), got, want)
+	for pfx, want := range counts {
+		if got := tree.SubtreeSize(pfx); got != want {
+			t.Errorf("SubtreeSize(%v) = %d, want %d", pfx, got, want)
 		}
 	}
 	// Members at root equals the live set.

@@ -47,10 +47,31 @@ var ErrDecrypt = errors.New("keycrypt: decryption failed")
 // HMAC-SHA256. Simulations use it so that key material is reproducible
 // under a fixed seed while remaining unique per key-tree node and version.
 func DeriveKey(seed []byte, label string) Key {
-	mac := hmac.New(sha256.New, seed)
-	mac.Write([]byte(label))
+	return NewDeriver(seed).Derive([]byte(label))
+}
+
+// Deriver is DeriveKey for many labels under one seed: the HMAC is keyed
+// by the seed once and Reset between keys, and the sum reuses one
+// buffer, so a key costs no allocation. Output is byte-identical to
+// DeriveKey. A Deriver is not safe for concurrent use; give each worker
+// its own.
+type Deriver struct {
+	mac hash.Hash
+	sum []byte
+}
+
+// NewDeriver returns a Deriver for the seed.
+func NewDeriver(seed []byte) *Deriver {
+	return &Deriver{mac: hmac.New(sha256.New, seed)}
+}
+
+// Derive is DeriveKey(seed, string(label)).
+func (d *Deriver) Derive(label []byte) Key {
+	d.mac.Reset()
+	d.mac.Write(label)
+	d.sum = d.mac.Sum(d.sum[:0])
 	var k Key
-	copy(k.bytes[:], mac.Sum(nil))
+	copy(k.bytes[:], d.sum)
 	return k
 }
 
@@ -323,8 +344,8 @@ func newAEAD(k Key) (cipher.AEAD, error) {
 func appendWrapAAD(dst []byte, kekID, newKeyID ident.Prefix, version uint64) []byte {
 	dst = slices.Grow(dst, kekID.Len()+newKeyID.Len()+10)
 	dst = append(dst, byte(kekID.Len()))
-	dst = append(dst, kekID.Key()...)
+	dst = kekID.AppendDigits(dst)
 	dst = append(dst, byte(newKeyID.Len()))
-	dst = append(dst, newKeyID.Key()...)
+	dst = newKeyID.AppendDigits(dst)
 	return binary.BigEndian.AppendUint64(dst, version)
 }

@@ -341,3 +341,23 @@ func TestBatchFormsAllocateOneAEAD(t *testing.T) {
 		t.Errorf("UnwrapOnce kept %d AES-GCM states, want none", len(u.aeads))
 	}
 }
+
+// TestDeriverMatchesDeriveKey: a Deriver reused across labels gives
+// DeriveKey's key for each, and derives without allocating.
+func TestDeriverMatchesDeriveKey(t *testing.T) {
+	seed := []byte("tree-seed")
+	d := NewDeriver(seed)
+	for _, label := range []string{"u:\x00\x01/v1", "k:/v4294967297", "", "k:\xff\x80/v2", "u:\x00\x01/v1"} {
+		if got, want := d.Derive([]byte(label)), DeriveKey(seed, label); !got.Equal(want) {
+			t.Errorf("Derive(%q) differs from DeriveKey", label)
+		}
+	}
+	label := []byte("k:\x01\x02/v7")
+	var k Key
+	if allocs := testing.AllocsPerRun(100, func() { k = d.Derive(label) }); allocs != 0 {
+		t.Errorf("Deriver.Derive allocates %.0f times per key, want 0", allocs)
+	}
+	if k.IsZero() {
+		t.Error("derived the zero key")
+	}
+}

@@ -36,7 +36,7 @@ func NewKeyring(params ident.Params, u ident.ID, path []PathKey) (*Keyring, erro
 	kr := &Keyring{id: u, levels: make([]ringKey, params.Digits+1)}
 	seen := make([]bool, params.Digits+1)
 	for _, pk := range path {
-		if !pk.ID.IsPrefixOfID(u) {
+		if !u.HasPrefix(pk.ID) {
 			return nil, fmt.Errorf("keytree: path key %v is not on %v's path", pk.ID, u)
 		}
 		kr.levels[pk.ID.Len()] = ringKey{key: pk.Key, version: pk.Version}
@@ -63,7 +63,7 @@ func (kr *Keyring) GroupKey() (keycrypt.Key, bool) {
 
 // Key returns the current key held for a path prefix.
 func (kr *Keyring) Key(p ident.Prefix) (keycrypt.Key, bool) {
-	if !p.IsPrefixOfID(kr.id) || p.Len() >= len(kr.levels) {
+	if !kr.id.HasPrefix(p) || p.Len() >= len(kr.levels) {
 		return keycrypt.Key{}, false
 	}
 	return kr.levels[p.Len()].key, true
@@ -118,11 +118,11 @@ func (kr *Keyring) unwrap(u *keycrypt.Unwrapper, encs []keycrypt.Encryption, idx
 	for n, i := range idx {
 		e := &encs[i]
 		switch {
-		case !e.ID.IsPrefixOfID(kr.id):
+		case !kr.id.HasPrefix(e.ID):
 			return n, fmt.Errorf("keytree: %v received an encryption under %v, off its path", kr.id, e.ID)
 		case e.ID.Len() > prev:
 			return n, fmt.Errorf("keytree: %v received an encryption under %v after a deeper one", kr.id, e.ID)
-		case !e.KeyID.IsPrefixOfID(kr.id) || e.KeyID.Len() >= e.ID.Len():
+		case !kr.id.HasPrefix(e.KeyID) || e.KeyID.Len() >= e.ID.Len():
 			return n, fmt.Errorf("keytree: %v received key %v outside its path above %v", kr.id, e.KeyID, e.ID)
 		}
 		prev = e.ID.Len()

@@ -39,6 +39,7 @@ package keytree
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"tmesh/internal/ident"
@@ -87,18 +88,19 @@ type Tree struct {
 	ranks     *ident.RankTable // member ID <-> dense u-node rank
 	useg      []node           // u-nodes, indexed by rank (len == ranks.Width())
 	kseg      []node           // k-nodes, indexed by ID-tree slot (len == structure.Width()); a free slot is zero
-	epochs    map[string]uint64
+	epochs    map[ident.ID]uint64
 	interval  uint64
 
 	// Scratch reused across intervals so steady-state Mark/Regenerate
 	// does not re-allocate per-batch working state.
-	updatedScratch map[string]ident.Prefix
+	updatedScratch map[ident.Prefix]struct{}
+	mark           worker  // Mark's key derivation; Regenerate's workers have their own
 	groupIdx       [][]int // plan indices per level-1 digit; slot Base is the root group
 	groupOrder     []int
 	offsets        []int
 }
 
-// epochs is keyed by user-ID string, NOT by rank: a rejoin epoch must
+// epochs is keyed by user ID, NOT by rank: a rejoin epoch must
 // survive the member's absence from the group (it is what makes a
 // rejoiner's individual key fresh), while the member's rank is released
 // at leave time and may meanwhile be reused by a different ID.
@@ -110,7 +112,7 @@ type Message struct {
 	Interval uint64
 	// Encryptions are laid out in blocks by ID length, deepest first,
 	// so a receiver unwraps its path bottom-up in a single pass; within
-	// a block IDs strictly increase (by Key), each ID once. The split
+	// a block IDs strictly increase (by Compare), each ID once. The split
 	// relies on it (split.AppendShare), and any share of a message
 	// keeps it.
 	Encryptions []keycrypt.Encryption
@@ -143,8 +145,9 @@ func New(params ident.Params, seed []byte, opts Opts) (*Tree, error) {
 		structure:      ident.NewTree(params),
 		ranks:          ident.NewRankTable(hint),
 		useg:           make([]node, 0, hint),
-		epochs:         make(map[string]uint64),
-		updatedScratch: make(map[string]ident.Prefix),
+		epochs:         make(map[ident.ID]uint64),
+		updatedScratch: make(map[ident.Prefix]struct{}),
+		mark:           worker{kd: keycrypt.NewDeriver(seed)},
 	}, nil
 }
 
@@ -168,9 +171,9 @@ func (t *Tree) Structure() *ident.Tree { return t.structure }
 // by the same dense rank.
 func (t *Tree) Ranks() *ident.RankTable { return t.ranks }
 
-// unode returns the u-node for the full-length prefix key, or nil.
-func (t *Tree) unode(key string) *node {
-	if r, ok := t.ranks.RankOfKey(key); ok {
+// unode returns the u-node of the user ID, or nil.
+func (t *Tree) unode(u ident.ID) *node {
+	if r, ok := t.ranks.RankOf(u); ok {
 		return &t.useg[r]
 	}
 	return nil
@@ -211,7 +214,7 @@ func (t *Tree) KeyOf(p ident.Prefix) (keycrypt.Key, uint64, bool) {
 
 // IndividualKey returns the individual key of a current user.
 func (t *Tree) IndividualKey(u ident.ID) (keycrypt.Key, bool) {
-	n := t.unode(u.Key())
+	n := t.unode(u)
 	if n == nil {
 		return keycrypt.Key{}, false
 	}
@@ -230,7 +233,7 @@ type PathKey struct {
 // is the message the key server unicasts to a user after assigning its
 // ID.
 func (t *Tree) PathKeys(u ident.ID) ([]PathKey, error) {
-	un := t.unode(u.Key())
+	un := t.unode(u)
 	if un == nil {
 		return nil, fmt.Errorf("keytree: user %v not in tree", u)
 	}
@@ -315,8 +318,21 @@ func (t *Tree) Resync(u ident.ID) (*Message, error) {
 	return &Message{Interval: t.interval, Encryptions: encs}, nil
 }
 
-func (t *Tree) deriveKey(label string, version uint64) keycrypt.Key {
-	return keycrypt.DeriveKey(t.seed, fmt.Sprintf("%s/v%d", label, version))
+// worker is one goroutine's crypto state: the key-derivation HMAC keyed
+// by the tree's seed, its label buffer and, in Regenerate, a Wrapper.
+type worker struct {
+	kd    *keycrypt.Deriver
+	label []byte
+	wr    *keycrypt.Wrapper
+}
+
+// key derives the key of node p at a version: keycrypt.DeriveKey(seed,
+// kind+":"+the digits of p+"/v"+the decimal version), kind 'u' for a
+// u-node and 'k' for a k-node.
+func (w *worker) key(kind byte, p ident.Prefix, version uint64) keycrypt.Key {
+	w.label = p.AppendDigits(append(w.label[:0], kind, ':'))
+	w.label = strconv.AppendUint(append(w.label, "/v"...), version, 10)
+	return w.kd.Derive(w.label)
 }
 
 // BatchPlan is the output of Mark: the structural outcome of one rekey
@@ -362,25 +378,25 @@ func (t *Tree) Mark(joins, leaves []ident.ID) (*BatchPlan, error) {
 	// Validate the batch up front so the tree never ends half-updated.
 	// An ID may leave and join in one batch: the joiner gets a fresh
 	// epoch, hence fresh keys.
-	leaving := make(map[string]bool, len(leaves))
+	leaving := make(map[ident.ID]bool, len(leaves))
 	for _, l := range leaves {
 		if !t.structure.Contains(l) {
 			return nil, fmt.Errorf("keytree: leave of non-member %v", l)
 		}
-		if leaving[l.Key()] {
+		if leaving[l] {
 			return nil, fmt.Errorf("keytree: duplicate leave %v in batch", l)
 		}
-		leaving[l.Key()] = true
+		leaving[l] = true
 	}
-	joining := make(map[string]bool, len(joins))
+	joining := make(map[ident.ID]bool, len(joins))
 	for _, j := range joins {
-		if t.structure.Contains(j) && !leaving[j.Key()] {
+		if t.structure.Contains(j) && !leaving[j] {
 			return nil, fmt.Errorf("keytree: join of existing member %v", j)
 		}
-		if joining[j.Key()] {
+		if joining[j] {
 			return nil, fmt.Errorf("keytree: duplicate join %v in batch", j)
 		}
-		joining[j.Key()] = true
+		joining[j] = true
 	}
 
 	// updated marks k-node prefixes whose keys must change: every
@@ -389,8 +405,7 @@ func (t *Tree) Mark(joins, leaves []ident.ID) (*BatchPlan, error) {
 	clear(updated)
 	markPath := func(u ident.ID) {
 		for l := 0; l < t.params.Digits; l++ {
-			p := u.Prefix(l)
-			updated[p.Key()] = p
+			updated[u.Prefix(l)] = struct{}{}
 		}
 	}
 
@@ -408,7 +423,7 @@ func (t *Tree) Mark(joins, leaves []ident.ID) (*BatchPlan, error) {
 	}
 	for _, u := range joins {
 		markPath(u)
-		if leaving[u.Key()] {
+		if leaving[u] {
 			continue
 		}
 		if err := t.structure.Insert(u); err != nil {
@@ -420,11 +435,11 @@ func (t *Tree) Mark(joins, leaves []ident.ID) (*BatchPlan, error) {
 	// pruned: zeroed, so a node created later in the freed slot starts
 	// fresh.
 	for _, u := range leaves {
-		if joining[u.Key()] {
+		if joining[u] {
 			continue
 		}
 		for l := t.params.Digits - 1; l >= 0 && t.structure.SubtreeSize(u.Prefix(l)) == 1; l-- {
-			delete(updated, u.Prefix(l).Key())
+			delete(updated, u.Prefix(l))
 			t.kseg[t.kslot(u.Prefix(l))] = node{}
 		}
 		if err := t.structure.Remove(u); err != nil {
@@ -435,14 +450,14 @@ func (t *Tree) Mark(joins, leaves []ident.ID) (*BatchPlan, error) {
 	// Order the updated k-nodes deepest first, ties by key, for a
 	// deterministic message layout (and so receivers unwrap bottom-up).
 	ordered := make([]ident.Prefix, 0, len(updated))
-	for _, p := range updated {
+	for p := range updated {
 		ordered = append(ordered, p)
 	}
 	sort.Slice(ordered, func(i, j int) bool {
 		if ordered[i].Len() != ordered[j].Len() {
 			return ordered[i].Len() > ordered[j].Len()
 		}
-		return ordered[i].Key() < ordered[j].Key()
+		return ordered[i].Compare(ordered[j]) < 0
 	})
 	// Link the updated k-nodes to their parents (a new one needs it; a
 	// parent's slot never changes while the child lives), then the
@@ -453,14 +468,14 @@ func (t *Tree) Mark(joins, leaves []ident.ID) (*BatchPlan, error) {
 		t.kseg[slots[i]].parent = t.kslot(p.Parent())
 	}
 	for _, u := range joins {
-		epoch := t.epochs[u.Key()] + 1
-		t.epochs[u.Key()] = epoch
+		epoch := t.epochs[u] + 1
+		t.epochs[u] = epoch
 		r := t.ranks.Assign(u)
 		for len(t.useg) < t.ranks.Width() {
 			t.useg = append(t.useg, node{})
 		}
 		t.useg[r] = node{
-			key:     t.deriveKey("u:"+u.Key(), epoch),
+			key:     t.mark.key('u', u.AsPrefix(), epoch),
 			version: epoch,
 			parent:  t.kslot(u.Prefix(t.params.Digits - 1)),
 		}
@@ -512,7 +527,7 @@ func (t *Tree) Regenerate(plan *BatchPlan, parallelism int) (*Message, error) {
 	for i, p := range plan.Updated {
 		g := t.params.Base
 		if p.Len() > 0 {
-			g = int(p.Key()[0]) // level-1 digit
+			g = p.Digit(0) // level-1 digit
 		}
 		if len(t.groupIdx[g]) == 0 {
 			t.groupOrder = append(t.groupOrder, g)
@@ -526,33 +541,32 @@ func (t *Tree) Regenerate(plan *BatchPlan, parallelism int) (*Message, error) {
 	// registry, making every update below a no-op without clock reads).
 	subtreeHist := t.opts.Obs.Histogram("keytree_regen_subtree_ns", obs.LatencyBuckets)
 	subtreeCount := t.opts.Obs.Counter("keytree_regen_subtrees")
-	runUnit := func(fn func(indices []int, wr *keycrypt.Wrapper) error, indices []int, wr *keycrypt.Wrapper) error {
+	runUnit := func(fn func(indices []int, wk *worker) error, indices []int, wk *worker) error {
 		if subtreeHist == nil {
-			return fn(indices, wr)
+			return fn(indices, wk)
 		}
 		start := time.Now()
-		err := fn(indices, wr)
+		err := fn(indices, wk)
 		subtreeHist.Observe(int64(time.Since(start)))
 		subtreeCount.Inc()
 		return err
 	}
 
 	// One work.Run per phase over the level-1-subtree units. Each slot
-	// gets one keycrypt.Wrapper so the AES-GCM wraps inside its units
-	// batch their fixed allocations; Wrapper output is byte-identical to
-	// the one-shot WrapSeeded, keeping the message independent of the
-	// fan-out.
+	// gets one worker, so the HMACs and the AES-GCM wraps inside its
+	// units batch their fixed allocations; both are byte-identical to the
+	// one-shot forms, keeping the message independent of the fan-out.
 	errs := make([]error, len(groupOrder))
-	runGroups := func(fn func(indices []int, wr *keycrypt.Wrapper) error) error {
+	runGroups := func(fn func(indices []int, wk *worker) error) error {
 		work.Run(parallelism, len(groupOrder), func(_ int, next func() (int, bool)) {
 			obs.WithStage(t.opts.Obs, "regen", func() {
-				wr := keycrypt.NewWrapper(t.nonceSeed)
+				wk := &worker{kd: keycrypt.NewDeriver(t.seed), wr: keycrypt.NewWrapper(t.nonceSeed)}
 				for {
 					i, ok := next()
 					if !ok {
 						return
 					}
-					errs[i] = runUnit(fn, t.groupIdx[groupOrder[i]], wr)
+					errs[i] = runUnit(fn, t.groupIdx[groupOrder[i]], wk)
 				}
 			})
 		})
@@ -568,12 +582,11 @@ func (t *Tree) Regenerate(plan *BatchPlan, parallelism int) (*Message, error) {
 	// independent of every other, so groups run concurrently; the
 	// barrier before the wrap phase guarantees the root (and every
 	// other parent) wraps only fully regenerated child keys.
-	if err := runGroups(func(indices []int, _ *keycrypt.Wrapper) error {
+	if err := runGroups(func(indices []int, wk *worker) error {
 		for _, i := range indices {
-			p := plan.Updated[i]
 			n := &t.kseg[plan.slots[i]]
 			n.version++
-			n.key = t.deriveKey("k:"+p.Key(), n.version+t.interval<<32)
+			n.key = wk.key('k', plan.Updated[i], n.version+t.interval<<32)
 		}
 		return nil
 	}); err != nil {
@@ -598,7 +611,7 @@ func (t *Tree) Regenerate(plan *BatchPlan, parallelism int) (*Message, error) {
 	}
 	offsets := t.offsets
 	encs := make([]keycrypt.Encryption, total)
-	if err := runGroups(func(indices []int, wr *keycrypt.Wrapper) error {
+	if err := runGroups(func(indices []int, wk *worker) error {
 		for _, i := range indices {
 			p := plan.Updated[i]
 			parent := &t.kseg[plan.slots[i]]
@@ -612,11 +625,11 @@ func (t *Tree) Regenerate(plan *BatchPlan, parallelism int) (*Message, error) {
 				child := p.Child(d)
 				var cn *node
 				if child.Len() == t.params.Digits {
-					cn = t.unode(child.Key())
+					cn = t.unode(ident.ID(child))
 				} else {
 					cn = t.knode(child)
 				}
-				enc, err := t.wrap(wr, cn.key, child, parent.key, p, parent.version)
+				enc, err := t.wrap(wk.wr, cn.key, child, parent.key, p, parent.version)
 				if err != nil {
 					wErr = err
 					return
@@ -652,7 +665,7 @@ func (t *Tree) CheckStructure() error {
 	var err error
 	t.structure.Walk(func(p ident.Prefix, size int) bool {
 		if p.Len() == t.params.Digits {
-			if _, ok := t.ranks.RankOfKey(p.Key()); !ok {
+			if _, ok := t.ranks.RankOf(ident.ID(p)); !ok {
 				err = fmt.Errorf("keytree: missing u-node %v", p)
 			}
 		} else if t.knode(p).version == 0 {

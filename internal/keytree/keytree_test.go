@@ -3,6 +3,8 @@ package keytree
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -104,8 +106,8 @@ func TestEndToEndRekeying(t *testing.T) {
 	tr := newTree(t, params)
 	rng := rand.New(rand.NewSource(4))
 
-	rings := make(map[string]*Keyring)
-	live := make(map[string]ident.ID)
+	rings := make(map[ident.ID]*Keyring)
+	live := make(map[ident.ID]ident.ID)
 
 	applyAll := func(msg *Message) {
 		t.Helper()
@@ -122,8 +124,8 @@ func TestEndToEndRekeying(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, l := range ls {
-			delete(rings, l.Key())
-			delete(live, l.Key())
+			delete(rings, l)
+			delete(live, l)
 		}
 		applyAll(msg)
 		for _, u := range us {
@@ -135,8 +137,8 @@ func TestEndToEndRekeying(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rings[u.Key()] = kr
-			live[u.Key()] = u
+			rings[u] = kr
+			live[u] = u
 		}
 	}
 
@@ -183,7 +185,7 @@ func TestEndToEndRekeying(t *testing.T) {
 			t.Fatal("server lost the group key")
 		}
 		for _, u := range live {
-			kr := rings[u.Key()]
+			kr := rings[u]
 			got, ok := kr.GroupKey()
 			if !ok || !got.Equal(want) {
 				t.Fatalf("round %d: user %v group key diverged", round, u)
@@ -613,8 +615,8 @@ func TestPathWrapsMatchLemma3(t *testing.T) {
 		tr := newTree(t, params)
 		rng := rand.New(rand.NewSource(int64(params.Base)))
 		live := make(map[int]bool)
-		pruned := make(map[string]bool) // k-nodes pruned so far
-		reborn := 0                     // k-nodes created again after a prune
+		pruned := make(map[ident.Prefix]bool) // k-nodes pruned so far
+		reborn := 0                           // k-nodes created again after a prune
 		for round := 0; round < 40; round++ {
 			var js, ls []ident.ID
 			leaveP := 0.1
@@ -650,11 +652,11 @@ func TestPathWrapsMatchLemma3(t *testing.T) {
 			}
 			for _, p := range before {
 				if !tr.Structure().HasNode(p) {
-					pruned[p.Key()] = true
+					pruned[p] = true
 				}
 			}
 			for _, p := range knodes(tr) {
-				if !slices.Contains(before, p) && pruned[p.Key()] {
+				if !slices.Contains(before, p) && pruned[p] {
 					reborn++
 				}
 			}
@@ -724,7 +726,7 @@ func TestKnodeLifetimes(t *testing.T) {
 		if !ok || version != c.want {
 			t.Errorf("%s: k-node %v at version %d (%v), want %d", c.name, k1, version, ok, c.want)
 		}
-		if want := tr.deriveKey("k:"+k1.Key(), c.want+tr.Interval()<<32); !key.Equal(want) {
+		if want := keycrypt.DeriveKey(tr.seed, fmt.Sprintf("k:%s/v%d", k1.Key(), c.want+tr.Interval()<<32)); !key.Equal(want) {
 			t.Errorf("%s: k-node %v does not hold the key of version %d", c.name, k1, c.want)
 		}
 		for _, e := range msg.Encryptions {
@@ -799,5 +801,49 @@ func TestUnwrapRefusesOffPathAndOutOfOrder(t *testing.T) {
 	want, _ := tr.GroupKey()
 	if got, _ := ks.Keyring(0).GroupKey(); !got.Equal(want) {
 		t.Error("the member does not hold the new group key")
+	}
+}
+
+// TestDerivedKeysKnownAnswers pins derived key material for a fixed
+// seed: an individual key at its first and second epoch, and k-node keys
+// at the root and along two paths, digits >= 128 included. A change to
+// one byte of a derivation label ("u:"/"k:", the digit bytes, "/v" and
+// the version) changes these.
+func TestDerivedKeysKnownAnswers(t *testing.T) {
+	params := ident.Params{Digits: 3, Base: 256}
+	tr, err := New(params, []byte("derive-kat"), Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := ident.MustNew(params, []ident.Digit{0, 200, 7})
+	v := ident.MustNew(params, []ident.Digit{0, 200, 255})
+	w := ident.MustNew(params, []ident.Digit{131, 0, 1})
+	for _, b := range [][2][]ident.ID{{{u, v, w}, nil}, {nil, {w}}, {{w}, nil}} {
+		if _, err := tr.Batch(b[0], b[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hexOf := func(k keycrypt.Key) string { return hex.EncodeToString(k.Bytes()) }
+	for id, want := range map[ident.ID]string{
+		u: "18a71e17c7abb0af8061f919ed21cbe108ee2e6d4fbfe8b5f61568c5f5a63ed5",
+		w: "6837aa1a43ddcc8a7468c61fd98c023d69e296efa74d2d34bb2ebfc19742131b", // rejoined: epoch 2
+	} {
+		if k, _ := tr.IndividualKey(id); hexOf(k) != want {
+			t.Errorf("individual key of %v = %s, want %s", id, hexOf(k), want)
+		}
+	}
+	for _, c := range []struct {
+		p       ident.Prefix
+		version uint64
+		want    string
+	}{
+		{ident.EmptyPrefix, 3, "f15f2d81c4cdc68ed909206abbb1f599363d15ef1b151bd1f135a9b25541ffb5"},
+		{u.Prefix(1), 1, "51606967a0f0419ac98ffc4f30c5f3c717b33b84c0403f6152f63aa6c5d89709"},
+		{u.Prefix(2), 1, "b88c58b27ac52e0be6e536454d765eea60b48dd36797d06e4796f5b94f4381b4"},
+		{w.Prefix(2), 1, "1c05627b49a413d8b061ad8508ef66637c2c219798b8d8713567bca03a5a988b"},
+	} {
+		if k, version, _ := tr.KeyOf(c.p); version != c.version || hexOf(k) != c.want {
+			t.Errorf("k-node %v = v%d %s, want v%d %s", c.p, version, hexOf(k), c.version, c.want)
+		}
 	}
 }

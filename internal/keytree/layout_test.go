@@ -37,7 +37,7 @@ func TestMessageLayout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		members := map[string]ident.ID{}
+		members := map[ident.ID]ident.ID{}
 		var p keytree.Pending
 		for interval := 0; interval < 40; interval++ {
 			for i := rng.Intn(12); i > 0; i-- {
@@ -45,16 +45,16 @@ func TestMessageLayout(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, in := members[id.Key()]; in {
+				if _, in := members[id]; in {
 					p.Leave(id)
-					delete(members, id.Key())
+					delete(members, id)
 					continue
 				}
 				p.Join(id)
-				members[id.Key()] = id
+				members[id] = id
 				if rng.Intn(6) == 0 { // the same interval's leave cancels it
 					p.Leave(id)
-					delete(members, id.Key())
+					delete(members, id)
 				}
 			}
 			msg, _, _, err := tr.Flush(&p, 4)

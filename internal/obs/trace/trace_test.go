@@ -101,9 +101,9 @@ func TestConcurrentHopEmission(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				tr.Hop(Hop{
-					To:      ident.IDFromKey(string([]byte{byte(w), byte(i)})),
+					To:      ident.MustNew(ident.Params{Digits: 2, Base: 256}, []ident.Digit{w, i}),
 					Level:   1,
-					Subtree: ident.PrefixFromKey(string([]byte{byte(w)})),
+					Subtree: ident.MustNew(ident.Params{Digits: 2, Base: 256}, []ident.Digit{w, i}).Prefix(1),
 					Encs:    1,
 					Sent:    time.Duration(i),
 					Recv:    time.Duration(i + 1),

@@ -39,7 +39,7 @@ func newDir(t *testing.T, k int, hosts int) *Directory {
 
 func joinN(t *testing.T, d *Directory, n int, rng *rand.Rand) []Record {
 	t.Helper()
-	used := make(map[string]bool)
+	used := make(map[ident.ID]bool)
 	var recs []Record
 	for len(recs) < n {
 		v := rng.Intn(tp.Capacity())
@@ -47,10 +47,10 @@ func joinN(t *testing.T, d *Directory, n int, rng *rand.Rand) []Record {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if used[id.Key()] {
+		if used[id] {
 			continue
 		}
-		used[id.Key()] = true
+		used[id] = true
 		r := Record{Host: vnet.HostID(1 + len(recs)), ID: id}
 		if err := d.Join(r); err != nil {
 			t.Fatalf("Join(%v): %v", id, err)
@@ -130,13 +130,13 @@ func TestDirectoryRandomChurnKConsistency(t *testing.T) {
 		t.Run("", func(t *testing.T) {
 			d := newDir(t, k, 70)
 			rng := rand.New(rand.NewSource(int64(100 + k)))
-			live := make(map[string]Record)
+			live := make(map[ident.ID]Record)
 			nextHost := 1
 			for step := 0; step < 120; step++ {
 				if len(live) == 0 || rng.Float64() < 0.6 {
 					v := rng.Intn(tp.Capacity())
 					id, _ := ident.FromInt(tp, v)
-					if _, ok := live[id.Key()]; ok {
+					if _, ok := live[id]; ok {
 						continue
 					}
 					r := Record{Host: vnet.HostID(nextHost%69 + 1), ID: id}
@@ -144,7 +144,7 @@ func TestDirectoryRandomChurnKConsistency(t *testing.T) {
 					if err := d.Join(r); err != nil {
 						t.Fatalf("step %d join: %v", step, err)
 					}
-					live[id.Key()] = r
+					live[id] = r
 				} else {
 					// Leave a random live user.
 					var victim Record
@@ -159,7 +159,7 @@ func TestDirectoryRandomChurnKConsistency(t *testing.T) {
 					if err := d.Leave(victim.ID); err != nil {
 						t.Fatalf("step %d leave: %v", step, err)
 					}
-					delete(live, victim.ID.Key())
+					delete(live, victim.ID)
 				}
 				if step%10 == 0 {
 					if err := d.CheckConsistency(); err != nil {

@@ -44,12 +44,12 @@ func TestEntryInvariantsQuick(t *testing.T) {
 				return false
 			}
 			ns := entry.Neighbors()
-			seen := make(map[string]bool, len(ns))
+			seen := make(map[ident.ID]bool, len(ns))
 			for i, n := range ns {
-				if seen[n.ID.Key()] {
+				if seen[n.ID] {
 					return false
 				}
-				seen[n.ID.Key()] = true
+				seen[n.ID] = true
 				if i > 0 && ns[i-1].RTT > n.RTT {
 					return false
 				}

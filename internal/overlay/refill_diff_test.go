@@ -253,13 +253,13 @@ func TestRefillMatchesSortEverythingReference(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
-				dead := map[string]bool{}
-				alive := func(id ident.ID) bool { return !dead[id.Key()] }
+				dead := map[ident.ID]bool{}
+				alive := func(id ident.ID) bool { return !dead[id] }
 				// suspect is the extra per-repair predicate failure
 				// recovery passes: it learns of a crash at once, the
 				// directory's own oracle one event later.
-				suspected := map[string]bool{}
-				suspect := func(id ident.ID) bool { return !suspected[id.Key()] }
+				suspected := map[ident.ID]bool{}
+				suspect := func(id ident.ID) bool { return !suspected[id] }
 
 				got, err := NewDirectory(params, k, net, 0)
 				if err != nil {
@@ -316,12 +316,12 @@ func TestRefillMatchesSortEverythingReference(t *testing.T) {
 				var crashed []ident.ID // crashed, still members
 				crash := func() {
 					id := pick()
-					suspected[id.Key()] = true
+					suspected[id] = true
 					crashed = append(crashed, id)
 				}
 				for ev := 1; ev <= events; ev++ {
 					for _, id := range crashed {
-						dead[id.Key()] = true
+						dead[id] = true
 					}
 					factor = 1 + ev/100%3 // only spikeNet reads it
 					what := "join"
@@ -353,8 +353,8 @@ func TestRefillMatchesSortEverythingReference(t *testing.T) {
 							// The ID is re-admitted at a new host while its
 							// holders still name its rank.
 							what = "evict+rejoin+repair"
-							delete(dead, id.Key())
-							delete(suspected, id.Key())
+							delete(dead, id)
+							delete(suspected, id)
 							admit(id)
 							check(ev, "rejoin")
 						}
@@ -372,8 +372,8 @@ func TestRefillMatchesSortEverythingReference(t *testing.T) {
 							}
 						}
 						if !rejoin { // a rejoined ID may have crashed again
-							delete(dead, id.Key())
-							delete(suspected, id.Key())
+							delete(dead, id)
+							delete(suspected, id)
 						}
 					default:
 						join()

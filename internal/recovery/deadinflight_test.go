@@ -50,7 +50,7 @@ func TestLadderBooksDeadInFlight(t *testing.T) {
 	if len(res.DeadInFlight) != 1 || !res.DeadInFlight[0].Equal(victim) {
 		t.Fatalf("DeadInFlight = %v, want [%v]", res.DeadInFlight, victim)
 	}
-	if rung, ok := res.RungOf[victim.Key()]; ok {
+	if rung, ok := res.RungOf[victim]; ok {
 		t.Errorf("dead victim settled on rung %v", rung)
 	}
 	if n := reg.Counter("recovery_dead_in_flight").Value(); n != 1 {

@@ -214,7 +214,7 @@ func DistributeLadder(cfg LadderConfig, msg *keytree.Message) (*LadderResult, er
 			if len(needed) == 0 {
 				continue // the interval did not touch this user's path
 			}
-			st := res.Users[id.Key()]
+			st := res.Users[id]
 			if st != nil && st.Received > 0 {
 				deliver(id, ByMulticast, st.Delay)
 				continue

@@ -56,7 +56,7 @@ func TestLadderAllByMulticastWhenLossless(t *testing.T) {
 		if len(NeededBy(msg, id)) == 0 {
 			continue
 		}
-		if rung, ok := res.RungOf[id.Key()]; !ok || rung != ByMulticast {
+		if rung, ok := res.RungOf[id]; !ok || rung != ByMulticast {
 			t.Errorf("user %v rung = %v, %v; want multicast", id, rung, ok)
 		}
 	}
@@ -98,7 +98,7 @@ func TestLadderEngagesUnderLoss(t *testing.T) {
 	if res.MaxBackoff != 100*time.Millisecond { // 50ms << 1 on the second failure
 		t.Errorf("MaxBackoff = %v, want 100ms", res.MaxBackoff)
 	}
-	if rung := res.RungOf[victim.Key()]; rung != ByUnicast {
+	if rung := res.RungOf[victim]; rung != ByUnicast {
 		t.Errorf("victim rung = %v, want unicast", rung)
 	}
 	if len(res.Resynced) != 0 {
@@ -109,8 +109,8 @@ func TestLadderEngagesUnderLoss(t *testing.T) {
 		if id.Equal(victim) || len(NeededBy(msg, id)) == 0 {
 			continue
 		}
-		if res.RungOf[id.Key()] != ByMulticast {
-			t.Errorf("user %v rung = %v, want multicast", id, res.RungOf[id.Key()])
+		if res.RungOf[id] != ByMulticast {
+			t.Errorf("user %v rung = %v, want multicast", id, res.RungOf[id])
 		}
 	}
 }
@@ -150,10 +150,10 @@ func TestLadderFallsBackToResync(t *testing.T) {
 	if res.Retries < 2 {
 		t.Errorf("Retries = %d, want >= 2", res.Retries)
 	}
-	if rung := res.RungOf[victim.Key()]; rung != ByResync {
+	if rung := res.RungOf[victim]; rung != ByResync {
 		t.Errorf("victim rung = %v, want resync", rung)
 	}
-	if at, ok := res.DeliveredAt[victim.Key()]; !ok || at <= time.Second {
+	if at, ok := res.DeliveredAt[victim]; !ok || at <= time.Second {
 		t.Errorf("victim DeliveredAt = %v, %v; want after the timeout", at, ok)
 	}
 }

@@ -14,12 +14,12 @@ import (
 // auditors take that set from the plane, so a member the ladder never
 // picked up shows as owed with no rung.
 type Outcome struct {
-	// RungOf is, per member key, the rung that settled the member (on
+	// RungOf is, per member, the rung that settled the member (on
 	// the socket: the highest rung in flight when its ack arrived), and
 	// DeliveredAt when, in virtual time on the simulator (the socket
 	// books 0: nothing there reads it yet).
-	RungOf      map[string]Rung
-	DeliveredAt map[string]time.Duration
+	RungOf      map[ident.ID]Rung
+	DeliveredAt map[ident.ID]time.Duration
 	// Resynced lists the members the resync rung settled, DeadInFlight
 	// those the ladder gave up on; both in ID order after Finish.
 	Resynced, DeadInFlight []ident.ID
@@ -34,9 +34,9 @@ type Outcome struct {
 // Settle books a member as settled at a rung at time at.
 func (o *Outcome) Settle(id ident.ID, rung Rung, at time.Duration) {
 	if o.RungOf == nil {
-		o.RungOf, o.DeliveredAt = make(map[string]Rung), make(map[string]time.Duration)
+		o.RungOf, o.DeliveredAt = make(map[ident.ID]Rung), make(map[ident.ID]time.Duration)
 	}
-	o.RungOf[id.Key()], o.DeliveredAt[id.Key()] = rung, at
+	o.RungOf[id], o.DeliveredAt[id] = rung, at
 	if rung == ByResync {
 		o.Resynced = append(o.Resynced, id)
 	}

@@ -38,17 +38,17 @@ func buildWorld(t *testing.T, n int, seed int64) (*overlay.Directory, *keytree.T
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	used := map[string]bool{}
+	used := map[ident.ID]bool{}
 	var ids []ident.ID
 	for len(ids) < n {
 		id, err := ident.FromInt(tp, rng.Intn(tp.Capacity()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if used[id.Key()] {
+		if used[id] {
 			continue
 		}
-		used[id.Key()] = true
+		used[id] = true
 		if err := dir.Join(overlay.Record{Host: vnet.HostID(len(ids) + 1), ID: id}); err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestNoLossNoRecovery(t *testing.T) {
 	}
 	// Everyone got their needed encryptions via multicast.
 	for _, id := range live {
-		if st := res.Multicast.Users[id.Key()]; st == nil || st.UnitsReceived == 0 {
+		if st := res.Multicast.Users[id]; st == nil || st.UnitsReceived == 0 {
 			t.Errorf("user %v received nothing", id)
 		}
 	}
@@ -138,23 +138,23 @@ func TestLossyRecoveryCompleteness(t *testing.T) {
 	if len(res.Recovered) == 0 {
 		t.Fatal("no one needed recovery despite 25% loss")
 	}
-	recovered := map[string]bool{}
+	recovered := map[ident.ID]bool{}
 	for _, id := range res.Recovered {
-		recovered[id.Key()] = true
+		recovered[id] = true
 	}
 	for _, id := range live {
 		if len(NeededBy(msg, id)) == 0 {
 			continue
 		}
-		rung, keyed := res.RungOf[id.Key()]
+		rung, keyed := res.RungOf[id]
 		if !keyed {
 			t.Errorf("user %v ended with nothing", id)
 			continue
 		}
-		st := res.Multicast.Users[id.Key()]
+		st := res.Multicast.Users[id]
 		cutOff := st == nil || st.Received == 0
-		if cutOff != recovered[id.Key()] || cutOff != (rung == ByUnicast) {
-			t.Errorf("user %v: cut off %v, recovered %v, rung %v", id, cutOff, recovered[id.Key()], rung)
+		if cutOff != recovered[id] || cutOff != (rung == ByUnicast) {
+			t.Errorf("user %v: cut off %v, recovered %v, rung %v", id, cutOff, recovered[id], rung)
 		}
 	}
 	// Recovery bandwidth is tiny per user: O(D) encryptions, not the
@@ -172,7 +172,7 @@ func TestLossyRecoveryCompleteness(t *testing.T) {
 			res.UnicastAttempts, len(res.Resynced), len(res.Recovered))
 	}
 	for _, id := range res.Recovered {
-		if at := res.DeliveredAt[id.Key()]; at <= timeout {
+		if at := res.DeliveredAt[id]; at <= timeout {
 			t.Errorf("user %v recovered at %v, inside the %v timeout", id, at, timeout)
 		}
 	}

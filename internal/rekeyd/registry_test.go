@@ -67,14 +67,14 @@ func TestIDReuseAtNewLocator(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	lastAddr := make(map[string]string) // where each ID last lived
+	lastAddr := make(map[ident.ID]string) // where each ID last lived
 	redrawn := 0
 	for i := 0; i < 60; i++ {
 		res := churn(t, w, rng, 4)
 		assertConverged(t, w, res)
 		assertAllMulticast(t, res)
 		for _, m := range w.Members() {
-			addr, key := m.tr.Addr(), m.ID().Key()
+			addr, key := m.tr.Addr(), m.ID()
 			if old, seen := lastAddr[key]; seen && old != addr {
 				redrawn++
 			}
@@ -199,8 +199,8 @@ type meshedWorld struct {
 	tree    *keytree.Tree
 	srv     *Server
 	srvTr   transport.Transport
-	members map[string]*Member
-	trs     map[string]transport.Transport
+	members map[ident.ID]*Member
+	trs     map[ident.ID]transport.Transport
 	host    vnet.HostID
 }
 
@@ -219,7 +219,7 @@ func newMeshedWorld(t *testing.T, params ident.Params) *meshedWorld {
 		t.Fatal(err)
 	}
 	w := &meshedWorld{params: params, sh: NewShared(dir), tree: tree,
-		members: make(map[string]*Member), trs: make(map[string]transport.Transport)}
+		members: make(map[ident.ID]*Member), trs: make(map[ident.ID]transport.Transport)}
 	if w.srvTr, err = transport.NewUDP("127.0.0.1:0", transport.Config{ID: transport.ServerID}); err != nil {
 		t.Fatal(err)
 	}
@@ -247,10 +247,9 @@ func (w *meshedWorld) rekey(t *testing.T, joins, leaves []ident.ID) *Result {
 		}
 	})
 	for _, id := range leaves {
-		key := id.Key()
-		w.members[key].Close()
-		delete(w.members, key)
-		delete(w.trs, key)
+		w.members[id].Close()
+		delete(w.members, id)
+		delete(w.trs, id)
 		w.srvTr.RemovePeer(PeerOf(id))
 		for _, other := range w.trs {
 			other.RemovePeer(PeerOf(id))
@@ -277,11 +276,11 @@ func (w *meshedWorld) rekey(t *testing.T, joins, leaves []ident.ID) *Result {
 		tr.AddPeer(transport.ServerID, w.srvTr.Addr())
 		w.srvTr.AddPeer(peer, tr.Addr())
 		for k, other := range w.trs {
-			tr.AddPeer(transport.PeerID(k), other.Addr())
+			tr.AddPeer(PeerOf(k), other.Addr())
 			other.AddPeer(peer, tr.Addr())
 		}
-		w.trs[rec.ID.Key()] = tr
-		w.members[rec.ID.Key()] = NewMember(rec.ID, w.params, tr, w.sh, kr, msg.Interval, nil)
+		w.trs[rec.ID] = tr
+		w.members[rec.ID] = NewMember(rec.ID, w.params, tr, w.sh, kr, msg.Interval, nil)
 	}
 	expected := make([]ident.ID, 0, len(w.members))
 	for _, m := range w.members {
@@ -385,7 +384,8 @@ func TestRegistryConcurrentResolve(t *testing.T) {
 		t.Cleanup(func() { tr.Close() })
 		return tr
 	}
-	target := func(i int) transport.PeerID { return transport.PeerID(fmt.Sprintf("t%02d", i)) }
+	targetID := func(i int) ident.ID { return ident.MustNew(ident.Params{Digits: 2, Base: 256}, []ident.Digit{0, i}) }
+	target := func(i int) transport.PeerID { return PeerOf(targetID(i)) }
 	targetTr := make(map[transport.PeerID]transport.Transport)
 	for i := 0; i < targets; i++ {
 		targetTr[target(i)] = endpoint(target(i))
@@ -409,7 +409,7 @@ func TestRegistryConcurrentResolve(t *testing.T) {
 				default:
 				}
 				// Unknown peer when the registry has just withdrawn it.
-				tr.Send(sh.resolve(tr, ident.IDFromKey(string(target(rng.Intn(targets))))), []byte{1})
+				tr.Send(sh.resolve(tr, targetID(rng.Intn(targets))), []byte{1})
 			}
 		}()
 	}

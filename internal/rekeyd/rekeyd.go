@@ -52,7 +52,8 @@ import (
 	"tmesh/internal/wire"
 )
 
-// PeerOf maps a member ID to its transport routing key.
+// PeerOf maps a member ID to its transport routing key: the ID's digit
+// bytes.
 func PeerOf(id ident.ID) transport.PeerID { return transport.PeerID(id.Key()) }
 
 // Config tunes the server's delivery ladder. The five ladder fields
@@ -421,9 +422,9 @@ type Server struct {
 // expected member, advanced by Distribute's loop and settled by the ack
 // handler, both under Server.mu, and the Result they book into.
 type ledger struct {
-	res   *Result
-	rows  []ladderRow
-	byKey map[string]*ladderRow
+	res  *Result
+	rows []ladderRow
+	byID map[ident.ID]*ladderRow
 	// unsettled counts rows neither acked nor dead. The ack that brings
 	// it to zero pokes wake, so Distribute returns on the last ack
 	// rather than at its next deadline.
@@ -477,12 +478,11 @@ func (s *Server) handle(from transport.PeerID, frame []byte) {
 	if err != nil {
 		return
 	}
-	key := id.Key()
 	s.mu.Lock()
 	l := s.open
 	var row *ladderRow
 	if l != nil && l.res.Interval == interval {
-		row = l.byKey[key]
+		row = l.byID[id]
 	}
 	if row == nil || row.settled {
 		s.mu.Unlock()
@@ -527,13 +527,13 @@ func (s *Server) Distribute(msg *keytree.Message, expected []ident.ID) (*Result,
 	l := &ledger{
 		res:       res,
 		rows:      make([]ladderRow, len(expected)),
-		byKey:     make(map[string]*ladderRow, len(expected)),
+		byID:      make(map[ident.ID]*ladderRow, len(expected)),
 		unsettled: len(expected),
 		wake:      make(chan struct{}, 1),
 	}
 	for i, id := range expected {
 		l.rows[i].id = id
-		l.byKey[id.Key()] = &l.rows[i]
+		l.byID[id] = &l.rows[i]
 	}
 	s.mu.Lock()
 	s.open = l

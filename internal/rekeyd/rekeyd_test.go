@@ -194,7 +194,7 @@ func TestCrashEviction(t *testing.T) {
 		t.Fatal("crashed member still present after rekey")
 	}
 	for k := range res.RungOf {
-		if k == victim.Key() {
+		if k == victim {
 			t.Fatal("crashed member in the expected/acked set")
 		}
 	}
@@ -549,8 +549,8 @@ func TestNoKeyBytesOnTheWire(t *testing.T) {
 	}
 	<-restored
 	assertConverged(t, w, res)
-	if res.SyncAttempts == 0 || res.RungOf[victim.Key()] != recovery.ByResync {
-		t.Fatalf("victim %v keyed by rung %v after %d resyncs, want the resync rung", victim, res.RungOf[victim.Key()], res.SyncAttempts)
+	if res.SyncAttempts == 0 || res.RungOf[victim] != recovery.ByResync {
+		t.Fatalf("victim %v keyed by rung %v after %d resyncs, want the resync rung", victim, res.RungOf[victim], res.SyncAttempts)
 	}
 	frames := rec.all()
 	for _, m := range w.Members() {

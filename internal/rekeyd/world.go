@@ -83,7 +83,7 @@ type World struct {
 	sw   *transport.Switch
 	plan *transport.FaultPlan
 
-	members map[string]*Member
+	members map[ident.ID]*Member
 
 	// joining holds the directory records of the joiners queued in
 	// pending; leaves, crash evictions and cancellation live in pending.
@@ -123,7 +123,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		tree:    tree,
 		sw:      transport.NewSwitch(),
 		plan:    transport.NewFaultPlan(cfg.Seed),
-		members: make(map[string]*Member),
+		members: make(map[ident.ID]*Member),
 		idRNG:   rand.New(rand.NewSource(cfg.Seed ^ 0x696473)), // "ids"
 
 		nextHost: 1,
@@ -201,7 +201,7 @@ func (w *World) Members() []*Member {
 
 // Member returns a node by ID.
 func (w *World) Member(id ident.ID) (*Member, bool) {
-	m, ok := w.members[id.Key()]
+	m, ok := w.members[id]
 	return m, ok
 }
 
@@ -219,7 +219,7 @@ func (w *World) Join() (ident.ID, error) {
 		return ident.ID{}, fmt.Errorf("rekeyd: host budget exhausted")
 	}
 	id, err := ident.FreeID(w.cfg.Params, w.idRNG, func(id ident.ID) bool {
-		_, member := w.members[id.Key()]
+		_, member := w.members[id]
 		return member || w.joiningAt(id) >= 0
 	})
 	if err != nil {
@@ -238,7 +238,7 @@ func (w *World) Join() (ident.ID, error) {
 func (w *World) depart(id ident.ID) (cancelled bool, err error) {
 	if i := w.joiningAt(id); i >= 0 {
 		w.joining = slices.Delete(w.joining, i, i+1)
-	} else if _, ok := w.members[id.Key()]; !ok {
+	} else if _, ok := w.members[id]; !ok {
 		return false, fmt.Errorf("rekeyd: %v is not a member", id)
 	}
 	return w.pending.Leave(id), nil
@@ -303,7 +303,7 @@ func (w *World) addMember(rec overlay.Record, appliedInterval uint64) error {
 		return err
 	}
 	w.sh.publish(tr)
-	w.members[rec.ID.Key()] = NewMember(rec.ID, w.cfg.Params, tr, w.sh, kr, appliedInterval, w.cfg.Obs)
+	w.members[rec.ID] = NewMember(rec.ID, w.cfg.Params, tr, w.sh, kr, appliedInterval, w.cfg.Obs)
 	return nil
 }
 
@@ -311,12 +311,11 @@ func (w *World) addMember(rec overlay.Record, appliedInterval uint64) error {
 // un-registers it wherever a forwarder resolved it) and un-registers it
 // at the server.
 func (w *World) dropMember(id ident.ID) {
-	key := id.Key()
-	m, ok := w.members[key]
+	m, ok := w.members[id]
 	if !ok {
 		return
 	}
-	delete(w.members, key)
+	delete(w.members, id)
 	// Lift any standing Kill: the peer ID dies with the member, and a
 	// future joiner that happens to draw the same ID must not inherit
 	// the blackout.
@@ -386,7 +385,7 @@ func (w *World) Close() error {
 	for _, m := range w.members {
 		m.Close()
 	}
-	w.members = make(map[string]*Member)
+	w.members = make(map[ident.ID]*Member)
 	if w.srv != nil {
 		w.srv.Close()
 	}

@@ -56,15 +56,15 @@ func TestFilterQuick(t *testing.T) {
 			if len(childGot) > len(got) {
 				return false
 			}
-			parentSet := make(map[string]int)
+			parentSet := make(map[ident.Prefix]int)
 			for _, e := range got {
-				parentSet[e.ID.Key()]++
+				parentSet[e.ID]++
 			}
 			for _, e := range childGot {
-				if parentSet[e.ID.Key()] == 0 {
+				if parentSet[e.ID] == 0 {
 					return false
 				}
-				parentSet[e.ID.Key()]--
+				parentSet[e.ID]--
 			}
 		}
 		return true

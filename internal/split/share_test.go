@@ -59,15 +59,15 @@ func share(encs []keycrypt.Encryption, subtree ident.Prefix) []keycrypt.Encrypti
 // repeat.
 func randSplitWorld(t *testing.T, rng *rand.Rand, params ident.Params, members, encCount int) (*ident.Tree, []keycrypt.Encryption) {
 	t.Helper()
-	used := make(map[string]bool)
+	used := make(map[ident.ID]bool)
 	var ids []ident.ID
 	for len(ids) < members {
 		id, err := ident.FromInt(params, rng.Intn(params.Capacity()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !used[id.Key()] {
-			used[id.Key()] = true
+		if !used[id] {
+			used[id] = true
 			ids = append(ids, id)
 		}
 	}
@@ -110,7 +110,7 @@ func randPrefixOf(t *testing.T, rng *rand.Rand, params ident.Params) ident.Prefi
 // the whole message.
 func checkTreeShares(t *testing.T, rng *rand.Rand, params ident.Params, tree *ident.Tree, encs []keycrypt.Encryption, what string) {
 	t.Helper()
-	shares := map[string][]keycrypt.Encryption{ident.EmptyPrefix.Key(): encs}
+	shares := map[ident.Prefix][]keycrypt.Encryption{ident.EmptyPrefix: encs}
 	check := func(q ident.Prefix, got []keycrypt.Encryption) {
 		t.Helper()
 		if want := filter(encs, q); !reflect.DeepEqual(got, want) {
@@ -119,9 +119,9 @@ func checkTreeShares(t *testing.T, rng *rand.Rand, params ident.Params, tree *id
 	}
 	tree.Walk(func(p ident.Prefix, _ int) bool {
 		if p.Len() > 0 {
-			shares[p.Key()] = share(shares[p.Parent().Key()], p)
+			shares[p] = share(shares[p.Parent()], p)
 		}
-		check(p, shares[p.Key()])
+		check(p, shares[p])
 		return true
 	})
 	check(ident.EmptyPrefix, share(encs, ident.EmptyPrefix))
@@ -325,8 +325,8 @@ func legacyRekeyReport(t *testing.T, w *world, mode Mode, packetSize int) *Repor
 		t.Fatal(err)
 	}
 	rep := &Report{
-		ReceivedPerUser:  make(map[string]int, len(res.Users)),
-		ForwardedPerUser: make(map[string]int, len(res.Users)),
+		ReceivedPerUser:  make(map[ident.ID]int, len(res.Users)),
+		ForwardedPerUser: make(map[ident.ID]int, len(res.Users)),
 		LinkUnits:        res.LinkUnits,
 		Deliveries:       deliveries,
 	}

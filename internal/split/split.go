@@ -19,7 +19,6 @@ package split
 
 import (
 	"fmt"
-	"strings"
 
 	"tmesh/internal/ident"
 	"tmesh/internal/keycrypt"
@@ -74,16 +73,15 @@ func AppendShare(dst, payload []keycrypt.Encryption, subtree ident.Prefix) []key
 	if len(payload) == 0 {
 		return dst
 	}
-	w := subtree.Key()
 	lo := 0
 	for l := payload[0].ID.Len(); l >= 0 && lo < len(payload); l-- {
-		want := w[:min(l, len(w))]
+		want := subtree.Prefix(min(l, subtree.Len()))
 		// The first element at or past (l, want): deeper blocks come
 		// first, and each block ascends by ID.
 		i, hi := lo, len(payload)
 		for i < hi {
 			mid := int(uint(i+hi) >> 1)
-			if k := payload[mid].ID.Key(); len(k) < l || len(k) == l && k >= want {
+			if k := payload[mid].ID; k.Len() < l || k.Len() == l && k.Compare(want) >= 0 {
 				hi = mid
 			} else {
 				i = mid + 1
@@ -91,7 +89,7 @@ func AppendShare(dst, payload []keycrypt.Encryption, subtree ident.Prefix) []key
 		}
 		j := i
 		for j < len(payload) {
-			if k := payload[j].ID.Key(); len(k) != l || !strings.HasPrefix(k, want) {
+			if k := payload[j].ID; k.Len() != l || !k.HasPrefix(want) {
 				break
 			}
 			j++
@@ -229,10 +227,10 @@ type Delivery struct {
 type Report struct {
 	// ReceivedPerUser is the number of encryptions received by each
 	// user (Fig. 13 (a)).
-	ReceivedPerUser map[string]int
+	ReceivedPerUser map[ident.ID]int
 	// ForwardedPerUser is the number of encryptions forwarded by each
 	// user (Fig. 13 (b)).
-	ForwardedPerUser map[string]int
+	ForwardedPerUser map[ident.ID]int
 	// LinkUnits is the number of encryptions that crossed each network
 	// link (Fig. 13 (c)).
 	LinkUnits map[vnet.LinkID]int
@@ -321,8 +319,8 @@ func Rekey(dir *overlay.Directory, msg *keytree.Message, opts Options) (*Report,
 	}
 
 	rep := &Report{
-		ReceivedPerUser:  make(map[string]int, len(res.Users)),
-		ForwardedPerUser: make(map[string]int, len(res.Users)),
+		ReceivedPerUser:  make(map[ident.ID]int, len(res.Users)),
+		ForwardedPerUser: make(map[ident.ID]int, len(res.Users)),
 		LinkUnits:        res.LinkUnits,
 		Deliveries:       deliveries,
 		Multicast:        res,

@@ -150,7 +150,7 @@ func newWorldIn(t *testing.T, tp ident.Params, n, j, l int, seed int64) *world {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	used := make(map[string]bool)
+	used := make(map[ident.ID]bool)
 	nextHost := 1
 	draw := func() ident.ID {
 		for {
@@ -158,8 +158,8 @@ func newWorldIn(t *testing.T, tp ident.Params, n, j, l int, seed int64) *world {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !used[id.Key()] {
-				used[id.Key()] = true
+			if !used[id] {
+				used[id] = true
 				return id
 			}
 		}
@@ -206,7 +206,7 @@ func newWorldIn(t *testing.T, tp ident.Params, n, j, l int, seed int64) *world {
 // by the user or by at least one of its downstream users.
 func TestCorollary1(t *testing.T) {
 	w := newWorld(t, 40, 6, 6, 42)
-	counts := make(map[string]map[string]int) // user -> encID/keyID -> copies
+	counts := make(map[ident.ID]map[string]int) // user -> encID/keyID -> copies
 	encKey := func(e keycrypt.Encryption) string { return e.ID.Key() + "|" + e.KeyID.Key() }
 
 	rep, err := Rekey(w.dir, w.msg, Options{Mode: PerEncryption, Collect: true})
@@ -214,10 +214,10 @@ func TestCorollary1(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range rep.Deliveries {
-		m := counts[d.To.Key()]
+		m := counts[d.To]
 		if m == nil {
 			m = make(map[string]int)
-			counts[d.To.Key()] = m
+			counts[d.To] = m
 		}
 		for _, e := range d.Encryptions {
 			m[encKey(e)]++
@@ -225,21 +225,17 @@ func TestCorollary1(t *testing.T) {
 	}
 
 	// Reconstruct downstream sets from upstream pointers.
-	upstream := make(map[string]string) // user -> upstream user ("" = server)
-	for key, st := range rep.Multicast.Users {
-		if st.UpstreamID.IsZero() {
-			upstream[key] = ""
-		} else {
-			upstream[key] = st.UpstreamID.Key()
-		}
+	upstream := make(map[ident.ID]ident.ID) // user -> upstream user (zero = server)
+	for id, st := range rep.Multicast.Users {
+		upstream[id] = st.UpstreamID
 	}
-	inSubtreeOf := func(u, anc string) bool {
+	inSubtreeOf := func(u, anc ident.ID) bool {
 		for at := u; ; {
 			if at == anc {
 				return true
 			}
 			next, ok := upstream[at]
-			if !ok || next == "" {
+			if !ok || next.IsZero() {
 				return false
 			}
 			at = next
@@ -251,12 +247,12 @@ func TestCorollary1(t *testing.T) {
 		for _, e := range w.msg.Encryptions {
 			want := 0
 			for _, v := range w.live {
-				if e.NeededBy(v) && inSubtreeOf(v.Key(), u.Key()) {
+				if e.NeededBy(v) && inSubtreeOf(v, u) {
 					want = 1
 					break
 				}
 			}
-			got := counts[u.Key()][encKey(e)]
+			got := counts[u][encKey(e)]
 			if got != want {
 				t.Fatalf("user %v received encryption %v(%v) %d times, want %d",
 					u, e.KeyID, e.ID, got, want)
@@ -284,9 +280,9 @@ func TestSplittingReducesBandwidth(t *testing.T) {
 	}
 	var sumNone, sumEnc, sumPkt int
 	for _, u := range w.live {
-		none := reports[NoSplit].ReceivedPerUser[u.Key()]
-		enc := reports[PerEncryption].ReceivedPerUser[u.Key()]
-		pkt := reports[PerPacket].ReceivedPerUser[u.Key()]
+		none := reports[NoSplit].ReceivedPerUser[u]
+		enc := reports[PerEncryption].ReceivedPerUser[u]
+		pkt := reports[PerPacket].ReceivedPerUser[u]
 		if none != full {
 			t.Errorf("user %v received %d without splitting, want full %d", u, none, full)
 		}
@@ -317,7 +313,7 @@ func TestSplitDecryptability(t *testing.T) {
 	// Build a fresh key tree whose initial members are the directory's
 	// current users, capture everyone's keyring, then churn once more
 	// and deliver that batch's message with splitting.
-	rings := make(map[string]*keytree.Keyring)
+	rings := make(map[ident.ID]*keytree.Keyring)
 	tree, err := keytree.New(tp, []byte("split-decrypt"), keytree.Opts{})
 	if err != nil {
 		t.Fatal(err)
@@ -335,14 +331,14 @@ func TestSplitDecryptability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rings[u.Key()] = kr
+		rings[u] = kr
 	}
 	leavers := initial[:4]
 	for _, u := range leavers {
 		if err := w.dir.Leave(u); err != nil {
 			t.Fatal(err)
 		}
-		delete(rings, u.Key())
+		delete(rings, u)
 	}
 	msg, err := tree.Batch(nil, leavers)
 	if err != nil {
@@ -352,9 +348,9 @@ func TestSplitDecryptability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make(map[string][]keycrypt.Encryption)
+	got := make(map[ident.ID][]keycrypt.Encryption)
 	for _, d := range rep.Deliveries {
-		got[d.To.Key()] = append(got[d.To.Key()], d.Encryptions...)
+		got[d.To] = append(got[d.To], d.Encryptions...)
 	}
 	wantGroup, ok := tree.GroupKey()
 	if !ok {

@@ -54,7 +54,7 @@ func TestTracedMulticast(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := res.Users[to.Key()]
+		st := res.Users[ident.ID(to)]
 		if st == nil || st.Level != r.Level {
 			t.Errorf("hop to %s at level %d disagrees with result %+v", r.To, r.Level, st)
 		}

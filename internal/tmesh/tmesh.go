@@ -181,9 +181,9 @@ type UserStats struct {
 
 // Result collects the outcome of a session.
 type Result struct {
-	// Users maps user-ID keys to their stats. The sender appears only
+	// Users maps user IDs to their stats. The sender appears only
 	// if it is a user, with Received = 0 and its forwarding stress.
-	Users map[string]*UserStats
+	Users map[ident.ID]*UserStats
 	// SenderStress is the number of copies the sender emitted.
 	SenderStress int
 	// LinkCopies and LinkUnits count message copies and payload units
@@ -215,7 +215,7 @@ func Multicast[P any](cfg Config[P], payload P) (*Result, error) {
 		return nil, fmt.Errorf("tmesh: negative StartAt %v", cfg.StartAt)
 	}
 	res := &Result{
-		Users:      make(map[string]*UserStats, cfg.Dir.Size()+1),
+		Users:      make(map[ident.ID]*UserStats, cfg.Dir.Size()+1),
 		LinkCopies: make(map[vnet.LinkID]int),
 		LinkUnits:  make(map[vnet.LinkID]int),
 	}
@@ -291,7 +291,7 @@ func (m *machine[P]) splitFor(p P, subtree ident.Prefix) P {
 }
 
 func (m *machine[P]) userStats(id ident.ID) *UserStats {
-	s, ok := m.res.Users[id.Key()]
+	s, ok := m.res.Users[id]
 	if !ok {
 		if len(m.stats) < cap(m.stats) {
 			m.stats = m.stats[:len(m.stats)+1]
@@ -300,7 +300,7 @@ func (m *machine[P]) userStats(id ident.ID) *UserStats {
 		} else {
 			s = &UserStats{Level: -1}
 		}
-		m.res.Users[id.Key()] = s
+		m.res.Users[id] = s
 	}
 	return s
 }

@@ -33,17 +33,17 @@ func buildGroup(t *testing.T, k, n int, seed int64) (*overlay.Directory, []overl
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	used := make(map[string]bool)
+	used := make(map[ident.ID]bool)
 	var recs []overlay.Record
 	for len(recs) < n {
 		id, err := ident.FromInt(tp, rng.Intn(tp.Capacity()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if used[id.Key()] {
+		if used[id] {
 			continue
 		}
-		used[id.Key()] = true
+		used[id] = true
 		r := overlay.Record{Host: vnet.HostID(len(recs) + 1), ID: id}
 		if err := dir.Join(r); err != nil {
 			t.Fatal(err)
@@ -70,7 +70,7 @@ func TestTheorem1ServerMulticast(t *testing.T) {
 				t.Fatalf("K=%d N=%d: %d users got the message, want %d", k, n, len(res.Users), n)
 			}
 			for _, r := range recs {
-				st := res.Users[r.ID.Key()]
+				st := res.Users[r.ID]
 				if st == nil || st.Received != 1 {
 					t.Fatalf("K=%d N=%d: user %v received %+v, want exactly 1 copy", k, n, r.ID, st)
 				}
@@ -97,7 +97,7 @@ func TestTheorem1UserMulticast(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range recs {
-			st := res.Users[r.ID.Key()]
+			st := res.Users[r.ID]
 			if r.ID.Equal(sender.ID) {
 				if st == nil || st.Received != 0 {
 					t.Fatalf("sender %v should receive nothing, got %+v", sender.ID, st)
@@ -125,7 +125,7 @@ func TestLemmas1and2PrefixStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		st := res.Users[r.ID.Key()]
+		st := res.Users[r.ID]
 		if st.UpstreamID.IsZero() {
 			if st.Level != 1 {
 				t.Errorf("user %v fed by server at level %d, want 1", r.ID, st.Level)
@@ -149,19 +149,19 @@ func TestLemmas1and2PrefixStructure(t *testing.T) {
 func TestFailureRecoveryFallback(t *testing.T) {
 	dir, recs := buildGroup(t, 4, 40, 21)
 	// Kill three users; with K=4 entries usually hold fallbacks.
-	dead := map[string]bool{
-		recs[2].ID.Key():  true,
-		recs[11].ID.Key(): true,
-		recs[23].ID.Key(): true,
+	dead := map[ident.ID]bool{
+		recs[2].ID:  true,
+		recs[11].ID: true,
+		recs[23].ID: true,
 	}
-	alive := func(id ident.ID) bool { return !dead[id.Key()] }
+	alive := func(id ident.ID) bool { return !dead[id] }
 	res, err := Multicast(Config[int]{Dir: dir, Alive: alive}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		st := res.Users[r.ID.Key()]
-		if dead[r.ID.Key()] {
+		st := res.Users[r.ID]
+		if dead[r.ID] {
 			if st != nil && st.Received != 0 {
 				t.Errorf("dead user %v received %d copies", r.ID, st.Received)
 			}
@@ -206,7 +206,7 @@ func TestSplitHopFiltering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := res.Users[target.ID.Key()]
+	st := res.Users[target.ID]
 	if st == nil || st.Received != 1 {
 		t.Fatalf("target did not receive its message: %+v", st)
 	}
@@ -218,7 +218,7 @@ func TestSplitHopFiltering(t *testing.T) {
 		if r.ID.Digit(0) == target.ID.Digit(0) {
 			continue
 		}
-		if st := res.Users[r.ID.Key()]; st != nil && st.Received > 0 {
+		if st := res.Users[r.ID]; st != nil && st.Received > 0 {
 			t.Errorf("unrelated user %v received %d units", r.ID, st.UnitsReceived)
 		}
 	}
@@ -265,7 +265,7 @@ func TestSingleUserGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := res.Users[recs[0].ID.Key()]
+	st := res.Users[recs[0].ID]
 	if st == nil || st.Received != 1 || st.Level != 1 {
 		t.Fatalf("sole user stats = %+v", st)
 	}
@@ -283,11 +283,11 @@ func TestSingleUserGroup(t *testing.T) {
 // same equivalence at scale; this pins it where a diff is readable.
 func TestMulticastOverSparseTables(t *testing.T) {
 	dir, recs := buildGroup(t, 1, 14, 3)
-	dead := map[string]bool{recs[4].ID.Key(): true, recs[9].ID.Key(): true}
-	alive := func(id ident.ID) bool { return !dead[id.Key()] }
+	dead := map[ident.ID]bool{recs[4].ID: true, recs[9].ID: true}
+	alive := func(id ident.ID) bool { return !dead[id] }
 	net := dir.Network()
 
-	want := map[string]*UserStats{}
+	want := map[ident.ID]*UserStats{}
 	lost, senderStress, emptyRows := 0, 0, 0
 	var forward func(from overlay.Record, level int, now time.Duration)
 	via := func(e overlay.Entry, fromHost vnet.HostID, stress *int, s int, now time.Duration) {
@@ -300,7 +300,7 @@ func TestMulticastOverSparseTables(t *testing.T) {
 		}
 		*stress++
 		at := now + net.OneWay(fromHost, next.Host)
-		want[next.ID.Key()] = &UserStats{Received: 1, Level: s + 1, Delay: at}
+		want[next.ID] = &UserStats{Received: 1, Level: s + 1, Delay: at}
 		forward(next.Record, s+1, at)
 	}
 	forward = func(from overlay.Record, level int, now time.Duration) {
@@ -318,7 +318,7 @@ func TestMulticastOverSparseTables(t *testing.T) {
 				emptyRows++
 			}
 		}
-		want[from.ID.Key()].Stress = stress
+		want[from.ID].Stress = stress
 	}
 	for j := 0; j < tp.Base; j++ {
 		via(dir.Server().Entry(j), dir.Server().Host(), &senderStress, 0, 0)
@@ -338,7 +338,7 @@ func TestMulticastOverSparseTables(t *testing.T) {
 	for key, w := range want {
 		got := res.Users[key]
 		if got == nil || got.Received != w.Received || got.Level != w.Level || got.Delay != w.Delay || got.Stress != w.Stress {
-			t.Errorf("user %v: %+v, exhaustive walk: %+v", ident.IDFromKey(key), got, w)
+			t.Errorf("user %v: %+v, exhaustive walk: %+v", key, got, w)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tmesh/internal/eventsim"
+	"tmesh/internal/ident"
 	"tmesh/internal/obs"
 )
 
@@ -16,7 +17,7 @@ func TestDuplicateDeliveryCounter(t *testing.T) {
 	m := &machine[int]{
 		cfg: Config[int]{Dir: dir, Obs: reg},
 		sim: eventsim.New(),
-		res: &Result{Users: make(map[string]*UserStats)},
+		res: &Result{Users: make(map[ident.ID]*UserStats)},
 	}
 	m.dupC = reg.Counter("tmesh_duplicate_deliveries")
 	// Level D stops FORWARD (line 2), so deliver exercises only the
@@ -32,7 +33,7 @@ func TestDuplicateDeliveryCounter(t *testing.T) {
 	if got := reg.Counter("tmesh_duplicate_deliveries").Value(); got != 2 {
 		t.Fatalf("counter = %d after two duplicates, want 2", got)
 	}
-	if st := m.res.Users[recs[0].ID.Key()]; st.Received != 3 {
+	if st := m.res.Users[recs[0].ID]; st.Received != 3 {
 		t.Fatalf("Received = %d, want 3", st.Received)
 	}
 }

@@ -89,13 +89,13 @@ func TestSharedSimulatorConcurrentSessions(t *testing.T) {
 	}
 	sim.Run()
 	for _, r := range recs {
-		st := big.Users[r.ID.Key()]
+		st := big.Users[r.ID]
 		if st == nil || st.Received != 1 {
 			t.Fatalf("big session: user %v received %+v", r.ID, st)
 		}
 	}
 	for _, r := range recs[1:] {
-		st := small.Users[r.ID.Key()]
+		st := small.Users[r.ID]
 		if st == nil || st.Received != 1 {
 			t.Fatalf("small session: user %v received %+v", r.ID, st)
 		}
@@ -137,7 +137,7 @@ func TestUncongestedUplinksPreserveTheorem1(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		if st := res.Users[r.ID.Key()]; st == nil || st.Received != 1 {
+		if st := res.Users[r.ID]; st == nil || st.Received != 1 {
 			t.Fatalf("user %v received %+v", r.ID, st)
 		}
 	}
@@ -164,7 +164,7 @@ func TestEarliestPrimaryRow(t *testing.T) {
 	}
 	// Delivery is still exactly-once.
 	for _, r := range recs {
-		st := res.Users[r.ID.Key()]
+		st := res.Users[r.ID]
 		if st == nil || st.Received != 1 {
 			t.Fatalf("user %v received %+v", r.ID, st)
 		}
@@ -174,7 +174,7 @@ func TestEarliestPrimaryRow(t *testing.T) {
 	// upstream's table.
 	checked := 0
 	for _, r := range recs {
-		st := res.Users[r.ID.Key()]
+		st := res.Users[r.ID]
 		if st.Level != row+1 || st.UpstreamID.IsZero() {
 			continue
 		}

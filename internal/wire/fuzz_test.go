@@ -47,6 +47,7 @@ func FuzzUnmarshalRekey(f *testing.F) {
 	// payload) must die on the length guard, not in the allocator.
 	f.Add(hugeCount(TypeRekey, 9, 4, 1<<31))
 	f.Add(hugeCount(TypeRekey, 9, 4, 1<<32-1))
+	f.Add(eightDigitRekey()) // more digits than an ID holds
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, level, err := UnmarshalRekey(data)
 		if err != nil {

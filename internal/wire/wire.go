@@ -111,7 +111,7 @@ func (r *reader) rest() int { return len(r.buf) - r.off }
 // AppendPrefix encodes a prefix as 1-byte digit count + digit bytes.
 func AppendPrefix(dst []byte, p ident.Prefix) []byte {
 	dst = append(dst, byte(p.Len()))
-	return append(dst, p.Key()...)
+	return p.AppendDigits(dst)
 }
 
 func readPrefix(r *reader, field string) (ident.Prefix, error) {
@@ -123,13 +123,16 @@ func readPrefix(r *reader, field string) (ident.Prefix, error) {
 	if err != nil {
 		return ident.Prefix{}, err
 	}
-	return ident.PrefixFromKey(string(b)), nil
+	p, err := ident.PrefixFromDigits(b)
+	if err != nil {
+		return ident.Prefix{}, fmt.Errorf("wire: %s: %v", field, err)
+	}
+	return p, nil
 }
 
 // AppendID encodes a full user ID the same way as a prefix.
 func AppendID(dst []byte, id ident.ID) []byte {
-	dst = append(dst, byte(id.Len()))
-	return append(dst, id.Key()...)
+	return AppendPrefix(dst, id.AsPrefix())
 }
 
 func readID(r *reader, params ident.Params, field string) (ident.ID, error) {

@@ -1,6 +1,9 @@
 package wire
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math/rand"
 	"testing"
@@ -242,5 +245,87 @@ func TestWireSizeRealism(t *testing.T) {
 	}
 	if total := len(buf); total < 60_000 || total > 120_000 {
 		t.Errorf("1000-encryption message is %d bytes, expected tens of KB", total)
+	}
+}
+
+// TestRekeyEncodingPinned: the rekey frames of fixed messages, derived
+// keys and wraps included, are the bytes they have always been.
+func TestRekeyEncodingPinned(t *testing.T) {
+	const want = "3065d62261c4488c1465eb8d1fe4fd36a82aa3bad9b2f950e692cf15923e950b"
+	if got := rekeyEncodingDigest(t); got != want {
+		t.Errorf("rekey encodings hash to %s, want %s", got, want)
+	}
+}
+
+// rekeyEncodingDigest hashes the encodings of the seed messages and of a
+// real key tree's two rekey messages (derived keys, AAD-bound wraps) at
+// three forwarding levels.
+func rekeyEncodingDigest(t *testing.T) string {
+	t.Helper()
+	tree, err := keytree.New(tp, []byte("wire-pin"), keytree.Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var members []ident.ID
+	for i := 0; i < 24; i++ {
+		members = append(members, fuzzID(i*2654435761))
+	}
+	msgs := seedRekeyMessages()
+	for _, b := range [][2][]ident.ID{{members, nil}, {nil, members[3:9]}} {
+		msg, err := tree.Batch(b[0], b[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs = append(msgs, msg)
+	}
+	h := sha256.New()
+	for _, msg := range msgs {
+		for _, level := range []int{0, 2, tp.Digits} {
+			b, err := MarshalRekey(msg, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(b)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// eightDigitRekey is a rekey frame whose one encryption ID has eight
+// digits, one more than an ID holds: a valid frame with a seven-digit ID,
+// lengthened by one digit.
+func eightDigitRekey() []byte {
+	seven, err := ident.ParsePrefix("[1,2,3,4,5,6,7]")
+	if err != nil {
+		panic(err)
+	}
+	b, err := MarshalRekey(&keytree.Message{Interval: 3, Encryptions: []keycrypt.Encryption{
+		{ID: seven, KeyID: seven.Parent(), KeyVersion: 1, Ciphertext: []byte("ct")},
+	}}, 1)
+	if err != nil {
+		panic(err)
+	}
+	return bytes.Replace(b, []byte{7, 1, 2, 3, 4, 5, 6, 7}, []byte{8, 1, 2, 3, 4, 5, 6, 7, 8}, 1)
+}
+
+// TestReadPrefixRefusesEightDigits: a prefix longer than an ID can hold
+// is a decode error, never a panic.
+func TestReadPrefixRefusesEightDigits(t *testing.T) {
+	if msg, _, err := UnmarshalRekey(eightDigitRekey()); err == nil {
+		t.Errorf("UnmarshalRekey of an 8-digit ID = %v, want an error", msg.Encryptions[0].ID)
+	}
+}
+
+var sinkBytes []byte
+
+// TestAppendPrefixAllocatesNothing: encoding a prefix or an ID into a
+// buffer with room allocates nothing.
+func TestAppendPrefixAllocatesNothing(t *testing.T) {
+	id := fuzzID(123456789)
+	buf := make([]byte, 0, 64)
+	if allocs := testing.AllocsPerRun(100, func() {
+		sinkBytes = AppendID(AppendPrefix(buf[:0], id.Prefix(3)), id)
+	}); allocs != 0 {
+		t.Errorf("AppendPrefix/AppendID allocate %.0f times, want 0", allocs)
 	}
 }
