@@ -27,8 +27,12 @@ ci: vet loc dead race soak-transport fuzz trace-audit soak-metrics soak-scale so
 build:
 	$(GO) build ./...
 
+# vet also cross-builds for Windows and macOS: the transport's sockets
+# are the code most likely to lean on one platform's syscalls.
 vet:
 	$(GO) vet ./...
+	GOOS=windows GOARCH=amd64 $(GO) build ./...
+	GOOS=darwin $(GO) build ./...
 
 test: build
 	$(GO) test ./...
@@ -152,8 +156,11 @@ bench-pairs:
 # raises it here, in the open, next to its CHANGES.md line.
 # DESIGN_BUDGET is the same ratchet on DESIGN.md's bytes: it only goes
 # down, so prose leaves with the path it describes.
-LOC_BUDGET ?= 2562 20532
-DESIGN_BUDGET ?= 76976
+# Raised 2562 20532 -> 2624 20598: transport's one bounded queue (+62,
+# a ring that grows with use in place of three preallocated channels)
+# and wire's allocation-free prefix read (+4).
+LOC_BUDGET ?= 2624 20598
+DESIGN_BUDGET ?= 76892
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs wc -l | \
 		awk -v budget="$(LOC_BUDGET)" \

@@ -45,10 +45,9 @@ type counters struct {
 	// stateG[s] gauges how many registered peers currently sit in link
 	// state s (transport_peers_down/dialing/up/redialing/closed), kept
 	// balanced by addPeer/setState/retire. queueDepth gauges the frames
-	// currently held in this endpoint's bounded queues, incremented at
-	// enqueue and decremented when a pump drains (or a close drops) the
-	// frame. Under a Send racing a RemovePeer of the same peer the state
-	// gauges may momentarily drift; they are live ops signals, never
+	// currently held in this endpoint's bounded queues, kept by their
+	// push and pop. Under a Send racing a RemovePeer of the same peer the
+	// state gauges may momentarily drift; they are live ops signals, never
 	// inputs to anything deterministic.
 	stateG     [StateClosed + 1]*obs.Gauge
 	queueDepth *obs.Gauge
@@ -209,29 +208,99 @@ func (e *endpoint[L]) overflow(p *peer[L]) error {
 	return ErrQueueFull
 }
 
+// queue is the bounded FIFO behind every wire's send path: the UDP
+// send queue, the loopback inbox, each TCP link's queue. Its storage is
+// a ring that doubles with use up to the bound and keeps its high-water
+// capacity, so an idle queue holds no slots and a busy one allocates
+// nothing in steady state. push never blocks; the one pump pops through
+// next, parked on wake (one token, posted after every push). depth is
+// the endpoint's transport_queue_depth gauge.
+type queue[T any] struct {
+	mu             sync.Mutex
+	ring           []T
+	head, n, bound int
+	wake           chan struct{}
+	depth          *obs.Gauge
+}
+
+func (q *queue[T]) init(bound int, depth *obs.Gauge) {
+	q.bound, q.depth, q.wake = bound, depth, make(chan struct{}, 1)
+}
+
+// push appends v; false means the queue already holds its bound.
+func (q *queue[T]) push(v T) bool {
+	q.mu.Lock()
+	if q.n == len(q.ring) {
+		if q.n == q.bound {
+			q.mu.Unlock()
+			return false
+		}
+		ring := make([]T, min(max(2*q.n, 8), q.bound)) // unwrapped
+		copy(ring, q.ring[q.head:])
+		copy(ring[q.n-q.head:], q.ring[:q.head])
+		q.ring, q.head = ring, 0
+	}
+	q.ring[(q.head+q.n)%len(q.ring)] = v
+	q.n++
+	q.depth.Add(1)
+	q.mu.Unlock()
+	select {
+	case q.wake <- struct{}{}:
+	default: // a token is already waiting
+	}
+	return true
+}
+
+// pop takes the oldest item; false when the queue is empty.
+func (q *queue[T]) pop() (v T, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.n == 0 {
+		return v, false
+	}
+	var zero T
+	v, q.ring[q.head] = q.ring[q.head], zero // keep no popped frame alive
+	q.head, q.n = (q.head+1)%len(q.ring), q.n-1
+	q.depth.Add(-1)
+	return v, true
+}
+
+// next is the pump's pop: the oldest item, parking on wake while the
+// queue is empty; false once stop is closed. It pops before it parks,
+// so what was queued while the pump was away (a TCP link redialing)
+// flushes without waiting for another push.
+func (q *queue[T]) next(stop <-chan struct{}) (v T, ok bool) {
+	for {
+		select {
+		case <-stop:
+			return v, false
+		default:
+		}
+		if v, ok = q.pop(); ok {
+			return v, true
+		}
+		select {
+		case <-stop:
+			return v, false
+		case <-q.wake:
+		}
+	}
+}
+
 // enqueue offers a frame for p to one of the wire's bounded send
 // queues. It never blocks: a full queue is an overflow.
-func enqueue[L, T any](e *endpoint[L], p *peer[L], q chan<- T, v T) error {
-	select {
-	case q <- v:
-		e.ctr.queueDepth.Add(1)
-		return nil
-	default:
+func enqueue[L, T any](e *endpoint[L], p *peer[L], q *queue[T], v T) error {
+	if !q.push(v) {
 		return e.overflow(p)
 	}
+	return nil
 }
 
 // drain empties a queue nobody pumps any more, dropping every frame
 // still in it with accounting against owner(v) (nil: unattributable).
-func drain[L, T any](e *endpoint[L], q <-chan T, owner func(T) *peer[L]) {
-	for {
-		select {
-		case v := <-q:
-			e.ctr.queueDepth.Add(-1)
-			e.drop(owner(v), nil)
-		default:
-			return
-		}
+func drain[L, T any](e *endpoint[L], q *queue[T], owner func(T) *peer[L]) {
+	for v, ok := q.pop(); ok; v, ok = q.pop() {
+		e.drop(owner(v), nil)
 	}
 }
 

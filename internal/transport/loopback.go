@@ -49,7 +49,7 @@ func (s *Switch) lookup(id PeerID) *Loopback {
 type Loopback struct {
 	endpoint[struct{}]
 	sw    *Switch
-	inbox chan []byte // envelopes
+	inbox queue[[]byte] // envelopes
 }
 
 // NewLoopback attaches a new endpoint to the switch.
@@ -57,8 +57,9 @@ func NewLoopback(sw *Switch, cfg Config) (*Loopback, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	l := &Loopback{sw: sw, inbox: make(chan []byte, cfg.Queue)}
+	l := &Loopback{sw: sw}
 	l.init(&cfg)
+	l.inbox.init(cfg.Queue, l.ctr.queueDepth)
 	if err := sw.attach(l); err != nil {
 		return nil, err
 	}
@@ -70,13 +71,11 @@ func NewLoopback(sw *Switch, cfg Config) (*Loopback, error) {
 func (l *Loopback) pump() {
 	defer l.wg.Done()
 	for {
-		select {
-		case <-l.done:
+		env, ok := l.inbox.next(l.done)
+		if !ok {
 			return
-		case env := <-l.inbox:
-			l.ctr.queueDepth.Add(-1)
-			l.dispatch(env)
 		}
+		l.dispatch(env)
 	}
 }
 
@@ -88,13 +87,7 @@ func (l *Loopback) deliver(env []byte) bool {
 		return false
 	default:
 	}
-	select {
-	case l.inbox <- env:
-		l.ctr.queueDepth.Add(1)
-		return true
-	default:
-		return false
-	}
+	return l.inbox.push(env)
 }
 
 // Addr implements Transport: on the switch, the identity is the
@@ -139,7 +132,7 @@ func (l *Loopback) Close() error {
 	}
 	l.sw.detach(l.id)
 	l.wg.Wait()
-	drain(&l.endpoint, l.inbox, func([]byte) *peer[struct{}] { return nil })
+	drain(&l.endpoint, &l.inbox, func([]byte) *peer[struct{}] { return nil })
 	l.retire(peers...)
 	return nil
 }

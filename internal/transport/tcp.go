@@ -60,7 +60,7 @@ type TCP struct {
 // tcpLink is the wire's per-peer state: the bounded queue Send fills
 // and the link goroutine that owns the socket and drains it.
 type tcpLink struct {
-	queue chan []byte // encoded envelopes
+	sendq queue[[]byte] // encoded envelopes
 	stop  chan struct{}
 	wg    sync.WaitGroup
 }
@@ -157,7 +157,8 @@ func (t *TCP) Addr() string { return t.addr }
 // goroutine, which dials eagerly and redials forever with backoff.
 func (t *TCP) AddPeer(id PeerID, addr string) error {
 	old, err := t.addPeer(id, addr, StateDown, func(p *tcpPeer) *tcpLink {
-		l := &tcpLink{queue: make(chan []byte, t.cfg.Queue), stop: make(chan struct{})}
+		l := &tcpLink{stop: make(chan struct{})}
+		l.sendq.init(t.cfg.Queue, t.ctr.queueDepth)
 		l.wg.Add(1)
 		go t.runLink(id, p, l)
 		return l
@@ -183,7 +184,7 @@ func (t *TCP) Send(to PeerID, frame []byte) error {
 	if err != nil {
 		return err
 	}
-	return enqueue(&t.endpoint, p, p.link.queue, encodeEnvelope(t.id, frame))
+	return enqueue(&t.endpoint, p, &p.link.sendq, encodeEnvelope(t.id, frame))
 }
 
 // Close implements Transport: stops the accept loop, every read pump,
@@ -211,7 +212,7 @@ func (t *TCP) Close() error {
 func (t *TCP) unlink(p *tcpPeer) {
 	close(p.link.stop)
 	p.link.wg.Wait()
-	drain(&t.endpoint, p.link.queue, func([]byte) *tcpPeer { return p })
+	drain(&t.endpoint, &p.link.sendq, func([]byte) *tcpPeer { return p })
 	t.retire(p)
 }
 
@@ -259,32 +260,32 @@ func (t *TCP) runLink(id PeerID, p *tcpPeer, l *tcpLink) {
 			}
 		}
 
-		select {
-		case <-l.stop:
+		// next pops before it parks, so frames queued while the link
+		// was down flush now, without waiting for another Send.
+		env, ok := l.sendq.next(l.stop)
+		if !ok {
 			conn.Close()
 			return
-		case env := <-l.queue:
-			t.ctr.queueDepth.Add(-1)
-			if cfg.Faults != nil && cfg.Faults.resetConn(id) {
-				// Injected connection reset: the frame is lost with
-				// accounting and the link goes back through redial.
-				t.lostConn(p, conn, fmt.Errorf("transport: injected connection reset"))
-				conn, failures = nil, 1
-				continue
-			}
-			hdr := make([]byte, 4, 4+len(env))
-			putStreamHeader(hdr, len(env))
-			buf := append(hdr, env...)
-			conn.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
-			if _, err := conn.Write(buf); err != nil {
-				// The frame is gone (partial writes poison the stream
-				// anyway); count it, drop the conn, redial.
-				t.lostConn(p, conn, err)
-				conn, failures = nil, 1
-				continue
-			}
-			t.sentTo(p)
 		}
+		if cfg.Faults != nil && cfg.Faults.resetConn(id) {
+			// Injected connection reset: the frame is lost with
+			// accounting and the link goes back through redial.
+			t.lostConn(p, conn, fmt.Errorf("transport: injected connection reset"))
+			conn, failures = nil, 1
+			continue
+		}
+		hdr := make([]byte, 4, 4+len(env))
+		putStreamHeader(hdr, len(env))
+		buf := append(hdr, env...)
+		conn.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
+		if _, err := conn.Write(buf); err != nil {
+			// The frame is gone (partial writes poison the stream
+			// anyway); count it, drop the conn, redial.
+			t.lostConn(p, conn, err)
+			conn, failures = nil, 1
+			continue
+		}
+		t.sentTo(p)
 	}
 }
 

@@ -381,6 +381,84 @@ func TestTCPFaultConnReset(t *testing.T) {
 	check()
 }
 
+// TestTCPQueuedFramesFlushAfterRedial: frames parked while the dialer
+// fails flush in Send order once a dial succeeds, with no further Send
+// to wake the link. With an injected reset, the first frame of the run
+// is the only one lost: the link redials and flushes the rest. That
+// case leaves q2 and q3 queued after the link has taken the wake for
+// the run, so a link that parked before it popped would never send
+// them.
+func TestTCPQueuedFramesFlushAfterRedial(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		resets int
+		want   []string
+	}{
+		{"clean redial", 0, []string{"q1", "q2", "q3"}},
+		{"reset eats the first", 1, []string{"q2", "q3"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			check := guardGoroutines(t)
+			b, err := NewTCP("127.0.0.1:0", Config{ID: "B"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cb collector
+			b.SetHandler(cb.handler())
+			plan := NewFaultPlan(1)
+			plan.ResetConns("B", tc.resets)
+			var down atomic.Bool
+			down.Store(true)
+			var dials atomic.Int32
+			dial := func(addr string, timeout time.Duration) (netConn, error) {
+				dials.Add(1)
+				if down.Load() {
+					return nil, errors.New("down")
+				}
+				return defaultDial(addr, timeout)
+			}
+			a, err := NewTCP("127.0.0.1:0", Config{ID: "A", Dial: dial, Faults: plan,
+				Backoff: Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.AddPeer("B", b.Addr())
+			waitFor(t, func() bool { return dials.Load() >= 2 })
+			for _, f := range []string{"q1", "q2", "q3"} {
+				if err := a.Send("B", []byte(f)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st, _ := a.Status("B"); st.State != StateRedialing || st.Sent != 0 {
+				t.Fatalf("before the link is up: %+v", st)
+			}
+			down.Store(false)
+			waitFor(t, func() bool {
+				cb.mu.Lock()
+				defer cb.mu.Unlock()
+				return len(cb.frames) >= len(tc.want)
+			})
+			time.Sleep(20 * time.Millisecond) // nothing else may arrive
+			cb.mu.Lock()
+			var got []string
+			for _, r := range cb.frames {
+				got = append(got, string(r.frame))
+			}
+			cb.mu.Unlock()
+			if strings.Join(got, " ") != strings.Join(tc.want, " ") {
+				t.Fatalf("frames arrived as %q, want %q", got, tc.want)
+			}
+			st, _ := a.Status("B")
+			if st.Sent != uint64(len(tc.want)) || st.Dropped != uint64(tc.resets) {
+				t.Fatalf("Sent = %d, Dropped = %d; want %d and %d", st.Sent, st.Dropped, len(tc.want), tc.resets)
+			}
+			a.Close()
+			b.Close()
+			check()
+		})
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

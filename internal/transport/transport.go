@@ -14,7 +14,9 @@
 //   - Bounded send queues. Send never blocks: a full queue returns
 //     ErrQueueFull and bumps the overflow counter. Nothing is ever
 //     buffered without bound and nothing is ever dropped silently —
-//     every lost frame lands in a Status counter.
+//     every lost frame lands in a Status counter. A queue's storage
+//     grows with use up to its bound (Config.Queue), so an idle
+//     endpoint holds none of it.
 //   - Explicit link state. TCP links report down/dialing/up/redialing,
 //     with dial and redial counts, in the style of NDN-DPDK's socket
 //     transports.
@@ -221,7 +223,7 @@ type Config struct {
 	// ID is this endpoint's peer ID (required, <= MaxPeerID bytes).
 	ID PeerID
 	// Queue bounds the send queue (and the loopback inbox); <= 0 means
-	// DefaultQueue.
+	// DefaultQueue. Storage grows with use up to it.
 	Queue int
 	// Clock drives the backoff waits; nil means the wall clock.
 	Clock Clock

@@ -22,7 +22,7 @@ type UDP struct {
 	endpoint[*net.UDPAddr]
 	conn  *net.UDPConn
 	addr  string // the bound host:port, fixed for the socket's life
-	sendq chan udpSend
+	sendq queue[udpSend]
 }
 
 type udpSend struct {
@@ -44,8 +44,9 @@ func NewUDP(listenAddr string, cfg Config) (*UDP, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen udp %q: %w", listenAddr, err)
 	}
-	u := &UDP{conn: conn, addr: conn.LocalAddr().String(), sendq: make(chan udpSend, cfg.Queue)}
+	u := &UDP{conn: conn, addr: conn.LocalAddr().String()}
 	u.init(&cfg)
+	u.sendq.init(cfg.Queue, u.ctr.queueDepth)
 	u.wg.Add(2)
 	go u.readPump()
 	go u.writePump(cfg.WriteTimeout)
@@ -56,10 +57,8 @@ func (u *UDP) readPump() {
 	defer u.wg.Done()
 	buf := make([]byte, maxDatagram+1)
 	for {
-		// A periodic deadline lets the pump observe done without an
-		// extra close/read race dance; Close also unblocks the read by
-		// closing the socket.
-		u.conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+		// No read deadline: Close closes done before the socket, and
+		// the closed socket unblocks this read.
 		n, _, err := u.conn.ReadFromUDP(buf)
 		select {
 		case <-u.done:
@@ -67,7 +66,7 @@ func (u *UDP) readPump() {
 		default:
 		}
 		switch {
-		case err != nil: // deadline tick, or a transient socket error
+		case err != nil: // a transient socket error
 		case n > maxDatagram:
 			u.drop(nil, nil)
 		default:
@@ -80,18 +79,16 @@ func (u *UDP) readPump() {
 func (u *UDP) writePump(writeTimeout time.Duration) {
 	defer u.wg.Done()
 	for {
-		select {
-		case <-u.done:
+		s, ok := u.sendq.next(u.done)
+		if !ok {
 			return
-		case s := <-u.sendq:
-			u.ctr.queueDepth.Add(-1)
-			u.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-			if _, err := u.conn.WriteToUDP(s.env, s.peer.link); err != nil {
-				u.drop(s.peer, err)
-				continue
-			}
-			u.sentTo(s.peer)
 		}
+		u.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+		if _, err := u.conn.WriteToUDP(s.env, s.peer.link); err != nil {
+			u.drop(s.peer, err)
+			continue
+		}
+		u.sentTo(s.peer)
 	}
 }
 
@@ -125,7 +122,7 @@ func (u *UDP) Send(to PeerID, frame []byte) error {
 		u.drop(p, nil)
 		return ErrFrameTooBig
 	}
-	return enqueue(&u.endpoint, p, u.sendq, udpSend{peer: p, env: env})
+	return enqueue(&u.endpoint, p, &u.sendq, udpSend{peer: p, env: env})
 }
 
 // Close implements Transport. Queued-but-unwritten frames are dropped
@@ -137,7 +134,7 @@ func (u *UDP) Close() error {
 	}
 	u.conn.Close()
 	u.wg.Wait()
-	drain(&u.endpoint, u.sendq, func(s udpSend) *peer[*net.UDPAddr] { return s.peer })
+	drain(&u.endpoint, &u.sendq, func(s udpSend) *peer[*net.UDPAddr] { return s.peer })
 	u.retire(peers...)
 	return nil
 }

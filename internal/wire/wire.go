@@ -115,10 +115,14 @@ func AppendPrefix(dst []byte, p ident.Prefix) []byte {
 }
 
 func readPrefix(r *reader, field string) (ident.Prefix, error) {
-	n, err := r.u8(field + ".len")
-	if err != nil {
+	if r.rest() == 0 {
+		// The ".len" label is built only here: concatenated up front it
+		// would escape to the heap on every prefix read.
+		_, err := r.need(1, field+".len")
 		return ident.Prefix{}, err
 	}
+	n := r.buf[r.off]
+	r.off++
 	b, err := r.need(int(n), field)
 	if err != nil {
 		return ident.Prefix{}, err

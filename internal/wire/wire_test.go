@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"math/rand"
@@ -327,5 +328,39 @@ func TestAppendPrefixAllocatesNothing(t *testing.T) {
 		sinkBytes = AppendID(AppendPrefix(buf[:0], id.Prefix(3)), id)
 	}); allocs != 0 {
 		t.Errorf("AppendPrefix/AppendID allocate %.0f times, want 0", allocs)
+	}
+}
+
+// TestUnmarshalRekeyAllocations: decoding a rekey message of E
+// encryptions allocates the message, its slice and the E ciphertext
+// copies, nothing per prefix read. A truncated prefix length still
+// names its field.
+func TestUnmarshalRekeyAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const e = 16
+	msg := &keytree.Message{Interval: 9}
+	for len(msg.Encryptions) < e {
+		if enc := randomEncryption(rng); enc.Ciphertext != nil {
+			msg.Encryptions = append(msg.Encryptions, enc)
+		}
+	}
+	buf, err := MarshalRekey(msg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := UnmarshalRekey(buf); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 2+e {
+		t.Errorf("UnmarshalRekey of %d encryptions allocates %.0f times, want at most %d", e, allocs, 2+e)
+	}
+	// Cut after the first encryption: it alone covers the count check
+	// for two, so the second one's ID length is what runs out.
+	binary.BigEndian.PutUint32(buf[10:], 2)
+	_, _, err = UnmarshalRekey(buf[:14+EncryptionSize(msg.Encryptions[0])])
+	want := "wire: encryption 1: wire: truncated message: reading encryption.id.len needs 1 bytes, 0 left"
+	if err == nil || err.Error() != want {
+		t.Errorf("truncated prefix length: err = %v, want %q", err, want)
 	}
 }
