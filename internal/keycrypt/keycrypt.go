@@ -248,8 +248,9 @@ func Unwrap(kek Key, e Encryption) (Key, error) {
 // decryption; only the cipher setup a KEK always yields is shared, so a
 // wrong or stale KEK misses and fails exactly as the one-shot Unwrap.
 // UnwrapOnce, for a KEK no other member holds, keeps no cipher state. A
-// nil *Unwrapper is the one-shot path. Not safe for concurrent use;
-// give each worker its own, for one batch.
+// nil *Unwrapper is the one-shot path. Not safe for concurrent use; give
+// each worker its own, for one batch, or keep the zero value, which
+// reuses the scratch but keeps no cipher state, as long as you like.
 type Unwrapper struct {
 	aeads map[Key]cipher.AEAD
 	aad   []byte

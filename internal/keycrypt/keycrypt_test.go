@@ -342,6 +342,48 @@ func TestBatchFormsAllocateOneAEAD(t *testing.T) {
 	}
 }
 
+// TestZeroUnwrapperKeepsNoCipherState pins the zero value as scratch
+// only, which lets a long-lived owner keep one: under several KEKs its
+// Unwrap and UnwrapOnce equal the one-shot Unwrap, a wrong KEK still
+// fails, no AES-GCM state is kept, and with its scratch warm an unwrap
+// allocates just the one AEAD its KEK needs.
+func TestZeroUnwrapperKeepsNoCipherState(t *testing.T) {
+	var u Unwrapper
+	var e Encryption
+	for i := 0; i < 6; i++ {
+		kek, nk := DeriveKey([]byte{byte(i)}, "kek"), DeriveKey([]byte{byte(i)}, "new")
+		var err error
+		if e, err = WrapSeeded(kek, mustPrefix(t, ident.Digit(i%4), 1), nk, mustPrefix(t, ident.Digit(i%4)), uint64(i+1), []byte("n"), 1); err != nil {
+			t.Fatal(err)
+		}
+		want, werr := Unwrap(kek, e)
+		got, gerr := u.Unwrap(kek, e)
+		once, oerr := u.UnwrapOnce(kek, e)
+		if werr != nil || gerr != nil || oerr != nil || !got.Equal(want) || !once.Equal(want) || !want.Equal(nk) {
+			t.Fatalf("KEK %d: zero Unwrapper = %v, %v / %v, %v; Unwrap = %v", i, gerr, got, oerr, once, werr)
+		}
+		if _, err := u.Unwrap(DeriveKey([]byte{byte(i)}, "wrong"), e); !errors.Is(err, ErrDecrypt) {
+			t.Fatalf("KEK %d: a wrong KEK gave err = %v, want ErrDecrypt", i, err)
+		}
+	}
+	if u.aeads != nil {
+		t.Fatalf("the zero Unwrapper kept %d AES-GCM states, want none", len(u.aeads))
+	}
+	kek := DeriveKey([]byte{5}, "kek")
+	aead := testing.AllocsPerRun(100, func() {
+		if _, err := newAEAD(kek); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := u.Unwrap(kek, e); err != nil {
+			t.Fatal(err)
+		}
+	}); got != aead {
+		t.Errorf("a zero Unwrapper's unwrap allocates %.0f times, want %.0f (one AEAD)", got, aead)
+	}
+}
+
 // TestDeriverMatchesDeriveKey: a Deriver reused across labels gives
 // DeriveKey's key for each, and derives without allocating.
 func TestDeriverMatchesDeriveKey(t *testing.T) {

@@ -79,6 +79,7 @@ func (kr *Keyring) Needs(e keycrypt.Encryption) bool { return e.NeededBy(kr.id) 
 // works identically with or without upstream splitting. An encryption
 // whose wrapped key is not strictly above its encrypting key on the
 // path is rejected: every honest wrap seals a key under a deeper one.
+// bench-only: the engine's appliers all call ApplyWith.
 func (kr *Keyring) Apply(msg *Message) (int, error) { return kr.ApplyWith(nil, msg) }
 
 // ApplyWith is Apply unwrapping through u, one apply worker's batch

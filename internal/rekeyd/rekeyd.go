@@ -26,7 +26,7 @@
 //     simulator's ladder fills.
 //
 // Every key a member installs arrives as an AES-GCM wrap and goes
-// through one Member.install → keytree.Keyring.Apply; no key crosses
+// through one Member.install → keytree.Keyring.ApplyWith; no key crosses
 // the transport in the clear.
 //
 // Nodes share one process (the daemon runs "many in-process user
@@ -282,6 +282,7 @@ type Member struct {
 
 	mu      sync.Mutex
 	kr      *keytree.Keyring
+	unw     keycrypt.Unwrapper // zero value: scratch only, no cipher state
 	applied uint64
 	copies  map[uint64]int // rekey copies received, per interval
 
@@ -354,7 +355,7 @@ func (m *Member) onRekey(msg *keytree.Message, level int) {
 // copy, a unicast and a resync all arrive here. An interval already
 // installed is a duplicate (Theorem 1's fault-tolerant redundancy, or a
 // ladder rung racing a slow ack): re-ack, don't re-apply. Otherwise the
-// interval is installed only when Keyring.Apply installed at least one
+// interval is installed only when Keyring.ApplyWith installed at least one
 // key. Every legitimate copy, unicast or resync of a cost > 0 interval
 // carries one (the root is re-keyed under every level-1 child), so a
 // frame holding nothing this member can open moves it nowhere. An apply
@@ -366,7 +367,7 @@ func (m *Member) install(msg *keytree.Message) {
 	interval, installed := msg.Interval, m.applies
 	if interval <= m.applied {
 		interval, installed = m.applied, m.reacks
-	} else if n, err := m.kr.Apply(msg); err != nil || n == 0 {
+	} else if n, err := m.kr.ApplyWith(&m.unw, msg); err != nil || n == 0 {
 		m.mu.Unlock()
 		m.applyErrs.Inc()
 		return

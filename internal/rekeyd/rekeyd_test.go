@@ -2,6 +2,8 @@ package rekeyd
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"math"
 	"runtime"
 	"slices"
@@ -780,5 +782,85 @@ func TestFrameOfUnknownIntervalIsNotForwarded(t *testing.T) {
 	}
 	if n := len(rec.all()); n != 0 {
 		t.Fatalf("members sent %d frames for an interval the server never opened", n)
+	}
+}
+
+// mute is an endpoint that takes no handler and drops every frame.
+type mute struct{ transport.Transport }
+
+func (mute) Send(transport.PeerID, []byte) error { return nil }
+func (mute) SetHandler(transport.Handler)        {}
+
+// TestMemberHandleAllocations bounds what a member allocates for a
+// leaf-level rekey frame (a unicast rung: applied, never forwarded):
+// the decoded message and its slice, one AES-GCM set-up per unwrap,
+// and the ack frame. The ciphertexts alias the frame, and the unwraps
+// run in the member's own scratch.
+func TestMemberHandleAllocations(t *testing.T) {
+	cfg := testConfig("loopback", 16)
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	// The survivor nearest the leaver needs the most keys.
+	members := w.Members()
+	leaver, id, shared := members[0].ID(), ident.ID{}, -1
+	for _, m := range members[1:] {
+		l := cfg.Params.Digits
+		for !m.ID().HasPrefix(leaver.Prefix(l)) {
+			l--
+		}
+		if l > shared {
+			id, shared = m.ID(), l
+		}
+	}
+	path, err := w.Tree().PathKeys(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rings := make([]*keytree.Keyring, 101) // AllocsPerRun's warm-up plus 100 runs
+	for i := range rings {
+		if rings[i], err = keytree.NewKeyring(cfg.Params, id, path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Leave(leaver); err != nil {
+		t.Fatal(err)
+	}
+	full, _, _, err := w.tree.Flush(&w.pending, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	needed := recovery.NeededBy(full, id)
+	frame, err := wire.MarshalRekey(&keytree.Message{Interval: full.Interval, Encryptions: needed}, cfg.Params.Digits)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	raw := path[0].Key.Bytes()
+	aead := testing.AllocsPerRun(100, func() {
+		block, err := aes.NewCipher(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cipher.NewGCM(block); err != nil {
+			t.Fatal(err)
+		}
+	})
+	m := NewMember(id, cfg.Params, mute{}, w.sh, rings[0], full.Interval-1, nil)
+	i := 0
+	got := testing.AllocsPerRun(len(rings)-1, func() {
+		m.kr, m.applied = rings[i], full.Interval-1
+		m.handle(transport.ServerID, frame)
+		if m.applied != full.Interval {
+			t.Fatalf("run %d: the frame left the member at interval %d, want %d", i, m.applied, full.Interval)
+		}
+		i++
+	})
+	want := 2 + float64(len(needed))*aead + 1
+	t.Logf("%d unwraps: %.0f allocations per frame (AEAD set-up %.0f)", len(needed), got, aead)
+	if len(needed) < 2 || got > want {
+		t.Errorf("handling a frame of %d encryptions allocates %.0f times, want at most %.0f", len(needed), got, want)
 	}
 }

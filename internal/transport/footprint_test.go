@@ -2,6 +2,8 @@ package transport
 
 import (
 	"fmt"
+	"io"
+	"net"
 	"runtime"
 	"testing"
 )
@@ -72,6 +74,85 @@ func TestIdleEndpointFootprint(t *testing.T) {
 			if per > tc.budget {
 				t.Errorf("idle %s endpoint: %.0f bytes resident exceeds the %.0f budget", tc.kind, per, tc.budget)
 			}
+		})
+	}
+}
+
+// TestWarmSendAllocatesNothing: once a UDP or TCP endpoint's queue
+// and write scratch have grown, a frame allocates nothing on its way
+// out, Send through the write: the queue keeps the caller's frame, the
+// UDP pump envelopes it in its own scratch, and a TCP link writes the
+// headers and the frame in one gathered write. Each run waits for the
+// write, so the pump's share is counted. The far end is a bare socket
+// read into one buffer, so no receive path is counted. (Loopback keeps
+// its one copy per frame: the receiving handler owns it.)
+func TestWarmSendAllocatesNothing(t *testing.T) {
+	frame := make([]byte, 512)
+	for _, kind := range []string{"udp", "tcp"} {
+		t.Run(kind, func(t *testing.T) {
+			check := guardGoroutines(t)
+			var sock io.ReadCloser
+			var tr Transport
+			var err error
+			switch kind {
+			case "udp":
+				var c *net.UDPConn
+				if c, err = net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)}); err != nil {
+					t.Fatal(err)
+				}
+				sock = c
+				if tr, err = NewUDP("127.0.0.1:0", Config{ID: "A"}); err == nil {
+					err = tr.AddPeer("B", c.LocalAddr().String())
+				}
+			case "tcp":
+				var ln net.Listener
+				if ln, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+					t.Fatal(err)
+				}
+				if tr, err = NewTCP("127.0.0.1:0", Config{ID: "A"}); err == nil {
+					err = tr.AddPeer("B", ln.Addr().String())
+				}
+				if err == nil {
+					sock, err = ln.Accept()
+				}
+				ln.Close()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			drained := make(chan struct{})
+			go func() {
+				defer close(drained)
+				buf := make([]byte, 64*1024)
+				for {
+					if _, err := sock.Read(buf); err != nil {
+						return
+					}
+				}
+			}()
+			sent := uint64(0)
+			send := func() {
+				if err := tr.Send("B", frame); err != nil {
+					t.Fatal(err)
+				}
+				sent++
+				for st, _ := tr.Status("B"); st.Sent < sent; st, _ = tr.Status("B") {
+					if st.Dropped > 0 {
+						t.Fatalf("frame dropped: %s", st.LastErr)
+					}
+					runtime.Gosched()
+				}
+			}
+			for i := 0; i < 16; i++ {
+				send()
+			}
+			if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+				t.Errorf("a warm %s Send allocates %.2f times per frame, want 0", kind, allocs)
+			}
+			tr.Close()
+			sock.Close()
+			<-drained
+			check()
 		})
 	}
 }

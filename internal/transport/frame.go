@@ -18,14 +18,13 @@ import (
 // declared length is checked against the bytes actually present before
 // any allocation sized by it.
 
-// encodeEnvelope wraps payload with the sender prefix. The sender ID
-// must already satisfy len <= MaxPeerID (enforced by Config.fill).
-func encodeEnvelope(from PeerID, payload []byte) []byte {
-	buf := make([]byte, 0, 1+len(from)+len(payload))
-	buf = append(buf, byte(len(from)))
-	buf = append(buf, from...)
-	buf = append(buf, payload...)
-	return buf
+// appendEnvelope appends payload, wrapped with the sender prefix, to
+// dst. The sender ID must already satisfy len <= MaxPeerID (enforced
+// by Config.fill).
+func appendEnvelope(dst []byte, from PeerID, payload []byte) []byte {
+	dst = append(dst, byte(len(from)))
+	dst = append(dst, from...)
+	return append(dst, payload...)
 }
 
 // decodeEnvelope splits a received envelope into sender and payload.
@@ -43,12 +42,6 @@ func decodeEnvelope(buf []byte) (PeerID, []byte, error) {
 		return "", nil, fmt.Errorf("transport: envelope sender ID declares %d bytes, %d remain", n, len(buf)-1)
 	}
 	return PeerID(buf[1 : 1+n]), buf[1+n:], nil
-}
-
-// putStreamHeader writes the 4-byte big-endian length prefix for a TCP
-// stream frame of the given envelope size.
-func putStreamHeader(dst []byte, envelopeLen int) {
-	binary.BigEndian.PutUint32(dst, uint32(envelopeLen))
 }
 
 // streamFrameLen validates a received 4-byte stream header against the

@@ -101,7 +101,7 @@ func (l *Loopback) AddPeer(id PeerID, addr string) error {
 	return err
 }
 
-// Send implements Transport.
+// Send implements Transport, copying the frame once: the handler owns it.
 func (l *Loopback) Send(to PeerID, frame []byte) error {
 	p, err := l.gate(to, frame)
 	if err != nil {
@@ -115,7 +115,7 @@ func (l *Loopback) Send(to PeerID, frame []byte) error {
 		l.setState(p, StateDown)
 		return nil
 	}
-	if !dst.deliver(encodeEnvelope(l.id, frame)) {
+	if !dst.deliver(appendEnvelope(make([]byte, 0, 1+len(l.id)+len(frame)), l.id, frame)) {
 		return l.overflow(p)
 	}
 	l.sentTo(p)

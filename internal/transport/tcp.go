@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -60,7 +61,7 @@ type TCP struct {
 // tcpLink is the wire's per-peer state: the bounded queue Send fills
 // and the link goroutine that owns the socket and drains it.
 type tcpLink struct {
-	sendq queue[[]byte] // encoded envelopes
+	sendq queue[[]byte] // frames, enveloped by the link goroutine
 	stop  chan struct{}
 	wg    sync.WaitGroup
 }
@@ -71,6 +72,9 @@ type tcpPeer = peer[*tcpLink]
 func NewTCP(listenAddr string, cfg Config) (*TCP, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
+	}
+	if cfg.Backoff.Base <= 0 || cfg.Backoff.Max < cfg.Backoff.Base {
+		cfg.Backoff = DefaultBackoff() // TCP's redial is its only reader
 	}
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
@@ -184,7 +188,7 @@ func (t *TCP) Send(to PeerID, frame []byte) error {
 	if err != nil {
 		return err
 	}
-	return enqueue(&t.endpoint, p, &p.link.sendq, encodeEnvelope(t.id, frame))
+	return enqueue(&t.endpoint, p, &p.link.sendq, frame)
 }
 
 // Close implements Transport: stops the accept loop, every read pump,
@@ -232,6 +236,9 @@ func (t *TCP) runLink(id PeerID, p *tcpPeer, l *tcpLink) {
 	defer l.wg.Done()
 	cfg := &t.cfg
 	var conn netConn
+	hdr := appendEnvelope(make([]byte, 4, 5+len(t.id)), t.id, nil)
+	var vec [2][]byte
+	var iov net.Buffers // one gathered write per frame: headers, then frame
 	failures := 0
 	for {
 		// Establish (or reestablish) the connection.
@@ -262,7 +269,7 @@ func (t *TCP) runLink(id PeerID, p *tcpPeer, l *tcpLink) {
 
 		// next pops before it parks, so frames queued while the link
 		// was down flush now, without waiting for another Send.
-		env, ok := l.sendq.next(l.stop)
+		frame, ok := l.sendq.next(l.stop)
 		if !ok {
 			conn.Close()
 			return
@@ -274,11 +281,10 @@ func (t *TCP) runLink(id PeerID, p *tcpPeer, l *tcpLink) {
 			conn, failures = nil, 1
 			continue
 		}
-		hdr := make([]byte, 4, 4+len(env))
-		putStreamHeader(hdr, len(env))
-		buf := append(hdr, env...)
+		binary.BigEndian.PutUint32(hdr, uint32(len(hdr)-4+len(frame)))
+		iov = append(vec[:0], hdr, frame)
 		conn.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
-		if _, err := conn.Write(buf); err != nil {
+		if _, err := iov.WriteTo(conn); err != nil {
 			// The frame is gone (partial writes poison the stream
 			// anyway); count it, drop the conn, redial.
 			t.lostConn(p, conn, err)

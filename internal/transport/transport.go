@@ -144,7 +144,8 @@ type Transport interface {
 	RemovePeer(id PeerID)
 	// Send enqueues one frame to a peer. It never blocks: a full queue
 	// is ErrQueueFull, an oversize frame ErrFrameTooBig. A nil error
-	// means the frame was queued, not that it arrived.
+	// means the frame was queued, not that it arrived; the transport
+	// holds frame, uncopied, until written, so leave it unmodified.
 	Send(to PeerID, frame []byte) error
 	// SetHandler registers the receive callback. It must be set before
 	// traffic is expected; frames received with no handler are counted
@@ -266,9 +267,6 @@ func (c *Config) fill() error {
 	}
 	if c.Clock == nil {
 		c.Clock = realClock{}
-	}
-	if c.Backoff.Base <= 0 || c.Backoff.Max < c.Backoff.Base {
-		c.Backoff = DefaultBackoff()
 	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = defaultWriteTimeout

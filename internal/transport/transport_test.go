@@ -461,7 +461,7 @@ func TestEnvelopeHostileLengths(t *testing.T) {
 		}
 	}
 	// Round-trip sanity.
-	env := encodeEnvelope("peer-1", []byte("payload"))
+	env := appendEnvelope(nil, "peer-1", []byte("payload"))
 	from, payload, err := decodeEnvelope(env)
 	if err != nil || from != "peer-1" || !bytes.Equal(payload, []byte("payload")) {
 		t.Fatalf("roundtrip: %q %q %v", from, payload, err)
@@ -478,8 +478,7 @@ func TestStreamFrameLenCap(t *testing.T) {
 	if _, err := streamFrameLen([]byte{0, 0, 0, 0}); err == nil {
 		t.Fatal("zero-length stream frame accepted")
 	}
-	ok := make([]byte, 4)
-	putStreamHeader(ok, 1024)
+	ok := []byte{0, 0, 4, 0} // 1024
 	if n, err := streamFrameLen(ok); err != nil || n != 1024 {
 		t.Fatalf("valid header: n=%d err=%v", n, err)
 	}

@@ -26,8 +26,8 @@ type UDP struct {
 }
 
 type udpSend struct {
-	peer *peer[*net.UDPAddr]
-	env  []byte
+	peer  *peer[*net.UDPAddr]
+	frame []byte
 }
 
 // NewUDP binds listenAddr ("127.0.0.1:0" for an ephemeral test port)
@@ -57,9 +57,10 @@ func (u *UDP) readPump() {
 	defer u.wg.Done()
 	buf := make([]byte, maxDatagram+1)
 	for {
-		// No read deadline: Close closes done before the socket, and
-		// the closed socket unblocks this read.
-		n, _, err := u.conn.ReadFromUDP(buf)
+		// No read deadline: Close closes done before the socket, and the
+		// closed socket unblocks this read. Read: the envelope names the
+		// sender, and ReadFromUDP's address would cost an allocation.
+		n, err := u.conn.Read(buf)
 		select {
 		case <-u.done:
 			return
@@ -78,13 +79,15 @@ func (u *UDP) readPump() {
 
 func (u *UDP) writePump(writeTimeout time.Duration) {
 	defer u.wg.Done()
+	var env []byte // the datagram scratch, grown with use
 	for {
 		s, ok := u.sendq.next(u.done)
 		if !ok {
 			return
 		}
+		env = appendEnvelope(env[:0], u.id, s.frame)
 		u.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		if _, err := u.conn.WriteToUDP(s.env, s.peer.link); err != nil {
+		if _, err := u.conn.WriteToUDP(env, s.peer.link); err != nil {
 			u.drop(s.peer, err)
 			continue
 		}
@@ -117,12 +120,11 @@ func (u *UDP) Send(to PeerID, frame []byte) error {
 	if err != nil {
 		return err
 	}
-	env := encodeEnvelope(u.id, frame)
-	if len(env) > maxDatagram {
+	if 1+len(u.id)+len(frame) > maxDatagram {
 		u.drop(p, nil)
 		return ErrFrameTooBig
 	}
-	return enqueue(&u.endpoint, p, &u.sendq, udpSend{peer: p, env: env})
+	return enqueue(&u.endpoint, p, &u.sendq, udpSend{peer: p, frame: frame})
 }
 
 // Close implements Transport. Queued-but-unwritten frames are dropped

@@ -184,13 +184,10 @@ func readEncryption(r *reader) (keycrypt.Encryption, error) {
 		return e, err
 	}
 	ct, err := r.need(int(n), "encryption.ciphertext")
-	if err != nil {
-		return e, err
+	if n > 0 && err == nil {
+		e.Ciphertext = ct[:n:n] // capped: an append cannot overwrite the frame
 	}
-	if n > 0 {
-		e.Ciphertext = append([]byte(nil), ct...)
-	}
-	return e, nil
+	return e, err
 }
 
 // --- Rekey messages ---
@@ -222,6 +219,7 @@ func MarshalRekey(msg *keytree.Message, forwardLevel int) ([]byte, error) {
 }
 
 // UnmarshalRekey decodes a framed rekey message and its forward level.
+// Its ciphertexts alias buf, which must not change while it is in use.
 func UnmarshalRekey(buf []byte) (*keytree.Message, int, error) {
 	r := &reader{buf: buf}
 	tag, err := r.u8("type")

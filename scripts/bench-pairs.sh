@@ -7,9 +7,12 @@
 # verdict and each side's median [q1, q3] per end-to-end metric. Given
 # a metric regex, it then makes one traced run (--trace 1, seed 1) per
 # side and prints "metric base head change%" for the per-layer metrics
-# the regex matches: the layer a claim says it moved. The workload
-# argument may list several, space-separated: each gets its own pairs
-# and its own "== workload ==" block, one after the other.
+# the regex matches: the layer a claim says it moved. After the pairs,
+# each side makes one more untraced run under GODEBUG=gctrace=1 (kept
+# out of the comparison) and "gc_cycles base head" prints how many
+# collections each ran: the GC pacing a memory change moves. The
+# workload argument may list several, space-separated: each gets its
+# own pairs and its own "== workload ==" block, one after the other.
 #
 #	make bench-pairs BASE=HEAD~1 WORKLOAD=sim_4096 PAIRS=10 LAYERS='^overlay\.'
 #	make bench-pairs BASE=HEAD~1 WORKLOAD='daemon_udp_256 sim_4096' PAIRS=6
@@ -33,6 +36,12 @@ run() { # side seed
 	[ "$1" = base ] && dir="$basedir"
 	(cd "$dir" && bash bench/run.sh --workload "$workload" --seed "$2" --out "$out/$1.jsonl") >/dev/null
 	echo "$workload pair $((i + 1))/$pairs seed $2: $1 done" >&2
+}
+gc_cycles() { # side: collections in one untraced run of the binary its pairs built
+	local dir="$root"
+	[ "$1" = base ] && dir="$basedir"
+	(cd "$dir" && GODEBUG=gctrace=1 .bench_build/rekeybench --workload "$workload" --seed 1 --out "$out/$1-gc.jsonl" 2>&1 >/dev/null) |
+		grep -c '^gc [0-9]* @' || true
 }
 layer_values() { # side: "metric value" per matching metric of its traced run
 	grep -o '"[^"]*":{"value":[^,}]*' "$out/$1-traced.jsonl" | sed 's/^"\([^"]*\)":{"value":/\1 /' |
@@ -65,6 +74,8 @@ for workload in $workloads; do
 					      printf "%-22s %-4s median %.6g [q1 %.6g, q3 %.6g] n=%d\n", m, side, med, a[int((NR + 3) / 4)], a[int((3 * NR + 1) / 4)], NR }'
 		done
 	done
+
+	echo "gc_cycles $(gc_cycles base) $(gc_cycles head)"
 
 	[ -n "$layers" ] || continue
 	for side in base head; do
