@@ -165,17 +165,24 @@ func (s *Shared) withdraw(id transport.PeerID) {
 // resolve returns the routing key of id, having made sure that tr, if
 // published, holds id's published locator: registered on first use,
 // under the registry lock so a concurrent withdraw either sees the
-// registration or has already won. Unpublished ends are left alone —
-// that caller keeps its own peer tables (the key server registers every
-// member at bring-up) and the Send that follows says what they know.
+// registration or has already won. A published id's key is its
+// endpoint's own ID, so resolving it builds no string. Unpublished ends
+// are left alone — that caller keeps its own peer tables (the key
+// server registers every member at bring-up) and the Send that follows
+// says what they know.
 func (s *Shared) resolve(tr transport.Transport, id ident.ID) transport.PeerID {
-	to := PeerOf(id)
+	var digits [ident.MaxDigits]byte
 	s.locMu.Lock()
-	defer s.locMu.Unlock()
-	me, l := s.locs[tr.ID()], s.locs[to]
-	if me != nil && me.tr == tr && l != nil && me.holds[to] != l && tr.AddPeer(to, l.tr.Addr()) == nil {
+	l := s.locs[transport.PeerID(id.AppendDigits(digits[:0]))]
+	if l == nil {
+		s.locMu.Unlock()
+		return PeerOf(id)
+	}
+	to := l.tr.ID()
+	if me := s.locs[tr.ID()]; me != nil && me.tr == tr && me.holds[to] != l && tr.AddPeer(to, l.tr.Addr()) == nil {
 		me.holds[to], l.heldBy[tr.ID()] = l, me
 	}
+	s.locMu.Unlock()
 	return to
 }
 
@@ -221,34 +228,48 @@ func (s *Shared) isOpen(interval uint64) bool {
 	return s.opened[interval]
 }
 
+// forwarder is the storage one node reuses across forward calls: the
+// hops of one call and, back to back, the shares they are owed. A
+// Member's is guarded by its receive lock; the Server's belongs to
+// Distribute's goroutine.
+type forwarder struct {
+	hops  []hop
+	share []keycrypt.Encryption
+}
+
+type hop struct {
+	to     ident.ID
+	digits int // of the subtree the copy covers = its forward level
+	end    int // its share runs from the previous hop's end to this one
+}
+
 // forward sends over tr the FORWARD copies of msg owed by the node
 // `from` at forwarding level `level` (the zero ID is the key server,
-// whose level is 0). The walk is overlay's Forward, the one statement
-// of the rule, run under the directory read lock: each entry's live
-// primary gets msg split to its (row+1)-digit subtree at forward_level
-// row+1, unless REKEY-MESSAGE-SPLIT leaves nothing for that subtree.
-// msg is what this node received, so a member forwards nothing it was
-// not sent. Splitting, encoding and sending happen outside the lock. It
-// returns the number of copies the transport accepted; one it refused
-// is a lost hop like any other, the ladder's to repair.
+// whose level is 0), in f's storage. The walk is overlay's Forward, the
+// one statement of the rule, run under the directory read lock: each
+// entry's live primary gets msg split to its (row+1)-digit subtree at
+// forward_level row+1, unless REKEY-MESSAGE-SPLIT leaves nothing for
+// that subtree. msg is what this node received, so a member forwards
+// nothing it was not sent. Splitting, encoding and sending happen
+// outside the lock: every copy is split and sized first, then encoded
+// into one buffer, each copy a capped piece of it (Send keeps the
+// frame until it is written). It returns the number of copies the
+// transport accepted; one it refused is a lost hop like any other, the
+// ladder's to repair.
 //
 // A message of an interval outside the window goes nowhere: the server
 // never opened that interval, or it is at least three intervals stale
 // (Distribute(k) returns before k+1 starts, and the window keeps the
 // last three), so the frame is forged or long dead.
-func (s *Shared) forward(tr transport.Transport, msg *keytree.Message, from ident.ID, level int) int {
+func (s *Shared) forward(tr transport.Transport, msg *keytree.Message, from ident.ID, level int, f *forwarder) int {
 	if !s.isOpen(msg.Interval) {
 		return 0
 	}
-	type hop struct {
-		to     ident.ID
-		digits int // of the subtree the copy covers = its forward level
-	}
-	var hops []hop
+	f.hops = f.hops[:0]
 	s.Read(func(dir *overlay.Directory) {
 		visit := func(row int, e overlay.Entry) {
 			if next, ok := e.Primary(s.alive); ok {
-				hops = append(hops, hop{next.ID, row + 1})
+				f.hops = append(f.hops, hop{to: next.ID, digits: row + 1})
 			}
 		}
 		if from.IsZero() {
@@ -257,18 +278,30 @@ func (s *Shared) forward(tr transport.Transport, msg *keytree.Message, from iden
 			table.Forward(level, visit)
 		}
 	})
-	sent := 0
-	var share []keycrypt.Encryption // reused: each copy is encoded before the next split
-	for _, h := range hops {
-		share = split.AppendShare(share[:0], msg.Encryptions, h.to.Prefix(h.digits))
-		if len(share) == 0 {
+	share, size := f.share[:0], 0
+	for i := range f.hops {
+		h := &f.hops[i]
+		start := len(share)
+		share = split.AppendShare(share, msg.Encryptions, h.to.Prefix(h.digits))
+		if h.end = len(share); h.end > start {
+			size += wire.RekeySize(share[start:h.end])
+		}
+	}
+	sent, buf, start := 0, make([]byte, 0, size), 0
+	for _, h := range f.hops {
+		encs := share[start:h.end]
+		if start = h.end; len(encs) == 0 {
 			continue
 		}
-		buf, err := wire.MarshalRekey(&keytree.Message{Interval: msg.Interval, Encryptions: share}, h.digits)
-		if err == nil && tr.Send(s.resolve(tr, h.to), buf) == nil {
+		at := len(buf)
+		var err error
+		buf, err = wire.AppendRekey(buf, &keytree.Message{Interval: msg.Interval, Encryptions: encs}, h.digits)
+		if err == nil && tr.Send(s.resolve(tr, h.to), buf[at:len(buf):len(buf)]) == nil {
 			sent++
 		}
 	}
+	clear(share) // the shares alias msg's ciphertexts: keep no frame alive
+	f.share = share[:0]
 	return sent
 }
 
@@ -279,6 +312,13 @@ type Member struct {
 	params ident.Params
 	tr     transport.Transport
 	sh     *Shared
+
+	// rx serializes the receive path, which several read pumps may run
+	// at once (TCP reads each inbound connection on its own): a frame
+	// is decoded into msg and forwarded through fwd.
+	rx  sync.Mutex
+	msg keytree.Message
+	fwd forwarder
 
 	mu      sync.Mutex
 	kr      *keytree.Keyring
@@ -322,9 +362,12 @@ func (m *Member) handle(from transport.PeerID, frame []byte) {
 	if len(frame) == 0 || wire.MsgType(frame[0]) != wire.TypeRekey {
 		return
 	}
-	if msg, level, err := wire.UnmarshalRekey(frame); err == nil {
-		m.onRekey(msg, level)
+	m.rx.Lock()
+	if level, err := wire.UnmarshalRekeyInto(&m.msg, frame); err == nil {
+		m.onRekey(&m.msg, level)
+		clear(m.msg.Encryptions) // they alias the frame, which dies here
 	}
+	m.rx.Unlock()
 }
 
 // CopiesOf reports how many rekey copies arrived for an interval —
@@ -338,7 +381,7 @@ func (m *Member) CopiesOf(interval uint64) int {
 
 func (m *Member) onRekey(msg *keytree.Message, level int) {
 	if level < m.params.Digits {
-		m.forwards.Add(int64(m.sh.forward(m.tr, msg, m.id, level)))
+		m.forwards.Add(int64(m.sh.forward(m.tr, msg, m.id, level, &m.fwd)))
 	}
 	m.mu.Lock()
 	m.copies[msg.Interval]++
@@ -408,6 +451,7 @@ type Server struct {
 	tr     transport.Transport
 	sh     *Shared
 	tree   *keytree.Tree
+	fwd    forwarder // Distribute's
 
 	// open is the ledger of the one Distribute in flight, nil between
 	// intervals; lastInterval is the newest interval ever opened (the
@@ -543,7 +587,7 @@ func (s *Server) Distribute(msg *keytree.Message, expected []ident.ID) (*Result,
 	s.sh.openInterval(msg.Interval)
 	// FORWARD start: one level-1 copy per (0,j)-primary. The multicast
 	// is step zero of every row's ladder, given Timeout from here.
-	s.sh.forward(s.tr, msg, ident.ID{}, 0)
+	s.sh.forward(s.tr, msg, ident.ID{}, 0, &s.fwd)
 	unanswered := time.Now().Add(s.policy.Wait(recovery.Step{}))
 	for i := range l.rows {
 		l.rows[i].deadline = unanswered

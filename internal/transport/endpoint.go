@@ -34,6 +34,7 @@ type peer[L any] struct {
 	sent, received, dropped, overflows atomic.Uint64
 	dials, redials                     atomic.Uint64
 	lastErr                            atomic.Value // string
+	id                                 PeerID
 	addr                               string
 	link                               L
 }
@@ -119,7 +120,7 @@ func (e *endpoint[L]) addPeer(id PeerID, addr string, initial State, link func(*
 		}
 		replaced = old
 	}
-	p := &peer[L]{addr: addr}
+	p := &peer[L]{id: id, addr: addr}
 	p.state.Store(int32(initial))
 	e.ctr.stateG[initial].Add(1)
 	if link != nil {
@@ -306,10 +307,14 @@ func drain[L, T any](e *endpoint[L], q *queue[T], owner func(T) *peer[L]) {
 
 // dispatch is the back of every read pump: decode the envelope,
 // attribute the frame to its in-band sender, hand it to the handler.
-// The handler owns env's payload bytes. It reports false for a
-// malformed or oversize envelope (a stream wire closes the connection);
-// a frame that arrives with no handler registered is dropped, counted.
-func (e *endpoint[L]) dispatch(env []byte) bool {
+// The handler owns env's payload bytes. The sender's PeerID is its
+// registered peer's when it has one, else *last, the newest
+// unregistered sender this pump saw, so neither a registered sender nor
+// a repeat costs a string; each pump owns its last. dispatch reports
+// false for a malformed or oversize envelope (a stream wire closes the
+// connection); a frame that arrives with no handler registered is
+// dropped, counted.
+func (e *endpoint[L]) dispatch(env []byte, last *PeerID) bool {
 	sender, payload, err := decodeEnvelope(env)
 	if err != nil || len(payload) > MaxFrame {
 		e.ctr.dropped.Inc()
@@ -321,13 +326,19 @@ func (e *endpoint[L]) dispatch(env []byte) bool {
 		return true
 	}
 	e.mu.RLock()
-	p := e.peers[sender]
+	p := e.peers[PeerID(sender)]
 	e.mu.RUnlock()
-	if p != nil {
+	from := *last
+	switch {
+	case p != nil:
 		p.received.Add(1)
+		from = p.id
+	case string(from) != string(sender):
+		from = PeerID(sender)
+		*last = from
 	}
 	e.ctr.received.Inc()
-	h(sender, payload)
+	h(from, payload)
 	return true
 }
 

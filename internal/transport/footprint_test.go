@@ -6,6 +6,7 @@ import (
 	"net"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // TestIdleEndpointFootprint is the memory ratchet of an idle endpoint
@@ -155,6 +156,139 @@ func TestWarmSendAllocatesNothing(t *testing.T) {
 			check()
 		})
 	}
+}
+
+// TestWarmDispatchAllocatesOnlyTheFrame: once warm, a frame costs its
+// wire's own frame buffer and nothing more on the way in (loopback's
+// envelope copy at the sender, the UDP read pump's clone, the TCP read
+// pump's frame). The receiver attributes it without building a PeerID:
+// it reuses its registered peer's, or, for a sender it never
+// registered, the one its read pump built for that sender's last frame.
+func TestWarmDispatchAllocatesOnlyTheFrame(t *testing.T) {
+	frame := make([]byte, 256)
+	for _, kind := range kinds {
+		t.Run(kind, func(t *testing.T) {
+			check := guardGoroutines(t)
+			sw := NewSwitch()
+			endpoint := func(id PeerID) Transport {
+				var tr Transport
+				var err error
+				switch kind {
+				case "loopback":
+					tr, err = NewLoopback(sw, Config{ID: id})
+				case "udp":
+					tr, err = NewUDP("127.0.0.1:0", Config{ID: id})
+				case "tcp":
+					tr, err = NewTCP("127.0.0.1:0", Config{ID: id})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tr
+			}
+			rx, known, stranger := endpoint("receiver"), endpoint("known"), endpoint("stranger")
+			// The handler reports each frame by its attributed sender;
+			// waiting on a channel lets the read pump's netpoll wake it.
+			fromKnown, fromStranger := make(chan struct{}, 1), make(chan struct{}, 1)
+			rx.SetHandler(func(from PeerID, _ []byte) {
+				switch from {
+				case "known":
+					fromKnown <- struct{}{}
+				case "stranger":
+					fromStranger <- struct{}{}
+				}
+			})
+			for _, err := range []error{
+				rx.AddPeer("known", known.Addr()), known.AddPeer("receiver", rx.Addr()), stranger.AddPeer("receiver", rx.Addr()),
+			} {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			stalled := make(chan struct{})
+			defer time.AfterFunc(30*time.Second, func() { close(stalled) }).Stop()
+			for _, c := range []struct {
+				name    string
+				from    Transport
+				arrived chan struct{}
+			}{{"registered", known, fromKnown}, {"unregistered repeat", stranger, fromStranger}} {
+				send := func() {
+					if err := c.from.Send("receiver", frame); err != nil {
+						t.Fatal(err)
+					}
+					select {
+					case <-c.arrived:
+					case <-stalled:
+						t.Fatalf("%s: a frame never reached the handler", c.name)
+					}
+				}
+				for i := 0; i < 16; i++ {
+					send()
+				}
+				if allocs := testing.AllocsPerRun(100, send); allocs > 1 {
+					t.Errorf("%s sender: a warm frame allocates %.2f times end to end, want at most 1 (its buffer)", c.name, allocs)
+				}
+			}
+			for _, tr := range []Transport{rx, known, stranger} {
+				tr.Close()
+			}
+			check()
+		})
+	}
+}
+
+// TestUDPAddPeerLocators: a literal ip:port is registered as given, and
+// registering it again is a no-op that builds nothing; a host name goes
+// through the resolver and is registered at the address it resolved to.
+func TestUDPAddPeerLocators(t *testing.T) {
+	check := guardGoroutines(t)
+	a, err := NewUDP("127.0.0.1:0", Config{ID: "A"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewUDP("127.0.0.1:0", Config{ID: "B"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.SetHandler(func(PeerID, []byte) {})
+	literal := b.Addr()
+	if err := a.AddPeer("B", literal); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Send("B", []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	for st, _ := a.Status("B"); st.Sent == 0; st, _ = a.Status("B") {
+		runtime.Gosched()
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := a.AddPeer("B", literal); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("re-registering at the same literal locator allocates %.0f times, want 0", allocs)
+	}
+	if st, _ := a.Status("B"); st.Addr != literal || st.Sent != 1 {
+		t.Errorf("after re-registering: locator %q, sent %d; want %q and the first registration's 1", st.Addr, st.Sent, literal)
+	}
+	_, port, err := net.SplitHostPort(literal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := net.JoinHostPort("localhost", port)
+	resolved, err := net.ResolveUDPAddr("udp", named)
+	if err != nil {
+		t.Skipf("localhost does not resolve here: %v", err)
+	}
+	if err := a.AddPeer("C", named); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := a.Status("C"); st.Addr != resolved.String() {
+		t.Errorf("a host name registered at %q, want the resolved %q", st.Addr, resolved.String())
+	}
+	a.Close()
+	b.Close()
+	check()
 }
 
 // liveBytes is HeapInuse+StackInuse after a full collection.

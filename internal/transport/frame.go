@@ -27,21 +27,22 @@ func appendEnvelope(dst []byte, from PeerID, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// decodeEnvelope splits a received envelope into sender and payload.
-// The returned payload aliases buf; callers that retain it across
-// reads must copy (the TCP pump hands each frame a fresh buffer).
-func decodeEnvelope(buf []byte) (PeerID, []byte, error) {
+// decodeEnvelope splits a received envelope into the sender's ID bytes
+// and the payload. Both alias buf: the receive path looks the sender up
+// by those bytes and builds a PeerID only for a sender it has neither
+// registered nor just seen (endpoint.dispatch).
+func decodeEnvelope(buf []byte) (sender, payload []byte, err error) {
 	if len(buf) < 1 {
-		return "", nil, fmt.Errorf("transport: envelope truncated (empty)")
+		return nil, nil, fmt.Errorf("transport: envelope truncated (empty)")
 	}
 	n := int(buf[0])
 	if n == 0 {
-		return "", nil, fmt.Errorf("transport: envelope has empty sender ID")
+		return nil, nil, fmt.Errorf("transport: envelope has empty sender ID")
 	}
 	if len(buf) < 1+n {
-		return "", nil, fmt.Errorf("transport: envelope sender ID declares %d bytes, %d remain", n, len(buf)-1)
+		return nil, nil, fmt.Errorf("transport: envelope sender ID declares %d bytes, %d remain", n, len(buf)-1)
 	}
-	return PeerID(buf[1 : 1+n]), buf[1+n:], nil
+	return buf[1 : 1+n], buf[1+n:], nil
 }
 
 // streamFrameLen validates a received 4-byte stream header against the

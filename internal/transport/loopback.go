@@ -70,12 +70,13 @@ func NewLoopback(sw *Switch, cfg Config) (*Loopback, error) {
 
 func (l *Loopback) pump() {
 	defer l.wg.Done()
+	var last PeerID
 	for {
 		env, ok := l.inbox.next(l.done)
 		if !ok {
 			return
 		}
-		l.dispatch(env)
+		l.dispatch(env, &last)
 	}
 }
 

@@ -133,6 +133,7 @@ func (t *TCP) readPump(conn net.Conn) {
 		t.acceptMu.Unlock()
 	}()
 	hdr := make([]byte, 4)
+	var last PeerID
 	for {
 		conn.SetReadDeadline(time.Now().Add(readIdle))
 		if _, err := io.ReadFull(conn, hdr); err != nil {
@@ -148,7 +149,7 @@ func (t *TCP) readPump(conn net.Conn) {
 		if _, err := io.ReadFull(conn, env); err != nil {
 			return
 		}
-		if !t.dispatch(env) {
+		if !t.dispatch(env, &last) {
 			return
 		}
 	}

@@ -111,7 +111,7 @@ func TestTCPRedialBackoffPinned(t *testing.T) {
 		t.Fatal("frame never flushed after redial")
 	}
 	from, payload, err := decodeEnvelope(env)
-	if err != nil || from != "A" || string(payload) != "after-redial" {
+	if err != nil || string(from) != "A" || string(payload) != "after-redial" {
 		t.Fatalf("flushed frame: from=%q payload=%q err=%v", from, payload, err)
 	}
 

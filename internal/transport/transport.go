@@ -58,8 +58,11 @@ const MaxPeerID = 255
 const MaxFrame = 1 << 20
 
 // Handler consumes one received frame. Implementations invoke it from
-// their read pumps, possibly concurrently from several goroutines; the
-// frame slice is owned by the handler.
+// their read pumps, possibly concurrently from several goroutines (TCP
+// reads each inbound connection on its own), so a handler that reuses
+// storage across frames serializes itself. The frame slice is owned by
+// the handler. from is the sender's registered PeerID, or one the read
+// pump keeps for repeat senders: a shared, immutable string.
 type Handler func(from PeerID, frame []byte)
 
 // Errors returned by Send and the constructors.

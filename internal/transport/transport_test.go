@@ -463,7 +463,7 @@ func TestEnvelopeHostileLengths(t *testing.T) {
 	// Round-trip sanity.
 	env := appendEnvelope(nil, "peer-1", []byte("payload"))
 	from, payload, err := decodeEnvelope(env)
-	if err != nil || from != "peer-1" || !bytes.Equal(payload, []byte("payload")) {
+	if err != nil || string(from) != "peer-1" || !bytes.Equal(payload, []byte("payload")) {
 		t.Fatalf("roundtrip: %q %q %v", from, payload, err)
 	}
 }

@@ -56,6 +56,7 @@ func NewUDP(listenAddr string, cfg Config) (*UDP, error) {
 func (u *UDP) readPump() {
 	defer u.wg.Done()
 	buf := make([]byte, maxDatagram+1)
+	var last PeerID
 	for {
 		// No read deadline: Close closes done before the socket, and the
 		// closed socket unblocks this read. Read: the envelope names the
@@ -72,7 +73,7 @@ func (u *UDP) readPump() {
 			u.drop(nil, nil)
 		default:
 			// The handler owns its frame; buf is reused on the next read.
-			u.dispatch(bytes.Clone(buf[:n]))
+			u.dispatch(bytes.Clone(buf[:n]), &last)
 		}
 	}
 }
@@ -98,16 +99,25 @@ func (u *UDP) writePump(writeTimeout time.Duration) {
 // Addr implements Transport: the bound host:port.
 func (u *UDP) Addr() string { return u.addr }
 
-// AddPeer implements Transport. A literal ip:port is parsed in place;
-// only a host name goes through the resolver.
+// AddPeer implements Transport. A literal ip:port is parsed in place
+// and kept as given, so re-registering at the same locator builds
+// nothing; only a host name goes through the resolver, and its
+// locator is the address it resolved to.
 func (u *UDP) AddPeer(id PeerID, addr string) error {
 	var ua *net.UDPAddr
-	if ap, err := netip.ParseAddrPort(addr); err == nil {
-		ua = net.UDPAddrFromAddrPort(ap)
-	} else if ua, err = net.ResolveUDPAddr("udp", addr); err != nil {
-		return fmt.Errorf("transport: resolve peer %q at %q: %w", id, addr, err)
+	ap, err := netip.ParseAddrPort(addr)
+	if err != nil {
+		if ua, err = net.ResolveUDPAddr("udp", addr); err != nil {
+			return fmt.Errorf("transport: resolve peer %q at %q: %w", id, addr, err)
+		}
+		addr = ua.String()
 	}
-	old, err := u.addPeer(id, ua.String(), StateUp, func(*peer[*net.UDPAddr]) *net.UDPAddr { return ua })
+	old, err := u.addPeer(id, addr, StateUp, func(*peer[*net.UDPAddr]) *net.UDPAddr {
+		if ua == nil {
+			ua = net.UDPAddrFromAddrPort(ap)
+		}
+		return ua
+	})
 	if old != nil {
 		u.retire(old)
 	}

@@ -48,10 +48,35 @@ func FuzzUnmarshalRekey(f *testing.F) {
 	f.Add(hugeCount(TypeRekey, 9, 4, 1<<31))
 	f.Add(hugeCount(TypeRekey, 9, 4, 1<<32-1))
 	f.Add(eightDigitRekey()) // more digits than an ID holds
+	// Every input is decoded twice: fresh, and into a message that
+	// already holds the twelve encryptions of the largest seed. The
+	// decoders must agree, and the reused message must keep nothing of
+	// its earlier frame.
+	stale, err := MarshalRekey(seedRekeyMessages()[3], 1)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, level, err := UnmarshalRekey(data)
+		var into keytree.Message
+		if _, err := UnmarshalRekeyInto(&into, stale); err != nil {
+			t.Fatal(err)
+		}
+		intoLevel, intoErr := UnmarshalRekeyInto(&into, data)
+		if (err == nil) != (intoErr == nil) || err != nil && err.Error() != intoErr.Error() {
+			t.Fatalf("decoders disagree: UnmarshalRekey %v, UnmarshalRekeyInto %v", err, intoErr)
+		}
+		if i := staleAt(&into); i >= 0 {
+			t.Fatalf("slot %d of the reused message still holds an encryption", i)
+		}
 		if err != nil {
+			if into.Interval != 0 || len(into.Encryptions) != 0 {
+				t.Fatal("a failed decode left the reused message non-empty")
+			}
 			return
+		}
+		if intoLevel != level || !sameRekey(got, &into) {
+			t.Fatal("UnmarshalRekeyInto decoded a different message than UnmarshalRekey")
 		}
 		// A successful decode must round-trip to the same bytes.
 		back, err := MarshalRekey(got, level)

@@ -192,23 +192,28 @@ func readEncryption(r *reader) (keycrypt.Encryption, error) {
 
 // --- Rekey messages ---
 
-// MarshalRekey frames a (possibly split) rekey message for one T-mesh
-// hop: type tag, forward level, interval, encryption count, encryptions.
-func MarshalRekey(msg *keytree.Message, forwardLevel int) ([]byte, error) {
-	if msg == nil {
-		return nil, errors.New("wire: nil rekey message")
-	}
-	if forwardLevel < 0 || forwardLevel > 255 {
-		return nil, fmt.Errorf("wire: forward level %d out of range", forwardLevel)
-	}
-	if len(msg.Encryptions) > 1<<32-1 {
-		return nil, errors.New("wire: too many encryptions")
-	}
+// RekeySize returns the exact size of the rekey frame carrying encs.
+func RekeySize(encs []keycrypt.Encryption) int {
 	size := 1 + 1 + 8 + 4
-	for _, e := range msg.Encryptions {
+	for _, e := range encs {
 		size += EncryptionSize(e)
 	}
-	dst := make([]byte, 0, size)
+	return size
+}
+
+// AppendRekey appends the frame of a (possibly split) rekey message for
+// one T-mesh hop to dst: type tag, forward level, interval, encryption
+// count, encryptions. On error dst comes back unchanged.
+func AppendRekey(dst []byte, msg *keytree.Message, forwardLevel int) ([]byte, error) {
+	if msg == nil {
+		return dst, errors.New("wire: nil rekey message")
+	}
+	if forwardLevel < 0 || forwardLevel > 255 {
+		return dst, fmt.Errorf("wire: forward level %d out of range", forwardLevel)
+	}
+	if len(msg.Encryptions) > 1<<32-1 {
+		return dst, errors.New("wire: too many encryptions")
+	}
 	dst = append(dst, byte(TypeRekey), byte(forwardLevel))
 	dst = binary.BigEndian.AppendUint64(dst, msg.Interval)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(msg.Encryptions)))
@@ -218,28 +223,64 @@ func MarshalRekey(msg *keytree.Message, forwardLevel int) ([]byte, error) {
 	return dst, nil
 }
 
-// UnmarshalRekey decodes a framed rekey message and its forward level.
-// Its ciphertexts alias buf, which must not change while it is in use.
+// MarshalRekey is AppendRekey into a buffer of the frame's exact size.
+func MarshalRekey(msg *keytree.Message, forwardLevel int) ([]byte, error) {
+	var dst []byte
+	if msg != nil {
+		dst = make([]byte, 0, RekeySize(msg.Encryptions))
+	}
+	return AppendRekey(dst, msg, forwardLevel)
+}
+
+// UnmarshalRekey decodes a framed rekey message and its forward level
+// into a new message. Its ciphertexts alias buf, which must not change
+// while it is in use. A receiver that keeps one message across frames
+// decodes with UnmarshalRekeyInto instead and allocates nothing.
 func UnmarshalRekey(buf []byte) (*keytree.Message, int, error) {
-	r := &reader{buf: buf}
-	tag, err := r.u8("type")
+	msg := new(keytree.Message)
+	level, err := UnmarshalRekeyInto(msg, buf)
 	if err != nil {
 		return nil, 0, err
 	}
+	return msg, level, nil
+}
+
+// UnmarshalRekeyInto decodes a framed rekey message into msg and
+// returns its forward level. It reuses msg.Encryptions' storage, zeroed
+// out to its capacity first, so no ciphertext of an earlier frame stays
+// reachable through it; a decoder that keeps its message allocates
+// nothing once that storage has grown. The ciphertexts alias buf, which
+// must not change while msg is in use. On error msg is left empty.
+func UnmarshalRekeyInto(msg *keytree.Message, buf []byte) (int, error) {
+	encs := msg.Encryptions[:cap(msg.Encryptions)]
+	clear(encs)
+	msg.Interval, msg.Encryptions = 0, encs[:0]
+	level, err := readRekey(&reader{buf: buf}, msg)
+	if err != nil {
+		clear(msg.Encryptions)
+		msg.Interval, msg.Encryptions = 0, msg.Encryptions[:0]
+	}
+	return level, err
+}
+
+func readRekey(r *reader, msg *keytree.Message) (int, error) {
+	tag, err := r.u8("type")
+	if err != nil {
+		return 0, err
+	}
 	if MsgType(tag) != TypeRekey {
-		return nil, 0, fmt.Errorf("wire: expected rekey tag, got %d", tag)
+		return 0, fmt.Errorf("wire: expected rekey tag, got %d", tag)
 	}
 	level, err := r.u8("forwardLevel")
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	interval, err := r.u64("interval")
-	if err != nil {
-		return nil, 0, err
+	if msg.Interval, err = r.u64("interval"); err != nil {
+		return 0, err
 	}
 	count, err := r.u32("count")
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	// An encryption is at least encryptionMinSize bytes; a count the
 	// remaining buffer cannot possibly hold is rejected here, before
@@ -247,20 +288,22 @@ func UnmarshalRekey(buf []byte) (*keytree.Message, int, error) {
 	// hostile 32-bit count cannot overflow the comparison: a 4-byte
 	// frame claiming 2^31 encryptions dies on this line.
 	if int64(count)*encryptionMinSize > int64(r.rest()) {
-		return nil, 0, fmt.Errorf("%w: %d encryptions in %d bytes", ErrTruncated, count, r.rest())
+		return 0, fmt.Errorf("%w: %d encryptions in %d bytes", ErrTruncated, count, r.rest())
 	}
-	msg := &keytree.Message{Interval: interval, Encryptions: make([]keycrypt.Encryption, 0, count)}
+	if int(count) > cap(msg.Encryptions) {
+		msg.Encryptions = make([]keycrypt.Encryption, 0, count)
+	}
 	for i := uint32(0); i < count; i++ {
 		e, err := readEncryption(r)
 		if err != nil {
-			return nil, 0, fmt.Errorf("wire: encryption %d: %w", i, err)
+			return 0, fmt.Errorf("wire: encryption %d: %w", i, err)
 		}
 		msg.Encryptions = append(msg.Encryptions, e)
 	}
 	if r.rest() != 0 {
-		return nil, 0, fmt.Errorf("wire: %d trailing bytes after rekey message", r.rest())
+		return 0, fmt.Errorf("wire: %d trailing bytes after rekey message", r.rest())
 	}
-	return msg, int(level), nil
+	return int(level), nil
 }
 
 // --- User records ---

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -400,5 +401,142 @@ func TestUnmarshalRekeyAliasesFrame(t *testing.T) {
 	_ = append(got.Encryptions[0].Ciphertext, 0xff)
 	if !bytes.Equal(buf, before) {
 		t.Fatal("an append to a decoded ciphertext overwrote the frame")
+	}
+}
+
+// sameRekey reports whether two decoded rekey messages say the same
+// thing, nil and empty alike.
+func sameRekey(a, b *keytree.Message) bool {
+	return a.Interval == b.Interval && slices.EqualFunc(a.Encryptions, b.Encryptions, func(x, y keycrypt.Encryption) bool {
+		return x.ID == y.ID && x.KeyID == y.KeyID && x.KeyVersion == y.KeyVersion && bytes.Equal(x.Ciphertext, y.Ciphertext)
+	})
+}
+
+// staleAt returns the index of the first slot of msg's storage past its
+// length that still holds an encryption, -1 if none does.
+func staleAt(msg *keytree.Message) int {
+	for i, e := range msg.Encryptions[len(msg.Encryptions):cap(msg.Encryptions)] {
+		if e.Ciphertext != nil || e.ID != (ident.Prefix{}) || e.KeyID != (ident.Prefix{}) || e.KeyVersion != 0 {
+			return len(msg.Encryptions) + i
+		}
+	}
+	return -1
+}
+
+// rekeyFrame is the frame of a message of n encryptions, each with a
+// ciphertext, at forward level 2.
+func rekeyFrame(t *testing.T, rng *rand.Rand, n int) []byte {
+	t.Helper()
+	msg := &keytree.Message{Interval: rng.Uint64()}
+	for len(msg.Encryptions) < n {
+		if enc := randomEncryption(rng); enc.Ciphertext != nil {
+			msg.Encryptions = append(msg.Encryptions, enc)
+		}
+	}
+	buf, err := MarshalRekey(msg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// TestUnmarshalRekeyIntoReusesMessage: decoding into a kept message
+// reads what UnmarshalRekey reads and, once the message's storage has
+// grown, allocates nothing.
+func TestUnmarshalRekeyIntoReusesMessage(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	var into keytree.Message
+	for trial := 0; trial < 40; trial++ {
+		msg := &keytree.Message{Interval: rng.Uint64()}
+		for i := rng.Intn(20); i > 0; i-- {
+			msg.Encryptions = append(msg.Encryptions, randomEncryption(rng))
+		}
+		buf, err := MarshalRekey(msg, rng.Intn(tp.Digits+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantLevel, err := UnmarshalRekey(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		level, err := UnmarshalRekeyInto(&into, buf)
+		if err != nil || level != wantLevel || !sameRekey(&into, want) {
+			t.Fatalf("trial %d: UnmarshalRekeyInto = level %d, err %v; UnmarshalRekey = level %d, messages equal %v",
+				trial, level, err, wantLevel, sameRekey(&into, want))
+		}
+	}
+	buf := rekeyFrame(t, rng, 16)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := UnmarshalRekeyInto(&into, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("a warm UnmarshalRekeyInto of 16 encryptions allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestUnmarshalRekeyIntoLeavesNoStaleCiphertext: a 2-encryption frame
+// decoded into a message that held 5 leaves nothing of the old frame
+// past the new length, and a failed decode leaves the message empty
+// with nothing of any frame in its storage.
+func TestUnmarshalRekeyIntoLeavesNoStaleCiphertext(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	var msg keytree.Message
+	five := rekeyFrame(t, rng, 5)
+	for _, step := range []struct {
+		frame []byte
+		n     int
+	}{{five, 5}, {rekeyFrame(t, rng, 2), 2}} {
+		if _, err := UnmarshalRekeyInto(&msg, step.frame); err != nil || len(msg.Encryptions) != step.n {
+			t.Fatalf("decode of %d encryptions: %d decoded, err %v", step.n, len(msg.Encryptions), err)
+		}
+	}
+	if cap(msg.Encryptions) < 5 {
+		t.Fatalf("the message's storage shrank to %d: it was not reused", cap(msg.Encryptions))
+	}
+	if i := staleAt(&msg); i >= 0 {
+		t.Fatalf("slot %d past the new length still holds an encryption of the old frame", i)
+	}
+	if _, err := UnmarshalRekeyInto(&msg, five); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalRekeyInto(&msg, five[:len(five)-1]); err == nil {
+		t.Fatal("a truncated frame decoded")
+	}
+	if len(msg.Encryptions) != 0 || msg.Interval != 0 {
+		t.Fatalf("a failed decode left interval %d and %d encryptions", msg.Interval, len(msg.Encryptions))
+	}
+	if i := staleAt(&msg); i >= 0 {
+		t.Fatalf("a failed decode left slot %d holding an encryption", i)
+	}
+}
+
+// TestAppendRekeyMatchesMarshal: AppendRekey writes MarshalRekey's
+// bytes, RekeySize of them, behind what dst held, and an invalid call
+// leaves dst as it was.
+func TestAppendRekeyMatchesMarshal(t *testing.T) {
+	head := []byte("head")
+	for i, msg := range seedRekeyMessages() {
+		for _, level := range []int{0, 2, tp.Digits} {
+			want, err := MarshalRekey(msg, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := AppendRekey(head, msg, level)
+			if err != nil || !bytes.Equal(got[:len(head)], head) || !bytes.Equal(got[len(head):], want) {
+				t.Fatalf("message %d level %d: AppendRekey differs from MarshalRekey (err %v)", i, level, err)
+			}
+			if RekeySize(msg.Encryptions) != len(want) {
+				t.Fatalf("message %d: RekeySize %d, frame %d bytes", i, RekeySize(msg.Encryptions), len(want))
+			}
+		}
+	}
+	for _, bad := range []struct {
+		msg   *keytree.Message
+		level int
+	}{{nil, 0}, {&keytree.Message{}, -1}, {&keytree.Message{}, 256}} {
+		if got, err := AppendRekey(head, bad.msg, bad.level); err == nil || !bytes.Equal(got, head) {
+			t.Errorf("AppendRekey(%v, level %d) = %q, %v; want head unchanged and an error", bad.msg, bad.level, got, err)
+		}
 	}
 }
