@@ -161,8 +161,14 @@ bench-pairs:
 # decode message, the forwarder's hop and share storage, PeerID reuse in
 # the registry and in dispatch; wire +43: AppendRekey, RekeySize and
 # UnmarshalRekeyInto).
-LOC_BUDGET ?= 2695 20712
-DESIGN_BUDGET ?= 76865
+# Raised total 20712 -> 21043: membership events skip the stub domains
+# they cannot change (overlay +291: the stub index and its bounds, the
+# joiner's row-0 gatherer, the pruned Join/Leave/Holders passes, and a
+# full deeper row reusing an emptied window or growing by an eighth;
+# vnet +34: the Stubs interface and GTITM's four methods; ident +6:
+# Tree.EachMember).
+LOC_BUDGET ?= 2695 21043
+DESIGN_BUDGET ?= 76849
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs wc -l | \
 		awk -v budget="$(LOC_BUDGET)" \

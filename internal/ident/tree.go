@@ -190,15 +190,21 @@ func (t *Tree) EachChildDigit(p Prefix, fn func(Digit)) {
 // increasing ID order. Members(EmptyPrefix) lists the whole group.
 func (t *Tree) Members(p Prefix) []ID {
 	var out []ID
+	t.EachMember(p, func(id ID) { out = append(out, id) })
+	return out
+}
+
+// EachMember calls fn for every user ID in the subtree rooted at the
+// prefix, in increasing ID order.
+func (t *Tree) EachMember(p Prefix, fn func(ID)) {
 	if t.HasNode(p) {
 		t.walk(p, func(q Prefix, _ int) bool {
 			if q.Len() == t.params.Digits {
-				out = append(out, ID(q))
+				fn(ID(q))
 			}
 			return true
 		})
 	}
-	return out
 }
 
 // Walk visits every node of the tree in pre-order, calling fn with the

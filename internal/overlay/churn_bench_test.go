@@ -32,13 +32,25 @@ const churnSpare = 16 // hosts beyond n, so a leave-then-join interval never run
 // churnNet builds the topology for n members on cfg. Its tables are
 // complete once built, so a heap reading taken afterwards sees the
 // directory alone.
-func churnNet(tb testing.TB, cfg vnet.GTITMConfig, n int) vnet.Network {
+func churnNet(tb testing.TB, cfg vnet.GTITMConfig, n int) *vnet.GTITM {
 	tb.Helper()
 	net, err := vnet.NewGTITM(cfg, n+1+churnSpare, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return net
+}
+
+// countNet counts the RTT probes a directory makes. It embeds the
+// *vnet.GTITM, so it keeps the stub structure a directory prunes by.
+type countNet struct {
+	*vnet.GTITM
+	probes *int
+}
+
+func (c countNet) RTT(a, b vnet.HostID) time.Duration {
+	*c.probes++
+	return c.GTITM.RTT(a, b)
 }
 
 func newChurnWorld(tb testing.TB, net vnet.Network, params ident.Params, k, n int) *churnWorld {
@@ -85,8 +97,10 @@ func (w *churnWorld) leave(tb testing.TB) {
 // without the harness: 4096 members, Params{4,64}, K=4; one op is an
 // interval's 16 leaves then 16 joins. join_us and leave_us are the
 // per-event means the traced ledger calls overlay.join_us and
-// overlay.leave_us. It runs on the harness's topology and on the
-// paper's 5000-router one.
+// overlay.leave_us; probes_per_join (RTTs a join measures) and
+// holders_visited_per_leave (member tables a leave reads) count the
+// stub pruning, deterministic at the seed. It runs on the harness's
+// topology and on the paper's 5000-router one.
 func BenchmarkDirectoryChurn(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -97,29 +111,58 @@ func BenchmarkDirectoryChurn(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			start := time.Now()
-			net := churnNet(b, tc.cfg, 4096)
-			w := newChurnWorld(b, net, ident.Params{Digits: 4, Base: 64}, 4, 4096)
+			probes := 0
+			w := newChurnWorld(b, countNet{churnNet(b, tc.cfg, 4096), &probes}, ident.Params{Digits: 4, Base: 64}, 4, 4096)
 			b.Logf("set-up: topology and 4096 joins in %v", time.Since(start).Round(time.Millisecond))
 			const churn = 16
 			var joins, leaves time.Duration
+			joinProbes, leaveVisits := 0, 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				t0 := time.Now()
+				t0, v0 := time.Now(), w.dir.visits
 				for j := 0; j < churn; j++ {
 					w.leave(b)
 				}
-				t1 := time.Now()
+				t1, p1 := time.Now(), probes
 				for j := 0; j < churn; j++ {
 					w.join(b)
 				}
 				leaves += t1.Sub(t0)
 				joins += time.Since(t1)
+				leaveVisits += w.dir.visits - v0
+				joinProbes += probes - p1
 			}
 			events := float64(b.N * churn)
 			b.ReportMetric(float64(joins.Microseconds())/events, "join_us")
 			b.ReportMetric(float64(leaves.Microseconds())/events, "leave_us")
+			b.ReportMetric(float64(joinProbes)/events, "probes_per_join")
+			b.ReportMetric(float64(leaveVisits)/events, "holders_visited_per_leave")
 		})
+	}
+}
+
+// TestJoinProbesAQuarterOfTheMembers pins the stub pruning where it
+// pays: in BenchmarkDirectoryChurn's world (4096 members, the sim_4096
+// graph) an interval's joins measure the RTT to at most a quarter of
+// the members each, so a silent fallback to the scan, which measures
+// every member, fails here.
+func TestJoinProbesAQuarterOfTheMembers(t *testing.T) {
+	const n, churn = 4096, 16
+	probes := 0
+	w := newChurnWorld(t, countNet{churnNet(t, churnTopology, n), &probes}, ident.Params{Digits: 4, Base: 64}, 4, n)
+	t.Logf("set-up: %d probes per join", probes/n)
+	for range churn {
+		w.leave(t)
+	}
+	before := probes
+	for range churn {
+		w.join(t)
+	}
+	if per := (probes - before) / churn; per > n/4 {
+		t.Errorf("a join probes %d of %d members, want at most a quarter", per, n)
+	} else {
+		t.Logf("a join probes %d of %d members", per, n)
 	}
 }
 

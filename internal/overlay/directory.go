@@ -33,8 +33,14 @@ type Directory struct {
 	cols   *columns
 	tables []*Table
 	// joined collects a joiner's deeper-row neighbours while Join scans
-	// the members, so that Table.fill allocates each row once.
+	// the members, so that Table.fill allocates each row once, and near
+	// its row 0.
 	joined []slot
+	near   nearest
+	stubs  stubIndex
+	// visits counts the member tables events have read, a deterministic
+	// measure of the pruning that BenchmarkDirectoryChurn reports.
+	visits int
 
 	// alive, when set, is consulted wherever an entry is (re)filled from
 	// the membership; see SetLivenessOracle.
@@ -59,6 +65,8 @@ func NewDirectory(params ident.Params, k int, net vnet.Network, serverHost vnet.
 		tree:   ident.NewTree(params),
 		ros:    st.ros,
 		cols:   &columns{k: k, base: params.Base, shift: chunkShift},
+		near:   nearest{k: k, words: make([]uint64, params.Base*k)},
+		stubs:  newStubIndex(net, params.Base),
 	}, nil
 }
 
@@ -134,17 +142,15 @@ func (d *Directory) Members(p ident.Prefix) []Record {
 }
 
 // ranksUnder returns the ranks of all users in the subtree rooted at the
-// prefix, in ID order: the candidates of a refill. Like the column scans
-// it passes over the ranks, reading an ID only where the top digit
-// matches.
+// prefix, in ID order: the candidates of a refill, read off the ID tree
+// with one rank lookup per member.
 func (d *Directory) ranksUnder(p ident.Prefix) []ident.Rank {
-	out := []ident.Rank{} // non-nil even when empty: subtreesOf caches it
-	for m, t := range d.tables {
-		if t != nil && (p.Len() == 0 || ident.Digit(d.ros.top[m]) == p.Digit(0)) && d.ros.recs[m].ID.HasPrefix(p) {
-			out = append(out, ident.Rank(m))
-		}
-	}
-	slices.SortFunc(out, func(a, b ident.Rank) int { return d.ros.recs[a].ID.Compare(d.ros.recs[b].ID) })
+	// non-nil even when empty: subtreesOf caches it
+	out := make([]ident.Rank, 0, d.tree.SubtreeSize(p))
+	d.tree.EachMember(p, func(id ident.ID) {
+		r, _ := d.ros.rankOf(id)
+		out = append(out, r)
+	})
 	return out
 }
 
@@ -160,15 +166,20 @@ func (d *Directory) IDs() []ident.ID { return d.tree.Members(ident.EmptyPrefix) 
 // record into every table where it belongs (including the key server's).
 //
 // Both happen in one pass over the members in rank order, one probe
-// per existing member: vnet.Network promises symmetric RTTs, so the RTT
+// per member visited: vnet.Network promises symmetric RTTs, so the RTT
 // the joiner measures to a member is the one that member files the
-// joiner under, and a join reads one shortest-path tree, the joiner's.
-// Rank order is a function of the event sequence alone, so which of
-// several equally near members an entry keeps is too. A member whose
-// top digit differs files the joiner in row 0, read from the column
-// store by rank: only the members sharing the joiner's top digit
-// (about N/B) have their table loaded, and the joiner files those in its
-// deeper rows once the pass is over (Table.fill), in the same order.
+// joiner under. Rank order is a function of the event sequence alone,
+// so which of several equally near members an entry keeps is too. The
+// members sharing the joiner's top digit (about N/B) are all visited:
+// they file the joiner in a deeper row, and the joiner files them in
+// its deeper rows once the pass is over (Table.fill), in the same
+// order. The others file the joiner in row 0, read from the column
+// store, and on a vnet.Stubs network only the joiner's own stub and
+// the stubs whose bound admits it are visited (see stubIndex). The
+// joiner's row 0 keeps, per column, the K least (RTT, rank) among the
+// live members visited and those of the other stubs, read nearest
+// first until no later stub can come nearer than every column's K-th:
+// the entries rank-order puts from every member would leave.
 func (d *Directory) Join(rec Record) error {
 	if _, ok := d.rankOf(rec.ID); ok {
 		return fmt.Errorf("overlay: duplicate join of %v", rec.ID)
@@ -182,11 +193,13 @@ func (d *Directory) Join(rec Record) error {
 	}
 	d.cols.grow(len(d.tables))
 	table := newTable(d.params, rec, d.ros, d.cols, r)
-	x0 := rec.ID.Digit(0)
-	for m, t := range d.tables {
-		if t == nil {
-			continue
-		}
+	x0, x, near := rec.ID.Digit(0), &d.stubs, d.near
+	x.add(r, rec.Host)
+	// Slots that still name the rank (an evicted ID re-admitted before
+	// its holders repair) may sit anywhere: the announce refreshes them.
+	up := x.admitting(r, x0, d.ros.refs[r] > 1)
+	near.reset()
+	d.each(x0, x.visit, func(m ident.Rank, t *Table) {
 		owner := &d.ros.recs[m]
 		rtt := nanos(d.net.RTT(rec.Host, owner.Host))
 		// Each files the other; the announce costs one notification
@@ -194,18 +207,45 @@ func (d *Directory) Join(rec Record) error {
 		// is the column store's, so m's table is not loaded.
 		if top := ident.Digit(d.ros.top[m]); top != x0 {
 			if d.isAlive(owner.ID) {
-				d.cols.entry(d.ros, r, top).put(ident.Rank(m), rtt)
+				near.offer(top, slot{rtt: rtt, rank: m})
 			}
-			if d.cols.entry(d.ros, ident.Rank(m), x0).put(r, rtt) {
+			e := d.cols.entry(d.ros, m, x0)
+			if e.put(r, rtt) {
 				d.maintenanceMessages++
 			}
-			continue
+			x.acc[x.stub[m]] = max(x.acc[x.stub[m]], x.over(m, e))
+			return
 		}
 		if d.isAlive(owner.ID) {
-			d.joined = append(d.joined, slot{rtt: rtt, rank: ident.Rank(m)})
+			d.joined = append(d.joined, slot{rtt: rtt, rank: m})
 		}
 		if row, col, _ := t.cell(rec.ID); t.insert(row, col, r, rtt) {
 			d.maintenanceMessages++
+		}
+	})
+	for s, v := range x.visit {
+		if v {
+			x.bound[s*x.base+x0] = x.acc[s]
+		}
+	}
+	for _, o := range x.unvisited(up) {
+		if o.lb > near.farthest(x0) {
+			break
+		}
+		for _, m := range x.members[o.stub] {
+			// up + core + up(m) is the RTT: past the column's K-th, m
+			// cannot enter it.
+			top, owner := ident.Digit(d.ros.top[m]), &d.ros.recs[m]
+			if top != x0 && up+x.core[o.stub]+int64(x.up[m]) <= near.kth(top) && d.isAlive(owner.ID) {
+				near.offer(top, slot{rtt: nanos(d.net.RTT(rec.Host, owner.Host)), rank: m})
+			}
+		}
+	}
+	for col := range d.params.Base {
+		if col != x0 {
+			e := d.cols.entry(d.ros, r, col)
+			near.put(col, e)
+			x.raise(r, col, e)
 		}
 	}
 	table.fill(d.joined)
@@ -220,24 +260,38 @@ func (d *Directory) Join(rec Record) error {
 	return nil
 }
 
+// each calls fn, in rank order, for every member whose top digit is top
+// and every member of a stub visit marks (of every stub if visit is
+// nil): the tables an event of a user with that top digit reads.
+func (d *Directory) each(top ident.Digit, visit []bool, fn func(m ident.Rank, t *Table)) {
+	for m, t := range d.tables {
+		if t != nil && (visit == nil || ident.Digit(d.ros.top[m]) == top || visit[d.stubs.stub[m]]) {
+			d.visits++
+			fn(ident.Rank(m), t)
+		}
+	}
+}
+
 // Leave removes a user gracefully: its record is deleted from every table
 // that holds it, and each affected entry is refilled from the remaining
-// membership (the Silk leave protocol's effect).
+// membership (the Silk leave protocol's effect). A row-0 holder is in
+// the user's stub or in one whose bound covers it (see stubIndex); the
+// refill can raise the entry's K-th RTT, so it raises the bound.
 func (d *Directory) Leave(id ident.ID) error {
 	r, err := d.drop(id)
 	if err != nil {
 		return err
 	}
 	cands := d.subtreesOf(id)
-	for m, t := range d.tables {
-		if t == nil {
-			continue
-		}
+	d.each(id.Digit(0), d.stubs.holding(r, id.Digit(0)), func(m ident.Rank, t *Table) {
 		if row, col, e := d.filed(m, id); e.drop(r) {
 			d.maintenanceMessages++
 			d.refill(&t.grid, row, col, t.owner.Host, cands(row), nil)
+			if row == 0 {
+				d.stubs.raise(m, col, t.entry(0, col))
+			}
 		}
-	}
+	})
 	d.ros.unref(r)
 	return nil
 }
@@ -245,9 +299,9 @@ func (d *Directory) Leave(id ident.ID) error {
 // filed returns the entry of member m's table that id belongs in: its
 // (0, id[0])-entry from the column store when their top digits differ,
 // else a deeper entry of m's table. m's own ID gets a zero Entry.
-func (d *Directory) filed(m int, id ident.ID) (row int, col ident.Digit, e Entry) {
+func (d *Directory) filed(m ident.Rank, id ident.ID) (row int, col ident.Digit, e Entry) {
 	if col = id.Digit(0); ident.Digit(d.ros.top[m]) != col {
-		return 0, col, d.cols.entry(d.ros, ident.Rank(m), col)
+		return 0, col, d.cols.entry(d.ros, m, col)
 	}
 	t := d.tables[m]
 	if row, col, ok := t.cell(id); ok {
@@ -283,6 +337,7 @@ func (d *Directory) drop(id ident.ID) (ident.Rank, error) {
 	}
 	d.tables[r].release()
 	d.tables[r] = nil
+	d.stubs.remove(r)
 	if d.server.entry(0, id.Digit(0)).drop(r) {
 		d.maintenanceMessages++
 		d.refillServer(id.Digit(0))
@@ -365,36 +420,31 @@ func (d *Directory) Evict(id ident.ID) error {
 		return err
 	}
 	cands := d.subtreesOf(id)
-	for m, t := range d.tables {
-		if t == nil {
-			continue
-		}
+	d.each(id.Digit(0), nil, func(m ident.Rank, t *Table) {
 		if row, col, e := d.filed(m, id); e.Len() < d.k {
 			d.refill(&t.grid, row, col, t.owner.Host, cands(row), nil)
 		}
-	}
+	})
 	d.refillServer(id.Digit(0))
 	d.ros.unref(r)
 	return nil
 }
 
 // Holders returns, in ID order, the users whose tables currently hold
-// the given user: the one "who holds X" scan failure detection and
-// eviction repair share. Like Join it reads row 0 from the column store.
+// the given user: the one "who holds X" pass failure detection and
+// eviction repair share. Like Leave it reads row 0 from the column
+// store, in the stubs that may hold the user.
 func (d *Directory) Holders(id ident.ID) []ident.ID {
 	r, ok := d.ros.rankOf(id) // an evicted user keeps its rank while held
 	if !ok {
 		return nil
 	}
 	var out []ident.ID
-	for m, t := range d.tables {
-		if t == nil {
-			continue
-		}
+	d.each(id.Digit(0), d.stubs.holding(r, id.Digit(0)), func(m ident.Rank, _ *Table) {
 		if _, _, e := d.filed(m, id); e.index(r) >= 0 {
 			out = append(out, d.ros.recs[m].ID)
 		}
-	}
+	})
 	slices.SortFunc(out, ident.ID.Compare)
 	return out
 }
@@ -413,7 +463,11 @@ func (d *Directory) Repair(owner, failed ident.ID, alive func(ident.ID) bool) {
 	if !ok {
 		return
 	}
-	if row, col, held := t.Remove(failed); held && t.entry(row, col).Len() < d.k {
+	row, col, held := t.Remove(failed)
+	if held && t.entry(row, col).Len() < d.k {
 		d.refill(&t.grid, row, col, t.owner.Host, d.ranksUnder(t.owner.ID.Prefix(row).Child(col)), alive)
+	}
+	if held && row == 0 {
+		d.stubs.raise(t.rank, col, t.entry(0, col))
 	}
 }

@@ -222,6 +222,18 @@ func sameTables(got, want *Directory) error {
 	return nil
 }
 
+// refHolders is the scan Holders prunes: every table naming the user.
+func refHolders(d *Directory, id ident.ID) []ident.ID {
+	var out []ident.ID
+	for _, t := range d.tables {
+		if t != nil && t.Contains(id) {
+			out = append(out, t.owner.ID)
+		}
+	}
+	slices.SortFunc(out, ident.ID.Compare)
+	return out
+}
+
 // ranksAllMembers reports a rank held by anyone but a member: with no
 // evicted user still awaiting its holders' repairs, the rank table must
 // map exactly the membership.
@@ -239,10 +251,13 @@ func ranksAllMembers(d *Directory) error {
 // K-consistency and no rank held by a non-member at every quiescent
 // point (no user crashed but not yet evicted and repaired). Some
 // evictions re-admit the evicted ID at a new host before its holders
-// repair, so the join refreshes slots that still name its rank.
+// repair, so the join refreshes slots that still name its rank. The
+// reference scans every member, so on the plain GT-ITM graph it is
+// also the oracle for the stub pruning; tieNet and spikeNet hide the
+// stubs, and the directory scans too.
 func TestRefillMatchesSortEverythingReference(t *testing.T) {
 	params := ident.Params{Digits: 3, Base: 6}
-	const hosts, k, events = 400, 3, 500
+	const hosts = 400
 	factor := 1
 	nets := map[string]vnet.Network{
 		"gtitm": testNet(t, hosts),
@@ -252,136 +267,185 @@ func TestRefillMatchesSortEverythingReference(t *testing.T) {
 	for name, net := range nets {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(seed))
-				dead := map[ident.ID]bool{}
-				alive := func(id ident.ID) bool { return !dead[id] }
-				// suspect is the extra per-repair predicate failure
-				// recovery passes: it learns of a crash at once, the
-				// directory's own oracle one event later.
-				suspected := map[ident.ID]bool{}
-				suspect := func(id ident.ID) bool { return !suspected[id] }
-
-				got, err := NewDirectory(params, k, net, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, _ := NewDirectory(params, k, net, 0)
-				got.SetLivenessOracle(alive)
-				want.SetLivenessOracle(alive)
-
-				var members []ident.ID
-				nextHost := 1
-				admit := func(id ident.ID) {
-					r := Record{Host: vnet.HostID(nextHost%(hosts-1) + 1), ID: id}
-					nextHost++
-					if err := got.Join(r); err != nil {
-						t.Fatal(err)
-					}
-					if err := refJoin(want, r); err != nil {
-						t.Fatal(err)
-					}
-					members = append(members, id)
-				}
-				join := func() {
-					id, _ := ident.FromInt(params, rng.Intn(params.Capacity()))
-					if _, ok := got.Record(id); !ok {
-						admit(id)
-					}
-				}
-				pick := func() ident.ID {
-					i := rng.Intn(len(members))
-					id := members[i]
-					members = append(members[:i], members[i+1:]...)
-					return id
-				}
-				check := func(ev int, what string) {
-					t.Helper()
-					if err := sameTables(got, want); err != nil {
-						t.Fatalf("event %d (%s): %v", ev, what, err)
-					}
-					if len(suspected) == 0 {
-						if err := got.CheckConsistency(); err != nil {
-							t.Fatalf("event %d (%s): %v", ev, what, err)
-						}
-						if err := ranksAllMembers(got); err != nil {
-							t.Fatalf("event %d (%s): %v", ev, what, err)
-						}
-					}
-				}
-				for len(members) < 120 {
-					join()
-				}
-				check(0, "build")
-
-				var crashed []ident.ID // crashed, still members
-				crash := func() {
-					id := pick()
-					suspected[id] = true
-					crashed = append(crashed, id)
-				}
-				for ev := 1; ev <= events; ev++ {
-					for _, id := range crashed {
-						dead[id] = true
-					}
-					factor = 1 + ev/100%3 // only spikeNet reads it
-					what := "join"
-					switch p := rng.Float64(); {
-					case p < 0.35 || len(members) < 60:
-						join()
-					case p < 0.65:
-						what = "leave"
-						id := pick()
-						if got.Leave(id) != nil || refLeave(want, id) != nil {
-							t.Fatalf("event %d: leave %v failed", ev, id)
-						}
-					case p < 0.8:
-						what = "crash"
-						crash()
-					case len(crashed) > 0:
-						// Detection: the server evicts, then every holder
-						// drops the dead neighbor and repairs the entry.
-						what = "evict+repair"
-						id := crashed[0]
-						crashed = crashed[1:]
-						if got.Evict(id) != nil || refEvict(want, id) != nil {
-							t.Fatalf("event %d: evict %v failed", ev, id)
-						}
-						check(ev, "evict")
-						holders := got.Holders(id)
-						rejoin := rng.Intn(3) == 0
-						if rejoin {
-							// The ID is re-admitted at a new host while its
-							// holders still name its rank.
-							what = "evict+rejoin+repair"
-							delete(dead, id)
-							delete(suspected, id)
-							admit(id)
-							check(ev, "rejoin")
-						}
-						if rng.Intn(2) == 0 {
-							crash() // mid-recovery: only suspect knows yet
-						}
-						for _, owner := range holders {
-							tab, _ := got.TableOf(owner)
-							row, col, _ := tab.cell(id)
-							got.Repair(owner, id, suspect)
-							wrow, wcol, wok := refRepair(want, owner, id, suspect)
-							if (!rejoin && tab.Contains(id)) || !wok || row != wrow || col != wcol {
-								t.Fatalf("event %d: Repair(%v, %v) emptied %d,%d, reference %d,%d,%v",
-									ev, owner, id, row, col, wrow, wcol, wok)
-							}
-						}
-						if !rejoin { // a rejoined ID may have crashed again
-							delete(dead, id)
-							delete(suspected, id)
-						}
-					default:
-						join()
-					}
-					check(ev, what)
-				}
+				diffScript(t, params, hosts, net, &factor, seed)
 			})
 		}
+	}
+}
+
+// TestStubPruningMatchesScan is the same differential on plain
+// *vnet.GTITM graphs with many stub domains, where Join, Leave, Evict
+// and Holders skip the stubs their bounds rule out: the sim_4096 bench
+// graph and the paper's, at two ID spaces. It fails if no event was
+// pruned, so the scan cannot pass for the pruned path.
+func TestStubPruningMatchesScan(t *testing.T) {
+	const hosts = 150 // fewer than the joins: members share hosts, so RTTs tie
+	for _, tc := range []struct {
+		name string
+		cfg  vnet.GTITMConfig
+	}{
+		{"sim_4096", churnTopology},
+		{"paper", vnet.DefaultGTITMConfig()},
+	} {
+		net, err := vnet.NewGTITM(tc.cfg, hosts, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, params := range []ident.Params{{Digits: 3, Base: 6}, {Digits: 2, Base: 32}} {
+			for seed := int64(1); seed <= 2; seed++ {
+				t.Run(fmt.Sprintf("%s/%dx%d/seed%d", tc.name, params.Digits, params.Base, seed), func(t *testing.T) {
+					factor := 1
+					diffScript(t, params, hosts, net, &factor, seed)
+				})
+			}
+		}
+	}
+}
+
+// diffScript drives one seeded script through a Directory and the
+// reference model on net; factor is the multiplier spikeNet reads.
+func diffScript(t *testing.T, params ident.Params, hosts int, net vnet.Network, factor *int, seed int64) {
+	const k, events = 3, 500
+	rng := rand.New(rand.NewSource(seed))
+	dead := map[ident.ID]bool{}
+	alive := func(id ident.ID) bool { return !dead[id] }
+	// suspect is the extra per-repair predicate failure
+	// recovery passes: it learns of a crash at once, the
+	// directory's own oracle one event later.
+	suspected := map[ident.ID]bool{}
+	suspect := func(id ident.ID) bool { return !suspected[id] }
+
+	got, err := NewDirectory(params, k, net, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := NewDirectory(params, k, net, 0)
+	got.SetLivenessOracle(alive)
+	want.SetLivenessOracle(alive)
+
+	var members []ident.ID
+	nextHost := 1
+	scan := 0 // member tables a scan would read in the pruned events
+	admit := func(id ident.ID) {
+		r := Record{Host: vnet.HostID(nextHost%(hosts-1) + 1), ID: id}
+		nextHost++
+		scan += got.Size()
+		if err := got.Join(r); err != nil {
+			t.Fatal(err)
+		}
+		if err := refJoin(want, r); err != nil {
+			t.Fatal(err)
+		}
+		members = append(members, id)
+	}
+	join := func() {
+		id, _ := ident.FromInt(params, rng.Intn(params.Capacity()))
+		if _, ok := got.Record(id); !ok {
+			admit(id)
+		}
+	}
+	pick := func() ident.ID {
+		i := rng.Intn(len(members))
+		id := members[i]
+		members = append(members[:i], members[i+1:]...)
+		return id
+	}
+	check := func(ev int, what string) {
+		t.Helper()
+		if err := sameTables(got, want); err != nil {
+			t.Fatalf("event %d (%s): %v", ev, what, err)
+		}
+		if len(suspected) == 0 {
+			if err := got.CheckConsistency(); err != nil {
+				t.Fatalf("event %d (%s): %v", ev, what, err)
+			}
+			if err := ranksAllMembers(got); err != nil {
+				t.Fatalf("event %d (%s): %v", ev, what, err)
+			}
+		}
+	}
+	for len(members) < 120 {
+		join()
+	}
+	check(0, "build")
+
+	var crashed []ident.ID // crashed, still members
+	crash := func() {
+		id := pick()
+		suspected[id] = true
+		crashed = append(crashed, id)
+	}
+	for ev := 1; ev <= events; ev++ {
+		for _, id := range crashed {
+			dead[id] = true
+		}
+		*factor = 1 + ev/100%3 // only spikeNet reads it
+		what := "join"
+		switch p := rng.Float64(); {
+		case p < 0.35 || len(members) < 60:
+			join()
+		case p < 0.65:
+			what = "leave"
+			id := pick()
+			scan += got.Size() - 1
+			if got.Leave(id) != nil || refLeave(want, id) != nil {
+				t.Fatalf("event %d: leave %v failed", ev, id)
+			}
+		case p < 0.8:
+			what = "crash"
+			crash()
+		case len(crashed) > 0:
+			// Detection: the server evicts, then every holder
+			// drops the dead neighbor and repairs the entry.
+			what = "evict+repair"
+			id := crashed[0]
+			crashed = crashed[1:]
+			scan += got.Size() - 1
+			if got.Evict(id) != nil || refEvict(want, id) != nil {
+				t.Fatalf("event %d: evict %v failed", ev, id)
+			}
+			check(ev, "evict")
+			scan += got.Size()
+			holders := got.Holders(id)
+			if ref := refHolders(want, id); !slices.Equal(holders, ref) {
+				t.Fatalf("event %d: Holders(%v) = %v, scan %v", ev, id, holders, ref)
+			}
+			rejoin := rng.Intn(3) == 0
+			if rejoin {
+				// The ID is re-admitted at a new host while its
+				// holders still name its rank.
+				what = "evict+rejoin+repair"
+				delete(dead, id)
+				delete(suspected, id)
+				admit(id)
+				check(ev, "rejoin")
+			}
+			if rng.Intn(2) == 0 {
+				crash() // mid-recovery: only suspect knows yet
+			}
+			for _, owner := range holders {
+				tab, _ := got.TableOf(owner)
+				row, col, _ := tab.cell(id)
+				got.Repair(owner, id, suspect)
+				wrow, wcol, wok := refRepair(want, owner, id, suspect)
+				if (!rejoin && tab.Contains(id)) || !wok || row != wrow || col != wcol {
+					t.Fatalf("event %d: Repair(%v, %v) emptied %d,%d, reference %d,%d,%v",
+						ev, owner, id, row, col, wrow, wcol, wok)
+				}
+			}
+			if !rejoin { // a rejoined ID may have crashed again
+				delete(dead, id)
+				delete(suspected, id)
+			}
+		default:
+			join()
+		}
+		check(ev, what)
+	}
+	if _, stubs := net.(vnet.Stubs); stubs && got.visits >= scan {
+		t.Fatalf("the events read %d member tables, a scan %d: nothing was pruned", got.visits, scan)
+	} else {
+		t.Logf("the events read %d member tables, a scan %d", got.visits, scan)
 	}
 }
 

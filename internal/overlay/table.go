@@ -18,9 +18,10 @@
 // "The join and leave protocols of T-mesh are based on the Silk protocols,
 // but simplified to improve simulation efficiency." The Directory applies
 // the state changes a correct Silk run would produce, while counting the
-// protocol messages it would cost. Each event passes over every member
-// once, so the members' row 0 is stored column by column (see columns):
-// the row-0 entries one event touches form one contiguous run.
+// protocol messages it would cost. Each event passes over the members
+// in rank order, skipping the stub domains the topology rules out (see
+// stubIndex), so the members' row 0 is stored column by column (see
+// columns): the row-0 entries one event touches lie in one column.
 package overlay
 
 import (
@@ -354,9 +355,8 @@ func (g *grid) entry(row int, col ident.Digit) Entry {
 func alloc(n int) []slot { return slices.Grow([]slot(nil), n) }
 
 // open returns the (row,col)-entry of a deeper row, giving col a window
-// in column order if it has none. The row then grows by one window: in
-// place while its capacity lasts, else into a new array of its size
-// class, never by doubling.
+// in column order if it has none. The row then grows by one window, in
+// place while its capacity lasts (see room).
 func (g *grid) open(row int, col ident.Digit) Entry {
 	blk, k := g.rows[row], g.cols.k
 	if blk == nil {
@@ -365,7 +365,8 @@ func (g *grid) open(row int, col ident.Digit) Entry {
 	at, ok := g.window(blk, col)
 	if !ok {
 		if len(blk)+k > cap(blk) {
-			blk = append(alloc(len(blk)+k), blk...)
+			blk = g.room(blk)
+			at, _ = g.window(blk, col)
 		}
 		blk = blk[:len(blk)+k]
 		copy(blk[at+k:], blk[at:])
@@ -374,6 +375,25 @@ func (g *grid) open(row int, col ident.Digit) Entry {
 		g.rows[row] = blk
 	}
 	return Entry{ros: g.ros, slots: blk[at : at+k]}
+}
+
+// room makes space for one more window in a full deeper row: it gives
+// up a window churn emptied, if the row has one, so that the column
+// reads as never opened again; else it moves the row into a new array
+// with room for an eighth more windows, rounded up to its size class.
+func (g *grid) room(blk []slot) []slot {
+	k, at := g.cols.k, g.words()
+	for w := range g.words() {
+		for set := blk[w].word(); set != 0; set &= set - 1 {
+			if blk[at].rank == ident.NoRank {
+				blk[w] = wordSlot(blk[w].word() &^ (set & -set))
+				return append(blk[:at], blk[at+k:]...)
+			}
+			at += k
+		}
+	}
+	windows := (len(blk) - g.words()) / k
+	return append(alloc(len(blk)+k*(1+windows/8)), blk...)
 }
 
 // insert places rank r, rtt away, into the (row,col)-entry (see

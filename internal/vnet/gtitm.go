@@ -106,7 +106,10 @@ type GTITM struct {
 	hosts []host
 }
 
-var _ Network = (*GTITM)(nil)
+var (
+	_ Network = (*GTITM)(nil)
+	_ Stubs   = (*GTITM)(nil)
+)
 
 // block is the all-pairs shortest-path table of the routers [lo, lo+n),
 // over the links between them alone. Entry i*n+j describes the path from
@@ -338,6 +341,20 @@ func (g *GTITM) RTT(a, b HostID) time.Duration {
 		return ha.access + g.stubs[ha.stub].at(ha.router, hb.router) + hb.access
 	}
 	return ha.up + g.core.at(ha.transit, hb.transit) + hb.up
+}
+
+// NumStubs implements Stubs.
+func (g *GTITM) NumStubs() int { return len(g.stubs) }
+
+// StubOf implements Stubs.
+func (g *GTITM) StubOf(h HostID) int { return int(g.hosts[h].stub) }
+
+// UpRTT implements Stubs.
+func (g *GTITM) UpRTT(h HostID) time.Duration { return g.hosts[h].up }
+
+// CoreRTT implements Stubs.
+func (g *GTITM) CoreRTT(s, t int) time.Duration {
+	return g.core.at(g.stubs[s].transit, g.stubs[t].transit)
 }
 
 // OneWay implements Network.

@@ -135,6 +135,52 @@ func TestGTITMMatchesFullGraphDijkstra(t *testing.T) {
 	}
 }
 
+// TestGTITMStubsDecomposeRTT checks the promise the overlay prunes on:
+// for every pair of hosts in different stub domains, RTT is UpRTT +
+// CoreRTT + UpRTT to the nanosecond, on the sim_4096 graph and the
+// paper's. A delay matrix has no stub domains and must not claim any.
+func TestGTITMStubsDecomposeRTT(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   GTITMConfig
+		hosts int
+	}{
+		{"sim_4096", sim4096Topology, 600},
+		{"paper", DefaultGTITMConfig(), 600},
+	} {
+		g, err := NewGTITM(tc.cfg, tc.hosts, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st Stubs = g
+		if want := tc.cfg.TransitDomains * tc.cfg.TransitPerDomain * tc.cfg.StubsPerTransit; st.NumStubs() != want {
+			t.Fatalf("%s: %d stubs, want %d", tc.name, st.NumStubs(), want)
+		}
+		pairs := 0
+		for a := range HostID(tc.hosts) {
+			for b := range a {
+				if st.StubOf(a) == st.StubOf(b) {
+					continue
+				}
+				pairs++
+				if sum := st.UpRTT(a) + st.CoreRTT(st.StubOf(a), st.StubOf(b)) + st.UpRTT(b); sum != g.RTT(a, b) {
+					t.Fatalf("%s: hosts %d, %d: up+core+up = %v, RTT %v", tc.name, a, b, sum, g.RTT(a, b))
+				}
+			}
+		}
+		if pairs == 0 {
+			t.Fatalf("%s: no cross-stub pair; test is vacuous", tc.name)
+		}
+	}
+	p, err := NewPlanetLab(DefaultPlanetLabConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := Network(p).(Stubs); ok {
+		t.Error("the PlanetLab matrix claims stub domains")
+	}
+}
+
 // TestGTITMConcurrentReaders reads RTTs and paths from 16 goroutines
 // (run under -race by make ci) and checks every answer against the same
 // topology queried serially.

@@ -57,6 +57,23 @@ type Network interface {
 	AppendPathLinks(dst []LinkID, a, b HostID) []LinkID
 }
 
+// Stubs is implemented by a network whose hosts meet across stub
+// domains only through each stub's one uplink, so that for hosts a and
+// b in different stubs RTT(a, b) = UpRTT(a) + CoreRTT(StubOf(a),
+// StubOf(b)) + UpRTT(b), exactly, in whole nanoseconds. Only *GTITM
+// implements it; a wrapper that changes RTTs must not (one that embeds
+// the Network interface does not).
+type Stubs interface {
+	// NumStubs returns the number of stub domains; StubOf numbers them
+	// 0..NumStubs-1.
+	NumStubs() int
+	StubOf(h HostID) int
+	// UpRTT returns the RTT from a host to its stub's transit router.
+	UpRTT(h HostID) time.Duration
+	// CoreRTT returns the RTT between two stubs' transit routers.
+	CoreRTT(s, t int) time.Duration
+}
+
 // clampRTT makes gateway RTT estimates safe: subtracting access-link RTTs
 // from an end-to-end measurement can go negative under noise.
 func clampRTT(d time.Duration) time.Duration {
