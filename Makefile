@@ -167,8 +167,11 @@ bench-pairs:
 # full deeper row reusing an emptied window or growing by an eighth;
 # vnet +34: the Stubs interface and GTITM's four methods; ident +6:
 # Tree.EachMember).
-LOC_BUDGET ?= 2695 21043
-DESIGN_BUDGET ?= 76849
+# Lowered total 21043 -> 21012 and DESIGN_BUDGET 76849 -> 76821:
+# core.Group keeps its keyrings in the key tree's Keyrings slab
+# (memberstate -43, core +11, wire +1).
+LOC_BUDGET ?= 2695 21012
+DESIGN_BUDGET ?= 76821
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs wc -l | \
 		awk -v budget="$(LOC_BUDGET)" \

@@ -8,9 +8,12 @@
 // end of each rekey interval ProcessInterval generates the batch rekey
 // message, which DistributeRekey multicasts with per-encryption
 // splitting; every user's keyring is updated from exactly the
-// encryptions the splitting scheme delivered to it. Data transport
-// (group-key encrypted application multicast) runs concurrently over the
-// same neighbor tables.
+// encryptions the splitting scheme delivered to it. As on the KeyPlane,
+// the keyrings are one keytree.Keyrings slab at the key tree's ranks; in
+// cluster mode the slab holds the leaders, and a non-leader holds the
+// group key its leader last handed it. Data transport (group-key
+// encrypted application multicast) runs concurrently over the same
+// neighbor tables.
 package core
 
 import (
@@ -24,7 +27,6 @@ import (
 	"tmesh/internal/ident"
 	"tmesh/internal/keycrypt"
 	"tmesh/internal/keytree"
-	"tmesh/internal/memberstate"
 	"tmesh/internal/obs"
 	"tmesh/internal/overlay"
 	"tmesh/internal/split"
@@ -74,9 +76,14 @@ type Group struct {
 
 	pending keytree.Pending // key-tree churn since the last boundary (non-cluster mode)
 
-	// members holds per-user client state (keyring + believed group
-	// key); in cluster mode only leaders keep full keyrings.
-	members *memberstate.Store
+	// rings holds the keyrings of the members of the tree the mode keys
+	// (keyTree: everyone, or the cluster leaders), by that tree's ranks.
+	rings keytree.Keyrings
+	// In cluster mode, handed is the group key the last Appendix B hop
+	// handed the members, and fresh the members that joined since: a
+	// non-leader holds handed unless it is fresh or has left.
+	handed keycrypt.Key
+	fresh  map[ident.ID]struct{}
 
 	intervals       int
 	keyringRebuilds int
@@ -114,19 +121,29 @@ func NewGroup(cfg Config) (*Group, error) {
 		dir:      dir,
 		assigner: assigner,
 		rng:      rng,
-		members:  memberstate.NewStore(),
 	}
 	seed := []byte(fmt.Sprintf("group-seed-%d", cfg.Seed))
 	opts := keytree.Opts{Obs: cfg.Obs}
 	if cfg.ClusterRekeying {
 		g.clusters, err = cluster.New(cfg.Assign.Params, seed, opts)
+		g.fresh = make(map[ident.ID]struct{})
 	} else {
 		g.tree, err = keytree.New(cfg.Assign.Params, seed, opts)
 	}
 	if err != nil {
 		return nil, err
 	}
+	g.rings = keytree.NewKeyrings(g.keyTree())
 	return g, nil
+}
+
+// keyTree is the tree the mode keys: the group's, or in cluster mode
+// the leaders-only one.
+func (g *Group) keyTree() *keytree.Tree {
+	if g.clusters != nil {
+		return g.clusters.Tree()
+	}
+	return g.tree
 }
 
 // Dir exposes the membership directory (read-only use).
@@ -154,19 +171,23 @@ func (g *Group) Join(host vnet.HostID, at time.Duration) (ident.ID, assign.Stats
 		if err := g.clusters.Join(rec); err != nil {
 			return ident.ID{}, stats, err
 		}
+		g.fresh[rec.ID] = struct{}{}
 	} else {
 		g.pending.Join(rec.ID)
 	}
 	return rec.ID, stats, nil
 }
 
-// Leave removes a user and queues its key-tree departure (see
-// keytree.Pending for a leave that meets its own pending join).
+// Leave removes a user, wipes its keyring at once and queues its
+// key-tree departure (see keytree.Pending for a leave that meets its own
+// pending join).
 func (g *Group) Leave(id ident.ID) error {
 	if err := g.dir.Leave(id); err != nil {
 		return err
 	}
-	g.members.Remove(id)
+	if r, ok := g.keyTree().Ranks().RankOf(id); ok {
+		g.rings.Leave(r)
+	}
 	if g.clusters != nil {
 		return g.clusters.Leave(id)
 	}
@@ -177,52 +198,41 @@ func (g *Group) Leave(id ident.ID) error {
 // ProcessInterval ends the current rekey interval: the batched joins and
 // leaves are applied to the key tree (pipeline stages mark + regen) and
 // the rekey message generated. Newly joined users receive their path
-// keys (the server's join-time unicast).
+// keys (the server's join-time unicast) in their keyring slots, which
+// the interval may move (see KeyringOf).
 func (g *Group) ProcessInterval() (*keytree.Message, error) {
 	g.intervals++
 	span := g.cfg.Obs.StartSpan("core_regen") // the server-side stage: mark + regen
-	tree, msg, joins, err := g.flush()
+	msg, joins, err := g.flush()
 	span.End()
 	if err != nil {
 		return nil, err
 	}
+	ranks := g.keyTree().Ranks()
 	for _, id := range joins {
-		if err := g.initKeyring(tree, id); err != nil {
-			return nil, err
-		}
+		r, _ := ranks.RankOf(id)
+		g.rings.Join(r)
+		g.keyringRebuilds++
 	}
 	return msg, nil
 }
 
-// flush ends the interval on the tree the mode keys and returns it with
-// the message and the joiners to key. In cluster mode those are only the
+// flush ends the interval on the tree the mode keys and returns the
+// message and the joiners to key. In cluster mode those are only the
 // leaders that just entered the leaders-only tree: incumbent leaders
 // advance by applying the rekey message the multicast delivers to them,
 // exactly like users in non-cluster mode, so the per-interval cost is
 // proportional to leader churn, not to the number of leaders.
-func (g *Group) flush() (*keytree.Tree, *keytree.Message, []ident.ID, error) {
+func (g *Group) flush() (*keytree.Message, []ident.ID, error) {
 	if g.clusters != nil {
 		res, err := g.clusters.Process()
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
-		return g.clusters.Tree(), res.Message, res.Joins, nil
+		return res.Message, res.Joins, nil
 	}
 	msg, joins, _, err := g.tree.Flush(&g.pending, 0)
-	return g.tree, msg, joins, err
-}
-
-func (g *Group) initKeyring(tree *keytree.Tree, id ident.ID) error {
-	kr, err := tree.JoinKeyring(id)
-	if err != nil {
-		return err
-	}
-	g.keyringRebuilds++
-	g.members.PutKeyring(id, kr)
-	if gk, ok := kr.GroupKey(); ok {
-		g.members.SetGroupKey(id, gk)
-	}
-	return nil
+	return msg, joins, err
 }
 
 // DistributeRekey runs the pipeline's delivery and apply stages: the
@@ -264,7 +274,7 @@ func (g *Group) DistributeRekey(msg *keytree.Message) (*split.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	applier := &storeApplier{store: g.members, obs: g.cfg.Obs}
+	applier := &storeApplier{keyringOf: g.keyring, obs: g.cfg.Obs}
 	applySpan := g.cfg.Obs.StartSpan("core_apply")
 	err = applier.Apply(msg.Interval, rep.Deliveries)
 	applySpan.End()
@@ -279,41 +289,45 @@ func (g *Group) DistributeRekey(msg *keytree.Message) (*split.Report, error) {
 
 // distributeViaLeaders models the Appendix B last hop, in which every
 // leader unicasts the new group key to its cluster members: the hop is
-// counted (cluster.Result.PairwiseUnicasts), not wrapped, so the
-// server's group key is copied into every member's store.
+// counted (cluster.Result.PairwiseUnicasts), not wrapped, so it records
+// the one key handed to every member present (see GroupKeyOf).
 func (g *Group) distributeViaLeaders() {
-	tree := g.clusters.Tree()
-	gk, ok := tree.GroupKey()
-	if !ok {
-		return
-	}
-	for _, rec := range g.dir.Members(ident.EmptyPrefix) {
-		g.members.SetGroupKey(rec.ID, gk)
+	if gk, ok := g.clusters.Tree().GroupKey(); ok {
+		g.handed = gk
+		clear(g.fresh)
 	}
 }
 
-// GroupKeyOf returns the group key a user currently holds.
+// GroupKeyOf returns the group key a user currently holds: its
+// keyring's, or in cluster mode a non-leader's, the key the last
+// Appendix B hop handed it (none if it joined since).
 func (g *Group) GroupKeyOf(id ident.ID) (keycrypt.Key, bool) {
-	return g.members.GroupKey(id)
+	if kr := g.keyring(id); kr != nil {
+		return kr.GroupKey()
+	}
+	if _, joined := g.fresh[id]; g.clusters == nil || joined || !g.clusters.Has(id) {
+		return keycrypt.Key{}, false
+	}
+	return g.handed, true
 }
 
 // ServerGroupKey returns the key server's current group key.
-func (g *Group) ServerGroupKey() (keycrypt.Key, bool) {
-	if g.clusters != nil {
-		return g.clusters.Tree().GroupKey()
-	}
-	return g.tree.GroupKey()
-}
+func (g *Group) ServerGroupKey() (keycrypt.Key, bool) { return g.keyTree().GroupKey() }
 
-// KeyringOf returns a user's keyring (in cluster mode, leaders only).
+// KeyringOf returns a view of a user's keyring slot (in cluster mode,
+// leaders only), valid until the next ProcessInterval.
 func (g *Group) KeyringOf(id ident.ID) (*keytree.Keyring, bool) {
-	kr := g.members.Keyring(id)
+	kr := g.keyring(id)
 	return kr, kr != nil
 }
 
-// Members exposes the sharded member-state store (keyrings and believed
-// group keys) the apply stage writes into.
-func (g *Group) Members() *memberstate.Store { return g.members }
+// keyring is KeyringOf, nil for a user without a keyring.
+func (g *Group) keyring(id ident.ID) *keytree.Keyring {
+	if r, ok := g.keyTree().Ranks().RankOf(id); ok && g.rings.Keyed(r) {
+		return g.rings.Keyring(r)
+	}
+	return nil
+}
 
 // Clusters exposes the cluster manager in cluster-rekeying mode.
 func (g *Group) Clusters() *cluster.Manager { return g.clusters }

@@ -227,6 +227,119 @@ func TestClusterModeLifecycle(t *testing.T) {
 	}
 }
 
+// TestClusterModeGroupKeys pins who holds which group key under
+// Appendix B: a leader holds its keyring's; a non-leader holds the key
+// the last leader hop handed it, none if it joined since that hop, and
+// none once it has left.
+func TestClusterModeGroupKeys(t *testing.T) {
+	g := newGroup(t, 60, true)
+	join := func(h int) ident.ID {
+		t.Helper()
+		id, _, err := g.Join(vnet.HostID(h), time.Duration(h)*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	leave := func(id ident.ID) {
+		t.Helper()
+		if err := g.Leave(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// interval ends an interval as Session does: only a message that
+	// costs something is distributed.
+	interval := func() int {
+		t.Helper()
+		msg, err := g.ProcessInterval()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg.Cost() > 0 {
+			if _, err := g.DistributeRekey(msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return msg.Cost()
+	}
+	var members []ident.ID
+	for h := 1; h <= 20; h++ {
+		members = append(members, join(h))
+	}
+	interval()
+	checkConverged(t, g, members)
+
+	// Admit users one interval at a time until one joins a cluster that
+	// has a leader: that interval costs nothing, so nobody hands the
+	// joiner a key.
+	var joiner ident.ID
+	for h := 21; joiner.IsZero(); h++ {
+		if h == 60 {
+			t.Fatal("no joiner entered an existing cluster")
+		}
+		if id := join(h); g.Clusters().IsLeader(id) {
+			members = append(members, id)
+			interval()
+		} else {
+			joiner = id
+		}
+	}
+	if cost := interval(); cost != 0 {
+		t.Fatalf("a non-leader's join cost %d, want 0", cost)
+	}
+	if _, ok := g.GroupKeyOf(joiner); ok {
+		t.Error("a non-leader that joined in a cost-0 interval holds a group key before the next distribute")
+	}
+	checkConverged(t, g, members)
+
+	// A leader of another cluster leaves: the distribute that follows
+	// hands the joiner the server's key.
+	var other ident.ID
+	for i, id := range members {
+		if g.Clusters().IsLeader(id) && g.Clusters().ClusterOf(id) != g.Clusters().ClusterOf(joiner) {
+			other, members = id, append(members[:i:i], members[i+1:]...)
+			break
+		}
+	}
+	leave(other)
+	if cost := interval(); cost == 0 {
+		t.Fatal("a leader's leave cost nothing")
+	}
+	checkConverged(t, g, append(members, joiner))
+
+	leave(joiner)
+	if _, ok := g.GroupKeyOf(joiner); ok {
+		t.Error("a departed non-leader holds a group key")
+	}
+
+	// A leader leaves a cluster it shares: its successor reads its new
+	// keyring's key.
+	var promoted ident.ID
+	for _, id := range members {
+		if p := g.Clusters().ClusterOf(id); g.Clusters().IsLeader(id) && len(g.Clusters().Members(p)) > 1 {
+			leave(id)
+			rec, _ := g.Clusters().Leader(p)
+			promoted = rec.ID
+			break
+		}
+	}
+	if promoted.IsZero() {
+		t.Fatal("no cluster has a leader and another member")
+	}
+	interval()
+	kr, ok := g.KeyringOf(promoted)
+	if !ok {
+		t.Fatalf("promoted leader %v has no keyring", promoted)
+	}
+	want, _ := kr.GroupKey()
+	if got, ok := g.GroupKeyOf(promoted); !ok || !got.Equal(want) {
+		t.Errorf("promoted leader %v does not hold its keyring's group key", promoted)
+	}
+	if server, _ := g.ServerGroupKey(); !want.Equal(server) {
+		t.Errorf("promoted leader %v's keyring does not hold the server's group key", promoted)
+	}
+}
+
 func TestMulticastData(t *testing.T) {
 	g := newGroup(t, 30, false)
 	var members []ident.ID
@@ -290,6 +403,15 @@ func TestKeyringOf(t *testing.T) {
 	ghost := ident.MustNew(g.Params(), []ident.Digit{9, 9, 9})
 	if _, ok := g.KeyringOf(ghost); ok {
 		t.Error("non-member should have no keyring")
+	}
+	if err := g.Leave(id); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := g.KeyringOf(id); ok {
+		t.Error("a departed member still has a keyring")
+	}
+	if _, ok := g.GroupKeyOf(id); ok {
+		t.Error("a departed member still holds a group key")
 	}
 }
 

@@ -13,8 +13,9 @@
 // for a Group and the experiment harness; the chaos soak delivers
 // through recovery.DistributeLadder, whose multicast rung splits the
 // same way and whose recovery.Outcome (the socket daemon fills the same
-// record) says which rung keyed each member. apply is the Applier below
-// for a Group, and KeyPlane.apply (further down) on the key plane. The
+// record) says which rung keyed each member. apply is storeApplier for
+// a Group, each delivered member's keyring slot applying what the split
+// handed it, and KeyPlane.apply (further down) on the key plane. The
 // two crypto-heavy stages parallelize: regen fans out across level-1
 // ID subtrees (Lemma 3 makes them independent rekey units) inside
 // keytree.Regenerate, and apply fans out across delivered users (key
@@ -43,6 +44,7 @@ import (
 
 // Applier is the final stage: it updates member keyrings from the
 // collected deliveries of one interval.
+// bench-only: goes with item 21.
 type Applier interface {
 	Apply(interval uint64, deliveries []split.Delivery) error
 }
@@ -74,13 +76,12 @@ func (e *ApplyError) Unwrap() error {
 	return e.Errs[0]
 }
 
-// storeApplier applies deliveries to keyrings held in a sharded member
-// store, fanning out across users through work.Run. Users without a
-// keyring (non-leaders in cluster mode, or plain-crypto runs) are
-// skipped. Each worker's keyrings unwrap through one
-// keycrypt.Unwrapper, dropped when Apply returns.
+// storeApplier applies deliveries to the keyrings keyringOf finds,
+// fanning out across users through work.Run. Users without a keyring
+// (non-leaders in cluster mode) are skipped. Each worker's keyrings
+// unwrap through one keycrypt.Unwrapper, dropped when Apply returns.
 type storeApplier struct {
-	store *memberstate.Store
+	keyringOf func(ident.ID) *keytree.Keyring
 	// limit is work.Run's upper bound on the fan-out (<= 0: none).
 	limit int
 	// obs, when non-nil, counts applied users and skipped deliveries
@@ -90,15 +91,15 @@ type storeApplier struct {
 	obs *obs.Registry
 }
 
-// NewApplier returns the pipeline's apply stage over a member store,
-// usable standalone (benchmarks, alternative drivers) exactly as the
-// Group uses it internally. parallelism is an upper bound on the
-// fan-out width (values < 1 mean 1, i.e. inline).
+// NewApplier returns the pipeline's apply stage over a member store's
+// keyrings, as the Group runs it over its keyring slab. parallelism is
+// an upper bound on the fan-out width (values < 1 mean 1, i.e. inline).
+// bench-only: goes with item 21.
 func NewApplier(store *memberstate.Store, parallelism int) Applier {
 	if parallelism < 1 {
 		parallelism = 1
 	}
-	return &storeApplier{store: store, limit: parallelism}
+	return &storeApplier{keyringOf: store.Keyring, limit: parallelism}
 }
 
 // Apply implements Applier. Deliveries are first grouped per user in
@@ -129,8 +130,7 @@ func (a *storeApplier) Apply(interval uint64, deliveries []split.Delivery) error
 	skippedC := a.obs.Counter("core_apply_skipped_users")
 	errs := make([]error, len(users))
 	applyUser := func(u int, unw *keycrypt.Unwrapper) {
-		id := idOf(u)
-		kr := a.store.Keyring(id)
+		kr := a.keyringOf(idOf(u))
 		if kr == nil {
 			skippedC.Inc()
 			return
@@ -142,9 +142,6 @@ func (a *storeApplier) Apply(interval uint64, deliveries []split.Delivery) error
 				errs[u] = err
 				return
 			}
-		}
-		if gk, ok := kr.GroupKey(); ok {
-			a.store.SetGroupKey(id, gk)
 		}
 	}
 

@@ -297,7 +297,7 @@ func TestApplyErrorAggregation(t *testing.T) {
 		var encs = msg.Encryptions
 		deliveries = append(deliveries, split.Delivery{To: id, Level: 1, Encryptions: encs})
 	}
-	applier := &storeApplier{store: store, limit: 4}
+	applier := &storeApplier{keyringOf: store.Keyring, limit: 4}
 	err = applier.Apply(msg.Interval, deliveries)
 	if err == nil {
 		t.Fatal("corrupted encryptions should fail to apply")
@@ -534,7 +534,7 @@ func TestAppliersFailAWrongKEKAfterACacheHit(t *testing.T) {
 	if !errors.Is(err, keycrypt.ErrDecrypt) || !strings.HasPrefix(err.Error(), "member "+victim.String()+":") {
 		t.Errorf("key plane apply: err = %v, want %v failing with ErrDecrypt", err, victim)
 	}
-	err = (&storeApplier{store: stored, limit: 1}).Apply(msg.Interval, deliveries)
+	err = (&storeApplier{keyringOf: stored.Keyring, limit: 1}).Apply(msg.Interval, deliveries)
 	var agg *ApplyError
 	if !errors.As(err, &agg) || len(agg.Users) != 1 || agg.Users[0] != victim || !errors.Is(err, keycrypt.ErrDecrypt) {
 		t.Errorf("storeApplier: err = %v, want only %v failing with ErrDecrypt", err, victim)

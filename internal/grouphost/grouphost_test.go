@@ -11,6 +11,7 @@ import (
 
 	"tmesh/internal/chaos"
 	"tmesh/internal/ident"
+	"tmesh/internal/keycrypt"
 	"tmesh/internal/keytree"
 	"tmesh/internal/obs"
 	"tmesh/internal/vnet"
@@ -148,12 +149,13 @@ func TestAuditorsRunPerGroup(t *testing.T) {
 }
 
 // TestNetTenantLadderRecord: the NetPlane tenant's ladder record
-// settles each member that holds a keyring, so a member whose keyring
-// is gone fails both the coverage and the ladder check.
+// settles exactly the members that hold a keyring, each of which holds
+// its keyring's group key, so a member left without its keyring and its
+// group key fails both the coverage and the ladder check.
 func TestNetTenantLadderRecord(t *testing.T) {
 	nt := keyedNetTenant(t, 6)
-	audit := func() map[string]string {
-		verdicts, _ := chaos.Audit(nt.Evidence(), nil)
+	audit := func(ev *chaos.Evidence) map[string]string {
+		verdicts, _ := chaos.Audit(ev, nil)
 		failed := make(map[string]string)
 		for _, v := range verdicts {
 			if line := v.Line(); line != "" {
@@ -162,11 +164,33 @@ func TestNetTenantLadderRecord(t *testing.T) {
 		}
 		return failed
 	}
-	if failed := audit(); len(failed) != 0 {
+	ev := nt.Evidence()
+	for _, id := range ev.Owed {
+		_, settled := ev.Ladder.RungOf[id]
+		kr, keyed := nt.g.KeyringOf(id)
+		if settled != keyed {
+			t.Fatalf("holder %v: settled %v, holds a keyring %v", id, settled, keyed)
+		}
+		want, _ := kr.GroupKey()
+		if got, ok := nt.g.GroupKeyOf(id); !ok || !got.Equal(want) {
+			t.Fatalf("holder %v: GroupKeyOf differs from its keyring's group key", id)
+		}
+	}
+	if failed := audit(ev); len(failed) != 0 {
 		t.Fatalf("healthy group failed: %v", failed)
 	}
-	nt.g.Members().Remove(nt.memberIDs()[2])
-	failed := audit()
+
+	ev = nt.Evidence()
+	victim := ev.Owed[2]
+	delete(ev.Ladder.RungOf, victim)
+	delete(ev.Ladder.DeliveredAt, victim)
+	ev.GroupKeyOf = func(id ident.ID) (keycrypt.Key, bool) {
+		if id == victim {
+			return keycrypt.Key{}, false
+		}
+		return nt.g.GroupKeyOf(id)
+	}
+	failed := audit(ev)
 	for name, want := range map[string]string{"coverage": "never got its key slice", "ladder": "no rung delivered"} {
 		if !strings.Contains(failed[name], want) {
 			t.Errorf("auditor %s reported %q, want a violation mentioning %q", name, failed[name], want)

@@ -251,8 +251,8 @@ func (t *Tree) PathKeys(u ident.ID) ([]PathKey, error) {
 
 // JoinKeyring builds the keyring u starts with: its current path keys,
 // as the key server's join-time unicast delivers them. Every driver that
-// plays a member keys its joiners with these keys: core.Group and
-// rekeyd.World through this call, the key plane through Keyrings.Join.
+// plays a member keys its joiners with these keys: rekeyd.World through
+// this call, core.Group and the key plane through Keyrings.Join.
 func (t *Tree) JoinKeyring(u ident.ID) (*Keyring, error) {
 	path, err := t.PathKeys(u)
 	if err != nil {

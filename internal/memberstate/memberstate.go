@@ -1,42 +1,34 @@
-// Package memberstate holds the key server's view of per-member client
-// state — each user's keyring and last-known group key — in a flat,
-// rank-indexed slot table so a million members cost a million fixed-size
-// slots instead of a million string-keyed map entries.
+// Package memberstate holds a keyring per member in a flat, rank-indexed
+// slot table, so a million members cost a million pointer slots instead
+// of a million string-keyed map entries.
+// bench-only: goes with item 21.
 //
 // The store owns a private ident.RankTable: a member is assigned a dense
-// rank on first touch and releases it on Remove, so the slot slice stops
-// growing once membership reaches its high-water mark and freed slots
-// are reused under churn. A read-write lock guards membership changes
-// (rank assignment, slot-slice growth); steady-state per-member reads
-// and writes take only the read side, so the rekey pipeline's parallel
-// apply stage scales as it did with the previous mutex-striped shards.
+// rank when its keyring is put and releases it on Remove, so the slot
+// slice stops growing once membership reaches its high-water mark and
+// freed slots are reused under churn. A read-write lock guards
+// membership changes (rank assignment, slot-slice growth); reads take
+// only the read side, so a parallel apply stage's lookups do not
+// contend.
 //
-// The slot contents and the *keytree.Keyring values are not themselves
-// synchronized. The pipeline preserves safety by partitioning work so
-// each user is touched by exactly one worker per stage, which is the
-// natural shape anyway: one keyring belongs to one user.
+// The *keytree.Keyring values are not themselves synchronized: an
+// applier partitions its work so each keyring is touched by exactly one
+// worker.
 package memberstate
 
 import (
 	"sync"
 
 	"tmesh/internal/ident"
-	"tmesh/internal/keycrypt"
 	"tmesh/internal/keytree"
 )
 
-type slot struct {
-	keyring  *keytree.Keyring
-	groupKey keycrypt.Key
-	hasGroup bool
-}
-
-// Store maps user IDs to member state through dense ranks. The zero
-// value is not usable; call NewStore.
+// Store maps user IDs to keyrings through dense ranks. The zero value is
+// not usable; call NewStore.
 type Store struct {
 	mu    sync.RWMutex
 	ranks *ident.RankTable
-	slots []slot
+	slots []*keytree.Keyring
 }
 
 // NewStore creates an empty store.
@@ -50,35 +42,20 @@ func NewStoreSized(capacityHint int) *Store {
 	}
 	return &Store{
 		ranks: ident.NewRankTable(capacityHint),
-		slots: make([]slot, 0, capacityHint),
+		slots: make([]*keytree.Keyring, 0, capacityHint),
 	}
 }
 
-// withSlot runs fn on the member's slot, assigning a rank (and growing
-// the slot slice) on first touch. Fast path: rank already assigned, so
-// fn runs under the read lock — concurrent writers to distinct slots do
-// not contend, and the lock keeps the slice from being regrown out from
-// under the write.
-func (s *Store) withSlot(u ident.ID, fn func(*slot)) {
-	s.mu.RLock()
-	if r, ok := s.ranks.RankOf(u); ok {
-		fn(&s.slots[r])
-		s.mu.RUnlock()
-		return
-	}
-	s.mu.RUnlock()
+// PutKeyring installs (or replaces) a user's keyring, assigning the user
+// a rank (and growing the slot slice) on first touch.
+func (s *Store) PutKeyring(u ident.ID, kr *keytree.Keyring) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r := s.ranks.Assign(u)
 	for len(s.slots) < s.ranks.Width() {
-		s.slots = append(s.slots, slot{})
+		s.slots = append(s.slots, nil)
 	}
-	fn(&s.slots[r])
-}
-
-// PutKeyring installs (or replaces) a user's keyring.
-func (s *Store) PutKeyring(u ident.ID, kr *keytree.Keyring) {
-	s.withSlot(u, func(sl *slot) { sl.keyring = kr })
+	s.slots[r] = kr
 }
 
 // Keyring returns a user's keyring, or nil if the user has none.
@@ -89,39 +66,19 @@ func (s *Store) Keyring(u ident.ID) *keytree.Keyring {
 	if !ok {
 		return nil
 	}
-	return s.slots[r].keyring
+	return s.slots[r]
 }
 
-// SetGroupKey records the group key a user currently holds.
-func (s *Store) SetGroupKey(u ident.ID, k keycrypt.Key) {
-	s.withSlot(u, func(sl *slot) {
-		sl.groupKey = k
-		sl.hasGroup = true
-	})
-}
-
-// GroupKey returns the group key a user holds; ok is false if the user
-// has never received one.
-func (s *Store) GroupKey(u ident.ID) (keycrypt.Key, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	r, ok := s.ranks.RankOf(u)
-	if !ok || !s.slots[r].hasGroup {
-		return keycrypt.Key{}, false
-	}
-	return s.slots[r].groupKey, true
-}
-
-// Remove deletes all state for a user, releasing its rank for reuse.
+// Remove deletes a user's keyring, releasing its rank for reuse.
 func (s *Store) Remove(u ident.ID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if r, ok := s.ranks.Release(u); ok {
-		s.slots[r] = slot{}
+		s.slots[r] = nil
 	}
 }
 
-// Len returns the number of users with any recorded state.
+// Len returns the number of users holding a keyring.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"tmesh/internal/ident"
-	"tmesh/internal/keycrypt"
 	"tmesh/internal/keytree"
 )
 
@@ -28,18 +27,8 @@ func TestStoreBasics(t *testing.T) {
 	if s.Keyring(u) != nil {
 		t.Error("empty store returned a keyring")
 	}
-	if _, ok := s.GroupKey(u); ok {
-		t.Error("empty store returned a group key")
-	}
 	if s.Len() != 0 {
 		t.Errorf("empty store Len = %d", s.Len())
-	}
-
-	k := keycrypt.DeriveKey([]byte("seed"), "gk")
-	s.SetGroupKey(u, k)
-	got, ok := s.GroupKey(u)
-	if !ok || !got.Equal(k) {
-		t.Fatal("group key round trip failed")
 	}
 
 	tree, err := keytree.New(testParams, []byte("seed"), keytree.Opts{})
@@ -61,8 +50,10 @@ func TestStoreBasics(t *testing.T) {
 	if s.Keyring(u) != kr {
 		t.Error("keyring round trip failed")
 	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d, want 1", s.Len())
+	again := &keytree.Keyring{}
+	s.PutKeyring(u, again)
+	if s.Keyring(u) != again || s.Len() != 1 {
+		t.Errorf("replacing the keyring: Len = %d, want 1 holding the new keyring", s.Len())
 	}
 
 	s.Remove(u)
@@ -76,7 +67,7 @@ func TestStoreKeysSorted(t *testing.T) {
 	var want []string
 	for _, n := range []int{900, 3, 512, 77, 4000, 1} {
 		id := testID(t, n)
-		s.SetGroupKey(id, keycrypt.DeriveKey([]byte("s"), "k"))
+		s.PutKeyring(id, &keytree.Keyring{})
 		want = append(want, id.Key())
 	}
 	sort.Strings(want)
@@ -91,9 +82,9 @@ func TestStoreKeysSorted(t *testing.T) {
 	}
 }
 
-// TestStoreConcurrentAccess hammers the striped shards from many
-// goroutines; run under -race this is the data-race exercise for the
-// member store backing the parallel apply stage.
+// TestStoreConcurrentAccess hammers the store from many goroutines;
+// run under -race this is the data-race exercise for the lock that
+// guards rank assignment and slot growth.
 func TestStoreConcurrentAccess(t *testing.T) {
 	s := NewStore()
 	const workers = 16
@@ -108,14 +99,8 @@ func TestStoreConcurrentAccess(t *testing.T) {
 				if err != nil {
 					panic(err)
 				}
-				k := keycrypt.DeriveKey([]byte("seed"), id.Key())
-				s.SetGroupKey(id, k)
-				if got, ok := s.GroupKey(id); ok && !got.Equal(k) {
-					// Another worker may own this ID (modulo wrap);
-					// only same-derivation mismatches are bugs, and
-					// DeriveKey is a pure function of the ID.
-					panic("group key mismatch for " + id.Key())
-				}
+				s.PutKeyring(id, &keytree.Keyring{})
+				_ = s.Keyring(id)
 				if i%17 == 0 {
 					s.Remove(id)
 				}

@@ -449,6 +449,84 @@ func diffScript(t *testing.T, params ident.Params, hosts int, net vnet.Network, 
 	}
 }
 
+// TestEvictTopsUpARowZeroEntry: a row-0 refill that finds every
+// candidate hidden by the liveness oracle leaves its entries short, and
+// once the candidates are back an eviction in the same column tops up
+// every short entry it would file the evicted user in, held or not, as
+// the reference does.
+func TestEvictTopsUpARowZeroEntry(t *testing.T) {
+	params := ident.Params{Digits: 3, Base: 6}
+	const k = 3
+	net := testNet(t, 20)
+	hidden := map[ident.ID]bool{}
+	alive := func(id ident.ID) bool { return !hidden[id] }
+	got, err := NewDirectory(params, k, net, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := NewDirectory(params, k, net, 0)
+	got.SetLivenessOracle(alive)
+	want.SetLivenessOracle(alive)
+	check := func(what string) {
+		t.Helper()
+		if err := sameTables(got, want); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	// Three columns of four members; column holds the top digit 1.
+	var column []ident.ID
+	host := 1
+	for top := 0; top < 3; top++ {
+		for i := 0; i < 4; i++ {
+			r := Record{Host: vnet.HostID(host), ID: ident.MustNew(params, []ident.Digit{ident.Digit(top), ident.Digit(i), 0})}
+			host++
+			if err := got.Join(r); err != nil {
+				t.Fatal(err)
+			}
+			if err := refJoin(want, r); err != nil {
+				t.Fatal(err)
+			}
+			if top == 1 {
+				column = append(column, r.ID)
+			}
+		}
+	}
+	check("build")
+
+	// column[0] leaves while the rest of its column is hidden: the
+	// row-0 entries that held it refill nothing.
+	for _, id := range column[1:] {
+		hidden[id] = true
+	}
+	if got.Leave(column[0]) != nil || refLeave(want, column[0]) != nil {
+		t.Fatal("leave failed")
+	}
+	check("hidden leave")
+	short := 0
+	for _, id := range got.IDs() {
+		if tab, _ := got.TableOf(id); id.Digit(0) != 1 && tab.Entry(0, 1).Len() < k {
+			short++
+		}
+	}
+	if short == 0 {
+		t.Fatal("the hidden leave left no row-0 entry short")
+	}
+
+	clear(hidden)
+	if got.Evict(column[1]) != nil || refEvict(want, column[1]) != nil {
+		t.Fatal("evict failed")
+	}
+	check("evict")
+	for _, owner := range got.Holders(column[1]) {
+		got.Repair(owner, column[1], nil)
+		refRepair(want, owner, column[1], nil)
+	}
+	check("repair")
+	if err := got.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestJoinDeterministicUnderTies: on a net where most RTTs tie, which of
 // several equally near members a joiner's entry keeps must be a function
 // of the event script alone (Join visits the tables in rank order), not

@@ -36,8 +36,9 @@ type MsgType byte
 const (
 	// TypeRekey frames a batch rekey message (possibly split).
 	TypeRekey MsgType = iota + 1
-	// TypeData frames an application payload multicast with T-mesh.
-	TypeData
+	// Tag 2 stays reserved: it framed application data, which no
+	// plane sends.
+	_
 	// TypeQuery frames an ID-assignment collection query.
 	TypeQuery
 	// TypeQueryReply frames the records answering a query.

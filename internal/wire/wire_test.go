@@ -118,7 +118,7 @@ func TestRekeyTruncationsFail(t *testing.T) {
 	}
 	// Wrong tag.
 	bad := append([]byte(nil), buf...)
-	bad[0] = byte(TypeData)
+	bad[0] = byte(TypeQuery)
 	if _, _, err := UnmarshalRekey(bad); err == nil {
 		t.Error("wrong tag should fail")
 	}
