@@ -1,7 +1,9 @@
 package main
 
 import (
+	"crypto/md5"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -164,16 +166,19 @@ func TestFigureGoldens(t *testing.T) {
 	}
 }
 
-// TestSoakGoldens pins the stdout of two soaks at small sizes: the
-// chaos soak at seed 1 and a four-group tenancy run (two key-plane
-// groups, a flash crowd and a mass join+leave, beside two net-plane
-// groups). Each must reproduce testdata/golden-<name>.txt byte for byte.
+// TestSoakGoldens pins the stdout of three soaks at small sizes: the
+// chaos soak at seed 1; a lossy one (20% hop loss, 30 intervals, 400
+// members) that reaches every ladder rung, partitions, spikes, bursts
+// and leader kills; and a four-group tenancy run (two key-plane groups,
+// a flash crowd and a mass join+leave, beside two net-plane groups).
+// Each must reproduce testdata/golden-<name>.txt byte for byte.
 func TestSoakGoldens(t *testing.T) {
 	for _, s := range []struct {
 		name string
 		args []string
 	}{
 		{"soak", []string{"soak", "-seed", "1"}},
+		{"soak-lossy", []string{"soak", "-seed", "5", "-loss", "0.2", "-intervals", "30", "-members", "400"}},
 		{"tenancy", []string{"tenancy", "-groups", "4", "-flash-joins", "2000", "-mass-churn", "200", "-intervals", "3", "-seed", "1"}},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", "golden-"+s.name+".txt"))
@@ -187,6 +192,40 @@ func TestSoakGoldens(t *testing.T) {
 		})
 		if got != string(want) {
 			t.Errorf("%s drifted from its golden:\n--- got ---\n%s--- want ---\n%s", s.name, got, want)
+		}
+	}
+}
+
+// TestSoakStreamGoldens pins a lossy soak's two JSONL streams by md5:
+// the whole -trace-out stream, and the -metrics-out stream up to its
+// final registry snapshot (which holds wall-clock histograms). A second
+// run of the same build would not notice a change in event order.
+func TestSoakStreamGoldens(t *testing.T) {
+	dir := t.TempDir()
+	traceOut, metricsOut := filepath.Join(dir, "trace.jsonl"), filepath.Join(dir, "metrics.jsonl")
+	args := []string{"soak", "-seed", "2", "-loss", "0.1", "-intervals", "8",
+		"-trace-out", traceOut, "-metrics-out", metricsOut}
+	captureStdout(t, func() {
+		if code := run(args); code != 0 {
+			t.Errorf("run(%v) = %d, want 0", args, code)
+		}
+	})
+	traced, err := os.ReadFile(traceOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metered, err := os.ReadFile(metricsOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := strings.TrimSuffix(string(metered), "\n")
+	records = records[:strings.LastIndexByte(records, '\n')+1]
+	for _, s := range []struct{ name, data, want string }{
+		{"trace", string(traced), "3ab507fe5055a539915f550d130043db"},
+		{"metrics", records, "aaca4a19028240798df13beb04b5b461"},
+	} {
+		if got := fmt.Sprintf("%x", md5.Sum([]byte(s.data))); got != s.want {
+			t.Errorf("%s stream md5 %s, want %s", s.name, got, s.want)
 		}
 	}
 }
