@@ -170,8 +170,11 @@ bench-pairs:
 # Lowered total 21043 -> 21012 and DESIGN_BUDGET 76849 -> 76821:
 # core.Group keeps its keyrings in the key tree's Keyrings slab
 # (memberstate -43, core +11, wire +1).
-LOC_BUDGET ?= 2695 21012
-DESIGN_BUDGET ?= 76821
+# Lowered total 21012 -> 21006 and DESIGN_BUDGET 76821 -> 76795: the
+# chaos engine is a chaos.Plane and plays every interval through
+# chaos.Step (chaos -6).
+LOC_BUDGET ?= 2695 21006
+DESIGN_BUDGET ?= 76795
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs wc -l | \
 		awk -v budget="$(LOC_BUDGET)" \

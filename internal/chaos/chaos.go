@@ -6,8 +6,11 @@
 // from seed-derived sub-RNGs, so two runs with the same configuration
 // replay byte-identically (tests compare whole report strings).
 //
-// After every rekey interval an auditor registry checks the paper's
-// claims against the live state:
+// Every soak plays its intervals through Step over a Plane, one interval
+// at a time (apply its events, flush, Audit): the simulator Engine here,
+// the scale soak's KeyTenant, the socket soak's daemon world and the
+// tenancy host's groups. After every rekey interval the auditor registry
+// checks the paper's claims against the live state:
 //
 //   - k-consistency — Definition 3 holds for every table entry, the
 //     whole sweep at every interval and once more at the end;
@@ -25,10 +28,6 @@
 // Rekey messages travel the degradation ladder
 // (recovery.DistributeLadder): multicast, then per-user unicast recovery
 // with capped exponential backoff, then a reliable full resync.
-//
-// The other soaks step a Plane through Step, one interval at a time
-// (apply its events, flush, Audit): the scale soak's KeyTenant, the
-// socket soak's daemon world and the tenancy host's groups.
 package chaos
 
 import (
@@ -191,8 +190,11 @@ func (c *chaosNet) GatewayRTT(a, b vnet.HostID) time.Duration {
 	return c.scale(c.Network.GatewayRTT(a, b))
 }
 
-// Engine runs one soak session. Build with New, run with Run; an Engine
-// is single-use and not safe for concurrent use.
+// Engine runs one soak session, and is the Plane its intervals are
+// stepped on: Apply schedules an event on the simulator, Flush plays the
+// interval's faults, data probe, rekey and boundary reap up to the
+// boundary. Build with New, run with Run; an Engine is single-use and
+// not safe for concurrent use.
 type Engine struct {
 	cfg Config
 	sim *eventsim.Simulator
@@ -225,26 +227,19 @@ type Engine struct {
 	// leaves, and reaped crash evictions.
 	pending keytree.Pending
 
-	// Live results of the current interval.
-	curData     *tmesh.Result
-	dataMembers []ident.ID       // alive members at data send
-	curMsg      *keytree.Message // the rekey message the ladder carries
-	curLadder   *recovery.LadderResult
-	rekeyLive   []ident.ID // alive in-tree members at rekey send
-	lastEpoch   map[ident.Prefix]uint64
+	// cur is the interval being played; err is the first error a
+	// simulator event hit, which stops the simulator.
+	cur       interval
+	err       error
+	lastEpoch map[ident.Prefix]uint64
 
 	// Every delivery delay of the soak, in milliseconds: the report's
 	// percentiles are exact over them.
-	dataDelay  []float64
-	keyDelay   []float64
-	dataStart  time.Duration // virtual send time of the current data probe
-	rekeyStart time.Duration // virtual send time of the current rekey
+	dataDelay []float64
+	keyDelay  []float64
 
-	// Flight recorder (nil when Config.TraceSink is nil) and the open
-	// traces of the current sampled interval.
-	trec          *trace.Recorder
-	curDataTrace  *trace.Trace
-	curRekeyTrace *trace.Trace
+	// trec is the flight recorder, nil when Config.TraceSink is nil.
+	trec *trace.Recorder
 
 	// slo evaluates the per-boundary service objectives. It always runs
 	// (its inputs are deterministic counts and sim-time latencies), so
@@ -253,6 +248,24 @@ type Engine struct {
 	slo *slo.Engine
 
 	rep *Report
+}
+
+// interval is what the interval being played gathers for its boundary:
+// its record, its data probe and its rekey. Run zeroes it as each
+// interval starts.
+type interval struct {
+	stats IntervalStats
+
+	data        *tmesh.Result
+	dataMembers []ident.ID    // alive members at data send
+	dataStart   time.Duration // virtual send time of the data probe
+	dataTrace   *trace.Trace  // open while the interval is sampled
+
+	msg        *keytree.Message // the rekey message the ladder carries
+	ladder     *recovery.LadderResult
+	rekeyLive  []ident.ID    // alive in-tree members at rekey send
+	rekeyStart time.Duration // virtual send time of the rekey
+	rekeyTrace *trace.Trace
 }
 
 // New builds a soak engine over the membership schedule it draws from
@@ -320,7 +333,7 @@ func newEngine(cfg Config, sched *workload.Schedule) (*Engine, error) {
 	}
 
 	for _, ev := range initial {
-		if err := e.play(ev, 0, &IntervalStats{}); err != nil {
+		if err := e.play(ev, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -359,14 +372,7 @@ func (e *Engine) dropHop(from, to vnet.HostID) bool {
 // server.
 func (e *Engine) dropUnicast(u ident.ID, attempt int) bool {
 	rec, ok := e.dir.Record(u)
-	if !ok {
-		return true
-	}
-	server := e.dir.Server().Host()
-	if e.partition != nil && e.partition.Cuts(server, rec.Host) {
-		return true
-	}
-	return e.cfg.HopLoss > 0 && e.lossRNG.Float64() < e.cfg.HopLoss
+	return !ok || e.dropHop(e.dir.Server().Host(), rec.Host)
 }
 
 // alive reports engine-level liveness: absent from the crash table (a
@@ -381,52 +387,25 @@ func (e *Engine) alive(id ident.ID) bool {
 // 1-based interval (every TraceSample-th interval, starting at the
 // first).
 func (e *Engine) traceInterval(index int) bool {
-	if e.trec == nil {
-		return false
-	}
-	k := e.cfg.TraceSample
-	if k <= 1 {
-		return true
-	}
-	return (index-1)%k == 0
+	return e.trec != nil && (e.cfg.TraceSample <= 1 || (index-1)%e.cfg.TraceSample == 0)
 }
 
 // liveMembers returns the alive members in ID order.
 func (e *Engine) liveMembers() []ident.ID {
-	var out []ident.ID
-	for _, id := range e.dir.IDs() {
-		if e.alive(id) {
-			out = append(out, id)
-		}
-	}
-	return out
+	return slices.DeleteFunc(e.dir.IDs(), e.dead)
 }
 
-// Run executes the soak and returns its report.
+// dead is alive's negation, for slices.DeleteFunc.
+func (e *Engine) dead(id ident.ID) bool { return !e.alive(id) }
+
+// Run executes the soak, one Step per interval, and returns its report.
 func (e *Engine) Run() (*Report, error) {
-	var runErr error
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
-			e.sim.Stop()
+	for i := range e.cfg.Intervals {
+		if err := e.step(e, i); err != nil {
+			return nil, err
 		}
 	}
-
-	for i := 0; i < e.cfg.Intervals; i++ {
-		e.planInterval(i, time.Duration(i)*intervalLength, fail)
-	}
-	e.sim.Run()
-	if runErr != nil {
-		return nil, runErr
-	}
 	e.rep.Schedule = workload.NewSchedule(e.ran)
-
-	// End-of-run checks: the queue must have drained (the drain
-	// invariant) and the full Definition 3 sweep must pass.
-	if n := e.sim.Pending(); n != 0 {
-		e.rep.FinalViolations = append(e.rep.FinalViolations,
-			fmt.Sprintf("drain: %d events still queued after the session", n))
-	}
 	if err := e.dir.CheckConsistency(); err != nil {
 		e.rep.FinalViolations = append(e.rep.FinalViolations,
 			fmt.Sprintf("k-consistency: final full sweep: %v", err))
@@ -438,6 +417,28 @@ func (e *Engine) Run() (*Report, error) {
 	e.rep.KeyDelayMS = metrics.Summarize(metrics.NewDistribution(e.keyDelay))
 	e.rep.SLOOK, e.rep.SLOWarn, e.rep.SLOPage = e.slo.Totals()
 	return e.rep, nil
+}
+
+// step plays interval i (0-based) through Step on p — the engine, or a
+// test's wrapper of it — and closes it.
+func (e *Engine) step(p Plane, i int) error {
+	e.cur = interval{stats: IntervalStats{Index: i + 1, PartitionDomain: -1}}
+	boundary := time.Duration(i+1) * intervalLength
+	st, err := Step(p, e.churn.Next(boundary), boundary, e.cfg.Obs)
+	if err != nil {
+		return err
+	}
+	e.closeInterval(st)
+	return nil
+}
+
+// fail records the first error a simulator event hit and stops the
+// simulator; Flush returns it.
+func (e *Engine) fail(err error) {
+	if e.err == nil {
+		e.err = err
+		e.sim.Stop()
+	}
 }
 
 // generate draws the soak's membership schedule: InitialMembers joins
@@ -489,6 +490,15 @@ func (e *Engine) generate() *workload.Schedule {
 	return &workload.Schedule{Events: events, Hosts: host}
 }
 
+func drawTimes(rng *rand.Rand, n int, start, span time.Duration) []time.Duration {
+	out := make([]time.Duration, n)
+	for i := range out {
+		out[i] = start + time.Duration(rng.Int63n(int64(span)))
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
 // victimDrawn marks a generated leave or crash whose victim is drawn
 // from live state when the event fires.
 const victimDrawn = -1
@@ -510,72 +520,68 @@ func openSchedule(sched *workload.Schedule, intervals int) ([]workload.Event, *w
 	return initial, cur, nil
 }
 
-// planInterval schedules the interval's membership events and its fault
-// plan, drawn from faultRNG (in a fixed order, so plans are independent
-// of execution). start is the interval's base virtual time.
-func (e *Engine) planInterval(idx int, start time.Duration, fail func(error)) {
-	at := func(f float64) time.Duration { return start + frac(intervalLength, f) }
+// Apply schedules one membership event at its time. An error playing
+// it stops the simulator, and Flush returns it.
+func (e *Engine) Apply(ev workload.Event) error {
+	e.cur.stats.Burst = e.cur.stats.Burst || ev.Burst
+	e.sim.At(ev.At, func(now time.Duration) {
+		defer e.cfg.Obs.StartSpan("chaos_inject").End()
+		if err := e.play(ev, now); err != nil {
+			e.fail(err)
+		}
+	})
+	return nil
+}
 
-	stats := &IntervalStats{Index: idx + 1, PartitionDomain: -1}
-	e.rep.Intervals = append(e.rep.Intervals, IntervalStats{})
-	slot := len(e.rep.Intervals) - 1
-
-	for _, ev := range e.churn.Next(start + intervalLength) {
-		stats.Burst = stats.Burst || ev.Burst
-		e.sim.At(ev.At, func(now time.Duration) {
-			defer e.cfg.Obs.StartSpan("chaos_inject").End()
-			if err := e.play(ev, now, stats); err != nil {
-				fail(err)
-			}
-		})
-	}
-
-	// Network fault plan.
-	partitionDomain := -1
+// Flush plays the interval that ends at boundary: it draws the network
+// faults from faultRNG (only Flush draws from it, always in this order,
+// so the faults are independent of execution), schedules them, the data
+// probe, the rekey and the boundary's reap, and runs the simulator to
+// the boundary. An event
+// still queued past the boundary breaks the drain invariant, which the
+// report names as a final violation.
+func (e *Engine) Flush(boundary time.Duration) (int, error) {
+	at := func(f float64) time.Duration { return boundary - intervalLength + frac(intervalLength, f) }
+	stats := &e.cur.stats
 	if e.faultRNG.Float64() < partitionRate {
-		partitionDomain = e.faultRNG.Intn(e.top.NumTransitDomains())
+		stats.PartitionDomain = e.faultRNG.Intn(e.top.NumTransitDomains())
 	}
-	spike := e.faultRNG.Float64() < spikeRate
-
-	if spike {
+	if e.faultRNG.Float64() < spikeRate {
 		stats.Spike = true
 		e.sim.At(at(phaseFaultStart), func(time.Duration) { e.net.factor = spikeFactor })
 		e.sim.At(at(phaseFaultEnd), func(time.Duration) { e.net.factor = 1 })
 	}
-	if partitionDomain >= 0 {
-		stats.PartitionDomain = partitionDomain
-		e.sim.At(at(phaseFaultStart), func(time.Duration) {
-			e.partition = vnet.NewPartition(e.top, partitionDomain)
-		})
+	if domain := stats.PartitionDomain; domain >= 0 {
+		e.sim.At(at(phaseFaultStart), func(time.Duration) { e.partition = vnet.NewPartition(e.top, domain) })
 		e.sim.At(at(phaseFaultEnd), func(time.Duration) { e.partition = nil })
 	}
-
-	e.sim.At(at(phaseData), func(now time.Duration) { e.doDataProbe(now, stats, fail) })
-	e.sim.At(at(phaseRekey), func(now time.Duration) { e.doRekey(now, stats, fail) })
-	e.sim.At(start+intervalLength, func(now time.Duration) {
-		e.doAudit(now, idx, stats)
-		e.rep.Intervals[slot] = *stats
-	})
-}
-
-func drawTimes(rng *rand.Rand, n int, start, span time.Duration) []time.Duration {
-	out := make([]time.Duration, n)
-	for i := range out {
-		out[i] = start + time.Duration(rng.Int63n(int64(span)))
+	e.sim.At(at(phaseData), e.dataProbe)
+	e.sim.At(at(phaseRekey), e.rekey)
+	e.sim.At(boundary, e.reap)
+	e.sim.RunUntil(boundary)
+	if e.err != nil {
+		return 0, e.err
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	if n := e.sim.Pending(); n != 0 {
+		e.rep.FinalViolations = append(e.rep.FinalViolations,
+			fmt.Sprintf("drain: interval %d: %d events still queued past its boundary", stats.Index, n))
+	}
+	return stats.RekeyCost, nil
 }
 
-// play executes one membership event at now, counts it in stats and
-// records it, its victim resolved to a schedule host. A joiner gets a
-// fresh ID on network host 1+Host; a victim is the recorded host's
-// member or, when victimDrawn, a draw from the live members — memRNG's
-// for a leave, pickVictim's for a crash. A join when the ID space is
-// exhausted, and a drawn departure that would break the quorum, are
-// skipped and not recorded.
-func (e *Engine) play(ev workload.Event, now time.Duration, stats *IntervalStats) error {
+// Size returns the directory's membership count.
+func (e *Engine) Size() int { return e.dir.Size() }
+
+// play executes one membership event at now, counts it in the
+// interval's record and records it, its victim resolved to a schedule
+// host. A joiner gets a fresh ID on network host 1+Host; a victim is the
+// recorded host's member or, when victimDrawn, a draw from the live
+// members — memRNG's for a leave, pickVictim's for a crash. A join when
+// the ID space is exhausted, and a drawn departure that would break the
+// quorum, are skipped and not recorded.
+func (e *Engine) play(ev workload.Event, now time.Duration) error {
 	ev.At = now
+	stats := &e.cur.stats
 	var id ident.ID
 	switch ev.Kind {
 	case workload.Join:
@@ -669,16 +675,15 @@ func (e *Engine) pickVictim(live []ident.ID) (ident.ID, bool) {
 	return live[e.crashRNG.Intn(len(live))], false
 }
 
-// doDataProbe multicasts a data payload (Theorem 1 probe) and snapshots
+// dataProbe multicasts a data payload (Theorem 1 probe) and snapshots
 // who was alive to receive it.
-func (e *Engine) doDataProbe(now time.Duration, stats *IntervalStats, fail func(error)) {
-	e.dataMembers = e.liveMembers()
-	e.dataStart = now
-	e.curDataTrace = nil
-	if e.traceInterval(stats.Index) {
-		e.curDataTrace = e.trec.Begin("data", stats.Index, now, "", nil)
-		for _, id := range e.dataMembers {
-			e.curDataTrace.Member(id)
+func (e *Engine) dataProbe(now time.Duration) {
+	cur := &e.cur
+	cur.dataMembers, cur.dataStart = e.liveMembers(), now
+	if e.traceInterval(cur.stats.Index) {
+		cur.dataTrace = e.trec.Begin("data", cur.stats.Index, now, "", nil)
+		for _, id := range cur.dataMembers {
+			cur.dataTrace.Member(id)
 		}
 	}
 	res, err := tmesh.Multicast(tmesh.Config[int]{
@@ -688,22 +693,26 @@ func (e *Engine) doDataProbe(now time.Duration, stats *IntervalStats, fail func(
 		Sim:     e.sim,
 		StartAt: now,
 		Obs:     e.cfg.Obs,
-		Trace:   e.curDataTrace,
+		Trace:   cur.dataTrace,
 	}, 1)
 	if err != nil {
-		fail(fmt.Errorf("chaos: data multicast: %w", err))
+		e.fail(fmt.Errorf("chaos: data multicast: %w", err))
 		return
 	}
-	e.curData = res
+	cur.data = res
 }
 
-// doRekey ends the key-management interval: reap evictions, batch the
+// rekey ends the key-management interval: reap evictions, batch the
 // churn through the key tree, and distribute the rekey message down the
 // degradation ladder.
-func (e *Engine) doRekey(now time.Duration, stats *IntervalStats, fail func(error)) {
-	e.reapEvictions(fail)
+func (e *Engine) rekey(now time.Duration) {
+	cur := &e.cur
+	if err := e.reapEvictions(); err != nil {
+		e.fail(err)
+		return
+	}
 	if _, err := e.clusters.Process(); err != nil {
-		fail(fmt.Errorf("chaos: cluster process: %w", err))
+		e.fail(fmt.Errorf("chaos: cluster process: %w", err))
 		return
 	}
 
@@ -711,30 +720,26 @@ func (e *Engine) doRekey(now time.Duration, stats *IntervalStats, fail func(erro
 	msg, _, _, err := e.tree.Flush(&e.pending, 0)
 	rekeySpan.End()
 	if err != nil {
-		fail(fmt.Errorf("chaos: key tree batch: %w", err))
+		e.fail(fmt.Errorf("chaos: key tree batch: %w", err))
 		return
 	}
-	stats.RekeyCost = msg.Cost()
-
-	e.curMsg, e.curLadder = nil, nil
-	e.curRekeyTrace = nil
-	e.rekeyLive = e.rekeyLive[:0]
+	cur.stats.RekeyCost = msg.Cost()
 	if msg.Cost() == 0 {
 		return // no churn reached the tree; nothing to distribute
 	}
 	for _, id := range e.liveMembers() {
 		if e.tree.Structure().Contains(id) {
-			e.rekeyLive = append(e.rekeyLive, id)
+			cur.rekeyLive = append(cur.rekeyLive, id)
 		}
 	}
-	if e.traceInterval(stats.Index) {
-		e.curRekeyTrace = e.trec.Begin("rekey", stats.Index, now,
+	if e.traceInterval(cur.stats.Index) {
+		cur.rekeyTrace = e.trec.Begin("rekey", cur.stats.Index, now,
 			split.PerEncryption.String(), split.EncIDs(msg.Encryptions))
-		for _, id := range e.rekeyLive {
-			e.curRekeyTrace.Member(id)
+		for _, id := range cur.rekeyLive {
+			cur.rekeyTrace.Member(id)
 		}
 	}
-	e.rekeyStart = now
+	cur.rekeyStart = now
 	deliverSpan := e.cfg.Obs.StartSpan("chaos_deliver")
 	var lr *recovery.LadderResult
 	obs.WithStage(e.cfg.Obs, "deliver", func() {
@@ -747,15 +752,15 @@ func (e *Engine) doRekey(now time.Duration, stats *IntervalStats, fail func(erro
 			Policy:      soakPolicy,
 			DropUnicast: e.dropUnicast,
 			Obs:         e.cfg.Obs,
-			Trace:       e.curRekeyTrace,
+			Trace:       cur.rekeyTrace,
 		}, msg)
 	})
 	deliverSpan.End()
 	if err != nil {
-		fail(fmt.Errorf("chaos: rekey distribution: %w", err))
+		e.fail(fmt.Errorf("chaos: rekey distribution: %w", err))
 		return
 	}
-	e.curMsg, e.curLadder = msg, lr
+	cur.msg, cur.ladder = msg, lr
 }
 
 // unreaped returns, in ID order, the IDs of the crashes the engine has
@@ -774,7 +779,7 @@ func (e *Engine) unreaped(keep func(*crash) bool) []ident.ID {
 // reapEvictions notices crashed users the detector has evicted since the
 // last reap: they leave their cluster and queue for the next key-tree
 // batch.
-func (e *Engine) reapEvictions(fail func(error)) {
+func (e *Engine) reapEvictions() error {
 	gone := e.unreaped(func(c *crash) bool {
 		_, present := e.dir.Record(c.id)
 		return !present
@@ -782,12 +787,12 @@ func (e *Engine) reapEvictions(fail func(error)) {
 	for _, key := range gone {
 		c := e.det.crashes[key]
 		if err := e.clusters.Leave(c.id); err != nil {
-			fail(fmt.Errorf("chaos: cluster evict %v: %w", c.id, err))
-			return
+			return fmt.Errorf("chaos: cluster evict %v: %w", c.id, err)
 		}
 		e.queueLeave(c.id)
 		c.reaped = true
 	}
+	return nil
 }
 
 // reapOrphans force-evicts the crashed users still in the membership
@@ -805,70 +810,89 @@ func (e *Engine) reapOrphans(now time.Duration) int {
 	return n
 }
 
-// doAudit closes the interval: reap stragglers, then run every
-// registered auditor and record the verdicts.
-func (e *Engine) doAudit(now time.Duration, idx int, stats *IntervalStats) {
-	auditSpan := e.cfg.Obs.StartSpan("chaos_audit")
+// reap runs at the boundary: it reaps stragglers and takes the group's
+// size for the record.
+func (e *Engine) reap(now time.Duration) {
 	e.rep.OrphanEvicted += e.reapOrphans(now)
-	e.reapEvictions(func(error) {})
-	stats.Members = e.dir.Size()
+	if err := e.reapEvictions(); err != nil {
+		e.fail(err)
+	}
+	e.cur.stats.Members = e.dir.Size()
+}
 
-	ev := e.evidence(idx, stats)
-	results, counts := Audit(ev, e.cfg.Obs)
-	stats.record(ev, results, counts)
-	if lr := e.curLadder; lr != nil && lr.Multicast != nil {
-		for _, st := range lr.Multicast.Users {
-			stats.ForwardedEncs += st.UnitsForwarded
+// Evidence gathers what the interval left behind for the auditors: the
+// directory, the data probe's copy counts, the cluster state, and the
+// ladder's outcome. The rekey messages carry real wraps, but the
+// simulator keeps no member keyrings, so coverage rests on the rungs
+// alone.
+func (e *Engine) Evidence() *Evidence {
+	cur := &e.cur
+	ev := &Evidence{
+		Dir:           e.dir,
+		Alive:         e.alive,
+		FaultFree:     cur.stats.PartitionDomain < 0 && e.cfg.HopLoss == 0,
+		Clusters:      e.clusters,
+		LastEpoch:     e.lastEpoch,
+		IntervalStart: time.Duration(cur.stats.Index-1) * intervalLength,
+	}
+	if cur.data != nil {
+		for _, id := range cur.dataMembers {
+			n := 0
+			if st := cur.data.Users[id]; st != nil {
+				n = st.Received
+			}
+			ev.Copies = append(ev.Copies, Copy{ID: id, N: n})
 		}
 	}
-	verdicts := make([]auditVerdict, len(results))
-	for i, r := range results {
-		verdicts[i] = auditVerdict{Name: r.Name, OK: len(r.Violations) == 0, Violation: strings.Join(r.Violations, "; ")}
+	if lr := cur.ladder; lr != nil {
+		lr.Finish()
+		ev.Ladder, ev.Owed = &lr.Outcome, cur.rekeyLive
 	}
-	auditSpan.End()
+	return ev
+}
 
+// closeInterval records the interval Step audited: its report line and
+// JSONL record, its flight-recorder traces, its delivery delays and its
+// SLO boundary.
+func (e *Engine) closeInterval(st Stepped) {
+	cur, ev := &e.cur, st.Evidence
+	stats := &cur.stats
+	stats.record(ev, st.Verdicts, st.Counts)
+	if lr := cur.ladder; lr != nil && lr.Multicast != nil {
+		for _, u := range lr.Multicast.Users {
+			stats.ForwardedEncs += u.UnitsForwarded
+		}
+	}
 	if e.cfg.Sink != nil {
+		verdicts := make([]auditVerdict, len(st.Verdicts))
+		for i, r := range st.Verdicts {
+			verdicts[i] = auditVerdict{Name: r.Name, OK: len(r.Violations) == 0, Violation: strings.Join(r.Violations, "; ")}
+		}
 		e.cfg.Sink.Emit(intervalEvent{Kind: "interval", IntervalStats: *stats, Audits: verdicts})
 	}
 
 	// Close the interval's flight-recorder traces with the survivor set
 	// each delivery guarantee applies to — the same sets the delivery
-	// and coverage auditors above swept — so the offline trace audit
-	// reaches the same verdicts.
-	if e.curDataTrace != nil {
-		var surv []ident.ID
-		for _, id := range e.dataMembers {
-			if e.alive(id) {
-				surv = append(surv, id)
-			}
-		}
-		e.curDataTrace.End(surv, ev.FaultFree)
-		e.curDataTrace = nil
-	}
-	var rekeySurv []ident.ID // surviving members owed the interval's keys
-	for _, id := range e.rekeyLive {
-		if ev.survivor(id) {
-			rekeySurv = append(rekeySurv, id)
-		}
-	}
-	if e.curRekeyTrace != nil {
-		e.curRekeyTrace.End(rekeySurv, ev.FaultFree)
-		e.curRekeyTrace = nil
-	}
+	// and coverage auditors swept — so the offline trace audit reaches
+	// the same verdicts.
+	cur.dataTrace.End(slices.DeleteFunc(slices.Clone(cur.dataMembers), e.dead), ev.FaultFree)
+	// The surviving members owed the interval's keys.
+	rekeySurv := slices.DeleteFunc(slices.Clone(cur.rekeyLive), func(id ident.ID) bool { return !ev.survivor(id) })
+	cur.rekeyTrace.End(rekeySurv, ev.FaultFree)
 
 	// Keep the interval's delivery delays for the soak-wide percentiles.
-	if e.curData != nil {
-		for _, id := range e.dataMembers {
-			if st := e.curData.Users[id]; st != nil && st.Received > 0 {
-				e.dataDelay = append(e.dataDelay, float64(st.Delay-e.dataStart)/float64(time.Millisecond))
+	if cur.data != nil {
+		for _, id := range cur.dataMembers {
+			if u := cur.data.Users[id]; u != nil && u.Received > 0 {
+				e.dataDelay = append(e.dataDelay, float64(u.Delay-cur.dataStart)/float64(time.Millisecond))
 			}
 		}
 	}
 	var keyLat []float64
-	if e.curLadder != nil {
-		for _, id := range e.rekeyLive {
-			if at, ok := e.curLadder.DeliveredAt[id]; ok {
-				keyLat = append(keyLat, float64(at-e.rekeyStart)/float64(time.Millisecond))
+	if cur.ladder != nil {
+		for _, id := range cur.rekeyLive {
+			if at, ok := cur.ladder.DeliveredAt[id]; ok {
+				keyLat = append(keyLat, float64(at-cur.rekeyStart)/float64(time.Millisecond))
 			}
 		}
 	}
@@ -889,39 +913,7 @@ func (e *Engine) doAudit(now time.Duration, idx int, stats *IntervalStats) {
 		Delivered:    stats.KeyByMulticast + stats.KeyByUnicast + stats.KeyByResync,
 		DeadInFlight: stats.DeadInFlight,
 	})
-
-	// Reset per-interval state the auditors consumed.
-	e.curData = nil
-	e.curMsg, e.curLadder = nil, nil
-}
-
-// evidence gathers what the interval left behind for the auditors (see
-// Evidence): the directory, the data probe's copy counts, the cluster
-// state, and the ladder's outcome. The rekey messages carry real wraps, but the simulator keeps
-// no member keyrings, so coverage rests on the rungs alone.
-func (e *Engine) evidence(idx int, stats *IntervalStats) *Evidence {
-	ev := &Evidence{
-		Dir:           e.dir,
-		Alive:         e.alive,
-		FaultFree:     stats.PartitionDomain < 0 && e.cfg.HopLoss == 0,
-		Clusters:      e.clusters,
-		LastEpoch:     e.lastEpoch,
-		IntervalStart: time.Duration(idx) * intervalLength,
-	}
-	if e.curData != nil {
-		for _, id := range e.dataMembers {
-			n := 0
-			if st := e.curData.Users[id]; st != nil {
-				n = st.Received
-			}
-			ev.Copies = append(ev.Copies, Copy{ID: id, N: n})
-		}
-	}
-	if lr := e.curLadder; lr != nil {
-		lr.Finish()
-		ev.Ladder, ev.Owed = &lr.Outcome, e.rekeyLive
-	}
-	return ev
+	e.rep.Intervals = append(e.rep.Intervals, *stats)
 }
 
 // auditVerdict is one auditor's outcome inside an interval event.

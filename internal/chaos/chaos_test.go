@@ -137,8 +137,8 @@ func TestSoakLossyLadderEngages(t *testing.T) {
 }
 
 // TestSoakRekeyMessagesAreRealWraps: the soak distributes the key
-// server's real messages. Just before each audit, while the tree still
-// holds the interval's keys, every encryption of the message the ladder
+// server's real messages. After each step, while the tree still holds
+// the interval's keys, every encryption of the message the ladder
 // carried opens under the key the tree holds for its ID, to the key the
 // tree holds for its KeyID at the stated version.
 func TestSoakRekeyMessagesAreRealWraps(t *testing.T) {
@@ -149,34 +149,32 @@ func TestSoakRekeyMessagesAreRealWraps(t *testing.T) {
 		t.Fatal(err)
 	}
 	checked := 0
-	for i := 1; i <= cfg.Intervals; i++ {
-		e.sim.At(time.Duration(i)*intervalLength-time.Millisecond, func(time.Duration) {
-			msg := e.curMsg
-			if msg == nil {
-				return // a cost-0 interval distributes nothing
+	for i := range cfg.Intervals {
+		if err := e.step(e, i); err != nil {
+			t.Fatal(err)
+		}
+		msg := e.cur.msg
+		if msg == nil {
+			continue // a cost-0 interval distributes nothing
+		}
+		for _, enc := range msg.Encryptions {
+			var kek keycrypt.Key
+			var ok bool
+			if enc.ID.Len() == soakParams.Digits {
+				kek, ok = e.tree.IndividualKey(ident.ID(enc.ID))
+			} else {
+				kek, _, ok = e.tree.KeyOf(enc.ID)
 			}
-			for _, enc := range msg.Encryptions {
-				var kek keycrypt.Key
-				var ok bool
-				if enc.ID.Len() == soakParams.Digits {
-					kek, ok = e.tree.IndividualKey(ident.ID(enc.ID))
-				} else {
-					kek, _, ok = e.tree.KeyOf(enc.ID)
-				}
-				want, version, found := e.tree.KeyOf(enc.KeyID)
-				if !ok || !found || version != enc.KeyVersion {
-					t.Fatalf("encryption %v→%v v%d names keys the tree does not hold", enc.ID, enc.KeyID, enc.KeyVersion)
-				}
-				if got, err := keycrypt.Unwrap(kek, enc); len(enc.Ciphertext) == 0 || err != nil || !got.Equal(want) {
-					t.Fatalf("encryption %v→%v (%d ciphertext bytes) does not unwrap to the tree's key: %v",
-						enc.ID, enc.KeyID, len(enc.Ciphertext), err)
-				}
-				checked++
+			want, version, found := e.tree.KeyOf(enc.KeyID)
+			if !ok || !found || version != enc.KeyVersion {
+				t.Fatalf("encryption %v→%v v%d names keys the tree does not hold", enc.ID, enc.KeyID, enc.KeyVersion)
 			}
-		})
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
+			if got, err := keycrypt.Unwrap(kek, enc); len(enc.Ciphertext) == 0 || err != nil || !got.Equal(want) {
+				t.Fatalf("encryption %v→%v (%d ciphertext bytes) does not unwrap to the tree's key: %v",
+					enc.ID, enc.KeyID, len(enc.Ciphertext), err)
+			}
+			checked++
+		}
 	}
 	if checked == 0 {
 		t.Fatal("no rekey message was checked")
@@ -184,11 +182,37 @@ func TestSoakRekeyMessagesAreRealWraps(t *testing.T) {
 	t.Logf("checked %d encryptions", checked)
 }
 
+// skipOne is the engine with one multicast-keyed survivor erased from
+// everything the ladder booked, in the first flush that keyed one, as if
+// the ladder's sweep had never picked the member up.
+type skipOne struct {
+	*Engine
+	victim  ident.ID
+	skipped int // 0-based interval of the erasure, -1 before it
+}
+
+func (s *skipOne) Flush(boundary time.Duration) (int, error) {
+	cost, err := s.Engine.Flush(boundary)
+	lr := s.cur.ladder
+	if err != nil || s.skipped >= 0 || lr == nil {
+		return cost, err
+	}
+	for _, id := range s.cur.rekeyLive {
+		if rung, ok := lr.RungOf[id]; ok && rung == recovery.ByMulticast && s.alive(id) {
+			delete(lr.RungOf, id)
+			delete(lr.DeliveredAt, id)
+			s.victim, s.skipped = id, s.cur.stats.Index-1
+			break
+		}
+	}
+	return cost, nil
+}
+
 // TestSoakCoverageCatchesASkippedMember: the members the coverage and
 // ladder auditors hold the ladder to come from the engine, not from the
-// ladder's own booking. Just before an audit the test erases one
-// multicast-keyed survivor from everything the ladder booked, as if its
-// sweep had never picked the member up; both auditors must name it.
+// ladder's own booking. A wrapping Plane erases one multicast-keyed
+// survivor from the ladder's booking before the audit; both auditors
+// must name it.
 func TestSoakCoverageCatchesASkippedMember(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.Intervals = 3
@@ -196,39 +220,49 @@ func TestSoakCoverageCatchesASkippedMember(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var victim ident.ID
-	skipped := -1
-	for i := 1; i <= cfg.Intervals; i++ {
-		e.sim.At(time.Duration(i)*intervalLength-time.Millisecond, func(time.Duration) {
-			lr := e.curLadder
-			if skipped >= 0 || lr == nil {
-				return
-			}
-			for _, id := range e.rekeyLive {
-				if rung, ok := lr.RungOf[id]; ok && rung == recovery.ByMulticast && e.alive(id) {
-					delete(lr.RungOf, id)
-					delete(lr.DeliveredAt, id)
-					victim, skipped = id, i-1
-					return
-				}
-			}
-		})
+	skip := &skipOne{Engine: e, skipped: -1}
+	for i := range cfg.Intervals {
+		if err := e.step(skip, i); err != nil {
+			t.Fatal(err)
+		}
 	}
+	if skip.skipped < 0 {
+		t.Fatal("no interval distributed a rekey to skip a member of")
+	}
+	got := strings.Join(e.rep.Intervals[skip.skipped].Violations, "\n")
+	for _, want := range []string{
+		fmt.Sprintf("surviving member %v never got its key slice", skip.victim),
+		fmt.Sprintf("member %v was owed keys but no rung delivered them", skip.victim),
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("interval %d violations %q lack %q", skip.skipped+1, got, want)
+		}
+	}
+}
+
+// TestSoakDrainNamesTheInterval: an event still queued when an
+// interval's boundary has run breaks the drain invariant, once, in the
+// interval whose boundary it outlived.
+func TestSoakDrainNamesTheInterval(t *testing.T) {
+	cfg := DefaultConfig(1)
+	cfg.Intervals = 3
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.sim.At(intervalLength+time.Millisecond, func(time.Duration) {})
 	rep, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if skipped < 0 {
-		t.Fatal("no interval distributed a rekey to skip a member of")
-	}
-	got := strings.Join(rep.Intervals[skipped].Violations, "\n")
-	for _, want := range []string{
-		fmt.Sprintf("surviving member %v never got its key slice", victim),
-		fmt.Sprintf("member %v was owed keys but no rung delivered them", victim),
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("interval %d violations %q lack %q", skipped+1, got, want)
+	var drains []string
+	for _, v := range rep.FinalViolations {
+		if strings.HasPrefix(v, "drain:") {
+			drains = append(drains, v)
 		}
+	}
+	if len(drains) != 1 || !strings.HasPrefix(drains[0], "drain: interval 1: ") {
+		t.Errorf("drain violations %q, want one naming interval 1", drains)
 	}
 }
 

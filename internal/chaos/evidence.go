@@ -16,9 +16,9 @@ import (
 )
 
 // Evidence is everything one rekey interval leaves behind for the
-// auditors. The simulator Engine and every Plane (the key plane, the
-// socket soak, the tenancy host's net plane) differ only in how they
-// fill it; the five paper invariants below are written once against it.
+// auditors. Every Plane (the simulator Engine, the key plane, the
+// socket soak, the tenancy host's net plane) differs only in how it
+// fills it; the five paper invariants below are written once against it.
 // A nil field means the plane has no such state (no overlay on the key
 // plane, no member keyrings in the simulator, no recovery ladder on a
 // reliable transport) and every check that needs it passes vacuously.
@@ -176,10 +176,10 @@ func Audit(ev *Evidence, reg *obs.Registry) ([]Verdict, Counts) {
 // Plane is one group's membership and keys as a soak steps them through
 // the paper's Section 2.4 batch: an interval's joins and leaves arrive
 // one event at a time, the boundary rekeys over the whole batch, and
-// what the boundary left behind goes to the auditors. The scale soak's
-// KeyTenant, the socket soak's daemon world and the tenancy host's
-// groups are Planes, and Step is the one loop that plays an interval on
-// any of them.
+// what the boundary left behind goes to the auditors. The simulator
+// Engine, the scale soak's KeyTenant, the socket soak's daemon world and
+// the tenancy host's groups are Planes, and Step is the one loop that
+// plays an interval on any of them.
 type Plane interface {
 	// Apply queues one schedule event into the interval's batch.
 	Apply(ev workload.Event) error
@@ -205,8 +205,10 @@ type Stepped struct {
 
 // Step plays one interval on p: it applies events in order, flushes at
 // boundary, and audits the evidence the flush left. A plane error stops
-// the interval; a violation does not, it is in the verdicts.
-func Step(p Plane, events []workload.Event, boundary time.Duration) (Stepped, error) {
+// the interval; a violation does not, it is in the verdicts. reg
+// (nil-safe) times the audit as a whole (the chaos_audit span) and each
+// check as Audit does.
+func Step(p Plane, events []workload.Event, boundary time.Duration, reg *obs.Registry) (Stepped, error) {
 	for _, ev := range events {
 		if err := p.Apply(ev); err != nil {
 			return Stepped{}, err
@@ -216,8 +218,10 @@ func Step(p Plane, events []workload.Event, boundary time.Duration) (Stepped, er
 	if err != nil {
 		return Stepped{}, err
 	}
+	sp := reg.StartSpan("chaos_audit")
 	st := Stepped{Cost: cost, Evidence: p.Evidence()}
-	st.Verdicts, st.Counts = Audit(st.Evidence, nil)
+	st.Verdicts, st.Counts = Audit(st.Evidence, reg)
+	sp.End()
 	return st, nil
 }
 

@@ -81,7 +81,7 @@ func keyedWorld(t *testing.T, stale ident.ID) *Evidence {
 	for _, h := range hosts {
 		joins = append(joins, workload.Event{Kind: workload.Join, Host: h})
 	}
-	if _, err := Step(tn, joins, 0); err != nil {
+	if _, err := Step(tn, joins, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	w := tn.World()
@@ -95,7 +95,7 @@ func keyedWorld(t *testing.T, stale ident.ID) *Evidence {
 			t.Fatal(err)
 		}
 	}
-	if _, err := Step(tn, []workload.Event{{Kind: workload.Leave, Victim: hosts[3]}}, 0); err != nil {
+	if _, err := Step(tn, []workload.Event{{Kind: workload.Leave, Victim: hosts[3]}}, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	ev := tn.Evidence()

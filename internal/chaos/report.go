@@ -168,19 +168,13 @@ type Report struct {
 func (r *Report) Reproducer() *workload.Schedule {
 	for i := range r.Intervals {
 		if len(r.Intervals[i].Violations) > 0 {
-			return firstIntervals(r.Schedule, i+1)
+			return workload.NewSchedule(r.Schedule.Cursor().Next(time.Duration(i+1) * intervalLength))
 		}
 	}
 	if len(r.FinalViolations) > 0 {
 		return r.Schedule
 	}
 	return nil
-}
-
-// firstIntervals returns the events of a schedule's first n soak
-// intervals.
-func firstIntervals(s *workload.Schedule, n int) *workload.Schedule {
-	return workload.NewSchedule(s.Cursor().Next(time.Duration(n) * intervalLength))
 }
 
 // TotalViolations counts invariant failures across all intervals plus

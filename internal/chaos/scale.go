@@ -57,10 +57,7 @@ type ScaleConfig struct {
 // IDs with just enough digits to hold n plus churn headroom, 1% churn
 // per interval, and keyring spot checks.
 func DefaultScaleConfig(n int) ScaleConfig {
-	churn := n / 100
-	if churn < 1 {
-		churn = 1
-	}
+	churn := max(n/100, 1)
 	return ScaleConfig{
 		Params:      ident.Base32For(n + churn),
 		N:           n,
@@ -275,7 +272,7 @@ func RunScaleSoak(cfg ScaleConfig) (*ScaleReport, error) {
 		active[h] = h
 		build[h] = workload.Event{Kind: workload.Join, Host: h}
 	}
-	st, err := Step(t, build, 0)
+	st, err := Step(t, build, 0, nil)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: scale: build-up: %w", err)
 	}
@@ -306,7 +303,7 @@ func RunScaleSoak(cfg ScaleConfig) (*ScaleReport, error) {
 			joins = append(joins, h)
 			events = append(events, workload.Event{Kind: workload.Join, Host: h})
 		}
-		st, err := Step(t, events, time.Duration(iv))
+		st, err := Step(t, events, time.Duration(iv), nil)
 		if err != nil {
 			return nil, fmt.Errorf("chaos: scale: interval %d: %w", iv, err)
 		}

@@ -228,7 +228,7 @@ func TestMemberFootprintBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	step := func(events []workload.Event) {
-		if _, err := Step(tn, events, 0); err != nil {
+		if _, err := Step(tn, events, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -239,23 +239,30 @@ func newSocketRun(cfg SocketConfig, sched *workload.Schedule) (*socketRun, error
 // churn, the phase's faults, the rekey and the heal, then the audit,
 // with the whole Definition 3 sweep like the simulator's.
 func (run *socketRun) play() (*Report, error) {
-	w := run.w
 	rep := &Report{Seed: run.cfg.Seed, Transport: run.cfg.Transport, Auditors: AuditorNames()}
-	for idx := 0; idx < run.cfg.Intervals; idx++ {
-		run.stats = IntervalStats{Index: idx + 1, Phase: socketPhases[idx%len(socketPhases)], PartitionDomain: -1}
-		boundary := time.Duration(idx+1) * intervalLength
-		st, err := Step(run, run.cur.Next(boundary), boundary)
-		if err != nil {
+	for idx := range run.cfg.Intervals {
+		if err := run.step(idx); err != nil {
 			return nil, err
 		}
-		run.stats.record(st.Evidence, st.Verdicts, st.Counts)
-		run.stats.Members = w.Size()
-		run.stats.RekeyCost, run.stats.ResyncSends = st.Cost, run.res.SyncAttempts
 		rep.Intervals = append(rep.Intervals, run.stats)
 	}
 	rep.Schedule = workload.NewSchedule(run.ran)
-	rep.FinalMembers = w.Size()
+	rep.FinalMembers = run.w.Size()
 	return rep, nil
+}
+
+// step plays interval idx (0-based) through Step and fills its record.
+func (run *socketRun) step(idx int) error {
+	run.stats = IntervalStats{Index: idx + 1, Phase: socketPhases[idx%len(socketPhases)], PartitionDomain: -1}
+	boundary := time.Duration(idx+1) * intervalLength
+	st, err := Step(run, run.cur.Next(boundary), boundary, nil)
+	if err != nil {
+		return err
+	}
+	run.stats.record(st.Evidence, st.Verdicts, st.Counts)
+	run.stats.Members = run.w.Size()
+	run.stats.RekeyCost, run.stats.ResyncSends = st.Cost, run.res.SyncAttempts
+	return nil
 }
 
 // Size returns the number of member nodes.

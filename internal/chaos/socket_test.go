@@ -196,34 +196,50 @@ func TestSocketSoakReplaysSchedules(t *testing.T) {
 }
 
 // TestSocketSoakBuildsTheSimulatorTree: one seed and one committed
-// schedule build one key tree whichever wire carries the rekeying. The
-// simulator soak and the loopback socket soak agree on every interval's
-// member count and rekey cost, on the final members and on the final
-// server group key.
+// schedule build one key tree whichever wire carries the rekeying. Over
+// every plane-neutral schedule the simulator engine and a loopback
+// socket world step through Step in lockstep, and after every interval
+// they agree on the sorted member IDs, the rekey cost and the server's
+// group key.
 func TestSocketSoakBuildsTheSimulatorTree(t *testing.T) {
+	sorted := func(ids []ident.ID) []ident.ID {
+		ids = slices.Clone(ids)
+		slices.SortFunc(ids, ident.ID.Compare)
+		return ids
+	}
 	for _, f := range scheduleFiles(t) {
 		if f.command != nil {
 			continue // a reproducer belongs to the wire that printed it
 		}
 		t.Run(f.name, func(t *testing.T) {
 			intervals := intervalsOf(f.sched)
-			e, sim := replaySoak(t, Config{Seed: 1, Intervals: intervals, InitialMembers: len(f.sched.Cursor().Next(1))}, f.sched)
-			w, sock := replaySocketSoak(t, SocketConfig{Transport: "loopback", Seed: 1, Intervals: intervals}, f.sched)
-			if len(sim.Intervals) != len(sock.Intervals) {
-				t.Fatalf("%d simulator intervals, %d socket intervals", len(sim.Intervals), len(sock.Intervals))
+			e, err := newEngine(Config{Seed: 1, Intervals: intervals, InitialMembers: len(f.sched.Cursor().Next(1))}, f.sched)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i, a := range sim.Intervals {
-				if b := sock.Intervals[i]; a.Members != b.Members || a.RekeyCost != b.RekeyCost {
-					t.Errorf("interval %d:\nsimulator %s\nsocket    %s", a.Index, a.line(), b.line())
+			run, err := newSocketRun(SocketConfig{Transport: "loopback", Seed: 1, Intervals: intervals}, f.sched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { run.w.Close() })
+			for i := range intervals {
+				if err := e.step(e, i); err != nil {
+					t.Fatal(err)
 				}
-			}
-			if simIDs, sockIDs := e.dir.IDs(), memberIDs(w); !slices.EqualFunc(simIDs, sockIDs, ident.ID.Equal) {
-				t.Errorf("final members: simulator %v, socket %v", simIDs, sockIDs)
-			}
-			simKey, ok := e.tree.GroupKey()
-			sockKey, sockOK := w.Tree().GroupKey()
-			if !ok || !sockOK || !simKey.Equal(sockKey) {
-				t.Errorf("final group keys differ (simulator has one: %v, socket: %v)", ok, sockOK)
+				if err := run.step(i); err != nil {
+					t.Fatal(err)
+				}
+				if a, b := e.cur.stats, run.stats; a.RekeyCost != b.RekeyCost {
+					t.Fatalf("interval %d:\nsimulator %s\nsocket    %s", a.Index, a.line(), b.line())
+				}
+				if simIDs, sockIDs := sorted(e.dir.IDs()), sorted(memberIDs(run.w)); !slices.EqualFunc(simIDs, sockIDs, ident.ID.Equal) {
+					t.Fatalf("interval %d members: simulator %v, socket %v", i+1, simIDs, sockIDs)
+				}
+				simKey, ok := e.tree.GroupKey()
+				sockKey, sockOK := run.w.Tree().GroupKey()
+				if !ok || !sockOK || !simKey.Equal(sockKey) {
+					t.Fatalf("interval %d: group keys differ (simulator has one: %v, socket: %v)", i+1, ok, sockOK)
+				}
 			}
 		})
 	}

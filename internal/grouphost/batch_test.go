@@ -106,7 +106,7 @@ var batchPlanes = []struct {
 			},
 			leave: func(id ident.ID) { event(workload.Event{Kind: workload.Leave, Victim: slotOf[id]}) },
 			flush: func() {
-				st, err := chaos.Step(tn, nil, 0)
+				st, err := chaos.Step(tn, nil, 0, nil)
 				must(t, err)
 				for _, v := range st.Verdicts {
 					if line := v.Line(); line != "" {

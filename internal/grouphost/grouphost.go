@@ -237,7 +237,7 @@ func Run(cfg Config) (*Report, error) {
 
 	for _, b := range agenda {
 		t, gr := tenants[b.g], &rep.Groups[b.g]
-		st, err := chaos.Step(t, cursors[b.g].Next(b.local), b.local)
+		st, err := chaos.Step(t, cursors[b.g].Next(b.local), b.local, nil)
 		if err != nil {
 			return nil, fmt.Errorf("grouphost: group %s interval %d: %w", gr.Name, gr.Intervals+1, err)
 		}

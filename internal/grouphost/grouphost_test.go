@@ -394,7 +394,7 @@ func TestKeyPlaneDriversAgree(t *testing.T) {
 	cur := sched.Cursor()
 	for k, want := range wantCost {
 		boundary := time.Duration(k+1) * time.Second
-		st, err := chaos.Step(tn, cur.Next(boundary), boundary)
+		st, err := chaos.Step(tn, cur.Next(boundary), boundary, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -57,7 +57,7 @@ func replayOnTenant(t *testing.T, tn chaos.Plane, s *workload.Schedule, observe 
 	}
 	cur := s.Cursor()
 	for k, b := range boundaries {
-		st, err := chaos.Step(tn, cur.Next(b), b)
+		st, err := chaos.Step(tn, cur.Next(b), b, nil)
 		if err != nil {
 			return err
 		}
