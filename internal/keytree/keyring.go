@@ -19,27 +19,23 @@ import (
 // overhead, which is what lets a million keyrings sit in RAM at once.
 // Level l's prefix is id.Prefix(l), so it is not stored: the slice holds
 // no pointers for the collector to scan, and Apply adds nothing to it.
+// Nor are versions: an unwrap checks the wrapped key's AAD, not a
+// version the ring remembers.
 type Keyring struct {
 	id     ident.ID
-	levels []ringKey // levels[l] = current key for id.Prefix(l); levels[D] = individual key
-}
-
-// ringKey is one held key and its version.
-type ringKey struct {
-	key     keycrypt.Key
-	version uint64
+	levels []keycrypt.Key // levels[l] = current key for id.Prefix(l); levels[D] = individual key
 }
 
 // NewKeyring initialises a user's keyring from the path-keys message the
 // key server unicasts at join time.
 func NewKeyring(params ident.Params, u ident.ID, path []PathKey) (*Keyring, error) {
-	kr := &Keyring{id: u, levels: make([]ringKey, params.Digits+1)}
+	kr := &Keyring{id: u, levels: make([]keycrypt.Key, params.Digits+1)}
 	seen := make([]bool, params.Digits+1)
 	for _, pk := range path {
 		if !u.HasPrefix(pk.ID) {
 			return nil, fmt.Errorf("keytree: path key %v is not on %v's path", pk.ID, u)
 		}
-		kr.levels[pk.ID.Len()] = ringKey{key: pk.Key, version: pk.Version}
+		kr.levels[pk.ID.Len()] = pk.Key
 		seen[pk.ID.Len()] = true
 	}
 	for l := 0; l <= params.Digits; l++ {
@@ -58,7 +54,7 @@ func (kr *Keyring) GroupKey() (keycrypt.Key, bool) {
 	if len(kr.levels) == 0 {
 		return keycrypt.Key{}, false
 	}
-	return kr.levels[0].key, true
+	return kr.levels[0], true
 }
 
 // Key returns the current key held for a path prefix.
@@ -66,7 +62,7 @@ func (kr *Keyring) Key(p ident.Prefix) (keycrypt.Key, bool) {
 	if !kr.id.HasPrefix(p) || p.Len() >= len(kr.levels) {
 		return keycrypt.Key{}, false
 	}
-	return kr.levels[p.Len()].key, true
+	return kr.levels[p.Len()], true
 }
 
 // Needs implements Lemma 3 for this user.
@@ -127,7 +123,7 @@ func (kr *Keyring) unwrap(u *keycrypt.Unwrapper, encs []keycrypt.Encryption, idx
 			return n, fmt.Errorf("keytree: %v received key %v outside its path above %v", kr.id, e.KeyID, e.ID)
 		}
 		prev = e.ID.Len()
-		kek := kr.levels[prev].key
+		kek := kr.levels[prev]
 		var newKey keycrypt.Key
 		var err error
 		if prev == len(kr.levels)-1 {
@@ -138,28 +134,27 @@ func (kr *Keyring) unwrap(u *keycrypt.Unwrapper, encs []keycrypt.Encryption, idx
 		if err != nil {
 			return n, fmt.Errorf("keytree: %v unwrapping %v: %w", kr.id, e.KeyID, err)
 		}
-		kr.levels[e.KeyID.Len()] = ringKey{key: newKey, version: e.KeyVersion}
+		kr.levels[e.KeyID.Len()] = newKey
 	}
 	return len(idx), nil
 }
 
 // Keyrings holds one tree's members' keyrings in one pointer-free slab:
-// rank r's slot is the D+1 {key, version} entries of its Keyring. An
-// all-zero slot holds none (every key the tree hands out has version
-// >= 1).
+// rank r's slot is the D+1 keys of its Keyring. A slot whose individual
+// key is all zero holds none (a derived key never is).
 type Keyrings struct {
 	tree *Tree
-	slab []ringKey
+	slab []keycrypt.Key
 }
 
 // NewKeyrings returns an empty slab for t's members, sized for its
 // Opts.CapacityHint.
 func NewKeyrings(t *Tree) Keyrings {
-	return Keyrings{tree: t, slab: make([]ringKey, 0, max(t.opts.CapacityHint, 0)*(t.params.Digits+1))}
+	return Keyrings{tree: t, slab: make([]keycrypt.Key, 0, max(t.opts.CapacityHint, 0)*(t.params.Digits+1))}
 }
 
 // slot is rank r's D+1 entries.
-func (ks *Keyrings) slot(r ident.Rank) []ringKey {
+func (ks *Keyrings) slot(r ident.Rank) []keycrypt.Key {
 	w := ks.tree.params.Digits + 1
 	return ks.slab[int(r)*w : (int(r)+1)*w : (int(r)+1)*w]
 }
@@ -167,7 +162,7 @@ func (ks *Keyrings) slot(r ident.Rank) []ringKey {
 // Keyed reports whether rank r's slot holds a keyring.
 func (ks *Keyrings) Keyed(r ident.Rank) bool {
 	i := (int(r)+1)*(ks.tree.params.Digits+1) - 1
-	return i < len(ks.slab) && ks.slab[i].version != 0
+	return i < len(ks.slab) && !ks.slab[i].IsZero()
 }
 
 // Keyring returns rank r's slot as its member's keyring: a view that
@@ -181,7 +176,7 @@ func (ks *Keyrings) Keyring(r ident.Rank) *Keyring {
 // server's join-time unicast delivers them, growing the slab to hold it.
 func (ks *Keyrings) Join(r ident.Rank) {
 	if n := (int(r) + 1) * (ks.tree.params.Digits + 1); n > len(ks.slab) {
-		ks.slab = append(ks.slab, make([]ringKey, n-len(ks.slab))...)
+		ks.slab = append(ks.slab, make([]keycrypt.Key, n-len(ks.slab))...)
 	}
 	ks.tree.pathInto(r, ks.slot(r))
 }

@@ -263,10 +263,10 @@ func (t *Tree) JoinKeyring(u ident.ID) (*Keyring, error) {
 
 // pathInto copies rank r's path keys into levels, as a Keyring holds
 // them, up the parent links.
-func (t *Tree) pathInto(r ident.Rank, levels []ringKey) {
+func (t *Tree) pathInto(r ident.Rank, levels []keycrypt.Key) {
 	n := &t.useg[r]
 	for l := t.params.Digits; l >= 0; l-- {
-		levels[l] = ringKey{key: n.key, version: n.version}
+		levels[l] = n.key
 		n = &t.kseg[n.parent]
 	}
 }
