@@ -126,13 +126,14 @@ fuzz:
 bench-harness:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# bench-keyplane runs core.BenchmarkKeyPlaneRekey once: the per-layer
-# number of one key-plane interval (us/member, allocs/member and the
-# resident B/member it leaves), which bench/'s traced world cannot see
-# because it does not call core's applier. One run keeps it compiling
-# and running; measure with -benchtime 20x.
+# bench-keyplane runs chaos.BenchmarkKeyPlaneRekey once: the per-layer
+# number of one key-plane interval on the key tree the scale soak ships
+# (us/member, allocs/member, the resident B/member it leaves, encs/op
+# and keys/member), which bench/'s traced world cannot see because it
+# builds its own tree. One run keeps it compiling and running; measure
+# with -benchtime 20x.
 bench-keyplane:
-	$(GO) test ./internal/core -run '^$$' -bench '^BenchmarkKeyPlaneRekey$$' -benchtime 1x
+	$(GO) test ./internal/chaos -run '^$$' -bench '^BenchmarkKeyPlaneRekey$$' -benchtime 1x
 
 # bench-pairs is how a perf claim is measured: BASE (a git ref) and the
 # checkout run WORKLOAD alternately, PAIRS times, then bench/run.sh

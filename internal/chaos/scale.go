@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -92,6 +93,7 @@ func (c *ScaleConfig) validate() error {
 type ScaleReport struct {
 	Seed                int64
 	Params              ident.Params
+	Shape               string // the key tree's (KeyTenant.Shape)
 	N, Intervals, Churn int
 
 	FinalMembers int
@@ -123,8 +125,8 @@ type ScaleReport struct {
 // String renders the canonical (deterministic) scale soak report.
 func (r *ScaleReport) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "scale soak seed=%d params=%dx%d n=%d intervals=%d churn=%d\n",
-		r.Seed, r.Params.Digits, r.Params.Base, r.N, r.Intervals, r.Churn)
+	fmt.Fprintf(&b, "scale soak seed=%d params=%dx%d tree=%s n=%d intervals=%d churn=%d\n",
+		r.Seed, r.Params.Digits, r.Params.Base, r.Shape, r.N, r.Intervals, r.Churn)
 	fmt.Fprintf(&b, "cost: setup=%d total=%d max=%d p50=%.1f p95=%.1f keys_updated=%d\n",
 		r.SetupCost, r.TotalCost, r.MaxCost, r.CostP50, r.CostP95, r.KeysUpdated)
 	fmt.Fprintf(&b, "final: members=%d rank_width=%d violations=%d\n",
@@ -136,10 +138,18 @@ func (r *ScaleReport) String() string {
 }
 
 // KeyTenant is the key plane as a Plane: a core.KeyPlane whose members
-// are schedule hosts, host h holding ID ident.FromInt(h), so a rejoin
-// reuses its ID under a fresh key epoch and a crash is a leave in the
-// tree. The scale soak streams its churn draw into one; the tenancy
-// host's KeyPlane groups replay a workload.Schedule into theirs.
+// are schedule hosts, host h holding ID HostID(h), so a rejoin reuses
+// its ID under a fresh key epoch and a crash is a leave in the tree.
+// The scale soak streams its churn draw into one; the tenancy host's
+// KeyPlane groups replay a workload.Schedule into theirs.
+//
+// Its key tree refines the bottom digit (DESIGN.md, "The key plane's
+// refined bottom digit"): host h keeps the first D-1 digits of
+// ident.FromInt(params, h), and its last digit d becomes the pair
+// (d/8, d%8), so a bottom k-node's B members sit under B/8 sub-k-nodes
+// of 8 and host order stays ID order. Where B is not a multiple of 8
+// of at least 16, or D+1 digits do not fit an ID, the tree is the
+// paper's over params.
 type KeyTenant struct {
 	// Joins and Leaves count the events applied (a crash is a leave);
 	// Installed is the number of keys the last Flush installed across
@@ -148,6 +158,7 @@ type KeyTenant struct {
 	Installed     int64
 
 	world  *core.KeyPlane // the membership: its tree ranks every keyed member
+	hosts  ident.Params   // the schedule's ID space, whose last digit the tree may refine
 	sample int            // keyrings each Evidence spot-checks
 	// joining holds the joins queued since the last boundary. Flush
 	// drops it instead of clearing it: a cleared map keeps the buckets of
@@ -161,11 +172,47 @@ type KeyTenant struct {
 // sample how many member keyrings each Evidence spot-checks against the
 // server tree.
 func NewKeyTenant(params ident.Params, seed []byte, opts keytree.Opts, limit, sample int) (*KeyTenant, error) {
-	world, err := core.NewKeyPlane(params, seed, opts, limit)
+	tree := params
+	if q := (ident.Params{Digits: params.Digits + 1, Base: params.Base}); params.Base%bottomGroup == 0 &&
+		params.Base >= 2*bottomGroup && q.Validate() == nil {
+		tree = q
+	}
+	return newKeyTenant(params, tree, seed, opts, limit, sample)
+}
+
+// bottomGroup is the member count of a refined tree's bottom k-node.
+const bottomGroup = 8
+
+// newKeyTenant is NewKeyTenant over the key-tree ID space tree: params
+// itself (the paper's tree) or params refined.
+func newKeyTenant(params, tree ident.Params, seed []byte, opts keytree.Opts, limit, sample int) (*KeyTenant, error) {
+	world, err := core.NewKeyPlane(tree, seed, opts, limit)
 	if err != nil {
 		return nil, err
 	}
-	return &KeyTenant{world: world, sample: sample}, nil
+	return &KeyTenant{world: world, hosts: params, sample: sample}, nil
+}
+
+// HostID returns schedule host h's member ID.
+func (t *KeyTenant) HostID(h int) (ident.ID, error) {
+	id, err := ident.FromInt(t.hosts, h)
+	if p := t.world.Tree().Params(); err == nil && p != t.hosts {
+		id, err = ident.FromInt(p, h/p.Base*p.Base*p.Base+h%p.Base/bottomGroup*p.Base+h%bottomGroup)
+	}
+	return id, err
+}
+
+// Shape names the key tree's fan-out per level, root first: "32x32x32"
+// for the paper's tree over 3x32 IDs, "32x32x4x8" for its refined form.
+func (t *KeyTenant) Shape() string {
+	fan := make([]string, t.hosts.Digits)
+	for i := range fan {
+		fan[i] = strconv.Itoa(t.hosts.Base)
+	}
+	if t.world.Tree().Params() != t.hosts {
+		fan = append(fan[:len(fan)-1], strconv.Itoa(t.hosts.Base/bottomGroup), strconv.Itoa(bottomGroup))
+	}
+	return strings.Join(fan, "x")
 }
 
 // World exposes the key plane (read-only use).
@@ -179,7 +226,7 @@ func (t *KeyTenant) Size() int { return t.world.Tree().Size() }
 // again before the boundary.
 func (t *KeyTenant) Apply(ev workload.Event) error {
 	host := ev.Subject()
-	id, err := ident.FromInt(t.world.Tree().Params(), host)
+	id, err := t.HostID(host)
 	if err != nil {
 		return fmt.Errorf("schedule host %d: %w", host, err)
 	}
@@ -212,8 +259,12 @@ func (t *KeyTenant) Apply(ev workload.Event) error {
 // or a whole build-up is a single call.
 func (t *KeyTenant) Flush(time.Duration) (cost int, err error) {
 	t.joining = nil
-	_, _, cost, t.Installed, err = t.world.Rekey()
-	return cost, err
+	msg, _, _, installed, err := t.world.Rekey()
+	if err != nil {
+		return 0, err
+	}
+	t.Installed = installed
+	return msg.Cost(), nil
 }
 
 // Evidence is the key plane's: the server tree and up to sample member
@@ -253,8 +304,13 @@ func RunScaleSoak(cfg ScaleConfig) (*ScaleReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	return runScaleSoak(cfg, t)
+}
+
+// runScaleSoak is RunScaleSoak on the empty tenant t.
+func runScaleSoak(cfg ScaleConfig, t *KeyTenant) (*ScaleReport, error) {
 	rep := &ScaleReport{
-		Seed: cfg.Seed, Params: cfg.Params,
+		Seed: cfg.Seed, Params: cfg.Params, Shape: t.Shape(),
 		N: cfg.N, Intervals: cfg.Intervals, Churn: cfg.Churn,
 	}
 	record := func(iv int, st Stepped) {
@@ -265,7 +321,7 @@ func RunScaleSoak(cfg ScaleConfig) (*ScaleReport, error) {
 		}
 	}
 
-	// Host h is ID FromInt(Params, h), so host order is ID order.
+	// Host order is ID order.
 	active := make([]int, cfg.N) // the members' hosts, in victim-draw order
 	build := make([]workload.Event, cfg.N)
 	for h := range active {

@@ -64,20 +64,11 @@ func (w *KeyPlane) Leave(id ident.ID) {
 // Rekey runs one interval: the queued joins and leaves are flushed
 // through the tree, every survivor (each ranked member that did not
 // just join) applies the rekey message, and every joiner receives its
-// path keys by the join-time unicast. It returns the joins and leaves
-// the flush applied, the message's cost and the number of keys
-// installed across the survivors' keyrings. A survivor without a
+// path keys by the join-time unicast. It returns the interval's
+// message, the joins and leaves the flush applied and the number of
+// keys installed across the survivors' keyrings. A survivor without a
 // keyring is an error.
-func (w *KeyPlane) Rekey() (joins, leaves []ident.ID, cost int, installed int64, err error) {
-	msg, joins, leaves, installed, err := w.rekey()
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	return joins, leaves, msg.Cost(), installed, nil
-}
-
-// rekey is Rekey returning the interval's message.
-func (w *KeyPlane) rekey() (msg *keytree.Message, joins, leaves []ident.ID, installed int64, err error) {
+func (w *KeyPlane) Rekey() (msg *keytree.Message, joins, leaves []ident.ID, installed int64, err error) {
 	msg, joins, leaves, err = w.tree.Flush(&w.pending, w.limit)
 	if err != nil {
 		return nil, nil, nil, 0, err

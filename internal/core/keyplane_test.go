@@ -72,7 +72,7 @@ func TestKeyPlaneReleasesDepartedKeyrings(t *testing.T) {
 
 	w.Join(id(3)) // leaves and rejoins within one interval
 	w.Join(id(40))
-	joins, leaves, _, _, err := w.Rekey()
+	_, joins, leaves, _, err := w.Rekey()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +117,9 @@ func TestKeyPlaneReleasesDepartedKeyrings(t *testing.T) {
 // a leaver's slot reads all zero from its Leave to the boundary; the
 // keys it held just before leaving open no encryption of the next
 // message and are not the new group key; and right after the boundary
-// every joiner's slot holds exactly its path keys in the tree, version
-// for version.
+// every joiner's slot holds exactly its path keys in the tree, key for
+// key. chaos.TestKeyTenantSecrecy runs the unwrap proof on the refined
+// key tree too.
 func TestKeyPlaneSecrecyAcrossSlotReuse(t *testing.T) {
 	const n, churn = 500, 12
 	params := ident.Base32For(n + 8*churn)
@@ -166,7 +167,7 @@ func TestKeyPlaneSecrecyAcrossSlotReuse(t *testing.T) {
 			}
 		}
 
-		msg, joins, _, _, err := w.rekey()
+		msg, joins, _, _, err := w.Rekey()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +232,7 @@ func TestKeyPlaneApplyAllocatesOnlyAEADs(t *testing.T) {
 		w.Leave(planeID(t, params, v*97))
 		w.Join(planeID(t, params, n+v))
 	}
-	msg, _, _, _, err := w.rekey()
+	msg, _, _, _, err := w.Rekey()
 	if err != nil {
 		t.Fatal(err)
 	}

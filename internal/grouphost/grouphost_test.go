@@ -344,7 +344,7 @@ func TestKeyPlaneDriversAgree(t *testing.T) {
 
 	// Replay the soak's churn draw (chaos.RunScaleSoak: swap-remove
 	// victims, LIFO-recycled IDs before fresh ones) as one schedule:
-	// boundary k closes at k seconds, host index i is ID FromInt(i).
+	// boundary k closes at k seconds.
 	sched := &workload.Schedule{Hosts: cfg.N + cfg.Churn}
 	at := func(k int) time.Duration { return time.Duration(k)*time.Second + time.Millisecond }
 	active := make([]int, cfg.N)
@@ -372,7 +372,7 @@ func TestKeyPlaneDriversAgree(t *testing.T) {
 				fresh++
 			}
 		}
-		sort.Ints(leaves) // FromInt preserves order: index order is ID order
+		sort.Ints(leaves) // host order is ID order
 		sort.Ints(joins)
 		for _, v := range leaves {
 			sched.Events = append(sched.Events, workload.Event{At: at(k), Kind: workload.Leave, Victim: v})
@@ -388,8 +388,16 @@ func TestKeyPlaneDriversAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if params := tn.World().Tree().Params(); params != cfg.Params {
-		t.Fatalf("tenant sized its ID space %+v, soak runs %+v", params, cfg.Params)
+	soak, err := chaos.NewKeyTenant(cfg.Params, nil, keytree.Opts{}, 1, 0) // the soak's host map
+	if err != nil {
+		t.Fatal(err)
+	}
+	for h := 0; h < sched.Hosts; h++ {
+		got, err := tn.HostID(h)
+		want, wantErr := soak.HostID(h)
+		if err != nil || wantErr != nil || got != want {
+			t.Fatalf("host %d is %v (%v) on the tenant, %v (%v) in the scale soak", h, got, err, want, wantErr)
+		}
 	}
 	cur := sched.Cursor()
 	for k, want := range wantCost {

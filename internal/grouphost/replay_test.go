@@ -83,7 +83,11 @@ func TestTenantsReplayCommittedSchedules(t *testing.T) {
 			tn, err := newKeyTenant(s.Hosts, []byte("replay"), nil)
 			must(t, err)
 			w := tn.World()
-			idOf := func(host int) ident.ID { return slotID(t, w.Tree().Params(), host) }
+			idOf := func(host int) ident.ID {
+				id, err := tn.HostID(host)
+				must(t, err)
+				return id
+			}
 			inTree := func(host int) bool { return w.Tree().Structure().Contains(idOf(host)) }
 			roster := func() []ident.ID { return w.Tree().Structure().Members(ident.EmptyPrefix) }
 			epoch := func(host int) uint64 {

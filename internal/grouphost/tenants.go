@@ -156,10 +156,9 @@ func (t *netTenant) finish(gr *GroupReport) {
 type keyTenant struct{ *chaos.KeyTenant }
 
 // newKeyTenant builds the key plane for a group of up to hosts schedule
-// hosts over a base-32 ID space sized to them, so every schedule host
-// index maps directly to ident.FromInt; seed is the group's key-material
-// seed. Each audit spot-checks 256 keyrings (all of them in a smaller
-// group).
+// hosts over a base-32 ID space sized to them, on the scale soak's
+// refined key tree; seed is the group's key-material seed. Each audit
+// spot-checks 256 keyrings (all of them in a smaller group).
 func newKeyTenant(hosts int, seed []byte, reg *obs.Registry) (keyTenant, error) {
 	t, err := chaos.NewKeyTenant(ident.Base32For(hosts), seed, keytree.Opts{Obs: reg, CapacityHint: hosts}, 0, 256)
 	return keyTenant{t}, err
