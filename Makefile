@@ -174,8 +174,12 @@ bench-pairs:
 # Lowered total 21012 -> 21006 and DESIGN_BUDGET 76821 -> 76795: the
 # chaos engine is a chaos.Plane and plays every interval through
 # chaos.Step (chaos -6).
-LOC_BUDGET ?= 2695 21006
-DESIGN_BUDGET ?= 76795
+# Raised total 21006 -> 21034 and lowered DESIGN_BUDGET 76795 -> 76784:
+# the key tenant keys a refined bottom digit (chaos +44: its host map,
+# the tree's shape in the scale report; core -9, keytree -6, grouphost
+# -1).
+LOC_BUDGET ?= 2695 21034
+DESIGN_BUDGET ?= 76784
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs wc -l | \
 		awk -v budget="$(LOC_BUDGET)" \

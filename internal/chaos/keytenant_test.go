@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"tmesh/internal/core"
 	"tmesh/internal/ident"
 	"tmesh/internal/keycrypt"
 	"tmesh/internal/keytree"
@@ -23,7 +24,8 @@ var keyShapes = []struct {
 	build       func(ident.Params, []byte, keytree.Opts, int, int) (*KeyTenant, error)
 }{
 	{"paper", "32x32x32", func(p ident.Params, seed []byte, opts keytree.Opts, limit, sample int) (*KeyTenant, error) {
-		return newKeyTenant(p, p, seed, opts, limit, sample)
+		w, err := core.NewKeyPlane(p, seed, opts, limit)
+		return &KeyTenant{world: w, hosts: p, sample: sample}, err
 	}},
 	{"refined", "32x32x4x8", NewKeyTenant},
 }

@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
@@ -26,9 +25,9 @@ import (
 
 // ScaleConfig parameterises one scale soak.
 type ScaleConfig struct {
-	// Params is the ID space; Capacity() must cover N plus one
-	// interval's worth of joins (leaves free their IDs only for later
-	// intervals).
+	// Params is the hosts' ID space, whose last digit the key tree
+	// refines (KeyTenant); Capacity() must cover N plus one interval's
+	// worth of joins (leaves free their IDs only for later intervals).
 	Params ident.Params
 	// N is the steady-state membership, built up in one initial batch.
 	N int
@@ -143,12 +142,10 @@ func (r *ScaleReport) String() string {
 // The scale soak streams its churn draw into one; the tenancy host's
 // KeyPlane groups replay a workload.Schedule into theirs.
 //
-// Its key tree refines the bottom digit (DESIGN.md, "The key plane's
-// refined bottom digit"): host h keeps the first D-1 digits of
-// ident.FromInt(params, h), and its last digit d becomes the pair
-// (d/8, d%8), so a bottom k-node's B members sit under B/8 sub-k-nodes
-// of 8 and host order stays ID order. Where B is not a multiple of 8
-// of at least 16, or D+1 digits do not fit an ID, the tree is the
+// Its key tree refines the bottom digit (DESIGN.md): host h keeps the
+// first D-1 digits of ident.FromInt(params, h), and its last digit d
+// becomes the pair (d/8, d%8), so host order stays ID order. Where 8
+// does not divide B, B < 16 or D+1 digits do not fit, the tree is the
 // paper's over params.
 type KeyTenant struct {
 	// Joins and Leaves count the events applied (a crash is a leave);
@@ -173,25 +170,19 @@ type KeyTenant struct {
 // server tree.
 func NewKeyTenant(params ident.Params, seed []byte, opts keytree.Opts, limit, sample int) (*KeyTenant, error) {
 	tree := params
-	if q := (ident.Params{Digits: params.Digits + 1, Base: params.Base}); params.Base%bottomGroup == 0 &&
-		params.Base >= 2*bottomGroup && q.Validate() == nil {
-		tree = q
+	if refined := (ident.Params{Digits: params.Digits + 1, Base: params.Base}); params.Validate() == nil &&
+		refined.Validate() == nil && params.Base%bottomGroup == 0 && params.Base >= 2*bottomGroup {
+		tree = refined
 	}
-	return newKeyTenant(params, tree, seed, opts, limit, sample)
-}
-
-// bottomGroup is the member count of a refined tree's bottom k-node.
-const bottomGroup = 8
-
-// newKeyTenant is NewKeyTenant over the key-tree ID space tree: params
-// itself (the paper's tree) or params refined.
-func newKeyTenant(params, tree ident.Params, seed []byte, opts keytree.Opts, limit, sample int) (*KeyTenant, error) {
 	world, err := core.NewKeyPlane(tree, seed, opts, limit)
 	if err != nil {
 		return nil, err
 	}
 	return &KeyTenant{world: world, hosts: params, sample: sample}, nil
 }
+
+// bottomGroup is the member count of a refined tree's bottom k-node.
+const bottomGroup = 8
 
 // HostID returns schedule host h's member ID.
 func (t *KeyTenant) HostID(h int) (ident.ID, error) {
@@ -205,14 +196,11 @@ func (t *KeyTenant) HostID(h int) (ident.ID, error) {
 // Shape names the key tree's fan-out per level, root first: "32x32x32"
 // for the paper's tree over 3x32 IDs, "32x32x4x8" for its refined form.
 func (t *KeyTenant) Shape() string {
-	fan := make([]string, t.hosts.Digits)
-	for i := range fan {
-		fan[i] = strconv.Itoa(t.hosts.Base)
-	}
+	above := strings.Repeat(fmt.Sprint(t.hosts.Base, "x"), t.hosts.Digits-1)
 	if t.world.Tree().Params() != t.hosts {
-		fan = append(fan[:len(fan)-1], strconv.Itoa(t.hosts.Base/bottomGroup), strconv.Itoa(bottomGroup))
+		return fmt.Sprintf("%s%dx%d", above, t.hosts.Base/bottomGroup, bottomGroup)
 	}
-	return strings.Join(fan, "x")
+	return fmt.Sprint(above, t.hosts.Base)
 }
 
 // World exposes the key plane (read-only use).

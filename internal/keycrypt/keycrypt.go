@@ -34,7 +34,7 @@ const KeySize = 32
 const nonceSize = 12
 
 // Key is a symmetric key. Keys are value types; the zero value is invalid
-// (all-zero keys are rejected by Validate).
+// (no derived key is all zero, and keytree reads one as no key).
 type Key struct {
 	bytes [KeySize]byte
 }

@@ -17,10 +17,9 @@ import (
 // — so the ring stores them in a flat slice indexed by level rather than
 // a map keyed by prefix string: constant size per member, no per-key map
 // overhead, which is what lets a million keyrings sit in RAM at once.
-// Level l's prefix is id.Prefix(l), so it is not stored: the slice holds
-// no pointers for the collector to scan, and Apply adds nothing to it.
-// Nor are versions: an unwrap checks the wrapped key's AAD, not a
-// version the ring remembers.
+// Level l's prefix is id.Prefix(l) and an unwrap checks versions in the
+// AAD, so neither is stored: the slice holds no pointers for the
+// collector to scan, and Apply adds nothing to it.
 type Keyring struct {
 	id     ident.ID
 	levels []keycrypt.Key // levels[l] = current key for id.Prefix(l); levels[D] = individual key
