@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: ci build vet test race examples bench-harness bench-keyplane bench-pairs loc dead soak-short soak-transport soak-metrics soak-scale soak-multigroup soak-slo trace-audit fuzz
+.PHONY: ci build vet test race examples bench-harness bench-keyplane bench-overlay bench-pairs loc dead soak-short soak-transport soak-metrics soak-scale soak-multigroup soak-slo trace-audit fuzz
 
 # ci is the full verification gate: static checks, the line budget
 # (`loc`) and the dead-export budget (`dead`), the race detector
@@ -17,12 +17,12 @@ FUZZTIME ?= 5s
 # fan-out, 100k-join flash crowd, cross-width replay), the SLO soak
 # (per-tenant verdict stream schema-checked, exposition format
 # golden-pinned), the five example programs, the bench/ harness's
-# own vet + smoke test, and one run of the key plane's per-layer
-# benchmark. The hot-path gate (the hop split
+# own vet + smoke test, and one run each of the key plane's and the
+# overlay's per-layer benchmarks. The hot-path gate (the hop split
 # allocates nothing: split.TestIndexSplitAllocatesNothing) and
 # the memory gate (resident bytes/member of a built world:
 # chaos.TestMemberFootprintBudget) are ordinary tests inside `race`.
-ci: vet loc dead race soak-transport fuzz trace-audit soak-metrics soak-scale soak-multigroup soak-slo examples bench-harness bench-keyplane
+ci: vet loc dead race soak-transport fuzz trace-audit soak-metrics soak-scale soak-multigroup soak-slo examples bench-harness bench-keyplane bench-overlay
 
 build:
 	$(GO) build ./...
@@ -134,6 +134,15 @@ bench-harness:
 # with -benchtime 20x.
 bench-keyplane:
 	$(GO) test ./internal/chaos -run '^$$' -bench '^BenchmarkKeyPlaneRekey$$' -benchtime 1x
+
+# bench-overlay runs overlay.BenchmarkDirectoryChurn once on the
+# sim_4096 graph: an interval's 16 leaves and 16 joins at 4096 members,
+# per event in µs (join_us, leave_us) and in the deterministic counts of
+# the stub pruning (probes_per_join, probes_per_leave,
+# holders_visited_per_leave). One run keeps it compiling and running;
+# measure with -benchtime 20x.
+bench-overlay:
+	$(GO) test ./internal/overlay -run '^$$' -bench '^BenchmarkDirectoryChurn$$/^sim_4096$$' -benchtime 1x
 
 # bench-pairs is how a perf claim is measured: BASE (a git ref) and the
 # checkout run WORKLOAD alternately, PAIRS times, then bench/run.sh

@@ -97,9 +97,9 @@ func (w *churnWorld) leave(tb testing.TB) {
 // without the harness: 4096 members, Params{4,64}, K=4; one op is an
 // interval's 16 leaves then 16 joins. join_us and leave_us are the
 // per-event means the traced ledger calls overlay.join_us and
-// overlay.leave_us; probes_per_join (RTTs a join measures) and
-// holders_visited_per_leave (member tables a leave reads) count the
-// stub pruning, deterministic at the seed. It runs on the harness's
+// overlay.leave_us; probes_per_join and probes_per_leave (RTTs an
+// event measures) and holders_visited_per_leave (member tables a leave
+// reads) count the stub pruning, deterministic at the seed. It runs on the harness's
 // topology and on the paper's 5000-router one.
 func BenchmarkDirectoryChurn(b *testing.B) {
 	for _, tc := range []struct {
@@ -116,11 +116,11 @@ func BenchmarkDirectoryChurn(b *testing.B) {
 			b.Logf("set-up: topology and 4096 joins in %v", time.Since(start).Round(time.Millisecond))
 			const churn = 16
 			var joins, leaves time.Duration
-			joinProbes, leaveVisits := 0, 0
+			joinProbes, leaveProbes, leaveVisits := 0, 0, 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				t0, v0 := time.Now(), w.dir.visits
+				t0, v0, p0 := time.Now(), w.dir.visits, probes
 				for j := 0; j < churn; j++ {
 					w.leave(b)
 				}
@@ -131,12 +131,14 @@ func BenchmarkDirectoryChurn(b *testing.B) {
 				leaves += t1.Sub(t0)
 				joins += time.Since(t1)
 				leaveVisits += w.dir.visits - v0
+				leaveProbes += p1 - p0
 				joinProbes += probes - p1
 			}
 			events := float64(b.N * churn)
 			b.ReportMetric(float64(joins.Microseconds())/events, "join_us")
 			b.ReportMetric(float64(leaves.Microseconds())/events, "leave_us")
 			b.ReportMetric(float64(joinProbes)/events, "probes_per_join")
+			b.ReportMetric(float64(leaveProbes)/events, "probes_per_leave")
 			b.ReportMetric(float64(leaveVisits)/events, "holders_visited_per_leave")
 		})
 	}
@@ -163,6 +165,26 @@ func TestJoinProbesAQuarterOfTheMembers(t *testing.T) {
 		t.Errorf("a join probes %d of %d members, want at most a quarter", per, n)
 	} else {
 		t.Logf("a join probes %d of %d members", per, n)
+	}
+}
+
+// TestLeaveProbesAQuarterOfTheScan pins the refill's pruning in the
+// same world: when every holder of a leaver probed every candidate of
+// its subtree, these 16 leaves measured 16 057 RTTs each. A refill that
+// reads candidates nearest first measures at most a quarter of that, so
+// a silent fallback to the scan fails here.
+func TestLeaveProbesAQuarterOfTheScan(t *testing.T) {
+	const n, churn, scan = 4096, 16, 16057
+	probes := 0
+	w := newChurnWorld(t, countNet{churnNet(t, churnTopology, n), &probes}, ident.Params{Digits: 4, Base: 64}, 4, n)
+	before := probes
+	for range churn {
+		w.leave(t)
+	}
+	if per := (probes - before) / churn; per > scan/4 {
+		t.Errorf("a leave probes %d RTTs, want at most a quarter of the scan's %d", per, scan)
+	} else {
+		t.Logf("a leave probes %d RTTs, the scan %d", per, scan)
 	}
 }
 

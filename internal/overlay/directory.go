@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -38,6 +39,11 @@ type Directory struct {
 	joined []slot
 	near   nearest
 	stubs  stubIndex
+	// ev is the user of the current event and subs its refill
+	// candidates by row (see cands); stale is refill's scratch.
+	ev    ident.ID
+	subs  []candidates
+	stale []pick
 	// visits counts the member tables events have read, a deterministic
 	// measure of the pruning that BenchmarkDirectoryChurn reports.
 	visits int
@@ -67,6 +73,7 @@ func NewDirectory(params ident.Params, k int, net vnet.Network, serverHost vnet.
 		cols:   &columns{k: k, base: params.Base, shift: chunkShift},
 		near:   nearest{k: k, words: make([]uint64, params.Base*k)},
 		stubs:  newStubIndex(net, params.Base),
+		subs:   make([]candidates, params.Digits),
 	}, nil
 }
 
@@ -133,7 +140,7 @@ func (d *Directory) TableOf(id ident.ID) (*Table, bool) {
 // Members returns the records of all users in the subtree rooted at the
 // prefix, in ID order.
 func (d *Directory) Members(p ident.Prefix) []Record {
-	ranks := d.ranksUnder(p)
+	ranks := d.appendRanksUnder(nil, p)
 	out := make([]Record, len(ranks))
 	for i, r := range ranks {
 		out[i] = d.ros.recs[r]
@@ -141,12 +148,11 @@ func (d *Directory) Members(p ident.Prefix) []Record {
 	return out
 }
 
-// ranksUnder returns the ranks of all users in the subtree rooted at the
-// prefix, in ID order: the candidates of a refill, read off the ID tree
-// with one rank lookup per member.
-func (d *Directory) ranksUnder(p ident.Prefix) []ident.Rank {
-	// non-nil even when empty: subtreesOf caches it
-	out := make([]ident.Rank, 0, d.tree.SubtreeSize(p))
+// appendRanksUnder appends the ranks of all users in the subtree rooted
+// at the prefix, in ID order: the candidates of a refill, read off the
+// ID tree with one rank lookup per member.
+func (d *Directory) appendRanksUnder(out []ident.Rank, p ident.Prefix) []ident.Rank {
+	out = slices.Grow(out, d.tree.SubtreeSize(p))
 	d.tree.EachMember(p, func(id ident.ID) {
 		r, _ := d.ros.rankOf(id)
 		out = append(out, r)
@@ -261,32 +267,58 @@ func (d *Directory) Join(rec Record) error {
 }
 
 // each calls fn, in rank order, for every member whose top digit is top
-// and every member of a stub visit marks (of every stub if visit is
-// nil): the tables an event of a user with that top digit reads.
+// and every member of a stub visit marks: the tables a join of a user
+// with that top digit reads.
 func (d *Directory) each(top ident.Digit, visit []bool, fn func(m ident.Rank, t *Table)) {
 	for m, t := range d.tables {
-		if t != nil && (visit == nil || ident.Digit(d.ros.top[m]) == top || visit[d.stubs.stub[m]]) {
+		if t != nil && (ident.Digit(d.ros.top[m]) == top || visit[d.stubs.stub[m]]) {
 			d.visits++
 			fn(ident.Rank(m), t)
 		}
 	}
 }
 
+// holders calls fn for every member whose table may hold the current
+// event's user, at rank r: the members sharing its top digit (cands(0)),
+// which file it in a deeper row, then the other members of the stubs
+// that may hold it in row 0 (see stubIndex). A holder's refill changes
+// only its own entry and raising a bound is a max, so unlike Join's
+// pass this one needs no rank order.
+func (d *Directory) holders(r ident.Rank, fn func(m ident.Rank)) {
+	x0 := d.ev.Digit(0)
+	for _, m := range d.cands(0).ranks {
+		d.visits++
+		fn(m)
+	}
+	for s, v := range d.stubs.holding(r, x0) {
+		if !v {
+			continue
+		}
+		for _, m := range d.stubs.members[s] {
+			if ident.Digit(d.ros.top[m]) != x0 {
+				d.visits++
+				fn(m)
+			}
+		}
+	}
+}
+
 // Leave removes a user gracefully: its record is deleted from every table
 // that holds it, and each affected entry is refilled from the remaining
-// membership (the Silk leave protocol's effect). A row-0 holder is in
-// the user's stub or in one whose bound covers it (see stubIndex); the
+// membership (the Silk leave protocol's effect). It reads only the
+// tables that may hold the user (see holders), and each refill only the
+// candidates that can beat the one it adopts (see refill). A row-0
 // refill can raise the entry's K-th RTT, so it raises the bound.
 func (d *Directory) Leave(id ident.ID) error {
 	r, err := d.drop(id)
 	if err != nil {
 		return err
 	}
-	cands := d.subtreesOf(id)
-	d.each(id.Digit(0), d.stubs.holding(r, id.Digit(0)), func(m ident.Rank, t *Table) {
+	d.holders(r, func(m ident.Rank) {
 		if row, col, e := d.filed(m, id); e.drop(r) {
 			d.maintenanceMessages++
-			d.refill(&t.grid, row, col, t.owner.Host, cands(row), nil)
+			t := d.tables[m]
+			d.refill(&t.grid, row, col, t.owner.Host, d.cands(row), nil)
 			if row == 0 {
 				d.stubs.raise(m, col, t.entry(0, col))
 			}
@@ -310,23 +342,31 @@ func (d *Directory) filed(m ident.Rank, id ident.ID) (row int, col ident.Digit, 
 	return 0, 0, Entry{}
 }
 
-// subtreesOf hands out the refill candidates of one membership event:
-// every owner that shares exactly `row` digits with the departed user
-// refills from the same ID subtree, id.Prefix(row+1), so an event
-// materialises at most D candidate lists, each on first use.
-func (d *Directory) subtreesOf(id ident.ID) func(row int) []ident.Rank {
-	rows := make([][]ident.Rank, d.params.Digits)
-	return func(row int) []ident.Rank {
-		if rows[row] == nil {
-			rows[row] = d.ranksUnder(id.Prefix(row + 1))
-		}
-		return rows[row]
+// subtrees starts an event of the user id: cands reads its ID subtrees
+// afresh.
+func (d *Directory) subtrees(id ident.ID) {
+	d.ev = id
+	for i := range d.subs {
+		d.subs[i].reset()
 	}
 }
 
+// cands hands out the refill candidates of the current event: every
+// owner that shares exactly `row` digits with the event's user refills
+// from the same ID subtree, its Prefix(row+1), so an event reads at
+// most D lists, each on first use, into storage the directory keeps.
+func (d *Directory) cands(row int) *candidates {
+	cs := &d.subs[row]
+	if !cs.read {
+		cs.ranks, cs.read = d.appendRanksUnder(cs.ranks[:0], d.ev.Prefix(row+1)), true
+	}
+	return cs
+}
+
 // drop deletes a user from the membership view and the server's table,
-// and its own table with it. The membership's reference on the rank is
-// the caller's to give up once it has visited the other tables.
+// and its own table with it, and starts the user's event. The
+// membership's reference on the rank is the caller's to give up once it
+// has visited the other tables.
 func (d *Directory) drop(id ident.ID) (ident.Rank, error) {
 	r, ok := d.rankOf(id)
 	if !ok {
@@ -335,55 +375,86 @@ func (d *Directory) drop(id ident.ID) (ident.Rank, error) {
 	if err := d.tree.Remove(id); err != nil {
 		return r, err
 	}
+	d.subtrees(id)
 	d.tables[r].release()
 	d.tables[r] = nil
 	d.stubs.remove(r)
 	if d.server.entry(0, id.Digit(0)).drop(r) {
 		d.maintenanceMessages++
-		d.refillServer(id.Digit(0))
+		d.refillServer()
 	}
 	return r, nil
 }
 
+// pick is a candidate a refill has read: its slot and its place in the
+// ID order of the candidates, which breaks RTT ties. i < 0 is none.
+type pick struct {
+	slot
+	i int32
+}
+
+// before reports whether p is some candidate and comes before the one
+// at RTT rtt and place i.
+func (p pick) before(rtt int64, i int32) bool {
+	return p.i >= 0 && (int64(p.rtt) < rtt || int64(p.rtt) == rtt && p.i < i)
+}
+
 // refill is the one refill routine: it tops an entry up to K with the
-// nearest candidates as seen from host `from`. Each pass over cands (the
-// entry's ID subtree, in ID order) adopts the candidate with the
-// smallest RTT — ties to the smaller ID — that is live and not already
-// held, and passes repeat while the entry is below K: normally once,
-// one neighbor lost and one adopted, with no sort and no allocation. A
-// refill is a probe round, so held neighbors that answer before the
-// adopted one have their RTT re-measured; on a network whose delays do
+// nearest candidates as seen from host `from`, cs being the entry's ID
+// subtree. Each pass adopts the candidate with the smallest RTT — ties
+// to the smaller ID — that is live and not already held, and passes
+// repeat while the entry is below K: normally once, one neighbor lost
+// and one adopted, with no allocation. A pass reads the candidates in
+// the order stubIndex.nearestFirst gives the holder's stub: its own
+// stub's in full, then the others' nearest first, up to the first it
+// can adopt or past the best so far. On a network without stubs that
+// is every candidate in ID order. Every candidate nearer than the adopted one is
+// read either way, so the choice is the full scan's. A refill is a
+// probe round, so held neighbors that answer before the adopted one
+// have their RTT re-measured, in ID order; on a network whose delays do
 // not change that is a no-op. A non-nil alive predicate excludes, on
-// top of the directory's own oracle, candidates that are crashed but not
-// yet evicted: repairing an entry with a dead user the owner will never
-// ping (its failure detectors were enrolled at crash time) would leave
-// the dead record in the table forever. The entry is read again after
-// every round of inserts, which may have moved its window.
-func (d *Directory) refill(g *grid, row int, col ident.Digit, from vnet.HostID, cands []ident.Rank, alive func(ident.ID) bool) {
+// top of the directory's own oracle, candidates that are crashed but
+// not yet evicted: repairing an entry with a dead user the owner will
+// never ping (its failure detectors were enrolled at crash time) would
+// leave the dead record in the table forever. The entry is read again
+// after every round of inserts, which may have moved its window.
+func (d *Directory) refill(g *grid, row int, col ident.Digit, from vnet.HostID, cs *candidates, alive func(ident.ID) bool) {
+	order, up := d.stubs.nearestFirst(cs, from)
 	for e := g.entry(row, col); e.Len() < d.k; e = g.entry(row, col) {
-		best := emptySlot
-		var stale []slot // held, live, nearer than best so far, RTT changed
-		for _, c := range cands {
+		best := pick{slot: emptySlot, i: -1}
+		stale := d.stale[:0] // held, live, read before best, RTT changed
+		for j := range cs.ranks {
+			i, lb := int32(j), int64(-1)
+			if order != nil {
+				i, lb = order[j].i, order[j].lb
+			}
+			if lb >= 0 && best.before(up+lb, i) {
+				break // up + lb is the RTT: the rest are farther
+			}
+			c := cs.ranks[i]
 			rec := &d.ros.recs[c]
 			rtt := nanos(d.net.RTT(from, rec.Host))
-			if (best.rank != ident.NoRank && rtt >= best.rtt) || (alive != nil && !alive(rec.ID)) || !d.isAlive(rec.ID) {
+			if best.before(int64(rtt), i) || (alive != nil && !alive(rec.ID)) || !d.isAlive(rec.ID) {
 				continue
 			}
-			switch at := e.index(c); {
-			case at < 0:
-				best = slot{rtt: rtt, rank: c}
-			case e.slots[at].rtt != rtt:
-				stale = append(stale, slot{rtt: rtt, rank: c})
+			if at := e.index(c); at < 0 {
+				best = pick{slot{rtt: rtt, rank: c}, i}
+				if lb >= 0 {
+					break
+				}
+			} else if e.slots[at].rtt != rtt {
+				stale = append(stale, pick{slot{rtt: rtt, rank: c}, i})
 			}
 		}
+		slices.SortFunc(stale, func(a, b pick) int { return cmp.Compare(a.i, b.i) })
 		for _, s := range stale {
-			if best.rank == ident.NoRank || s.rtt < best.rtt ||
-				(s.rtt == best.rtt && d.ros.recs[s.rank].ID.Compare(d.ros.recs[best.rank].ID) < 0) {
+			if !best.before(int64(s.rtt), s.i) {
 				g.insert(row, col, s.rank, s.rtt)
 				d.maintenanceMessages++
 			}
 		}
-		if best.rank == ident.NoRank {
+		d.stale = stale
+		if best.i < 0 {
 			return
 		}
 		g.insert(row, col, best.rank, best.rtt)
@@ -391,11 +462,11 @@ func (d *Directory) refill(g *grid, row int, col ident.Digit, from vnet.HostID, 
 	}
 }
 
-// refillServer tops up the key server's (0,j)-entry with the nearest
-// users whose 0th digit is j.
-func (d *Directory) refillServer(j ident.Digit) {
-	if d.server.Entry(j).Len() < d.k {
-		d.refill(&d.server.grid, 0, j, d.server.Host(), d.ranksUnder(ident.EmptyPrefix.Child(j)), nil)
+// refillServer tops up the key server's (0,j)-entry, j the current
+// event's top digit, with the nearest users whose 0th digit is j.
+func (d *Directory) refillServer() {
+	if j := d.ev.Digit(0); d.server.Entry(j).Len() < d.k {
+		d.refill(&d.server.grid, 0, j, d.server.Host(), d.cands(0), nil)
 	}
 }
 
@@ -412,35 +483,38 @@ func (d *Directory) refillServer(j ident.Digit) {
 // such entries below min{K, m}; once the eviction shrinks the membership
 // (the server's failure notification, Section 3.2) those entries must be
 // topped up or no later event ever repairs them. Entries already at K
-// are no-ops, so the sweep reads one column of the row-0 store and the
-// tables of the members sharing the user's top digit.
+// are no-ops, so the sweep walks Leave's holders (see holders), which
+// reach every short entry: the members sharing the user's top digit,
+// and of the others every stub with a short (0,c)-entry, c the user's
+// top digit, since such an entry weighs +∞ in its stub's bound (see
+// stubIndex) and holding marks every stub whose bound is that high.
 func (d *Directory) Evict(id ident.ID) error {
 	r, err := d.drop(id)
 	if err != nil {
 		return err
 	}
-	cands := d.subtreesOf(id)
-	d.each(id.Digit(0), nil, func(m ident.Rank, t *Table) {
+	d.holders(r, func(m ident.Rank) {
 		if row, col, e := d.filed(m, id); e.Len() < d.k {
-			d.refill(&t.grid, row, col, t.owner.Host, cands(row), nil)
+			t := d.tables[m]
+			d.refill(&t.grid, row, col, t.owner.Host, d.cands(row), nil)
 		}
 	})
-	d.refillServer(id.Digit(0))
+	d.refillServer()
 	d.ros.unref(r)
 	return nil
 }
 
 // Holders returns, in ID order, the users whose tables currently hold
 // the given user: the one "who holds X" pass failure detection and
-// eviction repair share. Like Leave it reads row 0 from the column
-// store, in the stubs that may hold the user.
+// eviction repair share. It walks Leave's holders (see holders).
 func (d *Directory) Holders(id ident.ID) []ident.ID {
 	r, ok := d.ros.rankOf(id) // an evicted user keeps its rank while held
 	if !ok {
 		return nil
 	}
 	var out []ident.ID
-	d.each(id.Digit(0), d.stubs.holding(r, id.Digit(0)), func(m ident.Rank, _ *Table) {
+	d.subtrees(id)
+	d.holders(r, func(m ident.Rank) {
 		if _, _, e := d.filed(m, id); e.index(r) >= 0 {
 			out = append(out, d.ros.recs[m].ID)
 		}
@@ -457,7 +531,8 @@ func (d *Directory) Holders(id ident.ID) []ident.ID {
 // failures, a repair running between a second crash and its eviction
 // would otherwise re-learn the dead user into an entry whose owner never
 // monitors it. An owner that is not a member, or does not hold failed,
-// is left alone.
+// is left alone. The entry's ID subtree is failed's at the entry's row,
+// so the refill reads it as a one-holder event of failed.
 func (d *Directory) Repair(owner, failed ident.ID, alive func(ident.ID) bool) {
 	t, ok := d.TableOf(owner)
 	if !ok {
@@ -465,7 +540,8 @@ func (d *Directory) Repair(owner, failed ident.ID, alive func(ident.ID) bool) {
 	}
 	row, col, held := t.Remove(failed)
 	if held && t.entry(row, col).Len() < d.k {
-		d.refill(&t.grid, row, col, t.owner.Host, d.ranksUnder(t.owner.ID.Prefix(row).Child(col)), alive)
+		d.subtrees(failed)
+		d.refill(&t.grid, row, col, t.owner.Host, d.cands(row), alive)
 	}
 	if held && row == 0 {
 		d.stubs.raise(t.rank, col, t.entry(0, col))

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -168,6 +169,19 @@ func (tieNet) RTT(a, b vnet.HostID) time.Duration {
 	return time.Duration(1+(int(a)*int(b)+int(a)+int(b))%3) * time.Millisecond
 }
 
+// scanNet counts the RTTs a directory measures and hides the stubs of
+// the net it embeds, so the directory on it reads every table and
+// refills from every candidate.
+type scanNet struct {
+	vnet.Network
+	probes *int
+}
+
+func (s scanNet) RTT(a, b vnet.HostID) time.Duration {
+	*s.probes++
+	return s.Network.RTT(a, b)
+}
+
 // spikeNet scales every RTT by a factor the script changes, as the chaos
 // soak's delay spikes do: entries then hold RTTs measured under
 // different factors, which a refill re-measures.
@@ -275,9 +289,11 @@ func TestRefillMatchesSortEverythingReference(t *testing.T) {
 
 // TestStubPruningMatchesScan is the same differential on plain
 // *vnet.GTITM graphs with many stub domains, where Join, Leave, Evict
-// and Holders skip the stubs their bounds rule out: the sim_4096 bench
-// graph and the paper's, at two ID spaces. It fails if no event was
-// pruned, so the scan cannot pass for the pruned path.
+// and Holders skip the stubs their bounds rule out and refills read
+// candidates nearest first: the sim_4096 bench graph and the paper's,
+// at two ID spaces. It fails if the events read as many tables as the
+// scan, or their refills measured as many RTTs, so the scan cannot
+// pass for either pruned path.
 func TestStubPruningMatchesScan(t *testing.T) {
 	const hosts = 150 // fewer than the joins: members share hosts, so RTTs tie
 	for _, tc := range []struct {
@@ -303,7 +319,9 @@ func TestStubPruningMatchesScan(t *testing.T) {
 }
 
 // diffScript drives one seeded script through a Directory and the
-// reference model on net; factor is the multiplier spikeNet reads.
+// reference model on net, and through a Directory on the same net with
+// its stubs hidden, whose refills read every candidate; factor is the
+// multiplier spikeNet reads.
 func diffScript(t *testing.T, params ident.Params, hosts int, net vnet.Network, factor *int, seed int64) {
 	const k, events = 3, 500
 	rng := rand.New(rand.NewSource(seed))
@@ -315,22 +333,38 @@ func diffScript(t *testing.T, params ident.Params, hosts int, net vnet.Network, 
 	suspected := map[ident.ID]bool{}
 	suspect := func(id ident.ID) bool { return !suspected[id] }
 
-	got, err := NewDirectory(params, k, net, 0)
+	probes, scanProbes := 0, 0
+	gotNet := vnet.Network(scanNet{net, &probes}) // a net without stubs loses none
+	if g, ok := net.(*vnet.GTITM); ok {
+		gotNet = countNet{g, &probes}
+	}
+	got, err := NewDirectory(params, k, gotNet, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, _ := NewDirectory(params, k, net, 0)
-	got.SetLivenessOracle(alive)
-	want.SetLivenessOracle(alive)
+	scan, _ := NewDirectory(params, k, scanNet{net, &scanProbes}, 0)
+	for _, d := range []*Directory{got, want, scan} {
+		d.SetLivenessOracle(alive)
+	}
+	// refill runs one leave, evict or repair through got and the scan
+	// and counts the RTTs their refills measured.
+	refills, scanRefills := 0, 0
+	refill := func(event func(d *Directory) error) error {
+		p, q := probes, scanProbes
+		err := errors.Join(event(got), event(scan))
+		refills, scanRefills = refills+probes-p, scanRefills+scanProbes-q
+		return err
+	}
 
 	var members []ident.ID
 	nextHost := 1
-	scan := 0 // member tables a scan would read in the pruned events
+	visits := 0 // member tables a scan would read in the pruned events
 	admit := func(id ident.ID) {
 		r := Record{Host: vnet.HostID(nextHost%(hosts-1) + 1), ID: id}
 		nextHost++
-		scan += got.Size()
-		if err := got.Join(r); err != nil {
+		visits += got.Size()
+		if err := errors.Join(got.Join(r), scan.Join(r)); err != nil {
 			t.Fatal(err)
 		}
 		if err := refJoin(want, r); err != nil {
@@ -387,8 +421,8 @@ func diffScript(t *testing.T, params ident.Params, hosts int, net vnet.Network, 
 		case p < 0.65:
 			what = "leave"
 			id := pick()
-			scan += got.Size() - 1
-			if got.Leave(id) != nil || refLeave(want, id) != nil {
+			visits += got.Size() - 1
+			if refill(func(d *Directory) error { return d.Leave(id) }) != nil || refLeave(want, id) != nil {
 				t.Fatalf("event %d: leave %v failed", ev, id)
 			}
 		case p < 0.8:
@@ -400,12 +434,12 @@ func diffScript(t *testing.T, params ident.Params, hosts int, net vnet.Network, 
 			what = "evict+repair"
 			id := crashed[0]
 			crashed = crashed[1:]
-			scan += got.Size() - 1
-			if got.Evict(id) != nil || refEvict(want, id) != nil {
+			visits += got.Size() - 1
+			if refill(func(d *Directory) error { return d.Evict(id) }) != nil || refEvict(want, id) != nil {
 				t.Fatalf("event %d: evict %v failed", ev, id)
 			}
 			check(ev, "evict")
-			scan += got.Size()
+			visits += got.Size()
 			holders := got.Holders(id)
 			if ref := refHolders(want, id); !slices.Equal(holders, ref) {
 				t.Fatalf("event %d: Holders(%v) = %v, scan %v", ev, id, holders, ref)
@@ -426,7 +460,7 @@ func diffScript(t *testing.T, params ident.Params, hosts int, net vnet.Network, 
 			for _, owner := range holders {
 				tab, _ := got.TableOf(owner)
 				row, col, _ := tab.cell(id)
-				got.Repair(owner, id, suspect)
+				refill(func(d *Directory) error { d.Repair(owner, id, suspect); return nil })
 				wrow, wcol, wok := refRepair(want, owner, id, suspect)
 				if (!rejoin && tab.Contains(id)) || !wok || row != wrow || col != wcol {
 					t.Fatalf("event %d: Repair(%v, %v) emptied %d,%d, reference %d,%d,%v",
@@ -442,10 +476,14 @@ func diffScript(t *testing.T, params ident.Params, hosts int, net vnet.Network, 
 		}
 		check(ev, what)
 	}
-	if _, stubs := net.(vnet.Stubs); stubs && got.visits >= scan {
-		t.Fatalf("the events read %d member tables, a scan %d: nothing was pruned", got.visits, scan)
+	if err := sameTables(scan, got); err != nil {
+		t.Fatalf("the scan: %v", err)
+	}
+	if _, stubs := net.(vnet.Stubs); stubs && (got.visits >= visits || refills >= scanRefills) {
+		t.Fatalf("the events read %d member tables and their refills %d RTTs, a scan %d and %d: a pass was not pruned",
+			got.visits, refills, visits, scanRefills)
 	} else {
-		t.Logf("the events read %d member tables, a scan %d", got.visits, scan)
+		t.Logf("the events read %d member tables and their refills %d RTTs, a scan %d and %d", got.visits, refills, visits, scanRefills)
 	}
 }
 

@@ -29,6 +29,11 @@ const inf = math.MaxInt64
 // Join recomputes bound(s, x0) for each stub s it visits; one too high
 // only prunes less. A network without the structure is one stub
 // holding everyone with up 0, so its events visit every member.
+//
+// The split also orders a refill: a holder in stub s is up(holder) +
+// core(s, t) + up(c) away from a candidate c in another stub t, so it
+// can read those candidates nearest first and stop at the first it can
+// adopt (see nearestFirst and Directory.refill).
 type stubIndex struct {
 	net  vnet.Stubs // nil: one stub
 	base int
@@ -214,4 +219,59 @@ func (n nearest) put(col ident.Digit, e Entry) {
 			e.put(wordSlot(w).rank, wordSlot(w).rtt)
 		}
 	}
+}
+
+// candidates is one ID subtree's refill candidates in the current
+// event: its members' ranks in ID order and, built on first use and
+// read by every holder there, the order each holder stub reads them in.
+type candidates struct {
+	ranks []ident.Rank
+	read  bool
+	at    []int32 // by holder stub: 1 + where its order starts, 0 unbuilt
+	built []int32 // the stubs with an order
+	order []cand
+}
+
+// cand is a candidate in a holder stub's order: its place in ranks and,
+// if it is in another stub, lb = core + its up, the RTT to it less the
+// holder's up; -1 in the holder's own stub.
+type cand struct {
+	lb int64
+	i  int32
+}
+
+// reset forgets the event's lists and keeps their storage.
+func (cs *candidates) reset() {
+	for _, s := range cs.built {
+		cs.at[s] = 0
+	}
+	cs.ranks, cs.built, cs.order, cs.read = cs.ranks[:0], cs.built[:0], cs.order[:0], false
+}
+
+// nearestFirst returns the order in which a holder on host h reads cs, and h's
+// up: the candidates in h's own stub first, in ID order, then the others
+// by (lb, ID), nearest first. On a network without stubs it returns nil:
+// the holder reads cs.ranks in ID order.
+func (x *stubIndex) nearestFirst(cs *candidates, h vnet.HostID) ([]cand, int64) {
+	if x.net == nil {
+		return nil, 0
+	}
+	s := x.net.StubOf(h)
+	if cs.at == nil {
+		cs.at = make([]int32, len(x.members))
+	}
+	if cs.at[s] == 0 {
+		o := len(cs.order)
+		cs.at[s], cs.built = int32(o)+1, append(cs.built, int32(s))
+		for i, c := range cs.ranks {
+			lb := int64(-1)
+			if t := int(x.stub[c]); t != s {
+				lb = int64(x.net.CoreRTT(s, t)) + int64(x.up[c])
+			}
+			cs.order = append(cs.order, cand{lb: lb, i: int32(i)})
+		}
+		slices.SortFunc(cs.order[o:], func(a, b cand) int { return cmp.Or(cmp.Compare(a.lb, b.lb), cmp.Compare(a.i, b.i)) })
+	}
+	o := int(cs.at[s]) - 1
+	return cs.order[o : o+len(cs.ranks)], int64(x.net.UpRTT(h))
 }
