@@ -205,13 +205,18 @@ func (d *Directory) Join(rec Record) error {
 	// its holders repair) may sit anywhere: the announce refreshes them.
 	up := x.admitting(r, x0, d.ros.refs[r] > 1)
 	near.reset()
-	d.each(x0, x.visit, func(m ident.Rank, t *Table) {
+	for i, t := range d.tables {
+		m, top := ident.Rank(i), ident.Digit(d.ros.top[i])
+		if t == nil || top != x0 && !x.visit[x.stub[m]] {
+			continue
+		}
+		d.visits++
 		owner := &d.ros.recs[m]
 		rtt := nanos(d.net.RTT(rec.Host, owner.Host))
 		// Each files the other; the announce costs one notification
 		// message per table actually updated. Row 0 (top digits differ)
 		// is the column store's, so m's table is not loaded.
-		if top := ident.Digit(d.ros.top[m]); top != x0 {
+		if top != x0 {
 			if d.isAlive(owner.ID) {
 				near.offer(top, slot{rtt: rtt, rank: m})
 			}
@@ -220,7 +225,7 @@ func (d *Directory) Join(rec Record) error {
 				d.maintenanceMessages++
 			}
 			x.acc[x.stub[m]] = max(x.acc[x.stub[m]], x.over(m, e))
-			return
+			continue
 		}
 		if d.isAlive(owner.ID) {
 			d.joined = append(d.joined, slot{rtt: rtt, rank: m})
@@ -228,7 +233,7 @@ func (d *Directory) Join(rec Record) error {
 		if row, col, _ := t.cell(rec.ID); t.insert(row, col, r, rtt) {
 			d.maintenanceMessages++
 		}
-	})
+	}
 	for s, v := range x.visit {
 		if v {
 			x.bound[s*x.base+x0] = x.acc[s]
@@ -264,18 +269,6 @@ func (d *Directory) Join(rec Record) error {
 		d.maintenanceMessages++
 	}
 	return nil
-}
-
-// each calls fn, in rank order, for every member whose top digit is top
-// and every member of a stub visit marks: the tables a join of a user
-// with that top digit reads.
-func (d *Directory) each(top ident.Digit, visit []bool, fn func(m ident.Rank, t *Table)) {
-	for m, t := range d.tables {
-		if t != nil && (ident.Digit(d.ros.top[m]) == top || visit[d.stubs.stub[m]]) {
-			d.visits++
-			fn(ident.Rank(m), t)
-		}
-	}
 }
 
 // holders calls fn for every member whose table may hold the current
@@ -426,7 +419,7 @@ func (d *Directory) refill(g *grid, row int, col ident.Digit, from vnet.HostID, 
 		for j := range cs.ranks {
 			i, lb := int32(j), int64(-1)
 			if order != nil {
-				i, lb = order[j].i, order[j].lb
+				i, lb = order[j].at()
 			}
 			if lb >= 0 && best.before(up+lb, i) {
 				break // up + lb is the RTT: the rest are farther

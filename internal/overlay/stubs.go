@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math"
 	"slices"
+	"time"
 
 	"tmesh/internal/ident"
 	"tmesh/internal/vnet"
@@ -228,29 +229,32 @@ type candidates struct {
 	ranks []ident.Rank
 	read  bool
 	at    []int32 // by holder stub: 1 + where its order starts, 0 unbuilt
-	built []int32 // the stubs with an order
 	order []cand
 }
 
-// cand is a candidate in a holder stub's order: its place in ranks and,
-// if it is in another stub, lb = core + its up, the RTT to it less the
-// holder's up; -1 in the holder's own stub.
-type cand struct {
-	lb int64
-	i  int32
+// cand is a candidate in a holder stub's order, one word so that the
+// order sorts as integers: lb+1 above bit candShift and its place in
+// ranks below it. For a candidate in another stub lb = core + its up,
+// the RTT to it less the holder's up, so an lb past a slot's uint32
+// nanoseconds is an RTT past it too (nanos panics either way); lb is -1
+// in the holder's own stub.
+type cand uint64
+
+const candShift = 31
+
+func (c cand) at() (i int32, lb int64) {
+	return int32(c & (1<<candShift - 1)), int64(c>>candShift) - 1
 }
 
 // reset forgets the event's lists and keeps their storage.
 func (cs *candidates) reset() {
-	for _, s := range cs.built {
-		cs.at[s] = 0
-	}
-	cs.ranks, cs.built, cs.order, cs.read = cs.ranks[:0], cs.built[:0], cs.order[:0], false
+	clear(cs.at)
+	cs.ranks, cs.order, cs.read = cs.ranks[:0], cs.order[:0], false
 }
 
-// nearestFirst returns the order in which a holder on host h reads cs, and h's
-// up: the candidates in h's own stub first, in ID order, then the others
-// by (lb, ID), nearest first. On a network without stubs it returns nil:
+// nearestFirst returns the order in which a holder on host h reads cs,
+// and h's up: the candidates in h's own stub first, in ID order, then
+// the others by (lb, ID), nearest first. On a network without stubs it returns nil:
 // the holder reads cs.ranks in ID order.
 func (x *stubIndex) nearestFirst(cs *candidates, h vnet.HostID) ([]cand, int64) {
 	if x.net == nil {
@@ -262,15 +266,15 @@ func (x *stubIndex) nearestFirst(cs *candidates, h vnet.HostID) ([]cand, int64) 
 	}
 	if cs.at[s] == 0 {
 		o := len(cs.order)
-		cs.at[s], cs.built = int32(o)+1, append(cs.built, int32(s))
+		cs.at[s] = int32(o) + 1
 		for i, c := range cs.ranks {
-			lb := int64(-1)
+			k := cand(i)
 			if t := int(x.stub[c]); t != s {
-				lb = int64(x.net.CoreRTT(s, t)) + int64(x.up[c])
+				k |= (cand(nanos(x.net.CoreRTT(s, t)+time.Duration(x.up[c]))) + 1) << candShift
 			}
-			cs.order = append(cs.order, cand{lb: lb, i: int32(i)})
+			cs.order = append(cs.order, k)
 		}
-		slices.SortFunc(cs.order[o:], func(a, b cand) int { return cmp.Or(cmp.Compare(a.lb, b.lb), cmp.Compare(a.i, b.i)) })
+		slices.Sort(cs.order[o:])
 	}
 	o := int(cs.at[s]) - 1
 	return cs.order[o : o+len(cs.ranks)], int64(x.net.UpRTT(h))
