@@ -187,8 +187,14 @@ bench-pairs:
 # the key tenant keys a refined bottom digit (chaos +44: its host map,
 # the tree's shape in the scale report; core -9, keytree -6, grouphost
 # -1).
-LOC_BUDGET ?= 2695 21034
-DESIGN_BUDGET ?= 76784
+# Raised total 21034 -> 21175: a leave reads only what it can change
+# (overlay +141, of which 47 comment lines: the candidate lists and each
+# holder stub's nearest-first order kept in the directory, the refill's
+# ordered walk with its tie and re-measure bookkeeping, the holder walk
+# Leave, Evict and Holders share, and the package comment's invariant
+# and ledger metric; Join's rank-ordered pass is inlined and each went).
+LOC_BUDGET ?= 2695 21175
+DESIGN_BUDGET ?= 76782
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs wc -l | \
 		awk -v budget="$(LOC_BUDGET)" \

@@ -99,8 +99,8 @@ func (w *churnWorld) leave(tb testing.TB) {
 // per-event means the traced ledger calls overlay.join_us and
 // overlay.leave_us; probes_per_join and probes_per_leave (RTTs an
 // event measures) and holders_visited_per_leave (member tables a leave
-// reads) count the stub pruning, deterministic at the seed. It runs on the harness's
-// topology and on the paper's 5000-router one.
+// reads) count the stub pruning, deterministic at the seed. It runs on
+// the harness's topology and on the paper's 5000-router one.
 func BenchmarkDirectoryChurn(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -124,13 +124,13 @@ func BenchmarkDirectoryChurn(b *testing.B) {
 				for j := 0; j < churn; j++ {
 					w.leave(b)
 				}
-				t1, p1 := time.Now(), probes
+				t1, p1, v1 := time.Now(), probes, w.dir.visits
 				for j := 0; j < churn; j++ {
 					w.join(b)
 				}
 				leaves += t1.Sub(t0)
 				joins += time.Since(t1)
-				leaveVisits += w.dir.visits - v0
+				leaveVisits += v1 - v0
 				leaveProbes += p1 - p0
 				joinProbes += probes - p1
 			}
@@ -170,7 +170,7 @@ func TestJoinProbesAQuarterOfTheMembers(t *testing.T) {
 
 // TestLeaveProbesAQuarterOfTheScan pins the refill's pruning in the
 // same world: when every holder of a leaver probed every candidate of
-// its subtree, these 16 leaves measured 16 057 RTTs each. A refill that
+// its subtree, these 16 leaves measured 16 057 RTTs a leave. A refill that
 // reads candidates nearest first measures at most a quarter of that, so
 // a silent fallback to the scan fails here.
 func TestLeaveProbesAQuarterOfTheScan(t *testing.T) {

@@ -254,8 +254,8 @@ func (cs *candidates) reset() {
 
 // nearestFirst returns the order in which a holder on host h reads cs,
 // and h's up: the candidates in h's own stub first, in ID order, then
-// the others by (lb, ID), nearest first. On a network without stubs it returns nil:
-// the holder reads cs.ranks in ID order.
+// the others by (lb, ID), nearest first. On a network without stubs it
+// returns nil: the holder reads cs.ranks in ID order.
 func (x *stubIndex) nearestFirst(cs *candidates, h vnet.HostID) ([]cand, int64) {
 	if x.net == nil {
 		return nil, 0
